@@ -29,7 +29,6 @@ from .cohomology import (
     CohomologyReport,
     EvaluatedComplex,
     HodgeContext,
-    build_hodge,
     canonical_ddbar_solution,
     cohomology,
     dclosed_dim,

@@ -260,13 +260,6 @@ class Form:
             {m: c.homogeneous_part(order) for m, c in self.coeffs.items()},
         )
 
-    def max_order(self) -> int:
-        top = 0
-        for c in self.coeffs.values():
-            for k in c.terms:
-                top = max(top, sum(k))
-        return top
-
     def eval(self, point) -> "Form":
         """Evaluate parameters; result lives in the constant ring (m=0)."""
         alg0 = FormAlgebra(self.algebra.n, PolyRing(0, 0))
@@ -284,9 +277,6 @@ class Form:
         if algebra.n != self.algebra.n:
             raise ValueError("cannot lift between different dimensions")
         return Form(algebra, {m: c.lift(algebra.ring) for m, c in self.coeffs.items()})
-
-    def map_coefficients(self, fn) -> "Form":
-        return Form(self.algebra, {m: fn(c) for m, c in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -433,15 +423,6 @@ def contract(theta: VectorValuedForm, a: Form) -> Form:
         if hooked:
             total = total + comp.wedge(Form(alg, hooked))
     return total
-
-
-def contract_power(theta: VectorValuedForm, a: Form, k: int) -> Form:
-    out = a
-    for _ in range(k):
-        if not out:
-            break
-        out = contract(theta, out)
-    return out
 
 
 def exp_contract(theta: VectorValuedForm, a: Form) -> Form:
@@ -760,23 +741,6 @@ class InvariantComplex:
     def dim(self, p: int, q: int) -> int:
         return self.algebra.dim(p, q)
 
-    def form_to_vec(self, a: Form, p: int, q: int) -> Dict[int, ParamScalar]:
-        idx = self.index(p, q)
-        out = {}
-        for m, c in a.coeffs.items():
-            if len(m[0]) != p or len(m[1]) != q:
-                raise ValueError("form does not live in the requested bidegree")
-            out[idx[m]] = c
-        return out
-
-    def vec_to_form(self, v, p: int, q: int) -> Form:
-        basis = self.basis(p, q)
-        alg = self.algebra
-        coeffs = {}
-        for i, c in v.items():
-            coeffs[basis[i]] = c if isinstance(c, ParamScalar) else alg.ring.const(c)
-        return Form(alg, coeffs)
-
     def _columns(self, op: str, p: int, q: int) -> List[Dict[int, ParamScalar]]:
         key = (op, p, q)
         if key in self._mats:
@@ -801,16 +765,6 @@ class InvariantComplex:
     def delbar_matrix(self, p: int, q: int) -> List[Dict[int, ParamScalar]]:
         """Columns of delbar: (p,q) -> (p,q+1)."""
         return self._columns("delbar", p, q)
-
-    # operator dispatch; equals the matrix action at each bidegree
-    def apply_d(self, a: Form) -> Form:
-        return self.se.apply_d(a)
-
-    def apply_del(self, a: Form) -> Form:
-        return self.se.apply_del(a)
-
-    def apply_delbar(self, a: Form) -> Form:
-        return self.se.apply_delbar(a)
 
 
 def build_complex(se: StructureEquations) -> InvariantComplex:

@@ -4,7 +4,9 @@ Subcommands: cohomology, lemmata, deform, extend, positivity, scenario,
 catalog.  Every command builds a JSON-serializable report first; the
 human-readable tables are a rendering of that JSON, never a separate
 code path.  Exit codes: 0 all good (and all golden checks pass), 2
-computation fine but a golden expectation mismatched, 1 input error.
+computation fine but a golden expectation mismatched, 1 input error
+(including argparse usage errors), reported as a single ``error:`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +33,27 @@ from .extension import bc_nontriviality, pkahler_extend, small_points, solve_ext
 from .lemmata import lemma_report
 from .positivity import is_strictly_positive, is_transverse, pkahler_check
 from .scalars import GaussianRational, parse_gaussian
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        raise NilformsError(message)
+
+
+def _nonnegative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _bidegree(text: str):
+    try:
+        p, q = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected p,q (two integers), got {text!r}") from None
+    return p, q
 
 
 def _parse_point(text: str, m: int):
@@ -162,7 +185,9 @@ def _cmd_lemmata(args) -> int:
     ec, point = _evaluated(entry, args.t)
     bidegrees = None
     if args.bidegree and not args.all:
-        p, q = (int(x) for x in args.bidegree.split(","))
+        p, q = args.bidegree
+        if not (0 <= p <= ec.n and 0 <= q <= ec.n):
+            raise NilformsError(f"bidegree ({p},{q}) is outside 0..{ec.n}")
         bidegrees = [(p, q)]
     rep = lemma_report(ec, bidegrees=bidegrees, with_standard=args.all or not args.bidegree)
     obj = rep.to_json_dict()
@@ -266,22 +291,22 @@ def _cmd_positivity(args) -> int:
 
 def _cmd_scenario(args) -> int:
     names = sorted(SCENARIOS) if args.name == "all" else [args.name]
-    worst = 0
-    for name in names:
-        rep = run_scenario(name)
-        obj = rep.to_json_dict()
-        _emit(obj, args.json, _render_scenario)
-        if not rep.passed:
-            worst = 2
-    return worst
+    reports = [run_scenario(name) for name in names]
+    objs = [rep.to_json_dict() for rep in reports]
+    if args.json and args.name == "all":
+        print(json.dumps(objs, indent=2))
+    else:
+        for obj in objs:
+            _emit(obj, args.json, _render_scenario)
+    return 0 if all(rep.passed for rep in reports) else 2
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilforms",
         description="Exact cohomology and deformation computations on invariant complexes",
     )
-    parser.add_argument("--order", type=int, default=4,
+    parser.add_argument("--order", type=_nonnegative, default=4,
                         help="truncation order for parameter rings (default 4)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,7 +323,7 @@ def main(argv=None) -> int:
 
     p_lem = sub.add_parser("lemmata", help="del-delbar lemma flags and witnesses")
     p_lem.add_argument("--manifold", required=True)
-    p_lem.add_argument("--bidegree", help="p,q")
+    p_lem.add_argument("--bidegree", type=_bidegree, help="p,q")
     p_lem.add_argument("--all", action="store_true")
     p_lem.add_argument("--t")
     p_lem.add_argument("--json", action="store_true")
@@ -307,9 +332,7 @@ def main(argv=None) -> int:
     p_def = sub.add_parser("deform", help="deformed structure equations along a Beltrami family")
     p_def.add_argument("--manifold", required=True)
     p_def.add_argument("--beltrami", required=True, help="file or 'catalog'")
-    group = p_def.add_mutually_exclusive_group()
-    group.add_argument("--symbolic", action="store_true", default=True)
-    group.add_argument("--t")
+    p_def.add_argument("--t", help="evaluate at this point instead of symbolically")
     p_def.add_argument("--output")
     p_def.set_defaults(fn=_cmd_deform)
 
@@ -317,7 +340,7 @@ def main(argv=None) -> int:
     p_ext.add_argument("--manifold", required=True)
     p_ext.add_argument("--beltrami", required=True, help="file or 'catalog'")
     p_ext.add_argument("--form", required=True, help="file or catalog:NAME")
-    p_ext.add_argument("--order-n", type=int, default=None, dest="order_n",
+    p_ext.add_argument("--order-n", type=_nonnegative, default=None, dest="order_n",
                        help="series order (default: ring truncation)")
     p_ext.add_argument("--pkahler", type=int, default=None,
                        help="treat the input as a p-Kaehler form and sample transversality")
@@ -340,8 +363,8 @@ def main(argv=None) -> int:
     p_sce.add_argument("--json", action="store_true")
     p_sce.set_defaults(fn=_cmd_scenario)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except NilformsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,20 @@
 """Per-bidegree linear algebra: the four cohomologies, Laplacians,
 harmonic projectors, Green operators, and the canonical del-delbar solve.
 
-Quotient-space computations (ker/im) are the normative route; harmonic
-kernels are a cross-check available through HodgeContext after exact
-evaluation of the deformation parameters.  Generic-t answers are taken
-at two fixed rational sample points (ranks are lower-semicontinuous in
-specialization), never by symbolic rank over a function field.
+An EvaluatedComplex owns every cache at its evaluation point: the
+matrices, one row echelon per matrix, the column spans used for
+membership tests, and the HodgeContext whose Green operators and
+canonical solver rows every del-delbar solve at that point reuses.
+
+Every dimension is rank arithmetic (dim - rank of the outgoing map -
+rank of the incoming map); kernel and image bases are built only for
+callers that need vectors (representatives, lemma witnesses, solvers).
+``cohomology(..., with_basis=True)`` checks the rank route against the
+basis route.  Quotient-space computations are the normative route;
+harmonic kernels are a cross-check available through HodgeContext.
+Generic-t answers are taken at two fixed rational sample points (ranks
+are lower-semicontinuous in specialization), never by symbolic rank
+over a function field.
 """
 
 from __future__ import annotations
@@ -41,12 +50,22 @@ def zero_point(m: int) -> Tuple[GaussianRational, ...]:
     return tuple(GaussianRational(0) for _ in range(m))
 
 
-class EvaluatedComplex:
-    """An invariant complex with parameters fixed at an exact point.
+#: (dp, dq) from the source to the target bidegree of each map
+_SHIFT = {"del": (1, 0), "delbar": (0, 1), "ddbar": (1, 1)}
 
-    All matrices are Gaussian-rational, rows-of-dicts; images, kernels
-    and ranks are cached per bidegree since the lemma checkers reuse
-    them heavily.
+
+class EvaluatedComplex:
+    """An invariant complex with parameters fixed at an exact point, and
+    the one owner of every cache for that point.
+
+    Matrices are Gaussian-rational rows-of-dicts named (op, p, q): op is
+    del, delbar, ddbar or stacked ([del; delbar]) with SOURCE (p,q);
+    exact_sum ([del | delbar], whose column span is im del + im delbar)
+    with TARGET (p,q); or total (d on the total complex) with degree p and
+    q = 0.  Each matrix gets one row echelon: ranks read it, and kernel
+    vectors are built from it only for callers that need vectors.  Column
+    spans are cached per target bidegree, and the Hodge operators live in
+    one lazily built HodgeContext (``hodge``).
     """
 
     def __init__(self, cx: InvariantComplex, point: Sequence[GaussianRational] = ()):
@@ -56,10 +75,17 @@ class EvaluatedComplex:
         if len(self.point) != cx.algebra.ring.m:
             raise ValueError("evaluation point has wrong arity for the ring")
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
-        self._images: Dict[Tuple[str, int, int], List[Vec]] = {}
         self._echelons: Dict[Tuple[str, int, int], Echelon] = {}
+        self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
         self._kernels: Dict[Tuple[str, int, int], List[Vec]] = {}
-        self._total_rank: Dict[int, int] = {}
+        self._hodge: Optional["HodgeContext"] = None
+
+    @property
+    def hodge(self) -> "HodgeContext":
+        """Laplacians, Green operators and canonical solver rows at this point."""
+        if self._hodge is None:
+            self._hodge = HodgeContext(self)
+        return self._hodge
 
     # -- matrices ---------------------------------------------------------
 
@@ -103,59 +129,84 @@ class EvaluatedComplex:
         """[del; delbar] with row offset, source (p,q)."""
         key = ("stacked", p, q)
         if key not in self._rows:
-            up = self.del_rows(p, q)
-            low = self.delbar_rows(p, q)
-            shifted = [dict(r) for r in up] + [dict(r) for r in low]
-            self._rows[key] = shifted
+            self._rows[key] = self.del_rows(p, q) + self.delbar_rows(p, q)
         return self._rows[key]
 
-    # -- spans and kernels ---------------------------------------------------
+    def exact_sum_rows(self, p: int, q: int) -> Rows:
+        """[del | delbar] with column offset, TARGET (p,q): the columns of
+        del from (p-1,q), then those of delbar from (p,q-1)."""
+        key = ("exact_sum", p, q)
+        if key not in self._rows:
+            out: Rows = [{} for _ in range(self.dim(p, q))]
+            off = 0
+            for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)):
+                if self.dim(sp, sq):
+                    for row, r in zip(out, self.rows(op, sp, sq)):
+                        row.update((off + j, c) for j, c in r.items())
+                    off += self.dim(sp, sq)
+            self._rows[key] = out
+        return self._rows[key]
+
+    def _matrix(self, op: str, p: int, q: int) -> Rows:
+        """The matrix named (op, p, q); see the class docstring."""
+        if op == "ddbar":
+            return self.ddbar_rows(p, q)
+        if op == "stacked":
+            return self.stacked_rows(p, q)
+        if op == "exact_sum":
+            return self.exact_sum_rows(p, q)
+        if op == "total":
+            return self.total_d_rows(p)
+        return self.rows(op, p, q)
+
+    # -- ranks, kernels and images -----------------------------------------
+
+    def _row_echelon(self, op: str, p: int, q: int) -> Echelon:
+        key = (op, p, q)
+        if key not in self._echelons:
+            self._echelons[key] = linalg.row_echelon(self._matrix(op, p, q))
+        return self._echelons[key]
+
+    def rank(self, op: str, p: int, q: int) -> int:
+        """Rank of the matrix (op, p, q)."""
+        return self._row_echelon(op, p, q).rank
+
+    def image_rank(self, op: str, p: int, q: int) -> int:
+        """Dimension of the image of del, delbar or ddbar with TARGET (p,q)."""
+        dp, dq = _SHIFT[op]
+        if not self.dim(p - dp, q - dq) or not self.dim(p, q):
+            return 0
+        return self.rank(op, p - dp, q - dq)
+
+    def kernel(self, op: str, p: int, q: int) -> List[Vec]:
+        """Kernel basis at source (p,q) of del/delbar/ddbar/stacked."""
+        key = (op, p, q)
+        if key not in self._kernels:
+            self._kernels[key] = linalg.echelon_kernel(
+                self._row_echelon(op, p, q), self.dim(p, q)
+            )
+        return self._kernels[key]
+
+    def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
+        """The independent columns of op into TARGET (p,q), in order, and
+        the RREF of their span that selected them."""
+        key = (op, p, q)
+        if key not in self._images:
+            dp, dq = _SHIFT[op]
+            sp, sq = p - dp, q - dq
+            if self.dim(sp, sq) and self.dim(p, q):
+                self._images[key] = linalg.column_span(self._matrix(op, sp, sq), self.dim(sp, sq))
+            else:
+                self._images[key] = ([], Echelon())
+        return self._images[key]
 
     def image_vectors(self, op: str, p: int, q: int) -> List[Vec]:
         """Basis of the image of op with TARGET bidegree (p,q)."""
-        key = (op, p, q)
-        if key in self._images:
-            return self._images[key]
-        if op == "del":
-            sp, sq = p - 1, q
-        elif op == "delbar":
-            sp, sq = p, q - 1
-        else:
-            sp, sq = p - 1, q - 1
-        if sp < 0 or sq < 0 or not self.dim(sp, sq) or not self.dim(p, q):
-            vecs: List[Vec] = []
-        else:
-            rows = (
-                self.ddbar_rows(sp, sq)
-                if op == "ddbar"
-                else self.rows(op, sp, sq)
-            )
-            vecs = linalg.image_basis(rows, self.dim(sp, sq))
-        self._images[key] = vecs
-        return vecs
+        return self._image(op, p, q)[0]
 
     def image_echelon(self, op: str, p: int, q: int) -> Echelon:
-        key = (op, p, q)
-        if key not in self._echelons:
-            e = Echelon()
-            for v in self.image_vectors(op, p, q):
-                e.insert(v)
-            self._echelons[key] = e
-        return self._echelons[key]
-
-    def kernel(self, op: str, p: int, q: int) -> List[Vec]:
-        """Kernel at source (p,q) of del/delbar/ddbar/stacked."""
-        key = (op, p, q)
-        if key in self._kernels:
-            return self._kernels[key]
-        if op == "stacked":
-            rows = self.stacked_rows(p, q)
-        elif op == "ddbar":
-            rows = self.ddbar_rows(p, q)
-        else:
-            rows = self.rows(op, p, q)
-        self._kernels[key] = linalg.nullspace(rows, self.dim(p, q))
-        return self._kernels[key]
+        """RREF of the image of op with TARGET bidegree (p,q), for membership."""
+        return self._image(op, p, q)[1]
 
     # -- total (de Rham) complex ------------------------------------------
 
@@ -196,29 +247,12 @@ class EvaluatedComplex:
         self._rows[key] = rows
         return rows
 
-    def total_d_rank(self, k: int) -> int:
-        if k not in self._total_rank:
-            if k < 0 or k >= 2 * self.n:
-                self._total_rank[k] = 0
-            else:
-                self._total_rank[k] = linalg.matrix_rank(self.total_d_rows(k))
-        return self._total_rank[k]
-
     def embed_block(self, v: Vec, p: int, q: int, k: int) -> Vec:
         off = 0
         for bp, bq in self.total_blocks(k):
             if (bp, bq) == (p, q):
                 return {off + i: c for i, c in v.items()}
             off += self.dim(bp, bq)
-        raise ValueError("bidegree not in total degree")
-
-    def block_component(self, v: Vec, p: int, q: int, k: int) -> Vec:
-        off = 0
-        for bp, bq in self.total_blocks(k):
-            d = self.dim(bp, bq)
-            if (bp, bq) == (p, q):
-                return {i - off: c for i, c in v.items() if off <= i < off + d}
-            off += d
         raise ValueError("bidegree not in total degree")
 
     # -- forms <-> vectors ---------------------------------------------------
@@ -252,44 +286,33 @@ class EvaluatedComplex:
 
 
 def h_dolbeault(ec: EvaluatedComplex, p: int, q: int) -> int:
-    ker = len(ec.kernel("delbar", p, q))
-    im = ec.image_echelon("delbar", p, q).rank
-    return ker - im
+    return ec.dim(p, q) - ec.rank("delbar", p, q) - ec.image_rank("delbar", p, q)
 
 
 def h_del(ec: EvaluatedComplex, p: int, q: int) -> int:
-    ker = len(ec.kernel("del", p, q))
-    im = ec.image_echelon("del", p, q).rank
-    return ker - im
+    return ec.dim(p, q) - ec.rank("del", p, q) - ec.image_rank("del", p, q)
 
 
 def h_bott_chern(ec: EvaluatedComplex, p: int, q: int) -> int:
-    ker = len(ec.kernel("stacked", p, q))
-    im = ec.image_echelon("ddbar", p, q).rank
-    return ker - im
+    return dclosed_dim(ec, p, q) - ddbar_image_dim(ec, p, q)
 
 
 def h_aeppli(ec: EvaluatedComplex, p: int, q: int) -> int:
-    ker = len(ec.kernel("ddbar", p, q))
-    both = ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q)
-    return ker - linalg.span_rank(both)
+    return ec.dim(p, q) - ec.rank("ddbar", p, q) - ec.rank("exact_sum", p, q)
 
 
 def betti(ec: EvaluatedComplex, k: int) -> int:
-    dim = ec.total_dim(k)
-    return dim - ec.total_d_rank(k) - ec.total_d_rank(k - 1)
+    return ec.total_dim(k) - ec.rank("total", k, 0) - ec.rank("total", k - 1, 0)
 
 
 def dclosed_dim(ec: EvaluatedComplex, p: int, q: int) -> int:
     """dim ker(del + delbar) on pure type (p,q)."""
-    return len(ec.kernel("stacked", p, q))
+    return ec.dim(p, q) - ec.rank("stacked", p, q)
 
 
 def ddbar_image_dim(ec: EvaluatedComplex, p: int, q: int) -> int:
     """dim del(delbar(Lambda^{p-1,q-1})) inside (p,q)."""
-    if p < 1 or q < 1:
-        return 0
-    return ec.image_echelon("ddbar", p, q).rank
+    return ec.image_rank("ddbar", p, q)
 
 
 _WHICH = {
@@ -324,7 +347,10 @@ def cohomology(
     if not with_basis:
         return dimension
     reps = _representatives(ec, which, p, q)
-    assert len(reps) == dimension
+    if len(reps) != dimension:
+        raise AssertionError(
+            f"{which} at {(p, q)}: rank route gives {dimension}, basis route {len(reps)}"
+        )
     return dimension, [ec.vec_to_form(v, p, q) for v in reps]
 
 
@@ -572,30 +598,22 @@ class HodgeContext:
         return self._cache[key]
 
 
-def build_hodge(cx_or_ec, point: Sequence[GaussianRational] = ()) -> HodgeContext:
-    """HodgeContext for an invariant complex at an exact parameter point."""
-    if isinstance(cx_or_ec, EvaluatedComplex):
-        return HodgeContext(cx_or_ec)
-    return HodgeContext(EvaluatedComplex(cx_or_ec, point))
-
-
-def canonical_ddbar_solution(hc: HodgeContext, y: Form) -> Form:
+def canonical_ddbar_solution(ec: EvaluatedComplex, y: Form) -> Form:
     """The minimal-norm x with del delbar x = y, namely (del delbar)* G_BC y.
 
     Raises NotSolvable when y is not in the image of del delbar.
     """
-    ec = hc.ec
     if not y:
         return ec.cx.algebra.zero()
     p, q = y.bidegree()
     yv = ec.form_to_vec(y, p, q)
     if p < 1 or q < 1 or not ec.image_echelon("ddbar", p, q).contains(yv):
         raise NotSolvable(f"right-hand side is not del-delbar-exact at {(p, q)}")
-    xv = linalg.mat_vec(hc.canonical_solver_rows(p, q), yv)
+    xv = linalg.mat_vec(ec.hodge.canonical_solver_rows(p, q), yv)
     return ec.vec_to_form(xv, p - 1, q - 1)
 
 
-def solve_conjugate_system(hc: HodgeContext, zeta: Form, xi: Form, p: int, q: int) -> Form:
+def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q: int) -> Form:
     """Canonical x in (p,q) with del x = delbar zeta and delbar x = del conj(xi).
 
     zeta is a (p+1,q-1)-form, xi a (q+1,p-1)-form; requires
@@ -605,7 +623,6 @@ def solve_conjugate_system(hc: HodgeContext, zeta: Form, xi: Form, p: int, q: in
     """
     from .lemmata import mild  # local import to avoid an import cycle
 
-    ec = hc.ec
     se = ec.cx.se
     alg = se.algebra
     zeta = zeta if zeta else alg.zero()
@@ -629,13 +646,13 @@ def solve_conjugate_system(hc: HodgeContext, zeta: Form, xi: Form, p: int, q: in
         yv = ec.form_to_vec(dbz, p + 1, q)
         if not ec.image_echelon("ddbar", p + 1, q).contains(yv):
             raise NotSolvable("delbar zeta escaped the del-delbar image")
-        pre = linalg.mat_vec(hc.canonical_solver_rows(p + 1, q), yv)
+        pre = linalg.mat_vec(ec.hodge.canonical_solver_rows(p + 1, q), yv)
         x = x + se.apply_delbar(ec.vec_to_form(pre, p, q - 1, alg))
     dxb = se.apply_del(xibar)
     if dxb:
         yv = ec.form_to_vec(dxb, p, q + 1)
         if not ec.image_echelon("ddbar", p, q + 1).contains(yv):
             raise NotSolvable("del conj(xi) escaped the del-delbar image")
-        pre = linalg.mat_vec(hc.canonical_solver_rows(p, q + 1), yv)
+        pre = linalg.mat_vec(ec.hodge.canonical_solver_rows(p, q + 1), yv)
         x = x - se.apply_del(ec.vec_to_form(pre, p - 1, q, alg))
     return x

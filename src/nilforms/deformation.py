@@ -104,13 +104,6 @@ class LieBracketTable:
             return dict(self._table.get((a, b), {}))
         return {s: -c for s, c in self._table.get((b, a), {}).items()}
 
-    def bracket_t10_part(self, a: int, b: int) -> Dict[int, ParamScalar]:
-        """Components of [e_a, e_b] on theta_1..theta_n only."""
-        return {s: c for s, c in self.bracket(a, b).items() if s < self.n}
-
-    def bracket_t01_part(self, a: int, b: int) -> Dict[int, ParamScalar]:
-        return {s: c for s, c in self.bracket(a, b).items() if s >= self.n}
-
     def check_jacobi(self) -> None:
         n2 = 2 * self.n
         for a in range(n2):

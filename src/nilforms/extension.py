@@ -32,7 +32,7 @@ from .algebra import (
     simultaneous_contract,
     vvf_of_endo,
 )
-from .cohomology import EvaluatedComplex, build_hodge, zero_point
+from .cohomology import EvaluatedComplex, zero_point
 from .deformation import (
     as_beltrami,
     check_integrability,
@@ -228,8 +228,9 @@ def solve_extension(
     requested order, solving each order with the canonical minimal-norm
     del-delbar preimage.
 
-    Raises PreconditionFailed when omega0 is not d-closed, phi is not
-    integrable, or a required mild lemma fails at t = 0, and
+    Raises PreconditionFailed when the order exceeds the ring truncation,
+    omega0 is not d-closed, phi is not integrable, or a required mild
+    lemma fails at t = 0, and
     ObstructionNonvanishing(order, component) when an order equation is
     exactly unsolvable.
     """
@@ -238,7 +239,9 @@ def solve_extension(
     ring = alg.ring
     order = ring.order if order is None else order
     if order > ring.order:
-        raise ValueError("requested order exceeds the ring truncation")
+        raise PreconditionFailed(
+            f"requested order {order} exceeds the ring truncation {ring.order}"
+        )
     se_r = se if se.algebra == alg else se.with_algebra(alg)
     if omega0.algebra != alg:
         omega0 = omega0.lift(alg)
@@ -262,7 +265,7 @@ def solve_extension(
                 raise PreconditionFailed(
                     f"the ({mp},{mq})-th mild lemma fails at t = 0"
                 )
-    hc = build_hodge(ec0)
+    hc = ec0.hodge
     ops = beltrami_operators(phi)
 
     # solve operators for the two components (constant matrices)

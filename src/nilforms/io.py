@@ -27,10 +27,6 @@ BELTRAMI_FORMAT = "nilforms.beltrami/1"
 DEFAULT_TRUNCATION = 4
 
 
-def _factor_name(sym: int, n: int) -> str:
-    return str(sym + 1) if sym < n else f"bar{sym - n + 1}"
-
-
 def _parse_factor(name: str, n: int):
     """-> (is_bar, index)."""
     text = name.strip()

@@ -143,7 +143,7 @@ def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
     if k == 0:
         return []
     rows = ec.total_d_rows(k - 1)
-    image = linalg.image_basis(rows, ec.total_dim(k - 1))
+    image, _ = linalg.column_span(rows, ec.total_dim(k - 1))
     if not image:
         return []
     # combinations of image vectors supported on the (p,q) block only
@@ -227,9 +227,7 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
         out["del_exact"] = ec.image_echelon("del", p, q).contains(v)
     elif kind == "standard":
         k = p + q
-        e = Echelon()
-        for u in linalg.image_basis(ec.total_d_rows(k - 1), ec.total_dim(k - 1)):
-            e.insert(u)
+        _, e = linalg.column_span(ec.total_d_rows(k - 1), ec.total_dim(k - 1))
         out["d_exact"] = e.contains(ec.embed_block(v, p, q, k))
     return out
 

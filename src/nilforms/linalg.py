@@ -118,46 +118,24 @@ class Echelon:
         return {k: -x for k, x in c.items()}
 
 
+def row_echelon(vectors: Sequence[Vec]) -> Echelon:
+    """RREF of the span of the vectors (the row space when they are the
+    rows of a matrix, so its rank is the rank of the matrix)."""
+    e = Echelon()
+    for v in vectors:
+        e.insert(v)
+    return e
+
+
 def span_rank(vectors: Sequence[Vec]) -> int:
-    e = Echelon()
-    for v in vectors:
-        e.insert(v)
-    return e.rank
+    return row_echelon(vectors).rank
 
 
-def span_basis(vectors: Sequence[Vec]) -> List[Vec]:
-    e = Echelon()
-    out = []
-    for v in vectors:
-        if e.insert(v):
-            out.append(v)
-    return out
-
-
-def span_contains_all(span: Sequence[Vec], candidates: Sequence[Vec]):
-    """Index of the first candidate outside the span, or None."""
-    e = Echelon()
-    for v in span:
-        e.insert(v)
-    for i, v in enumerate(candidates):
-        if not e.contains(v):
-            return i
-    return None
-
-
-def matrix_rank(rows: Rows) -> int:
-    return span_rank(rows)
-
-
-def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
-    """Basis of {x : M x = 0} from the RREF of the rows of M."""
-    e = Echelon()
-    for r in rows:
-        e.insert(r)
-    pivot_cols = set(e.pivots)
+def echelon_kernel(e: Echelon, ncols: int, one=QI_ONE) -> List[Vec]:
+    """Basis of {x : M x = 0}, one vector per free column of the RREF e of M."""
     basis = []
     for f in range(ncols):
-        if f in pivot_cols:
+        if f in e.pivots:
             continue
         x: Vec = {f: one}
         for p, row in e.pivots.items():
@@ -166,6 +144,11 @@ def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
                 x[p] = -c * one
         basis.append(x)
     return basis
+
+
+def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
+    """Basis of {x : M x = 0} from the RREF of the rows of M."""
+    return echelon_kernel(row_echelon(rows), ncols, one)
 
 
 def mat_vec(rows: Rows, x: Vec) -> Vec:
@@ -224,10 +207,6 @@ def zero_rows(n: int) -> Rows:
     return [{} for _ in range(n)]
 
 
-def stack_rows(upper: Rows, lower: Rows) -> Rows:
-    return [dict(r) for r in upper] + [dict(r) for r in lower]
-
-
 def columns_of(rows: Rows, ncols: int) -> List[Vec]:
     cols: List[Vec] = [{} for _ in range(ncols)]
     for i, r in enumerate(rows):
@@ -244,9 +223,11 @@ def rows_from_columns(cols: Sequence[Vec], nrows: int) -> Rows:
     return out
 
 
-def image_basis(rows: Rows, ncols: int) -> List[Vec]:
-    """Basis of the column space (image) of M."""
-    return span_basis(columns_of(rows, ncols))
+def column_span(rows: Rows, ncols: int) -> Tuple[List[Vec], Echelon]:
+    """The independent columns of M in order (a basis of its image), and
+    the RREF of their span."""
+    e = Echelon()
+    return [v for v in columns_of(rows, ncols) if e.insert(v)], e
 
 
 def span_intersection(a_vecs: Sequence[Vec], b_vecs: Sequence[Vec]) -> List[Vec]:

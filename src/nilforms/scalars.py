@@ -98,9 +98,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def is_real(self):
-        return self.im == 0
-
     def __repr__(self):
         return f"QI({format_gaussian(self)})"
 
@@ -148,7 +145,10 @@ def parse_gaussian(s: str) -> GaussianRational:
         sign, mag, imag = m.groups()
         if mag is None and imag is None:
             raise FormatError(f"cannot parse scalar term {term!r} in {s!r}")
-        value = Fraction(mag) if mag is not None else Fraction(1)
+        try:
+            value = Fraction(mag) if mag is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise FormatError(f"zero denominator in scalar {s!r}") from None
         if sign == "-":
             value = -value
         if imag:

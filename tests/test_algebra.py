@@ -157,8 +157,8 @@ def test_build_complex_bcvary_dims_and_column():
     target_row = cx.index(1, 1)[((1,), (3,))]
     assert list(col) == [target_row]
     # d gamma^5 is pure (1,1): the delbar part carries it all, del kills it
-    assert cx.apply_delbar(alg.gamma(5)) == alg.monomial((3,), (4,))
-    assert cx.apply_del(alg.gamma(5)).is_zero()
+    assert cx.se.apply_delbar(alg.gamma(5)) == alg.monomial((3,), (4,))
+    assert cx.se.apply_del(alg.gamma(5)).is_zero()
 
 
 def test_integrability_error_on_02_part():
@@ -202,14 +202,12 @@ def test_matrix_action_equals_derivation_action():
     for p in range(3):
         for q in range(3):
             basis = cx.basis(p, q)
-            vec = {rng.next_int(len(basis)): cx.algebra.ring.const(rng.nonzero_gaussian(3))}
-            form = cx.vec_to_form(vec, p, q)
-            cols = cx.del_matrix(p, q)
-            image = {}
-            for j, c in vec.items():
-                for i, e in cols[j].items():
-                    image[i] = image.get(i, cx.algebra.ring.zero()) + e * c
-            assert cx.vec_to_form(image, p + 1, q) == cx.se.apply_del(form)
+            j = rng.next_int(len(basis))
+            c = cx.algebra.ring.const(rng.nonzero_gaussian(3))
+            form = Form(cx.algebra, {basis[j]: c})
+            target = cx.basis(p + 1, q)
+            image = Form(cx.algebra, {target[i]: e * c for i, e in cx.del_matrix(p, q)[j].items()})
+            assert image == cx.se.apply_del(form)
 
 
 # -- contraction ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from nilforms.algebra import Form, FormAlgebra, StructureEquations, build_comple
 from nilforms.cohomology import (
     EvaluatedComplex,
     betti,
-    build_hodge,
     canonical_ddbar_solution,
     cohomology,
     dclosed_dim,
@@ -113,7 +113,7 @@ def test_generic_points_distinct_and_sized():
 
 
 def test_torus_hodge_trivial(ec_torus):
-    hc = build_hodge(ec_torus)
+    hc = ec_torus.hodge
     dim = ec_torus.dim(1, 1)
     assert all(not r for r in hc.lap_bc_rows(1, 1))
     assert hc.harmonic_bc_rows(1, 1) == linalg.identity_rows(dim)
@@ -121,7 +121,7 @@ def test_torus_hodge_trivial(ec_torus):
 
 
 def test_iwasawa_harmonic_kernel_vs_quotient(ec_iwasawa):
-    hc = build_hodge(ec_iwasawa)
+    hc = ec_iwasawa.hodge
     for (p, q) in ((2, 1), (1, 1), (2, 2)):
         lap = hc.lap_bc_rows(p, q)
         kernel = linalg.nullspace(lap, ec_iwasawa.dim(p, q))
@@ -161,7 +161,7 @@ def _check_green_identities(hc, p, q, which):
 
 
 def test_green_harmonic_algebra_iwasawa(ec_iwasawa):
-    hc = build_hodge(ec_iwasawa)
+    hc = ec_iwasawa.hodge
     _check_green_identities(hc, 2, 1, "bc")
     _check_green_identities(hc, 1, 1, "bc")
     _check_green_identities(hc, 1, 1, "a")
@@ -170,7 +170,7 @@ def test_green_harmonic_algebra_iwasawa(ec_iwasawa):
 
 def test_green_commutation_with_ddbar(ec_iwasawa):
     # G_BC del delbar = del delbar G_A as exact matrices at (2,2)
-    hc = build_hodge(ec_iwasawa)
+    hc = ec_iwasawa.hodge
     dd = ec_iwasawa.ddbar_rows(1, 1)  # (1,1) -> (2,2)
     lhs = linalg.mat_mul(hc.green_bc_rows(2, 2), dd)
     rhs = linalg.mat_mul(dd, hc.green_a_rows(1, 1))
@@ -185,8 +185,7 @@ def test_green_commutation_with_ddbar(ec_iwasawa):
 def test_canonical_ddbar_solution(ec_iwasawa, iwasawa3):
     se = iwasawa3.se
     alg = se.algebra
-    hc = build_hodge(ec_iwasawa)
-    assert canonical_ddbar_solution(hc, alg.zero()).is_zero()
+    assert canonical_ddbar_solution(ec_iwasawa, alg.zero()).is_zero()
     rng = DetRng(43)
     for trial in range(3):
         basis = alg.basis(1, 1)
@@ -196,7 +195,7 @@ def test_canonical_ddbar_solution(ec_iwasawa, iwasawa3):
         y = se.apply_del(se.apply_delbar(x0))
         if not y:
             continue
-        x = canonical_ddbar_solution(hc, y)
+        x = canonical_ddbar_solution(ec_iwasawa, y)
         assert se.apply_del(se.apply_delbar(x)) == y
         # (del delbar)(del delbar)* G_BC y = y for y in the image
         # minimality against 20 random kernel perturbations
@@ -213,30 +212,27 @@ def test_canonical_ddbar_solution(ec_iwasawa, iwasawa3):
 
 
 def test_canonical_solution_not_solvable(ec_iwasawa, iwasawa3):
-    hc = build_hodge(ec_iwasawa)
     alg = iwasawa3.se.algebra
     # at (2,1) the del delbar image is zero: any nonzero input must refuse
     with pytest.raises(NotSolvable):
-        canonical_ddbar_solution(hc, alg.monomial((1, 2), (1,)))
+        canonical_ddbar_solution(ec_iwasawa, alg.monomial((1, 2), (1,)))
 
 
 def test_solve_conjugate_system_torus(ec_torus, torus3):
-    hc = build_hodge(ec_torus)
     alg = torus3.se.algebra
     zeta = alg.monomial((1, 2), ())  # closed (2,0)
     xi = alg.monomial((1, 2), ())
-    x = solve_conjugate_system(hc, zeta, xi, 1, 1)
+    x = solve_conjugate_system(ec_torus, zeta, xi, 1, 1)
     assert x.is_zero()
 
 
 def test_solve_conjugate_system_precondition(ec_iwasawa, iwasawa3):
     # (p,q) = (2,2) needs the (2,3)-th mild lemma, which fails on Iwasawa
-    hc = build_hodge(ec_iwasawa)
     alg = iwasawa3.se.algebra
     zeta = alg.monomial((1, 2, 3), (1,))
     xi = alg.monomial((1, 2, 3), (1,))
     with pytest.raises(PreconditionFailed):
-        solve_conjugate_system(hc, zeta, xi, 2, 2)
+        solve_conjugate_system(ec_iwasawa, zeta, xi, 2, 2)
 
 
 def test_solve_conjugate_system_solves(ec_torus, torus3):
@@ -247,12 +243,26 @@ def test_solve_conjugate_system_solves(ec_torus, torus3):
     entry = catalog_load("bcvary10")
     se0 = evaluate_se(entry.se, zero_point(4))
     ec0 = EvaluatedComplex(build_complex(se0), ())
-    hc = build_hodge(ec0)
     alg0 = se0.algebra
     # zeta in (5,3), xi in (5,3) for (p,q) = (4,4)
     zeta = alg0.monomial((1, 2, 3, 4, 5), (1, 2, 4))
     xi = alg0.monomial((1, 2, 3, 4, 5), (1, 2, 4))
     assert se0.apply_del(se0.apply_delbar(zeta)).is_zero()
-    x = solve_conjugate_system(hc, zeta, xi, 4, 4)
+    x = solve_conjugate_system(ec0, zeta, xi, 4, 4)
     assert se0.apply_del(x) == se0.apply_delbar(zeta)
     assert se0.apply_delbar(x) == se0.apply_del(xi.conj())
+
+
+def test_full_report_builds_no_kernel_or_image_basis(iwasawa3):
+    ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
+    full_report(ec)
+    assert ec._kernels == {}
+    assert ec._images == {}
+
+
+def test_rank_route_checked_against_basis_route(ec_iwasawa, monkeypatch):
+    coh = sys.modules["nilforms.cohomology"]  # the package rebinds the name to the function
+    real = coh._representatives
+    monkeypatch.setattr(coh, "_representatives", lambda *args: real(*args)[:-1])
+    with pytest.raises(AssertionError, match="basis route"):
+        cohomology(ec_iwasawa, "bott_chern", p=1, q=1, with_basis=True)

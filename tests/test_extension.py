@@ -326,3 +326,18 @@ def test_small_points_are_small():
             assert abs(z.re) <= Fraction(1, 100)
             total += z.norm2()
         assert total <= Fraction(1, 100) ** 2 * 16  # comfortably tiny
+
+
+def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
+    se0 = evaluate_se(bcvary10.se, zero_point(4))
+    ec0 = EvaluatedComplex(build_complex(se0), ())
+    omega0 = ec0.vec_to_form(ec0.kernel("stacked", 4, 4)[0], 4, 4, bcvary10.se.algebra)
+    sizes = []
+    real = linalg.dense_inverse
+    monkeypatch.setattr(linalg, "dense_inverse", lambda a: sizes.append(len(a)) or real(a))
+    first = solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0, check_lemmata=False)
+    assert sizes
+    sizes.clear()
+    second = solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0, check_lemmata=False)
+    assert sizes == []
+    assert second.omega == first.omega

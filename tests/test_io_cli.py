@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +216,66 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "bcvary10" in proc.stdout
+
+
+def test_cli_scenario_all_json_is_one_array(capsys):
+    assert cli.main(["scenario", "all", "--json"]) == 0
+    objs = json.loads(capsys.readouterr().out)
+    assert isinstance(objs, list) and len(objs) == 4
+    assert all(obj["pass"] for obj in objs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--manifold", "catalog:bcvary10", "--t", "1/0,0,0,0"],
+        ["--order", "-1", "deform", "--manifold", "catalog:bcvary10", "--beltrami", "catalog"],
+        ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "x"],
+        ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "1,2,3"],
+        ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "9,9"],
+        ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "-1,0"],
+        [],
+        ["frobnicate"],
+        ["cohomology"],
+        ["cohomology", "--manifold", "catalog:iwasawa3", "--bogus"],
+        ["cohomology", "--manifold", "catalog:bcvary10", "--t", "-1/7,0,0,0"],
+        ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog",
+         "--form", "catalog:balanced", "--order-n", "9"],
+    ],
+)
+def test_cli_malformed_input_one_error_line(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+#: recorded stdout of the README examples: the arithmetic is exact, so a
+#: refactor of the engine must keep every byte of it
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+BCVARY_BELTRAMI = ["--manifold", "catalog:bcvary10", "--beltrami", "catalog"]
+GOLDEN_RUNS = {
+    "cohomology_iwasawa3": ["cohomology", "--manifold", "catalog:iwasawa3"],
+    "cohomology_bcvary10_t": [
+        "cohomology", "--manifold", "catalog:bcvary10", "--t", "3/7,5/11,2/13,7/17",
+    ],
+    "lemmata_iwasawa3_23": ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "2,3"],
+    "lemmata_bcvary10_all": ["lemmata", "--manifold", "catalog:bcvary10", "--all"],
+    "extend_bcvary10_pkahler4": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced", "--pkahler", "4"],
+    "positivity_bcvary10_p4": [
+        "positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced", "--p", "4",
+    ],
+}
+GOLDEN_CASES = [(f"{name}.txt", argv) for name, argv in GOLDEN_RUNS.items()]
+GOLDEN_CASES += [(f"{name}.json", argv + ["--json"]) for name, argv in GOLDEN_RUNS.items()]
+GOLDEN_CASES += [
+    ("deform_bcvary10.txt", ["deform", *BCVARY_BELTRAMI]),
+    ("scenario_all.txt", ["scenario", "all"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_cli_output_byte_identical_to_golden(name, argv, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()

@@ -26,7 +26,7 @@ def test_rank_matches_dense_oracle():
     for trial in range(25):
         nrows, ncols = rng.next_int(6) + 1, rng.next_int(6) + 1
         rows = _random_rows(rng, nrows, ncols)
-        assert linalg.matrix_rank(rows) == complex_rank(_dense(rows, ncols))
+        assert linalg.span_rank(rows) == complex_rank(_dense(rows, ncols))
 
 
 def test_nullspace_is_kernel_and_complete():
@@ -37,7 +37,7 @@ def test_nullspace_is_kernel_and_complete():
         basis = linalg.nullspace(rows, ncols)
         for v in basis:
             assert not linalg.mat_vec(rows, v)
-        assert len(basis) == ncols - linalg.matrix_rank(rows)
+        assert len(basis) == ncols - linalg.span_rank(rows)
         assert linalg.span_rank(basis) == len(basis)
 
 
