@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FlatnessError, IntegrabilityError, NotPerturbative
 from .scalars import GaussianRational, ParamScalar, PolyRing, QI_ONE
@@ -665,48 +665,79 @@ class StructureEquations:
             return self.d_coframe[s + 1]
         return self.d_coframe[s - n + 1].conj()
 
-    def _part_d(self, s: int, ds: Form) -> Form:
-        return ds
-
-    def _part_del(self, s: int, ds: Form) -> Form:
+    def _del_part(self, s: int) -> Form:
         # del raises holomorphic degree: (2,0)-part on gamma, (1,1) on gammabar
+        ds = self.d_symbol(s)
         return ds.component(2, 0) if s < self.n else ds.component(1, 1)
 
-    def _part_delbar(self, s: int, ds: Form) -> Form:
+    def _delbar_part(self, s: int) -> Form:
+        ds = self.d_symbol(s)
         return ds.component(1, 1) if s < self.n else ds.component(0, 2)
 
+    def _leibniz_terms(
+        self, m: Mono, images: "_SymbolImages"
+    ) -> Iterator[Tuple[bool, Mono, ParamScalar]]:
+        """The terms (negate, monomial, coefficient) of an odd derivation on
+        the monomial m, given the image of each coframe symbol."""
+        I, J = m
+        symbols = [i - 1 for i in I] + [self.n + j - 1 for j in J]
+        for pos, s in enumerate(symbols):
+            ds = images[s]
+            if not ds:
+                continue
+            if pos < len(I):
+                rest = (I[:pos] + I[pos + 1:], J)
+            else:
+                pj = pos - len(I)
+                rest = (I, J[:pj] + J[pj + 1:])
+            # d(w_r) has even degree, so it commutes to the front;
+            # only the Koszul sign of skipping pos factors remains
+            odd = pos % 2 == 1
+            for dm, dc in ds.coeffs.items():
+                r = wedge_mono(dm, rest)
+                if r is not None:
+                    yield (r[0] < 0) != odd, r[1], dc
+
     def _apply_derivation(self, a: Form, part) -> Form:
-        alg = self.algebra
-        out = alg.zero()
-        cache: Dict[int, Form] = {}
+        images = _SymbolImages(part)
+        out: Dict[Mono, ParamScalar] = {}
         for m, c in a.coeffs.items():
-            I, J = m
-            symbols = [i - 1 for i in I] + [self.n + j - 1 for j in J]
-            for pos, s in enumerate(symbols):
-                if s not in cache:
-                    cache[s] = part(s, self.d_symbol(s))
-                ds = cache[s]
-                if not ds:
-                    continue
-                if pos < len(I):
-                    rest = (I[:pos] + I[pos + 1:], J)
-                else:
-                    pj = pos - len(I)
-                    rest = (I, J[:pj] + J[pj + 1:])
-                # d(w_r) has even degree, so it commutes to the front;
-                # only the Koszul sign of skipping pos factors remains
-                v = -c if pos % 2 else c
-                out = out + ds.wedge(Form(alg, {rest: v}))
-        return out
+            for negate, mm, dc in self._leibniz_terms(m, images):
+                v = dc * c
+                if v:
+                    _accumulate(out, mm, -v if negate else v)
+        return Form(self.algebra, out)
 
     def apply_d(self, a: Form) -> Form:
-        return self._apply_derivation(a, self._part_d)
+        return self._apply_derivation(a, self.d_symbol)
 
     def apply_del(self, a: Form) -> Form:
-        return self._apply_derivation(a, self._part_del)
+        return self._apply_derivation(a, self._del_part)
 
     def apply_delbar(self, a: Form) -> Form:
-        return self._apply_derivation(a, self._part_delbar)
+        return self._apply_derivation(a, self._delbar_part)
+
+
+class _SymbolImages(dict):
+    """Coframe symbol s -> its image under a derivation, computed on first use."""
+
+    def __init__(self, part):
+        super().__init__()
+        self.part = part
+
+    def __missing__(self, s: int) -> Form:
+        self[s] = image = self.part(s)
+        return image
+
+
+def _accumulate(out: Dict, key, v) -> None:
+    """out[key] += v, dropping the key when the sum vanishes."""
+    s = out.get(key)
+    s = v if s is None else s + v
+    if s:
+        out[key] = s
+    elif key in out:
+        del out[key]
 
 
 class InvariantComplex:
@@ -726,6 +757,7 @@ class InvariantComplex:
         self._bases: Dict[Tuple[int, int], List[Mono]] = {}
         self._index: Dict[Tuple[int, int], Dict[Mono, int]] = {}
         self._mats: Dict[Tuple[str, int, int], List[Dict[int, ParamScalar]]] = {}
+        self._parts = {"del": _SymbolImages(se._del_part), "delbar": _SymbolImages(se._delbar_part)}
 
     def basis(self, p: int, q: int) -> List[Mono]:
         key = (p, q)
@@ -745,15 +777,16 @@ class InvariantComplex:
         key = (op, p, q)
         if key in self._mats:
             return self._mats[key]
-        apply = {"del": self.se.apply_del, "delbar": self.se.apply_delbar}[op]
+        # the Leibniz rule on each basis monomial, straight from the
+        # structure constants: the column of m lists the terms of op(m)
+        images = self._parts[op]
         tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
         tgt_index = self.index(tp, tq) if self.dim(tp, tq) else {}
         cols = []
         for m in self.basis(p, q):
-            image = apply(Form(self.algebra, {m: self.algebra.ring.one()}))
             col: Dict[int, ParamScalar] = {}
-            for mm, c in image.coeffs.items():
-                col[tgt_index[mm]] = c
+            for negate, mm, dc in self.se._leibniz_terms(m, images):
+                _accumulate(col, tgt_index[mm], -dc if negate else dc)
             cols.append(col)
         self._mats[key] = cols
         return cols

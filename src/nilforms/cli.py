@@ -48,6 +48,12 @@ def _nonnegative(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or not int(text):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _bidegree(text: str):
     try:
         p, q = (int(x) for x in text.split(","))
@@ -344,7 +350,7 @@ def main(argv=None) -> int:
                        help="series order (default: ring truncation)")
     p_ext.add_argument("--pkahler", type=int, default=None,
                        help="treat the input as a p-Kaehler form and sample transversality")
-    p_ext.add_argument("--samples", type=int, default=200)
+    p_ext.add_argument("--samples", type=_positive, default=200)
     p_ext.add_argument("--seed", type=int, default=7)
     p_ext.add_argument("--json", action="store_true")
     p_ext.set_defaults(fn=_cmd_extend)
@@ -353,7 +359,7 @@ def main(argv=None) -> int:
     p_pos.add_argument("--manifold", required=True)
     p_pos.add_argument("--form", required=True, help="file or catalog:NAME")
     p_pos.add_argument("--p", type=int, required=True)
-    p_pos.add_argument("--samples", type=int, default=200)
+    p_pos.add_argument("--samples", type=_positive, default=200)
     p_pos.add_argument("--seed", type=int, default=7)
     p_pos.add_argument("--json", action="store_true")
     p_pos.set_defaults(fn=_cmd_positivity)

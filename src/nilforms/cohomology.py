@@ -75,6 +75,7 @@ class EvaluatedComplex:
         if len(self.point) != cx.algebra.ring.m:
             raise ValueError("evaluation point has wrong arity for the ring")
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
+        self._cols: Dict[Tuple[str, int, int], Dict[int, Vec]] = {}
         self._echelons: Dict[Tuple[str, int, int], Echelon] = {}
         self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
         self._kernels: Dict[Tuple[str, int, int], List[Vec]] = {}
@@ -111,6 +112,19 @@ class EvaluatedComplex:
                         out[i][j] = v
         self._rows[key] = out
         return out
+
+    def columns(self, op: str, p: int, q: int) -> Dict[int, Vec]:
+        """Nonzero columns of del or delbar with source (p,q), keyed by
+        index, for products that walk the support of a vector
+        (``linalg.columns_vec``)."""
+        key = (op, p, q)
+        if key not in self._cols:
+            cols: Dict[int, Vec] = {}
+            for i, r in enumerate(self.rows(op, p, q)):
+                for j, c in r.items():
+                    cols.setdefault(j, {})[i] = c
+            self._cols[key] = cols
+        return self._cols[key]
 
     def del_rows(self, p: int, q: int) -> Rows:
         return self.rows("del", p, q)

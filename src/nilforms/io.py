@@ -73,25 +73,42 @@ def se_to_obj(se: StructureEquations) -> dict:
 
 
 def obj_to_se(obj: dict) -> StructureEquations:
+    if not isinstance(obj, dict):
+        raise FormatError("a structure-equation file holds one JSON object")
     if obj.get("format", SE_FORMAT) != SE_FORMAT:
         raise FormatError(f"unsupported structure-equation format {obj.get('format')!r}")
     try:
         n = int(obj["n"])
         m = int(obj.get("m", 0))
+        order = int(obj.get("truncation", DEFAULT_TRUNCATION)) if m else 0
         name = obj.get("name", "unnamed")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed structure-equation header: {exc}") from exc
-    order = int(obj.get("truncation", DEFAULT_TRUNCATION)) if m else 0
+    if n < 1 or m < 0 or order < 0:
+        raise FormatError(
+            f"need n >= 1 and m, truncation >= 0; got n={n}, m={m}, truncation={order}"
+        )
     ring = PolyRing(m, order)
     alg = FormAlgebra(n, ring)
+    entries = obj.get("d", {})
+    if not isinstance(entries, dict):
+        raise FormatError('"d" must map coframe indices to lists of terms')
     d: Dict[int, Form] = {}
-    for key, terms in obj.get("d", {}).items():
-        i = int(key)
+    for key, terms in entries.items():
+        i = int(key) if str(key).isdecimal() else 0
+        if not 1 <= i <= n:
+            raise FormatError(f"d entry {key!r} is not a coframe index in 1..{n}")
+        if not isinstance(terms, list):
+            raise FormatError(f"d entry {key!r} must be a list of terms")
         total = alg.zero()
         for term in terms:
+            if not isinstance(term, dict) or not isinstance(term.get("coeff"), str):
+                raise FormatError(f'd entry {key!r}: each term is an object with a "coeff" string')
             factors = term.get("factors", [])
-            if len(factors) != 2:
+            if not isinstance(factors, list) or len(factors) != 2:
                 raise FormatError("each structure term needs exactly two factors")
+            if not all(isinstance(fct, str) for fct in factors):
+                raise FormatError(f"d entry {key!r}: factors are strings such as \"1\" or \"bar2\"")
             parsed = [_parse_factor(fct, n) for fct in factors]
             bars = sum(1 for bar, _ in parsed if bar)
             if bars == 2:

@@ -36,9 +36,9 @@ def mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     if p < 1 or not ec.dim(p, q):
         return True, None
     target = ec.image_echelon("ddbar", p, q)
-    rows = ec.del_rows(p - 1, q)
+    cols = ec.columns("del", p - 1, q)
     for x in ec.kernel("ddbar", p - 1, q):
-        v = linalg.mat_vec(rows, x)
+        v = linalg.columns_vec(cols, x)
         if v and not target.contains(v):
             return False, ec.vec_to_form(v, p, q)
     return True, None
@@ -49,9 +49,9 @@ def dual_mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form
     if q < 1 or not ec.dim(p, q):
         return True, None
     target = ec.image_echelon("ddbar", p, q)
-    rows = ec.delbar_rows(p, q - 1)
+    cols = ec.columns("delbar", p, q - 1)
     for x in ec.kernel("ddbar", p, q - 1):
-        v = linalg.mat_vec(rows, x)
+        v = linalg.columns_vec(cols, x)
         if v and not target.contains(v):
             return False, ec.vec_to_form(v, p, q)
     return True, None
@@ -107,8 +107,8 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     if q > ec.n or not ec.dim(p, p):
         return True, None
     reals = _real_basis_vectors(ec, p)
-    delbar_rows = ec.delbar_rows(p, p)
-    delbar_images = [linalg.mat_vec(delbar_rows, r) for r in reals]
+    delbar_cols = ec.columns("delbar", p, p)
+    delbar_images = [linalg.columns_vec(delbar_cols, r) for r in reals]
     # solve over Q: x (real psi coefficients) with delbar psi in im del
     del_span = linalg.realify_span(ec.image_vectors("del", p, q))
     cols = [linalg.realify_vec(v) for v in delbar_images]

@@ -35,19 +35,6 @@ def vec_scale(v: Vec, c) -> Vec:
     return {k: c * x for k, x in v.items()}
 
 
-def vec_sub_scaled(u: Vec, c, v: Vec) -> Vec:
-    """u - c*v."""
-    out = dict(u)
-    for k, x in v.items():
-        s = out.get(k)
-        d = -c * x if s is None else s - c * x
-        if d:
-            out[k] = d
-        elif k in out:
-            del out[k]
-    return out
-
-
 class Echelon:
     """Incremental reduced row echelon over an exact field.
 
@@ -55,6 +42,14 @@ class Echelon:
     pivot index and 0 at every other pivot index.  With track=True the
     expression of each stored row over the inserted vectors is kept, so
     membership queries can return explicit combinations.
+
+    Column index invariant: for every non-pivot column k, ``_at[k]`` lists
+    each pivot whose stored row has a nonzero entry at k, once (pivot
+    columns have no entry).  A useful insert with new pivot k therefore
+    back-substitutes into exactly the rows in ``_at[k]``, and each step
+    costs in proportion to the nonzeros it touches, not to the rank.  The
+    lists are short on sparse input; removing a pivot from one, which
+    happens only when an entry cancels, scans it.
     """
 
     def __init__(self, track: bool = False, one=QI_ONE):
@@ -62,6 +57,7 @@ class Echelon:
         self.track = track
         self.one = one
         self.combos: Dict[int, Vec] = {}
+        self._at: Dict[int, List[int]] = {}
         self._count = 0
 
     @property
@@ -69,15 +65,18 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, v: Vec, combo: Optional[Vec] = None) -> Tuple[Vec, Optional[Vec]]:
+        pivots = self.pivots
         w = dict(v)
         c = dict(combo) if combo is not None else None
-        for p in [k for k in w if k in self.pivots]:
+        # stored rows vanish at every other pivot, so reducing by one
+        # pivot never creates an entry at another: w is updated in place
+        for p in [k for k in w if k in pivots]:
             coeff = w.get(p)
             if not coeff:
                 continue
-            w = vec_sub_scaled(w, coeff, self.pivots[p])
+            _sub_scaled_into(w, coeff, pivots[p])
             if c is not None:
-                c = vec_sub_scaled(c, coeff, self.combos[p])
+                _sub_scaled_into(c, coeff, self.combos[p])
         return w, c
 
     def insert(self, v: Vec) -> bool:
@@ -92,14 +91,33 @@ class Echelon:
         w = vec_scale(w, inv)
         if c is not None:
             c = vec_scale(c, inv)
-        for p in list(self.pivots):
+        at = self._at
+        for p in at.pop(piv, ()):
+            # row - coeff * w: the entry at piv cancels, and only the
+            # columns of w change, so only their index sets move
             row = self.pivots[p]
-            coeff = row.get(piv)
-            if coeff:
-                self.pivots[p] = vec_sub_scaled(row, coeff, w)
-                if self.track:
-                    self.combos[p] = vec_sub_scaled(self.combos[p], coeff, c)
+            coeff = row.pop(piv)
+            neg = -coeff
+            for k, x in w.items():
+                if k == piv:
+                    continue
+                s = row.get(k)
+                if s is None:
+                    row[k] = neg * x
+                    at.setdefault(k, []).append(p)
+                else:
+                    d = s - coeff * x
+                    if d:
+                        row[k] = d
+                    else:
+                        del row[k]
+                        at[k].remove(p)
+            if c is not None:
+                _sub_scaled_into(self.combos[p], coeff, c)
         self.pivots[piv] = w
+        for k in w:
+            if k != piv:
+                at.setdefault(k, []).append(piv)
         if self.track:
             self.combos[piv] = c
         return True
@@ -118,6 +136,18 @@ class Echelon:
         return {k: -x for k, x in c.items()}
 
 
+def _sub_scaled_into(u: Vec, c, v: Vec) -> None:
+    """u -= c*v in place, dropping entries that cancel."""
+    neg = -c
+    for k, x in v.items():
+        s = u.get(k)
+        d = neg * x if s is None else s - c * x
+        if d:
+            u[k] = d
+        elif s is not None:
+            del u[k]
+
+
 def row_echelon(vectors: Sequence[Vec]) -> Echelon:
     """RREF of the span of the vectors (the row space when they are the
     rows of a matrix, so its rank is the rank of the matrix)."""
@@ -132,18 +162,17 @@ def span_rank(vectors: Sequence[Vec]) -> int:
 
 
 def echelon_kernel(e: Echelon, ncols: int, one=QI_ONE) -> List[Vec]:
-    """Basis of {x : M x = 0}, one vector per free column of the RREF e of M."""
-    basis = []
-    for f in range(ncols):
-        if f in e.pivots:
-            continue
-        x: Vec = {f: one}
-        for p, row in e.pivots.items():
-            c = row.get(f)
-            if c:
-                x[p] = -c * one
-        basis.append(x)
-    return basis
+    """Basis of {x : M x = 0}, one vector per free column of the RREF e of M.
+
+    The vector of free column f is e_f minus, at each pivot p, the entry
+    of row p at f; one pass over the stored rows fills them all.
+    """
+    free = {f: {f: one} for f in range(ncols) if f not in e.pivots}
+    for p, row in e.pivots.items():
+        for f, c in row.items():
+            if f != p:
+                free[f][p] = -c
+    return list(free.values())
 
 
 def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
@@ -162,6 +191,20 @@ def mat_vec(rows: Rows, x: Vec) -> Vec:
         if s:
             out[i] = s
     return out
+
+
+def columns_vec(cols: Dict[int, Vec], x: Vec) -> Vec:
+    """M x from the nonzero columns of M, keyed by column index: walks
+    only the support of x, and equals mat_vec of the rows of M (same
+    entries, in row order)."""
+    acc: Vec = {}
+    for k, xk in x.items():
+        col = cols.get(k)
+        if col:
+            for i, c in col.items():
+                s = acc.get(i)
+                acc[i] = c * xk if s is None else s + c * xk
+    return {i: acc[i] for i in sorted(acc) if acc[i]}
 
 
 def mat_mul(a: Rows, b: Rows) -> Rows:

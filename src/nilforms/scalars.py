@@ -37,9 +37,14 @@ class GaussianRational:
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     # -- ring operations -------------------------------------------------
+    #
+    # Each operation takes a one-Fraction-operation path when both
+    # imaginary parts are zero (for division: when the divisor is real).
 
     def __add__(self, other):
         other = _coerce(other)
+        if not self.im and not other.im:
+            return _real(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -49,6 +54,8 @@ class GaussianRational:
 
     def __sub__(self, other):
         other = _coerce(other)
+        if not self.im and not other.im:
+            return _real(self.re - other.re)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -56,6 +63,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = _coerce(other)
+        if not self.im and not other.im:
+            return _real(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -65,9 +74,13 @@ class GaussianRational:
 
     def __truediv__(self, other):
         other = _coerce(other)
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            if not self.im:
+                return _real(self.re / other.re)
+            return GaussianRational(self.re / other.re, self.im / other.re)
         n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
         return GaussianRational(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
@@ -103,6 +116,18 @@ class GaussianRational:
 
     def __str__(self):
         return format_gaussian(self)
+
+
+_FRACTION_ZERO = Fraction(0)
+_new = object.__new__
+
+
+def _real(re: Fraction) -> GaussianRational:
+    """re + 0i without the constructor's coercion checks."""
+    z = _new(GaussianRational)
+    z.re = re
+    z.im = _FRACTION_ZERO
+    return z
 
 
 def _coerce(x) -> GaussianRational:

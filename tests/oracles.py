@@ -280,3 +280,130 @@ def bcvary_oracle() -> OracleComplex:
             5: [(GaussianRational(1), (2, 5 + 3))],
         },
     )
+
+
+# -- the general paths that the engine's fast paths must reproduce --------
+
+
+def qi_general(op: str, a: GaussianRational, b: GaussianRational) -> Tuple[Fraction, Fraction]:
+    """(re, im) of a op b by the general Q(i) formulas, with no real fast
+    path; raises ZeroDivisionError for a zero divisor."""
+    if op == "+":
+        return a.re + b.re, a.im + b.im
+    if op == "-":
+        return a.re - b.re, a.im - b.im
+    if op == "*":
+        return a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
+    n = b.re * b.re + b.im * b.im
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q(i)")
+    return (a.re * b.re + a.im * b.im) / n, (a.im * b.re - a.re * b.im) / n
+
+
+def _vec_sub_scaled(u, c, v):
+    out = dict(u)
+    for k, x in v.items():
+        s = out.get(k)
+        d = -c * x if s is None else s - c * x
+        if d:
+            out[k] = d
+        elif k in out:
+            del out[k]
+    return out
+
+
+class FullScanEchelon:
+    """The incremental RREF with no column index: reduction copies the
+    vector at every step, and back-substitution after a useful insert
+    probes every stored pivot row."""
+
+    def __init__(self, track: bool = False, one=GaussianRational(1)):
+        self.pivots: Dict[int, Dict[int, object]] = {}
+        self.track = track
+        self.one = one
+        self.combos: Dict[int, Dict[int, object]] = {}
+        self._count = 0
+
+    def reduce(self, v, combo=None):
+        w = dict(v)
+        c = dict(combo) if combo is not None else None
+        for p in [k for k in w if k in self.pivots]:
+            coeff = w.get(p)
+            if not coeff:
+                continue
+            w = _vec_sub_scaled(w, coeff, self.pivots[p])
+            if c is not None:
+                c = _vec_sub_scaled(c, coeff, self.combos[p])
+        return w, c
+
+    def insert(self, v) -> bool:
+        combo = {self._count: self.one} if self.track else None
+        self._count += 1
+        w, c = self.reduce(v, combo)
+        if not w:
+            return False
+        piv = min(w)
+        inv = 1 / w[piv]
+        w = {k: inv * x for k, x in w.items()}
+        if c is not None:
+            c = {k: inv * x for k, x in c.items()}
+        for p in list(self.pivots):
+            row = self.pivots[p]
+            coeff = row.get(piv)
+            if coeff:
+                self.pivots[p] = _vec_sub_scaled(row, coeff, w)
+                if self.track:
+                    self.combos[p] = _vec_sub_scaled(self.combos[p], coeff, c)
+        self.pivots[piv] = w
+        if self.track:
+            self.combos[piv] = c
+        return True
+
+    def solve_combo(self, v):
+        w, c = self.reduce(v, {})
+        if w:
+            return None
+        return {k: -x for k, x in c.items()}
+
+
+def full_scan_kernel(pivots, ncols: int, one=GaussianRational(1)):
+    """Kernel basis of an RREF, probing every pivot row for each free column."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = {f: one}
+        for p, row in pivots.items():
+            c = row.get(f)
+            if c:
+                x[p] = -c * one
+        basis.append(x)
+    return basis
+
+
+def form_layer_derivation(se, a, op: str):
+    """del, delbar or d of a form through the Form layer: every Leibniz
+    term is a Form wedge added to a running Form sum."""
+    from nilforms.algebra import Form
+
+    alg = se.algebra
+    n = se.n
+    out = alg.zero()
+    for (I, J), c in a.coeffs.items():
+        symbols = [i - 1 for i in I] + [n + j - 1 for j in J]
+        for pos, s in enumerate(symbols):
+            ds = se.d_symbol(s)
+            if op == "del":
+                ds = ds.component(2, 0) if s < n else ds.component(1, 1)
+            elif op == "delbar":
+                ds = ds.component(1, 1) if s < n else ds.component(0, 2)
+            if not ds:
+                continue
+            if pos < len(I):
+                rest = (I[:pos] + I[pos + 1:], J)
+            else:
+                pj = pos - len(I)
+                rest = (I, J[:pj] + J[pj + 1:])
+            v = -c if pos % 2 else c
+            out = out + ds.wedge(Form(alg, {rest: v}))
+    return out

@@ -25,7 +25,7 @@ from nilforms.algebra import (
 from nilforms.errors import FlatnessError, IntegrabilityError, NotPerturbative
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import WordForm, oracle_d, sort_word, word_of_mono
+from oracles import WordForm, form_layer_derivation, oracle_d, sort_word, word_of_mono
 
 ALG3 = FormAlgebra(3, PolyRing(0, 0))
 
@@ -196,18 +196,48 @@ def test_d_squared_matrix_identities_iwasawa():
                 assert all(not r for r in anti)
 
 
+def _catalog_se(name):
+    from nilforms.catalog import catalog_load
+    from nilforms.deformation import deform_complex
+
+    if name == "bcvary10_deformed":
+        # the deformed family: ParamScalar columns in t, tbar
+        bc = catalog_load("bcvary10")
+        return deform_complex(bc.se, bc.beltrami)
+    return catalog_load(name).se
+
+
 def test_matrix_action_equals_derivation_action():
-    cx = build_complex(_iwasawa_se())
+    """On every catalog entry, every column of del/delbar, assembled from
+    the structure constants, is apply_del/apply_delbar of its basis
+    monomial, and both equal the Form-layer derivation."""
+    for name in ("iwasawa3", "torus3", "abelian_4", "bcvary10", "bcvary10_deformed"):
+        _check_matrix_action(name)
+
+
+def _check_matrix_action(name):
+    se = _catalog_se(name)
+    cx = build_complex(se)
+    one = cx.algebra.ring.one()
+    for p in range(cx.n + 1):
+        for q in range(cx.n + 1):
+            for op, apply, (tp, tq) in (
+                ("del", se.apply_del, (p + 1, q)),
+                ("delbar", se.apply_delbar, (p, q + 1)),
+            ):
+                cols = cx.del_matrix(p, q) if op == "del" else cx.delbar_matrix(p, q)
+                target = cx.basis(tp, tq) if cx.dim(tp, tq) else []
+                assert len(cols) == cx.dim(p, q)
+                for m, col in zip(cx.basis(p, q), cols):
+                    form = Form(cx.algebra, {m: one})
+                    image = Form(cx.algebra, {target[i]: c for i, c in col.items()})
+                    assert image == apply(form) == form_layer_derivation(se, form, op), (name, op, m)
     rng = DetRng(31)
-    for p in range(3):
-        for q in range(3):
-            basis = cx.basis(p, q)
-            j = rng.next_int(len(basis))
-            c = cx.algebra.ring.const(rng.nonzero_gaussian(3))
-            form = Form(cx.algebra, {basis[j]: c})
-            target = cx.basis(p + 1, q)
-            image = Form(cx.algebra, {target[i]: e * c for i, e in cx.del_matrix(p, q)[j].items()})
-            assert image == cx.se.apply_del(form)
+    for _ in range(5):
+        a = _random_form(cx.algebra, rng)
+        for op in ("del", "delbar", "d"):
+            engine = {"del": se.apply_del, "delbar": se.apply_delbar, "d": se.apply_d}[op](a)
+            assert engine == form_layer_derivation(se, a, op)
 
 
 # -- contraction ---------------------------------------------------------

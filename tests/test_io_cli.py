@@ -225,6 +225,25 @@ def test_cli_scenario_all_json_is_one_array(capsys):
     assert all(obj["pass"] for obj in objs)
 
 
+#: structure-equation files that must be refused with one error line
+SE_FILE = "se-file:"
+_TERM = '{"coeff": "1", "factors": ["1", "bar2"]}'
+MALFORMED_SE = {
+    "top_level_array": "[]",
+    "d_not_object": '{"n": 2, "d": []}',
+    "d_entry_not_list": '{"n": 2, "d": {"2": 5}}',
+    "d_entry_string": '{"n": 2, "d": {"2": "1,bar2"}}',
+    "term_not_object": '{"n": 2, "d": {"2": ["1,bar2"]}}',
+    "coeff_missing": '{"n": 2, "d": {"2": [{"factors": ["1", "bar2"]}]}}',
+    "factor_not_string": '{"n": 2, "d": {"2": [{"coeff": "1", "factors": [1, "bar2"]}]}}',
+    "d_key_above_n": '{"n": 2, "d": {"7": [' + _TERM + ']}}',
+    "d_key_zero": '{"n": 2, "d": {"0": [' + _TERM + ']}}',
+    "d_key_not_integer": '{"n": 2, "d": {"x": [' + _TERM + ']}}',
+    "n_zero": '{"n": 0}',
+    "m_negative": '{"n": 2, "m": -1}',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -241,9 +260,21 @@ def test_cli_scenario_all_json_is_one_array(capsys):
         ["cohomology", "--manifold", "catalog:bcvary10", "--t", "-1/7,0,0,0"],
         ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog",
          "--form", "catalog:balanced", "--order-n", "9"],
+        ["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced",
+         "--p", "4", "--samples", "-3"],
+        ["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced",
+         "--p", "4", "--samples", "0"],
+        ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog",
+         "--form", "catalog:balanced", "--pkahler", "4", "--samples", "0"],
+        *(["cohomology", "--manifold", f"{SE_FILE}{name}"] for name in MALFORMED_SE),
     ],
 )
-def test_cli_malformed_input_one_error_line(argv, capsys):
+def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
+    for k, arg in enumerate(argv):
+        if arg.startswith(SE_FILE):
+            path = tmp_path / "se.json"
+            path.write_text(MALFORMED_SE[arg[len(SE_FILE):]])
+            argv = argv[:k] + [str(path)] + argv[k + 1:]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -262,6 +293,10 @@ GOLDEN_RUNS = {
     ],
     "lemmata_iwasawa3_23": ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "2,3"],
     "lemmata_bcvary10_all": ["lemmata", "--manifold", "catalog:bcvary10", "--all"],
+    # a generic point: pivots and witnesses with coefficients other than +-1
+    "lemmata_bcvary10_all_t": [
+        "lemmata", "--manifold", "catalog:bcvary10", "--all", "--t", "3/7,5/11,2/13,7/17",
+    ],
     "extend_bcvary10_pkahler4": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced", "--pkahler", "4"],
     "positivity_bcvary10_p4": [
         "positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced", "--p", "4",

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from nilforms import linalg
 from nilforms.linalg import Echelon
 from nilforms.scalars import DetRng, GaussianRational, QI
 
-from oracles import complex_rank, dense_rank, realify_dense
+from oracles import FullScanEchelon, complex_rank, dense_rank, full_scan_kernel, realify_dense
 
 
 def _random_rows(rng, nrows, ncols, density=3):
@@ -57,6 +59,79 @@ def test_echelon_membership_and_combo():
     for k, c in sol.items():
         rebuilt = linalg.vec_add(rebuilt, linalg.vec_scale(vecs[k], c))
     assert rebuilt == target
+
+
+def _sparse_inputs(rng, field, count, ncols):
+    """Seeded sparse vectors over Q(i) or Q, about a third of them
+    combinations of earlier ones (so dependent inserts are exercised)."""
+    def draw():
+        return (rng.rational(4) or Fraction(1)) if field == "Q" else rng.nonzero_gaussian(4)
+
+    vecs = []
+    for _ in range(count):
+        if len(vecs) >= 2 and rng.next_int(3) == 0:
+            v = {}
+            for _ in range(1 + rng.next_int(3)):
+                v = linalg.vec_add(v, linalg.vec_scale(vecs[rng.next_int(len(vecs))], draw()))
+        else:
+            v = {rng.next_int(ncols): draw() for _ in range(1 + rng.next_int(4))}
+        vecs.append(v)
+    return vecs
+
+
+def _assert_column_index(e):
+    """Echelon._at[k] lists exactly the pivot rows with an entry at k."""
+    expected = {}
+    for p, row in e.pivots.items():
+        for k in row:
+            if k != p:
+                expected.setdefault(k, set()).add(p)
+    got = {k: set(ps) for k, ps in e._at.items() if ps}
+    assert got == expected
+    assert all(len(ps) == len(set(ps)) for ps in e._at.values())
+
+
+@pytest.mark.parametrize("field", ["QI", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_echelon_equals_full_scan_oracle(field, seed):
+    rng = DetRng(100 * seed + len(field))
+    ncols = 6 + rng.next_int(14)
+    vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
+    one = Fraction(1) if field == "Q" else QI(1)
+    for track in (False, True):
+        fast, slow = Echelon(track=track, one=one), FullScanEchelon(track=track, one=one)
+        for v in vecs:
+            assert fast.insert(v) == slow.insert(v)
+            assert list(fast.pivots) == list(slow.pivots)
+            for p, row in slow.pivots.items():
+                assert list(fast.pivots[p].items()) == list(row.items())
+            _assert_column_index(fast)
+            if track:
+                assert fast.combos == slow.combos
+        kernel = linalg.echelon_kernel(fast, ncols, one)
+        expected = full_scan_kernel(slow.pivots, ncols, one)
+        assert [list(x.items()) for x in kernel] == [list(x.items()) for x in expected]
+        if track:
+            probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:4]
+            for v in probes:
+                assert fast.solve_combo(v) == slow.solve_combo(v)
+
+
+def test_columns_vec_equals_mat_vec():
+    rng = DetRng(17)
+    for _ in range(30):
+        nrows, ncols = rng.next_int(7) + 1, rng.next_int(7) + 1
+        rows = _random_rows(rng, nrows, ncols, density=rng.next_int(4))
+        cols = {}
+        for i, r in enumerate(rows):
+            for j, c in r.items():
+                cols.setdefault(j, {})[i] = c
+        x = {rng.next_int(ncols): rng.nonzero_gaussian(3) for _ in range(rng.next_int(4))}
+        got = linalg.columns_vec(cols, x)
+        assert list(got.items()) == list(linalg.mat_vec(rows, x).items())
+    # cancellation drops the entry, as mat_vec does
+    one = QI(1)
+    assert linalg.columns_vec({0: {0: one}, 1: {0: -one}}, {0: one, 1: one}) == {}
 
 
 def test_span_intersection():

@@ -17,6 +17,8 @@ from nilforms.scalars import (
     parse_scalar,
 )
 
+from oracles import qi_general
+
 fractions = st.builds(
     Fraction, st.integers(-40, 40), st.integers(1, 12)
 )
@@ -49,6 +51,39 @@ def test_gaussian_field_axioms(a, b, c):
     assert a * QI(1) == a
     if a:
         assert a * (QI(1) / a) == QI(1)
+
+
+#: half of these are real, and zero is drawn often, so the real fast
+#: paths and the zero divisor are both exercised
+mixed_gaussians = st.one_of(
+    st.builds(GaussianRational, fractions),
+    gaussians,
+    st.sampled_from([GaussianRational(0), GaussianRational(0, 1), GaussianRational(-1)]),
+)
+operands = st.one_of(mixed_gaussians, fractions, st.integers(-3, 3))
+
+
+@given(mixed_gaussians, operands, st.sampled_from(["+", "-", "*", "/"]))
+@settings(max_examples=300, deadline=None)
+def test_gaussian_fast_paths_equal_general_formulas(a, b, op):
+    qb = b if isinstance(b, GaussianRational) else GaussianRational(b)
+    apply = {
+        "+": lambda x, y: x + y,
+        "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y,
+        "/": lambda x, y: x / y,
+    }[op]
+    for x, y, qx, qy in ((a, b, a, qb), (b, a, qb, a)):
+        try:
+            expected = qi_general(op, qx, qy)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError, match=r"division by zero in Q\(i\)"):
+                apply(x, y)
+            continue
+        got = apply(x, y)
+        assert isinstance(got, GaussianRational)
+        assert (got.re, got.im) == expected
+        assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
 @given(gaussians)
