@@ -14,7 +14,7 @@ with two anti-holomorphic factors.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import Form, FormAlgebra, StructureEquations, T10, VectorValuedForm
 from .errors import FormatError
@@ -72,23 +72,34 @@ def se_to_obj(se: StructureEquations) -> dict:
     return obj
 
 
-def obj_to_se(obj: dict) -> StructureEquations:
+def _header(obj, fmt: str, what: str) -> Tuple[int, int, int]:
+    """(n, m, truncation) of a document that must be one JSON object in
+    format fmt, with integers n >= 1 and m, truncation >= 0 (m defaults
+    to 0, truncation to DEFAULT_TRUNCATION)."""
     if not isinstance(obj, dict):
-        raise FormatError("a structure-equation file holds one JSON object")
-    if obj.get("format", SE_FORMAT) != SE_FORMAT:
-        raise FormatError(f"unsupported structure-equation format {obj.get('format')!r}")
-    try:
-        n = int(obj["n"])
-        m = int(obj.get("m", 0))
-        order = int(obj.get("truncation", DEFAULT_TRUNCATION)) if m else 0
-        name = obj.get("name", "unnamed")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed structure-equation header: {exc}") from exc
+        raise FormatError(f"a {what} file holds one JSON object")
+    if obj.get("format", fmt) != fmt:
+        raise FormatError(f"unsupported {what} format {obj.get('format')!r}")
+    n, m, order = obj.get("n"), obj.get("m", 0), obj.get("truncation", DEFAULT_TRUNCATION)
+    for key, value in (("n", n), ("m", m), ("truncation", order)):
+        if type(value) is not int:
+            raise FormatError(f'{what} header needs an integer "{key}", got {value!r}')
     if n < 1 or m < 0 or order < 0:
         raise FormatError(
             f"need n >= 1 and m, truncation >= 0; got n={n}, m={m}, truncation={order}"
         )
-    ring = PolyRing(m, order)
+    return n, m, order
+
+
+def _check_term(term, where: str) -> None:
+    if not isinstance(term, dict) or not isinstance(term.get("coeff"), str):
+        raise FormatError(f'{where}: each term is an object with a "coeff" string')
+
+
+def obj_to_se(obj: dict) -> StructureEquations:
+    n, m, order = _header(obj, SE_FORMAT, "structure-equation")
+    name = obj.get("name", "unnamed")
+    ring = PolyRing(m, order if m else 0)
     alg = FormAlgebra(n, ring)
     entries = obj.get("d", {})
     if not isinstance(entries, dict):
@@ -102,8 +113,7 @@ def obj_to_se(obj: dict) -> StructureEquations:
             raise FormatError(f"d entry {key!r} must be a list of terms")
         total = alg.zero()
         for term in terms:
-            if not isinstance(term, dict) or not isinstance(term.get("coeff"), str):
-                raise FormatError(f'd entry {key!r}: each term is an object with a "coeff" string')
+            _check_term(term, f"d entry {key!r}")
             factors = term.get("factors", [])
             if not isinstance(factors, list) or len(factors) != 2:
                 raise FormatError("each structure term needs exactly two factors")
@@ -159,19 +169,33 @@ def form_to_obj(f: Form, name: Optional[str] = None) -> dict:
     return obj
 
 
+def _indices(value, n: int) -> bool:
+    """True for a strictly ascending list of coframe indices in 1..n."""
+    return (
+        isinstance(value, list)
+        and all(type(i) is int and 1 <= i <= n for i in value)
+        and value == sorted(set(value))
+    )
+
+
 def obj_to_form(obj: dict, algebra: Optional[FormAlgebra] = None) -> Form:
-    if obj.get("format", FORM_FORMAT) != FORM_FORMAT:
-        raise FormatError(f"unsupported form format {obj.get('format')!r}")
-    n = int(obj["n"])
-    m = int(obj.get("m", 0))
-    order = int(obj.get("truncation", DEFAULT_TRUNCATION)) if m else 0
-    alg = algebra or FormAlgebra(n, PolyRing(m, order))
+    n, m, order = _header(obj, FORM_FORMAT, "form")
+    alg = algebra or FormAlgebra(n, PolyRing(m, order if m else 0))
     if alg.n != n:
         raise FormatError("form dimension does not match the target algebra")
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list):
+        raise FormatError('"terms" must be a list of terms')
     total = alg.zero()
-    for term in obj.get("terms", []):
+    for term in terms:
+        _check_term(term, "form")
+        I, J = term.get("I"), term.get("J")
+        if not (_indices(I, n) and _indices(J, n)):
+            raise FormatError(
+                f'form term {term!r}: "I" and "J" are ascending lists of indices in 1..{n}'
+            )
         coeff = parse_scalar(term["coeff"], alg.ring)
-        total = total + alg.monomial(tuple(term["I"]), tuple(term["J"]), coeff)
+        total = total + alg.monomial(tuple(I), tuple(J), coeff)
     return total
 
 
@@ -212,19 +236,25 @@ def beltrami_to_obj(phi: VectorValuedForm) -> dict:
 
 
 def obj_to_beltrami(obj: dict, algebra: Optional[FormAlgebra] = None) -> VectorValuedForm:
-    if obj.get("format", BELTRAMI_FORMAT) != BELTRAMI_FORMAT:
-        raise FormatError(f"unsupported Beltrami format {obj.get('format')!r}")
-    n = int(obj["n"])
-    m = int(obj.get("m", 0))
-    order = int(obj.get("truncation", DEFAULT_TRUNCATION))
+    n, m, order = _header(obj, BELTRAMI_FORMAT, "Beltrami")
     alg = algebra or FormAlgebra(n, PolyRing(m, order))
+    if alg.n != n:
+        raise FormatError("Beltrami dimension does not match the target algebra")
+    components = obj.get("components", {})
+    if not isinstance(components, dict):
+        raise FormatError('"components" must map coframe indices to lists of terms')
     comps: Dict[int, Form] = {}
-    for key, terms in obj.get("components", {}).items():
-        i = int(key)
+    for key, terms in components.items():
+        i = int(key) if str(key).isdecimal() else 0
+        if not 1 <= i <= n:
+            raise FormatError(f"Beltrami component {key!r} is not a coframe index in 1..{n}")
+        if not isinstance(terms, list):
+            raise FormatError(f"Beltrami component {key!r} must be a list of terms")
         total = alg.zero()
         for term in terms:
+            _check_term(term, f"Beltrami component {key!r}")
             factors = term.get("factors", [])
-            if len(factors) != 1:
+            if not isinstance(factors, list) or len(factors) != 1 or not isinstance(factors[0], str):
                 raise FormatError("Beltrami terms carry exactly one coframe factor")
             bar, idx = _parse_factor(factors[0], n)
             if not bar:

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over Q(i) (and plain Q after realification).
 
 Vectors are dicts {index: scalar}; matrices are lists of row dicts.  All
-routines work for any scalar type supporting +, -, *, / and truthiness,
-so the same elimination drives Gaussian-rational and realified-rational
-computations.  No floating point anywhere.
+routines work for any scalar type supporting +, -, *, /, truthiness and
+equality with the ints 1 and -1, so the same elimination drives
+Gaussian-rational and realified-rational computations.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ def vec_scale(v: Vec, c) -> Vec:
     return {k: c * x for k, x in v.items()}
 
 
+def _negated(v: Vec) -> Vec:
+    """-v entry by entry: the same values as vec_scale(v, -1), with no
+    product and no coercion of the -1."""
+    return {k: -x for k, x in v.items()}
+
+
 class Echelon:
     """Incremental reduced row echelon over an exact field.
 
@@ -50,6 +57,14 @@ class Echelon:
     costs in proportion to the nonzeros it touches, not to the rank.  The
     lists are short on sparse input; removing a pivot from one, which
     happens only when an entry cancels, scans it.
+
+    Early-outs, none of which changes a stored row or combo: an empty
+    input returns False before any reduction (it still takes its combo
+    index); a reduced row whose leading entry is 1 is stored as it is,
+    and one whose leading entry is -1 is negated, with its combo, in one
+    pass.  Only another leading entry is inverted and multiplied in, so
+    the entries of a vector must share one scalar type: a ±1 row keeps
+    the types it has, where a rescaled one takes the inverse's.
     """
 
     def __init__(self, track: bool = False, one=QI_ONE):
@@ -81,16 +96,24 @@ class Echelon:
 
     def insert(self, v: Vec) -> bool:
         """Add a vector to the span; True if it enlarged the span."""
-        combo = {self._count: self.one} if self.track else None
-        self._count += 1
-        w, c = self.reduce(v, combo)
+        count = self._count
+        self._count = count + 1
+        if not v:
+            return False
+        w, c = self.reduce(v, {count: self.one} if self.track else None)
         if not w:
             return False
         piv = min(w)
-        inv = 1 / w[piv]
-        w = vec_scale(w, inv)
-        if c is not None:
-            c = vec_scale(c, inv)
+        lead = w[piv]
+        if lead == -1:
+            w = _negated(w)
+            if c is not None:
+                c = _negated(c)
+        elif lead != 1:
+            inv = 1 / lead
+            w = vec_scale(w, inv)
+            if c is not None:
+                c = vec_scale(c, inv)
         at = self._at
         for p in at.pop(piv, ()):
             # row - coeff * w: the entry at piv cancels, and only the
@@ -277,7 +300,7 @@ def span_intersection(a_vecs: Sequence[Vec], b_vecs: Sequence[Vec]) -> List[Vec]
     """Basis of span(a) intersected with span(b)."""
     if not a_vecs or not b_vecs:
         return []
-    cols = list(a_vecs) + [vec_scale(v, -1) for v in b_vecs]
+    cols = list(a_vecs) + [_negated(v) for v in b_vecs]
     idx = set()
     for v in cols:
         idx.update(v)

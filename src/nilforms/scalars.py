@@ -50,6 +50,8 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return _real(-self.re)
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
@@ -87,7 +89,14 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        if not isinstance(other, (int, Fraction)):
+            return _coerce(other) / self
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            return _real(other / self.re)
+        n = self.re * self.re + self.im * self.im
+        return GaussianRational(other * self.re / n, -other * self.im / n)
 
     def conj(self):
         return GaussianRational(self.re, -self.im)

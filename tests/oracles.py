@@ -314,8 +314,10 @@ def _vec_sub_scaled(u, c, v):
 
 class FullScanEchelon:
     """The incremental RREF with no column index: reduction copies the
-    vector at every step, and back-substitution after a useful insert
-    probes every stored pivot row."""
+    vector at every step, back-substitution after a useful insert probes
+    every stored pivot row, and every new row, a unit-led one too, is
+    multiplied by one / its leading entry, a quotient of two field
+    elements."""
 
     def __init__(self, track: bool = False, one=GaussianRational(1)):
         self.pivots: Dict[int, Dict[int, object]] = {}
@@ -343,7 +345,7 @@ class FullScanEchelon:
         if not w:
             return False
         piv = min(w)
-        inv = 1 / w[piv]
+        inv = self.one / w[piv]
         w = {k: inv * x for k, x in w.items()}
         if c is not None:
             c = {k: inv * x for k, x in c.items()}
@@ -364,6 +366,30 @@ class FullScanEchelon:
         if w:
             return None
         return {k: -x for k, x in c.items()}
+
+
+def negating_span_intersection(a_vecs, b_vecs):
+    """span(a) cap span(b) with each b vector negated through
+    vec_scale(v, -1), a product per entry by the coerced -1."""
+    from nilforms.linalg import Echelon, nullspace, rows_from_columns, vec_add, vec_scale
+
+    if not a_vecs or not b_vecs:
+        return []
+    cols = list(a_vecs) + [vec_scale(v, -1) for v in b_vecs]
+    idx = set()
+    for v in cols:
+        idx.update(v)
+    rows = rows_from_columns(cols, (max(idx) + 1) if idx else 0)
+    out = []
+    e = Echelon()
+    for rel in nullspace(rows, len(cols)):
+        v = {}
+        for k, c in rel.items():
+            if k < len(a_vecs):
+                v = vec_add(v, vec_scale(a_vecs[k], c))
+        if v and e.insert(v):
+            out.append(v)
+    return out
 
 
 def full_scan_kernel(pivots, ncols: int, one=GaussianRational(1)):

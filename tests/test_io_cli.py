@@ -225,8 +225,8 @@ def test_cli_scenario_all_json_is_one_array(capsys):
     assert all(obj["pass"] for obj in objs)
 
 
-#: structure-equation files that must be refused with one error line
-SE_FILE = "se-file:"
+#: files that must be refused with one error line: an argument
+#: "<kind>-file:<name>" stands for a file holding MALFORMED[kind][name]
 _TERM = '{"coeff": "1", "factors": ["1", "bar2"]}'
 MALFORMED_SE = {
     "top_level_array": "[]",
@@ -242,6 +242,36 @@ MALFORMED_SE = {
     "n_zero": '{"n": 0}',
     "m_negative": '{"n": 2, "m": -1}',
 }
+#: forms and Beltrami differentials for bcvary10 (n = 5)
+_FORM_TERM = '{"coeff": "1", "I": [1], "J": [2]}'
+MALFORMED_FORM = {
+    "top_level_array": "[]",
+    "n_missing": '{"terms": []}',
+    "n_string": '{"n": "5", "terms": []}',
+    "truncation_float": '{"n": 5, "m": 1, "truncation": 2.5, "terms": []}',
+    "terms_not_list": '{"n": 5, "terms": {"1": ' + _FORM_TERM + '}}',
+    "term_not_object": '{"n": 5, "terms": ["1,bar2"]}',
+    "I_missing": '{"n": 5, "terms": [{"coeff": "1", "J": [2]}]}',
+    "J_not_list": '{"n": 5, "terms": [{"coeff": "1", "I": [1], "J": 2}]}',
+    "index_above_n": '{"n": 5, "terms": [{"coeff": "1", "I": [6], "J": [2]}]}',
+    "index_zero": '{"n": 5, "terms": [{"coeff": "1", "I": [1], "J": [0]}]}',
+    "I_descending": '{"n": 5, "terms": [{"coeff": "1", "I": [2, 1], "J": [2]}]}',
+}
+_BELTRAMI_TERM = '{"coeff": "t1", "factors": ["bar1"]}'
+MALFORMED_BELTRAMI = {
+    "top_level_array": "[]",
+    "n_missing": '{"components": {}}',
+    "m_string": '{"n": 5, "m": "4", "components": {}}',
+    "components_not_object": '{"n": 5, "components": [' + _BELTRAMI_TERM + ']}',
+    "component_not_list": '{"n": 5, "components": {"1": ' + _BELTRAMI_TERM + '}}',
+    "term_not_object": '{"n": 5, "components": {"1": ["bar1"]}}',
+    "key_above_n": '{"n": 5, "components": {"6": [' + _BELTRAMI_TERM + ']}}',
+    "key_zero": '{"n": 5, "components": {"0": [' + _BELTRAMI_TERM + ']}}',
+    "n_not_the_manifolds": '{"n": 4, "components": {"1": [' + _BELTRAMI_TERM + ']}}',
+}
+MALFORMED = {"se": MALFORMED_SE, "form": MALFORMED_FORM, "beltrami": MALFORMED_BELTRAMI}
+_POSITIVITY = ["positivity", "--manifold", "catalog:bcvary10", "--p", "4"]
+_EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced"]
 
 
 @pytest.mark.parametrize(
@@ -266,14 +296,17 @@ MALFORMED_SE = {
          "--p", "4", "--samples", "0"],
         ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog",
          "--form", "catalog:balanced", "--pkahler", "4", "--samples", "0"],
-        *(["cohomology", "--manifold", f"{SE_FILE}{name}"] for name in MALFORMED_SE),
+        *(["cohomology", "--manifold", f"se-file:{name}"] for name in MALFORMED_SE),
+        *(_POSITIVITY + ["--form", f"form-file:{name}"] for name in MALFORMED_FORM),
+        *(_EXTEND + ["--beltrami", f"beltrami-file:{name}"] for name in MALFORMED_BELTRAMI),
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
     for k, arg in enumerate(argv):
-        if arg.startswith(SE_FILE):
-            path = tmp_path / "se.json"
-            path.write_text(MALFORMED_SE[arg[len(SE_FILE):]])
+        kind, sep, name = arg.partition("-file:")
+        if sep:
+            path = tmp_path / f"{kind}.json"
+            path.write_text(MALFORMED[kind][name])
             argv = argv[:k] + [str(path)] + argv[k + 1:]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()

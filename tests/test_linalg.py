@@ -2,11 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+from nilforms import io as nio
 from nilforms import linalg
+from nilforms.algebra import build_complex
+from nilforms.catalog import catalog_load
+from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.linalg import Echelon
 from nilforms.scalars import DetRng, GaussianRational, QI
 
-from oracles import FullScanEchelon, complex_rank, dense_rank, full_scan_kernel, realify_dense
+from oracles import (
+    FullScanEchelon,
+    complex_rank,
+    dense_rank,
+    full_scan_kernel,
+    negating_span_intersection,
+    realify_dense,
+)
 
 
 def _random_rows(rng, nrows, ncols, density=3):
@@ -62,21 +73,48 @@ def test_echelon_membership_and_combo():
 
 
 def _sparse_inputs(rng, field, count, ncols):
-    """Seeded sparse vectors over Q(i) or Q, about a third of them
-    combinations of earlier ones (so dependent inserts are exercised)."""
+    """Seeded sparse vectors over Q(i) or Q: about a sixth empty, about a
+    third combinations of earlier ones (so dependent inserts are
+    exercised), and the rest led, at a drawn column with entries only to
+    its right, by 1, by -1 or by a drawn scalar, in equal shares."""
+    one = Fraction(1) if field == "Q" else QI(1)
+
     def draw():
-        return (rng.rational(4) or Fraction(1)) if field == "Q" else rng.nonzero_gaussian(4)
+        return (rng.rational(4) or one) if field == "Q" else rng.nonzero_gaussian(4)
 
     vecs = []
     for _ in range(count):
-        if len(vecs) >= 2 and rng.next_int(3) == 0:
+        roll = rng.next_int(6)
+        if roll == 0:
+            v = {}
+        elif roll <= 2 and len(vecs) >= 2:
             v = {}
             for _ in range(1 + rng.next_int(3)):
                 v = linalg.vec_add(v, linalg.vec_scale(vecs[rng.next_int(len(vecs))], draw()))
         else:
-            v = {rng.next_int(ncols): draw() for _ in range(1 + rng.next_int(4))}
+            lead = rng.next_int(ncols)
+            v = {lead: draw() if roll == 3 else one if roll == 4 else -one}
+            for _ in range(rng.next_int(4)):
+                v[lead + rng.next_int(ncols - lead)] = draw()
         vecs.append(v)
     return vecs
+
+
+def _typed(v):
+    """Entries with their types: Fraction and Q(i) entries are emitted
+    differently, so equal values of another type are a difference."""
+    return [(k, type(x), x) for k, x in v.items()]
+
+
+def _insert_kind(slow, v):
+    """Which branch of Echelon.insert the vector takes."""
+    if not v:
+        return "empty"
+    w, _ = slow.reduce(v)
+    if not w:
+        return "dependent"
+    lead = w[min(w)]
+    return "1" if lead == 1 else "-1" if lead == -1 else "other"
 
 
 def _assert_column_index(e):
@@ -100,21 +138,29 @@ def test_echelon_equals_full_scan_oracle(field, seed):
     one = Fraction(1) if field == "Q" else QI(1)
     for track in (False, True):
         fast, slow = Echelon(track=track, one=one), FullScanEchelon(track=track, one=one)
+        kinds = set()
         for v in vecs:
+            kinds.add(_insert_kind(slow, v))
             assert fast.insert(v) == slow.insert(v)
             assert list(fast.pivots) == list(slow.pivots)
             for p, row in slow.pivots.items():
-                assert list(fast.pivots[p].items()) == list(row.items())
+                assert _typed(fast.pivots[p]) == _typed(row)
             _assert_column_index(fast)
             if track:
-                assert fast.combos == slow.combos
+                assert list(fast.combos) == list(slow.combos)
+                for p, combo in slow.combos.items():
+                    assert _typed(fast.combos[p]) == _typed(combo)
+        assert kinds == {"empty", "dependent", "1", "-1", "other"}
         kernel = linalg.echelon_kernel(fast, ncols, one)
         expected = full_scan_kernel(slow.pivots, ncols, one)
-        assert [list(x.items()) for x in kernel] == [list(x.items()) for x in expected]
+        assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
         if track:
             probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:4]
             for v in probes:
-                assert fast.solve_combo(v) == slow.solve_combo(v)
+                got, want = fast.solve_combo(v), slow.solve_combo(v)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert _typed(got) == _typed(want)
 
 
 def test_columns_vec_equals_mat_vec():
@@ -149,6 +195,58 @@ def test_span_intersection():
     for v in b:
         e2.insert(v)
     assert e2.contains(meet[0])
+
+
+@pytest.mark.parametrize("field", ["QI", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_span_intersection_equals_negating_oracle(field, seed):
+    rng = DetRng(700 + 10 * seed + len(field))
+    ncols = 5 + rng.next_int(6)
+    a = [v for v in _sparse_inputs(rng, field, 2 + rng.next_int(5), ncols) if v]
+    b = _sparse_inputs(rng, field, 2 + rng.next_int(4), ncols)
+    # one b vector lies in span(a), so the intersection is not zero
+    b = [v for v in b + [linalg.vec_add(a[0], a[-1])] if v]
+    got = linalg.span_intersection(a, b)
+    expected = negating_span_intersection(a, b)
+    assert got and [_typed(v) for v in got] == [_typed(v) for v in expected]
+
+
+def test_unit_leads_divide_nothing(monkeypatch):
+    """On Iwasawa x C at t = 0 every reduced row is led by 1 or -1, so
+    no rank takes a Q(i) division; a lead of 2 still divides once."""
+    obj = nio.se_to_obj(catalog_load("iwasawa3").se)
+    obj["n"] += 1  # abelian_1: one more closed coframe element
+    se = nio.obj_to_se(obj)
+    ec = EvaluatedComplex(build_complex(se), zero_point(se.algebra.ring.m))
+    divisions, leads = [], []
+
+    def counted(div):
+        def wrapper(a, b):
+            divisions.append(b)
+            return div(a, b)
+        return wrapper
+
+    for name in ("__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(GaussianRational, name, counted(getattr(GaussianRational, name)))
+    reduce = Echelon.reduce
+
+    def recording_reduce(self, v, combo=None):
+        w, c = reduce(self, v, combo)
+        if w:
+            leads.append(w[min(w)])
+        return w, c
+
+    monkeypatch.setattr(Echelon, "reduce", recording_reduce)
+    ranks = [ec.rank(op, p, q) for op in ("del", "delbar", "ddbar", "stacked", "exact_sum")
+             for p in range(se.n + 1) for q in range(se.n + 1)]
+    ranks += [ec.rank("total", k, 0) for k in range(2 * se.n)]
+    assert sum(ranks) > 0 and len(leads) == sum(ranks)
+    assert all(lead in (1, -1) for lead in leads)
+    assert divisions == []
+    e = Echelon()
+    assert e.insert({0: QI(2), 3: QI(1)})
+    assert len(divisions) == 1
+    assert _typed(e.pivots[0]) == _typed({0: QI(1), 3: QI(Fraction(1, 2))})
 
 
 def test_matmul_and_adjoint():

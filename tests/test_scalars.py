@@ -86,6 +86,15 @@ def test_gaussian_fast_paths_equal_general_formulas(a, b, op):
         assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
+@given(mixed_gaussians)
+@settings(max_examples=60, deadline=None)
+def test_gaussian_negation_fast_path(a):
+    neg = -a
+    assert isinstance(neg, GaussianRational)
+    assert (neg.re, neg.im) == (-a.re, -a.im)
+    assert type(neg.re) is Fraction and type(neg.im) is Fraction
+
+
 @given(gaussians)
 @settings(max_examples=40, deadline=None)
 def test_gaussian_conjugation(a):
