@@ -741,13 +741,12 @@ def _accumulate(out: Dict, key, v) -> None:
 
 
 class InvariantComplex:
-    """Bigraded complex of invariant forms with assembled matrices.
+    """Bigraded complex of invariant forms: the structure equations plus
+    the monomial basis and its index per bidegree.
 
-    Matrices are column-sparse over the scalar ring: matrix[(col)] is a
-    dict {row: scalar} expressing the image of the col-th basis monomial
-    in the target basis.  Assembly is by the signed Leibniz rule; the
-    agreement between matrix action and the derivation action is part of
-    the invariant test suite.
+    The matrices of del and delbar are assembled at an evaluation point
+    by ``cohomology.EvaluatedComplex``, straight from the evaluated
+    structure constants.
     """
 
     def __init__(self, se: StructureEquations):
@@ -756,8 +755,6 @@ class InvariantComplex:
         self.n = se.n
         self._bases: Dict[Tuple[int, int], List[Mono]] = {}
         self._index: Dict[Tuple[int, int], Dict[Mono, int]] = {}
-        self._mats: Dict[Tuple[str, int, int], List[Dict[int, ParamScalar]]] = {}
-        self._parts = {"del": _SymbolImages(se._del_part), "delbar": _SymbolImages(se._delbar_part)}
 
     def basis(self, p: int, q: int) -> List[Mono]:
         key = (p, q)
@@ -772,32 +769,6 @@ class InvariantComplex:
 
     def dim(self, p: int, q: int) -> int:
         return self.algebra.dim(p, q)
-
-    def _columns(self, op: str, p: int, q: int) -> List[Dict[int, ParamScalar]]:
-        key = (op, p, q)
-        if key in self._mats:
-            return self._mats[key]
-        # the Leibniz rule on each basis monomial, straight from the
-        # structure constants: the column of m lists the terms of op(m)
-        images = self._parts[op]
-        tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-        tgt_index = self.index(tp, tq) if self.dim(tp, tq) else {}
-        cols = []
-        for m in self.basis(p, q):
-            col: Dict[int, ParamScalar] = {}
-            for negate, mm, dc in self.se._leibniz_terms(m, images):
-                _accumulate(col, tgt_index[mm], -dc if negate else dc)
-            cols.append(col)
-        self._mats[key] = cols
-        return cols
-
-    def del_matrix(self, p: int, q: int) -> List[Dict[int, ParamScalar]]:
-        """Columns of del: (p,q) -> (p+1,q)."""
-        return self._columns("del", p, q)
-
-    def delbar_matrix(self, p: int, q: int) -> List[Dict[int, ParamScalar]]:
-        """Columns of delbar: (p,q) -> (p,q+1)."""
-        return self._columns("delbar", p, q)
 
 
 def build_complex(se: StructureEquations) -> InvariantComplex:

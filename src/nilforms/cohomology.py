@@ -2,9 +2,10 @@
 harmonic projectors, Green operators, and the canonical del-delbar solve.
 
 An EvaluatedComplex owns every cache at its evaluation point: the
-matrices, one row echelon per matrix, the column spans used for
-membership tests, and the HodgeContext whose Green operators and
-canonical solver rows every del-delbar solve at that point reuses.
+evaluated structure constants, the matrices, one row echelon per matrix,
+the column spans used for membership tests, and the HodgeContext whose
+Green operators and canonical solver rows every del-delbar solve at that
+point reuses.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map); kernel and image bases are built only for
@@ -19,15 +20,18 @@ over a function field.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Form, FormAlgebra, InvariantComplex, Mono
+from .algebra import Form, FormAlgebra, InvariantComplex, Mono, merge_indices
 from .errors import NotSolvable, PreconditionFailed
 from .linalg import Echelon, Rows, Vec
-from .scalars import GaussianRational, QI_ONE, ParamScalar
+from .scalars import GaussianRational
 
 #: numerators/denominators for the fixed generic sample points
 _GENERIC_NUMS = (3, 5, 2, 7)
@@ -54,6 +58,85 @@ def zero_point(m: int) -> Tuple[GaussianRational, ...]:
 _SHIFT = {"del": (1, 0), "delbar": (0, 1), "ddbar": (1, 1)}
 
 
+def _subset_index(n: int) -> Tuple[Dict[Tuple[int, ...], int], ...]:
+    """Per size k, the position of each k-subset of 1..n in lexicographic
+    order: the basis of (p,q) is I-major, so the index of (I, J) is
+    index[p][I] * C(n, q) + index[q][J]."""
+    ids = range(1, n + 1)
+    return tuple({c: i for i, c in enumerate(combinations(ids, k))} for k in range(n + 1))
+
+
+def _block_terms(index, fixed: Tuple[int, ...], s: Optional[int], k: int):
+    """One block (the gamma or the gammabar indices) of the monomials that
+    a term meets.
+
+    fixed is this block of the term, s the index of the symbol if it lies
+    in this block (else None), k the size of rest's block.  Per k-subset
+    R of 1..n avoiding fixed and s, yields the position of R with s
+    inserted (source) and of fixed + R (target) among the subsets of
+    their size, and whether the Koszul sign of merging fixed with R and
+    of moving s out of R + s is odd.
+    """
+    avoid = set(fixed)
+    if s:
+        avoid.add(s)
+    src_index, tgt_index = index[k + bool(s)], index[k + len(fixed)]
+    for r in combinations([i for i in range(1, len(index)) if i not in avoid], k):
+        sign, merged = merge_indices(fixed, r)
+        odd = sign < 0
+        col = r
+        if s:
+            pos = bisect(r, s)
+            col = r[:pos] + (s,) + r[pos:]
+            odd ^= pos % 2 == 1
+        yield src_index[col], tgt_index[merged], odd
+
+
+def _assemble(out: Rows, terms, index, p: int, q: int, tq: int) -> None:
+    """Rows of del or delbar from (p,q) (target gammabar-degree tq), one
+    structure constant at a time.
+
+    For each symbol s, each term (I_d, J_d, c) of its image and each
+    monomial rest of the remaining bidegree that shares no index with s
+    or the term, the Leibniz rule puts +-c at row index((I_d, J_d) ^ rest)
+    and column index(rest + s), with the Koszul sign of
+    ``StructureEquations._leibniz_terms``.  Two triples meet at one entry
+    only when d of a symbol contains that symbol; such entries are summed
+    and dropped when they cancel.  Each row's keys end ascending.
+    """
+    n = len(index) - 1
+    cq, ctq = comb(n, q), comb(n, tq)
+    for s, sterms in enumerate(terms):
+        a, b = (s + 1, None) if s < n else (None, s - n + 1)
+        rp, rq = (p - 1, q) if s < n else (p, q - 1)
+        if rp < 0 or rq < 0:
+            continue
+        for I_d, J_d, c in sterms:
+            # rest's (1,0)-block jumps the (0,1)-block of the term, and a
+            # gammabar symbol sits behind all of rest's (1,0)-factors
+            odd = (len(J_d) * rp + (rp if b else 0)) % 2 == 1
+            neg = -c
+            jparts = list(_block_terms(index, J_d, b, rq))
+            for ci, ri, oi in _block_terms(index, I_d, a, rp):
+                ci, ri, oi = ci * cq, ri * ctq, oi ^ odd
+                for cj, rj, oj in jparts:
+                    row = out[ri + rj]
+                    col = ci + cj
+                    v = neg if oi ^ oj else c
+                    prev = row.get(col)
+                    if prev is None:
+                        row[col] = v
+                    else:
+                        v = prev + v
+                        if v:
+                            row[col] = v
+                        else:
+                            del row[col]
+    for i, row in enumerate(out):
+        if len(row) > 1:
+            out[i] = dict(sorted(row.items()))
+
+
 class EvaluatedComplex:
     """An invariant complex with parameters fixed at an exact point, and
     the one owner of every cache for that point.
@@ -66,6 +149,14 @@ class EvaluatedComplex:
     vectors are built from it only for callers that need vectors.  Column
     spans are cached per target bidegree, and the Hodge operators live in
     one lazily built HodgeContext (``hodge``).
+
+    del and delbar are assembled per structure constant: the del or
+    delbar part of d of each coframe symbol is evaluated at the point
+    once, and each of its nonzero terms is spread over the monomials it
+    can meet (``_assemble``), so the cost follows the nonzero count, not
+    the basis.  Each entry is a signed sum of structure constants and
+    evaluation is additive, so the rows equal the evaluation of the
+    symbolic Leibniz-rule matrices entry by entry.
     """
 
     def __init__(self, cx: InvariantComplex, point: Sequence[GaussianRational] = ()):
@@ -74,6 +165,8 @@ class EvaluatedComplex:
         self.point = tuple(point)
         if len(self.point) != cx.algebra.ring.m:
             raise ValueError("evaluation point has wrong arity for the ring")
+        self._subsets = _subset_index(self.n)
+        self._terms: Dict[str, list] = {}
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
         self._cols: Dict[Tuple[str, int, int], Dict[int, Vec]] = {}
         self._echelons: Dict[Tuple[str, int, int], Echelon] = {}
@@ -99,19 +192,24 @@ class EvaluatedComplex:
         if key in self._rows:
             return self._rows[key]
         tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-        nrows = self.dim(tp, tq)
-        out: Rows = [{} for _ in range(nrows)]
-        if self.dim(p, q) and nrows:
-            cols = (
-                self.cx.del_matrix(p, q) if op == "del" else self.cx.delbar_matrix(p, q)
-            )
-            for j, col in enumerate(cols):
-                for i, c in col.items():
-                    v = c.eval(self.point)
-                    if v:
-                        out[i][j] = v
+        out: Rows = [{} for _ in range(self.dim(tp, tq))]
+        if self.dim(p, q) and out:
+            _assemble(out, self._symbol_terms(op), self._subsets, p, q, tq)
         self._rows[key] = out
         return out
+
+    def _symbol_terms(self, op: str) -> List[list]:
+        """The del or delbar part of d of each coframe symbol, evaluated
+        once at this point: per symbol, its nonzero terms (I, J, value)."""
+        if op not in self._terms:
+            se = self.cx.se
+            part = se._del_part if op == "del" else se._delbar_part
+            terms = []
+            for s in range(2 * self.n):
+                values = ((I, J, c.eval(self.point)) for (I, J), c in part(s).coeffs.items())
+                terms.append([t for t in values if t[2]])
+            self._terms[op] = terms
+        return self._terms[op]
 
     def columns(self, op: str, p: int, q: int) -> Dict[int, Vec]:
         """Nonzero columns of del or delbar with source (p,q), keyed by

@@ -10,6 +10,21 @@ kernels of the structure matrices:
                    deldelbar, quantified over real (p,p)-forms only
   standard:        d-exact pure-type forms inside im deldelbar, all (p,q)
 
+On an integrable complex (del^2 = delbar^2 = 0, del delbar = -delbar
+del; ``build_complex`` checks d^2 = 0 and integrability) the space that
+strong tests is
+
+  (im del + im delbar) cap ker del cap ker delbar
+      = del(ker deldelbar at (p-1,q)) + delbar(ker deldelbar at (p,q-1)),
+
+so strong builds it from the same deldelbar kernels that mild and dual
+mild read, keeping only the rank del - rank deldelbar (resp. rank delbar
+- rank deldelbar) kernel vectors whose images span each summand, and
+never forms the kernel of [del; delbar] or the column spans of del and
+delbar.  A spanning vector that is not del- and delbar-closed means the
+identity failed (the complex is not flat); that raises AssertionError
+instead of giving a verdict.
+
 Every negative answer carries a witness form that re-verifies by fresh
 rank computations.  The realness constraint of the weak variant is
 handled by splitting coefficients into conjugation-fixed and anti-fixed
@@ -61,14 +76,60 @@ def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     """Injectivity of the Bott-Chern to Aeppli comparison at (p,q)."""
     if not ec.dim(p, q):
         return True, None
-    exact_sum = ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q)
-    closed = ec.kernel("stacked", p, q)
-    meet = linalg.span_intersection(exact_sum, closed)
     target = ec.image_echelon("ddbar", p, q)
-    for v in meet:
+    for v in exact_closed_basis(ec, p, q):
         if not target.contains(v):
             return False, ec.vec_to_form(v, p, q)
     return True, None
+
+
+def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
+    """Basis of (im del + im delbar) cap ker del cap ker delbar at (p,q).
+
+    The space is del(ker deldelbar at (p-1,q)) + delbar(ker deldelbar at
+    (p,q-1)); each of the two is spanned by the images of the kernel
+    vectors whose free column is a pivot of del (resp. delbar), rank del
+    - rank deldelbar of them.  The basis is the reduced echelon form of
+    their span read in the free coordinates of the stacked [del; delbar]
+    RREF, largest free column leading: each vector holds 1 at its leading
+    free column and 0 at the leading columns of the others, listed by
+    leading column ascending, its keys ascending.  Raises AssertionError
+    when a spanning vector is not d-closed, i.e. when the complex is not
+    flat; the check is explicit, so it holds under ``python -O``.
+    """
+    spanning: List[Vec] = []
+    for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)):
+        if not ec.dim(sp, sq):
+            continue
+        pivots = ec._row_echelon(op, sp, sq).pivots
+        ddbar_pivots = ec._row_echelon("ddbar", sp, sq).pivots
+        free = [f for f in range(ec.dim(sp, sq)) if f not in ddbar_pivots]
+        cols = ec.columns(op, sp, sq)
+        for f, x in zip(free, ec.kernel("ddbar", sp, sq)):
+            if f in pivots:
+                spanning.append(linalg.columns_vec(cols, x))
+    if not spanning:
+        return []
+    del_cols, delbar_cols = ec.columns("del", p, q), ec.columns("delbar", p, q)
+    for v in spanning:
+        if linalg.columns_vec(del_cols, v) or linalg.columns_vec(delbar_cols, v):
+            raise AssertionError(
+                f"strong at {(p, q)}: a vector of del/delbar(ker deldelbar) is not d-closed"
+            )
+    # an Echelon leads with its smallest key: the free columns of the
+    # stacked RREF in reverse, then its pivot columns
+    closed_pivots = ec._row_echelon("stacked", p, q).pivots
+    free = [f for f in range(ec.dim(p, q)) if f not in closed_pivots]
+    key = {f: len(free) - 1 - i for i, f in enumerate(free)}
+    key.update((col, len(free) + col) for col in closed_pivots)
+    back = {k: i for i, k in key.items()}
+    e = Echelon()
+    for v in spanning:
+        e.insert({key[i]: c for i, c in v.items()})
+    return [
+        dict(sorted((back[k], c) for k, c in e.pivots[lead].items()))
+        for lead in sorted(e.pivots, reverse=True)
+    ]
 
 
 def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
@@ -113,7 +174,7 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     del_span = linalg.realify_span(ec.image_vectors("del", p, q))
     cols = [linalg.realify_vec(v) for v in delbar_images]
     ncols_psi = len(cols)
-    cols = cols + [linalg.vec_scale(v, Fraction(-1)) for v in del_span]
+    cols = cols + [linalg._negated(v) for v in del_span]
     nrows = 2 * ec.dim(p, q)
     rows = linalg.rows_from_columns(cols, nrows)
     relations = linalg.nullspace(rows, len(cols), one=Fraction(1))
@@ -126,13 +187,11 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
             continue
         w_real: Vec = {}
         for k, c in combo.items():
-            w_real = linalg.vec_add(w_real, linalg.vec_scale(cols[k], c))
+            linalg.add_scaled_into(w_real, c, cols[k])
         if w_real and not target.contains(w_real):
             witness: Vec = {}
             for k, c in combo.items():
-                witness = linalg.vec_add(
-                    witness, linalg.vec_scale(delbar_images[k], GaussianRational(c))
-                )
+                linalg.add_scaled_into(witness, GaussianRational(c), delbar_images[k])
             return False, ec.vec_to_form(witness, p, q)
     return True, None
 
@@ -167,7 +226,7 @@ def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
     for r in rel:
         v: Vec = {}
         for j, c in r.items():
-            v = linalg.vec_add(v, linalg.vec_scale(image[j], c))
+            linalg.add_scaled_into(v, c, image[j])
         v = {i - lo: c for i, c in v.items()}
         if v and e.insert(v):
             out.append(v)

@@ -36,6 +36,21 @@ def vec_scale(v: Vec, c) -> Vec:
     return {k: c * x for k, x in v.items()}
 
 
+def add_scaled_into(u: Vec, c, v: Vec) -> None:
+    """u += c*v in place: the entries, key order and types of
+    vec_add(u, vec_scale(v, c)), with no copy of u."""
+    if not c:
+        return
+    for k, x in v.items():
+        y = c * x
+        s = u.get(k)
+        s = y if s is None else s + y
+        if s:
+            u[k] = s
+        elif k in u:
+            del u[k]
+
+
 def _negated(v: Vec) -> Vec:
     """-v entry by entry: the same values as vec_scale(v, -1), with no
     product and no coercion of the -1."""
@@ -294,30 +309,6 @@ def column_span(rows: Rows, ncols: int) -> Tuple[List[Vec], Echelon]:
     the RREF of their span."""
     e = Echelon()
     return [v for v in columns_of(rows, ncols) if e.insert(v)], e
-
-
-def span_intersection(a_vecs: Sequence[Vec], b_vecs: Sequence[Vec]) -> List[Vec]:
-    """Basis of span(a) intersected with span(b)."""
-    if not a_vecs or not b_vecs:
-        return []
-    cols = list(a_vecs) + [_negated(v) for v in b_vecs]
-    idx = set()
-    for v in cols:
-        idx.update(v)
-    nrows = (max(idx) + 1) if idx else 0
-    rows = rows_from_columns(cols, nrows)
-    rels = nullspace(rows, len(cols))
-    na = len(a_vecs)
-    out = []
-    e = Echelon()
-    for rel in rels:
-        v: Vec = {}
-        for k, c in rel.items():
-            if k < na:
-                v = vec_add(v, vec_scale(a_vecs[k], c))
-        if v and e.insert(v):
-            out.append(v)
-    return out
 
 
 def solve_dense(a: List[List[object]], b: List[List[object]]):

@@ -35,3 +35,82 @@ def ec_iwasawa(iwasawa3):
 def ec_bcvary0(bcvary10):
     se0 = evaluate_se(bcvary10.se, zero_point(4))
     return EvaluatedComplex(build_complex(se0), ())
+
+
+def _product_se(name, factors, perm=None):
+    """Structure equations of a product of constant-coefficient factors,
+    with the coframe relabelled by perm (1-based, identity by default)."""
+    from nilforms.algebra import FormAlgebra, StructureEquations
+    from nilforms.scalars import PolyRing
+
+    n = sum(f.n for f in factors)
+    perm = perm or {i: i for i in range(1, n + 1)}
+    alg = FormAlgebra(n, PolyRing(0, 0))
+    d = {}
+    offset = 0
+    for f in factors:
+        for i, form in f.d_coframe.items():
+            g = alg.zero()
+            for (I, J), c in form.coeffs.items():
+                term = alg.scalar_form(c.constant_term())
+                for a in I:
+                    term = term.wedge(alg.gamma(perm[a + offset]))
+                for b in J:
+                    term = term.wedge(alg.gammabar(perm[b + offset]))
+                g = g + term
+            d[perm[i + offset]] = g
+        offset += f.n
+    return StructureEquations(name, alg, d)
+
+
+@pytest.fixture(scope="session")
+def iwasawa_c():
+    """Iwasawa x C (n = 4) at t = 0."""
+    return build_complex(_product_se("iwasawa_c", [catalog_load("iwasawa3").se, catalog_load("abelian_1").se]))
+
+
+@pytest.fixture(scope="session")
+def reference_complexes():
+    """(label, complex, point) for the assembly and strong-basis oracles:
+    every catalog entry at t = 0, the deformed bcvary10 family (a
+    parametric complex) at zero_point and at a generic point, bcvary10
+    deformed at both generic points and at a complex point, and the four
+    benchmark products (Iwasawa^2, Iwasawa x C^3, bcvary10(0) x C,
+    Iwasawa^2 x C) under a seeded coframe permutation."""
+    import random
+    from fractions import Fraction
+
+    from nilforms.cohomology import generic_points
+    from nilforms.deformation import deform_complex
+    from nilforms.scalars import GaussianRational
+
+    out = []
+    for name in ("torus3", "iwasawa3", "abelian_4", "bcvary10"):
+        se = catalog_load(name).se
+        out.append((f"{name}@0", build_complex(se), zero_point(se.algebra.ring.m)))
+    bc = catalog_load("bcvary10")
+    family = build_complex(deform_complex(bc.se, bc.beltrami))
+    out.append(("bcvary10 family@0", family, zero_point(4)))
+    out.append(("bcvary10 family@generic", family, generic_points(4)[0]))
+    deformed_point = (
+        GaussianRational(Fraction(1, 3), Fraction(1, 5)),
+        GaussianRational(Fraction(-1, 4)),
+        GaussianRational(0, Fraction(1, 2)),
+        GaussianRational(Fraction(2, 7)),
+    )
+    for k, pt in enumerate(generic_points(4) + (deformed_point,)):
+        out.append((f"bcvary10 deformed#{k}", build_complex(deform_complex(bc.se, bc.beltrami, point=pt)), ()))
+    iw = catalog_load("iwasawa3").se
+    c1, c3 = catalog_load("abelian_1").se, catalog_load("abelian_3").se
+    bc0 = evaluate_se(bc.se, zero_point(4))
+    rng = random.Random(11)
+    for name, factors in (
+        ("iwasawa2", [iw, iw]),
+        ("iwasawa_c3", [iw, c3]),
+        ("bcvary10_0_c", [bc0, c1]),
+        ("iwasawa2_c", [iw, iw, c1]),
+    ):
+        n = sum(f.n for f in factors)
+        perm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+        out.append((name, build_complex(_product_se(name, factors, perm)), ()))
+    return out

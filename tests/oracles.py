@@ -368,28 +368,39 @@ class FullScanEchelon:
         return {k: -x for k, x in c.items()}
 
 
-def negating_span_intersection(a_vecs, b_vecs):
-    """span(a) cap span(b) with each b vector negated through
-    vec_scale(v, -1), a product per entry by the coerced -1."""
-    from nilforms.linalg import Echelon, nullspace, rows_from_columns, vec_add, vec_scale
+def span_intersection(a_vecs, b_vecs, negate=None):
+    """Basis of span(a) cap span(b), from the relations among the columns
+    [a | -b]: the route ``lemmata.strong`` took before it built its basis
+    from the few del/delbar images of deldelbar-kernel vectors.  Each b
+    vector is negated by ``negate`` (default ``linalg._negated``)."""
+    from nilforms.linalg import Echelon, _negated, nullspace, rows_from_columns, vec_add, vec_scale
 
     if not a_vecs or not b_vecs:
         return []
-    cols = list(a_vecs) + [vec_scale(v, -1) for v in b_vecs]
+    cols = list(a_vecs) + [(negate or _negated)(v) for v in b_vecs]
     idx = set()
     for v in cols:
         idx.update(v)
     rows = rows_from_columns(cols, (max(idx) + 1) if idx else 0)
+    na = len(a_vecs)
     out = []
     e = Echelon()
     for rel in nullspace(rows, len(cols)):
         v = {}
         for k, c in rel.items():
-            if k < len(a_vecs):
+            if k < na:
                 v = vec_add(v, vec_scale(a_vecs[k], c))
         if v and e.insert(v):
             out.append(v)
     return out
+
+
+def negating_span_intersection(a_vecs, b_vecs):
+    """span(a) cap span(b) with each b vector negated through
+    vec_scale(v, -1), a product per entry by the coerced -1."""
+    from nilforms.linalg import vec_scale
+
+    return span_intersection(a_vecs, b_vecs, negate=lambda v: vec_scale(v, -1))
 
 
 def full_scan_kernel(pivots, ncols: int, one=GaussianRational(1)):
@@ -432,4 +443,40 @@ def form_layer_derivation(se, a, op: str):
                 rest = (I, J[:pj] + J[pj + 1:])
             v = -c if pos % 2 else c
             out = out + ds.wedge(Form(alg, {rest: v}))
+    return out
+
+
+# -- the symbolic assembly that EvaluatedComplex.rows replaced -------------
+
+
+def symbolic_columns(cx, op: str, p: int, q: int):
+    """Columns of del or delbar with source (p,q) over the parameter ring:
+    the Leibniz rule on every basis monomial of (p,q), each column a dict
+    {target row: ParamScalar}."""
+    from nilforms.algebra import _accumulate, _SymbolImages
+
+    se = cx.se
+    images = _SymbolImages(se._del_part if op == "del" else se._delbar_part)
+    tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
+    tgt_index = cx.index(tp, tq) if cx.dim(tp, tq) else {}
+    cols = []
+    for m in cx.basis(p, q):
+        col = {}
+        for negate, mm, dc in se._leibniz_terms(m, images):
+            _accumulate(col, tgt_index[mm], -dc if negate else dc)
+        cols.append(col)
+    return cols
+
+
+def evaluated_rows(cx, op: str, p: int, q: int, point):
+    """The rows of del or delbar at a point: the symbolic columns, each
+    entry through ParamScalar.eval, zeros dropped."""
+    tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
+    out = [{} for _ in range(cx.dim(tp, tq))]
+    if cx.dim(p, q) and out:
+        for j, col in enumerate(symbolic_columns(cx, op, p, q)):
+            for i, c in col.items():
+                v = c.eval(point)
+                if v:
+                    out[i][j] = v
     return out

@@ -22,10 +22,18 @@ from nilforms.algebra import (
     simultaneous_contract,
     vvf_of_endo,
 )
+from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.errors import FlatnessError, IntegrabilityError, NotPerturbative
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import WordForm, form_layer_derivation, oracle_d, sort_word, word_of_mono
+from oracles import (
+    WordForm,
+    form_layer_derivation,
+    oracle_d,
+    sort_word,
+    symbolic_columns,
+    word_of_mono,
+)
 
 ALG3 = FormAlgebra(3, PolyRing(0, 0))
 
@@ -132,18 +140,22 @@ def test_build_complex_validates_iwasawa():
     cx = build_complex(_iwasawa_se())
     assert cx.dim(1, 1) == 9
     # del on (1,0) has rank 1, delbar is zero there
-    cols = cx.del_matrix(1, 0)
+    cols = symbolic_columns(cx, "del", 1, 0)
     assert sum(1 for c in cols if c) == 1
-    assert all(not c for c in cx.delbar_matrix(1, 0))
+    assert all(not c for c in symbolic_columns(cx, "delbar", 1, 0))
+    ec = EvaluatedComplex(cx, ())
+    assert len(ec.columns("del", 1, 0)) == 1
+    assert all(not r for r in ec.rows("delbar", 1, 0))
 
 
 def test_build_complex_abelian_all_zero():
     alg = FormAlgebra(3, PolyRing(0, 0))
     cx = build_complex(StructureEquations("t", alg, {}))
+    ec = EvaluatedComplex(cx, ())
     for p in range(3):
         for q in range(3):
-            assert all(not c for c in cx.del_matrix(p, q))
-            assert all(not c for c in cx.delbar_matrix(p, q))
+            assert all(not r for r in ec.rows("del", p, q))
+            assert all(not r for r in ec.rows("delbar", p, q))
 
 
 def test_build_complex_bcvary_dims_and_column():
@@ -153,9 +165,11 @@ def test_build_complex_bcvary_dims_and_column():
     cx = build_complex(se)
     assert cx.dim(4, 4) == comb(5, 4) ** 2 == 25
     # delbar gamma^4 = gamma^{1 bar3}: column of gamma^4 in (1,0) hits that row
-    col = cx.delbar_matrix(1, 0)[cx.index(1, 0)[((4,), ())]]
+    col = symbolic_columns(cx, "delbar", 1, 0)[cx.index(1, 0)[((4,), ())]]
     target_row = cx.index(1, 1)[((1,), (3,))]
     assert list(col) == [target_row]
+    ec = EvaluatedComplex(cx, zero_point(4))
+    assert list(ec.columns("delbar", 1, 0)[cx.index(1, 0)[((4,), ())]]) == [target_row]
     # d gamma^5 is pure (1,1): the delbar part carries it all, del kills it
     assert cx.se.apply_delbar(alg.gamma(5)) == alg.monomial((3,), (4,))
     assert cx.se.apply_del(alg.gamma(5)).is_zero()
@@ -179,8 +193,6 @@ def test_flatness_error():
 
 def test_d_squared_matrix_identities_iwasawa():
     cx = build_complex(_iwasawa_se())
-    from nilforms.cohomology import EvaluatedComplex
-
     ec = EvaluatedComplex(cx, ())
     for p in range(4):
         for q in range(4):
@@ -225,7 +237,7 @@ def _check_matrix_action(name):
                 ("del", se.apply_del, (p + 1, q)),
                 ("delbar", se.apply_delbar, (p, q + 1)),
             ):
-                cols = cx.del_matrix(p, q) if op == "del" else cx.delbar_matrix(p, q)
+                cols = symbolic_columns(cx, op, p, q)
                 target = cx.basis(tp, tq) if cx.dim(tp, tq) else []
                 assert len(cols) == cx.dim(p, q)
                 for m, col in zip(cx.basis(p, q), cols):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilforms import linalg
-from nilforms.algebra import Form, FormAlgebra, StructureEquations, build_complex
+from nilforms.algebra import Form, FormAlgebra, InvariantComplex, StructureEquations, build_complex
 from nilforms.cohomology import (
     EvaluatedComplex,
     betti,
@@ -23,9 +23,10 @@ from nilforms.cohomology import (
 )
 from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.errors import NotSolvable, PreconditionFailed
-from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
+from nilforms.lemmata import lemma_report
+from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI
 
-from oracles import bcvary_oracle, iwasawa_oracle, torus_oracle
+from oracles import bcvary_oracle, evaluated_rows, iwasawa_oracle, torus_oracle
 
 
 def test_engine_matches_oracle_iwasawa(ec_iwasawa):
@@ -266,3 +267,72 @@ def test_rank_route_checked_against_basis_route(ec_iwasawa, monkeypatch):
     monkeypatch.setattr(coh, "_representatives", lambda *args: real(*args)[:-1])
     with pytest.raises(AssertionError, match="basis route"):
         cohomology(ec_iwasawa, "bott_chern", p=1, q=1, with_basis=True)
+
+
+# -- assembly per structure constant ----------------------------------------
+
+
+def _typed_rows(rows):
+    """Rows with their key order and entry types."""
+    return [[(k, type(x), x) for k, x in r.items()] for r in rows]
+
+
+def test_evaluated_assembly_equals_symbolic_oracle(reference_complexes):
+    """Every del and delbar matrix assembled from the evaluated structure
+    constants equals the symbolic Leibniz-rule columns evaluated entry by
+    entry: same rows, same key order, same entry types."""
+    for label, cx, point in reference_complexes:
+        ec = EvaluatedComplex(cx, point)
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                for op in ("del", "delbar"):
+                    got = ec.rows(op, p, q)
+                    expected = evaluated_rows(cx, op, p, q, point)
+                    assert _typed_rows(got) == _typed_rows(expected), (label, op, p, q)
+
+
+def test_evaluated_assembly_sums_colliding_terms():
+    """When d of a symbol contains that symbol, two Leibniz terms meet at
+    one entry: d(g1 ^ g2) = -2 g123 is summed, d(g1 ^ g4) = 0 cancels,
+    and the rows still equal the oracle's."""
+    alg = FormAlgebra(4, PolyRing(0, 0))
+    se = StructureEquations(
+        "diagonal",
+        alg,
+        {
+            1: alg.monomial((1, 3), ()),
+            2: alg.monomial((2, 3), ()),
+            4: alg.monomial((3, 4), ()) + alg.monomial((4,), (1,)).scale(QI(0, 1)),
+        },
+    )
+    cx = InvariantComplex(se)
+    ec = EvaluatedComplex(cx, ())
+    for p in range(5):
+        for q in range(5):
+            for op in ("del", "delbar"):
+                assert _typed_rows(ec.rows(op, p, q)) == _typed_rows(evaluated_rows(cx, op, p, q, ())), (op, p, q)
+    cols = ec.columns("del", 2, 0)
+    index = cx.index(2, 0)
+    assert cols[index[((1, 2), ())]] == {cx.index(3, 0)[((1, 2, 3), ())]: QI(-2)}
+    assert index[((1, 4), ())] not in cols
+
+
+def test_evaluation_once_per_structure_constant(monkeypatch, iwasawa_c):
+    """full_report then lemma_report on Iwasawa x C at t = 0 evaluate each
+    term of the del/delbar parts of the 2n symbol images at most once."""
+    se = iwasawa_c.se
+    terms = sum(
+        len(part(s).coeffs) for s in range(2 * se.n) for part in (se._del_part, se._delbar_part)
+    )
+    calls = []
+    real_eval = ParamScalar.eval
+
+    def counting_eval(self, point):
+        calls.append(1)
+        return real_eval(self, point)
+
+    monkeypatch.setattr(ParamScalar, "eval", counting_eval)
+    ec = EvaluatedComplex(iwasawa_c, ())
+    full_report(ec)
+    lemma_report(ec)
+    assert 0 < len(calls) <= terms

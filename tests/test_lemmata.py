@@ -1,12 +1,13 @@
 import pytest
 
 from nilforms import linalg
-from nilforms.algebra import build_complex
+from nilforms.algebra import FormAlgebra, InvariantComplex, StructureEquations, build_complex
 from nilforms.catalog import catalog_load
-from nilforms.cohomology import EvaluatedComplex, generic_points, zero_point
+from nilforms.cohomology import EvaluatedComplex, full_report, generic_points, zero_point
 from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.lemmata import (
     dual_mild,
+    exact_closed_basis,
     lemma_report,
     mild,
     standard,
@@ -14,6 +15,9 @@ from nilforms.lemmata import (
     verify_witness,
     weak,
 )
+from nilforms.scalars import PolyRing
+
+from oracles import span_intersection
 
 
 def test_iwasawa_taxonomy(ec_iwasawa):
@@ -118,3 +122,90 @@ def test_report_serialization(ec_iwasawa):
     obj = rep.to_json_dict()
     assert obj["mild"]["2,3"] is False
     assert "mild:2,3" in obj["witnesses"]
+
+
+# -- strong from the deldelbar kernels ---------------------------------------
+
+
+def _span_intersection_strong(ec, p, q):
+    """The strong verdict and witness through the intersection of the del
+    and delbar column spans with the stacked kernel."""
+    meet = span_intersection(
+        ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q), ec.kernel("stacked", p, q)
+    )
+    target = ec.image_echelon("ddbar", p, q)
+    for v in meet:
+        if not target.contains(v):
+            return meet, False, ec.vec_to_form(v, p, q)
+    return meet, True, None
+
+
+def _typed_entries(v):
+    # entries with their types; the intersection route leaves its keys in
+    # the order its sums met them, the kernel route in ascending order
+    return sorted((k, type(x), x) for k, x in v.items())
+
+
+def test_strong_basis_equals_span_intersection(reference_complexes):
+    """At every bidegree, the basis strong builds from del/delbar images of
+    deldelbar-kernel vectors is the list span_intersection gives (order,
+    values, types), and lemma_report's strong verdicts and witnesses are
+    the ones the intersection route gives."""
+    for label, cx, point in reference_complexes:
+        ec = EvaluatedComplex(cx, point)
+        report = lemma_report(ec, with_standard=False)
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                got = exact_closed_basis(ec, p, q)
+                meet, ok, witness = _span_intersection_strong(ec, p, q)
+                assert got == meet, (label, p, q)
+                assert [_typed_entries(v) for v in got] == [_typed_entries(v) for v in meet]
+                assert report.strong_flags[(p, q)] is ok, (label, p, q)
+                assert report.witnesses.get(f"strong:{p},{q}") == witness, (label, p, q)
+
+
+def test_strong_refuses_a_complex_that_is_not_flat():
+    """With d gamma^3 = gamma^1 ^ gammabar^2 and d gamma^2 = gamma^1 ^
+    gammabar^3, d^2 != 0, so del(ker deldelbar) leaves ker delbar at
+    (1,1): strong raises instead of giving a verdict."""
+    alg = FormAlgebra(3, PolyRing(0, 0))
+    se = StructureEquations(
+        "notflat", alg, {3: alg.monomial((1,), (2,)), 2: alg.monomial((1,), (3,))}
+    )
+    ec = EvaluatedComplex(InvariantComplex(se), ())
+    with pytest.raises(AssertionError, match="not d-closed"):
+        strong(ec, 1, 1)
+    with pytest.raises(AssertionError, match="not d-closed"):
+        lemma_report(ec, bidegrees=[(1, 1)], with_standard=False)
+
+
+def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
+    """Through full_report and lemma_report on Iwasawa x C at t = 0, no
+    kernel of [del; delbar] is built and strong asks for no column span
+    of del or delbar."""
+    from nilforms import lemmata
+
+    inside = []
+    asked = []
+    real_strong, real_image = lemmata.strong, EvaluatedComplex._image
+
+    def traced_strong(ec, p, q):
+        inside.append((p, q))
+        try:
+            return real_strong(ec, p, q)
+        finally:
+            inside.pop()
+
+    def traced_image(self, op, p, q):
+        if inside:
+            asked.append((op, p, q))
+        return real_image(self, op, p, q)
+
+    monkeypatch.setattr(lemmata, "strong", traced_strong)
+    monkeypatch.setattr(EvaluatedComplex, "_image", traced_image)
+    ec = EvaluatedComplex(iwasawa_c, ())
+    full_report(ec)
+    report = lemma_report(ec)
+    assert not report.strong_flags[(2, 2)]
+    assert not [key for key in ec._kernels if key[0] == "stacked"]
+    assert asked and {op for op, _, _ in asked} == {"ddbar"}

