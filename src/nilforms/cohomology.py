@@ -1,11 +1,12 @@
-"""Per-bidegree linear algebra: the four cohomologies, Laplacians,
-harmonic projectors, Green operators, and the canonical del-delbar solve.
+"""Per-bidegree linear algebra: the four cohomologies, the canonical
+del-delbar solve, and the Laplacians, harmonic projectors and Green
+operators of Hodge theory.
 
 An EvaluatedComplex owns every cache at its evaluation point: the
 evaluated structure constants, the matrices, one row echelon per matrix,
-the column spans used for membership tests, and the HodgeContext whose
-Green operators and canonical solver rows every del-delbar solve at that
-point reuses.
+the column spans used for membership tests, the tracked echelons that
+every minimal-norm del-delbar solve at that point reuses
+(``ddbar_preimage``), and the HodgeContext.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map); kernel and image bases are built only for
@@ -147,8 +148,9 @@ class EvaluatedComplex:
     with TARGET (p,q); or total (d on the total complex) with degree p and
     q = 0.  Each matrix gets one row echelon: ranks read it, and kernel
     vectors are built from it only for callers that need vectors.  Column
-    spans are cached per target bidegree, and the Hodge operators live in
-    one lazily built HodgeContext (``hodge``).
+    spans and minimal-norm del-delbar solvers are cached per target
+    bidegree, and the Hodge operators live in one lazily built
+    HodgeContext (``hodge``).
 
     del and delbar are assembled per structure constant: the del or
     delbar part of d of each coframe symbol is evaluated at the point
@@ -172,11 +174,12 @@ class EvaluatedComplex:
         self._echelons: Dict[Tuple[str, int, int], Echelon] = {}
         self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
         self._kernels: Dict[Tuple[str, int, int], List[Vec]] = {}
+        self._preimages: Dict[Tuple[int, int], Tuple[Rows, Echelon]] = {}
         self._hodge: Optional["HodgeContext"] = None
 
     @property
     def hodge(self) -> "HodgeContext":
-        """Laplacians, Green operators and canonical solver rows at this point."""
+        """Laplacians, harmonic projectors and Green operators at this point."""
         if self._hodge is None:
             self._hodge = HodgeContext(self)
         return self._hodge
@@ -319,6 +322,28 @@ class EvaluatedComplex:
     def image_echelon(self, op: str, p: int, q: int) -> Echelon:
         """RREF of the image of op with TARGET bidegree (p,q), for membership."""
         return self._image(op, p, q)[1]
+
+    def ddbar_preimage(self, p: int, q: int, y: Vec) -> Optional[Vec]:
+        """The minimal-norm x in (p-1,q-1) with del delbar x = y, for y in
+        (p,q), or None when y is not in the image of del delbar.
+
+        With A = del delbar from (p-1,q-1), x = A* z for any z with
+        A A* z = y: two such z differ by an element of ker A A* = ker A*,
+        so x is unique, and A* z lies in im A* = (ker A)^perp.  z comes
+        from a tracked RREF of the columns of A A*, built once per (p,q),
+        so the membership test and the solve are one reduction.
+        """
+        key = (p, q)
+        if key not in self._preimages:
+            a = self.ddbar_rows(p - 1, q - 1)
+            adjoint = linalg.conj_transpose(a, self.dim(p - 1, q - 1))
+            e = Echelon(track=True)
+            for col in linalg.columns_of(linalg.mat_mul(a, adjoint), self.dim(p, q)):
+                e.insert(col)
+            self._preimages[key] = (adjoint, e)
+        adjoint, e = self._preimages[key]
+        z = e.solve_combo(y)
+        return None if z is None else linalg.mat_vec(adjoint, z)
 
     # -- total (de Rham) complex ------------------------------------------
 
@@ -551,8 +576,9 @@ class HodgeContext:
     Green operators in the inner product declaring the monomial basis
     orthonormal (the invariant metric sum gamma^i (x) gammabar^i).
 
-    Green operators come from exact solves: G = (box + H)^{-1} (1 - H),
-    which is the unique operator with box G = 1 - H, G H = H G = 0.
+    Green operators come from exact solves (``linalg.harmonic_green``).
+    This is the Hodge-theory API only: no solver reads it, since the
+    minimal-norm del-delbar solve is ``EvaluatedComplex.ddbar_preimage``.
     """
 
     def __init__(self, ec: EvaluatedComplex):
@@ -654,29 +680,9 @@ class HodgeContext:
     def _harmonic_green(self, which: str, p: int, q: int) -> Tuple[Rows, Rows]:
         """(H, G) for box_BC or box_A at (p,q)."""
         key = (f"hg-{which}", p, q)
-        if key in self._cache:
-            return self._cache[key]
-        lap = self.lap_bc_rows(p, q) if which == "bc" else self.lap_a_rows(p, q)
-        dim = self.ec.dim(p, q)
-        kernel = linalg.nullspace(lap, dim)
-        if kernel:
-            kmat = linalg.rows_from_columns(kernel, dim)  # dim x r
-            kstar = linalg.conj_transpose(kmat, len(kernel))
-            gram = linalg.mat_mul(kstar, kmat)
-            gram_inv = linalg.dense_inverse(linalg.rows_to_dense(gram, len(kernel)))
-            h = linalg.mat_mul(kmat, linalg.mat_mul(linalg.dense_to_rows(gram_inv), kstar))
-            h = [dict(r) for r in h] + [{} for _ in range(dim - len(h))]
-        else:
-            h = linalg.zero_rows(dim)
-        shifted = linalg.mat_add(lap, h)
-        inv = linalg.dense_inverse(linalg.rows_to_dense(shifted, dim))
-        if inv is None:
-            raise AssertionError("box + H must be invertible")
-        one_minus_h = linalg.mat_add(
-            linalg.identity_rows(dim), linalg.mat_scale(h, GaussianRational(-1))
-        )
-        g = linalg.mat_mul(linalg.dense_to_rows(inv), one_minus_h)
-        self._cache[key] = (h, g)
+        if key not in self._cache:
+            lap = self.lap_bc_rows(p, q) if which == "bc" else self.lap_a_rows(p, q)
+            self._cache[key] = linalg.harmonic_green(lap, self.ec.dim(p, q))
         return self._cache[key]
 
     def harmonic_bc_rows(self, p, q):
@@ -691,37 +697,18 @@ class HodgeContext:
     def green_a_rows(self, p, q):
         return self._harmonic_green("a", p, q)[1]
 
-    def ddbar_star_rows(self, p: int, q: int) -> Rows:
-        """(del delbar)*: (p,q) -> (p-1,q-1)."""
-        key = ("ddbarstar", p, q)
-        if key not in self._cache:
-            self._cache[key] = linalg.conj_transpose(
-                self.ec.ddbar_rows(p - 1, q - 1), self.ec.dim(p - 1, q - 1)
-            )
-        return self._cache[key]
-
-    def canonical_solver_rows(self, p: int, q: int) -> Rows:
-        """(del delbar)* G_BC at (p,q): the minimal-norm preimage map."""
-        key = ("canon", p, q)
-        if key not in self._cache:
-            self._cache[key] = linalg.mat_mul(
-                self.ddbar_star_rows(p, q), self.green_bc_rows(p, q)
-            )
-        return self._cache[key]
-
 
 def canonical_ddbar_solution(ec: EvaluatedComplex, y: Form) -> Form:
-    """The minimal-norm x with del delbar x = y, namely (del delbar)* G_BC y.
+    """The minimal-norm x with del delbar x = y (``ddbar_preimage``).
 
     Raises NotSolvable when y is not in the image of del delbar.
     """
     if not y:
         return ec.cx.algebra.zero()
     p, q = y.bidegree()
-    yv = ec.form_to_vec(y, p, q)
-    if p < 1 or q < 1 or not ec.image_echelon("ddbar", p, q).contains(yv):
+    xv = ec.ddbar_preimage(p, q, ec.form_to_vec(y, p, q))
+    if xv is None:
         raise NotSolvable(f"right-hand side is not del-delbar-exact at {(p, q)}")
-    xv = linalg.mat_vec(ec.hodge.canonical_solver_rows(p, q), yv)
     return ec.vec_to_form(xv, p - 1, q - 1)
 
 
@@ -752,19 +739,5 @@ def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q
         ok, _ = mild(ec, mp, mq)
         if not ok:
             raise PreconditionFailed(f"the ({mp},{mq})-th mild lemma fails on this complex")
-    x = alg.zero()
-    dbz = se.apply_delbar(zeta)
-    if dbz:
-        yv = ec.form_to_vec(dbz, p + 1, q)
-        if not ec.image_echelon("ddbar", p + 1, q).contains(yv):
-            raise NotSolvable("delbar zeta escaped the del-delbar image")
-        pre = linalg.mat_vec(ec.hodge.canonical_solver_rows(p + 1, q), yv)
-        x = x + se.apply_delbar(ec.vec_to_form(pre, p, q - 1, alg))
-    dxb = se.apply_del(xibar)
-    if dxb:
-        yv = ec.form_to_vec(dxb, p, q + 1)
-        if not ec.image_echelon("ddbar", p, q + 1).contains(yv):
-            raise NotSolvable("del conj(xi) escaped the del-delbar image")
-        pre = linalg.mat_vec(ec.hodge.canonical_solver_rows(p, q + 1), yv)
-        x = x - se.apply_del(ec.vec_to_form(pre, p - 1, q, alg))
-    return x
+    x = se.apply_delbar(canonical_ddbar_solution(ec, se.apply_delbar(zeta)))
+    return x - se.apply_del(canonical_ddbar_solution(ec, se.apply_del(xibar)))

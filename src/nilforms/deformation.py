@@ -471,32 +471,6 @@ class VectorHodge:
             total = linalg.mat_add(total, linalg.mat_mul(dprev, dprev_star))
         return total
 
-    def harmonic_basis(self, q: int) -> List[Dict[int, object]]:
-        return linalg.nullspace(self.laplacian_rows(q), self.dim(q))
-
-    def harmonic_projector(self, q: int) -> Rows:
-        kernel = self.harmonic_basis(q)
-        dim = self.dim(q)
-        if not kernel:
-            return linalg.zero_rows(dim)
-        kmat = linalg.rows_from_columns(kernel, dim)
-        kstar = linalg.conj_transpose(kmat, len(kernel))
-        gram = linalg.mat_mul(kstar, kmat)
-        gram_inv = linalg.dense_inverse(linalg.rows_to_dense(gram, len(kernel)))
-        h = linalg.mat_mul(kmat, linalg.mat_mul(linalg.dense_to_rows(gram_inv), kstar))
-        return [h[i] if i < len(h) else {} for i in range(dim)]
-
-    def green_rows(self, q: int) -> Rows:
-        lap = self.laplacian_rows(q)
-        h = self.harmonic_projector(q)
-        dim = self.dim(q)
-        shifted = linalg.mat_add(lap, h)
-        inv = linalg.dense_inverse(linalg.rows_to_dense(shifted, dim))
-        one_minus_h = linalg.mat_add(
-            linalg.identity_rows(dim), linalg.mat_scale(h, GaussianRational(-1))
-        )
-        return linalg.mat_mul(linalg.dense_to_rows(inv), one_minus_h)
-
 
 def mat_vec_param(rows: Rows, x: Dict[int, ParamScalar], ring: PolyRing) -> Dict[int, ParamScalar]:
     """Constant QI matrix applied to a vector of truncated polynomials."""
@@ -536,7 +510,7 @@ def kuranishi_expand(
     projections of [phi,phi] reported order by order."""
     se0 = se if se.algebra.ring.m == 0 else evaluate_se(se, zero_point(se.algebra.ring.m))
     vh = VectorHodge(se0)
-    harm_vecs = vh.harmonic_basis(1)
+    harm_vecs = linalg.nullspace(vh.laplacian_rows(1), vh.dim(1))
     if basis_directions is not None:
         harm_vecs = [harm_vecs[i] for i in basis_directions]
     m = len(harm_vecs)
@@ -556,8 +530,7 @@ def kuranishi_expand(
     phi_orders.append(phi1)
 
     dstar_rows = linalg.conj_transpose(vh.delbar_rows(1), vh.dim(1))
-    green2 = vh.green_rows(2)
-    hproj2 = vh.harmonic_projector(2)
+    hproj2, green2 = linalg.harmonic_green(vh.laplacian_rows(2), vh.dim(2))
     solve_rows = linalg.mat_mul(dstar_rows, green2)
 
     obstructions: List[VectorValuedForm] = []

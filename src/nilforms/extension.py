@@ -5,14 +5,15 @@ system is written for): the extension on the deformed fiber is
 e^{iota_phi} e^{iota_B} W with B = phibar (1 - phi phibar-block)^{-1},
 and the original-side form is recovered by the inverse gammabar-block
 substitution.  Each order solves two del-delbar equations with the
-canonical minimal-norm solution; solvability is checked by exact rank
-tests before every Green solve, and the final d-residual is recomputed
-from scratch both directly and through the graded k-sums.
+canonical minimal-norm solution (``EvaluatedComplex.ddbar_preimage``,
+whose one exact reduction per coefficient slice both decides solvability
+and solves), and the final d-residual is recomputed from scratch both
+directly and through the graded k-sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,7 +22,6 @@ from . import linalg
 from .algebra import (
     CoframeEndo,
     Form,
-    FormAlgebra,
     StructureEquations,
     T01,
     VectorValuedForm,
@@ -36,13 +36,10 @@ from .cohomology import EvaluatedComplex, zero_point
 from .deformation import (
     as_beltrami,
     check_integrability,
-    coframe_transform,
-    deform_complex,
     evaluate_se,
-    mat_vec_param,
 )
 from .errors import ObstructionNonvanishing, PreconditionFailed
-from .scalars import GaussianRational, ParamScalar, PolyRing, QI_ONE
+from .scalars import GaussianRational, ParamScalar, QI_ONE
 
 
 @dataclass
@@ -252,7 +249,6 @@ def solve_extension(
     if not ok:
         raise PreconditionFailed("phi is not integrable")
 
-    n = alg.n
     if ec0 is None:
         se0 = evaluate_se(se_r, zero_point(ring.m))
         ec0 = EvaluatedComplex(build_complex(se0), ())
@@ -265,23 +261,7 @@ def solve_extension(
                 raise PreconditionFailed(
                     f"the ({mp},{mq})-th mild lemma fails at t = 0"
                 )
-    hc = ec0.hodge
     ops = beltrami_operators(phi)
-
-    # solve operators for the two components (constant matrices)
-    solve_left = None
-    if 0 <= p + 1 <= n and q >= 1:
-        solve_left = linalg.mat_mul(
-            ec0.delbar_rows(p, q - 1), hc.canonical_solver_rows(p + 1, q)
-        )
-    solve_right = None
-    if 0 <= q + 1 <= n and p >= 1:
-        solve_right = linalg.mat_mul(
-            ec0.del_rows(p - 1, q), hc.canonical_solver_rows(p, q + 1)
-        )
-
-    idx_left = ec0.cx.index(p + 1, q) if ec0.dim(p + 1, q) else {}
-    idx_right = ec0.cx.index(p, q + 1) if ec0.dim(p, q + 1) else {}
 
     omega_tilde = omega0
     for l in range(1, order + 1):
@@ -297,16 +277,10 @@ def solve_extension(
         correction = -s1l
         z_left = se_r.apply_delbar(s2l)
         if z_left:
-            vec = _param_vec(z_left, idx_left)
-            _check_membership(ec0, vec, p + 1, q, l, "left")
-            pre = mat_vec_param(solve_left, vec, ring)
-            correction = correction - _form_from_param_vec(ec0, pre, p, q, alg)
+            correction = correction - _ddbar_correction(ec0, z_left, "left", p, q, l)
         z_right = se_r.apply_del(s3l)
         if z_right:
-            vec = _param_vec(z_right, idx_right)
-            _check_membership(ec0, vec, p, q + 1, l, "right")
-            pre = mat_vec_param(solve_right, vec, ring)
-            correction = correction + _form_from_param_vec(ec0, pre, p, q, alg)
+            correction = correction + _ddbar_correction(ec0, z_right, "right", p, q, l)
         omega_tilde = omega_tilde + correction
 
     omega = from_tilde(ops, omega_tilde)
@@ -325,32 +299,31 @@ def solve_extension(
     return state
 
 
-def _param_vec(form: Form, index: Dict) -> Dict[int, ParamScalar]:
-    out: Dict[int, ParamScalar] = {}
-    for m, c in form.coeffs.items():
-        out[index[m]] = c
-    return out
-
-
-def _form_from_param_vec(
-    ec: EvaluatedComplex, vec: Dict[int, ParamScalar], p: int, q: int, alg: FormAlgebra
+def _ddbar_correction(
+    ec: EvaluatedComplex, z: Form, side: str, p: int, q: int, order: int
 ) -> Form:
-    basis = ec.cx.basis(p, q)
-    return Form(alg, {basis[i]: c for i, c in vec.items()})
-
-
-def _check_membership(
-    ec: EvaluatedComplex, vec: Dict[int, ParamScalar], p: int, q: int, order: int, side: str
-) -> None:
-    """Every coefficient vector of the order slice must be ddbar-exact."""
-    target = ec.image_echelon("ddbar", p, q)
-    monos: Dict[Tuple[int, ...], Dict[int, GaussianRational]] = {}
-    for i, c in vec.items():
+    """delbar x (left side) or del x (right side) in (p,q) for the
+    minimal-norm x with del delbar x = z at t = 0, where z lies in
+    (p+1,q) or (p,q+1).  z is solved one coefficient slice (monomial in
+    t) at a time; a slice outside im del delbar raises
+    ObstructionNonvanishing(order, side)."""
+    op, sp, sq = ("delbar", p, q - 1) if side == "left" else ("del", p - 1, q)
+    index = ec.cx.index(sp + 1, sq + 1)
+    slices: Dict[Tuple[int, ...], Dict[int, GaussianRational]] = {}
+    for m, c in z.coeffs.items():
         for expo, val in c.terms.items():
-            monos.setdefault(expo, {})[i] = val
-    for expo, v in monos.items():
-        if not target.contains(v):
+            slices.setdefault(expo, {})[index[m]] = val
+    cols = ec.columns(op, sp, sq)
+    out: Dict[int, Dict[Tuple[int, ...], GaussianRational]] = {}
+    for expo, y in slices.items():
+        x = ec.ddbar_preimage(sp + 1, sq + 1, y)
+        if x is None:
             raise ObstructionNonvanishing(order, side)
+        for i, c in linalg.columns_vec(cols, x).items():
+            out.setdefault(i, {})[expo] = c
+    basis = ec.cx.basis(p, q)
+    ring = z.algebra.ring
+    return Form(z.algebra, {basis[i]: ParamScalar(ring, out[i]) for i in sorted(out)})
 
 
 def bc_nontriviality(ec_t: EvaluatedComplex, ext: Form) -> bool:

@@ -41,9 +41,9 @@ from . import linalg
 from .algebra import Form
 from .cohomology import EvaluatedComplex
 from .linalg import Echelon, Vec
-from .scalars import GaussianRational
+from .scalars import QI_I, QI_ONE, GaussianRational
 
-QI_I = GaussianRational(0, 1)
+_MINUS_ONE, _MINUS_I = GaussianRational(-1), GaussianRational(0, -1)
 
 
 def mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
@@ -133,31 +133,28 @@ def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
 
 
 def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
-    """Rational basis of the conjugation-fixed (p,p)-forms as QI vectors."""
+    """Rational basis of the conjugation-fixed (p,p)-forms as QI vectors.
+
+    Conjugation sends the monomial (I, J) to (-1)^(p*p) (J, I), so
+    i^(p*p) (I, I) is fixed, and so are m + (-1)^(p*p) flip and
+    i m - i (-1)^(p*p) flip for each pair m = (I, J), flip = (J, I) with
+    I != J.  For odd p, i^(p*p) = i and (-1)^(p*p) = -1; for even p both
+    are 1.
+    """
     basis = ec.cx.basis(p, p)
     index = ec.cx.index(p, p)
-    sign = -1 if (p * p) % 2 else 1
-    i_pow = QI_I
-    unit = GaussianRational(1)
-    ipp = unit
-    for _ in range(p * p):
-        ipp = ipp * i_pow
+    diag, flip_re, flip_im = (QI_I, _MINUS_ONE, QI_I) if p % 2 else (QI_ONE, QI_ONE, _MINUS_I)
     out: List[Vec] = []
-    seen = set()
+    flips = set()
     for m in basis:
         I, J = m
-        if m in seen:
-            continue
-        flip = (J, I)
         if I == J:
-            out.append({index[m]: ipp})
-            seen.add(m)
-        else:
-            seen.add(m)
-            seen.add(flip)
-            s = GaussianRational(sign)
-            out.append({index[m]: unit, index[flip]: s})
-            out.append({index[m]: QI_I, index[flip]: QI_I * GaussianRational(-sign)})
+            out.append({index[m]: diag})
+        elif m not in flips:
+            flip = (J, I)
+            flips.add(flip)
+            out.append({index[m]: QI_ONE, index[flip]: flip_re})
+            out.append({index[m]: QI_I, index[flip]: flip_im})
     return out
 
 

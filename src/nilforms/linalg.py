@@ -344,6 +344,26 @@ def dense_inverse(a: List[List[object]]):
     return solve_dense(a, eye)
 
 
+def harmonic_green(lap: Rows, dim: int) -> Tuple[Rows, Rows]:
+    """(H, G) for a self-adjoint Laplacian box on a dim-dimensional space
+    with the standard inner product: H the orthogonal projector onto
+    ker box, and G = (box + H)^{-1} (1 - H), the unique operator with
+    box G = 1 - H and G H = H G = 0."""
+    kernel = nullspace(lap, dim)
+    if kernel:
+        kmat = rows_from_columns(kernel, dim)  # dim x r
+        kstar = conj_transpose(kmat, len(kernel))
+        gram_inv = dense_inverse(rows_to_dense(mat_mul(kstar, kmat), len(kernel)))
+        h = mat_mul(kmat, mat_mul(dense_to_rows(gram_inv), kstar))
+    else:
+        h = zero_rows(dim)
+    inv = dense_inverse(rows_to_dense(mat_add(lap, h), dim))
+    if inv is None:
+        raise AssertionError("box + H must be invertible")
+    one_minus_h = mat_add(identity_rows(dim), mat_scale(h, GaussianRational(-1)))
+    return h, mat_mul(dense_to_rows(inv), one_minus_h)
+
+
 def rows_to_dense(rows: Rows, ncols: int, zero=None) -> List[List[object]]:
     zero = zero if zero is not None else GaussianRational(0)
     return [[r.get(j, zero) for j in range(ncols)] for r in rows]

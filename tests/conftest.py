@@ -70,6 +70,28 @@ def iwasawa_c():
 
 
 @pytest.fixture(scope="session")
+def bcvary10_c():
+    """bcvary10 x C (n = 6): the structure equations and Beltrami family
+    of bcvary10 lifted to six coframe symbols, so the family acts on the
+    first factor and gamma^6 is closed; (se, phi), gated by
+    check_integrability."""
+    from nilforms.algebra import T10, Form, FormAlgebra, StructureEquations, VectorValuedForm
+    from nilforms.deformation import check_integrability
+
+    bc = catalog_load("bcvary10")
+    alg = FormAlgebra(6, bc.se.algebra.ring)
+
+    def lift(f):
+        return Form(alg, dict(f.coeffs))
+
+    se = StructureEquations("bcvary10_c", alg, {i: lift(f) for i, f in bc.se.d_coframe.items()})
+    phi = VectorValuedForm(alg, T10, {i: lift(f) for i, f in bc.beltrami.components.items()})
+    ok, residual = check_integrability(se, phi)
+    assert ok, residual
+    return se, phi
+
+
+@pytest.fixture(scope="session")
 def reference_complexes():
     """(label, complex, point) for the assembly and strong-basis oracles:
     every catalog entry at t = 0, the deformed bcvary10 family (a

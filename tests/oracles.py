@@ -480,3 +480,46 @@ def evaluated_rows(cx, op: str, p: int, q: int, point):
                 if v:
                     out[i][j] = v
     return out
+
+
+# -- the Green route that EvaluatedComplex.ddbar_preimage replaced ---------
+
+
+def canonical_solver_rows(ec, p: int, q: int):
+    """(del delbar)* G_BC at target (p,q): the minimal-norm preimage map
+    of del delbar, through the Green operator of the Bott-Chern
+    Laplacian (a dense inverse)."""
+    from nilforms import linalg
+
+    adjoint = linalg.conj_transpose(ec.ddbar_rows(p - 1, q - 1), ec.dim(p - 1, q - 1))
+    return linalg.mat_mul(adjoint, ec.hodge.green_bc_rows(p, q))
+
+
+def real_basis_vectors_by_products(ec, p: int):
+    """The conjugation-fixed basis of ``lemmata._real_basis_vectors``
+    with i^(p*p) formed by p*p products in Q(i) and the second vector of
+    each conjugate pair scaled by a product i * (-sign)."""
+    basis = ec.cx.basis(p, p)
+    index = ec.cx.index(p, p)
+    sign = -1 if (p * p) % 2 else 1
+    i_unit = GaussianRational(0, 1)
+    unit = GaussianRational(1)
+    ipp = unit
+    for _ in range(p * p):
+        ipp = ipp * i_unit
+    out = []
+    seen = set()
+    for m in basis:
+        I, J = m
+        if m in seen:
+            continue
+        flip = (J, I)
+        if I == J:
+            out.append({index[m]: ipp})
+            seen.add(m)
+        else:
+            seen.add(m)
+            seen.add(flip)
+            out.append({index[m]: unit, index[flip]: GaussianRational(sign)})
+            out.append({index[m]: i_unit, index[flip]: i_unit * GaussianRational(-sign)})
+    return out

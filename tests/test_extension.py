@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -27,6 +28,7 @@ from nilforms.extension import (
     solve_extension,
     to_tilde,
 )
+from nilforms.lemmata import mild
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
 
@@ -329,15 +331,61 @@ def test_small_points_are_small():
 
 
 def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
+    """The solvers build no Green operator: solve_extension and
+    pkahler_extend make no dense inverse, and a second solve on the same
+    ec0 inserts nothing into its cached preimage echelons."""
     se0 = evaluate_se(bcvary10.se, zero_point(4))
     ec0 = EvaluatedComplex(build_complex(se0), ())
-    omega0 = ec0.vec_to_form(ec0.kernel("stacked", 4, 4)[0], 4, 4, bcvary10.se.algebra)
+    # this (3,3) generator extends through a del-delbar solve at (3,4)
+    omega0 = ec0.vec_to_form(ec0.kernel("stacked", 3, 3)[1], 3, 3, bcvary10.se.algebra)
     sizes = []
     real = linalg.dense_inverse
     monkeypatch.setattr(linalg, "dense_inverse", lambda a: sizes.append(len(a)) or real(a))
+    inserted = []
+    real_insert = linalg.Echelon.insert
+    monkeypatch.setattr(linalg.Echelon, "insert", lambda e, v: inserted.append(e) or real_insert(e, v))
     first = solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0, check_lemmata=False)
-    assert sizes
-    sizes.clear()
+    cached = [e for _, e in ec0._preimages.values()]
+    assert cached and all(any(e is c for c in cached) for e in inserted)
+    inserted.clear()
     second = solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0, check_lemmata=False)
-    assert sizes == []
+    assert inserted == []
     assert second.omega == first.omega
+    ext = pkahler_extend(bcvary10.se, bcvary10.beltrami, bcvary10.forms["balanced"], samples=40, seed=3)
+    assert ext.state.d_closed_through_order
+    assert sizes == []
+
+
+def test_extension_theorem_bcvary10_c(bcvary10_c):
+    """The paper's theorem checked at n = 6 on bcvary10 x C.  At (5,5)
+    the mild pair holds at t = 0, and every d-closed generator extends
+    through the ring order with zero residual: an obstruction there is a
+    defect.  At (4,4) and (3,3) the pair fails, and the plain, corrected
+    and obstructed counts are the ones the Green route gives.  The
+    balanced (5,5)-form extends and stays transverse at small_points."""
+    se, phi = bcvary10_c
+    alg = se.algebra
+    ec0 = EvaluatedComplex(build_complex(evaluate_se(se, zero_point(4))), ())
+    expected = {(5, 5): (True, 0, 32, 0), (4, 4): (False, 29, 114, 14), (3, 3): (False, 88, 65, 65)}
+    for (p, q), want in expected.items():
+        pair = mild(ec0, p, q + 1)[0] and mild(ec0, q, p + 1)[0]
+        counts = {"plain": 0, "corrected": 0, "obstructed": 0}
+        for gv in ec0.kernel("stacked", p, q):
+            omega0 = ec0.vec_to_form(gv, p, q, alg)
+            try:
+                st = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=pair)
+            except ObstructionNonvanishing:
+                assert not pair, f"defect: obstruction at {(p, q)} although the mild pair holds"
+                counts["obstructed"] += 1
+                continue
+            assert st.order == alg.ring.order and st.d_closed_through_order, (p, q)
+            assert all(not st.full_residual.homogeneous_part(l) for l in range(st.order + 1))
+            counts["plain" if st.omega == omega0 else "corrected"] += 1
+        got = (pair, counts["plain"], counts["corrected"], counts["obstructed"])
+        assert got == want, (p, q)
+    balanced = alg.zero()
+    for I in combinations(range(1, 7), 5):
+        balanced = balanced + alg.monomial(I, I).scale(QI(0, 1))  # i^(5*5) makes it real
+    ext = pkahler_extend(se, phi, balanced, samples=40, seed=3)
+    assert ext.state.d_closed_through_order
+    assert ext.transverse_at_all_points

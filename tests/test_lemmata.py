@@ -6,6 +6,7 @@ from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points, zero_point
 from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.lemmata import (
+    _real_basis_vectors,
     dual_mild,
     exact_closed_basis,
     lemma_report,
@@ -17,7 +18,7 @@ from nilforms.lemmata import (
 )
 from nilforms.scalars import PolyRing
 
-from oracles import span_intersection
+from oracles import real_basis_vectors_by_products, span_intersection
 
 
 def test_iwasawa_taxonomy(ec_iwasawa):
@@ -162,6 +163,20 @@ def test_strong_basis_equals_span_intersection(reference_complexes):
                 assert [_typed_entries(v) for v in got] == [_typed_entries(v) for v in meet]
                 assert report.strong_flags[(p, q)] is ok, (label, p, q)
                 assert report.witnesses.get(f"strong:{p},{q}") == witness, (label, p, q)
+
+
+def test_real_basis_vectors_equal_product_route(reference_complexes):
+    """The conjugation-fixed (p,p) basis built from the constants 1, -1,
+    i and -i equals the route through Q(i) products, for p = 0..n: same
+    vectors, key order, values and part types."""
+    def typed(vectors):
+        return [[(k, type(x.re), type(x.im), x) for k, x in v.items()] for v in vectors]
+
+    for label, cx, point in reference_complexes:
+        ec = EvaluatedComplex(cx, point)
+        for p in range(cx.n + 1):
+            expected = real_basis_vectors_by_products(ec, p)
+            assert typed(_real_basis_vectors(ec, p)) == typed(expected), (label, p)
 
 
 def test_strong_refuses_a_complex_that_is_not_flat():
