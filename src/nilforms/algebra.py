@@ -293,10 +293,12 @@ class VectorValuedForm:
     """Form with values in T^{1,0} (valence T10) or T^{0,1} (valence T01).
 
     components[i] is the form attached to theta_i (resp. thetabar_i);
-    the components of a well-formed object share one bidegree.
+    the components of a well-formed object share one bidegree.  A
+    Beltrami differential owns its ``extension.BeltramiOperators``,
+    built on first use into ``operators`` (components are never mutated).
     """
 
-    __slots__ = ("algebra", "valence", "components")
+    __slots__ = ("algebra", "valence", "components", "operators")
 
     def __init__(self, algebra: FormAlgebra, valence: str, components: Dict[int, Form]):
         if valence not in (T10, T01):
@@ -304,6 +306,7 @@ class VectorValuedForm:
         self.algebra = algebra
         self.valence = valence
         self.components = {i: f for i, f in components.items() if f}
+        self.operators = None
 
     def component(self, i: int) -> Form:
         return self.components.get(i, self.algebra.zero())
@@ -587,26 +590,34 @@ def vvf_of_endo(e: CoframeEndo, valence: str) -> VectorValuedForm:
 
 
 def simultaneous_contract(b: CoframeEndo, a: Form) -> Form:
-    """Algebra homomorphism applying b to every 1-form factor."""
+    """Algebra homomorphism applying b to every 1-form factor.
+
+    The wedge of the factor images of each symbol prefix is computed once
+    per call and shared by the monomials starting with it; a monomial's
+    coefficient scales its image once.  Truncation (degree > N) is an
+    ideal, so the truncated product is associative and the values exact.
+    """
     alg = a.algebra
     if b.algebra != alg:
         raise ValueError("mismatched algebras")
     n = alg.n
-    images: Dict[int, Form] = {}
-    total = alg.zero()
-    for m, c in a.coeffs.items():
-        I, J = m
-        symbols = [i - 1 for i in I] + [n + j - 1 for j in J]
-        piece = alg.scalar_form(c)
-        for s in symbols:
-            if s not in images:
-                images[s] = b.column_form(s)
-            piece = piece.wedge(images[s])
-            if not piece:
-                break
-        if piece:
-            total = total + piece
-    return total
+    prefixes: Dict[Tuple[int, ...], Form] = {(): alg.scalar_form(1)}
+
+    def image(symbols: Tuple[int, ...]) -> Form:
+        out = prefixes.get(symbols)
+        if out is None:
+            out = image(symbols[:-1]).wedge(b.column_form(symbols[-1]))
+            prefixes[symbols] = out
+        return out
+
+    total: Dict[Mono, ParamScalar] = {}
+    for (I, J), c in a.coeffs.items():
+        symbols = tuple(i - 1 for i in I) + tuple(n + j - 1 for j in J)
+        for m, v in image(symbols).coeffs.items():
+            v = v * c
+            if v:
+                _accumulate(total, m, v)
+    return Form(alg, total)
 
 
 def neumann_invert(e: CoframeEndo) -> CoframeEndo:
@@ -637,10 +648,12 @@ class StructureEquations:
     """A complex Lie algebra with complex structure via d of the coframe.
 
     d_coframe[i] is d(gamma^i), a sum of a (2,0)-part and a (1,1)-part;
-    d(gammabar^i) is its conjugate.
+    d(gammabar^i) is its conjugate.  They own their Lie bracket table,
+    which ``deformation.lie_brackets`` builds and Jacobi-checks on first
+    use into ``brackets`` (d_coframe is never mutated).
     """
 
-    __slots__ = ("name", "n", "algebra", "d_coframe")
+    __slots__ = ("name", "n", "algebra", "d_coframe", "brackets")
 
     def __init__(self, name: str, algebra: FormAlgebra, d_coframe: Dict[int, Form]):
         self.name = name
@@ -652,6 +665,7 @@ class StructureEquations:
         for f in self.d_coframe.values():
             if f.algebra != algebra:
                 raise ValueError("structure form from a different algebra")
+        self.brackets = None
 
     def with_algebra(self, algebra: FormAlgebra) -> "StructureEquations":
         return StructureEquations(

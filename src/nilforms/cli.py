@@ -14,25 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import io as nio
 from .algebra import FormAlgebra, build_complex
 from .catalog import SCENARIOS, catalog_load, catalog_names, run_scenario
-from .cohomology import (
-    EvaluatedComplex,
-    full_report,
-    generic_points,
-    zero_point,
-)
+from .cohomology import EvaluatedComplex, full_report, zero_point
 from .deformation import deform_complex, evaluate_se
 from .errors import NilformsError
 from .extension import bc_nontriviality, pkahler_extend, small_points, solve_extension
 from .lemmata import lemma_report
-from .positivity import is_strictly_positive, is_transverse, pkahler_check
-from .scalars import GaussianRational, parse_gaussian
+from .positivity import is_strictly_positive, pkahler_check
+from .scalars import parse_gaussian
 
 
 class _Parser(argparse.ArgumentParser):

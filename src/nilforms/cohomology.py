@@ -22,14 +22,14 @@ over a function field.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Form, FormAlgebra, InvariantComplex, Mono, merge_indices
+from .algebra import Form, FormAlgebra, InvariantComplex, merge_indices
 from .errors import NotSolvable, PreconditionFailed
 from .linalg import Echelon, Rows, Vec
 from .scalars import GaussianRational

@@ -20,10 +20,8 @@ from .algebra import (
     Form,
     FormAlgebra,
     StructureEquations,
-    T01,
     T10,
     VectorValuedForm,
-    build_complex,
     contract,
     endo_of_vvf,
     exp_contract,
@@ -33,7 +31,7 @@ from .algebra import (
 from .cohomology import zero_point
 from .errors import IntegrabilityError, JacobiError, NonInvertibleCoframe
 from .linalg import Rows
-from .scalars import GaussianRational, ParamScalar, PolyRing, QI_ONE
+from .scalars import GaussianRational, ParamScalar, PolyRing
 
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -82,9 +80,8 @@ class LieBracketTable:
     """
 
     def __init__(self, se: StructureEquations):
-        self.se = se
+        self.algebra = se.algebra
         self.n = se.n
-        self.ring = se.algebra.ring
         self._table: Dict[Tuple[int, int], Dict[int, ParamScalar]] = {}
         n = se.n
         for a in range(2 * n):
@@ -131,7 +128,7 @@ class LieBracketTable:
 
     def reconstruct_d(self) -> Dict[int, Form]:
         """Rebuild d gamma^i from the brackets (duality round-trip)."""
-        alg = self.se.algebra
+        alg = self.algebra
         n = self.n
         out = {}
         for i in range(1, n + 1):
@@ -149,21 +146,23 @@ class LieBracketTable:
 
 
 def lie_brackets(se: StructureEquations) -> LieBracketTable:
-    """Brackets dual to d; Jacobi verified (JacobiError on failure)."""
-    table = LieBracketTable(se)
-    table.check_jacobi()
-    return table
+    """Brackets dual to d; Jacobi verified (JacobiError on failure).
+
+    The table is built and checked once per structure equations and kept
+    in ``se.brackets``; a Jacobi failure stores nothing, so every call on
+    such equations raises.
+    """
+    if se.brackets is None:
+        table = LieBracketTable(se)
+        table.check_jacobi()
+        se.brackets = table
+    return se.brackets
 
 
 # -- differentials on vector-valued forms ---------------------------------
 
 
-def _frame_derivative(
-    se: StructureEquations,
-    table: LieBracketTable,
-    v: VectorValuedForm,
-    holomorphic: bool,
-) -> VectorValuedForm:
+def _frame_derivative(se: StructureEquations, v: VectorValuedForm, holomorphic: bool) -> VectorValuedForm:
     """delbar (holomorphic=False) or del (True) on a vector-valued form.
 
     delbar(omega (x) e) = delbar omega (x) e + (-1)^|omega| omega ^
@@ -172,6 +171,7 @@ def _frame_derivative(
     """
     alg = v.algebra
     n = alg.n
+    table = lie_brackets(se)
     apply_scalar = se.apply_del if holomorphic else se.apply_delbar
     out: Dict[int, Form] = {}
 
@@ -213,18 +213,12 @@ def _total_degree(f: Form) -> int:
     return degs.pop() if degs else 0
 
 
-def delbar_on_vectors(
-    se: StructureEquations, v: VectorValuedForm, table: Optional[LieBracketTable] = None
-) -> VectorValuedForm:
-    table = table or lie_brackets(se)
-    return _frame_derivative(se, table, v, holomorphic=False)
+def delbar_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValuedForm:
+    return _frame_derivative(se, v, holomorphic=False)
 
 
-def del_on_vectors(
-    se: StructureEquations, v: VectorValuedForm, table: Optional[LieBracketTable] = None
-) -> VectorValuedForm:
-    table = table or lie_brackets(se)
-    return _frame_derivative(se, table, v, holomorphic=True)
+def del_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValuedForm:
+    return _frame_derivative(se, v, holomorphic=True)
 
 
 # -- Schouten bracket -------------------------------------------------------
@@ -260,16 +254,11 @@ def schouten(
     return VectorValuedForm(alg, T10, comps)
 
 
-def check_integrability(
-    se: StructureEquations, phi: VectorValuedForm, table: Optional[LieBracketTable] = None
-) -> Tuple[bool, VectorValuedForm]:
+def check_integrability(se: StructureEquations, phi: VectorValuedForm) -> Tuple[bool, VectorValuedForm]:
     """Residual delbar phi - (1/2)[phi, phi], exactly; zero iff integrable."""
     as_beltrami(phi)
     se_lifted = se if se.algebra == phi.algebra else se.with_algebra(phi.algebra)
-    table = table or lie_brackets(se_lifted)
-    residual = _frame_derivative(se_lifted, table, phi, holomorphic=False) - schouten(
-        se_lifted, phi, phi
-    ).scale(HALF)
+    residual = delbar_on_vectors(se_lifted, phi) - schouten(se_lifted, phi, phi).scale(HALF)
     return residual.is_zero(), residual
 
 
@@ -361,7 +350,6 @@ def deform_complex(
             },
         )
         return _deformed_equations(se0, phi0, d_endo)
-    c = coframe_transform(phi)
     p_endo = endo_of_vvf(phi)
     d_endo = neumann_invert(-(p_endo + p_endo.conj()))
     return _deformed_equations(se_r, phi, d_endo)
@@ -398,13 +386,12 @@ class VectorHodge:
     """Hodge machinery for A^{0,q}(T^{1,0}) in the orthonormal frame
     {gammabar^J (x) theta_i}, over a constant scalar ring."""
 
-    def __init__(self, se: StructureEquations, table: Optional[LieBracketTable] = None):
+    def __init__(self, se: StructureEquations):
         if se.algebra.ring.m != 0:
             raise ValueError("VectorHodge runs at a fixed structure (constant ring)")
         self.se = se
         self.alg = se.algebra
         self.n = se.n
-        self.table = table or lie_brackets(se)
         self._basis: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
         self._rows: Dict[int, Rows] = {}
 
@@ -452,7 +439,7 @@ class VectorHodge:
                 v = VectorValuedForm(
                     self.alg, T10, {i: Form(self.alg, {((), J): self.alg.ring.one()})}
                 )
-                dv = _frame_derivative(self.se, self.table, v, holomorphic=False)
+                dv = delbar_on_vectors(self.se, v)
                 for ii, comp in dv.components.items():
                     for (I2, J2), c in comp.coeffs.items():
                         rows[index[(ii, J2)]][col] = c.constant_term()
@@ -517,7 +504,6 @@ def kuranishi_expand(
     ring = PolyRing(m, order)
     alg = FormAlgebra(se0.n, ring)
     se_r = se0.with_algebra(alg)
-    table_r = lie_brackets(se_r)
     eta = [vh.vec_to_vvf(v, 1, FormAlgebra(se0.n, PolyRing(0, 0))) for v in harm_vecs]
 
     # phi_1 = sum t_nu eta_nu

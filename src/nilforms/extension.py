@@ -8,7 +8,10 @@ substitution.  Each order solves two del-delbar equations with the
 canonical minimal-norm solution (``EvaluatedComplex.ddbar_preimage``,
 whose one exact reduction per coefficient slice both decides solvability
 and solves), and the final d-residual is recomputed from scratch both
-directly and through the graded k-sums.
+directly and through the graded k-sums.  Data that depends only on
+(se, phi) is built once, by its owner: se keeps its Lie bracket table
+and phi its ``BeltramiOperators``, so a solve pays for its own form and
+its integrability check only.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ class BeltramiOperators:
     """Derived contraction data shared by the ladder and the solver."""
 
     phi: VectorValuedForm
-    phibar: VectorValuedForm
     b_field: VectorValuedForm  # phibar corrected by the Neumann factor
     ext_transform: CoframeEndo  # 1 + phi + phibar on the coframe
     shrink: CoframeEndo  # gammabar-block factor (1 - phi phibar)
@@ -55,21 +57,23 @@ class BeltramiOperators:
 
 
 def beltrami_operators(phi: VectorValuedForm) -> BeltramiOperators:
-    as_beltrami(phi)
-    alg = phi.algebra
-    p_endo = endo_of_vvf(phi)
-    q_endo = p_endo.conj()
-    pq = p_endo.compose(q_endo)
-    ident = CoframeEndo.identity(alg)
-    b_endo = q_endo.compose(neumann_invert(pq))
-    return BeltramiOperators(
-        phi=phi,
-        phibar=phi.conj(),
-        b_field=vvf_of_endo(b_endo, T01),
-        ext_transform=ident + p_endo + q_endo,
-        shrink=ident - pq,
-        unshrink=neumann_invert(pq),
-    )
+    """phi's contraction data, built once into ``phi.operators``."""
+    if phi.operators is None:
+        as_beltrami(phi)
+        alg = phi.algebra
+        p_endo = endo_of_vvf(phi)
+        q_endo = p_endo.conj()
+        pq = p_endo.compose(q_endo)
+        ident = CoframeEndo.identity(alg)
+        unshrink = neumann_invert(pq)
+        phi.operators = BeltramiOperators(
+            phi=phi,
+            b_field=vvf_of_endo(q_endo.compose(unshrink), T01),
+            ext_transform=ident + p_endo + q_endo,
+            shrink=ident - pq,
+            unshrink=unshrink,
+        )
+    return phi.operators
 
 
 def to_tilde(ops: BeltramiOperators, omega: Form) -> Form:

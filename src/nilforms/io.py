@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import Form, FormAlgebra, StructureEquations, T10, VectorValuedForm
 from .errors import FormatError
-from .scalars import ParamScalar, PolyRing, format_scalar, parse_scalar
+from .scalars import PolyRing, format_scalar, parse_scalar
 
 SE_FORMAT = "nilforms.se/1"
 FORM_FORMAT = "nilforms.form/1"

@@ -347,8 +347,8 @@ def dense_inverse(a: List[List[object]]):
 def harmonic_green(lap: Rows, dim: int) -> Tuple[Rows, Rows]:
     """(H, G) for a self-adjoint Laplacian box on a dim-dimensional space
     with the standard inner product: H the orthogonal projector onto
-    ker box, and G = (box + H)^{-1} (1 - H), the unique operator with
-    box G = 1 - H and G H = H G = 0."""
+    ker box, and G the one dense solve of (box + H) G = 1 - H, the unique
+    operator with box G = 1 - H and G H = H G = 0."""
     kernel = nullspace(lap, dim)
     if kernel:
         kmat = rows_from_columns(kernel, dim)  # dim x r
@@ -357,11 +357,11 @@ def harmonic_green(lap: Rows, dim: int) -> Tuple[Rows, Rows]:
         h = mat_mul(kmat, mat_mul(dense_to_rows(gram_inv), kstar))
     else:
         h = zero_rows(dim)
-    inv = dense_inverse(rows_to_dense(mat_add(lap, h), dim))
-    if inv is None:
-        raise AssertionError("box + H must be invertible")
     one_minus_h = mat_add(identity_rows(dim), mat_scale(h, GaussianRational(-1)))
-    return h, mat_mul(dense_to_rows(inv), one_minus_h)
+    g = solve_dense(rows_to_dense(mat_add(lap, h), dim), rows_to_dense(one_minus_h, dim))
+    if g is None:
+        raise AssertionError("box + H must be invertible")
+    return h, dense_to_rows(g)
 
 
 def rows_to_dense(rows: Rows, ncols: int, zero=None) -> List[List[object]]:

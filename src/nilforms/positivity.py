@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg

@@ -488,7 +488,7 @@ def evaluated_rows(cx, op: str, p: int, q: int, point):
 def canonical_solver_rows(ec, p: int, q: int):
     """(del delbar)* G_BC at target (p,q): the minimal-norm preimage map
     of del delbar, through the Green operator of the Bott-Chern
-    Laplacian (a dense inverse)."""
+    Laplacian (a dense solve)."""
     from nilforms import linalg
 
     adjoint = linalg.conj_transpose(ec.ddbar_rows(p - 1, q - 1), ec.dim(p - 1, q - 1))
@@ -523,3 +523,46 @@ def real_basis_vectors_by_products(ec, p: int):
             out.append({index[m]: unit, index[flip]: GaussianRational(sign)})
             out.append({index[m]: i_unit, index[flip]: i_unit * GaussianRational(-sign)})
     return out
+
+
+# -- the two-pass Green operator that linalg.harmonic_green replaced -------
+
+
+def harmonic_green_two_pass(lap, dim: int):
+    """(H, G) with G = (box + H)^{-1} (1 - H) formed as a dense inverse
+    followed by a matrix product."""
+    from nilforms import linalg
+
+    kernel = linalg.nullspace(lap, dim)
+    if kernel:
+        kmat = linalg.rows_from_columns(kernel, dim)
+        kstar = linalg.conj_transpose(kmat, len(kernel))
+        gram_inv = linalg.dense_inverse(linalg.rows_to_dense(linalg.mat_mul(kstar, kmat), len(kernel)))
+        h = linalg.mat_mul(kmat, linalg.mat_mul(linalg.dense_to_rows(gram_inv), kstar))
+    else:
+        h = linalg.zero_rows(dim)
+    inv = linalg.dense_inverse(linalg.rows_to_dense(linalg.mat_add(lap, h), dim))
+    if inv is None:
+        raise AssertionError("box + H must be invertible")
+    one_minus_h = linalg.mat_add(linalg.identity_rows(dim), linalg.mat_scale(h, GaussianRational(-1)))
+    return h, linalg.mat_mul(linalg.dense_to_rows(inv), one_minus_h)
+
+
+# -- the scalar-first route that algebra.simultaneous_contract replaced ----
+
+
+def simultaneous_contract_scalar_first(b, a):
+    """The image of a under the coframe map b, each monomial started
+    from its coefficient as a scalar form and wedged with the image of
+    one factor at a time."""
+    alg = a.algebra
+    n = alg.n
+    total = alg.zero()
+    for (I, J), c in a.coeffs.items():
+        piece = alg.scalar_form(c)
+        for s in [i - 1 for i in I] + [n + j - 1 for j in J]:
+            piece = piece.wedge(b.column_form(s))
+            if not piece:
+                break
+        total = total + piece
+    return total

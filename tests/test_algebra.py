@@ -30,6 +30,7 @@ from oracles import (
     WordForm,
     form_layer_derivation,
     oracle_d,
+    simultaneous_contract_scalar_first,
     sort_word,
     symbolic_columns,
     word_of_mono,
@@ -377,6 +378,89 @@ def test_simultaneous_contract_triangular_top_form():
     for f in factors:
         expect = expect.wedge(f)
     assert simultaneous_contract(b, top) == expect == top
+
+
+def _random_scalar(ring, rng, terms=3, min_degree=0):
+    """A truncated polynomial: a few Q(i) multiples of random monomials
+    in t and tbar of total degree at least min_degree."""
+    out = ring.zero()
+    for _ in range(terms):
+        c = ring.const(rng.nonzero_gaussian(3))
+        for _ in range(min_degree + rng.next_int(ring.order + 1)):
+            slot = rng.next_int(2 * ring.m)
+            c = c * (ring.t(slot + 1) if slot < ring.m else ring.tbar(slot - ring.m + 1))
+        out = out + c
+    return out
+
+
+def _random_param_form(alg, rng, nterms):
+    total = alg.zero()
+    for _ in range(nterms):
+        p, q = rng.next_int(alg.n + 1), rng.next_int(alg.n + 1)
+        basis = alg.basis(p, q)
+        total = total + Form(alg, {basis[rng.next_int(len(basis))]: _random_scalar(alg.ring, rng)})
+    return total
+
+
+def _random_small_endo(alg, rng, entries, identity=True):
+    """(1 +) a coframe map whose entries are O(t)."""
+    cols = {}
+    for _ in range(entries):
+        a, b = rng.next_int(2 * alg.n), rng.next_int(2 * alg.n)
+        cols.setdefault(b, {})[a] = _random_scalar(alg.ring, rng, terms=2, min_degree=1)
+    small = CoframeEndo(alg, cols)
+    return CoframeEndo.identity(alg) + small if identity else small
+
+
+def test_simultaneous_contract_equals_scalar_first_oracle(bcvary10_c):
+    """The prefix-sharing contraction equals the scalar-first route in
+    values: on random O(t) coframe maps and t-dependent forms (products
+    that truncate to zero and monomials whose images cancel included),
+    on the identity and the zero form, and on the gammabar-block factor,
+    its inverse and 1 + phi + phibar of the bcvary10 family and of
+    bcvary10 x C."""
+    from nilforms.catalog import catalog_load
+    from nilforms.extension import beltrami_operators
+
+    rng = DetRng(97)
+    cases = []
+    for n, m, order in ((3, 1, 2), (3, 2, 3), (4, 2, 2)):
+        alg = FormAlgebra(n, PolyRing(m, order))
+        for identity in (True, False):
+            for _ in range(6):
+                b = _random_small_endo(alg, rng, entries=2 * n, identity=identity)
+                cases.append((b, _random_param_form(alg, rng, 8)))
+        cases.append((CoframeEndo.identity(alg), _random_param_form(alg, rng, 8)))
+        cases.append((_random_small_endo(alg, rng, entries=4), alg.zero()))
+    # degree > 2 products of O(t) entries vanish in a ring of order 2
+    alg = FormAlgebra(3, PolyRing(2, 2))
+    t1 = alg.ring.t(1)
+    pure = CoframeEndo(alg, {s: {s: t1} for s in range(6)})
+    top = alg.monomial((1, 2), (1,)).scale(_random_scalar(alg.ring, rng))
+    assert simultaneous_contract(pure, top).is_zero()
+    cases.append((pure, top + alg.monomial((1,), ())))
+    # gamma^1 and gamma^2 have the same image, so the two monomials cancel
+    one = alg.ring.one()
+    same = CoframeEndo(alg, {0: {0: one, 1: t1}, 1: {0: one, 1: t1}, 3: {3: one}})
+    cancel = alg.monomial((1,), (1,)) - alg.monomial((2,), (1,))
+    assert simultaneous_contract(same, cancel).is_zero()
+    cases.append((same, cancel + alg.monomial((1, 3), ())))
+    for se, phi in ((None, catalog_load("bcvary10").beltrami), bcvary10_c):
+        ops = beltrami_operators(phi)
+        alg = phi.algebra
+        for b in (ops.shrink, ops.unshrink, ops.ext_transform):
+            for p, q in ((1, 1), (2, 3), (3, 3), (alg.n - 1, alg.n - 1)):
+                basis = alg.basis(p, q)
+                form = Form(alg, {basis[rng.next_int(len(basis))]: _random_scalar(alg.ring, rng) for _ in range(6)})
+                cases.append((b, form))
+    nonzero = 0
+    for b, a in cases:
+        got = simultaneous_contract(b, a)
+        assert got == simultaneous_contract_scalar_first(b, a)
+        nonzero += bool(got)
+    # zero images come from the zero forms and from pure O(t) maps on
+    # high-degree monomials; the rest must not be vacuous
+    assert nonzero > 3 * len(cases) // 4
 
 
 def test_neumann_invert():

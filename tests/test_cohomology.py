@@ -27,7 +27,14 @@ from nilforms.errors import NotSolvable, PreconditionFailed
 from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI, QI_ONE, QI_ZERO
 
-from oracles import bcvary_oracle, canonical_solver_rows, evaluated_rows, iwasawa_oracle, torus_oracle
+from oracles import (
+    bcvary_oracle,
+    canonical_solver_rows,
+    evaluated_rows,
+    harmonic_green_two_pass,
+    iwasawa_oracle,
+    torus_oracle,
+)
 
 
 def test_engine_matches_oracle_iwasawa(ec_iwasawa):
@@ -327,6 +334,45 @@ def test_ddbar_preimage_equals_green_route(reference_complexes):
     # most bidegrees of these complexes have del delbar = 0; the rest give
     # preimages with several entries, so the key order is checked
     assert sum(size > 1 for size in sizes) >= 100
+
+
+def test_harmonic_green_equals_two_pass_oracle(reference_complexes):
+    """linalg.harmonic_green's one dense solve (box + H) G = 1 - H gives
+    the H and G of the dense inverse followed by a product, in values
+    and in the types of the entries' parts, at every bidegree of
+    dimension <= 25 of every reference complex: for box_BC everywhere,
+    and for box_A too where the coefficients are small (t = 0 and the
+    products), since the dense solves at the generic and deformed points
+    take most of the time."""
+
+    def typed(rows):
+        return [sorted((k, type(x), type(x.re), type(x.im), x) for k, x in r.items()) for r in rows]
+
+    cases = 0
+    for label, cx, point in reference_complexes:
+        hodge = EvaluatedComplex(cx, point).hodge
+        small = "generic" not in label and "deformed" not in label
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                dim = cx.dim(p, q)
+                if dim > 25:
+                    continue
+                laps = [hodge.lap_bc_rows(p, q)] + ([hodge.lap_a_rows(p, q)] if small else [])
+                for lap in laps:
+                    h, g = linalg.harmonic_green(lap, dim)
+                    h_oracle, g_oracle = harmonic_green_two_pass(lap, dim)
+                    assert typed(h) == typed(h_oracle), (label, p, q)
+                    assert typed(g) == typed(g_oracle), (label, p, q)
+                    cases += 1
+    assert cases == 2 * (2 * 16 + 6 * 24 + 20) + 4 * 24
+
+
+def test_harmonic_green_refuses_a_singular_system():
+    """box + H singular (a 'Laplacian' that is not self-adjoint, so H
+    does not complete it) raises the AssertionError."""
+    nilpotent = [{1: QI_ONE}, {}]
+    with pytest.raises(AssertionError, match="box \\+ H must be invertible"):
+        linalg.harmonic_green(nilpotent, 2)
 
 
 # -- assembly per structure constant ----------------------------------------

@@ -108,13 +108,12 @@ def test_delbar_on_vectors_examples(torus3, bcvary10):
 def test_delbar_squared_zero_on_generators(bcvary10):
     se = bcvary10.se
     alg = se.algebra
-    tab = lie_brackets(se)
     for i in range(1, 6):
         v = VectorValuedForm(alg, T10, {i: alg.scalar_form(1)})
-        ddv = delbar_on_vectors(se, delbar_on_vectors(se, v, tab), tab)
+        ddv = delbar_on_vectors(se, delbar_on_vectors(se, v))
         assert ddv.is_zero(), i
         w = VectorValuedForm(alg, T01, {i: alg.scalar_form(1)})
-        assert del_on_vectors(se, del_on_vectors(se, w, tab), tab).is_zero(), i
+        assert del_on_vectors(se, del_on_vectors(se, w)).is_zero(), i
 
 
 # -- Schouten bracket ---------------------------------------------------------

@@ -31,6 +31,8 @@ from nilforms.extension import (
 from nilforms.lemmata import mild
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
+from oracles import simultaneous_contract_scalar_first
+
 
 def _random_mono_form(alg, rng, p, q, coeff=None):
     basis = alg.basis(p, q)
@@ -356,28 +358,101 @@ def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
     assert sizes == []
 
 
-def test_extension_theorem_bcvary10_c(bcvary10_c):
+def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
+    """The structure equations own their Lie bracket table and phi owns
+    its BeltramiOperators: a second solve on the same (se, phi), and a
+    pkahler_extend after it, build no table and no Neumann series, while
+    the integrability check still runs on every solve and still refuses
+    a non-integrable phi.  A Jacobi failure is never stored."""
+    from nilforms import deformation, extension
+    from nilforms.algebra import StructureEquations
+    from nilforms.errors import JacobiError
+
+    entry = catalog_load("bcvary10")  # a fresh se and phi, nothing cached yet
+    se, phi = entry.se, entry.beltrami
+    ec0 = EvaluatedComplex(build_complex(evaluate_se(se, zero_point(4))), ())
+    omega0 = ec0.vec_to_form(ec0.kernel("stacked", 3, 3)[1], 3, 3, se.algebra)
+    counts = {"tables": 0, "neumann": 0, "integrability": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        deformation.LieBracketTable, "__init__", counting("tables", deformation.LieBracketTable.__init__)
+    )
+    for module in (extension, deformation):
+        monkeypatch.setattr(module, "neumann_invert", counting("neumann", module.neumann_invert))
+    monkeypatch.setattr(extension, "check_integrability", counting("integrability", extension.check_integrability))
+
+    first = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
+    assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
+    second = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
+    assert counts == {"tables": 1, "neumann": 1, "integrability": 2}
+    assert second.omega == first.omega and second.omega != omega0
+    ext = pkahler_extend(se, phi, entry.forms["balanced"], samples=40, seed=3)
+    assert ext.state.d_closed_through_order
+    assert counts == {"tables": 1, "neumann": 1, "integrability": 3}
+
+    alg = se.algebra
+    bad_phi = VectorValuedForm(alg, T10, {1: alg.gammabar(2).scale(alg.ring.t(1))})
+    assert se.brackets is not None
+    with pytest.raises(PreconditionFailed, match="not integrable"):
+        solve_extension(se, bad_phi, omega0, ec0=ec0, check_lemmata=False)
+    assert counts["tables"] == 1
+
+    # d gamma^3 = gamma^1 ^ gamma^2 and d gamma^2 = gamma^3 ^ gammabar^1: d^2 gamma^3 != 0
+    alg3 = FormAlgebra(3, PolyRing(0, 0))
+    broken = StructureEquations(
+        "broken",
+        alg3,
+        {2: alg3.gamma(3).wedge(alg3.gammabar(1)), 3: alg3.gamma(1).wedge(alg3.gamma(2))},
+    )
+    for _ in range(2):
+        with pytest.raises(JacobiError):
+            deformation.lie_brackets(broken)
+        assert broken.brackets is None
+
+
+def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
     """The paper's theorem checked at n = 6 on bcvary10 x C.  At (5,5)
     the mild pair holds at t = 0, and every d-closed generator extends
     through the ring order with zero residual: an obstruction there is a
     defect.  At (4,4) and (3,3) the pair fails, and the plain, corrected
-    and obstructed counts are the ones the Green route gives.  The
-    balanced (5,5)-form extends and stays transverse at small_points."""
+    and obstructed counts are the ones the Green route gives.  Every
+    generator gives the same outcome, omega, full residual and residual
+    lists through the scalar-first contraction oracle.  The balanced
+    (5,5)-form extends and stays transverse at small_points."""
+    from nilforms import extension
+
     se, phi = bcvary10_c
     alg = se.algebra
     ec0 = EvaluatedComplex(build_complex(evaluate_se(se, zero_point(4))), ())
+
+    def solve(omega0, pair):
+        try:
+            st = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=pair)
+        except ObstructionNonvanishing as exc:
+            return ("obstructed", exc.order, exc.component)
+        return (st, st.omega, st.full_residual, st.residual_left_by_order, st.residual_right_by_order)
+
     expected = {(5, 5): (True, 0, 32, 0), (4, 4): (False, 29, 114, 14), (3, 3): (False, 88, 65, 65)}
     for (p, q), want in expected.items():
         pair = mild(ec0, p, q + 1)[0] and mild(ec0, q, p + 1)[0]
         counts = {"plain": 0, "corrected": 0, "obstructed": 0}
         for gv in ec0.kernel("stacked", p, q):
             omega0 = ec0.vec_to_form(gv, p, q, alg)
-            try:
-                st = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=pair)
-            except ObstructionNonvanishing:
+            result = solve(omega0, pair)
+            with monkeypatch.context() as mp:
+                mp.setattr(extension, "simultaneous_contract", simultaneous_contract_scalar_first)
+                assert solve(omega0, pair)[1:] == result[1:], (p, q)
+            if result[0] == "obstructed":
                 assert not pair, f"defect: obstruction at {(p, q)} although the mild pair holds"
                 counts["obstructed"] += 1
                 continue
+            st = result[0]
             assert st.order == alg.ring.order and st.d_closed_through_order, (p, q)
             assert all(not st.full_residual.homogeneous_part(l) for l in range(st.order + 1))
             counts["plain" if st.omega == omega0 else "corrected"] += 1
