@@ -22,12 +22,12 @@ from nilforms.lemmata import mild
 def main() -> None:
     entry = catalog_load("bcvary10")
     alg = entry.se.algebra
-    se0 = evaluate_se(entry.se, zero_point(4))
+    se0 = evaluate_se(entry.se, zero_point(alg.ring.m))
     ec0 = EvaluatedComplex(build_complex(se0), ())
     print(f"{'(p,q)':>6} {'mild pair':>10} {'d-closed':>9} {'plain':>6} "
           f"{'corrected':>10} {'obstructed':>11}")
-    for p in range(6):
-        for q in range(6):
+    for p in range(alg.n + 1):
+        for q in range(alg.n + 1):
             if not ec0.dim(p, q):
                 continue
             gens = ec0.kernel("stacked", p, q)

@@ -450,12 +450,20 @@ def exp_contract(theta: VectorValuedForm, a: Form) -> Form:
 
 
 class CoframeEndo:
-    """Linear map on the 2n-dimensional coframe span, column-sparse."""
+    """Linear map on the 2n-dimensional coframe span, column-sparse.
 
-    __slots__ = ("algebra", "cols")
+    ``cols`` is never mutated after construction; every operation returns
+    a new endomorphism.  So the endomorphism owns ``images``, the table
+    from a symbol prefix to the wedge of its factor images, which
+    ``simultaneous_contract`` fills on first use and keeps for every later
+    call.  A new endomorphism starts with no images.
+    """
+
+    __slots__ = ("algebra", "cols", "images")
 
     def __init__(self, algebra: FormAlgebra, cols: Dict[int, Dict[int, ParamScalar]]):
         self.algebra = algebra
+        self.images = None
         self.cols = {}
         for b, col in cols.items():
             cleaned = {a: c for a, c in col.items() if c}
@@ -593,15 +601,18 @@ def simultaneous_contract(b: CoframeEndo, a: Form) -> Form:
     """Algebra homomorphism applying b to every 1-form factor.
 
     The wedge of the factor images of each symbol prefix is computed once
-    per call and shared by the monomials starting with it; a monomial's
-    coefficient scales its image once.  Truncation (degree > N) is an
-    ideal, so the truncated product is associative and the values exact.
+    and stored in ``b.images``, shared by the monomials starting with it
+    and by every later call on b; a monomial's coefficient scales its
+    image once.  Truncation (degree > N) is an ideal, so the truncated
+    product is associative and the values exact.
     """
     alg = a.algebra
     if b.algebra != alg:
         raise ValueError("mismatched algebras")
     n = alg.n
-    prefixes: Dict[Tuple[int, ...], Form] = {(): alg.scalar_form(1)}
+    prefixes = b.images
+    if prefixes is None:
+        prefixes = b.images = {(): alg.scalar_form(1)}
 
     def image(symbols: Tuple[int, ...]) -> Form:
         out = prefixes.get(symbols)

@@ -7,11 +7,15 @@ and the original-side form is recovered by the inverse gammabar-block
 substitution.  Each order solves two del-delbar equations with the
 canonical minimal-norm solution (``EvaluatedComplex.ddbar_preimage``,
 whose one exact reduction per coefficient slice both decides solvability
-and solves), and the final d-residual is recomputed from scratch both
+and solves).  The k-sums are linear in W and O(t), so the solver keeps
+running sums and adds the k-sums of each new homogeneous piece of W
+once, instead of recomputing them over the whole series at every order.
+The final d-residual is recomputed from scratch, from omega alone, both
 directly and through the graded k-sums.  Data that depends only on
-(se, phi) is built once, by its owner: se keeps its Lie bracket table
-and phi its ``BeltramiOperators``, so a solve pays for its own form and
-its integrability check only.
+(se, phi) is built once, by its owner: se keeps its Lie bracket table,
+phi its ``BeltramiOperators``, and each of their coframe maps its prefix
+images, so a solve pays for its own form and its integrability check
+only.
 """
 
 from __future__ import annotations
@@ -229,12 +233,34 @@ def solve_extension(
     requested order, solving each order with the canonical minimal-norm
     del-delbar preimage.
 
+    The k-sums are linear in W and every term is O(t), so their degree-l
+    part depends only on the pieces of W below degree l: the solver keeps
+    running sums and adds the k-sums of the newest piece (omega0, then
+    each nonzero correction) once.
+
     Raises PreconditionFailed when the order exceeds the ring truncation,
     omega0 is not d-closed, phi is not integrable, or a required mild
     lemma fails at t = 0, and
     ObstructionNonvanishing(order, component) when an order equation is
     exactly unsolvable.
     """
+    se_r, omega0, order, ec0 = _checked_inputs(se, phi, omega0, order, check_lemmata, ec0)
+    ops = beltrami_operators(phi)
+    p, q = omega0.bidegree()
+    s1 = s2 = s3 = omega0.algebra.zero()
+    omega_tilde = piece = omega0
+    for l in range(1, order + 1):
+        if piece:
+            t1, t2, t3 = ladder_sums(ops, piece)
+            s1, s2, s3 = s1 + t1, s2 + t2, s3 + t3
+        piece = _order_correction(se_r, ec0, (s1, s2, s3), p, q, l)
+        omega_tilde = omega_tilde + piece
+    return _extension_state(se_r, phi, omega0, omega_tilde, order)
+
+
+def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
+    """solve_extension's preconditions; returns (se, omega0, order, ec0)
+    over phi's algebra, building the t = 0 complex when ec0 is None."""
     as_beltrami(phi)
     alg = phi.algebra
     ring = alg.ring
@@ -265,42 +291,46 @@ def solve_extension(
                 raise PreconditionFailed(
                     f"the ({mp},{mq})-th mild lemma fails at t = 0"
                 )
+    return se_r, omega0, order, ec0
+
+
+def _order_correction(
+    se_r: StructureEquations, ec0: EvaluatedComplex, sums: Tuple[Form, Form, Form], p: int, q: int, l: int
+) -> Form:
+    """The order-l correction of W, read off the degree-l parts of the
+    k-sums of the series below order l."""
+    s1l, s2l, s3l = (s.homogeneous_part(l) for s in sums)
+    # solvability identities: del delbar of both sums vanish at this order
+    if se_r.apply_del(se_r.apply_delbar(s2l)):
+        raise AssertionError(f"del delbar of the left sum nonzero at order {l}")
+    if se_r.apply_del(se_r.apply_delbar(s3l)):
+        raise AssertionError(f"del delbar of the right sum nonzero at order {l}")
+    correction = -s1l
+    z_left = se_r.apply_delbar(s2l)
+    if z_left:
+        correction = correction - _ddbar_correction(ec0, z_left, "left", p, q, l)
+    z_right = se_r.apply_del(s3l)
+    if z_right:
+        correction = correction + _ddbar_correction(ec0, z_right, "right", p, q, l)
+    return correction
+
+
+def _extension_state(se_r, phi, omega0, omega_tilde, order) -> ExtensionState:
+    """Recover omega from W and recompute its residuals from scratch."""
     ops = beltrami_operators(phi)
-
-    omega_tilde = omega0
-    for l in range(1, order + 1):
-        s1, s2, s3 = ladder_sums(ops, omega_tilde)
-        s1l = s1.homogeneous_part(l)
-        s2l = s2.homogeneous_part(l)
-        s3l = s3.homogeneous_part(l)
-        # solvability identities: del delbar of both sums vanish at this order
-        if se_r.apply_del(se_r.apply_delbar(s2l)):
-            raise AssertionError(f"del delbar of the left sum nonzero at order {l}")
-        if se_r.apply_del(se_r.apply_delbar(s3l)):
-            raise AssertionError(f"del delbar of the right sum nonzero at order {l}")
-        correction = -s1l
-        z_left = se_r.apply_delbar(s2l)
-        if z_left:
-            correction = correction - _ddbar_correction(ec0, z_left, "left", p, q, l)
-        z_right = se_r.apply_del(s3l)
-        if z_right:
-            correction = correction + _ddbar_correction(ec0, z_right, "right", p, q, l)
-        omega_tilde = omega_tilde + correction
-
     omega = from_tilde(ops, omega_tilde)
     left, right, full = obstruction_residual(se_r, phi, omega)
-    state = ExtensionState(
+    return ExtensionState(
         omega0=omega0,
         omega_tilde=omega_tilde,
         omega=omega,
         ladder=a_ladder(ops, omega_tilde),
-        bidegree=(p, q),
+        bidegree=omega0.bidegree(),
         order=order,
         residual_left_by_order=residual_norms_by_order(left, order),
         residual_right_by_order=residual_norms_by_order(right, order),
         full_residual=full,
     )
-    return state
 
 
 def _ddbar_correction(

@@ -463,6 +463,56 @@ def test_simultaneous_contract_equals_scalar_first_oracle(bcvary10_c):
     assert nonzero > 3 * len(cases) // 4
 
 
+def _with_term_order(f):
+    return [(m, list(c.terms.items())) for m, c in f.coeffs.items()]
+
+
+def test_coframe_images_are_owned_by_the_endomorphism(bcvary10_c):
+    """A warm endomorphism's stored prefix images give what a fresh copy
+    of it and the scalar-first oracle give, in values and in key order:
+    monomial order against both, and the t-monomial order inside each
+    coefficient against the fresh copy.  Several endomorphisms are warmed
+    in turn on the same forms, so a table keyed too coarsely or shared
+    between endomorphisms shows.  Endomorphisms built from warm ones
+    start with no images."""
+    from nilforms.catalog import catalog_load
+    from nilforms.extension import beltrami_operators
+
+    rng = DetRng(31)
+    groups = []
+    for n, m, order in ((3, 1, 2), (3, 2, 3), (4, 2, 2)):
+        alg = FormAlgebra(n, PolyRing(m, order))
+        endos = [_random_small_endo(alg, rng, entries=2 * n, identity=identity) for identity in (True, False)]
+        endos.append(endos[0].conj())
+        groups.append((endos, [_random_param_form(alg, rng, 8) for _ in range(4)]))
+    for phi in (catalog_load("bcvary10").beltrami, bcvary10_c[1]):
+        ops = beltrami_operators(phi)
+        alg = phi.algebra
+        forms = []
+        for p, q in ((2, 3), (3, 3), (alg.n - 1, alg.n - 1)):
+            basis = alg.basis(p, q)
+            coeffs = {basis[rng.next_int(len(basis))]: _random_scalar(alg.ring, rng) for _ in range(6)}
+            forms.append(Form(alg, coeffs))
+        groups.append(([ops.shrink, ops.unshrink, ops.ext_transform], forms))
+    for endos, forms in groups:
+        for _ in range(2):  # the second sweep runs on warm tables only
+            for a in forms:
+                for b in endos:
+                    got = simultaneous_contract(b, a)
+                    fresh = simultaneous_contract(CoframeEndo(b.algebra, b.cols), a)
+                    oracle = simultaneous_contract_scalar_first(b, a)
+                    assert got == fresh == oracle
+                    assert _with_term_order(got) == _with_term_order(fresh)
+                    assert list(got.coeffs) == list(oracle.coeffs)
+        assert all(len(b.images) > 1 for b in endos)
+
+    endos, _ = groups[1]
+    e, f = endos[0], endos[1]
+    alg = e.algebra
+    built = [e + f, e - f, -e, e.compose(f), e.conj(), CoframeEndo.identity(alg), neumann_invert(f)]
+    assert all(b.images is None for b in built)
+
+
 def test_neumann_invert():
     ring = PolyRing(1, 3)
     alg = FormAlgebra(2, ring)

@@ -22,6 +22,7 @@ from nilforms.extension import (
     bc_nontriviality,
     beltrami_operators,
     from_tilde,
+    ladder_sums,
     obstruction_residual,
     pkahler_extend,
     small_points,
@@ -31,7 +32,7 @@ from nilforms.extension import (
 from nilforms.lemmata import mild
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import simultaneous_contract_scalar_first
+from oracles import simultaneous_contract_scalar_first, solve_extension_whole_series
 
 
 def _random_mono_form(alg, rng, p, q, coeff=None):
@@ -171,6 +172,46 @@ def test_two_way_residual_agreement_random_triples():
             obstruction_residual(se, phi, omega)  # raises on any disagreement
 
 
+def _random_param_form(alg, rng, nterms):
+    """A t-dependent form of mixed bidegree: each coefficient has a
+    constant, a t and a tbar term."""
+    ring = alg.ring
+    total = alg.zero()
+    for _ in range(nterms):
+        p, q = rng.next_int(alg.n + 1), rng.next_int(alg.n + 1)
+        basis = alg.basis(p, q)
+        c = (
+            ring.const(rng.gaussian(3))
+            + ring.t(rng.next_int(ring.m) + 1) * rng.nonzero_gaussian(3)
+            + ring.tbar(rng.next_int(ring.m) + 1) * rng.nonzero_gaussian(3)
+        )
+        total = total + Form(alg, {basis[rng.next_int(len(basis))]: c})
+    return total
+
+
+def test_ladder_sums_are_linear(bcvary10):
+    """The k-sums are linear in W, which is what lets the solver add the
+    sums of each new correction to running sums: on seeded random
+    t-dependent forms, sums(a + c b) = sums(a) + c sums(b) for constant
+    and t-dependent c, and the zero form maps to three zero forms."""
+    ops = beltrami_operators(bcvary10.beltrami)
+    alg = bcvary10.beltrami.algebra
+    ring = alg.ring
+    zero = alg.zero()
+    assert ladder_sums(ops, zero) == (zero, zero, zero)
+    rng = DetRng(53)
+    nonzero = 0
+    for _ in range(12):
+        a = _random_param_form(alg, rng, 6)
+        b = _random_param_form(alg, rng, 6)
+        for c in (ring.const(rng.nonzero_gaussian(5)), ring.one() + ring.t(1) * rng.nonzero_gaussian(3)):
+            combined = ladder_sums(ops, a + b.scale(c))
+            separate = [x + y.scale(c) for x, y in zip(ladder_sums(ops, a), ladder_sums(ops, b))]
+            assert list(combined) == separate
+            nonzero += all(combined)
+    assert nonzero > 12
+
+
 # -- the solver -----------------------------------------------------------------
 
 
@@ -245,6 +286,40 @@ def test_solver_conjugation_compatibility(bcvary10, ec_bcvary0):
         assert full.is_zero()
         solved += 1
     assert solved > 0
+
+
+def _solve_outcome(solver, se, phi, omega0, **kwargs):
+    """The ExtensionState of a solve, which compares W, omega, the ladder,
+    both residual lists and the full residual; or the (order, side) of
+    its obstruction."""
+    try:
+        return solver(se, phi, omega0, **kwargs)
+    except ObstructionNonvanishing as exc:
+        return ("obstructed", exc.order, exc.component)
+
+
+def test_incremental_order_loop_equals_whole_series_oracle(bcvary10, ec_bcvary0):
+    """The running k-sums give what recomputing them over the whole series
+    at every order gives, on every d-closed generator of bcvary10 at
+    every bidegree: the same W, omega, ladder, residuals and full
+    residual, or an obstruction at the same (order, side)."""
+    alg = bcvary10.se.algebra
+    kinds = {"solved": 0, "obstructed": 0}
+    for p in range(alg.n + 1):
+        for q in range(alg.n + 1):
+            if not ec_bcvary0.dim(p, q):
+                continue
+            for gv in ec_bcvary0.kernel("stacked", p, q):
+                omega0 = ec_bcvary0.vec_to_form(gv, p, q, alg)
+                outcomes = [
+                    _solve_outcome(
+                        solver, bcvary10.se, bcvary10.beltrami, omega0, ec0=ec_bcvary0, check_lemmata=False
+                    )
+                    for solver in (solve_extension, solve_extension_whole_series)
+                ]
+                assert outcomes[0] == outcomes[1], (p, q)
+                kinds["obstructed" if isinstance(outcomes[0], tuple) else "solved"] += 1
+    assert kinds == {"solved": 456, "obstructed": 152}
 
 
 def test_solve_extension_preconditions(iwasawa3, bcvary10):
@@ -361,7 +436,9 @@ def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
 def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     """The structure equations own their Lie bracket table and phi owns
     its BeltramiOperators: a second solve on the same (se, phi), and a
-    pkahler_extend after it, build no table and no Neumann series, while
+    pkahler_extend after it, build no table and no Neumann series, and
+    the second solve, at the same bidegree, adds or rebuilds no prefix
+    image of ext_transform, shrink or unshrink, while
     the integrability check still runs on every solve and still refuses
     a non-integrable phi.  A Jacobi failure is never stored."""
     from nilforms import deformation, extension
@@ -389,9 +466,15 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
 
     first = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
     assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
-    second = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
+    ops = phi.operators
+    endos = (ops.ext_transform, ops.shrink, ops.unshrink)
+    warm = [dict(b.images) for b in endos]
+    assert all(len(images) > 1 for images in warm)
+    second = solve_extension(se, phi, omega0.scale(QI(2, -3)), ec0=ec0, check_lemmata=False)
     assert counts == {"tables": 1, "neumann": 1, "integrability": 2}
-    assert second.omega == first.omega and second.omega != omega0
+    for b, images in zip(endos, warm):  # no entry added, none rebuilt
+        assert b.images.keys() == images.keys() and all(b.images[k] is v for k, v in images.items())
+    assert second.omega == first.omega.scale(QI(2, -3)) and second.omega != omega0
     ext = pkahler_extend(se, phi, entry.forms["balanced"], samples=40, seed=3)
     assert ext.state.d_closed_through_order
     assert counts == {"tables": 1, "neumann": 1, "integrability": 3}
@@ -422,21 +505,15 @@ def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
     through the ring order with zero residual: an obstruction there is a
     defect.  At (4,4) and (3,3) the pair fails, and the plain, corrected
     and obstructed counts are the ones the Green route gives.  Every
-    generator gives the same outcome, omega, full residual and residual
-    lists through the scalar-first contraction oracle.  The balanced
-    (5,5)-form extends and stays transverse at small_points."""
+    generator gives the same outcome, W, omega, ladder, full residual and
+    residual lists through the oracles of the whole-series order loop and
+    the scalar-first contraction together.  The balanced (5,5)-form
+    extends and stays transverse at small_points."""
     from nilforms import extension
 
     se, phi = bcvary10_c
     alg = se.algebra
     ec0 = EvaluatedComplex(build_complex(evaluate_se(se, zero_point(4))), ())
-
-    def solve(omega0, pair):
-        try:
-            st = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=pair)
-        except ObstructionNonvanishing as exc:
-            return ("obstructed", exc.order, exc.component)
-        return (st, st.omega, st.full_residual, st.residual_left_by_order, st.residual_right_by_order)
 
     expected = {(5, 5): (True, 0, 32, 0), (4, 4): (False, 29, 114, 14), (3, 3): (False, 88, 65, 65)}
     for (p, q), want in expected.items():
@@ -444,15 +521,17 @@ def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
         counts = {"plain": 0, "corrected": 0, "obstructed": 0}
         for gv in ec0.kernel("stacked", p, q):
             omega0 = ec0.vec_to_form(gv, p, q, alg)
-            result = solve(omega0, pair)
+            st = _solve_outcome(solve_extension, se, phi, omega0, ec0=ec0, check_lemmata=pair)
             with monkeypatch.context() as mp:
                 mp.setattr(extension, "simultaneous_contract", simultaneous_contract_scalar_first)
-                assert solve(omega0, pair)[1:] == result[1:], (p, q)
-            if result[0] == "obstructed":
+                oracle = _solve_outcome(
+                    solve_extension_whole_series, se, phi, omega0, ec0=ec0, check_lemmata=pair
+                )
+            assert oracle == st, (p, q)
+            if isinstance(st, tuple):
                 assert not pair, f"defect: obstruction at {(p, q)} although the mild pair holds"
                 counts["obstructed"] += 1
                 continue
-            st = result[0]
             assert st.order == alg.ring.order and st.d_closed_through_order, (p, q)
             assert all(not st.full_residual.homogeneous_part(l) for l in range(st.order + 1))
             counts["plain" if st.omega == omega0 else "corrected"] += 1
@@ -464,3 +543,19 @@ def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
     ext = pkahler_extend(se, phi, balanced, samples=40, seed=3)
     assert ext.state.d_closed_through_order
     assert ext.transverse_at_all_points
+
+
+def test_extension_survey_output_byte_identical_to_golden(capsys):
+    """scripts/extension_survey.py prints the plain/corrected/obstructed
+    table of every bidegree of bcvary10; the arithmetic is exact, so the
+    table must match its recorded output byte for byte."""
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).parent
+    script = root.parent / "scripts" / "extension_survey.py"
+    spec = importlib.util.spec_from_file_location("extension_survey", script)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    survey.main()
+    assert capsys.readouterr().out.encode() == (root / "data" / "extension_survey.txt").read_bytes()
