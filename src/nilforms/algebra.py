@@ -428,6 +428,28 @@ def contract(theta: VectorValuedForm, a: Form) -> Form:
     return total
 
 
+def contraction_series(theta: VectorValuedForm, a: Form) -> List[Form]:
+    """[a, iota a, iota^2 a/2!, ...]: the terms of e^{iota_theta} a, up to
+    the last nonzero one.
+
+    Each power is contracted from the unscaled previous power and scaled
+    once by 1/k!.  The series is finite when theta lowers a bounded
+    degree or is O(t); the guard turns any other theta into an error.
+    """
+    out = [a]
+    power = a
+    k = 0
+    guard = 2 * theta.algebra.n + theta.algebra.ring.order + 2
+    while power:
+        k += 1
+        power = contract(theta, power)
+        if power:
+            out.append(power.scale(QI_ONE / factorial(k)))
+        if k > guard:
+            raise RuntimeError("contraction series failed to terminate")
+    return out
+
+
 def exp_contract(theta: VectorValuedForm, a: Form) -> Form:
     """e^{iota_theta} a = sum_k iota^k a / k!; finite in bounded degree.
 
@@ -435,18 +457,8 @@ def exp_contract(theta: VectorValuedForm, a: Form) -> Form:
     substitution w -> w + theta(w) (exponentials of even derivations
     are algebra maps); the equality is exercised by the test suite.
     """
-    total = a
-    power = a
-    k = 0
-    guard = theta.algebra.n + theta.algebra.ring.order + 2
-    while power:
-        k += 1
-        power = contract(theta, power)
-        if power:
-            total = total + power.scale(QI_ONE / factorial(k))
-        if k > guard:
-            raise RuntimeError("exp_contract failed to terminate")
-    return total
+    terms = contraction_series(theta, a)
+    return sum(terms[1:], terms[0])
 
 
 class CoframeEndo:
@@ -679,6 +691,9 @@ class StructureEquations:
         self.brackets = None
 
     def with_algebra(self, algebra: FormAlgebra) -> "StructureEquations":
+        """The same equations over another scalar ring; self for its own."""
+        if algebra == self.algebra:
+            return self
         return StructureEquations(
             self.name, algebra, {i: f.lift(algebra) for i, f in self.d_coframe.items()}
         )

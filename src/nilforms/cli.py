@@ -267,8 +267,7 @@ def _cmd_positivity(args) -> int:
     omega = _load_form(args.form, entry)
     point = zero_point(omega.algebra.ring.m)
     ev = omega.eval(point)
-    se_r = entry.se if entry.se.algebra == omega.algebra else entry.se.with_algebra(omega.algebra)
-    d_closed = not se_r.apply_d(omega)
+    d_closed = not entry.se.with_algebra(omega.algebra).apply_d(omega)
     pk, verdict = pkahler_check(entry.se, omega, args.p, samples=args.samples, seed=args.seed)
     try:
         strict = is_strictly_positive(ev, args.p).holds

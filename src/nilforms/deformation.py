@@ -257,7 +257,7 @@ def schouten(
 def check_integrability(se: StructureEquations, phi: VectorValuedForm) -> Tuple[bool, VectorValuedForm]:
     """Residual delbar phi - (1/2)[phi, phi], exactly; zero iff integrable."""
     as_beltrami(phi)
-    se_lifted = se if se.algebra == phi.algebra else se.with_algebra(phi.algebra)
+    se_lifted = se.with_algebra(phi.algebra)
     residual = delbar_on_vectors(se_lifted, phi) - schouten(se_lifted, phi, phi).scale(HALF)
     return residual.is_zero(), residual
 
@@ -279,9 +279,7 @@ def extension_map(phi: VectorValuedForm, omega: Form) -> Form:
     For invariant forms the coefficient pullback is the identity, so the
     map is exactly the simultaneous coframe substitution.
     """
-    if omega.algebra != phi.algebra:
-        omega = omega.lift(phi.algebra)
-    return simultaneous_contract(coframe_transform(phi), omega)
+    return simultaneous_contract(coframe_transform(phi), omega.lift(phi.algebra))
 
 
 def main1_residual(se: StructureEquations, phi: VectorValuedForm, alpha: Form) -> Form:
@@ -298,9 +296,8 @@ def main1_residual(se: StructureEquations, phi: VectorValuedForm, alpha: Form) -
     it back.  For integrable phi the correction vanishes either way.
     """
     as_beltrami(phi)
-    se = se if se.algebra == phi.algebra else se.with_algebra(phi.algebra)
-    if alpha.algebra != phi.algebra:
-        alpha = alpha.lift(phi.algebra)
+    se = se.with_algebra(phi.algebra)
+    alpha = alpha.lift(phi.algebra)
     theta = delbar_on_vectors(se, phi) - schouten(se, phi, phi).scale(HALF)
     lhs = se.apply_d(exp_contract(phi, alpha))
     inner = (
@@ -325,7 +322,7 @@ def deform_complex(
     almost-complex object.
     """
     as_beltrami(phi)
-    se_r = se if se.algebra == phi.algebra else se.with_algebra(phi.algebra)
+    se_r = se.with_algebra(phi.algebra)
     ok, residual = check_integrability(se_r, phi)
     if not ok:
         raise IntegrabilityError(

@@ -4,25 +4,28 @@ Working state is the transformed series W = (series the obstruction
 system is written for): the extension on the deformed fiber is
 e^{iota_phi} e^{iota_B} W with B = phibar (1 - phi phibar-block)^{-1},
 and the original-side form is recovered by the inverse gammabar-block
-substitution.  Each order solves two del-delbar equations with the
-canonical minimal-norm solution (``EvaluatedComplex.ddbar_preimage``,
-whose one exact reduction per coefficient slice both decides solvability
-and solves).  The k-sums are linear in W and O(t), so the solver keeps
-running sums and adds the k-sums of each new homogeneous piece of W
-once, instead of recomputing them over the whole series at every order.
-The final d-residual is recomputed from scratch, from omega alone, both
-directly and through the graded k-sums.  Data that depends only on
-(se, phi) is built once, by its owner: se keeps its Lie bracket table,
-phi its ``BeltramiOperators``, and each of their coframe maps its prefix
-images, so a solve pays for its own form and its integrability check
-only.
+substitution (``simultaneous_contract`` with phi's ``shrink`` and
+``unshrink``).  Both exponentials are the one contraction power series
+``algebra.contraction_series``: the ladder A_k = iota_B^k W/k! is its
+series in B, and the k-sums nest it, in B and then in phi.  Each order
+solves two del-delbar equations with the canonical minimal-norm
+solution (``EvaluatedComplex.ddbar_preimage``, whose one exact
+reduction per coefficient slice both decides solvability and solves).
+The k-sums are linear in W and O(t), so the solver keeps running sums
+and adds the k-sums of each new homogeneous piece of W once, instead of
+recomputing them over the whole series at every order.  The final
+d-residual is recomputed from scratch, from omega alone, both directly
+and through the graded k-sums.  Data that depends only on (se, phi) is
+built once, by its owner: se keeps its Lie bracket table, phi its
+``BeltramiOperators`` (so every helper here takes phi itself), and each
+of their coframe maps its prefix images, so a solve pays for its own
+form and its integrability check only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -33,7 +36,7 @@ from .algebra import (
     T01,
     VectorValuedForm,
     build_complex,
-    contract,
+    contraction_series,
     endo_of_vvf,
     neumann_invert,
     simultaneous_contract,
@@ -43,109 +46,62 @@ from .cohomology import EvaluatedComplex, zero_point
 from .deformation import (
     as_beltrami,
     check_integrability,
+    coframe_transform,
     evaluate_se,
 )
 from .errors import ObstructionNonvanishing, PreconditionFailed
-from .scalars import GaussianRational, ParamScalar, QI_ONE
+from .scalars import GaussianRational, ParamScalar
 
 
 @dataclass
 class BeltramiOperators:
     """Derived contraction data shared by the ladder and the solver."""
 
-    phi: VectorValuedForm
     b_field: VectorValuedForm  # phibar corrected by the Neumann factor
     ext_transform: CoframeEndo  # 1 + phi + phibar on the coframe
-    shrink: CoframeEndo  # gammabar-block factor (1 - phi phibar)
-    unshrink: CoframeEndo  # its Neumann inverse
+    shrink: CoframeEndo  # gammabar-block factor (1 - phi phibar): omega -> W
+    unshrink: CoframeEndo  # its Neumann inverse: W -> omega
 
 
 def beltrami_operators(phi: VectorValuedForm) -> BeltramiOperators:
     """phi's contraction data, built once into ``phi.operators``."""
     if phi.operators is None:
         as_beltrami(phi)
-        alg = phi.algebra
         p_endo = endo_of_vvf(phi)
         q_endo = p_endo.conj()
         pq = p_endo.compose(q_endo)
-        ident = CoframeEndo.identity(alg)
         unshrink = neumann_invert(pq)
         phi.operators = BeltramiOperators(
-            phi=phi,
             b_field=vvf_of_endo(q_endo.compose(unshrink), T01),
-            ext_transform=ident + p_endo + q_endo,
-            shrink=ident - pq,
+            ext_transform=coframe_transform(phi),
+            shrink=CoframeEndo.identity(phi.algebra) - pq,
             unshrink=unshrink,
         )
     return phi.operators
 
 
-def to_tilde(ops: BeltramiOperators, omega: Form) -> Form:
-    """Apply the gammabar-block factor (the forward transform)."""
-    return simultaneous_contract(ops.shrink, omega)
-
-
-def from_tilde(ops: BeltramiOperators, omega_tilde: Form) -> Form:
-    """Invert the gammabar-block factor."""
-    return simultaneous_contract(ops.unshrink, omega_tilde)
-
-
-def a_ladder(phi, omega_tilde: Form) -> List[Form]:
+def a_ladder(phi: VectorValuedForm, omega_tilde: Form) -> List[Form]:
     """A_k = iota_B^k(W)/k!; nonzero only for 0 <= k <= min(q, n-p)."""
-    ops = phi if isinstance(phi, BeltramiOperators) else beltrami_operators(phi)
-    out = [omega_tilde]
-    power = omega_tilde
-    k = 0
-    guard = 2 * omega_tilde.algebra.n + 2
-    while power:
-        k += 1
-        power = contract(ops.b_field, power)
-        if power:
-            out.append(power.scale(QI_ONE / factorial(k)))
-        if k > guard:
-            raise RuntimeError("ladder failed to terminate")
-    return out
+    return contraction_series(beltrami_operators(phi).b_field, omega_tilde)
 
 
-def ladder_sums(ops: BeltramiOperators, omega_tilde: Form) -> Tuple[Form, Form, Form]:
+def ladder_sums(phi: VectorValuedForm, omega_tilde: Form) -> Tuple[Form, Form, Form]:
     """The three k-sums of the obstruction system applied to W:
 
     S1 = sum_{k>=1} iota_phi^k/k! iota_B^k/k! W      (type-preserving)
     S2 = sum_{k>=1} iota_phi^{k-1}/(k-1)! iota_B^k/k! W   (shift (+1,-1))
     S3 = sum_{k>=0} iota_phi^{k+1}/(k+1)! iota_B^k/k! W   (shift (-1,+1))
     """
-    alg = omega_tilde.algebra
-    s1 = alg.zero()
-    s2 = alg.zero()
-    s3 = alg.zero()
-    b_power = omega_tilde
-    k = 0
-    while True:
-        # b_power = iota_B^k W / k!
-        phi_powers = [b_power]
-        cur = b_power
-        j = 0
-        while cur:
-            j += 1
-            cur = contract(ops.phi, cur)
-            if cur:
-                phi_powers.append(cur.scale(QI_ONE / j))
-            if j > 2 * alg.n + alg.ring.order + 2:
-                raise RuntimeError("phi powers failed to terminate")
-        # phi_powers[j] = iota_phi^j/j! iota_B^k/k! W
-        if k >= 1 and len(phi_powers) > k and phi_powers[k]:
-            s1 = s1 + phi_powers[k]
-        if k >= 1 and len(phi_powers) > k - 1 and phi_powers[k - 1]:
-            s2 = s2 + phi_powers[k - 1]
-        if len(phi_powers) > k + 1 and phi_powers[k + 1]:
-            s3 = s3 + phi_powers[k + 1]
-        k += 1
-        nxt = contract(ops.b_field, b_power)
-        if not nxt:
-            break
-        b_power = nxt.scale(QI_ONE / k)
-        if k > 2 * alg.n + alg.ring.order + 2:
-            raise RuntimeError("ladder failed to terminate")
+    zero = omega_tilde.algebra.zero()
+    s1 = s2 = s3 = zero
+    b_field = beltrami_operators(phi).b_field
+    for k, a_k in enumerate(contraction_series(b_field, omega_tilde)):
+        # terms[j] = iota_phi^j/j! iota_B^k/k! W, zero past the series
+        terms = contraction_series(phi, a_k)
+        terms += [zero] * (k + 2 - len(terms))
+        if k:
+            s1, s2 = s1 + terms[k], s2 + terms[k - 1]
+        s3 = s3 + terms[k + 1]
     return s1, s2, s3
 
 
@@ -160,14 +116,13 @@ def obstruction_residual(
     component before returning.
     """
     ops = beltrami_operators(phi)
-    se_r = se if se.algebra == phi.algebra else se.with_algebra(phi.algebra)
-    if omega.algebra != phi.algebra:
-        omega = omega.lift(phi.algebra)
+    se_r = se.with_algebra(phi.algebra)
+    omega = omega.lift(phi.algebra)
     p, q = omega.bidegree()
-    omega_tilde = to_tilde(ops, omega)
+    omega_tilde = simultaneous_contract(ops.shrink, omega)
     ext = simultaneous_contract(ops.ext_transform, omega)
     full = se_r.apply_d(ext)
-    s1, s2, s3 = ladder_sums(ops, omega_tilde)
+    s1, s2, s3 = ladder_sums(phi, omega_tilde)
     left = se_r.apply_del(omega_tilde + s1) + se_r.apply_delbar(s2)
     right = se_r.apply_delbar(omega_tilde + s1) + se_r.apply_del(s3)
     if full.component(p + 1, q) != left:
@@ -245,13 +200,12 @@ def solve_extension(
     exactly unsolvable.
     """
     se_r, omega0, order, ec0 = _checked_inputs(se, phi, omega0, order, check_lemmata, ec0)
-    ops = beltrami_operators(phi)
     p, q = omega0.bidegree()
     s1 = s2 = s3 = omega0.algebra.zero()
     omega_tilde = piece = omega0
     for l in range(1, order + 1):
         if piece:
-            t1, t2, t3 = ladder_sums(ops, piece)
+            t1, t2, t3 = ladder_sums(phi, piece)
             s1, s2, s3 = s1 + t1, s2 + t2, s3 + t3
         piece = _order_correction(se_r, ec0, (s1, s2, s3), p, q, l)
         omega_tilde = omega_tilde + piece
@@ -269,9 +223,8 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
         raise PreconditionFailed(
             f"requested order {order} exceeds the ring truncation {ring.order}"
         )
-    se_r = se if se.algebra == alg else se.with_algebra(alg)
-    if omega0.algebra != alg:
-        omega0 = omega0.lift(alg)
+    se_r = se.with_algebra(alg)
+    omega0 = omega0.lift(alg)
     p, q = omega0.bidegree()
     if se_r.apply_d(omega0):
         raise PreconditionFailed("omega0 is not d-closed")
@@ -317,14 +270,13 @@ def _order_correction(
 
 def _extension_state(se_r, phi, omega0, omega_tilde, order) -> ExtensionState:
     """Recover omega from W and recompute its residuals from scratch."""
-    ops = beltrami_operators(phi)
-    omega = from_tilde(ops, omega_tilde)
+    omega = simultaneous_contract(beltrami_operators(phi).unshrink, omega_tilde)
     left, right, full = obstruction_residual(se_r, phi, omega)
     return ExtensionState(
         omega0=omega0,
         omega_tilde=omega_tilde,
         omega=omega,
-        ladder=a_ladder(ops, omega_tilde),
+        ladder=a_ladder(phi, omega_tilde),
         bidegree=omega0.bidegree(),
         order=order,
         residual_left_by_order=residual_norms_by_order(left, order),
@@ -412,8 +364,7 @@ def pkahler_extend(
     from .positivity import is_transverse
 
     alg = phi.algebra
-    if omega0.algebra != alg:
-        omega0 = omega0.lift(alg)
+    omega0 = omega0.lift(alg)
     p, q = omega0.bidegree()
     if p != q:
         raise PreconditionFailed("a p-Kaehler candidate must have bidegree (p,p)")
@@ -421,7 +372,7 @@ def pkahler_extend(
         raise PreconditionFailed("p must be at most n-1 (top degree is trivial)")
     if omega0.conj() != omega0:
         raise PreconditionFailed("omega0 is not real")
-    se_r = se if se.algebra == alg else se.with_algebra(alg)
+    se_r = se.with_algebra(alg)
     base_verdict = is_transverse(omega0.eval(zero_point(alg.ring.m)), p, samples=samples, seed=seed)
     if not base_verdict.holds:
         raise PreconditionFailed("omega0 is not transverse at t = 0")

@@ -48,24 +48,23 @@ _MINUS_ONE, _MINUS_I = GaussianRational(-1), GaussianRational(0, -1)
 
 def mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     """True iff every delbar-closed del-exact (p,q)-form is deldelbar-exact."""
-    if p < 1 or not ec.dim(p, q):
-        return True, None
-    target = ec.image_echelon("ddbar", p, q)
-    cols = ec.columns("del", p - 1, q)
-    for x in ec.kernel("ddbar", p - 1, q):
-        v = linalg.columns_vec(cols, x)
-        if v and not target.contains(v):
-            return False, ec.vec_to_form(v, p, q)
-    return True, None
+    return _mild(ec, "del", p, q)
 
 
 def dual_mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     """Mirror of mild with del and delbar exchanged."""
-    if q < 1 or not ec.dim(p, q):
+    return _mild(ec, "delbar", p, q)
+
+
+def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional[Form]]:
+    """op(ker deldelbar) inside im deldelbar at (p,q), op del or delbar;
+    the witness is the first image outside."""
+    sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
+    if not (ec.dim(sp, sq) and ec.dim(p, q)):
         return True, None
     target = ec.image_echelon("ddbar", p, q)
-    cols = ec.columns("delbar", p, q - 1)
-    for x in ec.kernel("ddbar", p, q - 1):
+    cols = ec.columns(op, sp, sq)
+    for x in ec.kernel("ddbar", sp, sq):
         v = linalg.columns_vec(cols, x)
         if v and not target.contains(v):
             return False, ec.vec_to_form(v, p, q)
@@ -98,6 +97,7 @@ def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
     flat; the check is explicit, so it holds under ``python -O``.
     """
     spanning: List[Vec] = []
+    n_del = 0
     for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)):
         if not ec.dim(sp, sq):
             continue
@@ -108,11 +108,15 @@ def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
         for f, x in zip(free, ec.kernel("ddbar", sp, sq)):
             if f in pivots:
                 spanning.append(linalg.columns_vec(cols, x))
+        if op == "del":
+            n_del = len(spanning)
     if not spanning:
         return []
     del_cols, delbar_cols = ec.columns("del", p, q), ec.columns("delbar", p, q)
-    for v in spanning:
-        if linalg.columns_vec(del_cols, v) or linalg.columns_vec(delbar_cols, v):
+    # del of a delbar-side vector is deldelbar of a kernel vector, zero
+    # by construction of the deldelbar rows, so it is not checked
+    for i, v in enumerate(spanning):
+        if (i < n_del and linalg.columns_vec(del_cols, v)) or linalg.columns_vec(delbar_cols, v):
             raise AssertionError(
                 f"strong at {(p, q)}: a vector of del/delbar(ker deldelbar) is not d-closed"
             )

@@ -313,8 +313,7 @@ def pkahler_check(
     p = n-1 the balanced case."""
     if p > se.n - 1:
         raise PreconditionFailed("p must be at most n-1")
-    se_r = se if se.algebra == gamma.algebra else se.with_algebra(gamma.algebra)
-    closed = not se_r.apply_d(gamma)
+    closed = not se.with_algebra(gamma.algebra).apply_d(gamma)
     verdict = is_transverse(gamma, p, samples=samples, seed=seed)
     return closed and bool(verdict.holds), verdict
 

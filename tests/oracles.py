@@ -578,10 +578,9 @@ def solve_extension_whole_series(se, phi, omega0, order=None, check_lemmata=True
     from nilforms import extension
 
     se_r, omega0, order, ec0 = extension._checked_inputs(se, phi, omega0, order, check_lemmata, ec0)
-    ops = extension.beltrami_operators(phi)
     p, q = omega0.bidegree()
     omega_tilde = omega0
     for l in range(1, order + 1):
-        sums = extension.ladder_sums(ops, omega_tilde)
+        sums = extension.ladder_sums(phi, omega_tilde)
         omega_tilde = omega_tilde + extension._order_correction(se_r, ec0, sums, p, q, l)
     return extension._extension_state(se_r, phi, omega0, omega_tilde, order)

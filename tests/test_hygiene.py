@@ -59,3 +59,73 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def defined_names(source: str):
+    """Functions and classes a module defines, methods included, with the
+    line of each; dunder methods are read by the language itself."""
+    return {
+        node.name: node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def read_names(source: str):
+    """Names a module reads: loaded names and attributes, and names inside
+    string annotations."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out |= _annotation_names(node.returns)
+        elif isinstance(node, ast.arg):
+            out |= _annotation_names(node.annotation)
+    return out
+
+
+def orphans(defining: dict, reading: list):
+    """(module, line, name) of each definition in ``defining`` (module name
+    to source) that no source in ``reading`` reads by name."""
+    read = set().union(*(read_names(src) for src in reading))
+    return sorted(
+        (module, line, name)
+        for module, src in defining.items()
+        for name, line in defined_names(src).items()
+        if name not in read
+    )
+
+
+def test_orphan_scan_sees_what_it_should():
+    lib = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.v = helper()\n"
+        "    def unused_method(self):\n"
+        "        return self.v\n"
+        "    def used_method(self) -> 'Box':\n"
+        "        return self\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def left_behind():\n"
+        "    return helper()\n"
+    )
+    caller = "import lib\nlib.Box().used_method()\n"
+    assert orphans({"lib": lib}, [lib, caller]) == [("lib", 4, "unused_method"), ("lib", 10, "left_behind")]
+
+
+def test_no_orphaned_helpers():
+    """Every function and class the package defines is read by name
+    somewhere in src, tests, scripts or perfbench."""
+    root = SRC.parent.parent
+    defining = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    reading = [
+        path.read_text()
+        for top in ("src", "tests", "scripts", "perfbench")
+        for path in sorted((root / top).rglob("*.py"))
+    ]
+    assert orphans(defining, reading) == []
