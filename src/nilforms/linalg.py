@@ -3,8 +3,10 @@
 Vectors are dicts {index: scalar}; matrices are lists of row dicts.  All
 routines work for any scalar type supporting +, -, *, /, truthiness and
 equality with the ints 1 and -1, so the same elimination drives
-Gaussian-rational and realified-rational computations.  No floating
-point anywhere.
+Gaussian-rational and realified-rational computations.  A rational entry
+is an int or a Fraction (realified Gaussian integers are ints), and every
+division goes through ``scalars._div``, which is exact on two ints where
+a bare ``/`` would give a float.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, QI_ONE
+from .scalars import GaussianRational, QI_ONE, _div
 
 Vec = Dict[int, object]
 Rows = List[Vec]
@@ -77,9 +79,11 @@ class Echelon:
     input returns False before any reduction (it still takes its combo
     index); a reduced row whose leading entry is 1 is stored as it is,
     and one whose leading entry is -1 is negated, with its combo, in one
-    pass.  Only another leading entry is inverted and multiplied in, so
-    the entries of a vector must share one scalar type: a ±1 row keeps
-    the types it has, where a rescaled one takes the inverse's.
+    pass.  Only another leading entry is inverted, exactly (``_div``, so
+    an int lead of 2 gives Fraction(1, 2), never 0.5), and multiplied in.
+    So the entries of a vector must share one scalar type, where int and
+    Fraction count as one type (Q): a ±1 row keeps the types it has,
+    where a rescaled one takes the inverse's.
     """
 
     def __init__(self, track: bool = False, one=QI_ONE):
@@ -125,7 +129,7 @@ class Echelon:
             if c is not None:
                 c = _negated(c)
         elif lead != 1:
-            inv = 1 / lead
+            inv = _div(1, lead)
             w = vec_scale(w, inv)
             if c is not None:
                 c = vec_scale(c, inv)
@@ -325,7 +329,7 @@ def solve_dense(a: List[List[object]], b: List[List[object]]):
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
+        inv = _div(1, aug[col][col])
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:

@@ -1,11 +1,14 @@
 """Exact scalars: Gaussian rationals and truncated (t, tbar)-polynomials.
 
 Everything downstream is built over these two rings.  ``GaussianRational``
-is the coefficient field Q(i); ``ParamScalar`` is the ring
-Q(i)[t_1..t_m, tbar_1..tbar_m] truncated at a fixed total degree.  The
-deformation parameters t_nu and their formal conjugates tbar_nu are
-independent commuting variables; conjugation swaps them, and evaluation
-at a point z substitutes t_nu -> z_nu, tbar_nu -> conj(z_nu).
+is the coefficient field Q(i), with each part an ``int`` or a ``Fraction``
+(never a float): Gaussian integers keep ``int`` parts, and a ``Fraction``
+comes only from an inexact division or a ``Fraction`` operand.
+``ParamScalar`` is the ring Q(i)[t_1..t_m, tbar_1..tbar_m] truncated at
+a fixed total degree.  The deformation parameters t_nu and their formal
+conjugates tbar_nu are independent commuting variables; conjugation
+swaps them, and evaluation at a point z substitutes t_nu -> z_nu,
+tbar_nu -> conj(z_nu).
 """
 
 from __future__ import annotations
@@ -28,18 +31,24 @@ __all__ = [
 
 
 class GaussianRational:
-    """An element a + b*i of Q(i) with exact Fraction parts."""
+    """An element a + b*i of Q(i); each part is an int or a Fraction.
+
+    An int part (not a bool) is kept as it is, anything else becomes a
+    Fraction.  +, -, * and an exact / of two int parts give an int, so
+    Gaussian integers pay no gcd; a quotient that is not integral is a
+    Fraction, and an int part meeting a Fraction part gives a Fraction.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if type(re) is int or isinstance(re, Fraction) else Fraction(re)
+        self.im = im if type(im) is int or isinstance(im, Fraction) else Fraction(im)
 
     # -- ring operations -------------------------------------------------
     #
-    # Each operation takes a one-Fraction-operation path when both
-    # imaginary parts are zero (for division: when the divisor is real).
+    # Each operation takes a one-part-operation path when both imaginary
+    # parts are zero (for division: when the divisor is real).
 
     def __add__(self, other):
         other = _coerce(other)
@@ -80,12 +89,12 @@ class GaussianRational:
             if not other.re:
                 raise ZeroDivisionError("division by zero in Q(i)")
             if not self.im:
-                return _real(self.re / other.re)
-            return GaussianRational(self.re / other.re, self.im / other.re)
+                return _real(_div(self.re, other.re))
+            return GaussianRational(_div(self.re, other.re), _div(self.im, other.re))
         n = other.re * other.re + other.im * other.im
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            _div(self.re * other.re + self.im * other.im, n),
+            _div(self.im * other.re - self.re * other.im, n),
         )
 
     def __rtruediv__(self, other):
@@ -94,15 +103,15 @@ class GaussianRational:
         if not self.im:
             if not self.re:
                 raise ZeroDivisionError("division by zero in Q(i)")
-            return _real(other / self.re)
+            return _real(_div(other, self.re))
         n = self.re * self.re + self.im * self.im
-        return GaussianRational(other * self.re / n, -other * self.im / n)
+        return GaussianRational(_div(other * self.re, n), _div(-other * self.im, n))
 
     def conj(self):
         return GaussianRational(self.re, -self.im)
 
     def norm2(self):
-        """|z|^2 as an exact rational."""
+        """|z|^2 as an exact rational (an int or a Fraction)."""
         return self.re * self.re + self.im * self.im
 
     # -- predicates / hashing -------------------------------------------
@@ -127,16 +136,26 @@ class GaussianRational:
         return format_gaussian(self)
 
 
-_FRACTION_ZERO = Fraction(0)
 _new = object.__new__
 
 
-def _real(re: Fraction) -> GaussianRational:
+def _real(re) -> GaussianRational:
     """re + 0i without the constructor's coercion checks."""
     z = _new(GaussianRational)
     z.re = re
-    z.im = _FRACTION_ZERO
+    z.im = 0
     return z
+
+
+def _div(a, b):
+    """a / b, exactly: an int when a and b are ints and b divides a, a
+    Fraction for any other pair of rationals (a bare int / int would give
+    a float).  Other operands, such as a GaussianRational, divide as
+    they do."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def _coerce(x) -> GaussianRational:
@@ -170,8 +189,7 @@ def parse_gaussian(s: str) -> GaussianRational:
     terms = re.findall(r"[+-]?[^+-]+", text)
     if "".join(terms) != text:
         raise FormatError(f"cannot parse scalar {s!r}")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
+    re_part = im_part = 0
     for term in terms:
         m = _TERM_RE.match(term)
         if not m:
@@ -189,7 +207,13 @@ def parse_gaussian(s: str) -> GaussianRational:
             im_part += value
         else:
             re_part += value
-    return GaussianRational(re_part, im_part)
+    return GaussianRational(_integral(re_part), _integral(im_part))
+
+
+def _integral(x):
+    """A rational as an int when it is integral, so parsed Gaussian
+    integers take the int paths."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def format_gaussian(z: GaussianRational) -> str:

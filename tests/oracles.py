@@ -287,14 +287,15 @@ def bcvary_oracle() -> OracleComplex:
 
 def qi_general(op: str, a: GaussianRational, b: GaussianRational) -> Tuple[Fraction, Fraction]:
     """(re, im) of a op b by the general Q(i) formulas, with no real fast
-    path; raises ZeroDivisionError for a zero divisor."""
+    path and a Fraction divisor (so int parts divide exactly); raises
+    ZeroDivisionError for a zero divisor."""
     if op == "+":
         return a.re + b.re, a.im + b.im
     if op == "-":
         return a.re - b.re, a.im - b.im
     if op == "*":
         return a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
-    n = b.re * b.re + b.im * b.im
+    n = Fraction(b.re * b.re + b.im * b.im)
     if n == 0:
         raise ZeroDivisionError("division by zero in Q(i)")
     return (a.re * b.re + a.im * b.im) / n, (a.im * b.re - a.re * b.im) / n

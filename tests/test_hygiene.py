@@ -1,7 +1,16 @@
 """Source hygiene checks over the package, with the standard library only."""
 
 import ast
+import dataclasses
+from fractions import Fraction
 from pathlib import Path
+
+from nilforms import io as nio
+from nilforms import lemmata
+from nilforms.algebra import Form, build_complex
+from nilforms.cohomology import EvaluatedComplex, full_report
+from nilforms.linalg import Echelon
+from nilforms.scalars import GaussianRational, ParamScalar
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nilforms"
 
@@ -129,3 +138,76 @@ def test_no_orphaned_helpers():
         for path in sorted((root / top).rglob("*.py"))
     ]
     assert orphans(defining, reading) == []
+
+
+def _numbers(x):
+    """Every number inside an answer: the parts of each Q(i) scalar, of a
+    ParamScalar's coefficients and of a Form's, and the ints, bools and
+    Nones of tables and flags."""
+    if isinstance(x, GaussianRational):
+        yield x.re
+        yield x.im
+    elif isinstance(x, ParamScalar):
+        for z in x.terms.values():
+            yield from _numbers(z)
+    elif isinstance(x, Form):
+        for c in x.coeffs.values():
+            yield from _numbers(c)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _numbers(getattr(x, f.name))
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _numbers(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _numbers(v)
+    else:
+        yield x
+
+
+#: dgamma^3 = 2 gamma^1 ^ gamma^2: a structure constant of 2, so the
+#: realified vectors in ``weak`` are int vectors led by +-2
+SCALED_IWASAWA = {
+    "format": "nilforms.se/1",
+    "name": "iwasawa3_scaled",
+    "n": 3,
+    "m": 0,
+    "d": {"3": [{"coeff": "2", "factors": ["1", "2"]}]},
+}
+
+
+def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
+    """Every scalar part of full_report, lemma_report (witnesses included)
+    and the kernel vectors is an int or a Fraction; and inside ``weak`` a
+    lead other than +-1 reaches Echelon.insert and is inverted exactly."""
+    scaled = build_complex(nio.obj_to_se(SCALED_IWASAWA))
+    for label, cx, point in reference_complexes + [("iwasawa3_scaled", scaled, ())]:
+        ec = EvaluatedComplex(cx, point)
+        answers = [full_report(ec), lemmata.lemma_report(ec)]
+        answers += [
+            ec.kernel(op, p, q)
+            for op in ("del", "delbar", "ddbar", "stacked")
+            for p in range(ec.n + 1)
+            for q in range(ec.n + 1)
+        ]
+        types = {type(x) for x in _numbers(answers)}
+        assert types <= {int, bool, Fraction, type(None)}, (label, types)
+
+    leads, stored = [], []
+    insert = Echelon.insert
+
+    def counted_insert(self, v):
+        w, _ = self.reduce(v)
+        if w:
+            leads.append(w[min(w)])
+        grew = insert(self, v)
+        stored.extend(x for row in self.pivots.values() for x in row.values())
+        return grew
+
+    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    ec = EvaluatedComplex(scaled, ())
+    for p in range(ec.n):
+        lemmata.weak(ec, p)
+    assert any(type(lead) is int and lead not in (1, -1) for lead in leads)
+    assert stored and {type(x) for x in _numbers(stored)} <= {int, Fraction}

@@ -23,6 +23,29 @@ def test_se_roundtrip_constant(iwasawa3):
     assert nio.se_emit(parsed) == text
 
 
+def _scalar_parts(se):
+    return [
+        part
+        for f in se.d_coframe.values()
+        for c in f.coeffs.values()
+        for z in c.terms.values()
+        for part in (z.re, z.im)
+    ]
+
+
+def test_parsed_gaussian_integers_have_int_parts(iwasawa3):
+    """Structure equations read through io carry int parts, as the
+    catalog's do, and give the same report."""
+    from nilforms.cohomology import EvaluatedComplex, full_report
+
+    parsed = nio.obj_to_se(nio.se_to_obj(iwasawa3.se))
+    parts = _scalar_parts(parsed)
+    assert parts and all(type(x) is int for x in parts)
+    assert parts == _scalar_parts(iwasawa3.se)
+    reports = [full_report(EvaluatedComplex(build_complex(se), ())) for se in (parsed, iwasawa3.se)]
+    assert reports[0] == reports[1]
+
+
 def test_se_roundtrip_symbolic(bcvary10):
     from nilforms.deformation import deform_complex
 

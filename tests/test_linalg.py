@@ -77,11 +77,15 @@ def _sparse_inputs(rng, field, count, ncols):
     """Seeded sparse vectors over Q(i) or Q: about a sixth empty, about a
     third combinations of earlier ones (so dependent inserts are
     exercised), and the rest led, at a drawn column with entries only to
-    its right, by 1, by -1 or by a drawn scalar, in equal shares."""
+    its right, by 1, by -1 or by a drawn scalar, in equal shares.  Over Q
+    an integral draw is an int, as realified Gaussian integers are."""
     one = Fraction(1) if field == "Q" else QI(1)
 
     def draw():
-        return (rng.rational(4) or one) if field == "Q" else rng.nonzero_gaussian(4)
+        if field == "Q":
+            x = rng.rational(4) or one
+            return x.numerator if x.denominator == 1 else x
+        return rng.nonzero_gaussian(4)
 
     vecs = []
     for _ in range(count):
@@ -102,9 +106,49 @@ def _sparse_inputs(rng, field, count, ncols):
 
 
 def _typed(v):
-    """Entries with their types: Fraction and Q(i) entries are emitted
-    differently, so equal values of another type are a difference."""
-    return [(k, type(x), x) for k, x in v.items()]
+    """Entries with their types, where int and Fraction count as one type
+    (Q): Q and Q(i) entries are emitted differently, so an equal value of
+    the other field, or a float, is a difference."""
+    return [(k, Fraction if type(x) is int else type(x), x) for k, x in v.items()]
+
+
+def _assert_no_float(vecs):
+    for v in vecs:
+        for x in v.values():
+            assert type(x) in (int, Fraction), v
+
+
+def test_int_leads_divide_exactly():
+    """Realified Gaussian integers are int vectors.  A lead of 2 or -3 is
+    inverted exactly, so the rows, combos and kernel equal the Fraction
+    oracle's, and no entry is a float."""
+    vecs = [
+        linalg.realify_vec({0: QI(2), 1: QI(1, 3)}),
+        {1: -3, 2: 1, 4: 2},
+        {0: 2, 1: -3, 2: 7, 3: 3},
+        {2: 4, 3: -1},
+        {1: -3, 2: 5, 3: -1, 4: 2},  # the second plus the fourth
+    ]
+    assert vecs[0] == {0: 2, 2: 1, 3: 3} and all(type(x) is int for x in vecs[0].values())
+    for track in (False, True):
+        fast, slow = Echelon(track=track, one=Fraction(1)), FullScanEchelon(track=track, one=Fraction(1))
+        for v in vecs:
+            assert fast.insert(v) == slow.insert(v)
+            assert fast.pivots == slow.pivots
+            _assert_no_float(fast.pivots.values())
+            if track:
+                assert fast.combos == slow.combos
+                _assert_no_float(fast.combos.values())
+            if v is vecs[0]:
+                assert fast.pivots[0] == {0: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)}
+        assert fast.rank == 4
+        kernel = linalg.echelon_kernel(fast, 5, Fraction(1))
+        assert len(kernel) == 1 and len(kernel[0]) > 2
+        assert kernel == full_scan_kernel(slow.pivots, 5, Fraction(1))
+        _assert_no_float(kernel)
+    x = linalg.solve_dense([[2, 1], [0, -3]], [[1], [1]])
+    assert x == [[Fraction(2, 3)], [Fraction(-1, 3)]]
+    assert all(type(y) in (int, Fraction) for row in x for y in row)
 
 
 def _insert_kind(slow, v):

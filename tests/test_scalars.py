@@ -22,7 +22,9 @@ from oracles import qi_general
 fractions = st.builds(
     Fraction, st.integers(-40, 40), st.integers(1, 12)
 )
-gaussians = st.builds(GaussianRational, fractions, fractions)
+#: int parts as well as Fraction ones (integral Fractions included)
+rationals = st.one_of(st.integers(-40, 40), fractions)
+gaussians = st.builds(GaussianRational, rationals, rationals)
 
 RING = PolyRing(2, 3)
 
@@ -56,11 +58,25 @@ def test_gaussian_field_axioms(a, b, c):
 #: half of these are real, and zero is drawn often, so the real fast
 #: paths and the zero divisor are both exercised
 mixed_gaussians = st.one_of(
-    st.builds(GaussianRational, fractions),
+    st.builds(GaussianRational, rationals),
     gaussians,
     st.sampled_from([GaussianRational(0), GaussianRational(0, 1), GaussianRational(-1)]),
 )
 operands = st.one_of(mixed_gaussians, fractions, st.integers(-3, 3))
+
+
+def _int_parts(z):
+    return type(z.re) is int and type(z.im) is int
+
+
+def _assert_part_types(got, x, y):
+    """Each part is an int or a Fraction, never a float; on operands with
+    int parts every part is an int, except a quotient part that is not
+    integral, which is a Fraction."""
+    assert type(got.re) in (int, Fraction) and type(got.im) in (int, Fraction)
+    if _int_parts(x) and _int_parts(y):
+        for part in (got.re, got.im):
+            assert (type(part) is int) == (part.denominator == 1)
 
 
 @given(mixed_gaussians, operands, st.sampled_from(["+", "-", "*", "/"]))
@@ -83,7 +99,7 @@ def test_gaussian_fast_paths_equal_general_formulas(a, b, op):
         got = apply(x, y)
         assert isinstance(got, GaussianRational)
         assert (got.re, got.im) == expected
-        assert type(got.re) is Fraction and type(got.im) is Fraction
+        _assert_part_types(got, qx, qy)
 
 
 @given(mixed_gaussians)
@@ -92,7 +108,13 @@ def test_gaussian_negation_fast_path(a):
     neg = -a
     assert isinstance(neg, GaussianRational)
     assert (neg.re, neg.im) == (-a.re, -a.im)
-    assert type(neg.re) is Fraction and type(neg.im) is Fraction
+    _assert_part_types(neg, a, a)
+
+
+def test_int_parts_are_kept_and_other_parts_become_fractions():
+    assert _int_parts(QI(2, -3)) and _int_parts(QI())
+    # a bool is not an int part, and a Fraction part stays a Fraction
+    assert type(QI(True).re) is Fraction and type(QI(Fraction(2)).re) is Fraction
 
 
 @given(gaussians)
@@ -115,6 +137,9 @@ def test_gaussian_parse_examples():
     assert parse_gaussian("i") == QI(0, 1)
     assert parse_gaussian("3-i") == QI(3, -1)
     assert parse_gaussian("1/2+3/4i") == QI(Fraction(1, 2), Fraction(3, 4))
+    # integral parts are read as ints, so parsed input takes the int paths
+    assert _int_parts(parse_gaussian("3-i")) and _int_parts(parse_gaussian("4/2+0i"))
+    assert type(parse_gaussian("1/2+3i").re) is Fraction and type(parse_gaussian("1/2+3i").im) is int
     with pytest.raises(FormatError):
         parse_gaussian("banana")
 
