@@ -25,7 +25,7 @@ from .deformation import deform_complex, evaluate_se
 from .errors import NilformsError
 from .extension import bc_nontriviality, pkahler_extend, small_points, solve_extension
 from .lemmata import lemma_report
-from .positivity import is_strictly_positive, pkahler_check
+from .positivity import check_pkahler_degree, is_strictly_positive, pkahler_check
 from .scalars import parse_gaussian
 
 
@@ -63,14 +63,25 @@ def _parse_point(text: str, m: int):
     return tuple(parse_gaussian(p) for p in parts)
 
 
+def _read_input(ref: str, what: str) -> str:
+    """The text of the input file ref; a path that is missing or cannot
+    be read as text (a directory, say) is an input error."""
+    path = Path(ref)
+    if not path.exists():
+        raise NilformsError(f"no such {what}: {ref}")
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise NilformsError(f"cannot read {what} {ref}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise NilformsError(f"cannot read {what} {ref}: not UTF-8 text") from None
+
+
 def _load_manifold(ref: str, order: int):
     """catalog:NAME or a path to a structure-equation JSON file."""
     if ref.startswith("catalog:"):
         return catalog_load(ref.split(":", 1)[1], order=order)
-    path = Path(ref)
-    if not path.exists():
-        raise NilformsError(f"no such manifold file or catalog entry: {ref}")
-    se = nio.se_parse(path.read_text())
+    se = nio.se_parse(_read_input(ref, "manifold file or catalog entry"))
     from .catalog import CatalogEntry
 
     return CatalogEntry(name=se.name, se=se)
@@ -81,10 +92,7 @@ def _load_beltrami(ref: str, entry):
         if entry.beltrami is None:
             raise NilformsError(f"catalog entry {entry.name!r} has no Beltrami family")
         return entry.beltrami
-    path = Path(ref)
-    if not path.exists():
-        raise NilformsError(f"no such Beltrami file: {ref}")
-    return nio.beltrami_parse(path.read_text(), entry.se.algebra)
+    return nio.beltrami_parse(_read_input(ref, "Beltrami file"), entry.se.algebra)
 
 
 def _load_form(ref: str, entry, algebra: Optional[FormAlgebra] = None):
@@ -96,10 +104,7 @@ def _load_form(ref: str, entry, algebra: Optional[FormAlgebra] = None):
                 f"available: {sorted(entry.forms)}"
             )
         return entry.forms[name]
-    path = Path(ref)
-    if not path.exists():
-        raise NilformsError(f"no such form file: {ref}")
-    return nio.form_parse(path.read_text(), algebra or entry.se.algebra)
+    return nio.form_parse(_read_input(ref, "form file"), algebra or entry.se.algebra)
 
 
 def _evaluated(entry, t_text: Optional[str]):
@@ -207,7 +212,10 @@ def _cmd_deform(args) -> int:
         se_t = deform_complex(entry.se, phi)
     text = nio.se_emit(se_t)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise NilformsError(f"cannot write {args.output}: {exc.strerror}") from None
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -219,6 +227,7 @@ def _cmd_extend(args) -> int:
     phi = _load_beltrami(args.beltrami, entry)
     omega0 = _load_form(args.form, entry, phi.algebra)
     if args.pkahler is not None:
+        check_pkahler_degree(omega0, args.pkahler, entry.se.n)
         ext = pkahler_extend(entry.se, phi, omega0, order=args.order_n,
                              samples=args.samples, seed=args.seed)
         state = ext.state
@@ -342,7 +351,8 @@ def main(argv=None) -> int:
     p_ext.add_argument("--order-n", type=_nonnegative, default=None, dest="order_n",
                        help="series order (default: ring truncation)")
     p_ext.add_argument("--pkahler", type=int, default=None,
-                       help="treat the input as a p-Kaehler form and sample transversality")
+                       help="treat the input as a p-Kaehler form (its own p, 1 <= p <= n-1) "
+                            "and sample transversality")
     p_ext.add_argument("--samples", type=_positive, default=200)
     p_ext.add_argument("--seed", type=int, default=7)
     p_ext.add_argument("--json", action="store_true")

@@ -9,8 +9,11 @@ every minimal-norm del-delbar solve at that point reuses
 (``ddbar_preimage``), and the HodgeContext.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
-rank of the incoming map); kernel and image bases are built only for
-callers that need vectors (representatives, lemma witnesses, solvers).
+rank of the incoming map); on a unimodular complex the Aeppli and the
+upper de Rham ranks are read through Hodge-star duality from echelons
+that other dimensions already hold.  Kernel and image bases are built
+only for callers that need vectors (representatives, lemma witnesses,
+solvers).
 ``cohomology(..., with_basis=True)`` checks the rank route against the
 basis route.  Quotient-space computations are the normative route;
 harmonic kernels are a cross-check available through HodgeContext.
@@ -147,8 +150,20 @@ class EvaluatedComplex:
     exact_sum ([del | delbar], whose column span is im del + im delbar)
     with TARGET (p,q); or total (d on the total complex) with degree p and
     q = 0.  Each matrix gets one row echelon: ranks read it, and kernel
-    vectors are built from it only for callers that need vectors.  Column
-    spans and minimal-norm del-delbar solvers are cached per target
+    vectors are built from it only for callers that need vectors.
+
+    On a unimodular complex (``unimodular``: d of every (2n-1)-form is 0,
+    as on every nilpotent Lie algebra) del* = -*delbar* on invariant
+    forms, and the Hodge star turns two matrices into the adjoint of
+    another: [del | delbar] into (p,q) has the rank of [del; delbar] from
+    (n-q, n-p), and d from degree k that of d from degree 2n-1-k.  So
+    ``rank`` reads exact_sum from the stacked echelon that h_BC already
+    holds, and total from degree k >= n from the lower half; those
+    matrices are never assembled or reduced.  Any other complex, such as
+    dgamma^1 = gamma^1 ^ gammabar^1 from a structure-equation file, takes
+    the direct route for every rank.
+
+    Column spans and minimal-norm del-delbar solvers are cached per target
     bidegree, and the Hodge operators live in one lazily built
     HodgeContext (``hodge``).
 
@@ -176,6 +191,7 @@ class EvaluatedComplex:
         self._kernels: Dict[Tuple[str, int, int], List[Vec]] = {}
         self._preimages: Dict[Tuple[int, int], Tuple[Rows, Echelon]] = {}
         self._hodge: Optional["HodgeContext"] = None
+        self._unimodular: Optional[bool] = None
 
     @property
     def hodge(self) -> "HodgeContext":
@@ -277,13 +293,30 @@ class EvaluatedComplex:
     # -- ranks, kernels and images -----------------------------------------
 
     def _row_echelon(self, op: str, p: int, q: int) -> Echelon:
+        """The row echelon of the matrix (op, p, q), reduced directly."""
         key = (op, p, q)
         if key not in self._echelons:
             self._echelons[key] = linalg.row_echelon(self._matrix(op, p, q))
         return self._echelons[key]
 
+    @property
+    def unimodular(self) -> bool:
+        """Whether d of every (2n-1)-form is 0, the gate of the duality
+        in ``rank``: the rank of the 1 x 2n matrix of d into the top
+        degree, taken directly."""
+        if self._unimodular is None:
+            self._unimodular = not self._row_echelon("total", 2 * self.n - 1, 0).rank
+        return self._unimodular
+
     def rank(self, op: str, p: int, q: int) -> int:
-        """Rank of the matrix (op, p, q)."""
+        """Rank of the matrix (op, p, q).  On a unimodular complex,
+        exact_sum and total from degree k >= n are read from the echelon
+        of their Hodge-star dual (see the class docstring)."""
+        n = self.n
+        if op == "exact_sum" and 0 <= p <= n and 0 <= q <= n and self.unimodular:
+            op, p, q = "stacked", n - q, n - p
+        elif op == "total" and p >= n and self.unimodular:
+            p = 2 * n - 1 - p
         return self._row_echelon(op, p, q).rank
 
     def image_rank(self, op: str, p: int, q: int) -> int:

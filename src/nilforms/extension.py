@@ -361,15 +361,12 @@ def pkahler_extend(
     solver runs on omega0 directly and the result is symmetrized to
     restore literal realness before the positivity checks.
     """
-    from .positivity import is_transverse
+    from .positivity import check_pkahler_degree, is_transverse
 
     alg = phi.algebra
     omega0 = omega0.lift(alg)
-    p, q = omega0.bidegree()
-    if p != q:
-        raise PreconditionFailed("a p-Kaehler candidate must have bidegree (p,p)")
-    if p > alg.n - 1:
-        raise PreconditionFailed("p must be at most n-1 (top degree is trivial)")
+    p = omega0.bidegree()[0]
+    check_pkahler_degree(omega0, p, alg.n)
     if omega0.conj() != omega0:
         raise PreconditionFailed("omega0 is not real")
     se_r = se.with_algebra(alg)

@@ -302,6 +302,15 @@ def is_transverse(
     )
 
 
+def check_pkahler_degree(gamma: Form, p: int, n: int) -> None:
+    """PreconditionFailed unless 1 <= p <= n-1 and gamma is a (p,p)-form:
+    the bidegrees a p-Kaehler form can have (top degree is trivial)."""
+    if not 1 <= p <= n - 1:
+        raise PreconditionFailed(f"p must satisfy 1 <= p <= n-1 = {n - 1}, got {p}")
+    if not gamma.is_homogeneous(p, p):
+        raise PreconditionFailed(f"the form is not a ({p},{p})-form")
+
+
 def pkahler_check(
     se: StructureEquations,
     gamma: Form,
@@ -311,8 +320,7 @@ def pkahler_check(
 ) -> Tuple[bool, PositivityVerdict]:
     """d-closed (exact) and transverse; p = 1 is the Kaehler case and
     p = n-1 the balanced case."""
-    if p > se.n - 1:
-        raise PreconditionFailed("p must be at most n-1")
+    check_pkahler_degree(gamma, p, se.n)
     closed = not se.with_algebra(gamma.algebra).apply_d(gamma)
     verdict = is_transverse(gamma, p, samples=samples, seed=seed)
     return closed and bool(verdict.holds), verdict

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilforms import io as nio
 from nilforms import linalg
 from nilforms.algebra import Form, FormAlgebra, InvariantComplex, StructureEquations, build_complex
 from nilforms.cohomology import (
@@ -442,3 +443,48 @@ def test_evaluation_once_per_structure_constant(monkeypatch, iwasawa_c):
     full_report(ec)
     lemma_report(ec)
     assert 0 < len(calls) <= terms
+
+
+def _direct_report(ec):
+    """full_report's tables with every rank taken from the matrix's own
+    row echelon, never from a dual."""
+    n, rank = ec.n, lambda op, p, q: ec._row_echelon(op, p, q).rank
+    h_a = [[ec.dim(p, q) - rank("ddbar", p, q) - rank("exact_sum", p, q) for q in range(n + 1)]
+           for p in range(n + 1)]
+    betti_numbers = [ec.total_dim(k) - rank("total", k, 0) - rank("total", k - 1, 0)
+                     for k in range(2 * n + 1)]
+    return h_a, betti_numbers
+
+
+def test_dual_ranks_equal_direct_ranks(reference_complexes):
+    """On every reference complex (nilpotent, so unimodular) rank reads
+    exact_sum and the upper half of total from their Hodge-star duals,
+    builds no echelon of its own for them, and equals the direct rank at
+    every bidegree and every degree k in -1..2n."""
+    for label, cx, point in reference_complexes:
+        n = cx.n
+        ec = EvaluatedComplex(cx, point)
+        assert ec.unimodular, label
+        keys = [("exact_sum", p, q) for p in range(n + 1) for q in range(n + 1)]
+        keys += [("total", k, 0) for k in range(-1, 2 * n + 1)]
+        dual = {key: ec.rank(*key) for key in keys}
+        assert not any(key[0] == "exact_sum" for key in ec._echelons), label
+        assert not any(key[0] == "total" and n <= key[1] < 2 * n - 1 for key in ec._echelons), label
+        for key, r in dual.items():
+            assert r == ec._row_echelon(*key).rank, (label, key)
+        report = full_report(EvaluatedComplex(cx, point))
+        assert (report.h_a, report.betti) == _direct_report(ec), label
+
+
+def test_non_unimodular_input_keeps_the_direct_route():
+    """dgamma^1 = gamma^1 ^ gammabar^1 (n = 1) is not unimodular: d of the
+    1-form gamma^1 is the top form.  Duality would read b_2 from b_0 and
+    give h_A(1,1) = 1; the direct route gives Betti numbers [1, 1, 0]."""
+    se = nio.obj_to_se({"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}})
+    ec = EvaluatedComplex(build_complex(se), ())
+    assert ec.unimodular is False
+    assert ec._row_echelon("total", 1, 0).rank != ec._row_echelon("total", 0, 0).rank
+    report = full_report(ec)
+    assert report.betti == [1, 1, 0]
+    assert report.h_a == [[1, 1], [1, 0]]
+    assert (report.h_a, report.betti) == _direct_report(ec)

@@ -249,7 +249,8 @@ def test_cli_scenario_all_json_is_one_array(capsys):
 
 
 #: files that must be refused with one error line: an argument
-#: "<kind>-file:<name>" stands for a file holding MALFORMED[kind][name]
+#: "<kind>-file:<name>" stands for a file holding MALFORMED[kind][name],
+#: "<dir>" for a directory and "<binary>" for a file that is not UTF-8
 _TERM = '{"coeff": "1", "factors": ["1", "bar2"]}'
 MALFORMED_SE = {
     "top_level_array": "[]",
@@ -322,14 +323,31 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         *(["cohomology", "--manifold", f"se-file:{name}"] for name in MALFORMED_SE),
         *(_POSITIVITY + ["--form", f"form-file:{name}"] for name in MALFORMED_FORM),
         *(_EXTEND + ["--beltrami", f"beltrami-file:{name}"] for name in MALFORMED_BELTRAMI),
+        # p outside 1..n-1, or not the bidegree of the form
+        *(["positivity", "--manifold", "catalog:torus3", "--form", "catalog:kaehler", "--p", p]
+          for p in ("0", "2", "-1")),
+        *(_EXTEND + ["--beltrami", "catalog", "--pkahler", p] for p in ("9", "-2", "3", "0")),
+        # a directory where an input file belongs
+        ["cohomology", "--manifold", "<dir>"],
+        _POSITIVITY + ["--form", "<dir>"],
+        _EXTEND + ["--beltrami", "<dir>"],
+        ["deform", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--output", "<dir>"],
+        ["cohomology", "--manifold", "<binary>"],
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
     for k, arg in enumerate(argv):
         kind, sep, name = arg.partition("-file:")
+        path = None
         if sep:
             path = tmp_path / f"{kind}.json"
             path.write_text(MALFORMED[kind][name])
+        elif arg == "<dir>":
+            path = tmp_path
+        elif arg == "<binary>":
+            path = tmp_path / "binary.json"
+            path.write_bytes(b"\xff\xfe")
+        if path is not None:
             argv = argv[:k] + [str(path)] + argv[k + 1:]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()

@@ -181,8 +181,9 @@ def test_pkahler_check_torus_and_bcvary(torus3, bcvary10):
     assert ok
     ok, _ = pkahler_check(bcvary10.se, bcvary10.forms["balanced"], 4)
     assert ok
-    with pytest.raises(PreconditionFailed):
-        pkahler_check(torus3.se, torus3.forms["kaehler"], 3)
+    for p in (3, 2, 0, -1):  # outside 1..n-1, or not the (1,1)-form's p
+        with pytest.raises(PreconditionFailed):
+            pkahler_check(torus3.se, torus3.forms["kaehler"], p)
 
 
 def test_iwasawa_has_no_invariant_kaehler_form(iwasawa3, ec_iwasawa):
