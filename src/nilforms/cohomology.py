@@ -44,14 +44,13 @@ _GENERIC_DENS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 def generic_points(m: int) -> Tuple[Tuple[GaussianRational, ...], Tuple[GaussianRational, ...]]:
     """Two fixed distinct rational sample points, scaled to m parameters."""
-    base = []
+    first, second = [], []
     for k in range(m):
         num = _GENERIC_NUMS[k % 4]
         den = _GENERIC_DENS[k % len(_GENERIC_DENS)] * (1 + k // len(_GENERIC_DENS))
-        base.append(GaussianRational(Fraction(num, den)))
-    first = tuple(base)
-    second = tuple(GaussianRational(z.re / 2) for z in base)
-    return first, second
+        first.append(GaussianRational(Fraction(num, den)))
+        second.append(GaussianRational(Fraction(num, 2 * den)))
+    return tuple(first), tuple(second)
 
 
 def zero_point(m: int) -> Tuple[GaussianRational, ...]:

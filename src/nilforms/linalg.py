@@ -4,9 +4,10 @@ Vectors are dicts {index: scalar}; matrices are lists of row dicts.  All
 routines work for any scalar type supporting +, -, *, /, truthiness and
 equality with the ints 1 and -1, so the same elimination drives
 Gaussian-rational and realified-rational computations.  A rational entry
-is an int or a Fraction (realified Gaussian integers are ints), and every
-division goes through ``scalars._div``, which is exact on two ints where
-a bare ``/`` would give a float.  No floating point anywhere.
+is an int when it is integral and a Fraction otherwise (the parts of a
+GaussianRational follow the same rule), and every division goes through
+``scalars._div``, which is exact on two ints where a bare ``/`` would
+give a float.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ class Echelon:
     and one whose leading entry is -1 is negated, with its combo, in one
     pass.  Only another leading entry is inverted, exactly (``_div``, so
     an int lead of 2 gives Fraction(1, 2), never 0.5), and multiplied in.
-    So the entries of a vector must share one scalar type, where int and
-    Fraction count as one type (Q): a ±1 row keeps the types it has,
-    where a rescaled one takes the inverse's.
+    So the entries of a vector must share one field: Q, whose entries
+    are ints and Fractions (an int exactly when integral), or Q(i),
+    whose entries are GaussianRationals.  A ±1 row keeps the types it
+    has, where a rescaled one takes the inverse's.
     """
 
     def __init__(self, track: bool = False, one=QI_ONE):
@@ -447,10 +449,11 @@ def realify_vec(v: Vec) -> Vec:
     """
     out: Vec = {}
     for k, z in v.items():
-        if z.re:
-            out[2 * k] = z.re
-        if z.im:
-            out[2 * k + 1] = z.im
+        re, im = z.re, z.im
+        if re:
+            out[2 * k] = re
+        if im:
+            out[2 * k + 1] = im
     return out
 
 

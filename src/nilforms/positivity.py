@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Form, FormAlgebra, StructureEquations
 from .errors import PreconditionFailed
-from .scalars import DetRng, GaussianRational, QI_ONE
+from .scalars import DetRng, GaussianRational, QI_ONE, _div
 
 QI_I = GaussianRational(0, 1)
 
@@ -273,7 +273,7 @@ def is_transverse(
         scale = Fraction(0)
         for c in tau.coeffs.values():
             scale += c.constant_term().norm2()
-        margin = vol.re / scale
+        margin = _div(vol.re, scale)
         if margin <= 0:
             return PositivityVerdict(
                 kind="transverse",

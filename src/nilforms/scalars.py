@@ -1,9 +1,10 @@
 """Exact scalars: Gaussian rationals and truncated (t, tbar)-polynomials.
 
 Everything downstream is built over these two rings.  ``GaussianRational``
-is the coefficient field Q(i), with each part an ``int`` or a ``Fraction``
-(never a float): Gaussian integers keep ``int`` parts, and a ``Fraction``
-comes only from an inexact division or a ``Fraction`` operand.
+is the coefficient field Q(i), stored as (a + b*i)/d with three ints in
+lowest terms, so its arithmetic is int arithmetic and builds no
+``Fraction``.  Its parts read as an ``int`` when integral and a
+``Fraction`` otherwise, never a float.
 ``ParamScalar`` is the ring Q(i)[t_1..t_m, tbar_1..tbar_m] truncated at
 a fixed total degree.  The deformation parameters t_nu and their formal
 conjugates tbar_nu are independent commuting variables; conjugation
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, Tuple
 
 from .errors import FormatError
@@ -31,103 +33,137 @@ __all__ = [
 
 
 class GaussianRational:
-    """An element a + b*i of Q(i); each part is an int or a Fraction.
+    """An element (a + b*i)/d of Q(i), stored as the three ints a, b, d.
 
-    An int part (not a bool) is kept as it is, anything else becomes a
-    Fraction.  +, -, * and an exact / of two int parts give an int, so
-    Gaussian integers pay no gcd; a quotient that is not integral is a
-    Fraction, and an int part meeting a Fraction part gives a Fraction.
+    d > 0 and gcd(a, b, d) = 1, so each value has one representation and
+    == compares ints.  +, - and * of two Gaussian integers (d = 1) take
+    no gcd, and the product of two integers (b = 0 too) is one int
+    product; every other result is brought to lowest terms with one
+    three-argument gcd.  The read-only parts ``re`` and ``im`` are each
+    an int when the part is integral and a Fraction otherwise, never a
+    float, and a real value hashes like the rational it equals.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is int or isinstance(re, Fraction) else Fraction(re)
-        self.im = im if type(im) is int or isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        # two parts in lowest terms over the lcm of their denominators
+        # are in lowest terms together
+        d = lcm(q, s)
+        self._a, self._b, self._d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self):
+        d = self._d
+        return self._a if d == 1 else _div(self._a, d)
+
+    @property
+    def im(self):
+        d = self._d
+        return self._b if d == 1 else _div(self._b, d)
 
     # -- ring operations -------------------------------------------------
     #
-    # Each operation takes a one-part-operation path when both imaginary
-    # parts are zero (for division: when the divisor is real).
+    # The Gaussian-integer paths build their result in place: a helper
+    # call would cost about a fifth of a real-integer product.
 
     def __add__(self, other):
-        other = _coerce(other)
-        if not self.im and not other.im:
-            return _real(self.re + other.re)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == 1 and f == 1:
+            z = _new(GaussianRational)
+            z._a = self._a + other._a
+            z._b = self._b + other._b
+            z._d = 1
+            return z
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.im:
-            return _real(-self.re)
-        return GaussianRational(-self.re, -self.im)
+        z = _new(GaussianRational)
+        z._a = -self._a
+        z._b = -self._b
+        z._d = self._d
+        return z
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if not self.im and not other.im:
-            return _real(self.re - other.re)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == 1 and f == 1:
+            z = _new(GaussianRational)
+            z._a = self._a - other._a
+            z._b = self._b - other._b
+            z._d = 1
+            return z
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if not self.im and not other.im:
-            return _real(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == 1 and f == 1:
+            z = _new(GaussianRational)
+            if not b and not e:
+                z._a = a * c
+                z._b = 0
+            else:
+                z._a = a * c - b * e
+                z._b = a * e + b * c
+            z._d = 1
+            return z
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if not other.im:
-            if not other.re:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            if not self.im:
-                return _real(_div(self.re, other.re))
-            return GaussianRational(_div(self.re, other.re), _div(self.im, other.re))
-        n = other.re * other.re + other.im * other.im
-        return GaussianRational(
-            _div(self.re * other.re + self.im * other.im, n),
-            _div(self.im * other.re - self.re * other.im, n),
-        )
+        return _quotient(self, _coerce(other))
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return _coerce(other) / self
-        if not self.im:
-            if not self.re:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            return _real(_div(other, self.re))
-        n = self.re * self.re + self.im * self.im
-        return GaussianRational(_div(other * self.re, n), _div(-other * self.im, n))
+        return _quotient(_coerce(other), self)
 
     def conj(self):
-        return GaussianRational(self.re, -self.im)
+        z = _new(GaussianRational)
+        z._a = self._a
+        z._b = -self._b
+        z._d = self._d
+        return z
 
     def norm2(self):
         """|z|^2 as an exact rational (an int or a Fraction)."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return _div(a * a + b * b, d * d)
 
     # -- predicates / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and self.im == 0
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+        if type(other) is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._a == other and self._b == 0 and self._d == 1
+        if isinstance(other, Fraction):
+            return self._a == other.numerator and self._b == 0 and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the rational it equals
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self.re)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __repr__(self):
         return f"QI({format_gaussian(self)})"
@@ -139,12 +175,41 @@ class GaussianRational:
 _new = object.__new__
 
 
-def _real(re) -> GaussianRational:
-    """re + 0i without the constructor's coercion checks."""
+def _reduced(a, b, d) -> GaussianRational:
+    """(a + b*i)/d in lowest terms, for ints with d > 0."""
+    g = gcd(a, b, d)
     z = _new(GaussianRational)
-    z.re = re
-    z.im = 0
+    if g == 1:
+        z._a = a
+        z._b = b
+        z._d = d
+    else:
+        z._a = a // g
+        z._b = b // g
+        z._d = d // g
     return z
+
+
+def _quotient(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """x / y: (a + b*i)/d over (c + e*i)/f is f(a + b*i)(c - e*i) / (d(c^2 + e^2))."""
+    a, b, d = x._a, x._b, x._d
+    c, e, f = y._a, y._b, y._d
+    if not e:
+        if not c:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        if c < 0:
+            c, f = -c, -f
+        return _reduced(a * f, b * f, d * c)
+    return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+
+
+def _ratio(x) -> Tuple[int, int]:
+    """(numerator, denominator) of a rational in lowest terms."""
+    if isinstance(x, int):
+        return int(x), 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _div(a, b):
@@ -207,24 +272,19 @@ def parse_gaussian(s: str) -> GaussianRational:
             im_part += value
         else:
             re_part += value
-    return GaussianRational(_integral(re_part), _integral(im_part))
-
-
-def _integral(x):
-    """A rational as an int when it is integral, so parsed Gaussian
-    integers take the int paths."""
-    return x.numerator if x.denominator == 1 else x
+    return GaussianRational(re_part, im_part)
 
 
 def format_gaussian(z: GaussianRational) -> str:
     """Canonical emission; inverse of :func:`parse_gaussian`."""
     if not z:
         return "0"
+    re, im = z.re, z.im
     parts = []
-    if z.re != 0:
-        parts.append(str(z.re))
-    if z.im != 0:
-        mag = z.im
+    if re != 0:
+        parts.append(str(re))
+    if im != 0:
+        mag = im
         if not parts:
             head = "" if mag > 0 else "-"
         else:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nilforms.scalars import GaussianRational
+from nilforms.scalars import GaussianRational, _div, format_gaussian
 
 Word = Tuple[int, ...]  # coframe symbols 0..2n-1, gammas then gammabars
 
@@ -285,20 +285,89 @@ def bcvary_oracle() -> OracleComplex:
 # -- the general paths that the engine's fast paths must reproduce --------
 
 
-def qi_general(op: str, a: GaussianRational, b: GaussianRational) -> Tuple[Fraction, Fraction]:
-    """(re, im) of a op b by the general Q(i) formulas, with no real fast
-    path and a Fraction divisor (so int parts divide exactly); raises
-    ZeroDivisionError for a zero divisor."""
-    if op == "+":
-        return a.re + b.re, a.im + b.im
-    if op == "-":
-        return a.re - b.re, a.im - b.im
-    if op == "*":
-        return a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
-    n = Fraction(b.re * b.re + b.im * b.im)
-    if n == 0:
-        raise ZeroDivisionError("division by zero in Q(i)")
-    return (a.re * b.re + a.im * b.im) / n, (a.im * b.re - a.re * b.im) / n
+class FractionPartGaussian:
+    """The Q(i) scalar that ``scalars.GaussianRational`` replaced: a + b*i
+    with each part an int or a Fraction, kept as two attributes.
+
+    An int part (not a bool) is kept as it is, anything else becomes a
+    Fraction.  +, -, * and an exact / of two int parts give an int; a
+    quotient that is not integral is a Fraction, and an int part meeting
+    a Fraction part gives a Fraction.  The engine's class must give the
+    same values, strings and verdicts.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if type(re) is int or isinstance(re, Fraction) else Fraction(re)
+        self.im = im if type(im) is int or isinstance(im, Fraction) else Fraction(im)
+
+    def __add__(self, other):
+        other = _fraction_part(other)
+        return FractionPartGaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPartGaussian(-self.re, -self.im)
+
+    def __sub__(self, other):
+        other = _fraction_part(other)
+        return FractionPartGaussian(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _fraction_part(other) - self
+
+    def __mul__(self, other):
+        other = _fraction_part(other)
+        return FractionPartGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _fraction_part(other)
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            return FractionPartGaussian(_div(self.re, other.re), _div(self.im, other.re))
+        n = other.re * other.re + other.im * other.im
+        return FractionPartGaussian(
+            _div(self.re * other.re + self.im * other.im, n),
+            _div(self.im * other.re - self.re * other.im, n),
+        )
+
+    def __rtruediv__(self, other):
+        return _fraction_part(other) / self
+
+    def conj(self):
+        return FractionPartGaussian(self.re, -self.im)
+
+    def norm2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and self.im == 0
+        if isinstance(other, FractionPartGaussian):
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __str__(self):
+        return format_gaussian(self)
+
+
+def _fraction_part(x) -> FractionPartGaussian:
+    if isinstance(x, FractionPartGaussian):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FractionPartGaussian(x)
+    raise TypeError(f"cannot coerce {type(x).__name__} to FractionPartGaussian")
 
 
 def _vec_sub_scaled(u, c, v):

@@ -341,10 +341,7 @@ def test_harmonic_green_equals_two_pass_oracle(reference_complexes):
     """linalg.harmonic_green's one dense solve (box + H) G = 1 - H gives
     the H and G of the dense inverse followed by a product, in values
     and in the types of the entries' parts, at every bidegree of
-    dimension <= 25 of every reference complex: for box_BC everywhere,
-    and for box_A too where the coefficients are small (t = 0 and the
-    products), since the dense solves at the generic and deformed points
-    take most of the time."""
+    dimension <= 25 of every reference complex, for box_BC and box_A."""
 
     def typed(rows):
         return [sorted((k, type(x), type(x.re), type(x.im), x) for k, x in r.items()) for r in rows]
@@ -352,20 +349,18 @@ def test_harmonic_green_equals_two_pass_oracle(reference_complexes):
     cases = 0
     for label, cx, point in reference_complexes:
         hodge = EvaluatedComplex(cx, point).hodge
-        small = "generic" not in label and "deformed" not in label
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
                 dim = cx.dim(p, q)
                 if dim > 25:
                     continue
-                laps = [hodge.lap_bc_rows(p, q)] + ([hodge.lap_a_rows(p, q)] if small else [])
-                for lap in laps:
+                for lap in (hodge.lap_bc_rows(p, q), hodge.lap_a_rows(p, q)):
                     h, g = linalg.harmonic_green(lap, dim)
                     h_oracle, g_oracle = harmonic_green_two_pass(lap, dim)
                     assert typed(h) == typed(h_oracle), (label, p, q)
                     assert typed(g) == typed(g_oracle), (label, p, q)
                     cases += 1
-    assert cases == 2 * (2 * 16 + 6 * 24 + 20) + 4 * 24
+    assert cases == 2 * (2 * 16 + 10 * 24 + 20)
 
 
 def test_harmonic_green_refuses_a_singular_system():

@@ -8,7 +8,8 @@ from pathlib import Path
 from nilforms import io as nio
 from nilforms import lemmata
 from nilforms.algebra import Form, build_complex
-from nilforms.cohomology import EvaluatedComplex, full_report
+from nilforms.cohomology import EvaluatedComplex, full_report, generic_points
+from nilforms.deformation import deform_complex
 from nilforms.linalg import Echelon
 from nilforms.scalars import GaussianRational, ParamScalar
 
@@ -193,6 +194,8 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
         ]
         types = {type(x) for x in _numbers(answers)}
         assert types <= {int, bool, Fraction, type(None)}, (label, types)
+    points = [generic_points(m) for m in range(1, 14)]
+    assert {type(x) for x in _numbers(points)} <= {int, Fraction}
 
     leads, stored = [], []
     insert = Echelon.insert
@@ -211,3 +214,25 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
         lemmata.weak(ec, p)
     assert any(type(lead) is int and lead not in (1, -1) for lead in leads)
     assert stored and {type(x) for x in _numbers(stored)} <= {int, Fraction}
+
+
+def test_rank_path_builds_no_fraction(bcvary10, monkeypatch):
+    """Deforming bcvary10 to the first generic point, whose structure
+    constants are non-integral Gaussian rationals, and its full_report
+    construct no Fraction: Q(i) arithmetic is int arithmetic over one
+    denominator.  (``weak``, in lemma_report, eliminates over realified
+    rational parts and still builds Fractions.)"""
+    point = generic_points(4)[0]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=point))
+    report = full_report(EvaluatedComplex(cx, ()))
+    assert built == []
+    assert report.h_bc[4][4] == 17  # the paper's generic value
+    assert Fraction(1, 3) and len(built) == 1  # the count sees a construction

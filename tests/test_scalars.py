@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from nilforms.scalars import (
     parse_scalar,
 )
 
-from oracles import qi_general
+from oracles import FractionPartGaussian
 
 fractions = st.builds(
     Fraction, st.integers(-40, 40), st.integers(1, 12)
@@ -69,37 +70,49 @@ def _int_parts(z):
     return type(z.re) is int and type(z.im) is int
 
 
-def _assert_part_types(got, x, y):
-    """Each part is an int or a Fraction, never a float; on operands with
-    int parts every part is an int, except a quotient part that is not
-    integral, which is a Fraction."""
-    assert type(got.re) in (int, Fraction) and type(got.im) in (int, Fraction)
-    if _int_parts(x) and _int_parts(y):
-        for part in (got.re, got.im):
-            assert (type(part) is int) == (part.denominator == 1)
+def _assert_part_rule(z):
+    """Each part is an int exactly when it is integral, and a Fraction
+    otherwise (never a float)."""
+    for part in (z.re, z.im):
+        assert type(part) in (int, Fraction)
+        assert (type(part) is int) == (part.denominator == 1)
 
 
-@given(mixed_gaussians, operands, st.sampled_from(["+", "-", "*", "/"]))
+def _oracle(x):
+    return FractionPartGaussian(x.re, x.im) if isinstance(x, GaussianRational) else x
+
+
+def _assert_same(got, expected):
+    """got, a GaussianRational, has the value, string and truth value of
+    expected, a FractionPartGaussian."""
+    assert isinstance(got, GaussianRational)
+    assert (got.re, got.im) == (expected.re, expected.im)
+    assert str(got) == str(expected) and bool(got) == bool(expected)
+    _assert_part_rule(got)
+
+
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _assert_op_matches_oracle(op, x, y):
+    """x op y equals the oracle's, or both divide by zero."""
+    apply = _APPLY[op]
+    try:
+        expected = apply(_oracle(x), _oracle(y))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match=r"division by zero in Q\(i\)"):
+            apply(x, y)
+        return
+    _assert_same(apply(x, y), expected)
+
+
+@given(mixed_gaussians, operands, st.sampled_from(sorted(_APPLY)))
 @settings(max_examples=300, deadline=None)
 def test_gaussian_fast_paths_equal_general_formulas(a, b, op):
-    qb = b if isinstance(b, GaussianRational) else GaussianRational(b)
-    apply = {
-        "+": lambda x, y: x + y,
-        "-": lambda x, y: x - y,
-        "*": lambda x, y: x * y,
-        "/": lambda x, y: x / y,
-    }[op]
-    for x, y, qx, qy in ((a, b, a, qb), (b, a, qb, a)):
-        try:
-            expected = qi_general(op, qx, qy)
-        except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError, match=r"division by zero in Q\(i\)"):
-                apply(x, y)
-            continue
-        got = apply(x, y)
-        assert isinstance(got, GaussianRational)
-        assert (got.re, got.im) == expected
-        _assert_part_types(got, qx, qy)
+    """The Gaussian-integer and real paths give what the oracle's general
+    formulas give, both ways round."""
+    _assert_op_matches_oracle(op, a, b)
+    _assert_op_matches_oracle(op, b, a)
 
 
 @given(mixed_gaussians)
@@ -108,13 +121,82 @@ def test_gaussian_negation_fast_path(a):
     neg = -a
     assert isinstance(neg, GaussianRational)
     assert (neg.re, neg.im) == (-a.re, -a.im)
-    _assert_part_types(neg, a, a)
+    _assert_part_rule(neg)
 
 
 def test_int_parts_are_kept_and_other_parts_become_fractions():
+    """A part is an int exactly when it is integral, whatever built the
+    value, and a Fraction otherwise."""
     assert _int_parts(QI(2, -3)) and _int_parts(QI())
-    # a bool is not an int part, and a Fraction part stays a Fraction
-    assert type(QI(True).re) is Fraction and type(QI(Fraction(2)).re) is Fraction
+    assert _int_parts(QI(True)) and _int_parts(QI(Fraction(2), Fraction(-4, 2)))
+    half = QI(Fraction(1, 2), 3)
+    assert type(half.re) is Fraction and type(half.im) is int
+    assert _int_parts(half * 2) and _int_parts(QI(4, 6) / 2) and _int_parts(QI(0, 1) / QI(0, 1))
+    assert type((QI(1) / 2).re) is Fraction and type(QI(0.5).re) is Fraction
+    _assert_part_rule(QI(Fraction(6, 4), Fraction(-5, 3)) * QI(Fraction(2, 3), Fraction(1, 5)))
+
+
+#: parts of up to 20 bits, with zero drawn often, so purely real and
+#: purely imaginary values come up as well as full ones
+parts20 = st.one_of(
+    st.just(0),
+    st.integers(-(2**20), 2**20),
+    st.builds(Fraction, st.integers(-(2**20), 2**20), st.integers(1, 2**20)),
+)
+wide_gaussians = st.one_of(
+    st.builds(GaussianRational, parts20),
+    st.builds(lambda im: GaussianRational(0, im), parts20),
+    st.builds(GaussianRational, parts20, parts20),
+)
+
+
+@given(wide_gaussians, wide_gaussians, st.one_of(parts20, st.integers(-3, 3)))
+@settings(max_examples=200, deadline=None)
+def test_gaussian_rational_equals_fraction_part_oracle(a, b, r):
+    """Every operation agrees with the Fraction-part class it replaced:
+    + - * / between two values and, both ways round, with an int or a
+    Fraction; negation, conj, norm2, ==, bool, str and the parse
+    round trip."""
+    oa, ob = _oracle(a), _oracle(b)
+    for op in _APPLY:
+        _assert_op_matches_oracle(op, a, b)
+        _assert_op_matches_oracle(op, a, r)
+        _assert_op_matches_oracle(op, r, a)
+    _assert_same(-a, -oa)
+    _assert_same(a.conj(), oa.conj())
+    assert a.norm2() == oa.norm2() and type(a.norm2()) in (int, Fraction)
+    assert (a == b) == (oa == ob) and (a == r) == (oa == r) and (a == a.conj()) == (oa == oa.conj())
+    _assert_same(a, oa)
+    parsed = parse_gaussian(str(a))
+    assert parsed == a
+    _assert_part_rule(parsed)
+
+
+@st.composite
+def equal_forms(draw):
+    """Two forms of one value: a GaussianRational, and for a real value
+    its Fraction and, when integral, its int."""
+    re = draw(rationals)
+    im = draw(st.one_of(st.just(0), rationals))
+    forms = [GaussianRational(re, im), GaussianRational(Fraction(re), Fraction(im))]
+    if im == 0:
+        forms.append(Fraction(re))
+        if Fraction(re).denominator == 1:
+            forms.append(int(re))
+    return draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
+
+
+@given(operands, operands, equal_forms())
+@settings(max_examples=200, deadline=None)
+def test_equal_values_hash_alike(a, b, same):
+    """== implies equal hashes over mixed GaussianRational, int and
+    Fraction operands, so a dict keyed by one finds the other."""
+    for x, y in ((a, b), same):
+        if x == y:
+            assert hash(x) == hash(y)
+    x, y = same
+    assert x == y and {x: "found"}.get(y) == "found"
+    assert {QI(1): "x"}.get(1) == "x" and {Fraction(1, 2): "y"}.get(QI(Fraction(1, 2))) == "y"
 
 
 @given(gaussians)
