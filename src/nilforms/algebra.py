@@ -295,10 +295,13 @@ class VectorValuedForm:
     components[i] is the form attached to theta_i (resp. thetabar_i);
     the components of a well-formed object share one bidegree.  A
     Beltrami differential owns its ``extension.BeltramiOperators``,
-    built on first use into ``operators`` (components are never mutated).
+    built on first use into ``operators``, and its integrability verdict:
+    ``deformation.require_integrable`` keeps in ``integrable_on`` the
+    structure equations a check last passed against, compared by
+    identity, and never stores a failure (components are never mutated).
     """
 
-    __slots__ = ("algebra", "valence", "components", "operators")
+    __slots__ = ("algebra", "valence", "components", "operators", "integrable_on")
 
     def __init__(self, algebra: FormAlgebra, valence: str, components: Dict[int, Form]):
         if valence not in (T10, T01):
@@ -307,6 +310,7 @@ class VectorValuedForm:
         self.valence = valence
         self.components = {i: f for i, f in components.items() if f}
         self.operators = None
+        self.integrable_on = None
 
     def component(self, i: int) -> Form:
         return self.components.get(i, self.algebra.zero())

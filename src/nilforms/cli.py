@@ -57,7 +57,10 @@ def _bidegree(text: str):
 
 
 def _parse_point(text: str, m: int):
-    parts = [p for p in text.split(",") if p.strip()]
+    """--t as m comma-separated scalars; an empty slot is an input error."""
+    parts = text.split(",")
+    if any(not p.strip() for p in parts):
+        raise NilformsError(f"empty parameter value in --t {text!r}")
     if len(parts) != m:
         raise NilformsError(f"expected {m} parameter values, got {len(parts)}")
     return tuple(parse_gaussian(p) for p in parts)
@@ -110,9 +113,9 @@ def _load_form(ref: str, entry, algebra: Optional[FormAlgebra] = None):
 def _evaluated(entry, t_text: Optional[str]):
     se = entry.se
     m = se.algebra.ring.m
+    point = _parse_point(t_text, m) if t_text is not None else zero_point(m)
     if m == 0:
         return EvaluatedComplex(build_complex(se), ()), ()
-    point = _parse_point(t_text, m) if t_text else zero_point(m)
     if entry.beltrami is not None and any(bool(z) for z in point):
         se_t = deform_complex(se, entry.beltrami, point=point)
         return EvaluatedComplex(build_complex(se_t), ()), point
@@ -205,7 +208,7 @@ def _cmd_lemmata(args) -> int:
 def _cmd_deform(args) -> int:
     entry = _load_manifold(args.manifold, args.order)
     phi = _load_beltrami(args.beltrami, entry)
-    if args.t:
+    if args.t is not None:
         point = _parse_point(args.t, phi.algebra.ring.m)
         se_t = deform_complex(entry.se, phi, point=point)
     else:

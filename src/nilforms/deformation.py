@@ -255,11 +255,33 @@ def schouten(
 
 
 def check_integrability(se: StructureEquations, phi: VectorValuedForm) -> Tuple[bool, VectorValuedForm]:
-    """Residual delbar phi - (1/2)[phi, phi], exactly; zero iff integrable."""
+    """Residual delbar phi - (1/2)[phi, phi], exactly; zero iff integrable.
+
+    Stores nothing; ``require_integrable`` keeps phi's passing verdict.
+    """
     as_beltrami(phi)
     se_lifted = se.with_algebra(phi.algebra)
     residual = delbar_on_vectors(se_lifted, phi) - schouten(se_lifted, phi, phi).scale(HALF)
     return residual.is_zero(), residual
+
+
+def require_integrable(se: StructureEquations, phi: VectorValuedForm) -> None:
+    """IntegrabilityError, with the residual, unless phi is integrable on se.
+
+    phi owns the verdict: the first passing ``check_integrability``
+    against se is kept in ``phi.integrable_on``, so later calls with the
+    same se object check nothing.  Any other se object is checked again,
+    and a failure is never stored, so a non-integrable phi is checked
+    and refused on every call.
+    """
+    if phi.integrable_on is se:
+        return
+    ok, residual = check_integrability(se, phi)
+    if not ok:
+        raise IntegrabilityError(
+            f"phi is not integrable; delbar phi - (1/2)[phi,phi] = {residual!r}"
+        )
+    phi.integrable_on = se
 
 
 # -- the extension map and deformed complexes -------------------------------
@@ -319,15 +341,12 @@ def deform_complex(
     point=None keeps coefficients in the truncated ring (symbolic mode);
     otherwise everything is evaluated exactly at the point first.  phi
     must be integrable: this operation refuses to produce a non-complex
-    almost-complex object.
+    almost-complex object, through ``require_integrable``, so it reads
+    the verdict phi owns for se and checks only when none is stored.
     """
     as_beltrami(phi)
+    require_integrable(se, phi)
     se_r = se.with_algebra(phi.algebra)
-    ok, residual = check_integrability(se_r, phi)
-    if not ok:
-        raise IntegrabilityError(
-            f"phi is not integrable; delbar phi - (1/2)[phi,phi] = {residual!r}"
-        )
     if point is not None:
         phi0 = phi.eval(point)
         se0 = evaluate_se(se_r, point)

@@ -17,9 +17,11 @@ recomputing them over the whole series at every order.  The final
 d-residual is recomputed from scratch, from omega alone, both directly
 and through the graded k-sums.  Data that depends only on (se, phi) is
 built once, by its owner: se keeps its Lie bracket table, phi its
-``BeltramiOperators`` (so every helper here takes phi itself), and each
-of their coframe maps its prefix images, so a solve pays for its own
-form and its integrability check only.
+``BeltramiOperators`` (so every helper here takes phi itself) and its
+integrability verdict for se (``deformation.require_integrable``, which
+checks once per se object and never stores a failure), and each of
+their coframe maps its prefix images, so a solve pays for its own form
+only.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ from .algebra import (
 from .cohomology import EvaluatedComplex, zero_point
 from .deformation import (
     as_beltrami,
-    check_integrability,
     coframe_transform,
     evaluate_se,
+    require_integrable,
 )
-from .errors import ObstructionNonvanishing, PreconditionFailed
+from .errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
 from .scalars import GaussianRational, ParamScalar
 
 
@@ -228,9 +230,10 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
     p, q = omega0.bidegree()
     if se_r.apply_d(omega0):
         raise PreconditionFailed("omega0 is not d-closed")
-    ok, _ = check_integrability(se_r, phi)
-    if not ok:
-        raise PreconditionFailed("phi is not integrable")
+    try:
+        require_integrable(se, phi)
+    except IntegrabilityError:
+        raise PreconditionFailed("phi is not integrable") from None
 
     if ec0 is None:
         se0 = evaluate_se(se_r, zero_point(ring.m))
@@ -374,7 +377,7 @@ def pkahler_extend(
     if not base_verdict.holds:
         raise PreconditionFailed("omega0 is not transverse at t = 0")
 
-    state = solve_extension(se_r, phi, omega0, order=order)
+    state = solve_extension(se, phi, omega0, order=order)
     sym = state.omega + state.omega.conj()
     sym = sym.scale(GaussianRational(Fraction(1, 2)))
     # symmetrization must not break d-closedness of the extension

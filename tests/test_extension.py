@@ -18,7 +18,7 @@ from nilforms.algebra import (
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, generic_points, zero_point
 from nilforms.deformation import deform_complex, evaluate_se
-from nilforms.errors import ObstructionNonvanishing, PreconditionFailed
+from nilforms.errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
 from nilforms.extension import (
     a_ladder,
     bc_nontriviality,
@@ -491,12 +491,13 @@ def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
 
 def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     """The structure equations own their Lie bracket table and phi owns
-    its BeltramiOperators: a second solve on the same (se, phi), and a
-    pkahler_extend after it, build no table and no Neumann series, and
-    the second solve, at the same bidegree, adds or rebuilds no prefix
-    image of ext_transform, shrink or unshrink, while
-    the integrability check still runs on every solve and still refuses
-    a non-integrable phi.  A Jacobi failure is never stored."""
+    its BeltramiOperators and its integrability verdict: a second solve
+    on the same (se, phi), a pkahler_extend after it and a deform_complex
+    after that build no table and no Neumann series and check
+    integrability once in all, and the second solve, at the same
+    bidegree, adds or rebuilds no prefix image of ext_transform, shrink
+    or unshrink.  A non-integrable phi is still refused.  A Jacobi
+    failure is never stored."""
     from nilforms import deformation, extension
     from nilforms.algebra import StructureEquations
     from nilforms.errors import JacobiError
@@ -518,7 +519,9 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     )
     for module in (extension, deformation):
         monkeypatch.setattr(module, "neumann_invert", counting("neumann", module.neumann_invert))
-    monkeypatch.setattr(extension, "check_integrability", counting("integrability", extension.check_integrability))
+    monkeypatch.setattr(
+        deformation, "check_integrability", counting("integrability", deformation.check_integrability)
+    )
 
     first = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
     assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
@@ -527,13 +530,15 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     warm = [dict(b.images) for b in endos]
     assert all(len(images) > 1 for images in warm)
     second = solve_extension(se, phi, omega0.scale(QI(2, -3)), ec0=ec0, check_lemmata=False)
-    assert counts == {"tables": 1, "neumann": 1, "integrability": 2}
+    assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
     for b, images in zip(endos, warm):  # no entry added, none rebuilt
         assert b.images.keys() == images.keys() and all(b.images[k] is v for k, v in images.items())
     assert second.omega == first.omega.scale(QI(2, -3)) and second.omega != omega0
     ext = pkahler_extend(se, phi, entry.forms["balanced"], samples=40, seed=3)
     assert ext.state.d_closed_through_order
-    assert counts == {"tables": 1, "neumann": 1, "integrability": 3}
+    assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
+    deform_complex(se, phi, point=generic_points(4)[0])
+    assert counts["integrability"] == 1
 
     alg = se.algebra
     bad_phi = VectorValuedForm(alg, T10, {1: alg.gammabar(2).scale(alg.ring.t(1))})
@@ -553,6 +558,57 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
         with pytest.raises(JacobiError):
             deformation.lie_brackets(broken)
         assert broken.brackets is None
+
+
+def test_integrability_verdict_is_kept_only_for_a_pass_on_that_se(monkeypatch):
+    """phi keeps a passing verdict for one se object only: a
+    non-integrable phi is checked and refused on every call, with the
+    same error types as before, and a phi that passed on one se is
+    checked again on any other, even on equal equations."""
+    from nilforms import deformation
+
+    entry = catalog_load("bcvary10")
+    se, phi = entry.se, entry.beltrami
+    alg = se.algebra
+    ec0 = EvaluatedComplex(build_complex(evaluate_se(se, zero_point(4))), ())
+    omega0 = ec0.vec_to_form(ec0.kernel("stacked", 3, 3)[1], 3, 3, alg)
+    checks = []
+    real = deformation.check_integrability
+
+    def counting(se_, phi_):
+        checks.append(se_)
+        return real(se_, phi_)
+
+    monkeypatch.setattr(deformation, "check_integrability", counting)
+
+    bad_phi = VectorValuedForm(alg, T10, {1: alg.gammabar(2).scale(alg.ring.t(1))})
+    for k in (1, 2):
+        with pytest.raises(PreconditionFailed, match="^phi is not integrable$"):
+            solve_extension(se, bad_phi, omega0, ec0=ec0, check_lemmata=False)
+        assert len(checks) == k and bad_phi.integrable_on is None
+    residual_message = r"^phi is not integrable; delbar phi - \(1/2\)\[phi,phi\] = "
+    for k in (3, 4):
+        with pytest.raises(IntegrabilityError, match=residual_message):
+            deform_complex(se, bad_phi, point=generic_points(4)[0])
+        assert len(checks) == k and bad_phi.integrable_on is None
+
+    # bad_phi is integrable on the abelian equations over the same algebra;
+    # that pass says nothing about bcvary10
+    torus = StructureEquations("torus5", alg, {})
+    deform_complex(torus, bad_phi)
+    assert checks[-1] is torus and bad_phi.integrable_on is torus
+    with pytest.raises(PreconditionFailed, match="not integrable"):
+        solve_extension(se, bad_phi, omega0, ec0=ec0, check_lemmata=False)
+    assert len(checks) == 6 and bad_phi.integrable_on is torus
+
+    deform_complex(se, phi)
+    assert len(checks) == 7 and phi.integrable_on is se
+    twin = StructureEquations(se.name, alg, se.d_coframe)
+    solve_extension(twin, phi, omega0, ec0=ec0, check_lemmata=False)
+    assert checks[-1] is twin and len(checks) == 8 and phi.integrable_on is twin
+    solve_extension(twin, phi, omega0, ec0=ec0, check_lemmata=False)
+    deform_complex(se, phi)
+    assert checks[-1] is se and len(checks) == 9 and phi.integrable_on is se
 
 
 def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):

@@ -141,6 +141,37 @@ def test_no_orphaned_helpers():
     assert orphans(defining, reading) == []
 
 
+def calls_of(source: str, callee: str):
+    """(enclosing function, line) of each call of ``callee`` by name or
+    attribute; None for a call at module level."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == callee:
+                    yield scope, child.lineno
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            yield from walk(child, inner)
+
+    return list(walk(ast.parse(source), None))
+
+
+def test_integrability_is_checked_only_through_the_verdict_helper():
+    """phi owns its integrability verdict: outside
+    ``deformation.require_integrable``, which checks once per se object,
+    no module of the package calls check_integrability, so no caller
+    quietly checks on every call again."""
+    probe = "def f():\n    def g():\n        m.check_integrability(1)\n    return check_integrability(2)\n"
+    assert sorted(calls_of(probe, "check_integrability")) == [("f", 4), ("g", 3)]
+    found = {
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, _ in calls_of(path.read_text(), "check_integrability")
+    }
+    assert found == {("deformation.py", "require_integrable")}
+
+
 def _numbers(x):
     """Every number inside an answer: the parts of each Q(i) scalar, of a
     ParamScalar's coefficients and of a Form's, and the ints, bools and

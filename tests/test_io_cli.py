@@ -333,6 +333,12 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         _EXTEND + ["--beltrami", "<dir>"],
         ["deform", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--output", "<dir>"],
         ["cohomology", "--manifold", "<binary>"],
+        # --t on a parameter-free manifold, empty, or with an empty slot
+        ["cohomology", "--manifold", "catalog:iwasawa3", "--t", "1,2,3"],
+        ["cohomology", "--manifold", "catalog:bcvary10", "--t", ""],
+        ["cohomology", "--manifold", "catalog:bcvary10", "--t", "1/3,,1/5,1/7,1/11"],
+        ["cohomology", "--manifold", "catalog:bcvary10", "--t", "3/7,5/11,2/13,7/17,"],
+        ["deform", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--t", ""],
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
