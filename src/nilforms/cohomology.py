@@ -9,11 +9,12 @@ every minimal-norm del-delbar solve at that point reuses
 (``ddbar_preimage``), and the HodgeContext.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
-rank of the incoming map); on a unimodular complex the Aeppli and the
-upper de Rham ranks are read through Hodge-star duality from echelons
-that other dimensions already hold.  Kernel and image bases are built
-only for callers that need vectors (representatives, lemma witnesses,
-solvers).
+rank of the incoming map), and every rank is read from a forward
+echelon; the reduced echelon is built only where a kernel is read.  On
+a unimodular complex the Aeppli and the upper de Rham ranks are read
+through Hodge-star duality from echelons that other dimensions already
+hold.  Kernel and image bases are built only for callers that need
+vectors (representatives, lemma witnesses, solvers).
 ``cohomology(..., with_basis=True)`` checks the rank route against the
 basis route.  Quotient-space computations are the normative route;
 harmonic kernels are a cross-check available through HodgeContext.
@@ -29,12 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .algebra import Form, FormAlgebra, InvariantComplex, merge_indices
 from .errors import NotSolvable, PreconditionFailed
-from .linalg import Echelon, Rows, Vec
+from .linalg import Echelon, ForwardEchelon, Rows, Vec
 from .scalars import GaussianRational
 
 #: numerators/denominators for the fixed generic sample points
@@ -148,8 +149,13 @@ class EvaluatedComplex:
     del, delbar, ddbar or stacked ([del; delbar]) with SOURCE (p,q);
     exact_sum ([del | delbar], whose column span is im del + im delbar)
     with TARGET (p,q); or total (d on the total complex) with degree p and
-    q = 0.  Each matrix gets one row echelon: ranks read it, and kernel
-    vectors are built from it only for callers that need vectors.
+    q = 0.  Each matrix gets one row echelon.  It starts as the forward
+    echelon (``linalg.forward_echelon``), which gives the rank and the
+    pivot columns that ``rank``, ``unimodular`` and
+    ``lemmata.exact_closed_basis`` read.  The first ``kernel`` of the
+    matrix completes it into the RREF, which replaces it, so the forward
+    rows are dropped; the pivots stay the same, in the same order, and
+    the kernel vectors are those of the RREF reduced directly.
 
     On a unimodular complex (``unimodular``: d of every (2n-1)-form is 0,
     as on every nilpotent Lie algebra) del* = -*delbar* on invariant
@@ -163,7 +169,8 @@ class EvaluatedComplex:
     the direct route for every rank.
 
     Column spans and minimal-norm del-delbar solvers are cached per target
-    bidegree, and the Hodge operators live in one lazily built
+    bidegree (column spans of total also per target degree), and the
+    Hodge operators live in one lazily built
     HodgeContext (``hodge``).
 
     del and delbar are assembled per structure constant: the del or
@@ -185,7 +192,7 @@ class EvaluatedComplex:
         self._terms: Dict[str, list] = {}
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
         self._cols: Dict[Tuple[str, int, int], Dict[int, Vec]] = {}
-        self._echelons: Dict[Tuple[str, int, int], Echelon] = {}
+        self._echelons: Dict[Tuple[str, int, int], Union[ForwardEchelon, Echelon]] = {}
         self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
         self._kernels: Dict[Tuple[str, int, int], List[Vec]] = {}
         self._preimages: Dict[Tuple[int, int], Tuple[Rows, Echelon]] = {}
@@ -203,6 +210,12 @@ class EvaluatedComplex:
 
     def dim(self, p: int, q: int) -> int:
         return self.cx.dim(p, q)
+
+    def check_bidegree(self, p: int, q: int) -> None:
+        """Refuse a bidegree outside 0..n, where a public entry point
+        would otherwise answer about the zero space."""
+        if not (0 <= p <= self.n and 0 <= q <= self.n):
+            raise ValueError(f"bidegree ({p},{q}) is outside 0..{self.n}")
 
     def rows(self, op: str, p: int, q: int) -> Rows:
         """Matrix of del or delbar with source (p,q), QI rows."""
@@ -291,11 +304,13 @@ class EvaluatedComplex:
 
     # -- ranks, kernels and images -----------------------------------------
 
-    def _row_echelon(self, op: str, p: int, q: int) -> Echelon:
-        """The row echelon of the matrix (op, p, q), reduced directly."""
+    def _row_echelon(self, op: str, p: int, q: int) -> Union[ForwardEchelon, Echelon]:
+        """The row echelon of the matrix (op, p, q), reduced directly: its
+        forward echelon, or the RREF once ``kernel`` has completed it.
+        Both give the same rank and the same pivots, in the same order."""
         key = (op, p, q)
         if key not in self._echelons:
-            self._echelons[key] = linalg.row_echelon(self._matrix(op, p, q))
+            self._echelons[key] = linalg.forward_echelon(self._matrix(op, p, q))
         return self._echelons[key]
 
     @property
@@ -329,30 +344,39 @@ class EvaluatedComplex:
         """Kernel basis at source (p,q) of del/delbar/ddbar/stacked."""
         key = (op, p, q)
         if key not in self._kernels:
-            self._kernels[key] = linalg.echelon_kernel(
-                self._row_echelon(op, p, q), self.dim(p, q)
-            )
+            e = self._row_echelon(op, p, q)
+            if not isinstance(e, Echelon):
+                e = self._echelons[key] = e.rref()
+            self._kernels[key] = linalg.echelon_kernel(e, self.dim(p, q))
         return self._kernels[key]
 
     def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
         """The independent columns of op into TARGET (p,q), in order, and
-        the RREF of their span that selected them."""
+        the RREF of their span that selected them; op total is d on the
+        total complex into TARGET degree p (q = 0)."""
         key = (op, p, q)
         if key not in self._images:
-            dp, dq = _SHIFT[op]
-            sp, sq = p - dp, q - dq
-            if self.dim(sp, sq) and self.dim(p, q):
-                self._images[key] = linalg.column_span(self._matrix(op, sp, sq), self.dim(sp, sq))
+            if op == "total":
+                sp, sq = p - 1, 0
+                ncols, nrows = self.total_dim(sp), self.total_dim(p)
+            else:
+                dp, dq = _SHIFT[op]
+                sp, sq = p - dp, q - dq
+                ncols, nrows = self.dim(sp, sq), self.dim(p, q)
+            if ncols and nrows:
+                self._images[key] = linalg.column_span(self._matrix(op, sp, sq), ncols)
             else:
                 self._images[key] = ([], Echelon())
         return self._images[key]
 
     def image_vectors(self, op: str, p: int, q: int) -> List[Vec]:
-        """Basis of the image of op with TARGET bidegree (p,q)."""
+        """Basis of the image of op with TARGET bidegree (p,q) (TARGET
+        degree p for total)."""
         return self._image(op, p, q)[0]
 
     def image_echelon(self, op: str, p: int, q: int) -> Echelon:
-        """RREF of the image of op with TARGET bidegree (p,q), for membership."""
+        """RREF of the image of op with TARGET bidegree (p,q) (TARGET
+        degree p for total), for membership."""
         return self._image(op, p, q)[1]
 
     def ddbar_preimage(self, p: int, q: int, y: Vec) -> Optional[Vec]:
@@ -503,15 +527,21 @@ def cohomology(
     """Dimension (and optionally representative forms) of a cohomology.
 
     which is one of dolbeault, del, bott_chern, aeppli, de_rham; the
-    first four take (p, q), de_rham takes k.
+    first four take (p, q) in 0..n, de_rham takes k in 0..2n; anything
+    else raises ValueError.
     """
     if which == "de_rham":
         if k is None:
             raise ValueError("de_rham cohomology needs k")
+        if not 0 <= k <= 2 * ec.n:
+            raise ValueError(f"degree {k} is outside 0..{2 * ec.n}")
         return (betti(ec, k), None) if with_basis else betti(ec, k)
+    fn = _WHICH.get(which)
+    if fn is None:
+        raise ValueError(f"unknown cohomology {which!r}: expected de_rham, {', '.join(_WHICH)}")
     if p is None or q is None:
         raise ValueError(f"{which} cohomology needs (p, q)")
-    fn = _WHICH[which]
+    ec.check_bidegree(p, q)
     dimension = fn(ec, p, q)
     if not with_basis:
         return dimension

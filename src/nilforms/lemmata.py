@@ -88,13 +88,15 @@ def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
     The space is del(ker deldelbar at (p-1,q)) + delbar(ker deldelbar at
     (p,q-1)); each of the two is spanned by the images of the kernel
     vectors whose free column is a pivot of del (resp. delbar), rank del
-    - rank deldelbar of them.  The basis is the reduced echelon form of
-    their span read in the free coordinates of the stacked [del; delbar]
-    RREF, largest free column leading: each vector holds 1 at its leading
-    free column and 0 at the leading columns of the others, listed by
-    leading column ascending, its keys ascending.  Raises AssertionError
-    when a spanning vector is not d-closed, i.e. when the complex is not
-    flat; the check is explicit, so it holds under ``python -O``.
+    - rank deldelbar of them; the pivot columns come from the forward
+    echelons, and only the deldelbar kernel needs an RREF.  The basis is
+    the reduced echelon form of their span read in the free coordinates
+    of the stacked [del; delbar] echelon, largest free column leading:
+    each vector holds 1 at its leading free column and 0 at the leading
+    columns of the others, listed by leading column ascending, its keys
+    ascending.  Raises AssertionError when a spanning vector is not
+    d-closed, i.e. when the complex is not flat; the check is explicit,
+    so it holds under ``python -O``.
     """
     spanning: List[Vec] = []
     n_del = 0
@@ -121,7 +123,7 @@ def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
                 f"strong at {(p, q)}: a vector of del/delbar(ker deldelbar) is not d-closed"
             )
     # an Echelon leads with its smallest key: the free columns of the
-    # stacked RREF in reverse, then its pivot columns
+    # stacked echelon in reverse, then its pivot columns
     closed_pivots = ec._row_echelon("stacked", p, q).pivots
     free = [f for f in range(ec.dim(p, q)) if f not in closed_pivots]
     key = {f: len(free) - 1 - i for i, f in enumerate(free)}
@@ -202,8 +204,7 @@ def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
     k = p + q
     if k == 0:
         return []
-    rows = ec.total_d_rows(k - 1)
-    image, _ = linalg.column_span(rows, ec.total_dim(k - 1))
+    image = ec.image_vectors("total", k, 0)
     if not image:
         return []
     # combinations of image vectors supported on the (p,q) block only
@@ -287,8 +288,7 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
         out["del_exact"] = ec.image_echelon("del", p, q).contains(v)
     elif kind == "standard":
         k = p + q
-        _, e = linalg.column_span(ec.total_d_rows(k - 1), ec.total_dim(k - 1))
-        out["d_exact"] = e.contains(ec.embed_block(v, p, q, k))
+        out["d_exact"] = ec.image_echelon("total", k, 0).contains(ec.embed_block(v, p, q, k))
     return out
 
 
@@ -323,7 +323,8 @@ def lemma_report(
     bidegrees: Optional[List[Tuple[int, int]]] = None,
     with_standard: bool = True,
 ) -> LemmaReport:
-    """Evaluate the lemma family at the given bidegrees (default: all).
+    """Evaluate the lemma family at the given bidegrees (default: all;
+    a bidegree outside 0..n raises ValueError).
 
     Consistency checks baked in: strong = mild and dual_mild at every
     queried bidegree, and mild at (p,p+1) implies weak at p.
@@ -332,6 +333,8 @@ def lemma_report(
         bidegrees = [
             (p, q) for p in range(ec.n + 1) for q in range(ec.n + 1) if ec.dim(p, q)
         ]
+    for p, q in bidegrees:
+        ec.check_bidegree(p, q)
     report = LemmaReport(point=ec.point)
     for (p, q) in bidegrees:
         m_ok, m_wit = mild(ec, p, q)

@@ -8,11 +8,19 @@ is an int when it is integral and a Fraction otherwise (the parts of a
 GaussianRational follow the same rule), and every division goes through
 ``scalars._div``, which is exact on two ints where a bare ``/`` would
 give a float.  No floating point anywhere.
+
+Two eliminations.  ``forward_echelon`` answers a question about
+dimension: the rank and the pivot columns, from rows that are never
+normalised or back-substituted.  ``Echelon`` is the incremental reduced
+row echelon form (RREF), for membership tests, column spans, tracked
+solves, ``nullspace``, and the kernels that ``echelon_kernel`` reads;
+``ForwardEchelon.rref`` completes a forward echelon into it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational, QI_ONE, _div
@@ -192,6 +200,89 @@ def _sub_scaled_into(u: Vec, c, v: Vec) -> None:
             del u[k]
 
 
+class ForwardEchelon:
+    """Row echelon form by forward elimination: the rank and the pivot
+    columns of a span, without its reduced form.
+
+    ``pivots`` maps each leading column, in the order found, to its row:
+    the vector reduced against the rows found before it, so it is 0 at
+    their leading columns, but not at later ones, and its lead is neither
+    scaled nor inverted.  That reduced vector is the one element of v
+    plus the span of the earlier rows that vanishes at their leading
+    columns, which is also what ``Echelon.reduce`` returns; so the leading
+    columns, their order and the leads are those of an ``Echelon`` fed
+    the same vectors.  ``rref`` completes the form into that Echelon.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self, pivots: Dict[int, Vec]):
+        self.pivots = pivots
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def rref(self) -> Echelon:
+        """The reduced row echelon form of the same span, pivots in the
+        same order: each row vanishes at the leading columns before its
+        own, so every insert reduces nothing and adds its pivot."""
+        e = Echelon()
+        for row in self.pivots.values():
+            e.insert(row)
+        return e
+
+
+def forward_echelon(vectors: Sequence[Vec]) -> ForwardEchelon:
+    """Forward elimination of the vectors in order (the rows of a matrix,
+    so its rank is the rank of the matrix).
+
+    A vector is reduced by the stored row of each leading column it
+    meets, the smallest column first (a heap of the columns met): a row
+    has no entry left of its lead, so each reduction adds entries only
+    to the right of the column it clears, and each column is cleared at
+    most once.  The multiplier is -c for a lead of 1 and c for a lead of
+    -1; only another lead is divided by (``_div``, exactly).  A vector
+    that meets no leading column is stored as it is, by reference;
+    stored rows are never changed.
+    """
+    pivots: Dict[int, Vec] = {}
+    for v in vectors:
+        if not v:
+            continue
+        hits = [k for k in v if k in pivots]
+        if hits:
+            w = dict(v)
+            heapify(hits)
+            while hits:
+                k = heappop(hits)
+                c = w.pop(k, None)
+                if c is None:
+                    continue
+                row = pivots[k]
+                lead = row[k]
+                f = -c if lead == 1 else c if lead == -1 else -_div(c, lead)
+                for j, x in row.items():
+                    if j == k:
+                        continue
+                    s = w.get(j)
+                    if s is None:
+                        w[j] = f * x
+                        if j in pivots:
+                            heappush(hits, j)
+                    else:
+                        s = s + f * x
+                        if s:
+                            w[j] = s
+                        else:
+                            del w[j]
+            if not w:
+                continue
+            v = w
+        pivots[min(v)] = v
+    return ForwardEchelon(pivots)
+
+
 def row_echelon(vectors: Sequence[Vec]) -> Echelon:
     """RREF of the span of the vectors (the row space when they are the
     rows of a matrix, so its rank is the rank of the matrix)."""
@@ -202,7 +293,7 @@ def row_echelon(vectors: Sequence[Vec]) -> Echelon:
 
 
 def span_rank(vectors: Sequence[Vec]) -> int:
-    return row_echelon(vectors).rank
+    return forward_echelon(vectors).rank
 
 
 def echelon_kernel(e: Echelon, ncols: int, one=QI_ONE) -> List[Vec]:

@@ -483,3 +483,41 @@ def test_non_unimodular_input_keeps_the_direct_route():
     assert report.betti == [1, 1, 0]
     assert report.h_a == [[1, 1], [1, 0]]
     assert (report.h_a, report.betti) == _direct_report(ec)
+
+
+def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_complexes):
+    """After full_report has taken every rank from forward echelons, each
+    kernel completes its matrix's forward echelon into an RREF, which
+    replaces it, and equals echelon_kernel of an Echelon built directly
+    from the matrix rows: the same vectors, entry types and key order."""
+    for label, cx, point in reference_complexes:
+        ec = EvaluatedComplex(cx, point)
+        full_report(ec)
+        for op in ("del", "delbar", "ddbar", "stacked"):
+            for p in range(ec.n + 1):
+                for q in range(ec.n + 1):
+                    got = ec.kernel(op, p, q)
+                    direct = linalg.row_echelon(ec._matrix(op, p, q))
+                    want = linalg.echelon_kernel(direct, ec.dim(p, q))
+                    typed = [[(k, type(x), x) for k, x in v.items()] for v in got]
+                    assert typed == [[(k, type(x), x) for k, x in v.items()] for v in want], (label, op, p, q)
+                    e = ec._row_echelon(op, p, q)
+                    assert isinstance(e, linalg.Echelon) and e.pivots == direct.pivots, (label, op, p, q)
+                    assert list(e.pivots) == list(direct.pivots), (label, op, p, q)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"which": "dolbeault", "p": 7, "q": 0}, r"bidegree \(7,0\) is outside 0\.\.3"),
+    ({"which": "aeppli", "p": 1, "q": -1}, r"bidegree \(1,-1\) is outside 0\.\.3"),
+    ({"which": "de_rham", "k": 99}, r"degree 99 is outside 0\.\.6"),
+    ({"which": "de_rham", "k": -1}, r"degree -1 is outside 0\.\.6"),
+    ({"which": "bott-chern", "p": 1, "q": 1}, r"unknown cohomology 'bott-chern': expected de_rham, dolbeault"),
+])
+def test_cohomology_refuses_out_of_range_degrees(ec_iwasawa, kwargs, message):
+    """cohomology names the valid range instead of answering 0 about the
+    zero space, and the valid names for an unknown one; the ends of the
+    range are answered."""
+    with pytest.raises(ValueError, match=message):
+        cohomology(ec_iwasawa, **kwargs)
+    assert cohomology(ec_iwasawa, "dolbeault", p=3, q=0) == 1
+    assert [cohomology(ec_iwasawa, "de_rham", k=k) for k in (0, 6)] == [1, 1]

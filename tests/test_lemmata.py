@@ -224,3 +224,30 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
     assert not report.strong_flags[(2, 2)]
     assert not [key for key in ec._kernels if key[0] == "stacked"]
     assert asked and {op for op, _, _ in asked} == {"ddbar"}
+
+
+def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
+    """lemma_report names the valid range instead of reporting mild and
+    strong as holding on the zero space; mild itself still answers at
+    (p, n+1), where extension._checked_inputs asks it."""
+    for bad in ((5, 9), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"bidegree \({bad[0]},{bad[1]}\) is outside 0\.\.3"):
+            lemma_report(ec_iwasawa, bidegrees=[(1, 1), bad], with_standard=False)
+    assert mild(ec_iwasawa, 1, 4) == (True, None)
+    assert lemma_report(ec_iwasawa, bidegrees=[(3, 3)], with_standard=False).mild_flags == {(3, 3): True}
+
+
+def test_standard_spans_each_total_image_once(monkeypatch, iwasawa3):
+    """standard reads d's image into total degree k once for all (p,q)
+    with p + q = k, and verifying its witness reads the same cached span:
+    no column span is taken twice of one matrix."""
+    spans = []
+    real = linalg.column_span
+    monkeypatch.setattr(linalg, "column_span", lambda rows, ncols: spans.append(id(rows)) or real(rows, ncols))
+    ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
+    ok, wit, at = standard(ec)
+    assert not ok
+    assert all(verify_witness(ec, "standard", at[0], at[1], wit).values())
+    total = {id(ec.total_d_rows(k)) for k in range(2 * ec.n + 1)}
+    assert len([i for i in spans if i in total]) > 1
+    assert len(spans) == len(set(spans))

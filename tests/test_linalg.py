@@ -6,7 +6,8 @@ from nilforms import io as nio
 from nilforms import linalg
 from nilforms.algebra import build_complex
 from nilforms.catalog import catalog_load
-from nilforms.cohomology import EvaluatedComplex, zero_point
+from nilforms.cohomology import EvaluatedComplex, full_report, zero_point
+from nilforms.lemmata import lemma_report
 from nilforms.linalg import Echelon
 from nilforms.scalars import DetRng, GaussianRational, QI
 
@@ -208,6 +209,44 @@ def test_echelon_equals_full_scan_oracle(field, seed):
                     assert _typed(got) == _typed(want)
 
 
+@pytest.mark.parametrize("field", ["QI", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_forward_echelon_equals_echelon(field, seed):
+    """The forward echelon of seeded sparse vectors (empty, repeated,
+    negated and dependent ones, leads of 1, -1 and other scalars) has the
+    rank and the pivots, in order, of the incremental RREF; each row is
+    led by its pivot and is 0 at the pivots found before it; no input
+    changes; and rref() is the RREF, entry for entry, with the same
+    kernel."""
+    rng = DetRng(300 * seed + len(field))
+    ncols = 6 + rng.next_int(14)
+    vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
+    for i in range(0, len(vecs), 4):
+        vecs.insert(rng.next_int(len(vecs)), vecs[i])
+        vecs.insert(rng.next_int(len(vecs)), linalg._negated(vecs[i + 1]))
+    before = [list(v.items()) for v in vecs]
+    one = Fraction(1) if field == "Q" else QI(1)
+    e = Echelon(one=one)
+    for v in vecs:
+        e.insert(v)
+    fe = linalg.forward_echelon(vecs)
+    assert [list(v.items()) for v in vecs] == before
+    assert fe.rank == e.rank and list(fe.pivots) == list(e.pivots)
+    assert linalg.span_rank(vecs) == e.rank
+    leads = [row[p] for p, row in fe.pivots.items()]
+    assert {1, -1} <= set(leads) and any(lead not in (1, -1) for lead in leads)
+    seen = set()
+    for p, row in fe.pivots.items():
+        assert min(row) == p and not seen & set(row)
+        seen.add(p)
+    full = fe.rref()
+    assert list(full.pivots) == list(e.pivots)
+    for p, row in e.pivots.items():
+        assert sorted(_typed(full.pivots[p])) == sorted(_typed(row))
+    kernel, expected = linalg.echelon_kernel(full, ncols, one), linalg.echelon_kernel(e, ncols, one)
+    assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
+
+
 def test_columns_vec_equals_mat_vec():
     rng = DetRng(17)
     for _ in range(30):
@@ -280,11 +319,14 @@ def test_add_scaled_into_equals_copying_sum(field, seed):
 
 def test_unit_leads_divide_nothing(monkeypatch):
     """On Iwasawa x C at t = 0 every reduced row is led by 1 or -1, so
-    no rank takes a Q(i) division; a lead of 2 still divides once."""
+    no rank takes a Q(i) division; a lead of 2 still divides once.  The
+    ranks come from forward echelons: full_report makes no Echelon insert,
+    and lemma_report completes each matrix to an RREF at most once."""
     obj = nio.se_to_obj(catalog_load("iwasawa3").se)
     obj["n"] += 1  # abelian_1: one more closed coframe element
     se = nio.obj_to_se(obj)
-    ec = EvaluatedComplex(build_complex(se), zero_point(se.algebra.ring.m))
+    cx = build_complex(se)
+    ec = EvaluatedComplex(cx, zero_point(se.algebra.ring.m))
     divisions, leads = [], []
 
     def counted(div):
@@ -295,15 +337,14 @@ def test_unit_leads_divide_nothing(monkeypatch):
 
     for name in ("__truediv__", "__rtruediv__"):
         monkeypatch.setattr(GaussianRational, name, counted(getattr(GaussianRational, name)))
-    reduce = Echelon.reduce
+    forward = linalg.forward_echelon
 
-    def recording_reduce(self, v, combo=None):
-        w, c = reduce(self, v, combo)
-        if w:
-            leads.append(w[min(w)])
-        return w, c
+    def recording_forward(vectors):
+        fe = forward(vectors)
+        leads.extend(row[p] for p, row in fe.pivots.items())
+        return fe
 
-    monkeypatch.setattr(Echelon, "reduce", recording_reduce)
+    monkeypatch.setattr(linalg, "forward_echelon", recording_forward)
     # the direct route: rank reads exact_sum and total through their duals
     ranks = [ec._row_echelon(op, p, q).rank
              for op in ("del", "delbar", "ddbar", "stacked", "exact_sum")
@@ -316,6 +357,18 @@ def test_unit_leads_divide_nothing(monkeypatch):
     assert e.insert({0: QI(2), 3: QI(1)})
     assert len(divisions) == 1
     assert _typed(e.pivots[0]) == _typed({0: QI(1), 3: QI(Fraction(1, 2))})
+
+    inserts, completed = [], []
+    insert, rref = Echelon.insert, linalg.ForwardEchelon.rref
+    monkeypatch.setattr(Echelon, "insert", lambda self, v: inserts.append(1) or insert(self, v))
+    monkeypatch.setattr(linalg.ForwardEchelon, "rref", lambda self: completed.append(self) or rref(self))
+    ec = EvaluatedComplex(cx, zero_point(se.algebra.ring.m))
+    full_report(ec)
+    assert inserts == [] and completed == []
+    lemma_report(ec)
+    lemma_report(ec)
+    assert completed and len({id(fe) for fe in completed}) == len(completed)
+    assert len(completed) == sum(isinstance(e, Echelon) for e in ec._echelons.values())
 
 
 def test_matmul_and_adjoint():
