@@ -677,10 +677,12 @@ class StructureEquations:
     d_coframe[i] is d(gamma^i), a sum of a (2,0)-part and a (1,1)-part;
     d(gammabar^i) is its conjugate.  They own their Lie bracket table,
     which ``deformation.lie_brackets`` builds and Jacobi-checks on first
-    use into ``brackets`` (d_coframe is never mutated).
+    use into ``brackets``, and their flatness verdict, which ``flat`` keeps
+    once it has passed (``build_complex`` or ``require_flat``; d_coframe
+    is never mutated).
     """
 
-    __slots__ = ("name", "n", "algebra", "d_coframe", "brackets")
+    __slots__ = ("name", "n", "algebra", "d_coframe", "brackets", "flat")
 
     def __init__(self, name: str, algebra: FormAlgebra, d_coframe: Dict[int, Form]):
         self.name = name
@@ -693,6 +695,7 @@ class StructureEquations:
             if f.algebra != algebra:
                 raise ValueError("structure form from a different algebra")
         self.brackets = None
+        self.flat = False
 
     def with_algebra(self, algebra: FormAlgebra) -> "StructureEquations":
         """The same equations over another scalar ring; self for its own."""
@@ -761,6 +764,29 @@ class StructureEquations:
     def apply_delbar(self, a: Form) -> Form:
         return self._apply_derivation(a, self._delbar_part)
 
+    def require_flat(self) -> None:
+        """Raise AssertionError unless del^2, delbar^2 and del delbar +
+        delbar del vanish, the identities every rank verdict of
+        ``lemmata`` rests on.  They are even derivations, so vanishing on
+        the 2n coframe generators means vanishing everywhere.  A pass is
+        kept in ``flat``, so later calls cost nothing; a failure is never
+        stored.  The check is explicit, so it holds under ``python -O``.
+        """
+        if self.flat:
+            return
+        for s in range(2 * self.n):
+            g = self.algebra.symbol_form(s)
+            a, b = self.apply_del(g), self.apply_delbar(g)
+            for name, v in (("del^2", self.apply_del(a)), ("delbar^2", self.apply_delbar(b)),
+                            ("del delbar + delbar del", self.apply_del(b) + self.apply_delbar(a))):
+                if v:
+                    symbol = f"gamma^{s + 1}" if s < self.n else f"gammabar^{s - self.n + 1}"
+                    raise AssertionError(
+                        f"{self.name} is not flat: {name} of {symbol} is nonzero, so "
+                        "del and delbar images of ker deldelbar are not d-closed"
+                    )
+        self.flat = True
+
 
 class _SymbolImages(dict):
     """Coframe symbol s -> its image under a derivation, computed on first use."""
@@ -821,7 +847,9 @@ def build_complex(se: StructureEquations) -> InvariantComplex:
     Checks integrability (no (0,2)-component in any d gamma^i) and
     flatness d^2 = 0.  Since d^2 is an even derivation, vanishing on the
     coframe generators implies vanishing everywhere; both the gamma and
-    gammabar generators are checked.
+    gammabar generators are checked.  With no (0,2)-component, d = del +
+    delbar, so d^2 = 0 makes del^2, delbar^2 and del delbar + delbar del
+    vanish, its three bidegree parts; the pass is kept in ``se.flat``.
     """
     alg = se.algebra
     for i, f in se.d_coframe.items():
@@ -840,4 +868,5 @@ def build_complex(se: StructureEquations) -> InvariantComplex:
         if dd:
             name = f"gamma^{s + 1}" if s < se.n else f"gammabar^{s - se.n + 1}"
             raise FlatnessError(f"d^2 {name} = {dd!r} is nonzero")
+    se.flat = True
     return InvariantComplex(se)

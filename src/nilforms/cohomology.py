@@ -243,13 +243,13 @@ class EvaluatedComplex:
         return self._terms[op]
 
     def columns(self, op: str, p: int, q: int) -> Dict[int, Vec]:
-        """Nonzero columns of del or delbar with source (p,q), keyed by
-        index, for products that walk the support of a vector
-        (``linalg.columns_vec``)."""
+        """Nonzero columns of the matrix (op, p, q), keyed by index, for
+        products that walk the support of a vector (``linalg.columns_vec``)
+        and for column echelons."""
         key = (op, p, q)
         if key not in self._cols:
             cols: Dict[int, Vec] = {}
-            for i, r in enumerate(self.rows(op, p, q)):
+            for i, r in enumerate(self._matrix(op, p, q)):
                 for j, c in r.items():
                     cols.setdefault(j, {})[i] = c
             self._cols[key] = cols

@@ -1,41 +1,52 @@
 """Deciders for the del-delbar lemma variants at fixed bidegrees.
 
-All five variants reduce to exact containment tests between images and
-kernels of the structure matrices:
+Each variant asks whether a space of pure-type forms lies inside im
+deldelbar.  The space always contains im deldelbar, so the question is
+one of dimension, and every verdict is an identity between ranks that
+the EvaluatedComplex already holds (Angella-Tomassini state the
+del-delbar lemma itself as an identity between dimensions).  Write
+r(op, p, q) for the rank of the matrix op from SOURCE (p,q) and w for
+dim im deldelbar at (p,q).  On a flat complex (del^2 = delbar^2 = del
+delbar + delbar del = 0, ``StructureEquations.require_flat``):
 
-  mild(p,q):       del(ker deldelbar at (p-1,q))      inside im deldelbar
-  dual mild(p,q):  delbar(ker deldelbar at (p,q-1))   inside im deldelbar
-  strong(p,q):     (im del + im delbar) cap ker both  inside im deldelbar
-  weak(p):         delbar(real psi with delbar psi del-exact) inside im
-                   deldelbar, quantified over real (p,p)-forms only
-  standard:        d-exact pure-type forms inside im deldelbar, all (p,q)
+  mild(p,q):       del(ker deldelbar at (p-1,q)) = im deldelbar, i.e.
+                   r(del,p-1,q) - r(ddbar,p-1,q) = w: ker del lies in
+                   ker deldelbar, and im deldelbar is del of delbar's
+                   image, which lies in ker deldelbar.
+  dual mild(p,q):  r(delbar,p,q-1) - r(ddbar,p,q-1) = w, the mirror.
+  strong(p,q):     (im del + im delbar) cap ker del cap ker delbar is the
+                   sum of im del cap ker delbar (del of ker deldelbar)
+                   and im delbar cap ker del, which meet in im del cap
+                   im delbar, so r(exact_sum,p,q) - r(ddbar,p-1,q) -
+                   r(ddbar,p,q-1) = w.
+  standard at (p,q), k = p+q: the d-exact forms of pure type (p,q) are
+                   d of the kernel of the rows of d from degree k-1
+                   outside the (p,q) block, which contains ker d, so
+                   r(total,k-1) - (rank of those rows) = w.  Those rows
+                   are the blocks before (p,q) and the blocks after it,
+                   which share no column: a prefix rank plus a suffix
+                   rank, two forward passes per degree.
+  weak(p):         quantified over real (p,p)-forms psi, so over Q: with
+                   T the Q-span of delbar psi, E = im del and D = im
+                   deldelbar inside E at (p,p+1), T cap E lies in D iff
+                   dim (T + E)/E = dim (T + D)/D, the Q-ranks of the
+                   realified residues of T modulo the forward echelons
+                   of the columns of del and of deldelbar.
 
-On an integrable complex (del^2 = delbar^2 = 0, del delbar = -delbar
-del; ``build_complex`` checks d^2 = 0 and integrability) the space that
-strong tests is
-
-  (im del + im delbar) cap ker del cap ker delbar
-      = del(ker deldelbar at (p-1,q)) + delbar(ker deldelbar at (p,q-1)),
-
-so strong builds it from the same deldelbar kernels that mild and dual
-mild read, keeping only the rank del - rank deldelbar (resp. rank delbar
-- rank deldelbar) kernel vectors whose images span each summand, and
-never forms the kernel of [del; delbar] or the column spans of del and
-delbar.  A spanning vector that is not del- and delbar-closed means the
-identity failed (the complex is not flat); that raises AssertionError
-instead of giving a verdict.
-
-Every negative answer carries a witness form that re-verifies by fresh
-rank computations.  The realness constraint of the weak variant is
-handled by splitting coefficients into conjugation-fixed and anti-fixed
-parts and working over the rationals.
+So a passing verdict builds no kernel and no column span, and only weak
+applies a matrix to a vector (delbar to its real basis).  A failing
+verdict runs the vector route only to build its witness: the first
+vector of the tested space outside im deldelbar.  That the route finds
+one is checked; if not, the two routes disagree, and AssertionError is
+raised.  Every witness re-verifies by fresh rank computations
+(``verify_witness``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import linalg
 from .algebra import Form
@@ -44,6 +55,13 @@ from .linalg import Echelon, Vec
 from .scalars import QI_I, QI_ONE, GaussianRational
 
 _MINUS_ONE, _MINUS_I = GaussianRational(-1), GaussianRational(0, -1)
+
+
+def _disagree(kind: str, p: int, q: int) -> AssertionError:
+    return AssertionError(
+        f"{kind} at {(p, q)}: the ranks say it fails, but the vector route "
+        "finds no form outside im deldelbar"
+    )
 
 
 def mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
@@ -57,10 +75,13 @@ def dual_mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form
 
 
 def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional[Form]]:
-    """op(ker deldelbar) inside im deldelbar at (p,q), op del or delbar;
-    the witness is the first image outside."""
+    """op(ker deldelbar) inside im deldelbar at (p,q), op del or delbar,
+    by rank; the witness is the first image outside."""
+    ec.cx.se.require_flat()
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
     if not (ec.dim(sp, sq) and ec.dim(p, q)):
+        return True, None
+    if ec.rank(op, sp, sq) - ec.rank("ddbar", sp, sq) == ec.image_rank("ddbar", p, q):
         return True, None
     target = ec.image_echelon("ddbar", p, q)
     cols = ec.columns(op, sp, sq)
@@ -68,38 +89,46 @@ def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional
         v = linalg.columns_vec(cols, x)
         if v and not target.contains(v):
             return False, ec.vec_to_form(v, p, q)
-    return True, None
+    raise _disagree("mild" if op == "del" else "dual_mild", p, q)
 
 
 def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     """Injectivity of the Bott-Chern to Aeppli comparison at (p,q)."""
+    ec.cx.se.require_flat()
     if not ec.dim(p, q):
+        return True, None
+    # r(ddbar,p-1,q) and r(ddbar,p,q-1) are the deldelbar images into
+    # (p,q+1) and (p+1,q)
+    closed = ec.rank("exact_sum", p, q) - ec.image_rank("ddbar", p, q + 1) - ec.image_rank("ddbar", p + 1, q)
+    if closed == ec.image_rank("ddbar", p, q):
         return True, None
     target = ec.image_echelon("ddbar", p, q)
     for v in exact_closed_basis(ec, p, q):
         if not target.contains(v):
             return False, ec.vec_to_form(v, p, q)
-    return True, None
+    raise _disagree("strong", p, q)
 
 
-def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
-    """Basis of (im del + im delbar) cap ker del cap ker delbar at (p,q).
+def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> Iterator[Vec]:
+    """Basis of (im del + im delbar) cap ker del cap ker delbar at (p,q),
+    one vector at a time.
 
-    The space is del(ker deldelbar at (p-1,q)) + delbar(ker deldelbar at
-    (p,q-1)); each of the two is spanned by the images of the kernel
-    vectors whose free column is a pivot of del (resp. delbar), rank del
-    - rank deldelbar of them; the pivot columns come from the forward
-    echelons, and only the deldelbar kernel needs an RREF.  The basis is
-    the reduced echelon form of their span read in the free coordinates
-    of the stacked [del; delbar] echelon, largest free column leading:
-    each vector holds 1 at its leading free column and 0 at the leading
-    columns of the others, listed by leading column ascending, its keys
-    ascending.  Raises AssertionError when a spanning vector is not
-    d-closed, i.e. when the complex is not flat; the check is explicit,
-    so it holds under ``python -O``.
+    On a flat complex (required) the space is del(ker deldelbar at
+    (p-1,q)) + delbar(ker deldelbar at (p,q-1)); each of the two is
+    spanned by the images of the kernel vectors whose free column is a
+    pivot of del (resp. delbar), rank del - rank deldelbar of them; the
+    pivot columns come from the forward echelons, and only the deldelbar
+    kernel needs an RREF.  The basis is the reduced echelon form of their
+    span read in the free coordinates of the stacked [del; delbar]
+    echelon, largest free column leading: each vector holds 1 at its
+    leading free column and 0 at the leading columns of the others,
+    listed by leading column ascending, its keys ascending.  The spanning
+    vectors are eliminated forward only, and each reduced row is built
+    when the caller asks for it (``ForwardEchelon.rref_rows``), so a
+    caller that stops at the first row outside a target pays for no more.
     """
+    ec.cx.se.require_flat()
     spanning: List[Vec] = []
-    n_del = 0
     for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)):
         if not ec.dim(sp, sq):
             continue
@@ -110,32 +139,18 @@ def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
         for f, x in zip(free, ec.kernel("ddbar", sp, sq)):
             if f in pivots:
                 spanning.append(linalg.columns_vec(cols, x))
-        if op == "del":
-            n_del = len(spanning)
     if not spanning:
-        return []
-    del_cols, delbar_cols = ec.columns("del", p, q), ec.columns("delbar", p, q)
-    # del of a delbar-side vector is deldelbar of a kernel vector, zero
-    # by construction of the deldelbar rows, so it is not checked
-    for i, v in enumerate(spanning):
-        if (i < n_del and linalg.columns_vec(del_cols, v)) or linalg.columns_vec(delbar_cols, v):
-            raise AssertionError(
-                f"strong at {(p, q)}: a vector of del/delbar(ker deldelbar) is not d-closed"
-            )
-    # an Echelon leads with its smallest key: the free columns of the
+        return
+    # a row echelon leads with its smallest key: the free columns of the
     # stacked echelon in reverse, then its pivot columns
     closed_pivots = ec._row_echelon("stacked", p, q).pivots
     free = [f for f in range(ec.dim(p, q)) if f not in closed_pivots]
     key = {f: len(free) - 1 - i for i, f in enumerate(free)}
     key.update((col, len(free) + col) for col in closed_pivots)
     back = {k: i for i, k in key.items()}
-    e = Echelon()
-    for v in spanning:
-        e.insert({key[i]: c for i, c in v.items()})
-    return [
-        dict(sorted((back[k], c) for k, c in e.pivots[lead].items()))
-        for lead in sorted(e.pivots, reverse=True)
-    ]
+    forward = linalg.forward_echelon([{key[i]: c for i, c in v.items()} for v in spanning])
+    for _, row in forward.rref_rows():
+        yield dict(sorted((back[k], c) for k, c in row.items()))
 
 
 def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
@@ -167,13 +182,18 @@ def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
 def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     """The (p,p+1)-th condition quantified over real (p,p)-forms psi:
     delbar psi del-exact implies delbar psi deldelbar-exact."""
+    ec.cx.se.require_flat()
     q = p + 1
     if q > ec.n or not ec.dim(p, p):
         return True, None
     reals = _real_basis_vectors(ec, p)
     delbar_cols = ec.columns("delbar", p, p)
     delbar_images = [linalg.columns_vec(delbar_cols, r) for r in reals]
-    # solve over Q: x (real psi coefficients) with delbar psi in im del
+    if _residue_rank(ec, "del", p - 1, q, delbar_images) == _residue_rank(
+        ec, "ddbar", p - 1, p, delbar_images
+    ):
+        return True, None
+    # the vector route: solve over Q for real psi with delbar psi in im del
     del_span = linalg.realify_span(ec.image_vectors("del", p, q))
     cols = [linalg.realify_vec(v) for v in delbar_images]
     ncols_psi = len(cols)
@@ -196,7 +216,14 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
             for k, c in combo.items():
                 linalg.add_scaled_into(witness, GaussianRational(c), delbar_images[k])
             return False, ec.vec_to_form(witness, p, q)
-    return True, None
+    raise _disagree("weak", p, q)
+
+
+def _residue_rank(ec: EvaluatedComplex, op: str, sp: int, sq: int, vectors: List[Vec]) -> int:
+    """The rank over Q of the vectors modulo the image of op from (sp,sq):
+    their residues modulo the forward echelon of its columns, realified."""
+    image = linalg.forward_echelon(list(ec.columns(op, sp, sq).values()) if ec.dim(sp, sq) else [])
+    return linalg.forward_echelon([linalg.realify_vec(v) for v in image.residues(vectors)]).rank
 
 
 def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
@@ -235,24 +262,49 @@ def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
     return out
 
 
+def _block_ranks(ec: EvaluatedComplex, k: int) -> Tuple[List[int], List[int]]:
+    """(before, after) for d from total degree k-1, whose rows come in the
+    blocks of ``total_blocks(k)``: before[i] is the rank of the rows of
+    the blocks before block i, after[i] that of block i and the blocks
+    after it.  A block's rows meet only the source blocks next to it, so
+    the blocks before i and those after it share no column."""
+    rows, chunks = ec.total_d_rows(k - 1), []
+    for pq in ec.total_blocks(k):
+        chunks.append(rows[:ec.dim(*pq)])
+        rows = rows[ec.dim(*pq):]
+
+    def prefix_ranks(blocks):
+        e = linalg.forward_echelon([])
+        return [0] + [e.extend(block).rank for block in blocks]
+
+    return prefix_ranks(chunks), prefix_ranks(chunks[::-1])[::-1]
+
+
 def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple[int, int]]]:
     """Injectivity of all Bott-Chern to de Rham comparisons.
 
     Returns (flag, witness, bidegree); the witness is a pure-type
     d-exact form (automatically del- and delbar-closed) outside the
-    deldelbar image.
+    deldelbar image, at the first failing bidegree, p-major.
     """
+    ec.cx.se.require_flat()
+    split: Dict[int, Tuple[List[int], List[int]]] = {}
     for p in range(ec.n + 1):
         for q in range(ec.n + 1):
-            if not ec.dim(p, q):
+            k = p + q
+            if not (k and ec.dim(p, q)):
                 continue
-            exact = _pure_d_exact(ec, p, q)
-            if not exact:
+            if k not in split:
+                split[k] = _block_ranks(ec, k)
+            before, after = split[k]
+            i = ec.total_blocks(k).index((p, q))
+            if ec.rank("total", k - 1, 0) - before[i] - after[i + 1] == ec.image_rank("ddbar", p, q):
                 continue
             target = ec.image_echelon("ddbar", p, q)
-            for v in exact:
+            for v in _pure_d_exact(ec, p, q):
                 if not target.contains(v):
                     return False, ec.vec_to_form(v, p, q), (p, q)
+            raise _disagree("standard", p, q)
     return True, None, None
 
 
@@ -326,8 +378,12 @@ def lemma_report(
     """Evaluate the lemma family at the given bidegrees (default: all;
     a bidegree outside 0..n raises ValueError).
 
-    Consistency checks baked in: strong = mild and dual_mild at every
-    queried bidegree, and mild at (p,p+1) implies weak at p.
+    Consistency checks baked in, each an AssertionError when it breaks:
+    the complex is flat; strong = mild and dual_mild at every queried
+    bidegree, which compares the rank of [del | delbar] (read through
+    Hodge-star duality on a unimodular complex) with the del, delbar and
+    deldelbar ranks; mild at (p,p+1) implies weak at p; and the vector
+    route finds a witness for every failing verdict.
     """
     if bidegrees is None:
         bidegrees = [

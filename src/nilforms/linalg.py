@@ -11,17 +11,20 @@ give a float.  No floating point anywhere.
 
 Two eliminations.  ``forward_echelon`` answers a question about
 dimension: the rank and the pivot columns, from rows that are never
-normalised or back-substituted.  ``Echelon`` is the incremental reduced
-row echelon form (RREF), for membership tests, column spans, tracked
-solves, ``nullspace``, and the kernels that ``echelon_kernel`` reads;
-``ForwardEchelon.rref`` completes a forward echelon into it.
+normalised or back-substituted; ``ForwardEchelon.residues`` reduces
+vectors modulo its span, and ``ForwardEchelon.rref_rows`` gives the
+reduced rows one at a time, largest lead first.  ``Echelon`` is the
+incremental reduced row echelon form (RREF), for membership tests,
+column spans, tracked solves, ``nullspace``, and the kernels that
+``echelon_kernel`` reads; ``ForwardEchelon.rref`` completes a forward
+echelon into it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational, QI_ONE, _div
 
@@ -211,7 +214,8 @@ class ForwardEchelon:
     plus the span of the earlier rows that vanishes at their leading
     columns, which is also what ``Echelon.reduce`` returns; so the leading
     columns, their order and the leads are those of an ``Echelon`` fed
-    the same vectors.  ``rref`` completes the form into that Echelon.
+    the same vectors.  ``rref`` completes the form into that Echelon, and
+    ``rref_rows`` gives its rows one at a time.
     """
 
     __slots__ = ("pivots",)
@@ -223,6 +227,23 @@ class ForwardEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def extend(self, vectors: Sequence[Vec]) -> "ForwardEchelon":
+        """Eliminate the vectors in order into the form; returns self."""
+        pivots = self.pivots
+        for v in vectors:
+            if v:
+                w = _forward_reduce(pivots, v)
+                if w:
+                    pivots[min(w)] = w
+        return self
+
+    def residues(self, vectors: Sequence[Vec]) -> List[Vec]:
+        """Each vector reduced against the form: the one element of v plus
+        the span that vanishes at every leading column, so v lies in the
+        span exactly when its residue is empty, and v -> residue is linear
+        with the span as its kernel."""
+        return [_forward_reduce(self.pivots, v) for v in vectors]
+
     def rref(self) -> Echelon:
         """The reduced row echelon form of the same span, pivots in the
         same order: each row vanishes at the leading columns before its
@@ -232,55 +253,76 @@ class ForwardEchelon:
             e.insert(row)
         return e
 
+    def rref_rows(self) -> Iterator[Tuple[int, Vec]]:
+        """The rows (lead, row) of the reduced row echelon form, largest
+        leading column first, each built when asked for.
+
+        A row has no entry left of its lead, so the row at the largest
+        lead has no entry at any other lead: divided by its lead, it is
+        reduced.  Each later row meets other leads only at larger
+        columns, whose reduced rows are already given and vanish at every
+        other lead, so one subtraction per lead met reduces it.  The RREF
+        is unique, so the rows equal those of an ``Echelon`` of the span.
+        """
+        done: Dict[int, Vec] = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead]
+            w = dict(row)
+            for k in [k for k in row if k in done]:
+                _sub_scaled_into(w, row[k], done[k])
+            c = w[lead]
+            if c == -1:
+                w = _negated(w)
+            elif c != 1:
+                w = vec_scale(w, _div(1, c))
+            done[lead] = w
+            yield lead, w
+
+
+def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
+    """v reduced by the stored row of each leading column it meets, the
+    smallest column first (a heap of the columns met): a row has no
+    entry left of its lead, so each reduction adds entries only to the
+    right of the column it clears, and each column is cleared at most
+    once.  The multiplier is -c for a lead of 1 and c for a lead of -1;
+    only another lead is divided by (``_div``, exactly).  A vector that
+    meets no leading column is returned as it is, by reference."""
+    hits = [k for k in v if k in pivots]
+    if not hits:
+        return v
+    w = dict(v)
+    heapify(hits)
+    while hits:
+        k = heappop(hits)
+        c = w.pop(k, None)
+        if c is None:
+            continue
+        row = pivots[k]
+        lead = row[k]
+        f = -c if lead == 1 else c if lead == -1 else -_div(c, lead)
+        for j, x in row.items():
+            if j == k:
+                continue
+            s = w.get(j)
+            if s is None:
+                w[j] = f * x
+                if j in pivots:
+                    heappush(hits, j)
+            else:
+                s = s + f * x
+                if s:
+                    w[j] = s
+                else:
+                    del w[j]
+    return w
+
 
 def forward_echelon(vectors: Sequence[Vec]) -> ForwardEchelon:
     """Forward elimination of the vectors in order (the rows of a matrix,
-    so its rank is the rank of the matrix).
-
-    A vector is reduced by the stored row of each leading column it
-    meets, the smallest column first (a heap of the columns met): a row
-    has no entry left of its lead, so each reduction adds entries only
-    to the right of the column it clears, and each column is cleared at
-    most once.  The multiplier is -c for a lead of 1 and c for a lead of
-    -1; only another lead is divided by (``_div``, exactly).  A vector
-    that meets no leading column is stored as it is, by reference;
-    stored rows are never changed.
-    """
-    pivots: Dict[int, Vec] = {}
-    for v in vectors:
-        if not v:
-            continue
-        hits = [k for k in v if k in pivots]
-        if hits:
-            w = dict(v)
-            heapify(hits)
-            while hits:
-                k = heappop(hits)
-                c = w.pop(k, None)
-                if c is None:
-                    continue
-                row = pivots[k]
-                lead = row[k]
-                f = -c if lead == 1 else c if lead == -1 else -_div(c, lead)
-                for j, x in row.items():
-                    if j == k:
-                        continue
-                    s = w.get(j)
-                    if s is None:
-                        w[j] = f * x
-                        if j in pivots:
-                            heappush(hits, j)
-                    else:
-                        s = s + f * x
-                        if s:
-                            w[j] = s
-                        else:
-                            del w[j]
-            if not w:
-                continue
-            v = w
-        pivots[min(v)] = v
-    return ForwardEchelon(pivots)
+    so its rank is the rank of the matrix), through ``_forward_reduce``.
+    A vector that meets no leading column is stored as it is, by
+    reference; stored rows are never changed."""
+    return ForwardEchelon({}).extend(vectors)
 
 
 def row_echelon(vectors: Sequence[Vec]) -> Echelon:

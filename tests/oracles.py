@@ -654,3 +654,136 @@ def solve_extension_whole_series(se, phi, omega0, order=None, check_lemmata=True
         sums = extension.ladder_sums(phi, omega_tilde)
         omega_tilde = omega_tilde + extension._order_correction(se_r, ec0, sums, p, q, l)
     return extension._extension_state(se_r, phi, omega0, omega_tilde, order)
+
+
+# -- the vector-route lemma verdicts that the rank identities replaced ------
+
+
+def mild_by_vectors(ec, op: str, p: int, q: int):
+    """op(ker deldelbar) inside im deldelbar at (p,q), op del (mild) or
+    delbar (dual mild), by testing the image of each kernel vector; the
+    witness is the first image outside."""
+    from nilforms import linalg
+
+    sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
+    if not (ec.dim(sp, sq) and ec.dim(p, q)):
+        return True, None
+    target = ec.image_echelon("ddbar", p, q)
+    cols = ec.columns(op, sp, sq)
+    for x in ec.kernel("ddbar", sp, sq):
+        v = linalg.columns_vec(cols, x)
+        if v and not target.contains(v):
+            return False, ec.vec_to_form(v, p, q)
+    return True, None
+
+
+def exact_closed_basis_full(ec, p: int, q: int):
+    """The whole basis that ``lemmata.exact_closed_basis`` gives one
+    vector at a time, from a full RREF of the spanning vectors, with each
+    spanning vector checked to be d-closed (AssertionError otherwise)."""
+    from nilforms import linalg
+    from nilforms.linalg import Echelon
+
+    spanning = []
+    n_del = 0
+    for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)):
+        if not ec.dim(sp, sq):
+            continue
+        pivots = ec._row_echelon(op, sp, sq).pivots
+        ddbar_pivots = ec._row_echelon("ddbar", sp, sq).pivots
+        free = [f for f in range(ec.dim(sp, sq)) if f not in ddbar_pivots]
+        cols = ec.columns(op, sp, sq)
+        for f, x in zip(free, ec.kernel("ddbar", sp, sq)):
+            if f in pivots:
+                spanning.append(linalg.columns_vec(cols, x))
+        if op == "del":
+            n_del = len(spanning)
+    if not spanning:
+        return []
+    del_cols, delbar_cols = ec.columns("del", p, q), ec.columns("delbar", p, q)
+    for i, v in enumerate(spanning):
+        if (i < n_del and linalg.columns_vec(del_cols, v)) or linalg.columns_vec(delbar_cols, v):
+            raise AssertionError(
+                f"strong at {(p, q)}: a vector of del/delbar(ker deldelbar) is not d-closed"
+            )
+    closed_pivots = ec._row_echelon("stacked", p, q).pivots
+    free = [f for f in range(ec.dim(p, q)) if f not in closed_pivots]
+    key = {f: len(free) - 1 - i for i, f in enumerate(free)}
+    key.update((col, len(free) + col) for col in closed_pivots)
+    back = {k: i for i, k in key.items()}
+    e = Echelon()
+    for v in spanning:
+        e.insert({key[i]: c for i, c in v.items()})
+    return [
+        dict(sorted((back[k], c) for k, c in e.pivots[lead].items()))
+        for lead in sorted(e.pivots, reverse=True)
+    ]
+
+
+def strong_by_vectors(ec, p: int, q: int):
+    """Strong at (p,q) by testing each vector of the full basis."""
+    if not ec.dim(p, q):
+        return True, None
+    target = ec.image_echelon("ddbar", p, q)
+    for v in exact_closed_basis_full(ec, p, q):
+        if not target.contains(v):
+            return False, ec.vec_to_form(v, p, q)
+    return True, None
+
+
+def weak_by_nullspace(ec, p: int):
+    """weak(p) by solving over Q for every real psi with delbar psi
+    del-exact (a nullspace of the realified system) and testing each
+    solution's delbar psi against the realified deldelbar image."""
+    from nilforms import linalg
+    from nilforms.lemmata import _real_basis_vectors
+    from nilforms.linalg import Echelon
+
+    q = p + 1
+    if q > ec.n or not ec.dim(p, p):
+        return True, None
+    reals = _real_basis_vectors(ec, p)
+    delbar_cols = ec.columns("delbar", p, p)
+    delbar_images = [linalg.columns_vec(delbar_cols, r) for r in reals]
+    del_span = linalg.realify_span(ec.image_vectors("del", p, q))
+    cols = [linalg.realify_vec(v) for v in delbar_images]
+    ncols_psi = len(cols)
+    cols = cols + [linalg._negated(v) for v in del_span]
+    rows = linalg.rows_from_columns(cols, 2 * ec.dim(p, q))
+    relations = linalg.nullspace(rows, len(cols), one=Fraction(1))
+    target = Echelon()
+    for v in linalg.realify_span(ec.image_vectors("ddbar", p, q)):
+        target.insert(v)
+    for rel in relations:
+        combo = {k: c for k, c in rel.items() if k < ncols_psi}
+        if not combo:
+            continue
+        w_real = {}
+        for k, c in combo.items():
+            linalg.add_scaled_into(w_real, c, cols[k])
+        if w_real and not target.contains(w_real):
+            witness = {}
+            for k, c in combo.items():
+                linalg.add_scaled_into(witness, GaussianRational(c), delbar_images[k])
+            return False, ec.vec_to_form(witness, p, q)
+    return True, None
+
+
+def standard_by_blocks(ec):
+    """standard by building, at each (p,q) in turn, a basis of the
+    d-exact forms of pure type (p,q) and testing each vector; returns
+    (flag, witness, bidegree)."""
+    from nilforms.lemmata import _pure_d_exact
+
+    for p in range(ec.n + 1):
+        for q in range(ec.n + 1):
+            if not ec.dim(p, q):
+                continue
+            exact = _pure_d_exact(ec, p, q)
+            if not exact:
+                continue
+            target = ec.image_echelon("ddbar", p, q)
+            for v in exact:
+                if not target.contains(v):
+                    return False, ec.vec_to_form(v, p, q), (p, q)
+    return True, None, None

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from nilforms import io as nio
-from nilforms import lemmata
+from nilforms import linalg, lemmata
 from nilforms.algebra import Form, build_complex
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points
 from nilforms.deformation import deform_complex
@@ -212,7 +212,8 @@ SCALED_IWASAWA = {
 def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     """Every scalar part of full_report, lemma_report (witnesses included)
     and the kernel vectors is an int or a Fraction; and inside ``weak`` a
-    lead other than +-1 reaches Echelon.insert and is inverted exactly."""
+    lead other than +-1 reaches Echelon.insert or forward_echelon, which
+    divide by it exactly."""
     scaled = build_complex(nio.obj_to_se(SCALED_IWASAWA))
     for label, cx, point in reference_complexes + [("iwasawa3_scaled", scaled, ())]:
         ec = EvaluatedComplex(cx, point)
@@ -229,7 +230,7 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     assert {type(x) for x in _numbers(points)} <= {int, Fraction}
 
     leads, stored = [], []
-    insert = Echelon.insert
+    insert, forward = Echelon.insert, linalg.forward_echelon
 
     def counted_insert(self, v):
         w, _ = self.reduce(v)
@@ -239,7 +240,14 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
         stored.extend(x for row in self.pivots.values() for x in row.values())
         return grew
 
+    def recording_forward(vectors):
+        fe = forward(vectors)
+        leads.extend(row[p] for p, row in fe.pivots.items())
+        stored.extend(x for row in fe.pivots.values() for x in row.values())
+        return fe
+
     monkeypatch.setattr(Echelon, "insert", counted_insert)
+    monkeypatch.setattr(linalg, "forward_echelon", recording_forward)
     ec = EvaluatedComplex(scaled, ())
     for p in range(ec.n):
         lemmata.weak(ec, p)

@@ -1,5 +1,6 @@
 import pytest
 
+from nilforms import io as nio
 from nilforms import linalg
 from nilforms.algebra import FormAlgebra, InvariantComplex, StructureEquations, build_complex
 from nilforms.catalog import catalog_load
@@ -18,7 +19,14 @@ from nilforms.lemmata import (
 )
 from nilforms.scalars import PolyRing
 
-from oracles import real_basis_vectors_by_products, span_intersection
+from oracles import (
+    mild_by_vectors,
+    real_basis_vectors_by_products,
+    span_intersection,
+    standard_by_blocks,
+    strong_by_vectors,
+    weak_by_nullspace,
+)
 
 
 def test_iwasawa_taxonomy(ec_iwasawa):
@@ -157,7 +165,7 @@ def test_strong_basis_equals_span_intersection(reference_complexes):
         report = lemma_report(ec, with_standard=False)
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
-                got = exact_closed_basis(ec, p, q)
+                got = list(exact_closed_basis(ec, p, q))
                 meet, ok, witness = _span_intersection_strong(ec, p, q)
                 assert got == meet, (label, p, q)
                 assert [_typed_entries(v) for v in got] == [_typed_entries(v) for v in meet]
@@ -177,6 +185,13 @@ def test_real_basis_vectors_equal_product_route(reference_complexes):
         for p in range(cx.n + 1):
             expected = real_basis_vectors_by_products(ec, p)
             assert typed(_real_basis_vectors(ec, p)) == typed(expected), (label, p)
+
+
+def _not_flat_se():
+    alg = FormAlgebra(3, PolyRing(0, 0))
+    return StructureEquations(
+        "notflat", alg, {3: alg.monomial((1,), (2,)), 2: alg.monomial((1,), (3,))}
+    )
 
 
 def test_strong_refuses_a_complex_that_is_not_flat():
@@ -238,9 +253,10 @@ def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
 
 
 def test_standard_spans_each_total_image_once(monkeypatch, iwasawa3):
-    """standard reads d's image into total degree k once for all (p,q)
-    with p + q = k, and verifying its witness reads the same cached span:
-    no column span is taken twice of one matrix."""
+    """standard decides every bidegree by rank and column-spans d only
+    into the total degree of its failing bidegree, for the witness; and
+    verifying the witness reads the same cached span: no column span is
+    taken twice of one matrix."""
     spans = []
     real = linalg.column_span
     monkeypatch.setattr(linalg, "column_span", lambda rows, ncols: spans.append(id(rows)) or real(rows, ncols))
@@ -249,5 +265,196 @@ def test_standard_spans_each_total_image_once(monkeypatch, iwasawa3):
     assert not ok
     assert all(verify_witness(ec, "standard", at[0], at[1], wit).values())
     total = {id(ec.total_d_rows(k)) for k in range(2 * ec.n + 1)}
-    assert len([i for i in spans if i in total]) > 1
+    assert [i for i in spans if i in total] == [id(ec.total_d_rows(at[0] + at[1] - 1))]
     assert len(spans) == len(set(spans))
+
+
+def _typed_form(w):
+    """A witness's monomials in order, each with its coefficient's terms
+    and the types of their parts; None for no witness."""
+    if w is None:
+        return None
+    return [
+        (m, [(k, type(z.re), type(z.im), z) for k, z in c.terms.items()])
+        for m, c in w.coeffs.items()
+    ]
+
+
+#: dgamma^1 = i gamma^1 ^ gamma^3, dgamma^2 = i gamma^2 ^ gamma^3: flat
+#: and integrable but not unimodular, and strong holds at (2,2) while
+#: deldelbar maps onto (2,3) and (3,2) with rank 2, so each term of
+#: strong's rank identity counts
+SOLVABLE = {
+    "format": "nilforms.se/1",
+    "name": "solvable3",
+    "n": 3,
+    "m": 0,
+    "d": {
+        "1": [{"coeff": "i", "factors": ["1", "3"]}],
+        "2": [{"coeff": "i", "factors": ["2", "3"]}],
+    },
+}
+
+
+def test_rank_verdicts_equal_the_vector_route(reference_complexes):
+    """On every reference complex and on a complex that is not
+    unimodular, lemma_report's flags and witnesses at every bidegree,
+    weak's at every p and standard's, and mild and dual mild at (p, n+1),
+    where the extension solver asks, are those of the vector-route
+    oracles run on a fresh complex: the same forms, monomial order and
+    scalar types."""
+    solvable = build_complex(nio.obj_to_se(SOLVABLE))
+    ec = EvaluatedComplex(solvable, ())
+    assert not ec.unimodular and strong(ec, 2, 2) == (True, None)
+    assert ec.image_rank("ddbar", 2, 3) == ec.image_rank("ddbar", 3, 2) == 2
+    for label, cx, point in reference_complexes + [("solvable3", solvable, ())]:
+        ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
+        report = lemma_report(ec)
+        n = cx.n
+        got, want = {}, {}
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for kind, flags, oracle in (
+                    ("mild", report.mild_flags, lambda: mild_by_vectors(oc, "del", p, q)),
+                    ("dual_mild", report.dual_mild_flags, lambda: mild_by_vectors(oc, "delbar", p, q)),
+                    ("strong", report.strong_flags, lambda: strong_by_vectors(oc, p, q)),
+                ):
+                    got[kind, p, q] = (flags[(p, q)], _typed_form(report.witnesses.get(f"{kind}:{p},{q}")))
+                    ok, wit = oracle()
+                    want[kind, p, q] = (ok, _typed_form(wit))
+            for kind, op in (("mild", "del"), ("dual_mild", "delbar")):
+                verdict = mild(ec, p, n + 1) if op == "del" else dual_mild(ec, p, n + 1)
+                got[kind, p, n + 1] = verdict
+                want[kind, p, n + 1] = mild_by_vectors(oc, op, p, n + 1)
+        for p in range(n):
+            got["weak", p] = (report.weak_flags[p], _typed_form(report.witnesses.get(f"weak:{p}")))
+            ok, wit = weak_by_nullspace(oc, p)
+            want["weak", p] = (ok, _typed_form(wit))
+        ok, wit, at = standard_by_blocks(oc)
+        want["standard"] = (ok, _typed_form(wit), at)
+        keys = [k for k in report.witnesses if k.startswith("standard:")]
+        got["standard"] = (
+            report.standard_flag,
+            _typed_form(report.witnesses.get(keys[0])) if keys else None,
+            tuple(int(x) for x in keys[0].split(":")[1].split(",")) if keys else None,
+        )
+        assert got == want, label
+        assert list(got) == list(want)
+
+
+def test_every_verdict_refuses_a_complex_that_is_not_flat():
+    """mild, dual mild, weak and standard refuse the complex that strong
+    refuses, with the same error, and the failed verdict is not stored:
+    every call checks again."""
+    se = _not_flat_se()
+    ec = EvaluatedComplex(InvariantComplex(se), ())
+    calls = (
+        lambda: mild(ec, 1, 1), lambda: dual_mild(ec, 1, 1), lambda: weak(ec, 1),
+        lambda: standard(ec), lambda: strong(ec, 1, 1),
+    )
+    for call in calls + calls:
+        with pytest.raises(AssertionError, match="not d-closed"):
+            call()
+    assert se.flat is False
+
+
+def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3):
+    """After build_complex(se) the lemma layer makes no derivation call
+    to decide flatness.  Equations wrapped without build_complex are
+    checked on the first verdict, six derivations per coframe generator,
+    and never again."""
+    calls = []
+    real = StructureEquations._apply_derivation
+    monkeypatch.setattr(
+        StructureEquations, "_apply_derivation", lambda self, a, part: calls.append(a) or real(self, a, part)
+    )
+    se = StructureEquations(iwasawa3.se.name, iwasawa3.se.algebra, iwasawa3.se.d_coframe)
+    cx = build_complex(se)
+    assert se.flat
+    calls.clear()
+    lemma_report(EvaluatedComplex(cx, ()))
+    assert calls == []
+    se = StructureEquations(iwasawa3.se.name, iwasawa3.se.algebra, iwasawa3.se.d_coframe)
+    lemma_report(EvaluatedComplex(InvariantComplex(se), ()))
+    assert len(calls) == 6 * 2 * se.n and se.flat
+    calls.clear()
+    lemma_report(EvaluatedComplex(InvariantComplex(se), ()))
+    assert calls == []
+
+
+def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
+    """On Iwasawa x C, after full_report, lemma_report decides each
+    passing verdict by rank: a passing mild, dual mild, strong or
+    standard takes no kernel, no column span and no product with a
+    vector, and a passing weak takes no kernel and no column span, and
+    applies delbar only to its real basis.  strong, passing or failing,
+    makes no Echelon insert: its witness comes from the lazy rows of a
+    forward echelon and from kernels and spans already built."""
+    from nilforms import lemmata
+
+    verdicts, work, stack = [], [], []
+
+    def traced(name, f):
+        def run(*args):
+            stack.append(len(verdicts))
+            verdicts.append(None)
+            try:
+                result = f(*args)
+            finally:
+                index = stack.pop()
+            verdicts[index] = (name, args[1:], result[0])
+            return result
+        return run
+
+    def counted(tag, f):
+        def run(*args, **kwargs):
+            if stack:
+                work.append((stack[-1], tag))
+            return f(*args, **kwargs)
+        return run
+
+    for name in ("mild", "dual_mild", "strong", "weak", "standard"):
+        monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
+    monkeypatch.setattr(linalg, "column_span", counted("column_span", linalg.column_span))
+    monkeypatch.setattr(linalg, "columns_vec", counted("columns_vec", linalg.columns_vec))
+    monkeypatch.setattr(EvaluatedComplex, "kernel", counted("kernel", EvaluatedComplex.kernel))
+    monkeypatch.setattr(linalg.Echelon, "insert", counted("insert", linalg.Echelon.insert))
+    ec = EvaluatedComplex(iwasawa_c, ())
+    full_report(ec)
+    lemma_report(ec)
+    passing = {name for name, _, ok in verdicts if ok}
+    assert passing == {"mild", "dual_mild", "strong", "weak"}
+    assert any(not ok for name, _, ok in verdicts if name == "strong")
+    by_verdict = {}
+    for index, tag in work:
+        by_verdict.setdefault(index, []).append(tag)
+    for index, (name, args, ok) in enumerate(verdicts):
+        tags = by_verdict.get(index, [])
+        if name == "strong":
+            assert "insert" not in tags, args
+        if not ok:
+            continue
+        if name == "weak":
+            assert tags == ["columns_vec"] * ec.dim(args[0], args[0]), args
+        else:
+            assert tags == [], (name, args)
+
+
+def test_routes_that_disagree_raise(monkeypatch, ec_torus):
+    """When the ranks say a verdict fails but its vector route finds no
+    form outside im deldelbar, the verdict raises instead of answering:
+    on the torus every verdict holds, so a deldelbar image rank lowered
+    by one (and, for weak, residue ranks that differ) must raise."""
+    from nilforms import lemmata
+
+    real = EvaluatedComplex.image_rank
+    monkeypatch.setattr(EvaluatedComplex, "image_rank", lambda self, op, p, q: real(self, op, p, q) - 1)
+    calls = (("mild", lambda: mild(ec_torus, 1, 1)), ("dual_mild", lambda: dual_mild(ec_torus, 1, 1)),
+             ("strong", lambda: strong(ec_torus, 1, 1)), ("standard", lambda: standard(ec_torus)))
+    for kind, call in calls:
+        with pytest.raises(AssertionError, match=f"{kind} at .*finds no form"):
+            call()
+    monkeypatch.setattr(EvaluatedComplex, "image_rank", real)
+    monkeypatch.setattr(lemmata, "_residue_rank", lambda ec, op, sp, sq, vectors: op == "del")
+    with pytest.raises(AssertionError, match="weak at .*finds no form"):
+        weak(ec_torus, 1)

@@ -247,6 +247,41 @@ def test_forward_echelon_equals_echelon(field, seed):
     assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
 
 
+@pytest.mark.parametrize("field", ["QI", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rref_rows_equal_the_echelon_rows_in_descending_lead_order(field, seed):
+    """The rows that ForwardEchelon.rref_rows builds one at a time from
+    seeded sparse vectors (leads of 1, -1 and other scalars) are the rows
+    of the incremental RREF, largest lead first, with the same values;
+    stopping after the first row leaves the forward rows unchanged; and
+    residues vanish exactly on the span and agree with Echelon.reduce."""
+    rng = DetRng(500 * seed + len(field))
+    ncols = 6 + rng.next_int(14)
+    vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
+    one = Fraction(1) if field == "Q" else QI(1)
+    # three fresh columns led by -1, 2 and 1, whatever the draws gave
+    vecs += [{ncols: -one, ncols + 2: one}, {ncols + 1: 2 * one, ncols + 2: -one}, {ncols + 2: one}]
+    ncols += 3
+    e = Echelon(one=one)
+    for v in vecs:
+        e.insert(v)
+    fe = linalg.forward_echelon(vecs)
+    leads = [row[p] for p, row in fe.pivots.items()]
+    assert {1, -1} <= set(leads) and any(lead not in (1, -1) for lead in leads)
+    before = {p: list(row.items()) for p, row in fe.pivots.items()}
+    first = next(fe.rref_rows())
+    assert first[0] == max(e.pivots) and first[1] == e.pivots[first[0]]
+    assert {p: list(row.items()) for p, row in fe.pivots.items()} == before
+    rows = list(fe.rref_rows())
+    assert [lead for lead, _ in rows] == sorted(e.pivots, reverse=True)
+    for lead, row in rows:
+        assert row == e.pivots[lead], lead
+    probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:6]
+    for v, residue in zip(probes, fe.residues(probes)):
+        assert residue == e.reduce(v)[0]
+        assert (not residue) == e.contains(v)
+
+
 def test_columns_vec_equals_mat_vec():
     rng = DetRng(17)
     for _ in range(30):
