@@ -163,8 +163,11 @@ class EvaluatedComplex:
     another: [del | delbar] into (p,q) has the rank of [del; delbar] from
     (n-q, n-p), and d from degree k that of d from degree 2n-1-k.  So
     ``rank`` reads exact_sum from the stacked echelon that h_BC already
-    holds, and total from degree k >= n from the lower half; those
-    matrices are never assembled or reduced.  Any other complex, such as
+    holds, and total from degree k >= n from the lower half; the
+    exact_sum matrices are never assembled or reduced.  The echelon of
+    total is built block by block (``total_echelon``) by the first of
+    ``rank`` and standard's prefix pass to ask, and kept only where
+    ``rank`` reads it.  Any other complex, such as
     dgamma^1 = gamma^1 ^ gammabar^1 from a structure-equation file, takes
     the direct route for every rank.
 
@@ -309,17 +312,35 @@ class EvaluatedComplex:
         forward echelon, or the RREF once ``kernel`` has completed it.
         Both give the same rank and the same pivots, in the same order."""
         key = (op, p, q)
+        if op == "total":
+            return self.total_echelon(p)
         if key not in self._echelons:
             self._echelons[key] = linalg.forward_echelon(self._matrix(op, p, q))
         return self._echelons[key]
 
+    def total_echelon(self, k: int) -> ForwardEchelon:
+        """The forward echelon of d from total degree k, extended by the
+        rows of one target block of ``total_blocks(k+1)`` at a time, so its
+        ``marks`` are standard's prefix ranks (``lemmata._block_ranks``).
+        Kept where ``rank`` reads it: not from k >= n if unimodular."""
+        key = ("total", k, 0)
+        e = self._echelons.get(key)
+        if e is None:
+            rows, e = self.total_d_rows(k), linalg.ForwardEchelon({})
+            for pq in self.total_blocks(k + 1):
+                e.extend(rows[:self.dim(*pq)])
+                rows = rows[self.dim(*pq):]
+            if k < self.n or not self.unimodular:
+                self._echelons[key] = e
+        return e
+
     @property
     def unimodular(self) -> bool:
         """Whether d of every (2n-1)-form is 0, the gate of the duality
-        in ``rank``: the rank of the 1 x 2n matrix of d into the top
-        degree, taken directly."""
+        in ``rank``: whether the one row of d into the top degree, which
+        holds no zero entry, is empty."""
         if self._unimodular is None:
-            self._unimodular = not self._row_echelon("total", 2 * self.n - 1, 0).rank
+            self._unimodular = not any(self.total_d_rows(2 * self.n - 1))
         return self._unimodular
 
     def rank(self, op: str, p: int, q: int) -> int:
@@ -472,7 +493,7 @@ class EvaluatedComplex:
     def vec_to_form(self, v: Vec, p: int, q: int, algebra: Optional[FormAlgebra] = None) -> Form:
         alg = algebra or self.cx.algebra
         basis = self.cx.basis(p, q)
-        return Form(alg, {basis[i]: alg.ring.const(c) for i, c in v.items()})
+        return Form(alg, {basis[i]: alg.ring.const(v[i]) for i in sorted(v)})
 
 
 # -- dimensions ------------------------------------------------------------
@@ -565,9 +586,7 @@ def _representatives(ec: EvaluatedComplex, which: str, p: int, q: int) -> List[V
         bdry = ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q)
     else:
         raise ValueError(which)
-    e = Echelon()
-    for v in bdry:
-        e.insert(v)
+    e = linalg.row_echelon(bdry)
     return [v for v in cycles if e.insert(v)]
 
 

@@ -25,7 +25,8 @@ delbar + delbar del = 0, ``StructureEquations.require_flat``):
                    r(total,k-1) - (rank of those rows) = w.  Those rows
                    are the blocks before (p,q) and the blocks after it,
                    which share no column: a prefix rank plus a suffix
-                   rank, two forward passes per degree.
+                   rank, two forward passes per degree, the prefix pass
+                   being the echelon that r(total,k-1) reads.
   weak(p):         quantified over real (p,p)-forms psi, so over Q: with
                    T the Q-span of delbar psi, E = im del and D = im
                    deldelbar inside E at (p,p+1), T cap E lies in D iff
@@ -36,22 +37,24 @@ delbar + delbar del = 0, ``StructureEquations.require_flat``):
 So a passing verdict builds no kernel and no column span, and only weak
 applies a matrix to a vector (delbar to its real basis).  A failing
 verdict runs the vector route only to build its witness: the first
-vector of the tested space outside im deldelbar.  That the route finds
-one is checked; if not, the two routes disagree, and AssertionError is
-raised.  Every witness re-verifies by fresh rank computations
-(``verify_witness``).
+vector of the tested space outside im deldelbar.  For weak that is one
+tracked forward elimination over Q (``linalg.relations_modulo``) of T,
+then of the realified basis E_j of im del: each E_j that adds nothing
+gives the one w = E_j - sum gamma_t E_t in T, as the RREF nullspace of
+[T | -E] does at E_j's column.  That the route finds one is checked; if
+not, the two routes disagree, and AssertionError is raised.  Every
+witness re-verifies by fresh rank computations (``verify_witness``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import linalg
 from .algebra import Form
 from .cohomology import EvaluatedComplex
-from .linalg import Echelon, Vec
+from .linalg import Vec
 from .scalars import QI_I, QI_ONE, GaussianRational
 
 _MINUS_ONE, _MINUS_I = GaussianRational(-1), GaussianRational(0, -1)
@@ -186,36 +189,20 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     q = p + 1
     if q > ec.n or not ec.dim(p, p):
         return True, None
-    reals = _real_basis_vectors(ec, p)
-    delbar_cols = ec.columns("delbar", p, p)
-    delbar_images = [linalg.columns_vec(delbar_cols, r) for r in reals]
-    if _residue_rank(ec, "del", p - 1, q, delbar_images) == _residue_rank(
-        ec, "ddbar", p - 1, p, delbar_images
-    ):
+    cols = ec.columns("delbar", p, p)
+    images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p)]
+    if _residue_rank(ec, "del", p - 1, q, images) == _residue_rank(ec, "ddbar", p - 1, p, images):
         return True, None
-    # the vector route: solve over Q for real psi with delbar psi in im del
-    del_span = linalg.realify_span(ec.image_vectors("del", p, q))
-    cols = [linalg.realify_vec(v) for v in delbar_images]
-    ncols_psi = len(cols)
-    cols = cols + [linalg._negated(v) for v in del_span]
-    nrows = 2 * ec.dim(p, q)
-    rows = linalg.rows_from_columns(cols, nrows)
-    relations = linalg.nullspace(rows, len(cols), one=Fraction(1))
-    target = Echelon()
-    for v in linalg.realify_span(ec.image_vectors("ddbar", p, q)):
-        target.insert(v)
-    for rel in relations:
-        combo = {k: c for k, c in rel.items() if k < ncols_psi}
-        if not combo:
-            continue
-        w_real: Vec = {}
-        for k, c in combo.items():
-            linalg.add_scaled_into(w_real, c, cols[k])
-        if w_real and not target.contains(w_real):
-            witness: Vec = {}
-            for k, c in combo.items():
-                linalg.add_scaled_into(witness, GaussianRational(c), delbar_images[k])
-            return False, ec.vec_to_form(witness, p, q)
+    # the witness route (module docstring): w = sum c_t E_t in T, with E
+    # = (v_s, i v_s) realified from the del image basis v_s
+    image, target = ec.image_vectors("del", p, q), ec.image_echelon("ddbar", p, q)
+    base = [linalg.realify_vec(v) for v in images]
+    for c in linalg.relations_modulo(base, linalg.realify_span(image), 2 * ec.dim(p, q)):
+        w: Vec = {}
+        for s in sorted({t // 2 for t in c}):
+            linalg.add_scaled_into(w, GaussianRational(c.get(2 * s, 0), c.get(2 * s + 1, 0)), image[s])
+        if not target.contains(w):
+            return False, ec.vec_to_form(w, p, q)
     raise _disagree("weak", p, q)
 
 
@@ -229,55 +216,42 @@ def _residue_rank(ec: EvaluatedComplex, op: str, sp: int, sq: int, vectors: List
 def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
     """Basis of (image of d on the total complex) cap Lambda^{p,q}."""
     k = p + q
-    if k == 0:
-        return []
     image = ec.image_vectors("total", k, 0)
     if not image:
         return []
     # combinations of image vectors supported on the (p,q) block only
     blocks = ec.total_blocks(k)
-    off = 0
-    block_range = None
-    for bp, bq in blocks:
-        d = ec.dim(bp, bq)
-        if (bp, bq) == (p, q):
-            block_range = (off, off + d)
-        off += d
-    lo, hi = block_range
+    lo = sum(ec.dim(*pq) for pq in blocks[:blocks.index((p, q))])
+    hi = lo + ec.dim(p, q)
     outside_rows: Dict[int, Vec] = {}
     for j, v in enumerate(image):
         for i, c in v.items():
             if not lo <= i < hi:
                 outside_rows.setdefault(i, {})[j] = c
-    rel = linalg.nullspace(list(outside_rows.values()), len(image))
+    # the image vectors are independent, so the combinations are too
     out: List[Vec] = []
-    e = Echelon()
-    for r in rel:
+    for r in linalg.nullspace(list(outside_rows.values()), len(image)):
         v: Vec = {}
         for j, c in r.items():
             linalg.add_scaled_into(v, c, image[j])
-        v = {i - lo: c for i, c in v.items()}
-        if v and e.insert(v):
-            out.append(v)
+        out.append({i - lo: c for i, c in v.items()})
     return out
 
 
 def _block_ranks(ec: EvaluatedComplex, k: int) -> Tuple[List[int], List[int]]:
     """(before, after) for d from total degree k-1, whose rows come in the
-    blocks of ``total_blocks(k)``: before[i] is the rank of the rows of
-    the blocks before block i, after[i] that of block i and the blocks
-    after it.  A block's rows meet only the source blocks next to it, so
-    the blocks before i and those after it share no column."""
-    rows, chunks = ec.total_d_rows(k - 1), []
-    for pq in ec.total_blocks(k):
-        chunks.append(rows[:ec.dim(*pq)])
-        rows = rows[ec.dim(*pq):]
-
-    def prefix_ranks(blocks):
-        e = linalg.forward_echelon([])
-        return [0] + [e.extend(block).rank for block in blocks]
-
-    return prefix_ranks(chunks), prefix_ranks(chunks[::-1])[::-1]
+    blocks of ``total_blocks(k)``: before[i] and after[i] are the ranks of
+    the rows of the blocks before block i and of those after it.  A
+    block's rows meet only the source blocks next to it, so the two share
+    no column.  before is read from the echelon that ``rank`` reads
+    (``total_echelon``, built block by block by whichever asks first);
+    after takes one forward pass over the blocks after the first, in
+    reverse."""
+    rows, e = ec.total_d_rows(k - 1), linalg.forward_echelon([])
+    for pq in reversed(ec.total_blocks(k)[1:]):
+        e.extend(rows[-ec.dim(*pq):])
+        rows = rows[:-ec.dim(*pq)]
+    return [0] + ec.total_echelon(k - 1).marks[:-1], e.marks[::-1]
 
 
 def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple[int, int]]]:
@@ -298,7 +272,7 @@ def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple
                 split[k] = _block_ranks(ec, k)
             before, after = split[k]
             i = ec.total_blocks(k).index((p, q))
-            if ec.rank("total", k - 1, 0) - before[i] - after[i + 1] == ec.image_rank("ddbar", p, q):
+            if ec.rank("total", k - 1, 0) - before[i] - after[i] == ec.image_rank("ddbar", p, q):
                 continue
             target = ec.image_echelon("ddbar", p, q)
             for v in _pure_d_exact(ec, p, q):
@@ -330,10 +304,8 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
         out["delbar_exact"] = ec.image_echelon("delbar", p, q).contains(v)
         out["del_closed"] = not linalg.mat_vec(ec.del_rows(p, q), v)
     elif kind == "strong":
-        e = Echelon()
-        for u in ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q):
-            e.insert(u)
-        out["in_exact_sum"] = e.contains(v)
+        exact_sum = ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q)
+        out["in_exact_sum"] = linalg.row_echelon(exact_sum).contains(v)
         out["del_closed"] = not linalg.mat_vec(ec.del_rows(p, q), v)
         out["delbar_closed"] = not linalg.mat_vec(ec.delbar_rows(p, q), v)
     elif kind == "weak":
@@ -386,9 +358,7 @@ def lemma_report(
     route finds a witness for every failing verdict.
     """
     if bidegrees is None:
-        bidegrees = [
-            (p, q) for p in range(ec.n + 1) for q in range(ec.n + 1) if ec.dim(p, q)
-        ]
+        bidegrees = [(p, q) for p in range(ec.n + 1) for q in range(ec.n + 1) if ec.dim(p, q)]
     for p, q in bidegrees:
         ec.check_bidegree(p, q)
     report = LemmaReport(point=ec.point)
@@ -399,12 +369,9 @@ def lemma_report(
         report.mild_flags[(p, q)] = m_ok
         report.dual_mild_flags[(p, q)] = d_ok
         report.strong_flags[(p, q)] = s_ok
-        if m_wit is not None:
-            report.witnesses[f"mild:{p},{q}"] = m_wit
-        if d_wit is not None:
-            report.witnesses[f"dual_mild:{p},{q}"] = d_wit
-        if s_wit is not None:
-            report.witnesses[f"strong:{p},{q}"] = s_wit
+        for kind, wit in (("mild", m_wit), ("dual_mild", d_wit), ("strong", s_wit)):
+            if wit is not None:
+                report.witnesses[f"{kind}:{p},{q}"] = wit
         if s_ok != (m_ok and d_ok):
             raise AssertionError(
                 f"strong/mild/dual-mild identity violated at {(p, q)} "

@@ -12,12 +12,12 @@ give a float.  No floating point anywhere.
 Two eliminations.  ``forward_echelon`` answers a question about
 dimension: the rank and the pivot columns, from rows that are never
 normalised or back-substituted; ``ForwardEchelon.residues`` reduces
-vectors modulo its span, and ``ForwardEchelon.rref_rows`` gives the
-reduced rows one at a time, largest lead first.  ``Echelon`` is the
-incremental reduced row echelon form (RREF), for membership tests,
-column spans, tracked solves, ``nullspace``, and the kernels that
-``echelon_kernel`` reads; ``ForwardEchelon.rref`` completes a forward
-echelon into it.
+vectors modulo its span, ``ForwardEchelon.rref_rows`` gives the reduced
+rows one at a time, largest lead first, and ``relations_modulo`` tracks
+the relations of vectors modulo a span.  ``Echelon`` is the incremental
+reduced row echelon form (RREF), for membership tests, column spans,
+tracked solves, ``nullspace``, and the kernels that ``echelon_kernel``
+reads; ``ForwardEchelon.rref`` completes a forward echelon into it.
 """
 
 from __future__ import annotations
@@ -215,13 +215,15 @@ class ForwardEchelon:
     columns, which is also what ``Echelon.reduce`` returns; so the leading
     columns, their order and the leads are those of an ``Echelon`` fed
     the same vectors.  ``rref`` completes the form into that Echelon, and
-    ``rref_rows`` gives its rows one at a time.
+    ``rref_rows`` gives its rows one at a time.  ``marks`` holds the rank
+    after each ``extend``, so that of each leading run of the blocks fed.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("pivots", "marks")
 
     def __init__(self, pivots: Dict[int, Vec]):
         self.pivots = pivots
+        self.marks: List[int] = []
 
     @property
     def rank(self) -> int:
@@ -235,6 +237,7 @@ class ForwardEchelon:
                 w = _forward_reduce(pivots, v)
                 if w:
                     pivots[min(w)] = w
+        self.marks.append(len(pivots))
         return self
 
     def residues(self, vectors: Sequence[Vec]) -> List[Vec]:
@@ -248,10 +251,7 @@ class ForwardEchelon:
         """The reduced row echelon form of the same span, pivots in the
         same order: each row vanishes at the leading columns before its
         own, so every insert reduces nothing and adds its pivot."""
-        e = Echelon()
-        for row in self.pivots.values():
-            e.insert(row)
-        return e
+        return row_echelon(self.pivots.values())
 
     def rref_rows(self) -> Iterator[Tuple[int, Vec]]:
         """The rows (lead, row) of the reduced row echelon form, largest
@@ -323,6 +323,23 @@ def forward_echelon(vectors: Sequence[Vec]) -> ForwardEchelon:
     A vector that meets no leading column is stored as it is, by
     reference; stored rows are never changed."""
     return ForwardEchelon({}).extend(vectors)
+
+
+def relations_modulo(base: Sequence[Vec], vectors: Sequence[Vec], width: int) -> Iterator[Vec]:
+    """For each v_j, in order, in span(base) + span(v_0..v_{j-1}): the c
+    with c[j] = 1 and sum c_t v_t in span(base), supported on j and the
+    earlier vectors that enlarged the span (unique when the v are
+    independent).  One forward elimination: v_j carries e_j at column
+    width + j, right of every key of base and vectors, so a carried
+    column leads no row and records the combination, and a v_j that adds
+    nothing leaves only its carried columns."""
+    e = forward_echelon(base)
+    for j, v in enumerate(vectors):
+        w = _forward_reduce(e.pivots, {**v, width + j: 1})
+        if min(w) < width:
+            e.pivots[min(w)] = w
+        else:
+            yield {k - width: c for k, c in w.items()}
 
 
 def row_echelon(vectors: Sequence[Vec]) -> Echelon:
@@ -592,12 +609,8 @@ def realify_vec(v: Vec) -> Vec:
 
 def realify_span(vectors: Sequence[Vec]) -> List[Vec]:
     """Real span of a complex span: each vector contributes v and i*v."""
-    out = []
     i = GaussianRational(0, 1)
-    for v in vectors:
-        out.append(realify_vec(v))
-        out.append(realify_vec({k: z * i for k, z in v.items()}))
-    return out
+    return [realify_vec(u) for v in vectors for u in (v, {k: z * i for k, z in v.items()})]
 
 
 def norm2_vec(v: Vec) -> Fraction:

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from nilforms import io as nio
@@ -17,7 +20,7 @@ from nilforms.lemmata import (
     verify_witness,
     weak,
 )
-from nilforms.scalars import PolyRing
+from nilforms.scalars import GaussianRational, PolyRing
 
 from oracles import (
     mild_by_vectors,
@@ -458,3 +461,73 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     monkeypatch.setattr(lemmata, "_residue_rank", lambda ec, op, sp, sq, vectors: op == "del")
     with pytest.raises(AssertionError, match="weak at .*finds no form"):
         weak(ec_torus, 1)
+
+
+def _fiber_point(seed):
+    """A point of bcvary10's parameter space drawn as the fiber_sweep
+    benchmark draws one: four nonzero rationals of absolute value at most
+    1/3, with denominators 5..31."""
+    rng = random.Random(seed)
+
+    def small():
+        den = rng.randint(5, 31)
+        num = rng.randint(1, den // 3)
+        return Fraction(num if rng.random() < 0.5 else -num, den)
+
+    return tuple(GaussianRational(small()) for _ in range(4))
+
+
+def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
+    """On six seeded bcvary10 fibers weak fails at p = 1..3, and at each
+    failing p its witness from the tracked forward elimination is the
+    oracle's, from the RREF nullspace of the realified system on a fresh
+    complex: the same values, monomial order and part types.  Each
+    witness re-verifies on a third complex."""
+    for seed in range(7301, 7307):
+        cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=_fiber_point(seed)))
+        ec = EvaluatedComplex(cx, ())
+        failing = []
+        for p in range(cx.n):
+            ok, wit = weak(ec, p)
+            want_ok, want = weak_by_nullspace(EvaluatedComplex(cx, ()), p)
+            assert (ok, _typed_form(wit)) == (want_ok, _typed_form(want)), (seed, p)
+            if not ok:
+                failing.append(p)
+                verdict = verify_witness(EvaluatedComplex(cx, ()), "weak", p, p + 1, wit)
+                assert all(verdict.values()), (seed, p, verdict)
+        assert failing == [1, 2, 3], seed
+
+
+def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
+    """At bcvary10's first generic point, after full_report, lemma_report
+    takes one nullspace (standard's witness route, ``_pure_d_exact``) and
+    builds 2,193 Fractions, all in weak's eliminations over Q; weak's
+    witness no longer takes a realified nullspace (4 nullspaces and 5,520
+    Fractions before).  No row list of d is forward-eliminated in order
+    twice over full_report and lemma_report: standard's prefix pass is
+    the echelon that rank reads."""
+    cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=generic_points(4)[0]))
+    ec = EvaluatedComplex(cx, ())
+    fed = {}
+    extend = linalg.ForwardEchelon.extend
+
+    def recording(self, vectors):
+        fed.setdefault(id(self), (self, []))[1].extend(id(v) for v in vectors)
+        return extend(self, vectors)
+
+    monkeypatch.setattr(linalg.ForwardEchelon, "extend", recording)
+    full_report(ec)
+    nullspaces, built = [], []
+    nullspace, new = linalg.nullspace, Fraction.__new__
+    monkeypatch.setattr(linalg, "nullspace", lambda *a, **k: nullspaces.append(a) or nullspace(*a, **k))
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+    report = lemma_report(ec)
+    monkeypatch.setattr(Fraction, "__new__", new)
+    assert len(nullspaces) == 1 and len(built) == 2193
+    assert [p for p, ok in report.weak_flags.items() if not ok] == [1, 2, 3]
+    assert report.standard_flag is False
+    # degrees -1..n-1 are eliminated for rank, the rest only by standard,
+    # which stops at its failing bidegree
+    passes = [sum(seq == [id(r) for r in ec.total_d_rows(k)] for _, seq in fed.values())
+              for k in range(-1, 2 * cx.n)]
+    assert passes[:cx.n + 1] == [1] * (cx.n + 1) and max(passes) == 1, passes

@@ -56,6 +56,34 @@ def test_nullspace_is_kernel_and_complete():
         assert linalg.span_rank(basis) == len(basis)
 
 
+@pytest.mark.parametrize("field", ["QI", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relations_modulo_equal_the_nullspace_relations(field, seed):
+    """relations_modulo(base, vectors) gives, in order, the vector part of
+    each RREF nullspace relation of [base | -vectors] at a free vector
+    column, and nothing for those at free base columns, whose vector part
+    is empty; each c is 1 at its own vector and puts sum c_t v_t in
+    span(base)."""
+    rng = DetRng(1100 + 10 * seed + len(field))
+    ncols = 6 + rng.next_int(10)
+    one = Fraction(1) if field == "Q" else QI(1)
+    pool = _sparse_inputs(rng, field, ncols + ncols // 2, ncols)
+    base, vectors = pool[:ncols // 2], pool[ncols // 2:]
+    cols = base + [linalg._negated(v) for v in vectors]
+    want = []
+    for rel in linalg.nullspace(linalg.rows_from_columns(cols, ncols), len(cols), one=one):
+        if max(rel) >= len(base):  # its free column is that of a vector
+            want.append({k - len(base): c for k, c in rel.items() if k >= len(base)})
+    got = list(linalg.relations_modulo(base, vectors, ncols))
+    assert got == want and len(got) > 1
+    span = linalg.forward_echelon(base)
+    for c in got:
+        w = {}
+        for t, x in c.items():
+            linalg.add_scaled_into(w, x, vectors[t])
+        assert c[max(c)] == 1 and not span.residues([w])[0]
+
+
 def test_echelon_membership_and_combo():
     rng = DetRng(9)
     vecs = [_random_rows(rng, 1, 5)[0] for _ in range(4)]
@@ -372,14 +400,16 @@ def test_unit_leads_divide_nothing(monkeypatch):
 
     for name in ("__truediv__", "__rtruediv__"):
         monkeypatch.setattr(GaussianRational, name, counted(getattr(GaussianRational, name)))
-    forward = linalg.forward_echelon
+    extend = linalg.ForwardEchelon.extend
 
-    def recording_forward(vectors):
-        fe = forward(vectors)
-        leads.extend(row[p] for p, row in fe.pivots.items())
-        return fe
+    def recording_extend(self, vectors):
+        known = set(self.pivots)
+        extend(self, vectors)
+        leads.extend(row[p] for p, row in self.pivots.items() if p not in known)
+        return self
 
-    monkeypatch.setattr(linalg, "forward_echelon", recording_forward)
+    # every forward elimination, whole or block by block, goes through extend
+    monkeypatch.setattr(linalg.ForwardEchelon, "extend", recording_extend)
     # the direct route: rank reads exact_sum and total through their duals
     ranks = [ec._row_echelon(op, p, q).rank
              for op in ("del", "delbar", "ddbar", "stacked", "exact_sum")
