@@ -28,7 +28,6 @@ from .catalog import CatalogEntry, catalog_load, catalog_names, run_scenario
 from .cohomology import (
     CohomologyReport,
     EvaluatedComplex,
-    HodgeContext,
     canonical_ddbar_solution,
     cohomology,
     dclosed_dim,

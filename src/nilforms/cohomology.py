@@ -1,12 +1,11 @@
-"""Per-bidegree linear algebra: the four cohomologies, the canonical
-del-delbar solve, and the Laplacians, harmonic projectors and Green
-operators of Hodge theory.
+"""Per-bidegree linear algebra: the four cohomologies and the canonical
+del-delbar solve.
 
 An EvaluatedComplex owns every cache at its evaluation point: the
 evaluated structure constants, the matrices, one row echelon per matrix,
-the column spans used for membership tests, the tracked echelons that
-every minimal-norm del-delbar solve at that point reuses
-(``ddbar_preimage``), and the HodgeContext.
+one forward column echelon per image, and the tracked forward echelons
+that every minimal-norm del-delbar solve at that point reuses
+(``ddbar_preimage``).
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read from a forward
@@ -16,8 +15,9 @@ through Hodge-star duality from echelons that other dimensions already
 hold.  Kernel and image bases are built only for callers that need
 vectors (representatives, lemma witnesses, solvers).
 ``cohomology(..., with_basis=True)`` checks the rank route against the
-basis route.  Quotient-space computations are the normative route;
-harmonic kernels are a cross-check available through HodgeContext.
+basis route.  Quotient-space computations are the normative route; the
+Laplacians, harmonic projectors and Green operators of Hodge theory are
+a test oracle (``HodgeContext`` in ``tests/oracles.py``).
 Generic-t answers are taken at two fixed rational sample points (ranks
 are lower-semicontinuous in specialization), never by symbolic rank
 over a function field.
@@ -171,10 +171,14 @@ class EvaluatedComplex:
     dgamma^1 = gamma^1 ^ gammabar^1 from a structure-equation file, takes
     the direct route for every rank.
 
-    Column spans and minimal-norm del-delbar solvers are cached per target
-    bidegree (column spans of total also per target degree), and the
-    Hodge operators live in one lazily built
-    HodgeContext (``hodge``).
+    Each image, of del, delbar or ddbar into TARGET (p,q) or of total
+    into TARGET degree p, is one forward echelon of the matrix's columns
+    (``_image``): it answers membership (``image_echelon``), serves as
+    the base of weak's residues and of cohomology representatives, and
+    the columns that enlarged it, in order, are the image basis
+    (``image_vectors``).  The minimal-norm del-delbar solve into (p,q)
+    reads one tracked forward echelon, built once per target bidegree
+    (``ddbar_preimage``).
 
     del and delbar are assembled per structure constant: the del or
     delbar part of d of each coframe symbol is evaluated at the point
@@ -196,18 +200,10 @@ class EvaluatedComplex:
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
         self._cols: Dict[Tuple[str, int, int], Dict[int, Vec]] = {}
         self._echelons: Dict[Tuple[str, int, int], Union[ForwardEchelon, Echelon]] = {}
-        self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
+        self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], ForwardEchelon]] = {}
         self._kernels: Dict[Tuple[str, int, int], List[Vec]] = {}
-        self._preimages: Dict[Tuple[int, int], Tuple[Rows, Echelon]] = {}
-        self._hodge: Optional["HodgeContext"] = None
+        self._preimages: Dict[Tuple[int, int], Tuple[Rows, ForwardEchelon]] = {}
         self._unimodular: Optional[bool] = None
-
-    @property
-    def hodge(self) -> "HodgeContext":
-        """Laplacians, harmonic projectors and Green operators at this point."""
-        if self._hodge is None:
-            self._hodge = HodgeContext(self)
-        return self._hodge
 
     # -- matrices ---------------------------------------------------------
 
@@ -326,7 +322,7 @@ class EvaluatedComplex:
         key = ("total", k, 0)
         e = self._echelons.get(key)
         if e is None:
-            rows, e = self.total_d_rows(k), linalg.ForwardEchelon({})
+            rows, e = self.total_d_rows(k), ForwardEchelon({})
             for pq in self.total_blocks(k + 1):
                 e.extend(rows[:self.dim(*pq)])
                 rows = rows[self.dim(*pq):]
@@ -371,10 +367,10 @@ class EvaluatedComplex:
             self._kernels[key] = linalg.echelon_kernel(e, self.dim(p, q))
         return self._kernels[key]
 
-    def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
+    def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], ForwardEchelon]:
         """The independent columns of op into TARGET (p,q), in order, and
-        the RREF of their span that selected them; op total is d on the
-        total complex into TARGET degree p (q = 0)."""
+        the forward echelon of their span that selected them; op total is
+        d on the total complex into TARGET degree p (q = 0)."""
         key = (op, p, q)
         if key not in self._images:
             if op == "total":
@@ -384,10 +380,9 @@ class EvaluatedComplex:
                 dp, dq = _SHIFT[op]
                 sp, sq = p - dp, q - dq
                 ncols, nrows = self.dim(sp, sq), self.dim(p, q)
-            if ncols and nrows:
-                self._images[key] = linalg.column_span(self._matrix(op, sp, sq), ncols)
-            else:
-                self._images[key] = ([], Echelon())
+            e = ForwardEchelon({})
+            cols = linalg.columns_of(self._matrix(op, sp, sq), ncols) if ncols and nrows else []
+            self._images[key] = ([v for v in cols if v and e.insert(v)], e)
         return self._images[key]
 
     def image_vectors(self, op: str, p: int, q: int) -> List[Vec]:
@@ -395,10 +390,20 @@ class EvaluatedComplex:
         degree p for total)."""
         return self._image(op, p, q)[0]
 
-    def image_echelon(self, op: str, p: int, q: int) -> Echelon:
-        """RREF of the image of op with TARGET bidegree (p,q) (TARGET
-        degree p for total), for membership."""
+    def image_echelon(self, op: str, p: int, q: int) -> ForwardEchelon:
+        """Forward echelon of the image of op with TARGET bidegree (p,q)
+        (TARGET degree p for total), for membership and residues."""
         return self._image(op, p, q)[1]
+
+    def image_sum(self, ops: Sequence[str], p: int, q: int) -> ForwardEchelon:
+        """A new forward echelon of the sum of the images of ops into
+        TARGET (p,q): a copy of the first one's cached echelon, whose rows
+        are never changed and so are shared, extended by the others'
+        image bases.  Inserting into it leaves the cache as it was."""
+        e = ForwardEchelon(dict(self.image_echelon(ops[0], p, q).pivots))
+        for op in ops[1:]:
+            e.extend(self.image_vectors(op, p, q))
+        return e
 
     def ddbar_preimage(self, p: int, q: int, y: Vec) -> Optional[Vec]:
         """The minimal-norm x in (p-1,q-1) with del delbar x = y, for y in
@@ -407,19 +412,20 @@ class EvaluatedComplex:
         With A = del delbar from (p-1,q-1), x = A* z for any z with
         A A* z = y: two such z differ by an element of ker A A* = ker A*,
         so x is unique, and A* z lies in im A* = (ker A)^perp.  z comes
-        from a tracked RREF of the columns of A A*, built once per (p,q),
-        so the membership test and the solve are one reduction.
+        from a forward echelon of the columns of A A* that tracks the
+        combination of each row (``ForwardEchelon.track``), built once per
+        (p,q), so the membership test and the solve are one reduction.
         """
-        key = (p, q)
+        key, dim = (p, q), self.dim(p, q)
         if key not in self._preimages:
             a = self.ddbar_rows(p - 1, q - 1)
             adjoint = linalg.conj_transpose(a, self.dim(p - 1, q - 1))
-            e = Echelon(track=True)
-            for col in linalg.columns_of(linalg.mat_mul(a, adjoint), self.dim(p, q)):
-                e.insert(col)
+            e = ForwardEchelon({})
+            for j, col in enumerate(linalg.columns_of(linalg.mat_mul(a, adjoint), dim)):
+                e.track(col, j, dim)
             self._preimages[key] = (adjoint, e)
         adjoint, e = self._preimages[key]
-        z = e.solve_combo(y)
+        z = e.solve(y, dim)
         return None if z is None else linalg.mat_vec(adjoint, z)
 
     # -- total (de Rham) complex ------------------------------------------
@@ -574,20 +580,22 @@ def cohomology(
     return dimension, [ec.vec_to_form(v, p, q) for v in reps]
 
 
+#: per cohomology, the matrix whose kernel holds its cycles and the maps
+#: whose images into (p,q) sum to its boundaries
+_CYCLES_MOD = {
+    "dolbeault": ("delbar", ("delbar",)),
+    "del": ("del", ("del",)),
+    "bott_chern": ("stacked", ("ddbar",)),
+    "aeppli": ("ddbar", ("del", "delbar")),
+}
+
+
 def _representatives(ec: EvaluatedComplex, which: str, p: int, q: int) -> List[Vec]:
-    if which == "dolbeault":
-        cycles, bdry = ec.kernel("delbar", p, q), ec.image_vectors("delbar", p, q)
-    elif which == "del":
-        cycles, bdry = ec.kernel("del", p, q), ec.image_vectors("del", p, q)
-    elif which == "bott_chern":
-        cycles, bdry = ec.kernel("stacked", p, q), ec.image_vectors("ddbar", p, q)
-    elif which == "aeppli":
-        cycles = ec.kernel("ddbar", p, q)
-        bdry = ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q)
-    else:
-        raise ValueError(which)
-    e = linalg.row_echelon(bdry)
-    return [v for v in cycles if e.insert(v)]
+    """The cycles, in order, that enlarge the span of the boundaries and
+    of the cycles kept before them."""
+    op, images = _CYCLES_MOD[which]
+    e = ec.image_sum(images, p, q)
+    return [v for v in ec.kernel(op, p, q) if e.insert(v)]
 
 
 @dataclass
@@ -647,136 +655,6 @@ def full_report(ec: EvaluatedComplex) -> CohomologyReport:
     )
     report.check_conjugation_symmetry()
     return report
-
-
-# -- Hodge theory ---------------------------------------------------------
-
-
-class HodgeContext:
-    """Adjoints, the two fourth-order Laplacians, harmonic projectors and
-    Green operators in the inner product declaring the monomial basis
-    orthonormal (the invariant metric sum gamma^i (x) gammabar^i).
-
-    Green operators come from exact solves (``linalg.harmonic_green``).
-    This is the Hodge-theory API only: no solver reads it, since the
-    minimal-norm del-delbar solve is ``EvaluatedComplex.ddbar_preimage``.
-    """
-
-    def __init__(self, ec: EvaluatedComplex):
-        self.ec = ec
-        self._cache: Dict[Tuple[str, int, int], Rows] = {}
-
-    # adjoints with the stated SOURCE bidegree
-    def delstar_rows(self, p: int, q: int) -> Rows:
-        """del*: (p,q) -> (p-1,q)."""
-        key = ("delstar", p, q)
-        if key not in self._cache:
-            if p < 1:
-                self._cache[key] = linalg.zero_rows(0)
-            else:
-                self._cache[key] = linalg.conj_transpose(
-                    self.ec.del_rows(p - 1, q), self.ec.dim(p - 1, q)
-                )
-        return self._cache[key]
-
-    def delbarstar_rows(self, p: int, q: int) -> Rows:
-        """delbar*: (p,q) -> (p,q-1)."""
-        key = ("delbarstar", p, q)
-        if key not in self._cache:
-            if q < 1:
-                self._cache[key] = linalg.zero_rows(0)
-            else:
-                self._cache[key] = linalg.conj_transpose(
-                    self.ec.delbar_rows(p, q - 1), self.ec.dim(p, q - 1)
-                )
-        return self._cache[key]
-
-    def _compose(self, chain) -> Rows:
-        """Compose a chain [(op, p, q), ...] applied right-to-left."""
-        ec = self.ec
-        rows = None
-        for op, p, q in reversed(chain):
-            if p < 0 or q < 0 or p > ec.n or q > ec.n:
-                return None
-            if op == "del":
-                step = ec.del_rows(p, q) if ec.dim(p + 1, q) else None
-            elif op == "delbar":
-                step = ec.delbar_rows(p, q) if ec.dim(p, q + 1) else None
-            elif op == "delstar":
-                step = self.delstar_rows(p, q) if p >= 1 else None
-            else:
-                step = self.delbarstar_rows(p, q) if q >= 1 else None
-            if step is None:
-                return None
-            rows = step if rows is None else linalg.mat_mul(step, rows)
-        return rows
-
-    def _zero_square(self, p, q) -> Rows:
-        return linalg.zero_rows(self.ec.dim(p, q))
-
-    def lap_bc_rows(self, p: int, q: int) -> Rows:
-        """The six-term fourth-order operator with vanishing kernel on
-        exact classes: dd~ (dd~)* + (dd~)* dd~ + crossed terms + lower."""
-        key = ("lapbc", p, q)
-        if key in self._cache:
-            return self._cache[key]
-        terms = [
-            [("del", p - 1, q), ("delbar", p - 1, q - 1), ("delbarstar", p - 1, q), ("delstar", p, q)],
-            [("delbarstar", p, q + 1), ("delstar", p + 1, q + 1), ("del", p, q + 1), ("delbar", p, q)],
-            [("delbarstar", p, q + 1), ("del", p - 1, q + 1), ("delstar", p, q + 1), ("delbar", p, q)],
-            [("delstar", p + 1, q), ("delbar", p + 1, q - 1), ("delbarstar", p + 1, q), ("del", p, q)],
-            [("delbarstar", p, q + 1), ("delbar", p, q)],
-            [("delstar", p + 1, q), ("del", p, q)],
-        ]
-        total = self._zero_square(p, q)
-        for chain in terms:
-            rows = self._compose(chain)
-            if rows is not None:
-                total = linalg.mat_add(total, rows)
-        self._cache[key] = total
-        return total
-
-    def lap_a_rows(self, p: int, q: int) -> Rows:
-        key = ("lapa", p, q)
-        if key in self._cache:
-            return self._cache[key]
-        terms = [
-            [("delstar", p + 1, q), ("delbarstar", p + 1, q + 1), ("delbar", p + 1, q), ("del", p, q)],
-            [("delbar", p, q - 1), ("del", p - 1, q - 1), ("delstar", p, q - 1), ("delbarstar", p, q)],
-            [("delbar", p, q - 1), ("delstar", p + 1, q - 1), ("del", p, q - 1), ("delbarstar", p, q)],
-            [("del", p - 1, q), ("delbarstar", p - 1, q + 1), ("delbar", p - 1, q), ("delstar", p, q)],
-            [("delbar", p, q - 1), ("delbarstar", p, q)],
-            [("del", p - 1, q), ("delstar", p, q)],
-        ]
-        total = self._zero_square(p, q)
-        for chain in terms:
-            rows = self._compose(chain)
-            if rows is not None:
-                total = linalg.mat_add(total, rows)
-        self._cache[key] = total
-        return total
-
-    # -- harmonic projector and Green operator --------------------------
-
-    def _harmonic_green(self, which: str, p: int, q: int) -> Tuple[Rows, Rows]:
-        """(H, G) for box_BC or box_A at (p,q)."""
-        key = (f"hg-{which}", p, q)
-        if key not in self._cache:
-            lap = self.lap_bc_rows(p, q) if which == "bc" else self.lap_a_rows(p, q)
-            self._cache[key] = linalg.harmonic_green(lap, self.ec.dim(p, q))
-        return self._cache[key]
-
-    def harmonic_bc_rows(self, p, q):
-        return self._harmonic_green("bc", p, q)[0]
-
-    def green_bc_rows(self, p, q):
-        return self._harmonic_green("bc", p, q)[1]
-
-    def harmonic_a_rows(self, p, q):
-        return self._harmonic_green("a", p, q)[0]
-
-    def green_a_rows(self, p, q):
-        return self._harmonic_green("a", p, q)[1]
 
 
 def canonical_ddbar_solution(ec: EvaluatedComplex, y: Form) -> Form:

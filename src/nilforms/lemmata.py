@@ -31,17 +31,19 @@ delbar + delbar del = 0, ``StructureEquations.require_flat``):
                    T the Q-span of delbar psi, E = im del and D = im
                    deldelbar inside E at (p,p+1), T cap E lies in D iff
                    dim (T + E)/E = dim (T + D)/D, the Q-ranks of the
-                   realified residues of T modulo the forward echelons
-                   of the columns of del and of deldelbar.
+                   realified residues of T modulo the image echelons of
+                   del and of deldelbar (``ec.image_echelon``).
 
-So a passing verdict builds no kernel and no column span, and only weak
-applies a matrix to a vector (delbar to its real basis).  A failing
+So a passing verdict builds no kernel, and only weak applies a matrix
+to a vector (delbar to its real basis) and reads image echelons, which
+each EvaluatedComplex builds once per image.  A failing
 verdict runs the vector route only to build its witness: the first
 vector of the tested space outside im deldelbar.  For weak that is one
 tracked forward elimination over Q (``linalg.relations_modulo``) of T,
 then of the realified basis E_j of im del: each E_j that adds nothing
 gives the one w = E_j - sum gamma_t E_t in T, as the RREF nullspace of
-[T | -E] does at E_j's column.  That the route finds one is checked; if
+[T | -E] does at E_j's column; E and the deldelbar echelon that w is
+tested against are the ones the rank test read.  That the route finds one is checked; if
 not, the two routes disagree, and AssertionError is raised.  Every
 witness re-verifies by fresh rank computations (``verify_witness``).
 """
@@ -191,7 +193,7 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
         return True, None
     cols = ec.columns("delbar", p, p)
     images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p)]
-    if _residue_rank(ec, "del", p - 1, q, images) == _residue_rank(ec, "ddbar", p - 1, p, images):
+    if _residue_rank(ec, "del", p, q, images) == _residue_rank(ec, "ddbar", p, q, images):
         return True, None
     # the witness route (module docstring): w = sum c_t E_t in T, with E
     # = (v_s, i v_s) realified from the del image basis v_s
@@ -206,11 +208,11 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     raise _disagree("weak", p, q)
 
 
-def _residue_rank(ec: EvaluatedComplex, op: str, sp: int, sq: int, vectors: List[Vec]) -> int:
-    """The rank over Q of the vectors modulo the image of op from (sp,sq):
-    their residues modulo the forward echelon of its columns, realified."""
-    image = linalg.forward_echelon(list(ec.columns(op, sp, sq).values()) if ec.dim(sp, sq) else [])
-    return linalg.forward_echelon([linalg.realify_vec(v) for v in image.residues(vectors)]).rank
+def _residue_rank(ec: EvaluatedComplex, op: str, p: int, q: int, vectors: List[Vec]) -> int:
+    """The rank over Q of the vectors modulo the image of op into TARGET
+    (p,q): their residues modulo its image echelon, realified."""
+    residues = ec.image_echelon(op, p, q).residues(vectors)
+    return linalg.forward_echelon([linalg.realify_vec(v) for v in residues]).rank
 
 
 def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
@@ -304,8 +306,7 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
         out["delbar_exact"] = ec.image_echelon("delbar", p, q).contains(v)
         out["del_closed"] = not linalg.mat_vec(ec.del_rows(p, q), v)
     elif kind == "strong":
-        exact_sum = ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q)
-        out["in_exact_sum"] = linalg.row_echelon(exact_sum).contains(v)
+        out["in_exact_sum"] = ec.image_sum(("del", "delbar"), p, q).contains(v)
         out["del_closed"] = not linalg.mat_vec(ec.del_rows(p, q), v)
         out["delbar_closed"] = not linalg.mat_vec(ec.delbar_rows(p, q), v)
     elif kind == "weak":

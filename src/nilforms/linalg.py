@@ -9,15 +9,18 @@ GaussianRational follow the same rule), and every division goes through
 ``scalars._div``, which is exact on two ints where a bare ``/`` would
 give a float.  No floating point anywhere.
 
-Two eliminations.  ``forward_echelon`` answers a question about
-dimension: the rank and the pivot columns, from rows that are never
-normalised or back-substituted; ``ForwardEchelon.residues`` reduces
-vectors modulo its span, ``ForwardEchelon.rref_rows`` gives the reduced
-rows one at a time, largest lead first, and ``relations_modulo`` tracks
-the relations of vectors modulo a span.  ``Echelon`` is the incremental
-reduced row echelon form (RREF), for membership tests, column spans,
-tracked solves, ``nullspace``, and the kernels that ``echelon_kernel``
-reads; ``ForwardEchelon.rref`` completes a forward echelon into it.
+Two eliminations.  ``ForwardEchelon``, whose rows are never normalised
+or back-substituted, answers every question about a span: its rank and
+pivot columns (``forward_echelon``), membership (``insert``,
+``contains``, ``residues``), and by which combination a vector lies in
+it: ``track`` carries the combination of each row in columns of its
+own, ``relations_modulo`` reads the relations of vectors modulo a span
+from it, and ``solve`` the combination that gives a vector.
+``rref_rows`` gives the reduced rows one at a time, largest lead first.
+``Echelon``, the incremental reduced row echelon form (RREF), only
+completes a forward echelon where a kernel is read: ``row_echelon``
+builds it for ``ForwardEchelon.rref`` and ``nullspace``, and
+``echelon_kernel`` reads it.
 """
 
 from __future__ import annotations
@@ -72,12 +75,12 @@ def _negated(v: Vec) -> Vec:
 
 
 class Echelon:
-    """Incremental reduced row echelon over an exact field.
+    """Incremental reduced row echelon over an exact field: the
+    completion of a forward echelon where a kernel is read
+    (``row_echelon``, ``ForwardEchelon.rref``, ``nullspace``).
 
     Stored rows are fully inter-reduced: each has coefficient 1 at its
-    pivot index and 0 at every other pivot index.  With track=True the
-    expression of each stored row over the inserted vectors is kept, so
-    membership queries can return explicit combinations.
+    pivot index and 0 at every other pivot index.
 
     Column index invariant: for every non-pivot column k, ``_at[k]`` lists
     each pivot whose stored row has a nonzero entry at k, once (pivot
@@ -87,65 +90,46 @@ class Echelon:
     lists are short on sparse input; removing a pivot from one, which
     happens only when an entry cancels, scans it.
 
-    Early-outs, none of which changes a stored row or combo: an empty
-    input returns False before any reduction (it still takes its combo
-    index); a reduced row whose leading entry is 1 is stored as it is,
-    and one whose leading entry is -1 is negated, with its combo, in one
-    pass.  Only another leading entry is inverted, exactly (``_div``, so
-    an int lead of 2 gives Fraction(1, 2), never 0.5), and multiplied in.
-    So the entries of a vector must share one field: Q, whose entries
-    are ints and Fractions (an int exactly when integral), or Q(i),
-    whose entries are GaussianRationals.  A ±1 row keeps the types it
-    has, where a rescaled one takes the inverse's.
+    Early-outs: a reduced row whose leading entry is 1 is stored as it
+    is, and one whose leading entry is -1 is negated in one pass.  Only
+    another leading entry is inverted, exactly (``_div``, so an int lead
+    of 2 gives Fraction(1, 2), never 0.5), and multiplied in.  So the
+    entries of a vector must share one field: Q, whose entries are ints
+    and Fractions (an int exactly when integral), or Q(i), whose entries
+    are GaussianRationals.  A ±1 row keeps the types it has, where a
+    rescaled one takes the inverse's.
     """
 
-    def __init__(self, track: bool = False, one=QI_ONE):
+    def __init__(self):
         self.pivots: Dict[int, Vec] = {}
-        self.track = track
-        self.one = one
-        self.combos: Dict[int, Vec] = {}
         self._at: Dict[int, List[int]] = {}
-        self._count = 0
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, v: Vec, combo: Optional[Vec] = None) -> Tuple[Vec, Optional[Vec]]:
+    def reduce(self, v: Vec) -> Vec:
         pivots = self.pivots
         w = dict(v)
-        c = dict(combo) if combo is not None else None
         # stored rows vanish at every other pivot, so reducing by one
         # pivot never creates an entry at another: w is updated in place
         for p in [k for k in w if k in pivots]:
             coeff = w.get(p)
-            if not coeff:
-                continue
-            _sub_scaled_into(w, coeff, pivots[p])
-            if c is not None:
-                _sub_scaled_into(c, coeff, self.combos[p])
-        return w, c
+            if coeff:
+                _sub_scaled_into(w, coeff, pivots[p])
+        return w
 
     def insert(self, v: Vec) -> bool:
         """Add a vector to the span; True if it enlarged the span."""
-        count = self._count
-        self._count = count + 1
-        if not v:
-            return False
-        w, c = self.reduce(v, {count: self.one} if self.track else None)
+        w = self.reduce(v)
         if not w:
             return False
         piv = min(w)
         lead = w[piv]
         if lead == -1:
             w = _negated(w)
-            if c is not None:
-                c = _negated(c)
         elif lead != 1:
-            inv = _div(1, lead)
-            w = vec_scale(w, inv)
-            if c is not None:
-                c = vec_scale(c, inv)
+            w = vec_scale(w, _div(1, lead))
         at = self._at
         for p in at.pop(piv, ()):
             # row - coeff * w: the entry at piv cancels, and only the
@@ -167,28 +151,11 @@ class Echelon:
                     else:
                         del row[k]
                         at[k].remove(p)
-            if c is not None:
-                _sub_scaled_into(self.combos[p], coeff, c)
         self.pivots[piv] = w
         for k in w:
             if k != piv:
                 at.setdefault(k, []).append(piv)
-        if self.track:
-            self.combos[piv] = c
         return True
-
-    def contains(self, v: Vec) -> bool:
-        w, _ = self.reduce(v)
-        return not w
-
-    def solve_combo(self, v: Vec) -> Optional[Vec]:
-        """Coefficients over inserted vectors reproducing v, or None."""
-        if not self.track:
-            raise ValueError("echelon built without tracking")
-        w, c = self.reduce(v, {})
-        if w:
-            return None
-        return {k: -x for k, x in c.items()}
 
 
 def _sub_scaled_into(u: Vec, c, v: Vec) -> None:
@@ -217,6 +184,8 @@ class ForwardEchelon:
     the same vectors.  ``rref`` completes the form into that Echelon, and
     ``rref_rows`` gives its rows one at a time.  ``marks`` holds the rank
     after each ``extend``, so that of each leading run of the blocks fed.
+    ``insert``, ``contains`` and ``residues`` test membership, and
+    ``track`` and ``solve`` find the combination that gives a vector.
     """
 
     __slots__ = ("pivots", "marks")
@@ -239,6 +208,38 @@ class ForwardEchelon:
                     pivots[min(w)] = w
         self.marks.append(len(pivots))
         return self
+
+    def insert(self, v: Vec) -> bool:
+        """Eliminate one vector into the form; True if it enlarged the span."""
+        w = _forward_reduce(self.pivots, v)
+        if w:
+            self.pivots[min(w)] = w
+        return bool(w)
+
+    def contains(self, v: Vec) -> bool:
+        return not _forward_reduce(self.pivots, v)
+
+    def track(self, v: Vec, j: int, width: int) -> Optional[Vec]:
+        """Eliminate v, the j-th tracked vector, carrying 1 at column
+        width + j: right of every key of the vectors, so no carried column
+        leads a row, and the carried columns of a row record its
+        combination of tracked vectors.  None when v enlarged the span;
+        else the c with c[j] = 1 and sum c_t v_t in the span of the rows
+        that carry nothing (those the form began with)."""
+        w = _forward_reduce(self.pivots, {**v, width + j: 1})
+        if min(w) < width:
+            self.pivots[min(w)] = w
+            return None
+        return {k - width: c for k, c in w.items()}
+
+    def solve(self, y: Vec, width: int) -> Optional[Vec]:
+        """For a form whose rows were all tracked: the z with sum z_j v_j
+        = y, or None when y is outside the span.  y reduces to -z in the
+        carried columns, or keeps a key below width."""
+        w = _forward_reduce(self.pivots, y)
+        if w and min(w) < width:
+            return None
+        return {k - width: -c for k, c in w.items()}
 
     def residues(self, vectors: Sequence[Vec]) -> List[Vec]:
         """Each vector reduced against the form: the one element of v plus
@@ -329,17 +330,13 @@ def relations_modulo(base: Sequence[Vec], vectors: Sequence[Vec], width: int) ->
     """For each v_j, in order, in span(base) + span(v_0..v_{j-1}): the c
     with c[j] = 1 and sum c_t v_t in span(base), supported on j and the
     earlier vectors that enlarged the span (unique when the v are
-    independent).  One forward elimination: v_j carries e_j at column
-    width + j, right of every key of base and vectors, so a carried
-    column leads no row and records the combination, and a v_j that adds
-    nothing leaves only its carried columns."""
+    independent).  One forward elimination, each v_j carrying e_j at
+    column width + j (``ForwardEchelon.track``)."""
     e = forward_echelon(base)
     for j, v in enumerate(vectors):
-        w = _forward_reduce(e.pivots, {**v, width + j: 1})
-        if min(w) < width:
-            e.pivots[min(w)] = w
-        else:
-            yield {k - width: c for k, c in w.items()}
+        c = e.track(v, j, width)
+        if c is not None:
+            yield c
 
 
 def row_echelon(vectors: Sequence[Vec]) -> Echelon:
@@ -349,10 +346,6 @@ def row_echelon(vectors: Sequence[Vec]) -> Echelon:
     for v in vectors:
         e.insert(v)
     return e
-
-
-def span_rank(vectors: Sequence[Vec]) -> int:
-    return forward_echelon(vectors).rank
 
 
 def echelon_kernel(e: Echelon, ncols: int, one=QI_ONE) -> List[Vec]:
@@ -458,13 +451,6 @@ def rows_from_columns(cols: Sequence[Vec], nrows: int) -> Rows:
         for i, c in col.items():
             out[i][j] = c
     return out
-
-
-def column_span(rows: Rows, ncols: int) -> Tuple[List[Vec], Echelon]:
-    """The independent columns of M in order (a basis of its image), and
-    the RREF of their span."""
-    e = Echelon()
-    return [v for v in columns_of(rows, ncols) if e.insert(v)], e
 
 
 def solve_dense(a: List[List[object]], b: List[List[object]]):

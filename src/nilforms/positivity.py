@@ -125,9 +125,10 @@ class PositivityVerdict:
 
     kind names the queried property; holds is the decision (None only
     for an exhausted sampling budget with sub-floor margins); exact
-    marks certificate-backed answers as opposed to sampled ones.  A
-    falsifier is a decomposable (q,0)-form whose pairing volume is
-    non-positive, and always re-verifies by direct wedge computation.
+    marks proven answers, a certificate or a falsifier, as opposed to
+    sampled ones, where no falsifier was found.  A falsifier is a
+    decomposable (q,0)-form whose exact pairing volume is non-positive,
+    and always re-verifies by direct wedge computation.
     """
 
     kind: str
@@ -231,8 +232,9 @@ def is_transverse(
 
     Exact Hermitian certificate when every (q,0)-form is decomposable
     (p in {0, 1, n-1, n}); seeded sampling otherwise, returning a
-    falsifier, a sampled-positive verdict, or indeterminate when the
-    budget is exhausted with all margins below the floor.  force_sampled
+    falsifier (exact: its pairing volume proves failure), a
+    sampled-positive verdict, or indeterminate when the budget is
+    exhausted with all margins below the floor.  force_sampled
     runs the sampling path even where a certificate exists.
     """
     alg = gamma.algebra
@@ -275,10 +277,11 @@ def is_transverse(
             scale += c.constant_term().norm2()
         margin = _div(vol.re, scale)
         if margin <= 0:
+            # the pairing volume of this tau is exact, so it proves failure
             return PositivityVerdict(
                 kind="transverse",
                 holds=False,
-                exact=False,
+                exact=True,
                 falsifier=tau,
                 samples_used=samples,
                 min_margin=margin,

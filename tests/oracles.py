@@ -13,6 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from nilforms import linalg
+from nilforms.cohomology import EvaluatedComplex
+from nilforms.linalg import Rows
 from nilforms.scalars import GaussianRational, _div, format_gaussian
 
 Word = Tuple[int, ...]  # coframe symbols 0..2n-1, gammas then gammabars
@@ -559,10 +562,25 @@ def canonical_solver_rows(ec, p: int, q: int):
     """(del delbar)* G_BC at target (p,q): the minimal-norm preimage map
     of del delbar, through the Green operator of the Bott-Chern
     Laplacian (a dense solve)."""
-    from nilforms import linalg
-
     adjoint = linalg.conj_transpose(ec.ddbar_rows(p - 1, q - 1), ec.dim(p - 1, q - 1))
-    return linalg.mat_mul(adjoint, ec.hodge.green_bc_rows(p, q))
+    return linalg.mat_mul(adjoint, HodgeContext(ec).green_bc_rows(p, q))
+
+
+# -- the tracked RREF that EvaluatedComplex.ddbar_preimage replaced --------
+
+
+def ddbar_preimage_by_tracked_rref(ec, p: int, q: int, y):
+    """The minimal-norm x in (p-1,q-1) with del delbar x = y, or None:
+    z from an incremental RREF of the columns of A A* (A = del delbar
+    from (p-1,q-1)) that tracks each row's combination of the columns,
+    and x = A* z."""
+    a = ec.ddbar_rows(p - 1, q - 1)
+    adjoint = linalg.conj_transpose(a, ec.dim(p - 1, q - 1))
+    e = FullScanEchelon(track=True)
+    for col in linalg.columns_of(linalg.mat_mul(a, adjoint), ec.dim(p, q)):
+        e.insert(col)
+    z = e.solve_combo(y)
+    return None if z is None else linalg.mat_vec(adjoint, z)
 
 
 def real_basis_vectors_by_products(ec, p: int):
@@ -601,8 +619,6 @@ def real_basis_vectors_by_products(ec, p: int):
 def harmonic_green_two_pass(lap, dim: int):
     """(H, G) with G = (box + H)^{-1} (1 - H) formed as a dense inverse
     followed by a matrix product."""
-    from nilforms import linalg
-
     kernel = linalg.nullspace(lap, dim)
     if kernel:
         kmat = linalg.rows_from_columns(kernel, dim)
@@ -663,8 +679,6 @@ def mild_by_vectors(ec, op: str, p: int, q: int):
     """op(ker deldelbar) inside im deldelbar at (p,q), op del (mild) or
     delbar (dual mild), by testing the image of each kernel vector; the
     witness is the first image outside."""
-    from nilforms import linalg
-
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
     if not (ec.dim(sp, sq) and ec.dim(p, q)):
         return True, None
@@ -681,7 +695,6 @@ def exact_closed_basis_full(ec, p: int, q: int):
     """The whole basis that ``lemmata.exact_closed_basis`` gives one
     vector at a time, from a full RREF of the spanning vectors, with each
     spanning vector checked to be d-closed (AssertionError otherwise)."""
-    from nilforms import linalg
     from nilforms.linalg import Echelon
 
     spanning = []
@@ -735,9 +748,7 @@ def weak_by_nullspace(ec, p: int):
     """weak(p) by solving over Q for every real psi with delbar psi
     del-exact (a nullspace of the realified system) and testing each
     solution's delbar psi against the realified deldelbar image."""
-    from nilforms import linalg
     from nilforms.lemmata import _real_basis_vectors
-    from nilforms.linalg import Echelon
 
     q = p + 1
     if q > ec.n or not ec.dim(p, p):
@@ -751,9 +762,7 @@ def weak_by_nullspace(ec, p: int):
     cols = cols + [linalg._negated(v) for v in del_span]
     rows = linalg.rows_from_columns(cols, 2 * ec.dim(p, q))
     relations = linalg.nullspace(rows, len(cols), one=Fraction(1))
-    target = Echelon()
-    for v in linalg.realify_span(ec.image_vectors("ddbar", p, q)):
-        target.insert(v)
+    target = linalg.row_echelon(linalg.realify_span(ec.image_vectors("ddbar", p, q)))
     for rel in relations:
         combo = {k: c for k, c in rel.items() if k < ncols_psi}
         if not combo:
@@ -761,7 +770,7 @@ def weak_by_nullspace(ec, p: int):
         w_real = {}
         for k, c in combo.items():
             linalg.add_scaled_into(w_real, c, cols[k])
-        if w_real and not target.contains(w_real):
+        if w_real and target.reduce(w_real):
             witness = {}
             for k, c in combo.items():
                 linalg.add_scaled_into(witness, GaussianRational(c), delbar_images[k])
@@ -787,3 +796,133 @@ def standard_by_blocks(ec):
                 if not target.contains(v):
                     return False, ec.vec_to_form(v, p, q), (p, q)
     return True, None, None
+
+
+# -- Hodge theory, which canonical_solver_rows reads -----------------------
+
+
+class HodgeContext:
+    """Adjoints, the two fourth-order Laplacians, harmonic projectors and
+    Green operators in the inner product declaring the monomial basis
+    orthonormal (the invariant metric sum gamma^i (x) gammabar^i).
+
+    Green operators come from exact solves (``linalg.harmonic_green``).
+    This is the Hodge-theory API only: no solver reads it, since the
+    minimal-norm del-delbar solve is ``EvaluatedComplex.ddbar_preimage``.
+    """
+
+    def __init__(self, ec: EvaluatedComplex):
+        self.ec = ec
+        self._cache: Dict[Tuple[str, int, int], Rows] = {}
+
+    # adjoints with the stated SOURCE bidegree
+    def delstar_rows(self, p: int, q: int) -> Rows:
+        """del*: (p,q) -> (p-1,q)."""
+        key = ("delstar", p, q)
+        if key not in self._cache:
+            if p < 1:
+                self._cache[key] = linalg.zero_rows(0)
+            else:
+                self._cache[key] = linalg.conj_transpose(
+                    self.ec.del_rows(p - 1, q), self.ec.dim(p - 1, q)
+                )
+        return self._cache[key]
+
+    def delbarstar_rows(self, p: int, q: int) -> Rows:
+        """delbar*: (p,q) -> (p,q-1)."""
+        key = ("delbarstar", p, q)
+        if key not in self._cache:
+            if q < 1:
+                self._cache[key] = linalg.zero_rows(0)
+            else:
+                self._cache[key] = linalg.conj_transpose(
+                    self.ec.delbar_rows(p, q - 1), self.ec.dim(p, q - 1)
+                )
+        return self._cache[key]
+
+    def _compose(self, chain) -> Rows:
+        """Compose a chain [(op, p, q), ...] applied right-to-left."""
+        ec = self.ec
+        rows = None
+        for op, p, q in reversed(chain):
+            if p < 0 or q < 0 or p > ec.n or q > ec.n:
+                return None
+            if op == "del":
+                step = ec.del_rows(p, q) if ec.dim(p + 1, q) else None
+            elif op == "delbar":
+                step = ec.delbar_rows(p, q) if ec.dim(p, q + 1) else None
+            elif op == "delstar":
+                step = self.delstar_rows(p, q) if p >= 1 else None
+            else:
+                step = self.delbarstar_rows(p, q) if q >= 1 else None
+            if step is None:
+                return None
+            rows = step if rows is None else linalg.mat_mul(step, rows)
+        return rows
+
+    def _zero_square(self, p, q) -> Rows:
+        return linalg.zero_rows(self.ec.dim(p, q))
+
+    def lap_bc_rows(self, p: int, q: int) -> Rows:
+        """The six-term fourth-order operator with vanishing kernel on
+        exact classes: dd~ (dd~)* + (dd~)* dd~ + crossed terms + lower."""
+        key = ("lapbc", p, q)
+        if key in self._cache:
+            return self._cache[key]
+        terms = [
+            [("del", p - 1, q), ("delbar", p - 1, q - 1), ("delbarstar", p - 1, q), ("delstar", p, q)],
+            [("delbarstar", p, q + 1), ("delstar", p + 1, q + 1), ("del", p, q + 1), ("delbar", p, q)],
+            [("delbarstar", p, q + 1), ("del", p - 1, q + 1), ("delstar", p, q + 1), ("delbar", p, q)],
+            [("delstar", p + 1, q), ("delbar", p + 1, q - 1), ("delbarstar", p + 1, q), ("del", p, q)],
+            [("delbarstar", p, q + 1), ("delbar", p, q)],
+            [("delstar", p + 1, q), ("del", p, q)],
+        ]
+        total = self._zero_square(p, q)
+        for chain in terms:
+            rows = self._compose(chain)
+            if rows is not None:
+                total = linalg.mat_add(total, rows)
+        self._cache[key] = total
+        return total
+
+    def lap_a_rows(self, p: int, q: int) -> Rows:
+        key = ("lapa", p, q)
+        if key in self._cache:
+            return self._cache[key]
+        terms = [
+            [("delstar", p + 1, q), ("delbarstar", p + 1, q + 1), ("delbar", p + 1, q), ("del", p, q)],
+            [("delbar", p, q - 1), ("del", p - 1, q - 1), ("delstar", p, q - 1), ("delbarstar", p, q)],
+            [("delbar", p, q - 1), ("delstar", p + 1, q - 1), ("del", p, q - 1), ("delbarstar", p, q)],
+            [("del", p - 1, q), ("delbarstar", p - 1, q + 1), ("delbar", p - 1, q), ("delstar", p, q)],
+            [("delbar", p, q - 1), ("delbarstar", p, q)],
+            [("del", p - 1, q), ("delstar", p, q)],
+        ]
+        total = self._zero_square(p, q)
+        for chain in terms:
+            rows = self._compose(chain)
+            if rows is not None:
+                total = linalg.mat_add(total, rows)
+        self._cache[key] = total
+        return total
+
+    # -- harmonic projector and Green operator --------------------------
+
+    def _harmonic_green(self, which: str, p: int, q: int) -> Tuple[Rows, Rows]:
+        """(H, G) for box_BC or box_A at (p,q)."""
+        key = (f"hg-{which}", p, q)
+        if key not in self._cache:
+            lap = self.lap_bc_rows(p, q) if which == "bc" else self.lap_a_rows(p, q)
+            self._cache[key] = linalg.harmonic_green(lap, self.ec.dim(p, q))
+        return self._cache[key]
+
+    def harmonic_bc_rows(self, p, q):
+        return self._harmonic_green("bc", p, q)[0]
+
+    def green_bc_rows(self, p, q):
+        return self._harmonic_green("bc", p, q)[1]
+
+    def harmonic_a_rows(self, p, q):
+        return self._harmonic_green("a", p, q)[0]
+
+    def green_a_rows(self, p, q):
+        return self._harmonic_green("a", p, q)[1]

@@ -465,8 +465,9 @@ def test_small_points_are_small():
 
 def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
     """The solvers build no Green operator: solve_extension and
-    pkahler_extend make no dense inverse, and a second solve on the same
-    ec0 inserts nothing into its cached preimage echelons."""
+    pkahler_extend make no dense inverse.  The first solve on ec0 builds
+    at least one tracked preimage echelon, each one cached, and a second
+    solve on the same ec0 builds none."""
     se0 = evaluate_se(bcvary10.se, zero_point(4))
     ec0 = EvaluatedComplex(build_complex(se0), ())
     # this (3,3) generator extends through a del-delbar solve at (3,4)
@@ -474,15 +475,15 @@ def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
     sizes = []
     real = linalg.dense_inverse
     monkeypatch.setattr(linalg, "dense_inverse", lambda a: sizes.append(len(a)) or real(a))
-    inserted = []
-    real_insert = linalg.Echelon.insert
-    monkeypatch.setattr(linalg.Echelon, "insert", lambda e, v: inserted.append(e) or real_insert(e, v))
+    tracked = []
+    real_track = linalg.ForwardEchelon.track
+    monkeypatch.setattr(linalg.ForwardEchelon, "track", lambda e, *a: tracked.append(e) or real_track(e, *a))
     first = solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0, check_lemmata=False)
     cached = [e for _, e in ec0._preimages.values()]
-    assert cached and all(any(e is c for c in cached) for e in inserted)
-    inserted.clear()
+    assert tracked and all(any(e is c for c in cached) for e in tracked)
+    tracked.clear()
     second = solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0, check_lemmata=False)
-    assert inserted == []
+    assert tracked == []
     assert second.omega == first.omega
     ext = pkahler_extend(bcvary10.se, bcvary10.beltrami, bcvary10.forms["balanced"], samples=40, seed=3)
     assert ext.state.d_closed_through_order

@@ -10,7 +10,6 @@ from nilforms import linalg, lemmata
 from nilforms.algebra import Form, build_complex
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points
 from nilforms.deformation import deform_complex
-from nilforms.linalg import Echelon
 from nilforms.scalars import GaussianRational, ParamScalar
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nilforms"
@@ -172,6 +171,22 @@ def test_integrability_is_checked_only_through_the_verdict_helper():
     assert found == {("deformation.py", "require_integrable")}
 
 
+def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
+    """No module of the package defines HodgeContext: the Laplacians,
+    harmonic projectors and Green operators are a test oracle.  The RREF
+    ``Echelon`` is constructed only in ``linalg.row_echelon``, which
+    completes a forward echelon where a kernel is read; every image,
+    membership test and tracked solve is a ``ForwardEchelon``."""
+    defined = {name for path in SRC.glob("*.py") for name in defined_names(path.read_text())}
+    assert "HodgeContext" not in defined and {"Echelon", "ForwardEchelon", "row_echelon"} <= defined
+    found = {
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, _ in calls_of(path.read_text(), "Echelon")
+    }
+    assert found == {("linalg.py", "row_echelon")}
+
+
 def _numbers(x):
     """Every number inside an answer: the parts of each Q(i) scalar, of a
     ParamScalar's coefficients and of a Form's, and the ints, bools and
@@ -212,8 +227,8 @@ SCALED_IWASAWA = {
 def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     """Every scalar part of full_report, lemma_report (witnesses included)
     and the kernel vectors is an int or a Fraction; and inside ``weak`` a
-    lead other than +-1 reaches Echelon.insert or forward_echelon, which
-    divide by it exactly."""
+    lead other than +-1 reaches the forward eliminations (forward_echelon,
+    and ForwardEchelon.insert and track), which divide by it exactly."""
     scaled = build_complex(nio.obj_to_se(SCALED_IWASAWA))
     for label, cx, point in reference_complexes + [("iwasawa3_scaled", scaled, ())]:
         ec = EvaluatedComplex(cx, point)
@@ -230,15 +245,16 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     assert {type(x) for x in _numbers(points)} <= {int, Fraction}
 
     leads, stored = [], []
-    insert, forward = Echelon.insert, linalg.forward_echelon
+    forward = linalg.forward_echelon
 
-    def counted_insert(self, v):
-        w, _ = self.reduce(v)
-        if w:
-            leads.append(w[min(w)])
-        grew = insert(self, v)
-        stored.extend(x for row in self.pivots.values() for x in row.values())
-        return grew
+    def recording(method):
+        def run(self, *args):
+            known = set(self.pivots)
+            out = method(self, *args)
+            leads.extend(row[p] for p, row in self.pivots.items() if p not in known)
+            stored.extend(x for row in self.pivots.values() for x in row.values())
+            return out
+        return run
 
     def recording_forward(vectors):
         fe = forward(vectors)
@@ -246,7 +262,8 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
         stored.extend(x for row in fe.pivots.values() for x in row.values())
         return fe
 
-    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    for name in ("insert", "track"):
+        monkeypatch.setattr(linalg.ForwardEchelon, name, recording(getattr(linalg.ForwardEchelon, name)))
     monkeypatch.setattr(linalg, "forward_echelon", recording_forward)
     ec = EvaluatedComplex(scaled, ())
     for p in range(ec.n):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from nilforms import io as nio
-from nilforms import linalg
+from nilforms import lemmata, linalg
 from nilforms.algebra import FormAlgebra, InvariantComplex, StructureEquations, build_complex
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points, zero_point
@@ -216,8 +217,6 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
     """Through full_report and lemma_report on Iwasawa x C at t = 0, no
     kernel of [del; delbar] is built and strong asks for no column span
     of del or delbar."""
-    from nilforms import lemmata
-
     inside = []
     asked = []
     real_strong, real_image = lemmata.strong, EvaluatedComplex._image
@@ -256,13 +255,13 @@ def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
 
 
 def test_standard_spans_each_total_image_once(monkeypatch, iwasawa3):
-    """standard decides every bidegree by rank and column-spans d only
-    into the total degree of its failing bidegree, for the witness; and
-    verifying the witness reads the same cached span: no column span is
-    taken twice of one matrix."""
+    """standard decides every bidegree by rank and builds the image
+    echelon of d only into the total degree of its failing bidegree, for
+    the witness; and verifying the witness reads the same cached echelon:
+    the columns of no matrix are taken twice."""
     spans = []
-    real = linalg.column_span
-    monkeypatch.setattr(linalg, "column_span", lambda rows, ncols: spans.append(id(rows)) or real(rows, ncols))
+    real = linalg.columns_of
+    monkeypatch.setattr(linalg, "columns_of", lambda rows, ncols: spans.append(id(rows)) or real(rows, ncols))
     ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
     ok, wit, at = standard(ec)
     assert not ok
@@ -388,13 +387,12 @@ def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3)
 def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     """On Iwasawa x C, after full_report, lemma_report decides each
     passing verdict by rank: a passing mild, dual mild, strong or
-    standard takes no kernel, no column span and no product with a
-    vector, and a passing weak takes no kernel and no column span, and
-    applies delbar only to its real basis.  strong, passing or failing,
-    makes no Echelon insert: its witness comes from the lazy rows of a
-    forward echelon and from kernels and spans already built."""
-    from nilforms import lemmata
-
+    standard takes no kernel, no image and no product with a vector, and
+    a passing weak takes no kernel, applies delbar only to its real basis
+    and reads the image echelons of del and deldelbar into (p,p+1), the
+    ones the complex caches.  strong, passing or failing, makes no Echelon
+    insert: its witness comes from the lazy rows of a forward echelon and
+    from kernels and images already built."""
     verdicts, work, stack = [], [], []
 
     def traced(name, f):
@@ -418,7 +416,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
 
     for name in ("mild", "dual_mild", "strong", "weak", "standard"):
         monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
-    monkeypatch.setattr(linalg, "column_span", counted("column_span", linalg.column_span))
+    monkeypatch.setattr(EvaluatedComplex, "_image", counted("image", EvaluatedComplex._image))
     monkeypatch.setattr(linalg, "columns_vec", counted("columns_vec", linalg.columns_vec))
     monkeypatch.setattr(EvaluatedComplex, "kernel", counted("kernel", EvaluatedComplex.kernel))
     monkeypatch.setattr(linalg.Echelon, "insert", counted("insert", linalg.Echelon.insert))
@@ -438,7 +436,9 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
         if not ok:
             continue
         if name == "weak":
-            assert tags == ["columns_vec"] * ec.dim(args[0], args[0]), args
+            p = args[0]
+            assert tags == ["columns_vec"] * ec.dim(p, p) + ["image"] * 2, args
+            assert ("del", p, p + 1) in ec._images and ("ddbar", p, p + 1) in ec._images
         else:
             assert tags == [], (name, args)
 
@@ -448,8 +448,6 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     form outside im deldelbar, the verdict raises instead of answering:
     on the torus every verdict holds, so a deldelbar image rank lowered
     by one (and, for weak, residue ranks that differ) must raise."""
-    from nilforms import lemmata
-
     real = EvaluatedComplex.image_rank
     monkeypatch.setattr(EvaluatedComplex, "image_rank", lambda self, op, p, q: real(self, op, p, q) - 1)
     calls = (("mild", lambda: mild(ec_torus, 1, 1)), ("dual_mild", lambda: dual_mild(ec_torus, 1, 1)),
@@ -531,3 +529,107 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     passes = [sum(seq == [id(r) for r in ec.total_d_rows(k)] for _, seq in fed.values())
               for k in range(-1, 2 * cx.n)]
     assert passes[:cx.n + 1] == [1] * (cx.n + 1) and max(passes) == 1, passes
+
+
+def _witness_bidegree(key):
+    """(kind, p, q) of a lemma_report witness key: weak:p is at (p,p+1)."""
+    kind, at = key.split(":")
+    if kind == "weak":
+        return kind, int(at), int(at) + 1
+    p, q = at.split(",")
+    return kind, int(p), int(q)
+
+
+def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
+    """On six bcvary10 fibers, over full_report, lemma_report and
+    verify_witness of every witness, the columns of each matrix of del,
+    delbar, deldelbar and d are eliminated by at most one structure, and
+    each cached image by exactly one; and at each failing weak(p), the
+    rank test's residues are taken modulo the image echelons of del and
+    deldelbar into (p,p+1) that the complex caches, the ones its witness
+    route reads.
+
+    A structure is told by the vectors fed to it from empty; one that
+    starts from a copy of a cached echelon's rows (``image_sum``, for a
+    sum of images) eliminates its vectors modulo that image, not an image
+    of its own.  Matrices whose columns are, as a multiset, another's
+    columns (a conjugate pair at a real point) share their count, and one
+    whose columns are its rows cannot be told from its row echelon, so
+    is skipped."""
+    fed, residues, weak_frames = {}, [], []
+
+    def key(v):
+        return frozenset(v.items())
+
+    def feeding(method, vectors_of):
+        def run(self, *args):
+            if id(self) not in fed:  # the object is kept, so its id is not reused
+                fed[id(self)] = (self, Counter(), bool(self.pivots))
+            fed[id(self)][1].update(key(v) for v in vectors_of(args) if v)
+            return method(self, *args)
+        return run
+
+    hooks = {
+        (linalg.ForwardEchelon, "extend"): lambda args: args[0],
+        (linalg.ForwardEchelon, "insert"): lambda args: args[:1],
+        (linalg.ForwardEchelon, "track"): lambda args: args[:1],
+        (linalg.Echelon, "insert"): lambda args: args[:1],
+    }
+    for (cls, name), vectors_of in hooks.items():
+        if hasattr(cls, name):  # a hook that sees nothing fails the count of cached images
+            monkeypatch.setattr(cls, name, feeding(getattr(cls, name), vectors_of))
+    real_residues = linalg.ForwardEchelon.residues
+
+    def recording_residues(self, vectors):
+        if weak_frames:
+            residues.append((weak_frames[-1], self))
+        return real_residues(self, vectors)
+
+    monkeypatch.setattr(linalg.ForwardEchelon, "residues", recording_residues)
+    real_weak = lemmata.weak
+
+    def framed_weak(ec, p):
+        weak_frames.append((ec, p))
+        try:
+            return real_weak(ec, p)
+        finally:
+            weak_frames.pop()
+
+    monkeypatch.setattr(lemmata, "weak", framed_weak)
+    shift = {"del": (1, 0), "delbar": (0, 1), "ddbar": (1, 1)}
+    failing_weak = 0
+    for seed in range(9521, 9527):
+        cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=_fiber_point(seed)))
+        ec = EvaluatedComplex(cx, ())
+        fed.clear()
+        residues.clear()
+        full_report(ec)
+        report = lemma_report(ec)
+        for name, wit in report.witnesses.items():
+            kind, p, q = _witness_bidegree(name)
+            assert all(verify_witness(ec, kind, p, q, wit).values()), (seed, name)
+        # each image by TARGET, as EvaluatedComplex._image keys it
+        sources = {(op, p, q): (ec._matrix(op, p - dp, q - dq), ec.dim(p - dp, q - dq))
+                   for op, (dp, dq) in shift.items()
+                   for p in range(dp, cx.n + 1) for q in range(dq, cx.n + 1)}
+        sources.update({("total", k, 0): (ec.total_d_rows(k - 1), ec.total_dim(k - 1))
+                        for k in range(1, 2 * cx.n + 1)})
+        columns = {}
+        for target, (rows, ncols) in sources.items():
+            cols = Counter(key(v) for v in linalg.columns_of(rows, ncols) if v)
+            if cols and cols != Counter(key(r) for r in rows if r):
+                columns[target] = frozenset(cols.items())
+        sharing = Counter(columns.values())
+        eliminated = Counter(frozenset(counts.items()) for _, counts, seeded in fed.values() if not seeded)
+        twice = {t for t, cols in columns.items() if eliminated[cols] > sharing[cols]}
+        assert not twice, (seed, sorted(twice))
+        cached = [k for k, (basis, _) in ec._images.items() if basis and k in columns]
+        assert cached and all(eliminated[columns[k]] >= 1 for k in cached), seed
+        # verify_witness reads the cache and leaves it as it was
+        assert all(e.rank == len(basis) for basis, e in ec._images.values()), seed
+        weak_p = [p for p, ok in report.weak_flags.items() if not ok]
+        failing_weak += len(weak_p)
+        for p in weak_p:
+            read = {id(e) for (at, at_p), e in residues if at is ec and at_p == p}
+            assert read == {id(ec.image_echelon("del", p, p + 1)), id(ec.image_echelon("ddbar", p, p + 1))}
+    assert failing_weak > 0

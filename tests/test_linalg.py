@@ -41,7 +41,7 @@ def test_rank_matches_dense_oracle():
     for trial in range(25):
         nrows, ncols = rng.next_int(6) + 1, rng.next_int(6) + 1
         rows = _random_rows(rng, nrows, ncols)
-        assert linalg.span_rank(rows) == complex_rank(_dense(rows, ncols))
+        assert linalg.forward_echelon(rows).rank == complex_rank(_dense(rows, ncols))
 
 
 def test_nullspace_is_kernel_and_complete():
@@ -52,8 +52,8 @@ def test_nullspace_is_kernel_and_complete():
         basis = linalg.nullspace(rows, ncols)
         for v in basis:
             assert not linalg.mat_vec(rows, v)
-        assert len(basis) == ncols - linalg.span_rank(rows)
-        assert linalg.span_rank(basis) == len(basis)
+        assert len(basis) == ncols - linalg.forward_echelon(rows).rank
+        assert linalg.forward_echelon(basis).rank == len(basis)
 
 
 @pytest.mark.parametrize("field", ["QI", "Q"])
@@ -84,22 +84,28 @@ def test_relations_modulo_equal_the_nullspace_relations(field, seed):
         assert c[max(c)] == 1 and not span.residues([w])[0]
 
 
+def _combination(vecs, z):
+    out = {}
+    for k, c in z.items():
+        linalg.add_scaled_into(out, c, vecs[k])
+    return out
+
+
 def test_echelon_membership_and_combo():
+    """A forward echelon that tracks its rows finds the combination of
+    the tracked vectors that gives a member of their span, and None for
+    a vector outside it; insert and contains agree with it."""
     rng = DetRng(9)
     vecs = [_random_rows(rng, 1, 5)[0] for _ in range(4)]
-    e = Echelon(track=True)
-    for v in vecs:
-        e.insert(v)
-    combo = {0: QI(2), 2: QI(0, 1)}
-    target = {}
-    for k, c in combo.items():
-        target = linalg.vec_add(target, linalg.vec_scale(vecs[k], c))
-    sol = e.solve_combo(target)
-    assert sol is not None
-    rebuilt = {}
-    for k, c in sol.items():
-        rebuilt = linalg.vec_add(rebuilt, linalg.vec_scale(vecs[k], c))
-    assert rebuilt == target
+    e, plain = linalg.ForwardEchelon({}), linalg.ForwardEchelon({})
+    for j, v in enumerate(vecs):
+        assert (e.track(v, j, 5) is None) == plain.insert(v)
+    target = _combination(vecs, {0: QI(2), 2: QI(0, 1)})
+    sol = e.solve(target, 5)
+    assert sol is not None and _combination(vecs, sol) == target
+    assert plain.contains(target)
+    outside = next({k: QI(1)} for k in range(5) if not plain.contains({k: QI(1)}))
+    assert e.solve(outside, 5) is None
 
 
 def _sparse_inputs(rng, field, count, ncols):
@@ -149,8 +155,9 @@ def _assert_no_float(vecs):
 
 def test_int_leads_divide_exactly():
     """Realified Gaussian integers are int vectors.  A lead of 2 or -3 is
-    inverted exactly, so the rows, combos and kernel equal the Fraction
-    oracle's, and no entry is a float."""
+    inverted exactly, so the rows and kernel equal the Fraction oracle's,
+    a tracked forward solve gives the vector back, and no entry is a
+    float."""
     vecs = [
         linalg.realify_vec({0: QI(2), 1: QI(1, 3)}),
         {1: -3, 2: 1, 4: 2},
@@ -159,22 +166,26 @@ def test_int_leads_divide_exactly():
         {1: -3, 2: 5, 3: -1, 4: 2},  # the second plus the fourth
     ]
     assert vecs[0] == {0: 2, 2: 1, 3: 3} and all(type(x) is int for x in vecs[0].values())
-    for track in (False, True):
-        fast, slow = Echelon(track=track, one=Fraction(1)), FullScanEchelon(track=track, one=Fraction(1))
-        for v in vecs:
-            assert fast.insert(v) == slow.insert(v)
-            assert fast.pivots == slow.pivots
-            _assert_no_float(fast.pivots.values())
-            if track:
-                assert fast.combos == slow.combos
-                _assert_no_float(fast.combos.values())
-            if v is vecs[0]:
-                assert fast.pivots[0] == {0: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)}
-        assert fast.rank == 4
-        kernel = linalg.echelon_kernel(fast, 5, Fraction(1))
-        assert len(kernel) == 1 and len(kernel[0]) > 2
-        assert kernel == full_scan_kernel(slow.pivots, 5, Fraction(1))
-        _assert_no_float(kernel)
+    fast, slow = Echelon(), FullScanEchelon(one=Fraction(1))
+    for v in vecs:
+        assert fast.insert(v) == slow.insert(v)
+        assert fast.pivots == slow.pivots
+        _assert_no_float(fast.pivots.values())
+        if v is vecs[0]:
+            assert fast.pivots[0] == {0: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)}
+    assert fast.rank == 4
+    kernel = linalg.echelon_kernel(fast, 5, Fraction(1))
+    assert len(kernel) == 1 and len(kernel[0]) > 2
+    assert kernel == full_scan_kernel(slow.pivots, 5, Fraction(1))
+    _assert_no_float(kernel)
+    tracked = linalg.ForwardEchelon({})
+    relations = [tracked.track(v, j, 5) for j, v in enumerate(vecs)]
+    assert relations[:4] == [None] * 4 and relations[4] is not None
+    _assert_no_float([relations[4]] + list(tracked.pivots.values()))
+    target = _combination(vecs, {0: 1, 2: 1, 1: Fraction(-1, 2)})
+    z = tracked.solve(target, 5)
+    _assert_no_float([z])
+    assert _combination(vecs, z) == target
     x = linalg.solve_dense([[2, 1], [0, -3]], [[1], [1]])
     assert x == [[Fraction(2, 3)], [Fraction(-1, 3)]]
     assert all(type(y) in (int, Fraction) for row in x for y in row)
@@ -210,31 +221,54 @@ def test_echelon_equals_full_scan_oracle(field, seed):
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
     one = Fraction(1) if field == "Q" else QI(1)
-    for track in (False, True):
-        fast, slow = Echelon(track=track, one=one), FullScanEchelon(track=track, one=one)
-        kinds = set()
-        for v in vecs:
-            kinds.add(_insert_kind(slow, v))
-            assert fast.insert(v) == slow.insert(v)
-            assert list(fast.pivots) == list(slow.pivots)
-            for p, row in slow.pivots.items():
-                assert _typed(fast.pivots[p]) == _typed(row)
-            _assert_column_index(fast)
-            if track:
-                assert list(fast.combos) == list(slow.combos)
-                for p, combo in slow.combos.items():
-                    assert _typed(fast.combos[p]) == _typed(combo)
-        assert kinds == {"empty", "dependent", "1", "-1", "other"}
-        kernel = linalg.echelon_kernel(fast, ncols, one)
-        expected = full_scan_kernel(slow.pivots, ncols, one)
-        assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
-        if track:
-            probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:4]
-            for v in probes:
-                got, want = fast.solve_combo(v), slow.solve_combo(v)
-                assert (got is None) == (want is None)
-                if want is not None:
-                    assert _typed(got) == _typed(want)
+    fast, slow = Echelon(), FullScanEchelon(one=one)
+    kinds = set()
+    for v in vecs:
+        kinds.add(_insert_kind(slow, v))
+        assert fast.insert(v) == slow.insert(v)
+        assert list(fast.pivots) == list(slow.pivots)
+        for p, row in slow.pivots.items():
+            assert _typed(fast.pivots[p]) == _typed(row)
+        _assert_column_index(fast)
+    assert kinds == {"empty", "dependent", "1", "-1", "other"}
+    kernel = linalg.echelon_kernel(fast, ncols, one)
+    expected = full_scan_kernel(slow.pivots, ncols, one)
+    assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
+
+
+@pytest.mark.parametrize("field", ["QI", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tracked_solve_equals_full_scan_oracle(field, seed):
+    """A forward echelon of seeded sparse vectors (empty, dependent, and
+    led by 1, -1 and other scalars), each tracked, solves exactly the
+    probes that the tracked full-scan RREF solves: its combination gives
+    the probe back, entry for entry and in the field's types, and it
+    returns None for every other probe.  Its relations are those of
+    relations_modulo with no base."""
+    rng = DetRng(1300 + 10 * seed + len(field))
+    ncols = 6 + rng.next_int(14)
+    vecs = _sparse_inputs(rng, field, 2 * ncols, ncols)
+    one = Fraction(1) if field == "Q" else QI(1)
+    fast, slow = linalg.ForwardEchelon({}), FullScanEchelon(track=True, one=one)
+    relations = []
+    for j, v in enumerate(vecs):
+        c = fast.track(v, j, ncols)
+        assert (c is None) == slow.insert(v)
+        if c is not None:
+            relations.append(c)
+    assert list(fast.pivots) == list(slow.pivots)
+    assert relations == list(linalg.relations_modulo([], vecs, ncols))
+    probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:4]
+    probes += [_combination(vecs, {j: x for j, x in enumerate(p.values())}) for p in probes[:6]]
+    solved = 0
+    for v in probes:
+        got, want = fast.solve(v, ncols), slow.solve_combo(v)
+        assert (got is None) == (want is None)
+        if want is not None:
+            solved += 1
+            assert _combination(vecs, got) == v == _combination(vecs, want)
+            assert {Fraction if type(x) is int else type(x) for x in got.values()} <= {type(one)}
+    assert 0 < solved < len(probes)
 
 
 @pytest.mark.parametrize("field", ["QI", "Q"])
@@ -254,13 +288,12 @@ def test_forward_echelon_equals_echelon(field, seed):
         vecs.insert(rng.next_int(len(vecs)), linalg._negated(vecs[i + 1]))
     before = [list(v.items()) for v in vecs]
     one = Fraction(1) if field == "Q" else QI(1)
-    e = Echelon(one=one)
+    e = Echelon()
     for v in vecs:
         e.insert(v)
     fe = linalg.forward_echelon(vecs)
     assert [list(v.items()) for v in vecs] == before
     assert fe.rank == e.rank and list(fe.pivots) == list(e.pivots)
-    assert linalg.span_rank(vecs) == e.rank
     leads = [row[p] for p, row in fe.pivots.items()]
     assert {1, -1} <= set(leads) and any(lead not in (1, -1) for lead in leads)
     seen = set()
@@ -290,7 +323,7 @@ def test_rref_rows_equal_the_echelon_rows_in_descending_lead_order(field, seed):
     # three fresh columns led by -1, 2 and 1, whatever the draws gave
     vecs += [{ncols: -one, ncols + 2: one}, {ncols + 1: 2 * one, ncols + 2: -one}, {ncols + 2: one}]
     ncols += 3
-    e = Echelon(one=one)
+    e = Echelon()
     for v in vecs:
         e.insert(v)
     fe = linalg.forward_echelon(vecs)
@@ -306,8 +339,8 @@ def test_rref_rows_equal_the_echelon_rows_in_descending_lead_order(field, seed):
         assert row == e.pivots[lead], lead
     probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:6]
     for v, residue in zip(probes, fe.residues(probes)):
-        assert residue == e.reduce(v)[0]
-        assert (not residue) == e.contains(v)
+        assert residue == e.reduce(v)
+        assert (not residue) == fe.contains(v) == (not e.reduce(v))
 
 
 def test_columns_vec_equals_mat_vec():
@@ -334,14 +367,8 @@ def test_span_intersection():
     meet = span_intersection(a, b)
     # span(a) = <e0,e1>, span(b) = <e1+e2, e0+e1>; intersection = <e0+e1>
     assert len(meet) == 1
-    e = Echelon()
-    for v in a:
-        e.insert(v)
-    assert e.contains(meet[0])
-    e2 = Echelon()
-    for v in b:
-        e2.insert(v)
-    assert e2.contains(meet[0])
+    assert linalg.forward_echelon(a).contains(meet[0])
+    assert linalg.forward_echelon(b).contains(meet[0])
 
 
 @pytest.mark.parametrize("field", ["QI", "Q"])
@@ -384,7 +411,8 @@ def test_unit_leads_divide_nothing(monkeypatch):
     """On Iwasawa x C at t = 0 every reduced row is led by 1 or -1, so
     no rank takes a Q(i) division; a lead of 2 still divides once.  The
     ranks come from forward echelons: full_report makes no Echelon insert,
-    and lemma_report completes each matrix to an RREF at most once."""
+    and lemma_report completes each matrix to an RREF at most once, each
+    completion inserting its rows."""
     obj = nio.se_to_obj(catalog_load("iwasawa3").se)
     obj["n"] += 1  # abelian_1: one more closed coframe element
     se = nio.obj_to_se(obj)
@@ -432,6 +460,8 @@ def test_unit_leads_divide_nothing(monkeypatch):
     assert inserts == [] and completed == []
     lemma_report(ec)
     lemma_report(ec)
+    # the completions insert their rows, so the hook sees every RREF
+    assert len(inserts) >= sum(fe.rank for fe in completed) > 0
     assert completed and len({id(fe) for fe in completed}) == len(completed)
     assert len(completed) == sum(isinstance(e, Echelon) for e in ec._echelons.values())
 
@@ -523,4 +553,4 @@ def test_realify_consistency():
     rng = DetRng(29)
     vecs = [_random_rows(rng, 1, 4)[0] for _ in range(3)]
     real = linalg.realify_span(vecs)
-    assert linalg.span_rank(real) == 2 * linalg.span_rank(vecs)
+    assert linalg.forward_echelon(real).rank == 2 * linalg.forward_echelon(vecs).rank
