@@ -21,7 +21,7 @@ from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FlatnessError, IntegrabilityError, NotPerturbative
-from .scalars import GaussianRational, ParamScalar, PolyRing, QI_ONE
+from .scalars import ParamScalar, PolyRing, QI_ONE
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -565,16 +565,6 @@ class CoframeEndo:
     def min_order(self) -> int:
         orders = [c.min_order() for col in self.cols.values() for c in col.values()]
         return min(orders) if orders else 0
-
-    def eval_dense(self, point):
-        """Evaluate at a parameter point; dense 2n x 2n Gaussian matrix."""
-        n2 = 2 * self.algebra.n
-        zero = GaussianRational(0)
-        out = [[zero for _ in range(n2)] for _ in range(n2)]
-        for b, col in self.cols.items():
-            for a, c in col.items():
-                out[a][b] = c.eval(point)
-        return out
 
 
 def endo_of_vvf(v: VectorValuedForm) -> CoframeEndo:

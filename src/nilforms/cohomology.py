@@ -413,16 +413,14 @@ class EvaluatedComplex:
         A A* z = y: two such z differ by an element of ker A A* = ker A*,
         so x is unique, and A* z lies in im A* = (ker A)^perp.  z comes
         from a forward echelon of the columns of A A* that tracks the
-        combination of each row (``ForwardEchelon.track``), built once per
-        (p,q), so the membership test and the solve are one reduction.
+        combination of each row (``linalg.tracked_echelon``), built once
+        per (p,q), so the membership test and the solve are one reduction.
         """
         key, dim = (p, q), self.dim(p, q)
         if key not in self._preimages:
             a = self.ddbar_rows(p - 1, q - 1)
             adjoint = linalg.conj_transpose(a, self.dim(p - 1, q - 1))
-            e = ForwardEchelon({})
-            for j, col in enumerate(linalg.columns_of(linalg.mat_mul(a, adjoint), dim)):
-                e.track(col, j, dim)
+            e = linalg.tracked_echelon(linalg.columns_of(linalg.mat_mul(a, adjoint), dim), dim)
             self._preimages[key] = (adjoint, e)
         adjoint, e = self._preimages[key]
         z = e.solve(y, dim)

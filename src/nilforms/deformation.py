@@ -351,19 +351,17 @@ def deform_complex(
         phi0 = phi.eval(point)
         se0 = evaluate_se(se_r, point)
         alg0 = phi0.algebra
-        c = coframe_transform(phi0)
-        dense = c.eval_dense(())
-        inv = linalg.dense_inverse(dense)
+        c = coframe_transform(phi0).cols
+        n2 = 2 * alg0.n
+        cols = [{a: x.eval(()) for a, x in c.get(b, {}).items() if x} for b in range(n2)]
+        inv = linalg.solve_square(cols, linalg.identity_rows(n2))
         if inv is None:
             raise NonInvertibleCoframe(
                 "1 + phi + conj(phi) is singular at the evaluation point"
             )
         d_endo = CoframeEndo(
             alg0,
-            {
-                b: {a: alg0.ring.const(inv[a][b]) for a in range(2 * alg0.n) if inv[a][b]}
-                for b in range(2 * alg0.n)
-            },
+            {b: {a: alg0.ring.const(x) for a, x in col.items()} for b, col in enumerate(inv)},
         )
         return _deformed_equations(se0, phi0, d_endo)
     p_endo = endo_of_vvf(phi)

@@ -149,13 +149,13 @@ def residual_norms_by_order(f: Form, order: int) -> List[Fraction]:
 
 @dataclass
 class ExtensionState:
-    """Solver output: the series state, the recovered form, the ladder
-    and the per-order residuals of the two obstruction components."""
+    """Solver output: the series state, the recovered form and the
+    per-order residuals of the two obstruction components.  The ladder
+    of W is ``a_ladder(phi, omega_tilde)``, built only where asked for."""
 
     omega0: Form
     omega_tilde: Form
     omega: Form
-    ladder: List[Form]
     bidegree: Tuple[int, int]
     order: int
     residual_left_by_order: List[Fraction]
@@ -279,7 +279,6 @@ def _extension_state(se_r, phi, omega0, omega_tilde, order) -> ExtensionState:
         omega0=omega0,
         omega_tilde=omega_tilde,
         omega=omega,
-        ladder=a_ladder(phi, omega_tilde),
         bidegree=omega0.bidegree(),
         order=order,
         residual_left_by_order=residual_norms_by_order(left, order),

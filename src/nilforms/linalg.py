@@ -10,17 +10,24 @@ GaussianRational follow the same rule), and every division goes through
 give a float.  No floating point anywhere.
 
 Two eliminations.  ``ForwardEchelon``, whose rows are never normalised
-or back-substituted, answers every question about a span: its rank and
-pivot columns (``forward_echelon``), membership (``insert``,
-``contains``, ``residues``), and by which combination a vector lies in
-it: ``track`` carries the combination of each row in columns of its
-own, ``relations_modulo`` reads the relations of vectors modulo a span
-from it, and ``solve`` the combination that gives a vector.
-``rref_rows`` gives the reduced rows one at a time, largest lead first.
-``Echelon``, the incremental reduced row echelon form (RREF), only
-completes a forward echelon where a kernel is read: ``row_echelon``
-builds it for ``ForwardEchelon.rref`` and ``nullspace``, and
-``echelon_kernel`` reads it.
+or back-substituted, answers every question about a span and every
+exact solve: its rank and pivot columns (``forward_echelon``, read by
+every rank and lemma verdict), membership (``insert``, ``contains``,
+``residues``), and by which combination a vector lies in it: ``track``
+carries the combination of each row in columns of its own,
+``relations_modulo`` reads the relations of vectors modulo a span from
+it (weak's witness), and ``solve`` the combination that gives a vector.
+``tracked_echelon`` tracks a list of columns; ``ddbar_preimage`` solves
+with it, and ``solve_square`` reads X with A X = B from it, for the
+coframe inverse of ``deform_complex`` at a point and the Green operators
+of ``harmonic_green`` (Kuranishi, and the tests' Hodge oracle).
+``hermitian_pivots``, the exact positivity certificate, eliminates the
+rows of a Hermitian matrix forward, each tracked.  ``rref_rows`` gives
+the reduced rows one at a time, largest lead first.  ``Echelon``, the
+incremental reduced row echelon form (RREF), only completes a forward
+echelon where a kernel is read: ``row_echelon`` builds it for
+``ForwardEchelon.rref`` and ``nullspace``, and ``echelon_kernel`` reads
+it.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, QI_ONE, _div
+from .scalars import GaussianRational, QI_ONE, QI_ZERO, _div
 
 Vec = Dict[int, object]
 Rows = List[Vec]
@@ -339,6 +346,28 @@ def relations_modulo(base: Sequence[Vec], vectors: Sequence[Vec], width: int) ->
             yield c
 
 
+def tracked_echelon(vectors: Sequence[Vec], width: int) -> ForwardEchelon:
+    """Forward elimination of the vectors in order, each v_j tracked at
+    column width + j (``ForwardEchelon.track``), so that ``solve`` reads
+    the combination of them that gives a vector of their span."""
+    e = ForwardEchelon({})
+    for j, v in enumerate(vectors):
+        e.track(v, j, width)
+    return e
+
+
+def solve_square(a_cols: Sequence[Vec], b_cols: Sequence[Vec]) -> Optional[List[Vec]]:
+    """The columns of X with A X = B, for the n columns of a square A and
+    the columns of B; None when A has rank below n.  Column k of X is the
+    combination of the columns of A that gives column k of B, read from
+    one tracked forward echelon of the columns of A."""
+    n = len(a_cols)
+    e = tracked_echelon(a_cols, n)
+    if e.rank < n:
+        return None
+    return [e.solve(b, n) for b in b_cols]
+
+
 def row_echelon(vectors: Sequence[Vec]) -> Echelon:
     """RREF of the span of the vectors (the row space when they are the
     rows of a matrix, so its rank is the rank of the matrix)."""
@@ -453,66 +482,25 @@ def rows_from_columns(cols: Sequence[Vec], nrows: int) -> Rows:
     return out
 
 
-def solve_dense(a: List[List[object]], b: List[List[object]]):
-    """Solve A X = B for dense square A; returns X or None if singular."""
-    n = len(a)
-    m = len(b[0]) if b else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _div(1, aug[col][col])
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:n + m] for row in aug]
-
-
-def dense_inverse(a: List[List[object]]):
-    n = len(a)
-    zero = GaussianRational(0)
-    one = QI_ONE
-    if n and not isinstance(a[0][0], GaussianRational):
-        zero, one = Fraction(0), Fraction(1)
-    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return solve_dense(a, eye)
-
-
 def harmonic_green(lap: Rows, dim: int) -> Tuple[Rows, Rows]:
     """(H, G) for a self-adjoint Laplacian box on a dim-dimensional space
     with the standard inner product: H the orthogonal projector onto
-    ker box, and G the one dense solve of (box + H) G = 1 - H, the unique
+    ker box, and G the one square solve of (box + H) G = 1 - H, the unique
     operator with box G = 1 - H and G H = H G = 0."""
     kernel = nullspace(lap, dim)
     if kernel:
+        r = len(kernel)
         kmat = rows_from_columns(kernel, dim)  # dim x r
-        kstar = conj_transpose(kmat, len(kernel))
-        gram_inv = dense_inverse(rows_to_dense(mat_mul(kstar, kmat), len(kernel)))
-        h = mat_mul(kmat, mat_mul(dense_to_rows(gram_inv), kstar))
+        kstar = conj_transpose(kmat, r)
+        gram_inv = solve_square(columns_of(mat_mul(kstar, kmat), r), identity_rows(r))
+        h = mat_mul(kmat, mat_mul(rows_from_columns(gram_inv, r), kstar))
     else:
         h = zero_rows(dim)
     one_minus_h = mat_add(identity_rows(dim), mat_scale(h, GaussianRational(-1)))
-    g = solve_dense(rows_to_dense(mat_add(lap, h), dim), rows_to_dense(one_minus_h, dim))
+    g = solve_square(columns_of(mat_add(lap, h), dim), columns_of(one_minus_h, dim))
     if g is None:
         raise AssertionError("box + H must be invertible")
-    return h, dense_to_rows(g)
-
-
-def rows_to_dense(rows: Rows, ncols: int, zero=None) -> List[List[object]]:
-    zero = zero if zero is not None else GaussianRational(0)
-    return [[r.get(j, zero) for j in range(ncols)] for r in rows]
-
-
-def dense_to_rows(dense: List[List[object]]) -> Rows:
-    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+    return h, rows_from_columns(g, dim)
 
 
 # -- Hermitian positivity ------------------------------------------------
@@ -525,47 +513,29 @@ def hermitian_pivots(a: List[List[GaussianRational]]):
     diagonal entries produced so far; on failure, witness is an exact
     vector w with w* A w = pivots[-1] <= 0, else witness is None.  The
     leading principal k-minor equals the product of the first k pivots.
+
+    The rows of A are eliminated forward in order, row k tracked at
+    column n + k.  While every pivot is positive, row k reduces to row k
+    of L^-1 A, for the unit lower-triangular L of A = L D L*: it vanishes
+    left of column k, its entry at column k is the pivot d_k, and its
+    carried columns are c, row k of L^-1.  So c A c* = (L^-1 A L^-*)_kk
+    = d_k, and the witness is w = conj(c).
     """
     n = len(a)
-    work = [[a[i][j] for j in range(n)] for i in range(n)]
-    l_cols: List[Dict[int, GaussianRational]] = []
+    rows: Dict[int, Vec] = {}
     pivots: List[Fraction] = []
     for k in range(n):
-        d = work[k][k]
+        row = {j: x for j, x in enumerate(a[k]) if x}
+        row[n + k] = QI_ONE
+        w = _forward_reduce(rows, row)
+        d = w.get(k, QI_ZERO)
         if d.im != 0:
             raise ValueError("matrix is not Hermitian (complex diagonal)")
         pivots.append(d.re)
         if d.re <= 0:
-            w = _ldl_witness(l_cols, k)
-            return pivots, w, k
-        col = {}
-        for i in range(k + 1, n):
-            if work[i][k]:
-                col[i] = work[i][k] / d
-        l_cols.append(col)
-        for i in range(k + 1, n):
-            lik = col.get(i)
-            if not lik:
-                continue
-            for j in range(k + 1, n):
-                ljk = col.get(j)
-                if ljk:
-                    work[i][j] = work[i][j] - lik * d * ljk.conj()
+            return pivots, {j - n: c.conj() for j, c in w.items() if j >= n}, k
+        rows[k] = w
     return pivots, None, None
-
-
-def _ldl_witness(l_cols, k):
-    """Solve L* w = e_k for the partial unit lower-triangular L."""
-    w = {k: QI_ONE}
-    for j in range(k - 1, -1, -1):
-        s = GaussianRational(0)
-        for i, lij in l_cols[j].items():
-            wi = w.get(i)
-            if wi:
-                s = s + lij.conj() * wi
-        if s:
-            w[j] = -s
-    return w
 
 
 def is_positive_definite(a: List[List[GaussianRational]]):

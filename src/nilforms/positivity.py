@@ -3,9 +3,13 @@ forms, transversality of real (p,p)-forms against decomposable (q,0)-
 directions, and the Kaehler/balanced specializations.
 
 Exact Hermitian certificates exist whenever every relevant (q,0)-form
-is decomposable (q in {0, 1, n-1, n}, covering p in {0, 1, n-1, n});
-for intermediate p the verdict is produced by seeded deterministic
-sampling of decomposable directions and is labelled as such.
+is decomposable (q in {0, 1, n-1, n}, covering p in {0, 1, n-1, n}):
+the LDL* pivots of the coefficient or pairing matrix, from one tracked
+forward elimination of its rows (``linalg.hermitian_pivots``), are all
+positive, or the first pivot <= 0 comes with an exact vector w whose
+value w* A w is that pivot.  For intermediate p the verdict is
+produced by seeded deterministic sampling of decomposable directions
+and is labelled as such.
 """
 
 from __future__ import annotations
@@ -153,8 +157,10 @@ class PositivityVerdict:
 
 
 def is_strictly_positive(theta: Form, q: Optional[int] = None) -> PositivityVerdict:
-    """Exact positive-definiteness of the coefficient matrix via pivots
-    (products of the leading principal minors)."""
+    """Exact positive-definiteness of the coefficient matrix via its LDL*
+    pivots (``linalg.hermitian_pivots``; the first k multiply to the k-th
+    leading principal minor).  On failure the certificate names the
+    failing pivot and the vector w with w* A w equal to it."""
     ext = hermitian_matrix_of(theta, q)
     if not ext.hermitian:
         raise PreconditionFailed("coefficient matrix is not Hermitian")
@@ -267,7 +273,7 @@ def is_transverse(
         )
     rng = DetRng(seed)
     min_margin: Optional[Fraction] = None
-    for _ in range(samples):
+    for drawn in range(1, samples + 1):
         tau = decomposable_sample(alg, q, rng)
         vol = pairing_volume(gamma, tau)
         if vol.im != 0:
@@ -283,7 +289,7 @@ def is_transverse(
                 holds=False,
                 exact=True,
                 falsifier=tau,
-                samples_used=samples,
+                samples_used=drawn,
                 min_margin=margin,
             )
         if min_margin is None or margin < min_margin:

@@ -9,6 +9,7 @@ were produced by these routines.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from nilforms import linalg
 from nilforms.cohomology import EvaluatedComplex
 from nilforms.linalg import Rows
-from nilforms.scalars import GaussianRational, _div, format_gaussian
+from nilforms.scalars import QI_ONE, GaussianRational, _div, format_gaussian
 
 Word = Tuple[int, ...]  # coframe symbols 0..2n-1, gammas then gammabars
 
@@ -613,6 +614,152 @@ def real_basis_vectors_by_products(ec, p: int):
     return out
 
 
+# -- the dense Gauss-Jordan and LDL* loop that the tracked forward echelon
+# -- replaced (linalg.solve_square and linalg.hermitian_pivots) -------------
+
+
+def solve_dense(a: List[List[object]], b: List[List[object]]):
+    """Solve A X = B for dense square A; returns X or None if singular."""
+    n = len(a)
+    m = len(b[0]) if b else 0
+    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if aug[r][col]:
+                piv = r
+                break
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = _div(1, aug[col][col])
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:n + m] for row in aug]
+
+
+def dense_inverse(a: List[List[object]]):
+    n = len(a)
+    zero = GaussianRational(0)
+    one = QI_ONE
+    if n and not isinstance(a[0][0], GaussianRational):
+        zero, one = Fraction(0), Fraction(1)
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return solve_dense(a, eye)
+
+
+def rows_to_dense(rows: Rows, ncols: int, zero=None) -> List[List[object]]:
+    zero = zero if zero is not None else GaussianRational(0)
+    return [[r.get(j, zero) for j in range(ncols)] for r in rows]
+
+
+def dense_to_rows(dense: List[List[object]]) -> Rows:
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+def hermitian_pivots_ldl(a: List[List[GaussianRational]]):
+    """LDL* pivots of a Hermitian matrix, stopping at the first pivot <= 0.
+
+    Returns (pivots, witness, fail_index): pivots is the list of real
+    diagonal entries produced so far; on failure, witness is an exact
+    vector w with w* A w = pivots[-1] <= 0, else witness is None.  The
+    leading principal k-minor equals the product of the first k pivots.
+    """
+    n = len(a)
+    work = [[a[i][j] for j in range(n)] for i in range(n)]
+    l_cols: List[Dict[int, GaussianRational]] = []
+    pivots: List[Fraction] = []
+    for k in range(n):
+        d = work[k][k]
+        if d.im != 0:
+            raise ValueError("matrix is not Hermitian (complex diagonal)")
+        pivots.append(d.re)
+        if d.re <= 0:
+            w = _ldl_witness(l_cols, k)
+            return pivots, w, k
+        col = {}
+        for i in range(k + 1, n):
+            if work[i][k]:
+                col[i] = work[i][k] / d
+        l_cols.append(col)
+        for i in range(k + 1, n):
+            lik = col.get(i)
+            if not lik:
+                continue
+            for j in range(k + 1, n):
+                ljk = col.get(j)
+                if ljk:
+                    work[i][j] = work[i][j] - lik * d * ljk.conj()
+    return pivots, None, None
+
+
+def _ldl_witness(l_cols, k):
+    """Solve L* w = e_k for the partial unit lower-triangular L."""
+    w = {k: QI_ONE}
+    for j in range(k - 1, -1, -1):
+        s = GaussianRational(0)
+        for i, lij in l_cols[j].items():
+            wi = w.get(i)
+            if wi:
+                s = s + lij.conj() * wi
+        if s:
+            w[j] = -s
+    return w
+
+
+def coframe_endo_dense(endo, point):
+    """A CoframeEndo evaluated at a parameter point, as the dense 2n x 2n
+    Gaussian matrix whose column b is the image of coframe symbol b."""
+    n2 = 2 * endo.algebra.n
+    zero = GaussianRational(0)
+    out = [[zero for _ in range(n2)] for _ in range(n2)]
+    for b, col in endo.cols.items():
+        for a, c in col.items():
+            out[a][b] = c.eval(point)
+    return out
+
+
+def deform_complex_dense(se, phi, point):
+    """``deform_complex`` at a point with 1 + phi + conj(phi) inverted by
+    dense Gauss-Jordan, as before the square solve; phi must be
+    integrable (not checked here)."""
+    from nilforms import deformation
+    from nilforms.algebra import CoframeEndo
+    from nilforms.errors import NonInvertibleCoframe
+
+    phi0 = phi.eval(point)
+    se0 = deformation.evaluate_se(se.with_algebra(phi.algebra), point)
+    alg0 = phi0.algebra
+    inv = dense_inverse(coframe_endo_dense(deformation.coframe_transform(phi0), ()))
+    if inv is None:
+        raise NonInvertibleCoframe("1 + phi + conj(phi) is singular at the evaluation point")
+    d_endo = CoframeEndo(
+        alg0,
+        {
+            b: {a: alg0.ring.const(inv[a][b]) for a in range(2 * alg0.n) if inv[a][b]}
+            for b in range(2 * alg0.n)
+        },
+    )
+    return deformation._deformed_equations(se0, phi0, d_endo)
+
+
+def fiber_point(seed: int):
+    """A point of bcvary10's parameter space drawn as the fiber_sweep
+    benchmark draws one: four nonzero rationals of absolute value at most
+    1/3, with denominators 5..31."""
+    rng = random.Random(seed)
+
+    def small():
+        den = rng.randint(5, 31)
+        num = rng.randint(1, den // 3)
+        return Fraction(num if rng.random() < 0.5 else -num, den)
+
+    return tuple(GaussianRational(small()) for _ in range(4))
+
+
 # -- the two-pass Green operator that linalg.harmonic_green replaced -------
 
 
@@ -623,15 +770,15 @@ def harmonic_green_two_pass(lap, dim: int):
     if kernel:
         kmat = linalg.rows_from_columns(kernel, dim)
         kstar = linalg.conj_transpose(kmat, len(kernel))
-        gram_inv = linalg.dense_inverse(linalg.rows_to_dense(linalg.mat_mul(kstar, kmat), len(kernel)))
-        h = linalg.mat_mul(kmat, linalg.mat_mul(linalg.dense_to_rows(gram_inv), kstar))
+        gram_inv = dense_inverse(rows_to_dense(linalg.mat_mul(kstar, kmat), len(kernel)))
+        h = linalg.mat_mul(kmat, linalg.mat_mul(dense_to_rows(gram_inv), kstar))
     else:
         h = linalg.zero_rows(dim)
-    inv = linalg.dense_inverse(linalg.rows_to_dense(linalg.mat_add(lap, h), dim))
+    inv = dense_inverse(rows_to_dense(linalg.mat_add(lap, h), dim))
     if inv is None:
         raise AssertionError("box + H must be invertible")
     one_minus_h = linalg.mat_add(linalg.identity_rows(dim), linalg.mat_scale(h, GaussianRational(-1)))
-    return h, linalg.mat_mul(linalg.dense_to_rows(inv), one_minus_h)
+    return h, linalg.mat_mul(dense_to_rows(inv), one_minus_h)
 
 
 # -- the scalar-first route that algebra.simultaneous_contract replaced ----

@@ -28,6 +28,8 @@ from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
 from oracles import (
     WordForm,
+    coframe_endo_dense,
+    dense_inverse,
     form_layer_derivation,
     oracle_d,
     simultaneous_contract_scalar_first,
@@ -540,12 +542,12 @@ def test_neumann_vs_exact_inverse_tail_identity():
     pq = p_endo.compose(p_endo.conj())
     series = neumann_invert(pq)
     pt = tuple(QI(Fraction(1, d)) for d in (3, 5, 7, 11))
-    dense_pq = pq.eval_dense(pt)
+    dense_pq = coframe_endo_dense(pq, pt)
     n2 = len(dense_pq)
     eye = [[QI(1) if i == j else QI(0) for j in range(n2)] for i in range(n2)]
     one_minus = [[eye[i][j] - dense_pq[i][j] for j in range(n2)] for i in range(n2)]
-    exact_inv = linalg.dense_inverse(one_minus)
-    series_pt = series.eval_dense(pt)
+    exact_inv = dense_inverse(one_minus)
+    series_pt = coframe_endo_dense(series, pt)
 
     def mul(a, b):
         return [

@@ -30,7 +30,10 @@ from nilforms.deformation import (
     schouten,
 )
 from nilforms.errors import IntegrabilityError, NonInvertibleCoframe
+from nilforms.io import se_emit
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
+
+from oracles import coframe_endo_dense, deform_complex_dense, dense_inverse, fiber_point
 
 
 def _random_beltrami(alg, rng, comps=2):
@@ -254,6 +257,20 @@ def test_deform_singular_coframe(bcvary10):
         deform_complex(bcvary10.se, bcvary10.beltrami, point=pt)
 
 
+def test_deform_at_a_point_equals_dense_route(bcvary10):
+    """At six seeded bcvary10 fibers, drawn as the fiber_sweep benchmark
+    draws them, deform_complex inverts 1 + phi + conj(phi) by the square
+    solve and emits the structure equations, byte for byte, of the route
+    through the oracle's dense Gauss-Jordan inverse; at the degenerate
+    point both refuse."""
+    se, phi = bcvary10.se, bcvary10.beltrami
+    for seed in range(8101, 8107):
+        pt = fiber_point(seed)
+        assert se_emit(deform_complex(se, phi, point=pt)) == se_emit(deform_complex_dense(se, phi, pt)), seed
+    with pytest.raises(NonInvertibleCoframe):
+        deform_complex_dense(se, phi, (QI(0), QI(0), QI(0), QI(1)))
+
+
 # -- extension map -------------------------------------------------------------
 
 
@@ -283,12 +300,10 @@ def test_extension_map_realness(bcvary10):
 
 
 def test_extension_map_invertible_at_small_t(bcvary10):
-    from nilforms import linalg
-
     phi = bcvary10.beltrami
     for pt in generic_points(4):
-        dense = coframe_transform(phi.eval(pt)).eval_dense(())
-        assert linalg.dense_inverse(dense) is not None
+        dense = coframe_endo_dense(coframe_transform(phi.eval(pt)), ())
+        assert dense_inverse(dense) is not None
 
 
 # -- the extended Leibniz identity ---------------------------------------------

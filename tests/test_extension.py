@@ -305,7 +305,7 @@ def test_solver_output_satisfies_graded_pieces(bcvary10, ec_bcvary0):
     phi = bcvary10.beltrami
     state = solve_extension(se, phi, bcvary10.forms["balanced"], ec0=ec_bcvary0)
     assert state.d_closed_through_order
-    ladder = state.ladder
+    ladder = a_ladder(phi, state.omega_tilde)
 
     def delbar_phi(x):
         return (
@@ -345,9 +345,9 @@ def test_solver_conjugation_compatibility(bcvary10, ec_bcvary0):
 
 
 def _solve_outcome(solver, se, phi, omega0, **kwargs):
-    """The ExtensionState of a solve, which compares W, omega, the ladder,
-    both residual lists and the full residual; or the (order, side) of
-    its obstruction."""
+    """The ExtensionState of a solve, which compares W (and so its
+    ladder), omega, both residual lists and the full residual; or the
+    (order, side) of its obstruction."""
     try:
         return solver(se, phi, omega0, **kwargs)
     except ObstructionNonvanishing as exc:
@@ -357,8 +357,8 @@ def _solve_outcome(solver, se, phi, omega0, **kwargs):
 def test_incremental_order_loop_equals_whole_series_oracle(bcvary10, ec_bcvary0):
     """The running k-sums give what recomputing them over the whole series
     at every order gives, on every d-closed generator of bcvary10 at
-    every bidegree: the same W, omega, ladder, residuals and full
-    residual, or an obstruction at the same (order, side)."""
+    every bidegree: the same W, omega, residuals and full residual, or
+    an obstruction at the same (order, side)."""
     alg = bcvary10.se.algebra
     kinds = {"solved": 0, "obstructed": 0}
     for p in range(alg.n + 1):
@@ -465,16 +465,17 @@ def test_small_points_are_small():
 
 def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
     """The solvers build no Green operator: solve_extension and
-    pkahler_extend make no dense inverse.  The first solve on ec0 builds
+    pkahler_extend make no square solve.  The first solve on ec0 builds
     at least one tracked preimage echelon, each one cached, and a second
-    solve on the same ec0 builds none."""
+    solve on the same ec0 builds none.  The square-solve hook does see
+    the coframe inverse of deform_complex at a point."""
     se0 = evaluate_se(bcvary10.se, zero_point(4))
     ec0 = EvaluatedComplex(build_complex(se0), ())
     # this (3,3) generator extends through a del-delbar solve at (3,4)
     omega0 = ec0.vec_to_form(ec0.kernel("stacked", 3, 3)[1], 3, 3, bcvary10.se.algebra)
     sizes = []
-    real = linalg.dense_inverse
-    monkeypatch.setattr(linalg, "dense_inverse", lambda a: sizes.append(len(a)) or real(a))
+    real = linalg.solve_square
+    monkeypatch.setattr(linalg, "solve_square", lambda a, b: sizes.append(len(a)) or real(a, b))
     tracked = []
     real_track = linalg.ForwardEchelon.track
     monkeypatch.setattr(linalg.ForwardEchelon, "track", lambda e, *a: tracked.append(e) or real_track(e, *a))
@@ -488,6 +489,9 @@ def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
     ext = pkahler_extend(bcvary10.se, bcvary10.beltrami, bcvary10.forms["balanced"], samples=40, seed=3)
     assert ext.state.d_closed_through_order
     assert sizes == []
+    # the hook sees a square solve: the coframe inverse at a point
+    deform_complex(bcvary10.se, bcvary10.beltrami, point=generic_points(4)[0])
+    assert sizes == [10]
 
 
 def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
@@ -618,7 +622,7 @@ def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
     through the ring order with zero residual: an obstruction there is a
     defect.  At (4,4) and (3,3) the pair fails, and the plain, corrected
     and obstructed counts are the ones the Green route gives.  Every
-    generator gives the same outcome, W, omega, ladder, full residual and
+    generator gives the same outcome, W, omega, full residual and
     residual lists through the oracles of the whole-series order loop and
     the scalar-first contraction together.  The balanced (5,5)-form
     extends and stays transverse at small_points."""

@@ -173,12 +173,18 @@ def test_integrability_is_checked_only_through_the_verdict_helper():
 
 def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     """No module of the package defines HodgeContext: the Laplacians,
-    harmonic projectors and Green operators are a test oracle.  The RREF
+    harmonic projectors and Green operators are a test oracle.  Nor does
+    one define the dense Gauss-Jordan elimination (solve_dense,
+    dense_inverse and their dense converters), the LDL* loop's witness
+    solve or the dense coframe evaluation: every exact solve and
+    positivity certificate is a tracked ``ForwardEchelon``.  The RREF
     ``Echelon`` is constructed only in ``linalg.row_echelon``, which
     completes a forward echelon where a kernel is read; every image,
     membership test and tracked solve is a ``ForwardEchelon``."""
     defined = {name for path in SRC.glob("*.py") for name in defined_names(path.read_text())}
-    assert "HodgeContext" not in defined and {"Echelon", "ForwardEchelon", "row_echelon"} <= defined
+    gone = {"HodgeContext", "solve_dense", "dense_inverse", "rows_to_dense", "dense_to_rows", "_ldl_witness", "eval_dense"}
+    assert gone.isdisjoint(defined), gone & defined
+    assert {"Echelon", "ForwardEchelon", "row_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
     found = {
         (path.name, scope)
         for path in sorted(SRC.glob("*.py"))

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -21,9 +20,10 @@ from nilforms.lemmata import (
     verify_witness,
     weak,
 )
-from nilforms.scalars import GaussianRational, PolyRing
+from nilforms.scalars import PolyRing
 
 from oracles import (
+    fiber_point,
     mild_by_vectors,
     real_basis_vectors_by_products,
     span_intersection,
@@ -461,20 +461,6 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
         weak(ec_torus, 1)
 
 
-def _fiber_point(seed):
-    """A point of bcvary10's parameter space drawn as the fiber_sweep
-    benchmark draws one: four nonzero rationals of absolute value at most
-    1/3, with denominators 5..31."""
-    rng = random.Random(seed)
-
-    def small():
-        den = rng.randint(5, 31)
-        num = rng.randint(1, den // 3)
-        return Fraction(num if rng.random() < 0.5 else -num, den)
-
-    return tuple(GaussianRational(small()) for _ in range(4))
-
-
 def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
     """On six seeded bcvary10 fibers weak fails at p = 1..3, and at each
     failing p its witness from the tracked forward elimination is the
@@ -482,7 +468,7 @@ def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
     complex: the same values, monomial order and part types.  Each
     witness re-verifies on a third complex."""
     for seed in range(7301, 7307):
-        cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=_fiber_point(seed)))
+        cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed)))
         ec = EvaluatedComplex(cx, ())
         failing = []
         for p in range(cx.n):
@@ -599,7 +585,7 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
     shift = {"del": (1, 0), "delbar": (0, 1), "ddbar": (1, 1)}
     failing_weak = 0
     for seed in range(9521, 9527):
-        cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=_fiber_point(seed)))
+        cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed)))
         ec = EvaluatedComplex(cx, ())
         fed.clear()
         residues.clear()

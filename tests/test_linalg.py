@@ -15,9 +15,13 @@ from oracles import (
     FullScanEchelon,
     complex_rank,
     dense_rank,
+    dense_to_rows,
     full_scan_kernel,
+    hermitian_pivots_ldl,
     negating_span_intersection,
     realify_dense,
+    rows_to_dense,
+    solve_dense,
     span_intersection,
 )
 
@@ -33,7 +37,7 @@ def _random_rows(rng, nrows, ncols, density=3):
 
 
 def _dense(rows, ncols):
-    return linalg.rows_to_dense(rows, ncols)
+    return rows_to_dense(rows, ncols)
 
 
 def test_rank_matches_dense_oracle():
@@ -186,9 +190,9 @@ def test_int_leads_divide_exactly():
     z = tracked.solve(target, 5)
     _assert_no_float([z])
     assert _combination(vecs, z) == target
-    x = linalg.solve_dense([[2, 1], [0, -3]], [[1], [1]])
-    assert x == [[Fraction(2, 3)], [Fraction(-1, 3)]]
-    assert all(type(y) in (int, Fraction) for row in x for y in row)
+    x = linalg.solve_square([{0: 2}, {0: 1, 1: -3}], [{0: 1, 1: 1}])
+    assert x == [{0: Fraction(2, 3), 1: Fraction(-1, 3)}]
+    _assert_no_float(x)
 
 
 def _insert_kind(slow, v):
@@ -484,18 +488,95 @@ def test_matmul_and_adjoint():
 
 
 def test_dense_inverse():
+    """The square solve A X = 1 gives the inverse: A X is the identity."""
     rng = DetRng(17)
     while True:
-        a = _dense(_random_rows(rng, 4, 4, density=4), 4)
-        inv = linalg.dense_inverse(a)
-        if inv is not None:
+        rows = _random_rows(rng, 4, 4, density=4)
+        cols = linalg.solve_square(linalg.columns_of(rows, 4), linalg.identity_rows(4))
+        if cols is not None:
             break
+    a, inv = _dense(rows, 4), _dense(linalg.rows_from_columns(cols, 4), 4)
     prod = [
         [sum((a[i][k] * inv[k][j] for k in range(4)), GaussianRational(0)) for j in range(4)]
         for i in range(4)
     ]
     eye = [[QI(1) if i == j else QI(0) for j in range(4)] for i in range(4)]
     assert prod == eye
+
+
+def test_solve_square_equals_gauss_jordan_oracle():
+    """On seeded sparse Q(i) systems, invertible and singular, the square
+    solve from one tracked forward echelon of the columns of A gives the
+    X of the oracle's dense Gauss-Jordan elimination, column by column
+    (GaussianRational entries), and None exactly where the oracle finds
+    A singular."""
+    rng = DetRng(43)
+    kinds = {"invertible": 0, "singular": 0}
+    for trial in range(150):
+        n, m = rng.next_int(6) + 1, rng.next_int(4) + 1
+        a_cols = _random_rows(rng, n, n, density=rng.next_int(3) + 1)
+        if trial % 3 == 0 and n > 1:
+            # a dependent column makes A singular
+            a_cols[rng.next_int(n)] = linalg.vec_add(a_cols[0], linalg.vec_scale(a_cols[-1], QI(2, -1)))
+        b_cols = _random_rows(rng, m, n, density=2)
+        got = linalg.solve_square(a_cols, b_cols)
+        a, b = (_dense(linalg.rows_from_columns(cols, n), len(cols)) for cols in (a_cols, b_cols))
+        want = solve_dense(a, b)
+        if want is None:
+            assert got is None, trial
+            kinds["singular"] += 1
+            continue
+        assert got == linalg.columns_of(dense_to_rows(want), m), trial
+        for col in got:
+            assert all(type(x) is GaussianRational for x in col.values())
+        kinds["invertible"] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
+def _hermitian(rng, n, r, shift):
+    """B* B - shift for a random r x n matrix B: definite for shift < 0,
+    singular for r < n and shift = 0, and indefinite for a large enough
+    shift > 0."""
+    b = _dense(_random_rows(rng, r, n, density=n), n)
+    return [
+        [
+            sum((b[k][i].conj() * b[k][j] for k in range(r)), GaussianRational(0)) - (QI(shift) if i == j else QI(0))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def test_hermitian_pivots_equal_ldl_oracle():
+    """On seeded Hermitian matrices, definite, indefinite and singular,
+    the tracked forward elimination of the rows gives the LDL* loop's
+    pivots (values and types), witness and failing index; and each
+    witness w has w* A w equal to the failing pivot."""
+    rng = DetRng(47)
+    failed = {"definite": 0, "indefinite": 0, "singular": 0}
+    for trial in range(120):
+        n = rng.next_int(5) + 1
+        kind = ("definite", "indefinite", "singular")[trial % 3]
+        if kind == "definite":
+            a = _hermitian(rng, n, n, -1)
+        elif kind == "indefinite":
+            a = _hermitian(rng, n, n, rng.next_int(40) + 1)
+        else:
+            a = _hermitian(rng, n, rng.next_int(n), 0)
+        got, want = linalg.hermitian_pivots(a), hermitian_pivots_ldl(a)
+        assert got == want, trial
+        assert [type(x) for x in got[0]] == [type(x) for x in want[0]]
+        pivots, witness, fail = got
+        if witness is not None:
+            assert all(type(x) is GaussianRational for x in witness.values())
+            value = sum(
+                (wi.conj() * a[i][j] * wj for i, wi in witness.items() for j, wj in witness.items()),
+                GaussianRational(0),
+            )
+            assert value == pivots[-1] == pivots[fail] and pivots[fail] <= 0
+        failed[kind] += fail is not None
+    # a singular PSD matrix fails at a zero pivot; B* B + 1 never fails
+    assert failed["definite"] == 0 and failed["singular"] == 40 and failed["indefinite"] >= 20, failed
 
 
 def test_hermitian_pivots_are_leading_minors():

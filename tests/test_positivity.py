@@ -149,14 +149,18 @@ def test_sampled_falsifier_in_the_middle_degrees_is_exact():
     """For 2 <= p <= n-2 transversality is sampled, but a falsifier found
     by sampling proves failure: its pairing volume is exact and <= 0, so
     the verdict is exact.  omega^2 for omega of signature (3,1) on n = 4
-    pairs with gamma^1 ^ gamma^2 to a negative volume."""
+    pairs with gamma^1 ^ gamma^2 to a negative volume.  The first sample
+    already falsifies, and the verdict counts the one sample drawn, not
+    the budget of 200."""
     alg4 = FormAlgebra(4, PolyRing(0, 0))
     diag = [QI(1), QI(1), QI(1), QI(-1)]
     omega = reconstruct_from_matrix(alg4, 1, [[diag[i] if i == j else QI(0) for j in range(4)] for i in range(4)])
     gamma = omega.wedge(omega)
     verdict = is_transverse(gamma, 2)
     assert verdict.holds is False and verdict.exact is True
+    assert verdict.samples_used == 1
     assert verdict.to_json_dict()["exact"] is True
+    assert verdict.to_json_dict()["samples_used"] == 1
     vol = pairing_volume(gamma, verdict.falsifier)
     assert vol.im == 0 and vol.re <= 0
     assert pairing_volume(gamma, alg4.monomial((1, 2), ())).re < 0
