@@ -195,13 +195,6 @@ class Form:
 
     # -- grading -----------------------------------------------------------
 
-    def components(self) -> Dict[Tuple[int, int], "Form"]:
-        """Split into pure-(p,q) parts."""
-        out: Dict[Tuple[int, int], Dict[Mono, ParamScalar]] = {}
-        for m, c in self.coeffs.items():
-            out.setdefault((len(m[0]), len(m[1])), {})[m] = c
-        return {pq: Form(self.algebra, d) for pq, d in out.items()}
-
     def component(self, p: int, q: int) -> "Form":
         return Form(
             self.algebra,

@@ -53,9 +53,6 @@ class CatalogEntry:
     def __post_init__(self):
         build_complex(self.se)  # every entry must validate on load
 
-    def algebra(self) -> FormAlgebra:
-        return self.se.algebra
-
 
 def _torus(n: int, name: str) -> CatalogEntry:
     from .positivity import sigma_q

@@ -2,10 +2,11 @@
 del-delbar solve.
 
 An EvaluatedComplex owns every cache at its evaluation point: the
-evaluated structure constants, the matrices, one row echelon per matrix,
-one forward column echelon per image, and the tracked forward echelons
-that every minimal-norm del-delbar solve at that point reuses
-(``ddbar_preimage``).
+evaluated structure constants, the four named matrices of ``rows`` (del,
+delbar, ddbar, stacked) and d on the total complex, one row echelon per
+matrix, one forward column echelon per image, and the tracked forward
+echelons that every minimal-norm del-delbar solve at that point reuses
+(``ddbar_preimage``).  [del | delbar] is a rank, not a matrix.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read from a forward
@@ -58,8 +59,17 @@ def zero_point(m: int) -> Tuple[GaussianRational, ...]:
     return tuple(GaussianRational(0) for _ in range(m))
 
 
+#: the matrices that ``EvaluatedComplex.rows`` builds, by name
+_MATRICES = ("del", "delbar", "ddbar", "stacked")
 #: (dp, dq) from the source to the target bidegree of each map
 _SHIFT = {"del": (1, 0), "delbar": (0, 1), "ddbar": (1, 1)}
+
+
+def _known(op: str, names) -> str:
+    """op, if it is one of names; else ValueError naming them."""
+    if op not in names:
+        raise ValueError(f"unknown matrix {op!r}: expected one of {', '.join(names)}")
+    return op
 
 
 def _subset_index(n: int) -> Tuple[Dict[Tuple[int, ...], int], ...]:
@@ -146,12 +156,12 @@ class EvaluatedComplex:
     the one owner of every cache for that point.
 
     Matrices are Gaussian-rational rows-of-dicts named (op, p, q): op is
-    del, delbar, ddbar or stacked ([del; delbar]) with SOURCE (p,q);
-    exact_sum ([del | delbar], whose column span is im del + im delbar)
-    with TARGET (p,q); or total (d on the total complex) with degree p and
-    q = 0.  Each matrix gets one row echelon.  It starts as the forward
-    echelon (``linalg.forward_echelon``), which gives the rank and the
-    pivot columns that ``rank``, ``unimodular`` and
+    del, delbar, ddbar or stacked ([del; delbar]) with SOURCE (p,q), the
+    one table of ``rows``, which refuses any other name; or total (d on
+    the total complex, ``total_d_rows``) with degree p and q = 0.  Each
+    matrix gets one row echelon.  It starts as the forward echelon
+    (``linalg.forward_echelon``), which gives the rank and the pivot
+    columns that ``rank``, ``unimodular`` and
     ``lemmata.exact_closed_basis`` read.  The first ``kernel`` of the
     matrix completes it into the RREF, which replaces it, so the forward
     rows are dropped; the pivots stay the same, in the same order, and
@@ -159,17 +169,18 @@ class EvaluatedComplex:
 
     On a unimodular complex (``unimodular``: d of every (2n-1)-form is 0,
     as on every nilpotent Lie algebra) del* = -*delbar* on invariant
-    forms, and the Hodge star turns two matrices into the adjoint of
+    forms, and the Hodge star turns a matrix into the adjoint of
     another: [del | delbar] into (p,q) has the rank of [del; delbar] from
     (n-q, n-p), and d from degree k that of d from degree 2n-1-k.  So
-    ``rank`` reads exact_sum from the stacked echelon that h_BC already
-    holds, and total from degree k >= n from the lower half; the
-    exact_sum matrices are never assembled or reduced.  The echelon of
-    total is built block by block (``total_echelon``) by the first of
-    ``rank`` and standard's prefix pass to ask, and kept only where
-    ``rank`` reads it.  Any other complex, such as
-    dgamma^1 = gamma^1 ^ gammabar^1 from a structure-equation file, takes
-    the direct route for every rank.
+    ``rank`` reads exact_sum (the dimension of im del + im delbar) from
+    the stacked echelon that h_BC already holds, and total from degree
+    k >= n from the lower half.  The echelon of total is built block by
+    block (``total_echelon``) by the first of ``rank`` and standard's
+    prefix pass to ask, and kept only where ``rank`` reads it.  Any other
+    complex, such as dgamma^1 = gamma^1 ^ gammabar^1 from a
+    structure-equation file, takes the direct route for total and reads
+    exact_sum as the rank of the sum of the cached del and delbar image
+    echelons (``image_sum``).
 
     Each image, of del, delbar or ddbar into TARGET (p,q) or of total
     into TARGET degree p, is one forward echelon of the matrix's columns
@@ -217,16 +228,22 @@ class EvaluatedComplex:
             raise ValueError(f"bidegree ({p},{q}) is outside 0..{self.n}")
 
     def rows(self, op: str, p: int, q: int) -> Rows:
-        """Matrix of del or delbar with source (p,q), QI rows."""
-        key = (op, p, q)
-        if key in self._rows:
-            return self._rows[key]
-        tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-        out: Rows = [{} for _ in range(self.dim(tp, tq))]
-        if self.dim(p, q) and out:
-            _assemble(out, self._symbol_terms(op), self._subsets, p, q, tq)
-        self._rows[key] = out
-        return out
+        """The matrix (op, p, q) with SOURCE (p,q), QI rows: del, delbar,
+        ddbar (del delbar, into (p+1,q+1)) or stacked ([del; delbar], the
+        rows of del above those of delbar); any other name is refused."""
+        key = (_known(op, _MATRICES), p, q)
+        if key not in self._rows:
+            if op == "ddbar":
+                out = linalg.mat_mul(self.rows("del", p, q + 1), self.rows("delbar", p, q))
+            elif op == "stacked":
+                out = self.rows("del", p, q) + self.rows("delbar", p, q)
+            else:
+                tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
+                out = [{} for _ in range(self.dim(tp, tq))]
+                if self.dim(p, q) and out:
+                    _assemble(out, self._symbol_terms(op), self._subsets, p, q, tq)
+            self._rows[key] = out
+        return self._rows[key]
 
     def _symbol_terms(self, op: str) -> List[list]:
         """The del or delbar part of d of each coframe symbol, evaluated
@@ -254,52 +271,9 @@ class EvaluatedComplex:
             self._cols[key] = cols
         return self._cols[key]
 
-    def del_rows(self, p: int, q: int) -> Rows:
-        return self.rows("del", p, q)
-
-    def delbar_rows(self, p: int, q: int) -> Rows:
-        return self.rows("delbar", p, q)
-
-    def ddbar_rows(self, p: int, q: int) -> Rows:
-        """Matrix of del(delbar(.)): (p,q) -> (p+1,q+1)."""
-        key = ("ddbar", p, q)
-        if key not in self._rows:
-            self._rows[key] = linalg.mat_mul(self.del_rows(p, q + 1), self.delbar_rows(p, q))
-        return self._rows[key]
-
-    def stacked_rows(self, p: int, q: int) -> Rows:
-        """[del; delbar] with row offset, source (p,q)."""
-        key = ("stacked", p, q)
-        if key not in self._rows:
-            self._rows[key] = self.del_rows(p, q) + self.delbar_rows(p, q)
-        return self._rows[key]
-
-    def exact_sum_rows(self, p: int, q: int) -> Rows:
-        """[del | delbar] with column offset, TARGET (p,q): the columns of
-        del from (p-1,q), then those of delbar from (p,q-1)."""
-        key = ("exact_sum", p, q)
-        if key not in self._rows:
-            out: Rows = [{} for _ in range(self.dim(p, q))]
-            off = 0
-            for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)):
-                if self.dim(sp, sq):
-                    for row, r in zip(out, self.rows(op, sp, sq)):
-                        row.update((off + j, c) for j, c in r.items())
-                    off += self.dim(sp, sq)
-            self._rows[key] = out
-        return self._rows[key]
-
     def _matrix(self, op: str, p: int, q: int) -> Rows:
-        """The matrix named (op, p, q); see the class docstring."""
-        if op == "ddbar":
-            return self.ddbar_rows(p, q)
-        if op == "stacked":
-            return self.stacked_rows(p, q)
-        if op == "exact_sum":
-            return self.exact_sum_rows(p, q)
-        if op == "total":
-            return self.total_d_rows(p)
-        return self.rows(op, p, q)
+        """``rows``, or ``total_d_rows`` for total."""
+        return self.total_d_rows(p) if op == "total" else self.rows(op, p, q)
 
     # -- ranks, kernels and images -----------------------------------------
 
@@ -340,19 +314,22 @@ class EvaluatedComplex:
         return self._unimodular
 
     def rank(self, op: str, p: int, q: int) -> int:
-        """Rank of the matrix (op, p, q).  On a unimodular complex,
+        """Rank of the matrix (op, p, q), or for exact_sum the dimension
+        of im del + im delbar at TARGET (p,q).  On a unimodular complex,
         exact_sum and total from degree k >= n are read from the echelon
         of their Hodge-star dual (see the class docstring)."""
         n = self.n
-        if op == "exact_sum" and 0 <= p <= n and 0 <= q <= n and self.unimodular:
-            op, p, q = "stacked", n - q, n - p
-        elif op == "total" and p >= n and self.unimodular:
+        if op == "exact_sum":
+            if 0 <= p <= n and 0 <= q <= n and self.unimodular:
+                return self._row_echelon("stacked", n - q, n - p).rank
+            return self.image_sum(("del", "delbar"), p, q).rank
+        if op == "total" and p >= n and self.unimodular:
             p = 2 * n - 1 - p
         return self._row_echelon(op, p, q).rank
 
     def image_rank(self, op: str, p: int, q: int) -> int:
         """Dimension of the image of del, delbar or ddbar with TARGET (p,q)."""
-        dp, dq = _SHIFT[op]
+        dp, dq = _SHIFT[_known(op, _SHIFT)]
         if not self.dim(p - dp, q - dq) or not self.dim(p, q):
             return 0
         return self.rank(op, p - dp, q - dq)
@@ -377,7 +354,7 @@ class EvaluatedComplex:
                 sp, sq = p - 1, 0
                 ncols, nrows = self.total_dim(sp), self.total_dim(p)
             else:
-                dp, dq = _SHIFT[op]
+                dp, dq = _SHIFT[_known(op, _SHIFT)]
                 sp, sq = p - dp, q - dq
                 ncols, nrows = self.dim(sp, sq), self.dim(p, q)
             e = ForwardEchelon({})
@@ -418,7 +395,7 @@ class EvaluatedComplex:
         """
         key, dim = (p, q), self.dim(p, q)
         if key not in self._preimages:
-            a = self.ddbar_rows(p - 1, q - 1)
+            a = self.rows("ddbar", p - 1, q - 1)
             adjoint = linalg.conj_transpose(a, self.dim(p - 1, q - 1))
             e = linalg.tracked_echelon(linalg.columns_of(linalg.mat_mul(a, adjoint), dim), dim)
             self._preimages[key] = (adjoint, e)
@@ -437,33 +414,24 @@ class EvaluatedComplex:
     def total_d_rows(self, k: int) -> Rows:
         """d: total degree k -> k+1 with block offsets."""
         key = ("total", k, 0)
-        if key in self._rows:
-            return self._rows[key]
-        src_blocks = self.total_blocks(k)
-        tgt_blocks = self.total_blocks(k + 1)
-        tgt_offset = {}
-        off = 0
-        for pq in tgt_blocks:
-            tgt_offset[pq] = off
-            off += self.dim(*pq)
-        rows: Rows = [{} for _ in range(off)]
-        col_off = 0
-        for p, q in src_blocks:
-            dcols = self.dim(p, q)
-            if dcols:
-                if (p + 1, q) in tgt_offset:
-                    ro = tgt_offset[(p + 1, q)]
-                    for i, r in enumerate(self.del_rows(p, q)):
-                        for j, c in r.items():
-                            rows[ro + i][col_off + j] = c
-                if (p, q + 1) in tgt_offset:
-                    ro = tgt_offset[(p, q + 1)]
-                    for i, r in enumerate(self.delbar_rows(p, q)):
-                        for j, c in r.items():
-                            rows[ro + i][col_off + j] = c
-            col_off += dcols
-        self._rows[key] = rows
-        return rows
+        if key not in self._rows:
+            tgt_offset, off = {}, 0
+            for pq in self.total_blocks(k + 1):
+                tgt_offset[pq] = off
+                off += self.dim(*pq)
+            rows: Rows = [{} for _ in range(off)]
+            col_off = 0
+            for p, q in self.total_blocks(k):
+                for op, target in (("del", (p + 1, q)), ("delbar", (p, q + 1))):
+                    if self.dim(p, q) and target in tgt_offset:
+                        ro = tgt_offset[target]
+                        for i, r in enumerate(self.rows(op, p, q)):
+                            row = rows[ro + i]
+                            for j, c in r.items():
+                                row[col_off + j] = c
+                col_off += self.dim(p, q)
+            self._rows[key] = rows
+        return self._rows[key]
 
     def embed_block(self, v: Vec, p: int, q: int, k: int) -> Vec:
         off = 0
@@ -485,7 +453,7 @@ class EvaluatedComplex:
             if m_params == len(self.point):
                 v = c.eval(self.point)
             else:
-                if set(c.terms) - {(0,) * (2 * m_params)}:
+                if not c.is_constant():
                     raise ValueError(
                         "parameter-dependent form in a complex with a different arity"
                     )

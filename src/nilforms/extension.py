@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
@@ -335,17 +335,12 @@ class PKahlerExtension:
         return all(v.holds for v in self.verdicts)
 
 
-def small_points(m: int, bound_den: int = 251) -> List[Tuple[GaussianRational, ...]]:
+def small_points(m: int) -> List[Tuple[GaussianRational, ...]]:
     """A few real points with every norm convention below 1/100."""
-    dens = [bound_den + 2 * k for k in range(3)]
-    pts = []
-    for d in dens:
-        pts.append(
-            tuple(
-                GaussianRational(Fraction((-1) ** k, d + 2 * k)) for k in range(m)
-            )
-        )
-    return pts
+    return [
+        tuple(GaussianRational(Fraction((-1) ** k, d + 2 * k)) for k in range(m))
+        for d in (251, 253, 255)
+    ]
 
 
 def pkahler_extend(
@@ -353,7 +348,6 @@ def pkahler_extend(
     phi: VectorValuedForm,
     omega0: Form,
     order: Optional[int] = None,
-    t_points: Optional[Sequence] = None,
     samples: int = 200,
     seed: int = 7,
 ) -> PKahlerExtension:
@@ -385,9 +379,6 @@ def pkahler_extend(
         if full.homogeneous_part(l):
             raise AssertionError("symmetrized extension lost d-closedness")
 
-    pts = list(t_points) if t_points is not None else small_points(alg.ring.m)
-    verdicts = []
-    for pt in pts:
-        ev = sym.eval(pt)
-        verdicts.append(is_transverse(ev, p, samples=samples, seed=seed))
+    pts = small_points(alg.ring.m)
+    verdicts = [is_transverse(sym.eval(pt), p, samples=samples, seed=seed) for pt in pts]
     return PKahlerExtension(state=state, symmetrized=sym, verdicts=verdicts, points=pts)

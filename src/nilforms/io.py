@@ -8,13 +8,14 @@ The structure-equation schema is
 the symbolic deformation mode), "1-t2*tbar4".  Emission is canonical:
 sorted monomials, lowest terms, two-space indent; emit(parse(x)) is
 byte-identical for canonicalized files.  The parser rejects d-entries
-with two anti-holomorphic factors.
+with two anti-holomorphic factors, a JSON object that gives a key twice,
+and a coframe index given twice ("2" and "02").
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Form, FormAlgebra, StructureEquations, T10, VectorValuedForm
 from .errors import FormatError
@@ -91,6 +92,45 @@ def _header(obj, fmt: str, what: str) -> Tuple[int, int, int]:
     return n, m, order
 
 
+def _load(text: str):
+    """The one JSON document in text; FormatError if it is not valid JSON
+    or if an object in it gives a key twice."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+
+
+def _unique_keys(pairs) -> dict:
+    """The object of pairs, refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"JSON object gives the key {key!r} twice")
+        obj[key] = value
+    return obj
+
+
+def _indexed_terms(obj: dict, field: str, n: int, what: str) -> Iterator[Tuple[int, list]]:
+    """(i, terms) for each entry of obj[field], a map from coframe indices
+    in 1..n to lists of terms; an index given twice, as "2" and "02", is
+    refused."""
+    entries = obj.get(field, {})
+    if not isinstance(entries, dict):
+        raise FormatError(f'"{field}" must map coframe indices to lists of terms')
+    seen = set()
+    for key, terms in entries.items():
+        i = int(key) if str(key).isdecimal() else 0
+        if not 1 <= i <= n:
+            raise FormatError(f"{what} {key!r} is not a coframe index in 1..{n}")
+        if i in seen:
+            raise FormatError(f"{what} {key!r} gives coframe index {i} a second time")
+        if not isinstance(terms, list):
+            raise FormatError(f"{what} {key!r} must be a list of terms")
+        seen.add(i)
+        yield i, terms
+
+
 def _check_term(term, where: str) -> None:
     if not isinstance(term, dict) or not isinstance(term.get("coeff"), str):
         raise FormatError(f'{where}: each term is an object with a "coeff" string')
@@ -101,24 +141,16 @@ def obj_to_se(obj: dict) -> StructureEquations:
     name = obj.get("name", "unnamed")
     ring = PolyRing(m, order if m else 0)
     alg = FormAlgebra(n, ring)
-    entries = obj.get("d", {})
-    if not isinstance(entries, dict):
-        raise FormatError('"d" must map coframe indices to lists of terms')
     d: Dict[int, Form] = {}
-    for key, terms in entries.items():
-        i = int(key) if str(key).isdecimal() else 0
-        if not 1 <= i <= n:
-            raise FormatError(f"d entry {key!r} is not a coframe index in 1..{n}")
-        if not isinstance(terms, list):
-            raise FormatError(f"d entry {key!r} must be a list of terms")
+    for i, terms in _indexed_terms(obj, "d", n, "d entry"):
         total = alg.zero()
         for term in terms:
-            _check_term(term, f"d entry {key!r}")
+            _check_term(term, f"d entry {i}")
             factors = term.get("factors", [])
             if not isinstance(factors, list) or len(factors) != 2:
                 raise FormatError("each structure term needs exactly two factors")
             if not all(isinstance(fct, str) for fct in factors):
-                raise FormatError(f"d entry {key!r}: factors are strings such as \"1\" or \"bar2\"")
+                raise FormatError(f"d entry {i}: factors are strings such as \"1\" or \"bar2\"")
             parsed = [_parse_factor(fct, n) for fct in factors]
             bars = sum(1 for bar, _ in parsed if bar)
             if bars == 2:
@@ -144,11 +176,7 @@ def se_emit(se: StructureEquations) -> str:
 
 
 def se_parse(text: str) -> StructureEquations:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return obj_to_se(obj)
+    return obj_to_se(_load(text))
 
 
 # -- forms -------------------------------------------------------------------
@@ -204,11 +232,7 @@ def form_emit(f: Form, name: Optional[str] = None) -> str:
 
 
 def form_parse(text: str, algebra: Optional[FormAlgebra] = None) -> Form:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return obj_to_form(obj, algebra)
+    return obj_to_form(_load(text), algebra)
 
 
 # -- Beltrami differentials ---------------------------------------------------
@@ -240,19 +264,11 @@ def obj_to_beltrami(obj: dict, algebra: Optional[FormAlgebra] = None) -> VectorV
     alg = algebra or FormAlgebra(n, PolyRing(m, order))
     if alg.n != n:
         raise FormatError("Beltrami dimension does not match the target algebra")
-    components = obj.get("components", {})
-    if not isinstance(components, dict):
-        raise FormatError('"components" must map coframe indices to lists of terms')
     comps: Dict[int, Form] = {}
-    for key, terms in components.items():
-        i = int(key) if str(key).isdecimal() else 0
-        if not 1 <= i <= n:
-            raise FormatError(f"Beltrami component {key!r} is not a coframe index in 1..{n}")
-        if not isinstance(terms, list):
-            raise FormatError(f"Beltrami component {key!r} must be a list of terms")
+    for i, terms in _indexed_terms(obj, "components", n, "Beltrami component"):
         total = alg.zero()
         for term in terms:
-            _check_term(term, f"Beltrami component {key!r}")
+            _check_term(term, f"Beltrami component {i}")
             factors = term.get("factors", [])
             if not isinstance(factors, list) or len(factors) != 1 or not isinstance(factors[0], str):
                 raise FormatError("Beltrami terms carry exactly one coframe factor")
@@ -270,8 +286,4 @@ def beltrami_emit(phi: VectorValuedForm) -> str:
 
 
 def beltrami_parse(text: str, algebra: Optional[FormAlgebra] = None) -> VectorValuedForm:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return obj_to_beltrami(obj, algebra)
+    return obj_to_beltrami(_load(text), algebra)

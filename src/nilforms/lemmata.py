@@ -51,7 +51,7 @@ witness re-verifies by fresh rank computations (``verify_witness``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import linalg
 from .algebra import Form
@@ -62,8 +62,16 @@ from .scalars import QI_I, QI_ONE, GaussianRational
 _MINUS_ONE, _MINUS_I = GaussianRational(-1), GaussianRational(0, -1)
 
 
-def _disagree(kind: str, p: int, q: int) -> AssertionError:
-    return AssertionError(
+def _witness(ec: EvaluatedComplex, kind: str, p: int, q: int, vectors: Iterable[Vec]) -> Form:
+    """The first of vectors outside im deldelbar at (p,q), as a form.  The
+    ranks said that the verdict kind fails, so if the vectors hold none,
+    the two routes disagree and AssertionError is raised."""
+    target = ec.image_echelon("ddbar", p, q)
+    for v in vectors:
+        # many of mild's images are 0: skip them without a reduction
+        if v and not target.contains(v):
+            return ec.vec_to_form(v, p, q)
+    raise AssertionError(
         f"{kind} at {(p, q)}: the ranks say it fails, but the vector route "
         "finds no form outside im deldelbar"
     )
@@ -88,13 +96,9 @@ def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional
         return True, None
     if ec.rank(op, sp, sq) - ec.rank("ddbar", sp, sq) == ec.image_rank("ddbar", p, q):
         return True, None
-    target = ec.image_echelon("ddbar", p, q)
     cols = ec.columns(op, sp, sq)
-    for x in ec.kernel("ddbar", sp, sq):
-        v = linalg.columns_vec(cols, x)
-        if v and not target.contains(v):
-            return False, ec.vec_to_form(v, p, q)
-    raise _disagree("mild" if op == "del" else "dual_mild", p, q)
+    images = (linalg.columns_vec(cols, x) for x in ec.kernel("ddbar", sp, sq))
+    return False, _witness(ec, "mild" if op == "del" else "dual_mild", p, q, images)
 
 
 def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
@@ -107,11 +111,7 @@ def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     closed = ec.rank("exact_sum", p, q) - ec.image_rank("ddbar", p, q + 1) - ec.image_rank("ddbar", p + 1, q)
     if closed == ec.image_rank("ddbar", p, q):
         return True, None
-    target = ec.image_echelon("ddbar", p, q)
-    for v in exact_closed_basis(ec, p, q):
-        if not target.contains(v):
-            return False, ec.vec_to_form(v, p, q)
-    raise _disagree("strong", p, q)
+    return False, _witness(ec, "strong", p, q, exact_closed_basis(ec, p, q))
 
 
 def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> Iterator[Vec]:
@@ -197,15 +197,17 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
         return True, None
     # the witness route (module docstring): w = sum c_t E_t in T, with E
     # = (v_s, i v_s) realified from the del image basis v_s
-    image, target = ec.image_vectors("del", p, q), ec.image_echelon("ddbar", p, q)
+    image = ec.image_vectors("del", p, q)
     base = [linalg.realify_vec(v) for v in images]
-    for c in linalg.relations_modulo(base, linalg.realify_span(image), 2 * ec.dim(p, q)):
-        w: Vec = {}
-        for s in sorted({t // 2 for t in c}):
-            linalg.add_scaled_into(w, GaussianRational(c.get(2 * s, 0), c.get(2 * s + 1, 0)), image[s])
-        if not target.contains(w):
-            return False, ec.vec_to_form(w, p, q)
-    raise _disagree("weak", p, q)
+
+    def witnesses():
+        for c in linalg.relations_modulo(base, linalg.realify_span(image), 2 * ec.dim(p, q)):
+            w: Vec = {}
+            for s in sorted({t // 2 for t in c}):
+                linalg.add_scaled_into(w, GaussianRational(c.get(2 * s, 0), c.get(2 * s + 1, 0)), image[s])
+            yield w
+
+    return False, _witness(ec, "weak", p, q, witnesses())
 
 
 def _residue_rank(ec: EvaluatedComplex, op: str, p: int, q: int, vectors: List[Vec]) -> int:
@@ -276,15 +278,13 @@ def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple
             i = ec.total_blocks(k).index((p, q))
             if ec.rank("total", k - 1, 0) - before[i] - after[i] == ec.image_rank("ddbar", p, q):
                 continue
-            target = ec.image_echelon("ddbar", p, q)
-            for v in _pure_d_exact(ec, p, q):
-                if not target.contains(v):
-                    return False, ec.vec_to_form(v, p, q), (p, q)
-            raise _disagree("standard", p, q)
+            return False, _witness(ec, "standard", p, q, _pure_d_exact(ec, p, q)), (p, q)
     return True, None, None
 
 
 # -- witness re-verification ----------------------------------------------
+
+_KINDS = ("mild", "dual_mild", "strong", "weak", "standard")
 
 
 def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> Dict[str, bool]:
@@ -295,20 +295,22 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
     im del + im delbar, not deldelbar-exact; for weak: w = delbar psi
     with psi real, w del-exact, not deldelbar-exact; for standard: w is
     d-exact (on the total complex), pure type, not deldelbar-exact.
+    Any other kind raises ValueError.
     """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown witness kind {kind!r}: expected one of {', '.join(_KINDS)}")
     v = ec.form_to_vec(w, p, q)
-    not_ddbar = not ec.image_echelon("ddbar", p, q).contains(v)
-    out = {"not_ddbar_exact": not_ddbar}
+    out = {"not_ddbar_exact": not ec.image_echelon("ddbar", p, q).contains(v)}
     if kind == "mild":
         out["del_exact"] = ec.image_echelon("del", p, q).contains(v)
-        out["delbar_closed"] = not linalg.mat_vec(ec.delbar_rows(p, q), v)
+        out["delbar_closed"] = not linalg.mat_vec(ec.rows("delbar", p, q), v)
     elif kind == "dual_mild":
         out["delbar_exact"] = ec.image_echelon("delbar", p, q).contains(v)
-        out["del_closed"] = not linalg.mat_vec(ec.del_rows(p, q), v)
+        out["del_closed"] = not linalg.mat_vec(ec.rows("del", p, q), v)
     elif kind == "strong":
         out["in_exact_sum"] = ec.image_sum(("del", "delbar"), p, q).contains(v)
-        out["del_closed"] = not linalg.mat_vec(ec.del_rows(p, q), v)
-        out["delbar_closed"] = not linalg.mat_vec(ec.delbar_rows(p, q), v)
+        out["del_closed"] = not linalg.mat_vec(ec.rows("del", p, q), v)
+        out["delbar_closed"] = not linalg.mat_vec(ec.rows("delbar", p, q), v)
     elif kind == "weak":
         out["del_exact"] = ec.image_echelon("del", p, q).contains(v)
     elif kind == "standard":

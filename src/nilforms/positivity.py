@@ -64,7 +64,7 @@ def volume_coefficient(f: Form) -> GaussianRational:
             raise ValueError("not a top-degree form")
     c = f.coeffs.get((full, full))
     val = c.constant_term() if c is not None else GaussianRational(0)
-    if f.algebra.ring.m and c is not None and set(c.terms) != {(0,) * (2 * alg.ring.m)}:
+    if c is not None and not c.is_constant():
         raise ValueError("volume coefficient of a parameter-dependent form")
     return val / unit_volume_scalar(n)
 
@@ -99,7 +99,7 @@ def hermitian_matrix_of(theta: Form, q: Optional[int] = None) -> HermitianExtrac
     matrix = [[zero for _ in range(size)] for _ in range(size)]
     for (I, J), c in theta.coeffs.items():
         val = c.constant_term()
-        if set(c.terms) - {(0,) * (2 * alg.ring.m)}:
+        if not c.is_constant():
             raise ValueError("extraction of a parameter-dependent form")
         matrix[index[I]][index[J]] = val / sq
     hermitian = all(

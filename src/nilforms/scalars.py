@@ -476,6 +476,10 @@ class ParamScalar:
     def constant_term(self) -> GaussianRational:
         return self.terms.get((0,) * (2 * self.ring.m), QI_ZERO)
 
+    def is_constant(self) -> bool:
+        """Whether no term carries a parameter."""
+        return not any(any(k) for k in self.terms)
+
     def min_order(self) -> int:
         """Lowest total degree among stored terms (0 for the zero scalar)."""
         if not self.terms:
@@ -491,7 +495,7 @@ class ParamScalar:
         """Re-interpret in another ring; only constants may change ring."""
         if ring == self.ring:
             return self
-        if self.terms and set(self.terms) != {(0,) * (2 * self.ring.m)}:
+        if not self.is_constant():
             raise ValueError("only constant scalars can move between rings")
         return ring.const(self.constant_term())
 

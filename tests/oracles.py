@@ -563,7 +563,7 @@ def canonical_solver_rows(ec, p: int, q: int):
     """(del delbar)* G_BC at target (p,q): the minimal-norm preimage map
     of del delbar, through the Green operator of the Bott-Chern
     Laplacian (a dense solve)."""
-    adjoint = linalg.conj_transpose(ec.ddbar_rows(p - 1, q - 1), ec.dim(p - 1, q - 1))
+    adjoint = linalg.conj_transpose(ec.rows("ddbar", p - 1, q - 1), ec.dim(p - 1, q - 1))
     return linalg.mat_mul(adjoint, HodgeContext(ec).green_bc_rows(p, q))
 
 
@@ -575,7 +575,7 @@ def ddbar_preimage_by_tracked_rref(ec, p: int, q: int, y):
     z from an incremental RREF of the columns of A A* (A = del delbar
     from (p-1,q-1)) that tracks each row's combination of the columns,
     and x = A* z."""
-    a = ec.ddbar_rows(p - 1, q - 1)
+    a = ec.rows("ddbar", p - 1, q - 1)
     adjoint = linalg.conj_transpose(a, ec.dim(p - 1, q - 1))
     e = FullScanEchelon(track=True)
     for col in linalg.columns_of(linalg.mat_mul(a, adjoint), ec.dim(p, q)):
@@ -971,7 +971,7 @@ class HodgeContext:
                 self._cache[key] = linalg.zero_rows(0)
             else:
                 self._cache[key] = linalg.conj_transpose(
-                    self.ec.del_rows(p - 1, q), self.ec.dim(p - 1, q)
+                    self.ec.rows("del", p - 1, q), self.ec.dim(p - 1, q)
                 )
         return self._cache[key]
 
@@ -983,7 +983,7 @@ class HodgeContext:
                 self._cache[key] = linalg.zero_rows(0)
             else:
                 self._cache[key] = linalg.conj_transpose(
-                    self.ec.delbar_rows(p, q - 1), self.ec.dim(p, q - 1)
+                    self.ec.rows("delbar", p, q - 1), self.ec.dim(p, q - 1)
                 )
         return self._cache[key]
 
@@ -995,9 +995,9 @@ class HodgeContext:
             if p < 0 or q < 0 or p > ec.n or q > ec.n:
                 return None
             if op == "del":
-                step = ec.del_rows(p, q) if ec.dim(p + 1, q) else None
+                step = ec.rows("del", p, q) if ec.dim(p + 1, q) else None
             elif op == "delbar":
-                step = ec.delbar_rows(p, q) if ec.dim(p, q + 1) else None
+                step = ec.rows("delbar", p, q) if ec.dim(p, q + 1) else None
             elif op == "delstar":
                 step = self.delstar_rows(p, q) if p >= 1 else None
             else:

@@ -224,7 +224,7 @@ def test_criterion_08_operator_identity_suites(torus3, iwasawa3, bcvary10, ec_iw
     # Green identities at (2,2)/(1,1) on Iwasawa: G_BC dd~ = dd~ G_A and
     # 1 = H + box G for both Laplacians
     hc = HodgeContext(ec_iwasawa)
-    dd = ec_iwasawa.ddbar_rows(1, 1)
+    dd = ec_iwasawa.rows("ddbar", 1, 1)
     assert linalg.mat_mul(hc.green_bc_rows(2, 2), dd) == linalg.mat_mul(
         dd, hc.green_a_rows(1, 1)
     )

@@ -199,14 +199,14 @@ def test_d_squared_matrix_identities_iwasawa():
     ec = EvaluatedComplex(cx, ())
     for p in range(4):
         for q in range(4):
-            dd = linalg.mat_mul(ec.del_rows(p + 1, q), ec.del_rows(p, q)) if p + 2 <= 3 else []
+            dd = linalg.mat_mul(ec.rows("del", p + 1, q), ec.rows("del", p, q)) if p + 2 <= 3 else []
             assert all(not r for r in dd)
-            bb = linalg.mat_mul(ec.delbar_rows(p, q + 1), ec.delbar_rows(p, q)) if q + 2 <= 3 else []
+            bb = linalg.mat_mul(ec.rows("delbar", p, q + 1), ec.rows("delbar", p, q)) if q + 2 <= 3 else []
             assert all(not r for r in bb)
             if p + 1 <= 3 and q + 1 <= 3:
                 anti = linalg.mat_add(
-                    linalg.mat_mul(ec.del_rows(p, q + 1), ec.delbar_rows(p, q)),
-                    linalg.mat_mul(ec.delbar_rows(p + 1, q), ec.del_rows(p, q)),
+                    linalg.mat_mul(ec.rows("del", p, q + 1), ec.rows("delbar", p, q)),
+                    linalg.mat_mul(ec.rows("delbar", p + 1, q), ec.rows("del", p, q)),
                 )
                 assert all(not r for r in anti)
 

@@ -190,7 +190,7 @@ def test_green_harmonic_algebra_iwasawa(ec_iwasawa):
 def test_green_commutation_with_ddbar(ec_iwasawa):
     # G_BC del delbar = del delbar G_A as exact matrices at (2,2)
     hc = HodgeContext(ec_iwasawa)
-    dd = ec_iwasawa.ddbar_rows(1, 1)  # (1,1) -> (2,2)
+    dd = ec_iwasawa.rows("ddbar", 1, 1)  # (1,1) -> (2,2)
     lhs = linalg.mat_mul(hc.green_bc_rows(2, 2), dd)
     rhs = linalg.mat_mul(dd, hc.green_a_rows(1, 1))
     assert lhs == rhs
@@ -318,7 +318,7 @@ def test_ddbar_preimage_equals_green_route(reference_complexes):
         at_zero = label.endswith("@0")
         for p in range(1, cx.n + 1):
             for q in range(1, cx.n + 1):
-                a = ec.ddbar_rows(p - 1, q - 1)
+                a = ec.rows("ddbar", p - 1, q - 1)
                 kernel = ec.kernel("ddbar", p - 1, q - 1)
                 image = ec.image_vectors("ddbar", p, q)
                 green_route = None
@@ -484,11 +484,17 @@ def test_evaluation_once_per_structure_constant(monkeypatch, iwasawa_c):
     assert 0 < len(calls) <= terms
 
 
+def _exact_sum_rank(ec, p, q):
+    """dim(im del + im delbar) at (p,q), from the image echelons."""
+    return ec.image_sum(("del", "delbar"), p, q).rank
+
+
 def _direct_report(ec):
     """full_report's tables with every rank taken from the matrix's own
-    row echelon, never from a dual."""
+    row echelon, or for [del | delbar] from the sum of the images, never
+    from a dual."""
     n, rank = ec.n, lambda op, p, q: ec._row_echelon(op, p, q).rank
-    h_a = [[ec.dim(p, q) - rank("ddbar", p, q) - rank("exact_sum", p, q) for q in range(n + 1)]
+    h_a = [[ec.dim(p, q) - rank("ddbar", p, q) - _exact_sum_rank(ec, p, q) for q in range(n + 1)]
            for p in range(n + 1)]
     betti_numbers = [ec.total_dim(k) - rank("total", k, 0) - rank("total", k - 1, 0)
                      for k in range(2 * n + 1)]
@@ -510,7 +516,9 @@ def test_dual_ranks_equal_direct_ranks(reference_complexes):
         assert not any(key[0] == "exact_sum" for key in ec._echelons), label
         assert not any(key[0] == "total" and n <= key[1] < 2 * n - 1 for key in ec._echelons), label
         for key, r in dual.items():
-            assert r == ec._row_echelon(*key).rank, (label, key)
+            op, p, q = key
+            direct = _exact_sum_rank(ec, p, q) if op == "exact_sum" else ec._row_echelon(*key).rank
+            assert r == direct, (label, key)
         report = full_report(EvaluatedComplex(cx, point))
         assert (report.h_a, report.betti) == _direct_report(ec), label
 
@@ -548,6 +556,25 @@ def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_com
                     e = ec._row_echelon(op, p, q)
                     assert isinstance(e, linalg.Echelon) and e.pivots == direct.pivots, (label, op, p, q)
                     assert list(e.pivots) == list(direct.pivots), (label, op, p, q)
+
+
+@pytest.mark.parametrize("method", ["rows", "columns", "rank", "kernel", "image_rank", "image_echelon"])
+def test_unknown_matrix_names_are_refused(iwasawa3, method):
+    """A misspelled matrix name raises ValueError naming the valid ones
+    and caches nothing, so it is never answered as another matrix; [del |
+    delbar] is a rank, not a matrix, so rows refuses it too."""
+    ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
+    full_report(ec)
+    lemma_report(ec)
+    caches = ("_rows", "_cols", "_echelons", "_kernels", "_images")
+    before = {name: {k: id(v) for k, v in getattr(ec, name).items()} for name in caches}
+    call = getattr(ec, method)
+    names = ("dlebar", "bogus") + (("total", "exact_sum") if method == "rows" else ())
+    for name in names:
+        with pytest.raises(ValueError, match=f"unknown matrix '{name}': expected one of del, delbar, ddbar"):
+            call(name, 1, 0)
+    assert {name: {k: id(v) for k, v in getattr(ec, name).items()} for name in caches} == before
+    assert ec.rank("exact_sum", 2, 2) == ec.image_sum(("del", "delbar"), 2, 2).rank > 0
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -193,6 +193,20 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     assert found == {("linalg.py", "row_echelon")}
 
 
+def test_evaluated_complex_keeps_one_table_of_named_matrices():
+    """EvaluatedComplex reaches its matrices through ``rows`` and, for d
+    on the total complex, ``total_d_rows``: it defines no other *_rows
+    accessor, none of del_rows, delbar_rows, ddbar_rows, stacked_rows and
+    exact_sum_rows among them.  The scan reads that class only, because
+    ``deformation.VectorHodge.delbar_rows`` is another method."""
+    tree = ast.parse((SRC / "cohomology.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "EvaluatedComplex")
+    methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    gone = {"del_rows", "delbar_rows", "ddbar_rows", "stacked_rows", "exact_sum_rows"}
+    assert gone.isdisjoint(methods), gone & methods
+    assert {m for m in methods if m.endswith("_rows")} == {"total_d_rows"} and "rows" in methods
+
+
 def _numbers(x):
     """Every number inside an answer: the parts of each Q(i) scalar, of a
     ParamScalar's coefficients and of a Form's, and the ints, bools and

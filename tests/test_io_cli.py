@@ -252,6 +252,7 @@ def test_cli_scenario_all_json_is_one_array(capsys):
 #: "<kind>-file:<name>" stands for a file holding MALFORMED[kind][name],
 #: "<dir>" for a directory and "<binary>" for a file that is not UTF-8
 _TERM = '{"coeff": "1", "factors": ["1", "bar2"]}'
+_TERM11, _TERM12 = '{"coeff": "1", "factors": ["1", "bar1"]}', '{"coeff": "5", "factors": ["1", "2"]}'
 MALFORMED_SE = {
     "top_level_array": "[]",
     "d_not_object": '{"n": 2, "d": []}',
@@ -265,6 +266,11 @@ MALFORMED_SE = {
     "d_key_not_integer": '{"n": 2, "d": {"x": [' + _TERM + ']}}',
     "n_zero": '{"n": 0}',
     "m_negative": '{"n": 2, "m": -1}',
+    # a coframe index or a key given twice: the later copy would replace
+    # the earlier d gamma^2 without a word
+    "d_key_padded_twice": '{"n": 2, "d": {"2": [' + _TERM11 + '], "02": [' + _TERM12 + ']}}',
+    "d_key_twice": '{"n": 2, "d": {"2": [' + _TERM11 + '], "2": [' + _TERM12 + ']}}',
+    "n_twice": '{"n": 2, "n": 3, "d": {"2": [' + _TERM11 + ']}}',
 }
 #: forms and Beltrami differentials for bcvary10 (n = 5)
 _FORM_TERM = '{"coeff": "1", "I": [1], "J": [2]}'
@@ -282,6 +288,7 @@ MALFORMED_FORM = {
     "I_descending": '{"n": 5, "terms": [{"coeff": "1", "I": [2, 1], "J": [2]}]}',
 }
 _BELTRAMI_TERM = '{"coeff": "t1", "factors": ["bar1"]}'
+_BELTRAMI_T1, _BELTRAMI_T2 = '{"coeff": "t1", "factors": ["bar4"]}', '{"coeff": "t2", "factors": ["bar5"]}'
 MALFORMED_BELTRAMI = {
     "top_level_array": "[]",
     "n_missing": '{"components": {}}',
@@ -292,6 +299,8 @@ MALFORMED_BELTRAMI = {
     "key_above_n": '{"n": 5, "components": {"6": [' + _BELTRAMI_TERM + ']}}',
     "key_zero": '{"n": 5, "components": {"0": [' + _BELTRAMI_TERM + ']}}',
     "n_not_the_manifolds": '{"n": 4, "components": {"1": [' + _BELTRAMI_TERM + ']}}',
+    "key_padded_twice": '{"n": 5, "m": 4, "components": {"2": [' + _BELTRAMI_T1 + '], "02": [' + _BELTRAMI_T2 + ']}}',
+    "key_twice": '{"n": 5, "m": 4, "components": {"2": [' + _BELTRAMI_T1 + '], "2": [' + _BELTRAMI_T2 + ']}}',
 }
 MALFORMED = {"se": MALFORMED_SE, "form": MALFORMED_FORM, "beltrami": MALFORMED_BELTRAMI}
 _POSITIVITY = ["positivity", "--manifold", "catalog:bcvary10", "--p", "4"]

@@ -38,6 +38,9 @@ def test_iwasawa_taxonomy(ec_iwasawa):
     assert not ok and wit is not None
     checks = verify_witness(ec_iwasawa, "mild", 2, 3, wit)
     assert all(checks.values()), checks
+    # a misspelled kind is refused, not certified by not_ddbar_exact alone
+    with pytest.raises(ValueError, match="unknown witness kind 'mlid': expected one of mild, dual_mild, strong, weak, standard"):
+        verify_witness(ec_iwasawa, "mlid", 2, 3, wit)
     assert dual_mild(ec_iwasawa, 2, 3)[0] is True
     assert weak(ec_iwasawa, 2)[0] is True
     assert strong(ec_iwasawa, 2, 3)[0] is False

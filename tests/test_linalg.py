@@ -442,9 +442,9 @@ def test_unit_leads_divide_nothing(monkeypatch):
 
     # every forward elimination, whole or block by block, goes through extend
     monkeypatch.setattr(linalg.ForwardEchelon, "extend", recording_extend)
-    # the direct route: rank reads exact_sum and total through their duals
+    # the direct route: rank reads total through its dual
     ranks = [ec._row_echelon(op, p, q).rank
-             for op in ("del", "delbar", "ddbar", "stacked", "exact_sum")
+             for op in ("del", "delbar", "ddbar", "stacked")
              for p in range(se.n + 1) for q in range(se.n + 1)]
     ranks += [ec._row_echelon("total", k, 0).rank for k in range(2 * se.n)]
     assert sum(ranks) > 0 and len(leads) == sum(ranks)

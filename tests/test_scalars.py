@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilforms.algebra import FormAlgebra, build_complex
+from nilforms.catalog import catalog_load
+from nilforms.cohomology import EvaluatedComplex
 from nilforms.errors import FormatError
+from nilforms.positivity import hermitian_matrix_of, volume_coefficient
 from nilforms.scalars import (
     DetRng,
     GaussianRational,
@@ -288,3 +292,28 @@ def test_det_rng_reproducible():
     b = [rng_b.gaussian() for _ in range(8)]
     assert a == b
     assert [DetRng(12).gaussian() for _ in range(8)] != a
+
+
+def test_each_caller_refuses_a_parameter_through_one_constant_test():
+    """ParamScalar.is_constant holds for constants and 0 and fails once a
+    term carries t or tbar.  The four callers that need a constant read it
+    and keep their own ValueError: a ring change, a form taken into a
+    complex of another arity, a volume coefficient and a Hermitian
+    extraction."""
+    ring = PolyRing(1, 2)
+    assert ring.const(QI(3)).is_constant() and ring.zero().is_constant()
+    assert not ring.t(1).is_constant() and not (ring.tbar(1) + ring.one()).is_constant()
+    assert ring.const(QI(3)).lift(PolyRing(0, 0)).constant_term() == QI(3)
+    with pytest.raises(ValueError, match="only constant scalars can move between rings"):
+        ring.t(1).lift(PolyRing(0, 0))
+    alg = FormAlgebra(1, ring)
+    const, param = alg.monomial((1,), (1,), ring.const(QI(2))), alg.monomial((1,), (1,), ring.t(1) + ring.one())
+    ec = EvaluatedComplex(build_complex(catalog_load("abelian_1").se), ())
+    assert ec.form_to_vec(const, 1, 1) == {0: QI(2)}
+    with pytest.raises(ValueError, match="parameter-dependent form in a complex with a different arity"):
+        ec.form_to_vec(param, 1, 1)
+    assert volume_coefficient(const) != 0 and hermitian_matrix_of(const, 1).matrix[0][0] != 0
+    with pytest.raises(ValueError, match="volume coefficient of a parameter-dependent form"):
+        volume_coefficient(param)
+    with pytest.raises(ValueError, match="extraction of a parameter-dependent form"):
+        hermitian_matrix_of(param, 1)
