@@ -337,12 +337,6 @@ class VectorValuedForm:
             {i: f.scale(c) for i, f in self.components.items()},
         )
 
-    def conj(self) -> "VectorValuedForm":
-        flip = T01 if self.valence == T10 else T10
-        return VectorValuedForm(
-            self.algebra, flip, {i: f.conj() for i, f in self.components.items()}
-        )
-
     def form_bidegree(self) -> Optional[Tuple[int, int]]:
         degs = set()
         for f in self.components.values():

@@ -161,11 +161,10 @@ class EvaluatedComplex:
     the total complex, ``total_d_rows``) with degree p and q = 0.  Each
     matrix gets one row echelon.  It starts as the forward echelon
     (``linalg.forward_echelon``), which gives the rank and the pivot
-    columns that ``rank``, ``unimodular`` and
-    ``lemmata.exact_closed_basis`` read.  The first ``kernel`` of the
-    matrix completes it into the RREF, which replaces it, so the forward
-    rows are dropped; the pivots stay the same, in the same order, and
-    the kernel vectors are those of the RREF reduced directly.
+    columns that ``rank`` and ``unimodular`` read.  The first ``kernel``
+    of the matrix completes it into the RREF, which replaces it, so the
+    forward rows are dropped; the pivots stay the same, in the same
+    order, and the kernel vectors are those of the RREF reduced directly.
 
     On a unimodular complex (``unimodular``: d of every (2n-1)-form is 0,
     as on every nilpotent Lie algebra) del* = -*delbar* on invariant

@@ -38,7 +38,11 @@ So a passing verdict builds no kernel, and only weak applies a matrix
 to a vector (delbar to its real basis) and reads image echelons, which
 each EvaluatedComplex builds once per image.  A failing
 verdict runs the vector route only to build its witness: the first
-vector of the tested space outside im deldelbar.  For weak that is one
+vector of the tested space outside im deldelbar.  Strong's space is the
+sum of the spaces that mild and dual mild test, so strong fails exactly
+when one of them fails, and its witness is theirs: mild's at (p,q) if
+mild fails, else dual mild's (``lemma_report`` reuses the two it holds,
+and checks strong = mild and dual mild).  For weak that is one
 tracked forward elimination over Q (``linalg.relations_modulo``) of T,
 then of the realified basis E_j of im del: each E_j that adds nothing
 gives the one w = E_j - sum gamma_t E_t in T, as the RREF nullspace of
@@ -90,72 +94,48 @@ def dual_mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form
 def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     """op(ker deldelbar) inside im deldelbar at (p,q), op del or delbar,
     by rank; the witness is the first image outside."""
+    if _mild_holds(ec, op, p, q):
+        return True, None
+    return False, _witness(ec, "mild" if op == "del" else "dual_mild", p, q, _kernel_images(ec, op, p, q))
+
+
+def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
+    """mild's rank identity at (p,q), or dual mild's (module docstring)."""
     ec.cx.se.require_flat()
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
     if not (ec.dim(sp, sq) and ec.dim(p, q)):
-        return True, None
-    if ec.rank(op, sp, sq) - ec.rank("ddbar", sp, sq) == ec.image_rank("ddbar", p, q):
-        return True, None
+        return True
+    return ec.rank(op, sp, sq) - ec.rank("ddbar", sp, sq) == ec.image_rank("ddbar", p, q)
+
+
+def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Vec]:
+    """op of each deldelbar kernel vector, into (p,q), as asked for."""
+    sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
     cols = ec.columns(op, sp, sq)
-    images = (linalg.columns_vec(cols, x) for x in ec.kernel("ddbar", sp, sq))
-    return False, _witness(ec, "mild" if op == "del" else "dual_mild", p, q, images)
+    for x in ec.kernel("ddbar", sp, sq):
+        yield linalg.columns_vec(cols, x)
 
 
 def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
-    """Injectivity of the Bott-Chern to Aeppli comparison at (p,q)."""
+    """Injectivity of the Bott-Chern to Aeppli comparison at (p,q); the
+    witness is mild's at (p,q) if mild fails, else dual mild's."""
+    if _strong_holds(ec, p, q):
+        return True, None
+    # by mild's rank identity every del image is inside im deldelbar when
+    # mild holds, so the first image outside is mild's witness, else dual mild's
+    images = (v for op in ("del", "delbar") if not _mild_holds(ec, op, p, q) for v in _kernel_images(ec, op, p, q))
+    return False, _witness(ec, "strong", p, q, images)
+
+
+def _strong_holds(ec: EvaluatedComplex, p: int, q: int) -> bool:
+    """strong's rank identity at (p,q) (module docstring)."""
     ec.cx.se.require_flat()
     if not ec.dim(p, q):
-        return True, None
+        return True
     # r(ddbar,p-1,q) and r(ddbar,p,q-1) are the deldelbar images into
     # (p,q+1) and (p+1,q)
     closed = ec.rank("exact_sum", p, q) - ec.image_rank("ddbar", p, q + 1) - ec.image_rank("ddbar", p + 1, q)
-    if closed == ec.image_rank("ddbar", p, q):
-        return True, None
-    return False, _witness(ec, "strong", p, q, exact_closed_basis(ec, p, q))
-
-
-def exact_closed_basis(ec: EvaluatedComplex, p: int, q: int) -> Iterator[Vec]:
-    """Basis of (im del + im delbar) cap ker del cap ker delbar at (p,q),
-    one vector at a time.
-
-    On a flat complex (required) the space is del(ker deldelbar at
-    (p-1,q)) + delbar(ker deldelbar at (p,q-1)); each of the two is
-    spanned by the images of the kernel vectors whose free column is a
-    pivot of del (resp. delbar), rank del - rank deldelbar of them; the
-    pivot columns come from the forward echelons, and only the deldelbar
-    kernel needs an RREF.  The basis is the reduced echelon form of their
-    span read in the free coordinates of the stacked [del; delbar]
-    echelon, largest free column leading: each vector holds 1 at its
-    leading free column and 0 at the leading columns of the others,
-    listed by leading column ascending, its keys ascending.  The spanning
-    vectors are eliminated forward only, and each reduced row is built
-    when the caller asks for it (``ForwardEchelon.rref_rows``), so a
-    caller that stops at the first row outside a target pays for no more.
-    """
-    ec.cx.se.require_flat()
-    spanning: List[Vec] = []
-    for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)):
-        if not ec.dim(sp, sq):
-            continue
-        pivots = ec._row_echelon(op, sp, sq).pivots
-        ddbar_pivots = ec._row_echelon("ddbar", sp, sq).pivots
-        free = [f for f in range(ec.dim(sp, sq)) if f not in ddbar_pivots]
-        cols = ec.columns(op, sp, sq)
-        for f, x in zip(free, ec.kernel("ddbar", sp, sq)):
-            if f in pivots:
-                spanning.append(linalg.columns_vec(cols, x))
-    if not spanning:
-        return
-    # a row echelon leads with its smallest key: the free columns of the
-    # stacked echelon in reverse, then its pivot columns
-    closed_pivots = ec._row_echelon("stacked", p, q).pivots
-    free = [f for f in range(ec.dim(p, q)) if f not in closed_pivots]
-    key = {f: len(free) - 1 - i for i, f in enumerate(free)}
-    key.update((col, len(free) + col) for col in closed_pivots)
-    back = {k: i for i, k in key.items()}
-    forward = linalg.forward_echelon([{key[i]: c for i, c in v.items()} for v in spanning])
-    for _, row in forward.rref_rows():
-        yield dict(sorted((back[k], c) for k, c in row.items()))
+    return closed == ec.image_rank("ddbar", p, q)
 
 
 def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
@@ -368,10 +348,11 @@ def lemma_report(
     for (p, q) in bidegrees:
         m_ok, m_wit = mild(ec, p, q)
         d_ok, d_wit = dual_mild(ec, p, q)
-        s_ok, s_wit = strong(ec, p, q)
+        s_ok = _strong_holds(ec, p, q)
         report.mild_flags[(p, q)] = m_ok
         report.dual_mild_flags[(p, q)] = d_ok
         report.strong_flags[(p, q)] = s_ok
+        s_wit = m_wit if m_wit is not None else d_wit
         for kind, wit in (("mild", m_wit), ("dual_mild", d_wit), ("strong", s_wit)):
             if wit is not None:
                 report.witnesses[f"{kind}:{p},{q}"] = wit

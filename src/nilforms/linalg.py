@@ -22,8 +22,7 @@ with it, and ``solve_square`` reads X with A X = B from it, for the
 coframe inverse of ``deform_complex`` at a point and the Green operators
 of ``harmonic_green`` (Kuranishi, and the tests' Hodge oracle).
 ``hermitian_pivots``, the exact positivity certificate, eliminates the
-rows of a Hermitian matrix forward, each tracked.  ``rref_rows`` gives
-the reduced rows one at a time, largest lead first.  ``Echelon``, the
+rows of a Hermitian matrix forward, each tracked.  ``Echelon``, the
 incremental reduced row echelon form (RREF), only completes a forward
 echelon where a kernel is read: ``row_echelon`` builds it for
 ``ForwardEchelon.rref`` and ``nullspace``, and ``echelon_kernel`` reads
@@ -188,9 +187,9 @@ class ForwardEchelon:
     plus the span of the earlier rows that vanishes at their leading
     columns, which is also what ``Echelon.reduce`` returns; so the leading
     columns, their order and the leads are those of an ``Echelon`` fed
-    the same vectors.  ``rref`` completes the form into that Echelon, and
-    ``rref_rows`` gives its rows one at a time.  ``marks`` holds the rank
-    after each ``extend``, so that of each leading run of the blocks fed.
+    the same vectors.  ``rref`` completes the form into that Echelon.
+    ``marks`` holds the rank after each ``extend``, so that of each
+    leading run of the blocks fed.
     ``insert``, ``contains`` and ``residues`` test membership, and
     ``track`` and ``solve`` find the combination that gives a vector.
     """
@@ -260,31 +259,6 @@ class ForwardEchelon:
         same order: each row vanishes at the leading columns before its
         own, so every insert reduces nothing and adds its pivot."""
         return row_echelon(self.pivots.values())
-
-    def rref_rows(self) -> Iterator[Tuple[int, Vec]]:
-        """The rows (lead, row) of the reduced row echelon form, largest
-        leading column first, each built when asked for.
-
-        A row has no entry left of its lead, so the row at the largest
-        lead has no entry at any other lead: divided by its lead, it is
-        reduced.  Each later row meets other leads only at larger
-        columns, whose reduced rows are already given and vanish at every
-        other lead, so one subtraction per lead met reduces it.  The RREF
-        is unique, so the rows equal those of an ``Echelon`` of the span.
-        """
-        done: Dict[int, Vec] = {}
-        for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots[lead]
-            w = dict(row)
-            for k in [k for k in row if k in done]:
-                _sub_scaled_into(w, row[k], done[k])
-            c = w[lead]
-            if c == -1:
-                w = _negated(w)
-            elif c != 1:
-                w = vec_scale(w, _div(1, c))
-            done[lead] = w
-            yield lead, w
 
 
 def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:

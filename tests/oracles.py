@@ -839,9 +839,16 @@ def mild_by_vectors(ec, op: str, p: int, q: int):
 
 
 def exact_closed_basis_full(ec, p: int, q: int):
-    """The whole basis that ``lemmata.exact_closed_basis`` gives one
-    vector at a time, from a full RREF of the spanning vectors, with each
-    spanning vector checked to be d-closed (AssertionError otherwise)."""
+    """Basis of (im del + im delbar) cap ker del cap ker delbar at (p,q),
+    strong's space, on a flat complex.
+
+    The space is del(ker deldelbar at (p-1,q)) + delbar(ker deldelbar at
+    (p,q-1)), spanned by the images of the deldelbar kernel vectors whose
+    free column is a pivot of del (resp. delbar), each checked to be
+    d-closed (AssertionError otherwise).  The basis is the full RREF of
+    their span read in the free coordinates of the stacked [del; delbar]
+    echelon, largest free column leading, listed by leading column
+    ascending, each vector's keys ascending."""
     from nilforms.linalg import Echelon
 
     spanning = []

@@ -10,6 +10,7 @@ from nilforms import io as nio
 from nilforms.algebra import FormAlgebra, StructureEquations, build_complex
 from nilforms.catalog import catalog_load, run_scenario
 from nilforms.errors import FormatError, UnknownEntry
+from nilforms.lemmata import verify_witness
 from nilforms.scalars import PolyRing
 
 
@@ -403,3 +404,22 @@ GOLDEN_CASES += [
 def test_cli_output_byte_identical_to_golden(name, argv, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["lemmata_iwasawa3_23", "lemmata_bcvary10_all", "lemmata_bcvary10_all_t"])
+def test_golden_strong_witnesses_are_mild_or_dual_mild_and_reverify(name):
+    """Each strong witness in a lemma golden is that golden's mild witness
+    at the same bidegree if there is one, else its dual mild witness, and
+    passes verify_witness as a strong witness on a complex built afresh
+    at the golden's point, as the CLI builds it."""
+    obj = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    ec, _ = cli._evaluated(catalog_load(obj["manifold"]), ",".join(obj["t"]) or None)
+    witnesses = obj["witnesses"]
+    strong = [key for key in witnesses if key.startswith("strong:")]
+    assert strong and len(strong) == list(obj["strong"].values()).count(False)
+    for key in strong:
+        at = key.split(":")[1]
+        assert witnesses[key] == witnesses.get(f"mild:{at}", witnesses.get(f"dual_mild:{at}")), key
+        p, q = (int(x) for x in at.split(","))
+        checks = verify_witness(ec, "strong", p, q, nio.obj_to_form(witnesses[key], ec.cx.se.algebra))
+        assert checks and all(checks.values()), (key, checks)

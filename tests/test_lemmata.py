@@ -12,7 +12,6 @@ from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.lemmata import (
     _real_basis_vectors,
     dual_mild,
-    exact_closed_basis,
     lemma_report,
     mild,
     standard,
@@ -23,6 +22,7 @@ from nilforms.lemmata import (
 from nilforms.scalars import PolyRing
 
 from oracles import (
+    exact_closed_basis_full,
     fiber_point,
     mild_by_vectors,
     real_basis_vectors_by_products,
@@ -140,20 +140,18 @@ def test_report_serialization(ec_iwasawa):
     assert "mild:2,3" in obj["witnesses"]
 
 
-# -- strong from the deldelbar kernels ---------------------------------------
+# -- strong's space is the sum of mild's and dual mild's ----------------------
 
 
 def _span_intersection_strong(ec, p, q):
-    """The strong verdict and witness through the intersection of the del
-    and delbar column spans with the stacked kernel."""
+    """The basis of (im del + im delbar) cap ker del cap ker delbar and the
+    strong verdict, through the intersection of the del and delbar column
+    spans with the stacked kernel."""
     meet = span_intersection(
         ec.image_vectors("del", p, q) + ec.image_vectors("delbar", p, q), ec.kernel("stacked", p, q)
     )
     target = ec.image_echelon("ddbar", p, q)
-    for v in meet:
-        if not target.contains(v):
-            return meet, False, ec.vec_to_form(v, p, q)
-    return meet, True, None
+    return meet, all(target.contains(v) for v in meet)
 
 
 def _typed_entries(v):
@@ -163,21 +161,37 @@ def _typed_entries(v):
 
 
 def test_strong_basis_equals_span_intersection(reference_complexes):
-    """At every bidegree, the basis strong builds from del/delbar images of
-    deldelbar-kernel vectors is the list span_intersection gives (order,
-    values, types), and lemma_report's strong verdicts and witnesses are
-    the ones the intersection route gives."""
+    """At every bidegree, the two oracle routes to strong's space agree:
+    the basis built from del/delbar images of deldelbar-kernel vectors is
+    the list span_intersection gives (order, values, types), and its span
+    is del(ker deldelbar at (p-1,q)) + delbar(ker deldelbar at (p,q-1)),
+    the sum of the spaces mild and dual mild test.  That identity makes
+    a mild or dual mild witness a strong one: lemma_report's strong
+    verdicts are the intersection route's, and each strong witness lies
+    in the space outside im deldelbar."""
     for label, cx, point in reference_complexes:
         ec = EvaluatedComplex(cx, point)
         report = lemma_report(ec, with_standard=False)
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
-                got = list(exact_closed_basis(ec, p, q))
-                meet, ok, witness = _span_intersection_strong(ec, p, q)
+                got = exact_closed_basis_full(ec, p, q)
+                meet, ok = _span_intersection_strong(ec, p, q)
                 assert got == meet, (label, p, q)
                 assert [_typed_entries(v) for v in got] == [_typed_entries(v) for v in meet]
+                images = [
+                    linalg.columns_vec(ec.columns(op, sp, sq), x)
+                    for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)) if ec.dim(sp, sq)
+                    for x in ec.kernel("ddbar", sp, sq)
+                ]
+                space = linalg.forward_echelon(got)
+                assert space.rank == len(got) == linalg.forward_echelon(images).rank, (label, p, q)
+                assert all(space.contains(v) for v in images), (label, p, q)
                 assert report.strong_flags[(p, q)] is ok, (label, p, q)
-                assert report.witnesses.get(f"strong:{p},{q}") == witness, (label, p, q)
+                witness = report.witnesses.get(f"strong:{p},{q}")
+                assert (witness is None) is ok, (label, p, q)
+                if witness is not None:
+                    v = ec.form_to_vec(witness, p, q)
+                    assert space.contains(v) and not ec.image_echelon("ddbar", p, q).contains(v), (label, p, q)
 
 
 def test_real_basis_vectors_equal_product_route(reference_complexes):
@@ -214,36 +228,6 @@ def test_strong_refuses_a_complex_that_is_not_flat():
         strong(ec, 1, 1)
     with pytest.raises(AssertionError, match="not d-closed"):
         lemma_report(ec, bidegrees=[(1, 1)], with_standard=False)
-
-
-def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
-    """Through full_report and lemma_report on Iwasawa x C at t = 0, no
-    kernel of [del; delbar] is built and strong asks for no column span
-    of del or delbar."""
-    inside = []
-    asked = []
-    real_strong, real_image = lemmata.strong, EvaluatedComplex._image
-
-    def traced_strong(ec, p, q):
-        inside.append((p, q))
-        try:
-            return real_strong(ec, p, q)
-        finally:
-            inside.pop()
-
-    def traced_image(self, op, p, q):
-        if inside:
-            asked.append((op, p, q))
-        return real_image(self, op, p, q)
-
-    monkeypatch.setattr(lemmata, "strong", traced_strong)
-    monkeypatch.setattr(EvaluatedComplex, "_image", traced_image)
-    ec = EvaluatedComplex(iwasawa_c, ())
-    full_report(ec)
-    report = lemma_report(ec)
-    assert not report.strong_flags[(2, 2)]
-    assert not [key for key in ec._kernels if key[0] == "stacked"]
-    assert asked and {op for op, _, _ in asked} == {"ddbar"}
 
 
 def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
@@ -307,7 +291,9 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
     weak's at every p and standard's, and mild and dual mild at (p, n+1),
     where the extension solver asks, are those of the vector-route
     oracles run on a fresh complex: the same forms, monomial order and
-    scalar types."""
+    scalar types.  Strong's flags are those of the full-basis oracle, and
+    its witness, in the report and from strong called alone, is the mild
+    oracle's at (p,q) if mild fails, else the dual mild oracle's."""
     solvable = build_complex(nio.obj_to_se(SOLVABLE))
     ec = EvaluatedComplex(solvable, ())
     assert not ec.unimodular and strong(ec, 2, 2) == (True, None)
@@ -322,11 +308,17 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
                 for kind, flags, oracle in (
                     ("mild", report.mild_flags, lambda: mild_by_vectors(oc, "del", p, q)),
                     ("dual_mild", report.dual_mild_flags, lambda: mild_by_vectors(oc, "delbar", p, q)),
-                    ("strong", report.strong_flags, lambda: strong_by_vectors(oc, p, q)),
                 ):
                     got[kind, p, q] = (flags[(p, q)], _typed_form(report.witnesses.get(f"{kind}:{p},{q}")))
                     ok, wit = oracle()
                     want[kind, p, q] = (ok, _typed_form(wit))
+                # strong's witness is mild's if mild fails, else dual mild's
+                mild_wit, dual_wit = want["mild", p, q][1], want["dual_mild", p, q][1]
+                want["strong", p, q] = (strong_by_vectors(oc, p, q)[0], mild_wit if mild_wit is not None else dual_wit)
+                got["strong", p, q] = (report.strong_flags[(p, q)], _typed_form(report.witnesses.get(f"strong:{p},{q}")))
+                ok, wit = strong(ec, p, q)
+                got["strong alone", p, q] = (ok, _typed_form(wit))
+                want["strong alone", p, q] = want["strong", p, q]
             for kind, op in (("mild", "del"), ("dual_mild", "delbar")):
                 verdict = mild(ec, p, n + 1) if op == "del" else dual_mild(ec, p, n + 1)
                 got[kind, p, n + 1] = verdict
@@ -389,13 +381,17 @@ def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3)
 
 def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     """On Iwasawa x C, after full_report, lemma_report decides each
-    passing verdict by rank: a passing mild, dual mild, strong or
-    standard takes no kernel, no image and no product with a vector, and
-    a passing weak takes no kernel, applies delbar only to its real basis
-    and reads the image echelons of del and deldelbar into (p,p+1), the
-    ones the complex caches.  strong, passing or failing, makes no Echelon
-    insert: its witness comes from the lazy rows of a forward echelon and
-    from kernels and images already built."""
+    passing verdict by rank: a passing mild, dual mild or standard takes
+    no kernel, no image and no product with a vector, and a passing weak
+    takes no kernel, applies delbar only to its real basis and reads the
+    image echelons of del and deldelbar into (p,p+1), the ones the
+    complex caches.  Strong, passing or failing, makes no columns_vec,
+    kernel, _image or Echelon insert beyond those of mild and dual mild:
+    in lemma_report each such call is made inside mild, dual mild, weak
+    or standard; strong called alone makes none when it holds, and when
+    it fails the calls, in order, of mild at (p,q), then of dual mild if
+    mild holds, on a complex in the same state, whose witness it returns.
+    No kernel of [del; delbar] is built."""
     verdicts, work, stack = [], [], []
 
     def traced(name, f):
@@ -412,12 +408,11 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
 
     def counted(tag, f):
         def run(*args, **kwargs):
-            if stack:
-                work.append((stack[-1], tag))
+            work.append((stack[-1] if stack else None, tag))
             return f(*args, **kwargs)
         return run
 
-    for name in ("mild", "dual_mild", "strong", "weak", "standard"):
+    for name in ("mild", "dual_mild", "weak", "standard"):
         monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
     monkeypatch.setattr(EvaluatedComplex, "_image", counted("image", EvaluatedComplex._image))
     monkeypatch.setattr(linalg, "columns_vec", counted("columns_vec", linalg.columns_vec))
@@ -425,25 +420,43 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     monkeypatch.setattr(linalg.Echelon, "insert", counted("insert", linalg.Echelon.insert))
     ec = EvaluatedComplex(iwasawa_c, ())
     full_report(ec)
-    lemma_report(ec)
-    passing = {name for name, _, ok in verdicts if ok}
-    assert passing == {"mild", "dual_mild", "strong", "weak"}
-    assert any(not ok for name, _, ok in verdicts if name == "strong")
+    work.clear()
+    report = lemma_report(ec)
+    assert {name for name, _, ok in verdicts if ok} == {"mild", "dual_mild", "weak"}
+    assert set(report.strong_flags.values()) == {True, False} and not report.strong_flags[(2, 2)]
+    assert work and all(index is not None for index, _ in work)
     by_verdict = {}
     for index, tag in work:
         by_verdict.setdefault(index, []).append(tag)
     for index, (name, args, ok) in enumerate(verdicts):
-        tags = by_verdict.get(index, [])
-        if name == "strong":
-            assert "insert" not in tags, args
         if not ok:
             continue
+        tags = by_verdict.get(index, [])
         if name == "weak":
             p = args[0]
             assert tags == ["columns_vec"] * ec.dim(p, p) + ["image"] * 2, args
             assert ("del", p, p + 1) in ec._images and ("ddbar", p, p + 1) in ec._images
         else:
             assert tags == [], (name, args)
+    alone, paired = EvaluatedComplex(iwasawa_c, ()), EvaluatedComplex(iwasawa_c, ())
+    full_report(alone)
+    full_report(paired)
+    failing = Counter()
+    for (p, q), flag in report.strong_flags.items():
+        work.clear()
+        ok, wit = strong(alone, p, q)
+        made = [tag for _, tag in work]
+        work.clear()
+        want = None
+        if not ok:
+            m_ok, want = lemmata.mild(paired, p, q)
+            if m_ok:
+                want = lemmata.dual_mild(paired, p, q)[1]
+            failing[m_ok] += 1
+        assert ok is flag and made == [tag for _, tag in work] and wit == want, (p, q)
+        assert wit == report.witnesses.get(f"strong:{p},{q}"), (p, q)
+    assert failing[True] and failing[False]
+    assert not [key for c in (ec, alone) for key in c._kernels if key[0] == "stacked"]
 
 
 def test_routes_that_disagree_raise(monkeypatch, ec_torus):
@@ -462,6 +475,18 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     monkeypatch.setattr(lemmata, "_residue_rank", lambda ec, op, sp, sq, vectors: op == "del")
     with pytest.raises(AssertionError, match="weak at .*finds no form"):
         weak(ec_torus, 1)
+
+
+def test_lemma_report_raises_when_strong_breaks_its_identity(monkeypatch, ec_torus, ec_iwasawa):
+    """strong's verdict is its own rank identity, not mild and dual mild:
+    a strong rank test that says the opposite makes lemma_report raise,
+    both where every verdict holds (the torus) and where mild fails
+    (Iwasawa at (2,3))."""
+    real = lemmata._strong_holds
+    monkeypatch.setattr(lemmata, "_strong_holds", lambda ec, p, q: not real(ec, p, q))
+    for ec, at in ((ec_torus, (1, 1)), (ec_iwasawa, (2, 3))):
+        with pytest.raises(AssertionError, match=rf"strong/mild/dual-mild identity violated at \({at[0]}, {at[1]}\)"):
+            lemma_report(ec, bidegrees=[at], with_standard=False)
 
 
 def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):

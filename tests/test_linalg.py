@@ -282,8 +282,9 @@ def test_forward_echelon_equals_echelon(field, seed):
     negated and dependent ones, leads of 1, -1 and other scalars) has the
     rank and the pivots, in order, of the incremental RREF; each row is
     led by its pivot and is 0 at the pivots found before it; no input
-    changes; and rref() is the RREF, entry for entry, with the same
-    kernel."""
+    changes; rref() is the RREF, entry for entry, with the same kernel;
+    and residues vanish exactly on the span and agree with
+    Echelon.reduce."""
     rng = DetRng(300 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
@@ -310,37 +311,6 @@ def test_forward_echelon_equals_echelon(field, seed):
         assert sorted(_typed(full.pivots[p])) == sorted(_typed(row))
     kernel, expected = linalg.echelon_kernel(full, ncols, one), linalg.echelon_kernel(e, ncols, one)
     assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
-
-
-@pytest.mark.parametrize("field", ["QI", "Q"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_rref_rows_equal_the_echelon_rows_in_descending_lead_order(field, seed):
-    """The rows that ForwardEchelon.rref_rows builds one at a time from
-    seeded sparse vectors (leads of 1, -1 and other scalars) are the rows
-    of the incremental RREF, largest lead first, with the same values;
-    stopping after the first row leaves the forward rows unchanged; and
-    residues vanish exactly on the span and agree with Echelon.reduce."""
-    rng = DetRng(500 * seed + len(field))
-    ncols = 6 + rng.next_int(14)
-    vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
-    one = Fraction(1) if field == "Q" else QI(1)
-    # three fresh columns led by -1, 2 and 1, whatever the draws gave
-    vecs += [{ncols: -one, ncols + 2: one}, {ncols + 1: 2 * one, ncols + 2: -one}, {ncols + 2: one}]
-    ncols += 3
-    e = Echelon()
-    for v in vecs:
-        e.insert(v)
-    fe = linalg.forward_echelon(vecs)
-    leads = [row[p] for p, row in fe.pivots.items()]
-    assert {1, -1} <= set(leads) and any(lead not in (1, -1) for lead in leads)
-    before = {p: list(row.items()) for p, row in fe.pivots.items()}
-    first = next(fe.rref_rows())
-    assert first[0] == max(e.pivots) and first[1] == e.pivots[first[0]]
-    assert {p: list(row.items()) for p, row in fe.pivots.items()} == before
-    rows = list(fe.rref_rows())
-    assert [lead for lead, _ in rows] == sorted(e.pivots, reverse=True)
-    for lead, row in rows:
-        assert row == e.pivots[lead], lead
     probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:6]
     for v, residue in zip(probes, fe.residues(probes)):
         assert residue == e.reduce(v)
