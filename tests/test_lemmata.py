@@ -230,6 +230,45 @@ def test_strong_refuses_a_complex_that_is_not_flat():
         lemma_report(ec, bidegrees=[(1, 1)], with_standard=False)
 
 
+def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
+    """Through full_report, lemma_report (which reads strong's rank
+    identity) and strong at every bidegree on Iwasawa x C at t = 0, no
+    kernel of [del; delbar] is built and strong asks for no column span
+    of del or delbar."""
+    inside = []
+    asked = []
+    called = []
+
+    def traced(name, f):
+        def run(ec, p, q):
+            inside.append((p, q))
+            called.append(name)
+            try:
+                return f(ec, p, q)
+            finally:
+                inside.pop()
+        return run
+
+    def traced_image(self, op, p, q):
+        if inside:
+            asked.append((op, p, q))
+        return real_image(self, op, p, q)
+
+    real_image = EvaluatedComplex._image
+    for name in ("strong", "_strong_holds"):
+        monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
+    monkeypatch.setattr(EvaluatedComplex, "_image", traced_image)
+    ec = EvaluatedComplex(iwasawa_c, ())
+    full_report(ec)
+    report = lemma_report(ec)
+    for (p, q), flag in report.strong_flags.items():
+        assert lemmata.strong(ec, p, q)[0] is flag, (p, q)
+    assert not report.strong_flags[(2, 2)]
+    assert not [key for key in ec._kernels if key[0] == "stacked"]
+    assert set(called) == {"strong", "_strong_holds"}
+    assert asked and {op for op, _, _ in asked} == {"ddbar"}
+
+
 def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
     """lemma_report names the valid range instead of reporting mild and
     strong as holding on the zero space; mild itself still answers at
