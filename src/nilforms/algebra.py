@@ -126,7 +126,8 @@ class FormAlgebra:
 
     def basis(self, p: int, q: int) -> List[Mono]:
         ids = range(1, self.n + 1)
-        return [(I, J) for I in combinations(ids, p) for J in combinations(ids, q)]
+        js = list(combinations(ids, q))  # one J tuple shared by every I
+        return [(I, J) for I in combinations(ids, p) for J in js]
 
     def dim(self, p: int, q: int) -> int:
         if not (0 <= p <= self.n and 0 <= q <= self.n):
@@ -789,7 +790,7 @@ def _accumulate(out: Dict, key, v) -> None:
 
 class InvariantComplex:
     """Bigraded complex of invariant forms: the structure equations plus
-    the monomial basis and its index per bidegree.
+    the monomial basis per bidegree, and its index where one is asked for.
 
     The matrices of del and delbar are assembled at an evaluation point
     by ``cohomology.EvaluatedComplex``, straight from the evaluated
@@ -807,12 +808,14 @@ class InvariantComplex:
         key = (p, q)
         if key not in self._bases:
             self._bases[key] = self.algebra.basis(p, q)
-            self._index[key] = {m: i for i, m in enumerate(self._bases[key])}
         return self._bases[key]
 
     def index(self, p: int, q: int) -> Dict[Mono, int]:
-        self.basis(p, q)
-        return self._index[(p, q)]
+        """Position of each monomial in ``basis(p, q)``, built on first ask."""
+        key = (p, q)
+        if key not in self._index:
+            self._index[key] = {m: i for i, m in enumerate(self.basis(p, q))}
+        return self._index[key]
 
     def dim(self, p: int, q: int) -> int:
         return self.algebra.dim(p, q)

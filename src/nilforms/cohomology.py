@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .algebra import Form, FormAlgebra, InvariantComplex, merge_indices
@@ -161,10 +161,14 @@ class EvaluatedComplex:
     the total complex, ``total_d_rows``) with degree p and q = 0.  Each
     matrix gets one row echelon.  It starts as the forward echelon
     (``linalg.forward_echelon``), which gives the rank and the pivot
-    columns that ``rank`` and ``unimodular`` read.  The first ``kernel``
+    columns that ``rank`` and ``unimodular`` read.  The first kernel read
     of the matrix completes it into the RREF, which replaces it, so the
     forward rows are dropped; the pivots stay the same, in the same
     order, and the kernel vectors are those of the RREF reduced directly.
+    ``kernel`` keeps their list for the callers that read it whole
+    (representatives, extension generators); ``kernel_vectors`` builds
+    them one at a time and keeps none, for mild's witness, which stops
+    at the first image outside im deldelbar.
 
     On a unimodular complex (``unimodular``: d of every (2n-1)-form is 0,
     as on every nilpotent Lie algebra) del* = -*delbar* on invariant
@@ -334,14 +338,21 @@ class EvaluatedComplex:
         return self.rank(op, p - dp, q - dq)
 
     def kernel(self, op: str, p: int, q: int) -> List[Vec]:
-        """Kernel basis at source (p,q) of del/delbar/ddbar/stacked."""
+        """Kernel basis at source (p,q) of del/delbar/ddbar/stacked, kept
+        as a list for the callers that read it whole."""
         key = (op, p, q)
         if key not in self._kernels:
-            e = self._row_echelon(op, p, q)
-            if not isinstance(e, Echelon):
-                e = self._echelons[key] = e.rref()
-            self._kernels[key] = linalg.echelon_kernel(e, self.dim(p, q))
+            self._kernels[key] = list(self.kernel_vectors(op, p, q))
         return self._kernels[key]
+
+    def kernel_vectors(self, op: str, p: int, q: int) -> Iterator[Vec]:
+        """The vectors of ``kernel(op, p, q)``, in its order, each built
+        from the RREF when it is asked for; none of them is kept."""
+        key = (op, p, q)
+        e = self._row_echelon(op, p, q)
+        if not isinstance(e, Echelon):
+            e = self._echelons[key] = e.rref()
+        return linalg.echelon_kernel(e, self.dim(p, q))
 
     def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], ForwardEchelon]:
         """The independent columns of op into TARGET (p,q), in order, and

@@ -38,17 +38,21 @@ So a passing verdict builds no kernel, and only weak applies a matrix
 to a vector (delbar to its real basis) and reads image echelons, which
 each EvaluatedComplex builds once per image.  A failing
 verdict runs the vector route only to build its witness: the first
-vector of the tested space outside im deldelbar.  Strong's space is the
-sum of the spaces that mild and dual mild test, so strong fails exactly
-when one of them fails, and its witness is theirs: mild's at (p,q) if
-mild fails, else dual mild's (``lemma_report`` reuses the two it holds,
-and checks strong = mild and dual mild).  For weak that is one
-tracked forward elimination over Q (``linalg.relations_modulo``) of T,
-then of the realified basis E_j of im del: each E_j that adds nothing
-gives the one w = E_j - sum gamma_t E_t in T, as the RREF nullspace of
-[T | -E] does at E_j's column; E and the deldelbar echelon that w is
-tested against are the ones the rank test read.  That the route finds one is checked; if
-not, the two routes disagree, and AssertionError is raised.  Every
+vector of the tested space outside im deldelbar.  For mild that space
+is del of ker deldelbar, whose vectors are read from its RREF one at a
+time, each built only when its image is tested and none kept
+(``ec.kernel_vectors``), so the route stops at the witness.  Strong's
+space is the sum of the spaces that mild and dual mild test, so strong
+fails exactly when one of them fails, and its witness is theirs: mild's
+at (p,q) if mild fails, else dual mild's (``lemma_report`` reuses the
+two it holds, and checks strong = mild and dual mild).  For weak that
+is one tracked forward elimination over Q (``linalg.relations_modulo``)
+of T, then of the realified basis E_j of im del: each E_j that adds
+nothing gives the one w = E_j - sum gamma_t E_t in T, as the RREF
+nullspace of [T | -E] does at E_j's column; E and the deldelbar echelon
+that w is tested against are the ones the rank test read.  That the
+route finds one is checked; if not, the two routes disagree, and
+AssertionError is raised.  Every
 witness re-verifies by fresh rank computations (``verify_witness``).
 """
 
@@ -109,10 +113,11 @@ def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
 
 
 def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Vec]:
-    """op of each deldelbar kernel vector, into (p,q), as asked for."""
+    """op of each deldelbar kernel vector, into (p,q): each kernel vector
+    is built only when its image is asked for, and none is kept."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
     cols = ec.columns(op, sp, sq)
-    for x in ec.kernel("ddbar", sp, sq):
+    for x in ec.kernel_vectors("ddbar", sp, sq):
         yield linalg.columns_vec(cols, x)
 
 

@@ -26,7 +26,7 @@ rows of a Hermitian matrix forward, each tracked.  ``Echelon``, the
 incremental reduced row echelon form (RREF), only completes a forward
 echelon where a kernel is read: ``row_echelon`` builds it for
 ``ForwardEchelon.rref`` and ``nullspace``, and ``echelon_kernel`` reads
-it.
+the kernel from it one vector at a time, as a caller asks.
 """
 
 from __future__ import annotations
@@ -351,23 +351,26 @@ def row_echelon(vectors: Sequence[Vec]) -> Echelon:
     return e
 
 
-def echelon_kernel(e: Echelon, ncols: int, one=QI_ONE) -> List[Vec]:
-    """Basis of {x : M x = 0}, one vector per free column of the RREF e of M.
+def echelon_kernel(e: Echelon, ncols: int, one=QI_ONE) -> Iterator[Vec]:
+    """Basis of {x : M x = 0}, one vector per free column of the RREF e of
+    M, each built when it is asked for, free columns ascending.
 
     The vector of free column f is e_f minus, at each pivot p, the entry
-    of row p at f; one pass over the stored rows fills them all.
+    of row p at f: the pivots in ``e._at[f]``, taken in the order of
+    ``e.pivots``.
     """
-    free = {f: {f: one} for f in range(ncols) if f not in e.pivots}
-    for p, row in e.pivots.items():
-        for f, c in row.items():
-            if f != p:
-                free[f][p] = -c
-    return list(free.values())
+    order = {p: i for i, p in enumerate(e.pivots)}
+    for f in range(ncols):
+        if f not in e.pivots:
+            x = {f: one}
+            for p in sorted(e._at.get(f, ()), key=order.__getitem__):
+                x[p] = -e.pivots[p][f]
+            yield x
 
 
 def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
     """Basis of {x : M x = 0} from the RREF of the rows of M."""
-    return echelon_kernel(row_echelon(rows), ncols, one)
+    return list(echelon_kernel(row_echelon(rows), ncols, one))
 
 
 def mat_vec(rows: Rows, x: Vec) -> Vec:

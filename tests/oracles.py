@@ -492,6 +492,18 @@ def full_scan_kernel(pivots, ncols: int, one=GaussianRational(1)):
     return basis
 
 
+def echelon_kernel_one_pass(e, ncols: int, one=GaussianRational(1)):
+    """Kernel basis of an RREF, every vector filled in one pass over the
+    stored rows: the vector of free column f is e_f minus, at each pivot
+    p, the entry of row p at f."""
+    free = {f: {f: one} for f in range(ncols) if f not in e.pivots}
+    for p, row in e.pivots.items():
+        for f, c in row.items():
+            if f != p:
+                free[f][p] = -c
+    return list(free.values())
+
+
 def form_layer_derivation(se, a, op: str):
     """del, delbar or d of a form through the Form layer: every Leibniz
     term is a Form wedge added to a running Form sum."""

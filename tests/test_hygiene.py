@@ -71,41 +71,142 @@ def test_no_unused_imports():
 
 
 def defined_names(source: str):
-    """Functions and classes a module defines, methods included, with the
-    line of each; dunder methods are read by the language itself."""
+    """Functions and classes a module defines, each keyed by (class, name)
+    with its line: the class a method is defined in, else None (local
+    functions are read by bare name).  Dunder methods are read by the
+    language itself."""
+    out = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out[(owner, child.name)] = child.lineno
+                visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def class_bases(source: str):
+    """The base names of each class a module defines."""
     return {
-        node.name: node.lineno
+        node.name: [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases]
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        if isinstance(node, ast.ClassDef)
     }
 
 
-def read_names(source: str):
-    """Names a module reads: loaded names and attributes, and names inside
-    string annotations."""
+def _class_of(node, classes):
+    """The class an annotation or a constructor call names: C, mod.C or
+    "C"; else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return None
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+    return name if name in classes else None
+
+
+def _local_classes(fn, classes, outer):
+    """The class of each local name of a function that the source fixes:
+    self and cls in a method, an argument annotated C, or a name whose
+    every binding is x = C(...); names bound any other way are dropped."""
+    env = dict(outer)
+    bound = {}
+    for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs:
+        bound.setdefault(a.arg, set()).add(_class_of(a.annotation, classes) if a.annotation else None)
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            bound.setdefault(node.targets[0].id, set()).add(
+                _class_of(node.value, classes) if isinstance(node.value, ast.Call) else None)
+            stack.append(node.value)
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.setdefault(node.id, set()).add(None)
+        stack.extend(ast.iter_child_nodes(node))
+    for name, kinds in bound.items():
+        env[name] = kinds.pop() if len(kinds) == 1 else None
+    return env
+
+
+def read_names(source: str, classes=frozenset()):
+    """(receiver, name) of each name a module reads: loaded names and
+    names inside string annotations with receiver None, and attributes
+    with the class of their receiver where the source fixes it (C.m,
+    mod.C.m, C(...).m, self.m in a method of C, x.m for an x that
+    ``_local_classes`` knows), else None."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+
+    def receiver(node, env):
+        if isinstance(node, ast.Name) and node.id in env:
+            return env[node.id]
+        return _class_of(node, classes) if isinstance(node, (ast.Name, ast.Attribute, ast.Call)) else None
+
+    def visit(node, owner, env):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            out.add((None, node.id))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
+            out.add((receiver(node.value, env), node.attr))
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out |= _annotation_names(node.returns)
+            out.update((None, n) for n in _annotation_names(node.returns))
+            env = _local_classes(node, classes, env)
+            if owner is not None:
+                env.update({"self": owner, "cls": owner})
         elif isinstance(node, ast.arg):
-            out |= _annotation_names(node.annotation)
+            out.update((None, n) for n in _annotation_names(node.annotation))
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = None
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, env)
+
+    visit(ast.parse(source), None, {})
     return out
 
 
 def orphans(defining: dict, reading: list):
     """(module, line, name) of each definition in ``defining`` (module name
-    to source) that no source in ``reading`` reads by name."""
-    read = set().union(*(read_names(src) for src in reading))
+    to source) that no source in ``reading`` reads: a module-level name
+    read anywhere by name, a method C.m read as m of an unknown receiver
+    or of a class that C inherits from or is inherited by."""
+    bases = {}
+    for src in defining.values():
+        bases.update(class_bases(src))
+    family = {}
+    for cls in bases:
+        up, stack = set(), [cls]
+        while stack:  # cls and its ancestors
+            c = stack.pop()
+            if c not in up:
+                up.add(c)
+                stack.extend(bases.get(c, ()))
+        for c in up:
+            family.setdefault(c, set()).add(cls)
+            family.setdefault(cls, set()).add(c)
+    read = set().union(*(read_names(src, frozenset(bases)) for src in reading))
+    names = {name for _, name in read}
+
+    def is_read(owner, name):
+        if owner is None:
+            return name in names
+        return any((c, name) in read for c in family[owner] | {None})
+
     return sorted(
-        (module, line, name)
+        (module, line, name if owner is None else f"{owner}.{name}")
         for module, src in defining.items()
-        for name, line in defined_names(src).items()
-        if name not in read
+        for (owner, name), line in defined_names(src).items()
+        if not is_read(owner, name)
     )
 
 
@@ -117,14 +218,37 @@ def test_orphan_scan_sees_what_it_should():
         "    def unused_method(self):\n"
         "        return self.v\n"
         "    def used_method(self) -> 'Box':\n"
+        "        return self.shared()\n"
+        "    def shared(self):\n"
         "        return self\n"
+        "class Crate:\n"
+        "    def shared(self):\n"
+        "        return 2\n"
+        "    def opened(self):\n"
+        "        return 3\n"
+        "class Jar(Crate):\n"
+        "    pass\n"
         "def helper():\n"
         "    return 1\n"
         "def left_behind():\n"
         "    return helper()\n"
     )
-    caller = "import lib\nlib.Box().used_method()\n"
-    assert orphans({"lib": lib}, [lib, caller]) == [("lib", 4, "unused_method"), ("lib", 10, "left_behind")]
+    # Box.shared is read through self, Crate.opened through its subclass,
+    # and a Box built in a function is the receiver of b.shared
+    caller = (
+        "import lib\n"
+        "lib.Box().used_method()\n"
+        "lib.Jar().opened()\n"
+        "def g():\n"
+        "    b = lib.Box()\n"
+        "    return b.shared()\n"
+    )
+    dead = [("lib", 4, "Box.unused_method"), ("lib", 11, "Crate.shared"), ("lib", 19, "left_behind")]
+    assert orphans({"lib": lib}, [lib, caller]) == dead
+    # an argument annotated Crate is a known receiver; a read whose
+    # receiver is not known keeps every method of the name
+    for reader in ("def f(c: 'lib.Crate'):\n    return c.shared()\n", "x.shared\n"):
+        assert orphans({"lib": lib}, [lib, caller, reader]) == [dead[0], dead[2]]
 
 
 def test_no_orphaned_helpers():
@@ -181,7 +305,7 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     ``Echelon`` is constructed only in ``linalg.row_echelon``, which
     completes a forward echelon where a kernel is read; every image,
     membership test and tracked solve is a ``ForwardEchelon``."""
-    defined = {name for path in SRC.glob("*.py") for name in defined_names(path.read_text())}
+    defined = {name for path in SRC.glob("*.py") for _, name in defined_names(path.read_text())}
     gone = {"HodgeContext", "solve_dense", "dense_inverse", "rows_to_dense", "dense_to_rows", "_ldl_witness", "eval_dense"}
     assert gone.isdisjoint(defined), gone & defined
     assert {"Echelon", "ForwardEchelon", "row_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined

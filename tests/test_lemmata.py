@@ -22,6 +22,7 @@ from nilforms.lemmata import (
 from nilforms.scalars import PolyRing
 
 from oracles import (
+    echelon_kernel_one_pass,
     exact_closed_basis_full,
     fiber_point,
     mild_by_vectors,
@@ -378,6 +379,36 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
         assert list(got) == list(want)
 
 
+def _typed_items(v):
+    """A vector's entries in key order, with the types of the scalars and
+    of their parts."""
+    return [(k, x, type(x), type(x.re), type(x.im)) for k, x in v.items()]
+
+
+def test_lazy_kernel_equals_the_one_pass_oracle(reference_complexes):
+    """The kernel of del, delbar, deldelbar and stacked at every bidegree,
+    built one vector at a time from the RREF (``kernel_vectors``, and the
+    list ``kernel`` keeps), is the one-pass oracle's on the same RREF: the
+    same vectors in order, keys in order, values and types.  On Iwasawa,
+    bcvary10 at t = 0 and at both generic points, the four benchmark
+    products and solvable3."""
+    labels = ["iwasawa3@0", "bcvary10@0", "bcvary10 deformed#0", "bcvary10 deformed#1",
+              "iwasawa2", "iwasawa_c3", "bcvary10_0_c", "iwasawa2_c"]
+    chosen = {label: (cx, point) for label, cx, point in reference_complexes if label in labels}
+    chosen["solvable3"] = (build_complex(nio.obj_to_se(SOLVABLE)), ())
+    assert len(chosen) == len(labels) + 1
+    for label, (cx, point) in chosen.items():
+        ec = EvaluatedComplex(cx, point)
+        for op in ("del", "delbar", "ddbar", "stacked"):
+            for p in range(cx.n + 1):
+                for q in range(cx.n + 1):
+                    lazy = list(ec.kernel_vectors(op, p, q))
+                    want = echelon_kernel_one_pass(ec._echelons[(op, p, q)], ec.dim(p, q))
+                    assert [_typed_items(x) for x in lazy] == [_typed_items(x) for x in want], (label, op, p, q)
+                    assert not ec._kernels and ec.kernel(op, p, q) == lazy
+                    ec._kernels.clear()
+
+
 def test_every_verdict_refuses_a_complex_that_is_not_flat():
     """mild, dual mild, weak and standard refuse the complex that strong
     refuses, with the same error, and the failed verdict is not stored:
@@ -582,6 +613,43 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     passes = [sum(seq == [id(r) for r in ec.total_d_rows(k)] for _, seq in fed.values())
               for k in range(-1, 2 * cx.n)]
     assert passes[:cx.n + 1] == [1] * (cx.n + 1) and max(passes) == 1, passes
+
+
+def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, reference_complexes):
+    """On Iwasawa^2 x C after full_report, lemma_report keeps no deldelbar
+    kernel (the list route kept 15,519 vectors), and builds one deldelbar
+    kernel vector per image that a failing mild or dual mild tests, each
+    through ``kernel_vectors`` (weak's and standard's witnesses take no
+    kernel); its JSON equals that of a complex whose
+    deldelbar kernels were all built as lists first."""
+    cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
+    ec = EvaluatedComplex(cx, ())
+    full_report(ec)
+    built, tested = Counter(), Counter()
+    kernel_vectors, witness = EvaluatedComplex.kernel_vectors, lemmata._witness
+
+    def counting(self, op, p, q):
+        for x in kernel_vectors(self, op, p, q):
+            built[op] += 1
+            yield x
+
+    def testing(ec, kind, p, q, vectors):
+        return witness(ec, kind, p, q, (tested.update([kind]) or v for v in vectors))
+
+    monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", counting)
+    monkeypatch.setattr(lemmata, "_witness", testing)
+    report = lemma_report(ec)
+    monkeypatch.undo()
+    assert not [key for key in ec._kernels if key[0] == "ddbar"]
+    # weak and standard test vectors of their own, built without a kernel
+    assert set(built) == {"ddbar"} and built["ddbar"] == tested["mild"] + tested["dual_mild"]
+    assert tested["mild"] and tested["dual_mild"]
+    first = EvaluatedComplex(cx, ())
+    full_report(first)
+    for p in range(cx.n + 1):
+        for q in range(cx.n + 1):
+            first.kernel("ddbar", p, q)
+    assert lemma_report(first).to_json_dict() == report.to_json_dict()
 
 
 def _witness_bidegree(key):

@@ -178,7 +178,7 @@ def test_int_leads_divide_exactly():
         if v is vecs[0]:
             assert fast.pivots[0] == {0: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)}
     assert fast.rank == 4
-    kernel = linalg.echelon_kernel(fast, 5, Fraction(1))
+    kernel = list(linalg.echelon_kernel(fast, 5, Fraction(1)))
     assert len(kernel) == 1 and len(kernel[0]) > 2
     assert kernel == full_scan_kernel(slow.pivots, 5, Fraction(1))
     _assert_no_float(kernel)
