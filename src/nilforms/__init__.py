@@ -46,7 +46,6 @@ from .deformation import (
     deform_complex,
     delbar_on_vectors,
     evaluate_se,
-    extension_map,
     kuranishi_expand,
     lie_brackets,
     main1_residual,
@@ -69,6 +68,7 @@ from .extension import (
     ExtensionState,
     a_ladder,
     bc_nontriviality,
+    extension_map,
     obstruction_residual,
     pkahler_extend,
     solve_extension,

@@ -10,11 +10,12 @@ echelons that every minimal-norm del-delbar solve at that point reuses
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read from a forward
-echelon; the reduced echelon is built only where a kernel is read.  On
-a unimodular complex the Aeppli and the upper de Rham ranks are read
-through Hodge-star duality from echelons that other dimensions already
-hold.  Kernel and image bases are built only for callers that need
-vectors (representatives, lemma witnesses, solvers).
+echelon, which completes itself in place into the reduced echelon only
+where a kernel is read.  On a unimodular complex the Aeppli and the
+upper de Rham ranks are read through Hodge-star duality from echelons
+that other dimensions already hold.  Kernel and image bases are built
+only for callers that need vectors (representatives, lemma witnesses,
+solvers).
 ``cohomology(..., with_basis=True)`` checks the rank route against the
 basis route.  Quotient-space computations are the normative route; the
 Laplacians, harmonic projectors and Green operators of Hodge theory are
@@ -31,12 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Form, FormAlgebra, InvariantComplex, merge_indices
 from .errors import NotSolvable, PreconditionFailed
-from .linalg import Echelon, ForwardEchelon, Rows, Vec
+from .linalg import Echelon, Rows, Vec
 from .scalars import GaussianRational
 
 #: numerators/denominators for the fixed generic sample points
@@ -162,10 +163,11 @@ class EvaluatedComplex:
     matrix gets one row echelon.  It starts as the forward echelon
     (``linalg.forward_echelon``), which gives the rank and the pivot
     columns that ``rank`` and ``unimodular`` read.  The first kernel read
-    of the matrix completes it into the RREF, which replaces it, so the
-    forward rows are dropped; the pivots stay the same, in the same
-    order, and the kernel vectors are those of the RREF reduced directly.
-    ``kernel`` keeps their list for the callers that read it whole
+    of the matrix completes that echelon in place into the RREF
+    (``linalg.Echelon.kernel``): each row that changes is replaced by a
+    reduced copy, so the matrix rows are left as they were, and the
+    pivots stay the same, in the same order.  ``kernel`` keeps the list
+    of the kernel vectors for the callers that read it whole
     (representatives, extension generators); ``kernel_vectors`` builds
     them one at a time and keeps none, for mild's witness, which stops
     at the first image outside im deldelbar.
@@ -213,10 +215,10 @@ class EvaluatedComplex:
         self._terms: Dict[str, list] = {}
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
         self._cols: Dict[Tuple[str, int, int], Dict[int, Vec]] = {}
-        self._echelons: Dict[Tuple[str, int, int], Union[ForwardEchelon, Echelon]] = {}
-        self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], ForwardEchelon]] = {}
+        self._echelons: Dict[Tuple[str, int, int], Echelon] = {}
+        self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
         self._kernels: Dict[Tuple[str, int, int], List[Vec]] = {}
-        self._preimages: Dict[Tuple[int, int], Tuple[Rows, ForwardEchelon]] = {}
+        self._preimages: Dict[Tuple[int, int], Tuple[Rows, Echelon]] = {}
         self._unimodular: Optional[bool] = None
 
     # -- matrices ---------------------------------------------------------
@@ -280,10 +282,10 @@ class EvaluatedComplex:
 
     # -- ranks, kernels and images -----------------------------------------
 
-    def _row_echelon(self, op: str, p: int, q: int) -> Union[ForwardEchelon, Echelon]:
-        """The row echelon of the matrix (op, p, q), reduced directly: its
-        forward echelon, or the RREF once ``kernel`` has completed it.
-        Both give the same rank and the same pivots, in the same order."""
+    def _row_echelon(self, op: str, p: int, q: int) -> Echelon:
+        """The row echelon of the matrix (op, p, q): its forward echelon,
+        completed in place into the RREF once a kernel is read, with the
+        same rank and the same pivots, in the same order."""
         key = (op, p, q)
         if op == "total":
             return self.total_echelon(p)
@@ -291,7 +293,7 @@ class EvaluatedComplex:
             self._echelons[key] = linalg.forward_echelon(self._matrix(op, p, q))
         return self._echelons[key]
 
-    def total_echelon(self, k: int) -> ForwardEchelon:
+    def total_echelon(self, k: int) -> Echelon:
         """The forward echelon of d from total degree k, extended by the
         rows of one target block of ``total_blocks(k+1)`` at a time, so its
         ``marks`` are standard's prefix ranks (``lemmata._block_ranks``).
@@ -299,7 +301,7 @@ class EvaluatedComplex:
         key = ("total", k, 0)
         e = self._echelons.get(key)
         if e is None:
-            rows, e = self.total_d_rows(k), ForwardEchelon({})
+            rows, e = self.total_d_rows(k), Echelon({})
             for pq in self.total_blocks(k + 1):
                 e.extend(rows[:self.dim(*pq)])
                 rows = rows[self.dim(*pq):]
@@ -348,13 +350,9 @@ class EvaluatedComplex:
     def kernel_vectors(self, op: str, p: int, q: int) -> Iterator[Vec]:
         """The vectors of ``kernel(op, p, q)``, in its order, each built
         from the RREF when it is asked for; none of them is kept."""
-        key = (op, p, q)
-        e = self._row_echelon(op, p, q)
-        if not isinstance(e, Echelon):
-            e = self._echelons[key] = e.rref()
-        return linalg.echelon_kernel(e, self.dim(p, q))
+        return self._row_echelon(op, p, q).kernel(self.dim(p, q))
 
-    def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], ForwardEchelon]:
+    def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
         """The independent columns of op into TARGET (p,q), in order, and
         the forward echelon of their span that selected them; op total is
         d on the total complex into TARGET degree p (q = 0)."""
@@ -367,7 +365,7 @@ class EvaluatedComplex:
                 dp, dq = _SHIFT[_known(op, _SHIFT)]
                 sp, sq = p - dp, q - dq
                 ncols, nrows = self.dim(sp, sq), self.dim(p, q)
-            e = ForwardEchelon({})
+            e = Echelon({})
             cols = linalg.columns_of(self._matrix(op, sp, sq), ncols) if ncols and nrows else []
             self._images[key] = ([v for v in cols if v and e.insert(v)], e)
         return self._images[key]
@@ -377,17 +375,17 @@ class EvaluatedComplex:
         degree p for total)."""
         return self._image(op, p, q)[0]
 
-    def image_echelon(self, op: str, p: int, q: int) -> ForwardEchelon:
+    def image_echelon(self, op: str, p: int, q: int) -> Echelon:
         """Forward echelon of the image of op with TARGET bidegree (p,q)
         (TARGET degree p for total), for membership and residues."""
         return self._image(op, p, q)[1]
 
-    def image_sum(self, ops: Sequence[str], p: int, q: int) -> ForwardEchelon:
+    def image_sum(self, ops: Sequence[str], p: int, q: int) -> Echelon:
         """A new forward echelon of the sum of the images of ops into
         TARGET (p,q): a copy of the first one's cached echelon, whose rows
         are never changed and so are shared, extended by the others'
         image bases.  Inserting into it leaves the cache as it was."""
-        e = ForwardEchelon(dict(self.image_echelon(ops[0], p, q).pivots))
+        e = Echelon(dict(self.image_echelon(ops[0], p, q).pivots))
         for op in ops[1:]:
             e.extend(self.image_vectors(op, p, q))
         return e

@@ -294,16 +294,6 @@ def coframe_transform(phi: VectorValuedForm) -> CoframeEndo:
     return CoframeEndo.identity(alg) + p_endo + p_endo.conj()
 
 
-def extension_map(phi: VectorValuedForm, omega: Form) -> Form:
-    """e^{iota_phi | iota_phibar}: substitute gamma -> (1+phi)(gamma) on
-    holomorphic factors and the conjugate on anti-holomorphic factors.
-
-    For invariant forms the coefficient pullback is the identity, so the
-    map is exactly the simultaneous coframe substitution.
-    """
-    return simultaneous_contract(coframe_transform(phi), omega.lift(phi.algebra))
-
-
 def main1_residual(se: StructureEquations, phi: VectorValuedForm, alpha: Form) -> Form:
     """Residual of the extended Leibniz identity
     d(e^{iota_phi} a) = e^{iota_phi}((d + del iota_phi - iota_phi del

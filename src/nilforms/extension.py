@@ -82,6 +82,17 @@ def beltrami_operators(phi: VectorValuedForm) -> BeltramiOperators:
     return phi.operators
 
 
+def extension_map(phi: VectorValuedForm, omega: Form) -> Form:
+    """e^{iota_phi | iota_phibar}: substitute gamma -> (1+phi)(gamma) on
+    holomorphic factors and the conjugate on anti-holomorphic factors,
+    through phi's cached ``ext_transform``.
+
+    For invariant forms the coefficient pullback is the identity, so the
+    map is exactly the simultaneous coframe substitution.
+    """
+    return simultaneous_contract(beltrami_operators(phi).ext_transform, omega.lift(phi.algebra))
+
+
 def a_ladder(phi: VectorValuedForm, omega_tilde: Form) -> List[Form]:
     """A_k = iota_B^k(W)/k!; nonzero only for 0 <= k <= min(q, n-p)."""
     return contraction_series(beltrami_operators(phi).b_field, omega_tilde)
@@ -122,8 +133,7 @@ def obstruction_residual(
     omega = omega.lift(phi.algebra)
     p, q = omega.bidegree()
     omega_tilde = simultaneous_contract(ops.shrink, omega)
-    ext = simultaneous_contract(ops.ext_transform, omega)
-    full = se_r.apply_d(ext)
+    full = se_r.apply_d(extension_map(phi, omega))
     s1, s2, s3 = ladder_sums(phi, omega_tilde)
     left = se_r.apply_del(omega_tilde + s1) + se_r.apply_delbar(s2)
     right = se_r.apply_delbar(omega_tilde + s1) + se_r.apply_del(s3)

@@ -9,24 +9,23 @@ GaussianRational follow the same rule), and every division goes through
 ``scalars._div``, which is exact on two ints where a bare ``/`` would
 give a float.  No floating point anywhere.
 
-Two eliminations.  ``ForwardEchelon``, whose rows are never normalised
-or back-substituted, answers every question about a span and every
-exact solve: its rank and pivot columns (``forward_echelon``, read by
-every rank and lemma verdict), membership (``insert``, ``contains``,
-``residues``), and by which combination a vector lies in it: ``track``
-carries the combination of each row in columns of its own,
-``relations_modulo`` reads the relations of vectors modulo a span from
-it (weak's witness), and ``solve`` the combination that gives a vector.
-``tracked_echelon`` tracks a list of columns; ``ddbar_preimage`` solves
-with it, and ``solve_square`` reads X with A X = B from it, for the
-coframe inverse of ``deform_complex`` at a point and the Green operators
-of ``harmonic_green`` (Kuranishi, and the tests' Hodge oracle).
-``hermitian_pivots``, the exact positivity certificate, eliminates the
-rows of a Hermitian matrix forward, each tracked.  ``Echelon``, the
-incremental reduced row echelon form (RREF), only completes a forward
-echelon where a kernel is read: ``row_echelon`` builds it for
-``ForwardEchelon.rref`` and ``nullspace``, and ``echelon_kernel`` reads
-the kernel from it one vector at a time, as a caller asks.
+One elimination.  ``Echelon``, whose rows are never normalised or
+back-substituted as they are found, answers every question about a span
+and every exact solve: its rank and pivot columns (``forward_echelon``,
+read by every rank and lemma verdict), membership (``insert``,
+``contains``, ``residues``), and by which combination a vector lies in
+it: ``track`` carries the combination of each row in columns of its
+own, ``relations_modulo`` reads the relations of vectors modulo a span
+from it (weak's witness), and ``solve`` the combination that gives a
+vector.  ``tracked_echelon`` tracks a list of columns; ``ddbar_preimage``
+solves with it, and ``solve_square`` reads X with A X = B from it, for
+the coframe inverse of ``deform_complex`` at a point and the Green
+operators of ``harmonic_green`` (Kuranishi, and the tests' Hodge
+oracle).  ``hermitian_pivots``, the exact positivity certificate,
+eliminates the rows of a Hermitian matrix forward, each tracked.  Where
+a kernel is read (``Echelon.kernel``, and ``nullspace`` through it), the
+echelon completes itself in place into the reduced row echelon form
+(RREF), once, and builds each kernel vector from it as a caller asks.
 """
 
 from __future__ import annotations
@@ -81,130 +80,38 @@ def _negated(v: Vec) -> Vec:
 
 
 class Echelon:
-    """Incremental reduced row echelon over an exact field: the
-    completion of a forward echelon where a kernel is read
-    (``row_echelon``, ``ForwardEchelon.rref``, ``nullspace``).
-
-    Stored rows are fully inter-reduced: each has coefficient 1 at its
-    pivot index and 0 at every other pivot index.
-
-    Column index invariant: for every non-pivot column k, ``_at[k]`` lists
-    each pivot whose stored row has a nonzero entry at k, once (pivot
-    columns have no entry).  A useful insert with new pivot k therefore
-    back-substitutes into exactly the rows in ``_at[k]``, and each step
-    costs in proportion to the nonzeros it touches, not to the rank.  The
-    lists are short on sparse input; removing a pivot from one, which
-    happens only when an entry cancels, scans it.
-
-    Early-outs: a reduced row whose leading entry is 1 is stored as it
-    is, and one whose leading entry is -1 is negated in one pass.  Only
-    another leading entry is inverted, exactly (``_div``, so an int lead
-    of 2 gives Fraction(1, 2), never 0.5), and multiplied in.  So the
-    entries of a vector must share one field: Q, whose entries are ints
-    and Fractions (an int exactly when integral), or Q(i), whose entries
-    are GaussianRationals.  A ±1 row keeps the types it has, where a
-    rescaled one takes the inverse's.
-    """
-
-    def __init__(self):
-        self.pivots: Dict[int, Vec] = {}
-        self._at: Dict[int, List[int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, v: Vec) -> Vec:
-        pivots = self.pivots
-        w = dict(v)
-        # stored rows vanish at every other pivot, so reducing by one
-        # pivot never creates an entry at another: w is updated in place
-        for p in [k for k in w if k in pivots]:
-            coeff = w.get(p)
-            if coeff:
-                _sub_scaled_into(w, coeff, pivots[p])
-        return w
-
-    def insert(self, v: Vec) -> bool:
-        """Add a vector to the span; True if it enlarged the span."""
-        w = self.reduce(v)
-        if not w:
-            return False
-        piv = min(w)
-        lead = w[piv]
-        if lead == -1:
-            w = _negated(w)
-        elif lead != 1:
-            w = vec_scale(w, _div(1, lead))
-        at = self._at
-        for p in at.pop(piv, ()):
-            # row - coeff * w: the entry at piv cancels, and only the
-            # columns of w change, so only their index sets move
-            row = self.pivots[p]
-            coeff = row.pop(piv)
-            neg = -coeff
-            for k, x in w.items():
-                if k == piv:
-                    continue
-                s = row.get(k)
-                if s is None:
-                    row[k] = neg * x
-                    at.setdefault(k, []).append(p)
-                else:
-                    d = s - coeff * x
-                    if d:
-                        row[k] = d
-                    else:
-                        del row[k]
-                        at[k].remove(p)
-        self.pivots[piv] = w
-        for k in w:
-            if k != piv:
-                at.setdefault(k, []).append(piv)
-        return True
-
-
-def _sub_scaled_into(u: Vec, c, v: Vec) -> None:
-    """u -= c*v in place, dropping entries that cancel."""
-    neg = -c
-    for k, x in v.items():
-        s = u.get(k)
-        d = neg * x if s is None else s - c * x
-        if d:
-            u[k] = d
-        elif s is not None:
-            del u[k]
-
-
-class ForwardEchelon:
-    """Row echelon form by forward elimination: the rank and the pivot
-    columns of a span, without its reduced form.
+    """Row echelon form by forward elimination, completed into the
+    reduced row echelon form (RREF) where a kernel is read.
 
     ``pivots`` maps each leading column, in the order found, to its row:
     the vector reduced against the rows found before it, so it is 0 at
     their leading columns, but not at later ones, and its lead is neither
     scaled nor inverted.  That reduced vector is the one element of v
     plus the span of the earlier rows that vanishes at their leading
-    columns, which is also what ``Echelon.reduce`` returns; so the leading
-    columns, their order and the leads are those of an ``Echelon`` fed
-    the same vectors.  ``rref`` completes the form into that Echelon.
+    columns, so the leading columns and their order depend only on the
+    vectors fed, in their order.  ``kernel`` replaces the rows by those
+    of the RREF, at the same leading columns in the same order, and
+    every other question reads either form alike.
     ``marks`` holds the rank after each ``extend``, so that of each
     leading run of the blocks fed.
-    ``insert``, ``contains`` and ``residues`` test membership, and
-    ``track`` and ``solve`` find the combination that gives a vector.
+    ``insert``, ``contains`` and ``residues`` test membership, ``track``
+    and ``solve`` find the combination that gives a vector, and
+    ``kernel`` reads the kernel of the matrix whose rows were fed.
+    ``perfbench/tracing.py`` hooks ``Echelon.insert`` by name.
     """
 
-    __slots__ = ("pivots", "marks")
+    __slots__ = ("pivots", "marks", "_free")
 
     def __init__(self, pivots: Dict[int, Vec]):
         self.pivots = pivots
         self.marks: List[int] = []
+        self._free: Optional[Dict[int, List[int]]] = None
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def extend(self, vectors: Sequence[Vec]) -> "ForwardEchelon":
+    def extend(self, vectors: Sequence[Vec]) -> "Echelon":
         """Eliminate the vectors in order into the form; returns self."""
         pivots = self.pivots
         for v in vectors:
@@ -212,6 +119,7 @@ class ForwardEchelon:
                 w = _forward_reduce(pivots, v)
                 if w:
                     pivots[min(w)] = w
+        self._free = None
         self.marks.append(len(pivots))
         return self
 
@@ -220,6 +128,7 @@ class ForwardEchelon:
         w = _forward_reduce(self.pivots, v)
         if w:
             self.pivots[min(w)] = w
+            self._free = None
         return bool(w)
 
     def contains(self, v: Vec) -> bool:
@@ -235,6 +144,7 @@ class ForwardEchelon:
         w = _forward_reduce(self.pivots, {**v, width + j: 1})
         if min(w) < width:
             self.pivots[min(w)] = w
+            self._free = None
             return None
         return {k - width: c for k, c in w.items()}
 
@@ -254,11 +164,58 @@ class ForwardEchelon:
         with the span as its kernel."""
         return [_forward_reduce(self.pivots, v) for v in vectors]
 
-    def rref(self) -> Echelon:
-        """The reduced row echelon form of the same span, pivots in the
-        same order: each row vanishes at the leading columns before its
-        own, so every insert reduces nothing and adds its pivot."""
-        return row_echelon(self.pivots.values())
+    def kernel(self, ncols: int, one=QI_ONE) -> Iterator[Vec]:
+        """Basis of {x : M x = 0}, for the M whose rows were fed: one
+        vector per free column f, ascending, each built when it is asked
+        for.  The first call, and the first after a row is added,
+        completes the rows in place into the RREF (``_complete``); the
+        vector of f is then e_f minus, at each pivot p, the entry of row
+        p at f, the pivots in the order found."""
+        if self._free is None:
+            self._free = self._complete()
+        pivots, free = self.pivots, self._free
+        for f in range(ncols):
+            if f not in pivots:
+                x = {f: one}
+                for p in free.get(f, ()):
+                    x[p] = -pivots[p][f]
+                yield x
+
+    def _complete(self) -> Dict[int, List[int]]:
+        """Replace each row by the row of the RREF at its lead, largest
+        lead first, and return the free-column index: each column with
+        an entry in a row other than its lead, with the leads of those
+        rows in the order found.
+
+        A row has no entry left of its lead, so the row at the largest
+        lead has no entry at any other lead: divided by its lead, it is
+        reduced.  Each later row meets other leads only at larger
+        columns, whose rows are already reduced and vanish at every
+        other lead, so one subtraction per lead met reduces it.  A row
+        that changes is copied first, since a stored row may be a
+        caller's vector held by reference; the leads, their order, the
+        rank and ``marks`` stay as they were.  An int lead of 2 is
+        inverted exactly (``_div``), and a lead of -1 only negates.
+        """
+        pivots = self.pivots
+        for lead in sorted(pivots, reverse=True):
+            row = w = pivots[lead]
+            for k in [k for k in row if k != lead and k in pivots]:
+                if w is row:
+                    w = dict(row)
+                add_scaled_into(w, -row[k], pivots[k])
+            c = w[lead]
+            if c == -1:
+                w = _negated(w)
+            elif c != 1:
+                w = vec_scale(w, _div(1, c))
+            pivots[lead] = w
+        free: Dict[int, List[int]] = {}
+        for p, row in pivots.items():
+            for k in row:
+                if k != p:
+                    free.setdefault(k, []).append(p)
+        return free
 
 
 def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
@@ -299,12 +256,12 @@ def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
     return w
 
 
-def forward_echelon(vectors: Sequence[Vec]) -> ForwardEchelon:
+def forward_echelon(vectors: Sequence[Vec]) -> Echelon:
     """Forward elimination of the vectors in order (the rows of a matrix,
     so its rank is the rank of the matrix), through ``_forward_reduce``.
     A vector that meets no leading column is stored as it is, by
-    reference; stored rows are never changed."""
-    return ForwardEchelon({}).extend(vectors)
+    reference; no stored row is ever changed in place."""
+    return Echelon({}).extend(vectors)
 
 
 def relations_modulo(base: Sequence[Vec], vectors: Sequence[Vec], width: int) -> Iterator[Vec]:
@@ -312,7 +269,7 @@ def relations_modulo(base: Sequence[Vec], vectors: Sequence[Vec], width: int) ->
     with c[j] = 1 and sum c_t v_t in span(base), supported on j and the
     earlier vectors that enlarged the span (unique when the v are
     independent).  One forward elimination, each v_j carrying e_j at
-    column width + j (``ForwardEchelon.track``)."""
+    column width + j (``Echelon.track``)."""
     e = forward_echelon(base)
     for j, v in enumerate(vectors):
         c = e.track(v, j, width)
@@ -320,11 +277,11 @@ def relations_modulo(base: Sequence[Vec], vectors: Sequence[Vec], width: int) ->
             yield c
 
 
-def tracked_echelon(vectors: Sequence[Vec], width: int) -> ForwardEchelon:
+def tracked_echelon(vectors: Sequence[Vec], width: int) -> Echelon:
     """Forward elimination of the vectors in order, each v_j tracked at
-    column width + j (``ForwardEchelon.track``), so that ``solve`` reads
+    column width + j (``Echelon.track``), so that ``solve`` reads
     the combination of them that gives a vector of their span."""
-    e = ForwardEchelon({})
+    e = Echelon({})
     for j, v in enumerate(vectors):
         e.track(v, j, width)
     return e
@@ -342,35 +299,9 @@ def solve_square(a_cols: Sequence[Vec], b_cols: Sequence[Vec]) -> Optional[List[
     return [e.solve(b, n) for b in b_cols]
 
 
-def row_echelon(vectors: Sequence[Vec]) -> Echelon:
-    """RREF of the span of the vectors (the row space when they are the
-    rows of a matrix, so its rank is the rank of the matrix)."""
-    e = Echelon()
-    for v in vectors:
-        e.insert(v)
-    return e
-
-
-def echelon_kernel(e: Echelon, ncols: int, one=QI_ONE) -> Iterator[Vec]:
-    """Basis of {x : M x = 0}, one vector per free column of the RREF e of
-    M, each built when it is asked for, free columns ascending.
-
-    The vector of free column f is e_f minus, at each pivot p, the entry
-    of row p at f: the pivots in ``e._at[f]``, taken in the order of
-    ``e.pivots``.
-    """
-    order = {p: i for i, p in enumerate(e.pivots)}
-    for f in range(ncols):
-        if f not in e.pivots:
-            x = {f: one}
-            for p in sorted(e._at.get(f, ()), key=order.__getitem__):
-                x[p] = -e.pivots[p][f]
-            yield x
-
-
 def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
-    """Basis of {x : M x = 0} from the RREF of the rows of M."""
-    return list(echelon_kernel(row_echelon(rows), ncols, one))
+    """Basis of {x : M x = 0}, from the completed echelon of the rows of M."""
+    return list(forward_echelon(rows).kernel(ncols, one))
 
 
 def mat_vec(rows: Rows, x: Vec) -> Vec:
@@ -513,12 +444,6 @@ def hermitian_pivots(a: List[List[GaussianRational]]):
             return pivots, {j - n: c.conj() for j, c in w.items() if j >= n}, k
         rows[k] = w
     return pivots, None, None
-
-
-def is_positive_definite(a: List[List[GaussianRational]]):
-    """(verdict, witness, fail_index) for a Hermitian matrix, exactly."""
-    pivots, witness, fail = hermitian_pivots(a)
-    return fail is None, witness, fail
 
 
 # -- realification (for conditions quantified over real forms) ----------

@@ -164,8 +164,8 @@ def is_strictly_positive(theta: Form, q: Optional[int] = None) -> PositivityVerd
     ext = hermitian_matrix_of(theta, q)
     if not ext.hermitian:
         raise PreconditionFailed("coefficient matrix is not Hermitian")
-    ok, witness, fail = linalg.is_positive_definite(ext.matrix)
-    if ok:
+    _, witness, fail = linalg.hermitian_pivots(ext.matrix)
+    if fail is None:
         return PositivityVerdict(
             kind="strictly_positive", holds=True, exact=True, certificate=ext.matrix
         )
@@ -254,8 +254,8 @@ def is_transverse(
     q = n - p
     if not force_sampled and p in (0, 1, n - 1, n):
         mat = _pairing_matrix(gamma, q)
-        ok, witness, fail = linalg.is_positive_definite(mat)
-        if ok:
+        _, witness, fail = linalg.hermitian_pivots(mat)
+        if fail is None:
             return PositivityVerdict(kind="transverse", holds=True, exact=True, certificate=mat)
         basis = list(combinations(range(1, n + 1), q))
         tau = alg.zero()

@@ -458,7 +458,7 @@ def span_intersection(a_vecs, b_vecs, negate=None):
     rows = rows_from_columns(cols, (max(idx) + 1) if idx else 0)
     na = len(a_vecs)
     out = []
-    e = Echelon()
+    e = Echelon({})
     for rel in nullspace(rows, len(cols)):
         v = {}
         for k, c in rel.items():
@@ -861,8 +861,6 @@ def exact_closed_basis_full(ec, p: int, q: int):
     their span read in the free coordinates of the stacked [del; delbar]
     echelon, largest free column leading, listed by leading column
     ascending, each vector's keys ascending."""
-    from nilforms.linalg import Echelon
-
     spanning = []
     n_del = 0
     for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)):
@@ -890,7 +888,7 @@ def exact_closed_basis_full(ec, p: int, q: int):
     key = {f: len(free) - 1 - i for i, f in enumerate(free)}
     key.update((col, len(free) + col) for col in closed_pivots)
     back = {k: i for i, k in key.items()}
-    e = Echelon()
+    e = FullScanEchelon()
     for v in spanning:
         e.insert({key[i]: c for i, c in v.items()})
     return [
@@ -928,7 +926,9 @@ def weak_by_nullspace(ec, p: int):
     cols = cols + [linalg._negated(v) for v in del_span]
     rows = linalg.rows_from_columns(cols, 2 * ec.dim(p, q))
     relations = linalg.nullspace(rows, len(cols), one=Fraction(1))
-    target = linalg.row_echelon(linalg.realify_span(ec.image_vectors("ddbar", p, q)))
+    target = FullScanEchelon(one=Fraction(1))
+    for v in linalg.realify_span(ec.image_vectors("ddbar", p, q)):
+        target.insert(v)
     for rel in relations:
         combo = {k: c for k, c in rel.items() if k < ncols_psi}
         if not combo:
@@ -936,7 +936,7 @@ def weak_by_nullspace(ec, p: int):
         w_real = {}
         for k, c in combo.items():
             linalg.add_scaled_into(w_real, c, cols[k])
-        if w_real and target.reduce(w_real):
+        if w_real and target.reduce(w_real)[0]:
             witness = {}
             for k, c in combo.items():
                 linalg.add_scaled_into(witness, GaussianRational(c), delbar_images[k])

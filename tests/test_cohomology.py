@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 from fractions import Fraction
@@ -29,11 +30,13 @@ from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI, QI_ONE, QI_ZERO
 
 from oracles import (
+    FullScanEchelon,
     HodgeContext,
     bcvary_oracle,
     canonical_solver_rows,
     ddbar_preimage_by_tracked_rref,
     evaluated_rows,
+    full_scan_kernel,
     harmonic_green_two_pass,
     iwasawa_oracle,
     torus_oracle,
@@ -539,23 +542,63 @@ def test_non_unimodular_input_keeps_the_direct_route():
 
 def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_complexes):
     """After full_report has taken every rank from forward echelons, each
-    kernel completes its matrix's forward echelon into an RREF, which
-    replaces it, and equals echelon_kernel of an Echelon built directly
-    from the matrix rows: the same vectors, entry types and key order."""
+    kernel completes its matrix's echelon in place, the same object, into
+    the RREF that the full-scan oracle builds directly from the matrix
+    rows, pivot for pivot in the same order, and equals the oracle's
+    kernel: the same vectors, entry types and key order."""
     for label, cx, point in reference_complexes:
         ec = EvaluatedComplex(cx, point)
         full_report(ec)
         for op in ("del", "delbar", "ddbar", "stacked"):
             for p in range(ec.n + 1):
                 for q in range(ec.n + 1):
+                    e = ec._row_echelon(op, p, q)
                     got = ec.kernel(op, p, q)
-                    direct = linalg.row_echelon(ec._matrix(op, p, q))
-                    want = linalg.echelon_kernel(direct, ec.dim(p, q))
+                    direct = FullScanEchelon()
+                    for row in ec.rows(op, p, q):
+                        direct.insert(row)
+                    want = full_scan_kernel(direct.pivots, ec.dim(p, q))
                     typed = [[(k, type(x), x) for k, x in v.items()] for v in got]
                     assert typed == [[(k, type(x), x) for k, x in v.items()] for v in want], (label, op, p, q)
-                    e = ec._row_echelon(op, p, q)
-                    assert isinstance(e, linalg.Echelon) and e.pivots == direct.pivots, (label, op, p, q)
+                    assert ec._row_echelon(op, p, q) is e and e.pivots == direct.pivots, (label, op, p, q)
                     assert list(e.pivots) == list(direct.pivots), (label, op, p, q)
+
+
+def test_completing_in_place_changes_nothing_a_caller_saw(monkeypatch, reference_complexes):
+    """On every matrix of the reference complexes, reading the kernel,
+    which completes the matrix's echelon in place, leaves the matrix rows
+    equal, key order included, to a deep copy taken before; the rank,
+    the pivot order and ``marks`` as they were; and ``contains`` and
+    ``residues`` on seeded probes (members among them) answering as
+    before.  A second kernel read completes nothing again and returns
+    the same vectors."""
+    completions = []
+    complete = linalg.Echelon._complete
+    monkeypatch.setattr(linalg.Echelon, "_complete", lambda e: completions.append(e) or complete(e))
+    rng = DetRng(2323)
+    for label, cx, point in reference_complexes:
+        ec = EvaluatedComplex(cx, point)
+        for op in ("del", "delbar", "ddbar", "stacked"):
+            for p in range(ec.n + 1):
+                for q in range(ec.n + 1):
+                    rows, ncols = ec.rows(op, p, q), ec.dim(p, q)
+                    before = [list(r.items()) for r in copy.deepcopy(rows)]
+                    e = ec._row_echelon(op, p, q)
+                    seen = (e.rank, list(e.pivots), list(e.marks))
+                    probes = [{rng.next_int(ncols): rng.nonzero_gaussian(3) for _ in range(3)}
+                              for _ in range(4 if ncols else 0)]
+                    probes += [linalg.vec_add(r, probes[0]) for r in rows[:3] if probes] + rows[:3]
+                    answers = ([e.contains(v) for v in probes], e.residues(probes))
+                    kernel = list(ec.kernel_vectors(op, p, q))
+                    at = (label, op, p, q)
+                    assert [list(r.items()) for r in rows] == before, at
+                    assert (e.rank, list(e.pivots), list(e.marks)) == seen, at
+                    assert ([e.contains(v) for v in probes], e.residues(probes)) == answers, at
+                    assert completions == [e], at
+                    completions.clear()
+                    held = [id(r) for r in e.pivots.values()]
+                    assert list(ec.kernel_vectors(op, p, q)) == kernel and not completions, at
+                    assert [id(r) for r in e.pivots.values()] == held, at
 
 
 @pytest.mark.parametrize("method", ["rows", "columns", "rank", "kernel", "image_rank", "image_echelon"])

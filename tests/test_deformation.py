@@ -23,13 +23,13 @@ from nilforms.deformation import (
     del_on_vectors,
     delbar_on_vectors,
     evaluate_se,
-    extension_map,
     kuranishi_expand,
     lie_brackets,
     main1_residual,
     schouten,
 )
 from nilforms.errors import IntegrabilityError, NonInvertibleCoframe
+from nilforms.extension import extension_map
 from nilforms.io import se_emit
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 

@@ -477,8 +477,8 @@ def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
     real = linalg.solve_square
     monkeypatch.setattr(linalg, "solve_square", lambda a, b: sizes.append(len(a)) or real(a, b))
     tracked = []
-    real_track = linalg.ForwardEchelon.track
-    monkeypatch.setattr(linalg.ForwardEchelon, "track", lambda e, *a: tracked.append(e) or real_track(e, *a))
+    real_track = linalg.Echelon.track
+    monkeypatch.setattr(linalg.Echelon, "track", lambda e, *a: tracked.append(e) or real_track(e, *a))
     first = solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0, check_lemmata=False)
     cached = [e for _, e in ec0._preimages.values()]
     assert tracked and all(any(e is c for c in cached) for e in tracked)

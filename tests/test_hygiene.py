@@ -301,20 +301,27 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     one define the dense Gauss-Jordan elimination (solve_dense,
     dense_inverse and their dense converters), the LDL* loop's witness
     solve or the dense coframe evaluation: every exact solve and
-    positivity certificate is a tracked ``ForwardEchelon``.  The RREF
-    ``Echelon`` is constructed only in ``linalg.row_echelon``, which
-    completes a forward echelon where a kernel is read; every image,
-    membership test and tracked solve is a ``ForwardEchelon``."""
+    positivity certificate is a tracked ``Echelon``.  ``linalg`` defines
+    one elimination class, ``Echelon``, the one class of the package with
+    an ``insert`` method; the incremental RREF it replaced, with its
+    builders and helpers, is gone, since ``Echelon.kernel`` completes the
+    forward echelon in place where a kernel is read, and so is the
+    ``is_positive_definite`` pass-through of ``hermitian_pivots``."""
     defined = {name for path in SRC.glob("*.py") for _, name in defined_names(path.read_text())}
-    gone = {"HodgeContext", "solve_dense", "dense_inverse", "rows_to_dense", "dense_to_rows", "_ldl_witness", "eval_dense"}
+    gone = {"HodgeContext", "solve_dense", "dense_inverse", "rows_to_dense", "dense_to_rows", "_ldl_witness",
+            "eval_dense", "ForwardEchelon", "row_echelon", "echelon_kernel", "_sub_scaled_into",
+            "is_positive_definite", "rref"}
     assert gone.isdisjoint(defined), gone & defined
-    assert {"Echelon", "ForwardEchelon", "row_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
-    found = {
-        (path.name, scope)
+    assert {"Echelon", "forward_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
+    inserting = {
+        (path.name, owner)
         for path in sorted(SRC.glob("*.py"))
-        for scope, _ in calls_of(path.read_text(), "Echelon")
+        for owner, name in defined_names(path.read_text())
+        if name == "insert"
     }
-    assert found == {("linalg.py", "row_echelon")}
+    assert inserting == {("linalg.py", "Echelon")}
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["Echelon"]
 
 
 def test_evaluated_complex_keeps_one_table_of_named_matrices():
@@ -372,7 +379,7 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     """Every scalar part of full_report, lemma_report (witnesses included)
     and the kernel vectors is an int or a Fraction; and inside ``weak`` a
     lead other than +-1 reaches the forward eliminations (forward_echelon,
-    and ForwardEchelon.insert and track), which divide by it exactly."""
+    and Echelon.insert and track), which divide by it exactly."""
     scaled = build_complex(nio.obj_to_se(SCALED_IWASAWA))
     for label, cx, point in reference_complexes + [("iwasawa3_scaled", scaled, ())]:
         ec = EvaluatedComplex(cx, point)
@@ -407,7 +414,7 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
         return fe
 
     for name in ("insert", "track"):
-        monkeypatch.setattr(linalg.ForwardEchelon, name, recording(getattr(linalg.ForwardEchelon, name)))
+        monkeypatch.setattr(linalg.Echelon, name, recording(getattr(linalg.Echelon, name)))
     monkeypatch.setattr(linalg, "forward_echelon", recording_forward)
     ec = EvaluatedComplex(scaled, ())
     for p in range(ec.n):

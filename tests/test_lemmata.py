@@ -456,7 +456,8 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     takes no kernel, applies delbar only to its real basis and reads the
     image echelons of del and deldelbar into (p,p+1), the ones the
     complex caches.  Strong, passing or failing, makes no columns_vec,
-    kernel, _image or Echelon insert beyond those of mild and dual mild:
+    kernel, _image or RREF completion (``Echelon._complete``, where a
+    kernel is read) beyond those of mild and dual mild:
     in lemma_report each such call is made inside mild, dual mild, weak
     or standard; strong called alone makes none when it holds, and when
     it fails the calls, in order, of mild at (p,q), then of dual mild if
@@ -487,7 +488,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     monkeypatch.setattr(EvaluatedComplex, "_image", counted("image", EvaluatedComplex._image))
     monkeypatch.setattr(linalg, "columns_vec", counted("columns_vec", linalg.columns_vec))
     monkeypatch.setattr(EvaluatedComplex, "kernel", counted("kernel", EvaluatedComplex.kernel))
-    monkeypatch.setattr(linalg.Echelon, "insert", counted("insert", linalg.Echelon.insert))
+    monkeypatch.setattr(linalg.Echelon, "_complete", counted("rref", linalg.Echelon._complete))
     ec = EvaluatedComplex(iwasawa_c, ())
     full_report(ec)
     work.clear()
@@ -495,6 +496,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     assert {name for name, _, ok in verdicts if ok} == {"mild", "dual_mild", "weak"}
     assert set(report.strong_flags.values()) == {True, False} and not report.strong_flags[(2, 2)]
     assert work and all(index is not None for index, _ in work)
+    assert "rref" in {tag for _, tag in work}  # a failing mild completes its kernel's echelon
     by_verdict = {}
     for index, tag in work:
         by_verdict.setdefault(index, []).append(tag)
@@ -591,13 +593,13 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=generic_points(4)[0]))
     ec = EvaluatedComplex(cx, ())
     fed = {}
-    extend = linalg.ForwardEchelon.extend
+    extend = linalg.Echelon.extend
 
     def recording(self, vectors):
         fed.setdefault(id(self), (self, []))[1].extend(id(v) for v in vectors)
         return extend(self, vectors)
 
-    monkeypatch.setattr(linalg.ForwardEchelon, "extend", recording)
+    monkeypatch.setattr(linalg.Echelon, "extend", recording)
     full_report(ec)
     nullspaces, built = [], []
     nullspace, new = linalg.nullspace, Fraction.__new__
@@ -691,22 +693,21 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
         return run
 
     hooks = {
-        (linalg.ForwardEchelon, "extend"): lambda args: args[0],
-        (linalg.ForwardEchelon, "insert"): lambda args: args[:1],
-        (linalg.ForwardEchelon, "track"): lambda args: args[:1],
+        (linalg.Echelon, "extend"): lambda args: args[0],
         (linalg.Echelon, "insert"): lambda args: args[:1],
+        (linalg.Echelon, "track"): lambda args: args[:1],
     }
     for (cls, name), vectors_of in hooks.items():
         if hasattr(cls, name):  # a hook that sees nothing fails the count of cached images
             monkeypatch.setattr(cls, name, feeding(getattr(cls, name), vectors_of))
-    real_residues = linalg.ForwardEchelon.residues
+    real_residues = linalg.Echelon.residues
 
     def recording_residues(self, vectors):
         if weak_frames:
             residues.append((weak_frames[-1], self))
         return real_residues(self, vectors)
 
-    monkeypatch.setattr(linalg.ForwardEchelon, "residues", recording_residues)
+    monkeypatch.setattr(linalg.Echelon, "residues", recording_residues)
     real_weak = lemmata.weak
 
     def framed_weak(ec, p):

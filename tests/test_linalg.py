@@ -101,7 +101,7 @@ def test_echelon_membership_and_combo():
     a vector outside it; insert and contains agree with it."""
     rng = DetRng(9)
     vecs = [_random_rows(rng, 1, 5)[0] for _ in range(4)]
-    e, plain = linalg.ForwardEchelon({}), linalg.ForwardEchelon({})
+    e, plain = Echelon({}), Echelon({})
     for j, v in enumerate(vecs):
         assert (e.track(v, j, 5) is None) == plain.insert(v)
     target = _combination(vecs, {0: QI(2), 2: QI(0, 1)})
@@ -159,9 +159,10 @@ def _assert_no_float(vecs):
 
 def test_int_leads_divide_exactly():
     """Realified Gaussian integers are int vectors.  A lead of 2 or -3 is
-    inverted exactly, so the rows and kernel equal the Fraction oracle's,
-    a tracked forward solve gives the vector back, and no entry is a
-    float."""
+    inverted exactly where the kernel completes the echelon, so after
+    each insert the completed rows and the kernel equal the Fraction
+    oracle's, a tracked forward solve gives the vector back, and no entry
+    is a float."""
     vecs = [
         linalg.realify_vec({0: QI(2), 1: QI(1, 3)}),
         {1: -3, 2: 1, 4: 2},
@@ -170,19 +171,19 @@ def test_int_leads_divide_exactly():
         {1: -3, 2: 5, 3: -1, 4: 2},  # the second plus the fourth
     ]
     assert vecs[0] == {0: 2, 2: 1, 3: 3} and all(type(x) is int for x in vecs[0].values())
-    fast, slow = Echelon(), FullScanEchelon(one=Fraction(1))
+    fast, slow = Echelon({}), FullScanEchelon(one=Fraction(1))
     for v in vecs:
         assert fast.insert(v) == slow.insert(v)
+        kernel = list(fast.kernel(5, Fraction(1)))
         assert fast.pivots == slow.pivots
         _assert_no_float(fast.pivots.values())
         if v is vecs[0]:
             assert fast.pivots[0] == {0: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)}
+        assert kernel == full_scan_kernel(slow.pivots, 5, Fraction(1))
+        _assert_no_float(kernel)
     assert fast.rank == 4
-    kernel = list(linalg.echelon_kernel(fast, 5, Fraction(1)))
     assert len(kernel) == 1 and len(kernel[0]) > 2
-    assert kernel == full_scan_kernel(slow.pivots, 5, Fraction(1))
-    _assert_no_float(kernel)
-    tracked = linalg.ForwardEchelon({})
+    tracked = Echelon({})
     relations = [tracked.track(v, j, 5) for j, v in enumerate(vecs)]
     assert relations[:4] == [None] * 4 and relations[4] is not None
     _assert_no_float([relations[4]] + list(tracked.pivots.values()))
@@ -196,7 +197,8 @@ def test_int_leads_divide_exactly():
 
 
 def _insert_kind(slow, v):
-    """Which branch of Echelon.insert the vector takes."""
+    """Which kind of vector an insert meets: empty, dependent, or reduced
+    to a lead of 1, of -1 or of another scalar."""
     if not v:
         return "empty"
     w, _ = slow.reduce(v)
@@ -206,38 +208,38 @@ def _insert_kind(slow, v):
     return "1" if lead == 1 else "-1" if lead == -1 else "other"
 
 
-def _assert_column_index(e):
-    """Echelon._at[k] lists exactly the pivot rows with an entry at k."""
-    expected = {}
-    for p, row in e.pivots.items():
-        for k in row:
-            if k != p:
-                expected.setdefault(k, set()).add(p)
-    got = {k: set(ps) for k, ps in e._at.items() if ps}
-    assert got == expected
-    assert all(len(ps) == len(set(ps)) for ps in e._at.values())
+def _assert_completed_equals(fast, slow):
+    """The completed rows are the oracle's RREF rows, pivot for pivot in
+    the order found, entry for entry with the field's types."""
+    assert list(fast.pivots) == list(slow.pivots)
+    for p, row in slow.pivots.items():
+        assert sorted(_typed(fast.pivots[p])) == sorted(_typed(row))
 
 
 @pytest.mark.parametrize("field", ["QI", "Q"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_echelon_equals_full_scan_oracle(field, seed):
+    """Seeded sparse vectors (empty, dependent, and led by 1, -1 and
+    other scalars) fed one at a time: each insert enlarges the span when
+    the full-scan RREF's does, with the same pivots in the same order,
+    and the kernel read after it, which completes the rows fed so far
+    (again after each insert), equals the oracle's in keys, key order,
+    values and types, with the oracle's RREF as its completed rows."""
     rng = DetRng(100 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
     one = Fraction(1) if field == "Q" else QI(1)
-    fast, slow = Echelon(), FullScanEchelon(one=one)
+    fast, slow = Echelon({}), FullScanEchelon(one=one)
     kinds = set()
     for v in vecs:
         kinds.add(_insert_kind(slow, v))
         assert fast.insert(v) == slow.insert(v)
         assert list(fast.pivots) == list(slow.pivots)
-        for p, row in slow.pivots.items():
-            assert _typed(fast.pivots[p]) == _typed(row)
-        _assert_column_index(fast)
+        kernel = list(fast.kernel(ncols, one))
+        _assert_completed_equals(fast, slow)
+        expected = full_scan_kernel(slow.pivots, ncols, one)
+        assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
     assert kinds == {"empty", "dependent", "1", "-1", "other"}
-    kernel = linalg.echelon_kernel(fast, ncols, one)
-    expected = full_scan_kernel(slow.pivots, ncols, one)
-    assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
 
 
 @pytest.mark.parametrize("field", ["QI", "Q"])
@@ -253,7 +255,7 @@ def test_tracked_solve_equals_full_scan_oracle(field, seed):
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 2 * ncols, ncols)
     one = Fraction(1) if field == "Q" else QI(1)
-    fast, slow = linalg.ForwardEchelon({}), FullScanEchelon(track=True, one=one)
+    fast, slow = Echelon({}), FullScanEchelon(track=True, one=one)
     relations = []
     for j, v in enumerate(vecs):
         c = fast.track(v, j, ncols)
@@ -280,11 +282,12 @@ def test_tracked_solve_equals_full_scan_oracle(field, seed):
 def test_forward_echelon_equals_echelon(field, seed):
     """The forward echelon of seeded sparse vectors (empty, repeated,
     negated and dependent ones, leads of 1, -1 and other scalars) has the
-    rank and the pivots, in order, of the incremental RREF; each row is
+    rank and the pivots, in order, of the full-scan RREF; each row is
     led by its pivot and is 0 at the pivots found before it; no input
-    changes; rref() is the RREF, entry for entry, with the same kernel;
-    and residues vanish exactly on the span and agree with
-    Echelon.reduce."""
+    changes, neither by the elimination nor by the completion; its
+    kernel completes it into the RREF, entry for entry, and equals the
+    oracle's kernel; and residues, before and after the completion,
+    vanish exactly on the span and agree with the oracle's reduction."""
     rng = DetRng(300 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
@@ -293,28 +296,30 @@ def test_forward_echelon_equals_echelon(field, seed):
         vecs.insert(rng.next_int(len(vecs)), linalg._negated(vecs[i + 1]))
     before = [list(v.items()) for v in vecs]
     one = Fraction(1) if field == "Q" else QI(1)
-    e = Echelon()
+    slow = FullScanEchelon(one=one)
     for v in vecs:
-        e.insert(v)
+        slow.insert(v)
     fe = linalg.forward_echelon(vecs)
     assert [list(v.items()) for v in vecs] == before
-    assert fe.rank == e.rank and list(fe.pivots) == list(e.pivots)
+    assert fe.rank == len(slow.pivots) and list(fe.pivots) == list(slow.pivots)
     leads = [row[p] for p, row in fe.pivots.items()]
     assert {1, -1} <= set(leads) and any(lead not in (1, -1) for lead in leads)
     seen = set()
     for p, row in fe.pivots.items():
         assert min(row) == p and not seen & set(row)
         seen.add(p)
-    full = fe.rref()
-    assert list(full.pivots) == list(e.pivots)
-    for p, row in e.pivots.items():
-        assert sorted(_typed(full.pivots[p])) == sorted(_typed(row))
-    kernel, expected = linalg.echelon_kernel(full, ncols, one), linalg.echelon_kernel(e, ncols, one)
-    assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
     probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:6]
-    for v, residue in zip(probes, fe.residues(probes)):
-        assert residue == e.reduce(v)
-        assert (not residue) == fe.contains(v) == (not e.reduce(v))
+    for completed in (False, True):
+        if completed:
+            kernel = list(fe.kernel(ncols, one))
+            assert [list(v.items()) for v in vecs] == before
+            _assert_completed_equals(fe, slow)
+            expected = full_scan_kernel(slow.pivots, ncols, one)
+            assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
+        for v, residue in zip(probes, fe.residues(probes)):
+            want = slow.reduce(v)[0]
+            assert residue == want
+            assert (not residue) == fe.contains(v) == (not want)
 
 
 def test_columns_vec_equals_mat_vec():
@@ -383,10 +388,11 @@ def test_add_scaled_into_equals_copying_sum(field, seed):
 
 def test_unit_leads_divide_nothing(monkeypatch):
     """On Iwasawa x C at t = 0 every reduced row is led by 1 or -1, so
-    no rank takes a Q(i) division; a lead of 2 still divides once.  The
-    ranks come from forward echelons: full_report makes no Echelon insert,
-    and lemma_report completes each matrix to an RREF at most once, each
-    completion inserting its rows."""
+    no rank takes a Q(i) division; a lead of 2 divides once, where the
+    kernel completes the echelon, and never on insert.  full_report
+    completes no echelon into an RREF, and lemma_report completes each
+    cached matrix echelon at most once, however often it is called
+    (``nullspace`` completes a fresh echelon on every call)."""
     obj = nio.se_to_obj(catalog_load("iwasawa3").se)
     obj["n"] += 1  # abelian_1: one more closed coframe element
     se = nio.obj_to_se(obj)
@@ -402,7 +408,7 @@ def test_unit_leads_divide_nothing(monkeypatch):
 
     for name in ("__truediv__", "__rtruediv__"):
         monkeypatch.setattr(GaussianRational, name, counted(getattr(GaussianRational, name)))
-    extend = linalg.ForwardEchelon.extend
+    extend = Echelon.extend
 
     def recording_extend(self, vectors):
         known = set(self.pivots)
@@ -411,7 +417,7 @@ def test_unit_leads_divide_nothing(monkeypatch):
         return self
 
     # every forward elimination, whole or block by block, goes through extend
-    monkeypatch.setattr(linalg.ForwardEchelon, "extend", recording_extend)
+    monkeypatch.setattr(Echelon, "extend", recording_extend)
     # the direct route: rank reads total through its dual
     ranks = [ec._row_echelon(op, p, q).rank
              for op in ("del", "delbar", "ddbar", "stacked")
@@ -420,24 +426,27 @@ def test_unit_leads_divide_nothing(monkeypatch):
     assert sum(ranks) > 0 and len(leads) == sum(ranks)
     assert all(lead in (1, -1) for lead in leads)
     assert divisions == []
-    e = Echelon()
+    e = Echelon({})
     assert e.insert({0: QI(2), 3: QI(1)})
+    assert divisions == []
+    assert list(e.kernel(4)) == [{1: QI(1)}, {2: QI(1)}, {3: QI(1), 0: QI(Fraction(-1, 2))}]
     assert len(divisions) == 1
     assert _typed(e.pivots[0]) == _typed({0: QI(1), 3: QI(Fraction(1, 2))})
 
-    inserts, completed = [], []
-    insert, rref = Echelon.insert, linalg.ForwardEchelon.rref
-    monkeypatch.setattr(Echelon, "insert", lambda self, v: inserts.append(1) or insert(self, v))
-    monkeypatch.setattr(linalg.ForwardEchelon, "rref", lambda self: completed.append(self) or rref(self))
+    completed = []
+    complete = Echelon._complete
+    monkeypatch.setattr(Echelon, "_complete", lambda self: completed.append(self) or complete(self))
     ec = EvaluatedComplex(cx, zero_point(se.algebra.ring.m))
     full_report(ec)
-    assert inserts == [] and completed == []
+    assert completed == []
     lemma_report(ec)
+    first = completed[:]
     lemma_report(ec)
-    # the completions insert their rows, so the hook sees every RREF
-    assert len(inserts) >= sum(fe.rank for fe in completed) > 0
-    assert completed and len({id(fe) for fe in completed}) == len(completed)
-    assert len(completed) == sum(isinstance(e, Echelon) for e in ec._echelons.values())
+    # completed holds every echelon, so no two of them share an id
+    assert len({id(e) for e in completed}) == len(completed)
+    cached = [e for e in completed if any(e is c for c in ec._echelons.values())]
+    # the second report completes only the fresh echelons of nullspace
+    assert cached and all(any(e is f for f in first) for e in cached)
 
 
 def test_matmul_and_adjoint():
@@ -590,8 +599,8 @@ def _det_complex(m):
 
 def test_indefinite_witness():
     a = [[QI(1), QI(0)], [QI(0), QI(-1)]]
-    ok, witness, fail = linalg.is_positive_definite(a)
-    assert not ok and fail == 1
+    _, witness, fail = linalg.hermitian_pivots(a)
+    assert fail == 1
     # w* A w equals the failing pivot, which is <= 0
     val = GaussianRational(0)
     for i, wi in witness.items():
