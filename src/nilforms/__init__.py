@@ -55,7 +55,6 @@ from .errors import (
     FlatnessError,
     FormatError,
     IntegrabilityError,
-    JacobiError,
     NilformsError,
     NonInvertibleCoframe,
     NotPerturbative,

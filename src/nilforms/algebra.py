@@ -654,10 +654,10 @@ class StructureEquations:
 
     d_coframe[i] is d(gamma^i), a sum of a (2,0)-part and a (1,1)-part;
     d(gammabar^i) is its conjugate.  They own their Lie bracket table,
-    which ``deformation.lie_brackets`` builds and Jacobi-checks on first
-    use into ``brackets``, and their flatness verdict, which ``flat`` keeps
-    once it has passed (``build_complex`` or ``require_flat``; d_coframe
-    is never mutated).
+    which ``deformation.lie_brackets`` reads off d on first use into
+    ``brackets``, and their verdict that they define a complex, which
+    ``require_flat`` decides and ``flat`` keeps once it has passed
+    (d_coframe is never mutated).
     """
 
     __slots__ = ("name", "n", "algebra", "d_coframe", "brackets", "flat")
@@ -679,9 +679,12 @@ class StructureEquations:
         """The same equations over another scalar ring; self for its own."""
         if algebra == self.algebra:
             return self
-        return StructureEquations(
+        lifted = StructureEquations(
             self.name, algebra, {i: f.lift(algebra) for i, f in self.d_coframe.items()}
         )
+        # lifting moves constants only, an injective ring map, so a pass holds there
+        lifted.flat = self.flat
+        return lifted
 
     def d_symbol(self, s: int) -> Form:
         """d of coframe symbol s (0-based; gammabar block by conjugation)."""
@@ -743,26 +746,31 @@ class StructureEquations:
         return self._apply_derivation(a, self._delbar_part)
 
     def require_flat(self) -> None:
-        """Raise AssertionError unless del^2, delbar^2 and del delbar +
-        delbar del vanish, the identities every rank verdict of
-        ``lemmata`` rests on.  They are even derivations, so vanishing on
-        the 2n coframe generators means vanishing everywhere.  A pass is
-        kept in ``flat``, so later calls cost nothing; a failure is never
-        stored.  The check is explicit, so it holds under ``python -O``.
+        """Decide that these equations define a complex: IntegrabilityError
+        unless every d gamma^i is a (2,0)- plus a (1,1)-form, FlatnessError
+        unless d^2 vanishes on the 2n coframe generators.
+
+        d^2 is an even derivation, so vanishing on the generators means
+        vanishing everywhere.  With no (0,2)-part d = del + delbar, so
+        del^2, delbar^2 and del delbar + delbar del, the three bidegree
+        parts of d^2, vanish with it: the identities every rank verdict of
+        ``lemmata`` rests on.  And d^2 = 0 on the generators is the Jacobi
+        identity of the brackets dual to d.  This is the one place in the
+        package that decides either condition.  A pass is kept in
+        ``flat``, so later calls cost nothing; a failure is never stored.
         """
         if self.flat:
             return
+        for i, f in self.d_coframe.items():
+            # a (2,0)- or (1,1)-monomial has degree 2 and a gamma factor
+            stray = Form(self.algebra, {m: c for m, c in f.coeffs.items() if len(m[0] + m[1]) != 2 or not m[0]})
+            if stray:
+                raise IntegrabilityError(f"{self.name}: d gamma^{i} has parts outside (2,0) + (1,1): {stray!r}")
         for s in range(2 * self.n):
-            g = self.algebra.symbol_form(s)
-            a, b = self.apply_del(g), self.apply_delbar(g)
-            for name, v in (("del^2", self.apply_del(a)), ("delbar^2", self.apply_delbar(b)),
-                            ("del delbar + delbar del", self.apply_del(b) + self.apply_delbar(a))):
-                if v:
-                    symbol = f"gamma^{s + 1}" if s < self.n else f"gammabar^{s - self.n + 1}"
-                    raise AssertionError(
-                        f"{self.name} is not flat: {name} of {symbol} is nonzero, so "
-                        "del and delbar images of ker deldelbar are not d-closed"
-                    )
+            dd = self.apply_d(self.apply_d(self.algebra.symbol_form(s)))
+            if dd:
+                name = f"gamma^{s + 1}" if s < self.n else f"gammabar^{s - self.n + 1}"
+                raise FlatnessError(f"{self.name} is not flat: d^2 {name} = {dd!r} is nonzero")
         self.flat = True
 
 
@@ -822,31 +830,7 @@ class InvariantComplex:
 
 
 def build_complex(se: StructureEquations) -> InvariantComplex:
-    """Validate structure equations and wrap them in a complex.
-
-    Checks integrability (no (0,2)-component in any d gamma^i) and
-    flatness d^2 = 0.  Since d^2 is an even derivation, vanishing on the
-    coframe generators implies vanishing everywhere; both the gamma and
-    gammabar generators are checked.  With no (0,2)-component, d = del +
-    delbar, so d^2 = 0 makes del^2, delbar^2 and del delbar + delbar del
-    vanish, its three bidegree parts; the pass is kept in ``se.flat``.
-    """
-    alg = se.algebra
-    for i, f in se.d_coframe.items():
-        bad = f.component(0, 2)
-        if bad:
-            raise IntegrabilityError(
-                f"d gamma^{i} has a (0,2)-component: {bad!r}"
-            )
-        stray = f - f.component(2, 0) - f.component(1, 1)
-        if stray:
-            raise IntegrabilityError(
-                f"d gamma^{i} has parts outside degree 2: {stray!r}"
-            )
-    for s in range(2 * se.n):
-        dd = se.apply_d(se.apply_d(alg.symbol_form(s)))
-        if dd:
-            name = f"gamma^{s + 1}" if s < se.n else f"gammabar^{s - se.n + 1}"
-            raise FlatnessError(f"d^2 {name} = {dd!r} is nonzero")
-    se.flat = True
+    """Validate structure equations (``StructureEquations.require_flat``:
+    no (0,2)-part, d^2 = 0) and wrap them in a complex."""
+    se.require_flat()
     return InvariantComplex(se)

@@ -172,17 +172,11 @@ class CheckResult:
     def to_json_dict(self) -> dict:
         return {
             "key": self.key,
-            "expected": _plain(self.expected),
-            "actual": _plain(self.actual),
+            "expected": self.expected,
+            "actual": self.actual,
             "pass": self.passed,
             "provenance": self.provenance,
         }
-
-
-def _plain(x):
-    if isinstance(x, (list, tuple)):
-        return [_plain(y) for y in x]
-    return x
 
 
 @dataclass

@@ -529,8 +529,10 @@ def cohomology(
 
     which is one of dolbeault, del, bott_chern, aeppli, de_rham; the
     first four take (p, q) in 0..n, de_rham takes k in 0..2n; anything
-    else raises ValueError.
+    else raises ValueError.  Equations that define no complex are refused
+    first (``StructureEquations.require_flat``).
     """
+    ec.cx.se.require_flat()
     if which == "de_rham":
         if k is None:
             raise ValueError("de_rham cohomology needs k")
@@ -611,6 +613,9 @@ class CohomologyReport:
 
 
 def full_report(ec: EvaluatedComplex) -> CohomologyReport:
+    """Every cohomology table and Betti number of a complex; equations
+    that define no complex are refused first (``require_flat``)."""
+    ec.cx.se.require_flat()
     n = ec.n
     size = n + 1
     tables = {name: [[0] * size for _ in range(size)] for name in _WHICH}

@@ -1,7 +1,7 @@
 """Beltrami-differential calculus on invariant complexes.
 
-Lie brackets are recovered from the structure equations through the
-pairing d omega(x, y) = -omega([x, y]); the Schouten bracket of two
+Lie brackets are read off the structure equations through the pairing
+d omega(x, y) = -omega([x, y]); the Schouten bracket of two
 Beltrami differentials is extracted by contracting the Tian-Todorov
 identity against the coframe, which reduces to the familiar
 wedge-of-components formula on abelian complex structures and adds the
@@ -29,7 +29,7 @@ from .algebra import (
     simultaneous_contract,
 )
 from .cohomology import zero_point
-from .errors import IntegrabilityError, JacobiError, NonInvertibleCoframe
+from .errors import IntegrabilityError, NonInvertibleCoframe
 from .linalg import Rows
 from .scalars import GaussianRational, ParamScalar, PolyRing
 
@@ -49,7 +49,12 @@ def as_beltrami(v: VectorValuedForm) -> VectorValuedForm:
 
 
 def evaluate_se(se: StructureEquations, point) -> StructureEquations:
-    """Structure equations with parameters fixed (constant scalar ring)."""
+    """Structure equations with parameters fixed (constant scalar ring).
+
+    The copy starts unchecked even when se passed ``require_flat``:
+    evaluation at a point is not a ring map of the truncated ring, so
+    d^2 = 0 modulo the truncation does not give d^2 = 0 at the point.
+    """
     alg0 = FormAlgebra(se.n, PolyRing(0, 0))
     return StructureEquations(
         se.name, alg0, {i: f.eval(point) for i, f in se.d_coframe.items()}
@@ -59,40 +64,27 @@ def evaluate_se(se: StructureEquations, point) -> StructureEquations:
 # -- Lie brackets ----------------------------------------------------------
 
 
-def _two_form_eval(f: Form, a: int, b: int, n: int) -> Optional[ParamScalar]:
-    """Evaluate a 2-form on frame vectors (e_a, e_b), symbols 0..2n-1."""
-    acc = None
-    for (I, J), c in f.coeffs.items():
-        syms = [i - 1 for i in I] + [n + j - 1 for j in J]
-        s1, s2 = syms
-        if s1 == a and s2 == b:
-            acc = c if acc is None else acc + c
-        elif s1 == b and s2 == a:
-            acc = -c if acc is None else acc - c
-    return acc
-
-
 class LieBracketTable:
     """Structure constants of the complexified Lie algebra.
 
     bracket(a, b) maps frame symbols (0..2n-1, the thetas then the
-    thetabars) to the coefficient dict of [e_a, e_b] over the frame.
+    thetabars) to the coefficient dict of [e_a, e_b] over the frame.  By
+    d omega(x, y) = -omega([x, y]), each monomial c omega^a ^ omega^b
+    (symbols a < b) of d(omega^s) is [e_a, e_b]^s = -c, and the table
+    reads each monomial once.  It validates the equations first
+    (``StructureEquations.require_flat``): d^2 = 0 on the generators is
+    the Jacobi identity of these brackets.
     """
 
     def __init__(self, se: StructureEquations):
+        se.require_flat()
         self.algebra = se.algebra
-        self.n = se.n
+        self.n = n = se.n
         self._table: Dict[Tuple[int, int], Dict[int, ParamScalar]] = {}
-        n = se.n
-        for a in range(2 * n):
-            for b in range(a + 1, 2 * n):
-                out: Dict[int, ParamScalar] = {}
-                for s in range(2 * n):
-                    val = _two_form_eval(se.d_symbol(s), a, b, n)
-                    if val:
-                        out[s] = -val
-                if out:
-                    self._table[(a, b)] = out
+        for s in range(2 * n):
+            for (I, J), c in se.d_symbol(s).coeffs.items():
+                a, b = [i - 1 for i in I] + [n + j - 1 for j in J]
+                self._table.setdefault((a, b), {})[s] = -c
 
     def bracket(self, a: int, b: int) -> Dict[int, ParamScalar]:
         if a == b:
@@ -101,61 +93,14 @@ class LieBracketTable:
             return dict(self._table.get((a, b), {}))
         return {s: -c for s, c in self._table.get((b, a), {}).items()}
 
-    def check_jacobi(self) -> None:
-        n2 = 2 * self.n
-        for a in range(n2):
-            for b in range(a + 1, n2):
-                for c in range(b + 1, n2):
-                    acc: Dict[int, ParamScalar] = {}
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        inner = self.bracket(y, z)
-                        for mid, coeff in inner.items():
-                            outer = self.bracket(x, mid)
-                            for s, c2 in outer.items():
-                                v = coeff * c2
-                                if not v:
-                                    continue
-                                tot = acc.get(s)
-                                tot = v if tot is None else tot + v
-                                if tot:
-                                    acc[s] = tot
-                                elif s in acc:
-                                    del acc[s]
-                    if acc:
-                        raise JacobiError(
-                            f"Jacobi identity fails on frame triple {(a, b, c)}"
-                        )
-
-    def reconstruct_d(self) -> Dict[int, Form]:
-        """Rebuild d gamma^i from the brackets (duality round-trip)."""
-        alg = self.algebra
-        n = self.n
-        out = {}
-        for i in range(1, n + 1):
-            total = alg.zero()
-            for a in range(2 * n):
-                for b in range(a + 1, 2 * n):
-                    coeff = self.bracket(a, b).get(i - 1)
-                    if not coeff:
-                        continue
-                    wa = alg.symbol_form(a)
-                    wb = alg.symbol_form(b)
-                    total = total + wa.wedge(wb).scale(-coeff)
-            out[i] = total
-        return out
-
 
 def lie_brackets(se: StructureEquations) -> LieBracketTable:
-    """Brackets dual to d; Jacobi verified (JacobiError on failure).
-
-    The table is built and checked once per structure equations and kept
-    in ``se.brackets``; a Jacobi failure stores nothing, so every call on
-    such equations raises.
+    """Brackets dual to d, read once per structure equations and kept in
+    ``se.brackets``.  Equations that ``require_flat`` refuses store
+    nothing, so every call on them raises its error again.
     """
     if se.brackets is None:
-        table = LieBracketTable(se)
-        table.check_jacobi()
-        se.brackets = table
+        se.brackets = LieBracketTable(se)
     return se.brackets
 
 
@@ -215,10 +160,6 @@ def _total_degree(f: Form) -> int:
 
 def delbar_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValuedForm:
     return _frame_derivative(se, v, holomorphic=False)
-
-
-def del_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValuedForm:
-    return _frame_derivative(se, v, holomorphic=True)
 
 
 # -- Schouten bracket -------------------------------------------------------
@@ -332,7 +273,9 @@ def deform_complex(
     otherwise everything is evaluated exactly at the point first.  phi
     must be integrable: this operation refuses to produce a non-complex
     almost-complex object, through ``require_integrable``, so it reads
-    the verdict phi owns for se and checks only when none is stored.
+    the verdict phi owns for se and checks only when none is stored.  The
+    equations it returns have passed ``require_flat``, so
+    ``build_complex`` on them checks nothing again.
     """
     as_beltrami(phi)
     require_integrable(se, phi)
@@ -362,25 +305,16 @@ def deform_complex(
 def _deformed_equations(
     se: StructureEquations, phi: VectorValuedForm, inverse_transform: CoframeEndo
 ) -> StructureEquations:
-    """d of the new coframe re-expressed in the new coframe basis."""
+    """d of the new coframe re-expressed in the new coframe basis,
+    validated (``require_flat``)."""
     alg = se.algebra
     out: Dict[int, Form] = {}
     for i in range(1, se.n + 1):
-        new_i = alg.gamma(i) + phi.component(i)
-        d_new = se.apply_d(new_i)
-        in_new_basis = simultaneous_contract(inverse_transform, d_new)
-        bad = in_new_basis.component(0, 2)
-        if bad:
-            raise IntegrabilityError(
-                f"deformed d gamma^{i} acquired a (0,2)-part: {bad!r}"
-            )
-        stray = in_new_basis - in_new_basis.component(2, 0) - in_new_basis.component(1, 1)
-        if stray:
-            raise IntegrabilityError(
-                f"deformed d gamma^{i} left degree 2: {stray!r}"
-            )
-        out[i] = in_new_basis
-    return StructureEquations(f"{se.name}:deformed", alg, out)
+        d_new = se.apply_d(alg.gamma(i) + phi.component(i))
+        out[i] = simultaneous_contract(inverse_transform, d_new)
+    deformed = StructureEquations(f"{se.name}:deformed", alg, out)
+    deformed.require_flat()
+    return deformed
 
 
 # -- Kuranishi recursion -----------------------------------------------------
@@ -463,20 +397,6 @@ class VectorHodge:
         return total
 
 
-def mat_vec_param(rows: Rows, x: Dict[int, ParamScalar], ring: PolyRing) -> Dict[int, ParamScalar]:
-    """Constant QI matrix applied to a vector of truncated polynomials."""
-    out: Dict[int, ParamScalar] = {}
-    for i, r in enumerate(rows):
-        acc = ring.zero()
-        for k, c in r.items():
-            xk = x.get(k)
-            if xk:
-                acc = acc + xk * c
-        if acc:
-            out[i] = acc
-    return out
-
-
 @dataclass
 class KuranishiResult:
     """Power-series family phi(t) plus the per-order obstruction data."""
@@ -531,9 +451,9 @@ def kuranishi_expand(
             if i <= len(phi_orders) and j <= len(phi_orders):
                 bracket_k = bracket_k + schouten(se_r, phi_orders[i - 1], phi_orders[j - 1])
         bvec = vh.vvf_to_vec(bracket_k, 2)
-        obs_vec = mat_vec_param(hproj2, bvec, ring)
+        obs_vec = linalg.mat_vec(hproj2, bvec)
         obstructions.append(vh.vec_to_vvf(obs_vec, 2, alg))
-        corr_vec = mat_vec_param(solve_rows, bvec, ring)
+        corr_vec = linalg.mat_vec(solve_rows, bvec)
         corr = vh.vec_to_vvf(corr_vec, 1, alg).scale(HALF)
         phi_orders.append(corr)
 

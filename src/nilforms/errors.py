@@ -10,16 +10,15 @@ class FormatError(NilformsError):
 
 
 class IntegrabilityError(NilformsError):
-    """A structure equation has a (0,2)-component, or a Beltrami
-    differential fails the integrability equation where one is required."""
+    """A structure equation d gamma^i is not a (2,0)- plus a (1,1)-form
+    (``StructureEquations.require_flat``), or a Beltrami differential
+    fails the integrability equation where one is required."""
 
 
 class FlatnessError(NilformsError):
-    """d squared is not zero on the given structure equations."""
-
-
-class JacobiError(NilformsError):
-    """Recovered Lie brackets violate the Jacobi identity."""
+    """d squared is not zero on the coframe generators of the given
+    structure equations (``StructureEquations.require_flat``), so they
+    define no complex, and the brackets dual to d break Jacobi."""
 
 
 class NotPerturbative(NilformsError):

@@ -6,8 +6,12 @@ one of dimension, and every verdict is an identity between ranks that
 the EvaluatedComplex already holds (Angella-Tomassini state the
 del-delbar lemma itself as an identity between dimensions).  Write
 r(op, p, q) for the rank of the matrix op from SOURCE (p,q) and w for
-dim im deldelbar at (p,q).  On a flat complex (del^2 = delbar^2 = del
-delbar + delbar del = 0, ``StructureEquations.require_flat``):
+dim im deldelbar at (p,q).  Every verdict first asks
+``StructureEquations.require_flat``: with no (0,2)-part d = del +
+delbar, and del^2, delbar^2 and del delbar + delbar del are the three
+bidegree parts of d^2, so d^2 = 0 makes the complex flat.  Equations
+that fail raise IntegrabilityError or FlatnessError, typed errors that
+the CLI reports as one ``error:`` line.  On a flat complex:
 
   mild(p,q):       del(ker deldelbar at (p-1,q)) = im deldelbar, i.e.
                    r(del,p-1,q) - r(ddbar,p-1,q) = w: ker del lies in

@@ -34,7 +34,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, QI_ONE, QI_ZERO, _div
+from .scalars import GaussianRational, QI_I, QI_ONE, QI_ZERO, _div
 
 Vec = Dict[int, object]
 Rows = List[Vec]
@@ -305,13 +305,16 @@ def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
 
 
 def mat_vec(rows: Rows, x: Vec) -> Vec:
+    """M x.  Each product is taken vector entry first, so x may also hold
+    truncated polynomials over a constant Q(i) matrix (the Kuranishi
+    recursion's harmonic projection and correction)."""
     out: Vec = {}
     for i, r in enumerate(rows):
         s = None
         for k, c in r.items():
             xk = x.get(k)
             if xk:
-                s = c * xk if s is None else s + c * xk
+                s = xk * c if s is None else s + xk * c
         if s:
             out[i] = s
     return out
@@ -467,12 +470,4 @@ def realify_vec(v: Vec) -> Vec:
 
 def realify_span(vectors: Sequence[Vec]) -> List[Vec]:
     """Real span of a complex span: each vector contributes v and i*v."""
-    i = GaussianRational(0, 1)
-    return [realify_vec(u) for v in vectors for u in (v, {k: z * i for k, z in v.items()})]
-
-
-def norm2_vec(v: Vec) -> Fraction:
-    total = Fraction(0)
-    for z in v.values():
-        total += z.norm2() if isinstance(z, GaussianRational) else z * z
-    return total
+    return [realify_vec(u) for v in vectors for u in (v, {k: z * QI_I for k, z in v.items()})]

@@ -22,9 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .algebra import Form, FormAlgebra, StructureEquations
 from .errors import PreconditionFailed
-from .scalars import DetRng, GaussianRational, QI_ONE, _div
-
-QI_I = GaussianRational(0, 1)
+from .scalars import DetRng, GaussianRational, QI_I, QI_ONE, _div
 
 
 def sigma_q(q: int) -> GaussianRational:

@@ -1092,3 +1092,69 @@ class HodgeContext:
 
     def green_a_rows(self, p, q):
         return self._harmonic_green("a", p, q)[1]
+
+
+# -- the bracket routes that LieBracketTable and require_flat replaced -----
+
+
+def pairing_scan_bracket(se, a: int, b: int):
+    """[e_a, e_b] by d omega(x, y) = -omega([x, y]), scanning every
+    monomial of d of every symbol s for the pair (a, b), in either order."""
+    n = se.n
+    out = {}
+    for s in range(2 * n):
+        acc = None
+        for (I, J), c in se.d_symbol(s).coeffs.items():
+            s1, s2 = [i - 1 for i in I] + [n + j - 1 for j in J]
+            if (s1, s2) == (a, b):
+                acc = c if acc is None else acc + c
+            elif (s1, s2) == (b, a):
+                acc = -c if acc is None else acc - c
+        if acc:
+            out[s] = -acc
+    return out
+
+
+def jacobi_violation(bracket, n: int):
+    """The first frame triple a < b < c whose Jacobiator
+    [a,[b,c]] + [b,[c,a]] + [c,[a,b]] is nonzero, or None."""
+    n2 = 2 * n
+    for a, b, c in combinations(range(n2), 3):
+        acc = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for mid, coeff in bracket(y, z).items():
+                for s, c2 in bracket(x, mid).items():
+                    v = coeff * c2
+                    acc[s] = v if s not in acc else acc[s] + v
+        if any(acc.values()):
+            return a, b, c
+    return None
+
+
+def reconstruct_d(table):
+    """d gamma^i rebuilt from a bracket table (the duality round trip)."""
+    alg, n = table.algebra, table.n
+    out = {}
+    for i in range(1, n + 1):
+        total = alg.zero()
+        for a, b in combinations(range(2 * n), 2):
+            coeff = table.bracket(a, b).get(i - 1)
+            if coeff:
+                total = total + alg.symbol_form(a).wedge(alg.symbol_form(b)).scale(-coeff)
+        out[i] = total
+    return out
+
+
+def del_on_vectors(se, v):
+    """del on a vector-valued form, the mirror of ``delbar_on_vectors``."""
+    from nilforms.deformation import _frame_derivative
+
+    return _frame_derivative(se, v, holomorphic=True)
+
+
+def norm2_vec(v) -> Fraction:
+    """The Hermitian norm squared sum |z|^2 of a Q(i) vector."""
+    total = Fraction(0)
+    for z in v.values():
+        total += z.norm2() if isinstance(z, GaussianRational) else z * z
+    return total

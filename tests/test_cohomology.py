@@ -25,7 +25,7 @@ from nilforms.cohomology import (
     zero_point,
 )
 from nilforms.deformation import deform_complex, evaluate_se
-from nilforms.errors import NotSolvable, PreconditionFailed
+from nilforms.errors import FlatnessError, IntegrabilityError, NotSolvable, PreconditionFailed
 from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI, QI_ONE, QI_ZERO
 
@@ -39,6 +39,7 @@ from oracles import (
     full_scan_kernel,
     harmonic_green_two_pass,
     iwasawa_oracle,
+    norm2_vec,
     torus_oracle,
 )
 
@@ -222,7 +223,7 @@ def test_canonical_ddbar_solution(ec_iwasawa, iwasawa3):
         # (del delbar)(del delbar)* G_BC y = y for y in the image
         # minimality against 20 random kernel perturbations
         xv = ec_iwasawa.form_to_vec(x, 1, 1)
-        base = linalg.norm2_vec(xv)
+        base = norm2_vec(xv)
         kernel = ec_iwasawa.kernel("ddbar", 1, 1)
         for _ in range(20):
             k = {}
@@ -230,7 +231,7 @@ def test_canonical_ddbar_solution(ec_iwasawa, iwasawa3):
                 k = linalg.vec_add(k, linalg.vec_scale(v, rng.gaussian(2)))
             if not k:
                 continue
-            assert base <= linalg.norm2_vec(linalg.vec_add(xv, k))
+            assert base <= norm2_vec(linalg.vec_add(xv, k))
 
 
 def test_canonical_solution_not_solvable(ec_iwasawa, iwasawa3):
@@ -635,3 +636,24 @@ def test_cohomology_refuses_out_of_range_degrees(ec_iwasawa, kwargs, message):
         cohomology(ec_iwasawa, **kwargs)
     assert cohomology(ec_iwasawa, "dolbeault", p=3, q=0) == 1
     assert [cohomology(ec_iwasawa, "de_rham", k=k) for k in (0, 6)] == [1, 1]
+
+
+def test_cohomology_refuses_equations_that_define_no_complex():
+    """full_report and cohomology answer only on a complex.  With d gamma^1
+    = gammabar^1 ^ gammabar^2 (n = 2) the del and delbar parts drop the
+    (0,2)-term, so the tables would read as the torus's; on the non-flat
+    n = 3 equations Bott-Chern at (1,1) would read 4.  Each raises its
+    typed error, and no pass is stored."""
+    alg2 = FormAlgebra(2, PolyRing(0, 0))
+    se = StructureEquations("not_integrable", alg2, {1: alg2.monomial((), (1, 2))})
+    with pytest.raises(IntegrabilityError):
+        full_report(EvaluatedComplex(InvariantComplex(se), ()))
+    assert not se.flat
+    alg3 = FormAlgebra(3, PolyRing(0, 0))
+    se = StructureEquations("notflat", alg3, {3: alg3.monomial((1,), (2,)), 2: alg3.monomial((1,), (3,))})
+    ec = EvaluatedComplex(InvariantComplex(se), ())
+    with pytest.raises(FlatnessError):
+        cohomology(ec, "bott_chern", 1, 1, with_basis=True)
+    with pytest.raises(FlatnessError):
+        full_report(ec)
+    assert not se.flat

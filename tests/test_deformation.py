@@ -20,7 +20,6 @@ from nilforms.deformation import (
     check_integrability,
     coframe_transform,
     deform_complex,
-    del_on_vectors,
     delbar_on_vectors,
     evaluate_se,
     kuranishi_expand,
@@ -28,12 +27,21 @@ from nilforms.deformation import (
     main1_residual,
     schouten,
 )
-from nilforms.errors import IntegrabilityError, NonInvertibleCoframe
+from nilforms.errors import FlatnessError, IntegrabilityError, NonInvertibleCoframe
 from nilforms.extension import extension_map
 from nilforms.io import se_emit
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import coframe_endo_dense, deform_complex_dense, dense_inverse, fiber_point
+from oracles import (
+    coframe_endo_dense,
+    deform_complex_dense,
+    del_on_vectors,
+    dense_inverse,
+    fiber_point,
+    jacobi_violation,
+    pairing_scan_bracket,
+    reconstruct_d,
+)
 
 
 def _random_beltrami(alg, rng, comps=2):
@@ -75,7 +83,7 @@ def test_iwasawa_bracket_sign(iwasawa3):
     determinant convention); the duality round-trip confirms it."""
     tab = lie_brackets(iwasawa3.se)
     assert tab.bracket(0, 1) == {2: iwasawa3.se.algebra.ring.one()}
-    rebuilt = tab.reconstruct_d()
+    rebuilt = reconstruct_d(tab)
     for i in (1, 2, 3):
         assert rebuilt[i] == iwasawa3.se.d_coframe[i]
 
@@ -89,9 +97,53 @@ def test_abelian_brackets_zero(torus3):
 
 def test_bracket_duality_roundtrip_bcvary(bcvary10):
     tab = lie_brackets(bcvary10.se)
-    rebuilt = tab.reconstruct_d()
+    rebuilt = reconstruct_d(tab)
     for i in range(1, 6):
         assert rebuilt[i] == bcvary10.se.d_coframe[i]
+
+
+#: the four benchmark products among the reference complexes
+PRODUCTS = ("iwasawa2", "iwasawa_c3", "bcvary10_0_c", "iwasawa2_c")
+
+
+def test_brackets_read_off_d_equal_the_pairing_scan_and_flatness_is_jacobi(reference_complexes):
+    """On the catalog entries, the four benchmark products, bcvary10
+    deformed symbolically and at both generic points (``deform_complex``
+    returns them validated), and the two non-flat equations of the
+    suite, each taken afresh: ``require_flat`` refuses exactly the
+    equations whose brackets, by the pairing scan, break Jacobi on some
+    frame triple, and on the others the table read off d equals the
+    scan bracket by bracket, entries in the same order."""
+    bc = catalog_load("bcvary10")
+    inputs = [catalog_load(name).se for name in ("torus3", "iwasawa3", "abelian_1", "abelian_4", "bcvary10")]
+    inputs += [cx.se for label, cx, _ in reference_complexes if label in PRODUCTS]
+    deformed = [deform_complex(bc.se, bc.beltrami)]
+    deformed += [deform_complex(bc.se, bc.beltrami, point=pt) for pt in generic_points(4)]
+    assert all(se.flat for se in deformed)  # deform_complex validates what it returns
+    inputs += deformed
+    alg3 = FormAlgebra(3, PolyRing(0, 0))
+    inputs.append(StructureEquations("notflat", alg3, {3: alg3.monomial((1,), (2,)), 2: alg3.monomial((1,), (3,))}))
+    inputs.append(StructureEquations(
+        "broken", alg3, {2: alg3.gamma(3).wedge(alg3.gammabar(1)), 3: alg3.gamma(1).wedge(alg3.gamma(2))}
+    ))
+    assert len(inputs) == 14
+    refused = []
+    for given in inputs:
+        se = StructureEquations(given.name, given.algebra, given.d_coframe)  # nothing decided yet
+        n2 = 2 * se.n
+        scan = {(a, b): pairing_scan_bracket(se, a, b) for a in range(n2) for b in range(n2)}
+        if jacobi_violation(lambda a, b: scan[(a, b)], se.n) is not None:
+            for _ in range(2):
+                with pytest.raises(FlatnessError):
+                    lie_brackets(se)
+            assert not se.flat and se.brackets is None
+            refused.append(se.name)
+            continue
+        table = lie_brackets(se)
+        assert se.flat
+        for (a, b), want in scan.items():
+            assert list(table.bracket(a, b).items()) == list(want.items()), (se.name, a, b)
+    assert refused == ["notflat", "broken"]
 
 
 # -- delbar on vectors --------------------------------------------------------

@@ -501,11 +501,11 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     after that build no table and no Neumann series and check
     integrability once in all, and the second solve, at the same
     bidegree, adds or rebuilds no prefix image of ext_transform, shrink
-    or unshrink.  A non-integrable phi is still refused.  A Jacobi
-    failure is never stored."""
+    or unshrink.  A non-integrable phi is still refused.  No table is
+    stored for equations that are not flat."""
     from nilforms import deformation, extension
     from nilforms.algebra import StructureEquations
-    from nilforms.errors import JacobiError
+    from nilforms.errors import FlatnessError
 
     entry = catalog_load("bcvary10")  # a fresh se and phi, nothing cached yet
     se, phi = entry.se, entry.beltrami
@@ -560,7 +560,7 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
         {2: alg3.gamma(3).wedge(alg3.gammabar(1)), 3: alg3.gamma(1).wedge(alg3.gamma(2))},
     )
     for _ in range(2):
-        with pytest.raises(JacobiError):
+        with pytest.raises(FlatnessError):
             deformation.lie_brackets(broken)
         assert broken.brackets is None
 

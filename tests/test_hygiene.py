@@ -306,11 +306,16 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     an ``insert`` method; the incremental RREF it replaced, with its
     builders and helpers, is gone, since ``Echelon.kernel`` completes the
     forward echelon in place where a kernel is read, and so is the
-    ``is_positive_definite`` pass-through of ``hermitian_pivots``."""
+    ``is_positive_definite`` pass-through of ``hermitian_pivots``.  The
+    Jacobi loop, the pairing scan and ``JacobiError`` are gone, since
+    ``StructureEquations.require_flat`` decides d^2 = 0 and the bracket
+    table is read off d, and so are the Kuranishi recursion's own
+    ``mat_vec_param`` (``linalg.mat_vec``) and the catalog's ``_plain``."""
     defined = {name for path in SRC.glob("*.py") for _, name in defined_names(path.read_text())}
     gone = {"HodgeContext", "solve_dense", "dense_inverse", "rows_to_dense", "dense_to_rows", "_ldl_witness",
             "eval_dense", "ForwardEchelon", "row_echelon", "echelon_kernel", "_sub_scaled_into",
-            "is_positive_definite", "rref"}
+            "is_positive_definite", "rref", "check_jacobi", "_two_form_eval", "JacobiError", "mat_vec_param",
+            "_plain"}
     assert gone.isdisjoint(defined), gone & defined
     assert {"Echelon", "forward_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
     inserting = {
