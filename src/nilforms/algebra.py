@@ -657,10 +657,11 @@ class StructureEquations:
     which ``deformation.lie_brackets`` reads off d on first use into
     ``brackets``, and their verdict that they define a complex, which
     ``require_flat`` decides and ``flat`` keeps once it has passed
-    (d_coframe is never mutated).
+    (d_coframe is never mutated).  ``with_algebra`` keeps one lift per
+    target algebra in ``lifts``, so a lift's bracket table is built once.
     """
 
-    __slots__ = ("name", "n", "algebra", "d_coframe", "brackets", "flat")
+    __slots__ = ("name", "n", "algebra", "d_coframe", "brackets", "flat", "lifts")
 
     def __init__(self, name: str, algebra: FormAlgebra, d_coframe: Dict[int, Form]):
         self.name = name
@@ -674,16 +675,20 @@ class StructureEquations:
                 raise ValueError("structure form from a different algebra")
         self.brackets = None
         self.flat = False
+        self.lifts: Dict[FormAlgebra, "StructureEquations"] = {}
 
     def with_algebra(self, algebra: FormAlgebra) -> "StructureEquations":
-        """The same equations over another scalar ring; self for its own."""
+        """The same equations over another scalar ring, built once per
+        algebra and kept in ``lifts``; self for its own."""
         if algebra == self.algebra:
             return self
-        lifted = StructureEquations(
-            self.name, algebra, {i: f.lift(algebra) for i, f in self.d_coframe.items()}
-        )
+        lifted = self.lifts.get(algebra)
+        if lifted is None:
+            lifted = self.lifts[algebra] = StructureEquations(
+                self.name, algebra, {i: f.lift(algebra) for i, f in self.d_coframe.items()}
+            )
         # lifting moves constants only, an injective ring map, so a pass holds there
-        lifted.flat = self.flat
+        lifted.flat = lifted.flat or self.flat
         return lifted
 
     def d_symbol(self, s: int) -> Form:
@@ -798,32 +803,26 @@ def _accumulate(out: Dict, key, v) -> None:
 
 class InvariantComplex:
     """Bigraded complex of invariant forms: the structure equations plus
-    the monomial basis per bidegree, and its index where one is asked for.
+    the one per-size subset table that positions every monomial.
 
-    The matrices of del and delbar are assembled at an evaluation point
-    by ``cohomology.EvaluatedComplex``, straight from the evaluated
-    structure constants.
+    ``subsets[k]`` lists the k-subsets of 1..n in lexicographic order and
+    ``subset_rank[k]`` maps each to its place there.  The basis of (p,q)
+    is I-major, so the monomial (I, J) sits at position
+    subset_rank[p][I] * C(n, q) + subset_rank[q][J], and position i holds
+    (subsets[p][i // C(n, q)], subsets[q][i % C(n, q)]): 2^n subsets
+    position all 4^n monomials, and no monomial is listed.  The matrices of
+    del and delbar are assembled at an evaluation point by
+    ``cohomology.EvaluatedComplex``, straight from the evaluated structure
+    constants.
     """
 
     def __init__(self, se: StructureEquations):
         self.se = se
         self.algebra = se.algebra
         self.n = se.n
-        self._bases: Dict[Tuple[int, int], List[Mono]] = {}
-        self._index: Dict[Tuple[int, int], Dict[Mono, int]] = {}
-
-    def basis(self, p: int, q: int) -> List[Mono]:
-        key = (p, q)
-        if key not in self._bases:
-            self._bases[key] = self.algebra.basis(p, q)
-        return self._bases[key]
-
-    def index(self, p: int, q: int) -> Dict[Mono, int]:
-        """Position of each monomial in ``basis(p, q)``, built on first ask."""
-        key = (p, q)
-        if key not in self._index:
-            self._index[key] = {m: i for i, m in enumerate(self.basis(p, q))}
-        return self._index[key]
+        ids = range(1, self.n + 1)
+        self.subsets = tuple(tuple(combinations(ids, k)) for k in range(self.n + 1))
+        self.subset_rank = tuple({c: i for i, c in enumerate(s)} for s in self.subsets)
 
     def dim(self, p: int, q: int) -> int:
         return self.algebra.dim(p, q)

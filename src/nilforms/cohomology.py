@@ -3,10 +3,14 @@ del-delbar solve.
 
 An EvaluatedComplex owns every cache at its evaluation point: the
 evaluated structure constants, the four named matrices of ``rows`` (del,
-delbar, ddbar, stacked) and d on the total complex, one row echelon per
-matrix, one forward column echelon per image, and the tracked forward
-echelons that every minimal-norm del-delbar solve at that point reuses
-(``ddbar_preimage``).  [del | delbar] is a rank, not a matrix.
+delbar, ddbar, stacked) and d on the total complex, each empty row of
+them the one read-only ``EMPTY_ROW``, their nonzero columns, one row
+echelon per matrix, one forward column echelon per image, read from
+those columns, and the tracked forward echelons that every minimal-norm
+del-delbar solve at that point reuses (``ddbar_preimage``).  [del |
+delbar] is a rank, not a matrix.  Monomial positions come from the
+subset table of the ``InvariantComplex``, which is independent of the
+point.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read from a forward
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -60,6 +65,10 @@ def zero_point(m: int) -> Tuple[GaussianRational, ...]:
     return tuple(GaussianRational(0) for _ in range(m))
 
 
+#: the one row that every stored matrix holds at each of its empty rows;
+#: read-only, so a stray write raises TypeError instead of changing them all
+EMPTY_ROW = MappingProxyType({})
+
 #: the matrices that ``EvaluatedComplex.rows`` builds, by name
 _MATRICES = ("del", "delbar", "ddbar", "stacked")
 #: (dp, dq) from the source to the target bidegree of each map
@@ -73,17 +82,9 @@ def _known(op: str, names) -> str:
     return op
 
 
-def _subset_index(n: int) -> Tuple[Dict[Tuple[int, ...], int], ...]:
-    """Per size k, the position of each k-subset of 1..n in lexicographic
-    order: the basis of (p,q) is I-major, so the index of (I, J) is
-    index[p][I] * C(n, q) + index[q][J]."""
-    ids = range(1, n + 1)
-    return tuple({c: i for i, c in enumerate(combinations(ids, k))} for k in range(n + 1))
-
-
 def _block_terms(index, fixed: Tuple[int, ...], s: Optional[int], k: int):
     """One block (the gamma or the gammabar indices) of the monomials that
-    a term meets.
+    a term meets; index is ``InvariantComplex.subset_rank``.
 
     fixed is this block of the term, s the index of the symbol if it lies
     in this block (else None), k the size of rest's block.  Per k-subset
@@ -159,10 +160,14 @@ class EvaluatedComplex:
     Matrices are Gaussian-rational rows-of-dicts named (op, p, q): op is
     del, delbar, ddbar or stacked ([del; delbar]) with SOURCE (p,q), the
     one table of ``rows``, which refuses any other name; or total (d on
-    the total complex, ``total_d_rows``) with degree p and q = 0.  Each
-    matrix gets one row echelon.  It starts as the forward echelon
-    (``linalg.forward_echelon``), which gives the rank and the pivot
-    columns that ``rank`` and ``unimodular`` read.  The first kernel read
+    the total complex, ``total_d_rows``) with degree p and q = 0.  Every
+    empty row of a stored matrix, and of the adjoints ``ddbar_preimage``
+    keeps, is the one shared ``EMPTY_ROW``, a read-only mapping, so most
+    rows of a large matrix cost one list slot.  ``columns`` keeps each
+    matrix's nonzero columns.  Each matrix gets one row echelon.  It
+    starts as the forward echelon (``linalg.forward_echelon``), which
+    gives the rank and the pivot columns that ``rank`` and ``unimodular``
+    read.  The first kernel read
     of the matrix completes that echelon in place into the RREF
     (``linalg.Echelon.kernel``): each row that changes is replaced by a
     reduced copy, so the matrix rows are left as they were, and the
@@ -188,11 +193,11 @@ class EvaluatedComplex:
     echelons (``image_sum``).
 
     Each image, of del, delbar or ddbar into TARGET (p,q) or of total
-    into TARGET degree p, is one forward echelon of the matrix's columns
-    (``_image``): it answers membership (``image_echelon``), serves as
-    the base of weak's residues and of cohomology representatives, and
-    the columns that enlarged it, in order, are the image basis
-    (``image_vectors``).  The minimal-norm del-delbar solve into (p,q)
+    into TARGET degree p, is one forward echelon of the matrix's nonzero
+    columns from ``columns``, by ascending index (``_image``): it answers
+    membership (``image_echelon``), serves as the base of weak's residues
+    and of cohomology representatives, and the columns that enlarged it,
+    in order, are the image basis (``image_vectors``).  The minimal-norm del-delbar solve into (p,q)
     reads one tracked forward echelon, built once per target bidegree
     (``ddbar_preimage``).
 
@@ -202,7 +207,10 @@ class EvaluatedComplex:
     can meet (``_assemble``), so the cost follows the nonzero count, not
     the basis.  Each entry is a signed sum of structure constants and
     evaluation is additive, so the rows equal the evaluation of the
-    symbolic Leibniz-rule matrices entry by entry.
+    symbolic Leibniz-rule matrices entry by entry.  Rows, columns and
+    ``form_to_vec``/``vec_to_form`` position the monomial (I, J) of (p,q)
+    at subset_rank[p][I] * C(n, q) + subset_rank[q][J]
+    (``InvariantComplex``).
     """
 
     def __init__(self, cx: InvariantComplex, point: Sequence[GaussianRational] = ()):
@@ -211,7 +219,6 @@ class EvaluatedComplex:
         self.point = tuple(point)
         if len(self.point) != cx.algebra.ring.m:
             raise ValueError("evaluation point has wrong arity for the ring")
-        self._subsets = _subset_index(self.n)
         self._terms: Dict[str, list] = {}
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
         self._cols: Dict[Tuple[str, int, int], Dict[int, Vec]] = {}
@@ -246,8 +253,8 @@ class EvaluatedComplex:
                 tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
                 out = [{} for _ in range(self.dim(tp, tq))]
                 if self.dim(p, q) and out:
-                    _assemble(out, self._symbol_terms(op), self._subsets, p, q, tq)
-            self._rows[key] = out
+                    _assemble(out, self._symbol_terms(op), self.cx.subset_rank, p, q, tq)
+            self._rows[key] = [r or EMPTY_ROW for r in out]
         return self._rows[key]
 
     def _symbol_terms(self, op: str) -> List[list]:
@@ -266,7 +273,7 @@ class EvaluatedComplex:
     def columns(self, op: str, p: int, q: int) -> Dict[int, Vec]:
         """Nonzero columns of the matrix (op, p, q), keyed by index, for
         products that walk the support of a vector (``linalg.columns_vec``)
-        and for column echelons."""
+        and for the image echelons (``_image``)."""
         key = (op, p, q)
         if key not in self._cols:
             cols: Dict[int, Vec] = {}
@@ -354,8 +361,9 @@ class EvaluatedComplex:
 
     def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
         """The independent columns of op into TARGET (p,q), in order, and
-        the forward echelon of their span that selected them; op total is
-        d on the total complex into TARGET degree p (q = 0)."""
+        the forward echelon of their span that selected them, fed the
+        nonzero columns of ``columns`` by ascending index; op total is d
+        on the total complex into TARGET degree p (q = 0)."""
         key = (op, p, q)
         if key not in self._images:
             if op == "total":
@@ -366,8 +374,8 @@ class EvaluatedComplex:
                 sp, sq = p - dp, q - dq
                 ncols, nrows = self.dim(sp, sq), self.dim(p, q)
             e = Echelon({})
-            cols = linalg.columns_of(self._matrix(op, sp, sq), ncols) if ncols and nrows else []
-            self._images[key] = ([v for v in cols if v and e.insert(v)], e)
+            cols = self.columns(op, sp, sq) if ncols and nrows else {}
+            self._images[key] = ([cols[j] for j in sorted(cols) if e.insert(cols[j])], e)
         return self._images[key]
 
     def image_vectors(self, op: str, p: int, q: int) -> List[Vec]:
@@ -404,7 +412,7 @@ class EvaluatedComplex:
         key, dim = (p, q), self.dim(p, q)
         if key not in self._preimages:
             a = self.rows("ddbar", p - 1, q - 1)
-            adjoint = linalg.conj_transpose(a, self.dim(p - 1, q - 1))
+            adjoint = [r or EMPTY_ROW for r in linalg.conj_transpose(a, self.dim(p - 1, q - 1))]
             e = linalg.tracked_echelon(linalg.columns_of(linalg.mat_mul(a, adjoint), dim), dim)
             self._preimages[key] = (adjoint, e)
         adjoint, e = self._preimages[key]
@@ -438,7 +446,7 @@ class EvaluatedComplex:
                             for j, c in r.items():
                                 row[col_off + j] = c
                 col_off += self.dim(p, q)
-            self._rows[key] = rows
+            self._rows[key] = [r or EMPTY_ROW for r in rows]
         return self._rows[key]
 
     def embed_block(self, v: Vec, p: int, q: int, k: int) -> Vec:
@@ -452,7 +460,9 @@ class EvaluatedComplex:
     # -- forms <-> vectors ---------------------------------------------------
 
     def form_to_vec(self, a: Form, p: int, q: int) -> Vec:
-        idx = self.cx.index(p, q)
+        """The coefficients of a (p,q)-form at this point, keyed by the
+        position of each monomial (I, J): rank(I) * C(n, q) + rank(J)."""
+        rank, cq = self.cx.subset_rank, comb(self.n, q)
         out: Vec = {}
         m_params = a.algebra.ring.m
         for m, c in a.coeffs.items():
@@ -467,13 +477,15 @@ class EvaluatedComplex:
                     )
                 v = c.constant_term()
             if v:
-                out[idx[m]] = v
+                out[rank[p][m[0]] * cq + rank[q][m[1]]] = v
         return out
 
     def vec_to_form(self, v: Vec, p: int, q: int, algebra: Optional[FormAlgebra] = None) -> Form:
+        """The (p,q)-form of a vector: position i holds the monomial
+        (I, J) with I at rank i // C(n, q) and J at rank i % C(n, q)."""
         alg = algebra or self.cx.algebra
-        basis = self.cx.basis(p, q)
-        return Form(alg, {basis[i]: alg.ring.const(v[i]) for i in sorted(v)})
+        subsets, cq = self.cx.subsets, comb(self.n, q)
+        return Form(alg, {(subsets[p][i // cq], subsets[q][i % cq]): alg.ring.const(v[i]) for i in sorted(v)})
 
 
 # -- dimensions ------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -306,11 +307,12 @@ def _ddbar_correction(
     t) at a time; a slice outside im del delbar raises
     ObstructionNonvanishing(order, side)."""
     op, sp, sq = ("delbar", p, q - 1) if side == "left" else ("del", p - 1, q)
-    index = ec.cx.index(sp + 1, sq + 1)
+    rank, subsets, n = ec.cx.subset_rank, ec.cx.subsets, ec.n
+    zq = comb(n, sq + 1)
     slices: Dict[Tuple[int, ...], Dict[int, GaussianRational]] = {}
-    for m, c in z.coeffs.items():
+    for (I, J), c in z.coeffs.items():
         for expo, val in c.terms.items():
-            slices.setdefault(expo, {})[index[m]] = val
+            slices.setdefault(expo, {})[rank[sp + 1][I] * zq + rank[sq + 1][J]] = val
     cols = ec.columns(op, sp, sq)
     out: Dict[int, Dict[Tuple[int, ...], GaussianRational]] = {}
     for expo, y in slices.items():
@@ -319,9 +321,8 @@ def _ddbar_correction(
             raise ObstructionNonvanishing(order, side)
         for i, c in linalg.columns_vec(cols, x).items():
             out.setdefault(i, {})[expo] = c
-    basis = ec.cx.basis(p, q)
-    ring = z.algebra.ring
-    return Form(z.algebra, {basis[i]: ParamScalar(ring, out[i]) for i in sorted(out)})
+    ring, cq = z.algebra.ring, comb(n, q)
+    return Form(z.algebra, {(subsets[p][i // cq], subsets[q][i % cq]): ParamScalar(ring, out[i]) for i in sorted(out)})
 
 
 def bc_nontriviality(ec_t: EvaluatedComplex, ext: Form) -> bool:

@@ -153,23 +153,20 @@ def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
     Conjugation sends the monomial (I, J) to (-1)^(p*p) (J, I), so
     i^(p*p) (I, I) is fixed, and so are m + (-1)^(p*p) flip and
     i m - i (-1)^(p*p) flip for each pair m = (I, J), flip = (J, I) with
-    I != J.  For odd p, i^(p*p) = i and (-1)^(p*p) = -1; for even p both
-    are 1.
+    I before J.  For odd p, i^(p*p) = i and (-1)^(p*p) = -1; for even p
+    both are 1.  With a and b the subset ranks of I and J
+    (``InvariantComplex.subsets``), m sits at a * c + b and flip at
+    b * c + a, c = C(n, p); the vectors follow the monomials in order.
     """
-    basis = ec.cx.basis(p, p)
-    index = ec.cx.index(p, p)
+    c = len(ec.cx.subsets[p])
     diag, flip_re, flip_im = (QI_I, _MINUS_ONE, QI_I) if p % 2 else (QI_ONE, QI_ONE, _MINUS_I)
     out: List[Vec] = []
-    flips = set()
-    for m in basis:
-        I, J = m
-        if I == J:
-            out.append({index[m]: diag})
-        elif m not in flips:
-            flip = (J, I)
-            flips.add(flip)
-            out.append({index[m]: QI_ONE, index[flip]: flip_re})
-            out.append({index[m]: QI_I, index[flip]: flip_im})
+    for a in range(c):
+        out.append({a * c + a: diag})
+        for b in range(a + 1, c):
+            m, flip = a * c + b, b * c + a
+            out.append({m: QI_ONE, flip: flip_re})
+            out.append({m: QI_I, flip: flip_im})
     return out
 
 

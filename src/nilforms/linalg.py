@@ -223,9 +223,10 @@ def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
     smallest column first (a heap of the columns met): a row has no
     entry left of its lead, so each reduction adds entries only to the
     right of the column it clears, and each column is cleared at most
-    once.  The multiplier is -c for a lead of 1 and c for a lead of -1;
-    only another lead is divided by (``_div``, exactly).  A vector that
-    meets no leading column is returned as it is, by reference."""
+    once.  A row that holds only its lead just clears the column.  The
+    multiplier is -c for a lead of 1 and c for a lead of -1; only another
+    lead is divided by (``_div``, exactly).  A vector that meets no
+    leading column is returned as it is, by reference."""
     hits = [k for k in v if k in pivots]
     if not hits:
         return v
@@ -237,6 +238,8 @@ def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
         if c is None:
             continue
         row = pivots[k]
+        if len(row) == 1:
+            continue
         lead = row[k]
         f = -c if lead == 1 else c if lead == -1 else -_div(c, lead)
         for j, x in row.items():

@@ -532,6 +532,31 @@ def form_layer_derivation(se, a, op: str):
     return out
 
 
+# -- the monomial list and index that the subset ranks replaced ----------
+
+
+def monomial_index(cx, p: int, q: int):
+    """The position of each monomial of (p,q), from the whole list of
+    them (``FormAlgebra.basis``) as one dict."""
+    return {m: i for i, m in enumerate(cx.algebra.basis(p, q))}
+
+
+def form_to_vec_by_index(ec, a, p: int, q: int):
+    """``EvaluatedComplex.form_to_vec`` through ``monomial_index``."""
+    idx = monomial_index(ec.cx, p, q)
+    values = ((idx[m], c.eval(ec.point)) for m, c in a.coeffs.items())
+    return {i: v for i, v in values if v}
+
+
+def vec_to_form_by_basis(ec, v, p: int, q: int):
+    """``EvaluatedComplex.vec_to_form`` through the whole monomial list."""
+    from nilforms.algebra import Form
+
+    alg = ec.cx.algebra
+    monos = alg.basis(p, q)
+    return Form(alg, {monos[i]: alg.ring.const(v[i]) for i in sorted(v)})
+
+
 # -- the symbolic assembly that EvaluatedComplex.rows replaced -------------
 
 
@@ -544,9 +569,9 @@ def symbolic_columns(cx, op: str, p: int, q: int):
     se = cx.se
     images = _SymbolImages(se._del_part if op == "del" else se._delbar_part)
     tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-    tgt_index = cx.index(tp, tq) if cx.dim(tp, tq) else {}
+    tgt_index = monomial_index(cx, tp, tq) if cx.dim(tp, tq) else {}
     cols = []
-    for m in cx.basis(p, q):
+    for m in cx.algebra.basis(p, q):
         col = {}
         for negate, mm, dc in se._leibniz_terms(m, images):
             _accumulate(col, tgt_index[mm], -dc if negate else dc)
@@ -600,8 +625,8 @@ def real_basis_vectors_by_products(ec, p: int):
     """The conjugation-fixed basis of ``lemmata._real_basis_vectors``
     with i^(p*p) formed by p*p products in Q(i) and the second vector of
     each conjugate pair scaled by a product i * (-sign)."""
-    basis = ec.cx.basis(p, p)
-    index = ec.cx.index(p, p)
+    monos = ec.cx.algebra.basis(p, p)
+    pos = monomial_index(ec.cx, p, p)
     sign = -1 if (p * p) % 2 else 1
     i_unit = GaussianRational(0, 1)
     unit = GaussianRational(1)
@@ -610,19 +635,19 @@ def real_basis_vectors_by_products(ec, p: int):
         ipp = ipp * i_unit
     out = []
     seen = set()
-    for m in basis:
+    for m in monos:
         I, J = m
         if m in seen:
             continue
         flip = (J, I)
         if I == J:
-            out.append({index[m]: ipp})
+            out.append({pos[m]: ipp})
             seen.add(m)
         else:
             seen.add(m)
             seen.add(flip)
-            out.append({index[m]: unit, index[flip]: GaussianRational(sign)})
-            out.append({index[m]: i_unit, index[flip]: i_unit * GaussianRational(-sign)})
+            out.append({pos[m]: unit, pos[flip]: GaussianRational(sign)})
+            out.append({pos[m]: i_unit, pos[flip]: i_unit * GaussianRational(-sign)})
     return out
 
 

@@ -1,4 +1,3 @@
-import copy
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +8,7 @@ from nilforms import io as nio
 from nilforms import linalg
 from nilforms.algebra import Form, FormAlgebra, InvariantComplex, StructureEquations, build_complex
 from nilforms.cohomology import (
+    EMPTY_ROW,
     EvaluatedComplex,
     betti,
     canonical_ddbar_solution,
@@ -36,11 +36,14 @@ from oracles import (
     canonical_solver_rows,
     ddbar_preimage_by_tracked_rref,
     evaluated_rows,
+    form_to_vec_by_index,
     full_scan_kernel,
     harmonic_green_two_pass,
     iwasawa_oracle,
+    monomial_index,
     norm2_vec,
     torus_oracle,
+    vec_to_form_by_basis,
 )
 
 
@@ -462,9 +465,9 @@ def test_evaluated_assembly_sums_colliding_terms():
             for op in ("del", "delbar"):
                 assert _typed_rows(ec.rows(op, p, q)) == _typed_rows(evaluated_rows(cx, op, p, q, ())), (op, p, q)
     cols = ec.columns("del", 2, 0)
-    index = cx.index(2, 0)
-    assert cols[index[((1, 2), ())]] == {cx.index(3, 0)[((1, 2, 3), ())]: QI(-2)}
-    assert index[((1, 4), ())] not in cols
+    pos = monomial_index(cx, 2, 0)
+    assert cols[pos[((1, 2), ())]] == {monomial_index(cx, 3, 0)[((1, 2, 3), ())]: QI(-2)}
+    assert pos[((1, 4), ())] not in cols
 
 
 def test_evaluation_once_per_structure_constant(monkeypatch, iwasawa_c):
@@ -568,7 +571,8 @@ def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_com
 def test_completing_in_place_changes_nothing_a_caller_saw(monkeypatch, reference_complexes):
     """On every matrix of the reference complexes, reading the kernel,
     which completes the matrix's echelon in place, leaves the matrix rows
-    equal, key order included, to a deep copy taken before; the rank,
+    equal, key order included, to a snapshot of their entries taken
+    before (the scalars are immutable); the rank,
     the pivot order and ``marks`` as they were; and ``contains`` and
     ``residues`` on seeded probes (members among them) answering as
     before.  A second kernel read completes nothing again and returns
@@ -583,7 +587,7 @@ def test_completing_in_place_changes_nothing_a_caller_saw(monkeypatch, reference
             for p in range(ec.n + 1):
                 for q in range(ec.n + 1):
                     rows, ncols = ec.rows(op, p, q), ec.dim(p, q)
-                    before = [list(r.items()) for r in copy.deepcopy(rows)]
+                    before = [list(r.items()) for r in rows]
                     e = ec._row_echelon(op, p, q)
                     seen = (e.rank, list(e.pivots), list(e.marks))
                     probes = [{rng.next_int(ncols): rng.nonzero_gaussian(3) for _ in range(3)}
@@ -657,3 +661,46 @@ def test_cohomology_refuses_equations_that_define_no_complex():
     with pytest.raises(FlatnessError):
         full_report(ec)
     assert not se.flat
+
+
+def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
+    """On Iwasawa^2 x C after full_report, lemma_report and two
+    del-delbar solves, every empty row of every stored matrix (del,
+    delbar, ddbar, stacked, total, and the adjoints the solves keep) is
+    the one ``EMPTY_ROW``, which refuses a write; the complex keeps only
+    the per-size subset table, 2^n subsets, and no list or dict per
+    monomial."""
+    cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
+    ec = EvaluatedComplex(cx, ())
+    full_report(ec)
+    lemma_report(ec)
+    for pq in ((2, 2), (4, 3)):
+        assert ec.ddbar_preimage(*pq, {}) == {}
+    stored = list(ec._rows.values()) + [adjoint for adjoint, _ in ec._preimages.values()]
+    assert {key[0] for key in ec._rows} == {"del", "delbar", "ddbar", "stacked", "total"}
+    empty = [r for rows in stored for r in rows if not r]
+    assert empty and all(r is EMPTY_ROW for r in empty)
+    assert all(type(r) is dict for rows in stored for r in rows if r)
+    with pytest.raises(TypeError):
+        empty[0][0] = QI_ONE
+    assert EMPTY_ROW == {}
+    assert set(vars(cx)) == {"se", "algebra", "n", "subsets", "subset_rank"}
+    assert sum(map(len, cx.subsets)) == sum(map(len, cx.subset_rank)) == 2 ** cx.n
+
+
+def test_subset_ranks_equal_the_monomial_index_oracle(reference_complexes):
+    """At every bidegree of the reference complexes, form_to_vec and
+    vec_to_form through the subset ranks equal the monomial list and
+    index route, key order included, and invert each other."""
+    for label, cx, point in reference_complexes:
+        ec = EvaluatedComplex(cx, point)
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                dense = {i: GaussianRational(i + 1, p - q) for i in range(cx.dim(p, q))}
+                for v in (dense, {i: c for i, c in dense.items() if i % 3 == 1}):
+                    form = vec_to_form_by_basis(ec, v, p, q)
+                    got = ec.vec_to_form(v, p, q)
+                    at = (label, p, q)
+                    assert got == form and list(got.coeffs) == list(form.coeffs), at
+                    assert ec.form_to_vec(form, p, q) == form_to_vec_by_index(ec, form, p, q) == v, at
+                    assert list(ec.form_to_vec(form, p, q)) == list(v), at

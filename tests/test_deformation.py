@@ -375,6 +375,25 @@ def test_main1_residual_exhaustive_iwasawa(iwasawa3):
                     assert main1_residual(se, phi, a).is_zero(), (phi, m)
 
 
+def test_one_lift_and_one_bracket_table_per_ring(monkeypatch):
+    """with_algebra keeps one lift per target algebra, so three residuals
+    with phi over PolyRing(1, 2) build one bracket table, not three."""
+    from nilforms import deformation
+
+    se = catalog_load("iwasawa3").se
+    ring = PolyRing(1, 2)
+    alg = FormAlgebra(3, ring)
+    phi = VectorValuedForm(alg, T10, {1: alg.gammabar(1).scale(ring.t(1))})
+    built = []
+    init = deformation.LieBracketTable.__init__
+    monkeypatch.setattr(deformation.LieBracketTable, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    for _ in range(3):
+        assert main1_residual(se, phi, se.algebra.gamma(3)).is_zero()
+    assert len(built) == 1
+    assert se.with_algebra(alg) is se.with_algebra(alg) and se.with_algebra(se.algebra) is se
+    assert list(se.lifts) == [alg]
+
+
 def test_main1_residual_torus(torus3):
     alg = torus3.se.algebra
     rng = DetRng(23)

@@ -286,17 +286,26 @@ def test_standard_spans_each_total_image_once(monkeypatch, iwasawa3):
     """standard decides every bidegree by rank and builds the image
     echelon of d only into the total degree of its failing bidegree, for
     the witness; and verifying the witness reads the same cached echelon:
-    the columns of no matrix are taken twice."""
-    spans = []
-    real = linalg.columns_of
+    the columns of no matrix are built twice (``EvaluatedComplex.columns``
+    builds them, and no stored matrix goes through ``linalg.columns_of``)."""
+    built, spans = [], []
+    columns, real = EvaluatedComplex.columns, linalg.columns_of
+
+    def recording(self, op, p, q):
+        if (op, p, q) not in self._cols:
+            built.append((op, p, q))
+        return columns(self, op, p, q)
+
+    monkeypatch.setattr(EvaluatedComplex, "columns", recording)
     monkeypatch.setattr(linalg, "columns_of", lambda rows, ncols: spans.append(id(rows)) or real(rows, ncols))
     ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
     ok, wit, at = standard(ec)
     assert not ok
     assert all(verify_witness(ec, "standard", at[0], at[1], wit).values())
-    total = {id(ec.total_d_rows(k)) for k in range(2 * ec.n + 1)}
-    assert [i for i in spans if i in total] == [id(ec.total_d_rows(at[0] + at[1] - 1))]
-    assert len(spans) == len(set(spans))
+    assert [key for key in built if key[0] == "total"] == [("total", at[0] + at[1] - 1, 0)]
+    assert len(built) == len(set(built))
+    stored = {id(rows) for rows in ec._rows.values()}
+    assert not [i for i in spans if i in stored]
 
 
 def _typed_form(w):
@@ -586,18 +595,21 @@ def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
 def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     """At bcvary10's first generic point, after full_report, lemma_report
     takes one nullspace (standard's witness route, ``_pure_d_exact``) and
-    builds 2,193 Fractions, all in weak's eliminations over Q; weak's
+    builds 1,870 Fractions, all in weak's eliminations over Q; weak's
     witness no longer takes a realified nullspace (4 nullspaces and 5,520
-    Fractions before).  No row list of d is forward-eliminated in order
-    twice over full_report and lemma_report: standard's prefix pass is
-    the echelon that rank reads."""
+    Fractions before), and a row that holds only its lead divides nothing
+    (2,193 before).  No degree of d with a nonzero row is
+    forward-eliminated twice over full_report and lemma_report: standard's
+    prefix pass is the echelon that rank reads.  The rows fed are compared
+    by the ids of the nonzero ones, each empty row standing as None, since
+    every empty row is the one shared ``EMPTY_ROW``."""
     cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=generic_points(4)[0]))
     ec = EvaluatedComplex(cx, ())
     fed = {}
     extend = linalg.Echelon.extend
 
     def recording(self, vectors):
-        fed.setdefault(id(self), (self, []))[1].extend(id(v) for v in vectors)
+        fed.setdefault(id(self), (self, []))[1].extend(id(v) if v else None for v in vectors)
         return extend(self, vectors)
 
     monkeypatch.setattr(linalg.Echelon, "extend", recording)
@@ -608,14 +620,15 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
     report = lemma_report(ec)
     monkeypatch.setattr(Fraction, "__new__", new)
-    assert len(nullspaces) == 1 and len(built) == 2193
+    assert len(nullspaces) == 1 and len(built) == 1870
     assert [p for p, ok in report.weak_flags.items() if not ok] == [1, 2, 3]
     assert report.standard_flag is False
-    # degrees -1..n-1 are eliminated for rank, the rest only by standard,
-    # which stops at its failing bidegree
-    passes = [sum(seq == [id(r) for r in ec.total_d_rows(k)] for _, seq in fed.values())
-              for k in range(-1, 2 * cx.n)]
-    assert passes[:cx.n + 1] == [1] * (cx.n + 1) and max(passes) == 1, passes
+    # degrees -1..n-1 with a nonzero row are eliminated for rank, the rest
+    # only by standard, which stops at its failing bidegree
+    rows = {k: [id(r) if r else None for r in ec.total_d_rows(k)] for k in range(-1, 2 * cx.n)}
+    passes = {k: sum(seq == ids for _, seq in fed.values()) for k, ids in rows.items() if any(ids)}
+    assert [passes[k] for k in range(-1, cx.n) if k in passes] == [1] * (cx.n - 1), passes
+    assert max(passes.values()) == 1, passes
 
 
 def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, reference_complexes):
