@@ -65,7 +65,6 @@ from .errors import (
 )
 from .extension import (
     ExtensionState,
-    a_ladder,
     bc_nontriviality,
     extension_map,
     obstruction_residual,

@@ -16,6 +16,7 @@ matrices over the scalar ring.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations
 from math import comb, factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -801,9 +802,36 @@ def _accumulate(out: Dict, key, v) -> None:
         del out[key]
 
 
+def _block_terms(index, fixed: Tuple[int, ...], s: Optional[int], k: int):
+    """One block (the gamma or the gammabar indices) of the monomials that
+    a term meets; index is ``InvariantComplex.subset_rank``.
+
+    fixed is this block of the term, s the index of the symbol if it lies
+    in this block (else None), k the size of rest's block.  Per k-subset
+    R of 1..n avoiding fixed and s, yields the position of R with s
+    inserted (source) and of fixed + R (target) among the subsets of
+    their size, and whether the Koszul sign of merging fixed with R and
+    of moving s out of R + s is odd.
+    """
+    avoid = set(fixed)
+    if s:
+        avoid.add(s)
+    src_index, tgt_index = index[k + bool(s)], index[k + len(fixed)]
+    for r in combinations([i for i in range(1, len(index)) if i not in avoid], k):
+        sign, merged = merge_indices(fixed, r)
+        odd = sign < 0
+        col = r
+        if s:
+            pos = bisect(r, s)
+            col = r[:pos] + (s,) + r[pos:]
+            odd ^= pos % 2 == 1
+        yield src_index[col], tgt_index[merged], odd
+
+
 class InvariantComplex:
     """Bigraded complex of invariant forms: the structure equations plus
-    the one per-size subset table that positions every monomial.
+    the one per-size subset table that positions every monomial, and the
+    assembly plans read from it.
 
     ``subsets[k]`` lists the k-subsets of 1..n in lexicographic order and
     ``subset_rank[k]`` maps each to its place there.  The basis of (p,q)
@@ -813,7 +841,9 @@ class InvariantComplex:
     position all 4^n monomials, and no monomial is listed.  The matrices of
     del and delbar are assembled at an evaluation point by
     ``cohomology.EvaluatedComplex``, straight from the evaluated structure
-    constants.
+    constants, along the plans of ``block_plan``.  A plan depends on n
+    and the shape of a term only, not on the point, so every evaluated
+    complex on this one shares the memo ``plans``, filled as they ask.
     """
 
     def __init__(self, se: StructureEquations):
@@ -823,9 +853,20 @@ class InvariantComplex:
         ids = range(1, self.n + 1)
         self.subsets = tuple(tuple(combinations(ids, k)) for k in range(self.n + 1))
         self.subset_rank = tuple({c: i for i, c in enumerate(s)} for s in self.subsets)
+        self.plans: Dict[Tuple[Tuple[int, ...], Optional[int], int], List[Tuple[int, int, bool]]] = {}
 
     def dim(self, p: int, q: int) -> int:
         return self.algebra.dim(p, q)
+
+    def block_plan(self, fixed: Tuple[int, ...], s: Optional[int], k: int) -> List[Tuple[int, int, bool]]:
+        """The (source position, target position, odd) triples of one
+        block of a term (``_block_terms``), computed on first use and kept
+        in ``plans`` under (fixed, s, k): C(n - |fixed| - [s], k) of them."""
+        key = (fixed, s, k)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = list(_block_terms(self.subset_rank, fixed, s, k))
+        return plan
 
 
 def build_complex(se: StructureEquations) -> InvariantComplex:

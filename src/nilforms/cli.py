@@ -6,7 +6,10 @@ human-readable tables are a rendering of that JSON, never a separate
 code path.  Exit codes: 0 all good (and all golden checks pass), 2
 computation fine but a golden expectation mismatched, 1 input error
 (including argparse usage errors), reported as a single ``error:`` line
-on stderr.
+on stderr.  The argument parser is built by the first ``main`` call and
+reused by every later one in the process.  A ``--order`` below the
+degree in t of a catalog Beltrami family would truncate it, so such a
+family is refused, not evaluated as zero.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -91,9 +95,19 @@ def _load_manifold(ref: str, order: int):
 
 
 def _load_beltrami(ref: str, entry):
+    """The catalog's family (ref 'catalog') or a Beltrami file.  A ring
+    order below the family's degree in t would truncate it (at order 0,
+    to phi = 0, and a deformed point would be answered as t = 0), so it
+    is refused."""
     if ref == "catalog":
         if entry.beltrami is None:
             raise NilformsError(f"catalog entry {entry.name!r} has no Beltrami family")
+        order = entry.se.algebra.ring.order
+        if order < entry.family_degree:
+            raise NilformsError(
+                f"--order {order} truncates the Beltrami family of {entry.name!r} "
+                f"(degree {entry.family_degree} in t); use --order {entry.family_degree} or more"
+            )
         return entry.beltrami
     return nio.beltrami_parse(_read_input(ref, "Beltrami file"), entry.se.algebra)
 
@@ -117,7 +131,7 @@ def _evaluated(entry, t_text: Optional[str]):
     if m == 0:
         return EvaluatedComplex(build_complex(se), ()), ()
     if entry.beltrami is not None and any(bool(z) for z in point):
-        se_t = deform_complex(se, entry.beltrami, point=point)
+        se_t = deform_complex(se, _load_beltrami("catalog", entry), point=point)
         return EvaluatedComplex(build_complex(se_t), ()), point
     se0 = evaluate_se(se, point)
     return EvaluatedComplex(build_complex(se0), ()), point
@@ -312,7 +326,10 @@ def _cmd_scenario(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 2
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argument parser, built by the first ``main`` call and reused
+    by every later one in the process."""
     parser = _Parser(
         prog="nilforms",
         description="Exact cohomology and deformation computations on invariant complexes",
@@ -374,9 +391,12 @@ def main(argv=None) -> int:
     p_sce.add_argument("name", help="scenario name or 'all'")
     p_sce.add_argument("--json", action="store_true")
     p_sce.set_defaults(fn=_cmd_scenario)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except NilformsError as exc:
         print(f"error: {exc}", file=sys.stderr)

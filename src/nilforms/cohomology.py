@@ -5,12 +5,15 @@ An EvaluatedComplex owns every cache at its evaluation point: the
 evaluated structure constants, the four named matrices of ``rows`` (del,
 delbar, ddbar, stacked) and d on the total complex, each empty row of
 them the one read-only ``EMPTY_ROW``, their nonzero columns, one row
-echelon per matrix, one forward column echelon per image, read from
-those columns, and the tracked forward echelons that every minimal-norm
-del-delbar solve at that point reuses (``ddbar_preimage``).  [del |
-delbar] is a rank, not a matrix.  Monomial positions come from the
-subset table of the ``InvariantComplex``, which is independent of the
-point.
+echelon per matrix (the stacked echelon extends del's by the delbar
+rows, so no report builds the stacked rows), one forward column echelon
+per image, read from those columns, and the tracked forward echelons
+that every minimal-norm del-delbar solve at that point reuses
+(``ddbar_preimage``).  [del | delbar] is a rank, not a matrix.  What
+does not depend on the point belongs to the ``InvariantComplex``: the
+subset table that positions the monomials and the assembly plans
+(``InvariantComplex.block_plan``), which every evaluated complex on it
+shares.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read from a forward
@@ -31,16 +34,14 @@ over a function field.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Form, FormAlgebra, InvariantComplex, merge_indices
+from .algebra import Form, FormAlgebra, InvariantComplex
 from .errors import NotSolvable, PreconditionFailed
 from .linalg import Echelon, Rows, Vec
 from .scalars import GaussianRational
@@ -82,33 +83,7 @@ def _known(op: str, names) -> str:
     return op
 
 
-def _block_terms(index, fixed: Tuple[int, ...], s: Optional[int], k: int):
-    """One block (the gamma or the gammabar indices) of the monomials that
-    a term meets; index is ``InvariantComplex.subset_rank``.
-
-    fixed is this block of the term, s the index of the symbol if it lies
-    in this block (else None), k the size of rest's block.  Per k-subset
-    R of 1..n avoiding fixed and s, yields the position of R with s
-    inserted (source) and of fixed + R (target) among the subsets of
-    their size, and whether the Koszul sign of merging fixed with R and
-    of moving s out of R + s is odd.
-    """
-    avoid = set(fixed)
-    if s:
-        avoid.add(s)
-    src_index, tgt_index = index[k + bool(s)], index[k + len(fixed)]
-    for r in combinations([i for i in range(1, len(index)) if i not in avoid], k):
-        sign, merged = merge_indices(fixed, r)
-        odd = sign < 0
-        col = r
-        if s:
-            pos = bisect(r, s)
-            col = r[:pos] + (s,) + r[pos:]
-            odd ^= pos % 2 == 1
-        yield src_index[col], tgt_index[merged], odd
-
-
-def _assemble(out: Rows, terms, index, p: int, q: int, tq: int) -> None:
+def _assemble(out: Rows, terms, cx: InvariantComplex, p: int, q: int, tq: int) -> None:
     """Rows of del or delbar from (p,q) (target gammabar-degree tq), one
     structure constant at a time.
 
@@ -116,11 +91,16 @@ def _assemble(out: Rows, terms, index, p: int, q: int, tq: int) -> None:
     monomial rest of the remaining bidegree that shares no index with s
     or the term, the Leibniz rule puts +-c at row index((I_d, J_d) ^ rest)
     and column index(rest + s), with the Koszul sign of
-    ``StructureEquations._leibniz_terms``.  Two triples meet at one entry
-    only when d of a symbol contains that symbol; such entries are summed
-    and dropped when they cancel.  Each row's keys end ascending.
+    ``StructureEquations._leibniz_terms``.  The positions and signs of
+    each block of a term are read from the complex's plan memo
+    (``InvariantComplex.block_plan``), computed once per complex, so only
+    the spreading of the values is done at each point.  Two triples meet
+    at one entry only when d of a symbol contains that symbol; such
+    entries are summed and dropped when they cancel.  Each row's keys end
+    ascending.
     """
-    n = len(index) - 1
+    n = cx.n
+    plan = cx.block_plan
     cq, ctq = comb(n, q), comb(n, tq)
     for s, sterms in enumerate(terms):
         a, b = (s + 1, None) if s < n else (None, s - n + 1)
@@ -132,8 +112,8 @@ def _assemble(out: Rows, terms, index, p: int, q: int, tq: int) -> None:
             # gammabar symbol sits behind all of rest's (1,0)-factors
             odd = (len(J_d) * rp + (rp if b else 0)) % 2 == 1
             neg = -c
-            jparts = list(_block_terms(index, J_d, b, rq))
-            for ci, ri, oi in _block_terms(index, I_d, a, rp):
+            jparts = plan(J_d, b, rq)
+            for ci, ri, oi in plan(I_d, a, rp):
                 ci, ri, oi = ci * cq, ri * ctq, oi ^ odd
                 for cj, rj, oj in jparts:
                     row = out[ri + rj]
@@ -167,7 +147,10 @@ class EvaluatedComplex:
     matrix's nonzero columns.  Each matrix gets one row echelon.  It
     starts as the forward echelon (``linalg.forward_echelon``), which
     gives the rank and the pivot columns that ``rank`` and ``unimodular``
-    read.  The first kernel read
+    read.  The stacked echelon extends del's: the del rows lead the
+    stacked rows, so it is a copy of del's leads, whose rows are shared,
+    extended by the delbar rows, and the del rows are not eliminated
+    again.  The first kernel read
     of the matrix completes that echelon in place into the RREF
     (``linalg.Echelon.kernel``): each row that changes is replaced by a
     reduced copy, so the matrix rows are left as they were, and the
@@ -204,10 +187,11 @@ class EvaluatedComplex:
     del and delbar are assembled per structure constant: the del or
     delbar part of d of each coframe symbol is evaluated at the point
     once, and each of its nonzero terms is spread over the monomials it
-    can meet (``_assemble``), so the cost follows the nonzero count, not
-    the basis.  Each entry is a signed sum of structure constants and
-    evaluation is additive, so the rows equal the evaluation of the
-    symbolic Leibniz-rule matrices entry by entry.  Rows, columns and
+    can meet (``_assemble``), along positions and signs planned once per
+    complex (``InvariantComplex.block_plan``), so the cost at a point
+    follows the nonzero count, not the basis.  Each entry is a signed sum
+    of structure constants and evaluation is additive, so the rows equal
+    the evaluation of the symbolic Leibniz-rule matrices entry by entry.  Rows, columns and
     ``form_to_vec``/``vec_to_form`` position the monomial (I, J) of (p,q)
     at subset_rank[p][I] * C(n, q) + subset_rank[q][J]
     (``InvariantComplex``).
@@ -253,7 +237,7 @@ class EvaluatedComplex:
                 tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
                 out = [{} for _ in range(self.dim(tp, tq))]
                 if self.dim(p, q) and out:
-                    _assemble(out, self._symbol_terms(op), self.cx.subset_rank, p, q, tq)
+                    _assemble(out, self._symbol_terms(op), self.cx, p, q, tq)
             self._rows[key] = [r or EMPTY_ROW for r in out]
         return self._rows[key]
 
@@ -292,12 +276,25 @@ class EvaluatedComplex:
     def _row_echelon(self, op: str, p: int, q: int) -> Echelon:
         """The row echelon of the matrix (op, p, q): its forward echelon,
         completed in place into the RREF once a kernel is read, with the
-        same rank and the same pivots, in the same order."""
+        same rank and the same pivots, in the same order.
+
+        For stacked it is del's echelon at (p,q), copied and extended by
+        the delbar rows: the same forward elimination, since the del rows
+        lead.  A residue modulo a span with given leading columns is
+        unique, so the delbar rows stored, the leads, their order, the
+        rank and ``marks`` do not depend on whether del's echelon was
+        already completed into the RREF; a shared row is never changed in
+        place (``Echelon._complete`` copies it first)."""
         key = (op, p, q)
         if op == "total":
             return self.total_echelon(p)
         if key not in self._echelons:
-            self._echelons[key] = linalg.forward_echelon(self._matrix(op, p, q))
+            if op == "stacked":
+                # the del rows lead the stacked rows: carry on from del's echelon
+                e = Echelon(dict(self._row_echelon("del", p, q).pivots))
+                self._echelons[key] = e.extend(self.rows("delbar", p, q))
+            else:
+                self._echelons[key] = linalg.forward_echelon(self._matrix(op, p, q))
         return self._echelons[key]
 
     def total_echelon(self, k: int) -> Echelon:

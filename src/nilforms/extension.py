@@ -94,11 +94,6 @@ def extension_map(phi: VectorValuedForm, omega: Form) -> Form:
     return simultaneous_contract(beltrami_operators(phi).ext_transform, omega.lift(phi.algebra))
 
 
-def a_ladder(phi: VectorValuedForm, omega_tilde: Form) -> List[Form]:
-    """A_k = iota_B^k(W)/k!; nonzero only for 0 <= k <= min(q, n-p)."""
-    return contraction_series(beltrami_operators(phi).b_field, omega_tilde)
-
-
 def ladder_sums(phi: VectorValuedForm, omega_tilde: Form) -> Tuple[Form, Form, Form]:
     """The three k-sums of the obstruction system applied to W:
 
@@ -162,7 +157,9 @@ def residual_norms_by_order(f: Form, order: int) -> List[Fraction]:
 class ExtensionState:
     """Solver output: the series state, the recovered form and the
     per-order residuals of the two obstruction components.  The ladder
-    of W is ``a_ladder(phi, omega_tilde)``, built only where asked for."""
+    A_k = iota_B^k(W)/k! of W is ``contraction_series`` of phi's B field
+    (``beltrami_operators``) on ``omega_tilde``, built only where asked
+    for."""
 
     omega0: Form
     omega_tilde: Form

@@ -838,6 +838,17 @@ def simultaneous_contract_scalar_first(b, a):
     return total
 
 
+# -- the A_k ladder of W, which the solver reads only through ladder_sums ---
+
+
+def a_ladder(phi, omega_tilde):
+    """A_k = iota_B^k(W)/k!; nonzero only for 0 <= k <= min(q, n-p)."""
+    from nilforms.algebra import contraction_series
+    from nilforms.extension import beltrami_operators
+
+    return contraction_series(beltrami_operators(phi).b_field, omega_tilde)
+
+
 # -- the whole-series order loop that extension.solve_extension replaced ---
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -98,8 +99,6 @@ def test_iwasawa_dclosed_11_matches_bruteforce(ec_iwasawa):
 
 
 def test_betti_numbers(ec_torus, ec_iwasawa):
-    from math import comb
-
     for k in range(7):
         assert betti(ec_torus, k) == comb(6, k)
     assert [betti(ec_iwasawa, k) for k in range(7)] == [1, 4, 8, 10, 8, 4, 1]
@@ -568,6 +567,69 @@ def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_com
                     assert list(e.pivots) == list(direct.pivots), (label, op, p, q)
 
 
+def test_stacked_echelon_extends_dels_into_the_forward_echelon(reference_complexes):
+    """On every reference complex and bidegree, the stacked echelon, read
+    from del's cached echelon extended by the delbar rows, equals the
+    forward echelon of the stacked rows in rank, pivots, pivot order and
+    ``marks``, and its kernel equals the full-scan oracle's: both when
+    del's echelon is fresh and when del's kernel, which completes it into
+    the RREF, was read first.  The rows found by delbar are the same in
+    both cases, the del rows are shared, not eliminated again, and
+    reading the stacked kernel changes none of del's rows."""
+    for label, cx, point in reference_complexes:
+        for del_kernel_first in (False, True):
+            ec = EvaluatedComplex(cx, point)
+            for p in range(cx.n + 1):
+                for q in range(cx.n + 1):
+                    at = (label, del_kernel_first, p, q)
+                    if del_kernel_first:
+                        list(ec.kernel_vectors("del", p, q))
+                    d = ec._row_echelon("del", p, q)
+                    del_rows = {k: list(row.items()) for k, row in d.pivots.items()}
+                    e = ec._row_echelon("stacked", p, q)
+                    want = linalg.forward_echelon(ec.rows("stacked", p, q))
+                    assert (e.rank, list(e.pivots), e.marks) == (want.rank, list(want.pivots), want.marks), at
+                    assert all(e.pivots[k] is row for k, row in d.pivots.items()), at
+                    assert {k: r for k, r in e.pivots.items() if k not in d.pivots} == {
+                        k: r for k, r in want.pivots.items() if k not in d.pivots
+                    }, at
+                    if not del_kernel_first:
+                        assert e.pivots == want.pivots, at
+                    got = list(e.kernel(ec.dim(p, q)))
+                    list(want.kernel(ec.dim(p, q)))
+                    assert got == full_scan_kernel(want.pivots, ec.dim(p, q)), at
+                    assert {k: list(row.items()) for k, row in d.pivots.items()} == del_rows, at
+
+
+def test_a_second_point_reuses_the_assembly_plans(monkeypatch, bcvary10):
+    """On the deformed bcvary10 family, the del and delbar matrices at a
+    generic point compute each block plan once; evaluated complexes on
+    the same complex at the other generic point and at t = 0, where no
+    structure constant is nonzero that was not at the first, compute
+    none and leave the memo as it was; the rows at every point equal the
+    symbolic oracle's there."""
+    from nilforms import algebra
+    from nilforms.deformation import deform_complex
+
+    family = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami))
+    calls = []
+    block_terms = algebra._block_terms
+    monkeypatch.setattr(algebra, "_block_terms", lambda index, *key: calls.append(key) or block_terms(index, *key))
+    bidegrees = [(op, p, q) for op in ("del", "delbar") for p in range(6) for q in range(6)]
+    plans = None
+    for pt in generic_points(4) + (zero_point(4),):
+        ec = EvaluatedComplex(family, pt)
+        for op, p, q in bidegrees:
+            assert ec.rows(op, p, q) == evaluated_rows(family, op, p, q, pt), (pt, op, p, q)
+        if plans is None:
+            plans = dict(family.plans)
+            assert plans and len(calls) == len(plans) and set(calls) == set(plans)
+            calls.clear()
+        assert calls == [], pt
+        assert family.plans.keys() == plans.keys()
+        assert all(family.plans[key] is plan for key, plan in plans.items())
+
+
 def test_completing_in_place_changes_nothing_a_caller_saw(monkeypatch, reference_complexes):
     """On every matrix of the reference complexes, reading the kernel,
     which completes the matrix's echelon in place, leaves the matrix rows
@@ -666,9 +728,11 @@ def test_cohomology_refuses_equations_that_define_no_complex():
 def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     """On Iwasawa^2 x C after full_report, lemma_report and two
     del-delbar solves, every empty row of every stored matrix (del,
-    delbar, ddbar, stacked, total, and the adjoints the solves keep) is
-    the one ``EMPTY_ROW``, which refuses a write; the complex keeps only
-    the per-size subset table, 2^n subsets, and no list or dict per
+    delbar, ddbar, total, the adjoints the solves keep, and a stacked
+    matrix asked for by name, which the reports never build) is the one
+    ``EMPTY_ROW``, which refuses a write; the complex keeps only the
+    per-size subset table, 2^n subsets, and the assembly plans, each a
+    list of one entry per subset of one block, so no list or dict per
     monomial."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     ec = EvaluatedComplex(cx, ())
@@ -676,16 +740,24 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     lemma_report(ec)
     for pq in ((2, 2), (4, 3)):
         assert ec.ddbar_preimage(*pq, {}) == {}
+    assert {key[0] for key in ec._rows} == {"del", "delbar", "ddbar", "total"}
+    assert ec.rows("stacked", 2, 2) == ec.rows("del", 2, 2) + ec.rows("delbar", 2, 2)
     stored = list(ec._rows.values()) + [adjoint for adjoint, _ in ec._preimages.values()]
-    assert {key[0] for key in ec._rows} == {"del", "delbar", "ddbar", "stacked", "total"}
+    assert ("stacked", 2, 2) in ec._rows
     empty = [r for rows in stored for r in rows if not r]
     assert empty and all(r is EMPTY_ROW for r in empty)
     assert all(type(r) is dict for rows in stored for r in rows if r)
     with pytest.raises(TypeError):
         empty[0][0] = QI_ONE
     assert EMPTY_ROW == {}
-    assert set(vars(cx)) == {"se", "algebra", "n", "subsets", "subset_rank"}
-    assert sum(map(len, cx.subsets)) == sum(map(len, cx.subset_rank)) == 2 ** cx.n
+    n = cx.n
+    assert set(vars(cx)) == {"se", "algebra", "n", "subsets", "subset_rank", "plans"}
+    assert sum(map(len, cx.subsets)) == sum(map(len, cx.subset_rank)) == 2 ** n
+    assert cx.plans
+    for (fixed, s, k), plan in cx.plans.items():
+        assert type(plan) is list and len(plan) == comb(n - len(fixed) - bool(s), k)
+        for src, tgt, odd in plan:
+            assert 0 <= src < comb(n, k + bool(s)) and 0 <= tgt < comb(n, k + len(fixed))
 
 
 def test_subset_ranks_equal_the_monomial_index_oracle(reference_complexes):

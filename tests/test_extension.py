@@ -20,7 +20,6 @@ from nilforms.cohomology import EvaluatedComplex, generic_points, zero_point
 from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
 from nilforms.extension import (
-    a_ladder,
     bc_nontriviality,
     beltrami_operators,
     ladder_sums,
@@ -32,7 +31,7 @@ from nilforms.extension import (
 from nilforms.lemmata import mild
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import simultaneous_contract_scalar_first, solve_extension_whole_series
+from oracles import a_ladder, simultaneous_contract_scalar_first, solve_extension_whole_series
 
 
 def _random_mono_form(alg, rng, p, q, coeff=None):

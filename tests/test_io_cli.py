@@ -349,6 +349,9 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         ["cohomology", "--manifold", "catalog:bcvary10", "--t", "1/3,,1/5,1/7,1/11"],
         ["cohomology", "--manifold", "catalog:bcvary10", "--t", "3/7,5/11,2/13,7/17,"],
         ["deform", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--t", ""],
+        # an order that truncates bcvary10's family, linear in t, to phi = 0
+        *(["--order", "0", cmd, "--manifold", "catalog:bcvary10", "--t", "1/3,0,0,0", *more]
+          for cmd, more in (("cohomology", []), ("lemmata", []), ("deform", ["--beltrami", "catalog"]))),
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
@@ -423,3 +426,34 @@ def test_golden_strong_witnesses_are_mild_or_dual_mild_and_reverify(name):
         p, q = (int(x) for x in at.split(","))
         checks = verify_witness(ec, "strong", p, q, nio.obj_to_form(witnesses[key], ec.cx.se.algebra))
         assert checks and all(checks.values()), (key, checks)
+
+
+def test_one_parser_answers_as_fresh_ones(capsys):
+    """A usage error, then a valid command, then the same command, then
+    a command refused at --order 0 and the same one at the default order,
+    through the one parser that the first main call builds, give the exit
+    codes and output of separate fresh processes: no option is carried
+    from one call to the next."""
+    deform = ["deform", "--manifold", "catalog:bcvary10", "--beltrami", "catalog"]
+    argvs = [["cohomology", "--bogus"], ["catalog", "--json"], ["catalog", "--json"], ["--order", "0", *deform], deform]
+    fresh = [subprocess.run([sys.executable, "-m", "nilforms.cli", *argv], capture_output=True, text=True)
+             for argv in argvs]
+    cli._parser.cache_clear()
+    shared = [(cli.main(argv), capsys.readouterr()) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    assert [p.returncode for p in fresh] == [code for code, _ in shared] == [1, 0, 0, 1, 0]
+    assert [(p.stdout, p.stderr) for p in fresh] == [(c.out, c.err) for _, c in shared]
+    assert shared[0][1].err.startswith("error: ") and json.loads(shared[2][1].out)["entries"]
+
+
+def test_order_one_holds_the_family(capsys):
+    """--order 1 holds bcvary10's family, linear in t: h_BC(4,4) at
+    t = (1/3, 0, 0, 0) is 17 as at the default order (order 0, which
+    would give the t = 0 table, is refused in
+    test_cli_malformed_input_one_error_line), and --order 0 still
+    answers at t = 0 (19)."""
+    t = ["--manifold", "catalog:bcvary10", "--t", "1/3,0,0,0"]
+    for order, argv, h44 in (("1", t, 17), ("4", t, 17),
+                             ("0", ["--manifold", "catalog:bcvary10"], 19)):
+        assert cli.main(["--order", order, "cohomology", *argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["h_bc"][4][4] == h44, order

@@ -389,7 +389,9 @@ def test_add_scaled_into_equals_copying_sum(field, seed):
 def test_unit_leads_divide_nothing(monkeypatch):
     """On Iwasawa x C at t = 0 every reduced row is led by 1 or -1, so
     no rank takes a Q(i) division; a lead of 2 divides once, where the
-    kernel completes the echelon, and never on insert.  full_report
+    kernel completes the echelon, and never on insert.  Each lead is
+    found by exactly one ``extend``: a stacked echelon starts from del's
+    leads and finds only the delbar ones.  full_report
     completes no echelon into an RREF, and lemma_report completes each
     cached matrix echelon at most once, however often it is called
     (``nullspace`` completes a fresh echelon on every call)."""
@@ -423,7 +425,9 @@ def test_unit_leads_divide_nothing(monkeypatch):
              for op in ("del", "delbar", "ddbar", "stacked")
              for p in range(se.n + 1) for q in range(se.n + 1)]
     ranks += [ec._row_echelon("total", k, 0).rank for k in range(2 * se.n)]
-    assert sum(ranks) > 0 and len(leads) == sum(ranks)
+    # the stacked echelons start from del's leads, found once by del's extend
+    inherited = sum(ec._row_echelon("del", p, q).rank for p in range(se.n + 1) for q in range(se.n + 1))
+    assert 0 < inherited < sum(ranks) and len(leads) == sum(ranks) - inherited
     assert all(lead in (1, -1) for lead in leads)
     assert divisions == []
     e = Echelon({})
