@@ -842,8 +842,9 @@ class InvariantComplex:
     del and delbar are assembled at an evaluation point by
     ``cohomology.EvaluatedComplex``, straight from the evaluated structure
     constants, along the plans of ``block_plan``.  A plan depends on n
-    and the shape of a term only, not on the point, so every evaluated
-    complex on this one shares the memo ``plans``, filled as they ask.
+    and the shape of a term only, not on the point, so it is kept in the
+    memo ``plans`` and reused across the terms and bidegrees that ask
+    for the same (fixed, s, k).
     """
 
     def __init__(self, se: StructureEquations):

@@ -44,16 +44,11 @@ class GoldenValue:
 
 @dataclass
 class CatalogEntry:
-    """A manifold: structure equations, an optional Beltrami family of
-    degree ``family_degree`` in t (a parameter ring of lower order
-    truncates it), distinguished forms and golden values."""
-
     name: str
     se: StructureEquations
     beltrami: Optional[VectorValuedForm] = None
     forms: Dict[str, Form] = field(default_factory=dict)
     golden: List[GoldenValue] = field(default_factory=list)
-    family_degree: int = 0
 
     def __post_init__(self):
         build_complex(self.se)  # every entry must validate on load
@@ -120,7 +115,6 @@ def _bcvary(order: int) -> CatalogEntry:
         name="bcvary10",
         se=se,
         beltrami=phi,
-        family_degree=1,
         forms={"balanced": balanced},
         golden=[
             GoldenValue("h_bc(4,4)@0", 19, "literature: varies from 19 to 17"),

@@ -7,9 +7,9 @@ code path.  Exit codes: 0 all good (and all golden checks pass), 2
 computation fine but a golden expectation mismatched, 1 input error
 (including argparse usage errors), reported as a single ``error:`` line
 on stderr.  The argument parser is built by the first ``main`` call and
-reused by every later one in the process.  A ``--order`` below the
-degree in t of a catalog Beltrami family would truncate it, so such a
-family is refused, not evaluated as zero.
+reused by every later one in the process.  A catalog Beltrami family
+vanishes at t = 0, so ``--order 0`` would truncate it to zero; it is
+refused there, not evaluated as zero.
 """
 
 from __future__ import annotations
@@ -95,18 +95,17 @@ def _load_manifold(ref: str, order: int):
 
 
 def _load_beltrami(ref: str, entry):
-    """The catalog's family (ref 'catalog') or a Beltrami file.  A ring
-    order below the family's degree in t would truncate it (at order 0,
-    to phi = 0, and a deformed point would be answered as t = 0), so it
-    is refused."""
+    """The catalog's family (ref 'catalog') or a Beltrami file.  A
+    family vanishes at t = 0, so it has degree at least 1 in t: a ring of
+    order 0 truncates it to phi = 0, and a deformed point would be
+    answered as t = 0, so order 0 is refused."""
     if ref == "catalog":
         if entry.beltrami is None:
             raise NilformsError(f"catalog entry {entry.name!r} has no Beltrami family")
-        order = entry.se.algebra.ring.order
-        if order < entry.family_degree:
+        if entry.se.algebra.ring.order < 1:
             raise NilformsError(
-                f"--order {order} truncates the Beltrami family of {entry.name!r} "
-                f"(degree {entry.family_degree} in t); use --order {entry.family_degree} or more"
+                f"--order 0 truncates the Beltrami family of {entry.name!r} to phi = 0; "
+                "use --order 1 or more"
             )
         return entry.beltrami
     return nio.beltrami_parse(_read_input(ref, "Beltrami file"), entry.se.algebra)

@@ -12,8 +12,8 @@ that every minimal-norm del-delbar solve at that point reuses
 (``ddbar_preimage``).  [del | delbar] is a rank, not a matrix.  What
 does not depend on the point belongs to the ``InvariantComplex``: the
 subset table that positions the monomials and the assembly plans
-(``InvariantComplex.block_plan``), which every evaluated complex on it
-shares.
+(``InvariantComplex.block_plan``), each computed once and reused across
+the terms and bidegrees of the complex.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read from a forward

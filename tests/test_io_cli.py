@@ -352,6 +352,7 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         # an order that truncates bcvary10's family, linear in t, to phi = 0
         *(["--order", "0", cmd, "--manifold", "catalog:bcvary10", "--t", "1/3,0,0,0", *more]
           for cmd, more in (("cohomology", []), ("lemmata", []), ("deform", ["--beltrami", "catalog"]))),
+        ["--order", "0", *_EXTEND, "--beltrami", "catalog"],
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
