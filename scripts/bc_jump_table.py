@@ -10,25 +10,14 @@ the jump locus.
 
 from fractions import Fraction
 
-from nilforms.algebra import build_complex
 from nilforms.catalog import catalog_load
-from nilforms.cohomology import (
-    EvaluatedComplex,
-    dclosed_dim,
-    ddbar_image_dim,
-    h_bott_chern,
-    zero_point,
-)
-from nilforms.deformation import deform_complex, evaluate_se
+from nilforms.cohomology import dclosed_dim, ddbar_image_dim, h_bott_chern
+from nilforms.deformation import fiber_complex
 from nilforms.scalars import GaussianRational
 
 
 def fiber_stats(entry, point):
-    if any(bool(z) for z in point):
-        se_t = deform_complex(entry.se, entry.beltrami, point=point)
-    else:
-        se_t = evaluate_se(entry.se, point)
-    ec = EvaluatedComplex(build_complex(se_t), ())
+    ec = fiber_complex(entry.se, entry.beltrami, point)
     return (
         h_bott_chern(ec, 4, 4),
         dclosed_dim(ec, 4, 4),

@@ -10,10 +10,9 @@ genuine series correction, or hit an exactly unsolvable order.  The
 outcomes occur, which is the quantitative shape of the lemma failures.
 """
 
-from nilforms.algebra import build_complex
 from nilforms.catalog import catalog_load
-from nilforms.cohomology import EvaluatedComplex, zero_point
-from nilforms.deformation import evaluate_se
+from nilforms.cohomology import zero_point
+from nilforms.deformation import fiber_complex
 from nilforms.errors import ObstructionNonvanishing
 from nilforms.extension import solve_extension
 from nilforms.lemmata import mild
@@ -22,8 +21,7 @@ from nilforms.lemmata import mild
 def main() -> None:
     entry = catalog_load("bcvary10")
     alg = entry.se.algebra
-    se0 = evaluate_se(entry.se, zero_point(alg.ring.m))
-    ec0 = EvaluatedComplex(build_complex(se0), ())
+    ec0 = fiber_complex(entry.se, None, zero_point(alg.ring.m))
     print(f"{'(p,q)':>6} {'mild pair':>10} {'d-closed':>9} {'plain':>6} "
           f"{'corrected':>10} {'obstructed':>11}")
     for p in range(alg.n + 1):

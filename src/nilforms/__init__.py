@@ -28,13 +28,10 @@ from .catalog import CatalogEntry, catalog_load, catalog_names, run_scenario
 from .cohomology import (
     CohomologyReport,
     EvaluatedComplex,
-    canonical_ddbar_solution,
-    cohomology,
     dclosed_dim,
     ddbar_image_dim,
     full_report,
     generic_points,
-    solve_conjugate_system,
     zero_point,
 )
 from .deformation import (
@@ -46,6 +43,7 @@ from .deformation import (
     deform_complex,
     delbar_on_vectors,
     evaluate_se,
+    fiber_complex,
     kuranishi_expand,
     lie_brackets,
     main1_residual,
@@ -58,7 +56,6 @@ from .errors import (
     NilformsError,
     NonInvertibleCoframe,
     NotPerturbative,
-    NotSolvable,
     ObstructionNonvanishing,
     PreconditionFailed,
     UnknownEntry,
@@ -69,6 +66,7 @@ from .extension import (
     extension_map,
     obstruction_residual,
     pkahler_extend,
+    solve_conjugate_system,
     solve_extension,
 )
 from .lemmata import LemmaReport, dual_mild, lemma_report, mild, standard, strong, weak

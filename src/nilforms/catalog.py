@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Dict, List, Optional
 
 from .algebra import Form, FormAlgebra, StructureEquations, T10, VectorValuedForm, build_complex
-from .cohomology import (
-    EvaluatedComplex,
-    dclosed_dim,
-    ddbar_image_dim,
-    generic_points,
-    h_bott_chern,
-    zero_point,
-)
-from .deformation import deform_complex, evaluate_se
+from .cohomology import dclosed_dim, ddbar_image_dim, generic_points, h_bott_chern, zero_point
+from .deformation import fiber_complex
 from .errors import UnknownEntry
+from .extension import pkahler_extend
+from .lemmata import dual_mild, mild, weak
+from .positivity import sigma_q
 from .scalars import PolyRing
 
 DEFAULT_ORDER = 4
@@ -55,8 +52,6 @@ class CatalogEntry:
 
 
 def _torus(n: int, name: str) -> CatalogEntry:
-    from .positivity import sigma_q
-
     alg = FormAlgebra(n, PolyRing(0, 0))
     se = StructureEquations(name, alg, {})
     sigma1 = sigma_q(1)
@@ -106,8 +101,6 @@ def _bcvary(order: int) -> CatalogEntry:
             5: alg.gammabar(4).scale(t3) + alg.gammabar(5).scale(t4),
         },
     )
-    from itertools import combinations
-
     balanced = alg.zero()
     for I in combinations((1, 2, 3, 4, 5), 4):
         balanced = balanced + alg.monomial(I, I)
@@ -205,12 +198,10 @@ def _check(golden: GoldenValue, actual) -> CheckResult:
 def _scenario_bcvary_bc_jump() -> ScenarioReport:
     entry = catalog_load("bcvary10")
     g = {gv.key: gv for gv in entry.golden}
-    se0 = evaluate_se(entry.se, zero_point(4))
-    ec0 = EvaluatedComplex(build_complex(se0), ())
+    ec0 = fiber_complex(entry.se, entry.beltrami, zero_point(4))
     checks = [_check(g["h_bc(4,4)@0"], h_bott_chern(ec0, 4, 4))]
     for pt in generic_points(4):
-        se_t = deform_complex(entry.se, entry.beltrami, point=pt)
-        ect = EvaluatedComplex(build_complex(se_t), ())
+        ect = fiber_complex(entry.se, entry.beltrami, pt)
         checks.append(_check(g["h_bc(4,4)@generic"], h_bott_chern(ect, 4, 4)))
         checks.append(_check(g["ddbar(4,4)@generic"], ddbar_image_dim(ect, 4, 4)))
     checks.append(_check(g["ddbar(4,4)@0"], ddbar_image_dim(ec0, 4, 4)))
@@ -218,11 +209,9 @@ def _scenario_bcvary_bc_jump() -> ScenarioReport:
 
 
 def _scenario_iwasawa_lemma_taxonomy() -> ScenarioReport:
-    from .lemmata import dual_mild, mild, weak
-
     entry = catalog_load("iwasawa3")
     g = {gv.key: gv for gv in entry.golden}
-    ec = EvaluatedComplex(build_complex(entry.se), ())
+    ec = fiber_complex(entry.se, None, ())
     checks = [
         _check(g["weak(2)"], weak(ec, 2)[0]),
         _check(g["dual_mild(2,3)"], dual_mild(ec, 2, 3)[0]),
@@ -234,19 +223,15 @@ def _scenario_iwasawa_lemma_taxonomy() -> ScenarioReport:
 def _scenario_bcvary_dclosed_21() -> ScenarioReport:
     entry = catalog_load("bcvary10")
     g = {gv.key: gv for gv in entry.golden}
-    se0 = evaluate_se(entry.se, zero_point(4))
-    ec0 = EvaluatedComplex(build_complex(se0), ())
+    ec0 = fiber_complex(entry.se, entry.beltrami, zero_point(4))
     checks = [_check(g["dclosed(4,4)"], dclosed_dim(ec0, 4, 4))]
     for pt in generic_points(4):
-        se_t = deform_complex(entry.se, entry.beltrami, point=pt)
-        ect = EvaluatedComplex(build_complex(se_t), ())
+        ect = fiber_complex(entry.se, entry.beltrami, pt)
         checks.append(_check(g["dclosed(4,4)"], dclosed_dim(ect, 4, 4)))
     return ScenarioReport("bcvary_dclosed_21", checks)
 
 
 def _scenario_pkahler_extension_demo() -> ScenarioReport:
-    from .extension import pkahler_extend
-
     entry = catalog_load("bcvary10")
     ext = pkahler_extend(entry.se, entry.beltrami, entry.forms["balanced"], samples=50)
     checks = [

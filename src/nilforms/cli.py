@@ -22,10 +22,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import io as nio
-from .algebra import FormAlgebra, build_complex
-from .catalog import SCENARIOS, catalog_load, catalog_names, run_scenario
-from .cohomology import EvaluatedComplex, full_report, zero_point
-from .deformation import deform_complex, evaluate_se
+from .algebra import FormAlgebra
+from .catalog import SCENARIOS, CatalogEntry, catalog_load, catalog_names, run_scenario
+from .cohomology import full_report, zero_point
+from .deformation import deform_complex, fiber_complex
 from .errors import NilformsError
 from .extension import bc_nontriviality, pkahler_extend, small_points, solve_extension
 from .lemmata import lemma_report
@@ -89,8 +89,6 @@ def _load_manifold(ref: str, order: int):
     if ref.startswith("catalog:"):
         return catalog_load(ref.split(":", 1)[1], order=order)
     se = nio.se_parse(_read_input(ref, "manifold file or catalog entry"))
-    from .catalog import CatalogEntry
-
     return CatalogEntry(name=se.name, se=se)
 
 
@@ -124,16 +122,13 @@ def _load_form(ref: str, entry, algebra: Optional[FormAlgebra] = None):
 
 
 def _evaluated(entry, t_text: Optional[str]):
-    se = entry.se
-    m = se.algebra.ring.m
+    """The complex of entry's fiber at --t (t = 0 without it) and the
+    point; a point off t = 0 reads the family through ``_load_beltrami``,
+    which refuses --order 0."""
+    m = entry.se.algebra.ring.m
     point = _parse_point(t_text, m) if t_text is not None else zero_point(m)
-    if m == 0:
-        return EvaluatedComplex(build_complex(se), ()), ()
-    if entry.beltrami is not None and any(bool(z) for z in point):
-        se_t = deform_complex(se, _load_beltrami("catalog", entry), point=point)
-        return EvaluatedComplex(build_complex(se_t), ()), point
-    se0 = evaluate_se(se, point)
-    return EvaluatedComplex(build_complex(se0), ()), point
+    phi = _load_beltrami("catalog", entry) if entry.beltrami is not None and any(point) else None
+    return fiber_complex(entry.se, phi, point), point
 
 
 def _emit(obj: dict, as_json: bool, render) -> None:
@@ -260,8 +255,7 @@ def _cmd_extend(args) -> int:
     pts = small_points(phi.algebra.ring.m)
     nontrivial = []
     for pt in pts:
-        se_t = deform_complex(entry.se, phi, point=pt)
-        ect = EvaluatedComplex(build_complex(se_t), ())
+        ect = fiber_complex(entry.se, phi, pt)
         nontrivial.append(
             {"t": [str(z) for z in pt], "bc_nontrivial": bc_nontriviality(ect, state.extension_at(pt))}
         )

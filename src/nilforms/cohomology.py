@@ -1,5 +1,5 @@
 """Per-bidegree linear algebra: the four cohomologies and the canonical
-del-delbar solve.
+del-delbar preimage.
 
 An EvaluatedComplex owns every cache at its evaluation point: the
 evaluated structure constants, the four named matrices of ``rows`` (del,
@@ -21,12 +21,10 @@ echelon, which completes itself in place into the reduced echelon only
 where a kernel is read.  On a unimodular complex the Aeppli and the
 upper de Rham ranks are read through Hodge-star duality from echelons
 that other dimensions already hold.  Kernel and image bases are built
-only for callers that need vectors (representatives, lemma witnesses,
-solvers).
-``cohomology(..., with_basis=True)`` checks the rank route against the
-basis route.  Quotient-space computations are the normative route; the
-Laplacians, harmonic projectors and Green operators of Hodge theory are
-a test oracle (``HodgeContext`` in ``tests/oracles.py``).
+only for callers that need vectors (lemma witnesses, extension
+generators, solvers).  Quotient-space computations are the normative
+route; the Laplacians, harmonic projectors and Green operators of Hodge
+theory are a test oracle (``HodgeContext`` in ``tests/oracles.py``).
 Generic-t answers are taken at two fixed rational sample points (ranks
 are lower-semicontinuous in specialization), never by symbolic rank
 over a function field.
@@ -42,9 +40,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Form, FormAlgebra, InvariantComplex
-from .errors import NotSolvable, PreconditionFailed
 from .linalg import Echelon, Rows, Vec
-from .scalars import GaussianRational
+from .scalars import GaussianRational, ParamScalar
 
 #: numerators/denominators for the fixed generic sample points
 _GENERIC_NUMS = (3, 5, 2, 7)
@@ -156,7 +153,7 @@ class EvaluatedComplex:
     reduced copy, so the matrix rows are left as they were, and the
     pivots stay the same, in the same order.  ``kernel`` keeps the list
     of the kernel vectors for the callers that read it whole
-    (representatives, extension generators); ``kernel_vectors`` builds
+    (extension generators, the tests' oracles); ``kernel_vectors`` builds
     them one at a time and keeps none, for mild's witness, which stops
     at the first image outside im deldelbar.
 
@@ -178,9 +175,9 @@ class EvaluatedComplex:
     Each image, of del, delbar or ddbar into TARGET (p,q) or of total
     into TARGET degree p, is one forward echelon of the matrix's nonzero
     columns from ``columns``, by ascending index (``_image``): it answers
-    membership (``image_echelon``), serves as the base of weak's residues
-    and of cohomology representatives, and the columns that enlarged it,
-    in order, are the image basis (``image_vectors``).  The minimal-norm del-delbar solve into (p,q)
+    membership (``image_echelon``), serves as the base of weak's residues,
+    and the columns that enlarged it, in order, are the image basis
+    (``image_vectors``).  The minimal-norm del-delbar solve into (p,q)
     reads one tracked forward echelon, built once per target bidegree
     (``ddbar_preimage``).
 
@@ -405,6 +402,10 @@ class EvaluatedComplex:
         from a forward echelon of the columns of A A* that tracks the
         combination of each row (``linalg.tracked_echelon``), built once
         per (p,q), so the membership test and the solve are one reduction.
+        The extension solver's order step and
+        ``extension.solve_conjugate_system`` call it once per t-slice of
+        their right-hand sides, through one core
+        (``extension._conjugate_solution``).
         """
         key, dim = (p, q), self.dim(p, q)
         if key not in self._preimages:
@@ -484,6 +485,28 @@ class EvaluatedComplex:
         subsets, cq = self.cx.subsets, comb(self.n, q)
         return Form(alg, {(subsets[p][i // cq], subsets[q][i % cq]): alg.ring.const(v[i]) for i in sorted(v)})
 
+    def form_to_slices(self, a: Form, p: int, q: int) -> Dict[Tuple[int, ...], Vec]:
+        """The t-slices of a (p,q)-form whose coefficients are polynomials
+        in t: per exponent of t, the vector of that coefficient of every
+        monomial, positioned as in ``form_to_vec``."""
+        rank, cq = self.cx.subset_rank, comb(self.n, q)
+        slices: Dict[Tuple[int, ...], Vec] = {}
+        for (I, J), c in a.coeffs.items():
+            i = rank[p][I] * cq + rank[q][J]
+            for expo, val in c.terms.items():
+                slices.setdefault(expo, {})[i] = val
+        return slices
+
+    def slices_to_form(self, slices: Dict[Tuple[int, ...], Vec], p: int, q: int, algebra: FormAlgebra) -> Form:
+        """The (p,q)-form over algebra whose t-slices are slices, the
+        inverse of ``form_to_slices``."""
+        coeffs: Dict[int, Dict[Tuple[int, ...], GaussianRational]] = {}
+        for expo, v in slices.items():
+            for i, c in v.items():
+                coeffs.setdefault(i, {})[expo] = c
+        subsets, cq, ring = self.cx.subsets, comb(self.n, q), algebra.ring
+        return Form(algebra, {(subsets[p][i // cq], subsets[q][i % cq]): ParamScalar(ring, coeffs[i]) for i in sorted(coeffs)})
+
 
 # -- dimensions ------------------------------------------------------------
 
@@ -532,9 +555,8 @@ def cohomology(
     p: Optional[int] = None,
     q: Optional[int] = None,
     k: Optional[int] = None,
-    with_basis: bool = False,
-):
-    """Dimension (and optionally representative forms) of a cohomology.
+) -> int:
+    """Dimension of a cohomology.
 
     which is one of dolbeault, del, bott_chern, aeppli, de_rham; the
     first four take (p, q) in 0..n, de_rham takes k in 0..2n; anything
@@ -547,40 +569,14 @@ def cohomology(
             raise ValueError("de_rham cohomology needs k")
         if not 0 <= k <= 2 * ec.n:
             raise ValueError(f"degree {k} is outside 0..{2 * ec.n}")
-        return (betti(ec, k), None) if with_basis else betti(ec, k)
+        return betti(ec, k)
     fn = _WHICH.get(which)
     if fn is None:
         raise ValueError(f"unknown cohomology {which!r}: expected de_rham, {', '.join(_WHICH)}")
     if p is None or q is None:
         raise ValueError(f"{which} cohomology needs (p, q)")
     ec.check_bidegree(p, q)
-    dimension = fn(ec, p, q)
-    if not with_basis:
-        return dimension
-    reps = _representatives(ec, which, p, q)
-    if len(reps) != dimension:
-        raise AssertionError(
-            f"{which} at {(p, q)}: rank route gives {dimension}, basis route {len(reps)}"
-        )
-    return dimension, [ec.vec_to_form(v, p, q) for v in reps]
-
-
-#: per cohomology, the matrix whose kernel holds its cycles and the maps
-#: whose images into (p,q) sum to its boundaries
-_CYCLES_MOD = {
-    "dolbeault": ("delbar", ("delbar",)),
-    "del": ("del", ("del",)),
-    "bott_chern": ("stacked", ("ddbar",)),
-    "aeppli": ("ddbar", ("del", "delbar")),
-}
-
-
-def _representatives(ec: EvaluatedComplex, which: str, p: int, q: int) -> List[Vec]:
-    """The cycles, in order, that enlarge the span of the boundaries and
-    of the cycles kept before them."""
-    op, images = _CYCLES_MOD[which]
-    e = ec.image_sum(images, p, q)
-    return [v for v in ec.kernel(op, p, q) if e.insert(v)]
+    return fn(ec, p, q)
 
 
 @dataclass
@@ -643,48 +639,3 @@ def full_report(ec: EvaluatedComplex) -> CohomologyReport:
     )
     report.check_conjugation_symmetry()
     return report
-
-
-def canonical_ddbar_solution(ec: EvaluatedComplex, y: Form) -> Form:
-    """The minimal-norm x with del delbar x = y (``ddbar_preimage``).
-
-    Raises NotSolvable when y is not in the image of del delbar.
-    """
-    if not y:
-        return ec.cx.algebra.zero()
-    p, q = y.bidegree()
-    xv = ec.ddbar_preimage(p, q, ec.form_to_vec(y, p, q))
-    if xv is None:
-        raise NotSolvable(f"right-hand side is not del-delbar-exact at {(p, q)}")
-    return ec.vec_to_form(xv, p - 1, q - 1)
-
-
-def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q: int) -> Form:
-    """Canonical x in (p,q) with del x = delbar zeta and delbar x = del conj(xi).
-
-    zeta is a (p+1,q-1)-form, xi a (q+1,p-1)-form; requires
-    del delbar zeta = 0, delbar del conj(xi) = 0 and the (p,q+1)- and
-    (q,p+1)-th mild lemmata on the complex (checked, PreconditionFailed
-    names whichever hypothesis broke).
-    """
-    from .lemmata import mild  # local import to avoid an import cycle
-
-    se = ec.cx.se
-    alg = se.algebra
-    zeta = zeta if zeta else alg.zero()
-    xi = xi if xi else alg.zero()
-    if zeta and not zeta.is_homogeneous(p + 1, q - 1):
-        raise ValueError("zeta must be a (p+1,q-1)-form")
-    if xi and not xi.is_homogeneous(q + 1, p - 1):
-        raise ValueError("xi must be a (q+1,p-1)-form")
-    xibar = xi.conj()
-    if se.apply_del(se.apply_delbar(zeta)):
-        raise PreconditionFailed("del delbar zeta != 0")
-    if se.apply_delbar(se.apply_del(xibar)):
-        raise PreconditionFailed("delbar del conj(xi) != 0")
-    for (mp, mq) in ((p, q + 1), (q, p + 1)):
-        ok, _ = mild(ec, mp, mq)
-        if not ok:
-            raise PreconditionFailed(f"the ({mp},{mq})-th mild lemma fails on this complex")
-    x = se.apply_delbar(canonical_ddbar_solution(ec, se.apply_delbar(zeta)))
-    return x - se.apply_del(canonical_ddbar_solution(ec, se.apply_del(xibar)))

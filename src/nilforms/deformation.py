@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -22,13 +24,14 @@ from .algebra import (
     StructureEquations,
     T10,
     VectorValuedForm,
+    build_complex,
     contract,
     endo_of_vvf,
     exp_contract,
     neumann_invert,
     simultaneous_contract,
 )
-from .cohomology import zero_point
+from .cohomology import EvaluatedComplex, zero_point
 from .errors import IntegrabilityError, NonInvertibleCoframe
 from .linalg import Rows
 from .scalars import GaussianRational, ParamScalar, PolyRing
@@ -302,6 +305,22 @@ def deform_complex(
     return _deformed_equations(se_r, phi, d_endo)
 
 
+def fiber_complex(
+    se: StructureEquations, phi: Optional[VectorValuedForm], point: Sequence[GaussianRational]
+) -> EvaluatedComplex:
+    """The evaluated complex of the fiber at point: se's own when its ring
+    has no parameters, so se's ``require_flat`` pass is reused; se
+    deformed along phi (``deform_complex``) when phi is given and the
+    point is not t = 0; else se evaluated at the point."""
+    if se.algebra.ring.m == 0:
+        fiber = se
+    elif phi is not None and any(point):
+        fiber = deform_complex(se, phi, point=point)
+    else:
+        fiber = evaluate_se(se, point)
+    return EvaluatedComplex(build_complex(fiber), ())
+
+
 def _deformed_equations(
     se: StructureEquations, phi: VectorValuedForm, inverse_transform: CoframeEndo
 ) -> StructureEquations:
@@ -335,8 +354,6 @@ class VectorHodge:
 
     def basis(self, q: int) -> List[Tuple[int, Tuple[int, ...]]]:
         if q not in self._basis:
-            from itertools import combinations
-
             self._basis[q] = [
                 (i, J)
                 for i in range(1, self.n + 1)
@@ -345,8 +362,6 @@ class VectorHodge:
         return self._basis[q]
 
     def dim(self, q: int) -> int:
-        from math import comb
-
         return self.n * comb(self.n, q)
 
     def vvf_to_vec(self, v: VectorValuedForm, q: int) -> Dict[int, object]:

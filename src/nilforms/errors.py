@@ -30,10 +30,6 @@ class NonInvertibleCoframe(NilformsError):
     requested evaluation point."""
 
 
-class NotSolvable(NilformsError):
-    """The right-hand side of a del-delbar equation is not in the image."""
-
-
 class PreconditionFailed(NilformsError):
     """A stated hypothesis of an operation does not hold; the message
     names the hypothesis that broke."""

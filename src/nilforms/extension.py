@@ -22,13 +22,17 @@ integrability verdict for se (``deformation.require_integrable``, which
 checks once per se object and never stores a failure), and each of
 their coframe maps its prefix images, so a solve pays for its own form
 only.
+
+Each order solves the paper's conjugate system del x = delbar zeta,
+delbar x = del conj(xi) on the t = 0 complex, one t-slice at a time
+(``_conjugate_solution``); ``solve_conjugate_system`` is that solve with
+its hypotheses checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -38,7 +42,6 @@ from .algebra import (
     StructureEquations,
     T01,
     VectorValuedForm,
-    build_complex,
     contraction_series,
     endo_of_vvf,
     neumann_invert,
@@ -46,14 +49,12 @@ from .algebra import (
     vvf_of_endo,
 )
 from .cohomology import EvaluatedComplex, zero_point
-from .deformation import (
-    as_beltrami,
-    coframe_transform,
-    evaluate_se,
-    require_integrable,
-)
+from .deformation import as_beltrami, coframe_transform, fiber_complex, require_integrable
 from .errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
-from .scalars import GaussianRational, ParamScalar
+from .lemmata import mild
+from .linalg import Vec
+from .positivity import check_pkahler_degree, is_transverse
+from .scalars import QI_ONE, GaussianRational
 
 
 @dataclass
@@ -244,11 +245,8 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
         raise PreconditionFailed("phi is not integrable") from None
 
     if ec0 is None:
-        se0 = evaluate_se(se_r, zero_point(ring.m))
-        ec0 = EvaluatedComplex(build_complex(se0), ())
+        ec0 = fiber_complex(se_r, None, zero_point(ring.m))
     if check_lemmata:
-        from .lemmata import mild
-
         for (mp, mq) in {(p, q + 1), (q, p + 1)}:
             ok_m, _ = mild(ec0, mp, mq)
             if not ok_m:
@@ -262,21 +260,16 @@ def _order_correction(
     se_r: StructureEquations, ec0: EvaluatedComplex, sums: Tuple[Form, Form, Form], p: int, q: int, l: int
 ) -> Form:
     """The order-l correction of W, read off the degree-l parts of the
-    k-sums of the series below order l."""
+    k-sums of the series below order l: -S1_l minus the solution of the
+    conjugate system with zeta = S2_l and conj(xi) = S3_l."""
     s1l, s2l, s3l = (s.homogeneous_part(l) for s in sums)
+    left, right = se_r.apply_delbar(s2l), se_r.apply_del(s3l)
     # solvability identities: del delbar of both sums vanish at this order
-    if se_r.apply_del(se_r.apply_delbar(s2l)):
+    if se_r.apply_del(left):
         raise AssertionError(f"del delbar of the left sum nonzero at order {l}")
-    if se_r.apply_del(se_r.apply_delbar(s3l)):
+    if se_r.apply_delbar(right):
         raise AssertionError(f"del delbar of the right sum nonzero at order {l}")
-    correction = -s1l
-    z_left = se_r.apply_delbar(s2l)
-    if z_left:
-        correction = correction - _ddbar_correction(ec0, z_left, "left", p, q, l)
-    z_right = se_r.apply_del(s3l)
-    if z_right:
-        correction = correction + _ddbar_correction(ec0, z_right, "right", p, q, l)
-    return correction
+    return -s1l - _conjugate_solution(ec0, left, right, p, q, l)
 
 
 def _extension_state(se_r, phi, omega0, omega_tilde, order) -> ExtensionState:
@@ -295,31 +288,57 @@ def _extension_state(se_r, phi, omega0, omega_tilde, order) -> ExtensionState:
     )
 
 
-def _ddbar_correction(
-    ec: EvaluatedComplex, z: Form, side: str, p: int, q: int, order: int
+def _conjugate_solution(
+    ec: EvaluatedComplex, left: Form, right: Form, p: int, q: int, order: Optional[int]
 ) -> Form:
-    """delbar x (left side) or del x (right side) in (p,q) for the
-    minimal-norm x with del delbar x = z at t = 0, where z lies in
-    (p+1,q) or (p,q+1).  z is solved one coefficient slice (monomial in
-    t) at a time; a slice outside im del delbar raises
-    ObstructionNonvanishing(order, side)."""
-    op, sp, sq = ("delbar", p, q - 1) if side == "left" else ("del", p - 1, q)
-    rank, subsets, n = ec.cx.subset_rank, ec.cx.subsets, ec.n
-    zq = comb(n, sq + 1)
-    slices: Dict[Tuple[int, ...], Dict[int, GaussianRational]] = {}
-    for (I, J), c in z.coeffs.items():
-        for expo, val in c.terms.items():
-            slices.setdefault(expo, {})[rank[sp + 1][I] * zq + rank[sq + 1][J]] = val
-    cols = ec.columns(op, sp, sq)
-    out: Dict[int, Dict[Tuple[int, ...], GaussianRational]] = {}
-    for expo, y in slices.items():
-        x = ec.ddbar_preimage(sp + 1, sq + 1, y)
-        if x is None:
-            raise ObstructionNonvanishing(order, side)
-        for i, c in linalg.columns_vec(cols, x).items():
-            out.setdefault(i, {})[expo] = c
-    ring, cq = z.algebra.ring, comb(n, q)
-    return Form(z.algebra, {(subsets[p][i // cq], subsets[q][i % cq]): ParamScalar(ring, out[i]) for i in sorted(out)})
+    """delbar u - del v in (p,q), for the minimal-norm u and v with
+    del delbar u = left, a (p+1,q)-form, and del delbar v = right, a
+    (p,q+1)-form, on ec, a complex without parameters.  Each t-slice of
+    left and right is solved on its own (``EvaluatedComplex.ddbar_preimage``);
+    a slice outside im del delbar raises ObstructionNonvanishing(order,
+    side)."""
+    images: Dict[Tuple[int, ...], Vec] = {}
+    sides = (("left", left, QI_ONE, "delbar", p, q - 1), ("right", right, -QI_ONE, "del", p - 1, q))
+    for side, y, sign, op, sp, sq in sides:
+        if not y:
+            continue
+        cols = ec.columns(op, sp, sq)
+        for expo, v in ec.form_to_slices(y, sp + 1, sq + 1).items():
+            x = ec.ddbar_preimage(sp + 1, sq + 1, v)
+            if x is None:
+                raise ObstructionNonvanishing(order, side)
+            linalg.add_scaled_into(images.setdefault(expo, {}), sign, linalg.columns_vec(cols, x))
+    return ec.slices_to_form(images, p, q, left.algebra)
+
+
+def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q: int) -> Form:
+    """Canonical x in (p,q) with del x = delbar zeta and delbar x = del conj(xi).
+
+    ec is a complex without parameters (the t = 0 fiber); zeta, a
+    (p+1,q-1)-form, and xi, a (q+1,p-1)-form, may depend on t, and each
+    t-slice is solved on its own.  Requires del delbar zeta = 0,
+    delbar del conj(xi) = 0 and the (p,q+1)- and (q,p+1)-th mild
+    lemmata on the complex (checked, PreconditionFailed names whichever
+    hypothesis broke); they make every slice solvable.
+    """
+    if ec.point:
+        raise ValueError("the conjugate system is solved on a complex without parameters")
+    se = ec.cx.se.with_algebra((zeta if zeta else xi).algebra)
+    if zeta and not zeta.is_homogeneous(p + 1, q - 1):
+        raise ValueError("zeta must be a (p+1,q-1)-form")
+    if xi and not xi.is_homogeneous(q + 1, p - 1):
+        raise ValueError("xi must be a (q+1,p-1)-form")
+    left, right = se.apply_delbar(zeta), se.apply_del(xi.conj())
+    if se.apply_del(left):
+        raise PreconditionFailed("del delbar zeta != 0")
+    if se.apply_delbar(right):
+        raise PreconditionFailed("delbar del conj(xi) != 0")
+    for (mp, mq) in ((p, q + 1), (q, p + 1)):
+        ok, _ = mild(ec, mp, mq)
+        if not ok:
+            raise PreconditionFailed(f"the ({mp},{mq})-th mild lemma fails on this complex")
+    # the hypotheses make every slice solvable, so no order is ever reported
+    return _conjugate_solution(ec, left, right, p, q, None)
 
 
 def bc_nontriviality(ec_t: EvaluatedComplex, ext: Form) -> bool:
@@ -365,8 +384,6 @@ def pkahler_extend(
     solver runs on omega0 directly and the result is symmetrized to
     restore literal realness before the positivity checks.
     """
-    from .positivity import check_pkahler_degree, is_transverse
-
     alg = phi.algebra
     omega0 = omega0.lift(alg)
     p = omega0.bidegree()[0]

@@ -68,6 +68,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from . import linalg
 from .algebra import Form
 from .cohomology import EvaluatedComplex
+from .io import form_to_obj
 from .linalg import Vec
 from .scalars import QI_I, QI_ONE, GaussianRational
 
@@ -318,8 +319,6 @@ class LemmaReport:
     witnesses: Dict[str, Form] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        from .io import form_to_obj
-
         return {
             "t": [str(z) for z in self.point],
             "mild": {f"{p},{q}": v for (p, q), v in sorted(self.mild_flags.items())},

@@ -21,7 +21,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Form, FormAlgebra, StructureEquations
+from .deformation import deform_complex
 from .errors import PreconditionFailed
+from .io import form_to_obj
 from .scalars import DetRng, GaussianRational, QI_I, QI_ONE, _div
 
 
@@ -142,8 +144,6 @@ class PositivityVerdict:
     min_margin: Optional[Fraction] = None
 
     def to_json_dict(self) -> dict:
-        from .io import form_to_obj
-
         return {
             "kind": self.kind,
             "holds": self.holds,
@@ -349,8 +349,6 @@ def transversality_along_deformation(
     extension on the fiber; failures at large t are reported as
     verdicts, not errors.
     """
-    from .deformation import deform_complex
-
     p = gamma.bidegree()[0]
     out = []
     for pt in t_points:

@@ -596,6 +596,25 @@ def evaluated_rows(cx, op: str, p: int, q: int, point):
 # -- the Green route that EvaluatedComplex.ddbar_preimage replaced ---------
 
 
+#: per cohomology, the matrix whose kernel holds its cycles and the maps
+#: whose images into (p,q) sum to its boundaries
+CYCLES_MOD = {
+    "dolbeault": ("delbar", ("delbar",)),
+    "del": ("del", ("del",)),
+    "bott_chern": ("stacked", ("ddbar",)),
+    "aeppli": ("ddbar", ("del", "delbar")),
+}
+
+
+def representatives(ec: EvaluatedComplex, which: str, p: int, q: int):
+    """The basis route of a cohomology at (p,q): the cycles, in order,
+    that enlarge the span of the boundaries and of the cycles kept before
+    them; as many as the rank route's dimension."""
+    op, images = CYCLES_MOD[which]
+    e = ec.image_sum(images, p, q)
+    return [v for v in ec.kernel(op, p, q) if e.insert(v)]
+
+
 def canonical_solver_rows(ec, p: int, q: int):
     """(del delbar)* G_BC at target (p,q): the minimal-norm preimage map
     of del delbar, through the Green operator of the Bott-Chern

@@ -1,4 +1,9 @@
+import contextlib
+import importlib.util
+import io
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,7 @@ from nilforms.algebra import (
     simultaneous_contract,
 )
 from nilforms.catalog import catalog_load
-from nilforms.cohomology import EvaluatedComplex, generic_points, zero_point
+from nilforms.cohomology import EvaluatedComplex, full_report, generic_points, zero_point
 from nilforms.deformation import (
     as_beltrami,
     check_integrability,
@@ -22,6 +27,7 @@ from nilforms.deformation import (
     deform_complex,
     delbar_on_vectors,
     evaluate_se,
+    fiber_complex,
     kuranishi_expand,
     lie_brackets,
     main1_residual,
@@ -29,7 +35,8 @@ from nilforms.deformation import (
 )
 from nilforms.errors import FlatnessError, IntegrabilityError, NonInvertibleCoframe
 from nilforms.extension import extension_map
-from nilforms.io import se_emit
+from nilforms.io import obj_to_se, se_emit
+from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
 from oracles import (
@@ -481,3 +488,47 @@ def test_kuranishi_restricted_directions(iwasawa3):
     assert len(res.harmonic_basis) == 2
     assert res.ring.m == 2
     assert not res.phi.homogeneous_part(2).is_zero()
+
+
+# -- the fiber at t ----------------------------------------------------------
+
+
+def _reports(ec):
+    """The full_report and lemma_report JSON of a complex."""
+    return json.dumps([full_report(ec).to_json_dict(), lemma_report(ec).to_json_dict()])
+
+
+def test_fiber_complex_equals_the_hand_written_routes(bcvary10, iwasawa3):
+    """fiber_complex gives the reports of the route each caller used to
+    write by hand: bcvary10 evaluated at t = 0 and deformed along its
+    family at both generic points; a structure-equation file with a
+    parameter and no family evaluated at t = 0 and at both generic
+    points; and, on a ring without parameters, the complex of se itself,
+    so its stored ``require_flat`` pass is reused."""
+    cases = [(bcvary10.se, bcvary10.beltrami, zero_point(4), evaluate_se(bcvary10.se, zero_point(4)))]
+    cases += [(bcvary10.se, bcvary10.beltrami, pt, deform_complex(bcvary10.se, bcvary10.beltrami, point=pt))
+              for pt in generic_points(4)]
+    family = obj_to_se({"n": 3, "m": 1, "truncation": 2, "d": {"3": [
+        {"coeff": "1", "factors": ["1", "2"]}, {"coeff": "t1", "factors": ["1", "bar1"]}]}})
+    cases += [(family, None, pt, evaluate_se(family, pt)) for pt in (zero_point(1), *generic_points(1))]
+    for se, phi, point, fiber in cases:
+        assert _reports(fiber_complex(se, phi, point)) == _reports(EvaluatedComplex(build_complex(fiber), ()))
+    # the parameter changes the answer, so the point is not ignored
+    at_zero, at_generic = (fiber_complex(family, None, pt) for pt in (zero_point(1), generic_points(1)[0]))
+    assert _reports(at_zero) != _reports(at_generic)
+    ec = fiber_complex(iwasawa3.se, None, ())
+    assert ec.cx.se is iwasawa3.se and ec.point == ()
+
+
+def test_bc_jump_table_output_byte_identical_to_golden(capsys):
+    """scripts/bc_jump_table.py prints h_BC(4,4), the d-closed and the
+    del-delbar image dimensions of bcvary10 on a grid of fibers; the
+    arithmetic is exact, so the table must match its recorded output byte
+    for byte."""
+    root = Path(__file__).parent
+    spec = importlib.util.spec_from_file_location("bc_jump_table", root.parent / "scripts" / "bc_jump_table.py")
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    table.main()
+    assert capsys.readouterr().out.encode() == (root / "data" / "bc_jump_table.txt").read_bytes()
+

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from nilforms import io as nio
 from nilforms import linalg
 from nilforms.algebra import (
     Form,
@@ -19,6 +20,7 @@ from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, generic_points, zero_point
 from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
+from nilforms import extension
 from nilforms.extension import (
     bc_nontriviality,
     beltrami_operators,
@@ -26,6 +28,7 @@ from nilforms.extension import (
     obstruction_residual,
     pkahler_extend,
     small_points,
+    solve_conjugate_system,
     solve_extension,
 )
 from nilforms.lemmata import mild
@@ -659,6 +662,87 @@ def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
     ext = pkahler_extend(se, phi, balanced, samples=40, seed=3)
     assert ext.state.d_closed_through_order
     assert ext.transverse_at_all_points
+
+
+#: dgamma^2 = gamma^1 ^ gamma^2 + gamma^2 ^ gammabar^1 (n = 2), a solvable,
+#: not nilpotent, algebra on which the conjugate system at (1,1) has both
+#: hypotheses and nonzero right-hand sides; on the nilmanifolds of the
+#: catalog, wherever both mild lemmata hold, delbar zeta and del conj(xi)
+#: vanish for every zeta and xi
+SOLVABLE_2 = {"n": 2, "d": {"2": [{"coeff": "1", "factors": ["1", "2"]}, {"coeff": "1", "factors": ["2", "bar1"]}]}}
+
+
+@pytest.mark.parametrize("case", ["bcvary10@0 (4,4)", "solvable n=2 (1,1)"])
+def test_conjugate_system_with_t_dependent_data_solves_every_slice(case, bcvary10, ec_bcvary0):
+    """On a complex without parameters, with zeta and xi whose
+    coefficients are polynomials in t and tbar, the solution x of the
+    conjugate system solves del x = delbar zeta and delbar x = del
+    conj(xi) in every t-slice, and each slice of x is the solution for
+    the slices of zeta and conj(xi) at that exponent, solved alone.  On
+    bcvary10's t = 0 complex at (4,4) both right-hand sides vanish; on
+    the solvable n = 2 algebra at (1,1) they do not.  A complex with
+    parameters is refused."""
+    if case.startswith("bcvary10"):
+        ec, ring, (p, q) = ec_bcvary0, bcvary10.se.algebra.ring, (4, 4)
+    else:
+        ec, ring, (p, q) = EvaluatedComplex(build_complex(nio.obj_to_se(SOLVABLE_2)), ()), PolyRing(2, 3), (1, 1)
+    alg0 = ec.cx.algebra
+    alg = FormAlgebra(ec.n, ring)
+    se = ec.cx.se.with_algebra(alg)
+    rng = DetRng(61)
+    monomials = [ring.one(), ring.t(1), ring.t(2) * ring.tbar(1), ring.t(1) * ring.t(1)]
+
+    def series(bidegree):
+        basis, f = alg.basis(*bidegree), alg.zero()
+        for mono in monomials:
+            for _ in range(2):
+                f = f + Form(alg, {basis[rng.next_int(len(basis))]: mono * rng.nonzero_gaussian(3)})
+        return f
+
+    zeta, xi = series((p + 1, q - 1)), series((q + 1, p - 1))
+    x = solve_conjugate_system(ec, zeta, xi, p, q)
+    dzeta, dxibar = se.apply_delbar(zeta), se.apply_del(xi.conj())
+    slices = {e for f in (zeta, xi.conj(), x) for c in f.coeffs.values() for e in c.terms}
+    assert len(slices) >= 5
+
+    def slice_of(f, e):
+        return Form(alg0, {m: alg0.ring.const(c.terms[e]) for m, c in f.coeffs.items() if e in c.terms})
+
+    for e in slices:
+        x_e = slice_of(x, e)
+        assert ec.cx.se.apply_del(x_e) == slice_of(dzeta, e), e
+        assert ec.cx.se.apply_delbar(x_e) == slice_of(dxibar, e), e
+        assert solve_conjugate_system(ec, slice_of(zeta, e), slice_of(xi.conj(), e).conj(), p, q) == x_e, e
+    nonzero = {e for e in slices if slice_of(x, e)}
+    assert nonzero == {e for e in slices if slice_of(dzeta, e) or slice_of(dxibar, e)}
+    assert nonzero == (slices if case.startswith("solvable") else set())
+    with pytest.raises(ValueError):
+        solve_conjugate_system(EvaluatedComplex(build_complex(bcvary10.se), generic_points(4)[0]), zeta, xi, p, q)
+
+
+def test_order_step_is_the_conjugate_system(bcvary10, ec_bcvary0, monkeypatch):
+    """At every order of the (4,4) solves of bcvary10, the correction of
+    W equals -S1_l minus solve_conjugate_system of (S2_l, conj(S3_l)):
+    the order step is the paper's conjugate system, with its hypotheses
+    (the (4,5)-th mild lemma twice) checked here.  On bcvary10 at (4,4)
+    delbar S2_l and del S3_l vanish, so the system's solution is 0 and
+    every correction, nonzero at some order, is -S1_l."""
+    alg = bcvary10.se.algebra
+    steps = []
+    real = extension._order_correction
+
+    def recording(se_r, ec0, sums, p, q, l):
+        out = real(se_r, ec0, sums, p, q, l)
+        steps.append((sums, p, q, l, out))
+        return out
+
+    monkeypatch.setattr(extension, "_order_correction", recording)
+    for gv in ec_bcvary0.kernel("stacked", 4, 4):
+        solve_extension(bcvary10.se, bcvary10.beltrami, ec_bcvary0.vec_to_form(gv, 4, 4, alg), ec0=ec_bcvary0)
+    for sums, p, q, l, correction in steps:
+        s1l, s2l, s3l = (s.homogeneous_part(l) for s in sums)
+        assert correction == -s1l - solve_conjugate_system(ec_bcvary0, s2l, s3l.conj(), p, q), l
+    assert {l for *_, l, _ in steps} == {1, 2, 3, 4} and any(correction for *_, correction in steps)
 
 
 def test_extension_survey_output_byte_identical_to_golden(capsys):

@@ -1,16 +1,27 @@
 """Source hygiene checks over the package, with the standard library only."""
 
 import ast
+import contextlib
 import dataclasses
+import importlib.util
+import io
+import pkgutil
+import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
+import nilforms
+from nilforms import cli
 from nilforms import io as nio
 from nilforms import linalg, lemmata
 from nilforms.algebra import Form, build_complex
+from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points
 from nilforms.deformation import deform_complex
 from nilforms.scalars import GaussianRational, ParamScalar
+
+from test_io_cli import GOLDEN_CASES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nilforms"
 
@@ -310,12 +321,24 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     Jacobi loop, the pairing scan and ``JacobiError`` are gone, since
     ``StructureEquations.require_flat`` decides d^2 = 0 and the bracket
     table is read off d, and so are the Kuranishi recursion's own
-    ``mat_vec_param`` (``linalg.mat_vec``) and the catalog's ``_plain``."""
-    defined = {name for path in SRC.glob("*.py") for _, name in defined_names(path.read_text())}
+    ``mat_vec_param`` (``linalg.mat_vec``) and the catalog's ``_plain``.
+    The conjugate system has one solve (``extension.solve_conjugate_system``
+    and the order step share its core), so ``canonical_ddbar_solution``
+    and its ``NotSolvable`` are gone; the basis route of a cohomology
+    (``_representatives``, ``_CYCLES_MOD``, the ``with_basis`` parameter)
+    is a test oracle.  The scan reads every function, class, module-level
+    assignment and parameter name."""
+    defined = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= {name for _, name in defined_names(path.read_text())}
+        defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
+                    if isinstance(t, ast.Name)}
+        defined |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
     gone = {"HodgeContext", "solve_dense", "dense_inverse", "rows_to_dense", "dense_to_rows", "_ldl_witness",
             "eval_dense", "ForwardEchelon", "row_echelon", "echelon_kernel", "_sub_scaled_into",
             "is_positive_definite", "rref", "check_jacobi", "_two_form_eval", "JacobiError", "mat_vec_param",
-            "_plain"}
+            "_plain", "canonical_ddbar_solution", "NotSolvable", "_representatives", "_CYCLES_MOD", "with_basis"}
     assert gone.isdisjoint(defined), gone & defined
     assert {"Echelon", "forward_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
     inserting = {
@@ -327,6 +350,143 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     assert inserting == {("linalg.py", "Echelon")}
     tree = ast.parse((SRC / "linalg.py").read_text())
     assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["Echelon"]
+
+
+def test_no_function_imports():
+    """Every import of the package sits at module level: src has no
+    import cycle, so no function body imports."""
+    found = [
+        (path.name, fn.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []
+
+
+def test_every_submodule_attribute_is_the_submodule():
+    """No name the package re-exports hides one of its submodules:
+    nilforms.X is the module nilforms/X.py for every X, so ``import
+    nilforms.cohomology as m`` binds the module."""
+    names = [name for _, name, _ in pkgutil.iter_modules(nilforms.__path__)]
+    assert "cohomology" in names
+    for name in names:
+        module = importlib.import_module(f"nilforms.{name}")
+        assert isinstance(getattr(nilforms, name), types.ModuleType), name
+        assert getattr(nilforms, name) is module, name
+
+
+#: the public functions of src that no product run calls (the runs of
+#: ``test_every_public_function_is_called_or_listed``), each with why it stays
+UNCALLED = {
+    "algebra.CoframeEndo.zero": "API: the additive unit beside CoframeEndo.identity; tests build endomorphisms from it",
+    "algebra.Form.is_zero": "API: the tests' identity checks read it; src tests a form's truth value",
+    "algebra.FormAlgebra.basis": "oracle-only API: the monomials tests walk; src positions by subset rank",
+    "algebra.VectorValuedForm.homogeneous_part": "API: beside Form.homogeneous_part; tests take phi's order-l part",
+    "algebra.exp_contract": "README construction: e^{iota_phi}, read by main1_residual",
+    "cohomology.EvaluatedComplex.embed_block": "oracle-only API: verify_witness re-checks a standard witness",
+    "cohomology.cohomology": "README API: one cohomology by name; the CLI prints whole tables (full_report)",
+    "deformation.KuranishiResult.unobstructed_through_order": "Kuranishi stack kept for ROADMAP item 5",
+    "deformation.VectorHodge.basis": "Kuranishi stack kept for ROADMAP item 5",
+    "deformation.VectorHodge.delbar_rows": "Kuranishi stack kept for ROADMAP item 5",
+    "deformation.VectorHodge.dim": "Kuranishi stack kept for ROADMAP item 5",
+    "deformation.VectorHodge.laplacian_rows": "Kuranishi stack kept for ROADMAP item 5",
+    "deformation.VectorHodge.vec_to_vvf": "Kuranishi stack kept for ROADMAP item 5",
+    "deformation.VectorHodge.vvf_to_vec": "Kuranishi stack kept for ROADMAP item 5",
+    "deformation.kuranishi_expand": "Kuranishi stack kept for ROADMAP item 5",
+    "deformation.main1_residual": "README construction: the extended Leibniz identity of Main Theorem 1",
+    "extension.solve_conjugate_system": "README construction: the paper's conjugate system, hypotheses checked; "
+                                        "the order step runs its core",
+    "io.beltrami_emit": "writer of the Beltrami file format the CLI reads; tests round-trip it",
+    "io.beltrami_to_obj": "writer of the Beltrami file format the CLI reads; tests round-trip it",
+    "io.form_emit": "writer of the form file format the CLI reads; tests round-trip it",
+    "lemmata.strong": "README API: the strong lemma alone; lemma_report reads it off mild and dual mild",
+    "lemmata.verify_witness": "oracle-only API: re-verifies a witness by fresh ranks (tests, perfbench)",
+    "linalg.harmonic_green": "Kuranishi stack kept for ROADMAP item 5",
+    "linalg.mat_add": "Kuranishi stack kept for ROADMAP item 5 (harmonic_green, VectorHodge)",
+    "linalg.mat_scale": "Kuranishi stack kept for ROADMAP item 5 (harmonic_green)",
+    "linalg.rows_from_columns": "Kuranishi stack kept for ROADMAP item 5 (harmonic_green)",
+    "linalg.vec_add": "Kuranishi stack kept for ROADMAP item 5 (mat_add); perfbench traces it",
+    "linalg.zero_rows": "Kuranishi stack kept for ROADMAP item 5 (harmonic_green, VectorHodge)",
+    "positivity.reconstruct_from_matrix": "README construction: the (p,p)-form of a Hermitian matrix",
+    "positivity.transversality_along_deformation": "README construction: transversality on the deformed fibers",
+    "scalars.DetRng.nonzero_gaussian": "oracle-only API: the seeded generator of the tests' random inputs",
+    "scalars.ParamScalar.lift": "Form.lift's coefficient step: reached when a constant form moves to another ring",
+    "scalars.PolyRing.tbar": "API: the conjugate generator beside PolyRing.t; tests build tbar-dependent inputs",
+    "scalars.QI": "API: the Gaussian-rational constructor tests write scalars with",
+}
+
+
+def public_functions():
+    """(file, qualified name) to module.qualified name, for each public
+    module-level function of src and each public method of a
+    module-level class."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                methods = [(f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef)]
+            else:
+                methods = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+            for qualname, fn in methods:
+                if not fn.name.startswith("_"):
+                    out[(str(path), qualname)] = f"{path.stem}.{qualname}"
+    return out
+
+
+def _product_runs(tmp_path):
+    """The product paths: every CLI golden, catalog, a usage error, one
+    run per input file kind (structure equations that are not
+    unimodular, a middle-degree form, which takes the sampling route of
+    transversality, and a Beltrami family), and both scripts."""
+    se_file, form_file, phi_file = tmp_path / "se.json", tmp_path / "form.json", tmp_path / "phi.json"
+    se_file.write_text(nio.se_emit(nio.obj_to_se({"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}})))
+    kaehler = catalog_load("abelian_4").forms["kaehler"]
+    form_file.write_text(nio.form_emit(kaehler.wedge(kaehler)))
+    phi_file.write_text(nio.beltrami_emit(catalog_load("bcvary10").beltrami))
+    argvs = [argv for _, argv in GOLDEN_CASES] + [
+        ["catalog"],
+        ["cohomology", "--bogus"],
+        ["cohomology", "--manifold", str(se_file)],
+        ["positivity", "--manifold", "catalog:abelian_4", "--form", str(form_file), "--p", "2", "--samples", "20"],
+        ["deform", "--manifold", "catalog:bcvary10", "--beltrami", str(phi_file), "--t", "1/5,0,0,0"],
+    ]
+    scripts = []
+    for name in ("bc_jump_table", "extension_survey"):
+        spec = importlib.util.spec_from_file_location(name, SRC.parent.parent / "scripts" / f"{name}.py")
+        scripts.append(importlib.util.module_from_spec(spec))
+        spec.loader.exec_module(scripts[-1])
+    return [lambda argv=argv: cli.main(argv) for argv in argvs] + [script.main for script in scripts]
+
+
+def test_every_public_function_is_called_or_listed(tmp_path):
+    """Run every product path under a call recorder (``sys.setprofile``):
+    the public functions of src that none of them calls are exactly the
+    ones ``UNCALLED`` lists with a reason.  A function that becomes dead
+    fails here, and so does a listed one that a product path now calls.
+    Unlike the orphan scan, the recorder sees methods whose receiver has
+    no class the source fixes."""
+    runs = _product_runs(tmp_path)
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    cli._parser.cache_clear()
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for run in runs:
+                run()
+    finally:
+        sys.setprofile(None)
+    seen = {(str(Path(code.co_filename).resolve()), code.co_qualname) for code in called}
+    assert (str(SRC / "cohomology.py"), "full_report") in seen
+    uncalled = sorted(name for key, name in public_functions().items() if key not in seen)
+    assert uncalled == sorted(UNCALLED)
 
 
 def test_evaluated_complex_keeps_one_table_of_named_matrices():
