@@ -13,10 +13,14 @@ solution (``EvaluatedComplex.ddbar_preimage``, whose one exact
 reduction per coefficient slice both decides solvability and solves).
 The k-sums are linear in W and O(t), so the solver keeps running sums
 and adds the k-sums of each new homogeneous piece of W once, instead of
-recomputing them over the whole series at every order.  The final
-d-residual is recomputed from scratch, from omega alone, both directly
-and through the graded k-sums.  Data that depends only on (se, phi) is
-built once, by its owner: se keeps its Lie bracket table, phi its
+recomputing them over the whole series at every order; the last
+correction is laddered too, so the running sums are the k-sums of the
+whole W.  The final d-residual is computed twice and the two are
+asserted equal: directly, d of the extension of omega, from omega
+alone, and through the graded k-sums, from the W and running sums the
+solver holds (``obstruction_residual`` rebuilds both from omega).
+Data that depends only on (se, phi) is built once, by its owner: se
+keeps its Lie bracket table, phi its
 ``BeltramiOperators`` (so every helper here takes phi itself) and its
 integrability verdict for se (``deformation.require_integrable``, which
 checks once per se object and never stores a failure), and each of
@@ -118,20 +122,29 @@ def ladder_sums(phi: VectorValuedForm, omega_tilde: Form) -> Tuple[Form, Form, F
 def obstruction_residual(
     se: StructureEquations, phi: VectorValuedForm, omega: Form
 ) -> Tuple[Form, Form, Form]:
-    """(left, right, full) residuals of d(extension of omega) = 0.
+    """(left, right, full) residuals of d(extension of omega) = 0, with
+    W and its k-sums rebuilt from omega (``_residuals``)."""
+    se_r = se.with_algebra(phi.algebra)
+    omega = omega.lift(phi.algebra)
+    omega_tilde = simultaneous_contract(beltrami_operators(phi).shrink, omega)
+    return _residuals(se_r, phi, omega, omega_tilde, ladder_sums(phi, omega_tilde))
+
+
+def _residuals(
+    se_r: StructureEquations, phi: VectorValuedForm, omega: Form, omega_tilde: Form, sums: Tuple[Form, Form, Form]
+) -> Tuple[Form, Form, Form]:
+    """(left, right, full) residuals of d(extension of omega) = 0, given
+    W and its k-sums (S1, S2, S3).
 
     left and right are the (p+1,q)- and (p,q+1)-graded components
     computed through the k-sums; full is d of the extension computed
-    directly.  The two routes are asserted to agree component by
-    component before returning.
+    directly, from omega alone.  The two routes are asserted to agree
+    component by component before returning, so sums that are not the
+    k-sums of W raise AssertionError.
     """
-    ops = beltrami_operators(phi)
-    se_r = se.with_algebra(phi.algebra)
-    omega = omega.lift(phi.algebra)
     p, q = omega.bidegree()
-    omega_tilde = simultaneous_contract(ops.shrink, omega)
     full = se_r.apply_d(extension_map(phi, omega))
-    s1, s2, s3 = ladder_sums(phi, omega_tilde)
+    s1, s2, s3 = sums
     left = se_r.apply_del(omega_tilde + s1) + se_r.apply_delbar(s2)
     right = se_r.apply_delbar(omega_tilde + s1) + se_r.apply_del(s3)
     if full.component(p + 1, q) != left:
@@ -201,26 +214,27 @@ def solve_extension(
 
     The k-sums are linear in W and every term is O(t), so their degree-l
     part depends only on the pieces of W below degree l: the solver keeps
-    running sums and adds the k-sums of the newest piece (omega0, then
-    each nonzero correction) once.
+    running sums and adds the k-sums of each piece (omega0, then each
+    nonzero correction, the last one included) once.  The running sums
+    are then the k-sums of the whole W, and the final residual check
+    reads them.
 
-    Raises PreconditionFailed when the order exceeds the ring truncation,
-    omega0 is not d-closed, phi is not integrable, or a required mild
-    lemma fails at t = 0, and
+    Raises PreconditionFailed when the order is negative or exceeds the
+    ring truncation, omega0 is not d-closed, phi is not integrable, or a
+    required mild lemma fails at t = 0, and
     ObstructionNonvanishing(order, component) when an order equation is
     exactly unsolvable.
     """
     se_r, omega0, order, ec0 = _checked_inputs(se, phi, omega0, order, check_lemmata, ec0)
     p, q = omega0.bidegree()
-    s1 = s2 = s3 = omega0.algebra.zero()
-    omega_tilde = piece = omega0
+    sums = ladder_sums(phi, omega0)
+    omega_tilde = omega0
     for l in range(1, order + 1):
+        piece = _order_correction(se_r, ec0, sums, p, q, l)
         if piece:
-            t1, t2, t3 = ladder_sums(phi, piece)
-            s1, s2, s3 = s1 + t1, s2 + t2, s3 + t3
-        piece = _order_correction(se_r, ec0, (s1, s2, s3), p, q, l)
-        omega_tilde = omega_tilde + piece
-    return _extension_state(se_r, phi, omega0, omega_tilde, order)
+            sums = tuple(s + t for s, t in zip(sums, ladder_sums(phi, piece)))
+            omega_tilde = omega_tilde + piece
+    return _extension_state(se_r, phi, omega0, omega_tilde, sums, order)
 
 
 def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
@@ -230,6 +244,8 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
     alg = phi.algebra
     ring = alg.ring
     order = ring.order if order is None else order
+    if order < 0:
+        raise PreconditionFailed(f"requested order {order} is negative")
     if order > ring.order:
         raise PreconditionFailed(
             f"requested order {order} exceeds the ring truncation {ring.order}"
@@ -272,10 +288,11 @@ def _order_correction(
     return -s1l - _conjugate_solution(ec0, left, right, p, q, l)
 
 
-def _extension_state(se_r, phi, omega0, omega_tilde, order) -> ExtensionState:
-    """Recover omega from W and recompute its residuals from scratch."""
+def _extension_state(se_r, phi, omega0, omega_tilde, sums, order) -> ExtensionState:
+    """Recover omega from W and check its residuals with W and its
+    k-sums, the solver's running sums."""
     omega = simultaneous_contract(beltrami_operators(phi).unshrink, omega_tilde)
-    left, right, full = obstruction_residual(se_r, phi, omega)
+    left, right, full = _residuals(se_r, phi, omega, omega_tilde, sums)
     return ExtensionState(
         omega0=omega0,
         omega_tilde=omega_tilde,

@@ -868,13 +868,15 @@ def a_ladder(phi, omega_tilde):
     return contraction_series(beltrami_operators(phi).b_field, omega_tilde)
 
 
-# -- the whole-series order loop that extension.solve_extension replaced ---
+# -- the whole-series order loop and from-scratch final state that
+# -- extension.solve_extension replaced ------------------------------------
 
 
 def solve_extension_whole_series(se, phi, omega0, order=None, check_lemmata=True, ec0=None):
     """``extension.solve_extension`` with the k-sums recomputed over the
     whole series W at every order l, of which only the degree-l part is
-    read."""
+    read, and the final state built from scratch
+    (``extension_state_from_scratch``)."""
     from nilforms import extension
 
     se_r, omega0, order, ec0 = extension._checked_inputs(se, phi, omega0, order, check_lemmata, ec0)
@@ -883,7 +885,28 @@ def solve_extension_whole_series(se, phi, omega0, order=None, check_lemmata=True
     for l in range(1, order + 1):
         sums = extension.ladder_sums(phi, omega_tilde)
         omega_tilde = omega_tilde + extension._order_correction(se_r, ec0, sums, p, q, l)
-    return extension._extension_state(se_r, phi, omega0, omega_tilde, order)
+    return extension_state_from_scratch(se_r, phi, omega0, omega_tilde, order)
+
+
+def extension_state_from_scratch(se_r, phi, omega0, omega_tilde, order):
+    """The solver's ExtensionState with the residuals rebuilt from omega
+    alone: omega is recovered from W, then ``obstruction_residual`` maps
+    it back to W with phi's shrink and runs ``ladder_sums`` over the
+    whole series, where the solver reads its running sums."""
+    from nilforms import extension
+
+    omega = extension.simultaneous_contract(extension.beltrami_operators(phi).unshrink, omega_tilde)
+    left, right, full = extension.obstruction_residual(se_r, phi, omega)
+    return extension.ExtensionState(
+        omega0=omega0,
+        omega_tilde=omega_tilde,
+        omega=omega,
+        bidegree=omega0.bidegree(),
+        order=order,
+        residual_left_by_order=extension.residual_norms_by_order(left, order),
+        residual_right_by_order=extension.residual_norms_by_order(right, order),
+        full_residual=full,
+    )
 
 
 # -- the vector-route lemma verdicts that the rank identities replaced ------

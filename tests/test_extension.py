@@ -380,6 +380,81 @@ def test_incremental_order_loop_equals_whole_series_oracle(bcvary10, ec_bcvary0)
     assert kinds == {"solved": 456, "obstructed": 152}
 
 
+def test_truncated_orders_equal_whole_series_oracle(bcvary10, ec_bcvary0):
+    """At every order 0-4, every d-closed generator of bcvary10 at (1,2),
+    (2,2), (2,3) and (3,3) gives the state of the whole-series oracle,
+    whose residuals are rebuilt from omega alone, or an obstruction at
+    the same (order, side).  Below the ring order the k-sums of the last
+    correction do not vanish, so running sums that missed them would
+    fail the solver's residual check here."""
+    alg = bcvary10.se.algebra
+    kinds = {"solved": 0, "obstructed": 0}
+    for p, q in ((1, 2), (2, 2), (2, 3), (3, 3)):
+        for gv in ec_bcvary0.kernel("stacked", p, q):
+            omega0 = ec_bcvary0.vec_to_form(gv, p, q, alg)
+            for order in range(alg.ring.order + 1):
+                outcomes = [
+                    _solve_outcome(
+                        solver, bcvary10.se, bcvary10.beltrami, omega0,
+                        order=order, ec0=ec_bcvary0, check_lemmata=False,
+                    )
+                    for solver in (solve_extension, solve_extension_whole_series)
+                ]
+                assert outcomes[0] == outcomes[1], (p, q, order)
+                kinds["obstructed" if isinstance(outcomes[0], tuple) else "solved"] += 1
+    assert kinds == {"solved": 702, "obstructed": 228}
+
+
+def test_solve_ladders_each_piece_once_and_never_shrinks(bcvary10, ec_bcvary0, monkeypatch):
+    """Counts, no wall time: at every order of the (3,3) and (4,4)
+    generators of bcvary10, a solve runs ladder_sums once per nonzero
+    piece of W, on that piece alone (omega0, then each correction, the
+    last one included) and never on the whole series, and its only
+    coframe substitutions are one unshrink (W to omega) and one
+    ext_transform (the direct residual): phi's shrink is never applied."""
+    alg = bcvary10.se.algebra
+    ops = beltrami_operators(bcvary10.beltrami)
+    laddered, substituted = [], []
+    real_ladder, real_contract = extension.ladder_sums, extension.simultaneous_contract
+
+    def ladder(phi, w):
+        laddered.append(w)
+        return real_ladder(phi, w)
+
+    def contract(b, form):
+        substituted.append(b)
+        return real_contract(b, form)
+
+    monkeypatch.setattr(extension, "ladder_sums", ladder)
+    monkeypatch.setattr(extension, "simultaneous_contract", contract)
+    orders = range(alg.ring.order + 1)
+    kinds = {"solved": 0, "obstructed": 0}
+    for p, q in ((3, 3), (4, 4)):
+        for gv in ec_bcvary0.kernel("stacked", p, q):
+            omega0 = ec_bcvary0.vec_to_form(gv, p, q, alg)
+            for order in orders:
+                laddered.clear()
+                substituted.clear()
+                try:
+                    st = solve_extension(
+                        bcvary10.se, bcvary10.beltrami, omega0, order=order, ec0=ec_bcvary0, check_lemmata=False
+                    )
+                except ObstructionNonvanishing as exc:
+                    # omega0 and the corrections below the obstructed order, one piece each
+                    degrees = [[l for l in orders if w.homogeneous_part(l)] for w in laddered]
+                    assert laddered[0] == omega0 and all(len(d) == 1 for d in degrees), (p, q, order)
+                    firsts = [d[0] for d in degrees]
+                    assert firsts == sorted(set(firsts)) and firsts[-1] < exc.order, (p, q, order)
+                    assert not substituted
+                    kinds["obstructed"] += 1
+                    continue
+                pieces = [st.omega_tilde.homogeneous_part(l) for l in range(order + 1)]
+                assert laddered == [w for w in pieces if w], (p, q, order)
+                assert [id(b) for b in substituted] == [id(ops.unshrink), id(ops.ext_transform)], (p, q, order)
+                kinds["solved"] += 1
+    assert kinds["solved"] and kinds["obstructed"]
+
+
 def test_solve_extension_preconditions(iwasawa3, bcvary10):
     ring = PolyRing(1, 2)
     alg = FormAlgebra(3, ring)
@@ -442,6 +517,18 @@ def test_pkahler_extend_torus():
     assert all(v.exact for v in ext.verdicts)  # p = 1 certificates are exact
 
 
+def test_negative_and_excessive_orders_refused(bcvary10):
+    """solve_extension and pkahler_extend refuse a negative order, as they
+    refuse one past the ring truncation, instead of reporting a vacuous
+    d-closed extension with no residuals."""
+    se, phi, balanced = bcvary10.se, bcvary10.beltrami, bcvary10.forms["balanced"]
+    for order, match in ((-1, "is negative"), (-2, "is negative"), (5, "exceeds the ring truncation")):
+        with pytest.raises(PreconditionFailed, match=match):
+            solve_extension(se, phi, balanced, order=order)
+        with pytest.raises(PreconditionFailed, match=match):
+            pkahler_extend(se, phi, balanced, order=order, samples=40, seed=3)
+
+
 def test_pkahler_extend_rejects_top_degree(bcvary10):
     alg = bcvary10.se.algebra
     top = alg.monomial((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
@@ -502,9 +589,11 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     on the same (se, phi), a pkahler_extend after it and a deform_complex
     after that build no table and no Neumann series and check
     integrability once in all, and the second solve, at the same
-    bidegree, adds or rebuilds no prefix image of ext_transform, shrink
-    or unshrink.  A non-integrable phi is still refused.  No table is
-    stored for equations that are not flat."""
+    bidegree, adds or rebuilds no prefix image of ext_transform or
+    unshrink.  No solve applies shrink, so its images appear only with
+    pkahler_extend, whose symmetrized check maps omega back to W.  A
+    non-integrable phi is still refused.  No table is stored for
+    equations that are not flat."""
     from nilforms import deformation, extension
     from nilforms.algebra import StructureEquations
     from nilforms.errors import FlatnessError
@@ -533,16 +622,17 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     first = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
     assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
     ops = phi.operators
-    endos = (ops.ext_transform, ops.shrink, ops.unshrink)
+    endos = (ops.ext_transform, ops.unshrink)
     warm = [dict(b.images) for b in endos]
-    assert all(len(images) > 1 for images in warm)
+    assert all(len(images) > 1 for images in warm) and ops.shrink.images is None
     second = solve_extension(se, phi, omega0.scale(QI(2, -3)), ec0=ec0, check_lemmata=False)
     assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
     for b, images in zip(endos, warm):  # no entry added, none rebuilt
         assert b.images.keys() == images.keys() and all(b.images[k] is v for k, v in images.items())
+    assert ops.shrink.images is None
     assert second.omega == first.omega.scale(QI(2, -3)) and second.omega != omega0
     ext = pkahler_extend(se, phi, entry.forms["balanced"], samples=40, seed=3)
-    assert ext.state.d_closed_through_order
+    assert ext.state.d_closed_through_order and len(ops.shrink.images) > 1
     assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
     deform_complex(se, phi, point=generic_points(4)[0])
     assert counts["integrability"] == 1

@@ -391,6 +391,8 @@ GOLDEN_RUNS = {
     "lemmata_bcvary10_all_t": [
         "lemmata", "--manifold", "catalog:bcvary10", "--all", "--t", "3/7,5/11,2/13,7/17",
     ],
+    "extend_bcvary10": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced"],
+    "extend_bcvary10_order2": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced", "--order-n", "2"],
     "extend_bcvary10_pkahler4": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced", "--pkahler", "4"],
     "positivity_bcvary10_p4": [
         "positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced", "--p", "4",
