@@ -31,7 +31,8 @@ def main() -> None:
             gens = ec0.kernel("stacked", p, q)
             if not gens:
                 continue
-            pair = mild(ec0, p, q + 1)[0] and mild(ec0, q, p + 1)[0]
+            # mild holds on an empty bidegree, (p,n+1) when q = n
+            pair = all(mild(ec0, a, b)[0] for a, b in ((p, q + 1), (q, p + 1)) if ec0.dim(a, b))
             plain = corrected = obstructed = 0
             for gv in gens:
                 omega0 = ec0.vec_to_form(gv, p, q, alg)

@@ -140,8 +140,10 @@ class EvaluatedComplex:
     the total complex, ``total_d_rows``) with degree p and q = 0.  Every
     empty row of a stored matrix, and of the adjoints ``ddbar_preimage``
     keeps, is the one shared ``EMPTY_ROW``, a read-only mapping, so most
-    rows of a large matrix cost one list slot.  ``columns`` keeps each
-    matrix's nonzero columns.  Each matrix gets one row echelon.  It
+    rows of a large matrix cost one list slot, and every walker over rows
+    skips it.  ``columns`` keeps the nonzero columns that the image
+    echelons, weak and the extension solver read (mild's witness reads
+    the rows).  Each matrix gets one row echelon.  It
     starts as the forward echelon (``linalg.forward_echelon``), which
     gives the rank and the pivot columns that ``rank`` and ``unimodular``
     read.  The stacked echelon extends del's: the del rows lead the
@@ -253,14 +255,15 @@ class EvaluatedComplex:
 
     def columns(self, op: str, p: int, q: int) -> Dict[int, Vec]:
         """Nonzero columns of the matrix (op, p, q), keyed by index, for
-        products that walk the support of a vector (``linalg.columns_vec``)
-        and for the image echelons (``_image``)."""
+        products that walk the support of a vector (``linalg.columns_vec``,
+        in weak and the extension solver) and the image echelons (``_image``)."""
         key = (op, p, q)
         if key not in self._cols:
             cols: Dict[int, Vec] = {}
             for i, r in enumerate(self._matrix(op, p, q)):
-                for j, c in r.items():
-                    cols.setdefault(j, {})[i] = c
+                if r:
+                    for j, c in r.items():
+                        cols.setdefault(j, {})[i] = c
             self._cols[key] = cols
         return self._cols[key]
 
@@ -440,9 +443,10 @@ class EvaluatedComplex:
                     if self.dim(p, q) and target in tgt_offset:
                         ro = tgt_offset[target]
                         for i, r in enumerate(self.rows(op, p, q)):
-                            row = rows[ro + i]
-                            for j, c in r.items():
-                                row[col_off + j] = c
+                            if r:
+                                row = rows[ro + i]
+                                for j, c in r.items():
+                                    row[col_off + j] = c
                 col_off += self.dim(p, q)
             self._rows[key] = [r or EMPTY_ROW for r in rows]
         return self._rows[key]

@@ -264,8 +264,8 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
         ec0 = fiber_complex(se_r, None, zero_point(ring.m))
     if check_lemmata:
         for (mp, mq) in {(p, q + 1), (q, p + 1)}:
-            ok_m, _ = mild(ec0, mp, mq)
-            if not ok_m:
+            # mild holds on an empty bidegree, (p,n+1) when q = n
+            if ec0.dim(mp, mq) and not mild(ec0, mp, mq)[0]:
                 raise PreconditionFailed(
                     f"the ({mp},{mq})-th mild lemma fails at t = 0"
                 )
@@ -351,8 +351,7 @@ def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q
     if se.apply_delbar(right):
         raise PreconditionFailed("delbar del conj(xi) != 0")
     for (mp, mq) in ((p, q + 1), (q, p + 1)):
-        ok, _ = mild(ec, mp, mq)
-        if not ok:
+        if ec.dim(mp, mq) and not mild(ec, mp, mq)[0]:
             raise PreconditionFailed(f"the ({mp},{mq})-th mild lemma fails on this complex")
     # the hypotheses make every slice solvable, so no order is ever reported
     return _conjugate_solution(ec, left, right, p, q, None)

@@ -39,13 +39,14 @@ the CLI reports as one ``error:`` line.  On a flat complex:
                    del and of deldelbar (``ec.image_echelon``).
 
 So a passing verdict builds no kernel, and only weak applies a matrix
-to a vector (delbar to its real basis) and reads image echelons, which
-each EvaluatedComplex builds once per image.  A failing
-verdict runs the vector route only to build its witness: the first
-vector of the tested space outside im deldelbar.  For mild that space
-is del of ker deldelbar, whose vectors are read from its RREF one at a
-time, each built only when its image is tested and none kept
-(``ec.kernel_vectors``), so the route stops at the witness.  Strong's
+to a vector (delbar to the real basis vectors that meet a nonzero
+column) and reads image echelons, which each EvaluatedComplex builds
+once per image.  A failing verdict runs the vector route only to build
+its witness: the first vector of the tested space outside im deldelbar.
+For mild that space is del of ker deldelbar, whose vectors are read
+from its RREF one at a time, none kept (``ec.kernel_vectors``), so the
+route stops at the witness; those that meet no nonzero column of del
+are skipped, and the others' images formed from del's rows.  Strong's
 space is the sum of the spaces that mild and dual mild test, so strong
 fails exactly when one of them fails, and its witness is theirs: mild's
 at (p,q) if mild fails, else dual mild's (``lemma_report`` reuses the
@@ -58,6 +59,7 @@ that w is tested against are the ones the rank test read.  That the
 route finds one is checked; if not, the two routes disagree, and
 AssertionError is raised.  Every
 witness re-verifies by fresh rank computations (``verify_witness``).
+Every decider refuses a bidegree outside 0..n (``ec.check_bidegree``).
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ def dual_mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form
 def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     """op(ker deldelbar) inside im deldelbar at (p,q), op del or delbar,
     by rank; the witness is the first image outside."""
+    ec.check_bidegree(p, q)
     if _mild_holds(ec, op, p, q):
         return True, None
     return False, _witness(ec, "mild" if op == "del" else "dual_mild", p, q, _kernel_images(ec, op, p, q))
@@ -118,17 +121,25 @@ def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
 
 
 def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Vec]:
-    """op of each deldelbar kernel vector, into (p,q): each kernel vector
-    is built only when its image is asked for, and none is kept."""
+    """The nonzero images under op of the deldelbar kernel vectors, into
+    (p,q), each built when the scan reaches it and none kept.  A vector
+    that meets no nonzero column of op is skipped, and the others' images
+    are formed from the columns they touch, read from op's nonempty rows:
+    no column table of op is built."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
-    cols = ec.columns(op, sp, sq)
+    rows = [(i, r) for i, r in enumerate(ec.rows(op, sp, sq)) if r]
+    live = set().union(*(r for _, r in rows))
     for x in ec.kernel_vectors("ddbar", sp, sq):
-        yield linalg.columns_vec(cols, x)
+        touched = live.intersection(x)
+        v = touched and linalg.columns_vec({k: {i: r[k] for i, r in rows if k in r} for k in touched}, x)
+        if v:
+            yield v
 
 
 def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     """Injectivity of the Bott-Chern to Aeppli comparison at (p,q); the
     witness is mild's at (p,q) if mild fails, else dual mild's."""
+    ec.check_bidegree(p, q)
     if _strong_holds(ec, p, q):
         return True, None
     # by mild's rank identity every del image is inside im deldelbar when
@@ -173,13 +184,14 @@ def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
 
 def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     """The (p,p+1)-th condition quantified over real (p,p)-forms psi:
-    delbar psi del-exact implies delbar psi deldelbar-exact."""
-    ec.cx.se.require_flat()
+    delbar psi del-exact implies delbar psi deldelbar-exact, 0 <= p < n.
+    A real basis vector that meets no nonzero column of delbar is
+    skipped: its image 0 adds nothing to the ranks or to the witness."""
     q = p + 1
-    if q > ec.n or not ec.dim(p, p):
-        return True, None
+    ec.check_bidegree(p, q)
+    ec.cx.se.require_flat()
     cols = ec.columns("delbar", p, p)
-    images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p)]
+    images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p) if not cols.keys().isdisjoint(r)]
     if _residue_rank(ec, "del", p, q, images) == _residue_rank(ec, "ddbar", p, q, images):
         return True, None
     # the witness route (module docstring): w = sum c_t E_t in T, with E

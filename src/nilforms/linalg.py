@@ -313,13 +313,14 @@ def mat_vec(rows: Rows, x: Vec) -> Vec:
     recursion's harmonic projection and correction)."""
     out: Vec = {}
     for i, r in enumerate(rows):
-        s = None
-        for k, c in r.items():
-            xk = x.get(k)
-            if xk:
-                s = xk * c if s is None else s + xk * c
-        if s:
-            out[i] = s
+        if r:
+            s = None
+            for k, c in r.items():
+                xk = x.get(k)
+                if xk:
+                    s = xk * c if s is None else s + xk * c
+            if s:
+                out[i] = s
     return out
 
 
@@ -342,16 +343,17 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
     out: Rows = []
     for ra in a:
         acc: Vec = {}
-        for k, c in ra.items():
-            if k >= len(b):
-                continue
-            for j, d in b[k].items():
-                s = acc.get(j)
-                s = c * d if s is None else s + c * d
-                if s:
-                    acc[j] = s
-                elif j in acc:
-                    del acc[j]
+        if ra:
+            for k, c in ra.items():
+                if k >= len(b) or not b[k]:
+                    continue
+                for j, d in b[k].items():
+                    s = acc.get(j)
+                    s = c * d if s is None else s + c * d
+                    if s:
+                        acc[j] = s
+                    elif j in acc:
+                        del acc[j]
         out.append(acc)
     return out
 
@@ -367,8 +369,9 @@ def mat_scale(a: Rows, c) -> Rows:
 def conj_transpose(rows: Rows, ncols: int) -> Rows:
     out: Rows = [{} for _ in range(ncols)]
     for i, r in enumerate(rows):
-        for j, c in r.items():
-            out[j][i] = c.conj() if isinstance(c, GaussianRational) else c
+        if r:
+            for j, c in r.items():
+                out[j][i] = c.conj() if isinstance(c, GaussianRational) else c
     return out
 
 

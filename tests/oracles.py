@@ -1042,6 +1042,75 @@ def standard_by_blocks(ec):
     return True, None, None
 
 
+# -- the full-table routes that skip zero images and empty rows replaced ---
+
+
+def kernel_images_by_columns(ec, op: str, p: int, q: int):
+    """op of every deldelbar kernel vector, into (p,q), zero images
+    included: the kernel of the source through the column table of op
+    (``ec.columns``) and ``linalg.columns_vec``."""
+    sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
+    cols = ec.columns(op, sp, sq)
+    for x in ec.kernel_vectors("ddbar", sp, sq):
+        yield linalg.columns_vec(cols, x)
+
+
+def weak_images_by_columns(ec, p: int):
+    """delbar of every vector of the real (p,p) basis, zero images
+    included."""
+    from nilforms.lemmata import _real_basis_vectors
+
+    cols = ec.columns("delbar", p, p)
+    return [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p)]
+
+
+def columns_of_every_row(rows):
+    """The nonzero columns of a matrix, keyed by index, walking every row."""
+    cols = {}
+    for i, r in enumerate(rows):
+        for j, c in r.items():
+            cols.setdefault(j, {})[i] = c
+    return cols
+
+
+def total_d_rows_of_every_row(ec, k: int):
+    """d from total degree k, copying every row of each del and delbar
+    block, empty ones included."""
+    offsets, off = {}, 0
+    for pq in ec.total_blocks(k + 1):
+        offsets[pq] = off
+        off += ec.dim(*pq)
+    rows = [{} for _ in range(off)]
+    col_off = 0
+    for p, q in ec.total_blocks(k):
+        for op, target in (("del", (p + 1, q)), ("delbar", (p, q + 1))):
+            if ec.dim(p, q) and target in offsets:
+                for i, r in enumerate(ec.rows(op, p, q)):
+                    for j, c in r.items():
+                        rows[offsets[target] + i][col_off + j] = c
+        col_off += ec.dim(p, q)
+    return rows
+
+
+def mat_mul_of_every_row(a, b):
+    """a @ b, walking every row of a and of b."""
+    out = []
+    for ra in a:
+        acc = {}
+        for k, c in ra.items():
+            if k >= len(b):
+                continue
+            for j, d in b[k].items():
+                s = acc.get(j)
+                s = c * d if s is None else s + c * d
+                if s:
+                    acc[j] = s
+                elif j in acc:
+                    del acc[j]
+        out.append(acc)
+    return out
+
+
 # -- Hodge theory, which canonical_solver_rows reads -----------------------
 
 

@@ -472,6 +472,38 @@ def test_solve_extension_preconditions(iwasawa3, bcvary10):
         solve_extension(se, bad_phi, closed)
 
 
+def test_empty_mild_bidegrees_hold_without_asking(bcvary10, ec_bcvary0, monkeypatch):
+    """At q = n the solver's hypotheses name the empty bidegree (p,n+1),
+    which mild refuses: solve_extension and solve_conjugate_system count
+    it as holding without asking, and ask mild only at (q,p+1).  On
+    bcvary10 at t = 0 (n = 5) mild holds at (5,5) and fails at (5,4), so
+    the (4,5) generators extend and the (3,5) ones are refused, naming
+    (5,4); the (5,5) generator asks nothing."""
+    asked = []
+    monkeypatch.setattr(extension, "mild", lambda ec, p, q: asked.append((p, q)) or mild(ec, p, q))
+    alg = bcvary10.se.algebra
+    with pytest.raises(ValueError, match=r"bidegree \(4,6\) is outside 0\.\.5"):
+        mild(ec_bcvary0, 4, 6)
+    for (p, q), want in (((5, 5), []), ((4, 5), [(5, 5)]), ((3, 5), [(5, 4)])):
+        for gv in ec_bcvary0.kernel("stacked", p, q):
+            asked.clear()
+            omega0 = ec_bcvary0.vec_to_form(gv, p, q, alg)
+            if (p, q) == (3, 5):
+                with pytest.raises(PreconditionFailed, match=r"the \(5,4\)-th mild lemma fails at t = 0"):
+                    solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec_bcvary0)
+            else:
+                assert solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec_bcvary0).d_closed_through_order
+            assert asked == want, (p, q)
+    zero = ec_bcvary0.cx.algebra.zero()
+    asked.clear()
+    assert solve_conjugate_system(ec_bcvary0, zero, zero, 4, 5) == zero
+    assert asked == [(5, 5)]
+    asked.clear()
+    with pytest.raises(PreconditionFailed, match=r"the \(5,4\)-th mild lemma fails on this complex"):
+        solve_conjugate_system(ec_bcvary0, zero, zero, 3, 5)
+    assert asked == [(5, 4)]
+
+
 def test_obstruction_nonvanishing_when_lemma_skipped(iwasawa3):
     """With the failing mild lemma deliberately unchecked, the Iwasawa
     complex obstructs a (2,2)-extension at first order: the required
@@ -726,7 +758,8 @@ def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
 
     expected = {(5, 5): (True, 0, 32, 0), (4, 4): (False, 29, 114, 14), (3, 3): (False, 88, 65, 65)}
     for (p, q), want in expected.items():
-        pair = mild(ec0, p, q + 1)[0] and mild(ec0, q, p + 1)[0]
+        # mild holds on an empty bidegree, (p,n+1) when q = n
+        pair = all(mild(ec0, a, b)[0] for a, b in ((p, q + 1), (q, p + 1)) if ec0.dim(a, b))
         counts = {"plain": 0, "corrected": 0, "obstructed": 0}
         for gv in ec0.kernel("stacked", p, q):
             omega0 = ec0.vec_to_form(gv, p, q, alg)

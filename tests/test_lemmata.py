@@ -20,18 +20,23 @@ from nilforms.lemmata import (
     verify_witness,
     weak,
 )
-from nilforms.scalars import PolyRing
+from nilforms.scalars import QI_ONE, PolyRing
 
 from oracles import (
+    columns_of_every_row,
     echelon_kernel_one_pass,
     exact_closed_basis_full,
     fiber_point,
+    kernel_images_by_columns,
+    mat_mul_of_every_row,
     mild_by_vectors,
     real_basis_vectors_by_products,
     span_intersection,
     standard_by_blocks,
     strong_by_vectors,
+    total_d_rows_of_every_row,
     weak_by_nullspace,
+    weak_images_by_columns,
 )
 
 
@@ -273,13 +278,29 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
 
 def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
     """lemma_report names the valid range instead of reporting mild and
-    strong as holding on the zero space; mild itself still answers at
-    (p, n+1), where extension._checked_inputs asks it."""
+    strong as holding on the zero space."""
     for bad in ((5, 9), (0, 4), (-1, 2)):
         with pytest.raises(ValueError, match=rf"bidegree \({bad[0]},{bad[1]}\) is outside 0\.\.3"):
             lemma_report(ec_iwasawa, bidegrees=[(1, 1), bad], with_standard=False)
-    assert mild(ec_iwasawa, 1, 4) == (True, None)
     assert lemma_report(ec_iwasawa, bidegrees=[(3, 3)], with_standard=False).mild_flags == {(3, 3): True}
+
+
+def test_deciders_refuse_out_of_range_bidegrees(ec_iwasawa):
+    """mild, dual mild and strong refuse a bidegree outside 0..n, and weak
+    a p outside 0..n-1 (its (p,p+1) leaves the range), with
+    check_bidegree's error, instead of holding on the zero space; the
+    edges of the range still answer."""
+    for p, q in ((9, 9), (1, 4), (-1, 2), (0, -1)):
+        for decider in (mild, dual_mild, strong):
+            with pytest.raises(ValueError, match=rf"^bidegree \({p},{q}\) is outside 0\.\.3$"):
+                decider(ec_iwasawa, p, q)
+    for p, at in ((-3, "-3,-2"), (-1, "-1,0"), (3, "3,4"), (9, "9,10")):
+        with pytest.raises(ValueError, match=rf"^bidegree \({at}\) is outside 0\.\.3$"):
+            weak(ec_iwasawa, p)
+    for p, q in ((0, 0), (3, 3), (0, 3), (3, 0)):
+        for decider in (mild, dual_mild, strong):
+            assert decider(ec_iwasawa, p, q)[0] is True, (decider.__name__, p, q)
+    assert [weak(ec_iwasawa, p)[0] for p in range(3)] == [True, True, True]
 
 
 def test_standard_spans_each_total_image_once(monkeypatch, iwasawa3):
@@ -338,12 +359,13 @@ SOLVABLE = {
 def test_rank_verdicts_equal_the_vector_route(reference_complexes):
     """On every reference complex and on a complex that is not
     unimodular, lemma_report's flags and witnesses at every bidegree,
-    weak's at every p and standard's, and mild and dual mild at (p, n+1),
-    where the extension solver asks, are those of the vector-route
+    weak's at every p and standard's are those of the vector-route
     oracles run on a fresh complex: the same forms, monomial order and
-    scalar types.  Strong's flags are those of the full-basis oracle, and
-    its witness, in the report and from strong called alone, is the mild
-    oracle's at (p,q) if mild fails, else the dual mild oracle's."""
+    scalar types; mild and dual mild refuse (p, n+1), the empty bidegree
+    that the extension solver counts as holding without asking.  Strong's
+    flags are those of the full-basis oracle, and its witness, in the
+    report and from strong called alone, is the mild oracle's at (p,q) if
+    mild fails, else the dual mild oracle's."""
     solvable = build_complex(nio.obj_to_se(SOLVABLE))
     ec = EvaluatedComplex(solvable, ())
     assert not ec.unimodular and strong(ec, 2, 2) == (True, None)
@@ -369,10 +391,9 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
                 ok, wit = strong(ec, p, q)
                 got["strong alone", p, q] = (ok, _typed_form(wit))
                 want["strong alone", p, q] = want["strong", p, q]
-            for kind, op in (("mild", "del"), ("dual_mild", "delbar")):
-                verdict = mild(ec, p, n + 1) if op == "del" else dual_mild(ec, p, n + 1)
-                got[kind, p, n + 1] = verdict
-                want[kind, p, n + 1] = mild_by_vectors(oc, op, p, n + 1)
+            for decider in (mild, dual_mild):
+                with pytest.raises(ValueError, match=rf"bidegree \({p},{n + 1}\) is outside 0\.\.{n}$"):
+                    decider(ec, p, n + 1)
         for p in range(n):
             got["weak", p] = (report.weak_flags[p], _typed_form(report.witnesses.get(f"weak:{p}")))
             ok, wit = weak_by_nullspace(oc, p)
@@ -463,9 +484,10 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     """On Iwasawa x C, after full_report, lemma_report decides each
     passing verdict by rank: a passing mild, dual mild or standard takes
     no kernel, no image and no product with a vector, and a passing weak
-    takes no kernel, applies delbar only to its real basis and reads the
-    image echelons of del and deldelbar into (p,p+1), the ones the
-    complex caches.  Strong, passing or failing, makes no columns_vec,
+    takes no kernel, applies delbar, in order, to exactly the vectors of
+    its real basis whose image the full-table oracle finds nonzero, and
+    reads the image echelons of del and deldelbar into (p,p+1), the ones
+    the complex caches.  Strong, passing or failing, makes no columns_vec,
     kernel, _image or RREF completion (``Echelon._complete``, where a
     kernel is read) beyond those of mild and dual mild:
     in lemma_report each such call is made inside mild, dual mild, weak
@@ -473,7 +495,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     it fails the calls, in order, of mild at (p,q), then of dual mild if
     mild holds, on a complex in the same state, whose witness it returns.
     No kernel of [del; delbar] is built."""
-    verdicts, work, stack = [], [], []
+    verdicts, work, stack, applied = [], [], [], {}
 
     def traced(name, f):
         def run(*args):
@@ -490,6 +512,8 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     def counted(tag, f):
         def run(*args, **kwargs):
             work.append((stack[-1] if stack else None, tag))
+            if tag == "columns_vec":
+                applied.setdefault(stack[-1] if stack else None, []).append(args[1])
             return f(*args, **kwargs)
         return run
 
@@ -510,16 +534,22 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     by_verdict = {}
     for index, tag in work:
         by_verdict.setdefault(index, []).append(tag)
+    oracle, skipped = EvaluatedComplex(iwasawa_c, ()), 0
     for index, (name, args, ok) in enumerate(verdicts):
         if not ok:
             continue
         tags = by_verdict.get(index, [])
         if name == "weak":
             p = args[0]
-            assert tags == ["columns_vec"] * ec.dim(p, p) + ["image"] * 2, args
+            reals = _real_basis_vectors(ec, p)
+            nonzero = [r for r, v in zip(reals, weak_images_by_columns(oracle, p)) if v]
+            skipped += len(reals) - len(nonzero)
+            assert applied.get(index, []) == nonzero, args
+            assert tags == ["columns_vec"] * len(nonzero) + ["image"] * 2, args
             assert ("del", p, p + 1) in ec._images and ("ddbar", p, p + 1) in ec._images
         else:
             assert tags == [], (name, args)
+    assert skipped
     alone, paired = EvaluatedComplex(iwasawa_c, ()), EvaluatedComplex(iwasawa_c, ())
     full_report(alone)
     full_report(paired)
@@ -633,39 +663,176 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
 
 def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, reference_complexes):
     """On Iwasawa^2 x C after full_report, lemma_report keeps no deldelbar
-    kernel (the list route kept 15,519 vectors), and builds one deldelbar
-    kernel vector per image that a failing mild or dual mild tests, each
-    through ``kernel_vectors`` (weak's and standard's witnesses take no
-    kernel); its JSON equals that of a complex whose
-    deldelbar kernels were all built as lists first."""
+    kernel (the list route kept 15,519 vectors).  Each failing mild or
+    dual mild builds, through ``kernel_vectors``, a prefix of the
+    deldelbar kernel that ends at its witness, and tests, in order,
+    exactly the images of those vectors that the full-table oracle finds
+    nonzero: the vectors it skips are those with image 0, and there are
+    some.  Weak's and standard's witnesses take no kernel.  Its JSON
+    equals that of a complex whose deldelbar kernels were all built as
+    lists first."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     ec = EvaluatedComplex(cx, ())
     full_report(ec)
-    built, tested = Counter(), Counter()
+    built, scans = Counter(), []
     kernel_vectors, witness = EvaluatedComplex.kernel_vectors, lemmata._witness
 
     def counting(self, op, p, q):
         for x in kernel_vectors(self, op, p, q):
             built[op] += 1
+            scans[-1][3].append(x)
             yield x
 
     def testing(ec, kind, p, q, vectors):
-        return witness(ec, kind, p, q, (tested.update([kind]) or v for v in vectors))
+        scan = (kind, p, q, [], [])
+        scans.append(scan)
+        return witness(ec, kind, p, q, (scan[4].append(v) or v for v in vectors))
 
     monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", counting)
     monkeypatch.setattr(lemmata, "_witness", testing)
     report = lemma_report(ec)
     monkeypatch.undo()
     assert not [key for key in ec._kernels if key[0] == "ddbar"]
-    # weak and standard test vectors of their own, built without a kernel
-    assert set(built) == {"ddbar"} and built["ddbar"] == tested["mild"] + tested["dual_mild"]
-    assert tested["mild"] and tested["dual_mild"]
+    oracle, kinds, skipped = EvaluatedComplex(cx, ()), Counter(), 0
+    for kind, p, q, xs, tested in scans:
+        kinds[kind] += 1
+        if kind not in ("mild", "dual_mild"):
+            # weak and standard test vectors of their own, built without a kernel
+            assert not xs, (kind, p, q)
+            continue
+        op, sp, sq = ("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
+        images = [linalg.columns_vec(oracle.columns(op, sp, sq), x) for x in xs]
+        assert xs == list(oracle.kernel_vectors("ddbar", sp, sq))[:len(xs)], (kind, p, q)
+        assert images[-1] and tested == [v for v in images if v], (kind, p, q)
+        skipped += len(xs) - len(tested)
+    assert set(built) == {"ddbar"} and built["ddbar"] == sum(len(xs) for *_, xs, _ in scans)
+    assert kinds["mild"] and kinds["dual_mild"] and skipped
     first = EvaluatedComplex(cx, ())
     full_report(first)
     for p in range(cx.n + 1):
         for q in range(cx.n + 1):
             first.kernel("ddbar", p, q)
     assert lemma_report(first).to_json_dict() == report.to_json_dict()
+
+
+def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, reference_complexes):
+    """On the 13 reference complexes: at every bidegree where mild or dual
+    mild fails, the route's images are the nonzero ones of the full-table
+    oracle (every deldelbar kernel vector through the column table of
+    del or delbar), in the same order, with the same entries and types,
+    and its witness is the oracle's; no column table of del or delbar is
+    built for them.  weak's images at every p are the nonzero
+    subsequence of delbar of its whole real basis.  ``columns``,
+    ``total_d_rows`` and the deldelbar product (``linalg.mat_mul``),
+    which skip empty rows, equal the walkers over every row."""
+    residues = []
+    real_residue_rank = lemmata._residue_rank
+    monkeypatch.setattr(
+        lemmata, "_residue_rank",
+        lambda ec, op, p, q, vectors: residues.append(vectors) or real_residue_rank(ec, op, p, q, vectors),
+    )
+
+    def typed(vectors):
+        return [_typed_items(v) for v in vectors]
+
+    def typed_columns(cols):
+        return [(j, _typed_items(c)) for j, c in cols.items()]
+
+    failing = 0
+    for label, cx, point in reference_complexes:
+        ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
+        n = cx.n
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for op, kind in (("del", "mild"), ("delbar", "dual_mild")):
+                    if lemmata._mild_holds(ec, op, p, q):
+                        continue
+                    failing += 1
+                    old = list(kernel_images_by_columns(oc, op, p, q))
+                    new = list(lemmata._kernel_images(ec, op, p, q))
+                    assert typed(new) == typed([v for v in old if v]), (label, op, p, q)
+                    got, want = (lemmata._witness(c, kind, p, q, iter(v)) for c, v in ((ec, new), (oc, old)))
+                    assert _typed_form(got) == _typed_form(want), (label, op, p, q)
+        assert not [key for key in ec._cols if key[0] in ("del", "delbar")], label
+        for p in range(n):
+            residues.clear()
+            weak(ec, p)
+            assert typed(residues[0]) == typed([v for v in weak_images_by_columns(oc, p) if v]), (label, p)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for op in ("del", "delbar", "ddbar"):
+                    want = columns_of_every_row(ec.rows(op, p, q))
+                    assert typed_columns(ec.columns(op, p, q)) == typed_columns(want), (label, op, p, q)
+                product = mat_mul_of_every_row(ec.rows("del", p, q + 1), ec.rows("delbar", p, q))
+                assert typed(ec.rows("ddbar", p, q)) == typed(product), (label, p, q)
+        for k in range(-1, 2 * n + 1):
+            assert typed(ec.total_d_rows(k)) == typed(total_d_rows_of_every_row(ec, k)), (label, k)
+            want = columns_of_every_row(ec.total_d_rows(k))
+            assert typed_columns(ec.columns("total", k, 0)) == typed_columns(want), (label, k)
+    assert failing
+
+
+def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monkeypatch, ec_iwasawa):
+    """On Iwasawa, del from (1,1) has nonzero columns 6, 7 and 8 only.  Fed
+    vectors in place of the deldelbar kernel, the route skips exactly
+    those that meet none of them, whichever key comes first, and yields
+    the nonzero images of the others, as the full-table oracle forms
+    them."""
+    assert sorted(ec_iwasawa.columns("del", 1, 1)) == [6, 7, 8]
+    one = QI_ONE
+    vectors = [{0: one}, {0: one, 6: one}, {5: one, 1: -one}, {8: one, 2: one}, {7: one}, {3: one, 4: one}]
+    monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", lambda self, op, p, q: iter(vectors))
+    cols = ec_iwasawa.columns("del", 1, 1)
+    want = [v for v in (linalg.columns_vec(cols, x) for x in vectors) if v]
+    assert len(want) == 3 and list(lemmata._kernel_images(ec_iwasawa, "del", 2, 1)) == want
+
+
+def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
+    """The work gate on Iwasawa^2 x C after full_report: lemma_report
+    forms no zero image from a vector that meets no nonzero column, and
+    no witness builds a column table of del or delbar.  Every product
+    with a vector, in mild's and dual mild's scans and in weak, is
+    counted: 1,578 of them, and the 4 that are 0 are deldelbar kernel
+    vectors with two entries on nonzero columns of del or delbar whose
+    images cancel, which no support test sees.  The full-table route, put
+    back in place of the kernel images, forms the same 1,574 nonzero
+    images and 862 zero ones, and builds del's and delbar's column
+    tables, so the gate sees what it counts."""
+    cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
+    columns_vec, columns, witness = linalg.columns_vec, EvaluatedComplex.columns, lemmata._witness
+    formed, tables, inside = [], [], []
+
+    def forming(cols, x):
+        formed.append((columns_vec(cols, x), len(cols.keys() & x.keys())))
+        return formed[-1][0]
+
+    def asking(self, op, p, q):
+        if inside:
+            tables.append(op)
+        return columns(self, op, p, q)
+
+    def framed(ec, kind, p, q, vectors):
+        inside.append(kind)
+        try:
+            return witness(ec, kind, p, q, vectors)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "columns_vec", forming)
+    monkeypatch.setattr(EvaluatedComplex, "columns", asking)
+    monkeypatch.setattr(lemmata, "_witness", framed)
+    counts = []
+    for route in (lemmata._kernel_images, kernel_images_by_columns):
+        monkeypatch.setattr(lemmata, "_kernel_images", route)
+        ec = EvaluatedComplex(cx, ())
+        full_report(ec)
+        formed.clear()
+        tables.clear()
+        report = lemma_report(ec)
+        assert any(key.startswith(("mild:", "dual_mild:")) for key in report.witnesses)
+        zero = [met for v, met in formed if not v]
+        counts.append((len(formed), len(zero), min(zero), {"del", "delbar"} & set(tables)))
+    assert counts == [(1578, 4, 2, set()), (2436, 862, 0, {"del", "delbar"})]
 
 
 def _witness_bidegree(key):
