@@ -5,8 +5,9 @@ gammabar^1..gammabar^n (type (0,1)).  Monomials are pairs of strictly
 ascending index tuples (I, J) representing
 gamma^{i_1} ^ ... ^ gamma^{i_p} ^ gammabar^{j_1} ^ ... ^ gammabar^{j_q},
 the canonical order being (1,0)-factors first.  Forms are sparse maps
-from monomials to truncated-polynomial scalars; d is extended from the
-structure equations as an odd derivation and splits as del + delbar.
+from monomials to truncated-polynomial scalars; d = del + delbar acts on
+them through column tables the structure equations own, assembled by
+the one Leibniz rule (``leibniz.Layout.assemble``).
 
 Coframe symbols are indexed 0..2n-1: symbol i-1 is gamma^i, symbol
 n+j-1 is gammabar^j.  Endomorphisms of the coframe span (used by the
@@ -16,44 +17,18 @@ matrices over the scalar ring.
 
 from __future__ import annotations
 
-from bisect import bisect
 from itertools import combinations
 from math import comb, factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FlatnessError, IntegrabilityError, NotPerturbative
+from .leibniz import Layout, merge_indices
 from .scalars import ParamScalar, PolyRing, QI_ONE
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 T10 = "T10"
 T01 = "T01"
-
-
-def merge_indices(a: Tuple[int, ...], b: Tuple[int, ...]):
-    """Merge two ascending tuples; returns (sign, merged) or None on repeat."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    out: List[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining factors of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
 
 
 def wedge_mono(m1: Mono, m2: Mono):
@@ -654,15 +629,17 @@ class StructureEquations:
     """A complex Lie algebra with complex structure via d of the coframe.
 
     d_coframe[i] is d(gamma^i), a sum of a (2,0)-part and a (1,1)-part;
-    d(gammabar^i) is its conjugate.  They own their Lie bracket table,
-    which ``deformation.lie_brackets`` reads off d on first use into
-    ``brackets``, and their verdict that they define a complex, which
-    ``require_flat`` decides and ``flat`` keeps once it has passed
-    (d_coframe is never mutated).  ``with_algebra`` keeps one lift per
-    target algebra in ``lifts``, so a lift's bracket table is built once.
+    d(gammabar^i) is its conjugate.  d_coframe is never mutated, so the
+    equations own what is read off it: the Lie bracket table
+    (``deformation.lie_brackets``, in ``brackets``), the del and delbar
+    parts of d of each symbol (``symbol_terms``), a ``layout`` and the
+    column tables of del and delbar by source bidegree (``tables``) that
+    ``apply_del``, ``apply_delbar`` and ``apply_d`` multiply by, and the
+    pass of ``require_flat`` (``flat``).  ``with_algebra`` keeps one lift
+    per algebra in ``lifts``.
     """
 
-    __slots__ = ("name", "n", "algebra", "d_coframe", "brackets", "flat", "lifts")
+    __slots__ = ("name", "n", "algebra", "d_coframe", "brackets", "flat", "lifts", "layout", "terms", "tables")
 
     def __init__(self, name: str, algebra: FormAlgebra, d_coframe: Dict[int, Form]):
         self.name = name
@@ -677,6 +654,9 @@ class StructureEquations:
         self.brackets = None
         self.flat = False
         self.lifts: Dict[FormAlgebra, "StructureEquations"] = {}
+        self.layout = Layout(algebra.n)
+        self.terms: Optional[Dict[str, List[list]]] = None
+        self.tables: Dict[Tuple[str, int, int], List[tuple]] = {}
 
     def with_algebra(self, algebra: FormAlgebra) -> "StructureEquations":
         """The same equations over another scalar ring, built once per
@@ -699,97 +679,98 @@ class StructureEquations:
             return self.d_coframe[s + 1]
         return self.d_coframe[s - n + 1].conj()
 
-    def _del_part(self, s: int) -> Form:
-        # del raises holomorphic degree: (2,0)-part on gamma, (1,1) on gammabar
-        ds = self.d_symbol(s)
-        return ds.component(2, 0) if s < self.n else ds.component(1, 1)
+    def symbol_terms(self, op: str) -> List[list]:
+        """Per coframe symbol, the (I, J, c) terms of the del or delbar part
+        of its d, split once into ``terms``, the one split d = del + delbar:
+        del takes the (2,0)-part of d gamma^i and the (1,1)-part of d
+        gammabar^i.  A part of d gamma^i outside (2,0) + (1,1) raises
+        IntegrabilityError, and nothing is kept."""
+        if self.terms is None:
+            for i, f in self.d_coframe.items():
+                # a (2,0)- or (1,1)-monomial has degree 2 and a gamma factor
+                stray = {m: c for m, c in f.coeffs.items() if len(m[0] + m[1]) != 2 or not m[0]}
+                if stray:
+                    raise IntegrabilityError(f"{self.name}: d gamma^{i} has parts outside (2,0) + (1,1): {Form(self.algebra, stray)!r}")
+            terms: Dict[str, List[list]] = {"del": [], "delbar": []}
+            for s in range(2 * self.n):
+                ds = [(I, J, c) for (I, J), c in self.d_symbol(s).coeffs.items()]
+                terms["del"].append([t for t in ds if len(t[0]) == 2 - (s >= self.n)])
+                terms["delbar"].append([t for t in ds if len(t[0]) != 2 - (s >= self.n)])
+            self.terms = terms
+        return self.terms[op]
 
-    def _delbar_part(self, s: int) -> Form:
-        ds = self.d_symbol(s)
-        return ds.component(1, 1) if s < self.n else ds.component(0, 2)
+    def _assemble_table(self, op: str, p: int, q: int) -> List[tuple]:
+        """The column table of op from (p,q), kept in ``tables``: per monomial
+        position, its (target, coefficient) pairs, from ``symbol_terms`` by
+        the rule of ``EvaluatedComplex.rows`` (``Layout.assemble``)."""
+        tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
+        terms = self.symbol_terms(op)
+        subsets = self.layout.subsets
+        cols: List[list] = [[] for _ in range(self.algebra.dim(p, q))]
+        rows: List[dict] = [{} for _ in range(self.algebra.dim(tp, tq))]
+        if rows:
+            self.layout.assemble(rows, terms, p, q, tq)
+        ctq = comb(self.n, tq)
+        for i, row in enumerate(rows):
+            if row:
+                target = (subsets[tp][i // ctq], subsets[tq][i % ctq])
+                for j, c in row.items():
+                    cols[j].append((target, c))
+        table = self.tables[op, p, q] = [tuple(col) for col in cols]
+        return table
 
-    def _leibniz_terms(
-        self, m: Mono, images: "_SymbolImages"
-    ) -> Iterator[Tuple[bool, Mono, ParamScalar]]:
-        """The terms (negate, monomial, coefficient) of an odd derivation on
-        the monomial m, given the image of each coframe symbol."""
-        I, J = m
-        symbols = [i - 1 for i in I] + [self.n + j - 1 for j in J]
-        for pos, s in enumerate(symbols):
-            ds = images[s]
-            if not ds:
-                continue
-            if pos < len(I):
-                rest = (I[:pos] + I[pos + 1:], J)
-            else:
-                pj = pos - len(I)
-                rest = (I, J[:pj] + J[pj + 1:])
-            # d(w_r) has even degree, so it commutes to the front;
-            # only the Koszul sign of skipping pos factors remains
-            odd = pos % 2 == 1
-            for dm, dc in ds.coeffs.items():
-                r = wedge_mono(dm, rest)
-                if r is not None:
-                    yield (r[0] < 0) != odd, r[1], dc
-
-    def _apply_derivation(self, a: Form, part) -> Form:
-        images = _SymbolImages(part)
+    def _derive(self, a: Form, ops: Tuple[str, ...]) -> Form:
+        """The sum of the derivations ops on a: each monomial times its
+        column of each table, assembled on first use."""
+        rank = self.layout.subset_rank
         out: Dict[Mono, ParamScalar] = {}
-        for m, c in a.coeffs.items():
-            for negate, mm, dc in self._leibniz_terms(m, images):
-                v = dc * c
-                if v:
-                    _accumulate(out, mm, -v if negate else v)
+        for (I, J), c in a.coeffs.items():
+            p, q = len(I), len(J)
+            j = rank[p][I] * len(rank[q]) + rank[q][J]
+            for op in ops:
+                table = self.tables.get((op, p, q))
+                if table is None:
+                    table = self._assemble_table(op, p, q)
+                for target, v in table[j]:
+                    v = v * c
+                    if v:
+                        _accumulate(out, target, v)
         return Form(self.algebra, out)
 
     def apply_d(self, a: Form) -> Form:
-        return self._apply_derivation(a, self.d_symbol)
+        """d = del + delbar on a form of any bidegrees (``symbol_terms``)."""
+        return self._derive(a, ("del", "delbar"))
 
     def apply_del(self, a: Form) -> Form:
-        return self._apply_derivation(a, self._del_part)
+        return self._derive(a, ("del",))
 
     def apply_delbar(self, a: Form) -> Form:
-        return self._apply_derivation(a, self._delbar_part)
+        return self._derive(a, ("delbar",))
 
     def require_flat(self) -> None:
         """Decide that these equations define a complex: IntegrabilityError
-        unless every d gamma^i is a (2,0)- plus a (1,1)-form, FlatnessError
-        unless d^2 vanishes on the 2n coframe generators.
+        unless every d gamma^i is a (2,0)- plus a (1,1)-form (from
+        ``symbol_terms``), FlatnessError unless d^2 vanishes on the 2n
+        coframe generators.
 
         d^2 is an even derivation, so vanishing on the generators means
         vanishing everywhere.  With no (0,2)-part d = del + delbar, so
         del^2, delbar^2 and del delbar + delbar del, the three bidegree
         parts of d^2, vanish with it: the identities every rank verdict of
         ``lemmata`` rests on.  And d^2 = 0 on the generators is the Jacobi
-        identity of the brackets dual to d.  This is the one place in the
-        package that decides either condition.  A pass is kept in
-        ``flat``, so later calls cost nothing; a failure is never stored.
+        identity of the brackets dual to d.  With ``symbol_terms`` this is
+        the one place in the package that decides either condition.  A pass
+        is kept in ``flat``, so later calls cost nothing; a failure is never
+        stored.
         """
         if self.flat:
             return
-        for i, f in self.d_coframe.items():
-            # a (2,0)- or (1,1)-monomial has degree 2 and a gamma factor
-            stray = Form(self.algebra, {m: c for m, c in f.coeffs.items() if len(m[0] + m[1]) != 2 or not m[0]})
-            if stray:
-                raise IntegrabilityError(f"{self.name}: d gamma^{i} has parts outside (2,0) + (1,1): {stray!r}")
         for s in range(2 * self.n):
             dd = self.apply_d(self.apply_d(self.algebra.symbol_form(s)))
             if dd:
                 name = f"gamma^{s + 1}" if s < self.n else f"gammabar^{s - self.n + 1}"
                 raise FlatnessError(f"{self.name} is not flat: d^2 {name} = {dd!r} is nonzero")
         self.flat = True
-
-
-class _SymbolImages(dict):
-    """Coframe symbol s -> its image under a derivation, computed on first use."""
-
-    def __init__(self, part):
-        super().__init__()
-        self.part = part
-
-    def __missing__(self, s: int) -> Form:
-        self[s] = image = self.part(s)
-        return image
 
 
 def _accumulate(out: Dict, key, v) -> None:
@@ -802,72 +783,19 @@ def _accumulate(out: Dict, key, v) -> None:
         del out[key]
 
 
-def _block_terms(index, fixed: Tuple[int, ...], s: Optional[int], k: int):
-    """One block (the gamma or the gammabar indices) of the monomials that
-    a term meets; index is ``InvariantComplex.subset_rank``.
-
-    fixed is this block of the term, s the index of the symbol if it lies
-    in this block (else None), k the size of rest's block.  Per k-subset
-    R of 1..n avoiding fixed and s, yields the position of R with s
-    inserted (source) and of fixed + R (target) among the subsets of
-    their size, and whether the Koszul sign of merging fixed with R and
-    of moving s out of R + s is odd.
-    """
-    avoid = set(fixed)
-    if s:
-        avoid.add(s)
-    src_index, tgt_index = index[k + bool(s)], index[k + len(fixed)]
-    for r in combinations([i for i in range(1, len(index)) if i not in avoid], k):
-        sign, merged = merge_indices(fixed, r)
-        odd = sign < 0
-        col = r
-        if s:
-            pos = bisect(r, s)
-            col = r[:pos] + (s,) + r[pos:]
-            odd ^= pos % 2 == 1
-        yield src_index[col], tgt_index[merged], odd
-
-
 class InvariantComplex:
-    """Bigraded complex of invariant forms: the structure equations plus
-    the one per-size subset table that positions every monomial, and the
-    assembly plans read from it.
-
-    ``subsets[k]`` lists the k-subsets of 1..n in lexicographic order and
-    ``subset_rank[k]`` maps each to its place there.  The basis of (p,q)
-    is I-major, so the monomial (I, J) sits at position
-    subset_rank[p][I] * C(n, q) + subset_rank[q][J], and position i holds
-    (subsets[p][i // C(n, q)], subsets[q][i % C(n, q)]): 2^n subsets
-    position all 4^n monomials, and no monomial is listed.  The matrices of
-    del and delbar are assembled at an evaluation point by
-    ``cohomology.EvaluatedComplex``, straight from the evaluated structure
-    constants, along the plans of ``block_plan``.  A plan depends on n
-    and the shape of a term only, not on the point, so it is kept in the
-    memo ``plans`` and reused across the terms and bidegrees that ask
-    for the same (fixed, s, k).
-    """
+    """Bigraded complex of invariant forms: the structure equations and
+    its own ``layout`` (``leibniz.Layout``), whose plans serve
+    ``cohomology.EvaluatedComplex`` at every point of the complex."""
 
     def __init__(self, se: StructureEquations):
         self.se = se
         self.algebra = se.algebra
         self.n = se.n
-        ids = range(1, self.n + 1)
-        self.subsets = tuple(tuple(combinations(ids, k)) for k in range(self.n + 1))
-        self.subset_rank = tuple({c: i for i, c in enumerate(s)} for s in self.subsets)
-        self.plans: Dict[Tuple[Tuple[int, ...], Optional[int], int], List[Tuple[int, int, bool]]] = {}
+        self.layout = Layout(se.n)
 
     def dim(self, p: int, q: int) -> int:
         return self.algebra.dim(p, q)
-
-    def block_plan(self, fixed: Tuple[int, ...], s: Optional[int], k: int) -> List[Tuple[int, int, bool]]:
-        """The (source position, target position, odd) triples of one
-        block of a term (``_block_terms``), computed on first use and kept
-        in ``plans`` under (fixed, s, k): C(n - |fixed| - [s], k) of them."""
-        key = (fixed, s, k)
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = self.plans[key] = list(_block_terms(self.subset_rank, fixed, s, k))
-        return plan
 
 
 def build_complex(se: StructureEquations) -> InvariantComplex:

@@ -11,9 +11,8 @@ per image, read from those columns, and the tracked forward echelons
 that every minimal-norm del-delbar solve at that point reuses
 (``ddbar_preimage``).  [del | delbar] is a rank, not a matrix.  What
 does not depend on the point belongs to the ``InvariantComplex``: the
-subset table that positions the monomials and the assembly plans
-(``InvariantComplex.block_plan``), each computed once and reused across
-the terms and bidegrees of the complex.
+subset table and the assembly plans (``leibniz.Layout``), reused across
+the terms and bidegrees of the complex, and the equations' terms.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read from a forward
@@ -80,56 +79,6 @@ def _known(op: str, names) -> str:
     return op
 
 
-def _assemble(out: Rows, terms, cx: InvariantComplex, p: int, q: int, tq: int) -> None:
-    """Rows of del or delbar from (p,q) (target gammabar-degree tq), one
-    structure constant at a time.
-
-    For each symbol s, each term (I_d, J_d, c) of its image and each
-    monomial rest of the remaining bidegree that shares no index with s
-    or the term, the Leibniz rule puts +-c at row index((I_d, J_d) ^ rest)
-    and column index(rest + s), with the Koszul sign of
-    ``StructureEquations._leibniz_terms``.  The positions and signs of
-    each block of a term are read from the complex's plan memo
-    (``InvariantComplex.block_plan``), computed once per complex, so only
-    the spreading of the values is done at each point.  Two triples meet
-    at one entry only when d of a symbol contains that symbol; such
-    entries are summed and dropped when they cancel.  Each row's keys end
-    ascending.
-    """
-    n = cx.n
-    plan = cx.block_plan
-    cq, ctq = comb(n, q), comb(n, tq)
-    for s, sterms in enumerate(terms):
-        a, b = (s + 1, None) if s < n else (None, s - n + 1)
-        rp, rq = (p - 1, q) if s < n else (p, q - 1)
-        if rp < 0 or rq < 0:
-            continue
-        for I_d, J_d, c in sterms:
-            # rest's (1,0)-block jumps the (0,1)-block of the term, and a
-            # gammabar symbol sits behind all of rest's (1,0)-factors
-            odd = (len(J_d) * rp + (rp if b else 0)) % 2 == 1
-            neg = -c
-            jparts = plan(J_d, b, rq)
-            for ci, ri, oi in plan(I_d, a, rp):
-                ci, ri, oi = ci * cq, ri * ctq, oi ^ odd
-                for cj, rj, oj in jparts:
-                    row = out[ri + rj]
-                    col = ci + cj
-                    v = neg if oi ^ oj else c
-                    prev = row.get(col)
-                    if prev is None:
-                        row[col] = v
-                    else:
-                        v = prev + v
-                        if v:
-                            row[col] = v
-                        else:
-                            del row[col]
-    for i, row in enumerate(out):
-        if len(row) > 1:
-            out[i] = dict(sorted(row.items()))
-
-
 class EvaluatedComplex:
     """An invariant complex with parameters fixed at an exact point, and
     the one owner of every cache for that point.
@@ -186,14 +135,13 @@ class EvaluatedComplex:
     del and delbar are assembled per structure constant: the del or
     delbar part of d of each coframe symbol is evaluated at the point
     once, and each of its nonzero terms is spread over the monomials it
-    can meet (``_assemble``), along positions and signs planned once per
-    complex (``InvariantComplex.block_plan``), so the cost at a point
-    follows the nonzero count, not the basis.  Each entry is a signed sum
-    of structure constants and evaluation is additive, so the rows equal
-    the evaluation of the symbolic Leibniz-rule matrices entry by entry.  Rows, columns and
-    ``form_to_vec``/``vec_to_form`` position the monomial (I, J) of (p,q)
-    at subset_rank[p][I] * C(n, q) + subset_rank[q][J]
-    (``InvariantComplex``).
+    can meet (``leibniz.Layout.assemble``, the rule of the equations'
+    column tables), along positions and signs planned once per complex,
+    so the cost at a point follows the nonzero count, not the basis.
+    Evaluation is additive, so the rows equal those tables evaluated
+    entry by entry.  Rows, columns and ``form_to_vec``/``vec_to_form``
+    position the monomial (I, J) of (p,q) at
+    subset_rank[p][I] * C(n, q) + subset_rank[q][J] (``Layout``).
     """
 
     def __init__(self, cx: InvariantComplex, point: Sequence[GaussianRational] = ()):
@@ -236,19 +184,17 @@ class EvaluatedComplex:
                 tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
                 out = [{} for _ in range(self.dim(tp, tq))]
                 if self.dim(p, q) and out:
-                    _assemble(out, self._symbol_terms(op), self.cx, p, q, tq)
+                    self.cx.layout.assemble(out, self._symbol_terms(op), p, q, tq)
             self._rows[key] = [r or EMPTY_ROW for r in out]
         return self._rows[key]
 
     def _symbol_terms(self, op: str) -> List[list]:
-        """The del or delbar part of d of each coframe symbol, evaluated
-        once at this point: per symbol, its nonzero terms (I, J, value)."""
+        """``StructureEquations.symbol_terms`` evaluated once at this point:
+        per symbol, its nonzero terms (I, J, value)."""
         if op not in self._terms:
-            se = self.cx.se
-            part = se._del_part if op == "del" else se._delbar_part
             terms = []
-            for s in range(2 * self.n):
-                values = ((I, J, c.eval(self.point)) for (I, J), c in part(s).coeffs.items())
+            for sterms in self.cx.se.symbol_terms(op):
+                values = ((I, J, c.eval(self.point)) for I, J, c in sterms)
                 terms.append([t for t in values if t[2]])
             self._terms[op] = terms
         return self._terms[op]
@@ -464,7 +410,7 @@ class EvaluatedComplex:
     def form_to_vec(self, a: Form, p: int, q: int) -> Vec:
         """The coefficients of a (p,q)-form at this point, keyed by the
         position of each monomial (I, J): rank(I) * C(n, q) + rank(J)."""
-        rank, cq = self.cx.subset_rank, comb(self.n, q)
+        rank, cq = self.cx.layout.subset_rank, comb(self.n, q)
         out: Vec = {}
         m_params = a.algebra.ring.m
         for m, c in a.coeffs.items():
@@ -486,14 +432,14 @@ class EvaluatedComplex:
         """The (p,q)-form of a vector: position i holds the monomial
         (I, J) with I at rank i // C(n, q) and J at rank i % C(n, q)."""
         alg = algebra or self.cx.algebra
-        subsets, cq = self.cx.subsets, comb(self.n, q)
+        subsets, cq = self.cx.layout.subsets, comb(self.n, q)
         return Form(alg, {(subsets[p][i // cq], subsets[q][i % cq]): alg.ring.const(v[i]) for i in sorted(v)})
 
     def form_to_slices(self, a: Form, p: int, q: int) -> Dict[Tuple[int, ...], Vec]:
         """The t-slices of a (p,q)-form whose coefficients are polynomials
         in t: per exponent of t, the vector of that coefficient of every
         monomial, positioned as in ``form_to_vec``."""
-        rank, cq = self.cx.subset_rank, comb(self.n, q)
+        rank, cq = self.cx.layout.subset_rank, comb(self.n, q)
         slices: Dict[Tuple[int, ...], Vec] = {}
         for (I, J), c in a.coeffs.items():
             i = rank[p][I] * cq + rank[q][J]
@@ -508,7 +454,7 @@ class EvaluatedComplex:
         for expo, v in slices.items():
             for i, c in v.items():
                 coeffs.setdefault(i, {})[expo] = c
-        subsets, cq, ring = self.cx.subsets, comb(self.n, q), algebra.ring
+        subsets, cq, ring = self.cx.layout.subsets, comb(self.n, q), algebra.ring
         return Form(algebra, {(subsets[p][i // cq], subsets[q][i % cq]): ParamScalar(ring, coeffs[i]) for i in sorted(coeffs)})
 
 

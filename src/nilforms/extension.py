@@ -220,8 +220,9 @@ def solve_extension(
     reads them.
 
     Raises PreconditionFailed when the order is negative or exceeds the
-    ring truncation, omega0 is not d-closed, phi is not integrable, or a
-    required mild lemma fails at t = 0, and
+    ring truncation, omega0 is zero, of mixed bidegree, t-dependent or
+    not d-closed, phi is not integrable, or a required mild lemma fails
+    at t = 0, and
     ObstructionNonvanishing(order, component) when an order equation is
     exactly unsolvable.
     """
@@ -250,9 +251,9 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
         raise PreconditionFailed(
             f"requested order {order} exceeds the ring truncation {ring.order}"
         )
+    p, q = _initial_bidegree(omega0)
     se_r = se.with_algebra(alg)
     omega0 = omega0.lift(alg)
-    p, q = omega0.bidegree()
     if se_r.apply_d(omega0):
         raise PreconditionFailed("omega0 is not d-closed")
     try:
@@ -270,6 +271,18 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
                     f"the ({mp},{mq})-th mild lemma fails at t = 0"
                 )
     return se_r, omega0, order, ec0
+
+
+def _initial_bidegree(omega0: Form) -> Tuple[int, int]:
+    """The bidegree of omega0, the form at t = 0 that a solve extends;
+    PreconditionFailed if it is zero, of mixed bidegree or t-dependent."""
+    try:
+        pq = omega0.bidegree()
+    except ValueError as exc:
+        raise PreconditionFailed(f"omega0: {exc}") from None
+    if not all(c.is_constant() for c in omega0.coeffs.values()):
+        raise PreconditionFailed("omega0 depends on t; it must be the form at t = 0")
+    return pq
 
 
 def _order_correction(
@@ -401,8 +414,8 @@ def pkahler_extend(
     restore literal realness before the positivity checks.
     """
     alg = phi.algebra
+    p = _initial_bidegree(omega0)[0]
     omega0 = omega0.lift(alg)
-    p = omega0.bidegree()[0]
     check_pkahler_degree(omega0, p, alg.n)
     if omega0.conj() != omega0:
         raise PreconditionFailed("omega0 is not real")

@@ -167,10 +167,10 @@ def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
     i m - i (-1)^(p*p) flip for each pair m = (I, J), flip = (J, I) with
     I before J.  For odd p, i^(p*p) = i and (-1)^(p*p) = -1; for even p
     both are 1.  With a and b the subset ranks of I and J
-    (``InvariantComplex.subsets``), m sits at a * c + b and flip at
+    (``leibniz.Layout.subsets``), m sits at a * c + b and flip at
     b * c + a, c = C(n, p); the vectors follow the monomials in order.
     """
-    c = len(ec.cx.subsets[p])
+    c = len(ec.cx.layout.subsets[p])
     diag, flip_re, flip_im = (QI_I, _MINUS_ONE, QI_I) if p % 2 else (QI_ONE, QI_ONE, _MINUS_I)
     out: List[Vec] = []
     for a in range(c):

@@ -127,8 +127,7 @@ def reconstruct_from_matrix(
 class PositivityVerdict:
     """Outcome of a positivity query.
 
-    kind names the queried property; holds is the decision (None only
-    for an exhausted sampling budget with sub-floor margins); exact
+    kind names the queried property; holds is the decision; exact
     marks proven answers, a certificate or a falsifier, as opposed to
     sampled ones, where no falsifier was found.  A falsifier is a
     decomposable (q,0)-form whose exact pairing volume is non-positive,
@@ -136,7 +135,7 @@ class PositivityVerdict:
     """
 
     kind: str
-    holds: Optional[bool]
+    holds: bool
     exact: bool
     certificate: object = None
     falsifier: Optional[Form] = None
@@ -228,7 +227,6 @@ def is_transverse(
     p: Optional[int] = None,
     samples: int = 200,
     seed: int = 7,
-    margin_floor: Fraction = Fraction(0),
     force_sampled: bool = False,
 ) -> PositivityVerdict:
     """Strict positivity of gamma ^ sigma_q tau ^ conj(tau) over nonzero
@@ -236,10 +234,9 @@ def is_transverse(
 
     Exact Hermitian certificate when every (q,0)-form is decomposable
     (p in {0, 1, n-1, n}); seeded sampling otherwise, returning a
-    falsifier (exact: its pairing volume proves failure), a
-    sampled-positive verdict, or indeterminate when the budget is
-    exhausted with all margins below the floor.  force_sampled
-    runs the sampling path even where a certificate exists.
+    falsifier (exact: its pairing volume proves failure) or a
+    sampled-positive verdict with the smallest margin drawn.
+    force_sampled runs the sampling path even where a certificate exists.
     """
     alg = gamma.algebra
     n = alg.n
@@ -292,14 +289,6 @@ def is_transverse(
             )
         if min_margin is None or margin < min_margin:
             min_margin = margin
-    if margin_floor and (min_margin is None or min_margin < margin_floor):
-        return PositivityVerdict(
-            kind="transverse",
-            holds=None,
-            exact=False,
-            samples_used=samples,
-            min_margin=min_margin,
-        )
     return PositivityVerdict(
         kind="transverse",
         holds=True,
@@ -330,7 +319,7 @@ def pkahler_check(
     check_pkahler_degree(gamma, p, se.n)
     closed = not se.with_algebra(gamma.algebra).apply_d(gamma)
     verdict = is_transverse(gamma, p, samples=samples, seed=seed)
-    return closed and bool(verdict.holds), verdict
+    return closed and verdict.holds, verdict
 
 
 def transversality_along_deformation(

@@ -557,26 +557,74 @@ def vec_to_form_by_basis(ec, v, p: int, q: int):
     return Form(alg, {monos[i]: alg.ring.const(v[i]) for i in sorted(v)})
 
 
-# -- the symbolic assembly that EvaluatedComplex.rows replaced -------------
+# -- the monomial walker that the column tables and EvaluatedComplex.rows replaced
+
+
+def walker_part(se, op: str, s: int):
+    """The del or delbar part of d of coframe symbol s as the walker read
+    it: a bidegree component of d_symbol(s), so a (0,2)-part of some
+    d gamma^i is dropped without a word."""
+    ds = se.d_symbol(s)
+    if op == "del":
+        return ds.component(2, 0) if s < se.n else ds.component(1, 1)
+    return ds.component(1, 1) if s < se.n else ds.component(0, 2)
+
+
+def walker_derivation(se, a, op: str):
+    """del, delbar or d (op "d": both parts) of a form by the monomial
+    walker: per monomial of a and per factor of it, each term of the image
+    of that factor wedged onto the rest, with the Koszul sign of skipping
+    the factors before it."""
+    from nilforms.algebra import Form, wedge_mono
+
+    ops = ("del", "delbar") if op == "d" else (op,)
+    images = {}
+    out = {}
+    for (I, J), c in a.coeffs.items():
+        symbols = [i - 1 for i in I] + [se.n + j - 1 for j in J]
+        for pos, s in enumerate(symbols):
+            if pos < len(I):
+                rest = (I[:pos] + I[pos + 1:], J)
+            else:
+                pj = pos - len(I)
+                rest = (I, J[:pj] + J[pj + 1:])
+            for part in ops:
+                if (part, s) not in images:
+                    images[part, s] = walker_part(se, part, s)
+                # d(w_r) has even degree, so it commutes to the front;
+                # only the Koszul sign of skipping pos factors remains
+                for dm, dc in images[part, s].coeffs.items():
+                    r = wedge_mono(dm, rest)
+                    if r is None:
+                        continue
+                    v = dc * c
+                    if not v:
+                        continue
+                    if (r[0] < 0) != (pos % 2 == 1):
+                        v = -v
+                    prev = out.get(r[1])
+                    v = v if prev is None else prev + v
+                    if v:
+                        out[r[1]] = v
+                    else:
+                        out.pop(r[1], None)
+    return Form(se.algebra, out)
 
 
 def symbolic_columns(cx, op: str, p: int, q: int):
     """Columns of del or delbar with source (p,q) over the parameter ring:
-    the Leibniz rule on every basis monomial of (p,q), each column a dict
-    {target row: ParamScalar}."""
-    from nilforms.algebra import _accumulate, _SymbolImages
+    the walker (``walker_derivation``) on every basis monomial of (p,q),
+    each column a dict {target row: ParamScalar}."""
+    from nilforms.algebra import Form
 
     se = cx.se
-    images = _SymbolImages(se._del_part if op == "del" else se._delbar_part)
+    one = cx.algebra.ring.one()
     tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
     tgt_index = monomial_index(cx, tp, tq) if cx.dim(tp, tq) else {}
-    cols = []
-    for m in cx.algebra.basis(p, q):
-        col = {}
-        for negate, mm, dc in se._leibniz_terms(m, images):
-            _accumulate(col, tgt_index[mm], -dc if negate else dc)
-        cols.append(col)
-    return cols
+    return [
+        {tgt_index[mm]: c for mm, c in walker_derivation(se, Form(cx.algebra, {m: one}), op).coeffs.items()}
+        for m in cx.algebra.basis(p, q)
+    ]
 
 
 def evaluated_rows(cx, op: str, p: int, q: int, point):

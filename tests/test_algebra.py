@@ -10,6 +10,7 @@ from nilforms.algebra import (
     CoframeEndo,
     Form,
     FormAlgebra,
+    InvariantComplex,
     StructureEquations,
     T01,
     T10,
@@ -36,6 +37,7 @@ from oracles import (
     simultaneous_contract_scalar_first,
     sort_word,
     symbolic_columns,
+    walker_derivation,
     word_of_mono,
 )
 
@@ -180,10 +182,95 @@ def test_build_complex_bcvary_dims_and_column():
 
 
 def test_integrability_error_on_02_part():
+    """A (0,2)-part of d gamma^2, beside a (1,1)-part, is refused with
+    require_flat's IntegrabilityError by build_complex and by every route
+    that reads the del or delbar part of d (apply_d, apply_del,
+    apply_delbar, EvaluatedComplex.rows), which used to drop it without
+    a word; nothing is kept, so each call raises again."""
     alg = FormAlgebra(2, PolyRing(0, 0))
-    se = StructureEquations("bad", alg, {2: alg.monomial((), (1, 2))})
-    with pytest.raises(IntegrabilityError):
+    d2 = alg.monomial((), (1, 2)) + alg.monomial((1,), (1,))
+    se = StructureEquations("bad", alg, {2: d2})
+    with pytest.raises(IntegrabilityError) as flat:
         build_complex(se)
+    assert str(flat.value).startswith("bad: d gamma^2 has parts outside (2,0) + (1,1): ")
+    ec = EvaluatedComplex(InvariantComplex(se), ())
+    calls = [
+        lambda: se.apply_d(alg.gamma(1)),
+        lambda: se.apply_del(alg.gammabar(2)),
+        lambda: se.apply_delbar(alg.gamma(2)),
+        lambda: ec.rows("del", 1, 0),
+        lambda: ec.rows("delbar", 0, 1),
+    ]
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(IntegrabilityError) as err:
+                call()
+            assert str(err.value) == str(flat.value)
+    assert se.terms is None and se.tables == {} and not se.flat
+
+
+def _seeded_form(alg, rng, nterms=4):
+    """A sum of nterms monomials of random bidegrees; where the ring has
+    parameters, each coefficient is a polynomial in t and tbar."""
+    ring = alg.ring
+    total = alg.zero()
+    for _ in range(nterms):
+        p, q = rng.next_int(alg.n + 1), rng.next_int(alg.n + 1)
+        basis = alg.basis(p, q)
+        c = ring.const(rng.nonzero_gaussian(3))
+        if ring.m:
+            nu, mu = 1 + rng.next_int(ring.m), 1 + rng.next_int(ring.m)
+            c = c + ring.t(nu) * rng.nonzero_gaussian(3) + ring.t(nu) * ring.tbar(mu) * rng.nonzero_gaussian(3)
+        total = total + Form(alg, {basis[rng.next_int(len(basis))]: c})
+    return total
+
+
+def _typed(form):
+    return {m: (type(c), c) for m, c in form.coeffs.items()}
+
+
+def test_column_tables_equal_the_walker(reference_complexes):
+    """apply_del, apply_delbar and apply_d, through the equations' column
+    tables, equal the monomial walker they replaced
+    (``oracles.walker_derivation``), entries and their types, on every
+    basis monomial of every bidegree of the reference complexes, the
+    parametric bcvary10 family among them, and on seeded forms of mixed
+    bidegree with t-dependent coefficients."""
+    rng = DetRng(41)
+    for label, cx, _ in reference_complexes:
+        alg = cx.algebra
+        se = StructureEquations(cx.se.name, alg, cx.se.d_coframe)  # the fixture's tables stay as they are
+        one = alg.ring.one()
+        forms = [Form(alg, {m: one}) for p in range(cx.n + 1) for q in range(cx.n + 1) for m in alg.basis(p, q)]
+        forms += [_seeded_form(alg, rng) for _ in range(6)]
+        for a in forms:
+            walked = {op: walker_derivation(se, a, op) for op in ("del", "delbar")}
+            assert _typed(se.apply_del(a)) == _typed(walked["del"]), (label, a)
+            assert _typed(se.apply_delbar(a)) == _typed(walked["delbar"]), (label, a)
+            assert _typed(se.apply_d(a)) == _typed(walker_derivation(se, a, "d")), (label, a)
+        assert any(a.coeffs and not all(c.is_constant() for c in a.coeffs.values()) for a in forms) == bool(alg.ring.m)
+
+
+def test_flatness_check_assembles_the_tables_of_degrees_one_and_two(monkeypatch, reference_complexes):
+    """require_flat's d^2 check assembles each column table it reads
+    once, del and delbar from every bidegree of degree 1 and none of a
+    degree above 2; d of the generators again assembles nothing."""
+    assembled = []
+    real = StructureEquations._assemble_table
+    monkeypatch.setattr(
+        StructureEquations, "_assemble_table", lambda se, *key: assembled.append(key) or real(se, *key)
+    )
+    for label, cx, _ in reference_complexes:
+        se = StructureEquations(cx.se.name, cx.algebra, cx.se.d_coframe)
+        assembled.clear()
+        se.require_flat()
+        assert se.flat and len(assembled) == len(set(assembled)), label
+        degree_one = {(op, p, 1 - p) for op in ("del", "delbar") for p in (0, 1)}
+        assert degree_one <= set(assembled) and all(p + q <= 2 for _, p, q in assembled), label
+        assembled.clear()
+        for s in range(2 * se.n):
+            se.apply_d(cx.algebra.symbol_form(s))
+        assert assembled == [], label
 
 
 def test_flatness_error():

@@ -44,6 +44,7 @@ from oracles import (
     representatives,
     torus_oracle,
     vec_to_form_by_basis,
+    walker_part,
 )
 
 
@@ -467,9 +468,7 @@ def test_evaluation_once_per_structure_constant(monkeypatch, iwasawa_c):
     """full_report then lemma_report on Iwasawa x C at t = 0 evaluate each
     term of the del/delbar parts of the 2n symbol images at most once."""
     se = iwasawa_c.se
-    terms = sum(
-        len(part(s).coeffs) for s in range(2 * se.n) for part in (se._del_part, se._delbar_part)
-    )
+    terms = sum(len(walker_part(se, op, s).coeffs) for s in range(2 * se.n) for op in ("del", "delbar"))
     calls = []
     real_eval = ParamScalar.eval
 
@@ -595,20 +594,25 @@ def test_stacked_echelon_extends_dels_into_the_forward_echelon(reference_complex
                     assert {k: list(row.items()) for k, row in d.pivots.items()} == del_rows, at
 
 
-def test_a_second_point_reuses_the_assembly_plans(monkeypatch, bcvary10):
+def test_a_second_point_reuses_the_assembly_plans(bcvary10):
     """On the deformed bcvary10 family, the del and delbar matrices at a
     generic point compute each block plan once; evaluated complexes on
     the same complex at the other generic point and at t = 0, where no
     structure constant is nonzero that was not at the first, compute
     none and leave the memo as it was; the rows at every point equal the
     symbolic oracle's there."""
-    from nilforms import algebra
     from nilforms.deformation import deform_complex
+
+    class Recorded(dict):
+        """A plan memo that records each plan stored, that is computed."""
+
+        def __setitem__(self, key, plan):
+            calls.append(key)
+            super().__setitem__(key, plan)
 
     family = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami))
     calls = []
-    block_terms = algebra._block_terms
-    monkeypatch.setattr(algebra, "_block_terms", lambda index, *key: calls.append(key) or block_terms(index, *key))
+    family.layout.plans = Recorded(family.layout.plans)
     bidegrees = [(op, p, q) for op in ("del", "delbar") for p in range(6) for q in range(6)]
     plans = None
     for pt in generic_points(4) + (zero_point(4),):
@@ -616,12 +620,12 @@ def test_a_second_point_reuses_the_assembly_plans(monkeypatch, bcvary10):
         for op, p, q in bidegrees:
             assert ec.rows(op, p, q) == evaluated_rows(family, op, p, q, pt), (pt, op, p, q)
         if plans is None:
-            plans = dict(family.plans)
+            plans = dict(family.layout.plans)
             assert plans and len(calls) == len(plans) and set(calls) == set(plans)
             calls.clear()
         assert calls == [], pt
-        assert family.plans.keys() == plans.keys()
-        assert all(family.plans[key] is plan for key, plan in plans.items())
+        assert family.layout.plans.keys() == plans.keys()
+        assert all(family.layout.plans[key] is plan for key, plan in plans.items())
 
 
 def test_completing_in_place_changes_nothing_a_caller_saw(monkeypatch, reference_complexes):
@@ -724,10 +728,11 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     del-delbar solves, every empty row of every stored matrix (del,
     delbar, ddbar, total, the adjoints the solves keep, and a stacked
     matrix asked for by name, which the reports never build) is the one
-    ``EMPTY_ROW``, which refuses a write; the complex keeps only the
-    per-size subset table, 2^n subsets, and the assembly plans, each a
-    list of one entry per subset of one block, so no list or dict per
-    monomial."""
+    ``EMPTY_ROW``, which refuses a write; the complex keeps only its
+    layout, the per-size subset table, 2^n subsets, and the assembly
+    plans, each a list of one entry per subset of one block, so no list
+    or dict per monomial; and the equations hold column tables for the
+    degrees 1 and 2 of their flatness check only."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     ec = EvaluatedComplex(cx, ())
     full_report(ec)
@@ -745,10 +750,12 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
         empty[0][0] = QI_ONE
     assert EMPTY_ROW == {}
     n = cx.n
-    assert set(vars(cx)) == {"se", "algebra", "n", "subsets", "subset_rank", "plans"}
-    assert sum(map(len, cx.subsets)) == sum(map(len, cx.subset_rank)) == 2 ** n
-    assert cx.plans
-    for (fixed, s, k), plan in cx.plans.items():
+    assert set(vars(cx)) == {"se", "algebra", "n", "layout"}
+    layout = cx.layout
+    assert sum(map(len, layout.subsets)) == sum(map(len, layout.subset_rank)) == 2 ** n
+    assert {p + q for _, p, q in cx.se.tables} == {1, 2}
+    assert layout.plans
+    for (fixed, s, k), plan in layout.plans.items():
         assert type(plan) is list and len(plan) == comb(n - len(fixed) - bool(s), k)
         for src, tgt, odd in plan:
             assert 0 <= src < comb(n, k + bool(s)) and 0 <= tgt < comb(n, k + len(fixed))

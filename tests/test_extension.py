@@ -549,6 +549,24 @@ def test_pkahler_extend_torus():
     assert all(v.exact for v in ext.verdicts)  # p = 1 certificates are exact
 
 
+def test_unextendable_omega0_refused(bcvary10):
+    """solve_extension and pkahler_extend refuse, before any work, an
+    omega0 that is zero, of mixed bidegree, or t-dependent: t1 times the
+    (4,4) volume form vanishes at t = 0, and a solve read it as d-closed
+    through every order."""
+    se, phi = bcvary10.se, bcvary10.beltrami
+    alg = phi.algebra
+    cases = [
+        (alg.zero(), r"^omega0: zero form has no bidegree$"),
+        (alg.gamma(1) + alg.monomial((1, 2), ()), r"^omega0: form is not homogeneous: \[\(1, 0\), \(2, 0\)\]$"),
+        (alg.monomial((1, 2, 3, 4), (1, 2, 3, 4), alg.ring.t(1)), r"^omega0 depends on t"),
+    ]
+    for omega0, match in cases:
+        for extend in (solve_extension, pkahler_extend):
+            with pytest.raises(PreconditionFailed, match=match):
+                extend(se, phi, omega0)
+
+
 def test_negative_and_excessive_orders_refused(bcvary10):
     """solve_extension and pkahler_extend refuse a negative order, as they
     refuse one past the ring truncation, instead of reporting a vacuous
@@ -625,10 +643,13 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     unshrink.  No solve applies shrink, so its images appear only with
     pkahler_extend, whose symmetrized check maps omega back to W.  A
     non-integrable phi is still refused.  No table is stored for
-    equations that are not flat."""
+    equations that are not flat.  The second solve assembles no column
+    table of del or delbar and no matrix: the equations keep their
+    tables and ec0 its rows."""
     from nilforms import deformation, extension
     from nilforms.algebra import StructureEquations
     from nilforms.errors import FlatnessError
+    from nilforms.leibniz import Layout
 
     entry = catalog_load("bcvary10")  # a fresh se and phi, nothing cached yet
     se, phi = entry.se, entry.beltrami
@@ -651,14 +672,20 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
         deformation, "check_integrability", counting("integrability", deformation.check_integrability)
     )
 
+    assembled = []
+    real_assemble = Layout.assemble
+    monkeypatch.setattr(Layout, "assemble", lambda layout, *a: assembled.append(layout) or real_assemble(layout, *a))
+
     first = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
     assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
+    assert se.with_algebra(phi.algebra).layout in assembled
+    assembled.clear()
     ops = phi.operators
     endos = (ops.ext_transform, ops.unshrink)
     warm = [dict(b.images) for b in endos]
     assert all(len(images) > 1 for images in warm) and ops.shrink.images is None
     second = solve_extension(se, phi, omega0.scale(QI(2, -3)), ec0=ec0, check_lemmata=False)
-    assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
+    assert counts == {"tables": 1, "neumann": 1, "integrability": 1} and assembled == []
     for b, images in zip(endos, warm):  # no entry added, none rebuilt
         assert b.images.keys() == images.keys() and all(b.images[k] is v for k, v in images.items())
     assert ops.shrink.images is None

@@ -303,7 +303,14 @@ MALFORMED_BELTRAMI = {
     "key_padded_twice": '{"n": 5, "m": 4, "components": {"2": [' + _BELTRAMI_T1 + '], "02": [' + _BELTRAMI_T2 + ']}}',
     "key_twice": '{"n": 5, "m": 4, "components": {"2": [' + _BELTRAMI_T1 + '], "2": [' + _BELTRAMI_T2 + ']}}',
 }
-MALFORMED = {"se": MALFORMED_SE, "form": MALFORMED_FORM, "beltrami": MALFORMED_BELTRAMI}
+#: well-formed forms that extend cannot take as omega0: zero, of mixed
+#: bidegree, and t1 times the (4,4) volume form, which vanishes at t = 0
+UNEXTENDABLE_FORM = {
+    "zero": '{"n": 5, "terms": []}',
+    "mixed": '{"n": 5, "terms": [{"coeff": "1", "I": [1], "J": []}, {"coeff": "1", "I": [1, 2], "J": []}]}',
+    "t_dependent": '{"n": 5, "m": 4, "truncation": 4, "terms": [{"coeff": "t1", "I": [1, 2, 3, 4], "J": [1, 2, 3, 4]}]}',
+}
+MALFORMED = {"se": MALFORMED_SE, "form": MALFORMED_FORM, "beltrami": MALFORMED_BELTRAMI, "omega0": UNEXTENDABLE_FORM}
 _POSITIVITY = ["positivity", "--manifold", "catalog:bcvary10", "--p", "4"]
 _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced"]
 
@@ -353,6 +360,11 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         *(["--order", "0", cmd, "--manifold", "catalog:bcvary10", "--t", "1/3,0,0,0", *more]
           for cmd, more in (("cohomology", []), ("lemmata", []), ("deform", ["--beltrami", "catalog"]))),
         ["--order", "0", *_EXTEND, "--beltrami", "catalog"],
+        # an omega0 with no bidegree or no value at t = 0, with and without --pkahler
+        *(["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--form", f"omega0-file:{name}"]
+          for name in UNEXTENDABLE_FORM),
+        ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--form", "omega0-file:zero",
+         "--pkahler", "4"],
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):

@@ -462,10 +462,8 @@ def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3)
     checked on the first verdict, two derivations (d, then d again) per
     coframe generator, and never again."""
     calls = []
-    real = StructureEquations._apply_derivation
-    monkeypatch.setattr(
-        StructureEquations, "_apply_derivation", lambda self, a, part: calls.append(a) or real(self, a, part)
-    )
+    real = StructureEquations.apply_d
+    monkeypatch.setattr(StructureEquations, "apply_d", lambda self, a: calls.append(a) or real(self, a))
     se = StructureEquations(iwasawa3.se.name, iwasawa3.se.algebra, iwasawa3.se.d_coframe)
     cx = build_complex(se)
     assert se.flat

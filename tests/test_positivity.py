@@ -249,11 +249,3 @@ def test_transversality_along_deformation(bcvary10):
     big = tuple(QI(10) for _ in range(4))
     out = transversality_along_deformation(bcvary10.se, phi, omega, [big], samples=10)
     assert out[0].holds in (True, False)
-
-
-def test_indeterminate_on_floor():
-    gamma = reconstruct_from_matrix(ALG3, 1, [[QI(1), QI(0), QI(0)], [QI(0), QI(1), QI(0)], [QI(0), QI(0), QI(1)]])
-    verdict = is_transverse(
-        gamma, 1, force_sampled=True, samples=10, seed=5, margin_floor=Fraction(10**9)
-    )
-    assert verdict.holds is None and verdict.samples_used == 10
