@@ -36,7 +36,6 @@ from .cohomology import (
 )
 from .deformation import (
     BeltramiDifferential,
-    KuranishiResult,
     LieBracketTable,
     as_beltrami,
     check_integrability,
@@ -44,7 +43,6 @@ from .deformation import (
     delbar_on_vectors,
     evaluate_se,
     fiber_complex,
-    kuranishi_expand,
     lie_brackets,
     main1_residual,
     schouten,

@@ -69,12 +69,39 @@ def _torus(n: int, name: str) -> CatalogEntry:
     )
 
 
-def _iwasawa() -> CatalogEntry:
+def _iwasawa(order: int) -> CatalogEntry:
+    """The Iwasawa manifold, with Nakamura's (1975) Kuranishi family in
+    closed form: with D = t1 t4 - t2 t3,
+
+      phi = theta_1 (x) (t1 gammabar^1 + t2 gammabar^2)
+          + theta_2 (x) (t3 gammabar^1 + t4 gammabar^2)
+          + theta_3 (x) (t5 gammabar^1 + t6 gammabar^2 - D gammabar^3),
+
+    linear in the six harmonic directions plus the degree-2 term that
+    makes it exactly integrable.  Nakamura's classes are (i) t1 = t2 =
+    t3 = t4 = 0, (ii) D = 0 otherwise and (iii) D != 0.  The structure
+    equations stay on the ring without parameters: they are the fiber at
+    t = 0, and what deforms them lifts them to phi's ring."""
     alg = FormAlgebra(3, PolyRing(0, 0))
     se = StructureEquations("iwasawa3", alg, {3: alg.monomial((1, 2), (), -1)})
+    ring = PolyRing(6, order)
+    alg_t = FormAlgebra(3, ring)
+    t1, t2, t3, t4, t5, t6 = (ring.t(i) for i in range(1, 7))
+    g1, g2, g3 = (alg_t.gammabar(j) for j in (1, 2, 3))
+    phi = VectorValuedForm(
+        alg_t,
+        T10,
+        {
+            1: g1.scale(t1) + g2.scale(t2),
+            2: g1.scale(t3) + g2.scale(t4),
+            3: g1.scale(t5) + g2.scale(t6) - g3.scale(t1 * t4 - t2 * t3),
+        },
+    )
     return CatalogEntry(
         name="iwasawa3",
         se=se,
+        beltrami=phi,
+        forms={"balanced": _balanced(alg)},
         golden=[
             GoldenValue("weak(2)", True, "literature: the complex parallelizable case satisfies the (2,3)-th weak lemma"),
             GoldenValue("dual_mild(2,3)", True, "literature: and the dual mild one"),
@@ -82,6 +109,14 @@ def _iwasawa() -> CatalogEntry:
             GoldenValue("betti", [1, 4, 8, 10, 8, 4, 1], "derived: total-complex ranks, exhaustive"),
         ],
     )
+
+
+def _balanced(alg: FormAlgebra) -> Form:
+    """sum over |I| = n-1 of gamma^I ^ gammabar^I."""
+    balanced = alg.zero()
+    for I in combinations(range(1, alg.n + 1), alg.n - 1):
+        balanced = balanced + alg.monomial(I, I)
+    return balanced
 
 
 def _bcvary(order: int) -> CatalogEntry:
@@ -101,14 +136,11 @@ def _bcvary(order: int) -> CatalogEntry:
             5: alg.gammabar(4).scale(t3) + alg.gammabar(5).scale(t4),
         },
     )
-    balanced = alg.zero()
-    for I in combinations((1, 2, 3, 4, 5), 4):
-        balanced = balanced + alg.monomial(I, I)
     return CatalogEntry(
         name="bcvary10",
         se=se,
         beltrami=phi,
-        forms={"balanced": balanced},
+        forms={"balanced": _balanced(alg)},
         golden=[
             GoldenValue("h_bc(4,4)@0", 19, "literature: varies from 19 to 17"),
             GoldenValue("h_bc(4,4)@generic", 17, "literature: varies from 19 to 17"),
@@ -134,7 +166,7 @@ def catalog_load(name: str, order: int = DEFAULT_ORDER) -> CatalogEntry:
     if name == "torus3":
         return _torus(3, "torus3")
     if name == "iwasawa3":
-        return _iwasawa()
+        return _iwasawa(order)
     if name == "bcvary10":
         return _bcvary(order)
     m = _ABELIAN_RE.match(name)

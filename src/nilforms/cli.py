@@ -96,11 +96,12 @@ def _load_beltrami(ref: str, entry):
     """The catalog's family (ref 'catalog') or a Beltrami file.  A
     family vanishes at t = 0, so it has degree at least 1 in t: a ring of
     order 0 truncates it to phi = 0, and a deformed point would be
-    answered as t = 0, so order 0 is refused."""
+    answered as t = 0, so order 0 of the family's ring is refused (se's
+    ring may be another, without parameters)."""
     if ref == "catalog":
         if entry.beltrami is None:
             raise NilformsError(f"catalog entry {entry.name!r} has no Beltrami family")
-        if entry.se.algebra.ring.order < 1:
+        if entry.beltrami.algebra.ring.order < 1:
             raise NilformsError(
                 f"--order 0 truncates the Beltrami family of {entry.name!r} to phi = 0; "
                 "use --order 1 or more"
@@ -122,11 +123,14 @@ def _load_form(ref: str, entry, algebra: Optional[FormAlgebra] = None):
 
 
 def _evaluated(entry, t_text: Optional[str]):
-    """The complex of entry's fiber at --t (t = 0 without it) and the
-    point; a point off t = 0 reads the family through ``_load_beltrami``,
-    which refuses --order 0."""
-    m = entry.se.algebra.ring.m
-    point = _parse_point(t_text, m) if t_text is not None else zero_point(m)
+    """The complex of entry's fiber at --t and the point.  --t is a point
+    of the family's ring when entry has a family, else of se's; without
+    it the point is se's own t = 0.  A point off t = 0 reads the family
+    through ``_load_beltrami``, which refuses --order 0."""
+    if t_text is None:
+        point = zero_point(entry.se.algebra.ring.m)
+    else:
+        point = _parse_point(t_text, (entry.se if entry.beltrami is None else entry.beltrami).algebra.ring.m)
     phi = _load_beltrami("catalog", entry) if entry.beltrami is not None and any(point) else None
     return fiber_complex(entry.se, phi, point), point
 
@@ -284,10 +288,8 @@ def _cmd_extend(args) -> int:
 def _cmd_positivity(args) -> int:
     entry = _load_manifold(args.manifold, args.order)
     omega = _load_form(args.form, entry)
-    point = zero_point(omega.algebra.ring.m)
-    ev = omega.eval(point)
-    d_closed = not entry.se.with_algebra(omega.algebra).apply_d(omega)
-    pk, verdict = pkahler_check(entry.se, omega, args.p, samples=args.samples, seed=args.seed)
+    ev = omega.eval(zero_point(omega.algebra.ring.m))
+    pk, d_closed, verdict = pkahler_check(entry.se, omega, args.p, samples=args.samples, seed=args.seed)
     try:
         strict = is_strictly_positive(ev, args.p).holds
     except NilformsError:

@@ -10,11 +10,8 @@ del gamma correction on non-abelian ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import (
@@ -31,9 +28,8 @@ from .algebra import (
     neumann_invert,
     simultaneous_contract,
 )
-from .cohomology import EvaluatedComplex, zero_point
+from .cohomology import EvaluatedComplex
 from .errors import IntegrabilityError, NonInvertibleCoframe
-from .linalg import Rows
 from .scalars import GaussianRational, ParamScalar, PolyRing
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -110,17 +106,13 @@ def lie_brackets(se: StructureEquations) -> LieBracketTable:
 # -- differentials on vector-valued forms ---------------------------------
 
 
-def _frame_derivative(se: StructureEquations, v: VectorValuedForm, holomorphic: bool) -> VectorValuedForm:
-    """delbar (holomorphic=False) or del (True) on a vector-valued form.
-
-    delbar(omega (x) e) = delbar omega (x) e + (-1)^|omega| omega ^
-    gammabar^k (x) [thetabar_k, e] (valence-respecting part), and the
-    mirrored formula with gamma^k and [theta_k, e] for del.
-    """
+def delbar_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValuedForm:
+    """delbar on a vector-valued form: delbar(omega (x) e) = delbar omega
+    (x) e + (-1)^|omega| omega ^ gammabar^k (x) [thetabar_k, e], the part
+    of the bracket of e's valence."""
     alg = v.algebra
     n = alg.n
     table = lie_brackets(se)
-    apply_scalar = se.apply_del if holomorphic else se.apply_delbar
     out: Dict[int, Form] = {}
 
     def add(i: int, f: Form):
@@ -128,13 +120,11 @@ def _frame_derivative(se: StructureEquations, v: VectorValuedForm, holomorphic: 
             out[i] = out.get(i, alg.zero()) + f
 
     for i, comp in v.components.items():
-        add(i, apply_scalar(comp))
-        deg = _total_degree(comp)
-        sign = -1 if deg % 2 else 1
+        add(i, se.apply_delbar(comp))
+        sign = -1 if _total_degree(comp) % 2 else 1
         e_sym = (i - 1) if v.valence == T10 else (n + i - 1)
         for k in range(1, n + 1):
-            frame_sym = (k - 1) if holomorphic else (n + k - 1)
-            br = table.bracket(frame_sym, e_sym)
+            br = table.bracket(n + k - 1, e_sym)
             part = (
                 {s: c for s, c in br.items() if s < n}
                 if v.valence == T10
@@ -142,8 +132,7 @@ def _frame_derivative(se: StructureEquations, v: VectorValuedForm, holomorphic: 
             )
             if not part:
                 continue
-            one_form = alg.gamma(k) if holomorphic else alg.gammabar(k)
-            wedge = comp.wedge(one_form)
+            wedge = comp.wedge(alg.gammabar(k))
             if sign < 0:
                 wedge = -wedge
             if not wedge:
@@ -159,10 +148,6 @@ def _total_degree(f: Form) -> int:
     if len(degs) > 1:
         raise ValueError("component of mixed total degree")
     return degs.pop() if degs else 0
-
-
-def delbar_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValuedForm:
-    return _frame_derivative(se, v, holomorphic=False)
 
 
 # -- Schouten bracket -------------------------------------------------------
@@ -308,14 +293,15 @@ def deform_complex(
 def fiber_complex(
     se: StructureEquations, phi: Optional[VectorValuedForm], point: Sequence[GaussianRational]
 ) -> EvaluatedComplex:
-    """The evaluated complex of the fiber at point: se's own when its ring
-    has no parameters, so se's ``require_flat`` pass is reused; se
-    deformed along phi (``deform_complex``) when phi is given and the
-    point is not t = 0; else se evaluated at the point."""
-    if se.algebra.ring.m == 0:
-        fiber = se
-    elif phi is not None and any(point):
+    """The evaluated complex of the fiber at point, a point of phi's ring
+    when phi is given: se deformed along phi (``deform_complex``) when
+    phi is given and the point is not t = 0; else se's own when its ring
+    has no parameters, so se's ``require_flat`` pass is reused, even
+    where phi's ring has some; else se evaluated at the point."""
+    if phi is not None and any(point):
         fiber = deform_complex(se, phi, point=point)
+    elif se.algebra.ring.m == 0:
+        fiber = se
     else:
         fiber = evaluate_se(se, point)
     return EvaluatedComplex(build_complex(fiber), ())
@@ -334,145 +320,3 @@ def _deformed_equations(
     deformed = StructureEquations(f"{se.name}:deformed", alg, out)
     deformed.require_flat()
     return deformed
-
-
-# -- Kuranishi recursion -----------------------------------------------------
-
-
-class VectorHodge:
-    """Hodge machinery for A^{0,q}(T^{1,0}) in the orthonormal frame
-    {gammabar^J (x) theta_i}, over a constant scalar ring."""
-
-    def __init__(self, se: StructureEquations):
-        if se.algebra.ring.m != 0:
-            raise ValueError("VectorHodge runs at a fixed structure (constant ring)")
-        self.se = se
-        self.alg = se.algebra
-        self.n = se.n
-        self._basis: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-        self._rows: Dict[int, Rows] = {}
-
-    def basis(self, q: int) -> List[Tuple[int, Tuple[int, ...]]]:
-        if q not in self._basis:
-            self._basis[q] = [
-                (i, J)
-                for i in range(1, self.n + 1)
-                for J in combinations(range(1, self.n + 1), q)
-            ]
-        return self._basis[q]
-
-    def dim(self, q: int) -> int:
-        return self.n * comb(self.n, q)
-
-    def vvf_to_vec(self, v: VectorValuedForm, q: int) -> Dict[int, object]:
-        index = {bk: pos for pos, bk in enumerate(self.basis(q))}
-        out: Dict[int, object] = {}
-        for i, comp in v.components.items():
-            for (I, J), c in comp.coeffs.items():
-                if I or len(J) != q:
-                    raise ValueError("component outside A^{0,q}")
-                out[index[(i, J)]] = c
-        return out
-
-    def vec_to_vvf(self, vec: Dict[int, object], q: int, alg: FormAlgebra) -> VectorValuedForm:
-        basis = self.basis(q)
-        comps: Dict[int, Form] = {}
-        for pos, c in vec.items():
-            i, J = basis[pos]
-            scalar = c if isinstance(c, ParamScalar) else alg.ring.const(c)
-            mono_form = Form(alg, {((), J): scalar})
-            comps[i] = comps.get(i, alg.zero()) + mono_form
-        return VectorValuedForm(alg, T10, comps)
-
-    def delbar_rows(self, q: int) -> Rows:
-        if q not in self._rows:
-            rows: Rows = [{} for _ in range(self.dim(q + 1))]
-            index = {bk: pos for pos, bk in enumerate(self.basis(q + 1))}
-            for col, (i, J) in enumerate(self.basis(q)):
-                v = VectorValuedForm(
-                    self.alg, T10, {i: Form(self.alg, {((), J): self.alg.ring.one()})}
-                )
-                dv = delbar_on_vectors(self.se, v)
-                for ii, comp in dv.components.items():
-                    for (I2, J2), c in comp.coeffs.items():
-                        rows[index[(ii, J2)]][col] = c.constant_term()
-            self._rows[q] = rows
-        return self._rows[q]
-
-    def laplacian_rows(self, q: int) -> Rows:
-        total = linalg.zero_rows(self.dim(q))
-        if q + 1 <= self.n:
-            d = self.delbar_rows(q)
-            dstar = linalg.conj_transpose(d, self.dim(q))
-            total = linalg.mat_add(total, linalg.mat_mul(dstar, d))
-        if q >= 1:
-            dprev = self.delbar_rows(q - 1)
-            dprev_star = linalg.conj_transpose(dprev, self.dim(q - 1))
-            total = linalg.mat_add(total, linalg.mat_mul(dprev, dprev_star))
-        return total
-
-
-@dataclass
-class KuranishiResult:
-    """Power-series family phi(t) plus the per-order obstruction data."""
-
-    harmonic_basis: List[VectorValuedForm]
-    phi: VectorValuedForm
-    obstructions: List[VectorValuedForm]  # harm. projection of [phi,phi]_k
-    ring: PolyRing
-
-    @property
-    def unobstructed_through_order(self) -> bool:
-        return all(ob.is_zero() for ob in self.obstructions)
-
-
-def kuranishi_expand(
-    se: StructureEquations,
-    basis_directions: Optional[Sequence[int]] = None,
-    order: int = 4,
-) -> KuranishiResult:
-    """phi_1 = sum t_nu eta_nu plus the recursive higher-order corrections
-    phi_k = (1/2) delbar* G sum_{i+j=k} [phi_i, phi_j], with the harmonic
-    projections of [phi,phi] reported order by order."""
-    se0 = se if se.algebra.ring.m == 0 else evaluate_se(se, zero_point(se.algebra.ring.m))
-    vh = VectorHodge(se0)
-    harm_vecs = linalg.nullspace(vh.laplacian_rows(1), vh.dim(1))
-    if basis_directions is not None:
-        harm_vecs = [harm_vecs[i] for i in basis_directions]
-    m = len(harm_vecs)
-    ring = PolyRing(m, order)
-    alg = FormAlgebra(se0.n, ring)
-    se_r = se0.with_algebra(alg)
-    eta = [vh.vec_to_vvf(v, 1, FormAlgebra(se0.n, PolyRing(0, 0))) for v in harm_vecs]
-
-    # phi_1 = sum t_nu eta_nu
-    phi_orders: List[VectorValuedForm] = []
-    phi1 = VectorValuedForm(alg, T10, {})
-    for nu, h in enumerate(harm_vecs):
-        t = ring.t(nu + 1)
-        lifted = vh.vec_to_vvf({k: t * c for k, c in h.items()}, 1, alg)
-        phi1 = phi1 + lifted
-    phi_orders.append(phi1)
-
-    dstar_rows = linalg.conj_transpose(vh.delbar_rows(1), vh.dim(1))
-    hproj2, green2 = linalg.harmonic_green(vh.laplacian_rows(2), vh.dim(2))
-    solve_rows = linalg.mat_mul(dstar_rows, green2)
-
-    obstructions: List[VectorValuedForm] = []
-    for k in range(2, order + 1):
-        bracket_k = VectorValuedForm(alg, T10, {})
-        for i in range(1, k):
-            j = k - i
-            if i <= len(phi_orders) and j <= len(phi_orders):
-                bracket_k = bracket_k + schouten(se_r, phi_orders[i - 1], phi_orders[j - 1])
-        bvec = vh.vvf_to_vec(bracket_k, 2)
-        obs_vec = linalg.mat_vec(hproj2, bvec)
-        obstructions.append(vh.vec_to_vvf(obs_vec, 2, alg))
-        corr_vec = linalg.mat_vec(solve_rows, bvec)
-        corr = vh.vec_to_vvf(corr_vec, 1, alg).scale(HALF)
-        phi_orders.append(corr)
-
-    phi = phi_orders[0]
-    for extra in phi_orders[1:]:
-        phi = phi + extra
-    return KuranishiResult(eta, phi, obstructions, ring)

@@ -46,11 +46,12 @@ its witness: the first vector of the tested space outside im deldelbar.
 For mild that space is del of ker deldelbar, whose vectors are read
 from its RREF one at a time, none kept (``ec.kernel_vectors``), so the
 route stops at the witness; those that meet no nonzero column of del
-are skipped, and the others' images formed from del's rows.  Strong's
-space is the sum of the spaces that mild and dual mild test, so strong
-fails exactly when one of them fails, and its witness is theirs: mild's
-at (p,q) if mild fails, else dual mild's (``lemma_report`` reuses the
-two it holds, and checks strong = mild and dual mild).  For weak that
+are skipped, and the others' images formed from a column map of del
+read once per scan.  Strong's space is the sum of the spaces that mild
+and dual mild test, so strong fails exactly when one of them fails,
+and its witness is theirs: mild's at (p,q) if mild fails, else dual
+mild's (``lemma_report`` reuses the two it holds, and checks strong =
+mild and dual mild).  For weak that
 is one tracked forward elimination over Q (``linalg.relations_modulo``)
 of T, then of the realified basis E_j of im del: each E_j that adds
 nothing gives the one w = E_j - sum gamma_t E_t in T, as the RREF
@@ -64,6 +65,7 @@ Every decider refuses a bidegree outside 0..n (``ec.check_bidegree``).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -122,16 +124,19 @@ def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
 
 def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Vec]:
     """The nonzero images under op of the deldelbar kernel vectors, into
-    (p,q), each built when the scan reaches it and none kept.  A vector
-    that meets no nonzero column of op is skipped, and the others' images
-    are formed from the columns they touch, read from op's nonempty rows:
-    no column table of op is built."""
+    (p,q), each built when the scan reaches it and none kept, from the
+    columns of op that it touches; a vector that touches no nonzero
+    column is skipped.  The column map is read from op's rows once per
+    scan, so each entry of op is read once, and is dropped with the
+    scan: the complex keeps no column table of op."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
-    rows = [(i, r) for i, r in enumerate(ec.rows(op, sp, sq)) if r]
-    live = set().union(*(r for _, r in rows))
+    cols: Dict[int, Vec] = defaultdict(dict)
+    for i, r in enumerate(ec.rows(op, sp, sq)):
+        if r:
+            for k, c in r.items():
+                cols[k][i] = c
     for x in ec.kernel_vectors("ddbar", sp, sq):
-        touched = live.intersection(x)
-        v = touched and linalg.columns_vec({k: {i: r[k] for i, r in rows if k in r} for k in touched}, x)
+        v = not cols.keys().isdisjoint(x) and linalg.columns_vec(cols, x)
         if v:
             yield v
 

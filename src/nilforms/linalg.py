@@ -19,37 +19,25 @@ own, ``relations_modulo`` reads the relations of vectors modulo a span
 from it (weak's witness), and ``solve`` the combination that gives a
 vector.  ``tracked_echelon`` tracks a list of columns; ``ddbar_preimage``
 solves with it, and ``solve_square`` reads X with A X = B from it, for
-the coframe inverse of ``deform_complex`` at a point and the Green
-operators of ``harmonic_green`` (Kuranishi, and the tests' Hodge
-oracle).  ``hermitian_pivots``, the exact positivity certificate,
-eliminates the rows of a Hermitian matrix forward, each tracked.  Where
-a kernel is read (``Echelon.kernel``, and ``nullspace`` through it), the
-echelon completes itself in place into the reduced row echelon form
-(RREF), once, and builds each kernel vector from it as a caller asks.
+the coframe inverse of ``deform_complex`` at a point (and the Green
+operators of the tests' Hodge and Kuranishi oracles).
+``hermitian_pivots``, the exact positivity certificate, eliminates the
+rows of a Hermitian matrix forward, each tracked.  Where a kernel is
+read (``Echelon.kernel``, and ``nullspace`` through it), the echelon
+completes itself in place into the reduced row echelon form (RREF),
+once, and builds each kernel vector from it as a caller asks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .scalars import GaussianRational, QI_I, QI_ONE, QI_ZERO, _div
 
 Vec = Dict[int, object]
 Rows = List[Vec]
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for k, x in v.items():
-        s = out.get(k)
-        s = x if s is None else s + x
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
 
 
 def vec_scale(v: Vec, c) -> Vec:
@@ -59,8 +47,9 @@ def vec_scale(v: Vec, c) -> Vec:
 
 
 def add_scaled_into(u: Vec, c, v: Vec) -> None:
-    """u += c*v in place: the entries, key order and types of
-    vec_add(u, vec_scale(v, c)), with no copy of u."""
+    """u += c*v in place, with no copy of u: the entry of each key of v
+    is added to u's, or inserted after u's keys, and a sum of 0 is
+    removed."""
     if not c:
         return
     for k, x in v.items():
@@ -309,8 +298,8 @@ def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
 
 def mat_vec(rows: Rows, x: Vec) -> Vec:
     """M x.  Each product is taken vector entry first, so x may also hold
-    truncated polynomials over a constant Q(i) matrix (the Kuranishi
-    recursion's harmonic projection and correction)."""
+    truncated polynomials over a constant Q(i) matrix (the tests'
+    Kuranishi recursion)."""
     out: Vec = {}
     for i, r in enumerate(rows):
         if r:
@@ -358,14 +347,6 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
     return out
 
 
-def mat_add(a: Rows, b: Rows) -> Rows:
-    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Rows, c) -> Rows:
-    return [vec_scale(r, c) for r in a]
-
-
 def conj_transpose(rows: Rows, ncols: int) -> Rows:
     out: Rows = [{} for _ in range(ncols)]
     for i, r in enumerate(rows):
@@ -379,45 +360,12 @@ def identity_rows(n: int, one=QI_ONE) -> Rows:
     return [{i: one} for i in range(n)]
 
 
-def zero_rows(n: int) -> Rows:
-    return [{} for _ in range(n)]
-
-
 def columns_of(rows: Rows, ncols: int) -> List[Vec]:
     cols: List[Vec] = [{} for _ in range(ncols)]
     for i, r in enumerate(rows):
         for j, c in r.items():
             cols[j][i] = c
     return cols
-
-
-def rows_from_columns(cols: Sequence[Vec], nrows: int) -> Rows:
-    out: Rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            out[i][j] = c
-    return out
-
-
-def harmonic_green(lap: Rows, dim: int) -> Tuple[Rows, Rows]:
-    """(H, G) for a self-adjoint Laplacian box on a dim-dimensional space
-    with the standard inner product: H the orthogonal projector onto
-    ker box, and G the one square solve of (box + H) G = 1 - H, the unique
-    operator with box G = 1 - H and G H = H G = 0."""
-    kernel = nullspace(lap, dim)
-    if kernel:
-        r = len(kernel)
-        kmat = rows_from_columns(kernel, dim)  # dim x r
-        kstar = conj_transpose(kmat, r)
-        gram_inv = solve_square(columns_of(mat_mul(kstar, kmat), r), identity_rows(r))
-        h = mat_mul(kmat, mat_mul(rows_from_columns(gram_inv, r), kstar))
-    else:
-        h = zero_rows(dim)
-    one_minus_h = mat_add(identity_rows(dim), mat_scale(h, GaussianRational(-1)))
-    g = solve_square(columns_of(mat_add(lap, h), dim), columns_of(one_minus_h, dim))
-    if g is None:
-        raise AssertionError("box + H must be invertible")
-    return h, rows_from_columns(g, dim)
 
 
 # -- Hermitian positivity ------------------------------------------------

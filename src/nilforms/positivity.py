@@ -313,13 +313,14 @@ def pkahler_check(
     p: int,
     samples: int = 200,
     seed: int = 7,
-) -> Tuple[bool, PositivityVerdict]:
-    """d-closed (exact) and transverse; p = 1 is the Kaehler case and
+) -> Tuple[bool, bool, PositivityVerdict]:
+    """(p-Kaehler, d-closed, transversality verdict): p-Kaehler is
+    d-closed (exact) and transverse; p = 1 is the Kaehler case and
     p = n-1 the balanced case."""
     check_pkahler_degree(gamma, p, se.n)
     closed = not se.with_algebra(gamma.algebra).apply_d(gamma)
     verdict = is_transverse(gamma, p, samples=samples, seed=seed)
-    return closed and verdict.holds, verdict
+    return closed and verdict.holds, closed, verdict
 
 
 def transversality_along_deformation(

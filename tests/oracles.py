@@ -10,14 +10,18 @@ were produced by these routines.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from nilforms import linalg
-from nilforms.cohomology import EvaluatedComplex
+from nilforms.algebra import T10, Form, FormAlgebra, StructureEquations, VectorValuedForm
+from nilforms.cohomology import EvaluatedComplex, zero_point
+from nilforms.deformation import HALF, _total_degree, delbar_on_vectors, evaluate_se, lie_brackets, schouten
 from nilforms.linalg import Rows
-from nilforms.scalars import QI_ONE, GaussianRational, _div, format_gaussian
+from nilforms.scalars import QI_ONE, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
 
 Word = Tuple[int, ...]  # coframe symbols 0..2n-1, gammas then gammabars
 
@@ -447,7 +451,7 @@ def span_intersection(a_vecs, b_vecs, negate=None):
     [a | -b]: the route ``lemmata.strong`` took before it built its basis
     from the few del/delbar images of deldelbar-kernel vectors.  Each b
     vector is negated by ``negate`` (default ``linalg._negated``)."""
-    from nilforms.linalg import Echelon, _negated, nullspace, rows_from_columns, vec_add, vec_scale
+    from nilforms.linalg import Echelon, _negated, nullspace, vec_scale
 
     if not a_vecs or not b_vecs:
         return []
@@ -864,7 +868,7 @@ def fiber_point(seed: int):
     return tuple(GaussianRational(small()) for _ in range(4))
 
 
-# -- the two-pass Green operator that linalg.harmonic_green replaced -------
+# -- the two-pass Green operator that harmonic_green replaced -------------
 
 
 def harmonic_green_two_pass(lap, dim: int):
@@ -872,16 +876,16 @@ def harmonic_green_two_pass(lap, dim: int):
     followed by a matrix product."""
     kernel = linalg.nullspace(lap, dim)
     if kernel:
-        kmat = linalg.rows_from_columns(kernel, dim)
+        kmat = rows_from_columns(kernel, dim)
         kstar = linalg.conj_transpose(kmat, len(kernel))
         gram_inv = dense_inverse(rows_to_dense(linalg.mat_mul(kstar, kmat), len(kernel)))
         h = linalg.mat_mul(kmat, linalg.mat_mul(dense_to_rows(gram_inv), kstar))
     else:
-        h = linalg.zero_rows(dim)
-    inv = dense_inverse(rows_to_dense(linalg.mat_add(lap, h), dim))
+        h = zero_rows(dim)
+    inv = dense_inverse(rows_to_dense(mat_add(lap, h), dim))
     if inv is None:
         raise AssertionError("box + H must be invertible")
-    one_minus_h = linalg.mat_add(linalg.identity_rows(dim), linalg.mat_scale(h, GaussianRational(-1)))
+    one_minus_h = mat_add(linalg.identity_rows(dim), mat_scale(h, GaussianRational(-1)))
     return h, linalg.mat_mul(dense_to_rows(inv), one_minus_h)
 
 
@@ -1050,7 +1054,7 @@ def weak_by_nullspace(ec, p: int):
     cols = [linalg.realify_vec(v) for v in delbar_images]
     ncols_psi = len(cols)
     cols = cols + [linalg._negated(v) for v in del_span]
-    rows = linalg.rows_from_columns(cols, 2 * ec.dim(p, q))
+    rows = rows_from_columns(cols, 2 * ec.dim(p, q))
     relations = linalg.nullspace(rows, len(cols), one=Fraction(1))
     target = FullScanEchelon(one=Fraction(1))
     for v in linalg.realify_span(ec.image_vectors("ddbar", p, q)):
@@ -1159,6 +1163,63 @@ def mat_mul_of_every_row(a, b):
     return out
 
 
+# -- the matrix helpers and the Green operator that only the oracles use ---
+
+
+def vec_add(u, v):
+    """u + v as a new vector; a sum of 0 is dropped."""
+    out = dict(u)
+    for k, x in v.items():
+        s = out.get(k)
+        s = x if s is None else s + x
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
+
+
+def mat_add(a: Rows, b: Rows) -> Rows:
+    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
+
+
+def mat_scale(a: Rows, c) -> Rows:
+    return [linalg.vec_scale(r, c) for r in a]
+
+
+def zero_rows(n: int) -> Rows:
+    return [{} for _ in range(n)]
+
+
+def rows_from_columns(cols, nrows: int) -> Rows:
+    out: Rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i][j] = c
+    return out
+
+
+def harmonic_green(lap: Rows, dim: int) -> Tuple[Rows, Rows]:
+    """(H, G) for a self-adjoint Laplacian box on a dim-dimensional space
+    with the standard inner product: H the orthogonal projector onto
+    ker box, and G the one square solve of (box + H) G = 1 - H, the unique
+    operator with box G = 1 - H and G H = H G = 0."""
+    kernel = linalg.nullspace(lap, dim)
+    if kernel:
+        r = len(kernel)
+        kmat = rows_from_columns(kernel, dim)  # dim x r
+        kstar = linalg.conj_transpose(kmat, r)
+        gram_inv = linalg.solve_square(linalg.columns_of(linalg.mat_mul(kstar, kmat), r), linalg.identity_rows(r))
+        h = linalg.mat_mul(kmat, linalg.mat_mul(rows_from_columns(gram_inv, r), kstar))
+    else:
+        h = zero_rows(dim)
+    one_minus_h = mat_add(linalg.identity_rows(dim), mat_scale(h, GaussianRational(-1)))
+    g = linalg.solve_square(linalg.columns_of(mat_add(lap, h), dim), linalg.columns_of(one_minus_h, dim))
+    if g is None:
+        raise AssertionError("box + H must be invertible")
+    return h, rows_from_columns(g, dim)
+
+
 # -- Hodge theory, which canonical_solver_rows reads -----------------------
 
 
@@ -1167,7 +1228,7 @@ class HodgeContext:
     Green operators in the inner product declaring the monomial basis
     orthonormal (the invariant metric sum gamma^i (x) gammabar^i).
 
-    Green operators come from exact solves (``linalg.harmonic_green``).
+    Green operators come from exact solves (``harmonic_green``).
     This is the Hodge-theory API only: no solver reads it, since the
     minimal-norm del-delbar solve is ``EvaluatedComplex.ddbar_preimage``.
     """
@@ -1182,7 +1243,7 @@ class HodgeContext:
         key = ("delstar", p, q)
         if key not in self._cache:
             if p < 1:
-                self._cache[key] = linalg.zero_rows(0)
+                self._cache[key] = zero_rows(0)
             else:
                 self._cache[key] = linalg.conj_transpose(
                     self.ec.rows("del", p - 1, q), self.ec.dim(p - 1, q)
@@ -1194,7 +1255,7 @@ class HodgeContext:
         key = ("delbarstar", p, q)
         if key not in self._cache:
             if q < 1:
-                self._cache[key] = linalg.zero_rows(0)
+                self._cache[key] = zero_rows(0)
             else:
                 self._cache[key] = linalg.conj_transpose(
                     self.ec.rows("delbar", p, q - 1), self.ec.dim(p, q - 1)
@@ -1222,7 +1283,7 @@ class HodgeContext:
         return rows
 
     def _zero_square(self, p, q) -> Rows:
-        return linalg.zero_rows(self.ec.dim(p, q))
+        return zero_rows(self.ec.dim(p, q))
 
     def lap_bc_rows(self, p: int, q: int) -> Rows:
         """The six-term fourth-order operator with vanishing kernel on
@@ -1242,7 +1303,7 @@ class HodgeContext:
         for chain in terms:
             rows = self._compose(chain)
             if rows is not None:
-                total = linalg.mat_add(total, rows)
+                total = mat_add(total, rows)
         self._cache[key] = total
         return total
 
@@ -1262,7 +1323,7 @@ class HodgeContext:
         for chain in terms:
             rows = self._compose(chain)
             if rows is not None:
-                total = linalg.mat_add(total, rows)
+                total = mat_add(total, rows)
         self._cache[key] = total
         return total
 
@@ -1273,7 +1334,7 @@ class HodgeContext:
         key = (f"hg-{which}", p, q)
         if key not in self._cache:
             lap = self.lap_bc_rows(p, q) if which == "bc" else self.lap_a_rows(p, q)
-            self._cache[key] = linalg.harmonic_green(lap, self.ec.dim(p, q))
+            self._cache[key] = harmonic_green(lap, self.ec.dim(p, q))
         return self._cache[key]
 
     def harmonic_bc_rows(self, p, q):
@@ -1340,16 +1401,181 @@ def reconstruct_d(table):
     return out
 
 
-def del_on_vectors(se, v):
-    """del on a vector-valued form, the mirror of ``delbar_on_vectors``."""
-    from nilforms.deformation import _frame_derivative
-
-    return _frame_derivative(se, v, holomorphic=True)
-
-
 def norm2_vec(v) -> Fraction:
     """The Hermitian norm squared sum |z|^2 of a Q(i) vector."""
     total = Fraction(0)
     for z in v.values():
         total += z.norm2() if isinstance(z, GaussianRational) else z * z
     return total
+
+
+# -- the Kuranishi recursion that the closed-form Iwasawa family replaced --
+
+
+def del_on_vectors(se, v):
+    """del on a vector-valued form, the mirror of
+    ``deformation.delbar_on_vectors``: del(omega (x) e) = del omega (x) e
+    + (-1)^|omega| omega ^ gamma^k (x) [theta_k, e], the part of the
+    bracket of e's valence."""
+    alg = v.algebra
+    n = alg.n
+    table = lie_brackets(se)
+    out = {}
+
+    def add(i, f):
+        if f:
+            out[i] = out.get(i, alg.zero()) + f
+
+    for i, comp in v.components.items():
+        add(i, se.apply_del(comp))
+        sign = -1 if _total_degree(comp) % 2 else 1
+        e_sym = (i - 1) if v.valence == T10 else (n + i - 1)
+        for k in range(1, n + 1):
+            br = table.bracket(k - 1, e_sym)
+            part = {s: c for s, c in br.items() if (s < n) == (v.valence == T10)}
+            wedge = comp.wedge(alg.gamma(k))
+            if sign < 0:
+                wedge = -wedge
+            if part and wedge:
+                for s, c in part.items():
+                    add((s + 1) if v.valence == T10 else (s - n + 1), wedge.scale(c))
+    return VectorValuedForm(alg, v.valence, out)
+
+
+class VectorHodge:
+    """Hodge machinery for A^{0,q}(T^{1,0}) in the orthonormal frame
+    {gammabar^J (x) theta_i}, over a constant scalar ring."""
+
+    def __init__(self, se: StructureEquations):
+        if se.algebra.ring.m != 0:
+            raise ValueError("VectorHodge runs at a fixed structure (constant ring)")
+        self.se = se
+        self.alg = se.algebra
+        self.n = se.n
+        self._basis: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        self._rows: Dict[int, Rows] = {}
+
+    def basis(self, q: int) -> List[Tuple[int, Tuple[int, ...]]]:
+        if q not in self._basis:
+            self._basis[q] = [
+                (i, J)
+                for i in range(1, self.n + 1)
+                for J in combinations(range(1, self.n + 1), q)
+            ]
+        return self._basis[q]
+
+    def dim(self, q: int) -> int:
+        return self.n * comb(self.n, q)
+
+    def vvf_to_vec(self, v: VectorValuedForm, q: int) -> Dict[int, object]:
+        index = {bk: pos for pos, bk in enumerate(self.basis(q))}
+        out: Dict[int, object] = {}
+        for i, comp in v.components.items():
+            for (I, J), c in comp.coeffs.items():
+                if I or len(J) != q:
+                    raise ValueError("component outside A^{0,q}")
+                out[index[(i, J)]] = c
+        return out
+
+    def vec_to_vvf(self, vec: Dict[int, object], q: int, alg: FormAlgebra) -> VectorValuedForm:
+        basis = self.basis(q)
+        comps: Dict[int, Form] = {}
+        for pos, c in vec.items():
+            i, J = basis[pos]
+            scalar = c if isinstance(c, ParamScalar) else alg.ring.const(c)
+            mono_form = Form(alg, {((), J): scalar})
+            comps[i] = comps.get(i, alg.zero()) + mono_form
+        return VectorValuedForm(alg, T10, comps)
+
+    def delbar_rows(self, q: int) -> Rows:
+        if q not in self._rows:
+            rows: Rows = [{} for _ in range(self.dim(q + 1))]
+            index = {bk: pos for pos, bk in enumerate(self.basis(q + 1))}
+            for col, (i, J) in enumerate(self.basis(q)):
+                v = VectorValuedForm(
+                    self.alg, T10, {i: Form(self.alg, {((), J): self.alg.ring.one()})}
+                )
+                dv = delbar_on_vectors(self.se, v)
+                for ii, comp in dv.components.items():
+                    for (I2, J2), c in comp.coeffs.items():
+                        rows[index[(ii, J2)]][col] = c.constant_term()
+            self._rows[q] = rows
+        return self._rows[q]
+
+    def laplacian_rows(self, q: int) -> Rows:
+        total = zero_rows(self.dim(q))
+        if q + 1 <= self.n:
+            d = self.delbar_rows(q)
+            dstar = linalg.conj_transpose(d, self.dim(q))
+            total = mat_add(total, linalg.mat_mul(dstar, d))
+        if q >= 1:
+            dprev = self.delbar_rows(q - 1)
+            dprev_star = linalg.conj_transpose(dprev, self.dim(q - 1))
+            total = mat_add(total, linalg.mat_mul(dprev, dprev_star))
+        return total
+
+
+@dataclass
+class KuranishiResult:
+    """Power-series family phi(t) plus the per-order obstruction data."""
+
+    harmonic_basis: List[VectorValuedForm]
+    phi: VectorValuedForm
+    obstructions: List[VectorValuedForm]  # harm. projection of [phi,phi]_k
+    ring: PolyRing
+
+    @property
+    def unobstructed_through_order(self) -> bool:
+        return all(ob.is_zero() for ob in self.obstructions)
+
+
+def kuranishi_expand(
+    se: StructureEquations,
+    basis_directions: Optional[Sequence[int]] = None,
+    order: int = 4,
+) -> KuranishiResult:
+    """phi_1 = sum t_nu eta_nu plus the recursive higher-order corrections
+    phi_k = (1/2) delbar* G sum_{i+j=k} [phi_i, phi_j], with the harmonic
+    projections of [phi,phi] reported order by order."""
+    se0 = se if se.algebra.ring.m == 0 else evaluate_se(se, zero_point(se.algebra.ring.m))
+    vh = VectorHodge(se0)
+    harm_vecs = linalg.nullspace(vh.laplacian_rows(1), vh.dim(1))
+    if basis_directions is not None:
+        harm_vecs = [harm_vecs[i] for i in basis_directions]
+    m = len(harm_vecs)
+    ring = PolyRing(m, order)
+    alg = FormAlgebra(se0.n, ring)
+    se_r = se0.with_algebra(alg)
+    eta = [vh.vec_to_vvf(v, 1, FormAlgebra(se0.n, PolyRing(0, 0))) for v in harm_vecs]
+
+    # phi_1 = sum t_nu eta_nu
+    phi_orders: List[VectorValuedForm] = []
+    phi1 = VectorValuedForm(alg, T10, {})
+    for nu, h in enumerate(harm_vecs):
+        t = ring.t(nu + 1)
+        lifted = vh.vec_to_vvf({k: t * c for k, c in h.items()}, 1, alg)
+        phi1 = phi1 + lifted
+    phi_orders.append(phi1)
+
+    dstar_rows = linalg.conj_transpose(vh.delbar_rows(1), vh.dim(1))
+    hproj2, green2 = harmonic_green(vh.laplacian_rows(2), vh.dim(2))
+    solve_rows = linalg.mat_mul(dstar_rows, green2)
+
+    obstructions: List[VectorValuedForm] = []
+    for k in range(2, order + 1):
+        bracket_k = VectorValuedForm(alg, T10, {})
+        for i in range(1, k):
+            j = k - i
+            if i <= len(phi_orders) and j <= len(phi_orders):
+                bracket_k = bracket_k + schouten(se_r, phi_orders[i - 1], phi_orders[j - 1])
+        bvec = vh.vvf_to_vec(bracket_k, 2)
+        obs_vec = linalg.mat_vec(hproj2, bvec)
+        obstructions.append(vh.vec_to_vvf(obs_vec, 2, alg))
+        corr_vec = linalg.mat_vec(solve_rows, bvec)
+        corr = vh.vec_to_vvf(corr_vec, 1, alg).scale(HALF)
+        phi_orders.append(corr)
+
+    phi = phi_orders[0]
+    for extra in phi_orders[1:]:
+        phi = phi + extra
+    return KuranishiResult(eta, phi, obstructions, ring)

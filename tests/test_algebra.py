@@ -32,6 +32,7 @@ from oracles import (
     coframe_endo_dense,
     dense_inverse,
     form_layer_derivation,
+    mat_add,
     monomial_index,
     oracle_d,
     simultaneous_contract_scalar_first,
@@ -292,7 +293,7 @@ def test_d_squared_matrix_identities_iwasawa():
             bb = linalg.mat_mul(ec.rows("delbar", p, q + 1), ec.rows("delbar", p, q)) if q + 2 <= 3 else []
             assert all(not r for r in bb)
             if p + 1 <= 3 and q + 1 <= 3:
-                anti = linalg.mat_add(
+                anti = mat_add(
                     linalg.mat_mul(ec.rows("del", p, q + 1), ec.rows("delbar", p, q)),
                     linalg.mat_mul(ec.rows("delbar", p + 1, q), ec.rows("del", p, q)),
                 )

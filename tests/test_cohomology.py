@@ -37,12 +37,15 @@ from oracles import (
     evaluated_rows,
     form_to_vec_by_index,
     full_scan_kernel,
+    harmonic_green,
     harmonic_green_two_pass,
     iwasawa_oracle,
+    mat_add,
     monomial_index,
     norm2_vec,
     representatives,
     torus_oracle,
+    vec_add,
     vec_to_form_by_basis,
     walker_part,
 )
@@ -167,7 +170,7 @@ def _check_green_identities(hc, p, q, which):
     eye = linalg.identity_rows(dim)
     minus_one = GaussianRational(-1)
     # 1 = H + box G,   G box = box G,   H^2 = H,   HG = GH = 0
-    assert linalg.mat_add(h, linalg.mat_mul(lap, g)) == eye
+    assert mat_add(h, linalg.mat_mul(lap, g)) == eye
     assert linalg.mat_mul(g, lap) == linalg.mat_mul(lap, g)
     assert linalg.mat_mul(h, h) == h
     assert all(not r for r in linalg.mat_mul(h, g))
@@ -233,10 +236,10 @@ def test_canonical_ddbar_solution(ec_iwasawa, iwasawa3):
         for _ in range(20):
             k = {}
             for v in kernel:
-                k = linalg.vec_add(k, linalg.vec_scale(v, rng.gaussian(2)))
+                k = vec_add(k, linalg.vec_scale(v, rng.gaussian(2)))
             if not k:
                 continue
-            assert base <= norm2_vec(linalg.vec_add(xv, k))
+            assert base <= norm2_vec(vec_add(xv, k))
 
 
 def test_canonical_solution_not_solvable(ec_iwasawa, iwasawa3):
@@ -340,7 +343,7 @@ def test_ddbar_preimage_equals_green_route(reference_complexes):
                 image = ec.image_echelon("ddbar", p, q)
                 outside = next((k for k in range(ec.dim(p, q)) if not image.contains({k: QI_ONE})), None)
                 if outside is not None:
-                    assert ec.ddbar_preimage(p, q, linalg.vec_add(y, {outside: QI_ONE})) is None, (label, p, q)
+                    assert ec.ddbar_preimage(p, q, vec_add(y, {outside: QI_ONE})) is None, (label, p, q)
     assert green_cases == 2 * (2 * 9 + 16 + 2 * 25 + 4 * 13)
     # most bidegrees of these complexes have del delbar = 0; the rest give
     # preimages with several entries, so the key order is checked
@@ -368,7 +371,7 @@ def test_ddbar_preimage_equals_tracked_rref_route(reference_complexes):
                     y = {}
                     for v in rng.sample(image, min(3, len(image))):
                         linalg.add_scaled_into(y, GaussianRational(rng.randint(-3, 3), rng.randint(1, 3)), v)
-                    ys += [y, linalg.vec_add(y, {rng.randrange(dim): QI_ONE})]
+                    ys += [y, vec_add(y, {rng.randrange(dim): QI_ONE})]
                 ys.append({rng.randrange(dim): GaussianRational(rng.randint(1, 3)) for _ in range(2)})
                 for y in ys:
                     got = ec.ddbar_preimage(p, q, y)
@@ -383,7 +386,7 @@ def test_ddbar_preimage_equals_tracked_rref_route(reference_complexes):
 
 
 def test_harmonic_green_equals_two_pass_oracle(reference_complexes):
-    """linalg.harmonic_green's one dense solve (box + H) G = 1 - H gives
+    """harmonic_green's one dense solve (box + H) G = 1 - H gives
     the H and G of the dense inverse followed by a product, in values
     and in the types of the entries' parts, at every bidegree of
     dimension <= 25 of every reference complex, for box_BC and box_A."""
@@ -400,7 +403,7 @@ def test_harmonic_green_equals_two_pass_oracle(reference_complexes):
                 if dim > 25:
                     continue
                 for lap in (hodge.lap_bc_rows(p, q), hodge.lap_a_rows(p, q)):
-                    h, g = linalg.harmonic_green(lap, dim)
+                    h, g = harmonic_green(lap, dim)
                     h_oracle, g_oracle = harmonic_green_two_pass(lap, dim)
                     assert typed(h) == typed(h_oracle), (label, p, q)
                     assert typed(g) == typed(g_oracle), (label, p, q)
@@ -413,7 +416,7 @@ def test_harmonic_green_refuses_a_singular_system():
     does not complete it) raises the AssertionError."""
     nilpotent = [{1: QI_ONE}, {}]
     with pytest.raises(AssertionError, match="box \\+ H must be invertible"):
-        linalg.harmonic_green(nilpotent, 2)
+        harmonic_green(nilpotent, 2)
 
 
 # -- assembly per structure constant ----------------------------------------
@@ -652,7 +655,7 @@ def test_completing_in_place_changes_nothing_a_caller_saw(monkeypatch, reference
                     seen = (e.rank, list(e.pivots), list(e.marks))
                     probes = [{rng.next_int(ncols): rng.nonzero_gaussian(3) for _ in range(3)}
                               for _ in range(4 if ncols else 0)]
-                    probes += [linalg.vec_add(r, probes[0]) for r in rows[:3] if probes] + rows[:3]
+                    probes += [vec_add(r, probes[0]) for r in rows[:3] if probes] + rows[:3]
                     answers = ([e.contains(v) for v in probes], e.residues(probes))
                     kernel = list(ec.kernel_vectors(op, p, q))
                     at = (label, op, p, q)

@@ -28,7 +28,6 @@ from nilforms.deformation import (
     delbar_on_vectors,
     evaluate_se,
     fiber_complex,
-    kuranishi_expand,
     lie_brackets,
     main1_residual,
     schouten,
@@ -46,6 +45,7 @@ from oracles import (
     dense_inverse,
     fiber_point,
     jacobi_violation,
+    kuranishi_expand,
     pairing_scan_bracket,
     reconstruct_d,
 )
@@ -453,9 +453,15 @@ def test_transport_identity_bcvary(bcvary10):
 
 
 def test_kuranishi_iwasawa(iwasawa3):
-    res = kuranishi_expand(iwasawa3.se, order=3)
-    assert len(res.harmonic_basis) == 6
-    assert res.unobstructed_through_order
+    """The Kuranishi recursion on the Iwasawa manifold is unobstructed,
+    and its family is the catalog's closed form at every order: linear in
+    the six harmonic directions, in the order nullspace gives them, plus
+    (t2 t3 - t1 t4) theta_3 (x) gammabar^3 and nothing above degree 2."""
+    for order in (2, 3, 4):
+        res = kuranishi_expand(iwasawa3.se, order=order)
+        assert len(res.harmonic_basis) == 6
+        assert res.unobstructed_through_order
+        assert res.phi == catalog_load("iwasawa3", order=order).beltrami, order
     ring = res.ring
     alg = res.phi.algebra
     det = ring.t(2) * ring.t(3) - ring.t(1) * ring.t(4)
@@ -488,6 +494,23 @@ def test_kuranishi_restricted_directions(iwasawa3):
     assert len(res.harmonic_basis) == 2
     assert res.ring.m == 2
     assert not res.phi.homogeneous_part(2).is_zero()
+
+
+def test_iwasawa_family_is_exactly_integrable_and_central_fibers_keep_d():
+    """The catalog's Iwasawa family has its structure equations on the
+    ring without parameters and phi on six; delbar phi - (1/2)[phi,phi]
+    is exactly zero at the default order, where the degree-2 term is not
+    truncated away.  Nakamura's class (i), the central family, leaves d
+    gamma unchanged: the fiber at (0,0,0,0,1/3,1/5) has iwasawa3's own
+    structure equations, and so the same complex."""
+    entry = catalog_load("iwasawa3")
+    phi = entry.beltrami
+    assert entry.se.algebra.ring == PolyRing(0, 0) and phi.algebra.ring == PolyRing(6, 4)
+    ok, residual = check_integrability(entry.se, phi)
+    assert ok and residual.components == {}
+    point = tuple(GaussianRational(x) for x in (0, 0, 0, 0, Fraction(1, 3), Fraction(1, 5)))
+    assert deform_complex(entry.se, phi, point=point).d_coframe == entry.se.d_coframe
+    assert _reports(fiber_complex(entry.se, phi, point)) == _reports(fiber_complex(entry.se, None, ()))
 
 
 # -- the fiber at t ----------------------------------------------------------

@@ -322,6 +322,11 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     ``StructureEquations.require_flat`` decides d^2 = 0 and the bracket
     table is read off d, and so are the Kuranishi recursion's own
     ``mat_vec_param`` (``linalg.mat_vec``) and the catalog's ``_plain``.
+    The Kuranishi recursion itself (``VectorHodge``, ``KuranishiResult``,
+    ``kuranishi_expand``), its Green operator ``harmonic_green`` and the
+    matrix helpers only they used, and del on vector-valued forms
+    (``_frame_derivative``) are test oracles: the catalog ships the one
+    family the recursion gave, in closed form.
     The conjugate system has one solve (``extension.solve_conjugate_system``
     and the order step share its core), so ``canonical_ddbar_solution``
     and its ``NotSolvable`` are gone; the basis route of a cohomology
@@ -338,7 +343,9 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     gone = {"HodgeContext", "solve_dense", "dense_inverse", "rows_to_dense", "dense_to_rows", "_ldl_witness",
             "eval_dense", "ForwardEchelon", "row_echelon", "echelon_kernel", "_sub_scaled_into",
             "is_positive_definite", "rref", "check_jacobi", "_two_form_eval", "JacobiError", "mat_vec_param",
-            "_plain", "canonical_ddbar_solution", "NotSolvable", "_representatives", "_CYCLES_MOD", "with_basis"}
+            "_plain", "canonical_ddbar_solution", "NotSolvable", "_representatives", "_CYCLES_MOD", "with_basis",
+            "VectorHodge", "KuranishiResult", "kuranishi_expand", "harmonic_green", "mat_add", "mat_scale",
+            "rows_from_columns", "zero_rows", "vec_add", "_frame_derivative", "holomorphic"}
     assert gone.isdisjoint(defined), gone & defined
     assert {"Echelon", "forward_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
     inserting = {
@@ -388,14 +395,6 @@ UNCALLED = {
     "algebra.exp_contract": "README construction: e^{iota_phi}, read by main1_residual",
     "cohomology.EvaluatedComplex.embed_block": "oracle-only API: verify_witness re-checks a standard witness",
     "cohomology.cohomology": "README API: one cohomology by name; the CLI prints whole tables (full_report)",
-    "deformation.KuranishiResult.unobstructed_through_order": "Kuranishi stack kept for ROADMAP item 5",
-    "deformation.VectorHodge.basis": "Kuranishi stack kept for ROADMAP item 5",
-    "deformation.VectorHodge.delbar_rows": "Kuranishi stack kept for ROADMAP item 5",
-    "deformation.VectorHodge.dim": "Kuranishi stack kept for ROADMAP item 5",
-    "deformation.VectorHodge.laplacian_rows": "Kuranishi stack kept for ROADMAP item 5",
-    "deformation.VectorHodge.vec_to_vvf": "Kuranishi stack kept for ROADMAP item 5",
-    "deformation.VectorHodge.vvf_to_vec": "Kuranishi stack kept for ROADMAP item 5",
-    "deformation.kuranishi_expand": "Kuranishi stack kept for ROADMAP item 5",
     "deformation.main1_residual": "README construction: the extended Leibniz identity of Main Theorem 1",
     "extension.solve_conjugate_system": "README construction: the paper's conjugate system, hypotheses checked; "
                                         "the order step runs its core",
@@ -404,16 +403,9 @@ UNCALLED = {
     "io.form_emit": "writer of the form file format the CLI reads; tests round-trip it",
     "lemmata.strong": "README API: the strong lemma alone; lemma_report reads it off mild and dual mild",
     "lemmata.verify_witness": "oracle-only API: re-verifies a witness by fresh ranks (tests, perfbench)",
-    "linalg.harmonic_green": "Kuranishi stack kept for ROADMAP item 5",
-    "linalg.mat_add": "Kuranishi stack kept for ROADMAP item 5 (harmonic_green, VectorHodge)",
-    "linalg.mat_scale": "Kuranishi stack kept for ROADMAP item 5 (harmonic_green)",
-    "linalg.rows_from_columns": "Kuranishi stack kept for ROADMAP item 5 (harmonic_green)",
-    "linalg.vec_add": "Kuranishi stack kept for ROADMAP item 5 (mat_add); perfbench traces it",
-    "linalg.zero_rows": "Kuranishi stack kept for ROADMAP item 5 (harmonic_green, VectorHodge)",
     "positivity.reconstruct_from_matrix": "README construction: the (p,p)-form of a Hermitian matrix",
     "positivity.transversality_along_deformation": "README construction: transversality on the deformed fibers",
     "scalars.DetRng.nonzero_gaussian": "oracle-only API: the seeded generator of the tests' random inputs",
-    "scalars.ParamScalar.lift": "Form.lift's coefficient step: reached when a constant form moves to another ring",
     "scalars.PolyRing.tbar": "API: the conjugate generator beside PolyRing.t; tests build tbar-dependent inputs",
     "scalars.QI": "API: the Gaussian-rational constructor tests write scalars with",
 }
@@ -494,7 +486,8 @@ def test_evaluated_complex_keeps_one_table_of_named_matrices():
     on the total complex, ``total_d_rows``: it defines no other *_rows
     accessor, none of del_rows, delbar_rows, ddbar_rows, stacked_rows and
     exact_sum_rows among them.  The scan reads that class only, because
-    ``deformation.VectorHodge.delbar_rows`` is another method."""
+    a *_rows method of another class (the tests' Hodge oracle has
+    several) names another matrix."""
     tree = ast.parse((SRC / "cohomology.py").read_text())
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "EvaluatedComplex")
     methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}

@@ -11,7 +11,7 @@ from nilforms.algebra import FormAlgebra, StructureEquations, build_complex
 from nilforms.catalog import catalog_load, run_scenario
 from nilforms.errors import FormatError, UnknownEntry
 from nilforms.lemmata import verify_witness
-from nilforms.scalars import PolyRing
+from nilforms.scalars import PolyRing, parse_gaussian
 
 
 def test_se_roundtrip_constant(iwasawa3):
@@ -312,6 +312,16 @@ UNEXTENDABLE_FORM = {
 }
 MALFORMED = {"se": MALFORMED_SE, "form": MALFORMED_FORM, "beltrami": MALFORMED_BELTRAMI, "omega0": UNEXTENDABLE_FORM}
 _POSITIVITY = ["positivity", "--manifold", "catalog:bcvary10", "--p", "4"]
+#: a point of iwasawa3's family in each of Nakamura's classes, with D =
+#: t1 t4 - t2 t3: (i) t1 = t2 = t3 = t4 = 0, (ii) D = 0 otherwise, (iii)
+#: D != 0; and the values of its golden that tell the classes apart.
+#: Provenance of the values: engine (this program's output, not yet
+#: compared with the published tables of the Iwasawa deformations)
+NAKAMURA_CLASSES = {
+    "i": ("0,0,0,0,1/3,1/5", {"h_bc(2,0)": 3, "h_dolbeault(1,0)": 3}),
+    "ii": ("1/3,0,0,0,1/7,0", {"h_bc(2,0)": 2, "h_dolbeault(1,0)": 2}),
+    "iii": ("1/3,0,0,1/5,0,0", {"h_bc(2,0)": 1, "h_dolbeault(1,0)": 2}),
+}
 _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced"]
 
 
@@ -350,7 +360,9 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         _EXTEND + ["--beltrami", "<dir>"],
         ["deform", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--output", "<dir>"],
         ["cohomology", "--manifold", "<binary>"],
-        # --t on a parameter-free manifold, empty, or with an empty slot
+        # --t on a parameter-free manifold, of the wrong arity for a
+        # family, empty, or with an empty slot
+        ["cohomology", "--manifold", "catalog:torus3", "--t", "1,2,3"],
         ["cohomology", "--manifold", "catalog:iwasawa3", "--t", "1,2,3"],
         ["cohomology", "--manifold", "catalog:bcvary10", "--t", ""],
         ["cohomology", "--manifold", "catalog:bcvary10", "--t", "1/3,,1/5,1/7,1/11"],
@@ -360,6 +372,9 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         *(["--order", "0", cmd, "--manifold", "catalog:bcvary10", "--t", "1/3,0,0,0", *more]
           for cmd, more in (("cohomology", []), ("lemmata", []), ("deform", ["--beltrami", "catalog"]))),
         ["--order", "0", *_EXTEND, "--beltrami", "catalog"],
+        # order 1 drops the degree-2 term of iwasawa3's family, and at a
+        # class (iii) point the truncated phi gives no complex structure
+        ["--order", "1", "cohomology", "--manifold", "catalog:iwasawa3", "--t", NAKAMURA_CLASSES["iii"][0]],
         # an omega0 with no bidegree or no value at t = 0, with and without --pkahler
         *(["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--form", f"omega0-file:{name}"]
           for name in UNEXTENDABLE_FORM),
@@ -397,6 +412,9 @@ GOLDEN_RUNS = {
     "cohomology_bcvary10_t": [
         "cohomology", "--manifold", "catalog:bcvary10", "--t", "3/7,5/11,2/13,7/17",
     ],
+    # one fiber of iwasawa3's family per Nakamura class (NAKAMURA_CLASSES)
+    **{f"cohomology_iwasawa3_{cls}": ["cohomology", "--manifold", "catalog:iwasawa3", "--t", t]
+       for cls, (t, _) in NAKAMURA_CLASSES.items()},
     "lemmata_iwasawa3_23": ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "2,3"],
     "lemmata_bcvary10_all": ["lemmata", "--manifold", "catalog:bcvary10", "--all"],
     # a generic point: pivots and witnesses with coefficients other than +-1
@@ -466,9 +484,47 @@ def test_order_one_holds_the_family(capsys):
     t = (1/3, 0, 0, 0) is 17 as at the default order (order 0, which
     would give the t = 0 table, is refused in
     test_cli_malformed_input_one_error_line), and --order 0 still
-    answers at t = 0 (19)."""
+    answers at t = 0 (19).  At a class (i) point of iwasawa3's family
+    the degree-2 term vanishes, so --order 1 gives the golden table of
+    the default order (at a class (iii) point it is refused, in the same
+    test)."""
     t = ["--manifold", "catalog:bcvary10", "--t", "1/3,0,0,0"]
     for order, argv, h44 in (("1", t, 17), ("4", t, 17),
                              ("0", ["--manifold", "catalog:bcvary10"], 19)):
         assert cli.main(["--order", order, "cohomology", *argv, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["h_bc"][4][4] == h44, order
+    argv = ["--order", "1", *GOLDEN_RUNS["cohomology_iwasawa3_i"], "--json"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / "cohomology_iwasawa3_i.json").read_bytes()
+
+
+@pytest.mark.parametrize("cls", sorted(NAKAMURA_CLASSES))
+def test_iwasawa_goldens_tell_the_nakamura_classes_apart(cls):
+    """Each iwasawa3 golden off t = 0 is at a point of its Nakamura
+    class, keeps the Betti numbers of t = 0, and has the values of
+    NAKAMURA_CLASSES: h_bc(2,0) = 3, 2, 1 and h_dolbeault(1,0) = 3, 2, 2."""
+    t, expected = NAKAMURA_CLASSES[cls]
+    t1, t2, t3, t4 = (parse_gaussian(x) for x in t.split(",")[:4])
+    assert (cls == "i") == (not any((t1, t2, t3, t4)))
+    assert (cls == "iii") == bool(t1 * t4 - t2 * t3)
+    obj = json.loads((GOLDEN_DIR / f"cohomology_iwasawa3_{cls}.json").read_text())
+    assert obj["t"] == t.split(",") and obj["betti"] == [1, 4, 8, 10, 8, 4, 1]
+    assert {"h_bc(2,0)": obj["h_bc"][2][0], "h_dolbeault(1,0)": obj["h_dolbeault"][1][0]} == expected
+
+
+def test_positivity_applies_d_to_its_form_once(monkeypatch, capsys):
+    """positivity reads d_closed and pkahler off one application of d to
+    the form: of the 21 derivations of one bcvary10 run, one is the
+    balanced form and the other 20 are the flatness check."""
+    balanced = catalog_load("bcvary10").forms["balanced"]
+    forms = []
+    apply_d = StructureEquations.apply_d
+
+    def counted(self, a):
+        forms.append(a)
+        return apply_d(self, a)
+
+    monkeypatch.setattr(StructureEquations, "apply_d", counted)
+    assert cli.main(["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced", "--p", "4"]) == 0
+    assert len(forms) == 21 and forms.count(balanced) == 1
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / "positivity_bcvary10_p4.txt").read_bytes()

@@ -785,6 +785,80 @@ def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monk
     assert len(want) == 3 and list(lemmata._kernel_images(ec_iwasawa, "del", 2, 1)) == want
 
 
+def _heisenberg_c(n):
+    """H(n,C), n = 2k+1, the complex Heisenberg group, which is not a
+    product: d gamma^n = -(gamma^1 ^ gamma^2 + ... + gamma^{2k-1} ^
+    gamma^{2k})."""
+    alg = FormAlgebra(n, PolyRing(0, 0))
+    d = alg.zero()
+    for i in range(1, n, 2):
+        d = d + alg.monomial((i, i + 1), (), -1)
+    return StructureEquations(f"heisenberg_c_{n}", alg, {n: d})
+
+
+class _CountedRow(dict):
+    """A row that counts each entry read from it, by key or by a walk."""
+
+    reads = 0
+
+    def _walked(self):
+        _CountedRow.reads += len(self)
+
+    def __iter__(self):
+        self._walked()
+        return super().__iter__()
+
+    def items(self):
+        self._walked()
+        return super().items()
+
+    def keys(self):
+        self._walked()
+        return super().keys()
+
+    def values(self):
+        self._walked()
+        return super().values()
+
+    def __contains__(self, k):
+        _CountedRow.reads += 1
+        return super().__contains__(k)
+
+    def __getitem__(self, k):
+        _CountedRow.reads += 1
+        return super().__getitem__(k)
+
+    def get(self, k, default=None):
+        _CountedRow.reads += 1
+        return super().get(k, default)
+
+
+def test_kernel_images_read_each_entry_of_op_once(monkeypatch):
+    """The work gate, by count, on H(7,C): at every bidegree, for del and
+    delbar, the scan of the deldelbar kernel images reads at most nnz(op)
+    plus the entries of the kernel vectors it scans from op's rows.  A
+    scan that walks op's rows again for each vector, or for each column
+    a vector touches, reads far more."""
+    ec = EvaluatedComplex(build_complex(_heisenberg_c(7)), ())
+    rows = ec.rows
+    scans = 0
+    for p in range(ec.n + 1):
+        for q in range(ec.n + 1):
+            for op in ("del", "delbar"):
+                sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
+                if min(sp, sq) < 0:
+                    continue
+                kernel = list(ec.kernel_vectors("ddbar", sp, sq))
+                nnz = sum(len(r) for r in rows(op, sp, sq))
+                monkeypatch.setattr(ec, "rows", lambda o, a, b: [_CountedRow(r) for r in rows(o, a, b)])
+                _CountedRow.reads = 0
+                images = list(lemmata._kernel_images(ec, op, p, q))
+                monkeypatch.undo()
+                assert _CountedRow.reads <= nnz + sum(len(x) for x in kernel), (op, p, q)
+                scans += bool(images)
+    assert scans == 80
+
+
 def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
     """The work gate on Iwasawa^2 x C after full_report: lemma_report
     forms no zero image from a vector that meets no nonzero column, and

@@ -20,9 +20,11 @@ from oracles import (
     hermitian_pivots_ldl,
     negating_span_intersection,
     realify_dense,
+    rows_from_columns,
     rows_to_dense,
     solve_dense,
     span_intersection,
+    vec_add,
 )
 
 
@@ -75,7 +77,7 @@ def test_relations_modulo_equal_the_nullspace_relations(field, seed):
     base, vectors = pool[:ncols // 2], pool[ncols // 2:]
     cols = base + [linalg._negated(v) for v in vectors]
     want = []
-    for rel in linalg.nullspace(linalg.rows_from_columns(cols, ncols), len(cols), one=one):
+    for rel in linalg.nullspace(rows_from_columns(cols, ncols), len(cols), one=one):
         if max(rel) >= len(base):  # its free column is that of a vector
             want.append({k - len(base): c for k, c in rel.items() if k >= len(base)})
     got = list(linalg.relations_modulo(base, vectors, ncols))
@@ -134,7 +136,7 @@ def _sparse_inputs(rng, field, count, ncols):
         elif roll <= 2 and len(vecs) >= 2:
             v = {}
             for _ in range(1 + rng.next_int(3)):
-                v = linalg.vec_add(v, linalg.vec_scale(vecs[rng.next_int(len(vecs))], draw()))
+                v = vec_add(v, linalg.vec_scale(vecs[rng.next_int(len(vecs))], draw()))
         else:
             lead = rng.next_int(ncols)
             v = {lead: draw() if roll == 3 else one if roll == 4 else -one}
@@ -358,7 +360,7 @@ def test_span_intersection_equals_negating_oracle(field, seed):
     a = [v for v in _sparse_inputs(rng, field, 2 + rng.next_int(5), ncols) if v]
     b = _sparse_inputs(rng, field, 2 + rng.next_int(4), ncols)
     # one b vector lies in span(a), so the intersection is not zero
-    b = [v for v in b + [linalg.vec_add(a[0], a[-1])] if v]
+    b = [v for v in b + [vec_add(a[0], a[-1])] if v]
     got = span_intersection(a, b)
     expected = negating_span_intersection(a, b)
     assert got and [_typed(v) for v in got] == [_typed(v) for v in expected]
@@ -381,7 +383,7 @@ def test_add_scaled_into_equals_copying_sum(field, seed):
             v, c = dict(copied), -(c / c)
         if step == 7:
             c = zero
-        copied = linalg.vec_add(copied, linalg.vec_scale(v, c))
+        copied = vec_add(copied, linalg.vec_scale(v, c))
         linalg.add_scaled_into(inplace, c, v)
         assert _typed(inplace) == _typed(copied), step
 
@@ -478,7 +480,7 @@ def test_dense_inverse():
         cols = linalg.solve_square(linalg.columns_of(rows, 4), linalg.identity_rows(4))
         if cols is not None:
             break
-    a, inv = _dense(rows, 4), _dense(linalg.rows_from_columns(cols, 4), 4)
+    a, inv = _dense(rows, 4), _dense(rows_from_columns(cols, 4), 4)
     prod = [
         [sum((a[i][k] * inv[k][j] for k in range(4)), GaussianRational(0)) for j in range(4)]
         for i in range(4)
@@ -500,10 +502,10 @@ def test_solve_square_equals_gauss_jordan_oracle():
         a_cols = _random_rows(rng, n, n, density=rng.next_int(3) + 1)
         if trial % 3 == 0 and n > 1:
             # a dependent column makes A singular
-            a_cols[rng.next_int(n)] = linalg.vec_add(a_cols[0], linalg.vec_scale(a_cols[-1], QI(2, -1)))
+            a_cols[rng.next_int(n)] = vec_add(a_cols[0], linalg.vec_scale(a_cols[-1], QI(2, -1)))
         b_cols = _random_rows(rng, m, n, density=2)
         got = linalg.solve_square(a_cols, b_cols)
-        a, b = (_dense(linalg.rows_from_columns(cols, n), len(cols)) for cols in (a_cols, b_cols))
+        a, b = (_dense(rows_from_columns(cols, n), len(cols)) for cols in (a_cols, b_cols))
         want = solve_dense(a, b)
         if want is None:
             assert got is None, trial

@@ -198,13 +198,21 @@ def test_duality_spot_check():
 
 
 def test_pkahler_check_torus_and_bcvary(torus3, bcvary10):
-    ok, _ = pkahler_check(torus3.se, torus3.forms["kaehler"], 1)
+    ok, _, _ = pkahler_check(torus3.se, torus3.forms["kaehler"], 1)
     assert ok
-    ok, _ = pkahler_check(bcvary10.se, bcvary10.forms["balanced"], 4)
+    ok, _, _ = pkahler_check(bcvary10.se, bcvary10.forms["balanced"], 4)
     assert ok
     for p in (3, 2, 0, -1):  # outside 1..n-1, or not the (1,1)-form's p
         with pytest.raises(PreconditionFailed):
             pkahler_check(torus3.se, torus3.forms["kaehler"], p)
+
+
+def test_iwasawa_balanced_form(iwasawa3):
+    """The catalog's balanced form of the Iwasawa manifold, the sum of
+    gamma^I ^ gammabar^I over |I| = 2, is d-closed and passes
+    pkahler_check at p = 2 = n - 1, where transversality is exact."""
+    pk, closed, verdict = pkahler_check(iwasawa3.se, iwasawa3.forms["balanced"], 2)
+    assert pk and closed and verdict.holds and verdict.exact
 
 
 def test_iwasawa_has_no_invariant_kaehler_form(iwasawa3, ec_iwasawa):
@@ -229,7 +237,7 @@ def test_iwasawa_has_no_invariant_kaehler_form(iwasawa3, ec_iwasawa):
         gamma = gamma + gamma.conj()
         if gamma.is_zero():
             continue
-        ok, verdict = pkahler_check(iwasawa3.se, gamma, 1)
+        ok, _, verdict = pkahler_check(iwasawa3.se, gamma, 1)
         assert not ok and verdict.holds is False
 
 
