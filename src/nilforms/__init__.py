@@ -35,15 +35,12 @@ from .cohomology import (
     zero_point,
 )
 from .deformation import (
-    BeltramiDifferential,
-    LieBracketTable,
     as_beltrami,
     check_integrability,
     deform_complex,
     delbar_on_vectors,
     evaluate_se,
     fiber_complex,
-    lie_brackets,
     main1_residual,
     schouten,
 )

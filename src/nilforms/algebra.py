@@ -630,16 +630,15 @@ class StructureEquations:
 
     d_coframe[i] is d(gamma^i), a sum of a (2,0)-part and a (1,1)-part;
     d(gammabar^i) is its conjugate.  d_coframe is never mutated, so the
-    equations own what is read off it: the Lie bracket table
-    (``deformation.lie_brackets``, in ``brackets``), the del and delbar
-    parts of d of each symbol (``symbol_terms``), a ``layout`` and the
-    column tables of del and delbar by source bidegree (``tables``) that
-    ``apply_del``, ``apply_delbar`` and ``apply_d`` multiply by, and the
-    pass of ``require_flat`` (``flat``).  ``with_algebra`` keeps one lift
-    per algebra in ``lifts``.
+    equations own what is read off it: the del and delbar parts of d of
+    each symbol (``symbol_terms``), a ``layout`` that their complex
+    shares, the column tables of del and delbar by source bidegree
+    (``tables``) that ``apply_del``, ``apply_delbar`` and ``apply_d``
+    multiply by, and the pass of ``require_flat`` (``flat``).
+    ``with_algebra`` keeps one lift per algebra in ``lifts``.
     """
 
-    __slots__ = ("name", "n", "algebra", "d_coframe", "brackets", "flat", "lifts", "layout", "terms", "tables")
+    __slots__ = ("name", "n", "algebra", "d_coframe", "flat", "lifts", "layout", "terms", "tables")
 
     def __init__(self, name: str, algebra: FormAlgebra, d_coframe: Dict[int, Form]):
         self.name = name
@@ -651,7 +650,6 @@ class StructureEquations:
         for f in self.d_coframe.values():
             if f.algebra != algebra:
                 raise ValueError("structure form from a different algebra")
-        self.brackets = None
         self.flat = False
         self.lifts: Dict[FormAlgebra, "StructureEquations"] = {}
         self.layout = Layout(algebra.n)
@@ -785,14 +783,16 @@ def _accumulate(out: Dict, key, v) -> None:
 
 class InvariantComplex:
     """Bigraded complex of invariant forms: the structure equations and
-    its own ``layout`` (``leibniz.Layout``), whose plans serve
-    ``cohomology.EvaluatedComplex`` at every point of the complex."""
+    their ``layout`` (``leibniz.Layout``), whose plans serve the
+    equations' column tables and ``cohomology.EvaluatedComplex`` at every
+    point of the complex alike: a plan depends on n and the shape of a
+    term only."""
 
     def __init__(self, se: StructureEquations):
         self.se = se
         self.algebra = se.algebra
         self.n = se.n
-        self.layout = Layout(se.n)
+        self.layout = se.layout
 
     def dim(self, p: int, q: int) -> int:
         return self.algebra.dim(p, q)

@@ -92,12 +92,20 @@ def _load_manifold(ref: str, order: int):
     return CatalogEntry(name=se.name, se=se)
 
 
+def _family_algebra(entry) -> FormAlgebra:
+    """The algebra of entry's family when it has one, else of its
+    equations: where --t points and a Beltrami file is parsed.  Tested
+    with ``is None``, since a zero family is falsy."""
+    return (entry.se if entry.beltrami is None else entry.beltrami).algebra
+
+
 def _load_beltrami(ref: str, entry):
-    """The catalog's family (ref 'catalog') or a Beltrami file.  A
-    family vanishes at t = 0, so it has degree at least 1 in t: a ring of
-    order 0 truncates it to phi = 0, and a deformed point would be
-    answered as t = 0, so order 0 of the family's ring is refused (se's
-    ring may be another, without parameters)."""
+    """The catalog's family (ref 'catalog') or a Beltrami file, parsed
+    into the family's ring (``_family_algebra``).  A family vanishes at
+    t = 0, so it has degree at least 1 in t: a ring of order 0 truncates
+    it to phi = 0, and a deformed point would be answered as t = 0, so
+    order 0 of the family's ring is refused (se's ring may be another,
+    without parameters)."""
     if ref == "catalog":
         if entry.beltrami is None:
             raise NilformsError(f"catalog entry {entry.name!r} has no Beltrami family")
@@ -107,7 +115,7 @@ def _load_beltrami(ref: str, entry):
                 "use --order 1 or more"
             )
         return entry.beltrami
-    return nio.beltrami_parse(_read_input(ref, "Beltrami file"), entry.se.algebra)
+    return nio.beltrami_parse(_read_input(ref, "Beltrami file"), _family_algebra(entry))
 
 
 def _load_form(ref: str, entry, algebra: Optional[FormAlgebra] = None):
@@ -130,7 +138,7 @@ def _evaluated(entry, t_text: Optional[str]):
     if t_text is None:
         point = zero_point(entry.se.algebra.ring.m)
     else:
-        point = _parse_point(t_text, (entry.se if entry.beltrami is None else entry.beltrami).algebra.ring.m)
+        point = _parse_point(t_text, _family_algebra(entry).ring.m)
     phi = _load_beltrami("catalog", entry) if entry.beltrami is not None and any(point) else None
     return fiber_complex(entry.se, phi, point), point
 

@@ -10,9 +10,11 @@ rows, so no report builds the stacked rows), one forward column echelon
 per image, read from those columns, and the tracked forward echelons
 that every minimal-norm del-delbar solve at that point reuses
 (``ddbar_preimage``).  [del | delbar] is a rank, not a matrix.  What
-does not depend on the point belongs to the ``InvariantComplex``: the
-subset table and the assembly plans (``leibniz.Layout``), reused across
-the terms and bidegrees of the complex, and the equations' terms.
+does not depend on the point belongs to the structure equations, which
+the ``InvariantComplex`` wraps: the subset table and the assembly plans
+(``leibniz.Layout``), which the equations' column tables and every point
+of the complex share across terms and bidegrees, and the equations'
+terms.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read from a forward

@@ -1,8 +1,9 @@
 """Beltrami-differential calculus on invariant complexes.
 
-Lie brackets are read off the structure equations through the pairing
-d omega(x, y) = -omega([x, y]); the Schouten bracket of two
-Beltrami differentials is extracted by contracting the Tian-Todorov
+delbar on T^{1,0}-valued forms reads its structure constants from the
+(1,1)-parts of d gamma^s that ``StructureEquations.symbol_terms``
+splits off, the one reader of d of the coframe; the Schouten bracket of
+two Beltrami differentials is extracted by contracting the Tian-Todorov
 identity against the coframe, which reduces to the familiar
 wedge-of-components formula on abelian complex structures and adds the
 del gamma correction on non-abelian ones.
@@ -30,11 +31,9 @@ from .algebra import (
 )
 from .cohomology import EvaluatedComplex
 from .errors import IntegrabilityError, NonInvertibleCoframe
-from .scalars import GaussianRational, ParamScalar, PolyRing
+from .scalars import GaussianRational, PolyRing
 
 HALF = GaussianRational(Fraction(1, 2))
-
-BeltramiDifferential = VectorValuedForm
 
 
 def as_beltrami(v: VectorValuedForm) -> VectorValuedForm:
@@ -60,59 +59,20 @@ def evaluate_se(se: StructureEquations, point) -> StructureEquations:
     )
 
 
-# -- Lie brackets ----------------------------------------------------------
-
-
-class LieBracketTable:
-    """Structure constants of the complexified Lie algebra.
-
-    bracket(a, b) maps frame symbols (0..2n-1, the thetas then the
-    thetabars) to the coefficient dict of [e_a, e_b] over the frame.  By
-    d omega(x, y) = -omega([x, y]), each monomial c omega^a ^ omega^b
-    (symbols a < b) of d(omega^s) is [e_a, e_b]^s = -c, and the table
-    reads each monomial once.  It validates the equations first
-    (``StructureEquations.require_flat``): d^2 = 0 on the generators is
-    the Jacobi identity of these brackets.
-    """
-
-    def __init__(self, se: StructureEquations):
-        se.require_flat()
-        self.algebra = se.algebra
-        self.n = n = se.n
-        self._table: Dict[Tuple[int, int], Dict[int, ParamScalar]] = {}
-        for s in range(2 * n):
-            for (I, J), c in se.d_symbol(s).coeffs.items():
-                a, b = [i - 1 for i in I] + [n + j - 1 for j in J]
-                self._table.setdefault((a, b), {})[s] = -c
-
-    def bracket(self, a: int, b: int) -> Dict[int, ParamScalar]:
-        if a == b:
-            return {}
-        if a < b:
-            return dict(self._table.get((a, b), {}))
-        return {s: -c for s, c in self._table.get((b, a), {}).items()}
-
-
-def lie_brackets(se: StructureEquations) -> LieBracketTable:
-    """Brackets dual to d, read once per structure equations and kept in
-    ``se.brackets``.  Equations that ``require_flat`` refuses store
-    nothing, so every call on them raises its error again.
-    """
-    if se.brackets is None:
-        se.brackets = LieBracketTable(se)
-    return se.brackets
-
-
 # -- differentials on vector-valued forms ---------------------------------
 
 
 def delbar_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValuedForm:
-    """delbar on a vector-valued form: delbar(omega (x) e) = delbar omega
-    (x) e + (-1)^|omega| omega ^ gammabar^k (x) [thetabar_k, e], the part
-    of the bracket of e's valence."""
+    """delbar on a T^{1,0}-valued form: delbar(omega (x) theta_i) =
+    delbar omega (x) theta_i + (-1)^|omega| sum c omega ^ gammabar^k (x)
+    theta_s, over the (1,1)-terms c gamma^i ^ gammabar^k of d gamma^s
+    (``symbol_terms``).  Asks ``require_flat`` first, so equations that
+    define no complex are refused on every call."""
+    se.require_flat()
+    if v.valence != T10:
+        raise ValueError("delbar_on_vectors takes T^{1,0}-valued forms")
     alg = v.algebra
-    n = alg.n
-    table = lie_brackets(se)
+    mixed = se.symbol_terms("delbar")[: se.n]
     out: Dict[int, Form] = {}
 
     def add(i: int, f: Form):
@@ -121,26 +81,13 @@ def delbar_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValu
 
     for i, comp in v.components.items():
         add(i, se.apply_delbar(comp))
-        sign = -1 if _total_degree(comp) % 2 else 1
-        e_sym = (i - 1) if v.valence == T10 else (n + i - 1)
-        for k in range(1, n + 1):
-            br = table.bracket(n + k - 1, e_sym)
-            part = (
-                {s: c for s, c in br.items() if s < n}
-                if v.valence == T10
-                else {s: c for s, c in br.items() if s >= n}
-            )
-            if not part:
-                continue
-            wedge = comp.wedge(alg.gammabar(k))
-            if sign < 0:
-                wedge = -wedge
-            if not wedge:
-                continue
-            for s, c in part.items():
-                tgt = (s + 1) if v.valence == T10 else (s - n + 1)
-                add(tgt, wedge.scale(c))
-    return VectorValuedForm(alg, v.valence, out)
+        odd = _total_degree(comp) % 2
+        for s, terms in enumerate(mixed):
+            for I, J, c in terms:
+                if I == (i,):
+                    wedge = comp.wedge(alg.gammabar(J[0])).scale(c)
+                    add(s + 1, -wedge if odd else wedge)
+    return VectorValuedForm(alg, T10, out)
 
 
 def _total_degree(f: Form) -> int:

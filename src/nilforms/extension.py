@@ -20,12 +20,12 @@ asserted equal: directly, d of the extension of omega, from omega
 alone, and through the graded k-sums, from the W and running sums the
 solver holds (``obstruction_residual`` rebuilds both from omega).
 Data that depends only on (se, phi) is built once, by its owner: se
-keeps its Lie bracket table, phi its
-``BeltramiOperators`` (so every helper here takes phi itself) and its
-integrability verdict for se (``deformation.require_integrable``, which
-checks once per se object and never stores a failure), and each of
-their coframe maps its prefix images, so a solve pays for its own form
-only.
+keeps the del and delbar parts of d (``symbol_terms``) and their column
+tables, phi its ``BeltramiOperators`` (so every helper here takes phi
+itself) and its integrability verdict for se
+(``deformation.require_integrable``, which checks once per se object
+and never stores a failure), and each of their coframe maps its prefix
+images, so a solve pays for its own form only.
 
 Each order solves the paper's conjugate system del x = delbar zeta,
 delbar x = del conj(xi) on the t = 0 complex, one t-slice at a time

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from nilforms import linalg
 from nilforms.algebra import T10, Form, FormAlgebra, StructureEquations, VectorValuedForm
 from nilforms.cohomology import EvaluatedComplex, zero_point
-from nilforms.deformation import HALF, _total_degree, delbar_on_vectors, evaluate_se, lie_brackets, schouten
+from nilforms.deformation import HALF, _total_degree, delbar_on_vectors, evaluate_se, schouten
 from nilforms.linalg import Rows
 from nilforms.scalars import QI_ONE, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
 
@@ -1350,6 +1350,81 @@ class HodgeContext:
         return self._harmonic_green("a", p, q)[1]
 
 
+# -- the Lie bracket table that symbol_terms replaced ----------------------
+
+
+class LieBracketTable:
+    """Structure constants of the complexified Lie algebra.
+
+    bracket(a, b) maps frame symbols (0..2n-1, the thetas then the
+    thetabars) to the coefficient dict of [e_a, e_b] over the frame.  By
+    d omega(x, y) = -omega([x, y]), each monomial c omega^a ^ omega^b
+    (symbols a < b) of d(omega^s) is [e_a, e_b]^s = -c, and the table
+    reads each monomial once.  It validates the equations first
+    (``StructureEquations.require_flat``): d^2 = 0 on the generators is
+    the Jacobi identity of these brackets.
+    """
+
+    def __init__(self, se: StructureEquations):
+        se.require_flat()
+        self.algebra = se.algebra
+        self.n = n = se.n
+        self._table: Dict[Tuple[int, int], Dict[int, ParamScalar]] = {}
+        for s in range(2 * n):
+            for (I, J), c in se.d_symbol(s).coeffs.items():
+                a, b = [i - 1 for i in I] + [n + j - 1 for j in J]
+                self._table.setdefault((a, b), {})[s] = -c
+
+    def bracket(self, a: int, b: int) -> Dict[int, ParamScalar]:
+        if a == b:
+            return {}
+        if a < b:
+            return dict(self._table.get((a, b), {}))
+        return {s: -c for s, c in self._table.get((b, a), {}).items()}
+
+
+def lie_brackets(se: StructureEquations) -> LieBracketTable:
+    """A fresh bracket table of se; nothing is kept on se."""
+    return LieBracketTable(se)
+
+
+def delbar_on_vectors_by_table(se, v):
+    """The table route of ``deformation.delbar_on_vectors``, for either
+    valence: delbar(omega (x) e) = delbar omega (x) e + (-1)^|omega|
+    omega ^ gammabar^k (x) [thetabar_k, e], the part of the bracket of
+    e's valence."""
+    alg = v.algebra
+    n = alg.n
+    table = lie_brackets(se)
+    out = {}
+
+    def add(i, f):
+        if f:
+            out[i] = out.get(i, alg.zero()) + f
+
+    for i, comp in v.components.items():
+        add(i, se.apply_delbar(comp))
+        sign = -1 if _total_degree(comp) % 2 else 1
+        e_sym = (i - 1) if v.valence == T10 else (n + i - 1)
+        for k in range(1, n + 1):
+            br = table.bracket(n + k - 1, e_sym)
+            part = (
+                {s: c for s, c in br.items() if s < n}
+                if v.valence == T10
+                else {s: c for s, c in br.items() if s >= n}
+            )
+            if not part:
+                continue
+            wedge = comp.wedge(alg.gammabar(k))
+            if sign < 0:
+                wedge = -wedge
+            if not wedge:
+                continue
+            for s, c in part.items():
+                add((s + 1) if v.valence == T10 else (s - n + 1), wedge.scale(c))
+    return VectorValuedForm(alg, v.valence, out)
+
+
 # -- the bracket routes that LieBracketTable and require_flat replaced -----
 
 
@@ -1414,7 +1489,7 @@ def norm2_vec(v) -> Fraction:
 
 def del_on_vectors(se, v):
     """del on a vector-valued form, the mirror of
-    ``deformation.delbar_on_vectors``: del(omega (x) e) = del omega (x) e
+    ``delbar_on_vectors_by_table``: del(omega (x) e) = del omega (x) e
     + (-1)^|omega| omega ^ gamma^k (x) [theta_k, e], the part of the
     bracket of e's valence."""
     alg = v.algebra

@@ -598,13 +598,16 @@ def test_stacked_echelon_extends_dels_into_the_forward_echelon(reference_complex
 
 
 def test_a_second_point_reuses_the_assembly_plans(bcvary10):
-    """On the deformed bcvary10 family, the del and delbar matrices at a
-    generic point compute each block plan once; evaluated complexes on
-    the same complex at the other generic point and at t = 0, where no
-    structure constant is nonzero that was not at the first, compute
-    none and leave the memo as it was; the rows at every point equal the
-    symbolic oracle's there."""
-    from nilforms.deformation import deform_complex
+    """The complex of the deformed bcvary10 family shares its equations'
+    layout, so its plans are computed once over validation and the del
+    and delbar matrices at three points: validation (``build_complex``
+    on equations that have decided nothing yet) computes each plan of
+    its degree-1 and degree-2 tables once; the matrices at a generic
+    point compute each plan once, and only plans that validation did
+    not make; evaluated complexes on the same complex at the other
+    generic point and at t = 0, where no structure constant is nonzero
+    that was not at the first, compute none and leave the memo as it
+    was; the rows at every point equal the symbolic oracle's there."""
 
     class Recorded(dict):
         """A plan memo that records each plan stored, that is computed."""
@@ -613,9 +616,15 @@ def test_a_second_point_reuses_the_assembly_plans(bcvary10):
             calls.append(key)
             super().__setitem__(key, plan)
 
-    family = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami))
+    deformed = deform_complex(bcvary10.se, bcvary10.beltrami)
+    se = StructureEquations(deformed.name, deformed.algebra, deformed.d_coframe)  # nothing planned yet
     calls = []
-    family.layout.plans = Recorded(family.layout.plans)
+    se.layout.plans = Recorded()
+    family = build_complex(se)
+    assert family.layout is se.layout
+    validation = set(calls)
+    assert validation and len(calls) == len(validation)
+    calls.clear()
     bidegrees = [(op, p, q) for op in ("del", "delbar") for p in range(6) for q in range(6)]
     plans = None
     for pt in generic_points(4) + (zero_point(4),):
@@ -623,8 +632,9 @@ def test_a_second_point_reuses_the_assembly_plans(bcvary10):
         for op, p, q in bidegrees:
             assert ec.rows(op, p, q) == evaluated_rows(family, op, p, q, pt), (pt, op, p, q)
         if plans is None:
+            assert calls and len(calls) == len(set(calls)) and validation.isdisjoint(calls)
             plans = dict(family.layout.plans)
-            assert plans and len(calls) == len(plans) and set(calls) == set(plans)
+            assert plans.keys() == validation | set(calls)
             calls.clear()
         assert calls == [], pt
         assert family.layout.plans.keys() == plans.keys()
@@ -731,11 +741,12 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     del-delbar solves, every empty row of every stored matrix (del,
     delbar, ddbar, total, the adjoints the solves keep, and a stacked
     matrix asked for by name, which the reports never build) is the one
-    ``EMPTY_ROW``, which refuses a write; the complex keeps only its
-    layout, the per-size subset table, 2^n subsets, and the assembly
-    plans, each a list of one entry per subset of one block, so no list
-    or dict per monomial; and the equations hold column tables for the
-    degrees 1 and 2 of their flatness check only."""
+    ``EMPTY_ROW``, which refuses a write; the complex keeps only the
+    layout of its equations, the per-size subset table, 2^n subsets,
+    and the assembly plans, each a list of one entry per subset of one
+    block, so no list or dict per monomial; and the equations hold
+    column tables for the degrees 1 and 2 of their flatness check
+    only."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     ec = EvaluatedComplex(cx, ())
     full_report(ec)
@@ -755,6 +766,7 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     n = cx.n
     assert set(vars(cx)) == {"se", "algebra", "n", "layout"}
     layout = cx.layout
+    assert layout is cx.se.layout
     assert sum(map(len, layout.subsets)) == sum(map(len, layout.subset_rank)) == 2 ** n
     assert {p + q for _, p, q in cx.se.tables} == {1, 2}
     assert layout.plans

@@ -28,7 +28,6 @@ from nilforms.deformation import (
     delbar_on_vectors,
     evaluate_se,
     fiber_complex,
-    lie_brackets,
     main1_residual,
     schouten,
 )
@@ -42,10 +41,12 @@ from oracles import (
     coframe_endo_dense,
     deform_complex_dense,
     del_on_vectors,
+    delbar_on_vectors_by_table,
     dense_inverse,
     fiber_point,
     jacobi_violation,
     kuranishi_expand,
+    lie_brackets,
     pairing_scan_bracket,
     reconstruct_d,
 )
@@ -143,7 +144,7 @@ def test_brackets_read_off_d_equal_the_pairing_scan_and_flatness_is_jacobi(refer
             for _ in range(2):
                 with pytest.raises(FlatnessError):
                     lie_brackets(se)
-            assert not se.flat and se.brackets is None
+            assert not se.flat
             refused.append(se.name)
             continue
         table = lie_brackets(se)
@@ -165,6 +166,55 @@ def test_delbar_on_vectors_examples(torus3, bcvary10):
     theta1 = VectorValuedForm(alg, T10, {1: alg.scalar_form(1)})
     dv = delbar_on_vectors(bcvary10.se, theta1)
     assert dv == VectorValuedForm(alg, T10, {4: alg.gammabar(3)})
+    # delbar on T^{0,1}-valued forms is not this operator
+    with pytest.raises(ValueError, match="T\\^\\{1,0\\}"):
+        delbar_on_vectors(bcvary10.se, VectorValuedForm(alg, T01, {1: alg.scalar_form(1)}))
+
+
+def _random_t10(alg, rng, degree):
+    """A seeded T^{1,0}-valued form of one total degree: up to three
+    components, each a sum of up to three monomials of random bidegree,
+    with coefficients linear in a parameter when the ring has one."""
+    ring = alg.ring
+    out = {}
+    for _ in range(rng.next_int(3) + 1):
+        i = rng.next_int(alg.n) + 1
+        f = out.get(i, alg.zero())
+        for _ in range(rng.next_int(3) + 1):
+            p = rng.next_int(degree + 1)
+            basis = alg.basis(p, degree - p)
+            c = ring.const(rng.nonzero_gaussian(3))
+            if ring.m and ring.order:
+                c = c + ring.t(rng.next_int(ring.m) + 1) * ring.const(rng.gaussian(3))
+            f = f + Form(alg, {basis[rng.next_int(len(basis))]: c})
+        out[i] = f
+    return VectorValuedForm(alg, T10, out)
+
+
+def test_delbar_on_vectors_equals_the_bracket_table_route():
+    """delbar on T^{1,0}-valued forms, read from ``symbol_terms``, equals
+    the route through the Lie bracket table dual to d (the oracle),
+    with equal vector-valued forms, on 60 seeded inputs of total degree
+    0 to 3 on each of nine equation sets: torus3, iwasawa3, abelian_4
+    and bcvary10; bcvary10 deformed symbolically and at both generic
+    points; iwasawa3 over its family's ring, and deformed at a class
+    (iii) point of the family."""
+    bc, iw = catalog_load("bcvary10"), catalog_load("iwasawa3")
+    inputs = [catalog_load(name).se for name in ("torus3", "iwasawa3", "abelian_4", "bcvary10")]
+    inputs.append(deform_complex(bc.se, bc.beltrami))
+    inputs += [deform_complex(bc.se, bc.beltrami, point=pt) for pt in generic_points(4)]
+    inputs.append(iw.se.with_algebra(iw.beltrami.algebra))
+    third = tuple(GaussianRational(Fraction(x)) for x in ("1/3", "0", "0", "1/5", "0", "0"))
+    inputs.append(deform_complex(iw.se, iw.beltrami, point=third))
+    assert len(inputs) == 9
+    rng = DetRng(3217)
+    for se in inputs:
+        for k in range(60):
+            v = _random_t10(se.algebra, rng, k % 4)
+            got = delbar_on_vectors(se, v)
+            want = delbar_on_vectors_by_table(se, v)
+            assert got == want, (se.name, v)
+            assert got.valence == T10 and got.algebra == se.algebra
 
 
 def test_delbar_squared_zero_on_generators(bcvary10):
@@ -382,21 +432,26 @@ def test_main1_residual_exhaustive_iwasawa(iwasawa3):
                     assert main1_residual(se, phi, a).is_zero(), (phi, m)
 
 
-def test_one_lift_and_one_bracket_table_per_ring(monkeypatch):
+def test_one_lift_and_one_split_of_d_per_ring(monkeypatch):
     """with_algebra keeps one lift per target algebra, so three residuals
-    with phi over PolyRing(1, 2) build one bracket table, not three."""
-    from nilforms import deformation
-
+    with phi over PolyRing(1, 2) split d of the coframe into its del and
+    delbar terms once, on that lift, not three times."""
     se = catalog_load("iwasawa3").se
     ring = PolyRing(1, 2)
     alg = FormAlgebra(3, ring)
     phi = VectorValuedForm(alg, T10, {1: alg.gammabar(1).scale(ring.t(1))})
-    built = []
-    init = deformation.LieBracketTable.__init__
-    monkeypatch.setattr(deformation.LieBracketTable, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    split = []
+    symbol_terms = StructureEquations.symbol_terms
+
+    def recording(eqs, op):
+        if eqs.terms is None:
+            split.append(eqs)
+        return symbol_terms(eqs, op)
+
+    monkeypatch.setattr(StructureEquations, "symbol_terms", recording)
     for _ in range(3):
         assert main1_residual(se, phi, se.algebra.gamma(3)).is_zero()
-    assert len(built) == 1
+    assert split == [se.with_algebra(alg)]
     assert se.with_algebra(alg) is se.with_algebra(alg) and se.with_algebra(se.algebra) is se
     assert list(se.lifts) == [alg]
 

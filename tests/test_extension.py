@@ -634,28 +634,42 @@ def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
 
 
 def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
-    """The structure equations own their Lie bracket table and phi owns
-    its BeltramiOperators and its integrability verdict: a second solve
-    on the same (se, phi), a pkahler_extend after it and a deform_complex
-    after that build no table and no Neumann series and check
-    integrability once in all, and the second solve, at the same
+    """The structure equations own the split of d of the coframe into
+    its del and delbar terms (``symbol_terms``) and phi owns its
+    BeltramiOperators and its integrability verdict: validation on load
+    splits se's d, the two solves split no equations, a pkahler_extend
+    after them and a deform_complex after that split only the equations
+    of fibers at points, and all of them build one Neumann series and
+    check integrability once in all, and the second solve, at the same
     bidegree, adds or rebuilds no prefix image of ext_transform or
     unshrink.  No solve applies shrink, so its images appear only with
     pkahler_extend, whose symmetrized check maps omega back to W.  A
-    non-integrable phi is still refused.  No table is stored for
-    equations that are not flat.  The second solve assembles no column
-    table of del or delbar and no matrix: the equations keep their
-    tables and ec0 its rows."""
+    non-integrable phi is still refused, with no split again.
+    ``delbar_on_vectors`` refuses equations that are not flat on every
+    call, and no pass is stored for them.  The second solve assembles no
+    column table of del or delbar and no matrix: the equations keep
+    their tables and ec0 its rows."""
     from nilforms import deformation, extension
     from nilforms.algebra import StructureEquations
     from nilforms.errors import FlatnessError
     from nilforms.leibniz import Layout
 
+    split = []
+    symbol_terms = StructureEquations.symbol_terms
+
+    def recording(eqs, op):
+        if eqs.terms is None:
+            split.append(eqs)
+        return symbol_terms(eqs, op)
+
+    monkeypatch.setattr(StructureEquations, "symbol_terms", recording)
     entry = catalog_load("bcvary10")  # a fresh se and phi, nothing cached yet
     se, phi = entry.se, entry.beltrami
     ec0 = EvaluatedComplex(build_complex(evaluate_se(se, zero_point(4))), ())
     omega0 = ec0.vec_to_form(ec0.kernel("stacked", 3, 3)[1], 3, 3, se.algebra)
-    counts = {"tables": 0, "neumann": 0, "integrability": 0}
+    setup = [se, ec0.cx.se]  # each split once, by its validation
+    assert split == setup
+    counts = {"neumann": 0, "integrability": 0}
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -663,9 +677,6 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(
-        deformation.LieBracketTable, "__init__", counting("tables", deformation.LieBracketTable.__init__)
-    )
     for module in (extension, deformation):
         monkeypatch.setattr(module, "neumann_invert", counting("neumann", module.neumann_invert))
     monkeypatch.setattr(
@@ -677,7 +688,7 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     monkeypatch.setattr(Layout, "assemble", lambda layout, *a: assembled.append(layout) or real_assemble(layout, *a))
 
     first = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
-    assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
+    assert counts == {"neumann": 1, "integrability": 1} and split == setup
     assert se.with_algebra(phi.algebra).layout in assembled
     assembled.clear()
     ops = phi.operators
@@ -685,23 +696,26 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     warm = [dict(b.images) for b in endos]
     assert all(len(images) > 1 for images in warm) and ops.shrink.images is None
     second = solve_extension(se, phi, omega0.scale(QI(2, -3)), ec0=ec0, check_lemmata=False)
-    assert counts == {"tables": 1, "neumann": 1, "integrability": 1} and assembled == []
+    assert counts == {"neumann": 1, "integrability": 1} and split == setup and assembled == []
     for b, images in zip(endos, warm):  # no entry added, none rebuilt
         assert b.images.keys() == images.keys() and all(b.images[k] is v for k, v in images.items())
     assert ops.shrink.images is None
     assert second.omega == first.omega.scale(QI(2, -3)) and second.omega != omega0
     ext = pkahler_extend(se, phi, entry.forms["balanced"], samples=40, seed=3)
     assert ext.state.d_closed_through_order and len(ops.shrink.images) > 1
-    assert counts == {"tables": 1, "neumann": 1, "integrability": 1}
+    assert counts == {"neumann": 1, "integrability": 1}
     deform_complex(se, phi, point=generic_points(4)[0])
     assert counts["integrability"] == 1
+    # no lift of se was split again: the new splits are of fibers' equations at points
+    assert split[:2] == setup and split[2:] and all(eqs.algebra.ring.m == 0 for eqs in split[2:])
+    del split[2:]
 
     alg = se.algebra
     bad_phi = VectorValuedForm(alg, T10, {1: alg.gammabar(2).scale(alg.ring.t(1))})
-    assert se.brackets is not None
+    assert se.terms is not None
     with pytest.raises(PreconditionFailed, match="not integrable"):
         solve_extension(se, bad_phi, omega0, ec0=ec0, check_lemmata=False)
-    assert counts["tables"] == 1
+    assert split == setup
 
     # d gamma^3 = gamma^1 ^ gamma^2 and d gamma^2 = gamma^3 ^ gammabar^1: d^2 gamma^3 != 0
     alg3 = FormAlgebra(3, PolyRing(0, 0))
@@ -710,10 +724,11 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
         alg3,
         {2: alg3.gamma(3).wedge(alg3.gammabar(1)), 3: alg3.gamma(1).wedge(alg3.gamma(2))},
     )
+    theta1 = VectorValuedForm(alg3, T10, {1: alg3.scalar_form(1)})
     for _ in range(2):
         with pytest.raises(FlatnessError):
-            deformation.lie_brackets(broken)
-        assert broken.brackets is None
+            deformation.delbar_on_vectors(broken, theta1)
+        assert not broken.flat
 
 
 def test_integrability_verdict_is_kept_only_for_a_pass_on_that_se(monkeypatch):

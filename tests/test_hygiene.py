@@ -15,7 +15,7 @@ import nilforms
 from nilforms import cli
 from nilforms import io as nio
 from nilforms import linalg, lemmata
-from nilforms.algebra import Form, build_complex
+from nilforms.algebra import Form, StructureEquations, build_complex
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points
 from nilforms.deformation import deform_complex
@@ -319,9 +319,13 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     forward echelon in place where a kernel is read, and so is the
     ``is_positive_definite`` pass-through of ``hermitian_pivots``.  The
     Jacobi loop, the pairing scan and ``JacobiError`` are gone, since
-    ``StructureEquations.require_flat`` decides d^2 = 0 and the bracket
-    table is read off d, and so are the Kuranishi recursion's own
-    ``mat_vec_param`` (``linalg.mat_vec``) and the catalog's ``_plain``.
+    ``StructureEquations.require_flat`` decides d^2 = 0, and so is the
+    Lie bracket table (``LieBracketTable``, ``lie_brackets`` and the
+    equations' ``brackets`` slot), since ``delbar_on_vectors`` reads its
+    structure constants from ``symbol_terms``; the
+    ``BeltramiDifferential`` alias is gone too.  So are the Kuranishi
+    recursion's own ``mat_vec_param`` (``linalg.mat_vec``) and the
+    catalog's ``_plain``.
     The Kuranishi recursion itself (``VectorHodge``, ``KuranishiResult``,
     ``kuranishi_expand``), its Green operator ``harmonic_green`` and the
     matrix helpers only they used, and del on vector-valued forms
@@ -345,8 +349,10 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
             "is_positive_definite", "rref", "check_jacobi", "_two_form_eval", "JacobiError", "mat_vec_param",
             "_plain", "canonical_ddbar_solution", "NotSolvable", "_representatives", "_CYCLES_MOD", "with_basis",
             "VectorHodge", "KuranishiResult", "kuranishi_expand", "harmonic_green", "mat_add", "mat_scale",
-            "rows_from_columns", "zero_rows", "vec_add", "_frame_derivative", "holomorphic"}
+            "rows_from_columns", "zero_rows", "vec_add", "_frame_derivative", "holomorphic",
+            "LieBracketTable", "lie_brackets", "BeltramiDifferential"}
     assert gone.isdisjoint(defined), gone & defined
+    assert "brackets" not in StructureEquations.__slots__
     assert {"Echelon", "forward_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
     inserting = {
         (path.name, owner)

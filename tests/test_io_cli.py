@@ -528,3 +528,28 @@ def test_positivity_applies_d_to_its_form_once(monkeypatch, capsys):
     assert cli.main(["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced", "--p", "4"]) == 0
     assert len(forms) == 21 and forms.count(balanced) == 1
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / "positivity_bcvary10_p4.txt").read_bytes()
+
+
+def test_a_beltrami_file_is_parsed_into_the_familys_ring(tmp_path, capsys):
+    """A Beltrami file holding iwasawa3's own family, whose equations
+    have no parameters, is parsed into the family's ring, so ``deform``
+    from the file prints what ``--beltrami catalog`` prints, at a class
+    (iii) and a class (i) point and symbolically; so does bcvary10's.
+    On torus3, a manifold without a family, the file is still refused
+    with one error line."""
+    files = {}
+    for name in ("iwasawa3", "bcvary10"):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(nio.beltrami_emit(catalog_load(name).beltrami))
+    runs = [("iwasawa3", ["--t", NAKAMURA_CLASSES["iii"][0]]), ("iwasawa3", ["--t", NAKAMURA_CLASSES["i"][0]]),
+            ("iwasawa3", []), ("bcvary10", ["--t", "1/5,0,0,0"])]
+    for name, t in runs:
+        outs = []
+        for ref in ("catalog", str(files[name])):
+            assert cli.main(["deform", "--manifold", f"catalog:{name}", "--beltrami", ref, *t]) == 0, (name, t)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1], (name, t)
+    assert cli.main(["deform", "--manifold", "catalog:torus3", "--beltrami", str(files["iwasawa3"])]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and captured.out == "", captured.err
