@@ -20,7 +20,6 @@ from .algebra import (
     VectorValuedForm,
     build_complex,
     contract,
-    exp_contract,
     neumann_invert,
     simultaneous_contract,
 )
@@ -72,7 +71,6 @@ from .positivity import (
     is_transverse,
     pkahler_check,
     sigma_q,
-    transversality_along_deformation,
 )
 from .scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI
 

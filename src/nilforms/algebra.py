@@ -17,7 +17,6 @@ matrices over the scalar ring.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,11 +99,6 @@ class FormAlgebra:
             return c
         return self.ring.const(c)
 
-    def basis(self, p: int, q: int) -> List[Mono]:
-        ids = range(1, self.n + 1)
-        js = list(combinations(ids, q))  # one J tuple shared by every I
-        return [(I, J) for I in combinations(ids, p) for J in js]
-
     def dim(self, p: int, q: int) -> int:
         if not (0 <= p <= self.n and 0 <= q <= self.n):
             return 0
@@ -166,9 +160,6 @@ class Form:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     # -- grading -----------------------------------------------------------
 
@@ -285,9 +276,6 @@ class VectorValuedForm:
     def component(self, i: int) -> Form:
         return self.components.get(i, self.algebra.zero())
 
-    def is_zero(self) -> bool:
-        return not self.components
-
     def __bool__(self):
         return bool(self.components)
 
@@ -321,13 +309,6 @@ class VectorValuedForm:
         if len(degs) > 1:
             raise ValueError("vector-valued form has mixed component bidegrees")
         return degs.pop() if degs else None
-
-    def homogeneous_part(self, order: int) -> "VectorValuedForm":
-        return VectorValuedForm(
-            self.algebra,
-            self.valence,
-            {i: f.homogeneous_part(order) for i, f in self.components.items()},
-        )
 
     def eval(self, point) -> "VectorValuedForm":
         alg0 = FormAlgebra(self.algebra.n, PolyRing(0, 0))
@@ -418,17 +399,6 @@ def contraction_series(theta: VectorValuedForm, a: Form) -> List[Form]:
     return out
 
 
-def exp_contract(theta: VectorValuedForm, a: Form) -> Form:
-    """e^{iota_theta} a = sum_k iota^k a / k!; finite in bounded degree.
-
-    For 1-form components this equals the factorwise coframe
-    substitution w -> w + theta(w) (exponentials of even derivations
-    are algebra maps); the equality is exercised by the test suite.
-    """
-    terms = contraction_series(theta, a)
-    return sum(terms[1:], terms[0])
-
-
 class CoframeEndo:
     """Linear map on the 2n-dimensional coframe span, column-sparse.
 
@@ -454,10 +424,6 @@ class CoframeEndo:
     def identity(cls, algebra: FormAlgebra) -> "CoframeEndo":
         one = algebra.ring.one()
         return cls(algebra, {s: {s: one} for s in range(2 * algebra.n)})
-
-    @classmethod
-    def zero(cls, algebra: FormAlgebra) -> "CoframeEndo":
-        return cls(algebra, {})
 
     def __add__(self, other: "CoframeEndo") -> "CoframeEndo":
         out = {b: dict(col) for b, col in self.cols.items()}

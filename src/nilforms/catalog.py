@@ -222,8 +222,6 @@ class ScenarioReport:
 
 
 def _check(golden: GoldenValue, actual) -> CheckResult:
-    if not golden.provenance.strip():
-        raise ValueError("refusing an untagged expectation")
     return CheckResult(golden.key, golden.expected, actual, golden.provenance)
 
 

@@ -29,7 +29,7 @@ from .deformation import deform_complex, fiber_complex
 from .errors import NilformsError
 from .extension import bc_nontriviality, pkahler_extend, small_points, solve_extension
 from .lemmata import lemma_report
-from .positivity import check_pkahler_degree, is_strictly_positive, pkahler_check
+from .positivity import is_strictly_positive, pkahler_check
 from .scalars import parse_gaussian
 
 
@@ -212,12 +212,12 @@ def _cmd_lemmata(args) -> int:
     entry = _load_manifold(args.manifold, args.order)
     ec, point = _evaluated(entry, args.t)
     bidegrees = None
-    if args.bidegree and not args.all:
+    if args.bidegree:
         p, q = args.bidegree
         if not (0 <= p <= ec.n and 0 <= q <= ec.n):
             raise NilformsError(f"bidegree ({p},{q}) is outside 0..{ec.n}")
         bidegrees = [(p, q)]
-    rep = lemma_report(ec, bidegrees=bidegrees, with_standard=args.all or not args.bidegree)
+    rep = lemma_report(ec, bidegrees=bidegrees, with_standard=bidegrees is None)
     obj = rep.to_json_dict()
     obj["manifold"] = entry.name
     obj["t"] = [str(z) for z in point]
@@ -249,13 +249,12 @@ def _cmd_extend(args) -> int:
     entry = _load_manifold(args.manifold, args.order)
     phi = _load_beltrami(args.beltrami, entry)
     omega0 = _load_form(args.form, entry, phi.algebra)
-    if args.pkahler is not None:
-        check_pkahler_degree(omega0, args.pkahler, entry.se.n)
+    if args.pkahler:
         ext = pkahler_extend(entry.se, phi, omega0, order=args.order_n,
                              samples=args.samples, seed=args.seed)
         state = ext.state
         extra = {
-            "pkahler_p": args.pkahler,
+            "pkahler_p": state.bidegree[0],
             "transverse_at": [
                 {"t": [str(z) for z in pt], "holds": v.holds, "exact": v.exact}
                 for pt, v in zip(ext.points, ext.verdicts)
@@ -297,14 +296,15 @@ def _cmd_positivity(args) -> int:
     entry = _load_manifold(args.manifold, args.order)
     omega = _load_form(args.form, entry)
     ev = omega.eval(zero_point(omega.algebra.ring.m))
-    pk, d_closed, verdict = pkahler_check(entry.se, omega, args.p, samples=args.samples, seed=args.seed)
+    pk, d_closed, verdict = pkahler_check(entry.se, omega, samples=args.samples, seed=args.seed)
+    p = omega.bidegree()[0]
     try:
-        strict = is_strictly_positive(ev, args.p).holds
+        strict = is_strictly_positive(ev, p).holds
     except NilformsError:
         strict = None
     obj = {
         "manifold": entry.name,
-        "p": args.p,
+        "p": p,
         "d_closed": d_closed,
         "pkahler": pk,
         "transverse": verdict.to_json_dict(),
@@ -354,8 +354,9 @@ def _parser() -> _Parser:
 
     p_lem = sub.add_parser("lemmata", help="del-delbar lemma flags and witnesses")
     p_lem.add_argument("--manifold", required=True)
-    p_lem.add_argument("--bidegree", type=_bidegree, help="p,q")
-    p_lem.add_argument("--all", action="store_true")
+    one_or_all = p_lem.add_mutually_exclusive_group()
+    one_or_all.add_argument("--bidegree", type=_bidegree, help="p,q")
+    one_or_all.add_argument("--all", action="store_true")
     p_lem.add_argument("--t")
     p_lem.add_argument("--json", action="store_true")
     p_lem.set_defaults(fn=_cmd_lemmata)
@@ -373,9 +374,9 @@ def _parser() -> _Parser:
     p_ext.add_argument("--form", required=True, help="file or catalog:NAME")
     p_ext.add_argument("--order-n", type=_nonnegative, default=None, dest="order_n",
                        help="series order (default: ring truncation)")
-    p_ext.add_argument("--pkahler", type=int, default=None,
-                       help="treat the input as a p-Kaehler form (its own p, 1 <= p <= n-1) "
-                            "and sample transversality")
+    p_ext.add_argument("--pkahler", action="store_true",
+                       help="treat the input as a p-Kaehler form, p read off its bidegree (p,p) "
+                            "with 1 <= p <= n-1, and check transversality on nearby fibers")
     p_ext.add_argument("--samples", type=_positive, default=200)
     p_ext.add_argument("--seed", type=int, default=7)
     p_ext.add_argument("--json", action="store_true")
@@ -384,7 +385,6 @@ def _parser() -> _Parser:
     p_pos = sub.add_parser("positivity", help="strict positivity / transversality verdicts")
     p_pos.add_argument("--manifold", required=True)
     p_pos.add_argument("--form", required=True, help="file or catalog:NAME")
-    p_pos.add_argument("--p", type=int, required=True)
     p_pos.add_argument("--samples", type=_positive, default=200)
     p_pos.add_argument("--seed", type=int, default=7)
     p_pos.add_argument("--json", action="store_true")

@@ -25,7 +25,6 @@ from .algebra import (
     build_complex,
     contract,
     endo_of_vvf,
-    exp_contract,
     neumann_invert,
     simultaneous_contract,
 )
@@ -138,7 +137,7 @@ def check_integrability(se: StructureEquations, phi: VectorValuedForm) -> Tuple[
     as_beltrami(phi)
     se_lifted = se.with_algebra(phi.algebra)
     residual = delbar_on_vectors(se_lifted, phi) - schouten(se_lifted, phi, phi).scale(HALF)
-    return residual.is_zero(), residual
+    return not residual, residual
 
 
 def require_integrable(se: StructureEquations, phi: VectorValuedForm) -> None:
@@ -187,14 +186,17 @@ def main1_residual(se: StructureEquations, phi: VectorValuedForm, alpha: Form) -
     se = se.with_algebra(phi.algebra)
     alpha = alpha.lift(phi.algebra)
     theta = delbar_on_vectors(se, phi) - schouten(se, phi, phi).scale(HALF)
-    lhs = se.apply_d(exp_contract(phi, alpha))
+    # e^{iota_phi}: the coframe substitution 1 + phi, phi being a Beltrami
+    # differential (exponentials of even derivations are algebra maps)
+    exp_iota = CoframeEndo.identity(phi.algebra) + endo_of_vvf(phi)
+    lhs = se.apply_d(simultaneous_contract(exp_iota, alpha))
     inner = (
         se.apply_d(alpha)
         + se.apply_del(contract(phi, alpha))
         - contract(phi, se.apply_del(alpha))
         + contract(theta, alpha)
     )
-    return lhs - exp_contract(phi, inner)
+    return lhs - simultaneous_contract(exp_iota, inner)
 
 
 def deform_complex(

@@ -57,7 +57,7 @@ from .deformation import as_beltrami, coframe_transform, fiber_complex, require_
 from .errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
 from .lemmata import mild
 from .linalg import Vec
-from .positivity import check_pkahler_degree, is_transverse
+from .positivity import is_transverse, pkahler_degree
 from .scalars import QI_ONE, GaussianRational
 
 
@@ -409,14 +409,15 @@ def pkahler_extend(
 ) -> PKahlerExtension:
     """Extend a p-Kaehler form and sample transversality on nearby fibers.
 
-    omega0 must be real, d-closed and transverse with p <= n-1; the
-    solver runs on omega0 directly and the result is symmetrized to
-    restore literal realness before the positivity checks.
+    omega0 must be real, d-closed and transverse at its own p
+    (``pkahler_degree``, 1 <= p <= n-1); the solver runs on omega0
+    directly and the result is symmetrized to restore literal realness
+    before the positivity checks.
     """
     alg = phi.algebra
-    p = _initial_bidegree(omega0)[0]
+    _initial_bidegree(omega0)
+    p = pkahler_degree(omega0, alg.n)
     omega0 = omega0.lift(alg)
-    check_pkahler_degree(omega0, p, alg.n)
     if omega0.conj() != omega0:
         raise PreconditionFailed("omega0 is not real")
     se_r = se.with_algebra(alg)

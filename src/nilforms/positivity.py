@@ -10,6 +10,10 @@ positive, or the first pivot <= 0 comes with an exact vector w whose
 value w* A w is that pivot.  For intermediate p the verdict is
 produced by seeded deterministic sampling of decomposable directions
 and is labelled as such.
+
+A p-Kaehler question takes p from its form (``pkahler_degree``): a
+nonzero (p,p)-form with 1 <= p <= n-1.  Transversality on nearby
+fibers is answered by ``extension.pkahler_extend``, on the extension.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Form, FormAlgebra, StructureEquations
-from .deformation import deform_complex
 from .errors import PreconditionFailed
 from .io import form_to_obj
 from .scalars import DetRng, GaussianRational, QI_I, QI_ONE, _div
@@ -298,51 +301,31 @@ def is_transverse(
     )
 
 
-def check_pkahler_degree(gamma: Form, p: int, n: int) -> None:
-    """PreconditionFailed unless 1 <= p <= n-1 and gamma is a (p,p)-form:
-    the bidegrees a p-Kaehler form can have (top degree is trivial)."""
+def pkahler_degree(gamma: Form, n: int) -> int:
+    """The p of gamma as a p-Kaehler form, read off its bidegree (p,p);
+    PreconditionFailed if gamma is zero, of mixed bidegree, not a
+    (p,p)-form, or has p outside 1..n-1 (top degree is trivial)."""
+    try:
+        p, q = gamma.bidegree()
+    except ValueError as exc:
+        raise PreconditionFailed(f"not a p-Kaehler form: {exc}") from None
+    if p != q:
+        raise PreconditionFailed(f"not a p-Kaehler form: a ({p},{q})-form is not a (p,p)-form")
     if not 1 <= p <= n - 1:
-        raise PreconditionFailed(f"p must satisfy 1 <= p <= n-1 = {n - 1}, got {p}")
-    if not gamma.is_homogeneous(p, p):
-        raise PreconditionFailed(f"the form is not a ({p},{p})-form")
+        raise PreconditionFailed(f"the form's p = {p} is outside 1..n-1 = 1..{n - 1}")
+    return p
 
 
 def pkahler_check(
     se: StructureEquations,
     gamma: Form,
-    p: int,
     samples: int = 200,
     seed: int = 7,
 ) -> Tuple[bool, bool, PositivityVerdict]:
-    """(p-Kaehler, d-closed, transversality verdict): p-Kaehler is
-    d-closed (exact) and transverse; p = 1 is the Kaehler case and
-    p = n-1 the balanced case."""
-    check_pkahler_degree(gamma, p, se.n)
+    """(p-Kaehler, d-closed, transversality verdict) of gamma at its own
+    p (``pkahler_degree``): p-Kaehler is d-closed (exact) and
+    transverse; p = 1 is the Kaehler case and p = n-1 the balanced case."""
+    p = pkahler_degree(gamma, se.n)
     closed = not se.with_algebra(gamma.algebra).apply_d(gamma)
     verdict = is_transverse(gamma, p, samples=samples, seed=seed)
     return closed and verdict.holds, closed, verdict
-
-
-def transversality_along_deformation(
-    se: StructureEquations,
-    phi,
-    gamma: Form,
-    t_points: Sequence,
-    samples: int = 200,
-    seed: int = 7,
-) -> List[PositivityVerdict]:
-    """Evaluate a parameter-dependent (p,p)-form at each point, reread it
-    against the deformed coframe, and re-run the transversality check.
-
-    In the deformed basis the extension map acts as the identity on
-    coefficients, so evaluation plus reinterpretation is exactly the
-    extension on the fiber; failures at large t are reported as
-    verdicts, not errors.
-    """
-    p = gamma.bidegree()[0]
-    out = []
-    for pt in t_points:
-        deform_complex(se, phi, point=pt)  # raises if the fiber degenerates
-        ev = gamma.eval(pt)
-        out.append(is_transverse(ev, p, samples=samples, seed=seed))
-    return out

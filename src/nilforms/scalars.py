@@ -623,9 +623,3 @@ class DetRng:
 
     def gaussian(self, span: int = 9) -> GaussianRational:
         return GaussianRational(self.rational(span), self.rational(span))
-
-    def nonzero_gaussian(self, span: int = 9) -> GaussianRational:
-        while True:
-            z = self.gaussian(span)
-            if z:
-                return z

@@ -17,11 +17,20 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from nilforms import linalg
-from nilforms.algebra import T10, Form, FormAlgebra, StructureEquations, VectorValuedForm
+from nilforms.algebra import (
+    T10,
+    CoframeEndo,
+    Form,
+    FormAlgebra,
+    Mono,
+    StructureEquations,
+    VectorValuedForm,
+    contraction_series,
+)
 from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.deformation import HALF, _total_degree, delbar_on_vectors, evaluate_se, schouten
 from nilforms.linalg import Rows
-from nilforms.scalars import QI_ONE, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
+from nilforms.scalars import QI_ONE, DetRng, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
 
 Word = Tuple[int, ...]  # coframe symbols 0..2n-1, gammas then gammabars
 
@@ -536,13 +545,53 @@ def form_layer_derivation(se, a, op: str):
     return out
 
 
+# -- helpers the engine no longer ships: only tests call them -----------
+
+
+def form_basis(alg: FormAlgebra, p: int, q: int) -> List[Mono]:
+    """The monomials (I, J) of bidegree (p,q), I and J ascending."""
+    ids = range(1, alg.n + 1)
+    js = list(combinations(ids, q))
+    return [(I, J) for I in combinations(ids, p) for J in js]
+
+
+def zero_endo(alg: FormAlgebra) -> CoframeEndo:
+    """The zero endomorphism of the coframe span."""
+    return CoframeEndo(alg, {})
+
+
+def vvf_homogeneous_part(v: VectorValuedForm, order: int) -> VectorValuedForm:
+    """The part of v of degree order in t."""
+    return VectorValuedForm(
+        v.algebra, v.valence, {i: f.homogeneous_part(order) for i, f in v.components.items()}
+    )
+
+
+def nonzero_gaussian(rng: DetRng, span: int = 9) -> GaussianRational:
+    """The first nonzero draw of rng.gaussian(span)."""
+    while True:
+        z = rng.gaussian(span)
+        if z:
+            return z
+
+
+def exp_contract(theta: VectorValuedForm, a: Form) -> Form:
+    """e^{iota_theta} a = sum_k iota^k a / k!: the contraction series
+    summed.  For 1-form components this is the factorwise coframe
+    substitution w -> w + theta(w), the map main1_residual applies
+    through simultaneous_contract (exponentials of even derivations
+    are algebra maps)."""
+    terms = contraction_series(theta, a)
+    return sum(terms[1:], terms[0])
+
+
 # -- the monomial list and index that the subset ranks replaced ----------
 
 
 def monomial_index(cx, p: int, q: int):
     """The position of each monomial of (p,q), from the whole list of
     them (``FormAlgebra.basis``) as one dict."""
-    return {m: i for i, m in enumerate(cx.algebra.basis(p, q))}
+    return {m: i for i, m in enumerate(form_basis(cx.algebra, p, q))}
 
 
 def form_to_vec_by_index(ec, a, p: int, q: int):
@@ -557,7 +606,7 @@ def vec_to_form_by_basis(ec, v, p: int, q: int):
     from nilforms.algebra import Form
 
     alg = ec.cx.algebra
-    monos = alg.basis(p, q)
+    monos = form_basis(alg, p, q)
     return Form(alg, {monos[i]: alg.ring.const(v[i]) for i in sorted(v)})
 
 
@@ -627,7 +676,7 @@ def symbolic_columns(cx, op: str, p: int, q: int):
     tgt_index = monomial_index(cx, tp, tq) if cx.dim(tp, tq) else {}
     return [
         {tgt_index[mm]: c for mm, c in walker_derivation(se, Form(cx.algebra, {m: one}), op).coeffs.items()}
-        for m in cx.algebra.basis(p, q)
+        for m in form_basis(cx.algebra, p, q)
     ]
 
 
@@ -696,7 +745,7 @@ def real_basis_vectors_by_products(ec, p: int):
     """The conjugation-fixed basis of ``lemmata._real_basis_vectors``
     with i^(p*p) formed by p*p products in Q(i) and the second vector of
     each conjugate pair scaled by a product i * (-sign)."""
-    monos = ec.cx.algebra.basis(p, p)
+    monos = form_basis(ec.cx.algebra, p, p)
     pos = monomial_index(ec.cx, p, p)
     sign = -1 if (p * p) % 2 else 1
     i_unit = GaussianRational(0, 1)
@@ -1601,7 +1650,7 @@ class KuranishiResult:
 
     @property
     def unobstructed_through_order(self) -> bool:
-        return all(ob.is_zero() for ob in self.obstructions)
+        return all(not ob for ob in self.obstructions)
 
 
 def kuranishi_expand(

@@ -50,7 +50,7 @@ from nilforms.positivity import (
 )
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import HodgeContext, mat_add, norm2_vec, vec_add
+from oracles import HodgeContext, form_basis, mat_add, nonzero_gaussian, norm2_vec, vec_add
 
 CATALOG_NAMES = ("torus3", "iwasawa3", "bcvary10", "abelian_2")
 
@@ -106,7 +106,7 @@ def test_criterion_03_deformed_structure_equations(bcvary10):
 def test_criterion_04_integrability_identically(bcvary10):
     assert bcvary10.se.algebra.ring.order == 4
     ok, residual = check_integrability(bcvary10.se, bcvary10.beltrami)
-    assert ok and residual.is_zero()
+    assert ok and not residual
     _report(4, "delbar phi(t) - (1/2)[phi(t),phi(t)] = 0 identically through order 4")
 
 
@@ -122,7 +122,7 @@ def test_criterion_05_iwasawa_lemma_taxonomy(iwasawa3, ec_iwasawa):
     w = se.apply_del(alg.monomial((3,), (1,)))
     assert w == alg.monomial((1, 2), (1,), -1)
     v = ec_iwasawa.form_to_vec(w, 2, 1)
-    assert se.apply_del(w).is_zero() and se.apply_delbar(w).is_zero()
+    assert not se.apply_del(w) and not se.apply_delbar(w)
     assert not ec_iwasawa.image_echelon("ddbar", 2, 1).contains(v)  # BC-nontrivial
     assert ec_iwasawa.image_echelon("del", 2, 1).contains(v)  # del-trivial
     _report(5, "weak(2)=T, dual_mild(2,3)=T, mild(2,3)=F with the verified witness")
@@ -157,7 +157,7 @@ def test_criterion_07_extension_solver_21_generators(bcvary10, ec_bcvary0):
         )
         # full d-residual exactly zero through order 4, and the two
         # obstruction components vanish order by order
-        assert st.full_residual.is_zero()
+        assert not st.full_residual
         assert st.residual_left_by_order == [Fraction(0)] * 5
         assert st.residual_right_by_order == [Fraction(0)] * 5
         states.append(st)
@@ -189,29 +189,29 @@ def test_criterion_08_operator_identity_suites(torus3, iwasawa3, bcvary10, ec_iw
                 i = rng.next_int(3) + 1
                 comps[i] = comps.get(i, alg.zero()) + alg.gammabar(
                     rng.next_int(3) + 1
-                ).scale(rng.nonzero_gaussian(3))
+                ).scale(nonzero_gaussian(rng, 3))
             phis.append(VectorValuedForm(alg, T10, comps))
         for phi in phis:
             for p in range(4):
                 for q in range(4):
-                    for m in alg.basis(p, q):
+                    for m in form_basis(alg, p, q):
                         a = Form(alg, {m: alg.ring.one()})
-                        assert main1_residual(entry.se, phi, a).is_zero()
+                        assert not main1_residual(entry.se, phi, a)
     # symbolic on the ten-dimensional family
     alg5 = bcvary10.se.algebra
     for m in [((1,), (3,)), ((2, 5), (2, 5)), ((1, 3, 5), (2,))]:
         a = Form(alg5, {m: alg5.ring.one()})
-        assert main1_residual(bcvary10.se, bcvary10.beltrami, a).is_zero()
+        assert not main1_residual(bcvary10.se, bcvary10.beltrami, a)
     # Tian-Todorov contraction identity on random data over Iwasawa
     se = iwasawa3.se
     alg = se.algebra
     for _ in range(3):
-        phi = VectorValuedForm(alg, T10, {1: alg.gammabar(rng.next_int(3) + 1).scale(rng.nonzero_gaussian(3)), 3: alg.gammabar(rng.next_int(3) + 1)})
-        psi = VectorValuedForm(alg, T10, {2: alg.gammabar(rng.next_int(3) + 1).scale(rng.nonzero_gaussian(3))})
+        phi = VectorValuedForm(alg, T10, {1: alg.gammabar(rng.next_int(3) + 1).scale(nonzero_gaussian(rng, 3)), 3: alg.gammabar(rng.next_int(3) + 1)})
+        psi = VectorValuedForm(alg, T10, {2: alg.gammabar(rng.next_int(3) + 1).scale(nonzero_gaussian(rng, 3))})
         bracket = schouten(se, phi, psi)
         for p in range(4):
             for q in range(4):
-                for m in alg.basis(p, q):
+                for m in form_basis(alg, p, q):
                     a = Form(alg, {m: alg.ring.one()})
                     lhs = contract(bracket, a)
                     rhs = (
@@ -237,10 +237,10 @@ def test_criterion_08_operator_identity_suites(torus3, iwasawa3, bcvary10, ec_iw
         assert mat_add(h, linalg.mat_mul(lap, g)) == linalg.identity_rows(dim)
     # canonical-solution minimality against 20 kernel perturbations
     alg3 = iwasawa3.se.algebra
-    basis11 = alg3.basis(1, 1)
+    basis11 = form_basis(alg3, 1, 1)
     instances = 0
     while instances < 3:
-        x0 = Form(alg3, {basis11[rng.next_int(9)]: alg3.ring.const(rng.nonzero_gaussian(3))})
+        x0 = Form(alg3, {basis11[rng.next_int(9)]: alg3.ring.const(nonzero_gaussian(rng, 3))})
         y = se.apply_del(se.apply_delbar(x0))
         if not y:
             continue
@@ -267,9 +267,9 @@ def test_criterion_09_positivity_certificates(torus3, bcvary10):
     assert is_strictly_positive(omega).holds is True
     exact = is_transverse(omega, 4)
     assert exact.holds is True and exact.exact
-    ok, _, _ = pkahler_check(torus3.se, torus3.forms["kaehler"], 1)
+    ok, _, _ = pkahler_check(torus3.se, torus3.forms["kaehler"])
     assert ok
-    ok, _, _ = pkahler_check(bcvary10.se, bcvary10.forms["balanced"], 4)
+    ok, _, _ = pkahler_check(bcvary10.se, bcvary10.forms["balanced"])
     assert ok
     # transversality preserved at extension evaluations, |t| <= 1/100,
     # seed-fixed sampling with >= 200 decomposable samples each
@@ -305,11 +305,11 @@ def test_criterion_10_two_way_residual_equivalence():
                 i = rng.next_int(n) + 1
                 comps[i] = comps.get(i, alg.zero()) + alg.gammabar(
                     rng.next_int(n) + 1
-                ).scale(ring.t(rng.next_int(2) + 1) * rng.nonzero_gaussian(2))
+                ).scale(ring.t(rng.next_int(2) + 1) * nonzero_gaussian(rng, 2))
             phi = VectorValuedForm(alg, T10, comps)
             p, q = rng.next_int(n) + 1, rng.next_int(n) + 1
-            basis = alg.basis(p, q)
-            omega = Form(alg, {basis[rng.next_int(len(basis))]: alg.ring.const(rng.nonzero_gaussian(2))})
+            basis = form_basis(alg, p, q)
+            omega = Form(alg, {basis[rng.next_int(len(basis))]: alg.ring.const(nonzero_gaussian(rng, 2))})
             # the operation asserts the exact agreement of the direct and
             # k-sum computations internally and raises on any mismatch
             obstruction_residual(se, phi, omega)

@@ -18,7 +18,6 @@ from nilforms.algebra import (
     build_complex,
     contract,
     endo_of_vvf,
-    exp_contract,
     neumann_invert,
     simultaneous_contract,
     vvf_of_endo,
@@ -31,15 +30,19 @@ from oracles import (
     WordForm,
     coframe_endo_dense,
     dense_inverse,
+    exp_contract,
+    form_basis,
     form_layer_derivation,
     mat_add,
     monomial_index,
+    nonzero_gaussian,
     oracle_d,
     simultaneous_contract_scalar_first,
     sort_word,
     symbolic_columns,
     walker_derivation,
     word_of_mono,
+    zero_endo,
 )
 
 ALG3 = FormAlgebra(3, PolyRing(0, 0))
@@ -50,8 +53,8 @@ def _random_form(alg, rng, nterms=3):
     n = alg.n
     for _ in range(nterms):
         p, q = rng.next_int(n + 1), rng.next_int(n + 1)
-        basis = alg.basis(p, q)
-        total = total + Form(alg, {basis[rng.next_int(len(basis))]: alg.ring.const(rng.nonzero_gaussian(3))})
+        basis = form_basis(alg, p, q)
+        total = total + Form(alg, {basis[rng.next_int(len(basis))]: alg.ring.const(nonzero_gaussian(rng, 3))})
     return total
 
 
@@ -63,7 +66,7 @@ def test_wedge_spec_examples():
     assert g1.wedge(g2) == ALG3.monomial((1, 2), ())
     assert ALG3.gammabar(1).wedge(g1) == ALG3.monomial((1,), (1,), -1)
     rep = ALG3.monomial((1,), (3,)).wedge(ALG3.monomial((1,), (2,)))
-    assert rep.is_zero()
+    assert not rep
 
 
 def test_wedge_bidegree_adds():
@@ -76,7 +79,7 @@ def test_wedge_bidegree_adds():
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
 @settings(max_examples=80, deadline=None)
 def test_wedge_associative_and_graded_commutative(i, j, k):
-    monos = [m for p in range(4) for q in range(4) for m in ALG3.basis(p, q)]
+    monos = [m for p in range(4) for q in range(4) for m in form_basis(ALG3, p, q)]
     a, b, c = (Form(ALG3, {monos[x]: ALG3.ring.one()}) for x in (i, j, k))
     assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
     da = sum(len(s) for s in monos[i])
@@ -106,7 +109,7 @@ def test_d_matches_word_oracle_everywhere():
     d_syms[5] = [(GaussianRational(-1), (3, 4))]
     for p in range(4):
         for q in range(4):
-            for m in ALG3.basis(p, q):
+            for m in form_basis(ALG3, p, q):
                 engine = se.apply_d(Form(ALG3, {m: ALG3.ring.one()}))
                 word = word_of_mono(m[0], m[1], 3)
                 oracle = oracle_d(d_syms, WordForm({word: GaussianRational(1)}))
@@ -128,14 +131,14 @@ def test_paper_anchor_del_eta31():
     se = _iwasawa_se()
     f = ALG3.monomial((3,), (1,))
     assert se.apply_del(f) == ALG3.monomial((1, 2), (1,), -1)
-    assert se.apply_delbar(f).is_zero()
+    assert not se.apply_delbar(f)
 
 
 def test_conj_intertwines_del_delbar():
     se = _iwasawa_se()
     for p in range(4):
         for q in range(4):
-            for m in ALG3.basis(p, q):
+            for m in form_basis(ALG3, p, q):
                 a = Form(ALG3, {m: ALG3.ring.one()})
                 assert se.apply_del(a).conj() == se.apply_delbar(a.conj())
 
@@ -179,7 +182,7 @@ def test_build_complex_bcvary_dims_and_column():
     assert list(ec.columns("delbar", 1, 0)[monomial_index(cx, 1, 0)[((4,), ())]]) == [target_row]
     # d gamma^5 is pure (1,1): the delbar part carries it all, del kills it
     assert cx.se.apply_delbar(alg.gamma(5)) == alg.monomial((3,), (4,))
-    assert cx.se.apply_del(alg.gamma(5)).is_zero()
+    assert not cx.se.apply_del(alg.gamma(5))
 
 
 def test_integrability_error_on_02_part():
@@ -217,11 +220,11 @@ def _seeded_form(alg, rng, nterms=4):
     total = alg.zero()
     for _ in range(nterms):
         p, q = rng.next_int(alg.n + 1), rng.next_int(alg.n + 1)
-        basis = alg.basis(p, q)
-        c = ring.const(rng.nonzero_gaussian(3))
+        basis = form_basis(alg, p, q)
+        c = ring.const(nonzero_gaussian(rng, 3))
         if ring.m:
             nu, mu = 1 + rng.next_int(ring.m), 1 + rng.next_int(ring.m)
-            c = c + ring.t(nu) * rng.nonzero_gaussian(3) + ring.t(nu) * ring.tbar(mu) * rng.nonzero_gaussian(3)
+            c = c + ring.t(nu) * nonzero_gaussian(rng, 3) + ring.t(nu) * ring.tbar(mu) * nonzero_gaussian(rng, 3)
         total = total + Form(alg, {basis[rng.next_int(len(basis))]: c})
     return total
 
@@ -242,7 +245,7 @@ def test_column_tables_equal_the_walker(reference_complexes):
         alg = cx.algebra
         se = StructureEquations(cx.se.name, alg, cx.se.d_coframe)  # the fixture's tables stay as they are
         one = alg.ring.one()
-        forms = [Form(alg, {m: one}) for p in range(cx.n + 1) for q in range(cx.n + 1) for m in alg.basis(p, q)]
+        forms = [Form(alg, {m: one}) for p in range(cx.n + 1) for q in range(cx.n + 1) for m in form_basis(alg, p, q)]
         forms += [_seeded_form(alg, rng) for _ in range(6)]
         for a in forms:
             walked = {op: walker_derivation(se, a, op) for op in ("del", "delbar")}
@@ -330,9 +333,9 @@ def _check_matrix_action(name):
                 ("delbar", se.apply_delbar, (p, q + 1)),
             ):
                 cols = symbolic_columns(cx, op, p, q)
-                target = cx.algebra.basis(tp, tq) if cx.dim(tp, tq) else []
+                target = form_basis(cx.algebra, tp, tq) if cx.dim(tp, tq) else []
                 assert len(cols) == cx.dim(p, q)
-                for m, col in zip(cx.algebra.basis(p, q), cols):
+                for m, col in zip(form_basis(cx.algebra, p, q), cols):
                     form = Form(cx.algebra, {m: one})
                     image = Form(cx.algebra, {target[i]: c for i, c in col.items()})
                     assert image == apply(form) == form_layer_derivation(se, form, op), (name, op, m)
@@ -364,9 +367,9 @@ def test_contract_is_even_derivation_all_basis_pairs():
     phi = VectorValuedForm(
         ALG3,
         T10,
-        {i: ALG3.gammabar(rng.next_int(3) + 1).scale(rng.nonzero_gaussian(3)) for i in (1, 2, 3)},
+        {i: ALG3.gammabar(rng.next_int(3) + 1).scale(nonzero_gaussian(rng, 3)) for i in (1, 2, 3)},
     )
-    monos = [m for p in range(4) for q in range(4) for m in ALG3.basis(p, q)]
+    monos = [m for p in range(4) for q in range(4) for m in form_basis(ALG3, p, q)]
     for ma in monos:
         a = Form(ALG3, {ma: ALG3.ring.one()})
         ia = contract(phi, a)
@@ -401,14 +404,14 @@ def test_exp_contract_is_factorwise_substitution_degree2():
     phi = VectorValuedForm(
         ALG3,
         T10,
-        {i: ALG3.gammabar(rng.next_int(3) + 1).scale(rng.nonzero_gaussian(3)) for i in (1, 2)},
+        {i: ALG3.gammabar(rng.next_int(3) + 1).scale(nonzero_gaussian(rng, 3)) for i in (1, 2)},
     )
 
     def sub(i):
         return ALG3.gamma(i) + phi.component(i)
 
     for p, q in ((2, 0), (1, 1), (0, 2)):
-        for I, J in ALG3.basis(p, q):
+        for I, J in form_basis(ALG3, p, q):
             factors = [sub(i) for i in I] + [
                 ALG3.gammabar(j) for j in J
             ]  # phi kills gammabars
@@ -476,7 +479,7 @@ def _random_scalar(ring, rng, terms=3, min_degree=0):
     in t and tbar of total degree at least min_degree."""
     out = ring.zero()
     for _ in range(terms):
-        c = ring.const(rng.nonzero_gaussian(3))
+        c = ring.const(nonzero_gaussian(rng, 3))
         for _ in range(min_degree + rng.next_int(ring.order + 1)):
             slot = rng.next_int(2 * ring.m)
             c = c * (ring.t(slot + 1) if slot < ring.m else ring.tbar(slot - ring.m + 1))
@@ -488,7 +491,7 @@ def _random_param_form(alg, rng, nterms):
     total = alg.zero()
     for _ in range(nterms):
         p, q = rng.next_int(alg.n + 1), rng.next_int(alg.n + 1)
-        basis = alg.basis(p, q)
+        basis = form_basis(alg, p, q)
         total = total + Form(alg, {basis[rng.next_int(len(basis))]: _random_scalar(alg.ring, rng)})
     return total
 
@@ -528,20 +531,20 @@ def test_simultaneous_contract_equals_scalar_first_oracle(bcvary10_c):
     t1 = alg.ring.t(1)
     pure = CoframeEndo(alg, {s: {s: t1} for s in range(6)})
     top = alg.monomial((1, 2), (1,)).scale(_random_scalar(alg.ring, rng))
-    assert simultaneous_contract(pure, top).is_zero()
+    assert not simultaneous_contract(pure, top)
     cases.append((pure, top + alg.monomial((1,), ())))
     # gamma^1 and gamma^2 have the same image, so the two monomials cancel
     one = alg.ring.one()
     same = CoframeEndo(alg, {0: {0: one, 1: t1}, 1: {0: one, 1: t1}, 3: {3: one}})
     cancel = alg.monomial((1,), (1,)) - alg.monomial((2,), (1,))
-    assert simultaneous_contract(same, cancel).is_zero()
+    assert not simultaneous_contract(same, cancel)
     cases.append((same, cancel + alg.monomial((1, 3), ())))
     for se, phi in ((None, catalog_load("bcvary10").beltrami), bcvary10_c):
         ops = beltrami_operators(phi)
         alg = phi.algebra
         for b in (ops.shrink, ops.unshrink, ops.ext_transform):
             for p, q in ((1, 1), (2, 3), (3, 3), (alg.n - 1, alg.n - 1)):
-                basis = alg.basis(p, q)
+                basis = form_basis(alg, p, q)
                 form = Form(alg, {basis[rng.next_int(len(basis))]: _random_scalar(alg.ring, rng) for _ in range(6)})
                 cases.append((b, form))
     nonzero = 0
@@ -581,7 +584,7 @@ def test_coframe_images_are_owned_by_the_endomorphism(bcvary10_c):
         alg = phi.algebra
         forms = []
         for p, q in ((2, 3), (3, 3), (alg.n - 1, alg.n - 1)):
-            basis = alg.basis(p, q)
+            basis = form_basis(alg, p, q)
             coeffs = {basis[rng.next_int(len(basis))]: _random_scalar(alg.ring, rng) for _ in range(6)}
             forms.append(Form(alg, coeffs))
         groups.append(([ops.shrink, ops.unshrink, ops.ext_transform], forms))
@@ -607,7 +610,7 @@ def test_coframe_images_are_owned_by_the_endomorphism(bcvary10_c):
 def test_neumann_invert():
     ring = PolyRing(1, 3)
     alg = FormAlgebra(2, ring)
-    assert neumann_invert(CoframeEndo.zero(alg)).cols == CoframeEndo.identity(alg).cols
+    assert neumann_invert(zero_endo(alg)).cols == CoframeEndo.identity(alg).cols
     e = CoframeEndo(alg, {0: {1: ring.t(1) * ring.tbar(1)}})
     inv = neumann_invert(e)
     # (1 - e) inv = identity in the truncated ring

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import dataclasses
 import importlib.util
+import inspect
 import io
 import pkgutil
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import nilforms
 from nilforms import cli
 from nilforms import io as nio
-from nilforms import linalg, lemmata
+from nilforms import linalg, lemmata, positivity
 from nilforms.algebra import Form, StructureEquations, build_complex
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points
@@ -365,6 +366,30 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["Echelon"]
 
 
+def test_one_source_per_fact():
+    """Each fact has one route in the package.  e^{iota_phi} is the
+    coframe substitution 1 + phi (``simultaneous_contract``), so the
+    series ``exp_contract`` is a test oracle.  Transversality on nearby
+    fibers is read off the extension by ``pkahler_extend``, so
+    ``transversality_along_deformation`` is gone and ``positivity``
+    imports nothing from ``deformation``.  A form's truth value says
+    whether it is zero, so neither Form nor VectorValuedForm defines
+    ``is_zero``.  p is read off the form (``pkahler_degree``), so
+    ``pkahler_check`` takes no p and ``check_pkahler_degree`` is gone."""
+    defined = {pair for path in SRC.glob("*.py") for pair in defined_names(path.read_text())}
+    names = {name for _, name in defined}
+    assert names.isdisjoint({"exp_contract", "transversality_along_deformation", "check_pkahler_degree"})
+    assert {("Form", "is_zero"), ("VectorValuedForm", "is_zero")}.isdisjoint(defined)
+    assert (None, "pkahler_degree") in defined
+    tree = ast.parse((SRC / "positivity.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+    assert imported == {"algebra", "errors", "io", "linalg", "scalars"}
+    assert "p" not in inspect.signature(positivity.pkahler_check).parameters
+
+
 def test_no_function_imports():
     """Every import of the package sits at module level: src has no
     import cycle, so no function body imports."""
@@ -394,24 +419,17 @@ def test_every_submodule_attribute_is_the_submodule():
 #: the public functions of src that no product run calls (the runs of
 #: ``test_every_public_function_is_called_or_listed``), each with why it stays
 UNCALLED = {
-    "algebra.CoframeEndo.zero": "API: the additive unit beside CoframeEndo.identity; tests build endomorphisms from it",
-    "algebra.Form.is_zero": "API: the tests' identity checks read it; src tests a form's truth value",
-    "algebra.FormAlgebra.basis": "oracle-only API: the monomials tests walk; src positions by subset rank",
-    "algebra.VectorValuedForm.homogeneous_part": "API: beside Form.homogeneous_part; tests take phi's order-l part",
-    "algebra.exp_contract": "README construction: e^{iota_phi}, read by main1_residual",
     "cohomology.EvaluatedComplex.embed_block": "oracle-only API: verify_witness re-checks a standard witness",
     "cohomology.cohomology": "README API: one cohomology by name; the CLI prints whole tables (full_report)",
     "deformation.main1_residual": "README construction: the extended Leibniz identity of Main Theorem 1",
     "extension.solve_conjugate_system": "README construction: the paper's conjugate system, hypotheses checked; "
                                         "the order step runs its core",
-    "io.beltrami_emit": "writer of the Beltrami file format the CLI reads; tests round-trip it",
-    "io.beltrami_to_obj": "writer of the Beltrami file format the CLI reads; tests round-trip it",
-    "io.form_emit": "writer of the form file format the CLI reads; tests round-trip it",
+    "io.beltrami_emit": "the canonical writer of the Beltrami file format the CLI reads; tests round-trip it",
+    "io.beltrami_to_obj": "the canonical writer of the Beltrami file format the CLI reads; tests round-trip it",
+    "io.form_emit": "the canonical writer of the form file format the CLI reads; tests round-trip it",
     "lemmata.strong": "README API: the strong lemma alone; lemma_report reads it off mild and dual mild",
     "lemmata.verify_witness": "oracle-only API: re-verifies a witness by fresh ranks (tests, perfbench)",
     "positivity.reconstruct_from_matrix": "README construction: the (p,p)-form of a Hermitian matrix",
-    "positivity.transversality_along_deformation": "README construction: transversality on the deformed fibers",
-    "scalars.DetRng.nonzero_gaussian": "oracle-only API: the seeded generator of the tests' random inputs",
     "scalars.PolyRing.tbar": "API: the conjugate generator beside PolyRing.t; tests build tbar-dependent inputs",
     "scalars.QI": "API: the Gaussian-rational constructor tests write scalars with",
 }
@@ -448,7 +466,7 @@ def _product_runs(tmp_path):
         ["catalog"],
         ["cohomology", "--bogus"],
         ["cohomology", "--manifold", str(se_file)],
-        ["positivity", "--manifold", "catalog:abelian_4", "--form", str(form_file), "--p", "2", "--samples", "20"],
+        ["positivity", "--manifold", "catalog:abelian_4", "--form", str(form_file), "--samples", "20"],
         ["deform", "--manifold", "catalog:bcvary10", "--beltrami", str(phi_file), "--t", "1/5,0,0,0"],
     ]
     scripts = []

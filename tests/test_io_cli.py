@@ -111,7 +111,7 @@ def test_untagged_expectation_refused():
 def test_catalog_abelian_family():
     entry = catalog_load("abelian_4")
     assert entry.se.n == 4
-    assert all(f.is_zero() for f in entry.se.d_coframe.values())
+    assert all(not f for f in entry.se.d_coframe.values())
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -203,8 +203,6 @@ def test_cli_positivity(capsys):
             "catalog:bcvary10",
             "--form",
             "catalog:balanced",
-            "--p",
-            "4",
             "--samples",
             "20",
             "--json",
@@ -310,8 +308,21 @@ UNEXTENDABLE_FORM = {
     "mixed": '{"n": 5, "terms": [{"coeff": "1", "I": [1], "J": []}, {"coeff": "1", "I": [1, 2], "J": []}]}',
     "t_dependent": '{"n": 5, "m": 4, "truncation": 4, "terms": [{"coeff": "t1", "I": [1, 2, 3, 4], "J": [1, 2, 3, 4]}]}',
 }
-MALFORMED = {"se": MALFORMED_SE, "form": MALFORMED_FORM, "beltrami": MALFORMED_BELTRAMI, "omega0": UNEXTENDABLE_FORM}
-_POSITIVITY = ["positivity", "--manifold", "catalog:bcvary10", "--p", "4"]
+#: well-formed forms that have no p as p-Kaehler forms: zero, of mixed
+#: bidegree, and the (5,5) volume form, whose p = n is outside 1..n-1
+NO_PKAHLER_DEGREE = {
+    "zero": UNEXTENDABLE_FORM["zero"],
+    "mixed": UNEXTENDABLE_FORM["mixed"],
+    "top": '{"n": 5, "terms": [{"coeff": "1", "I": [1, 2, 3, 4, 5], "J": [1, 2, 3, 4, 5]}]}',
+}
+MALFORMED = {
+    "se": MALFORMED_SE,
+    "form": MALFORMED_FORM,
+    "beltrami": MALFORMED_BELTRAMI,
+    "omega0": UNEXTENDABLE_FORM,
+    "pp": NO_PKAHLER_DEGREE,
+}
+_POSITIVITY = ["positivity", "--manifold", "catalog:bcvary10"]
 #: a point of iwasawa3's family in each of Nakamura's classes, with D =
 #: t1 t4 - t2 t3: (i) t1 = t2 = t3 = t4 = 0, (ii) D = 0 otherwise, (iii)
 #: D != 0; and the values of its golden that tell the classes apart.
@@ -342,15 +353,16 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog",
          "--form", "catalog:balanced", "--order-n", "9"],
         ["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced",
-         "--p", "4", "--samples", "-3"],
+         "--samples", "-3"],
         ["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced",
-         "--p", "4", "--samples", "0"],
+         "--samples", "0"],
         ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog",
-         "--form", "catalog:balanced", "--pkahler", "4", "--samples", "0"],
+         "--form", "catalog:balanced", "--pkahler", "--samples", "0"],
         *(["cohomology", "--manifold", f"se-file:{name}"] for name in MALFORMED_SE),
         *(_POSITIVITY + ["--form", f"form-file:{name}"] for name in MALFORMED_FORM),
         *(_EXTEND + ["--beltrami", f"beltrami-file:{name}"] for name in MALFORMED_BELTRAMI),
-        # p outside 1..n-1, or not the bidegree of the form
+        # a p after positivity or extend --pkahler: p is read off the
+        # form, so neither takes one
         *(["positivity", "--manifold", "catalog:torus3", "--form", "catalog:kaehler", "--p", p]
           for p in ("0", "2", "-1")),
         *(_EXTEND + ["--beltrami", "catalog", "--pkahler", p] for p in ("9", "-2", "3", "0")),
@@ -375,11 +387,18 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         # order 1 drops the degree-2 term of iwasawa3's family, and at a
         # class (iii) point the truncated phi gives no complex structure
         ["--order", "1", "cohomology", "--manifold", "catalog:iwasawa3", "--t", NAKAMURA_CLASSES["iii"][0]],
-        # an omega0 with no bidegree or no value at t = 0, with and without --pkahler
+        # an omega0 with no bidegree or no value at t = 0; with a value
+        # after --pkahler, which takes none
         *(["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--form", f"omega0-file:{name}"]
           for name in UNEXTENDABLE_FORM),
         ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--form", "omega0-file:zero",
          "--pkahler", "4"],
+        # forms with no p as p-Kaehler forms: zero, mixed, p = n
+        *(_POSITIVITY + ["--form", f"pp-file:{name}"] for name in NO_PKAHLER_DEGREE),
+        ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--form", "pp-file:zero",
+         "--pkahler"],
+        # one bidegree or all of them, not both
+        ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "2,3", "--all"],
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
@@ -423,10 +442,8 @@ GOLDEN_RUNS = {
     ],
     "extend_bcvary10": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced"],
     "extend_bcvary10_order2": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced", "--order-n", "2"],
-    "extend_bcvary10_pkahler4": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced", "--pkahler", "4"],
-    "positivity_bcvary10_p4": [
-        "positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced", "--p", "4",
-    ],
+    "extend_bcvary10_pkahler4": ["extend", *BCVARY_BELTRAMI, "--form", "catalog:balanced", "--pkahler"],
+    "positivity_bcvary10_p4": ["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced"],
 }
 GOLDEN_CASES = [(f"{name}.txt", argv) for name, argv in GOLDEN_RUNS.items()]
 GOLDEN_CASES += [(f"{name}.json", argv + ["--json"]) for name, argv in GOLDEN_RUNS.items()]
@@ -525,7 +542,7 @@ def test_positivity_applies_d_to_its_form_once(monkeypatch, capsys):
         return apply_d(self, a)
 
     monkeypatch.setattr(StructureEquations, "apply_d", counted)
-    assert cli.main(["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced", "--p", "4"]) == 0
+    assert cli.main(["positivity", "--manifold", "catalog:bcvary10", "--form", "catalog:balanced"]) == 0
     assert len(forms) == 21 and forms.count(balanced) == 1
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / "positivity_bcvary10_p4.txt").read_bytes()
 

@@ -19,6 +19,7 @@ from oracles import (
     full_scan_kernel,
     hermitian_pivots_ldl,
     negating_span_intersection,
+    nonzero_gaussian,
     realify_dense,
     rows_from_columns,
     rows_to_dense,
@@ -33,7 +34,7 @@ def _random_rows(rng, nrows, ncols, density=3):
     for _ in range(nrows):
         row = {}
         for _ in range(density):
-            row[rng.next_int(ncols)] = rng.nonzero_gaussian(4)
+            row[rng.next_int(ncols)] = nonzero_gaussian(rng, 4)
         rows.append(row)
     return rows
 
@@ -126,7 +127,7 @@ def _sparse_inputs(rng, field, count, ncols):
         if field == "Q":
             x = rng.rational(4) or one
             return x.numerator if x.denominator == 1 else x
-        return rng.nonzero_gaussian(4)
+        return nonzero_gaussian(rng, 4)
 
     vecs = []
     for _ in range(count):
@@ -333,7 +334,7 @@ def test_columns_vec_equals_mat_vec():
         for i, r in enumerate(rows):
             for j, c in r.items():
                 cols.setdefault(j, {})[i] = c
-        x = {rng.next_int(ncols): rng.nonzero_gaussian(3) for _ in range(rng.next_int(4))}
+        x = {rng.next_int(ncols): nonzero_gaussian(rng, 3) for _ in range(rng.next_int(4))}
         got = linalg.columns_vec(cols, x)
         assert list(got.items()) == list(linalg.mat_vec(rows, x).items())
     # cancellation drops the entry, as mat_vec does
@@ -378,7 +379,7 @@ def test_add_scaled_into_equals_copying_sum(field, seed):
     for step in range(40):
         v = vecs[rng.next_int(len(vecs))]
         # every fifth step cancels the running sum at the keys of v
-        c = rng.nonzero_gaussian(3) if field == "QI" else (rng.rational(3) or Fraction(1))
+        c = nonzero_gaussian(rng, 3) if field == "QI" else (rng.rational(3) or Fraction(1))
         if step % 5 == 4 and copied:
             v, c = dict(copied), -(c / c)
         if step == 7:
