@@ -17,6 +17,7 @@ matrices over the scalar ring.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -671,15 +672,15 @@ class StructureEquations:
         terms = self.symbol_terms(op)
         subsets = self.layout.subsets
         cols: List[list] = [[] for _ in range(self.algebra.dim(p, q))]
-        rows: List[dict] = [{} for _ in range(self.algebra.dim(tp, tq))]
-        if rows:
+        rows: Dict[int, dict] = defaultdict(dict)
+        if self.algebra.dim(tp, tq):
             self.layout.assemble(rows, terms, p, q, tq)
         ctq = comb(self.n, tq)
-        for i, row in enumerate(rows):
-            if row:
-                target = (subsets[tp][i // ctq], subsets[tq][i % ctq])
-                for j, c in row.items():
-                    cols[j].append((target, c))
+        # ascending rows, so each column lists its targets in row order
+        for i in sorted(rows):
+            target = (subsets[tp][i // ctq], subsets[tq][i % ctq])
+            for j, c in rows[i].items():
+                cols[j].append((target, c))
         table = self.tables[op, p, q] = [tuple(col) for col in cols]
         return table
 

@@ -33,6 +33,7 @@ over a function field.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -92,10 +93,12 @@ class EvaluatedComplex:
     empty row of a stored matrix, and of the adjoints ``ddbar_preimage``
     keeps, is the one shared ``EMPTY_ROW``, a read-only mapping, so most
     rows of a large matrix cost one list slot, and every walker over rows
-    skips it.  ``columns`` keeps the nonzero columns that the image
-    echelons, weak and the extension solver read (mild's witness reads
-    the rows).  Each matrix gets one row echelon.  It
-    starts as the forward echelon (``linalg.forward_echelon``), which
+    skips it.  del, delbar and total start as a list of ``EMPTY_ROW`` and
+    get a dict only at a row that holds an entry, so their assembly
+    allocates per nonzero row, not per row.  ``columns`` keeps the
+    nonzero columns that the image echelons, weak and the extension
+    solver read (mild's witness reads the rows).  Each matrix gets one
+    row echelon.  It starts as the forward echelon (``linalg.forward_echelon``), which
     gives the rank and the pivot columns that ``rank`` and ``unimodular``
     read.  The stacked echelon extends del's: the del rows lead the
     stacked rows, so it is a copy of del's leads, whose rows are shared,
@@ -180,14 +183,19 @@ class EvaluatedComplex:
         if key not in self._rows:
             if op == "ddbar":
                 out = linalg.mat_mul(self.rows("del", p, q + 1), self.rows("delbar", p, q))
+                out = [r or EMPTY_ROW for r in out]
             elif op == "stacked":
                 out = self.rows("del", p, q) + self.rows("delbar", p, q)
             else:
                 tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-                out = [{} for _ in range(self.dim(tp, tq))]
+                out = [EMPTY_ROW] * self.dim(tp, tq)
                 if self.dim(p, q) and out:
-                    self.cx.layout.assemble(out, self._symbol_terms(op), p, q, tq)
-            self._rows[key] = [r or EMPTY_ROW for r in out]
+                    filled: Dict[int, dict] = defaultdict(dict)
+                    self.cx.layout.assemble(filled, self._symbol_terms(op), p, q, tq)
+                    for i, r in filled.items():
+                        if r:
+                            out[i] = r
+            self._rows[key] = out
         return self._rows[key]
 
     def _symbol_terms(self, op: str) -> List[list]:
@@ -299,10 +307,12 @@ class EvaluatedComplex:
             self._kernels[key] = list(self.kernel_vectors(op, p, q))
         return self._kernels[key]
 
-    def kernel_vectors(self, op: str, p: int, q: int) -> Iterator[Vec]:
+    def kernel_vectors(self, op: str, p: int, q: int, meets=None) -> Iterator[Vec]:
         """The vectors of ``kernel(op, p, q)``, in its order, each built
-        from the RREF when it is asked for; none of them is kept."""
-        return self._row_echelon(op, p, q).kernel(self.dim(p, q))
+        from the RREF when it is asked for; none of them is kept.  Given a
+        set of columns ``meets``, only those whose support meets it are
+        built (``linalg.Echelon.kernel``)."""
+        return self._row_echelon(op, p, q).kernel(self.dim(p, q), meets=meets)
 
     def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
         """The independent columns of op into TARGET (p,q), in order, and
@@ -384,7 +394,7 @@ class EvaluatedComplex:
             for pq in self.total_blocks(k + 1):
                 tgt_offset[pq] = off
                 off += self.dim(*pq)
-            rows: Rows = [{} for _ in range(off)]
+            rows: Rows = [EMPTY_ROW] * off
             col_off = 0
             for p, q in self.total_blocks(k):
                 for op, target in (("del", (p + 1, q)), ("delbar", (p, q + 1))):
@@ -393,10 +403,12 @@ class EvaluatedComplex:
                         for i, r in enumerate(self.rows(op, p, q)):
                             if r:
                                 row = rows[ro + i]
+                                if row is EMPTY_ROW:
+                                    row = rows[ro + i] = {}
                                 for j, c in r.items():
                                     row[col_off + j] = c
                 col_off += self.dim(p, q)
-            self._rows[key] = [r or EMPTY_ROW for r in rows]
+            self._rows[key] = rows
         return self._rows[key]
 
     def embed_block(self, v: Vec, p: int, q: int, k: int) -> Vec:

@@ -80,15 +80,19 @@ class Layout:
             self.plans[key] = plan
         return plan
 
-    def assemble(self, out: List[dict], terms, p: int, q: int, tq: int) -> None:
-        """Fill out with the rows, from (p,q) to gammabar-degree tq, of the
-        derivation whose image of coframe symbol s is terms[s], a list of
-        (I_d, J_d, c): for each term and each monomial rest that shares no
-        index with it or s, +-c at row index((I_d, J_d) ^ rest) and column
-        index(rest + s), the Koszul sign of skipping the factors before s
-        (its image is even) and of the merge, read from ``block_plan``.
-        Entries that meet (d of a symbol contains it) are summed, zeros
-        dropped; each row's keys end ascending."""
+    def assemble(self, out: Dict[int, dict], terms, p: int, q: int, tq: int) -> None:
+        """Fill out, a map from row index to row that makes a missing row
+        empty on first touch (a ``defaultdict(dict)``), with the nonempty
+        rows, from (p,q) to gammabar-degree tq, of the derivation whose
+        image of coframe symbol s is terms[s], a list of (I_d, J_d, c): for
+        each term and each monomial rest that shares no index with it or
+        s, +-c at row index((I_d, J_d) ^ rest) and column index(rest + s),
+        the Koszul sign of skipping the factors before s (its image is
+        even) and of the merge, read from ``block_plan``.  Entries that
+        meet (d of a symbol contains it) are summed, zeros dropped, so a
+        row whose entries all cancel stays in out, empty; each row's keys
+        end ascending.  A row that no term meets gets no dict, so the cost
+        follows the nonzero count, not the number of rows."""
         n = len(self.subsets) - 1
         plan = self.block_plan
         cq, ctq = comb(n, q), comb(n, tq)
@@ -118,6 +122,6 @@ class Layout:
                                 row[col] = v
                             else:
                                 del row[col]
-        for i, row in enumerate(out):
+        for i, row in out.items():
             if len(row) > 1:
                 out[i] = dict(sorted(row.items()))

@@ -40,16 +40,17 @@ the CLI reports as one ``error:`` line.  On a flat complex:
 
 So a passing verdict builds no kernel, and only weak applies a matrix
 to a vector (delbar to the real basis vectors that meet a nonzero
-column) and reads image echelons, which each EvaluatedComplex builds
-once per image.  A failing verdict runs the vector route only to build
-its witness: the first vector of the tested space outside im deldelbar.
+column, the only ones it builds) and reads image echelons, which each
+EvaluatedComplex builds once per image.  A failing verdict runs the
+vector route only to build its witness: the first vector of the tested
+space outside im deldelbar.
 For mild that space is del of ker deldelbar, whose vectors are read
 from its RREF one at a time, none kept (``ec.kernel_vectors``), so the
-route stops at the witness; those that meet no nonzero column of del
-are skipped, and the others' images formed from a column map of del
-read once per scan.  Strong's space is the sum of the spaces that mild
-and dual mild test, so strong fails exactly when one of them fails,
-and its witness is theirs: mild's at (p,q) if mild fails, else dual
+route stops at the witness; those whose support meets no nonzero column
+of del are never built, and the others' images are formed from a column
+map of del read once per scan.  Strong's space is the sum of the spaces
+that mild and dual mild test, so strong fails exactly when one of them
+fails, and its witness is theirs: mild's at (p,q) if mild fails, else dual
 mild's (``lemma_report`` reuses the two it holds, and checks strong =
 mild and dual mild).  For weak that
 is one tracked forward elimination over Q (``linalg.relations_modulo``)
@@ -125,18 +126,19 @@ def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
 def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Vec]:
     """The nonzero images under op of the deldelbar kernel vectors, into
     (p,q), each built when the scan reaches it and none kept, from the
-    columns of op that it touches; a vector that touches no nonzero
-    column is skipped.  The column map is read from op's rows once per
-    scan, so each entry of op is read once, and is dropped with the
-    scan: the complex keeps no column table of op."""
+    columns of op that it touches.  A kernel vector whose support misses
+    every nonzero column of op is never built: the kernel read is handed
+    their key set (``ec.kernel_vectors``).  The column map is read from
+    op's rows once per scan, so each entry of op is read once, and is
+    dropped with the scan: the complex keeps no column table of op."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
     cols: Dict[int, Vec] = defaultdict(dict)
     for i, r in enumerate(ec.rows(op, sp, sq)):
         if r:
             for k, c in r.items():
                 cols[k][i] = c
-    for x in ec.kernel_vectors("ddbar", sp, sq):
-        v = not cols.keys().isdisjoint(x) and linalg.columns_vec(cols, x)
+    for x in ec.kernel_vectors("ddbar", sp, sq, meets=cols.keys()):
+        v = linalg.columns_vec(cols, x)
         if v:
             yield v
 
@@ -164,7 +166,7 @@ def _strong_holds(ec: EvaluatedComplex, p: int, q: int) -> bool:
     return closed == ec.image_rank("ddbar", p, q)
 
 
-def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
+def _real_basis_vectors(ec: EvaluatedComplex, p: int, meets) -> List[Vec]:
     """Rational basis of the conjugation-fixed (p,p)-forms as QI vectors.
 
     Conjugation sends the monomial (I, J) to (-1)^(p*p) (J, I), so
@@ -174,29 +176,34 @@ def _real_basis_vectors(ec: EvaluatedComplex, p: int) -> List[Vec]:
     both are 1.  With a and b the subset ranks of I and J
     (``leibniz.Layout.subsets``), m sits at a * c + b and flip at
     b * c + a, c = C(n, p); the vectors follow the monomials in order.
+    Only the vectors whose support meets the positions ``meets`` are
+    built (all of them for range(c * c)): the positions are tested
+    first, and a pair's two vectors share theirs.
     """
     c = len(ec.cx.layout.subsets[p])
     diag, flip_re, flip_im = (QI_I, _MINUS_ONE, QI_I) if p % 2 else (QI_ONE, QI_ONE, _MINUS_I)
     out: List[Vec] = []
     for a in range(c):
-        out.append({a * c + a: diag})
+        if a * c + a in meets:
+            out.append({a * c + a: diag})
         for b in range(a + 1, c):
             m, flip = a * c + b, b * c + a
-            out.append({m: QI_ONE, flip: flip_re})
-            out.append({m: QI_I, flip: flip_im})
+            if m in meets or flip in meets:
+                out.append({m: QI_ONE, flip: flip_re})
+                out.append({m: QI_I, flip: flip_im})
     return out
 
 
 def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     """The (p,p+1)-th condition quantified over real (p,p)-forms psi:
     delbar psi del-exact implies delbar psi deldelbar-exact, 0 <= p < n.
-    A real basis vector that meets no nonzero column of delbar is
-    skipped: its image 0 adds nothing to the ranks or to the witness."""
+    A real basis vector that meets no nonzero column of delbar is never
+    built: its image 0 adds nothing to the ranks or to the witness."""
     q = p + 1
     ec.check_bidegree(p, q)
     ec.cx.se.require_flat()
     cols = ec.columns("delbar", p, p)
-    images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p) if not cols.keys().isdisjoint(r)]
+    images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, cols.keys())]
     if _residue_rank(ec, "del", p, q, images) == _residue_rank(ec, "ddbar", p, q, images):
         return True, None
     # the witness route (module docstring): w = sum c_t E_t in T, with E

@@ -26,6 +26,12 @@ rows of a Hermitian matrix forward, each tracked.  Where a kernel is
 read (``Echelon.kernel``, and ``nullspace`` through it), the echelon
 completes itself in place into the reduced row echelon form (RREF),
 once, and builds each kernel vector from it as a caller asks.
+
+The cost follows the nonzeros, not the rows: ``Echelon.extend`` passes
+over an empty row and stores a row that meets no leading column without
+reducing it, ``_forward_reduce`` returns such a row after one set test,
+and a kernel read given a set of columns builds only the vectors whose
+support, known from the RREF before the vector is built, meets it.
 """
 
 from __future__ import annotations
@@ -101,10 +107,18 @@ class Echelon:
         return len(self.pivots)
 
     def extend(self, vectors: Sequence[Vec]) -> "Echelon":
-        """Eliminate the vectors in order into the form; returns self."""
+        """Eliminate the vectors in order into the form; returns self.
+
+        The cost follows the nonzeros: an empty vector is passed over, and
+        one that meets no leading column is stored as it is, by reference,
+        at its smallest key, without entering ``_forward_reduce``, which
+        would return it unchanged."""
         pivots = self.pivots
-        for v in vectors:
-            if v:
+        leads = pivots.keys()
+        for v in filter(None, vectors):
+            if leads.isdisjoint(v):
+                pivots[min(v)] = v
+            else:
                 w = _forward_reduce(pivots, v)
                 if w:
                     pivots[min(w)] = w
@@ -153,20 +167,28 @@ class Echelon:
         with the span as its kernel."""
         return [_forward_reduce(self.pivots, v) for v in vectors]
 
-    def kernel(self, ncols: int, one=QI_ONE) -> Iterator[Vec]:
+    def kernel(self, ncols: int, one=QI_ONE, meets=None) -> Iterator[Vec]:
         """Basis of {x : M x = 0}, for the M whose rows were fed: one
         vector per free column f, ascending, each built when it is asked
         for.  The first call, and the first after a row is added,
         completes the rows in place into the RREF (``_complete``); the
         vector of f is then e_f minus, at each pivot p, the entry of row
-        p at f, the pivots in the order found."""
+        p at f, the pivots in the order found.
+
+        Its support is f and the pivots of ``_free[f]``, known before it
+        is built.  Given a set of columns ``meets``, only the vectors whose
+        support meets it are built, in the same order: the others cost a
+        set test, not a dict."""
         if self._free is None:
             self._free = self._complete()
         pivots, free = self.pivots, self._free
         for f in range(ncols):
             if f not in pivots:
+                leads = free.get(f, ())
+                if meets is not None and f not in meets and meets.isdisjoint(leads):
+                    continue
                 x = {f: one}
-                for p in free.get(f, ()):
+                for p in leads:
                     x[p] = -pivots[p][f]
                 yield x
 
@@ -215,10 +237,12 @@ def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
     once.  A row that holds only its lead just clears the column.  The
     multiplier is -c for a lead of 1 and c for a lead of -1; only another
     lead is divided by (``_div``, exactly).  A vector that meets no
-    leading column is returned as it is, by reference."""
-    hits = [k for k in v if k in pivots]
-    if not hits:
+    leading column is returned as it is, by reference, after one
+    disjointness test of its keys; otherwise the work follows the entries
+    of v and of the rows met, not the number of rows stored."""
+    if pivots.keys().isdisjoint(v):
         return v
+    hits = list(filter(pivots.__contains__, v))
     w = dict(v)
     heapify(hits)
     while hits:

@@ -12,8 +12,9 @@ produced by seeded deterministic sampling of decomposable directions
 and is labelled as such.
 
 A p-Kaehler question takes p from its form (``pkahler_degree``): a
-nonzero (p,p)-form with 1 <= p <= n-1.  Transversality on nearby
-fibers is answered by ``extension.pkahler_extend``, on the extension.
+nonzero (p,p)-form with 1 <= p <= n-1, constant in t (``pkahler_check``).
+Transversality on nearby fibers is answered by
+``extension.pkahler_extend``, on the extension.
 """
 
 from __future__ import annotations
@@ -324,8 +325,12 @@ def pkahler_check(
 ) -> Tuple[bool, bool, PositivityVerdict]:
     """(p-Kaehler, d-closed, transversality verdict) of gamma at its own
     p (``pkahler_degree``): p-Kaehler is d-closed (exact) and
-    transverse; p = 1 is the Kaehler case and p = n-1 the balanced case."""
+    transverse; p = 1 is the Kaehler case and p = n-1 the balanced case.
+    Transversality is decided at a point, so a gamma that depends on t
+    raises PreconditionFailed, as an omega0 does in ``pkahler_extend``."""
     p = pkahler_degree(gamma, se.n)
+    if not all(c.is_constant() for c in gamma.coeffs.values()):
+        raise PreconditionFailed("the form depends on t; positivity is decided at a point")
     closed = not se.with_algebra(gamma.algebra).apply_d(gamma)
     verdict = is_transverse(gamma, p, samples=samples, seed=seed)
     return closed and verdict.holds, closed, verdict

@@ -1096,7 +1096,7 @@ def weak_by_nullspace(ec, p: int):
     q = p + 1
     if q > ec.n or not ec.dim(p, p):
         return True, None
-    reals = _real_basis_vectors(ec, p)
+    reals = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
     delbar_cols = ec.columns("delbar", p, p)
     delbar_images = [linalg.columns_vec(delbar_cols, r) for r in reals]
     del_span = linalg.realify_span(ec.image_vectors("del", p, q))
@@ -1162,7 +1162,7 @@ def weak_images_by_columns(ec, p: int):
     from nilforms.lemmata import _real_basis_vectors
 
     cols = ec.columns("delbar", p, p)
-    return [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p)]
+    return [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, range(ec.dim(p, p)))]
 
 
 def columns_of_every_row(rows):

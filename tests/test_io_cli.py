@@ -315,12 +315,19 @@ NO_PKAHLER_DEGREE = {
     "mixed": UNEXTENDABLE_FORM["mixed"],
     "top": '{"n": 5, "terms": [{"coeff": "1", "I": [1, 2, 3, 4, 5], "J": [1, 2, 3, 4, 5]}]}',
 }
+#: a real (4,4)-form whose coefficient 1 + t1 + tbar1 depends on t:
+#: transversality is decided at a point, so positivity refuses it
+T_DEPENDENT_PP = {
+    "real44": '{"n": 5, "m": 4, "truncation": 4, "terms": '
+              '[{"coeff": "1+t1+tbar1", "I": [1, 2, 3, 4], "J": [1, 2, 3, 4]}]}',
+}
 MALFORMED = {
     "se": MALFORMED_SE,
     "form": MALFORMED_FORM,
     "beltrami": MALFORMED_BELTRAMI,
     "omega0": UNEXTENDABLE_FORM,
     "pp": NO_PKAHLER_DEGREE,
+    "tpp": T_DEPENDENT_PP,
 }
 _POSITIVITY = ["positivity", "--manifold", "catalog:bcvary10"]
 #: a point of iwasawa3's family in each of Nakamura's classes, with D =
@@ -399,6 +406,8 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
          "--pkahler"],
         # one bidegree or all of them, not both
         ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "2,3", "--all"],
+        # a real (p,p)-form that depends on t
+        _POSITIVITY + ["--form", "tpp-file:real44"],
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):

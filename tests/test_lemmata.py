@@ -204,15 +204,25 @@ def test_strong_basis_equals_span_intersection(reference_complexes):
 def test_real_basis_vectors_equal_product_route(reference_complexes):
     """The conjugation-fixed (p,p) basis built from the constants 1, -1,
     i and -i equals the route through Q(i) products, for p = 0..n: same
-    vectors, key order, values and part types."""
+    vectors, key order, values and part types.  Given a set of positions
+    (delbar's nonzero columns, as weak passes them, the empty set, or
+    every other position), it builds exactly the vectors of that basis
+    whose support meets the set, in order."""
     def typed(vectors):
         return [[(k, type(x.re), type(x.im), x) for k, x in v.items()] for v in vectors]
 
+    dropped = 0
     for label, cx, point in reference_complexes:
         ec = EvaluatedComplex(cx, point)
         for p in range(cx.n + 1):
+            full = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
             expected = real_basis_vectors_by_products(ec, p)
-            assert typed(_real_basis_vectors(ec, p)) == typed(expected), (label, p)
+            assert typed(full) == typed(expected), (label, p)
+            for meets in (ec.columns("delbar", p, p).keys(), set(), set(range(0, ec.dim(p, p), 2))):
+                want = [r for r in full if not meets.isdisjoint(r)]
+                assert typed(_real_basis_vectors(ec, p, meets)) == typed(want), (label, p)
+                dropped += len(full) - len(want)
+    assert dropped
 
 
 def _not_flat_se():
@@ -539,7 +549,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
         tags = by_verdict.get(index, [])
         if name == "weak":
             p = args[0]
-            reals = _real_basis_vectors(ec, p)
+            reals = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
             nonzero = [r for r, v in zip(reals, weak_images_by_columns(oracle, p)) if v]
             skipped += len(reals) - len(nonzero)
             assert applied.get(index, []) == nonzero, args
@@ -662,21 +672,22 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
 def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, reference_complexes):
     """On Iwasawa^2 x C after full_report, lemma_report keeps no deldelbar
     kernel (the list route kept 15,519 vectors).  Each failing mild or
-    dual mild builds, through ``kernel_vectors``, a prefix of the
-    deldelbar kernel that ends at its witness, and tests, in order,
-    exactly the images of those vectors that the full-table oracle finds
-    nonzero: the vectors it skips are those with image 0, and there are
-    some.  Weak's and standard's witnesses take no kernel.  Its JSON
-    equals that of a complex whose deldelbar kernels were all built as
-    lists first."""
+    dual mild builds, through ``kernel_vectors``, exactly the vectors of
+    a prefix of the deldelbar kernel whose support meets a nonzero column
+    of del or delbar, the prefix ending at its witness: a vector that
+    misses them all is never built, and there are some.  It tests, in
+    order, exactly the images of the built vectors that the full-table
+    oracle finds nonzero.  Weak's and standard's witnesses take no
+    kernel.  Its JSON equals that of a complex whose deldelbar kernels
+    were all built as lists first."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     ec = EvaluatedComplex(cx, ())
     full_report(ec)
     built, scans = Counter(), []
     kernel_vectors, witness = EvaluatedComplex.kernel_vectors, lemmata._witness
 
-    def counting(self, op, p, q):
-        for x in kernel_vectors(self, op, p, q):
+    def counting(self, op, p, q, **kw):
+        for x in kernel_vectors(self, op, p, q, **kw):
             built[op] += 1
             scans[-1][3].append(x)
             yield x
@@ -691,7 +702,7 @@ def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, refer
     report = lemma_report(ec)
     monkeypatch.undo()
     assert not [key for key in ec._kernels if key[0] == "ddbar"]
-    oracle, kinds, skipped = EvaluatedComplex(cx, ()), Counter(), 0
+    oracle, kinds, never_built = EvaluatedComplex(cx, ()), Counter(), 0
     for kind, p, q, xs, tested in scans:
         kinds[kind] += 1
         if kind not in ("mild", "dual_mild"):
@@ -699,12 +710,17 @@ def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, refer
             assert not xs, (kind, p, q)
             continue
         op, sp, sq = ("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
-        images = [linalg.columns_vec(oracle.columns(op, sp, sq), x) for x in xs]
-        assert xs == list(oracle.kernel_vectors("ddbar", sp, sq))[:len(xs)], (kind, p, q)
+        cols = oracle.columns(op, sp, sq)
+        full = list(oracle.kernel_vectors("ddbar", sp, sq))
+        meeting = [x for x in full if not cols.keys().isdisjoint(x)]
+        assert xs == meeting[:len(xs)], (kind, p, q)
+        images = [linalg.columns_vec(cols, x) for x in xs]
         assert images[-1] and tested == [v for v in images if v], (kind, p, q)
-        skipped += len(xs) - len(tested)
+        # the prefix of the full kernel that ends at the witness's vector
+        prefix = full[:full.index(xs[-1]) + 1]
+        never_built += len(prefix) - len(xs)
     assert set(built) == {"ddbar"} and built["ddbar"] == sum(len(xs) for *_, xs, _ in scans)
-    assert kinds["mild"] and kinds["dual_mild"] and skipped
+    assert kinds["mild"] and kinds["dual_mild"] and never_built
     first = EvaluatedComplex(cx, ())
     full_report(first)
     for p in range(cx.n + 1):
@@ -770,19 +786,33 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
     assert failing
 
 
-def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monkeypatch, ec_iwasawa):
-    """On Iwasawa, del from (1,1) has nonzero columns 6, 7 and 8 only.  Fed
-    vectors in place of the deldelbar kernel, the route skips exactly
-    those that meet none of them, whichever key comes first, and yields
-    the nonzero images of the others, as the full-table oracle forms
-    them."""
-    assert sorted(ec_iwasawa.columns("del", 1, 1)) == [6, 7, 8]
+def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monkeypatch, iwasawa3):
+    """On Iwasawa, delbar from (1,1) has nonzero columns 2, 5 and 8 only.
+    With a deldelbar echelon at (1,1) whose kernel vectors meet them at
+    their free column, at a pivot only, or not at all, the route builds
+    exactly the kernel vectors that meet them, whichever key meets, and
+    yields the nonzero images of those, as the full-table oracle forms
+    them; the kernel vectors that miss them are never built."""
+    ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
+    cols = ec.columns("delbar", 1, 1)
+    assert sorted(cols) == [2, 5, 8] and ec.dim(1, 1) == 9
     one = QI_ONE
-    vectors = [{0: one}, {0: one, 6: one}, {5: one, 1: -one}, {8: one, 2: one}, {7: one}, {3: one, 4: one}]
-    monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", lambda self, op, p, q: iter(vectors))
-    cols = ec_iwasawa.columns("del", 1, 1)
-    want = [v for v in (linalg.columns_vec(cols, x) for x in vectors) if v]
-    assert len(want) == 3 and list(lemmata._kernel_images(ec_iwasawa, "del", 2, 1)) == want
+    rref = {1: {1: one, 4: one}, 2: {2: one, 3: -one}, 5: {5: one, 6: one}}
+    monkeypatch.setitem(ec._echelons, ("ddbar", 1, 1), linalg.Echelon(rref))
+    full = list(ec.kernel_vectors("ddbar", 1, 1))
+    assert [sorted(x) for x in full] == [[0], [2, 3], [1, 4], [5, 6], [7], [8]]
+    built, kernel_vectors = [], EvaluatedComplex.kernel_vectors
+
+    def counting(self, op, p, q, **kw):
+        for x in kernel_vectors(self, op, p, q, **kw):
+            built.append(x)
+            yield x
+
+    monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", counting)
+    images = list(lemmata._kernel_images(ec, "delbar", 1, 2))
+    assert built == [full[1], full[3], full[5]]
+    want = [v for v in (linalg.columns_vec(cols, x) for x in full) if v]
+    assert len(want) == 3 and images == want
 
 
 def _heisenberg_c(n):

@@ -247,6 +247,47 @@ def test_echelon_equals_full_scan_oracle(field, seed):
 
 @pytest.mark.parametrize("field", ["QI", "Q"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_meeting_a_set_equals_the_full_kernel_filtered(field, seed):
+    """Seeded sparse vectors (empty, dependent, and led by 1, -1 and
+    other scalars) fed through ``extend`` in blocks: the leads, their
+    order and ``marks`` are the full-scan RREF's, and a vector that meets
+    no lead is stored as it is, by reference.  After each block, the
+    kernel read given a set of columns (empty, pivot columns only, free
+    columns only, drawn sets, all columns, and a dict's key view) yields
+    exactly the vectors of the full kernel whose support meets the set,
+    in order, in keys, key order, values and types."""
+    rng = DetRng(2100 + 10 * seed + len(field))
+    ncols = 6 + rng.next_int(14)
+    vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
+    one = Fraction(1) if field == "Q" else QI(1)
+    fast, slow = Echelon({}), FullScanEchelon(one=one)
+    kinds, by_reference, filtered = set(), 0, 0
+    for start in range(0, len(vecs), 5):
+        block, misses = vecs[start:start + 5], []
+        for v in block:
+            kinds.add(_insert_kind(slow, v))
+            if v and slow.pivots.keys().isdisjoint(v):
+                misses.append(v)
+            slow.insert(v)
+        fast.extend(block)
+        assert list(fast.pivots) == list(slow.pivots) and fast.marks[-1] == len(slow.pivots)
+        assert all(fast.pivots[min(v)] is v for v in misses)
+        by_reference += len(misses)
+        full = list(fast.kernel(ncols, one))
+        pivots = set(fast.pivots)
+        sets = [set(), pivots, set(range(ncols)) - pivots, set(range(ncols)), {k: 0 for k in pivots}.keys()]
+        sets += [{k for k in range(ncols) if rng.next_int(4) == 0} for _ in range(4)]
+        for meets in sets:
+            got = list(fast.kernel(ncols, one, meets=meets))
+            want = [x for x in full if not meets.isdisjoint(x)]
+            assert [_typed(x) for x in got] == [_typed(x) for x in want], sorted(meets)
+            filtered += len(full) - len(want)
+    assert kinds == {"empty", "dependent", "1", "-1", "other"}
+    assert by_reference and filtered
+
+
+@pytest.mark.parametrize("field", ["QI", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tracked_solve_equals_full_scan_oracle(field, seed):
     """A forward echelon of seeded sparse vectors (empty, dependent, and
     led by 1, -1 and other scalars), each tracked, solves exactly the
