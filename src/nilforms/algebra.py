@@ -17,12 +17,11 @@ matrices over the scalar ring.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FlatnessError, IntegrabilityError, NotPerturbative
-from .leibniz import Layout, merge_indices
+from .leibniz import EMPTY_ROW, Layout, merge_indices
 from .scalars import ParamScalar, PolyRing, QI_ONE
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -672,12 +671,11 @@ class StructureEquations:
         terms = self.symbol_terms(op)
         subsets = self.layout.subsets
         cols: List[list] = [[] for _ in range(self.algebra.dim(p, q))]
-        rows: Dict[int, dict] = defaultdict(dict)
-        if self.algebra.dim(tp, tq):
-            self.layout.assemble(rows, terms, p, q, tq)
+        rows = [EMPTY_ROW] * self.algebra.dim(tp, tq)
+        met = self.layout.assemble(rows, terms, p, q, tq) if rows else []
         ctq = comb(self.n, tq)
         # ascending rows, so each column lists its targets in row order
-        for i in sorted(rows):
+        for i in sorted(met):
             target = (subsets[tp][i // ctq], subsets[tq][i % ctq])
             for j, c in rows[i].items():
                 cols[j].append((target, c))

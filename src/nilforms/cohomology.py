@@ -33,15 +33,14 @@ over a function field.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from types import MappingProxyType
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Form, FormAlgebra, InvariantComplex
+from .leibniz import EMPTY_ROW
 from .linalg import Echelon, Rows, Vec
 from .scalars import GaussianRational, ParamScalar
 
@@ -64,10 +63,6 @@ def generic_points(m: int) -> Tuple[Tuple[GaussianRational, ...], Tuple[Gaussian
 def zero_point(m: int) -> Tuple[GaussianRational, ...]:
     return tuple(GaussianRational(0) for _ in range(m))
 
-
-#: the one row that every stored matrix holds at each of its empty rows;
-#: read-only, so a stray write raises TypeError instead of changing them all
-EMPTY_ROW = MappingProxyType({})
 
 #: the matrices that ``EvaluatedComplex.rows`` builds, by name
 _MATRICES = ("del", "delbar", "ddbar", "stacked")
@@ -98,13 +93,13 @@ class EvaluatedComplex:
     allocates per nonzero row, not per row.  ``columns`` keeps the
     nonzero columns that the image echelons, weak and the extension
     solver read (mild's witness reads the rows).  Each matrix gets one
-    row echelon.  It starts as the forward echelon (``linalg.forward_echelon``), which
-    gives the rank and the pivot columns that ``rank`` and ``unimodular``
-    read.  The stacked echelon extends del's: the del rows lead the
-    stacked rows, so it is a copy of del's leads, whose rows are shared,
-    extended by the delbar rows, and the del rows are not eliminated
-    again.  The first kernel read
-    of the matrix completes that echelon in place into the RREF
+    row echelon.  It starts as the forward echelon
+    (``linalg.forward_echelon``), which gives the rank and the pivot
+    columns that ``rank`` and ``unimodular`` read.  The stacked echelon
+    extends del's: the del rows lead the stacked rows, so it is a copy of
+    del's leads, whose rows are shared, extended by the delbar rows, and
+    the del rows are not eliminated again.  The first kernel read of the
+    matrix completes that echelon in place into the RREF
     (``linalg.Echelon.kernel``): each row that changes is replaced by a
     reduced copy, so the matrix rows are left as they were, and the
     pivots stay the same, in the same order.  ``kernel`` keeps the list
@@ -190,11 +185,7 @@ class EvaluatedComplex:
                 tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
                 out = [EMPTY_ROW] * self.dim(tp, tq)
                 if self.dim(p, q) and out:
-                    filled: Dict[int, dict] = defaultdict(dict)
-                    self.cx.layout.assemble(filled, self._symbol_terms(op), p, q, tq)
-                    for i, r in filled.items():
-                        if r:
-                            out[i] = r
+                    self.cx.layout.assemble(out, self._symbol_terms(op), p, q, tq)
             self._rows[key] = out
         return self._rows[key]
 

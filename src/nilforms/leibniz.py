@@ -1,5 +1,6 @@
 """The one Leibniz rule: the matrix of an odd derivation on a bidegree
-from its images of the coframe symbols (``Layout.assemble``), for
+from its images of the coframe symbols (``Layout.assemble``), and the
+one read-only empty row that its matrices share (``EMPTY_ROW``), for
 ``algebra`` and ``cohomology`` both, so it imports neither."""
 
 from __future__ import annotations
@@ -7,7 +8,13 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
+
+#: the one row that every assembled matrix holds at each of its empty
+#: rows; read-only, so a stray write raises TypeError instead of changing
+#: them all
+EMPTY_ROW = MappingProxyType({})
 
 
 def merge_indices(a: Tuple[int, ...], b: Tuple[int, ...]):
@@ -80,22 +87,24 @@ class Layout:
             self.plans[key] = plan
         return plan
 
-    def assemble(self, out: Dict[int, dict], terms, p: int, q: int, tq: int) -> None:
-        """Fill out, a map from row index to row that makes a missing row
-        empty on first touch (a ``defaultdict(dict)``), with the nonempty
-        rows, from (p,q) to gammabar-degree tq, of the derivation whose
-        image of coframe symbol s is terms[s], a list of (I_d, J_d, c): for
-        each term and each monomial rest that shares no index with it or
-        s, +-c at row index((I_d, J_d) ^ rest) and column index(rest + s),
-        the Koszul sign of skipping the factors before s (its image is
-        even) and of the merge, read from ``block_plan``.  Entries that
-        meet (d of a symbol contains it) are summed, zeros dropped, so a
-        row whose entries all cancel stays in out, empty; each row's keys
-        end ascending.  A row that no term meets gets no dict, so the cost
-        follows the nonzero count, not the number of rows."""
+    def assemble(self, out: List[dict], terms, p: int, q: int, tq: int) -> List[int]:
+        """Fill out, a list of ``EMPTY_ROW``, with the rows, from (p,q) to
+        gammabar-degree tq, of the derivation whose image of coframe symbol
+        s is terms[s], a list of (I_d, J_d, c): for each term and each
+        monomial rest that shares no index with it or s, +-c at row
+        index((I_d, J_d) ^ rest) and column index(rest + s), the Koszul
+        sign of skipping the factors before s (its image is even) and of
+        the merge, read from ``block_plan``.  Entries that meet (d of a
+        symbol contains it) are summed, zeros dropped; each row's keys end
+        ascending.  A row gets a dict of its own when a term first meets
+        it, and returns to ``EMPTY_ROW`` if its entries all cancel, so a
+        row that no term meets costs no dict.  Returns the indices of the
+        rows that got one, in the order met; the last pass walks only
+        those, so the cost follows the nonzero count, not the rows."""
         n = len(self.subsets) - 1
         plan = self.block_plan
         cq, ctq = comb(n, q), comb(n, tq)
+        met: List[int] = []
         for s, sterms in enumerate(terms):
             a, b = (s + 1, None) if s < n else (None, s - n + 1)
             rp, rq = (p - 1, q) if s < n else (p, q - 1)
@@ -111,6 +120,9 @@ class Layout:
                     ci, ri, oi = ci * cq, ri * ctq, oi ^ odd
                     for cj, rj, oj in jparts:
                         row = out[ri + rj]
+                        if row is EMPTY_ROW:
+                            row = out[ri + rj] = {}
+                            met.append(ri + rj)
                         col = ci + cj
                         v = neg if oi ^ oj else c
                         prev = row.get(col)
@@ -122,6 +134,10 @@ class Layout:
                                 row[col] = v
                             else:
                                 del row[col]
-        for i, row in out.items():
-            if len(row) > 1:
+        for i in met:
+            row = out[i]
+            if not row:
+                out[i] = EMPTY_ROW
+            elif len(row) > 1:
                 out[i] = dict(sorted(row.items()))
+        return met

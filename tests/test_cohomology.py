@@ -446,7 +446,9 @@ def test_evaluated_assembly_equals_symbolic_oracle(reference_complexes):
 def test_evaluated_assembly_sums_colliding_terms():
     """When d of a symbol contains that symbol, two Leibniz terms meet at
     one entry: d(g1 ^ g2) = -2 g123 is summed, d(g1 ^ g4) = 0 cancels,
-    and the rows still equal the oracle's."""
+    and the rows still equal the oracle's.  The row of g134 from (2,0)
+    meets only that cancelling pair, so it is the shared ``EMPTY_ROW``,
+    as is every other empty row, and d(g1 ^ g4) = 0 on forms too."""
     alg = FormAlgebra(4, PolyRing(0, 0))
     se = StructureEquations(
         "diagonal",
@@ -463,10 +465,13 @@ def test_evaluated_assembly_sums_colliding_terms():
         for q in range(5):
             for op in ("del", "delbar"):
                 assert _typed_rows(ec.rows(op, p, q)) == _typed_rows(evaluated_rows(cx, op, p, q, ())), (op, p, q)
+                assert all(r is EMPTY_ROW for r in ec.rows(op, p, q) if not r), (op, p, q)
     cols = ec.columns("del", 2, 0)
     pos = monomial_index(cx, 2, 0)
     assert cols[pos[((1, 2), ())]] == {monomial_index(cx, 3, 0)[((1, 2, 3), ())]: QI(-2)}
     assert pos[((1, 4), ())] not in cols
+    assert ec.rows("del", 2, 0)[monomial_index(cx, 3, 0)[((1, 3, 4), ())]] is EMPTY_ROW
+    assert not se.apply_del(alg.monomial((1, 4), ()))
 
 
 def test_evaluation_once_per_structure_constant(monkeypatch, iwasawa_c):
