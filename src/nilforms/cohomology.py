@@ -88,12 +88,13 @@ class EvaluatedComplex:
     empty row of a stored matrix, and of the adjoints ``ddbar_preimage``
     keeps, is the one shared ``EMPTY_ROW``, a read-only mapping, so most
     rows of a large matrix cost one list slot, and every walker over rows
-    skips it.  del, delbar and total start as a list of ``EMPTY_ROW`` and
-    get a dict only at a row that holds an entry, so their assembly
-    allocates per nonzero row, not per row.  ``columns`` keeps the
-    nonzero columns that the image echelons, weak and the extension
-    solver read (mild's witness reads the rows).  Each matrix gets one
-    row echelon.  It starts as the forward echelon
+    skips it.  Every stored matrix starts as a list of ``EMPTY_ROW`` and
+    gets a dict only at a row that holds an entry: del, delbar and total
+    in their assembly, ddbar in ``linalg.mat_mul`` and the adjoints in
+    ``linalg.conj_transpose``, so each allocates per nonzero row, not per
+    row.  ``columns`` keeps the nonzero columns that the image echelons,
+    weak and the extension solver read (mild's witness reads the rows).
+    Each matrix gets one row echelon.  It starts as the forward echelon
     (``linalg.forward_echelon``), which gives the rank and the pivot
     columns that ``rank`` and ``unimodular`` read.  The stacked echelon
     extends del's: the del rows lead the stacked rows, so it is a copy of
@@ -178,7 +179,6 @@ class EvaluatedComplex:
         if key not in self._rows:
             if op == "ddbar":
                 out = linalg.mat_mul(self.rows("del", p, q + 1), self.rows("delbar", p, q))
-                out = [r or EMPTY_ROW for r in out]
             elif op == "stacked":
                 out = self.rows("del", p, q) + self.rows("delbar", p, q)
             else:
@@ -362,7 +362,7 @@ class EvaluatedComplex:
         key, dim = (p, q), self.dim(p, q)
         if key not in self._preimages:
             a = self.rows("ddbar", p - 1, q - 1)
-            adjoint = [r or EMPTY_ROW for r in linalg.conj_transpose(a, self.dim(p - 1, q - 1))]
+            adjoint = linalg.conj_transpose(a, self.dim(p - 1, q - 1))
             e = linalg.tracked_echelon(linalg.columns_of(linalg.mat_mul(a, adjoint), dim), dim)
             self._preimages[key] = (adjoint, e)
         adjoint, e = self._preimages[key]
@@ -440,22 +440,23 @@ class EvaluatedComplex:
         subsets, cq = self.cx.layout.subsets, comb(self.n, q)
         return Form(alg, {(subsets[p][i // cq], subsets[q][i % cq]): alg.ring.const(v[i]) for i in sorted(v)})
 
-    def form_to_slices(self, a: Form, p: int, q: int) -> Dict[Tuple[int, ...], Vec]:
+    def form_to_slices(self, a: Form, p: int, q: int) -> Dict[int, Vec]:
         """The t-slices of a (p,q)-form whose coefficients are polynomials
-        in t: per exponent of t, the vector of that coefficient of every
-        monomial, positioned as in ``form_to_vec``."""
+        in t: per monomial of t, by its key (an opaque label here), the
+        vector of that coefficient of every monomial, positioned as in
+        ``form_to_vec``."""
         rank, cq = self.cx.layout.subset_rank, comb(self.n, q)
-        slices: Dict[Tuple[int, ...], Vec] = {}
+        slices: Dict[int, Vec] = {}
         for (I, J), c in a.coeffs.items():
             i = rank[p][I] * cq + rank[q][J]
             for expo, val in c.terms.items():
                 slices.setdefault(expo, {})[i] = val
         return slices
 
-    def slices_to_form(self, slices: Dict[Tuple[int, ...], Vec], p: int, q: int, algebra: FormAlgebra) -> Form:
+    def slices_to_form(self, slices: Dict[int, Vec], p: int, q: int, algebra: FormAlgebra) -> Form:
         """The (p,q)-form over algebra whose t-slices are slices, the
         inverse of ``form_to_slices``."""
-        coeffs: Dict[int, Dict[Tuple[int, ...], GaussianRational]] = {}
+        coeffs: Dict[int, Dict[int, GaussianRational]] = {}
         for expo, v in slices.items():
             for i, c in v.items():
                 coeffs.setdefault(i, {})[expo] = c

@@ -327,7 +327,7 @@ def _conjugate_solution(
     left and right is solved on its own (``EvaluatedComplex.ddbar_preimage``);
     a slice outside im del delbar raises ObstructionNonvanishing(order,
     side)."""
-    images: Dict[Tuple[int, ...], Vec] = {}
+    images: Dict[int, Vec] = {}
     sides = (("left", left, QI_ONE, "delbar", p, q - 1), ("right", right, -QI_ONE, "del", p - 1, q))
     for side, y, sign, op, sp, sq in sides:
         if not y:

@@ -1,7 +1,7 @@
 """The one Leibniz rule: the matrix of an odd derivation on a bidegree
 from its images of the coframe symbols (``Layout.assemble``), and the
 one read-only empty row that its matrices share (``EMPTY_ROW``), for
-``algebra`` and ``cohomology`` both, so it imports neither."""
+``algebra``, ``cohomology`` and ``linalg``, so it imports none of them."""
 
 from __future__ import annotations
 

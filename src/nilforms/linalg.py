@@ -32,6 +32,8 @@ over an empty row and stores a row that meets no leading column without
 reducing it, ``_forward_reduce`` returns such a row after one set test,
 and a kernel read given a set of columns builds only the vectors whose
 support, known from the RREF before the vector is built, meets it.
+``mat_mul`` and ``conj_transpose`` give each empty row of their result
+the shared read-only ``leibniz.EMPTY_ROW``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from .leibniz import EMPTY_ROW
 from .scalars import GaussianRational, QI_I, QI_ONE, QI_ZERO, _div
 
 Vec = Dict[int, object]
@@ -111,15 +114,15 @@ class Echelon:
 
         The cost follows the nonzeros: an empty vector is passed over, and
         one that meets no leading column is stored as it is, by reference,
-        at its smallest key, without entering ``_forward_reduce``, which
-        would return it unchanged."""
+        at its smallest key, and one that meets one is reduced without a
+        second disjointness test (``_reduce_meeting``)."""
         pivots = self.pivots
         leads = pivots.keys()
         for v in filter(None, vectors):
             if leads.isdisjoint(v):
                 pivots[min(v)] = v
             else:
-                w = _forward_reduce(pivots, v)
+                w = _reduce_meeting(pivots, v)
                 if w:
                     pivots[min(w)] = w
         self._free = None
@@ -242,6 +245,12 @@ def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
     of v and of the rows met, not the number of rows stored."""
     if pivots.keys().isdisjoint(v):
         return v
+    return _reduce_meeting(pivots, v)
+
+
+def _reduce_meeting(pivots: Dict[int, Vec], v: Vec) -> Vec:
+    """``_forward_reduce`` of a v known to meet a leading column, for a
+    caller that has made the disjointness test itself (``Echelon.extend``)."""
     hits = list(filter(pivots.__contains__, v))
     w = dict(v)
     heapify(hits)
@@ -352,31 +361,42 @@ def columns_vec(cols: Dict[int, Vec], x: Vec) -> Vec:
 
 
 def mat_mul(a: Rows, b: Rows) -> Rows:
-    """(a @ b) where a is p x q rows and b is q x r rows."""
-    out: Rows = []
-    for ra in a:
-        acc: Vec = {}
-        if ra:
-            for k, c in ra.items():
-                if k >= len(b) or not b[k]:
-                    continue
-                for j, d in b[k].items():
-                    s = acc.get(j)
-                    s = c * d if s is None else s + c * d
-                    if s:
-                        acc[j] = s
-                    elif j in acc:
-                        del acc[j]
-        out.append(acc)
+    """(a @ b) where a is p x q rows and b is q x r rows.  The product
+    starts as a list of ``EMPTY_ROW``, and a row keeps a dict of its own
+    only when an entry of it survives, so an empty row of a, or one whose
+    entries all cancel, costs no dict."""
+    out: Rows = [EMPTY_ROW] * len(a)
+    nb = len(b)
+    acc: Vec = {}
+    for i, ra in enumerate(a):
+        if not ra:
+            continue
+        for k, c in ra.items():
+            if k >= nb:
+                continue
+            for j, d in b[k].items():
+                s = acc.get(j)
+                s = c * d if s is None else s + c * d
+                if s:
+                    acc[j] = s
+                elif j in acc:
+                    del acc[j]
+        if acc:
+            out[i] = acc
+            acc = {}
     return out
 
 
 def conj_transpose(rows: Rows, ncols: int) -> Rows:
-    out: Rows = [{} for _ in range(ncols)]
+    """The adjoint, ncols rows: a list of ``EMPTY_ROW`` in which a row
+    gets a dict when an entry first meets it."""
+    out: Rows = [EMPTY_ROW] * ncols
     for i, r in enumerate(rows):
-        if r:
-            for j, c in r.items():
-                out[j][i] = c.conj() if isinstance(c, GaussianRational) else c
+        for j, c in r.items():
+            row = out[j]
+            if row is EMPTY_ROW:
+                row = out[j] = {}
+            row[i] = c.conj() if isinstance(c, GaussianRational) else c
     return out
 
 

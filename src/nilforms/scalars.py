@@ -10,6 +10,14 @@ a fixed total degree.  The deformation parameters t_nu and their formal
 conjugates tbar_nu are independent commuting variables; conjugation
 swaps them, and evaluation at a point z substitutes t_nu -> z_nu,
 tbar_nu -> conj(z_nu).
+Its terms are keyed by one int per monomial, laid out by its
+``PolyRing``: the total degree above the exponents, which are base-B
+digits for B = order + 1.  The key of a product is the sum of the keys,
+and the product is truncated exactly when that sum reaches the ring's
+``cap``, so the extension solver's many term products pay one int add
+and one compare.  Only ``eval``, ``format_scalar`` and ``parse_scalar``
+decode or encode exponents (``PolyRing.exponents`` and ``PolyRing.key``);
+every other reader treats a key as an opaque label.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import FormatError
 
@@ -296,19 +304,44 @@ def format_gaussian(z: GaussianRational) -> str:
 
 
 class PolyRing:
-    """Truncated polynomial ring Q(i)[t_1..t_m, tbar_1..tbar_m] / (deg > N).
+    """Truncated polynomial ring Q(i)[t_1..t_m, tbar_1..tbar_m] / (deg > N),
+    and the one owner of the int keys of its monomials.
 
-    Instances are lightweight descriptors (m, N); ParamScalars carry a
-    reference to their ring and refuse mixed-ring arithmetic.
+    A monomial of total degree d <= N with exponents e_1..e_2m (those of
+    t_1..t_m, then of tbar_1..tbar_m) has the key
+    d*B^(2m) + sum_i e_i*B^(2m-i), with base B = N + 1 (at least 2).  Each
+    exponent is at most d <= N < B, so below ``unit`` = B^(2m) the key
+    holds the exponents as base-B digits, t's above ``half`` = B^m and
+    tbar's below it, and d is the key floor-divided by ``unit``.  Keys
+    sort as (degree, exponent tuple) do, and the constant monomial is 0.
+
+    The key of the product of two monomials is the sum of their keys, and
+    the product survives the truncation exactly when that sum is below
+    ``cap`` = (N+1)*B^(2m): if d1 + d2 <= N, every digit sum is at most
+    N < B, so no digit carries and the sum, below (d1+d2+1)*B^(2m), is the
+    product's key; if d1 + d2 > N, the sum is at least (d1+d2)*B^(2m).  No
+    sum of two keys equals ``cap``, so the test reads the same with <=.
+
+    Only ``key`` and ``exponents`` encode and decode; the variables,
+    ``ParamScalar.eval`` and the text form (``format_scalar``,
+    ``parse_scalar``) call them, and the ring operations read keys as
+    ints.  An instance is a descriptor (m, N); rings with equal m and N
+    are equal and share the layout, and ParamScalars refuse mixed-ring
+    arithmetic.
     """
 
-    __slots__ = ("m", "order")
+    __slots__ = ("m", "order", "base", "places", "half", "unit", "cap")
 
     def __init__(self, m: int, order: int):
         if m < 0 or order < 0:
             raise ValueError("ring parameters must be non-negative")
         self.m = m
         self.order = order
+        self.base = b = max(order + 1, 2)
+        self.places = tuple(b**i for i in range(2 * m - 1, -1, -1))
+        self.half = b**m
+        self.unit = self.half * self.half
+        self.cap = (order + 1) * self.unit
 
     def __eq__(self, other):
         return (
@@ -323,6 +356,25 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing(m={self.m}, order={self.order})"
 
+    # -- monomial keys ----------------------------------------------------
+
+    def key(self, exponents: Sequence[int]) -> int:
+        """The key of the monomial with exponents e_1..e_2m; ValueError
+        for a wrong length, a negative exponent or a degree past N."""
+        if len(exponents) != 2 * self.m or min(exponents, default=0) < 0:
+            raise ValueError(f"exponents {tuple(exponents)} do not fit m={self.m}")
+        k = sum(exponents)
+        if k > self.order:
+            raise ValueError(f"degree {k} exceeds the truncation order {self.order}")
+        for e in exponents:
+            k = k * self.base + e
+        return k
+
+    def exponents(self, key: int) -> Tuple[int, ...]:
+        """The exponents e_1..e_2m of a key: its base-B digits below B^(2m)."""
+        b = self.base
+        return tuple([key // p % b for p in self.places])
+
     # -- constructors -----------------------------------------------------
 
     def zero(self) -> "ParamScalar":
@@ -332,7 +384,7 @@ class PolyRing:
         c = _coerce(c)
         if not c:
             return self.zero()
-        return ParamScalar(self, {(0,) * (2 * self.m): c})
+        return ParamScalar(self, {0: c})
 
     def one(self) -> "ParamScalar":
         return self.const(1)
@@ -352,22 +404,33 @@ class PolyRing:
             return self.zero()
         exp = [0] * (2 * self.m)
         exp[slot] = 1
-        return ParamScalar(self, {tuple(exp): QI_ONE})
+        return ParamScalar(self, {self.key(exp): QI_ONE})
 
 
 class ParamScalar:
-    """Sparse truncated polynomial; keys are exponent tuples of length 2m."""
+    """Sparse truncated polynomial: ``terms`` maps the key of each monomial
+    (``PolyRing``'s layout) to its coefficient, never 0.
+
+    The product of two terms costs one int add for its key and one compare
+    with the ring's ``cap`` for the truncation.  ``homogeneous_part`` and
+    ``min_order`` read a degree with one floor division, ``conj`` swaps the
+    t and tbar digits with one divmod, and ``is_constant`` and
+    ``constant_term`` read key 0.  A constant equals its Q(i) value and
+    hashes like it.
+    """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: Dict[Tuple[int, ...], GaussianRational]):
+    def __init__(self, ring: PolyRing, terms: Dict[int, GaussianRational]):
         self.ring = ring
         self.terms = terms
 
     # -- helpers ----------------------------------------------------------
 
     def _check(self, other: "ParamScalar"):
-        if self.ring != other.ring:
+        """Refuse a ring unequal to self's; + and * call it only for a
+        ring that is not self's by identity."""
+        if other.ring != self.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     @staticmethod
@@ -379,8 +442,10 @@ class ParamScalar:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._lift(self.ring, other)
-        self._check(other)
+        if not isinstance(other, ParamScalar):
+            other = self.ring.const(other)
+        elif other.ring is not self.ring:
+            self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             s = out.get(k)
@@ -403,29 +468,43 @@ class ParamScalar:
         return self._lift(self.ring, other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, ParamScalar):
             c = _coerce(other)
             if not c:
                 return self.ring.zero()
             return ParamScalar(self.ring, {k: v * c for k, v in self.terms.items()})
-        other = self._lift(self.ring, other)
-        self._check(other)
-        cap = self.ring.order
-        out: Dict[Tuple[int, ...], GaussianRational] = {}
-        for k1, v1 in self.terms.items():
-            d1 = sum(k1)
-            for k2, v2 in other.terms.items():
-                if d1 + sum(k2) > cap:
+        ring = self.ring
+        if other.ring is not ring:
+            self._check(other)
+        cap = ring.cap
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        out: Dict[int, GaussianRational] = {}
+        if len(b) == 1:
+            # one monomial keeps distinct keys distinct: nothing to sum
+            ((k2, v2),) = b.items()
+            room = cap - k2
+            for k1, v1 in a.items():
+                if k1 < room:
+                    out[k1 + k2] = v1 * v2
+            return ParamScalar(ring, out)
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = k1 + k2
+                if k >= cap:
                     continue
-                k = tuple(a + b for a, b in zip(k1, k2))
                 v = v1 * v2
                 s = out.get(k)
-                s = v if s is None else s + v
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return ParamScalar(self.ring, out)
+                if s is None:
+                    out[k] = v
+                else:
+                    s = s + v
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return ParamScalar(ring, out)
 
     __rmul__ = __mul__
 
@@ -438,9 +517,11 @@ class ParamScalar:
             other = self.ring.const(other)
         if not isinstance(other, ParamScalar):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (other.ring is self.ring or other.ring == self.ring) and self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.terms.get(0, 0))
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -449,11 +530,14 @@ class ParamScalar:
     # -- structure ----------------------------------------------------------
 
     def conj(self) -> "ParamScalar":
-        """Swap t_nu <-> tbar_nu and conjugate coefficients."""
-        m = self.ring.m
+        """Swap t_nu <-> tbar_nu and conjugate coefficients.  With H =
+        B^m, a key d*H^2 + T*H + Tb (T the t digits, Tb the tbar digits)
+        becomes d*H^2 + Tb*H + T, that is, the key plus (Tb - T)(H - 1)."""
+        half = self.ring.half
         out = {}
         for k, v in self.terms.items():
-            out[k[m:] + k[:m]] = v.conj()
+            q, tb = divmod(k, half)
+            out[k + (tb - q % half) * (half - 1)] = v.conj()
         return ParamScalar(self.ring, out)
 
     def eval(self, point: Iterable[GaussianRational]) -> GaussianRational:
@@ -461,39 +545,39 @@ class ParamScalar:
         pt = [_coerce(z) for z in point]
         if len(pt) != self.ring.m:
             raise ValueError("evaluation point has wrong length")
-        m = self.ring.m
+        values = pt + [z.conj() for z in pt]
         total = GaussianRational(0)
         for k, v in self.terms.items():
             term = v
-            for nu in range(m):
-                for _ in range(k[nu]):
-                    term = term * pt[nu]
-                for _ in range(k[m + nu]):
-                    term = term * pt[nu].conj()
+            if k:
+                for z, e in zip(values, self.ring.exponents(k)):
+                    while e:
+                        term = term * z
+                        e -= 1
             total = total + term
         return total
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * (2 * self.ring.m), QI_ZERO)
+        return self.terms.get(0, QI_ZERO)
 
     def is_constant(self) -> bool:
-        """Whether no term carries a parameter."""
-        return not any(any(k) for k in self.terms)
+        """Whether no term carries a parameter: every key is 0."""
+        return not any(self.terms)
 
     def min_order(self) -> int:
-        """Lowest total degree among stored terms (0 for the zero scalar)."""
-        if not self.terms:
-            return 0
-        return min(sum(k) for k in self.terms)
+        """Lowest total degree among stored terms (0 for the zero scalar):
+        the degree of the smallest key."""
+        return min(self.terms, default=0) // self.ring.unit
 
     def homogeneous_part(self, degree: int) -> "ParamScalar":
+        unit = self.ring.unit
         return ParamScalar(
-            self.ring, {k: v for k, v in self.terms.items() if sum(k) == degree}
+            self.ring, {k: v for k, v in self.terms.items() if k // unit == degree}
         )
 
     def lift(self, ring: PolyRing) -> "ParamScalar":
         """Re-interpret in another ring; only constants may change ring."""
-        if ring == self.ring:
+        if ring is self.ring or ring == self.ring:
             return self
         if not self.is_constant():
             raise ValueError("only constant scalars can move between rings")
@@ -509,13 +593,15 @@ class ParamScalar:
 
 
 def format_scalar(s: ParamScalar) -> str:
-    """Canonical string: sorted monomials, ``coef*t1^2*tbar3`` style terms."""
+    """Canonical string: monomials by (degree, exponents), which is key
+    order, as ``coef*t1^2*tbar3`` style terms."""
     if not s.terms:
         return "0"
     m = s.ring.m
     chunks = []
-    for k in sorted(s.terms, key=lambda k: (sum(k), k)):
-        v = s.terms[k]
+    for key in sorted(s.terms):
+        v = s.terms[key]
+        k = s.ring.exponents(key)
         names = []
         for nu in range(m):
             if k[nu]:
@@ -540,6 +626,7 @@ def format_scalar(s: ParamScalar) -> str:
     out = chunks[0]
     for c in chunks[1:]:
         out += c if c.startswith("-") else "+" + c
+    return out
     return out
 
 
@@ -590,7 +677,7 @@ def parse_scalar(text: str, ring: PolyRing) -> ParamScalar:
                 coeff = coeff * parse_gaussian(factor)
         if sum(mono) > ring.order:
             raise FormatError(f"term exceeds truncation order {ring.order}")
-        piece = ParamScalar(ring, {tuple(mono): sign * coeff}) if sign * coeff else ring.zero()
+        piece = ParamScalar(ring, {ring.key(mono): sign * coeff}) if sign * coeff else ring.zero()
         total = total + piece
     return total
 

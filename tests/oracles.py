@@ -545,6 +545,126 @@ def form_layer_derivation(se, a, op: str):
     return out
 
 
+# -- the tuple-keyed truncated polynomials that packed monomial keys replaced
+
+
+class TupleScalar:
+    """``scalars.ParamScalar`` as it was before ``PolyRing`` packed each
+    monomial into an int: ``terms`` maps exponent tuples (those of t_1..t_m,
+    then of tbar_1..tbar_m) to nonzero coefficients.  A product sums the
+    two degrees, drops the pair past the ring's order and zips a new
+    exponent tuple; a degree is a sum of exponents and conj swaps the two
+    halves of a tuple.  The engine's class must give the same values."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: PolyRing, terms):
+        self.ring = ring
+        self.terms = terms
+
+    @classmethod
+    def const(cls, ring: PolyRing, c) -> "TupleScalar":
+        c = GaussianRational(c) if not isinstance(c, GaussianRational) else c
+        return cls(ring, {(0,) * (2 * ring.m): c} if c else {})
+
+    def _lift(self, x) -> "TupleScalar":
+        return x if isinstance(x, TupleScalar) else TupleScalar.const(self.ring, x)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            s = out.get(k)
+            s = v if s is None else s + v
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
+        return TupleScalar(self.ring, out)
+
+    def __neg__(self):
+        return TupleScalar(self.ring, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        cap = self.ring.order
+        out = {}
+        for k1, v1 in self.terms.items():
+            d1 = sum(k1)
+            for k2, v2 in other.terms.items():
+                if d1 + sum(k2) > cap:
+                    continue
+                k = tuple(a + b for a, b in zip(k1, k2))
+                s = out.get(k)
+                s = v1 * v2 if s is None else s + v1 * v2
+                if s:
+                    out[k] = s
+                elif k in out:
+                    del out[k]
+        return TupleScalar(self.ring, out)
+
+    def conj(self) -> "TupleScalar":
+        m = self.ring.m
+        return TupleScalar(self.ring, {k[m:] + k[:m]: v.conj() for k, v in self.terms.items()})
+
+    def eval(self, point) -> GaussianRational:
+        m = self.ring.m
+        total = GaussianRational(0)
+        for k, v in self.terms.items():
+            term = v
+            for nu in range(m):
+                for _ in range(k[nu]):
+                    term = term * point[nu]
+                for _ in range(k[m + nu]):
+                    term = term * point[nu].conj()
+            total = total + term
+        return total
+
+    def constant_term(self) -> GaussianRational:
+        return self.terms.get((0,) * (2 * self.ring.m), GaussianRational(0))
+
+    def is_constant(self) -> bool:
+        return not any(any(k) for k in self.terms)
+
+    def min_order(self) -> int:
+        return min((sum(k) for k in self.terms), default=0)
+
+    def homogeneous_part(self, degree: int) -> "TupleScalar":
+        return TupleScalar(self.ring, {k: v for k, v in self.terms.items() if sum(k) == degree})
+
+    def lift(self, ring: PolyRing) -> "TupleScalar":
+        if ring == self.ring:
+            return self
+        if not self.is_constant():
+            raise ValueError("only constant scalars can move between rings")
+        return TupleScalar.const(ring, self.constant_term())
+
+    def format(self) -> str:
+        """The canonical string, monomials sorted by (degree, exponents)."""
+        if not self.terms:
+            return "0"
+        m = self.ring.m
+        chunks = []
+        for k in sorted(self.terms, key=lambda k: (sum(k), k)):
+            v = self.terms[k]
+            names = [f"t{nu + 1}" + (f"^{k[nu]}" if k[nu] > 1 else "") for nu in range(m) if k[nu]]
+            names += [f"tbar{nu + 1}" + (f"^{k[m + nu]}" if k[m + nu] > 1 else "") for nu in range(m) if k[m + nu]]
+            coeff = format_gaussian(v)
+            if not names:
+                body = coeff
+            elif coeff in ("1", "-1"):
+                body = coeff[:-1] + "*".join(names)
+            else:
+                if v.re != 0 and v.im != 0:
+                    coeff = f"({coeff})"
+                body = coeff + "*" + "*".join(names)
+            chunks.append(body)
+        return chunks[0] + "".join(c if c.startswith("-") else "+" + c for c in chunks[1:])
+
+
 # -- helpers the engine no longer ships: only tests call them -----------
 
 

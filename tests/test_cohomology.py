@@ -42,6 +42,7 @@ from oracles import (
     harmonic_green_two_pass,
     iwasawa_oracle,
     mat_add,
+    mat_mul_of_every_row,
     monomial_index,
     nonzero_gaussian,
     norm2_vec,
@@ -748,7 +749,8 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     del-delbar solves, every empty row of every stored matrix (del,
     delbar, ddbar, total, the adjoints the solves keep, and a stacked
     matrix asked for by name, which the reports never build) is the one
-    ``EMPTY_ROW``, which refuses a write; the complex keeps only the
+    ``EMPTY_ROW``, which refuses a write, and each ddbar equals the
+    product that walks every row; the complex keeps only the
     layout of its equations, the per-size subset table, 2^n subsets,
     and the assembly plans, each a list of one entry per subset of one
     block, so no list or dict per monomial; and the equations hold
@@ -767,6 +769,11 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     empty = [r for rows in stored for r in rows if not r]
     assert empty and all(r is EMPTY_ROW for r in empty)
     assert all(type(r) is dict for rows in stored for r in rows if r)
+    # ddbar is linalg.mat_mul's product as it stands, with no pass after it
+    ddbar = [(key, rows) for key, rows in ec._rows.items() if key[0] == "ddbar"]
+    assert ddbar and any(r is EMPTY_ROW for _, rows in ddbar for r in rows)
+    for (_, p, q), rows in ddbar:
+        assert rows == mat_mul_of_every_row(ec.rows("del", p, q + 1), ec.rows("delbar", p, q))
     with pytest.raises(TypeError):
         empty[0][0] = QI_ONE
     assert EMPTY_ROW == {}

@@ -638,6 +638,33 @@ def test_second_solve_reuses_green_operators(bcvary10, monkeypatch):
     assert sizes == [10]
 
 
+def test_warm_solves_decode_no_monomial_key(bcvary10, monkeypatch):
+    """After one warm-up solve, solve_extension on every (3,3) generator
+    of bcvary10 with a shared ec0 decodes no monomial key
+    (``PolyRing.exponents``) and encodes no exponent tuple
+    (``PolyRing.key``): its products, degree reads and conjugations work
+    on the packed keys.  The hooks do see the text form decode."""
+    se0 = evaluate_se(bcvary10.se, zero_point(4))
+    ec0 = EvaluatedComplex(build_complex(se0), ())
+    alg = bcvary10.se.algebra
+    omegas = [ec0.vec_to_form(gv, 3, 3, alg) for gv in ec0.kernel("stacked", 3, 3)]
+    solve = lambda omega0: solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0, check_lemmata=False)
+    solve(omegas[1])
+    calls = []
+    for name in ("key", "exponents"):
+        real = getattr(PolyRing, name)
+        monkeypatch.setattr(PolyRing, name, lambda ring, x, real=real, name=name: calls.append(name) or real(ring, x))
+    corrected = 0
+    for omega0 in omegas:
+        try:
+            corrected += solve(omega0).omega != omega0
+        except ObstructionNonvanishing:
+            pass
+    assert calls == [] and corrected > 0
+    str(alg.ring.t(1) * alg.ring.tbar(2))
+    assert calls == ["key", "key", "exponents"]
+
+
 def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     """The structure equations own the split of d of the coframe into
     its del and delbar terms (``symbol_terms``) and phi owns its

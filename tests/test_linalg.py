@@ -7,6 +7,7 @@ from nilforms import linalg
 from nilforms.algebra import build_complex
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, zero_point
+from nilforms.leibniz import EMPTY_ROW
 from nilforms.lemmata import lemma_report
 from nilforms.linalg import Echelon
 from nilforms.scalars import DetRng, GaussianRational, QI
@@ -18,6 +19,7 @@ from oracles import (
     dense_to_rows,
     full_scan_kernel,
     hermitian_pivots_ldl,
+    mat_mul_of_every_row,
     negating_span_intersection,
     nonzero_gaussian,
     realify_dense,
@@ -512,6 +514,25 @@ def test_matmul_and_adjoint():
     for i in range(3):
         for j in range(4):
             assert _dense(at, 3)[j][i] == da[i][j].conj()
+
+
+def test_product_and_adjoint_give_each_empty_row_the_shared_empty_row():
+    """mat_mul equals the oracle that walks every row, on factors with
+    empty rows (dicts and ``EMPTY_ROW``) and a row whose products cancel;
+    each empty row of the product and of an adjoint is ``EMPTY_ROW``, and
+    each other row a dict of its own."""
+    rng = DetRng(29)
+    for _ in range(20):
+        a, b = _random_rows(rng, 6, 5), _random_rows(rng, 5, 4)
+        a[1], a[3], b[2] = {}, EMPTY_ROW, {}
+        b[0] = dict(b[4])
+        a.append({0: QI(2, 1), 4: QI(-2, -1)})  # b[0] - b[4] cancels
+        for out, want in ((linalg.mat_mul(a, b), mat_mul_of_every_row(a, b)),
+                          (linalg.conj_transpose(a, 7), rows_from_columns([{j: c.conj() for j, c in r.items()} for r in a], 7))):
+            assert out == want
+            assert all(r is EMPTY_ROW for r in out if not r)
+            assert all(type(r) is dict for r in out if r) and len({id(r) for r in out if r}) == sum(map(bool, out))
+        assert linalg.mat_mul(a, b)[-1] is EMPTY_ROW and linalg.conj_transpose(a, 7)[6] is EMPTY_ROW
 
 
 def test_dense_inverse():

@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from nilforms.scalars import (
     parse_scalar,
 )
 
-from oracles import FractionPartGaussian
+from oracles import FractionPartGaussian, TupleScalar
 
 fractions = st.builds(
     Fraction, st.integers(-40, 40), st.integers(1, 12)
@@ -36,6 +37,7 @@ RING = PolyRing(2, 3)
 
 @st.composite
 def scalars(draw):
+    """A ParamScalar of RING, its monomial keys built by ``PolyRing.key``."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         expo = tuple(draw(st.integers(0, 2)) for _ in range(4))
@@ -43,7 +45,7 @@ def scalars(draw):
             continue
         z = draw(gaussians)
         if z:
-            terms[expo] = z
+            terms[RING.key(expo)] = z
     return ParamScalar(RING, terms)
 
 
@@ -178,11 +180,12 @@ def test_gaussian_rational_equals_fraction_part_oracle(a, b, r):
 
 @st.composite
 def equal_forms(draw):
-    """Two forms of one value: a GaussianRational, and for a real value
-    its Fraction and, when integral, its int."""
+    """Two forms of one value: a GaussianRational, the constant ParamScalar
+    holding it, and for a real value its Fraction and, when integral, its
+    int."""
     re = draw(rationals)
     im = draw(st.one_of(st.just(0), rationals))
-    forms = [GaussianRational(re, im), GaussianRational(Fraction(re), Fraction(im))]
+    forms = [GaussianRational(re, im), GaussianRational(Fraction(re), Fraction(im)), RING.const(QI(re, im))]
     if im == 0:
         forms.append(Fraction(re))
         if Fraction(re).denominator == 1:
@@ -190,17 +193,25 @@ def equal_forms(draw):
     return draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
 
 
-@given(operands, operands, equal_forms())
+#: operands of the hash test: those above, ParamScalars, and constant
+#: ParamScalars, zero among them
+hash_operands = st.one_of(operands, scalars(), st.builds(RING.const, mixed_gaussians))
+
+
+@given(hash_operands, hash_operands, equal_forms())
 @settings(max_examples=200, deadline=None)
 def test_equal_values_hash_alike(a, b, same):
-    """== implies equal hashes over mixed GaussianRational, int and
-    Fraction operands, so a dict keyed by one finds the other."""
+    """== implies equal hashes over mixed GaussianRational, ParamScalar,
+    int and Fraction operands, so a dict keyed by one finds the other; a
+    constant ParamScalar hashes like its constant."""
     for x, y in ((a, b), same):
         if x == y:
             assert hash(x) == hash(y)
     x, y = same
     assert x == y and {x: "found"}.get(y) == "found"
     assert {QI(1): "x"}.get(1) == "x" and {Fraction(1, 2): "y"}.get(QI(Fraction(1, 2))) == "y"
+    assert len({RING.const(3), 3}) == 1 and len({RING.zero(), 0}) == 1
+    assert {RING.const(QI(1, 2)): "z"}.get(QI(1, 2)) == "z"
 
 
 @given(gaussians)
@@ -248,7 +259,7 @@ def test_conj_is_ring_map(a, b):
 
 
 def _max_deg(s):
-    return max((sum(k) for k in s.terms), default=0)
+    return max((sum(s.ring.exponents(k)) for k in s.terms), default=0)
 
 
 @given(scalars(), scalars())
@@ -317,3 +328,100 @@ def test_each_caller_refuses_a_parameter_through_one_constant_test():
         volume_coefficient(param)
     with pytest.raises(ValueError, match="extraction of a parameter-dependent form"):
         hermitian_matrix_of(param, 1)
+
+
+# -- packed monomial keys against the tuple-keyed route they replaced -------
+
+#: rings of every small shape: no parameter (m = 0), orders 0 and 1, and
+#: higher orders with one and two parameters
+RINGS = [PolyRing(0, 0), PolyRing(0, 2), PolyRing(1, 0), PolyRing(1, 1), PolyRing(2, 1), PolyRing(1, 3), PolyRing(2, 3)]
+
+
+def _assert_same_scalar(got, want):
+    """got, a ParamScalar, holds the terms of want, a TupleScalar: each
+    exponent tuple at its key, and each key decodes to its tuple."""
+    ring = got.ring
+    assert isinstance(got, ParamScalar) and ring == want.ring
+    assert got.terms == {ring.key(e): v for e, v in want.terms.items()}
+    assert {ring.exponents(k): v for k, v in got.terms.items()} == want.terms
+
+
+@st.composite
+def scalar_pairs(draw, ring):
+    """One polynomial of ring on both routes: a ParamScalar whose keys are
+    built by the ring, and the TupleScalar on the exponent tuples."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        expo = tuple(draw(st.integers(0, ring.order)) for _ in range(2 * ring.m))
+        z = draw(gaussians)
+        if sum(expo) <= ring.order and z:
+            terms[expo] = z
+    return ParamScalar(ring, {ring.key(e): z for e, z in terms.items()}), TupleScalar(ring, terms)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_keys_equal_the_tuple_route(data):
+    """+, -, *, conj, eval, homogeneous_part, min_order, is_constant, lift
+    and the format_scalar/parse_scalar round trip give on packed keys what
+    the tuple-keyed route gives, on rings with m = 0 and of order 0 and 1
+    among others."""
+    ring = data.draw(st.sampled_from(RINGS), label="ring")
+    (a, ta), (b, tb) = data.draw(scalar_pairs(ring), label="a"), data.draw(scalar_pairs(ring), label="b")
+    point = tuple(data.draw(gaussians, label="point") for _ in range(ring.m))
+    for got, want in ((a + b, ta + tb), (a - b, ta - tb), (a * b, ta * tb), (-a, -ta), (a.conj(), ta.conj())):
+        _assert_same_scalar(got, want)
+    assert a.eval(point) == ta.eval(point)
+    for degree in range(ring.order + 2):
+        _assert_same_scalar(a.homogeneous_part(degree), ta.homogeneous_part(degree))
+    assert a.min_order() == ta.min_order() and a.is_constant() == ta.is_constant()
+    assert a.constant_term() == ta.constant_term()
+    for target in (ring, PolyRing(ring.m, ring.order), PolyRing(ring.m + 1, ring.order + 1)):
+        if ta.is_constant() or target == ring:
+            _assert_same_scalar(a.lift(target), ta.lift(target))
+        else:
+            with pytest.raises(ValueError, match="only constant scalars can move between rings"):
+                a.lift(target)
+    text = format_scalar(a)
+    assert text == ta.format() and parse_scalar(text, ring) == a
+
+
+def _monomials(ring):
+    return [e for e in product(range(ring.order + 1), repeat=2 * ring.m) if sum(e) <= ring.order]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_every_monomial_product_at_and_past_the_cap(ring):
+    """Each pair of monomials of a ring multiplies as on the tuple route:
+    the product survives exactly when the degrees sum to at most the
+    order, at a key that is the sum of the two keys.  Every monomial
+    conjugates as there, its key decodes to its exponents, and keys sort
+    as (degree, exponents) do.  The pairs at the cap and one past it both
+    occur wherever the ring has a monomial of positive degree.  The
+    square of the sum of all monomials agrees too."""
+    monos = _monomials(ring)
+    keys = [ring.key(e) for e in monos]
+    assert [ring.exponents(k) for k in keys] == monos
+    assert [ring.exponents(k) for k in sorted(keys)] == sorted(monos, key=lambda e: (sum(e), e))
+    excess = set()
+    for e1, k1 in zip(monos, keys):
+        a, ta = ParamScalar(ring, {k1: QI(2, 1)}), TupleScalar(ring, {e1: QI(2, 1)})
+        _assert_same_scalar(a.conj(), ta.conj())
+        for e2, k2 in zip(monos, keys):
+            got = a * ParamScalar(ring, {k2: QI(0, 3)})
+            _assert_same_scalar(got, ta * TupleScalar(ring, {e2: QI(0, 3)}))
+            assert got.terms.keys() == ({k1 + k2} if sum(e1) + sum(e2) <= ring.order else set())
+            excess.add(sum(e1) + sum(e2) - ring.order)
+    if ring.m and ring.order:
+        assert {0, 1} <= excess
+    # the sum of every monomial, squared: many terms times many, with sums
+    total, ttotal = ParamScalar(ring, dict.fromkeys(keys, QI(1, 2))), TupleScalar(ring, dict.fromkeys(monos, QI(1, 2)))
+    _assert_same_scalar(total * total, ttotal * ttotal)
+
+
+def test_ring_key_refuses_what_the_layout_cannot_hold():
+    r = PolyRing(2, 3)
+    assert r.key((0, 0, 0, 0)) == 0 and r.key((1, 0, 0, 2)) == 3 * r.unit + r.base**3 + 2
+    for bad in ((0, 0, 0), (1, 0, 0, -1), (2, 0, 0, 2)):
+        with pytest.raises(ValueError):
+            r.key(bad)
