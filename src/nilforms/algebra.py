@@ -127,7 +127,8 @@ class Form:
     # -- linear structure --------------------------------------------------
 
     def _check(self, other: "Form"):
-        if self.algebra != other.algebra:
+        # operands nearly always share one algebra object; equal ones pass too
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("forms from different algebras")
 
     def __add__(self, other: "Form") -> "Form":
@@ -149,7 +150,7 @@ class Form:
         return self + (-other)
 
     def scale(self, c) -> "Form":
-        if isinstance(c, ParamScalar) and c.ring != self.algebra.ring:
+        if isinstance(c, ParamScalar) and c.ring is not self.algebra.ring and c.ring != self.algebra.ring:
             raise ValueError("scalar from a different ring")
         return Form(self.algebra, {m: v * c for m, v in self.coeffs.items()})
 

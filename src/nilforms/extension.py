@@ -7,42 +7,36 @@ and the original-side form is recovered by the inverse gammabar-block
 substitution (``simultaneous_contract`` with phi's ``shrink`` and
 ``unshrink``).  Both exponentials are the one contraction power series
 ``algebra.contraction_series``: the ladder A_k = iota_B^k W/k! is its
-series in B, and the k-sums nest it, in B and then in phi.  Each order
-solves two del-delbar equations with the canonical minimal-norm
-solution (``EvaluatedComplex.ddbar_preimage``, whose one exact
-reduction per coefficient slice both decides solvability and solves).
-The k-sums are linear in W and O(t), so the solver keeps running sums
-and adds the k-sums of each new homogeneous piece of W once, instead of
-recomputing them over the whole series at every order; the last
-correction is laddered too, so the running sums are the k-sums of the
-whole W.  The final d-residual is computed twice and the two are
-asserted equal: directly, d of the extension of omega, from omega
-alone, and through the graded k-sums, from the W and running sums the
-solver holds (``obstruction_residual`` rebuilds both from omega).
+series in B, and the k-sums nest it, in B and then in phi, on the
+coframe factors the two hook (``ladder_sums``).  The solver keeps
+running k-sums of W (``solve_extension``), and its final d-residual is
+computed directly and through them and asserted equal (``_residuals``).
 Data that depends only on (se, phi) is built once, by its owner: se
 keeps the del and delbar parts of d (``symbol_terms``) and their column
 tables, phi its ``BeltramiOperators`` (so every helper here takes phi
-itself) and its integrability verdict for se
-(``deformation.require_integrable``, which checks once per se object
-and never stores a failure), and each of their coframe maps its prefix
-images, so a solve pays for its own form only.
+itself), with the k-sums of each product of hooked factors, and its
+integrability verdict for se (``deformation.require_integrable``), and
+each of their coframe maps its prefix images, so a solve pays for its
+own form only.
 
 Each order solves the paper's conjugate system del x = delbar zeta,
 delbar x = del conj(xi) on the t = 0 complex, one t-slice at a time
-(``_conjugate_solution``); ``solve_conjugate_system`` is that solve with
-its hypotheses checked.
+(``_conjugate_solution``, with the canonical minimal-norm del-delbar
+preimage ``EvaluatedComplex.ddbar_preimage``); ``solve_conjugate_system``
+is that solve with its hypotheses checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
     CoframeEndo,
     Form,
+    Mono,
     StructureEquations,
     T01,
     VectorValuedForm,
@@ -51,6 +45,7 @@ from .algebra import (
     neumann_invert,
     simultaneous_contract,
     vvf_of_endo,
+    wedge_mono,
 )
 from .cohomology import EvaluatedComplex, zero_point
 from .deformation import as_beltrami, coframe_transform, fiber_complex, require_integrable
@@ -58,17 +53,26 @@ from .errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFai
 from .lemmata import mild
 from .linalg import Vec
 from .positivity import is_transverse, pkahler_degree
-from .scalars import QI_ONE, GaussianRational
+from .scalars import QI_ONE, GaussianRational, ParamScalar
 
 
 @dataclass
 class BeltramiOperators:
-    """Derived contraction data shared by the ladder and the solver."""
+    """Derived contraction data shared by the ladder and the solver.
+
+    iota_phi hooks only gamma^i, i in ``phi_hooks``, and iota_B only
+    gammabar^j, j in ``b_hooks``; ``k_sums`` keeps the k-sums of each
+    monomial of hooked factors (``ladder_sums``), at most
+    2^{len(phi_hooks) + len(b_hooks)} of them.
+    """
 
     b_field: VectorValuedForm  # phibar corrected by the Neumann factor
     ext_transform: CoframeEndo  # 1 + phi + phibar on the coframe
     shrink: CoframeEndo  # gammabar-block factor (1 - phi phibar): omega -> W
     unshrink: CoframeEndo  # its Neumann inverse: W -> omega
+    phi_hooks: FrozenSet[int]
+    b_hooks: FrozenSet[int]
+    k_sums: Dict[Mono, Tuple[Form, Form, Form]] = field(default_factory=dict)
 
 
 def beltrami_operators(phi: VectorValuedForm) -> BeltramiOperators:
@@ -79,11 +83,14 @@ def beltrami_operators(phi: VectorValuedForm) -> BeltramiOperators:
         q_endo = p_endo.conj()
         pq = p_endo.compose(q_endo)
         unshrink = neumann_invert(pq)
+        b_field = vvf_of_endo(q_endo.compose(unshrink), T01)
         phi.operators = BeltramiOperators(
-            b_field=vvf_of_endo(q_endo.compose(unshrink), T01),
+            b_field=b_field,
             ext_transform=coframe_transform(phi),
             shrink=CoframeEndo.identity(phi.algebra) - pq,
             unshrink=unshrink,
+            phi_hooks=frozenset(phi.components),
+            b_hooks=frozenset(b_field.components),
         )
     return phi.operators
 
@@ -105,12 +112,44 @@ def ladder_sums(phi: VectorValuedForm, omega_tilde: Form) -> Tuple[Form, Form, F
     S1 = sum_{k>=1} iota_phi^k/k! iota_B^k/k! W      (type-preserving)
     S2 = sum_{k>=1} iota_phi^{k-1}/(k-1)! iota_B^k/k! W   (shift (+1,-1))
     S3 = sum_{k>=0} iota_phi^{k+1}/(k+1)! iota_B^k/k! W   (shift (-1,+1))
+
+    Each monomial of W is +-a ^ b, with a its factors that phi or B hooks
+    (``BeltramiOperators.phi_hooks`` and ``b_hooks``) and b the rest.
+    iota_phi and iota_B are even derivations that vanish on b, so
+    iota(x ^ b) = iota(x) ^ b at every step of the ladder, and each
+    k-sum of the monomial is +-(that k-sum of a) ^ b; truncation in t is
+    an ideal, so the truncated wedge is exact.  The k-sums of a are
+    computed once per a and kept in phi's ``BeltramiOperators.k_sums``.
     """
-    zero = omega_tilde.algebra.zero()
+    ops = beltrami_operators(phi)
+    alg = phi.algebra
+    if omega_tilde.algebra is not alg and omega_tilde.algebra != alg:
+        raise ValueError("mismatched algebras")
+    sums: Tuple[Dict[Mono, ParamScalar], ...] = ({}, {}, {})
+    for (I, J), c in omega_tilde.coeffs.items():
+        a = (tuple(i for i in I if i in ops.phi_hooks), tuple(j for j in J if j in ops.b_hooks))
+        b = (tuple(i for i in I if i not in ops.phi_hooks), tuple(j for j in J if j not in ops.b_hooks))
+        k_sums = ops.k_sums.get(a)
+        if k_sums is None:
+            k_sums = ops.k_sums[a] = _monomial_k_sums(phi, ops.b_field, Form(alg, {a: alg.ring.one()}))
+        sign = wedge_mono(a, b)[0]
+        for out, k in zip(sums, k_sums):
+            for m, v in k.coeffs.items():
+                r = wedge_mono(m, b)
+                if r is not None:
+                    x = v * c if r[0] == sign else -(v * c)
+                    s = out.get(r[1])
+                    out[r[1]] = x if s is None else s + x
+    return tuple(Form(alg, out) for out in sums)
+
+
+def _monomial_k_sums(phi: VectorValuedForm, b_field: VectorValuedForm, a: Form) -> Tuple[Form, Form, Form]:
+    """The k-sums of a: the contraction series of B on a and of phi on
+    each of its terms."""
+    zero = a.algebra.zero()
     s1 = s2 = s3 = zero
-    b_field = beltrami_operators(phi).b_field
-    for k, a_k in enumerate(contraction_series(b_field, omega_tilde)):
-        # terms[j] = iota_phi^j/j! iota_B^k/k! W, zero past the series
+    for k, a_k in enumerate(contraction_series(b_field, a)):
+        # terms[j] = iota_phi^j/j! iota_B^k/k! a, zero past the series
         terms = contraction_series(phi, a_k)
         terms += [zero] * (k + 2 - len(terms))
         if k:

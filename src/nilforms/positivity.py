@@ -4,10 +4,11 @@ directions, and the Kaehler/balanced specializations.
 
 Exact Hermitian certificates exist whenever every relevant (q,0)-form
 is decomposable (q in {0, 1, n-1, n}, covering p in {0, 1, n-1, n}):
-the LDL* pivots of the coefficient or pairing matrix, from one tracked
-forward elimination of its rows (``linalg.hermitian_pivots``), are all
-positive, or the first pivot <= 0 comes with an exact vector w whose
-value w* A w is that pivot.  For intermediate p the verdict is
+the LDL* pivots of the coefficient or pairing matrix (the latter read
+off the coefficients at complementary monomials, with no wedge), from
+one tracked forward elimination of its rows (``linalg.hermitian_pivots``),
+are all positive, or the first pivot <= 0 comes with an exact vector w
+whose value w* A w is that pivot.  For intermediate p the verdict is
 produced by seeded deterministic sampling of decomposable directions
 and is labelled as such.
 
@@ -25,7 +26,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebra import Form, FormAlgebra, StructureEquations
+from .algebra import Form, FormAlgebra, StructureEquations, wedge_mono
 from .errors import PreconditionFailed
 from .io import form_to_obj
 from .scalars import DetRng, GaussianRational, QI_I, QI_ONE, _div
@@ -189,19 +190,24 @@ def is_strictly_positive(theta: Form, q: Optional[int] = None) -> PositivityVerd
 
 def _pairing_matrix(gamma: Form, q: int) -> List[List[GaussianRational]]:
     """A with conj(c)^T A c = volume of gamma ^ sigma_q tau ^ conj(tau)
-    for tau = sum c_i beta_i."""
-    alg = gamma.algebra
-    basis = list(combinations(range(1, alg.n + 1), q))
-    sq = sigma_q(q)
-    size = len(basis)
-    zero = GaussianRational(0)
-    mat = [[zero for _ in range(size)] for _ in range(size)]
-    for a, A in enumerate(basis):
-        beta_a = alg.monomial(A, ())
-        for b, B in enumerate(basis):
-            pair = gamma.wedge(beta_a.wedge(alg.monomial((), B, sq)))
-            if pair:
-                mat[b][a] = volume_coefficient(pair)
+    for tau = sum c_i beta_i, gamma a constant (n-q,n-q)-form.
+
+    gamma ^ beta_a ^ sigma_q conj(beta_b) keeps only gamma's term at the
+    complement of the monomial (A, B), so each entry is that coefficient
+    times sigma_q and the sign of the wedge (``wedge_mono``), over the
+    unit volume.  A t-dependent gamma raises ValueError.
+    """
+    n = gamma.algebra.n
+    index = {A: a for a, A in enumerate(combinations(range(1, n + 1), q))}
+    full = frozenset(range(1, n + 1))
+    scale = sigma_q(q) / unit_volume_scalar(n)
+    mat = [[GaussianRational(0)] * len(index) for _ in index]
+    for (I, J), c in gamma.coeffs.items():
+        if not c.is_constant():
+            raise ValueError("volume coefficient of a parameter-dependent form")
+        A, B = tuple(sorted(full.difference(I))), tuple(sorted(full.difference(J)))
+        sign = wedge_mono((I, J), (A, B))[0]
+        mat[index[B]][index[A]] = c.constant_term() * scale * sign
     return mat
 
 

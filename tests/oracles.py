@@ -1089,6 +1089,24 @@ def a_ladder(phi, omega_tilde):
     return contraction_series(beltrami_operators(phi).b_field, omega_tilde)
 
 
+def ladder_sums_whole_form(phi, omega_tilde):
+    """``extension.ladder_sums`` by the contraction series of B on the
+    whole of W and of phi on each of its terms, which the per-factor
+    k-sums kept in phi's ``BeltramiOperators`` replaced."""
+    from nilforms.algebra import contraction_series
+    from nilforms.extension import beltrami_operators
+
+    zero = omega_tilde.algebra.zero()
+    s1 = s2 = s3 = zero
+    for k, a_k in enumerate(contraction_series(beltrami_operators(phi).b_field, omega_tilde)):
+        terms = contraction_series(phi, a_k)
+        terms += [zero] * (k + 2 - len(terms))
+        if k:
+            s1, s2 = s1 + terms[k], s2 + terms[k - 1]
+        s3 = s3 + terms[k + 1]
+    return s1, s2, s3
+
+
 # -- the whole-series order loop and from-scratch final state that
 # -- extension.solve_extension replaced ------------------------------------
 
@@ -1823,3 +1841,26 @@ def kuranishi_expand(
     for extra in phi_orders[1:]:
         phi = phi + extra
     return KuranishiResult(eta, phi, obstructions, ring)
+
+
+# -- the wedge route that positivity._pairing_matrix replaced --------------
+
+
+def pairing_matrix_by_wedges(gamma, q: int):
+    """A with conj(c)^T A c = volume of gamma ^ sigma_q tau ^ conj(tau)
+    for tau = sum c_i beta_i, each entry the volume coefficient of the
+    whole gamma wedged with beta_a ^ sigma_q conj(beta_b)."""
+    from nilforms.positivity import sigma_q, volume_coefficient
+
+    alg = gamma.algebra
+    basis = list(combinations(range(1, alg.n + 1), q))
+    sq = sigma_q(q)
+    zero = GaussianRational(0)
+    mat = [[zero for _ in basis] for _ in basis]
+    for a, A in enumerate(basis):
+        beta_a = alg.monomial(A, ())
+        for b, B in enumerate(basis):
+            pair = gamma.wedge(beta_a.wedge(alg.monomial((), B, sq)))
+            if pair:
+                mat[b][a] = volume_coefficient(pair)
+    return mat

@@ -76,6 +76,28 @@ def test_wedge_bidegree_adds():
     assert w and w.bidegree() == (3, 3)
 
 
+def test_forms_over_equal_algebras_combine_and_unequal_ones_raise():
+    """Form arithmetic checks the algebra by identity first and by value
+    after: forms over equal but distinct FormAlgebra objects (and a
+    scalar from an equal but distinct ring) still add, subtract, wedge
+    and scale, and forms over unequal algebras raise ValueError."""
+    twin = FormAlgebra(3, PolyRing(0, 0))
+    assert twin is not ALG3 and twin == ALG3 and twin.ring is not ALG3.ring
+    a, b = ALG3.monomial((1,), (2,), 3), twin.monomial((2,), (1,), 5)
+    assert (a + b).coeffs == {((1,), (2,)): QI(3), ((2,), (1,)): QI(5)}
+    assert not a - twin.monomial((1,), (2,), 3)
+    assert a.wedge(b) == ALG3.monomial((1, 2), (1, 2), 15)
+    assert a.scale(twin.ring.const(QI(2))) == ALG3.monomial((1,), (2,), 6)
+    for other in (FormAlgebra(3, PolyRing(1, 2)), FormAlgebra(4, PolyRing(0, 0))):
+        c = other.monomial((2,), (1,), 5)
+        with pytest.raises(ValueError):
+            a + c
+        with pytest.raises(ValueError):
+            a.wedge(c)
+    with pytest.raises(ValueError):
+        a.scale(PolyRing(1, 2).one())
+
+
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
 @settings(max_examples=80, deadline=None)
 def test_wedge_associative_and_graded_commutative(i, j, k):

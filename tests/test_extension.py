@@ -38,6 +38,7 @@ from oracles import (
     a_ladder,
     exp_contract,
     form_basis,
+    ladder_sums_whole_form,
     nonzero_gaussian,
     simultaneous_contract_scalar_first,
     solve_extension_whole_series,
@@ -252,27 +253,90 @@ def _random_param_form(alg, rng, nterms):
     return total
 
 
-def test_ladder_sums_are_linear(bcvary10):
+def _ladder_phis(bcvary10, bcvary10_c, iwasawa3):
+    """Beltrami differentials for the ladder tests: bcvary10's family,
+    the same on bcvary10 x C (passive factors gamma^6 and gammabar^6),
+    iwasawa3's family (every factor hooked) and abelian_4's rank-3
+    diagonal phi at ring order 5."""
+    return [bcvary10.beltrami, bcvary10_c[1], iwasawa3.beltrami, _diagonal_beltrami(FormAlgebra(4, PolyRing(3, 5)))]
+
+
+def test_ladder_sums_equal_the_whole_form_oracle(bcvary10, bcvary10_c, iwasawa3):
+    """The k-sums read per hooked factor set, each monomial's k-sums the
+    cached k-sums of its hooked factors wedged with the rest, equal the
+    contraction series of B and phi on the whole form, on seeded
+    t-dependent forms of mixed bidegree."""
+    rng = DetRng(67)
+    for phi in _ladder_phis(bcvary10, bcvary10_c, iwasawa3):
+        nonzero = 0
+        for _ in range(8):
+            w = _random_param_form(phi.algebra, rng, 8)
+            sums = ladder_sums(phi, w)
+            assert sums == ladder_sums_whole_form(phi, w)
+            nonzero += all(sums)
+        assert nonzero, phi.algebra
+    # a W over another ring is refused, even one no operator hooks
+    with pytest.raises(ValueError):
+        ladder_sums(bcvary10.beltrami, FormAlgebra(5, PolyRing(0, 0)).monomial((1,), (3,)))
+
+
+def test_ladder_sums_are_linear(bcvary10, bcvary10_c, iwasawa3):
     """The k-sums are linear in W, which is what lets the solver add the
     sums of each new correction to running sums: on seeded random
     t-dependent forms, sums(a + c b) = sums(a) + c sums(b) for constant
     and t-dependent c, and the zero form maps to three zero forms."""
-    phi = bcvary10.beltrami
-    alg = phi.algebra
-    ring = alg.ring
-    zero = alg.zero()
-    assert ladder_sums(phi, zero) == (zero, zero, zero)
     rng = DetRng(53)
-    nonzero = 0
-    for _ in range(12):
-        a = _random_param_form(alg, rng, 6)
-        b = _random_param_form(alg, rng, 6)
-        for c in (ring.const(nonzero_gaussian(rng, 5)), ring.one() + ring.t(1) * nonzero_gaussian(rng, 3)):
-            combined = ladder_sums(phi, a + b.scale(c))
-            separate = [x + y.scale(c) for x, y in zip(ladder_sums(phi, a), ladder_sums(phi, b))]
-            assert list(combined) == separate
-            nonzero += all(combined)
-    assert nonzero > 12
+    for phi in _ladder_phis(bcvary10, bcvary10_c, iwasawa3):
+        ring = phi.algebra.ring
+        zero = phi.algebra.zero()
+        assert ladder_sums(phi, zero) == (zero, zero, zero)
+        nonzero = 0
+        for _ in range(12):
+            a = _random_param_form(phi.algebra, rng, 6)
+            b = _random_param_form(phi.algebra, rng, 6)
+            for c in (ring.const(nonzero_gaussian(rng, 5)), ring.one() + ring.t(1) * nonzero_gaussian(rng, 3)):
+                combined = ladder_sums(phi, a + b.scale(c))
+                separate = [x + y.scale(c) for x, y in zip(ladder_sums(phi, a), ladder_sums(phi, b))]
+                assert list(combined) == separate
+                nonzero += all(combined)
+        assert nonzero > 12, phi.algebra
+
+
+def test_ladder_cache_is_bounded_by_the_hooked_factors(bcvary10, ec_bcvary0, monkeypatch):
+    """Counts, no wall time: phi and B hook gamma^2, gamma^5, gammabar^2
+    and gammabar^5 of bcvary10, so after one solve of every (3,3) and
+    (4,4) generator at every order, phi's k-sum cache holds at most 2^4
+    entries, each keyed by hooked factors only, and a second pass runs
+    contraction_series 0 times."""
+    phi = VectorValuedForm(bcvary10.beltrami.algebra, T10, dict(bcvary10.beltrami.components))
+    ops = beltrami_operators(phi)
+    assert (ops.phi_hooks, ops.b_hooks) == ({2, 5}, {2, 5})
+    alg = bcvary10.se.algebra
+    series = []
+    real_series = extension.contraction_series
+
+    def counted(theta, a):
+        series.append(a)
+        return real_series(theta, a)
+
+    monkeypatch.setattr(extension, "contraction_series", counted)
+
+    def one_pass():
+        for p, q in ((3, 3), (4, 4)):
+            for gv in ec_bcvary0.kernel("stacked", p, q):
+                omega0 = ec_bcvary0.vec_to_form(gv, p, q, alg)
+                for order in range(alg.ring.order + 1):
+                    try:
+                        solve_extension(bcvary10.se, phi, omega0, order=order, ec0=ec_bcvary0, check_lemmata=False)
+                    except ObstructionNonvanishing:
+                        pass
+
+    one_pass()
+    assert series and 1 < len(ops.k_sums) <= 16
+    assert all(set(I) <= ops.phi_hooks and set(J) <= ops.b_hooks for I, J in ops.k_sums)
+    series.clear()
+    one_pass()
+    assert series == []
 
 
 # -- the solver -----------------------------------------------------------------

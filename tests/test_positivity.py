@@ -6,7 +6,9 @@ from nilforms.algebra import Form, FormAlgebra, StructureEquations, build_comple
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.errors import PreconditionFailed
+from nilforms.extension import pkahler_extend, small_points
 from nilforms.positivity import (
+    _pairing_matrix,
     decomposable_sample,
     hermitian_matrix_of,
     is_strictly_positive,
@@ -19,6 +21,8 @@ from nilforms.positivity import (
     volume_coefficient,
 )
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
+
+from oracles import pairing_matrix_by_wedges
 
 ALG2 = FormAlgebra(2, PolyRing(0, 0))
 ALG3 = FormAlgebra(3, PolyRing(0, 0))
@@ -118,6 +122,37 @@ def test_transverse_bcvary_balanced(bcvary10):
     sampled = is_transverse(omega, 4, force_sampled=True, samples=200, seed=13)
     assert sampled.holds is True and not sampled.exact and sampled.samples_used == 200
     assert sampled.min_margin is not None and sampled.min_margin > 0
+
+
+def test_pairing_matrix_equals_the_wedge_route(torus3, iwasawa3, bcvary10):
+    """The pairing matrix read off gamma's complementary coefficients
+    equals the volume coefficients of the wedges it replaced, at p in
+    {0, 1, n-1, n}: the balanced forms of bcvary10 and iwasawa3,
+    pkahler_extend's symmetrized form at small_points, a Kaehler form, an
+    indefinite form (whose verdict takes the witness path), a constant
+    and a top-degree form.  A t-dependent gamma raises ValueError."""
+    kaehler = torus3.forms["kaehler"]
+    indefinite = reconstruct_from_matrix(ALG3, 1, [[QI(1), QI(0), QI(0)], [QI(0), QI(-1), QI(0)], [QI(0), QI(0), QI(1)]])
+    assert not is_transverse(indefinite, 1).holds
+    ext = pkahler_extend(bcvary10.se, bcvary10.beltrami, bcvary10.forms["balanced"], samples=1)
+    forms = [
+        bcvary10.forms["balanced"].eval(zero_point(4)),
+        iwasawa3.forms["balanced"],
+        kaehler,
+        indefinite,
+        ALG3.scalar_form(QI(3)),
+        kaehler.wedge(kaehler).wedge(kaehler),
+    ] + [ext.symmetrized.eval(pt) for pt in small_points(4)]
+    degrees = set()
+    for gamma in forms:
+        n = gamma.algebra.n
+        p = gamma.bidegree()[0]
+        degrees.add({0: "0", 1: "1", n - 1: "n-1", n: "n"}[p])
+        assert _pairing_matrix(gamma, n - p) == pairing_matrix_by_wedges(gamma, n - p), (n, p)
+    assert degrees == {"0", "1", "n-1", "n"}
+    family = bcvary10.forms["balanced"].lift(bcvary10.se.algebra).scale(bcvary10.se.algebra.ring.t(1))
+    with pytest.raises(ValueError):
+        _pairing_matrix(family, 1)
 
 
 def test_transverse_degenerate_falsifier():
