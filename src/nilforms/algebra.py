@@ -104,11 +104,6 @@ class FormAlgebra:
             return 0
         return comb(self.n, p) * comb(self.n, q)
 
-    def symbol_form(self, s: int) -> "Form":
-        if s < self.n:
-            return self.gamma(s + 1)
-        return self.gammabar(s - self.n + 1)
-
 
 class Form:
     """Sparse exterior-algebra element with ParamScalar coefficients.
@@ -715,7 +710,8 @@ class StructureEquations:
         """Decide that these equations define a complex: IntegrabilityError
         unless every d gamma^i is a (2,0)- plus a (1,1)-form (from
         ``symbol_terms``), FlatnessError unless d^2 vanishes on the 2n
-        coframe generators.
+        coframe generators: d of generator s is its structure form
+        (``d_symbol``), so d^2 of it is one derivation, of degree 2.
 
         d^2 is an even derivation, so vanishing on the generators means
         vanishing everywhere.  With no (0,2)-part d = del + delbar, so
@@ -730,7 +726,7 @@ class StructureEquations:
         if self.flat:
             return
         for s in range(2 * self.n):
-            dd = self.apply_d(self.apply_d(self.algebra.symbol_form(s)))
+            dd = self.apply_d(self.d_symbol(s))
             if dd:
                 name = f"gamma^{s + 1}" if s < self.n else f"gammabar^{s - self.n + 1}"
                 raise FlatnessError(f"{self.name} is not flat: d^2 {name} = {dd!r} is nonzero")

@@ -2,11 +2,11 @@
 
 delbar on T^{1,0}-valued forms reads its structure constants from the
 (1,1)-parts of d gamma^s that ``StructureEquations.symbol_terms``
-splits off, the one reader of d of the coframe; the Schouten bracket of
-two Beltrami differentials is extracted by contracting the Tian-Todorov
-identity against the coframe, which reduces to the familiar
-wedge-of-components formula on abelian complex structures and adds the
-del gamma correction on non-abelian ones.
+splits off, deformed equations read theirs off d of the coframe; the
+Schouten bracket of two Beltrami differentials is extracted by
+contracting the Tian-Todorov identity against the coframe, which
+reduces to the familiar wedge-of-components formula on abelian complex
+structures and adds the del gamma correction on non-abelian ones.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ def as_beltrami(v: VectorValuedForm) -> VectorValuedForm:
 
 
 def evaluate_se(se: StructureEquations, point) -> StructureEquations:
-    """Structure equations with parameters fixed (constant scalar ring).
+    """Structure equations with parameters fixed (constant scalar ring):
+    the fiber of equations with parameters and no Beltrami differential
+    (``fiber_complex``); the test oracles and perfbench read it too.
 
     The copy starts unchecked even when se passed ``require_flat``:
     evaluation at a point is not a ring map of the truncated ring, so
@@ -204,39 +206,34 @@ def deform_complex(
     phi: VectorValuedForm,
     point: Optional[Sequence[GaussianRational]] = None,
 ) -> StructureEquations:
-    """Structure equations in the deformed coframe gamma^i(t) = (1+phi) gamma^i.
-
-    point=None keeps coefficients in the truncated ring (symbolic mode);
-    otherwise everything is evaluated exactly at the point first.  phi
-    must be integrable: this operation refuses to produce a non-complex
-    almost-complex object, through ``require_integrable``, so it reads
-    the verdict phi owns for se and checks only when none is stored.  The
-    equations it returns have passed ``require_flat``, so
-    ``build_complex`` on them checks nothing again.
+    """Structure equations in the deformed coframe gamma^i(t) = (1+phi)
+    gamma^i, the image of the coframe under T = 1 + phi + conj(phi)
+    (``coframe_transform``), read off the structure forms of se
+    (``_deformed_equations``).  point=None keeps coefficients in the
+    truncated ring and inverts T by its Neumann series; otherwise the
+    forms and T are evaluated exactly at the point, where the square
+    solve inverts T or raises NonInvertibleCoframe.  phi must be
+    integrable (``require_integrable``, which reads the verdict phi owns
+    for se and checks only when none is stored): no non-complex
+    almost-complex object is produced.  The equations returned have
+    passed ``require_flat``, so ``build_complex`` checks nothing again.
     """
     as_beltrami(phi)
     require_integrable(se, phi)
     se_r = se.with_algebra(phi.algebra)
-    if point is not None:
-        phi0 = phi.eval(point)
-        se0 = evaluate_se(se_r, point)
-        alg0 = phi0.algebra
-        c = coframe_transform(phi0).cols
-        n2 = 2 * alg0.n
-        cols = [{a: x.eval(()) for a, x in c.get(b, {}).items() if x} for b in range(n2)]
-        inv = linalg.solve_square(cols, linalg.identity_rows(n2))
-        if inv is None:
-            raise NonInvertibleCoframe(
-                "1 + phi + conj(phi) is singular at the evaluation point"
-            )
-        d_endo = CoframeEndo(
-            alg0,
-            {b: {a: alg0.ring.const(x) for a, x in col.items()} for b, col in enumerate(inv)},
-        )
-        return _deformed_equations(se0, phi0, d_endo)
-    p_endo = endo_of_vvf(phi)
-    d_endo = neumann_invert(-(p_endo + p_endo.conj()))
-    return _deformed_equations(se_r, phi, d_endo)
+    forms = [se_r.d_symbol(a) for a in range(2 * se.n)]
+    if point is None:
+        transform = coframe_transform(phi)
+        inverse = neumann_invert(CoframeEndo.identity(phi.algebra) - transform)
+        return _deformed_equations(se.name, forms, transform, inverse)
+    transform = coframe_transform(phi.eval(point))
+    alg0, n2 = transform.algebra, 2 * se.n
+    cols = [{a: x.eval(()) for a, x in transform.cols.get(b, {}).items()} for b in range(n2)]
+    inv = linalg.solve_square(cols, linalg.identity_rows(n2))
+    if inv is None:
+        raise NonInvertibleCoframe("1 + phi + conj(phi) is singular at the evaluation point")
+    inverse = CoframeEndo(alg0, {b: {a: alg0.ring.const(x) for a, x in col.items()} for b, col in enumerate(inv)})
+    return _deformed_equations(se.name, [f.eval(point) for f in forms], transform, inverse)
 
 
 def fiber_complex(
@@ -257,15 +254,17 @@ def fiber_complex(
 
 
 def _deformed_equations(
-    se: StructureEquations, phi: VectorValuedForm, inverse_transform: CoframeEndo
+    name: str, forms: Sequence[Form], transform: CoframeEndo, inverse: CoframeEndo
 ) -> StructureEquations:
-    """d of the new coframe re-expressed in the new coframe basis,
-    validated (``require_flat``)."""
-    alg = se.algebra
+    """Structure equations of the coframe gamma^i(t), column i-1 of
+    transform, validated (``require_flat``): that column is constant, so
+    d gamma^i(t) = sum_a transform[a, i-1] forms[a], forms[a] being d of
+    coframe symbol a, which inverse re-expresses in the new coframe."""
+    alg = transform.algebra
     out: Dict[int, Form] = {}
-    for i in range(1, se.n + 1):
-        d_new = se.apply_d(alg.gamma(i) + phi.component(i))
-        out[i] = simultaneous_contract(inverse_transform, d_new)
-    deformed = StructureEquations(f"{se.name}:deformed", alg, out)
+    for i in range(1, alg.n + 1):
+        d_new = sum((forms[a].scale(c) for a, c in transform.cols.get(i - 1, {}).items()), alg.zero())
+        out[i] = simultaneous_contract(inverse, d_new)
+    deformed = StructureEquations(f"{name}:deformed", alg, out)
     deformed.require_flat()
     return deformed

@@ -627,7 +627,6 @@ def format_scalar(s: ParamScalar) -> str:
     for c in chunks[1:]:
         out += c if c.startswith("-") else "+" + c
     return out
-    return out
 
 
 _VAR_RE = re.compile(r"^(t|tbar)(\d+)(?:\^(\d+))?$")

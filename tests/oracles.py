@@ -26,9 +26,13 @@ from nilforms.algebra import (
     StructureEquations,
     VectorValuedForm,
     contraction_series,
+    endo_of_vvf,
+    neumann_invert,
+    simultaneous_contract,
 )
 from nilforms.cohomology import EvaluatedComplex, zero_point
-from nilforms.deformation import HALF, _total_degree, delbar_on_vectors, evaluate_se, schouten
+from nilforms.deformation import HALF, _total_degree, coframe_transform, delbar_on_vectors, evaluate_se, schouten
+from nilforms.errors import NonInvertibleCoframe
 from nilforms.linalg import Rows
 from nilforms.scalars import QI_ONE, DetRng, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
 
@@ -999,28 +1003,38 @@ def coframe_endo_dense(endo, point):
     return out
 
 
-def deform_complex_dense(se, phi, point):
-    """``deform_complex`` at a point with 1 + phi + conj(phi) inverted by
-    dense Gauss-Jordan, as before the square solve; phi must be
-    integrable (not checked here)."""
-    from nilforms import deformation
-    from nilforms.algebra import CoframeEndo
-    from nilforms.errors import NonInvertibleCoframe
-
-    phi0 = phi.eval(point)
-    se0 = deformation.evaluate_se(se.with_algebra(phi.algebra), point)
-    alg0 = phi0.algebra
-    inv = dense_inverse(coframe_endo_dense(deformation.coframe_transform(phi0), ()))
-    if inv is None:
-        raise NonInvertibleCoframe("1 + phi + conj(phi) is singular at the evaluation point")
-    d_endo = CoframeEndo(
-        alg0,
-        {
-            b: {a: alg0.ring.const(inv[a][b]) for a in range(2 * alg0.n) if inv[a][b]}
-            for b in range(2 * alg0.n)
-        },
-    )
-    return deformation._deformed_equations(se0, phi0, d_endo)
+def deform_complex_dense(se, phi, point=None):
+    """``deform_complex`` by the route before it read the structure
+    forms: d applied to each gamma^i + phi^i through the equations
+    evaluated at the point (``evaluate_se``), with 1 + phi + conj(phi)
+    inverted there by dense Gauss-Jordan; at point=None, d applied
+    through se over phi's ring, with the Neumann series of the
+    transform.  phi must be integrable (not checked here)."""
+    se = se.with_algebra(phi.algebra)
+    if point is None:
+        p_endo = endo_of_vvf(phi)
+        d_endo = neumann_invert(-(p_endo + p_endo.conj()))
+    else:
+        phi = phi.eval(point)
+        se = evaluate_se(se, point)
+        alg0 = phi.algebra
+        inv = dense_inverse(coframe_endo_dense(coframe_transform(phi), ()))
+        if inv is None:
+            raise NonInvertibleCoframe("1 + phi + conj(phi) is singular at the evaluation point")
+        d_endo = CoframeEndo(
+            alg0,
+            {
+                b: {a: alg0.ring.const(inv[a][b]) for a in range(2 * alg0.n) if inv[a][b]}
+                for b in range(2 * alg0.n)
+            },
+        )
+    alg = se.algebra
+    out = {}
+    for i in range(1, se.n + 1):
+        out[i] = simultaneous_contract(d_endo, se.apply_d(alg.gamma(i) + phi.component(i)))
+    deformed = StructureEquations(f"{se.name}:deformed", alg, out)
+    deformed.require_flat()
+    return deformed
 
 
 def fiber_point(seed: int):
@@ -1649,6 +1663,13 @@ def jacobi_violation(bracket, n: int):
     return None
 
 
+def symbol_form(alg, s: int) -> Form:
+    """Coframe symbol s (0-based; gammabars after the n gammas) as a 1-form."""
+    if s < alg.n:
+        return alg.gamma(s + 1)
+    return alg.gammabar(s - alg.n + 1)
+
+
 def reconstruct_d(table):
     """d gamma^i rebuilt from a bracket table (the duality round trip)."""
     alg, n = table.algebra, table.n
@@ -1658,7 +1679,7 @@ def reconstruct_d(table):
         for a, b in combinations(range(2 * n), 2):
             coeff = table.bracket(a, b).get(i - 1)
             if coeff:
-                total = total + alg.symbol_form(a).wedge(alg.symbol_form(b)).scale(-coeff)
+                total = total + symbol_form(alg, a).wedge(symbol_form(alg, b)).scale(-coeff)
         out[i] = total
     return out
 

@@ -754,8 +754,7 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     layout of its equations, the per-size subset table, 2^n subsets,
     and the assembly plans, each a list of one entry per subset of one
     block, so no list or dict per monomial; and the equations hold
-    column tables for the degrees 1 and 2 of their flatness check
-    only."""
+    column tables for the degree 2 of their flatness check only."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     ec = EvaluatedComplex(cx, ())
     full_report(ec)
@@ -782,7 +781,7 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     layout = cx.layout
     assert layout is cx.se.layout
     assert sum(map(len, layout.subsets)) == sum(map(len, layout.subset_rank)) == 2 ** n
-    assert {p + q for _, p, q in cx.se.tables} == {1, 2}
+    assert {p + q for _, p, q in cx.se.tables} == {2}
     assert layout.plans
     for (fixed, s, k), plan in layout.plans.items():
         assert type(plan) is list and len(plan) == comb(n - len(fixed) - bool(s), k)

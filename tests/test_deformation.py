@@ -34,6 +34,7 @@ from nilforms.deformation import (
 from nilforms.errors import FlatnessError, IntegrabilityError, NonInvertibleCoframe
 from nilforms.extension import extension_map
 from nilforms.io import obj_to_se, se_emit
+from nilforms.leibniz import Layout
 from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
@@ -53,6 +54,7 @@ from oracles import (
     reconstruct_d,
     vvf_homogeneous_part,
 )
+from test_io_cli import NAKAMURA_CLASSES
 
 
 def _random_beltrami(alg, rng, comps=2):
@@ -369,18 +371,65 @@ def test_deform_singular_coframe(bcvary10):
         deform_complex(bcvary10.se, bcvary10.beltrami, point=pt)
 
 
-def test_deform_at_a_point_equals_dense_route(bcvary10):
-    """At six seeded bcvary10 fibers, drawn as the fiber_sweep benchmark
-    draws them, deform_complex inverts 1 + phi + conj(phi) by the square
-    solve and emits the structure equations, byte for byte, of the route
-    through the oracle's dense Gauss-Jordan inverse; at the degenerate
-    point both refuse."""
-    se, phi = bcvary10.se, bcvary10.beltrami
-    for seed in range(8101, 8107):
-        pt = fiber_point(seed)
-        assert se_emit(deform_complex(se, phi, point=pt)) == se_emit(deform_complex_dense(se, phi, pt)), seed
+def test_deform_complex_equals_the_old_route_in_both_modes(bcvary10, iwasawa3):
+    """Reading d of the new coframe off the structure forms emits, byte for
+    byte, what applying d through the equations did (the oracle's route,
+    with a dense Gauss-Jordan inverse at a point): bcvary10's family
+    symbolically and at six seeded fibers, drawn as the fiber_sweep
+    benchmark draws them; iwasawa3's symbolically and at one point of
+    each Nakamura class; and a one-parameter file whose structure forms
+    depend on t, with phi = t1 gammabar^1 (x) theta_3, integrable there,
+    symbolically and at two real points and a complex one, where the
+    fibers differ, so the forms, not only phi, are evaluated.  The oracle
+    refuses the degenerate bcvary10 point too (``test_deform_singular_coframe``)."""
+    family = obj_to_se({"n": 3, "m": 1, "truncation": 2, "d": {"3": [
+        {"coeff": "1", "factors": ["1", "2"]}, {"coeff": "t1", "factors": ["1", "bar1"]}]}})
+    alg = family.algebra
+    one_parameter = VectorValuedForm(alg, T10, {3: alg.gammabar(1).scale(alg.ring.t(1))})
+    nakamura = [tuple(GaussianRational(Fraction(x)) for x in t.split(",")) for t, _ in NAKAMURA_CLASSES.values()]
+    family_points = [*generic_points(1), (GaussianRational(Fraction(1, 3), Fraction(-1, 5)),)]
+    cases = [
+        (bcvary10.se, bcvary10.beltrami, [None, *map(fiber_point, range(8101, 8107))]),
+        (iwasawa3.se, iwasawa3.beltrami, [None, *nakamura]),
+        (family, one_parameter, [None, *family_points]),
+    ]
+    for se, phi, points in cases:
+        emitted = []
+        for point in points:
+            emitted.append(se_emit(deform_complex(se, phi, point=point)))
+            assert emitted[-1] == se_emit(deform_complex_dense(se, phi, point)), (se.name, point)
+    # emitted holds the last case, the one-parameter file: its fibers differ
+    assert len(set(emitted[1:])) == len(family_points)
     with pytest.raises(NonInvertibleCoframe):
-        deform_complex_dense(se, phi, (QI(0), QI(0), QI(0), QI(1)))
+        deform_complex_dense(bcvary10.se, bcvary10.beltrami, (QI(0), QI(0), QI(0), QI(1)))
+
+
+def test_a_fiber_builds_one_set_of_equations_and_its_degree_two_tables(monkeypatch, bcvary10, iwasawa3):
+    """After one warm-up fiber, which lifts bcvary10's equations to phi's
+    ring and stores phi's integrability verdict, the fiber at a generic
+    point constructs one StructureEquations and one Layout, the deformed
+    equations' own, and assembles two column tables, del and delbar from
+    (1,1), both for their flatness check: no evaluated copy of the
+    equations is built to apply d to the new coframe.  And require_flat
+    on fresh iwasawa3 equations makes one derivation per coframe
+    generator and assembles no table of degree 1."""
+    point = generic_points(4)[0]
+    fiber_complex(bcvary10.se, bcvary10.beltrami, point)
+    calls = {}
+    for cls, method in ((StructureEquations, "__init__"), (Layout, "__init__"),
+                        (StructureEquations, "_assemble_table"), (StructureEquations, "apply_d")):
+        real, seen = getattr(cls, method), calls.setdefault(f"{cls.__name__}.{method}", [])
+        monkeypatch.setattr(cls, method, lambda self, *args, real=real, seen=seen: seen.append(args) or real(self, *args))
+    fiber_complex(bcvary10.se, bcvary10.beltrami, point)
+    assert (len(calls["StructureEquations.__init__"]), len(calls["Layout.__init__"])) == (1, 1)
+    tables, derivations = calls["StructureEquations._assemble_table"], calls["StructureEquations.apply_d"]
+    assert sorted(tables) == [("del", 1, 1), ("delbar", 1, 1)]
+    tables.clear()
+    derivations.clear()
+    se = StructureEquations(iwasawa3.se.name, iwasawa3.se.algebra, iwasawa3.se.d_coframe)
+    se.require_flat()
+    assert len(derivations) == 2 * se.n and se.flat
+    assert tables and all(p + q == 2 for _, p, q in tables)
 
 
 # -- extension map -------------------------------------------------------------

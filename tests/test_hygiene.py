@@ -404,6 +404,51 @@ def test_no_function_imports():
     assert found == []
 
 
+def unreachable_statements(source: str):
+    """Line of each statement that follows a return, raise, continue or
+    break in the same block, so it never runs."""
+    jumps = (ast.Return, ast.Raise, ast.Continue, ast.Break)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for _, block in ast.iter_fields(node):
+            if isinstance(block, list) and block and all(isinstance(s, ast.stmt) for s in block):
+                found += [after.lineno for jump, after in zip(block, block[1:]) if isinstance(jump, jumps)]
+    return sorted(found)
+
+
+def test_unreachable_scan_sees_what_it_should():
+    source = (
+        "def f(xs):\n"
+        "    for x in xs:\n"
+        "        if x:\n"
+        "            continue\n"
+        "            x += 1\n"
+        "        else:\n"
+        "            break\n"
+        "    try:\n"
+        "        raise ValueError\n"
+        "    except ValueError:\n"
+        "        return 1\n"
+        "        pass\n"
+        "    return 2\n"
+        "    return 3\n"
+    )
+    assert unreachable_statements(source) == [5, 12, 14]
+
+
+def test_no_statement_follows_a_jump():
+    """No statement of src, scripts or tests follows a return, raise,
+    continue or break in its block: such a statement is dead code."""
+    root = SRC.parent.parent
+    found = {
+        str(path.relative_to(root)): lines
+        for top in ("src", "scripts", "tests")
+        for path in sorted((root / top).rglob("*.py"))
+        if (lines := unreachable_statements(path.read_text()))
+    }
+    assert found == {}
+
+
 def test_every_submodule_attribute_is_the_submodule():
     """No name the package re-exports hides one of its submodules:
     nilforms.X is the module nilforms/X.py for every X, so ``import

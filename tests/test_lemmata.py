@@ -469,8 +469,8 @@ def test_every_verdict_refuses_a_complex_that_is_not_flat():
 def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3):
     """After build_complex(se) the lemma layer makes no derivation call
     to decide flatness.  Equations wrapped without build_complex are
-    checked on the first verdict, two derivations (d, then d again) per
-    coframe generator, and never again."""
+    checked on the first verdict, one derivation per coframe generator
+    (d of its structure form), and never again."""
     calls = []
     real = StructureEquations.apply_d
     monkeypatch.setattr(StructureEquations, "apply_d", lambda self, a: calls.append(a) or real(self, a))
@@ -482,7 +482,7 @@ def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3)
     assert calls == []
     se = StructureEquations(iwasawa3.se.name, iwasawa3.se.algebra, iwasawa3.se.d_coframe)
     lemma_report(EvaluatedComplex(InvariantComplex(se), ()))
-    assert len(calls) == 2 * 2 * se.n and se.flat
+    assert len(calls) == 2 * se.n and se.flat
     calls.clear()
     lemma_report(EvaluatedComplex(InvariantComplex(se), ()))
     assert calls == []
