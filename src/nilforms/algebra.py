@@ -29,6 +29,8 @@ Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]
 T10 = "T10"
 T01 = "T01"
 
+_CONSTANT_RING = PolyRing(0, 0)
+
 
 def wedge_mono(m1: Mono, m2: Mono):
     """Canonicalize m1 ^ m2; returns (sign, mono) or None if it vanishes."""
@@ -48,13 +50,18 @@ def wedge_mono(m1: Mono, m2: Mono):
 
 
 class FormAlgebra:
-    """Context object: complex dimension n plus the scalar ring."""
+    """Context object: complex dimension n plus the scalar ring.
 
-    __slots__ = ("n", "ring")
+    ``constant`` is the algebra over PolyRing(0, 0) of the same n, where
+    an evaluated form lives: built once, and the algebra itself when its
+    ring is that one."""
+
+    __slots__ = ("n", "ring", "constant")
 
     def __init__(self, n: int, ring: PolyRing):
         self.n = n
         self.ring = ring
+        self.constant = self if ring == _CONSTANT_RING else FormAlgebra(n, _CONSTANT_RING)
 
     def __eq__(self, other):
         return (
@@ -218,8 +225,8 @@ class Form:
         )
 
     def eval(self, point) -> "Form":
-        """Evaluate parameters; result lives in the constant ring (m=0)."""
-        alg0 = FormAlgebra(self.algebra.n, PolyRing(0, 0))
+        """Evaluate parameters; result lives in the constant algebra."""
+        alg0 = self.algebra.constant
         out: Dict[Mono, ParamScalar] = {}
         for m, c in self.coeffs.items():
             v = c.eval(point)
@@ -307,7 +314,7 @@ class VectorValuedForm:
         return degs.pop() if degs else None
 
     def eval(self, point) -> "VectorValuedForm":
-        alg0 = FormAlgebra(self.algebra.n, PolyRing(0, 0))
+        alg0 = self.algebra.constant
         return VectorValuedForm(
             alg0, self.valence, {i: f.eval(point) for i, f in self.components.items()}
         )

@@ -18,7 +18,6 @@ from . import linalg
 from .algebra import (
     CoframeEndo,
     Form,
-    FormAlgebra,
     StructureEquations,
     T10,
     VectorValuedForm,
@@ -30,7 +29,7 @@ from .algebra import (
 )
 from .cohomology import EvaluatedComplex
 from .errors import IntegrabilityError, NonInvertibleCoframe
-from .scalars import GaussianRational, PolyRing
+from .scalars import GaussianRational
 
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -54,9 +53,8 @@ def evaluate_se(se: StructureEquations, point) -> StructureEquations:
     evaluation at a point is not a ring map of the truncated ring, so
     d^2 = 0 modulo the truncation does not give d^2 = 0 at the point.
     """
-    alg0 = FormAlgebra(se.n, PolyRing(0, 0))
     return StructureEquations(
-        se.name, alg0, {i: f.eval(point) for i, f in se.d_coframe.items()}
+        se.name, se.algebra.constant, {i: f.eval(point) for i, f in se.d_coframe.items()}
     )
 
 

@@ -36,7 +36,9 @@ the CLI reports as one ``error:`` line.  On a flat complex:
                    deldelbar inside E at (p,p+1), T cap E lies in D iff
                    dim (T + E)/E = dim (T + D)/D, the Q-ranks of the
                    realified residues of T modulo the image echelons of
-                   del and of deldelbar (``ec.image_echelon``).
+                   del and of deldelbar (``ec.image_echelon``), read
+                   from real Gaussian rationals by the one Q(i)
+                   elimination.
 
 So a passing verdict builds no kernel, and only weak applies a matrix
 to a vector (delbar to the real basis vectors that meet a nonzero
@@ -75,9 +77,9 @@ from .algebra import Form
 from .cohomology import EvaluatedComplex
 from .io import form_to_obj
 from .linalg import Vec
-from .scalars import QI_I, QI_ONE, GaussianRational
+from .scalars import QI_I, QI_MINUS_ONE, QI_ONE, QI_ZERO, GaussianRational
 
-_MINUS_ONE, _MINUS_I = GaussianRational(-1), GaussianRational(0, -1)
+_MINUS_I = GaussianRational(0, -1)
 
 
 def _witness(ec: EvaluatedComplex, kind: str, p: int, q: int, vectors: Iterable[Vec]) -> Form:
@@ -181,7 +183,7 @@ def _real_basis_vectors(ec: EvaluatedComplex, p: int, meets) -> List[Vec]:
     first, and a pair's two vectors share theirs.
     """
     c = len(ec.cx.layout.subsets[p])
-    diag, flip_re, flip_im = (QI_I, _MINUS_ONE, QI_I) if p % 2 else (QI_ONE, QI_ONE, _MINUS_I)
+    diag, flip_re, flip_im = (QI_I, QI_MINUS_ONE, QI_I) if p % 2 else (QI_ONE, QI_ONE, _MINUS_I)
     out: List[Vec] = []
     for a in range(c):
         if a * c + a in meets:
@@ -207,7 +209,8 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     if _residue_rank(ec, "del", p, q, images) == _residue_rank(ec, "ddbar", p, q, images):
         return True, None
     # the witness route (module docstring): w = sum c_t E_t in T, with E
-    # = (v_s, i v_s) realified from the del image basis v_s
+    # = (v_s, i v_s) realified from the del image basis v_s, so the
+    # coefficient of v_s is c_2s + c_(2s+1) i
     image = ec.image_vectors("del", p, q)
     base = [linalg.realify_vec(v) for v in images]
 
@@ -215,7 +218,7 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
         for c in linalg.relations_modulo(base, linalg.realify_span(image), 2 * ec.dim(p, q)):
             w: Vec = {}
             for s in sorted({t // 2 for t in c}):
-                linalg.add_scaled_into(w, GaussianRational(c.get(2 * s, 0), c.get(2 * s + 1, 0)), image[s])
+                linalg.add_scaled_into(w, c.get(2 * s, QI_ZERO) + c.get(2 * s + 1, QI_ZERO) * QI_I, image[s])
             yield w
 
     return False, _witness(ec, "weak", p, q, witnesses())
@@ -223,7 +226,8 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
 
 def _residue_rank(ec: EvaluatedComplex, op: str, p: int, q: int, vectors: List[Vec]) -> int:
     """The rank over Q of the vectors modulo the image of op into TARGET
-    (p,q): their residues modulo its image echelon, realified."""
+    (p,q): that of their residues modulo its image echelon, realified
+    into real Gaussian rationals (``linalg.realify_vec``)."""
     residues = ec.image_echelon(op, p, q).residues(vectors)
     return linalg.forward_echelon([linalg.realify_vec(v) for v in residues]).rank
 

@@ -1,13 +1,10 @@
-"""Exact sparse linear algebra over Q(i) (and plain Q after realification).
+"""Exact sparse linear algebra over Q(i).
 
-Vectors are dicts {index: scalar}; matrices are lists of row dicts.  All
-routines work for any scalar type supporting +, -, *, /, truthiness and
-equality with the ints 1 and -1, so the same elimination drives
-Gaussian-rational and realified-rational computations.  A rational entry
-is an int when it is integral and a Fraction otherwise (the parts of a
-GaussianRational follow the same rule), and every division goes through
-``scalars._div``, which is exact on two ints where a bare ``/`` would
-give a float.  No floating point anywhere.
+Vectors are dicts {index: GaussianRational}; matrices are lists of row
+dicts.  A realified vector (``realify_vec``) holds real Gaussian
+rationals, so a Q-rank runs through the same elimination.  Besides
+``scalars``, only ``_reduce_meeting`` and ``realify_vec`` read the
+(a, b, d) ints of a scalar.  No floating point anywhere.
 
 One elimination.  ``Echelon``, whose rows are never normalised or
 back-substituted as they are found, answers every question about a span
@@ -38,12 +35,12 @@ the shared read-only ``leibniz.EMPTY_ROW``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .leibniz import EMPTY_ROW
-from .scalars import GaussianRational, QI_I, QI_ONE, QI_ZERO, _div
+from .scalars import GaussianRational, QI_I, QI_MINUS_ONE, QI_ONE, QI_ZERO, _new, _reduced
 
 Vec = Dict[int, object]
 Rows = List[Vec]
@@ -147,7 +144,7 @@ class Echelon:
         combination of tracked vectors.  None when v enlarged the span;
         else the c with c[j] = 1 and sum c_t v_t in the span of the rows
         that carry nothing (those the form began with)."""
-        w = _forward_reduce(self.pivots, {**v, width + j: 1})
+        w = _forward_reduce(self.pivots, {**v, width + j: QI_ONE})
         if min(w) < width:
             self.pivots[min(w)] = w
             self._free = None
@@ -170,7 +167,7 @@ class Echelon:
         with the span as its kernel."""
         return [_forward_reduce(self.pivots, v) for v in vectors]
 
-    def kernel(self, ncols: int, one=QI_ONE, meets=None) -> Iterator[Vec]:
+    def kernel(self, ncols: int, meets=None) -> Iterator[Vec]:
         """Basis of {x : M x = 0}, for the M whose rows were fed: one
         vector per free column f, ascending, each built when it is asked
         for.  The first call, and the first after a row is added,
@@ -190,7 +187,7 @@ class Echelon:
                 leads = free.get(f, ())
                 if meets is not None and f not in meets and meets.isdisjoint(leads):
                     continue
-                x = {f: one}
+                x = {f: QI_ONE}
                 for p in leads:
                     x[p] = -pivots[p][f]
                 yield x
@@ -208,8 +205,8 @@ class Echelon:
         other lead, so one subtraction per lead met reduces it.  A row
         that changes is copied first, since a stored row may be a
         caller's vector held by reference; the leads, their order, the
-        rank and ``marks`` stay as they were.  An int lead of 2 is
-        inverted exactly (``_div``), and a lead of -1 only negates.
+        rank and ``marks`` stay as they were.  A lead of -1 only negates,
+        and any other lead but 1 is inverted in Q(i).
         """
         pivots = self.pivots
         for lead in sorted(pivots, reverse=True):
@@ -222,7 +219,7 @@ class Echelon:
             if c == -1:
                 w = _negated(w)
             elif c != 1:
-                w = vec_scale(w, _div(1, c))
+                w = vec_scale(w, QI_ONE / c)
             pivots[lead] = w
         free: Dict[int, List[int]] = {}
         for p, row in pivots.items():
@@ -237,12 +234,11 @@ def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
     smallest column first (a heap of the columns met): a row has no
     entry left of its lead, so each reduction adds entries only to the
     right of the column it clears, and each column is cleared at most
-    once.  A row that holds only its lead just clears the column.  The
-    multiplier is -c for a lead of 1 and c for a lead of -1; only another
-    lead is divided by (``_div``, exactly).  A vector that meets no
-    leading column is returned as it is, by reference, after one
-    disjointness test of its keys; otherwise the work follows the entries
-    of v and of the rows met, not the number of rows stored."""
+    once.  A row that holds only its lead just clears the column.  A
+    vector that meets no leading column is returned as it is, by
+    reference, after one disjointness test of its keys; otherwise the
+    work follows the entries of v and of the rows met, not the number of
+    rows stored."""
     if pivots.keys().isdisjoint(v):
         return v
     return _reduce_meeting(pivots, v)
@@ -250,7 +246,12 @@ def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
 
 def _reduce_meeting(pivots: Dict[int, Vec], v: Vec) -> Vec:
     """``_forward_reduce`` of a v known to meet a leading column, for a
-    caller that has made the disjointness test itself (``Echelon.extend``)."""
+    caller that has made the disjointness test itself (``Echelon.extend``).
+
+    The one elimination kernel, on the (a, b, d) ints of the entries.  A
+    lead of +-1 gives the multiplier -+c, any other lead one quotient
+    with one gcd.  Each s + f*x is summed on ints: a sum that cancels is
+    deleted, one with d = 1 takes no gcd, any other one ``_reduced``."""
     hits = list(filter(pivots.__contains__, v))
     w = dict(v)
     heapify(hits)
@@ -263,21 +264,52 @@ def _reduce_meeting(pivots: Dict[int, Vec], v: Vec) -> Vec:
         if len(row) == 1:
             continue
         lead = row[k]
-        f = -c if lead == 1 else c if lead == -1 else -_div(c, lead)
+        fa, fb, fd = c._a, c._b, c._d
+        la, lb, ld = lead._a, lead._b, lead._d
+        if lb or ld != 1 or (la != 1 and la != -1):
+            # f = -c/lead = -ld (fa + fb i)(la - lb i) / (fd (la^2 + lb^2))
+            if lb:
+                fa, fb, fd = -ld * (fa * la + fb * lb), ld * (fa * lb - fb * la), fd * (la * la + lb * lb)
+            else:
+                if la < 0:
+                    la, ld = -la, -ld
+                fa, fb, fd = -ld * fa, -ld * fb, fd * la
+            g = gcd(fa, fb, fd)
+            if g != 1:
+                fa, fb, fd = fa // g, fb // g, fd // g
+        elif la == 1:
+            fa, fb = -fa, -fb
         for j, x in row.items():
             if j == k:
                 continue
+            xa, xb = x._a, x._b
+            if fb:
+                pa, pb = fa * xa - fb * xb, fa * xb + fb * xa
+            else:
+                pa, pb = fa * xa, fa * xb
+            pd = fd * x._d
             s = w.get(j)
             if s is None:
-                w[j] = f * x
                 if j in pivots:
                     heappush(hits, j)
+                a, b, d = pa, pb, pd
             else:
-                s = s + f * x
-                if s:
-                    w[j] = s
+                d = s._d
+                if d == pd:
+                    a, b = s._a + pa, s._b + pb
                 else:
+                    a, b, d = s._a * pd + pa * d, s._b * pd + pb * d, d * pd
+                if not (a or b):
                     del w[j]
+                    continue
+            if d == 1:
+                z = _new(GaussianRational)
+                z._a = a
+                z._b = b
+                z._d = 1
+                w[j] = z
+            else:
+                w[j] = _reduced(a, b, d)
     return w
 
 
@@ -324,9 +356,9 @@ def solve_square(a_cols: Sequence[Vec], b_cols: Sequence[Vec]) -> Optional[List[
     return [e.solve(b, n) for b in b_cols]
 
 
-def nullspace(rows: Rows, ncols: int, one=QI_ONE) -> List[Vec]:
+def nullspace(rows: Rows, ncols: int) -> List[Vec]:
     """Basis of {x : M x = 0}, from the completed echelon of the rows of M."""
-    return list(forward_echelon(rows).kernel(ncols, one))
+    return list(forward_echelon(rows).kernel(ncols))
 
 
 def mat_vec(rows: Rows, x: Vec) -> Vec:
@@ -400,8 +432,8 @@ def conj_transpose(rows: Rows, ncols: int) -> Rows:
     return out
 
 
-def identity_rows(n: int, one=QI_ONE) -> Rows:
-    return [{i: one} for i in range(n)]
+def identity_rows(n: int) -> Rows:
+    return [{i: QI_ONE} for i in range(n)]
 
 
 def columns_of(rows: Rows, ncols: int) -> List[Vec]:
@@ -432,7 +464,7 @@ def hermitian_pivots(a: List[List[GaussianRational]]):
     """
     n = len(a)
     rows: Dict[int, Vec] = {}
-    pivots: List[Fraction] = []
+    pivots = []
     for k in range(n):
         row = {j: x for j, x in enumerate(a[k]) if x}
         row[n + k] = QI_ONE
@@ -451,19 +483,30 @@ def hermitian_pivots(a: List[List[GaussianRational]]):
 
 
 def realify_vec(v: Vec) -> Vec:
-    """Complex vector over Q(i) -> rational vector on a doubled index set.
+    """Complex vector over Q(i) -> real vector on a doubled index set.
 
     Index 2k holds the real part of coordinate k, index 2k+1 the
-    imaginary part.
+    imaginary part, each a real GaussianRational; a part of 1 or -1 is
+    the shared ``QI_ONE`` or ``QI_MINUS_ONE``.
     """
     out: Vec = {}
     for k, z in v.items():
-        re, im = z.re, z.im
-        if re:
-            out[2 * k] = re
-        if im:
-            out[2 * k + 1] = im
+        a, b, d = z._a, z._b, z._d
+        if a:
+            out[2 * k] = _real_part(a, d)
+        if b:
+            out[2 * k + 1] = _real_part(b, d)
     return out
+
+
+def _real_part(a: int, d: int) -> GaussianRational:
+    """a/d as a real GaussianRational, for a nonzero int a and d > 0."""
+    if d == 1:
+        if a == 1:
+            return QI_ONE
+        if a == -1:
+            return QI_MINUS_ONE
+    return _reduced(a, 0, d)
 
 
 def realify_span(vectors: Sequence[Vec]) -> List[Vec]:

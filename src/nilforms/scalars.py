@@ -50,6 +50,9 @@ class GaussianRational:
     three-argument gcd.  The read-only parts ``re`` and ``im`` are each
     an int when the part is integral and a Fraction otherwise, never a
     float, and a real value hashes like the rational it equals.
+    ``_reduced`` and ``_new`` are the one normaliser; the one reader of
+    the triple outside this module is ``linalg``'s elimination kernel
+    (``_reduce_meeting``, and ``realify_vec``).
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -246,6 +249,7 @@ def QI(re=0, im=0) -> GaussianRational:
 
 QI_ZERO = GaussianRational(0)
 QI_ONE = GaussianRational(1)
+QI_MINUS_ONE = GaussianRational(-1)
 QI_I = GaussianRational(0, 1)
 
 

@@ -410,10 +410,9 @@ class FullScanEchelon:
     multiplied by one / its leading entry, a quotient of two field
     elements."""
 
-    def __init__(self, track: bool = False, one=GaussianRational(1)):
+    def __init__(self, track: bool = False):
         self.pivots: Dict[int, Dict[int, object]] = {}
         self.track = track
-        self.one = one
         self.combos: Dict[int, Dict[int, object]] = {}
         self._count = 0
 
@@ -430,13 +429,13 @@ class FullScanEchelon:
         return w, c
 
     def insert(self, v) -> bool:
-        combo = {self._count: self.one} if self.track else None
+        combo = {self._count: QI_ONE} if self.track else None
         self._count += 1
         w, c = self.reduce(v, combo)
         if not w:
             return False
         piv = min(w)
-        inv = self.one / w[piv]
+        inv = QI_ONE / w[piv]
         w = {k: inv * x for k, x in w.items()}
         if c is not None:
             c = {k: inv * x for k, x in c.items()}
@@ -457,6 +456,43 @@ class FullScanEchelon:
         if w:
             return None
         return {k: -x for k, x in c.items()}
+
+
+def generic_reduce_meeting(pivots, v):
+    """The elimination step that ``linalg._reduce_meeting`` fuses into
+    int arithmetic, through the scalar methods: the multiplier is -c for
+    a lead of 1, c for a lead of -1 and -c / lead (``scalars._div``)
+    otherwise, and each entry is updated as s + f * x."""
+    from heapq import heapify, heappop, heappush
+
+    hits = list(filter(pivots.__contains__, v))
+    w = dict(v)
+    heapify(hits)
+    while hits:
+        k = heappop(hits)
+        c = w.pop(k, None)
+        if c is None:
+            continue
+        row = pivots[k]
+        if len(row) == 1:
+            continue
+        lead = row[k]
+        f = -c if lead == 1 else c if lead == -1 else -_div(c, lead)
+        for j, x in row.items():
+            if j == k:
+                continue
+            s = w.get(j)
+            if s is None:
+                w[j] = f * x
+                if j in pivots:
+                    heappush(hits, j)
+            else:
+                s = s + f * x
+                if s:
+                    w[j] = s
+                else:
+                    del w[j]
+    return w
 
 
 def span_intersection(a_vecs, b_vecs, negate=None):
@@ -494,26 +530,26 @@ def negating_span_intersection(a_vecs, b_vecs):
     return span_intersection(a_vecs, b_vecs, negate=lambda v: vec_scale(v, -1))
 
 
-def full_scan_kernel(pivots, ncols: int, one=GaussianRational(1)):
+def full_scan_kernel(pivots, ncols: int):
     """Kernel basis of an RREF, probing every pivot row for each free column."""
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        x = {f: one}
+        x = {f: QI_ONE}
         for p, row in pivots.items():
             c = row.get(f)
             if c:
-                x[p] = -c * one
+                x[p] = -c
         basis.append(x)
     return basis
 
 
-def echelon_kernel_one_pass(e, ncols: int, one=GaussianRational(1)):
+def echelon_kernel_one_pass(e, ncols: int):
     """Kernel basis of an RREF, every vector filled in one pass over the
     stored rows: the vector of free column f is e_f minus, at each pivot
     p, the entry of row p at f."""
-    free = {f: {f: one} for f in range(ncols) if f not in e.pivots}
+    free = {f: {f: QI_ONE} for f in range(ncols) if f not in e.pivots}
     for p, row in e.pivots.items():
         for f, c in row.items():
             if f != p:
@@ -1256,8 +1292,8 @@ def weak_by_nullspace(ec, p: int):
     ncols_psi = len(cols)
     cols = cols + [linalg._negated(v) for v in del_span]
     rows = rows_from_columns(cols, 2 * ec.dim(p, q))
-    relations = linalg.nullspace(rows, len(cols), one=Fraction(1))
-    target = FullScanEchelon(one=Fraction(1))
+    relations = linalg.nullspace(rows, len(cols))
+    target = FullScanEchelon()
     for v in linalg.realify_span(ec.image_vectors("ddbar", p, q)):
         target.insert(v)
     for rel in relations:
@@ -1270,7 +1306,7 @@ def weak_by_nullspace(ec, p: int):
         if w_real and target.reduce(w_real)[0]:
             witness = {}
             for k, c in combo.items():
-                linalg.add_scaled_into(witness, GaussianRational(c), delbar_images[k])
+                linalg.add_scaled_into(witness, c, delbar_images[k])
             return False, ec.vec_to_form(witness, p, q)
     return True, None
 

@@ -432,6 +432,26 @@ def test_a_fiber_builds_one_set_of_equations_and_its_degree_two_tables(monkeypat
     assert tables and all(p + q == 2 for _, p, q in tables)
 
 
+def test_a_warm_fiber_builds_no_form_algebra(monkeypatch, bcvary10):
+    """Evaluation lands in each algebra's one constant algebra
+    (``FormAlgebra.constant``), built with the algebra.  After a warm-up
+    fiber, the fiber of bcvary10 at a generic point builds no FormAlgebra
+    (13 before, one per evaluated structure form and component), every
+    form check passes by identity, and the deformed equations live in the
+    constant algebra of phi's algebra, which is its own constant algebra."""
+    point = generic_points(4)[0]
+    fiber_complex(bcvary10.se, bcvary10.beltrami, point)
+    built, checked = [], []
+    init, check = FormAlgebra.__init__, Form._check
+    monkeypatch.setattr(FormAlgebra, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(Form, "_check", lambda self, other: checked.append(self.algebra is other.algebra) or check(self, other))
+    ec = fiber_complex(bcvary10.se, bcvary10.beltrami, point)
+    assert built == []
+    assert checked and all(checked)
+    alg0 = bcvary10.beltrami.algebra.constant
+    assert ec.cx.se.algebra is alg0 and alg0.constant is alg0 and alg0.ring == PolyRing(0, 0)
+
+
 # -- extension map -------------------------------------------------------------
 
 

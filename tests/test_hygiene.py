@@ -82,6 +82,30 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def triple_reads(source: str):
+    """(line, attribute) of each use of an attribute ``_a``, ``_b`` or
+    ``_d``, read or written: the three ints of a GaussianRational."""
+    tree = ast.parse(source)
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("_a", "_b", "_d"))
+
+
+def test_triple_scan_sees_what_it_should():
+    source = (
+        "def f(z, w, _a):\n"
+        "    w._d = z._a + _a\n"
+        "    return z.a, getattr(z, '_b'), z._b\n"
+    )
+    assert triple_reads(source) == [(2, "_a"), (2, "_d"), (3, "_b")]
+
+
+def test_only_linalg_reads_the_gaussian_triple_outside_scalars():
+    """``scalars`` owns the (a, b, d) representation of a GaussianRational;
+    the one other module that reads it is ``linalg``, whose elimination
+    kernel works on the ints."""
+    readers = {path.stem for path in SRC.glob("*.py") if triple_reads(path.read_text())}
+    assert readers == {"scalars", "linalg"}
+
+
 def defined_names(source: str):
     """Functions and classes a module defines, each keyed by (class, name)
     with its line: the class a method is defined in, else None (local
@@ -605,8 +629,9 @@ SCALED_IWASAWA = {
 def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     """Every scalar part of full_report, lemma_report (witnesses included)
     and the kernel vectors is an int or a Fraction; and inside ``weak`` a
-    lead other than +-1 reaches the forward eliminations (forward_echelon,
-    and Echelon.insert and track), which divide by it exactly."""
+    real lead other than +-1 reaches the forward eliminations
+    (forward_echelon, and Echelon.insert and track), which divide by it
+    exactly."""
     scaled = build_complex(nio.obj_to_se(SCALED_IWASAWA))
     for label, cx, point in reference_complexes + [("iwasawa3_scaled", scaled, ())]:
         ec = EvaluatedComplex(cx, point)
@@ -646,16 +671,16 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     ec = EvaluatedComplex(scaled, ())
     for p in range(ec.n):
         lemmata.weak(ec, p)
-    assert any(type(lead) is int and lead not in (1, -1) for lead in leads)
+    assert any(type(lead) is GaussianRational and not lead.im and lead not in (1, -1) for lead in leads)
     assert stored and {type(x) for x in _numbers(stored)} <= {int, Fraction}
 
 
 def test_rank_path_builds_no_fraction(bcvary10, monkeypatch):
     """Deforming bcvary10 to the first generic point, whose structure
-    constants are non-integral Gaussian rationals, and its full_report
-    construct no Fraction: Q(i) arithmetic is int arithmetic over one
-    denominator.  (``weak``, in lemma_report, eliminates over realified
-    rational parts and still builds Fractions.)"""
+    constants are non-integral Gaussian rationals, its full_report and
+    its lemma_report construct no Fraction: Q(i) arithmetic is int
+    arithmetic over one denominator, and ``weak`` eliminates its
+    realified vectors as real Gaussian rationals."""
     point = generic_points(4)[0]
     built = []
     new = Fraction.__new__
@@ -666,7 +691,11 @@ def test_rank_path_builds_no_fraction(bcvary10, monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted)
     cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=point))
-    report = full_report(EvaluatedComplex(cx, ()))
+    ec = EvaluatedComplex(cx, ())
+    report = full_report(ec)
+    lemmas = lemmata.lemma_report(ec)
     assert built == []
     assert report.h_bc[4][4] == 17  # the paper's generic value
+    # weak's rank test and its witness route both ran
+    assert [p for p, ok in lemmas.weak_flags.items() if not ok] == [1, 2, 3]
     assert Fraction(1, 3) and len(built) == 1  # the count sees a construction

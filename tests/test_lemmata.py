@@ -633,10 +633,10 @@ def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
 def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     """At bcvary10's first generic point, after full_report, lemma_report
     takes one nullspace (standard's witness route, ``_pure_d_exact``) and
-    builds 1,870 Fractions, all in weak's eliminations over Q; weak's
-    witness no longer takes a realified nullspace (4 nullspaces and 5,520
-    Fractions before), and a row that holds only its lead divides nothing
-    (2,193 before).  No degree of d with a nonzero row is
+    builds no Fraction: weak eliminates its realified vectors as real
+    Gaussian rationals (1,870 Fractions over int/Fraction parts before),
+    and its witness takes no realified nullspace (4 nullspaces and 5,520
+    Fractions before).  No degree of d with a nonzero row is
     forward-eliminated twice over full_report and lemma_report: standard's
     prefix pass is the echelon that rank reads.  The rows fed are compared
     by the ids of the nonzero ones, each empty row standing as None, since
@@ -658,7 +658,7 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
     report = lemma_report(ec)
     monkeypatch.setattr(Fraction, "__new__", new)
-    assert len(nullspaces) == 1 and len(built) == 1870
+    assert len(nullspaces) == 1 and built == []
     assert [p for p, ok in report.weak_flags.items() if not ok] == [1, 2, 3]
     assert report.standard_flag is False
     # degrees -1..n-1 with a nonzero row are eliminated for rank, the rest

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilforms import io as nio
 from nilforms import linalg
@@ -10,7 +13,7 @@ from nilforms.cohomology import EvaluatedComplex, full_report, zero_point
 from nilforms.leibniz import EMPTY_ROW
 from nilforms.lemmata import lemma_report
 from nilforms.linalg import Echelon
-from nilforms.scalars import DetRng, GaussianRational, QI
+from nilforms.scalars import QI_ONE, DetRng, GaussianRational, QI
 
 from oracles import (
     FullScanEchelon,
@@ -18,6 +21,7 @@ from oracles import (
     dense_rank,
     dense_to_rows,
     full_scan_kernel,
+    generic_reduce_meeting,
     hermitian_pivots_ldl,
     mat_mul_of_every_row,
     negating_span_intersection,
@@ -75,12 +79,11 @@ def test_relations_modulo_equal_the_nullspace_relations(field, seed):
     span(base)."""
     rng = DetRng(1100 + 10 * seed + len(field))
     ncols = 6 + rng.next_int(10)
-    one = Fraction(1) if field == "Q" else QI(1)
     pool = _sparse_inputs(rng, field, ncols + ncols // 2, ncols)
     base, vectors = pool[:ncols // 2], pool[ncols // 2:]
     cols = base + [linalg._negated(v) for v in vectors]
     want = []
-    for rel in linalg.nullspace(rows_from_columns(cols, ncols), len(cols), one=one):
+    for rel in linalg.nullspace(rows_from_columns(cols, ncols), len(cols)):
         if max(rel) >= len(base):  # its free column is that of a vector
             want.append({k - len(base): c for k, c in rel.items() if k >= len(base)})
     got = list(linalg.relations_modulo(base, vectors, ncols))
@@ -118,17 +121,16 @@ def test_echelon_membership_and_combo():
 
 
 def _sparse_inputs(rng, field, count, ncols):
-    """Seeded sparse vectors over Q(i) or Q: about a sixth empty, about a
+    """Seeded sparse vectors over Q(i), or over real Q(i) for the field
+    "Q" (the values of realified vectors): about a sixth empty, about a
     third combinations of earlier ones (so dependent inserts are
     exercised), and the rest led, at a drawn column with entries only to
-    its right, by 1, by -1 or by a drawn scalar, in equal shares.  Over Q
-    an integral draw is an int, as realified Gaussian integers are."""
-    one = Fraction(1) if field == "Q" else QI(1)
+    its right, by 1, by -1 or by a drawn scalar, in equal shares."""
+    one = QI(1)
 
     def draw():
         if field == "Q":
-            x = rng.rational(4) or one
-            return x.numerator if x.denominator == 1 else x
+            return QI(rng.rational(4) or 1)
         return nonzero_gaussian(rng, 4)
 
     vecs = []
@@ -150,55 +152,135 @@ def _sparse_inputs(rng, field, count, ncols):
 
 
 def _typed(v):
-    """Entries with their types, where int and Fraction count as one type
-    (Q): Q and Q(i) entries are emitted differently, so an equal value of
-    the other field, or a float, is a difference."""
-    return [(k, Fraction if type(x) is int else type(x), x) for k, x in v.items()]
+    """Entries with their types: an equal value of another type, such as
+    an int, a Fraction or a float, is a difference."""
+    return [(k, type(x), x) for k, x in v.items()]
 
 
-def _assert_no_float(vecs):
+def _assert_real_qi(vecs):
     for v in vecs:
         for x in v.values():
-            assert type(x) in (int, Fraction), v
+            assert type(x) is GaussianRational and not x.im, v
+
+
+def _real(*values):
+    return [{k: QI(x) for k, x in v.items()} for v in values]
 
 
 def test_int_leads_divide_exactly():
-    """Realified Gaussian integers are int vectors.  A lead of 2 or -3 is
-    inverted exactly where the kernel completes the echelon, so after
-    each insert the completed rows and the kernel equal the Fraction
-    oracle's, a tracked forward solve gives the vector back, and no entry
-    is a float."""
-    vecs = [
-        linalg.realify_vec({0: QI(2), 1: QI(1, 3)}),
+    """Realified Gaussian integers are real Gaussian-integer vectors, a
+    part of 1 the shared ``QI_ONE``.  A lead of 2 or -3 is inverted
+    exactly where the kernel completes the echelon, so after each insert
+    the completed rows and the kernel equal the full-scan oracle's, a
+    tracked forward solve gives the vector back, and every entry is a
+    real Gaussian rational."""
+    vecs = [linalg.realify_vec({0: QI(2), 1: QI(1, 3)})] + _real(
         {1: -3, 2: 1, 4: 2},
         {0: 2, 1: -3, 2: 7, 3: 3},
         {2: 4, 3: -1},
         {1: -3, 2: 5, 3: -1, 4: 2},  # the second plus the fourth
-    ]
-    assert vecs[0] == {0: 2, 2: 1, 3: 3} and all(type(x) is int for x in vecs[0].values())
-    fast, slow = Echelon({}), FullScanEchelon(one=Fraction(1))
+    )
+    assert vecs[0] == {0: 2, 2: 1, 3: 3} and vecs[0][2] is QI_ONE
+    _assert_real_qi(vecs[:1])
+    fast, slow = Echelon({}), FullScanEchelon()
     for v in vecs:
         assert fast.insert(v) == slow.insert(v)
-        kernel = list(fast.kernel(5, Fraction(1)))
+        kernel = list(fast.kernel(5))
         assert fast.pivots == slow.pivots
-        _assert_no_float(fast.pivots.values())
+        _assert_real_qi(fast.pivots.values())
         if v is vecs[0]:
-            assert fast.pivots[0] == {0: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)}
-        assert kernel == full_scan_kernel(slow.pivots, 5, Fraction(1))
-        _assert_no_float(kernel)
+            assert fast.pivots[0] == {0: 1, 2: QI(Fraction(1, 2)), 3: QI(Fraction(3, 2))}
+        assert kernel == full_scan_kernel(slow.pivots, 5)
+        _assert_real_qi(kernel)
     assert fast.rank == 4
     assert len(kernel) == 1 and len(kernel[0]) > 2
     tracked = Echelon({})
     relations = [tracked.track(v, j, 5) for j, v in enumerate(vecs)]
     assert relations[:4] == [None] * 4 and relations[4] is not None
-    _assert_no_float([relations[4]] + list(tracked.pivots.values()))
-    target = _combination(vecs, {0: 1, 2: 1, 1: Fraction(-1, 2)})
+    _assert_real_qi([relations[4]] + list(tracked.pivots.values()))
+    target = _combination(vecs, {0: QI(1), 2: QI(1), 1: QI(Fraction(-1, 2))})
     z = tracked.solve(target, 5)
-    _assert_no_float([z])
+    _assert_real_qi([z])
     assert _combination(vecs, z) == target
-    x = linalg.solve_square([{0: 2}, {0: 1, 1: -3}], [{0: 1, 1: 1}])
-    assert x == [{0: Fraction(2, 3), 1: Fraction(-1, 3)}]
-    _assert_no_float(x)
+    x = linalg.solve_square(_real({0: 2}, {0: 1, 1: -3}), _real({0: 1, 1: 1}))
+    assert x == [{0: QI(Fraction(2, 3)), 1: QI(Fraction(-1, 3))}]
+    _assert_real_qi(x)
+
+
+#: leads of every kind the kernel tells apart: +-1 (no division), +-i,
+#: other Gaussian integers, real ones, and non-integral ones
+_LEADS = {
+    "1": st.just(QI(1)),
+    "-1": st.just(QI(-1)),
+    "i": st.sampled_from([QI(0, 1), QI(0, -1)]),
+    "gaussian integer": st.builds(QI, st.integers(-5, 5), st.integers(1, 5)),
+    "real": st.builds(lambda a, d: QI(Fraction(a, d)), st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+    "non-integral": st.builds(lambda a, b, d: QI(Fraction(a, d), Fraction(b, d)), st.integers(-5, 5), st.integers(1, 5), st.integers(2, 6)),
+}
+_ENTRIES = st.one_of(*_LEADS.values())
+
+
+@st.composite
+def _qi_rows(draw):
+    """(rows, probes, ncols, split): sparse Q(i) rows, each led at a drawn
+    column by a lead of a drawn kind (``_LEADS``) with entries to its
+    right, and some combinations of two earlier rows, which cancel to
+    nothing; the probes are drawn rows and combinations too."""
+    ncols = draw(st.integers(3, 9))
+    rows = []
+
+    def row():
+        if len(rows) >= 2 and draw(st.integers(0, 3)) == 0:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            v = linalg.vec_scale(rows[i], draw(_ENTRIES))
+            linalg.add_scaled_into(v, draw(_ENTRIES), rows[j])
+            return v
+        lead = draw(st.integers(0, ncols - 1))
+        v = {lead: draw(_LEADS[draw(st.sampled_from(sorted(_LEADS)))])}
+        if lead + 1 < ncols:
+            for k in draw(st.lists(st.integers(lead + 1, ncols - 1), max_size=3)):
+                v[k] = draw(_ENTRIES)
+        return v
+
+    for _ in range(draw(st.integers(1, 12))):
+        rows.append(row())
+    probes = [row() for _ in range(draw(st.integers(1, 4)))]
+    return rows, probes, ncols, draw(st.integers(0, len(rows)))
+
+
+def _observe(rows, probes, ncols, split):
+    """Everything an Echelon gives for the rows: stored rows (entries in
+    order), leads and marks of two extends, residues of the probes,
+    tracked relations and solves, the kernel vectors and the completed
+    rows; each entry with its type."""
+    def typed(v):
+        return None if v is None else _typed(v)
+
+    e = Echelon({}).extend(rows[:split]).extend(rows[split:])
+    out = {"stored": [(p, typed(r)) for p, r in e.pivots.items()], "marks": e.marks}
+    out["leads"] = [typed({p: r[p]}) for p, r in e.pivots.items()]
+    out["residues"] = [typed(r) for r in e.residues(probes)]
+    t = Echelon({})
+    out["track"] = [typed(t.track(v, j, ncols)) for j, v in enumerate(rows)]
+    out["solve"] = [typed(t.solve(v, ncols)) for v in probes + rows]
+    out["kernel"] = [typed(x) for x in e.kernel(ncols)]
+    out["completed"] = [(p, typed(r)) for p, r in e.pivots.items()]
+    return out
+
+
+@given(_qi_rows())
+@settings(max_examples=200, deadline=None)
+def test_fused_kernel_equals_the_generic_elimination(case):
+    """The elimination kernel on the (a, b, d) ints gives, value for value
+    and type for type, what the generic step through the scalar methods
+    gives (``oracles.generic_reduce_meeting``): the stored rows, leads
+    and marks, the residues, the tracked relations and solves, the
+    kernel vectors and the completed rows."""
+    got = _observe(*case)
+    with mock.patch.object(linalg, "_reduce_meeting", generic_reduce_meeting):
+        want = _observe(*case)
+    assert got == want
+    assert all(type(x) is GaussianRational for _, row in got["stored"] for _, _, x in row)
 
 
 def _insert_kind(slow, v):
@@ -233,16 +315,15 @@ def test_echelon_equals_full_scan_oracle(field, seed):
     rng = DetRng(100 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
-    one = Fraction(1) if field == "Q" else QI(1)
-    fast, slow = Echelon({}), FullScanEchelon(one=one)
+    fast, slow = Echelon({}), FullScanEchelon()
     kinds = set()
     for v in vecs:
         kinds.add(_insert_kind(slow, v))
         assert fast.insert(v) == slow.insert(v)
         assert list(fast.pivots) == list(slow.pivots)
-        kernel = list(fast.kernel(ncols, one))
+        kernel = list(fast.kernel(ncols))
         _assert_completed_equals(fast, slow)
-        expected = full_scan_kernel(slow.pivots, ncols, one)
+        expected = full_scan_kernel(slow.pivots, ncols)
         assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
     assert kinds == {"empty", "dependent", "1", "-1", "other"}
 
@@ -261,8 +342,7 @@ def test_kernel_meeting_a_set_equals_the_full_kernel_filtered(field, seed):
     rng = DetRng(2100 + 10 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
-    one = Fraction(1) if field == "Q" else QI(1)
-    fast, slow = Echelon({}), FullScanEchelon(one=one)
+    fast, slow = Echelon({}), FullScanEchelon()
     kinds, by_reference, filtered = set(), 0, 0
     for start in range(0, len(vecs), 5):
         block, misses = vecs[start:start + 5], []
@@ -275,12 +355,12 @@ def test_kernel_meeting_a_set_equals_the_full_kernel_filtered(field, seed):
         assert list(fast.pivots) == list(slow.pivots) and fast.marks[-1] == len(slow.pivots)
         assert all(fast.pivots[min(v)] is v for v in misses)
         by_reference += len(misses)
-        full = list(fast.kernel(ncols, one))
+        full = list(fast.kernel(ncols))
         pivots = set(fast.pivots)
         sets = [set(), pivots, set(range(ncols)) - pivots, set(range(ncols)), {k: 0 for k in pivots}.keys()]
         sets += [{k for k in range(ncols) if rng.next_int(4) == 0} for _ in range(4)]
         for meets in sets:
-            got = list(fast.kernel(ncols, one, meets=meets))
+            got = list(fast.kernel(ncols, meets=meets))
             want = [x for x in full if not meets.isdisjoint(x)]
             assert [_typed(x) for x in got] == [_typed(x) for x in want], sorted(meets)
             filtered += len(full) - len(want)
@@ -300,8 +380,7 @@ def test_tracked_solve_equals_full_scan_oracle(field, seed):
     rng = DetRng(1300 + 10 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 2 * ncols, ncols)
-    one = Fraction(1) if field == "Q" else QI(1)
-    fast, slow = Echelon({}), FullScanEchelon(track=True, one=one)
+    fast, slow = Echelon({}), FullScanEchelon(track=True)
     relations = []
     for j, v in enumerate(vecs):
         c = fast.track(v, j, ncols)
@@ -319,7 +398,7 @@ def test_tracked_solve_equals_full_scan_oracle(field, seed):
         if want is not None:
             solved += 1
             assert _combination(vecs, got) == v == _combination(vecs, want)
-            assert {Fraction if type(x) is int else type(x) for x in got.values()} <= {type(one)}
+            assert all(type(x) is GaussianRational for x in got.values())
     assert 0 < solved < len(probes)
 
 
@@ -341,8 +420,7 @@ def test_forward_echelon_equals_echelon(field, seed):
         vecs.insert(rng.next_int(len(vecs)), vecs[i])
         vecs.insert(rng.next_int(len(vecs)), linalg._negated(vecs[i + 1]))
     before = [list(v.items()) for v in vecs]
-    one = Fraction(1) if field == "Q" else QI(1)
-    slow = FullScanEchelon(one=one)
+    slow = FullScanEchelon()
     for v in vecs:
         slow.insert(v)
     fe = linalg.forward_echelon(vecs)
@@ -357,10 +435,10 @@ def test_forward_echelon_equals_echelon(field, seed):
     probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:6]
     for completed in (False, True):
         if completed:
-            kernel = list(fe.kernel(ncols, one))
+            kernel = list(fe.kernel(ncols))
             assert [list(v.items()) for v in vecs] == before
             _assert_completed_equals(fe, slow)
-            expected = full_scan_kernel(slow.pivots, ncols, one)
+            expected = full_scan_kernel(slow.pivots, ncols)
             assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
         for v, residue in zip(probes, fe.residues(probes)):
             want = slow.reduce(v)[0]
@@ -417,12 +495,12 @@ def test_add_scaled_into_equals_copying_sum(field, seed):
     u = vec_add(u, vec_scale(v, c)), cancellations and re-added keys too."""
     rng = DetRng(900 + 10 * seed + len(field))
     vecs = [v for v in _sparse_inputs(rng, field, 12, 8) if v]
-    zero = Fraction(0) if field == "Q" else QI(0)
+    zero = QI(0)
     copied, inplace = {}, {}
     for step in range(40):
         v = vecs[rng.next_int(len(vecs))]
         # every fifth step cancels the running sum at the keys of v
-        c = nonzero_gaussian(rng, 3) if field == "QI" else (rng.rational(3) or Fraction(1))
+        c = nonzero_gaussian(rng, 3) if field == "QI" else QI(rng.rational(3) or 1)
         if step % 5 == 4 and copied:
             v, c = dict(copied), -(c / c)
         if step == 7:
@@ -683,3 +761,7 @@ def test_realify_consistency():
     vecs = [_random_rows(rng, 1, 4)[0] for _ in range(3)]
     real = linalg.realify_span(vecs)
     assert linalg.forward_echelon(real).rank == 2 * linalg.forward_echelon(vecs).rank
+    # parts of +-1 are shared, not built
+    units = linalg.realify_vec({0: QI(-1, 1), 1: QI(0, -1)})
+    assert units == {0: QI(-1), 1: QI(1), 3: QI(-1)}
+    assert units[1] is QI_ONE and units[0] is units[3]
