@@ -18,7 +18,7 @@ matrices over the scalar ring.
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import FlatnessError, IntegrabilityError, NotPerturbative
 from .leibniz import EMPTY_ROW, Layout, merge_indices
@@ -64,11 +64,7 @@ class FormAlgebra:
         self.constant = self if ring == _CONSTANT_RING else FormAlgebra(n, _CONSTANT_RING)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FormAlgebra)
-            and self.n == other.n
-            and self.ring == other.ring
-        )
+        return isinstance(other, FormAlgebra) and self.n == other.n and (self.ring is other.ring or self.ring == other.ring)
 
     def __hash__(self):
         return hash((self.n, self.ring))
@@ -101,7 +97,7 @@ class FormAlgebra:
 
     def _scalar(self, c) -> ParamScalar:
         if isinstance(c, ParamScalar):
-            if c.ring != self.ring:
+            if c.ring is not self.ring and c.ring != self.ring:
                 raise ValueError("scalar from a different ring")
             return c
         return self.ring.const(c)
@@ -159,7 +155,7 @@ class Form:
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
+        return (self.algebra is other.algebra or self.algebra == other.algebra) and self.coeffs == other.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -191,20 +187,9 @@ class Form:
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 r = wedge_mono(m1, m2)
-                if r is None:
-                    continue
-                sign, m = r
-                v = c1 * c2
-                if not v:
-                    continue
-                if sign < 0:
-                    v = -v
-                s = out.get(m)
-                s = v if s is None else s + v
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                v = None if r is None else c1 * c2
+                if v:
+                    _accumulate(out, r[1], v if r[0] > 0 else -v)
         return Form(self.algebra, out)
 
     def conj(self) -> "Form":
@@ -218,11 +203,16 @@ class Form:
 
     # -- parameter structure ---------------------------------------------------
 
+    def by_degree(self) -> Dict[int, "Form"]:
+        """The nonzero homogeneous parts by t-degree (``ParamScalar.by_degree``)."""
+        parts: Dict[int, Dict[Mono, ParamScalar]] = {}
+        for m, c in self.coeffs.items():
+            for d, p in c.by_degree():
+                parts.setdefault(d, {})[m] = p
+        return {d: Form(self.algebra, p) for d, p in parts.items()}
+
     def homogeneous_part(self, order: int) -> "Form":
-        return Form(
-            self.algebra,
-            {m: c.homogeneous_part(order) for m, c in self.coeffs.items()},
-        )
+        return self.by_degree().get(order, self.algebra.zero())
 
     def eval(self, point) -> "Form":
         """Evaluate parameters; result lives in the constant algebra."""
@@ -236,7 +226,7 @@ class Form:
 
     def lift(self, algebra: FormAlgebra) -> "Form":
         """Move a constant-coefficient form into another scalar ring."""
-        if algebra == self.algebra:
+        if algebra is self.algebra or algebra == self.algebra:
             return self
         if algebra.n != self.algebra.n:
             raise ValueError("cannot lift between different dimensions")
@@ -322,11 +312,8 @@ class VectorValuedForm:
     def __eq__(self, other):
         if not isinstance(other, VectorValuedForm):
             return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.valence == other.valence
-            and self.components == other.components
-        )
+        same = self.algebra is other.algebra or self.algebra == other.algebra
+        return same and self.valence == other.valence and self.components == other.components
 
     def __repr__(self):
         kind = "theta" if self.valence == T10 else "thetabar"
@@ -358,23 +345,15 @@ def contract(theta: VectorValuedForm, a: Form) -> Form:
     even (the (0,2)-valued case in the extended Leibniz identity).
     """
     alg = theta.algebra
-    if a.algebra != alg:
+    if a.algebra is not alg and a.algebra != alg:
         raise ValueError("mismatched algebras")
     total = alg.zero()
     for i, comp in theta.components.items():
         hooked: Dict[Mono, ParamScalar] = {}
         for m, c in a.coeffs.items():
             r = interior_mono(theta.valence, i, m)
-            if r is None:
-                continue
-            sign, mm = r
-            v = -c if sign < 0 else c
-            s = hooked.get(mm)
-            s = v if s is None else s + v
-            if s:
-                hooked[mm] = s
-            elif mm in hooked:
-                del hooked[mm]
+            if r is not None:
+                _accumulate(hooked, r[1], -c if r[0] < 0 else c)
         if hooked:
             total = total + comp.wedge(Form(alg, hooked))
     return total
@@ -406,17 +385,20 @@ class CoframeEndo:
     """Linear map on the 2n-dimensional coframe span, column-sparse.
 
     ``cols`` is never mutated after construction; every operation returns
-    a new endomorphism.  So the endomorphism owns ``images``, the table
-    from a symbol prefix to the wedge of its factor images, which
-    ``simultaneous_contract`` fills on first use and keeps for every later
-    call.  A new endomorphism starts with no images.
+    a new endomorphism.  So it owns what ``simultaneous_contract`` reads
+    off its columns on first use: ``moved``, the gamma^i and gammabar^j
+    whose column is not exactly themselves, as index sets (i's, j's);
+    ``images``, the image of each monomial of moved factors with its
+    negative, at most 2^{#moved}; and ``terms``, each monomial's merged
+    (target, coefficient) terms, whose coefficients are those of images.
+    A new endomorphism starts with none of them.
     """
 
-    __slots__ = ("algebra", "cols", "images")
+    __slots__ = ("algebra", "cols", "moved", "images", "terms")
 
     def __init__(self, algebra: FormAlgebra, cols: Dict[int, Dict[int, ParamScalar]]):
         self.algebra = algebra
-        self.images = None
+        self.moved = self.images = self.terms = None
         self.cols = {}
         for b, col in cols.items():
             cleaned = {a: c for a, c in col.items() if c}
@@ -431,17 +413,12 @@ class CoframeEndo:
     def __add__(self, other: "CoframeEndo") -> "CoframeEndo":
         out = {b: dict(col) for b, col in self.cols.items()}
         for b, col in other.cols.items():
-            tgt = out.setdefault(b, {})
             for a, c in col.items():
-                s = tgt.get(a)
-                tgt[a] = c if s is None else s + c
+                _accumulate(out.setdefault(b, {}), a, c)
         return CoframeEndo(self.algebra, out)
 
     def __neg__(self):
-        return CoframeEndo(
-            self.algebra,
-            {b: {a: -c for a, c in col.items()} for b, col in self.cols.items()},
-        )
+        return CoframeEndo(self.algebra, {b: {a: -c for a, c in col.items()} for b, col in self.cols.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -452,22 +429,25 @@ class CoframeEndo:
         for b, col in other.cols.items():
             acc: Dict[int, ParamScalar] = {}
             for mid, c in col.items():
-                inner = self.cols.get(mid)
-                if not inner:
-                    continue
-                for a, d in inner.items():
+                for a, d in self.cols.get(mid, {}).items():
                     v = d * c
-                    if not v:
-                        continue
-                    s = acc.get(a)
-                    s = v if s is None else s + v
-                    if s:
-                        acc[a] = s
-                    elif a in acc:
-                        del acc[a]
+                    if v:
+                        _accumulate(acc, a, v)
             if acc:
                 out[b] = acc
         return CoframeEndo(self.algebra, out)
+
+    def image(self, part: Mono) -> Tuple[Form, Form]:
+        """The image of a monomial of moved factors, its prefix's image
+        wedged with the image of its last factor, and its negative; kept
+        in ``images``."""
+        out = self.images.get(part)
+        if out is None:
+            I, J = part
+            prefix, s = ((I, J[:-1]), self.algebra.n + J[-1] - 1) if J else ((I[:-1], ()), I[-1] - 1)
+            image = self.image(prefix)[0].wedge(self.column_form(s))
+            out = self.images[part] = (image, -image)
+        return out
 
     def column_form(self, symbol: int) -> Form:
         col = self.cols.get(symbol, {})
@@ -479,18 +459,11 @@ class CoframeEndo:
         return Form(self.algebra, coeffs)
 
     def conj(self) -> "CoframeEndo":
-        n = self.algebra.n
-
-        def swap(s):
-            return s + n if s < n else s - n
-
-        return CoframeEndo(
-            self.algebra,
-            {
-                swap(b): {swap(a): c.conj() for a, c in col.items()}
-                for b, col in self.cols.items()
-            },
-        )
+        """The gamma and gammabar blocks swapped (symbol s to s + n mod 2n),
+        each entry conjugated."""
+        n, n2 = self.algebra.n, 2 * self.algebra.n
+        cols = {(b + n) % n2: {(a + n) % n2: c.conj() for a, c in col.items()} for b, col in self.cols.items()}
+        return CoframeEndo(self.algebra, cols)
 
     def is_zero(self) -> bool:
         return not self.cols
@@ -536,37 +509,55 @@ def vvf_of_endo(e: CoframeEndo, valence: str) -> VectorValuedForm:
     return VectorValuedForm(alg, valence, comps)
 
 
+def split_mono(mono: Mono, moved: Tuple[FrozenSet[int], FrozenSet[int]]) -> Tuple[Mono, Mono, int]:
+    """(a, b, sign) with mono = sign a ^ b: a its factors gamma^i, i in
+    moved[0], and gammabar^j, j in moved[1]; b the rest."""
+    I, J = mono
+    mi, mj = moved
+    a = (tuple(i for i in I if i in mi), tuple(j for j in J if j in mj))
+    b = (tuple(i for i in I if i not in mi), tuple(j for j in J if j not in mj))
+    return a, b, wedge_mono(a, b)[0]
+
+
+def wedge_terms(f: Tuple[Form, Form], b: Mono, sign: int) -> List[Tuple[Mono, ParamScalar]]:
+    """The (target, coefficient) terms of sign f ^ b, one per monomial of
+    f that b does not meet (``split_mono``), for f given with its
+    negative: each coefficient is one of theirs, shared, not a copy."""
+    out = []
+    for m, v in f[0].coeffs.items():
+        r = wedge_mono(m, b)
+        if r is not None:
+            out.append((r[1], v if r[0] == sign else f[1].coeffs[m]))
+    return out
+
+
 def simultaneous_contract(b: CoframeEndo, a: Form) -> Form:
     """Algebra homomorphism applying b to every 1-form factor.
 
-    The wedge of the factor images of each symbol prefix is computed once
-    and stored in ``b.images``, shared by the monomials starting with it
-    and by every later call on b; a monomial's coefficient scales its
-    image once.  Truncation (degree > N) is an ideal, so the truncated
-    product is associative and the values exact.
+    b fixes the passive part of each monomial, so its image is
+    +-(image of the moved part) ^ (passive part) (``split_mono``,
+    ``CoframeEndo.image``), merged once per monomial (``wedge_terms``)
+    into ``b.terms`` for every later call; a monomial's coefficient
+    scales its terms once.  Truncation (degree > N) is an ideal, so the
+    truncated product is associative and the values exact.
     """
     alg = a.algebra
-    if b.algebra != alg:
+    if b.algebra is not alg and b.algebra != alg:
         raise ValueError("mismatched algebras")
-    n = alg.n
-    prefixes = b.images
-    if prefixes is None:
-        prefixes = b.images = {(): alg.scalar_form(1)}
-
-    def image(symbols: Tuple[int, ...]) -> Form:
-        out = prefixes.get(symbols)
-        if out is None:
-            out = image(symbols[:-1]).wedge(b.column_form(symbols[-1]))
-            prefixes[symbols] = out
-        return out
-
+    if b.terms is None:
+        one, n = alg.ring.one(), alg.n
+        b.moved = tuple(frozenset(i for i in range(1, n + 1) if b.cols.get(o + i - 1) != {o + i - 1: one}) for o in (0, n))
+        b.images, b.terms = {((), ()): (alg.scalar_form(1), alg.scalar_form(-1))}, {}
     total: Dict[Mono, ParamScalar] = {}
-    for (I, J), c in a.coeffs.items():
-        symbols = tuple(i - 1 for i in I) + tuple(n + j - 1 for j in J)
-        for m, v in image(symbols).coeffs.items():
+    for m, c in a.coeffs.items():
+        terms = b.terms.get(m)
+        if terms is None:
+            part, rest, sign = split_mono(m, b.moved)
+            terms = b.terms[m] = wedge_terms(b.image(part), rest, sign)
+        for target, v in terms:
             v = v * c
             if v:
-                _accumulate(total, m, v)
+                _accumulate(total, target, v)
     return Form(alg, total)
 
 
@@ -617,7 +608,7 @@ class StructureEquations:
             i: d_coframe.get(i, algebra.zero()) for i in range(1, algebra.n + 1)
         }
         for f in self.d_coframe.values():
-            if f.algebra != algebra:
+            if f.algebra is not algebra and f.algebra != algebra:
                 raise ValueError("structure form from a different algebra")
         self.flat = False
         self.lifts: Dict[FormAlgebra, "StructureEquations"] = {}
@@ -628,7 +619,7 @@ class StructureEquations:
     def with_algebra(self, algebra: FormAlgebra) -> "StructureEquations":
         """The same equations over another scalar ring, built once per
         algebra and kept in ``lifts``; self for its own."""
-        if algebra == self.algebra:
+        if algebra is self.algebra or algebra == self.algebra:
             return self
         lifted = self.lifts.get(algebra)
         if lifted is None:

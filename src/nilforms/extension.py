@@ -9,15 +9,15 @@ substitution (``simultaneous_contract`` with phi's ``shrink`` and
 ``algebra.contraction_series``: the ladder A_k = iota_B^k W/k! is its
 series in B, and the k-sums nest it, in B and then in phi, on the
 coframe factors the two hook (``ladder_sums``).  The solver keeps
-running k-sums of W (``solve_extension``), and its final d-residual is
-computed directly and through them and asserted equal (``_residuals``).
-Data that depends only on (se, phi) is built once, by its owner: se
-keeps the del and delbar parts of d (``symbol_terms``) and their column
-tables, phi its ``BeltramiOperators`` (so every helper here takes phi
-itself), with the k-sums of each product of hooked factors, and its
-integrability verdict for se (``deformation.require_integrable``), and
-each of their coframe maps its prefix images, so a solve pays for its
-own form only.
+running k-sums of W by t-degree (``solve_extension``), and its final
+d-residual is computed directly and through them and asserted equal
+(``_residuals``).  Data that depends only on (se, phi) is built once, by
+its owner: se keeps the del and delbar parts of d (``symbol_terms``) and
+their column tables, phi its ``BeltramiOperators`` (so every helper here
+takes phi itself) and its integrability verdict for se
+(``deformation.require_integrable``); the operators and each coframe
+map keep the merged terms of each monomial they act on, so a warm solve
+merges no monomials.
 
 Each order solves the paper's conjugate system del x = delbar zeta,
 delbar x = del conj(xi) on the t = 0 complex, one t-slice at a time
@@ -38,14 +38,16 @@ from .algebra import (
     Form,
     Mono,
     StructureEquations,
+    _accumulate,
     T01,
     VectorValuedForm,
     contraction_series,
     endo_of_vvf,
     neumann_invert,
     simultaneous_contract,
+    split_mono,
     vvf_of_endo,
-    wedge_mono,
+    wedge_terms,
 )
 from .cohomology import EvaluatedComplex, zero_point
 from .deformation import as_beltrami, coframe_transform, fiber_complex, require_integrable
@@ -62,8 +64,9 @@ class BeltramiOperators:
 
     iota_phi hooks only gamma^i, i in ``phi_hooks``, and iota_B only
     gammabar^j, j in ``b_hooks``; ``k_sums`` keeps the k-sums of each
-    monomial of hooked factors (``ladder_sums``), at most
-    2^{len(phi_hooks) + len(b_hooks)} of them.
+    monomial of hooked factors, at most 2^{len(phi_hooks) + len(b_hooks)}
+    of them, and ``terms`` the merged terms of each monomial of W
+    (``ladder_sums``).
     """
 
     b_field: VectorValuedForm  # phibar corrected by the Neumann factor
@@ -72,7 +75,8 @@ class BeltramiOperators:
     unshrink: CoframeEndo  # its Neumann inverse: W -> omega
     phi_hooks: FrozenSet[int]
     b_hooks: FrozenSet[int]
-    k_sums: Dict[Mono, Tuple[Form, Form, Form]] = field(default_factory=dict)
+    k_sums: Dict[Mono, Tuple[Dict[int, Tuple[Form, Form]], ...]] = field(default_factory=dict)
+    terms: Dict[Mono, Tuple[list, ...]] = field(default_factory=dict)
 
 
 def beltrami_operators(phi: VectorValuedForm) -> BeltramiOperators:
@@ -106,56 +110,57 @@ def extension_map(phi: VectorValuedForm, omega: Form) -> Form:
     return simultaneous_contract(beltrami_operators(phi).ext_transform, omega.lift(phi.algebra))
 
 
-def ladder_sums(phi: VectorValuedForm, omega_tilde: Form) -> Tuple[Form, Form, Form]:
-    """The three k-sums of the obstruction system applied to W:
+def ladder_sums(phi: VectorValuedForm, w: Form) -> Tuple[Dict[int, Form], ...]:
+    """The three k-sums of the obstruction system applied to W, each by
+    t-degree (sums[k][l] its degree-l part, present where nonzero):
 
     S1 = sum_{k>=1} iota_phi^k/k! iota_B^k/k! W      (type-preserving)
     S2 = sum_{k>=1} iota_phi^{k-1}/(k-1)! iota_B^k/k! W   (shift (+1,-1))
     S3 = sum_{k>=0} iota_phi^{k+1}/(k+1)! iota_B^k/k! W   (shift (-1,+1))
 
     Each monomial of W is +-a ^ b, with a its factors that phi or B hooks
-    (``BeltramiOperators.phi_hooks`` and ``b_hooks``) and b the rest.
-    iota_phi and iota_B are even derivations that vanish on b, so
-    iota(x ^ b) = iota(x) ^ b at every step of the ladder, and each
-    k-sum of the monomial is +-(that k-sum of a) ^ b; truncation in t is
-    an ideal, so the truncated wedge is exact.  The k-sums of a are
-    computed once per a and kept in phi's ``BeltramiOperators.k_sums``.
+    (``BeltramiOperators.phi_hooks`` and ``b_hooks``) and b the rest
+    (``algebra.split_mono``).  iota_phi and iota_B are even derivations
+    that vanish on b, so iota(x ^ b) = iota(x) ^ b at every step of the
+    ladder, and each k-sum of the monomial is +-(that k-sum of a) ^ b;
+    truncation in t is an ideal, so the truncated wedge is exact.  Each
+    monomial's merged terms are built once, by t-degree
+    (``_monomial_terms``), and degrees add under products.
     """
     ops = beltrami_operators(phi)
     alg = phi.algebra
-    if omega_tilde.algebra is not alg and omega_tilde.algebra != alg:
+    if w.algebra is not alg and w.algebra != alg:
         raise ValueError("mismatched algebras")
-    sums: Tuple[Dict[Mono, ParamScalar], ...] = ({}, {}, {})
-    for (I, J), c in omega_tilde.coeffs.items():
-        a = (tuple(i for i in I if i in ops.phi_hooks), tuple(j for j in J if j in ops.b_hooks))
-        b = (tuple(i for i in I if i not in ops.phi_hooks), tuple(j for j in J if j not in ops.b_hooks))
-        k_sums = ops.k_sums.get(a)
-        if k_sums is None:
-            k_sums = ops.k_sums[a] = _monomial_k_sums(phi, ops.b_field, Form(alg, {a: alg.ring.one()}))
-        sign = wedge_mono(a, b)[0]
-        for out, k in zip(sums, k_sums):
-            for m, v in k.coeffs.items():
-                r = wedge_mono(m, b)
-                if r is not None:
-                    x = v * c if r[0] == sign else -(v * c)
-                    s = out.get(r[1])
-                    out[r[1]] = x if s is None else s + x
-    return tuple(Form(alg, out) for out in sums)
+    sums: Tuple[Dict[int, Dict[Mono, ParamScalar]], ...] = ({}, {}, {})
+    for m, c in w.coeffs.items():
+        terms = ops.terms.get(m)
+        if terms is None:
+            terms = ops.terms[m] = _monomial_terms(phi, ops, m)
+        for d, cd in c.by_degree():
+            for out, k_terms in zip(sums, terms):
+                for e, target, v in k_terms:
+                    if d + e <= alg.ring.order:
+                        _accumulate(out.setdefault(d + e, {}), target, v * cd)
+    return tuple({l: Form(alg, part) for l, part in out.items() if part} for out in sums)
 
 
-def _monomial_k_sums(phi: VectorValuedForm, b_field: VectorValuedForm, a: Form) -> Tuple[Form, Form, Form]:
-    """The k-sums of a: the contraction series of B on a and of phi on
-    each of its terms."""
-    zero = a.algebra.zero()
-    s1 = s2 = s3 = zero
-    for k, a_k in enumerate(contraction_series(b_field, a)):
-        # terms[j] = iota_phi^j/j! iota_B^k/k! a, zero past the series
-        terms = contraction_series(phi, a_k)
-        terms += [zero] * (k + 2 - len(terms))
-        if k:
-            s1, s2 = s1 + terms[k], s2 + terms[k - 1]
-        s3 = s3 + terms[k + 1]
-    return s1, s2, s3
+def _monomial_terms(phi: VectorValuedForm, ops: BeltramiOperators, m: Mono) -> Tuple[list, ...]:
+    """The merged (t-degree, target, coefficient) terms of the three
+    k-sums of the monomial m: those of its hooked part a, the contraction
+    series of B on a and of phi on each of its terms, kept by t-degree
+    with their negatives in ``ops.k_sums``, wedged with the rest."""
+    a, b, sign = split_mono(m, (ops.phi_hooks, ops.b_hooks))
+    if a not in ops.k_sums:
+        zero = phi.algebra.zero()
+        s1 = s2 = s3 = zero
+        for k, a_k in enumerate(contraction_series(ops.b_field, Form(phi.algebra, {a: phi.algebra.ring.one()}))):
+            # terms[j] = iota_phi^j/j! iota_B^k/k! a, zero past the series
+            terms = contraction_series(phi, a_k) + [zero] * (k + 2)
+            if k:
+                s1, s2 = s1 + terms[k], s2 + terms[k - 1]
+            s3 = s3 + terms[k + 1]
+        ops.k_sums[a] = tuple({e: (f, -f) for e, f in s.by_degree().items()} for s in (s1, s2, s3))
+    return tuple([(e, t, v) for e, f in k.items() for t, v in wedge_terms(f, b, sign)] for k in ops.k_sums[a])
 
 
 def obstruction_residual(
@@ -170,10 +175,10 @@ def obstruction_residual(
 
 
 def _residuals(
-    se_r: StructureEquations, phi: VectorValuedForm, omega: Form, omega_tilde: Form, sums: Tuple[Form, Form, Form]
+    se_r: StructureEquations, phi: VectorValuedForm, omega: Form, omega_tilde: Form, sums: Tuple[Dict[int, Form], ...]
 ) -> Tuple[Form, Form, Form]:
     """(left, right, full) residuals of d(extension of omega) = 0, given
-    W and its k-sums (S1, S2, S3).
+    W and its k-sums (S1, S2, S3) by t-degree (``ladder_sums``).
 
     left and right are the (p+1,q)- and (p,q+1)-graded components
     computed through the k-sums; full is d of the extension computed
@@ -183,7 +188,7 @@ def _residuals(
     """
     p, q = omega.bidegree()
     full = se_r.apply_d(extension_map(phi, omega))
-    s1, s2, s3 = sums
+    s1, s2, s3 = (sum(parts.values(), omega.algebra.zero()) for parts in sums)
     left = se_r.apply_del(omega_tilde + s1) + se_r.apply_delbar(s2)
     right = se_r.apply_delbar(omega_tilde + s1) + se_r.apply_del(s3)
     if full.component(p + 1, q) != left:
@@ -194,15 +199,15 @@ def _residuals(
 
 
 def residual_norms_by_order(f: Form, order: int) -> List[Fraction]:
-    """Exact squared coefficient norms of the homogeneous pieces."""
-    out = []
-    for l in range(order + 1):
-        piece = f.homogeneous_part(l)
-        total = Fraction(0)
-        for c in piece.coeffs.values():
-            for v in c.terms.values():
-                total += v.norm2()
-        out.append(total)
+    """Exact squared coefficient norms of the homogeneous pieces of f
+    through the order, in one pass over its terms: a term's t-degree is
+    its key floor-divided by the ring's ``unit``."""
+    unit = f.algebra.ring.unit
+    out = [Fraction(0)] * (order + 1)
+    for c in f.coeffs.values():
+        for k, v in c.terms.items():
+            if k // unit <= order:
+                out[k // unit] += v.norm2()
     return out
 
 
@@ -253,10 +258,10 @@ def solve_extension(
 
     The k-sums are linear in W and every term is O(t), so their degree-l
     part depends only on the pieces of W below degree l: the solver keeps
-    running sums and adds the k-sums of each piece (omega0, then each
-    nonzero correction, the last one included) once.  The running sums
-    are then the k-sums of the whole W, and the final residual check
-    reads them.
+    running sums by t-degree and adds the k-sums of each piece (omega0,
+    then each nonzero correction, the last one included) once, so order
+    l reads their degree-l parts directly.  The running sums are then
+    the k-sums of the whole W, and the final residual check reads them.
 
     Raises PreconditionFailed when the order is negative or exceeds the
     ring truncation, omega0 is zero, of mixed bidegree, t-dependent or
@@ -269,10 +274,13 @@ def solve_extension(
     p, q = omega0.bidegree()
     sums = ladder_sums(phi, omega0)
     omega_tilde = omega0
+    zero = se_r.algebra.zero()
     for l in range(1, order + 1):
-        piece = _order_correction(se_r, ec0, sums, p, q, l)
+        piece = _order_correction(se_r, ec0, [s.get(l, zero) for s in sums], p, q, l)
         if piece:
-            sums = tuple(s + t for s, t in zip(sums, ladder_sums(phi, piece)))
+            for s, new in zip(sums, ladder_sums(phi, piece)):
+                for e, f in new.items():
+                    s[e] = s[e] + f if e in s else f
             omega_tilde = omega_tilde + piece
     return _extension_state(se_r, phi, omega0, omega_tilde, sums, order)
 
@@ -325,12 +333,12 @@ def _initial_bidegree(omega0: Form) -> Tuple[int, int]:
 
 
 def _order_correction(
-    se_r: StructureEquations, ec0: EvaluatedComplex, sums: Tuple[Form, Form, Form], p: int, q: int, l: int
+    se_r: StructureEquations, ec0: EvaluatedComplex, parts: List[Form], p: int, q: int, l: int
 ) -> Form:
-    """The order-l correction of W, read off the degree-l parts of the
-    k-sums of the series below order l: -S1_l minus the solution of the
-    conjugate system with zeta = S2_l and conj(xi) = S3_l."""
-    s1l, s2l, s3l = (s.homogeneous_part(l) for s in sums)
+    """The order-l correction of W, from the degree-l parts (S1_l, S2_l,
+    S3_l) of the k-sums of the series below order l: -S1_l minus the
+    solution of the conjugate system with zeta = S2_l and conj(xi) = S3_l."""
+    s1l, s2l, s3l = parts
     left, right = se_r.apply_delbar(s2l), se_r.apply_del(s3l)
     # solvability identities: del delbar of both sums vanish at this order
     if se_r.apply_del(left):
@@ -469,9 +477,8 @@ def pkahler_extend(
     sym = sym.scale(GaussianRational(Fraction(1, 2)))
     # symmetrization must not break d-closedness of the extension
     _, _, full = obstruction_residual(se_r, phi, sym)
-    for l in range(state.order + 1):
-        if full.homogeneous_part(l):
-            raise AssertionError("symmetrized extension lost d-closedness")
+    if any(residual_norms_by_order(full, state.order)):
+        raise AssertionError("symmetrized extension lost d-closedness")
 
     pts = small_points(alg.ring.m)
     verdicts = [is_transverse(sym.eval(pt), p, samples=samples, seed=seed) for pt in pts]

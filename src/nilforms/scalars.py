@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import FormatError
 
@@ -416,7 +416,7 @@ class ParamScalar:
     (``PolyRing``'s layout) to its coefficient, never 0.
 
     The product of two terms costs one int add for its key and one compare
-    with the ring's ``cap`` for the truncation.  ``homogeneous_part`` and
+    with the ring's ``cap`` for the truncation.  ``by_degree`` and
     ``min_order`` read a degree with one floor division, ``conj`` swaps the
     t and tbar digits with one divmod, and ``is_constant`` and
     ``constant_term`` read key 0.  A constant equals its Q(i) value and
@@ -434,7 +434,7 @@ class ParamScalar:
     def _check(self, other: "ParamScalar"):
         """Refuse a ring unequal to self's; + and * call it only for a
         ring that is not self's by identity."""
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     @staticmethod
@@ -573,11 +573,12 @@ class ParamScalar:
         the degree of the smallest key."""
         return min(self.terms, default=0) // self.ring.unit
 
-    def homogeneous_part(self, degree: int) -> "ParamScalar":
-        unit = self.ring.unit
-        return ParamScalar(
-            self.ring, {k: v for k, v in self.terms.items() if k // unit == degree}
-        )
+    def by_degree(self) -> List[Tuple[int, "ParamScalar"]]:
+        """(degree, homogeneous part) pairs; itself alone if homogeneous."""
+        parts: Dict[int, Dict[int, GaussianRational]] = {}
+        for k, v in self.terms.items():
+            parts.setdefault(k // self.ring.unit, {})[k] = v
+        return [(d, self if len(parts) == 1 else ParamScalar(self.ring, t)) for d, t in parts.items()]
 
     def lift(self, ring: PolyRing) -> "ParamScalar":
         """Re-interpret in another ring; only constants may change ring."""

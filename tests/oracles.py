@@ -1108,7 +1108,38 @@ def harmonic_green_two_pass(lap, dim: int):
     return h, linalg.mat_mul(dense_to_rows(inv), one_minus_h)
 
 
-# -- the scalar-first route that algebra.simultaneous_contract replaced ----
+# -- the prefix and scalar-first routes that algebra.simultaneous_contract
+# -- replaced ---------------------------------------------------------------
+
+
+def simultaneous_contract_by_prefixes(b, a):
+    """The image of a under the coframe map b, through the wedge of the
+    factor images of each symbol prefix, moved or not, computed once per
+    call and shared by the monomials that start with it; a monomial's
+    coefficient scales its image once."""
+    alg = a.algebra
+    n = alg.n
+    prefixes = {(): alg.scalar_form(1)}
+
+    def image(symbols):
+        out = prefixes.get(symbols)
+        if out is None:
+            out = prefixes[symbols] = image(symbols[:-1]).wedge(b.column_form(symbols[-1]))
+        return out
+
+    total = {}
+    for (I, J), c in a.coeffs.items():
+        symbols = tuple(i - 1 for i in I) + tuple(n + j - 1 for j in J)
+        for m, v in image(symbols).coeffs.items():
+            v = v * c
+            if v:
+                s = total.get(m)
+                s = v if s is None else s + v
+                if s:
+                    total[m] = s
+                else:
+                    del total[m]
+    return Form(alg, total)
 
 
 def simultaneous_contract_scalar_first(b, a):
@@ -1157,14 +1188,41 @@ def ladder_sums_whole_form(phi, omega_tilde):
     return s1, s2, s3
 
 
+def whole_sums(graded, alg):
+    """The k-sums that ``extension.ladder_sums`` returns by t-degree, as
+    whole forms: the sums of their parts."""
+    return tuple(sum(parts.values(), alg.zero()) for parts in graded)
+
+
+def residual_norms_by_parts(f, order):
+    """``extension.residual_norms_by_order`` by one homogeneous part of f
+    per order, each summed on its own."""
+    out = []
+    for l in range(order + 1):
+        total = Fraction(0)
+        for c in f.homogeneous_part(l).coeffs.values():
+            for v in c.terms.values():
+                total += v.norm2()
+        out.append(total)
+    return out
+
+
+def forms_by_degree(f, order):
+    """The nonzero homogeneous parts of f through the order, by t-degree:
+    the shape in which ``extension.ladder_sums`` returns each k-sum."""
+    parts = {l: f.homogeneous_part(l) for l in range(order + 1)}
+    return {l: part for l, part in parts.items() if part}
+
+
 # -- the whole-series order loop and from-scratch final state that
 # -- extension.solve_extension replaced ------------------------------------
 
 
 def solve_extension_whole_series(se, phi, omega0, order=None, check_lemmata=True, ec0=None):
     """``extension.solve_extension`` with the k-sums recomputed over the
-    whole series W at every order l, of which only the degree-l part is
-    read, and the final state built from scratch
+    whole series W at every order l, summed over t-degrees, of which only
+    the degree-l part is read back (``Form.homogeneous_part``), and the
+    final state built from scratch
     (``extension_state_from_scratch``)."""
     from nilforms import extension
 
@@ -1172,8 +1230,9 @@ def solve_extension_whole_series(se, phi, omega0, order=None, check_lemmata=True
     p, q = omega0.bidegree()
     omega_tilde = omega0
     for l in range(1, order + 1):
-        sums = extension.ladder_sums(phi, omega_tilde)
-        omega_tilde = omega_tilde + extension._order_correction(se_r, ec0, sums, p, q, l)
+        sums = whole_sums(extension.ladder_sums(phi, omega_tilde), omega0.algebra)
+        parts = [s.homogeneous_part(l) for s in sums]
+        omega_tilde = omega_tilde + extension._order_correction(se_r, ec0, parts, p, q, l)
     return extension_state_from_scratch(se_r, phi, omega0, omega_tilde, order)
 
 

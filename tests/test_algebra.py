@@ -37,6 +37,7 @@ from oracles import (
     monomial_index,
     nonzero_gaussian,
     oracle_d,
+    simultaneous_contract_by_prefixes,
     simultaneous_contract_scalar_first,
     sort_word,
     symbol_form,
@@ -532,8 +533,8 @@ def _random_small_endo(alg, rng, entries, identity=True):
 
 
 def test_simultaneous_contract_equals_scalar_first_oracle(bcvary10_c):
-    """The prefix-sharing contraction equals the scalar-first route in
-    values: on random O(t) coframe maps and t-dependent forms (products
+    """The factored contraction (moved-part images wedged with the
+    passive rest) equals the scalar-first route in values: on random O(t) coframe maps and t-dependent forms (products
     that truncate to zero and monomials whose images cancel included),
     on the identity and the zero form, and on the gammabar-block factor,
     its inverse and 1 + phi + phibar of the bcvary10 family and of
@@ -586,15 +587,34 @@ def _with_term_order(f):
     return [(m, list(c.terms.items())) for m, c in f.coeffs.items()]
 
 
-def test_coframe_images_are_owned_by_the_endomorphism(bcvary10_c):
-    """A warm endomorphism's stored prefix images give what a fresh copy
-    of it and the scalar-first oracle give, in values and in key order:
-    monomial order against both, and the t-monomial order inside each
-    coefficient against the fresh copy.  Several endomorphisms are warmed
-    in turn on the same forms, so a table keyed too coarsely or shared
-    between endomorphisms shows.  Endomorphisms built from warm ones
-    start with no images."""
+def _moved_symbols(b):
+    """The gamma^i and gammabar^j of b whose column is not exactly their
+    own symbol with coefficient 1, as (i's, j's)."""
+    n, one = b.algebra.n, b.algebra.ring.one()
+    moved = [s for s in range(2 * n) if b.cols.get(s) != {s: one}]
+    return {s + 1 for s in moved if s < n}, {s - n + 1 for s in moved if s >= n}
+
+
+def test_coframe_images_are_owned_by_the_endomorphism(bcvary10_c, monkeypatch):
+    """A warm endomorphism's stored moved-part images and monomial terms
+    give what a fresh copy of it, the prefix route and the scalar-first
+    oracle give, in values and in key order: monomial order against all
+    three, and the t-monomial order inside each coefficient against the
+    fresh copy and the prefix route.  The maps are random ones with
+    identity columns (so some symbols are passive, and monomials mix
+    moved and passive factors), the three solver maps of bcvary10 and of
+    bcvary10 x C, and deform_complex's inverse at a point of bcvary10,
+    bcvary10 x C (whose structure forms have no moved factor) and
+    iwasawa3, caught with the forms it maps.  Several endomorphisms are warmed in turn on the
+    same forms, so a table keyed too coarsely or shared between
+    endomorphisms shows.  Each map moves exactly its non-identity
+    columns and keeps at most 2^{#moved} images, each of a moved part,
+    and more than the empty part's exactly when a monomial it mapped has
+    a moved factor.
+    Endomorphisms built from warm ones start with no tables."""
+    from nilforms import deformation
     from nilforms.catalog import catalog_load
+    from nilforms.cohomology import generic_points
     from nilforms.extension import beltrami_operators
 
     rng = DetRng(31)
@@ -602,9 +622,10 @@ def test_coframe_images_are_owned_by_the_endomorphism(bcvary10_c):
     for n, m, order in ((3, 1, 2), (3, 2, 3), (4, 2, 2)):
         alg = FormAlgebra(n, PolyRing(m, order))
         endos = [_random_small_endo(alg, rng, entries=2 * n, identity=identity) for identity in (True, False)]
-        endos.append(endos[0].conj())
+        endos += [endos[0].conj(), _random_small_endo(alg, rng, entries=2), _random_small_endo(alg, rng, entries=3)]
         groups.append((endos, [_random_param_form(alg, rng, 8) for _ in range(4)]))
-    for phi in (catalog_load("bcvary10").beltrami, bcvary10_c[1]):
+    bcvary10 = catalog_load("bcvary10")
+    for phi in (bcvary10.beltrami, bcvary10_c[1]):
         ops = beltrami_operators(phi)
         alg = phi.algebra
         forms = []
@@ -613,23 +634,45 @@ def test_coframe_images_are_owned_by_the_endomorphism(bcvary10_c):
             coeffs = {basis[rng.next_int(len(basis))]: _random_scalar(alg.ring, rng) for _ in range(6)}
             forms.append(Form(alg, coeffs))
         groups.append(([ops.shrink, ops.unshrink, ops.ext_transform], forms))
+    caught = []
+    real = deformation.simultaneous_contract
+    monkeypatch.setattr(deformation, "simultaneous_contract", lambda b, a: caught.append((b, a)) or real(b, a))
+    iwasawa3 = catalog_load("iwasawa3")
+    for se, phi in ((bcvary10.se, bcvary10.beltrami), bcvary10_c, (iwasawa3.se, iwasawa3.beltrami)):
+        deformation.deform_complex(se, phi, point=generic_points(phi.algebra.ring.m)[0])
+    assert len(caught) == 5 + 6 + 3 and caught[0][0].algebra.ring.m == 0
+    for b in {id(b): b for b, _ in caught}.values():
+        groups.append(([b], [a for c, a in caught if c is b]))
+    mixed = 0
     for endos, forms in groups:
         for _ in range(2):  # the second sweep runs on warm tables only
             for a in forms:
                 for b in endos:
                     got = simultaneous_contract(b, a)
                     fresh = simultaneous_contract(CoframeEndo(b.algebra, b.cols), a)
+                    prefixes = simultaneous_contract_by_prefixes(b, a)
                     oracle = simultaneous_contract_scalar_first(b, a)
-                    assert got == fresh == oracle
-                    assert _with_term_order(got) == _with_term_order(fresh)
+                    assert got == fresh == prefixes == oracle
+                    assert _with_term_order(got) == _with_term_order(fresh) == _with_term_order(prefixes)
                     assert list(got.coeffs) == list(oracle.coeffs)
-        assert all(len(b.images) > 1 for b in endos)
+        for b in endos:
+            mi, mj = b.moved
+            assert (mi, mj) == _moved_symbols(b)
+            assert len(b.images) <= 2 ** (len(mi) + len(mj))
+            # more than the empty part's image exactly when some monomial has a moved factor
+            assert (len(b.images) > 1) == any(set(I) & mi or set(J) & mj for I, J in b.terms)
+            assert all(set(I) <= mi and set(J) <= mj for I, J in b.images)
+            assert set(b.terms) >= {m for a in forms for m in a.coeffs}
+            mixed += any(
+                (set(I) - mi or set(J) - mj) and (set(I) & mi or set(J) & mj) for I, J in b.terms
+            )
+    assert mixed > 10
 
     endos, _ = groups[1]
     e, f = endos[0], endos[1]
     alg = e.algebra
     built = [e + f, e - f, -e, e.compose(f), e.conj(), CoframeEndo.identity(alg), neumann_invert(f)]
-    assert all(b.images is None for b in built)
+    assert all(b.moved is None and b.images is None and b.terms is None for b in built)
 
 
 def test_neumann_invert():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -18,7 +19,7 @@ from nilforms.algebra import (
 )
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, generic_points, zero_point
-from nilforms.deformation import deform_complex, evaluate_se
+from nilforms.deformation import deform_complex, evaluate_se, fiber_complex
 from nilforms.errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
 from nilforms import extension
 from nilforms.extension import (
@@ -32,16 +33,19 @@ from nilforms.extension import (
     solve_extension,
 )
 from nilforms.lemmata import mild
-from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
+from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI
 
 from oracles import (
     a_ladder,
     exp_contract,
     form_basis,
+    forms_by_degree,
     ladder_sums_whole_form,
     nonzero_gaussian,
+    residual_norms_by_parts,
     simultaneous_contract_scalar_first,
     solve_extension_whole_series,
+    whole_sums,
 )
 
 
@@ -208,9 +212,9 @@ def _all_monomials(alg):
 
 def test_ladder_sums_match_their_factorial_formula():
     """ladder_sums equals its docstring formula, built here from contract
-    with explicit factorials, on every monomial of abelian_4 with a
-    rank-3 phi at ring orders 5 and 6 (where iota_phi^j/j! with j >= 3
-    enters the sums)."""
+    with explicit factorials and split by t-degree, on every monomial of
+    abelian_4 with a rank-3 phi at ring orders 5 and 6 (where
+    iota_phi^j/j! with j >= 3 enters the sums)."""
     n = catalog_load("abelian_4").se.n
 
     def powers(theta, a):
@@ -233,7 +237,7 @@ def test_ladder_sums_match_their_factorial_formula():
                 if k >= 1:
                     s1, s2 = s1 + terms[k], s2 + terms[k - 1]
                 s3 = s3 + terms[k + 1]
-            assert ladder_sums(phi, omega) == (s1, s2, s3)
+            assert ladder_sums(phi, omega) == tuple(forms_by_degree(s, order) for s in (s1, s2, s3))
 
 
 def _random_param_form(alg, rng, nterms):
@@ -253,6 +257,36 @@ def _random_param_form(alg, rng, nterms):
     return total
 
 
+def test_residual_norms_equal_those_of_the_homogeneous_parts():
+    """residual_norms_by_order reads each term's t-degree off its key in
+    one pass; on seeded forms whose coefficients have terms of every
+    degree 0..N, at every order 0..N (so a term of degree N counts only
+    at order N, and terms past the order not at all) it gives the
+    squared norms of the homogeneous parts, each summed on its own."""
+    from nilforms.extension import residual_norms_by_order
+
+    rng = DetRng(83)
+    for m, order in ((1, 2), (2, 4), (4, 4)):
+        alg = FormAlgebra(3, PolyRing(m, order))
+        ring = alg.ring
+        for _ in range(6):
+            basis = form_basis(alg, 1 + rng.next_int(2), rng.next_int(3))
+            coeffs = {}
+            for _ in range(4):
+                c = ring.zero()
+                for d in range(order + 1):
+                    term = ring.const(nonzero_gaussian(rng, 4))
+                    for _ in range(d):
+                        nu = rng.next_int(m) + 1
+                        term = term * (ring.t(nu) if rng.next_int(2) else ring.tbar(nu))
+                    c = c + term
+                coeffs[basis[rng.next_int(len(basis))]] = c
+            f = Form(alg, coeffs)
+            assert all(f.homogeneous_part(l) for l in range(order + 1))
+            for upto in range(order + 1):
+                assert residual_norms_by_order(f, upto) == residual_norms_by_parts(f, upto), (m, upto)
+
+
 def _ladder_phis(bcvary10, bcvary10_c, iwasawa3):
     """Beltrami differentials for the ladder tests: bcvary10's family,
     the same on bcvary10 x C (passive factors gamma^6 and gammabar^6),
@@ -263,17 +297,19 @@ def _ladder_phis(bcvary10, bcvary10_c, iwasawa3):
 
 def test_ladder_sums_equal_the_whole_form_oracle(bcvary10, bcvary10_c, iwasawa3):
     """The k-sums read per hooked factor set, each monomial's k-sums the
-    cached k-sums of its hooked factors wedged with the rest, equal the
-    contraction series of B and phi on the whole form, on seeded
-    t-dependent forms of mixed bidegree."""
+    cached k-sums of its hooked factors wedged with the rest, split by
+    t-degree, equal the homogeneous parts of the contraction series of B
+    and phi on the whole form, on seeded t-dependent forms of mixed
+    bidegree and mixed t-degree."""
     rng = DetRng(67)
     for phi in _ladder_phis(bcvary10, bcvary10_c, iwasawa3):
+        order = phi.algebra.ring.order
         nonzero = 0
         for _ in range(8):
             w = _random_param_form(phi.algebra, rng, 8)
             sums = ladder_sums(phi, w)
-            assert sums == ladder_sums_whole_form(phi, w)
-            nonzero += all(sums)
+            assert sums == tuple(forms_by_degree(s, order) for s in ladder_sums_whole_form(phi, w))
+            nonzero += all(len(s) > 1 for s in sums)
         assert nonzero, phi.algebra
     # a W over another ring is refused, even one no operator hooks
     with pytest.raises(ValueError):
@@ -284,19 +320,21 @@ def test_ladder_sums_are_linear(bcvary10, bcvary10_c, iwasawa3):
     """The k-sums are linear in W, which is what lets the solver add the
     sums of each new correction to running sums: on seeded random
     t-dependent forms, sums(a + c b) = sums(a) + c sums(b) for constant
-    and t-dependent c, and the zero form maps to three zero forms."""
+    and t-dependent c, summed over t-degrees, and the zero form maps to
+    three empty sums."""
     rng = DetRng(53)
     for phi in _ladder_phis(bcvary10, bcvary10_c, iwasawa3):
         ring = phi.algebra.ring
         zero = phi.algebra.zero()
-        assert ladder_sums(phi, zero) == (zero, zero, zero)
+        assert ladder_sums(phi, zero) == ({}, {}, {})
         nonzero = 0
         for _ in range(12):
             a = _random_param_form(phi.algebra, rng, 6)
             b = _random_param_form(phi.algebra, rng, 6)
             for c in (ring.const(nonzero_gaussian(rng, 5)), ring.one() + ring.t(1) * nonzero_gaussian(rng, 3)):
-                combined = ladder_sums(phi, a + b.scale(c))
-                separate = [x + y.scale(c) for x, y in zip(ladder_sums(phi, a), ladder_sums(phi, b))]
+                combined = whole_sums(ladder_sums(phi, a + b.scale(c)), phi.algebra)
+                sums_a, sums_b = (whole_sums(ladder_sums(phi, x), phi.algebra) for x in (a, b))
+                separate = [x + y.scale(c) for x, y in zip(sums_a, sums_b)]
                 assert list(combined) == separate
                 nonzero += all(combined)
         assert nonzero > 12, phi.algebra
@@ -306,20 +344,24 @@ def test_ladder_cache_is_bounded_by_the_hooked_factors(bcvary10, ec_bcvary0, mon
     """Counts, no wall time: phi and B hook gamma^2, gamma^5, gammabar^2
     and gammabar^5 of bcvary10, so after one solve of every (3,3) and
     (4,4) generator at every order, phi's k-sum cache holds at most 2^4
-    entries, each keyed by hooked factors only, and a second pass runs
-    contraction_series 0 times."""
+    entries, each keyed by hooked factors only, and each of its three
+    coframe maps at most 2^{#moved} moved-part images.  A second pass
+    runs contraction_series 0 times, merges no index tuples
+    (``leibniz.merge_indices``, as wedge_mono and the table assembly call
+    it) and splits no form by t-degree (``Form.homogeneous_part``): every
+    monomial's merged terms are kept, by t-degree for the k-sums."""
+    from nilforms import algebra, leibniz
+
     phi = VectorValuedForm(bcvary10.beltrami.algebra, T10, dict(bcvary10.beltrami.components))
     ops = beltrami_operators(phi)
     assert (ops.phi_hooks, ops.b_hooks) == ({2, 5}, {2, 5})
     alg = bcvary10.se.algebra
-    series = []
-    real_series = extension.contraction_series
-
-    def counted(theta, a):
-        series.append(a)
-        return real_series(theta, a)
-
-    monkeypatch.setattr(extension, "contraction_series", counted)
+    series, merges, splits = [], [], []
+    real_series, real_merge, real_split = extension.contraction_series, leibniz.merge_indices, Form.homogeneous_part
+    monkeypatch.setattr(extension, "contraction_series", lambda theta, a: series.append(a) or real_series(theta, a))
+    for module in (algebra, leibniz):
+        monkeypatch.setattr(module, "merge_indices", lambda a, b: merges.append((a, b)) or real_merge(a, b))
+    monkeypatch.setattr(Form, "homogeneous_part", lambda f, l: splits.append(l) or real_split(f, l))
 
     def one_pass():
         for p, q in ((3, 3), (4, 4)):
@@ -332,11 +374,15 @@ def test_ladder_cache_is_bounded_by_the_hooked_factors(bcvary10, ec_bcvary0, mon
                         pass
 
     one_pass()
-    assert series and 1 < len(ops.k_sums) <= 16
+    assert series and merges and 1 < len(ops.k_sums) <= 16
     assert all(set(I) <= ops.phi_hooks and set(J) <= ops.b_hooks for I, J in ops.k_sums)
+    for b in (ops.unshrink, ops.ext_transform):
+        assert 1 < len(b.images) <= 2 ** (len(b.moved[0]) + len(b.moved[1])) <= 16
+    assert ops.shrink.images is None  # a solve maps W to omega, never back
     series.clear()
+    merges.clear()
     one_pass()
-    assert series == []
+    assert (series, merges, splits) == ([], [], [])
 
 
 # -- the solver -----------------------------------------------------------------
@@ -472,6 +518,108 @@ def test_truncated_orders_equal_whole_series_oracle(bcvary10, ec_bcvary0):
                 assert outcomes[0] == outcomes[1], (p, q, order)
                 kinds["obstructed" if isinstance(outcomes[0], tuple) else "solved"] += 1
     assert kinds == {"solved": 702, "obstructed": 228}
+
+
+def _line_of(phi, point, ring):
+    """phi restricted to the complex line t = s point of its parameter
+    space, over ring, a ring in the one parameter s: each term of
+    coefficient v and exponents (e, ebar) becomes v point^e
+    conj(point)^ebar s^{|e|} sbar^{|ebar|}."""
+    src = phi.algebra.ring
+    alg = FormAlgebra(phi.algebra.n, ring)
+    values = list(point) + [z.conj() for z in point]
+    comps = {}
+    for i, f in phi.components.items():
+        coeffs = {}
+        for mono, c in f.coeffs.items():
+            total = ring.zero()
+            for key, v in c.terms.items():
+                exps = src.exponents(key)
+                for z, e in zip(values, exps):
+                    for _ in range(e):
+                        v = v * z
+                total = total + ParamScalar(ring, {ring.key([sum(exps[:src.m]), sum(exps[src.m:])]): v})
+            coeffs[mono] = total
+        comps[i] = Form(alg, coeffs)
+    return VectorValuedForm(alg, phi.valence, comps)
+
+
+def _assert_same_outcome(got, want, where):
+    """Two solver outcomes agree field by field: every ExtensionState
+    field, or the (order, side) of the obstruction."""
+    assert isinstance(got, tuple) == isinstance(want, tuple), where
+    if isinstance(want, tuple):
+        assert got == want, where
+        return
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), (where, f.name)
+
+
+def test_combined_generators_equal_whole_series_oracle(bcvary10, ec_bcvary0, bcvary10_c, iwasawa3, ec_iwasawa):
+    """On seeded Q(i) combinations of the (3,3) and (4,4) kernel vectors
+    of bcvary10 and of bcvary10 x C, and on one seeded combination of the
+    d-closed (2,2) and (1,2) generators of iwasawa3 per Nakamura class
+    (iwasawa3's family on the line through that class's point), the
+    solver's state equals the whole-series oracle's field by field, or
+    both raise at the same (order, side).  A combination mixes pieces
+    whose k-sums span several t-degrees, so this checks the running sums
+    by t-degree where no single generator's solve is special."""
+    from test_io_cli import NAKAMURA_CLASSES
+
+    rng = DetRng(79)
+    se_c, phi_c = bcvary10_c
+    ec_c = EvaluatedComplex(build_complex(evaluate_se(se_c, zero_point(4))), ())
+    cases = []
+    for se, phi, ec in ((bcvary10.se, bcvary10.beltrami, ec_bcvary0), (se_c, phi_c, ec_c)):
+        for p in (3, 4):
+            gens = ec.kernel("stacked", p, p)
+            for _ in range(8):
+                vec = {}
+                for _ in range(2 + rng.next_int(2)):
+                    linalg.add_scaled_into(vec, nonzero_gaussian(rng, 5), gens[rng.next_int(len(gens))])
+                cases.append((se, phi, ec, ec.vec_to_form(vec, p, p, phi.algebra)))
+    line_ring = PolyRing(1, iwasawa3.beltrami.algebra.ring.order)
+    for t, _ in NAKAMURA_CLASSES.values():
+        point = [GaussianRational(Fraction(x)) for x in t.split(",")]
+        phi = _line_of(iwasawa3.beltrami, point, line_ring)
+        for p, q in ((2, 2), (1, 2)):
+            vec = {}
+            for gv in ec_iwasawa.kernel("stacked", p, q):
+                linalg.add_scaled_into(vec, nonzero_gaussian(rng, 5), gv)
+            cases.append((iwasawa3.se, phi, ec_iwasawa, ec_iwasawa.vec_to_form(vec, p, q, phi.algebra)))
+    kinds = {"plain": 0, "corrected": 0, "obstructed": 0}
+    for k, (se, phi, ec, omega0) in enumerate(cases):
+        got, want = (
+            _solve_outcome(solver, se, phi, omega0, ec0=ec, check_lemmata=False)
+            for solver in (solve_extension, solve_extension_whole_series)
+        )
+        _assert_same_outcome(got, want, (k, omega0.bidegree()))
+        kinds["obstructed" if isinstance(got, tuple) else "plain" if got.omega == omega0 else "corrected"] += 1
+    assert kinds == {"plain": 3, "corrected": 21, "obstructed": 14}
+
+
+def test_a_warm_solve_compares_no_algebras_by_value(bcvary10, ec_bcvary0, monkeypatch):
+    """Forms, structure equations and coframe maps on one path share one
+    FormAlgebra object, and every comparison of algebras tests identity
+    first: after a warm-up, a second solve of every (3,3) generator of
+    bcvary10 and a warm fiber of bcvary10 at a generic point call
+    FormAlgebra.__eq__ 0 times."""
+    alg = bcvary10.se.algebra
+    point = generic_points(4)[0]
+    omegas = [ec_bcvary0.vec_to_form(gv, 3, 3, alg) for gv in ec_bcvary0.kernel("stacked", 3, 3)]
+
+    def run():
+        fiber_complex(bcvary10.se, bcvary10.beltrami, point)
+        for omega0 in omegas:
+            _solve_outcome(solve_extension, bcvary10.se, bcvary10.beltrami, omega0, ec0=ec_bcvary0, check_lemmata=False)
+
+    run()
+    compared = []
+    real = FormAlgebra.__eq__
+    monkeypatch.setattr(FormAlgebra, "__eq__", lambda a, b: compared.append(a is b) or real(a, b))
+    run()
+    assert compared == []
+    assert alg == FormAlgebra(alg.n, alg.ring) and compared == [False]  # the count sees a comparison
 
 
 def test_solve_ladders_each_piece_once_and_never_shrinks(bcvary10, ec_bcvary0, monkeypatch):
@@ -992,16 +1140,16 @@ def test_order_step_is_the_conjugate_system(bcvary10, ec_bcvary0, monkeypatch):
     steps = []
     real = extension._order_correction
 
-    def recording(se_r, ec0, sums, p, q, l):
-        out = real(se_r, ec0, sums, p, q, l)
-        steps.append((sums, p, q, l, out))
+    def recording(se_r, ec0, parts, p, q, l):
+        out = real(se_r, ec0, parts, p, q, l)
+        steps.append((parts, p, q, l, out))
         return out
 
     monkeypatch.setattr(extension, "_order_correction", recording)
     for gv in ec_bcvary0.kernel("stacked", 4, 4):
         solve_extension(bcvary10.se, bcvary10.beltrami, ec_bcvary0.vec_to_form(gv, 4, 4, alg), ec0=ec_bcvary0)
-    for sums, p, q, l, correction in steps:
-        s1l, s2l, s3l = (s.homogeneous_part(l) for s in sums)
+    for (s1l, s2l, s3l), p, q, l, correction in steps:
+        assert all(s == s.homogeneous_part(l) for s in (s1l, s2l, s3l)), l
         assert correction == -s1l - solve_conjugate_system(ec_bcvary0, s2l, s3l.conj(), p, q), l
     assert {l for *_, l, _ in steps} == {1, 2, 3, 4} and any(correction for *_, correction in steps)
 

@@ -106,6 +106,56 @@ def test_only_linalg_reads_the_gaussian_triple_outside_scalars():
     assert readers == {"scalars", "linalg"}
 
 
+def value_comparisons(source: str):
+    """(line, text) of each == or != with an ``.algebra`` or ``.ring``
+    operand that no ``is`` or ``is not`` test of the same two operands
+    precedes in the same boolean expression."""
+    tree = ast.parse(source)
+    guarded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp):
+            tested = set()
+            for value in node.values:
+                if isinstance(value, ast.Compare) and len(value.ops) == 1:
+                    pair = frozenset((ast.dump(value.left), ast.dump(value.comparators[0])))
+                    if isinstance(value.ops[0], (ast.Is, ast.IsNot)):
+                        tested.add(pair)
+                    elif pair in tested:
+                        guarded.add(value)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and node not in guarded:
+            operands = [node.left] + node.comparators
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Eq, ast.NotEq)) and any(
+                    isinstance(x, ast.Attribute) and x.attr in ("algebra", "ring") for x in (left, right)
+                ):
+                    found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_value_comparison_scan_sees_what_it_should():
+    source = (
+        "def f(a, b, r):\n"
+        "    if a.algebra != b.algebra:\n"
+        "        return a.algebra is b.algebra or a.algebra == b.algebra\n"
+        "    x = a.ring is not r and a.ring != b.ring\n"
+        "    y = a.ring == b.ring or a.ring is b.ring\n"
+        "    z = r == a.ring.m or a.n != b.n\n"
+        "    return x and y and z and (r is a.ring or a.ring == r)\n"
+    )
+    assert [line for line, _ in value_comparisons(source)] == [2, 4, 5]
+
+
+def test_algebras_and_rings_are_compared_by_identity_first():
+    """FormAlgebra and PolyRing compare by value, and on a warm path both
+    sides are nearly always one object: so wherever src compares an
+    ``.algebra`` or a ``.ring`` with == or !=, an ``is`` test of the same
+    operands comes first and settles that case."""
+    found = {path.name: hits for path in sorted(SRC.glob("*.py")) if (hits := value_comparisons(path.read_text()))}
+    assert found == {}
+
+
 def defined_names(source: str):
     """Functions and classes a module defines, each keyed by (class, name)
     with its line: the class a method is defined in, else None (local
@@ -488,6 +538,8 @@ def test_every_submodule_attribute_is_the_submodule():
 #: the public functions of src that no product run calls (the runs of
 #: ``test_every_public_function_is_called_or_listed``), each with why it stays
 UNCALLED = {
+    "algebra.Form.homogeneous_part": "API: one t-degree part of a form; the solver reads degrees off its graded "
+                                     "k-sums, and perfbench's extension check and the tests read it",
     "cohomology.EvaluatedComplex.embed_block": "oracle-only API: verify_witness re-checks a standard witness",
     "cohomology.cohomology": "README API: one cohomology by name; the CLI prints whole tables (full_report)",
     "deformation.main1_residual": "README construction: the extended Leibniz identity of Main Theorem 1",

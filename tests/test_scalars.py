@@ -293,8 +293,10 @@ def test_min_order_and_homogeneous_parts():
     r = PolyRing(2, 3)
     s = r.t(1) + r.t(1) * r.tbar(2)
     assert s.min_order() == 1
-    assert s.homogeneous_part(2) == r.t(1) * r.tbar(2)
-    assert s.homogeneous_part(0).terms == {}
+    assert s.by_degree() == [(1, r.t(1)), (2, r.t(1) * r.tbar(2))]
+    t = r.t(2) * r.tbar(1) + r.t(1) * r.t(1)
+    assert t.by_degree() == [(2, t)] and t.by_degree()[0][1] is t
+    assert r.zero().by_degree() == []
 
 
 def test_det_rng_reproducible():
@@ -362,7 +364,7 @@ def scalar_pairs(draw, ring):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_packed_keys_equal_the_tuple_route(data):
-    """+, -, *, conj, eval, homogeneous_part, min_order, is_constant, lift
+    """+, -, *, conj, eval, by_degree, min_order, is_constant, lift
     and the format_scalar/parse_scalar round trip give on packed keys what
     the tuple-keyed route gives, on rings with m = 0 and of order 0 and 1
     among others."""
@@ -372,8 +374,10 @@ def test_packed_keys_equal_the_tuple_route(data):
     for got, want in ((a + b, ta + tb), (a - b, ta - tb), (a * b, ta * tb), (-a, -ta), (a.conj(), ta.conj())):
         _assert_same_scalar(got, want)
     assert a.eval(point) == ta.eval(point)
+    parts = dict(a.by_degree())
+    assert all(parts.values()) and set(parts) <= set(range(ring.order + 1))
     for degree in range(ring.order + 2):
-        _assert_same_scalar(a.homogeneous_part(degree), ta.homogeneous_part(degree))
+        _assert_same_scalar(parts.get(degree, ring.zero()), ta.homogeneous_part(degree))
     assert a.min_order() == ta.min_order() and a.is_constant() == ta.is_constant()
     assert a.constant_term() == ta.constant_term()
     for target in (ring, PolyRing(ring.m, ring.order), PolyRing(ring.m + 1, ring.order + 1)):
