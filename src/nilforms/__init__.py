@@ -35,13 +35,9 @@ from .cohomology import (
 )
 from .deformation import (
     as_beltrami,
-    check_integrability,
     deform_complex,
-    delbar_on_vectors,
     evaluate_se,
     fiber_complex,
-    main1_residual,
-    schouten,
 )
 from .errors import (
     FlatnessError,

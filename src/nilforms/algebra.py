@@ -250,8 +250,8 @@ class VectorValuedForm:
     the components of a well-formed object share one bidegree.  A
     Beltrami differential owns its ``extension.BeltramiOperators``,
     built on first use into ``operators``, and its integrability verdict:
-    ``deformation.require_integrable`` keeps in ``integrable_on`` the
-    structure equations a check last passed against, compared by
+    ``deformation.deform_complex`` keeps in ``integrable_on`` the
+    structure equations that phi last deformed symbolically, compared by
     identity, and never stores a failure (components are never mutated).
     """
 
@@ -717,17 +717,25 @@ class StructureEquations:
         parts of d^2, vanish with it: the identities every rank verdict of
         ``lemmata`` rests on.  And d^2 = 0 on the generators is the Jacobi
         identity of the brackets dual to d.  With ``symbol_terms`` this is
-        the one place in the package that decides either condition.  A pass
-        is kept in ``flat``, so later calls cost nothing; a failure is never
-        stored.
+        the one place in the package that decides either condition, for
+        families too: on the equations of a deformed coframe
+        (``deformation.deform_complex``) a (0,2)-part is the
+        non-integrability of the Beltrami differential.  A pass is kept in
+        ``flat``, so later calls cost nothing; a failure is never stored.
+        The degree-2 tables the check assembles are dropped, pass or fail,
+        so ``tables`` is left as it was found.
         """
         if self.flat:
             return
-        for s in range(2 * self.n):
-            dd = self.apply_d(self.d_symbol(s))
-            if dd:
-                name = f"gamma^{s + 1}" if s < self.n else f"gammabar^{s - self.n + 1}"
-                raise FlatnessError(f"{self.name} is not flat: d^2 {name} = {dd!r} is nonzero")
+        kept, self.tables = self.tables, dict(self.tables)
+        try:
+            for s in range(2 * self.n):
+                dd = self.apply_d(self.d_symbol(s))
+                if dd:
+                    name = f"gamma^{s + 1}" if s < self.n else f"gammabar^{s - self.n + 1}"
+                    raise FlatnessError(f"{self.name} is not flat: d^2 {name} = {dd!r} is nonzero")
+        finally:
+            self.tables = kept
         self.flat = True
 
 

@@ -14,10 +14,10 @@ d-residual is computed directly and through them and asserted equal
 (``_residuals``).  Data that depends only on (se, phi) is built once, by
 its owner: se keeps the del and delbar parts of d (``symbol_terms``) and
 their column tables, phi its ``BeltramiOperators`` (so every helper here
-takes phi itself) and its integrability verdict for se
-(``deformation.require_integrable``); the operators and each coframe
-map keep the merged terms of each monomial they act on, so a warm solve
-merges no monomials.
+takes phi itself) and its integrability verdict for se, the pass of
+se's symbolic deformation along phi (``deformation.require_integrable``);
+the operators and each coframe map keep the merged terms of each
+monomial they act on, so a warm solve merges no monomials.
 
 Each order solves the paper's conjugate system del x = delbar zeta,
 delbar x = del conj(xi) on the t = 0 complex, one t-slice at a time
@@ -266,7 +266,7 @@ def solve_extension(
     Raises PreconditionFailed when the order is negative or exceeds the
     ring truncation, omega0 is zero, of mixed bidegree, t-dependent or
     not d-closed, phi is not integrable, or a required mild lemma fails
-    at t = 0, and
+    at t = 0, NotPerturbative when phi has a constant term, and
     ObstructionNonvanishing(order, component) when an order equation is
     exactly unsolvable.
     """

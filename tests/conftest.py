@@ -73,10 +73,10 @@ def iwasawa_c():
 def bcvary10_c():
     """bcvary10 x C (n = 6): the structure equations and Beltrami family
     of bcvary10 lifted to six coframe symbols, so the family acts on the
-    first factor and gamma^6 is closed; (se, phi), gated by
-    check_integrability."""
+    first factor and gamma^6 is closed; (se, phi), gated by the
+    Maurer-Cartan oracle ``check_integrability``."""
     from nilforms.algebra import T10, Form, FormAlgebra, StructureEquations, VectorValuedForm
-    from nilforms.deformation import check_integrability
+    from oracles import check_integrability
 
     bc = catalog_load("bcvary10")
     alg = FormAlgebra(6, bc.se.algebra.ring)

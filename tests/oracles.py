@@ -25,13 +25,14 @@ from nilforms.algebra import (
     Mono,
     StructureEquations,
     VectorValuedForm,
+    contract,
     contraction_series,
     endo_of_vvf,
     neumann_invert,
     simultaneous_contract,
 )
 from nilforms.cohomology import EvaluatedComplex, zero_point
-from nilforms.deformation import HALF, _total_degree, coframe_transform, delbar_on_vectors, evaluate_se, schouten
+from nilforms.deformation import as_beltrami, coframe_transform, evaluate_se
 from nilforms.errors import NonInvertibleCoframe
 from nilforms.linalg import Rows
 from nilforms.scalars import QI_ONE, DetRng, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
@@ -1685,7 +1686,7 @@ def lie_brackets(se: StructureEquations) -> LieBracketTable:
 
 
 def delbar_on_vectors_by_table(se, v):
-    """The table route of ``deformation.delbar_on_vectors``, for either
+    """The table route of ``delbar_on_vectors``, for either
     valence: delbar(omega (x) e) = delbar omega (x) e + (-1)^|omega|
     omega ^ gammabar^k (x) [thetabar_k, e], the part of the bracket of
     e's valence."""
@@ -1785,6 +1786,116 @@ def norm2_vec(v) -> Fraction:
     for z in v.values():
         total += z.norm2() if isinstance(z, GaussianRational) else z * z
     return total
+
+
+# -- the Maurer-Cartan stack that the deformed equations' require_flat replaced --
+
+HALF = GaussianRational(Fraction(1, 2))
+
+
+def delbar_on_vectors(se: StructureEquations, v: VectorValuedForm) -> VectorValuedForm:
+    """delbar on a T^{1,0}-valued form: delbar(omega (x) theta_i) =
+    delbar omega (x) theta_i + (-1)^|omega| sum c omega ^ gammabar^k (x)
+    theta_s, over the (1,1)-terms c gamma^i ^ gammabar^k of d gamma^s
+    (``symbol_terms``).  Asks ``require_flat`` first, so equations that
+    define no complex are refused on every call."""
+    se.require_flat()
+    if v.valence != T10:
+        raise ValueError("delbar_on_vectors takes T^{1,0}-valued forms")
+    alg = v.algebra
+    mixed = se.symbol_terms("delbar")[: se.n]
+    out: Dict[int, Form] = {}
+
+    def add(i: int, f: Form):
+        if f:
+            out[i] = out.get(i, alg.zero()) + f
+
+    for i, comp in v.components.items():
+        add(i, se.apply_delbar(comp))
+        odd = _total_degree(comp) % 2
+        for s, terms in enumerate(mixed):
+            for I, J, c in terms:
+                if I == (i,):
+                    wedge = comp.wedge(alg.gammabar(J[0])).scale(c)
+                    add(s + 1, -wedge if odd else wedge)
+    return VectorValuedForm(alg, T10, out)
+
+
+def _total_degree(f: Form) -> int:
+    degs = {len(m[0]) + len(m[1]) for m in f.coeffs}
+    if len(degs) > 1:
+        raise ValueError("component of mixed total degree")
+    return degs.pop() if degs else 0
+
+
+def schouten(se: StructureEquations, phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
+    """Schouten-Nijenhuis bracket of two Beltrami differentials.
+
+    Extracted from the Tian-Todorov identity against the coframe:
+    [phi,psi]^j = -iota_psi iota_phi del gamma^j + iota_phi del psi^j
+    + iota_psi del phi^j, which reduces to the wedge-of-components
+    formula on abelian complex structures and adds the del gamma
+    correction on non-abelian ones.  Symmetric and bilinear; the full
+    identity on arbitrary forms is exercised by the test suite.
+    """
+    as_beltrami(phi)
+    as_beltrami(psi)
+    alg = phi.algebra
+    comps: Dict[int, Form] = {}
+    for j in range(1, alg.n + 1):
+        val = alg.zero()
+        dgj = se.apply_del(alg.gamma(j))
+        if dgj:
+            val = val - contract(psi, contract(phi, dgj))
+        psi_j = psi.component(j)
+        if psi_j:
+            val = val + contract(phi, se.apply_del(psi_j))
+        phi_j = phi.component(j)
+        if phi_j:
+            val = val + contract(psi, se.apply_del(phi_j))
+        if val:
+            comps[j] = val
+    return VectorValuedForm(alg, T10, comps)
+
+
+def check_integrability(se: StructureEquations, phi: VectorValuedForm) -> Tuple[bool, VectorValuedForm]:
+    """Residual delbar phi - (1/2)[phi, phi], exactly; zero iff integrable.
+    The decider it replaced is the (0,2)-part of the deformed equations
+    (``deformation.deform_complex``); nothing is stored on phi."""
+    as_beltrami(phi)
+    se_lifted = se.with_algebra(phi.algebra)
+    residual = delbar_on_vectors(se_lifted, phi) - schouten(se_lifted, phi, phi).scale(HALF)
+    return not residual, residual
+
+
+def main1_residual(se: StructureEquations, phi: VectorValuedForm, alpha: Form) -> Form:
+    """Residual of the extended Leibniz identity
+    d(e^{iota_phi} a) = e^{iota_phi}((d + del iota_phi - iota_phi del
+    + iota_{delbar phi - (1/2)[phi,phi]}) a), for arbitrary phi.
+
+    The orientation of the correction term is forced by the two pinned
+    conventions: iota_phi gamma^i = phi^i (the deformed-coframe fixture)
+    and the bracket extracted from the contraction identity
+    iota_[phi,psi] = [iota_phi, [del, iota_psi]].  With those,
+    [delbar, iota_phi] = +iota_{delbar phi} on generators, hence the
+    plus sign; a global flip of the vector-valued sign conventions flips
+    it back.  For integrable phi the correction vanishes either way.
+    """
+    as_beltrami(phi)
+    se = se.with_algebra(phi.algebra)
+    alpha = alpha.lift(phi.algebra)
+    theta = delbar_on_vectors(se, phi) - schouten(se, phi, phi).scale(HALF)
+    # e^{iota_phi}: the coframe substitution 1 + phi, phi being a Beltrami
+    # differential (exponentials of even derivations are algebra maps)
+    exp_iota = CoframeEndo.identity(phi.algebra) + endo_of_vvf(phi)
+    lhs = se.apply_d(simultaneous_contract(exp_iota, alpha))
+    inner = (
+        se.apply_d(alpha)
+        + se.apply_del(contract(phi, alpha))
+        - contract(phi, se.apply_del(alpha))
+        + contract(theta, alpha)
+    )
+    return lhs - simultaneous_contract(exp_iota, inner)
 
 
 # -- the Kuranishi recursion that the closed-form Iwasawa family replaced --

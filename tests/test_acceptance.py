@@ -27,13 +27,7 @@ from nilforms.cohomology import (
     h_bott_chern,
     zero_point,
 )
-from nilforms.deformation import (
-    check_integrability,
-    deform_complex,
-    evaluate_se,
-    main1_residual,
-    schouten,
-)
+from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.errors import ObstructionNonvanishing
 from nilforms.extension import (
     bc_nontriviality,
@@ -50,7 +44,17 @@ from nilforms.positivity import (
 )
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import HodgeContext, form_basis, mat_add, nonzero_gaussian, norm2_vec, vec_add
+from oracles import (
+    HodgeContext,
+    check_integrability,
+    form_basis,
+    main1_residual,
+    mat_add,
+    nonzero_gaussian,
+    norm2_vec,
+    schouten,
+    vec_add,
+)
 
 CATALOG_NAMES = ("torus3", "iwasawa3", "bcvary10", "abelian_2")
 

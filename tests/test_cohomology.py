@@ -7,6 +7,7 @@ import pytest
 from nilforms import io as nio
 from nilforms import linalg
 from nilforms.algebra import Form, FormAlgebra, InvariantComplex, StructureEquations, build_complex
+from nilforms.catalog import catalog_load
 from nilforms.cohomology import (
     EMPTY_ROW,
     EvaluatedComplex,
@@ -272,8 +273,6 @@ def test_solve_conjugate_system_precondition(ec_iwasawa, iwasawa3):
 def test_solve_conjugate_system_solves(ec_torus, torus3):
     # abelian n = 3 with a nonzero right-hand side cannot occur (images
     # vanish), so exercise the solver on the bcvary complex at t = 0
-    from nilforms.catalog import catalog_load
-
     entry = catalog_load("bcvary10")
     se0 = evaluate_se(entry.se, zero_point(4))
     ec0 = EvaluatedComplex(build_complex(se0), ())
@@ -744,6 +743,35 @@ def test_cohomology_refuses_equations_that_define_no_complex():
     assert not se.flat
 
 
+def test_flatness_check_leaves_the_tables_as_it_found_them():
+    """require_flat keeps none of the degree-2 column tables it
+    assembles, pass or fail: fresh iwasawa3 and bcvary10 equations hold
+    no table after build_complex and full_report (the report reads the
+    complex's rows, never the tables), a table assembled before the
+    check stays, the very object, and equations the check refuses, with
+    d^2 != 0 or with a (0,2)-part, hold none either."""
+    for name in ("iwasawa3", "bcvary10"):
+        given = catalog_load(name).se
+        se = StructureEquations(given.name, given.algebra, given.d_coframe)
+        full_report(EvaluatedComplex(build_complex(se), zero_point(se.algebra.ring.m)))
+        assert se.flat and se.tables == {}, name
+    given = catalog_load("iwasawa3").se
+    se = StructureEquations(given.name, given.algebra, given.d_coframe)
+    se.apply_d(se.algebra.gamma(3))
+    before = dict(se.tables)
+    assert list(before) == [("del", 1, 0), ("delbar", 1, 0)]
+    se.require_flat()
+    assert se.tables.keys() == before.keys() and all(se.tables[k] is v for k, v in before.items())
+    alg3 = FormAlgebra(3, PolyRing(0, 0))
+    notflat = StructureEquations("notflat", alg3, {3: alg3.monomial((1,), (2,)), 2: alg3.monomial((1,), (3,))})
+    with pytest.raises(FlatnessError):
+        notflat.require_flat()
+    with_02 = StructureEquations("with_02", alg3, {3: alg3.monomial((), (1, 2))})
+    with pytest.raises(IntegrabilityError):
+        with_02.require_flat()
+    assert notflat.tables == with_02.tables == {} and not (notflat.flat or with_02.flat)
+
+
 def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     """On Iwasawa^2 x C after full_report, lemma_report and two
     del-delbar solves, every empty row of every stored matrix (del,
@@ -753,8 +781,9 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     product that walks every row; the complex keeps only the
     layout of its equations, the per-size subset table, 2^n subsets,
     and the assembly plans, each a list of one entry per subset of one
-    block, so no list or dict per monomial; and the equations hold
-    column tables for the degree 2 of their flatness check only."""
+    block, so no list or dict per monomial; and the equations hold no
+    column table: their flatness check drops the degree-2 tables it
+    assembles."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     ec = EvaluatedComplex(cx, ())
     full_report(ec)
@@ -781,7 +810,7 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     layout = cx.layout
     assert layout is cx.se.layout
     assert sum(map(len, layout.subsets)) == sum(map(len, layout.subset_rank)) == 2 ** n
-    assert {p + q for _, p, q in cx.se.tables} == {2}
+    assert cx.se.tables == {}
     assert layout.plans
     for (fixed, s, k), plan in layout.plans.items():
         assert type(plan) is list and len(plan) == comb(n - len(fixed) - bool(s), k)

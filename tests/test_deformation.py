@@ -22,16 +22,12 @@ from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points, zero_point
 from nilforms.deformation import (
     as_beltrami,
-    check_integrability,
     coframe_transform,
     deform_complex,
-    delbar_on_vectors,
     evaluate_se,
     fiber_complex,
-    main1_residual,
-    schouten,
 )
-from nilforms.errors import FlatnessError, IntegrabilityError, NonInvertibleCoframe
+from nilforms.errors import FlatnessError, IntegrabilityError, NonInvertibleCoframe, NotPerturbative
 from nilforms.extension import extension_map
 from nilforms.io import obj_to_se, se_emit
 from nilforms.leibniz import Layout
@@ -39,9 +35,11 @@ from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
 from oracles import (
+    check_integrability,
     coframe_endo_dense,
     deform_complex_dense,
     del_on_vectors,
+    delbar_on_vectors,
     delbar_on_vectors_by_table,
     dense_inverse,
     fiber_point,
@@ -49,9 +47,11 @@ from oracles import (
     jacobi_violation,
     kuranishi_expand,
     lie_brackets,
+    main1_residual,
     nonzero_gaussian,
     pairing_scan_bracket,
     reconstruct_d,
+    schouten,
     vvf_homogeneous_part,
 )
 from test_io_cli import NAKAMURA_CLASSES
@@ -314,6 +314,85 @@ def test_iwasawa_integrability_oracle(iwasawa3):
     assert check_integrability(iwasawa3.se, phi2)[0]
 
 
+def _random_family(alg, rng, comps):
+    """A seeded Beltrami differential of O(t) on alg's ring: comps terms
+    c gammabar^j (x) theta_i, each c with a t-linear term and, every
+    other term, a t-quadratic one."""
+    ring = alg.ring
+    out = {}
+    for k in range(comps):
+        i, j = rng.next_int(alg.n) + 1, rng.next_int(alg.n) + 1
+        a, b = rng.next_int(ring.m) + 1, rng.next_int(ring.m) + 1
+        c = ring.const(nonzero_gaussian(rng, 3)) * ring.t(a)
+        if k % 2:
+            c = c + ring.const(nonzero_gaussian(rng, 3)) * ring.t(a) * ring.t(b)
+        out[i] = out.get(i, alg.zero()) + alg.gammabar(j).scale(c)
+    return VectorValuedForm(alg, T10, out)
+
+
+def _deformation_verdict(se, phi) -> bool:
+    """The decider of the package: deform se along phi symbolically, and
+    read IntegrabilityError as the verdict that phi is not integrable."""
+    try:
+        deformed = deform_complex(se, phi)
+    except IntegrabilityError as exc:
+        assert str(exc).startswith("phi is not integrable; ") and phi.integrable_on is not se
+        return False
+    # the deformed equations define a complex, decided afresh on a copy
+    StructureEquations(deformed.name, deformed.algebra, deformed.d_coframe).require_flat()
+    assert phi.integrable_on is se
+    return True
+
+
+def test_deformed_equations_decide_integrability_as_the_maurer_cartan_residual(bcvary10_c):
+    """The (0,2)-part of the symbolically deformed equations and the
+    Maurer-Cartan residual delbar phi - (1/2)[phi,phi] (the oracle
+    ``check_integrability``) give the same verdict: on both catalog
+    families at orders 1 to 4, all integrable through their order
+    (iwasawa3's drops its degree-2 term at order 1, and the truncation
+    drops the degree-2 residual that term cancels), on iwasawa3's family
+    without that term and on t1 gammabar^3 (x) theta_3 on iwasawa3, both
+    not integrable, and on seeded random O(t) families with t-linear and
+    t-quadratic terms on iwasawa3, bcvary10, bcvary10 x C and torus3.
+    Both verdicts occur among the random families.  A phi with a constant
+    term raises NotPerturbative, integrable or not: the Neumann series
+    that the symbolic deformation inverts T by needs T = 1 + O(t)."""
+    cases = []
+    for order in (1, 2, 3, 4):
+        for name in ("bcvary10", "iwasawa3"):
+            entry = catalog_load(name, order=order)
+            cases.append((entry.se, entry.beltrami))
+    iw = catalog_load("iwasawa3")
+    alg = iw.beltrami.algebra
+    t = [alg.ring.t(i) for i in range(1, 7)]
+    g1, g2, g3 = (alg.gammabar(j) for j in (1, 2, 3))
+    no_d = {1: g1.scale(t[0]) + g2.scale(t[1]), 2: g1.scale(t[2]) + g2.scale(t[3]), 3: g1.scale(t[4]) + g2.scale(t[5])}
+    cases.append((iw.se, VectorValuedForm(alg, T10, no_d)))
+    cases.append((iw.se, VectorValuedForm(alg, T10, {3: g3.scale(t[0])})))
+    rng = DetRng(41)
+    small = FormAlgebra(3, PolyRing(2, 3))
+    bc = catalog_load("bcvary10")
+    for se, family_alg in ((iw.se, small), (bc.se, bc.se.algebra), (bcvary10_c[0], bcvary10_c[0].algebra),
+                           (catalog_load("torus3").se, small)):
+        cases += [(se, _random_family(family_alg, rng, comps)) for comps in (1, 1, 2, 2, 3, 4)]
+    verdicts = []
+    for se, phi in cases:
+        ok, _ = check_integrability(se, phi)
+        assert _deformation_verdict(se, phi) == ok, (se.name, phi)
+        verdicts.append(ok)
+    assert verdicts[:10] == [True] * 8 + [False, False]
+    assert True in verdicts[10:] and False in verdicts[10:]
+
+    torus = catalog_load("torus3")
+    constant = [(torus.se, _random_beltrami(torus.se.algebra, rng), True),
+                (iw.se, VectorValuedForm(iw.se.algebra, T10, {3: iw.se.algebra.gammabar(3)}), False)]
+    for se, phi, integrable in constant:
+        assert check_integrability(se, phi)[0] == integrable
+        with pytest.raises(NotPerturbative):
+            deform_complex(se, phi)
+        assert phi.integrable_on is None
+
+
 # -- deformed complexes --------------------------------------------------------
 
 
@@ -406,10 +485,10 @@ def test_deform_complex_equals_the_old_route_in_both_modes(bcvary10, iwasawa3):
 
 def test_a_fiber_builds_one_set_of_equations_and_its_degree_two_tables(monkeypatch, bcvary10, iwasawa3):
     """After one warm-up fiber, which lifts bcvary10's equations to phi's
-    ring and stores phi's integrability verdict, the fiber at a generic
-    point constructs one StructureEquations and one Layout, the deformed
-    equations' own, and assembles two column tables, del and delbar from
-    (1,1), both for their flatness check: no evaluated copy of the
+    ring, the fiber at a generic point constructs one StructureEquations
+    and one Layout, the deformed equations' own, and assembles two column
+    tables, del and delbar from (1,1), both for their flatness check,
+    which keeps neither: no evaluated copy of the
     equations is built to apply d to the new coframe.  And require_flat
     on fresh iwasawa3 equations makes one derivation per coframe
     generator and assembles no table of degree 1."""
@@ -430,6 +509,25 @@ def test_a_fiber_builds_one_set_of_equations_and_its_degree_two_tables(monkeypat
     se.require_flat()
     assert len(derivations) == 2 * se.n and se.flat
     assert tables and all(p + q == 2 for _, p, q in tables)
+
+
+def test_a_fiber_builds_no_symbolic_deformation(monkeypatch):
+    """fiber_complex at a point off t = 0 decides on the fiber's own
+    equations: on fresh bcvary10 and iwasawa3 entries (no verdict kept
+    on phi) it calls neumann_invert 0 times, so it builds no symbolic
+    deformation, and phi keeps no verdict afterwards."""
+    from nilforms import algebra, deformation, extension
+
+    calls = []
+    for module in (algebra, deformation, extension):
+        real = module.neumann_invert
+        monkeypatch.setattr(module, "neumann_invert", lambda e, real=real: calls.append(e) or real(e))
+    for name in ("bcvary10", "iwasawa3"):
+        entry = catalog_load(name)
+        fiber_complex(entry.se, entry.beltrami, generic_points(entry.beltrami.algebra.ring.m)[0])
+        assert calls == [] and entry.beltrami.integrable_on is None, name
+    deform_complex(entry.se, entry.beltrami)  # the hook does see a symbolic deformation
+    assert len(calls) == 1 and entry.beltrami.integrable_on is entry.se
 
 
 def test_a_warm_fiber_builds_no_form_algebra(monkeypatch, bcvary10):

@@ -881,18 +881,21 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     """The structure equations own the split of d of the coframe into
     its del and delbar terms (``symbol_terms``) and phi owns its
     BeltramiOperators and its integrability verdict: validation on load
-    splits se's d, the two solves split no equations, a pkahler_extend
-    after them and a deform_complex after that split only the equations
-    of fibers at points, and all of them build one Neumann series and
-    check integrability once in all, and the second solve, at the same
-    bidegree, adds or rebuilds no prefix image of ext_transform or
-    unshrink.  No solve applies shrink, so its images appear only with
-    pkahler_extend, whose symmetrized check maps omega back to W.  A
-    non-integrable phi is still refused, with no split again.
-    ``delbar_on_vectors`` refuses equations that are not flat on every
-    call, and no pass is stored for them.  The second solve assembles no
-    column table of del or delbar and no matrix: the equations keep
-    their tables and ec0 its rows."""
+    splits se's d, the first solve deforms se along phi symbolically
+    once, which splits the deformed equations and nothing else, and
+    builds the Neumann series of that deformation and of phi's
+    operators; the second solve, a pkahler_extend after them and a
+    deform_complex at a point after that build no symbolic deformation
+    and no Neumann series, and split only the equations of fibers at
+    points.  The second solve, at the same bidegree, adds or rebuilds no
+    prefix image of ext_transform or unshrink.  No solve applies shrink,
+    so its images appear only with pkahler_extend, whose symmetrized
+    check maps omega back to W.  A non-integrable phi is still refused,
+    by the split of its own deformed equations, so no equations of se
+    are split again.  ``deform_complex`` refuses equations that are not
+    flat on every call, and no pass is stored for them.  The second
+    solve assembles no column table of del or delbar and no matrix: the
+    equations keep their tables and ec0 its rows."""
     from nilforms import deformation, extension
     from nilforms.algebra import StructureEquations
     from nilforms.errors import FlatnessError
@@ -913,7 +916,7 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     omega0 = ec0.vec_to_form(ec0.kernel("stacked", 3, 3)[1], 3, 3, se.algebra)
     setup = [se, ec0.cx.se]  # each split once, by its validation
     assert split == setup
-    counts = {"neumann": 0, "integrability": 0}
+    counts = {"neumann": 0, "symbolic": 0}
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -923,16 +926,22 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
 
     for module in (extension, deformation):
         monkeypatch.setattr(module, "neumann_invert", counting("neumann", module.neumann_invert))
-    monkeypatch.setattr(
-        deformation, "check_integrability", counting("integrability", deformation.check_integrability)
-    )
+    real_deform = deformation.deform_complex
+
+    def deform_counting(se_, phi_, point=None):
+        counts["symbolic"] += point is None
+        return real_deform(se_, phi_, point)
+
+    monkeypatch.setattr(deformation, "deform_complex", deform_counting)
 
     assembled = []
     real_assemble = Layout.assemble
     monkeypatch.setattr(Layout, "assemble", lambda layout, *a: assembled.append(layout) or real_assemble(layout, *a))
 
     first = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
-    assert counts == {"neumann": 1, "integrability": 1} and split == setup
+    assert counts == {"neumann": 2, "symbolic": 1} and split[:2] == setup
+    assert [eqs.name for eqs in split[2:]] == ["bcvary10:deformed"] and split[2].algebra is phi.algebra
+    setup = split[:]
     assert se.with_algebra(phi.algebra).layout in assembled
     assembled.clear()
     ops = phi.operators
@@ -940,26 +949,26 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     warm = [dict(b.images) for b in endos]
     assert all(len(images) > 1 for images in warm) and ops.shrink.images is None
     second = solve_extension(se, phi, omega0.scale(QI(2, -3)), ec0=ec0, check_lemmata=False)
-    assert counts == {"neumann": 1, "integrability": 1} and split == setup and assembled == []
+    assert counts == {"neumann": 2, "symbolic": 1} and split == setup and assembled == []
     for b, images in zip(endos, warm):  # no entry added, none rebuilt
         assert b.images.keys() == images.keys() and all(b.images[k] is v for k, v in images.items())
     assert ops.shrink.images is None
     assert second.omega == first.omega.scale(QI(2, -3)) and second.omega != omega0
     ext = pkahler_extend(se, phi, entry.forms["balanced"], samples=40, seed=3)
     assert ext.state.d_closed_through_order and len(ops.shrink.images) > 1
-    assert counts == {"neumann": 1, "integrability": 1}
-    deform_complex(se, phi, point=generic_points(4)[0])
-    assert counts["integrability"] == 1
+    assert counts == {"neumann": 2, "symbolic": 1}
+    deformation.deform_complex(se, phi, point=generic_points(4)[0])
+    assert counts == {"neumann": 2, "symbolic": 1}
     # no lift of se was split again: the new splits are of fibers' equations at points
-    assert split[:2] == setup and split[2:] and all(eqs.algebra.ring.m == 0 for eqs in split[2:])
-    del split[2:]
+    assert split[:3] == setup and split[3:] and all(eqs.algebra.ring.m == 0 for eqs in split[3:])
+    del split[3:]
 
     alg = se.algebra
     bad_phi = VectorValuedForm(alg, T10, {1: alg.gammabar(2).scale(alg.ring.t(1))})
     assert se.terms is not None
     with pytest.raises(PreconditionFailed, match="not integrable"):
         solve_extension(se, bad_phi, omega0, ec0=ec0, check_lemmata=False)
-    assert split == setup
+    assert split[:3] == setup and [eqs.name for eqs in split[3:]] == ["bcvary10:deformed"]
 
     # d gamma^3 = gamma^1 ^ gamma^2 and d gamma^2 = gamma^3 ^ gammabar^1: d^2 gamma^3 != 0
     alg3 = FormAlgebra(3, PolyRing(0, 0))
@@ -968,18 +977,20 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
         alg3,
         {2: alg3.gamma(3).wedge(alg3.gammabar(1)), 3: alg3.gamma(1).wedge(alg3.gamma(2))},
     )
-    theta1 = VectorValuedForm(alg3, T10, {1: alg3.scalar_form(1)})
+    zero_phi = VectorValuedForm(alg3, T10, {})
     for _ in range(2):
         with pytest.raises(FlatnessError):
-            deformation.delbar_on_vectors(broken, theta1)
-        assert not broken.flat
+            deformation.deform_complex(broken, zero_phi)
+        assert not broken.flat and zero_phi.integrable_on is None
 
 
 def test_integrability_verdict_is_kept_only_for_a_pass_on_that_se(monkeypatch):
     """phi keeps a passing verdict for one se object only: a
-    non-integrable phi is checked and refused on every call, with the
-    same error types as before, and a phi that passed on one se is
-    checked again on any other, even on equal equations."""
+    non-integrable phi is deformed symbolically and refused on every
+    call, with the same error types as before, and a phi that passed on
+    one se is deformed again on any other, even on equal equations.  A
+    deformation at a point decides for that fiber alone and builds no
+    symbolic deformation."""
     from nilforms import deformation
 
     entry = catalog_load("bcvary10")
@@ -988,41 +999,45 @@ def test_integrability_verdict_is_kept_only_for_a_pass_on_that_se(monkeypatch):
     ec0 = EvaluatedComplex(build_complex(evaluate_se(se, zero_point(4))), ())
     omega0 = ec0.vec_to_form(ec0.kernel("stacked", 3, 3)[1], 3, 3, alg)
     checks = []
-    real = deformation.check_integrability
+    real = deformation.deform_complex
 
-    def counting(se_, phi_):
-        checks.append(se_)
-        return real(se_, phi_)
+    def counting(se_, phi_, point=None):
+        if point is None:
+            checks.append(se_)
+        return real(se_, phi_, point)
 
-    monkeypatch.setattr(deformation, "check_integrability", counting)
+    monkeypatch.setattr(deformation, "deform_complex", counting)
 
     bad_phi = VectorValuedForm(alg, T10, {1: alg.gammabar(2).scale(alg.ring.t(1))})
     for k in (1, 2):
         with pytest.raises(PreconditionFailed, match="^phi is not integrable$"):
             solve_extension(se, bad_phi, omega0, ec0=ec0, check_lemmata=False)
         assert len(checks) == k and bad_phi.integrable_on is None
-    residual_message = r"^phi is not integrable; delbar phi - \(1/2\)\[phi,phi\] = "
+    verdict = r"^phi is not integrable; bcvary10:deformed: d gamma\^4 has parts outside \(2,0\) \+ \(1,1\): "
     for k in (3, 4):
-        with pytest.raises(IntegrabilityError, match=residual_message):
-            deform_complex(se, bad_phi, point=generic_points(4)[0])
+        with pytest.raises(IntegrabilityError, match=verdict + r"Form\(\(-t1\)\*g\[,23\]\)$"):
+            deformation.deform_complex(se, bad_phi)
+        assert len(checks) == k and bad_phi.integrable_on is None
+        with pytest.raises(IntegrabilityError, match=verdict + r"Form\(\(-3/7\)\*g\[,23\]\)$"):
+            deformation.deform_complex(se, bad_phi, point=generic_points(4)[0])
         assert len(checks) == k and bad_phi.integrable_on is None
 
     # bad_phi is integrable on the abelian equations over the same algebra;
     # that pass says nothing about bcvary10
     torus = StructureEquations("torus5", alg, {})
-    deform_complex(torus, bad_phi)
+    deformation.deform_complex(torus, bad_phi)
     assert checks[-1] is torus and bad_phi.integrable_on is torus
     with pytest.raises(PreconditionFailed, match="not integrable"):
         solve_extension(se, bad_phi, omega0, ec0=ec0, check_lemmata=False)
     assert len(checks) == 6 and bad_phi.integrable_on is torus
 
-    deform_complex(se, phi)
+    deformation.deform_complex(se, phi)
     assert len(checks) == 7 and phi.integrable_on is se
     twin = StructureEquations(se.name, alg, se.d_coframe)
     solve_extension(twin, phi, omega0, ec0=ec0, check_lemmata=False)
     assert checks[-1] is twin and len(checks) == 8 and phi.integrable_on is twin
     solve_extension(twin, phi, omega0, ec0=ec0, check_lemmata=False)
-    deform_complex(se, phi)
+    deformation.deform_complex(se, phi)
     assert checks[-1] is se and len(checks) == 9 and phi.integrable_on is se
 
 

@@ -350,16 +350,19 @@ def test_no_orphaned_helpers():
     assert orphans(defining, reading) == []
 
 
-def calls_of(source: str, callee: str):
-    """(enclosing function, line) of each call of ``callee`` by name or
-    attribute; None for a call at module level."""
+def assignments_of(source: str, attr: str):
+    """(enclosing function, line) of each assignment of a value other
+    than None to an attribute named ``attr``; None for module level."""
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == callee:
-                    yield scope, child.lineno
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                none = child.value is None or isinstance(child.value, ast.Constant) and child.value.value is None
+                for target in targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) and t.attr == attr and not none:
+                            yield scope, child.lineno
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
             yield from walk(child, inner)
 
@@ -367,18 +370,25 @@ def calls_of(source: str, callee: str):
 
 
 def test_integrability_is_checked_only_through_the_verdict_helper():
-    """phi owns its integrability verdict: outside
-    ``deformation.require_integrable``, which checks once per se object,
-    no module of the package calls check_integrability, so no caller
-    quietly checks on every call again."""
-    probe = "def f():\n    def g():\n        m.check_integrability(1)\n    return check_integrability(2)\n"
-    assert sorted(calls_of(probe, "check_integrability")) == [("f", 4), ("g", 3)]
+    """phi owns its integrability verdict, and one function stores it:
+    only ``deformation.deform_complex``, whose symbolic deformation is
+    the decider, assigns ``integrable_on`` anything but the None it
+    starts at, so no other path can mark phi integrable unchecked.  The
+    scan finds a planted assignment in a nested function, one in a tuple
+    target, one augmented and one at module level, and skips a read and
+    a reset to None."""
+    probe = (
+        "def f():\n    def g():\n        a.b.integrable_on = se\n    x.integrable_on, y = se, 1\n"
+        "    z.integrable_on = None\n    return w.integrable_on\n"
+        "def h():\n    v.integrable_on += 1\nu.integrable_on = 2\n"
+    )
+    assert sorted(assignments_of(probe, "integrable_on"), key=str) == [("f", 4), ("g", 3), ("h", 8), (None, 9)]
     found = {
         (path.name, scope)
         for path in sorted(SRC.glob("*.py"))
-        for scope, _ in calls_of(path.read_text(), "check_integrability")
+        for scope, _ in assignments_of(path.read_text(), "integrable_on")
     }
-    assert found == {("deformation.py", "require_integrable")}
+    assert found == {("deformation.py", "deform_complex")}
 
 
 def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
@@ -405,7 +415,10 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     ``kuranishi_expand``), its Green operator ``harmonic_green`` and the
     matrix helpers only they used, and del on vector-valued forms
     (``_frame_derivative``) are test oracles: the catalog ships the one
-    family the recursion gave, in closed form.
+    family the recursion gave, in closed form.  So is the Maurer-Cartan
+    stack (``delbar_on_vectors``, ``_total_degree``, ``schouten``,
+    ``check_integrability``, ``main1_residual`` and ``HALF``): the
+    (0,2)-part of the deformed equations decides integrability.
     The conjugate system has one solve (``extension.solve_conjugate_system``
     and the order step share its core), so ``canonical_ddbar_solution``
     and its ``NotSolvable`` are gone; the basis route of a cohomology
@@ -425,7 +438,8 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
             "_plain", "canonical_ddbar_solution", "NotSolvable", "_representatives", "_CYCLES_MOD", "with_basis",
             "VectorHodge", "KuranishiResult", "kuranishi_expand", "harmonic_green", "mat_add", "mat_scale",
             "rows_from_columns", "zero_rows", "vec_add", "_frame_derivative", "holomorphic",
-            "LieBracketTable", "lie_brackets", "BeltramiDifferential"}
+            "LieBracketTable", "lie_brackets", "BeltramiDifferential", "delbar_on_vectors", "_total_degree",
+            "schouten", "check_integrability", "main1_residual", "HALF"}
     assert gone.isdisjoint(defined), gone & defined
     assert "brackets" not in StructureEquations.__slots__
     assert {"Echelon", "forward_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
@@ -540,9 +554,10 @@ def test_every_submodule_attribute_is_the_submodule():
 UNCALLED = {
     "algebra.Form.homogeneous_part": "API: one t-degree part of a form; the solver reads degrees off its graded "
                                      "k-sums, and perfbench's extension check and the tests read it",
+    "algebra.VectorValuedForm.component": "oracle-only API: the Maurer-Cartan and Kuranishi oracles read them",
+    "algebra.VectorValuedForm.scale": "oracle-only API: the Maurer-Cartan and Kuranishi oracles read them",
     "cohomology.EvaluatedComplex.embed_block": "oracle-only API: verify_witness re-checks a standard witness",
     "cohomology.cohomology": "README API: one cohomology by name; the CLI prints whole tables (full_report)",
-    "deformation.main1_residual": "README construction: the extended Leibniz identity of Main Theorem 1",
     "extension.solve_conjugate_system": "README construction: the paper's conjugate system, hypotheses checked; "
                                         "the order step runs its core",
     "io.beltrami_emit": "the canonical writer of the Beltrami file format the CLI reads; tests round-trip it",

@@ -321,6 +321,12 @@ T_DEPENDENT_PP = {
     "real44": '{"n": 5, "m": 4, "truncation": 4, "terms": '
               '[{"coeff": "1+t1+tbar1", "I": [1, 2, 3, 4], "J": [1, 2, 3, 4]}]}',
 }
+#: a well-formed Beltrami differential that is not integrable: t1
+#: gammabar^3 (x) theta_3 on iwasawa3 (n = 3), delbar of which is
+#: t1 gammabar^1 ^ gammabar^2 (x) theta_3 up to sign, and [phi,phi] = 0
+NONINTEGRABLE = {
+    "iwasawa3": '{"n": 3, "m": 6, "components": {"3": [{"coeff": "t1", "factors": ["bar3"]}]}}',
+}
 MALFORMED = {
     "se": MALFORMED_SE,
     "form": MALFORMED_FORM,
@@ -328,6 +334,7 @@ MALFORMED = {
     "omega0": UNEXTENDABLE_FORM,
     "pp": NO_PKAHLER_DEGREE,
     "tpp": T_DEPENDENT_PP,
+    "nonintegrable": NONINTEGRABLE,
 }
 _POSITIVITY = ["positivity", "--manifold", "catalog:bcvary10"]
 #: a point of iwasawa3's family in each of Nakamura's classes, with D =
@@ -408,6 +415,11 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "2,3", "--all"],
         # a real (p,p)-form that depends on t
         _POSITIVITY + ["--form", "tpp-file:real44"],
+        # a phi that is not integrable: refused by its symbolic deformation,
+        # at a generic point by the fiber's equations, and by extend
+        *([cmd, "--manifold", "catalog:iwasawa3", "--beltrami", "nonintegrable-file:iwasawa3", *more]
+          for cmd, more in (("deform", []), ("deform", ["--t", "1/3,1/5,1/7,1/11,1/13,1/17"]),
+                            ("extend", ["--form", "catalog:balanced"]))),
     ],
 )
 def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
