@@ -78,7 +78,8 @@ class FormAlgebra:
         return Form(self, {})
 
     def scalar_form(self, c) -> "Form":
-        return Form(self, {((), ()): self._scalar(c)})
+        c = self._scalar(c)
+        return Form(self, {((), ()): c} if c else {})
 
     def monomial(self, I: Sequence[int], J: Sequence[int], coeff=1) -> "Form":
         m = (tuple(I), tuple(J))
@@ -87,7 +88,8 @@ class FormAlgebra:
                 raise ValueError(f"coframe index {idx} out of range 1..{self.n}")
         if list(m[0]) != sorted(set(m[0])) or list(m[1]) != sorted(set(m[1])):
             raise ValueError("monomial indices must be strictly ascending")
-        return Form(self, {m: self._scalar(coeff)})
+        c = self._scalar(coeff)
+        return Form(self, {m: c} if c else {})
 
     def gamma(self, i: int) -> "Form":
         return self.monomial((i,), ())
@@ -113,14 +115,15 @@ class Form:
 
     Usually homogeneous of one bidegree (p, q); sums of mixed type arise
     from d and from simultaneous contraction by type-mixing operators,
-    and are carried by the same container.
+    and are carried by the same container.  ``coeffs`` is the dict it is
+    handed, as is: no caller stores a zero coefficient.
     """
 
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra: FormAlgebra, coeffs: Dict[Mono, ParamScalar]):
         self.algebra = algebra
-        self.coeffs = {m: c for m, c in coeffs.items() if c}
+        self.coeffs = coeffs
 
     # -- linear structure --------------------------------------------------
 
@@ -150,7 +153,8 @@ class Form:
     def scale(self, c) -> "Form":
         if isinstance(c, ParamScalar) and c.ring is not self.algebra.ring and c.ring != self.algebra.ring:
             raise ValueError("scalar from a different ring")
-        return Form(self.algebra, {m: v * c for m, v in self.coeffs.items()})
+        # a zero c, or a product the truncation drops, gives zeros to leave out
+        return Form(self.algebra, {m: p for m, v in self.coeffs.items() if (p := v * c)})
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -248,11 +252,11 @@ class VectorValuedForm:
 
     components[i] is the form attached to theta_i (resp. thetabar_i);
     the components of a well-formed object share one bidegree.  A
-    Beltrami differential owns its ``extension.BeltramiOperators``,
-    built on first use into ``operators``, and its integrability verdict:
-    ``deformation.deform_complex`` keeps in ``integrable_on`` the
-    structure equations that phi last deformed symbolically, compared by
-    identity, and never stores a failure (components are never mutated).
+    Beltrami differential owns its ``deformation.BeltramiOperators``,
+    built on first use into ``operators``, and in ``integrable_on`` the
+    structure equations its last symbolic deformation passed on
+    (``deformation.deform_complex``), compared by identity; a failure is
+    never stored (components are never mutated).
     """
 
     __slots__ = ("algebra", "valence", "components", "operators", "integrable_on")
@@ -594,8 +598,8 @@ class StructureEquations:
     each symbol (``symbol_terms``), a ``layout`` that their complex
     shares, the column tables of del and delbar by source bidegree
     (``tables``) that ``apply_del``, ``apply_delbar`` and ``apply_d``
-    multiply by, and the pass of ``require_flat`` (``flat``).
-    ``with_algebra`` keeps one lift per algebra in ``lifts``.
+    multiply by, and the pass of ``require_flat`` or an inherited one
+    (``flat``); ``with_algebra`` keeps one lift per algebra in ``lifts``.
     """
 
     __slots__ = ("name", "n", "algebra", "d_coframe", "flat", "lifts", "layout", "terms", "tables")
@@ -712,18 +716,16 @@ class StructureEquations:
         (``d_symbol``), so d^2 of it is one derivation, of degree 2.
 
         d^2 is an even derivation, so vanishing on the generators means
-        vanishing everywhere.  With no (0,2)-part d = del + delbar, so
-        del^2, delbar^2 and del delbar + delbar del, the three bidegree
-        parts of d^2, vanish with it: the identities every rank verdict of
-        ``lemmata`` rests on.  And d^2 = 0 on the generators is the Jacobi
-        identity of the brackets dual to d.  With ``symbol_terms`` this is
-        the one place in the package that decides either condition, for
-        families too: on the equations of a deformed coframe
-        (``deformation.deform_complex``) a (0,2)-part is the
-        non-integrability of the Beltrami differential.  A pass is kept in
-        ``flat``, so later calls cost nothing; a failure is never stored.
-        The degree-2 tables the check assembles are dropped, pass or fail,
-        so ``tables`` is left as it was found.
+        vanishing everywhere, and with no (0,2)-part so do its three
+        bidegree parts del^2, delbar^2 and del delbar + delbar del, the
+        identities every rank verdict of ``lemmata`` rests on; on the
+        generators it is the Jacobi identity of the brackets dual to d.
+        With ``symbol_terms`` this is the one decider of either condition,
+        for families too: deformed equations (``deformation.deform_complex``)
+        inherit se's pass where it is exact, and their (0,2)-part is the
+        Beltrami differential's non-integrability.  A pass is kept in
+        ``flat``; a failure is never stored.  The degree-2 tables the check
+        assembles are dropped, pass or fail.
         """
         if self.flat:
             return

@@ -175,9 +175,9 @@ def catalog_load(name: str, order: int = DEFAULT_ORDER) -> CatalogEntry:
         if not 1 <= n <= 8:
             raise UnknownEntry(f"abelian dimension {n} out of the supported range 1..8")
         return _torus(n, name)
-    raise UnknownEntry(
-        f"unknown catalog entry {name!r}; available: {', '.join(catalog_names())}"
-    )
+    # catalog_names() lists the abelian family as abelian_n, a name it refuses
+    available = ", ".join(catalog_names()[:-1])
+    raise UnknownEntry(f"unknown catalog entry {name!r}; available: {available}, abelian_<k> (k = 1..8)")
 
 
 # -- scenarios ---------------------------------------------------------------

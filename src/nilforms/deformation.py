@@ -1,34 +1,39 @@
-"""Beltrami differentials and the structure equations they deform.
+"""Beltrami differentials, their coframe maps and the structure
+equations they deform.
 
-A Beltrami differential phi moves the (1,0)-coframe to gamma^i(t) =
-(1+phi) gamma^i, and d of the new coframe is read off the structure
-forms of se (``deform_complex``).  phi is integrable, delbar phi =
-(1/2)[phi,phi], exactly when no d gamma^i(t) has a (0,2)-part, so the
-deformed equations' ``StructureEquations.require_flat`` is the one
-integrability decider: over the truncated ring it decides for the whole
-family, and phi keeps a pass (``require_integrable``); at a point it
-decides for the fiber there.  The Maurer-Cartan residual and the
-Schouten bracket it is written with are test oracles.
+phi moves the (1,0)-coframe to gamma^i(t) = (1+phi) gamma^i, the image
+under T = 1 + phi + conj(phi), one of the coframe maps phi owns
+(``BeltramiOperators``), and d of the new coframe is read off the
+structure forms of se (``deform_complex``).  phi is integrable exactly
+when no d gamma^i(t) has a (0,2)-part, so the deformed equations' split
+of d (``StructureEquations.symbol_terms``) is the one integrability
+decider, for the family over the truncated ring (phi keeps a pass,
+``require_integrable``) and for a fiber at a point.  The Maurer-Cartan
+residual and d^2 of deformed equations are test oracles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import (
     CoframeEndo,
     Form,
+    Mono,
     StructureEquations,
+    T01,
     T10,
     VectorValuedForm,
     build_complex,
     endo_of_vvf,
     neumann_invert,
     simultaneous_contract,
+    vvf_of_endo,
 )
 from .cohomology import EvaluatedComplex
-from .errors import IntegrabilityError, NonInvertibleCoframe
+from .errors import IntegrabilityError, NonInvertibleCoframe, NotPerturbative
 from .scalars import GaussianRational
 
 
@@ -45,12 +50,9 @@ def as_beltrami(v: VectorValuedForm) -> VectorValuedForm:
 def evaluate_se(se: StructureEquations, point) -> StructureEquations:
     """Structure equations with parameters fixed (constant scalar ring):
     the fiber of equations with parameters and no Beltrami differential
-    (``fiber_complex``); the test oracles and perfbench read it too.
-
-    The copy starts unchecked even when se passed ``require_flat``:
-    evaluation at a point is not a ring map of the truncated ring, so
-    d^2 = 0 modulo the truncation does not give d^2 = 0 at the point.
-    """
+    (``fiber_complex``); the test oracles and perfbench read it too.  The
+    copy starts unchecked: evaluation is not a ring map of the truncated
+    ring, so d^2 = 0 modulo the truncation does not give it at a point."""
     return StructureEquations(
         se.name, se.algebra.constant, {i: f.eval(point) for i, f in se.d_coframe.items()}
     )
@@ -75,36 +77,75 @@ def coframe_transform(phi: VectorValuedForm) -> CoframeEndo:
     return CoframeEndo.identity(alg) + p_endo + p_endo.conj()
 
 
+@dataclass
+class BeltramiOperators:
+    """Every coframe map phi induces, and the extension solver's data.
+    phi^2 = phibar^2 = 0, so T^{-1} = (unshrink + conj(unshrink) - 1)(1 -
+    phi - phibar), with ``unshrink`` the one Neumann series.  iota_phi
+    hooks only gamma^i, i in ``phi_hooks``, iota_B only gammabar^j, j in
+    ``b_hooks``; ``k_sums`` keeps the k-sums of each monomial of hooked
+    factors, ``terms`` those of each monomial of W (``extension.ladder_sums``)."""
+
+    b_field: VectorValuedForm  # phibar corrected by the Neumann factor
+    ext_transform: CoframeEndo  # T = 1 + phi + phibar on the coframe
+    ext_inverse: CoframeEndo  # T^{-1}: the deformed coframe -> the coframe
+    shrink: CoframeEndo  # gammabar-block factor (1 - phi phibar): omega -> W
+    unshrink: CoframeEndo  # its Neumann inverse: W -> omega
+    phi_hooks: FrozenSet[int]
+    b_hooks: FrozenSet[int]
+    k_sums: Dict[Mono, Tuple[Dict[int, Tuple[Form, Form]], ...]] = field(default_factory=dict)
+    terms: Dict[Mono, Tuple[list, ...]] = field(default_factory=dict)
+
+
+def beltrami_operators(phi: VectorValuedForm) -> BeltramiOperators:
+    """phi's coframe maps, built once into ``phi.operators``; the one test
+    that phi = O(t), as they need: NotPerturbative otherwise."""
+    if phi.operators is None:
+        as_beltrami(phi)
+        p_endo = endo_of_vvf(phi)
+        if not p_endo.is_zero() and p_endo.min_order() == 0:
+            raise NotPerturbative("phi has a constant term; its coframe maps need phi = O(t)")
+        q_endo = p_endo.conj()
+        one = CoframeEndo.identity(phi.algebra)
+        pq = p_endo.compose(q_endo)
+        unshrink = neumann_invert(pq)
+        b_field = vvf_of_endo(q_endo.compose(unshrink), T01)
+        phi.operators = BeltramiOperators(
+            b_field=b_field,
+            ext_transform=coframe_transform(phi),
+            ext_inverse=(unshrink + unshrink.conj() - one).compose(one - p_endo - q_endo),
+            shrink=one - pq,
+            unshrink=unshrink,
+            phi_hooks=frozenset(phi.components),
+            b_hooks=frozenset(b_field.components),
+        )
+    return phi.operators
+
+
 def deform_complex(
     se: StructureEquations,
     phi: VectorValuedForm,
     point: Optional[Sequence[GaussianRational]] = None,
 ) -> StructureEquations:
     """Structure equations in the deformed coframe gamma^i(t) = (1+phi)
-    gamma^i, the image of the coframe under T = 1 + phi + conj(phi)
-    (``coframe_transform``), read off the structure forms of se
-    (``_deformed_equations``), which must define a complex.
-
-    point=None keeps coefficients in the truncated ring and inverts T by
-    its Neumann series (NotPerturbative when phi has a constant term).
-    The equations' ``require_flat`` is then the verdict on phi: a
-    (0,2)-part raises IntegrabilityError, and a pass is kept in
-    ``phi.integrable_on``.  Otherwise the forms and T are evaluated
-    exactly at the point, where the square solve inverts T or raises
-    NonInvertibleCoframe, and the verdict is on the fiber there: J_t is
-    a complex structure exactly when its equations have no (0,2)-part.
-    Either way no non-complex almost-complex object is produced, and the
-    equations returned have passed ``require_flat``, so ``build_complex``
-    checks nothing again.
+    gamma^i, read off the structure forms of se, which must define a
+    complex (``_deformed_equations``).  point=None keeps the truncated
+    ring, with T and T^{-1} from phi's operators (``beltrami_operators``):
+    a (0,2)-part is the verdict on phi, IntegrabilityError, and a pass is
+    kept in ``phi.integrable_on``.  At a point the forms and T are
+    evaluated, the square solve inverts T or raises NonInvertibleCoframe,
+    and the verdict is on that fiber.  The new d is se's d in another
+    coframe, so it keeps se's pass where the forms are exact, over the
+    ring and at a point of constant forms; elsewhere evaluation is not a
+    ring map (``evaluate_se``), and d^2 is decided again (FlatnessError).
     """
     as_beltrami(phi)
     se.require_flat()
     se_r = se.with_algebra(phi.algebra)
     forms = [se_r.d_symbol(a) for a in range(2 * se.n)]
     if point is None:
-        transform = coframe_transform(phi)
-        inverse = neumann_invert(CoframeEndo.identity(phi.algebra) - transform)
-        deformed = _deformed_equations(se.name, forms, transform, inverse)
+        ops = beltrami_operators(phi)
+        deformed = _deformed_equations(se.name, forms, ops.ext_transform, ops.ext_inverse, se_r.flat)
         phi.integrable_on = se
         return deformed
     transform = coframe_transform(phi.eval(point))
@@ -114,7 +155,8 @@ def deform_complex(
     if inv is None:
         raise NonInvertibleCoframe("1 + phi + conj(phi) is singular at the evaluation point")
     inverse = CoframeEndo(alg0, {b: {a: alg0.ring.const(x) for a, x in col.items()} for b, col in enumerate(inv)})
-    return _deformed_equations(se.name, [f.eval(point) for f in forms], transform, inverse)
+    exact = all(c.is_constant() for f in se.d_coframe.values() for c in f.coeffs.values())
+    return _deformed_equations(se.name, [f.eval(point) for f in forms], transform, inverse, exact)
 
 
 def fiber_complex(
@@ -135,13 +177,13 @@ def fiber_complex(
 
 
 def _deformed_equations(
-    name: str, forms: Sequence[Form], transform: CoframeEndo, inverse: CoframeEndo
+    name: str, forms: Sequence[Form], transform: CoframeEndo, inverse: CoframeEndo, flat: bool
 ) -> StructureEquations:
     """Structure equations of the coframe gamma^i(t), column i-1 of
-    transform, validated (``require_flat``): that column is constant, so
-    d gamma^i(t) = sum_a transform[a, i-1] forms[a], forms[a] being d of
-    coframe symbol a, which inverse re-expresses in the new coframe.  A
-    (0,2)-part is phi's non-integrability: IntegrabilityError."""
+    transform: that column is constant, so d gamma^i(t) = sum_a
+    transform[a, i-1] forms[a], forms[a] being d of coframe symbol a,
+    which inverse re-expresses in the new coframe.  A (0,2)-part raises
+    IntegrabilityError; d^2 is decided unless the forms are flat."""
     alg = transform.algebra
     out: Dict[int, Form] = {}
     for i in range(1, alg.n + 1):
@@ -149,7 +191,9 @@ def _deformed_equations(
         out[i] = simultaneous_contract(inverse, d_new)
     deformed = StructureEquations(f"{name}:deformed", alg, out)
     try:
-        deformed.require_flat()
+        deformed.symbol_terms("del")
     except IntegrabilityError as exc:
         raise IntegrabilityError(f"phi is not integrable; {exc}") from None
+    deformed.flat = flat
+    deformed.require_flat()
     return deformed

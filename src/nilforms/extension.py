@@ -13,9 +13,9 @@ running k-sums of W by t-degree (``solve_extension``), and its final
 d-residual is computed directly and through them and asserted equal
 (``_residuals``).  Data that depends only on (se, phi) is built once, by
 its owner: se keeps the del and delbar parts of d (``symbol_terms``) and
-their column tables, phi its ``BeltramiOperators`` (so every helper here
-takes phi itself) and its integrability verdict for se, the pass of
-se's symbolic deformation along phi (``deformation.require_integrable``);
+their column tables, phi its ``deformation.BeltramiOperators`` (so every
+helper here takes phi itself) and its integrability verdict for se, the
+pass of se's symbolic deformation (``deformation.require_integrable``);
 the operators and each coframe map keep the merged terms of each
 monomial they act on, so a warm solve merges no monomials.
 
@@ -28,75 +28,29 @@ is that solve with its hypotheses checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
-    CoframeEndo,
     Form,
     Mono,
     StructureEquations,
     _accumulate,
-    T01,
     VectorValuedForm,
     contraction_series,
-    endo_of_vvf,
-    neumann_invert,
     simultaneous_contract,
     split_mono,
-    vvf_of_endo,
     wedge_terms,
 )
 from .cohomology import EvaluatedComplex, zero_point
-from .deformation import as_beltrami, coframe_transform, fiber_complex, require_integrable
+from .deformation import BeltramiOperators, as_beltrami, beltrami_operators, fiber_complex, require_integrable
 from .errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
 from .lemmata import mild
 from .linalg import Vec
 from .positivity import is_transverse, pkahler_degree
 from .scalars import QI_ONE, GaussianRational, ParamScalar
-
-
-@dataclass
-class BeltramiOperators:
-    """Derived contraction data shared by the ladder and the solver.
-
-    iota_phi hooks only gamma^i, i in ``phi_hooks``, and iota_B only
-    gammabar^j, j in ``b_hooks``; ``k_sums`` keeps the k-sums of each
-    monomial of hooked factors, at most 2^{len(phi_hooks) + len(b_hooks)}
-    of them, and ``terms`` the merged terms of each monomial of W
-    (``ladder_sums``).
-    """
-
-    b_field: VectorValuedForm  # phibar corrected by the Neumann factor
-    ext_transform: CoframeEndo  # 1 + phi + phibar on the coframe
-    shrink: CoframeEndo  # gammabar-block factor (1 - phi phibar): omega -> W
-    unshrink: CoframeEndo  # its Neumann inverse: W -> omega
-    phi_hooks: FrozenSet[int]
-    b_hooks: FrozenSet[int]
-    k_sums: Dict[Mono, Tuple[Dict[int, Tuple[Form, Form]], ...]] = field(default_factory=dict)
-    terms: Dict[Mono, Tuple[list, ...]] = field(default_factory=dict)
-
-
-def beltrami_operators(phi: VectorValuedForm) -> BeltramiOperators:
-    """phi's contraction data, built once into ``phi.operators``."""
-    if phi.operators is None:
-        as_beltrami(phi)
-        p_endo = endo_of_vvf(phi)
-        q_endo = p_endo.conj()
-        pq = p_endo.compose(q_endo)
-        unshrink = neumann_invert(pq)
-        b_field = vvf_of_endo(q_endo.compose(unshrink), T01)
-        phi.operators = BeltramiOperators(
-            b_field=b_field,
-            ext_transform=coframe_transform(phi),
-            shrink=CoframeEndo.identity(phi.algebra) - pq,
-            unshrink=unshrink,
-            phi_hooks=frozenset(phi.components),
-            b_hooks=frozenset(b_field.components),
-        )
-    return phi.operators
 
 
 def extension_map(phi: VectorValuedForm, omega: Form) -> Form:
@@ -467,7 +421,6 @@ def pkahler_extend(
     omega0 = omega0.lift(alg)
     if omega0.conj() != omega0:
         raise PreconditionFailed("omega0 is not real")
-    se_r = se.with_algebra(alg)
     base_verdict = is_transverse(omega0.eval(zero_point(alg.ring.m)), p, samples=samples, seed=seed)
     if not base_verdict.holds:
         raise PreconditionFailed("omega0 is not transverse at t = 0")
@@ -476,7 +429,7 @@ def pkahler_extend(
     sym = state.omega + state.omega.conj()
     sym = sym.scale(GaussianRational(Fraction(1, 2)))
     # symmetrization must not break d-closedness of the extension
-    _, _, full = obstruction_residual(se_r, phi, sym)
+    _, _, full = obstruction_residual(se, phi, sym)
     if any(residual_norms_by_order(full, state.order)):
         raise AssertionError("symmetrized extension lost d-closedness")
 

@@ -732,3 +732,45 @@ def test_vvf_endo_roundtrip():
         {2: alg.gammabar(4).scale(ring.t(1)), 5: alg.gammabar(5).scale(ring.t(4))},
     )
     assert vvf_of_endo(endo_of_vvf(phi), T10) == phi
+
+
+def test_no_caller_hands_form_a_zero_coefficient(monkeypatch):
+    """Form keeps the dict it is handed, as is, so no constructor site
+    may store a zero coefficient: a zero would make a zero form true and
+    two equal forms unequal.  Over one solve_extension on a fresh
+    bcvary10 entry (phi's operators, the symbolic deformation and the
+    order loop included), one fiber_complex at a generic point of
+    bcvary10, and full_report plus lemma_report on iwasawa3, every
+    coefficient Form is handed is nonzero.  The sites that can make a
+    zero leave it out: a zero coefficient given to ``monomial`` or
+    ``scalar_form``, and ``scale`` by 0 or by a product the truncation
+    drops, give the zero form."""
+    from nilforms.catalog import catalog_load
+    from nilforms.cohomology import full_report, generic_points
+    from nilforms.deformation import fiber_complex
+    from nilforms.extension import solve_extension
+    from nilforms.lemmata import lemma_report
+
+    real = Form.__init__
+    handed, zeros = [], []
+
+    def checking(self, algebra, coeffs):
+        handed.append(len(coeffs))
+        zeros.extend((m, c) for m, c in coeffs.items() if not c)
+        real(self, algebra, coeffs)
+
+    monkeypatch.setattr(Form, "__init__", checking)
+    bcvary10 = catalog_load("bcvary10")
+    se, phi = bcvary10.se, bcvary10.beltrami
+    ec0 = fiber_complex(se, None, zero_point(4))
+    for gv in ec0.kernel("stacked", 3, 3)[:2]:
+        solve_extension(se, phi, ec0.vec_to_form(gv, 3, 3, se.algebra), ec0=ec0, check_lemmata=False)
+    fiber_complex(se, phi, generic_points(4)[0])
+    ec = EvaluatedComplex(build_complex(catalog_load("iwasawa3").se), ())
+    full_report(ec)
+    lemma_report(ec)
+    assert zeros == [] and sum(handed) > 100  # many coefficients were handed in
+    alg = FormAlgebra(2, PolyRing(1, 1))
+    t1 = alg.ring.t(1)
+    made = [alg.monomial((1,), (2,), 0), alg.scalar_form(0), alg.gamma(1).scale(0), alg.gamma(1).scale(t1).scale(t1)]
+    assert zeros == [] and not any(made) and all(f.coeffs == {} for f in made)

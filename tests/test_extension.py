@@ -883,8 +883,10 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     BeltramiOperators and its integrability verdict: validation on load
     splits se's d, the first solve deforms se along phi symbolically
     once, which splits the deformed equations and nothing else, and
-    builds the Neumann series of that deformation and of phi's
-    operators; the second solve, a pkahler_extend after them and a
+    builds one Neumann series, phi's operators', from which the
+    deformation reads T^{-1}; the deformed equations keep se's flatness,
+    so the first solve assembles no table of degree 2 and applies d to
+    no deformed equations.  The second solve, a pkahler_extend after them and a
     deform_complex at a point after that build no symbolic deformation
     and no Neumann series, and split only the equations of fibers at
     points.  The second solve, at the same bidegree, adds or rebuilds no
@@ -924,8 +926,7 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for module in (extension, deformation):
-        monkeypatch.setattr(module, "neumann_invert", counting("neumann", module.neumann_invert))
+    monkeypatch.setattr(deformation, "neumann_invert", counting("neumann", deformation.neumann_invert))
     real_deform = deformation.deform_complex
 
     def deform_counting(se_, phi_, point=None):
@@ -938,8 +939,14 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     real_assemble = Layout.assemble
     monkeypatch.setattr(Layout, "assemble", lambda layout, *a: assembled.append(layout) or real_assemble(layout, *a))
 
+    tables, derived = [], []
+    real_table, real_d = StructureEquations._assemble_table, StructureEquations.apply_d
+    monkeypatch.setattr(StructureEquations, "_assemble_table",
+                        lambda eqs, op, p, q: tables.append(p + q) or real_table(eqs, op, p, q))
+    monkeypatch.setattr(StructureEquations, "apply_d", lambda eqs, a: derived.append(eqs.name) or real_d(eqs, a))
     first = solve_extension(se, phi, omega0, ec0=ec0, check_lemmata=False)
-    assert counts == {"neumann": 2, "symbolic": 1} and split[:2] == setup
+    assert tables and 2 not in tables and derived and "bcvary10:deformed" not in derived
+    assert counts == {"neumann": 1, "symbolic": 1} and split[:2] == setup
     assert [eqs.name for eqs in split[2:]] == ["bcvary10:deformed"] and split[2].algebra is phi.algebra
     setup = split[:]
     assert se.with_algebra(phi.algebra).layout in assembled
@@ -949,16 +956,16 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     warm = [dict(b.images) for b in endos]
     assert all(len(images) > 1 for images in warm) and ops.shrink.images is None
     second = solve_extension(se, phi, omega0.scale(QI(2, -3)), ec0=ec0, check_lemmata=False)
-    assert counts == {"neumann": 2, "symbolic": 1} and split == setup and assembled == []
+    assert counts == {"neumann": 1, "symbolic": 1} and split == setup and assembled == []
     for b, images in zip(endos, warm):  # no entry added, none rebuilt
         assert b.images.keys() == images.keys() and all(b.images[k] is v for k, v in images.items())
     assert ops.shrink.images is None
     assert second.omega == first.omega.scale(QI(2, -3)) and second.omega != omega0
     ext = pkahler_extend(se, phi, entry.forms["balanced"], samples=40, seed=3)
     assert ext.state.d_closed_through_order and len(ops.shrink.images) > 1
-    assert counts == {"neumann": 2, "symbolic": 1}
+    assert counts == {"neumann": 1, "symbolic": 1}
     deformation.deform_complex(se, phi, point=generic_points(4)[0])
-    assert counts == {"neumann": 2, "symbolic": 1}
+    assert counts == {"neumann": 1, "symbolic": 1}
     # no lift of se was split again: the new splits are of fibers' equations at points
     assert split[:3] == setup and split[3:] and all(eqs.algebra.ring.m == 0 for eqs in split[3:])
     del split[3:]

@@ -214,7 +214,13 @@ def test_cli_positivity(capsys):
 
 
 def test_cli_input_error_exit_one(capsys):
+    """An unknown entry's one error line names the abelian family by the
+    names that load, abelian_1 to abelian_8, not by the abelian_n that
+    ``catalog`` lists."""
     assert cli.main(["cohomology", "--manifold", "catalog:nakamura"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown catalog entry 'nakamura'; available: torus3, iwasawa3, bcvary10, abelian_<k> (k = 1..8)\n"
+    )
     assert cli.main(["cohomology", "--manifold", "/nonexistent/path.json"]) == 1
 
 
