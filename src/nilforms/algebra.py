@@ -623,10 +623,10 @@ class StructureEquations:
     def with_algebra(self, algebra: FormAlgebra) -> "StructureEquations":
         """The same equations over another scalar ring, built once per
         algebra and kept in ``lifts``; self for its own."""
-        if algebra is self.algebra or algebra == self.algebra:
-            return self
         lifted = self.lifts.get(algebra)
         if lifted is None:
+            if algebra is self.algebra or algebra == self.algebra:
+                return self
             lifted = self.lifts[algebra] = StructureEquations(
                 self.name, algebra, {i: f.lift(algebra) for i, f in self.d_coframe.items()}
             )

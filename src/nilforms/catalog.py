@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, List, Optional
 
-from .algebra import Form, FormAlgebra, StructureEquations, T10, VectorValuedForm, build_complex
+from .algebra import Form, FormAlgebra, StructureEquations, T10, VectorValuedForm
 from .cohomology import dclosed_dim, ddbar_image_dim, generic_points, h_bott_chern, zero_point
 from .deformation import fiber_complex
 from .errors import UnknownEntry
@@ -48,7 +48,7 @@ class CatalogEntry:
     golden: List[GoldenValue] = field(default_factory=list)
 
     def __post_init__(self):
-        build_complex(self.se)  # every entry must validate on load
+        self.se.require_flat()  # every entry must validate on load
 
 
 def _torus(n: int, name: str) -> CatalogEntry:

@@ -48,11 +48,14 @@ def as_beltrami(v: VectorValuedForm) -> VectorValuedForm:
 
 
 def evaluate_se(se: StructureEquations, point) -> StructureEquations:
-    """Structure equations with parameters fixed (constant scalar ring):
-    the fiber of equations with parameters and no Beltrami differential
-    (``fiber_complex``); the test oracles and perfbench read it too.  The
-    copy starts unchecked: evaluation is not a ring map of the truncated
-    ring, so d^2 = 0 modulo the truncation does not give it at a point."""
+    """se with its parameters fixed at point, over the constant ring, for
+    ``fiber_complex``, the test oracles and perfbench: se's lift, kept in
+    ``se.lifts`` with se's ``require_flat`` pass, where its forms are
+    constant; else a copy that starts unchecked, since evaluation is not
+    a ring map of the truncated ring, so d^2 = 0 modulo the truncation
+    does not give it at a point."""
+    if all(c.is_constant() for f in se.d_coframe.values() for c in f.coeffs.values()):
+        return se.with_algebra(se.algebra.constant)
     return StructureEquations(
         se.name, se.algebra.constant, {i: f.eval(point) for i, f in se.d_coframe.items()}
     )
@@ -134,18 +137,15 @@ def deform_complex(
     a (0,2)-part is the verdict on phi, IntegrabilityError, and a pass is
     kept in ``phi.integrable_on``.  At a point the forms and T are
     evaluated, the square solve inverts T or raises NonInvertibleCoframe,
-    and the verdict is on that fiber.  The new d is se's d in another
-    coframe, so it keeps se's pass where the forms are exact, over the
-    ring and at a point of constant forms; elsewhere evaluation is not a
-    ring map (``evaluate_se``), and d^2 is decided again (FlatnessError).
+    and the verdict is on that fiber, deformed from se evaluated there
+    (``evaluate_se``), whose ``require_flat`` pass, if any, it keeps.
     """
     as_beltrami(phi)
     se.require_flat()
     se_r = se.with_algebra(phi.algebra)
-    forms = [se_r.d_symbol(a) for a in range(2 * se.n)]
     if point is None:
         ops = beltrami_operators(phi)
-        deformed = _deformed_equations(se.name, forms, ops.ext_transform, ops.ext_inverse, se_r.flat)
+        deformed = _deformed_equations(se_r, ops.ext_transform, ops.ext_inverse)
         phi.integrable_on = se
         return deformed
     transform = coframe_transform(phi.eval(point))
@@ -155,8 +155,7 @@ def deform_complex(
     if inv is None:
         raise NonInvertibleCoframe("1 + phi + conj(phi) is singular at the evaluation point")
     inverse = CoframeEndo(alg0, {b: {a: alg0.ring.const(x) for a, x in col.items()} for b, col in enumerate(inv)})
-    exact = all(c.is_constant() for f in se.d_coframe.values() for c in f.coeffs.values())
-    return _deformed_equations(se.name, [f.eval(point) for f in forms], transform, inverse, exact)
+    return _deformed_equations(evaluate_se(se_r, point), transform, inverse)
 
 
 def fiber_complex(
@@ -164,36 +163,35 @@ def fiber_complex(
 ) -> EvaluatedComplex:
     """The evaluated complex of the fiber at point, a point of phi's ring
     when phi is given: se deformed along phi (``deform_complex``) when
-    phi is given and the point is not t = 0; else se's own when its ring
-    has no parameters, so se's ``require_flat`` pass is reused, even
-    where phi's ring has some; else se evaluated at the point."""
+    phi is given and the point is not t = 0, else se evaluated there
+    (``evaluate_se``)."""
     if phi is not None and any(point):
         fiber = deform_complex(se, phi, point=point)
-    elif se.algebra.ring.m == 0:
-        fiber = se
     else:
         fiber = evaluate_se(se, point)
     return EvaluatedComplex(build_complex(fiber), ())
 
 
 def _deformed_equations(
-    name: str, forms: Sequence[Form], transform: CoframeEndo, inverse: CoframeEndo, flat: bool
+    se: StructureEquations, transform: CoframeEndo, inverse: CoframeEndo
 ) -> StructureEquations:
     """Structure equations of the coframe gamma^i(t), column i-1 of
-    transform: that column is constant, so d gamma^i(t) = sum_a
-    transform[a, i-1] forms[a], forms[a] being d of coframe symbol a,
-    which inverse re-expresses in the new coframe.  A (0,2)-part raises
-    IntegrabilityError; d^2 is decided unless the forms are flat."""
+    transform, over se's ring: that column is constant, so d gamma^i(t) =
+    sum_a transform[a, i-1] forms[a], forms[a] being d of coframe symbol
+    a, which inverse re-expresses in the new coframe.  A (0,2)-part raises
+    IntegrabilityError.  The new d is se's d in another coframe, so it
+    keeps se's pass of ``require_flat``; without one d^2 is decided."""
+    forms = [se.d_symbol(a) for a in range(2 * se.n)]
     alg = transform.algebra
     out: Dict[int, Form] = {}
     for i in range(1, alg.n + 1):
         d_new = sum((forms[a].scale(c) for a, c in transform.cols.get(i - 1, {}).items()), alg.zero())
         out[i] = simultaneous_contract(inverse, d_new)
-    deformed = StructureEquations(f"{name}:deformed", alg, out)
+    deformed = StructureEquations(f"{se.name}:deformed", alg, out)
     try:
         deformed.symbol_terms("del")
     except IntegrabilityError as exc:
         raise IntegrabilityError(f"phi is not integrable; {exc}") from None
-    deformed.flat = flat
+    deformed.flat = se.flat
     deformed.require_flat()
     return deformed

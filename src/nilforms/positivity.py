@@ -2,15 +2,18 @@
 forms, transversality of real (p,p)-forms against decomposable (q,0)-
 directions, and the Kaehler/balanced specializations.
 
-Exact Hermitian certificates exist whenever every relevant (q,0)-form
-is decomposable (q in {0, 1, n-1, n}, covering p in {0, 1, n-1, n}):
-the LDL* pivots of the coefficient or pairing matrix (the latter read
-off the coefficients at complementary monomials, with no wedge), from
-one tracked forward elimination of its rows (``linalg.hermitian_pivots``),
-are all positive, or the first pivot <= 0 comes with an exact vector w
-whose value w* A w is that pivot.  For intermediate p the verdict is
-produced by seeded deterministic sampling of decomposable directions
-and is labelled as such.
+Each verdict reads one Hermitian matrix on the (q,0)-forms gamma^I, I
+ascending in 1..n with |I| = q (``_subset_index``): the coefficient
+matrix of a (q,q)-form, or the pairing matrix of a (p,p)-form, read off
+its coefficients at complementary monomials with no wedge
+(``_pairing_matrix``).  Where every (q,0)-form is decomposable (q in
+{0, 1, n-1, n}, covering p in {0, 1, n-1, n}) the verdict is exact: the
+LDL* pivots of that matrix, from one tracked forward elimination of its
+rows (``linalg.hermitian_pivots``), are all positive, or the first pivot
+<= 0 comes with an exact vector w whose value w* A w is that pivot.  For
+intermediate p the pairing matrix is evaluated at seeded deterministic
+decomposable directions, and a verdict without falsifier is labelled
+sampled.  Every falsifier is re-verified by a wedge (``pairing_volume``).
 
 A p-Kaehler question takes p from its form (``pkahler_degree``): a
 nonzero (p,p)-form with 1 <= p <= n-1, constant in t (``pkahler_check``).
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Form, FormAlgebra, StructureEquations, wedge_mono
@@ -59,19 +62,24 @@ def unit_volume_scalar(n: int) -> GaussianRational:
 
 def volume_coefficient(f: Form) -> GaussianRational:
     """Coefficient of an (n,n)-form against the positive unit volume."""
-    alg = f.algebra
-    n = alg.n
-    if not f:
-        return GaussianRational(0)
+    n = f.algebra.n
     full = tuple(range(1, n + 1))
-    for m in f.coeffs:
-        if m != (full, full):
-            raise ValueError("not a top-degree form")
+    if any(m != (full, full) for m in f.coeffs):
+        raise ValueError("not a top-degree form")
     c = f.coeffs.get((full, full))
-    val = c.constant_term() if c is not None else GaussianRational(0)
-    if c is not None and not c.is_constant():
+    if c is None:
+        return GaussianRational(0)
+    if not c.is_constant():
         raise ValueError("volume coefficient of a parameter-dependent form")
-    return val / unit_volume_scalar(n)
+    return c.constant_term() / unit_volume_scalar(n)
+
+
+def _subset_index(n: int, q: int) -> Dict[Tuple[int, ...], int]:
+    """The ascending q-subsets I of 1..n in order, each with its position:
+    the basis gamma^I of the (q,0)-forms.  ValueError unless 0 <= q <= n."""
+    if not 0 <= q <= n:
+        raise ValueError(f"a (q,0)-form needs q in the range 0..{n}, not q = {q}")
+    return {I: i for i, I in enumerate(combinations(range(1, n + 1), q))}
 
 
 @dataclass
@@ -96,28 +104,25 @@ def hermitian_matrix_of(theta: Form, q: Optional[int] = None) -> HermitianExtrac
         q = theta.bidegree()[0] if theta else 0
     if theta and not theta.is_homogeneous(q, q):
         raise ValueError("hermitian extraction needs a (q,q)-form")
-    basis = list(combinations(range(1, alg.n + 1), q))
-    index = {I: i for i, I in enumerate(basis)}
+    index = _subset_index(alg.n, q)
     sq = sigma_q(q)
-    size = len(basis)
-    zero = GaussianRational(0)
-    matrix = [[zero for _ in range(size)] for _ in range(size)]
+    size = len(index)
+    matrix = [[GaussianRational(0)] * size for _ in range(size)]
     for (I, J), c in theta.coeffs.items():
-        val = c.constant_term()
         if not c.is_constant():
             raise ValueError("extraction of a parameter-dependent form")
-        matrix[index[I]][index[J]] = val / sq
+        matrix[index[I]][index[J]] = c.constant_term() / sq
     hermitian = all(
         matrix[i][j] == matrix[j][i].conj() for i in range(size) for j in range(size)
     )
-    return HermitianExtraction(q=q, basis=basis, matrix=matrix, hermitian=hermitian)
+    return HermitianExtraction(q=q, basis=list(index), matrix=matrix, hermitian=hermitian)
 
 
 def reconstruct_from_matrix(
     alg: FormAlgebra, q: int, matrix: Sequence[Sequence[GaussianRational]]
 ) -> Form:
     """Inverse of hermitian_matrix_of: sigma_q sum M_ij beta_i ^ conj(beta_j)."""
-    basis = list(combinations(range(1, alg.n + 1), q))
+    basis = list(_subset_index(alg.n, q))
     sq = sigma_q(q)
     total = alg.zero()
     for i, I in enumerate(basis):
@@ -160,31 +165,36 @@ class PositivityVerdict:
 
 def is_strictly_positive(theta: Form, q: Optional[int] = None) -> PositivityVerdict:
     """Exact positive-definiteness of the coefficient matrix via its LDL*
-    pivots (``linalg.hermitian_pivots``; the first k multiply to the k-th
-    leading principal minor).  On failure the certificate names the
-    failing pivot and the vector w with w* A w equal to it."""
+    pivots (``_pivot_verdict``; the first k multiply to the k-th leading
+    principal minor).  On failure the certificate names the failing
+    pivot and the vector w with w* A w equal to it."""
     ext = hermitian_matrix_of(theta, q)
     if not ext.hermitian:
         raise PreconditionFailed("coefficient matrix is not Hermitian")
-    _, witness, fail = linalg.hermitian_pivots(ext.matrix)
+    verdict = _pivot_verdict("strictly_positive", theta.algebra, ext.basis, ext.matrix)
+    if ext.q != 1:
+        # w is a (q,0)-form; as a falsifier it is reported only when q == 1
+        verdict.falsifier = None
+    return verdict
+
+
+def _pivot_verdict(kind: str, alg: FormAlgebra, basis: Sequence, mat: List[list]) -> PositivityVerdict:
+    """The exact verdict of mat's LDL* pivots (``linalg.hermitian_pivots``):
+    holds with mat as certificate, or fails at the first pivot <= 0, with
+    the failing minor and the witness w (w* A w is that pivot) as
+    certificate and w as the (q,0)-form sum w_i gamma^{basis_i}."""
+    _, witness, fail = linalg.hermitian_pivots(mat)
     if fail is None:
-        return PositivityVerdict(
-            kind="strictly_positive", holds=True, exact=True, certificate=ext.matrix
-        )
-    # witness vector -> decomposable falsifier only when q == 1; otherwise
-    # report the failing minor index and the vector itself
-    falsifier = None
-    alg = theta.algebra
-    if witness is not None and ext.q == 1:
-        falsifier = alg.zero()
-        for pos, c in sorted(witness.items()):
-            falsifier = falsifier + alg.monomial(ext.basis[pos], (), c)
+        return PositivityVerdict(kind=kind, holds=True, exact=True, certificate=mat)
+    tau = alg.zero()
+    for pos, c in sorted(witness.items()):
+        tau = tau + alg.monomial(basis[pos], (), c)
     return PositivityVerdict(
-        kind="strictly_positive",
+        kind=kind,
         holds=False,
         exact=True,
         certificate={"failing_minor_index": fail, "vector": witness},
-        falsifier=falsifier,
+        falsifier=tau,
     )
 
 
@@ -198,7 +208,7 @@ def _pairing_matrix(gamma: Form, q: int) -> List[List[GaussianRational]]:
     unit volume.  A t-dependent gamma raises ValueError.
     """
     n = gamma.algebra.n
-    index = {A: a for a, A in enumerate(combinations(range(1, n + 1), q))}
+    index = _subset_index(n, q)
     full = frozenset(range(1, n + 1))
     scale = sigma_q(q) / unit_volume_scalar(n)
     mat = [[GaussianRational(0)] * len(index) for _ in index]
@@ -240,14 +250,14 @@ def is_transverse(
     force_sampled: bool = False,
 ) -> PositivityVerdict:
     """Strict positivity of gamma ^ sigma_q tau ^ conj(tau) over nonzero
-    decomposable (q,0)-forms tau, q = n - p.
-
-    Exact Hermitian certificate when every (q,0)-form is decomposable
-    (p in {0, 1, n-1, n}); seeded sampling otherwise, returning a
-    falsifier (exact: its pairing volume proves failure) or a
-    sampled-positive verdict with the smallest margin drawn.
-    force_sampled runs the sampling path even where a certificate exists.
-    """
+    decomposable (q,0)-forms tau, q = n - p, read off gamma's pairing
+    matrix A (``_pairing_matrix``).  Where every (q,0)-form is
+    decomposable (p in {0, 1, n-1, n}) the verdict is A's LDL* pivots,
+    exact either way (``_pivot_verdict``).  Elsewhere, or with
+    force_sampled, each seeded decomposable tau = sum c_I gamma^I pairs
+    to c* A c: one <= 0 is an exact falsifier, else the verdict is
+    sampled, with the smallest margin drawn.  Every falsifier is
+    re-verified by its wedge (``pairing_volume``)."""
     alg = gamma.algebra
     n = alg.n
     if p is None:
@@ -257,55 +267,45 @@ def is_transverse(
     if gamma.conj() != gamma:
         raise PreconditionFailed("transversality is defined for real forms")
     q = n - p
+    mat = _pairing_matrix(gamma, q)
+    index = _subset_index(n, q)
     if not force_sampled and p in (0, 1, n - 1, n):
-        mat = _pairing_matrix(gamma, q)
-        _, witness, fail = linalg.hermitian_pivots(mat)
-        if fail is None:
-            return PositivityVerdict(kind="transverse", holds=True, exact=True, certificate=mat)
-        basis = list(combinations(range(1, n + 1), q))
-        tau = alg.zero()
-        for pos, c in sorted((witness or {}).items()):
-            tau = tau + alg.monomial(basis[pos], (), c)
-        vol = pairing_volume(gamma, tau) if tau else GaussianRational(0)
-        if vol.im != 0 or vol.re > 0:
-            raise AssertionError("falsifier failed to re-verify")
-        return PositivityVerdict(
-            kind="transverse",
-            holds=False,
-            exact=True,
-            certificate={"failing_minor_index": fail},
-            falsifier=tau,
-        )
-    rng = DetRng(seed)
-    min_margin: Optional[Fraction] = None
-    for drawn in range(1, samples + 1):
-        tau = decomposable_sample(alg, q, rng)
-        vol = pairing_volume(gamma, tau)
-        if vol.im != 0:
-            raise AssertionError("pairing volume of a real form must be real")
-        scale = Fraction(0)
-        for c in tau.coeffs.values():
-            scale += c.constant_term().norm2()
-        margin = _div(vol.re, scale)
-        if margin <= 0:
-            # the pairing volume of this tau is exact, so it proves failure
+        verdict = _pivot_verdict("transverse", alg, list(index), mat)
+        if verdict.holds:
+            return verdict
+        del verdict.certificate["vector"]
+    else:
+        rng = DetRng(seed)
+        margins: List[Fraction] = []
+        for drawn in range(1, samples + 1):
+            tau = decomposable_sample(alg, q, rng)
+            c = {index[I]: x.constant_term() for (I, _), x in tau.coeffs.items()}
+            vol = sum((z.conj() * mat[i][j] * w for i, z in c.items() for j, w in c.items()), GaussianRational(0))
+            margin = _div(vol.re, sum(z.norm2() for z in c.values()))
+            margins.append(margin)
+            if margin <= 0:
+                # the pairing of this tau is exact, so it proves failure
+                verdict = PositivityVerdict(
+                    kind="transverse",
+                    holds=False,
+                    exact=True,
+                    falsifier=tau,
+                    samples_used=drawn,
+                    min_margin=margin,
+                )
+                break
+        else:
             return PositivityVerdict(
                 kind="transverse",
-                holds=False,
-                exact=True,
-                falsifier=tau,
-                samples_used=drawn,
-                min_margin=margin,
+                holds=True,
+                exact=False,
+                samples_used=samples,
+                min_margin=min(margins, default=None),
             )
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-    return PositivityVerdict(
-        kind="transverse",
-        holds=True,
-        exact=False,
-        samples_used=samples,
-        min_margin=min_margin,
-    )
+    vol = pairing_volume(gamma, verdict.falsifier)
+    if vol.im != 0 or vol.re > 0:
+        raise AssertionError("falsifier failed to re-verify")
+    return verdict
 
 
 def pkahler_degree(gamma: Form, n: int) -> int:

@@ -2091,3 +2091,49 @@ def pairing_matrix_by_wedges(gamma, q: int):
             if pair:
                 mat[b][a] = volume_coefficient(pair)
     return mat
+
+
+# -- the transversality verdicts that positivity's pairing matrix replaced --
+
+
+def transverse_by_wedges(gamma, p: int, samples: int = 200, seed: int = 7, force_sampled: bool = False):
+    """is_transverse with every pairing a wedge: at p in {0, 1, n-1, n}
+    the LDL* pivots (``hermitian_pivots_ldl``) of the pairing matrix read
+    by wedges (``pairing_matrix_by_wedges``); elsewhere, or with
+    force_sampled, the volume of gamma ^ sigma_q tau ^ conj(tau) wedged
+    out for each seeded decomposable tau."""
+    from nilforms.positivity import PositivityVerdict, decomposable_sample, pairing_volume
+
+    alg = gamma.algebra
+    n = alg.n
+    q = n - p
+    if not force_sampled and p in (0, 1, n - 1, n):
+        mat = pairing_matrix_by_wedges(gamma, q)
+        _, witness, fail = hermitian_pivots_ldl(mat)
+        if fail is None:
+            return PositivityVerdict(kind="transverse", holds=True, exact=True, certificate=mat)
+        basis = list(combinations(range(1, n + 1), q))
+        tau = alg.zero()
+        for pos, c in sorted(witness.items()):
+            tau = tau + alg.monomial(basis[pos], (), c)
+        return PositivityVerdict(
+            kind="transverse", holds=False, exact=True, certificate={"failing_minor_index": fail}, falsifier=tau
+        )
+    rng = DetRng(seed)
+    min_margin = None
+    for drawn in range(1, samples + 1):
+        tau = decomposable_sample(alg, q, rng)
+        vol = pairing_volume(gamma, tau)
+        if vol.im != 0:
+            raise AssertionError("pairing volume of a real form must be real")
+        scale = Fraction(0)
+        for c in tau.coeffs.values():
+            scale += c.constant_term().norm2()
+        margin = _div(vol.re, scale)
+        if margin <= 0:
+            return PositivityVerdict(
+                kind="transverse", holds=False, exact=True, falsifier=tau, samples_used=drawn, min_margin=margin
+            )
+        if min_margin is None or margin < min_margin:
+            min_margin = margin
+    return PositivityVerdict(kind="transverse", holds=True, exact=False, samples_used=samples, min_margin=min_margin)

@@ -502,8 +502,9 @@ def test_a_point_of_equations_flat_only_modulo_their_truncation_is_refused():
     1, pass require_flat, since d^2 gamma^2 is O(t1^2), and deform
     symbolically along phi = t1 gammabar^1 (x) theta_1 into equations
     that pass a fresh check too.  At t1 = 1/3 d^2 gamma^2 of the deformed
-    equations is (1/8) gamma^12 ^ gammabar^1: FlatnessError, on every
-    call."""
+    equations is (1/8) gamma^12 ^ gammabar^1, and that of the undeformed
+    fiber (``fiber_complex`` with no phi) is (1/9) gamma^12 ^ gammabar^1:
+    FlatnessError, on every call."""
     se = obj_to_se({"n": 3, "m": 1, "truncation": 1, "d": {
         "2": [{"coeff": "t1", "factors": ["3", "bar1"]}], "3": [{"coeff": "t1", "factors": ["1", "2"]}]}})
     se.require_flat()
@@ -512,9 +513,30 @@ def test_a_point_of_equations_flat_only_modulo_their_truncation_is_refused():
     deformed = deform_complex(se, phi)
     StructureEquations(deformed.name, deformed.algebra, deformed.d_coframe).require_flat()
     message = r"unnamed:deformed is not flat: d\^2 gamma\^2 = Form\(\(1/8\)\*g\[12,1\]\) is nonzero"
+    fiber_message = r"unnamed is not flat: d\^2 gamma\^2 = Form\(\(1/9\)\*g\[12,1\]\) is nonzero"
     for _ in range(2):
         with pytest.raises(FlatnessError, match=f"^{message}$"):
             deform_complex(se, phi, point=(GaussianRational(Fraction(1, 3)),))
+        with pytest.raises(FlatnessError, match=f"^{fiber_message}$"):
+            fiber_complex(se, None, (GaussianRational(Fraction(1, 3)),))
+
+
+def test_a_t0_fiber_keeps_its_equations_flatness_check(monkeypatch):
+    """Evaluation is exact on constant structure forms, so the t = 0
+    fiber of a validated catalog entry is its equations' lift to the
+    constant ring (``evaluate_se``), with their pass of require_flat:
+    two t = 0 complexes built as solve_extension builds its ec0, on the
+    equations lifted to phi's ring, read one equations object and make
+    no derivation.  Forms that depend on t get no such pass (the test
+    above)."""
+    entries = [catalog_load(name) for name in ("bcvary10", "iwasawa3")]
+    calls = []
+    real = StructureEquations.apply_d
+    monkeypatch.setattr(StructureEquations, "apply_d", lambda self, a: calls.append(a) or real(self, a))
+    for entry in entries:
+        se_r = entry.se.with_algebra(entry.beltrami.algebra)
+        first, second = (fiber_complex(se_r, None, zero_point(se_r.algebra.ring.m)) for _ in range(2))
+        assert calls == [] and first.cx.se is second.cx.se is se_r.with_algebra(se_r.algebra.constant), entry.name
 
 
 def test_a_fiber_builds_one_set_of_equations_and_its_degree_two_tables(monkeypatch, bcvary10, iwasawa3):

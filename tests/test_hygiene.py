@@ -591,18 +591,24 @@ def public_functions():
 def _product_runs(tmp_path):
     """The product paths: every CLI golden, catalog, a usage error, one
     run per input file kind (structure equations that are not
-    unimodular, a middle-degree form, which takes the sampling route of
-    transversality, and a Beltrami family), and both scripts."""
+    unimodular, two middle-degree forms, which take the sampling route
+    of transversality: the square of a Kaehler form, which passes, and
+    the square of a signature-(3,1) form, whose falsifier is re-verified
+    by a wedge, and a Beltrami family), and both scripts."""
     se_file, form_file, phi_file = tmp_path / "se.json", tmp_path / "form.json", tmp_path / "phi.json"
     se_file.write_text(nio.se_emit(nio.obj_to_se({"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}})))
     kaehler = catalog_load("abelian_4").forms["kaehler"]
     form_file.write_text(nio.form_emit(kaehler.wedge(kaehler)))
+    indefinite = kaehler - kaehler.algebra.monomial((4,), (4,), positivity.sigma_q(1)).scale(2)
+    failing_file = tmp_path / "failing_form.json"
+    failing_file.write_text(nio.form_emit(indefinite.wedge(indefinite)))
     phi_file.write_text(nio.beltrami_emit(catalog_load("bcvary10").beltrami))
     argvs = [argv for _, argv in GOLDEN_CASES] + [
         ["catalog"],
         ["cohomology", "--bogus"],
         ["cohomology", "--manifold", str(se_file)],
         ["positivity", "--manifold", "catalog:abelian_4", "--form", str(form_file), "--samples", "20"],
+        ["positivity", "--manifold", "catalog:abelian_4", "--form", str(failing_file), "--json"],
         ["deform", "--manifold", "catalog:bcvary10", "--beltrami", str(phi_file), "--t", "1/5,0,0,0"],
     ]
     scripts = []

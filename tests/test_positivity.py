@@ -7,6 +7,7 @@ from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.errors import PreconditionFailed
 from nilforms.extension import pkahler_extend, small_points
+from nilforms import positivity
 from nilforms.positivity import (
     _pairing_matrix,
     decomposable_sample,
@@ -22,7 +23,7 @@ from nilforms.positivity import (
 )
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import pairing_matrix_by_wedges
+from oracles import pairing_matrix_by_wedges, transverse_by_wedges
 
 ALG2 = FormAlgebra(2, PolyRing(0, 0))
 ALG3 = FormAlgebra(3, PolyRing(0, 0))
@@ -124,13 +125,42 @@ def test_transverse_bcvary_balanced(bcvary10):
     assert sampled.min_margin is not None and sampled.min_margin > 0
 
 
+def _one_one_forms(n):
+    """Three real (1,1)-forms on the n-dimensional torus algebra, from
+    their Hermitian matrices: a Kaehler form with off-diagonal terms
+    (diagonal 2, (1+i)/2 beside it: positive definite by Gershgorin), one
+    of signature (n-1,1) and a degenerate one."""
+    alg = FormAlgebra(n, PolyRing(0, 0))
+
+    def form(diag, off):
+        mat = [[QI(diag[i]) if i == j else QI(0) for j in range(n)] for i in range(n)]
+        for i in range(n - 1):
+            mat[i][i + 1], mat[i + 1][i] = off, off.conj()
+        return reconstruct_from_matrix(alg, 1, mat)
+
+    return [
+        form([2] * n, QI(Fraction(1, 2), Fraction(1, 2))),
+        form([1] * (n - 1) + [-1], QI(0)),
+        form([1] * (n - 1) + [0], QI(0)),
+    ]
+
+
+def _power(omega, p):
+    gamma = omega.algebra.scalar_form(1)
+    for _ in range(p):
+        gamma = gamma.wedge(omega)
+    return gamma
+
+
 def test_pairing_matrix_equals_the_wedge_route(torus3, iwasawa3, bcvary10):
     """The pairing matrix read off gamma's complementary coefficients
-    equals the volume coefficients of the wedges it replaced, at p in
-    {0, 1, n-1, n}: the balanced forms of bcvary10 and iwasawa3,
-    pkahler_extend's symmetrized form at small_points, a Kaehler form, an
-    indefinite form (whose verdict takes the witness path), a constant
-    and a top-degree form.  A t-dependent gamma raises ValueError."""
+    equals the volume coefficients of the wedges it replaced, at every p:
+    the balanced forms of bcvary10 and iwasawa3, pkahler_extend's
+    symmetrized form at small_points, a Kaehler form, an indefinite form
+    (whose verdict takes the witness path), a constant, a top-degree
+    form, and for n = 4..6 at every middle p the p-th powers of a Kaehler
+    form, of a signature-(n-1,1) form and of a degenerate form
+    (``_one_one_forms``).  A t-dependent gamma raises ValueError."""
     kaehler = torus3.forms["kaehler"]
     indefinite = reconstruct_from_matrix(ALG3, 1, [[QI(1), QI(0), QI(0)], [QI(0), QI(-1), QI(0)], [QI(0), QI(0), QI(1)]])
     assert not is_transverse(indefinite, 1).holds
@@ -143,16 +173,93 @@ def test_pairing_matrix_equals_the_wedge_route(torus3, iwasawa3, bcvary10):
         ALG3.scalar_form(QI(3)),
         kaehler.wedge(kaehler).wedge(kaehler),
     ] + [ext.symmetrized.eval(pt) for pt in small_points(4)]
+    forms += [_power(omega, p) for n in (4, 5, 6) for omega in _one_one_forms(n) for p in range(2, n - 1)]
     degrees = set()
     for gamma in forms:
         n = gamma.algebra.n
         p = gamma.bidegree()[0]
-        degrees.add({0: "0", 1: "1", n - 1: "n-1", n: "n"}[p])
+        degrees.add({0: "0", 1: "1", n - 1: "n-1", n: "n"}.get(p, p))
         assert _pairing_matrix(gamma, n - p) == pairing_matrix_by_wedges(gamma, n - p), (n, p)
-    assert degrees == {"0", "1", "n-1", "n"}
+    assert degrees == {"0", "1", "n-1", "n", 2, 3, 4}
     family = bcvary10.forms["balanced"].lift(bcvary10.se.algebra).scale(bcvary10.se.algebra.ring.t(1))
     with pytest.raises(ValueError):
         _pairing_matrix(family, 1)
+
+
+def _transverse_cases():
+    """(gamma, p, force_sampled, seed): for n = 3..6 and every p, the
+    p-th powers of the three forms of ``_one_one_forms``; the exact
+    branch once, the sampled one (every p with force_sampled, the middle
+    p without) at seeds 7 and 11."""
+    for n in (3, 4, 5, 6):
+        for omega in _one_one_forms(n):
+            for p in range(n + 1):
+                gamma = _power(omega, p)
+                exact = p in (0, 1, n - 1, n)
+                if exact:
+                    yield gamma, p, False, 7
+                for seed in (7, 11):
+                    yield gamma, p, True, seed
+                    if not exact:
+                        yield gamma, p, False, seed
+
+
+def test_is_transverse_equals_the_wedge_route():
+    """is_transverse, every pairing read off one pairing matrix, equals
+    the route it replaced (``oracles.transverse_by_wedges``: the matrix
+    by wedges, its pivots by a dense LDL*, a wedge per sample) on every
+    case of ``_transverse_cases``: the JSON verdict, the falsifier and
+    the certificate.  Both outcomes occur on both branches.  The sample
+    budget is 8, which the passing sampled verdicts use up."""
+    outcomes = set()
+    for gamma, p, force, seed in _transverse_cases():
+        got = is_transverse(gamma, p, samples=8, seed=seed, force_sampled=force)
+        want = transverse_by_wedges(gamma, p, samples=8, seed=seed, force_sampled=force)
+        case = (gamma.algebra.n, p, force, seed)
+        assert got.to_json_dict() == want.to_json_dict(), case
+        assert got.falsifier == want.falsifier and got.certificate == want.certificate, case
+        outcomes.add((got.holds, got.exact, got.samples_used > 0))
+    assert outcomes == {(True, True, False), (False, True, False), (True, False, True), (False, True, True)}
+
+
+def test_pairing_volume_runs_only_to_reverify_a_falsifier(monkeypatch):
+    """Work gate: a passing verdict, sampled or exact, wedges nothing
+    (``pairing_volume`` is not called), and a failing verdict of either
+    branch wedges once, to re-verify its falsifier."""
+    calls = []
+    wedge = positivity.pairing_volume
+    monkeypatch.setattr(positivity, "pairing_volume", lambda gamma, tau: calls.append(1) or wedge(gamma, tau))
+    kaehler, signature, degenerate = _one_one_forms(4)
+    for gamma, p, force, holds, wedges in [
+        (_power(kaehler, 2), 2, False, True, 0),
+        (_power(kaehler, 1), 1, True, True, 0),
+        (_power(kaehler, 3), 3, False, True, 0),
+        (_power(signature, 2), 2, False, False, 1),
+        (_power(signature, 1), 1, True, False, 1),
+        (_power(degenerate, 3), 3, False, False, 1),
+    ]:
+        calls.clear()
+        verdict = is_transverse(gamma, p, samples=50, force_sampled=force)
+        assert verdict.holds is holds and len(calls) == wedges, (p, force)
+
+
+def test_positivity_refuses_a_degree_outside_0_to_n(monkeypatch):
+    """A degree outside 0..n has no (q,0)-forms: is_transverse and
+    is_strictly_positive raise one ValueError naming the range before
+    any matrix or sample is built.  (p = -1 gives q = n + 1, for which
+    no decomposable sample is nonzero, so sampling would never end.)"""
+    def no_sample(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(positivity, "decomposable_sample", no_sample)
+    for call in (
+        lambda: is_transverse(ALG3.zero(), -1),
+        lambda: is_transverse(ALG3.zero(), 4),
+        lambda: is_strictly_positive(ALG3.zero(), 4),
+        lambda: is_strictly_positive(ALG3.zero(), -1),
+    ):
+        with pytest.raises(ValueError, match=r"^a \(q,0\)-form needs q in the range 0\.\.3, not q = (4|-1)$"):
+            call()
 
 
 def test_transverse_degenerate_falsifier():
