@@ -217,7 +217,7 @@ def _cmd_lemmata(args) -> int:
         if not (0 <= p <= ec.n and 0 <= q <= ec.n):
             raise NilformsError(f"bidegree ({p},{q}) is outside 0..{ec.n}")
         bidegrees = [(p, q)]
-    rep = lemma_report(ec, bidegrees=bidegrees, with_standard=bidegrees is None)
+    rep = lemma_report(ec, bidegrees=bidegrees)
     obj = rep.to_json_dict()
     obj["manifold"] = entry.name
     obj["t"] = [str(z) for z in point]

@@ -4,13 +4,13 @@ del-delbar preimage.
 An EvaluatedComplex owns every cache at its evaluation point: the
 evaluated structure constants, the four named matrices of ``rows`` (del,
 delbar, ddbar, stacked) and d on the total complex, each empty row of
-them the one read-only ``EMPTY_ROW``, their nonzero columns, one row
-echelon per matrix (the stacked echelon extends del's by the delbar
-rows, so no report builds the stacked rows), one forward column echelon
-per image, read from those columns, and the tracked forward echelons
-that every minimal-norm del-delbar solve at that point reuses
-(``ddbar_preimage``).  [del | delbar] is a rank, not a matrix.  What
-does not depend on the point belongs to the structure equations, which
+them the one read-only ``EMPTY_ROW``, one row echelon per matrix (the
+stacked echelon extends del's by the delbar rows, so no report builds
+the stacked rows), one forward column echelon per image, and the
+tracked forward echelons that every minimal-norm del-delbar solve at
+that point reuses (``ddbar_preimage``); not their columns, nor a kernel
+list.  [del | delbar] is a rank, not a matrix.  What does not depend on
+the point belongs to the structure equations, which
 the ``InvariantComplex`` wraps: the subset table and the assembly plans
 (``leibniz.Layout``), which the equations' column tables and every point
 of the complex share across terms and bidegrees, and the equations'
@@ -92,8 +92,8 @@ class EvaluatedComplex:
     gets a dict only at a row that holds an entry: del, delbar and total
     in their assembly, ddbar in ``linalg.mat_mul`` and the adjoints in
     ``linalg.conj_transpose``, so each allocates per nonzero row, not per
-    row.  ``columns`` keeps the nonzero columns that the image echelons,
-    weak and the extension solver read (mild's witness reads the rows).
+    row.  No column table is kept: the image echelons, weak and mild's
+    witness each read the transpose ``linalg.columns`` once and drop it.
     Each matrix gets one row echelon.  It starts as the forward echelon
     (``linalg.forward_echelon``), which gives the rank and the pivot
     columns that ``rank`` and ``unimodular`` read.  The stacked echelon
@@ -103,11 +103,11 @@ class EvaluatedComplex:
     matrix completes that echelon in place into the RREF
     (``linalg.Echelon.kernel``): each row that changes is replaced by a
     reduced copy, so the matrix rows are left as they were, and the
-    pivots stay the same, in the same order.  ``kernel`` keeps the list
-    of the kernel vectors for the callers that read it whole
-    (extension generators, the tests' oracles); ``kernel_vectors`` builds
-    them one at a time and keeps none, for mild's witness, which stops
-    at the first image outside im deldelbar.
+    pivots stay the same, in the same order.  ``kernel`` lists the kernel
+    vectors for the callers that read it whole (extension generators,
+    the tests' oracles), and ``kernel_vectors`` builds them one at a time,
+    for mild's witness, which stops at the first image outside im
+    deldelbar; neither keeps a vector.
 
     On a unimodular complex (``unimodular``: d of every (2n-1)-form is 0,
     as on every nilpotent Lie algebra) del* = -*delbar* on invariant
@@ -126,7 +126,7 @@ class EvaluatedComplex:
 
     Each image, of del, delbar or ddbar into TARGET (p,q) or of total
     into TARGET degree p, is one forward echelon of the matrix's nonzero
-    columns from ``columns``, by ascending index (``_image``): it answers
+    columns, by ascending index (``_image``): it answers
     membership (``image_echelon``), serves as the base of weak's residues,
     and the columns that enlarged it, in order, are the image basis
     (``image_vectors``).  The minimal-norm del-delbar solve into (p,q)
@@ -153,10 +153,8 @@ class EvaluatedComplex:
             raise ValueError("evaluation point has wrong arity for the ring")
         self._terms: Dict[str, list] = {}
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
-        self._cols: Dict[Tuple[str, int, int], Dict[int, Vec]] = {}
         self._echelons: Dict[Tuple[str, int, int], Echelon] = {}
         self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
-        self._kernels: Dict[Tuple[str, int, int], List[Vec]] = {}
         self._preimages: Dict[Tuple[int, int], Tuple[Rows, Echelon]] = {}
         self._unimodular: Optional[bool] = None
 
@@ -199,20 +197,6 @@ class EvaluatedComplex:
                 terms.append([t for t in values if t[2]])
             self._terms[op] = terms
         return self._terms[op]
-
-    def columns(self, op: str, p: int, q: int) -> Dict[int, Vec]:
-        """Nonzero columns of the matrix (op, p, q), keyed by index, for
-        products that walk the support of a vector (``linalg.columns_vec``,
-        in weak and the extension solver) and the image echelons (``_image``)."""
-        key = (op, p, q)
-        if key not in self._cols:
-            cols: Dict[int, Vec] = {}
-            for i, r in enumerate(self._matrix(op, p, q)):
-                if r:
-                    for j, c in r.items():
-                        cols.setdefault(j, {})[i] = c
-            self._cols[key] = cols
-        return self._cols[key]
 
     def _matrix(self, op: str, p: int, q: int) -> Rows:
         """``rows``, or ``total_d_rows`` for total."""
@@ -291,25 +275,23 @@ class EvaluatedComplex:
         return self.rank(op, p - dp, q - dq)
 
     def kernel(self, op: str, p: int, q: int) -> List[Vec]:
-        """Kernel basis at source (p,q) of del/delbar/ddbar/stacked, kept
-        as a list for the callers that read it whole."""
-        key = (op, p, q)
-        if key not in self._kernels:
-            self._kernels[key] = list(self.kernel_vectors(op, p, q))
-        return self._kernels[key]
+        """``kernel_vectors`` as a list, for the callers that read it whole."""
+        return list(self.kernel_vectors(op, p, q))
 
     def kernel_vectors(self, op: str, p: int, q: int, meets=None) -> Iterator[Vec]:
         """The vectors of ``kernel(op, p, q)``, in its order, each built
         from the RREF when it is asked for; none of them is kept.  Given a
         set of columns ``meets``, only those whose support meets it are
-        built (``linalg.Echelon.kernel``)."""
-        return self._row_echelon(op, p, q).kernel(self.dim(p, q), meets=meets)
+        built (``linalg.Echelon.kernel``).  Any name but those of ``rows``
+        is refused."""
+        return self._row_echelon(_known(op, _MATRICES), p, q).kernel(self.dim(p, q), meets=meets)
 
     def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
         """The independent columns of op into TARGET (p,q), in order, and
         the forward echelon of their span that selected them, fed the
-        nonzero columns of ``columns`` by ascending index; op total is d
-        on the total complex into TARGET degree p (q = 0)."""
+        nonzero columns of the matrix (``linalg.columns``) by ascending
+        index; op total is d on the total complex into TARGET degree p
+        (q = 0)."""
         key = (op, p, q)
         if key not in self._images:
             if op == "total":
@@ -320,7 +302,7 @@ class EvaluatedComplex:
                 sp, sq = p - dp, q - dq
                 ncols, nrows = self.dim(sp, sq), self.dim(p, q)
             e = Echelon({})
-            cols = self.columns(op, sp, sq) if ncols and nrows else {}
+            cols = linalg.columns(self._matrix(op, sp, sq)) if ncols and nrows else {}
             self._images[key] = ([cols[j] for j in sorted(cols) if e.insert(cols[j])], e)
         return self._images[key]
 
@@ -363,7 +345,8 @@ class EvaluatedComplex:
         if key not in self._preimages:
             a = self.rows("ddbar", p - 1, q - 1)
             adjoint = linalg.conj_transpose(a, self.dim(p - 1, q - 1))
-            e = linalg.tracked_echelon(linalg.columns_of(linalg.mat_mul(a, adjoint), dim), dim)
+            cols = linalg.columns(linalg.mat_mul(a, adjoint))
+            e = linalg.tracked_echelon([cols.get(j, EMPTY_ROW) for j in range(dim)], dim)
             self._preimages[key] = (adjoint, e)
         adjoint, e = self._preimages[key]
         z = e.solve(y, dim)

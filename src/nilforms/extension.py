@@ -325,20 +325,20 @@ def _conjugate_solution(
     """delbar u - del v in (p,q), for the minimal-norm u and v with
     del delbar u = left, a (p+1,q)-form, and del delbar v = right, a
     (p,q+1)-form, on ec, a complex without parameters.  Each t-slice of
-    left and right is solved on its own (``EvaluatedComplex.ddbar_preimage``);
-    a slice outside im del delbar raises ObstructionNonvanishing(order,
-    side)."""
+    left and right is solved on its own (``EvaluatedComplex.ddbar_preimage``)
+    and its preimage mapped by the kept rows of delbar or del; a slice
+    outside im del delbar raises ObstructionNonvanishing(order, side)."""
     images: Dict[int, Vec] = {}
     sides = (("left", left, QI_ONE, "delbar", p, q - 1), ("right", right, -QI_ONE, "del", p - 1, q))
     for side, y, sign, op, sp, sq in sides:
         if not y:
             continue
-        cols = ec.columns(op, sp, sq)
+        rows = ec.rows(op, sp, sq)
         for expo, v in ec.form_to_slices(y, sp + 1, sq + 1).items():
             x = ec.ddbar_preimage(sp + 1, sq + 1, v)
             if x is None:
                 raise ObstructionNonvanishing(order, side)
-            linalg.add_scaled_into(images.setdefault(expo, {}), sign, linalg.columns_vec(cols, x))
+            linalg.add_scaled_into(images.setdefault(expo, {}), sign, linalg.mat_vec(rows, x))
     return ec.slices_to_form(images, p, q, left.algebra)
 
 

@@ -68,7 +68,6 @@ Every decider refuses a bidegree outside 0..n (``ec.check_bidegree``).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -130,15 +129,11 @@ def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Ve
     (p,q), each built when the scan reaches it and none kept, from the
     columns of op that it touches.  A kernel vector whose support misses
     every nonzero column of op is never built: the kernel read is handed
-    their key set (``ec.kernel_vectors``).  The column map is read from
-    op's rows once per scan, so each entry of op is read once, and is
-    dropped with the scan: the complex keeps no column table of op."""
+    their key set (``ec.kernel_vectors``).  The columns are the transpose
+    of op's rows (``linalg.columns``), read once per scan and dropped
+    with it."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
-    cols: Dict[int, Vec] = defaultdict(dict)
-    for i, r in enumerate(ec.rows(op, sp, sq)):
-        if r:
-            for k, c in r.items():
-                cols[k][i] = c
+    cols = linalg.columns(ec.rows(op, sp, sq))
     for x in ec.kernel_vectors("ddbar", sp, sq, meets=cols.keys()):
         v = linalg.columns_vec(cols, x)
         if v:
@@ -204,7 +199,7 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     q = p + 1
     ec.check_bidegree(p, q)
     ec.cx.se.require_flat()
-    cols = ec.columns("delbar", p, p)
+    cols = linalg.columns(ec.rows("delbar", p, p))
     images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, cols.keys())]
     if _residue_rank(ec, "del", p, q, images) == _residue_rank(ec, "ddbar", p, q, images):
         return True, None
@@ -361,10 +356,9 @@ class LemmaReport:
 def lemma_report(
     ec: EvaluatedComplex,
     bidegrees: Optional[List[Tuple[int, int]]] = None,
-    with_standard: bool = True,
 ) -> LemmaReport:
-    """Evaluate the lemma family at the given bidegrees (default: all;
-    a bidegree outside 0..n raises ValueError).
+    """Evaluate the lemma family at the given bidegrees (default: all,
+    and then standard too; a bidegree outside 0..n raises ValueError).
 
     Consistency checks baked in, each an AssertionError when it breaks:
     the complex is flat; strong = mild and dual_mild at every queried
@@ -373,7 +367,8 @@ def lemma_report(
     deldelbar ranks; mild at (p,p+1) implies weak at p; and the vector
     route finds a witness for every failing verdict.
     """
-    if bidegrees is None:
+    every = bidegrees is None
+    if every:
         bidegrees = [(p, q) for p in range(ec.n + 1) for q in range(ec.n + 1) if ec.dim(p, q)]
     for p, q in bidegrees:
         ec.check_bidegree(p, q)
@@ -401,7 +396,7 @@ def lemma_report(
                 report.witnesses[f"weak:{p}"] = w_wit
             if m_ok and not w_ok:
                 raise AssertionError(f"mild({p},{p+1}) holds but weak({p}) fails")
-    if with_standard:
+    if every:
         s_all, wit, at = standard(ec)
         report.standard_flag = s_all
         if wit is not None:

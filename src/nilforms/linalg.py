@@ -30,7 +30,8 @@ reducing it, ``_forward_reduce`` returns such a row after one set test,
 and a kernel read given a set of columns builds only the vectors whose
 support, known from the RREF before the vector is built, meets it.
 ``mat_mul`` and ``conj_transpose`` give each empty row of their result
-the shared read-only ``leibniz.EMPTY_ROW``.
+the shared read-only ``leibniz.EMPTY_ROW``, and every column walk reads
+the one transpose ``columns``, which passes over an empty row.
 """
 
 from __future__ import annotations
@@ -436,11 +437,14 @@ def identity_rows(n: int) -> Rows:
     return [{i: QI_ONE} for i in range(n)]
 
 
-def columns_of(rows: Rows, ncols: int) -> List[Vec]:
-    cols: List[Vec] = [{} for _ in range(ncols)]
+def columns(rows: Rows) -> Dict[int, Vec]:
+    """The nonzero columns of a matrix, keyed by index, each with its
+    entries in row order; an empty row costs one truth test."""
+    cols: Dict[int, Vec] = {}
     for i, r in enumerate(rows):
-        for j, c in r.items():
-            cols[j][i] = c
+        if r:
+            for j, c in r.items():
+                cols.setdefault(j, {})[i] = c
     return cols
 
 

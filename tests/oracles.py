@@ -33,7 +33,7 @@ from nilforms.algebra import (
 )
 from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.deformation import as_beltrami, coframe_transform, evaluate_se
-from nilforms.errors import NonInvertibleCoframe
+from nilforms.errors import NonInvertibleCoframe, ObstructionNonvanishing
 from nilforms.linalg import Rows
 from nilforms.scalars import QI_ONE, DetRng, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
 
@@ -896,10 +896,28 @@ def ddbar_preimage_by_tracked_rref(ec, p: int, q: int, y):
     a = ec.rows("ddbar", p - 1, q - 1)
     adjoint = linalg.conj_transpose(a, ec.dim(p - 1, q - 1))
     e = FullScanEchelon(track=True)
-    for col in linalg.columns_of(linalg.mat_mul(a, adjoint), ec.dim(p, q)):
+    for col in column_list(linalg.mat_mul(a, adjoint), ec.dim(p, q)):
         e.insert(col)
     z = e.solve_combo(y)
     return None if z is None else linalg.mat_vec(adjoint, z)
+
+
+def conjugate_solution_by_columns(ec, left, right, p: int, q: int, order=None):
+    """``extension._conjugate_solution`` with delbar u and del v formed
+    from a column table of delbar or del (``linalg.columns_vec``) rather
+    than from its rows."""
+    images = {}
+    sides = (("left", left, QI_ONE, "delbar", p, q - 1), ("right", right, -QI_ONE, "del", p - 1, q))
+    for side, y, sign, op, sp, sq in sides:
+        if not y:
+            continue
+        cols = linalg.columns(ec.rows(op, sp, sq))
+        for expo, v in ec.form_to_slices(y, sp + 1, sq + 1).items():
+            x = ec.ddbar_preimage(sp + 1, sq + 1, v)
+            if x is None:
+                raise ObstructionNonvanishing(order, side)
+            linalg.add_scaled_into(images.setdefault(expo, {}), sign, linalg.columns_vec(cols, x))
+    return ec.slices_to_form(images, p, q, left.algebra)
 
 
 def real_basis_vectors_by_products(ec, p: int):
@@ -1269,7 +1287,7 @@ def mild_by_vectors(ec, op: str, p: int, q: int):
     if not (ec.dim(sp, sq) and ec.dim(p, q)):
         return True, None
     target = ec.image_echelon("ddbar", p, q)
-    cols = ec.columns(op, sp, sq)
+    cols = linalg.columns(ec.rows(op, sp, sq))
     for x in ec.kernel("ddbar", sp, sq):
         v = linalg.columns_vec(cols, x)
         if v and not target.contains(v):
@@ -1296,7 +1314,7 @@ def exact_closed_basis_full(ec, p: int, q: int):
         pivots = ec._row_echelon(op, sp, sq).pivots
         ddbar_pivots = ec._row_echelon("ddbar", sp, sq).pivots
         free = [f for f in range(ec.dim(sp, sq)) if f not in ddbar_pivots]
-        cols = ec.columns(op, sp, sq)
+        cols = linalg.columns(ec.rows(op, sp, sq))
         for f, x in zip(free, ec.kernel("ddbar", sp, sq)):
             if f in pivots:
                 spanning.append(linalg.columns_vec(cols, x))
@@ -1304,7 +1322,7 @@ def exact_closed_basis_full(ec, p: int, q: int):
             n_del = len(spanning)
     if not spanning:
         return []
-    del_cols, delbar_cols = ec.columns("del", p, q), ec.columns("delbar", p, q)
+    del_cols, delbar_cols = linalg.columns(ec.rows("del", p, q)), linalg.columns(ec.rows("delbar", p, q))
     for i, v in enumerate(spanning):
         if (i < n_del and linalg.columns_vec(del_cols, v)) or linalg.columns_vec(delbar_cols, v):
             raise AssertionError(
@@ -1345,7 +1363,7 @@ def weak_by_nullspace(ec, p: int):
     if q > ec.n or not ec.dim(p, p):
         return True, None
     reals = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
-    delbar_cols = ec.columns("delbar", p, p)
+    delbar_cols = linalg.columns(ec.rows("delbar", p, p))
     delbar_images = [linalg.columns_vec(delbar_cols, r) for r in reals]
     del_span = linalg.realify_span(ec.image_vectors("del", p, q))
     cols = [linalg.realify_vec(v) for v in delbar_images]
@@ -1397,9 +1415,9 @@ def standard_by_blocks(ec):
 def kernel_images_by_columns(ec, op: str, p: int, q: int):
     """op of every deldelbar kernel vector, into (p,q), zero images
     included: the kernel of the source through the column table of op
-    (``ec.columns``) and ``linalg.columns_vec``."""
+    (``linalg.columns``) and ``linalg.columns_vec``."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
-    cols = ec.columns(op, sp, sq)
+    cols = linalg.columns(ec.rows(op, sp, sq))
     for x in ec.kernel_vectors("ddbar", sp, sq):
         yield linalg.columns_vec(cols, x)
 
@@ -1409,8 +1427,15 @@ def weak_images_by_columns(ec, p: int):
     included."""
     from nilforms.lemmata import _real_basis_vectors
 
-    cols = ec.columns("delbar", p, p)
+    cols = linalg.columns(ec.rows("delbar", p, p))
     return [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, range(ec.dim(p, p)))]
+
+
+def column_list(rows, ncols: int):
+    """The ncols columns of a matrix in order, empty ones included, for a
+    solve that reads the columns by position (``linalg.solve_square``)."""
+    cols = linalg.columns(rows)
+    return [cols.get(j, {}) for j in range(ncols)]
 
 
 def columns_of_every_row(rows):
@@ -1506,12 +1531,12 @@ def harmonic_green(lap: Rows, dim: int) -> Tuple[Rows, Rows]:
         r = len(kernel)
         kmat = rows_from_columns(kernel, dim)  # dim x r
         kstar = linalg.conj_transpose(kmat, r)
-        gram_inv = linalg.solve_square(linalg.columns_of(linalg.mat_mul(kstar, kmat), r), linalg.identity_rows(r))
+        gram_inv = linalg.solve_square(column_list(linalg.mat_mul(kstar, kmat), r), linalg.identity_rows(r))
         h = linalg.mat_mul(kmat, linalg.mat_mul(rows_from_columns(gram_inv, r), kstar))
     else:
         h = zero_rows(dim)
     one_minus_h = mat_add(linalg.identity_rows(dim), mat_scale(h, GaussianRational(-1)))
-    g = linalg.solve_square(linalg.columns_of(mat_add(lap, h), dim), linalg.columns_of(one_minus_h, dim))
+    g = linalg.solve_square(column_list(mat_add(lap, h), dim), column_list(one_minus_h, dim))
     if g is None:
         raise AssertionError("box + H must be invertible")
     return h, rows_from_columns(g, dim)

@@ -143,7 +143,7 @@ def test_criterion_06_bcvary_lemma_pair_and_hierarchy(ec_bcvary0):
         ec = EvaluatedComplex(build_complex(se), ())
         # lemma_report raises if strong != mild and dual_mild anywhere, or
         # if mild holds at (p,p+1) while weak fails at p
-        lemma_report(ec, with_standard=False)
+        lemma_report(ec)
     _report(6, "mild(4,5)=T, strong(4,5)=F at 0; hierarchy identities on the catalog")
 
 

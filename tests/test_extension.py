@@ -37,6 +37,7 @@ from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI
 
 from oracles import (
     a_ladder,
+    conjugate_solution_by_columns,
     exp_contract,
     form_basis,
     forms_by_degree,
@@ -1149,6 +1150,49 @@ def test_conjugate_system_with_t_dependent_data_solves_every_slice(case, bcvary1
     assert nonzero == (slices if case.startswith("solvable") else set())
     with pytest.raises(ValueError):
         solve_conjugate_system(EvaluatedComplex(build_complex(bcvary10.se), generic_points(4)[0]), zeta, xi, p, q)
+
+
+def _conjugate_outcome(route, *args):
+    """A conjugate solution, or the (order, side) of its obstruction."""
+    try:
+        return route(*args)
+    except ObstructionNonvanishing as exc:
+        return exc.order, exc.component
+
+
+def test_conjugate_solution_equals_the_column_route(bcvary10, ec_bcvary0, monkeypatch):
+    """delbar u - del v, mapped by the rows of delbar and del that the
+    complex keeps, is the column-table route's form
+    (``conjugate_solution_by_columns``), or the same obstruction: at every
+    order of the solves of the 62 (3,3) generators of bcvary10, 14 of
+    which reach a del-delbar solve, in 20 slices, and on the solvable
+    n = 2 algebra at (1,1), whose right-hand sides are nonzero."""
+    calls, slices = [], []
+    real, preimage = extension._conjugate_solution, EvaluatedComplex.ddbar_preimage
+    monkeypatch.setattr(extension, "_conjugate_solution", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(EvaluatedComplex, "ddbar_preimage", lambda *args: slices.append(args) or preimage(*args))
+    alg = bcvary10.se.algebra
+    reaching = 0
+    for gv in ec_bcvary0.kernel("stacked", 3, 3):
+        start = len(calls)
+        omega0 = ec_bcvary0.vec_to_form(gv, 3, 3, alg)
+        try:
+            solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec_bcvary0, check_lemmata=False)
+        except ObstructionNonvanishing:
+            pass
+        reaching += any(left or right for _, left, right, *_ in calls[start:])
+    assert reaching == 14 and len(slices) == 20
+    ring = PolyRing(2, 3)
+    alg2, top = FormAlgebra(2, ring), ((1, 2), ())
+    zeta = Form(alg2, {top: ring.one() + ring.t(1) * QI(2, 1)})
+    xi = Form(alg2, {top: ring.t(2) * ring.tbar(1)})
+    start = len(calls)
+    solve_conjugate_system(EvaluatedComplex(build_complex(nio.obj_to_se(SOLVABLE_2)), ()), zeta, xi, 1, 1)
+    (_, left, right, *_), = calls[start:]
+    assert left and right
+    for args in calls:
+        want = _conjugate_outcome(conjugate_solution_by_columns, *args)
+        assert _conjugate_outcome(real, *args) == want, args[3:]
 
 
 def test_order_step_is_the_conjugate_system(bcvary10, ec_bcvary0, monkeypatch):

@@ -423,12 +423,19 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     and the order step share its core), so ``canonical_ddbar_solution``
     and its ``NotSolvable`` are gone; the basis route of a cohomology
     (``_representatives``, ``_CYCLES_MOD``, the ``with_basis`` parameter)
-    is a test oracle.  The scan reads every function, class, module-level
-    assignment and parameter name."""
-    defined = set()
+    is a test oracle.  An ``EvaluatedComplex`` keeps no column table and
+    no kernel list: its ``columns`` and ``linalg.columns_of`` are gone,
+    every column walk reads the one transpose ``linalg.columns``, and no
+    module assigns a ``_cols`` or ``_kernels`` attribute.  ``lemma_report``
+    has no ``with_standard`` parameter: it decides standard exactly when
+    it is asked for every bidegree.  The scan reads
+    every function, class, module-level assignment and parameter name."""
+    defined, owned, kept = set(), set(), []
     for path in SRC.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        defined |= {name for _, name in defined_names(path.read_text())}
+        source = path.read_text()
+        tree = ast.parse(source)
+        owned |= set(defined_names(source))
+        kept += [(path.name, attr) for attr in ("_cols", "_kernels") if assignments_of(source, attr)]
         defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
                     if isinstance(t, ast.Name)}
         defined |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
@@ -439,10 +446,14 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
             "VectorHodge", "KuranishiResult", "kuranishi_expand", "harmonic_green", "mat_add", "mat_scale",
             "rows_from_columns", "zero_rows", "vec_add", "_frame_derivative", "holomorphic",
             "LieBracketTable", "lie_brackets", "BeltramiDifferential", "delbar_on_vectors", "_total_degree",
-            "schouten", "check_integrability", "main1_residual", "HALF"}
+            "schouten", "check_integrability", "main1_residual", "HALF", "columns_of",
+            "with_standard"}
+    defined |= {name for _, name in owned}
     assert gone.isdisjoint(defined), gone & defined
+    assert ("EvaluatedComplex", "columns") not in owned and ("EvaluatedComplex", "kernel") in owned
+    assert kept == []
     assert "brackets" not in StructureEquations.__slots__
-    assert {"Echelon", "forward_echelon", "tracked_echelon", "solve_square", "hermitian_pivots"} <= defined
+    assert {"Echelon", "forward_echelon", "tracked_echelon", "solve_square", "hermitian_pivots", "columns"} <= defined
     inserting = {
         (path.name, owner)
         for path in sorted(SRC.glob("*.py"))

@@ -110,7 +110,7 @@ def test_hierarchy_all_catalog_entries():
         if se.algebra.ring.m:
             se = evaluate_se(se, zero_point(se.algebra.ring.m))
         ec = EvaluatedComplex(build_complex(se), ())
-        rep = lemma_report(ec, with_standard=True)
+        rep = lemma_report(ec)
         for p in range(ec.n):
             s, m_, w_ = (
                 rep.strong_flags[(p, p + 1)],
@@ -141,10 +141,12 @@ def test_per_point_reporting_bcvary(bcvary10):
 
 
 def test_report_serialization(ec_iwasawa):
-    rep = lemma_report(ec_iwasawa, bidegrees=[(2, 3)], with_standard=False)
+    rep = lemma_report(ec_iwasawa, bidegrees=[(2, 3)])
     obj = rep.to_json_dict()
     assert obj["mild"]["2,3"] is False
     assert "mild:2,3" in obj["witnesses"]
+    # standard is decided only when every bidegree is asked for
+    assert obj["standard"] is None and lemma_report(ec_iwasawa).standard_flag is False
 
 
 # -- strong's space is the sum of mild's and dual mild's ----------------------
@@ -178,7 +180,7 @@ def test_strong_basis_equals_span_intersection(reference_complexes):
     in the space outside im deldelbar."""
     for label, cx, point in reference_complexes:
         ec = EvaluatedComplex(cx, point)
-        report = lemma_report(ec, with_standard=False)
+        report = lemma_report(ec)
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
                 got = exact_closed_basis_full(ec, p, q)
@@ -186,7 +188,7 @@ def test_strong_basis_equals_span_intersection(reference_complexes):
                 assert got == meet, (label, p, q)
                 assert [_typed_entries(v) for v in got] == [_typed_entries(v) for v in meet]
                 images = [
-                    linalg.columns_vec(ec.columns(op, sp, sq), x)
+                    linalg.columns_vec(linalg.columns(ec.rows(op, sp, sq)), x)
                     for op, sp, sq in (("del", p - 1, q), ("delbar", p, q - 1)) if ec.dim(sp, sq)
                     for x in ec.kernel("ddbar", sp, sq)
                 ]
@@ -218,7 +220,7 @@ def test_real_basis_vectors_equal_product_route(reference_complexes):
             full = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
             expected = real_basis_vectors_by_products(ec, p)
             assert typed(full) == typed(expected), (label, p)
-            for meets in (ec.columns("delbar", p, p).keys(), set(), set(range(0, ec.dim(p, p), 2))):
+            for meets in (linalg.columns(ec.rows("delbar", p, p)).keys(), set(), set(range(0, ec.dim(p, p), 2))):
                 want = [r for r in full if not meets.isdisjoint(r)]
                 assert typed(_real_basis_vectors(ec, p, meets)) == typed(want), (label, p)
                 dropped += len(full) - len(want)
@@ -244,7 +246,7 @@ def test_strong_refuses_a_complex_that_is_not_flat():
     with pytest.raises(FlatnessError):
         strong(ec, 1, 1)
     with pytest.raises(FlatnessError):
-        lemma_report(ec, bidegrees=[(1, 1)], with_standard=False)
+        lemma_report(ec, bidegrees=[(1, 1)])
 
 
 def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
@@ -281,7 +283,7 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
     for (p, q), flag in report.strong_flags.items():
         assert lemmata.strong(ec, p, q)[0] is flag, (p, q)
     assert not report.strong_flags[(2, 2)]
-    assert not [key for key in ec._kernels if key[0] == "stacked"]
+    assert not _kernels_read(ec, "stacked")
     assert set(called) == {"strong", "_strong_holds"}
     assert asked and {op for op, _, _ in asked} == {"ddbar"}
 
@@ -291,8 +293,8 @@ def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
     strong as holding on the zero space."""
     for bad in ((5, 9), (0, 4), (-1, 2)):
         with pytest.raises(ValueError, match=rf"bidegree \({bad[0]},{bad[1]}\) is outside 0\.\.3"):
-            lemma_report(ec_iwasawa, bidegrees=[(1, 1), bad], with_standard=False)
-    assert lemma_report(ec_iwasawa, bidegrees=[(3, 3)], with_standard=False).mild_flags == {(3, 3): True}
+            lemma_report(ec_iwasawa, bidegrees=[(1, 1), bad])
+    assert lemma_report(ec_iwasawa, bidegrees=[(3, 3)]).mild_flags == {(3, 3): True}
 
 
 def test_deciders_refuse_out_of_range_bidegrees(ec_iwasawa):
@@ -317,26 +319,18 @@ def test_standard_spans_each_total_image_once(monkeypatch, iwasawa3):
     """standard decides every bidegree by rank and builds the image
     echelon of d only into the total degree of its failing bidegree, for
     the witness; and verifying the witness reads the same cached echelon:
-    the columns of no matrix are built twice (``EvaluatedComplex.columns``
-    builds them, and no stored matrix goes through ``linalg.columns_of``)."""
-    built, spans = [], []
-    columns, real = EvaluatedComplex.columns, linalg.columns_of
-
-    def recording(self, op, p, q):
-        if (op, p, q) not in self._cols:
-            built.append((op, p, q))
-        return columns(self, op, p, q)
-
-    monkeypatch.setattr(EvaluatedComplex, "columns", recording)
-    monkeypatch.setattr(linalg, "columns_of", lambda rows, ncols: spans.append(id(rows)) or real(rows, ncols))
+    every transpose (``linalg.columns``) is of a stored matrix, and the
+    columns of no matrix are walked twice."""
+    spans = []
+    real = linalg.columns
+    monkeypatch.setattr(linalg, "columns", lambda rows: spans.append(rows) or real(rows))
     ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
     ok, wit, at = standard(ec)
     assert not ok
     assert all(verify_witness(ec, "standard", at[0], at[1], wit).values())
+    built = [key for rows in spans for key, stored in ec._rows.items() if stored is rows]
+    assert len(built) == len(spans) == len(set(built))
     assert [key for key in built if key[0] == "total"] == [("total", at[0] + at[1] - 1, 0)]
-    assert len(built) == len(set(built))
-    stored = {id(rows) for rows in ec._rows.values()}
-    assert not [i for i in spans if i in stored]
 
 
 def _typed_form(w):
@@ -420,6 +414,12 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
         assert list(got) == list(want)
 
 
+def _kernels_read(ec, op):
+    """The keys of op's row echelons that a kernel read has completed
+    into the RREF (``linalg.Echelon.kernel``)."""
+    return [key for key, e in ec._echelons.items() if key[0] == op and e._free is not None]
+
+
 def _typed_items(v):
     """A vector's entries in key order, with the types of the scalars and
     of their parts."""
@@ -429,7 +429,7 @@ def _typed_items(v):
 def test_lazy_kernel_equals_the_one_pass_oracle(reference_complexes):
     """The kernel of del, delbar, deldelbar and stacked at every bidegree,
     built one vector at a time from the RREF (``kernel_vectors``, and the
-    list ``kernel`` keeps), is the one-pass oracle's on the same RREF: the
+    list ``kernel`` returns), is the one-pass oracle's on the same RREF: the
     same vectors in order, keys in order, values and types.  On Iwasawa,
     bcvary10 at t = 0 and at both generic points, the four benchmark
     products and solvable3."""
@@ -446,8 +446,7 @@ def test_lazy_kernel_equals_the_one_pass_oracle(reference_complexes):
                     lazy = list(ec.kernel_vectors(op, p, q))
                     want = echelon_kernel_one_pass(ec._echelons[(op, p, q)], ec.dim(p, q))
                     assert [_typed_items(x) for x in lazy] == [_typed_items(x) for x in want], (label, op, p, q)
-                    assert not ec._kernels and ec.kernel(op, p, q) == lazy
-                    ec._kernels.clear()
+                    assert ec.kernel(op, p, q) == lazy
 
 
 def test_every_verdict_refuses_a_complex_that_is_not_flat():
@@ -576,7 +575,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
         assert ok is flag and made == [tag for _, tag in work] and wit == want, (p, q)
         assert wit == report.witnesses.get(f"strong:{p},{q}"), (p, q)
     assert failing[True] and failing[False]
-    assert not [key for c in (ec, alone) for key in c._kernels if key[0] == "stacked"]
+    assert not _kernels_read(ec, "stacked") + _kernels_read(alone, "stacked")
 
 
 def test_routes_that_disagree_raise(monkeypatch, ec_torus):
@@ -606,7 +605,7 @@ def test_lemma_report_raises_when_strong_breaks_its_identity(monkeypatch, ec_tor
     monkeypatch.setattr(lemmata, "_strong_holds", lambda ec, p, q: not real(ec, p, q))
     for ec, at in ((ec_torus, (1, 1)), (ec_iwasawa, (2, 3))):
         with pytest.raises(AssertionError, match=rf"strong/mild/dual-mild identity violated at \({at[0]}, {at[1]}\)"):
-            lemma_report(ec, bidegrees=[at], with_standard=False)
+            lemma_report(ec, bidegrees=[at])
 
 
 def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
@@ -701,7 +700,6 @@ def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, refer
     monkeypatch.setattr(lemmata, "_witness", testing)
     report = lemma_report(ec)
     monkeypatch.undo()
-    assert not [key for key in ec._kernels if key[0] == "ddbar"]
     oracle, kinds, never_built = EvaluatedComplex(cx, ()), Counter(), 0
     for kind, p, q, xs, tested in scans:
         kinds[kind] += 1
@@ -710,7 +708,7 @@ def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, refer
             assert not xs, (kind, p, q)
             continue
         op, sp, sq = ("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
-        cols = oracle.columns(op, sp, sq)
+        cols = linalg.columns(oracle.rows(op, sp, sq))
         full = list(oracle.kernel_vectors("ddbar", sp, sq))
         meeting = [x for x in full if not cols.keys().isdisjoint(x)]
         assert xs == meeting[:len(xs)], (kind, p, q)
@@ -767,22 +765,21 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
                     assert typed(new) == typed([v for v in old if v]), (label, op, p, q)
                     got, want = (lemmata._witness(c, kind, p, q, iter(v)) for c, v in ((ec, new), (oc, old)))
                     assert _typed_form(got) == _typed_form(want), (label, op, p, q)
-        assert not [key for key in ec._cols if key[0] in ("del", "delbar")], label
         for p in range(n):
             residues.clear()
             weak(ec, p)
             assert typed(residues[0]) == typed([v for v in weak_images_by_columns(oc, p) if v]), (label, p)
         for p in range(n + 1):
             for q in range(n + 1):
-                for op in ("del", "delbar", "ddbar"):
+                for op in ("del", "delbar", "ddbar", "stacked"):
                     want = columns_of_every_row(ec.rows(op, p, q))
-                    assert typed_columns(ec.columns(op, p, q)) == typed_columns(want), (label, op, p, q)
+                    assert typed_columns(linalg.columns(ec.rows(op, p, q))) == typed_columns(want), (label, op, p, q)
                 product = mat_mul_of_every_row(ec.rows("del", p, q + 1), ec.rows("delbar", p, q))
                 assert typed(ec.rows("ddbar", p, q)) == typed(product), (label, p, q)
         for k in range(-1, 2 * n + 1):
             assert typed(ec.total_d_rows(k)) == typed(total_d_rows_of_every_row(ec, k)), (label, k)
             want = columns_of_every_row(ec.total_d_rows(k))
-            assert typed_columns(ec.columns("total", k, 0)) == typed_columns(want), (label, k)
+            assert typed_columns(linalg.columns(ec.total_d_rows(k))) == typed_columns(want), (label, k)
     assert failing
 
 
@@ -794,7 +791,7 @@ def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monk
     yields the nonzero images of those, as the full-table oracle forms
     them; the kernel vectors that miss them are never built."""
     ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
-    cols = ec.columns("delbar", 1, 1)
+    cols = linalg.columns(ec.rows("delbar", 1, 1))
     assert sorted(cols) == [2, 5, 8] and ec.dim(1, 1) == 9
     one = QI_ONE
     rref = {1: {1: one, 4: one}, 2: {2: one, 3: -one}, 5: {5: one, 6: one}}
@@ -892,28 +889,31 @@ def test_kernel_images_read_each_entry_of_op_once(monkeypatch):
 def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
     """The work gate on Iwasawa^2 x C after full_report: lemma_report
     forms no zero image from a vector that meets no nonzero column, and
-    no witness builds a column table of del or delbar.  Every product
+    each mild or dual mild witness transposes the rows of its del or
+    delbar once (``linalg.columns``), besides the deldelbar images it
+    tests against, so no transpose is taken per vector.  Every product
     with a vector, in mild's and dual mild's scans and in weak, is
     counted: 1,578 of them, and the 4 that are 0 are deldelbar kernel
     vectors with two entries on nonzero columns of del or delbar whose
     images cancel, which no support test sees.  The full-table route, put
     back in place of the kernel images, forms the same 1,574 nonzero
-    images and 862 zero ones, and builds del's and delbar's column
-    tables, so the gate sees what it counts."""
+    images and 862 zero ones from the same transposes, so the gate sees
+    what it counts."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
-    columns_vec, columns, witness = linalg.columns_vec, EvaluatedComplex.columns, lemmata._witness
-    formed, tables, inside = [], [], []
+    columns_vec, columns, witness = linalg.columns_vec, linalg.columns, lemmata._witness
+    formed, tables, inside, scans = [], [], [], []
 
     def forming(cols, x):
         formed.append((columns_vec(cols, x), len(cols.keys() & x.keys())))
         return formed[-1][0]
 
-    def asking(self, op, p, q):
+    def asking(rows):
         if inside:
-            tables.append(op)
-        return columns(self, op, p, q)
+            tables.extend(key for key, stored in ec._rows.items() if stored is rows)
+        return columns(rows)
 
     def framed(ec, kind, p, q, vectors):
+        scans.append((kind, p, q))
         inside.append(kind)
         try:
             return witness(ec, kind, p, q, vectors)
@@ -921,7 +921,7 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
             inside.pop()
 
     monkeypatch.setattr(linalg, "columns_vec", forming)
-    monkeypatch.setattr(EvaluatedComplex, "columns", asking)
+    monkeypatch.setattr(linalg, "columns", asking)
     monkeypatch.setattr(lemmata, "_witness", framed)
     counts = []
     for route in (lemmata._kernel_images, kernel_images_by_columns):
@@ -930,11 +930,15 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
         full_report(ec)
         formed.clear()
         tables.clear()
+        scans.clear()
         report = lemma_report(ec)
         assert any(key.startswith(("mild:", "dual_mild:")) for key in report.witnesses)
         zero = [met for v, met in formed if not v]
-        counts.append((len(formed), len(zero), min(zero), {"del", "delbar"} & set(tables)))
-    assert counts == [(1578, 4, 2, set()), (2436, 862, 0, {"del", "delbar"})]
+        counts.append((len(formed), len(zero), min(zero)))
+        sources = [("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
+                   for kind, p, q in scans if kind in ("mild", "dual_mild")]
+        assert sources and [key for key in tables if key[0] != "ddbar"] == sources, route
+    assert counts == [(1578, 4, 2), (2436, 862, 0)]
 
 
 def _witness_bidegree(key):
@@ -1014,14 +1018,13 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
             kind, p, q = _witness_bidegree(name)
             assert all(verify_witness(ec, kind, p, q, wit).values()), (seed, name)
         # each image by TARGET, as EvaluatedComplex._image keys it
-        sources = {(op, p, q): (ec._matrix(op, p - dp, q - dq), ec.dim(p - dp, q - dq))
+        sources = {(op, p, q): ec._matrix(op, p - dp, q - dq)
                    for op, (dp, dq) in shift.items()
                    for p in range(dp, cx.n + 1) for q in range(dq, cx.n + 1)}
-        sources.update({("total", k, 0): (ec.total_d_rows(k - 1), ec.total_dim(k - 1))
-                        for k in range(1, 2 * cx.n + 1)})
+        sources.update({("total", k, 0): ec.total_d_rows(k - 1) for k in range(1, 2 * cx.n + 1)})
         columns = {}
-        for target, (rows, ncols) in sources.items():
-            cols = Counter(key(v) for v in linalg.columns_of(rows, ncols) if v)
+        for target, rows in sources.items():
+            cols = Counter(key(v) for v in linalg.columns(rows).values())
             if cols and cols != Counter(key(r) for r in rows if r):
                 columns[target] = frozenset(cols.items())
         sharing = Counter(columns.values())

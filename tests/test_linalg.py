@@ -17,6 +17,7 @@ from nilforms.scalars import QI_ONE, DetRng, GaussianRational, QI
 
 from oracles import (
     FullScanEchelon,
+    column_list,
     complex_rank,
     dense_rank,
     dense_to_rows,
@@ -618,7 +619,7 @@ def test_dense_inverse():
     rng = DetRng(17)
     while True:
         rows = _random_rows(rng, 4, 4, density=4)
-        cols = linalg.solve_square(linalg.columns_of(rows, 4), linalg.identity_rows(4))
+        cols = linalg.solve_square(column_list(rows, 4), linalg.identity_rows(4))
         if cols is not None:
             break
     a, inv = _dense(rows, 4), _dense(rows_from_columns(cols, 4), 4)
@@ -652,7 +653,7 @@ def test_solve_square_equals_gauss_jordan_oracle():
             assert got is None, trial
             kinds["singular"] += 1
             continue
-        assert got == linalg.columns_of(dense_to_rows(want), m), trial
+        assert got == column_list(dense_to_rows(want), m), trial
         for col in got:
             assert all(type(x) is GaussianRational for x in col.values())
         kinds["invertible"] += 1
