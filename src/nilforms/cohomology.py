@@ -4,12 +4,14 @@ del-delbar preimage.
 An EvaluatedComplex owns every cache at its evaluation point: the
 evaluated structure constants, the four named matrices of ``rows`` (del,
 delbar, ddbar, stacked) and d on the total complex, each empty row of
-them the one read-only ``EMPTY_ROW``, one row echelon per matrix (the
-stacked echelon extends del's by the delbar rows, so no report builds
-the stacked rows), one forward column echelon per image, and the
-tracked forward echelons that every minimal-norm del-delbar solve at
-that point reuses (``ddbar_preimage``); not their columns, nor a kernel
-list.  [del | delbar] is a rank, not a matrix.  What does not depend on
+them the one read-only ``EMPTY_ROW``, one int cache of every rank read
+(with the block ranks of d), the row echelons that a kernel or a
+witness reads (the stacked echelon extends del's by the delbar rows, so
+no report builds the stacked rows), one forward column echelon per
+image, and the tracked forward echelons that every minimal-norm
+del-delbar solve at that point reuses (``ddbar_preimage``); not their
+columns, nor a kernel list, nor an echelon that only a rank read.
+[del | delbar] is a rank, not a matrix.  What does not depend on
 the point belongs to the structure equations, which
 the ``InvariantComplex`` wraps: the subset table and the assembly plans
 (``leibniz.Layout``), which the equations' column tables and every point
@@ -17,11 +19,13 @@ of the complex share across terms and bidegrees, and the equations'
 terms.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
-rank of the incoming map), and every rank is read from a forward
+rank of the incoming map), and every rank is read once from a forward
 echelon, which completes itself in place into the reduced echelon only
 where a kernel is read.  On a unimodular complex the Aeppli and the
-upper de Rham ranks are read through Hodge-star duality from echelons
-that other dimensions already hold.  Kernel and image bases are built
+upper de Rham ranks are read through Hodge-star duality from ranks that
+other dimensions already hold.  The reports and the CLI's commands run
+with the cyclic garbage collector paused (``collector_paused``).
+Kernel and image bases are built
 only for callers that need vectors (lemma witnesses, extension
 generators, solvers).  Quotient-space computations are the normative
 route; the Laplacians, harmonic projectors and Green operators of Hodge
@@ -33,6 +37,8 @@ over a function field.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -62,6 +68,21 @@ def generic_points(m: int) -> Tuple[Tuple[GaussianRational, ...], Tuple[Gaussian
 
 def zero_point(m: int) -> Tuple[GaussianRational, ...]:
     return tuple(GaussianRational(0) for _ in range(m))
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, and restore its
+    state on exit, exceptions included.  The reports build only acyclic
+    data, so the pause defers no garbage, and a full collection in a
+    report would walk every cached row and echelon and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 #: the matrices that ``EvaluatedComplex.rows`` builds, by name
@@ -94,13 +115,21 @@ class EvaluatedComplex:
     ``linalg.conj_transpose``, so each allocates per nonzero row, not per
     row.  No column table is kept: the image echelons, weak and mild's
     witness each read the transpose ``linalg.columns`` once and drop it.
-    Each matrix gets one row echelon.  It starts as the forward echelon
-    (``linalg.forward_echelon``), which gives the rank and the pivot
-    columns that ``rank`` and ``unimodular`` read.  The stacked echelon
-    extends del's: the del rows lead the stacked rows, so it is a copy of
-    del's leads, whose rows are shared, extended by the delbar rows, and
-    the del rows are not eliminated again.  The first kernel read of the
-    matrix completes that echelon in place into the RREF
+
+    ``rank`` reads every rank through one cache of ints (``_ranks``),
+    filled by the forward echelon (``linalg.forward_echelon``) that
+    first reads it, and that echelon is kept only while a reader is
+    left: delbar's and stacked's are dropped at once; del's is kept until
+    the stacked echelon at its bidegree copies its leads (the del rows
+    lead the stacked rows, so the stacked echelon is a copy of del's
+    leads, whose rows are shared, extended by the delbar rows, and the
+    del rows are not eliminated again); deldelbar's is kept, since mild's
+    witness completes it.  d from each total degree is eliminated once,
+    block by block (``total_marks``), and only the rank after each
+    block, its ``marks``, is kept: the echelon and the rows are released,
+    and standard's suffix pass builds the rows again.  A kernel read
+    keeps the echelon of its matrix (``_row_echelon``): the first one
+    completes that echelon in place into the RREF
     (``linalg.Echelon.kernel``): each row that changes is replaced by a
     reduced copy, so the matrix rows are left as they were, and the
     pivots stay the same, in the same order.  ``kernel`` lists the kernel
@@ -114,11 +143,10 @@ class EvaluatedComplex:
     forms, and the Hodge star turns a matrix into the adjoint of
     another: [del | delbar] into (p,q) has the rank of [del; delbar] from
     (n-q, n-p), and d from degree k that of d from degree 2n-1-k.  So
-    ``rank`` reads exact_sum (the dimension of im del + im delbar) from
-    the stacked echelon that h_BC already holds, and total from degree
-    k >= n from the lower half.  The echelon of total is built block by
-    block (``total_echelon``) by the first of ``rank`` and standard's
-    prefix pass to ask, and kept only where ``rank`` reads it.  Any other
+    ``rank`` reads exact_sum (the dimension of im del + im delbar) as
+    the stacked rank that h_BC already holds, and total from degree
+    k >= n from the lower half; standard's prefix pass still reads the
+    marks of the upper half.  Any other
     complex, such as dgamma^1 = gamma^1 ^ gammabar^1 from a
     structure-equation file, takes the direct route for total and reads
     exact_sum as the rank of the sum of the cached del and delbar image
@@ -153,6 +181,8 @@ class EvaluatedComplex:
             raise ValueError("evaluation point has wrong arity for the ring")
         self._terms: Dict[str, list] = {}
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
+        self._ranks: Dict[Tuple[str, int, int], int] = {}
+        self._marks: Dict[int, List[int]] = {}
         self._echelons: Dict[Tuple[str, int, int], Echelon] = {}
         self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
         self._preimages: Dict[Tuple[int, int], Tuple[Rows, Echelon]] = {}
@@ -205,67 +235,87 @@ class EvaluatedComplex:
     # -- ranks, kernels and images -----------------------------------------
 
     def _row_echelon(self, op: str, p: int, q: int) -> Echelon:
-        """The row echelon of the matrix (op, p, q): its forward echelon,
+        """The kept row echelon of the matrix (op, p, q), for the kernel
+        readers and deldelbar's rank: its forward echelon (``_forward``),
         completed in place into the RREF once a kernel is read, with the
-        same rank and the same pivots, in the same order.
-
-        For stacked it is del's echelon at (p,q), copied and extended by
-        the delbar rows: the same forward elimination, since the del rows
-        lead.  A residue modulo a span with given leading columns is
-        unique, so the delbar rows stored, the leads, their order, the
-        rank and ``marks`` do not depend on whether del's echelon was
-        already completed into the RREF; a shared row is never changed in
-        place (``Echelon._complete`` copies it first)."""
-        key = (op, p, q)
+        same rank and the same pivots, in the same order.  For total, a
+        new forward echelon of d from degree p, kept nowhere."""
         if op == "total":
-            return self.total_echelon(p)
-        if key not in self._echelons:
-            if op == "stacked":
-                # the del rows lead the stacked rows: carry on from del's echelon
-                e = Echelon(dict(self._row_echelon("del", p, q).pivots))
-                self._echelons[key] = e.extend(self.rows("delbar", p, q))
-            else:
-                self._echelons[key] = linalg.forward_echelon(self._matrix(op, p, q))
-        return self._echelons[key]
-
-    def total_echelon(self, k: int) -> Echelon:
-        """The forward echelon of d from total degree k, extended by the
-        rows of one target block of ``total_blocks(k+1)`` at a time, so its
-        ``marks`` are standard's prefix ranks (``lemmata._block_ranks``).
-        Kept where ``rank`` reads it: not from k >= n if unimodular."""
-        key = ("total", k, 0)
+            return linalg.forward_echelon(self.total_d_rows(p))
+        key = (op, p, q)
         e = self._echelons.get(key)
         if e is None:
+            e = self._echelons[key] = self._forward(op, p, q)
+        return e
+
+    def _forward(self, op: str, p: int, q: int) -> Echelon:
+        """A new forward echelon of the matrix (op, p, q), its rank put in
+        the rank cache.
+
+        For stacked it is del's echelon at (p,q), taken out of the kept
+        ones (or built), copied and extended by the delbar rows: the same
+        forward elimination, since the del rows lead.  A residue modulo a
+        span with given leading columns is unique, so the delbar rows
+        stored, the leads, their order, the rank and ``marks`` do not
+        depend on whether del's echelon was already completed into the
+        RREF; a shared row is never changed in place (``Echelon._complete``
+        copies it first)."""
+        if op == "stacked":
+            d = self._echelons.pop(("del", p, q), None)
+            if d is None:
+                d = self._forward("del", p, q)
+            e = Echelon(dict(d.pivots)).extend(self.rows("delbar", p, q))
+        else:
+            e = linalg.forward_echelon(self.rows(op, p, q))
+        self._ranks[(op, p, q)] = e.rank
+        return e
+
+    def total_marks(self, k: int) -> List[int]:
+        """The rank of d from total degree k after the rows of each target
+        block of ``total_blocks(k+1)``, in order, the last its rank:
+        standard's prefix ranks (``lemmata._block_ranks``).  One forward
+        pass, block by block, whose echelon is dropped and whose rows are
+        released after it; the marks and the rank are kept."""
+        if k not in self._marks:
             rows, e = self.total_d_rows(k), Echelon({})
             for pq in self.total_blocks(k + 1):
                 e.extend(rows[:self.dim(*pq)])
                 rows = rows[self.dim(*pq):]
-            if k < self.n or not self.unimodular:
-                self._echelons[key] = e
-        return e
+            del self._rows[("total", k, 0)]
+            self._marks[k], self._ranks[("total", k, 0)] = e.marks, e.rank
+        return self._marks[k]
 
     @property
     def unimodular(self) -> bool:
         """Whether d of every (2n-1)-form is 0, the gate of the duality
         in ``rank``: whether the one row of d into the top degree, which
-        holds no zero entry, is empty."""
+        holds no zero entry, has rank 0."""
         if self._unimodular is None:
-            self._unimodular = not any(self.total_d_rows(2 * self.n - 1))
+            self._unimodular = not self.total_marks(2 * self.n - 1)[-1]
         return self._unimodular
 
     def rank(self, op: str, p: int, q: int) -> int:
         """Rank of the matrix (op, p, q), or for exact_sum the dimension
-        of im del + im delbar at TARGET (p,q).  On a unimodular complex,
-        exact_sum and total from degree k >= n are read from the echelon
-        of their Hodge-star dual (see the class docstring)."""
+        of im del + im delbar at TARGET (p,q), read through the rank
+        cache.  On a unimodular complex, exact_sum and total from degree
+        k >= n are read as the rank of their Hodge-star dual.  The class
+        docstring says which echelons a first read keeps."""
         n = self.n
-        if op == "exact_sum":
-            if 0 <= p <= n and 0 <= q <= n and self.unimodular:
-                return self._row_echelon("stacked", n - q, n - p).rank
-            return self.image_sum(("del", "delbar"), p, q).rank
-        if op == "total" and p >= n and self.unimodular:
+        if op == "exact_sum" and 0 <= p <= n and 0 <= q <= n and self.unimodular:
+            op, p, q = "stacked", n - q, n - p
+        elif op == "total" and p >= n and self.unimodular:
             p = 2 * n - 1 - p
-        return self._row_echelon(op, p, q).rank
+        key = (op, p, q)
+        if key not in self._ranks:
+            if op == "exact_sum":
+                self._ranks[key] = self.image_sum(("del", "delbar"), p, q).rank
+            elif op == "total":
+                self.total_marks(p)
+            elif op in ("del", "ddbar"):
+                self._row_echelon(op, p, q)
+            else:
+                self._forward(op, p, q)
+        return self._ranks[key]
 
     def image_rank(self, op: str, p: int, q: int) -> int:
         """Dimension of the image of del, delbar or ddbar with TARGET (p,q)."""
@@ -556,9 +606,11 @@ class CohomologyReport:
         }
 
 
+@collector_paused()
 def full_report(ec: EvaluatedComplex) -> CohomologyReport:
-    """Every cohomology table and Betti number of a complex; equations
-    that define no complex are refused first (``require_flat``)."""
+    """Every cohomology table and Betti number of a complex, with the
+    cyclic collector paused (``collector_paused``); equations that define
+    no complex are refused first (``require_flat``)."""
     ec.cx.se.require_flat()
     n = ec.n
     size = n + 1

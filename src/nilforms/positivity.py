@@ -12,8 +12,10 @@ LDL* pivots of that matrix, from one tracked forward elimination of its
 rows (``linalg.hermitian_pivots``), are all positive, or the first pivot
 <= 0 comes with an exact vector w whose value w* A w is that pivot.  For
 intermediate p the pairing matrix is evaluated at seeded deterministic
-decomposable directions, and a verdict without falsifier is labelled
-sampled.  Every falsifier is re-verified by a wedge (``pairing_volume``).
+decomposable directions, each read as the q x q minors of its drawn
+vectors (``decomposable_coefficients``), with no wedge, and a verdict
+without falsifier is labelled sampled.  Only a falsifier becomes a
+form, and it is re-verified by a wedge (``pairing_volume``).
 
 A p-Kaehler question takes p from its form (``pkahler_degree``): a
 nonzero (p,p)-form with 1 <= p <= n-1, constant in t (``pkahler_check``).
@@ -221,19 +223,29 @@ def _pairing_matrix(gamma: Form, q: int) -> List[List[GaussianRational]]:
     return mat
 
 
-def decomposable_sample(alg: FormAlgebra, q: int, rng: DetRng) -> Form:
-    """tau = v_1 ^ ... ^ v_q from seeded Gaussian-rational vectors."""
+def decomposable_coefficients(n: int, q: int, rng: DetRng) -> Dict[Tuple[int, ...], GaussianRational]:
+    """The nonzero coefficients c_I of tau = v_1 ^ ... ^ v_q on gamma^I,
+    I ascending, for q seeded vectors v_k = sum_i x_ki gamma^i, each
+    x_ki drawn as ``rng.gaussian(3)``, vector by vector and i ascending;
+    drawn again while every c_I is 0.  c_I is the q x q minor of the
+    vectors at the columns I, read by Laplace expansion along the last
+    vector from the minors of the vectors before it: gamma^S ^ gamma^i
+    is gamma^(S+i) times -1 per element of S above i."""
     while True:
-        tau = alg.scalar_form(1)
+        minors: Dict[Tuple[int, ...], GaussianRational] = {(): QI_ONE}
         for _ in range(q):
-            v = alg.zero()
-            for i in range(1, alg.n + 1):
-                c = rng.gaussian(3)
-                if c:
-                    v = v + alg.gamma(i).scale(c)
-            tau = tau.wedge(v)
-        if tau:
-            return tau
+            v = [rng.gaussian(3) for _ in range(n)]
+            wider: Dict[Tuple[int, ...], GaussianRational] = {}
+            for S, m in minors.items():
+                for i, x in enumerate(v, 1):
+                    if x and i not in S:
+                        above = sum(s > i for s in S)
+                        T = tuple(sorted(S + (i,)))
+                        y = -m * x if above % 2 else m * x
+                        wider[T] = wider[T] + y if T in wider else y
+            minors = {T: c for T, c in wider.items() if c}
+        if minors:
+            return minors
 
 
 def pairing_volume(gamma: Form, tau: Form) -> GaussianRational:
@@ -254,10 +266,11 @@ def is_transverse(
     matrix A (``_pairing_matrix``).  Where every (q,0)-form is
     decomposable (p in {0, 1, n-1, n}) the verdict is A's LDL* pivots,
     exact either way (``_pivot_verdict``).  Elsewhere, or with
-    force_sampled, each seeded decomposable tau = sum c_I gamma^I pairs
-    to c* A c: one <= 0 is an exact falsifier, else the verdict is
-    sampled, with the smallest margin drawn.  Every falsifier is
-    re-verified by its wedge (``pairing_volume``)."""
+    force_sampled, each seeded decomposable tau = sum c_I gamma^I, its
+    c read as minors (``decomposable_coefficients``), pairs to c* A c:
+    one <= 0 is an exact falsifier, the only tau built as a form; else
+    the verdict is sampled, with the smallest margin drawn.  Every
+    falsifier is re-verified by its wedge (``pairing_volume``)."""
     alg = gamma.algebra
     n = alg.n
     if p is None:
@@ -278,8 +291,8 @@ def is_transverse(
         rng = DetRng(seed)
         margins: List[Fraction] = []
         for drawn in range(1, samples + 1):
-            tau = decomposable_sample(alg, q, rng)
-            c = {index[I]: x.constant_term() for (I, _), x in tau.coeffs.items()}
+            coeffs = decomposable_coefficients(n, q, rng)
+            c = {index[I]: x for I, x in coeffs.items()}
             vol = sum((z.conj() * mat[i][j] * w for i, z in c.items() for j, w in c.items()), GaussianRational(0))
             margin = _div(vol.re, sum(z.norm2() for z in c.values()))
             margins.append(margin)
@@ -289,7 +302,7 @@ def is_transverse(
                     kind="transverse",
                     holds=False,
                     exact=True,
-                    falsifier=tau,
+                    falsifier=Form(alg, {(I, ()): alg.ring.const(x) for I, x in sorted(coeffs.items())}),
                     samples_used=drawn,
                     min_margin=margin,
                 )

@@ -2121,13 +2121,31 @@ def pairing_matrix_by_wedges(gamma, q: int):
 # -- the transversality verdicts that positivity's pairing matrix replaced --
 
 
+def decomposable_sample(alg, q: int, rng: DetRng):
+    """tau = v_1 ^ ... ^ v_q wedged out from seeded Gaussian-rational
+    vectors, drawn again while it is 0: the route that
+    ``positivity.decomposable_coefficients`` replaced, which reads the
+    same draws as q x q minors."""
+    while True:
+        tau = alg.scalar_form(1)
+        for _ in range(q):
+            v = alg.zero()
+            for i in range(1, alg.n + 1):
+                c = rng.gaussian(3)
+                if c:
+                    v = v + alg.gamma(i).scale(c)
+            tau = tau.wedge(v)
+        if tau:
+            return tau
+
+
 def transverse_by_wedges(gamma, p: int, samples: int = 200, seed: int = 7, force_sampled: bool = False):
     """is_transverse with every pairing a wedge: at p in {0, 1, n-1, n}
     the LDL* pivots (``hermitian_pivots_ldl``) of the pairing matrix read
     by wedges (``pairing_matrix_by_wedges``); elsewhere, or with
     force_sampled, the volume of gamma ^ sigma_q tau ^ conj(tau) wedged
     out for each seeded decomposable tau."""
-    from nilforms.positivity import PositivityVerdict, decomposable_sample, pairing_volume
+    from nilforms.positivity import PositivityVerdict, pairing_volume
 
     alg = gamma.algebra
     n = alg.n

@@ -1,9 +1,13 @@
+import contextlib
+import gc
+import io
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from nilforms import cli
 from nilforms import io as nio
 from nilforms import linalg
 from nilforms.algebra import Form, FormAlgebra, InvariantComplex, StructureEquations, build_complex
@@ -291,6 +295,142 @@ def test_full_report_builds_no_kernel_or_image_basis(iwasawa3):
     full_report(ec)
     assert all(e._free is None for e in ec._echelons.values())
     assert ec._images == {}
+
+
+def _fresh_rank(ec, key):
+    """The rank that the rank cache holds at key, read by a new forward
+    echelon of the same rows: the matrix's own, d's from total degree p,
+    or for exact_sum the columns of del and delbar into (p,q)."""
+    op, p, q = key
+    if op == "total":
+        return linalg.forward_echelon(ec.total_d_rows(p)).rank
+    if op == "exact_sum":
+        cols = [c for src in (("del", p - 1, q), ("delbar", p, q - 1)) if min(src[1:]) >= 0
+                for c in linalg.columns(ec.rows(*src)).values()]
+        return linalg.forward_echelon(cols).rank
+    return linalg.forward_echelon(ec.rows(op, p, q)).rank
+
+
+def test_rank_cache_assembles_once_and_eliminates_each_degree_once(monkeypatch, reference_complexes):
+    """Count gate of the rank cache, on the 13 reference complexes (the
+    first generic point of bcvary10 among them) and on a complex that is
+    not unimodular.  In one full_report each matrix (op, p, q) and each
+    degree of d is assembled at most once.  Over full_report then
+    lemma_report, each degree of d whose rank is read is
+    forward-eliminated once, block by block, for that rank (its rows are
+    released after that pass, so they are compared by content), and no
+    other degree with a nonzero row is.  Every cached rank, and every
+    block mark of d, equals the rank of a new forward echelon of the same
+    rows.  After full_report the complex keeps no row echelon but
+    deldelbar's and no rows of d."""
+    se = nio.obj_to_se({"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}})
+    cases = [(label, cx, point) for label, cx, point in reference_complexes]
+    cases.append(("not unimodular", build_complex(se), ()))
+    assert len(cases) == 14
+    rows, total_d_rows, extend = EvaluatedComplex.rows, EvaluatedComplex.total_d_rows, linalg.Echelon.extend
+    built, fed = [], {}
+
+    def building(method, key):
+        def wrapper(self, *args):
+            if key(args) not in self._rows:
+                built.append(key(args))
+            return method(self, *args)
+        return wrapper
+
+    def recording(self, vectors):
+        fed.setdefault(id(self), (self, []))[1].extend(v if v else None for v in vectors)
+        return extend(self, vectors)
+
+    monkeypatch.setattr(EvaluatedComplex, "rows", building(rows, tuple))
+    monkeypatch.setattr(EvaluatedComplex, "total_d_rows", building(total_d_rows, lambda a: ("total", a[0], 0)))
+    monkeypatch.setattr(linalg.Echelon, "extend", recording)
+    for label, cx, point in cases:
+        ec = EvaluatedComplex(cx, point)
+        built.clear()
+        fed.clear()
+        full_report(ec)
+        assert built and len(built) == len(set(built)), label
+        # an echelon or total rows that only a rank read are released
+        assert {key[0] for key in ec._echelons} <= {"ddbar"}, label
+        assert not any(key[0] == "total" for key in ec._rows), label
+        lemma_report(ec)
+        monkeypatch.setattr(linalg.Echelon, "extend", extend)
+        for k in range(-1, 2 * cx.n):
+            want = [r if r else None for r in ec.total_d_rows(k)]
+            if any(want):
+                passes = sum(seq == want for _, seq in fed.values())
+                assert passes == (k in ec._marks), (label, k, passes)
+        assert ec._ranks and ec._marks, label
+        for key, r in ec._ranks.items():
+            assert r == _fresh_rank(ec, key), (label, key)
+        for k, marks in ec._marks.items():
+            d, blocks, cut = ec.total_d_rows(k), ec.total_blocks(k + 1), 0
+            assert len(marks) == len(blocks), (label, k)
+            for (p, q), mark in zip(blocks, marks):
+                cut += ec.dim(p, q)
+                assert mark == linalg.forward_echelon(d[:cut]).rank, (label, k, p, q)
+        monkeypatch.setattr(linalg.Echelon, "extend", recording)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reports_pause_the_collector_and_restore_its_state(monkeypatch, tmp_path, iwasawa3, enabled):
+    """full_report, lemma_report and the CLI's commands rank with the
+    cyclic collector paused, and leave it on or off as they found it,
+    also when they raise: FlatnessError on equations that are not flat
+    (the CLI's exit 1), and a bidegree outside 0..n, given to
+    lemma_report or as --bidegree."""
+    states = []
+    rank = EvaluatedComplex.rank
+    monkeypatch.setattr(EvaluatedComplex, "rank", lambda self, *a: states.append(gc.isenabled()) or rank(self, *a))
+    alg3 = FormAlgebra(3, PolyRing(0, 0))
+    notflat = StructureEquations("notflat", alg3, {3: alg3.monomial((1,), (2,)), 2: alg3.monomial((1,), (3,))})
+    path = tmp_path / "notflat.json"
+    path.write_text(nio.se_emit(notflat))
+
+    def run(argv, code):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == code, argv
+
+    calls = [
+        lambda: full_report(EvaluatedComplex(build_complex(iwasawa3.se), ())),
+        lambda: lemma_report(EvaluatedComplex(build_complex(iwasawa3.se), ())),
+        lambda: run(["cohomology", "--manifold", "catalog:iwasawa3", "--json"], 0),
+        lambda: run(["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "2,3", "--json"], 0),
+        lambda: run(["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "7,0"], 1),
+        lambda: run(["cohomology", "--manifold", str(path)], 1),
+    ]
+    raising = [
+        (FlatnessError, lambda: full_report(EvaluatedComplex(InvariantComplex(notflat), ()))),
+        (FlatnessError, lambda: lemma_report(EvaluatedComplex(InvariantComplex(notflat), ()))),
+        (ValueError, lambda: lemma_report(EvaluatedComplex(build_complex(iwasawa3.se), ()), [(7, 0)])),
+    ]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for call in calls:
+            call()
+            assert gc.isenabled() is enabled
+        for error, call in raising:
+            with pytest.raises(error):
+                call()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states and not any(states)
+
+
+def test_reports_leave_no_cyclic_garbage(reference_complexes):
+    """The reports build only acyclic data, so pausing the collector
+    defers no garbage: on each fresh reference complex, full_report, then
+    lemma_report, then dropping the evaluated complex leave nothing that
+    a collection frees."""
+    for label, cx, point in reference_complexes:
+        gc.collect()
+        ec = EvaluatedComplex(cx, point)
+        full_report(ec)
+        lemma_report(ec)
+        del ec
+        assert gc.collect() == 0, label
 
 
 # -- the minimal-norm del-delbar solve ---------------------------------------

@@ -106,6 +106,48 @@ def test_only_linalg_reads_the_gaussian_triple_outside_scalars():
     assert readers == {"scalars", "linalg"}
 
 
+def collector_uses(source: str):
+    """(line, enclosing top-level definition or None, what) for each
+    import of ``gc`` ("import") and each attribute read off a name that
+    an import binds to it."""
+    tree = ast.parse(source)
+    scopes = [(getattr(top, "name", None), top) for top in tree.body]
+    bound, out = set(), []
+    for where, top in scopes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names):
+                bound |= {alias.asname or "gc" for alias in node.names if alias.name == "gc"}
+                out.append((node.lineno, where, "import"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                out.append((node.lineno, where, "import"))
+    for where, top in scopes:
+        out.extend((node.lineno, where, node.attr) for node in ast.walk(top) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id in bound)
+    return sorted(out)
+
+
+def test_collector_scan_sees_what_it_should():
+    source = (
+        "import gc as g, os\n"
+        "from gc import disable\n"
+        "def f():\n"
+        "    g.disable()\n"
+        "    return os.sep, gc.enable\n"
+    )
+    assert collector_uses(source) == [(1, None, "import"), (2, None, "import"), (4, "f", "disable")]
+
+
+def test_only_the_pause_helper_touches_the_collector():
+    """One module of the package imports ``gc``, ``cohomology``, and only
+    its ``collector_paused`` reads the collector's state or switches it,
+    so no second pause site and no knob for it appears."""
+    uses = {path.stem: collector_uses(path.read_text()) for path in SRC.glob("*.py")}
+    uses = {stem: found for stem, found in uses.items() if found}
+    assert set(uses) == {"cohomology"}, uses
+    assert [what for _, where, what in uses["cohomology"] if where is not None] == ["isenabled", "disable", "enable"]
+    assert {where for _, where, what in uses["cohomology"]} == {None, "collector_paused"}
+
+
 def value_comparisons(source: str):
     """(line, text) of each == or != with an ``.algebra`` or ``.ring``
     operand that no ``is`` or ``is not`` test of the same two operands

@@ -637,16 +637,16 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     and its witness takes no realified nullspace (4 nullspaces and 5,520
     Fractions before).  No degree of d with a nonzero row is
     forward-eliminated twice over full_report and lemma_report: standard's
-    prefix pass is the echelon that rank reads.  The rows fed are compared
-    by the ids of the nonzero ones, each empty row standing as None, since
-    every empty row is the one shared ``EMPTY_ROW``."""
+    prefix pass is the one whose marks rank reads.  The total rows are
+    released after that pass and built again by standard, so the rows fed
+    are compared by content, each empty row standing as None."""
     cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=generic_points(4)[0]))
     ec = EvaluatedComplex(cx, ())
     fed = {}
     extend = linalg.Echelon.extend
 
     def recording(self, vectors):
-        fed.setdefault(id(self), (self, []))[1].extend(id(v) if v else None for v in vectors)
+        fed.setdefault(id(self), (self, []))[1].extend(v if v else None for v in vectors)
         return extend(self, vectors)
 
     monkeypatch.setattr(linalg.Echelon, "extend", recording)
@@ -662,8 +662,8 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     assert report.standard_flag is False
     # degrees -1..n-1 with a nonzero row are eliminated for rank, the rest
     # only by standard, which stops at its failing bidegree
-    rows = {k: [id(r) if r else None for r in ec.total_d_rows(k)] for k in range(-1, 2 * cx.n)}
-    passes = {k: sum(seq == ids for _, seq in fed.values()) for k, ids in rows.items() if any(ids)}
+    rows = {k: [r if r else None for r in ec.total_d_rows(k)] for k in range(-1, 2 * cx.n)}
+    passes = {k: sum(seq == want for _, seq in fed.values()) for k, want in rows.items() if any(want)}
     assert [passes[k] for k in range(-1, cx.n) if k in passes] == [1] * (cx.n - 1), passes
     assert max(passes.values()) == 1, passes
 

@@ -550,8 +550,10 @@ def test_unit_leads_divide_nothing(monkeypatch):
              for op in ("del", "delbar", "ddbar", "stacked")
              for p in range(se.n + 1) for q in range(se.n + 1)]
     ranks += [ec._row_echelon("total", k, 0).rank for k in range(2 * se.n)]
-    # the stacked echelons start from del's leads, found once by del's extend
-    inherited = sum(ec._row_echelon("del", p, q).rank for p in range(se.n + 1) for q in range(se.n + 1))
+    # the stacked echelons start from del's leads, found once by del's
+    # extend; del's echelons are released once stacked copies their leads,
+    # so their ranks are read from the rank cache
+    inherited = sum(ec.rank("del", p, q) for p in range(se.n + 1) for q in range(se.n + 1))
     assert 0 < inherited < sum(ranks) and len(leads) == sum(ranks) - inherited
     assert all(lead in (1, -1) for lead in leads)
     assert divisions == []

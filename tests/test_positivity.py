@@ -10,7 +10,7 @@ from nilforms.extension import pkahler_extend, small_points
 from nilforms import positivity
 from nilforms.positivity import (
     _pairing_matrix,
-    decomposable_sample,
+    decomposable_coefficients,
     hermitian_matrix_of,
     is_strictly_positive,
     is_transverse,
@@ -23,7 +23,7 @@ from nilforms.positivity import (
 )
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import pairing_matrix_by_wedges, transverse_by_wedges
+from oracles import decomposable_sample, pairing_matrix_by_wedges, transverse_by_wedges
 
 ALG2 = FormAlgebra(2, PolyRing(0, 0))
 ALG3 = FormAlgebra(3, PolyRing(0, 0))
@@ -222,6 +222,30 @@ def test_is_transverse_equals_the_wedge_route():
     assert outcomes == {(True, True, False), (False, True, False), (True, False, True), (False, True, True)}
 
 
+def test_minors_equal_the_wedged_coefficients(monkeypatch):
+    """At seeds 7 and 11, n = 4..6 and every middle q, the coefficients
+    that ``decomposable_coefficients`` reads as q x q minors are those of
+    the wedged sample (``oracles.decomposable_sample``), 40 draws each,
+    the two generators left in the same state; and a passing sampled
+    verdict wedges nothing at all."""
+    for seed in (7, 11):
+        for n in range(4, 7):
+            alg = FormAlgebra(n, PolyRing(0, 0))
+            for q in range(2, n - 1):
+                minors, wedges = DetRng(seed), DetRng(seed)
+                for drawn in range(40):
+                    tau = decomposable_sample(alg, q, wedges)
+                    want = {I: c.constant_term() for (I, _), c in tau.coeffs.items()}
+                    assert decomposable_coefficients(n, q, minors) == want, (seed, n, q, drawn)
+                assert minors.state == wedges.state, (seed, n, q)
+    gamma = _power(_one_one_forms(5)[0], 2)
+    calls = []
+    wedge = Form.wedge
+    monkeypatch.setattr(Form, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
+    verdict = is_transverse(gamma, 2, samples=50)
+    assert verdict.holds is True and verdict.exact is False and calls == []
+
+
 def test_pairing_volume_runs_only_to_reverify_a_falsifier(monkeypatch):
     """Work gate: a passing verdict, sampled or exact, wedges nothing
     (``pairing_volume`` is not called), and a failing verdict of either
@@ -251,7 +275,7 @@ def test_positivity_refuses_a_degree_outside_0_to_n(monkeypatch):
     def no_sample(*args):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(positivity, "decomposable_sample", no_sample)
+    monkeypatch.setattr(positivity, "decomposable_coefficients", no_sample)
     for call in (
         lambda: is_transverse(ALG3.zero(), -1),
         lambda: is_transverse(ALG3.zero(), 4),
