@@ -24,7 +24,7 @@ from typing import Optional
 from . import io as nio
 from .algebra import FormAlgebra
 from .catalog import SCENARIOS, CatalogEntry, catalog_load, catalog_names, run_scenario
-from .cohomology import collector_paused, full_report, zero_point
+from .cohomology import full_report, zero_point
 from .deformation import deform_complex, fiber_complex
 from .errors import NilformsError
 from .extension import bc_nontriviality, pkahler_extend, small_points, solve_extension
@@ -400,8 +400,7 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        with collector_paused():
-            return args.fn(args)
+        return args.fn(args)
     except NilformsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,8 +23,9 @@ rank of the incoming map), and every rank is read once from a forward
 echelon, which completes itself in place into the reduced echelon only
 where a kernel is read.  On a unimodular complex the Aeppli and the
 upper de Rham ranks are read through Hodge-star duality from ranks that
-other dimensions already hold.  The reports and the CLI's commands run
-with the cyclic garbage collector paused (``collector_paused``).
+other dimensions already hold.  ``full_report`` and
+``lemmata.lemma_report`` run with the cyclic garbage collector paused
+(``collector_paused``).
 Kernel and image bases are built
 only for callers that need vectors (lemma witnesses, extension
 generators, solvers).  Quotient-space computations are the normative
@@ -127,7 +128,9 @@ class EvaluatedComplex:
     witness completes it.  d from each total degree is eliminated once,
     block by block (``total_marks``), and only the rank after each
     block, its ``marks``, is kept: the echelon and the rows are released,
-    and standard's suffix pass builds the rows again.  A kernel read
+    and standard's suffix pass builds the rows again and releases them
+    after it (``lemmata._block_ranks``); only the image of d keeps the
+    rows of d it was read from (``_image``).  A kernel read
     keeps the echelon of its matrix (``_row_echelon``): the first one
     completes that echelon in place into the RREF
     (``linalg.Echelon.kernel``): each row that changes is replaced by a
@@ -238,10 +241,7 @@ class EvaluatedComplex:
         """The kept row echelon of the matrix (op, p, q), for the kernel
         readers and deldelbar's rank: its forward echelon (``_forward``),
         completed in place into the RREF once a kernel is read, with the
-        same rank and the same pivots, in the same order.  For total, a
-        new forward echelon of d from degree p, kept nowhere."""
-        if op == "total":
-            return linalg.forward_echelon(self.total_d_rows(p))
+        same rank and the same pivots, in the same order."""
         key = (op, p, q)
         e = self._echelons.get(key)
         if e is None:

@@ -260,12 +260,15 @@ def _block_ranks(ec: EvaluatedComplex, k: int) -> Tuple[List[int], List[int]]:
     no column.  before is read from the marks of the pass that ``rank``
     reads (``total_marks``, which releases the rows after it); after
     takes one forward pass over the blocks after the first, in reverse,
-    on rows built again if that pass released them."""
+    on rows built again if that pass released them, and released again
+    after it."""
     rows, e = ec.total_d_rows(k - 1), linalg.forward_echelon([])
     for pq in reversed(ec.total_blocks(k)[1:]):
         e.extend(rows[-ec.dim(*pq):])
         rows = rows[:-ec.dim(*pq)]
-    return [0] + ec.total_marks(k - 1)[:-1], e.marks[::-1]
+    before = [0] + ec.total_marks(k - 1)[:-1]
+    ec._rows.pop(("total", k - 1, 0), None)
+    return before, e.marks[::-1]
 
 
 def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple[int, int]]]:

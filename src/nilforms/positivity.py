@@ -34,6 +34,7 @@ from . import linalg
 from .algebra import Form, FormAlgebra, StructureEquations, wedge_mono
 from .errors import PreconditionFailed
 from .io import form_to_obj
+from .leibniz import merge_indices
 from .scalars import DetRng, GaussianRational, QI_I, QI_ONE, _div
 
 
@@ -230,7 +231,8 @@ def decomposable_coefficients(n: int, q: int, rng: DetRng) -> Dict[Tuple[int, ..
     drawn again while every c_I is 0.  c_I is the q x q minor of the
     vectors at the columns I, read by Laplace expansion along the last
     vector from the minors of the vectors before it: gamma^S ^ gamma^i
-    is gamma^(S+i) times -1 per element of S above i."""
+    is gamma^(S+i) times -1 per element of S above i
+    (``leibniz.merge_indices``)."""
     while True:
         minors: Dict[Tuple[int, ...], GaussianRational] = {(): QI_ONE}
         for _ in range(q):
@@ -238,10 +240,10 @@ def decomposable_coefficients(n: int, q: int, rng: DetRng) -> Dict[Tuple[int, ..
             wider: Dict[Tuple[int, ...], GaussianRational] = {}
             for S, m in minors.items():
                 for i, x in enumerate(v, 1):
-                    if x and i not in S:
-                        above = sum(s > i for s in S)
-                        T = tuple(sorted(S + (i,)))
-                        y = -m * x if above % 2 else m * x
+                    merged = merge_indices(S, (i,)) if x else None
+                    if merged is not None:
+                        sign, T = merged
+                        y = m * x if sign > 0 else -m * x
                         wider[T] = wider[T] + y if T in wider else y
             minors = {T: c for T, c in wider.items() if c}
         if minors:

@@ -322,7 +322,8 @@ def test_rank_cache_assembles_once_and_eliminates_each_degree_once(monkeypatch, 
     other degree with a nonzero row is.  Every cached rank, and every
     block mark of d, equals the rank of a new forward echelon of the same
     rows.  After full_report the complex keeps no row echelon but
-    deldelbar's and no rows of d."""
+    deldelbar's and no rows of d; after lemma_report it keeps only the
+    rows of d whose image a failing standard's witness read."""
     se = nio.obj_to_se({"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}})
     cases = [(label, cx, point) for label, cx, point in reference_complexes]
     cases.append(("not unimodular", build_complex(se), ()))
@@ -354,6 +355,11 @@ def test_rank_cache_assembles_once_and_eliminates_each_degree_once(monkeypatch, 
         assert {key[0] for key in ec._echelons} <= {"ddbar"}, label
         assert not any(key[0] == "total" for key in ec._rows), label
         lemma_report(ec)
+        # standard's suffix pass releases the rows it built again; only
+        # the rows of d whose image a failing standard's witness read stay
+        held = {key[1] for key in ec._rows if key[0] == "total"}
+        assert held == {key[1] - 1 for key in ec._images if key[0] == "total"}, label
+        assert len(held) <= 1, label
         monkeypatch.setattr(linalg.Echelon, "extend", extend)
         for k in range(-1, 2 * cx.n):
             want = [r if r else None for r in ec.total_d_rows(k)]
@@ -374,9 +380,9 @@ def test_rank_cache_assembles_once_and_eliminates_each_degree_once(monkeypatch, 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_reports_pause_the_collector_and_restore_its_state(monkeypatch, tmp_path, iwasawa3, enabled):
-    """full_report, lemma_report and the CLI's commands rank with the
-    cyclic collector paused, and leave it on or off as they found it,
-    also when they raise: FlatnessError on equations that are not flat
+    """full_report and lemma_report, and the CLI's commands that rank
+    through them, rank with the cyclic collector paused, and leave it on
+    or off as they found it, also when they raise: FlatnessError on equations that are not flat
     (the CLI's exit 1), and a bidegree outside 0..n, given to
     lemma_report or as --bidegree."""
     states = []
@@ -638,11 +644,19 @@ def _exact_sum_rank(ec, p, q):
     return ec.image_sum(("del", "delbar"), p, q).rank
 
 
+def _direct_rank(ec, op, p, q):
+    """The rank of the matrix (op, p, q) from its own row echelon, or for
+    total from a new forward echelon of d from degree p."""
+    if op == "total":
+        return linalg.forward_echelon(ec.total_d_rows(p)).rank
+    return ec._row_echelon(op, p, q).rank
+
+
 def _direct_report(ec):
     """full_report's tables with every rank taken from the matrix's own
     row echelon, or for [del | delbar] from the sum of the images, never
     from a dual."""
-    n, rank = ec.n, lambda op, p, q: ec._row_echelon(op, p, q).rank
+    n, rank = ec.n, lambda op, p, q: _direct_rank(ec, op, p, q)
     h_a = [[ec.dim(p, q) - rank("ddbar", p, q) - _exact_sum_rank(ec, p, q) for q in range(n + 1)]
            for p in range(n + 1)]
     betti_numbers = [ec.total_dim(k) - rank("total", k, 0) - rank("total", k - 1, 0)
@@ -666,7 +680,7 @@ def test_dual_ranks_equal_direct_ranks(reference_complexes):
         assert not any(key[0] == "total" and n <= key[1] < 2 * n - 1 for key in ec._echelons), label
         for key, r in dual.items():
             op, p, q = key
-            direct = _exact_sum_rank(ec, p, q) if op == "exact_sum" else ec._row_echelon(*key).rank
+            direct = _exact_sum_rank(ec, p, q) if op == "exact_sum" else _direct_rank(ec, *key)
             assert r == direct, (label, key)
         report = full_report(EvaluatedComplex(cx, point))
         assert (report.h_a, report.betti) == _direct_report(ec), label
@@ -679,7 +693,7 @@ def test_non_unimodular_input_keeps_the_direct_route():
     se = nio.obj_to_se({"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}})
     ec = EvaluatedComplex(build_complex(se), ())
     assert ec.unimodular is False
-    assert ec._row_echelon("total", 1, 0).rank != ec._row_echelon("total", 0, 0).rank
+    assert _direct_rank(ec, "total", 1, 0) != _direct_rank(ec, "total", 0, 0)
     report = full_report(ec)
     assert report.betti == [1, 1, 0]
     assert report.h_a == [[1, 1], [1, 0]]

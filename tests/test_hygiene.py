@@ -140,12 +140,23 @@ def test_collector_scan_sees_what_it_should():
 def test_only_the_pause_helper_touches_the_collector():
     """One module of the package imports ``gc``, ``cohomology``, and only
     its ``collector_paused`` reads the collector's state or switches it,
-    so no second pause site and no knob for it appears."""
+    so no second pause site and no knob for it appears.  The pause sites
+    are the decorators of ``full_report`` and ``lemmata.lemma_report``:
+    no other code of the package names ``collector_paused``."""
     uses = {path.stem: collector_uses(path.read_text()) for path in SRC.glob("*.py")}
     uses = {stem: found for stem, found in uses.items() if found}
     assert set(uses) == {"cohomology"}, uses
     assert [what for _, where, what in uses["cohomology"] if where is not None] == ["isenabled", "disable", "enable"]
     assert {where for _, where, what in uses["cohomology"]} == {None, "collector_paused"}
+    named, decorating = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "collector_paused"]
+        decorating += [(path.stem, fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                       for dec in fn.decorator_list
+                       if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "collector_paused"]
+    assert decorating == [("cohomology", "full_report"), ("lemmata", "lemma_report")]
+    assert named == [stem for stem, _ in decorating]
 
 
 def value_comparisons(source: str):
@@ -527,7 +538,7 @@ def test_one_source_per_fact():
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             imported |= {node.module} if node.module else {alias.name for alias in node.names}
-    assert imported == {"algebra", "errors", "io", "linalg", "scalars"}
+    assert imported == {"algebra", "errors", "io", "leibniz", "linalg", "scalars"}
     assert "p" not in inspect.signature(positivity.pkahler_check).parameters
 
 

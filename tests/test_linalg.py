@@ -549,7 +549,7 @@ def test_unit_leads_divide_nothing(monkeypatch):
     ranks = [ec._row_echelon(op, p, q).rank
              for op in ("del", "delbar", "ddbar", "stacked")
              for p in range(se.n + 1) for q in range(se.n + 1)]
-    ranks += [ec._row_echelon("total", k, 0).rank for k in range(2 * se.n)]
+    ranks += [linalg.forward_echelon(ec.total_d_rows(k)).rank for k in range(2 * se.n)]
     # the stacked echelons start from del's leads, found once by del's
     # extend; del's echelons are released once stacked copies their leads,
     # so their ranks are read from the rank cache
