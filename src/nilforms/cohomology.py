@@ -1,16 +1,17 @@
 """Per-bidegree linear algebra: the four cohomologies and the canonical
 del-delbar preimage.
 
-An EvaluatedComplex owns every cache at its evaluation point: the
-evaluated structure constants, the four named matrices of ``rows`` (del,
-delbar, ddbar, stacked) and d on the total complex, each empty row of
-them the one read-only ``EMPTY_ROW``, one int cache of every rank read
-(with the block ranks of d), the row echelons that a kernel or a
-witness reads (the stacked echelon extends del's by the delbar rows, so
-no report builds the stacked rows), one forward column echelon per
-image, and the tracked forward echelons that every minimal-norm
-del-delbar solve at that point reuses (``ddbar_preimage``); not their
-columns, nor a kernel list, nor an echelon that only a rank read.
+An EvaluatedComplex owns every cache at its evaluation point, and keeps
+by one rule: a rank read keeps only an int, and an echelon is kept only
+for a kernel reader.  So it keeps the evaluated structure constants,
+the four named matrices of ``rows`` (del, delbar, ddbar, stacked), each
+empty row of them the one read-only ``EMPTY_ROW``, one int cache of
+every rank read (with the block ranks of d), the row echelons that a
+kernel reads, one forward column echelon per image, and the tracked
+forward echelons that every minimal-norm del-delbar solve at that point
+reuses (``ddbar_preimage``); not d on the total complex, which is built
+for each pass that reads it, nor columns, a kernel list or an echelon
+that only a rank read.
 [del | delbar] is a rank, not a matrix.  What does not depend on
 the point belongs to the structure equations, which
 the ``InvariantComplex`` wraps: the subset table and the assembly plans
@@ -92,6 +93,15 @@ _MATRICES = ("del", "delbar", "ddbar", "stacked")
 _SHIFT = {"del": (1, 0), "delbar": (0, 1), "ddbar": (1, 1)}
 
 
+def _forward_blocks(blocks: Sequence[Rows]) -> Echelon:
+    """A new forward echelon fed the blocks of rows in order, whose
+    ``marks`` are the rank after each block."""
+    e = Echelon({})
+    for rows in blocks:
+        e.extend(rows)
+    return e
+
+
 def _known(op: str, names) -> str:
     """op, if it is one of names; else ValueError naming them."""
     if op not in names:
@@ -107,35 +117,36 @@ class EvaluatedComplex:
     del, delbar, ddbar or stacked ([del; delbar]) with SOURCE (p,q), the
     one table of ``rows``, which refuses any other name; or total (d on
     the total complex, ``total_d_rows``) with degree p and q = 0.  Every
-    empty row of a stored matrix, and of the adjoints ``ddbar_preimage``
-    keeps, is the one shared ``EMPTY_ROW``, a read-only mapping, so most
-    rows of a large matrix cost one list slot, and every walker over rows
-    skips it.  Every stored matrix starts as a list of ``EMPTY_ROW`` and
-    gets a dict only at a row that holds an entry: del, delbar and total
+    empty row of a matrix, and of the adjoints ``ddbar_preimage`` keeps,
+    is the one shared ``EMPTY_ROW``, a read-only mapping, so most rows of
+    a large matrix cost one list slot, and every walker over rows skips
+    it.  Every matrix starts as a list of ``EMPTY_ROW`` and gets a dict
+    only at a row that holds an entry: del, delbar and total
     in their assembly, ddbar in ``linalg.mat_mul`` and the adjoints in
     ``linalg.conj_transpose``, so each allocates per nonzero row, not per
     row.  No column table is kept: the image echelons, weak and mild's
     witness each read the transpose ``linalg.columns`` once and drop it.
 
-    ``rank`` reads every rank through one cache of ints (``_ranks``),
-    filled by the forward echelon (``linalg.forward_echelon``) that
-    first reads it, and that echelon is kept only while a reader is
-    left: delbar's and stacked's are dropped at once; del's is kept until
-    the stacked echelon at its bidegree copies its leads (the del rows
-    lead the stacked rows, so the stacked echelon is a copy of del's
-    leads, whose rows are shared, extended by the delbar rows, and the
-    del rows are not eliminated again); deldelbar's is kept, since mild's
-    witness completes it.  d from each total degree is eliminated once,
-    block by block (``total_marks``), and only the rank after each
-    block, its ``marks``, is kept: the echelon and the rows are released,
-    and standard's suffix pass builds the rows again and releases them
-    after it (``lemmata._block_ranks``); only the image of d keeps the
-    rows of d it was read from (``_image``).  A kernel read
-    keeps the echelon of its matrix (``_row_echelon``): the first one
-    completes that echelon in place into the RREF
+    One rule decides what is kept: a rank read keeps only an int, in the
+    one rank cache (``_ranks``), and a row echelon is kept only for a
+    kernel reader (``_row_echelon``, the forward echelon of ``rows``).
+    del's and stacked's ranks are the ``marks`` of one forward pass over
+    the del rows and then the delbar rows, since the del rows lead the
+    stacked rows, and delbar's is read from a pass of its own; none of
+    those echelons is kept.  deldelbar's rank is the one exception: it is
+    read from its kept echelon, which a failing mild's witness completes.
+    d on the total complex is never stored: ``total_d_rows`` builds it for
+    each reader.  d from each total degree is eliminated once, block by
+    block, for its rank, and only the rank after each block is kept
+    (``total_marks``, the rank cache of d); standard's suffix pass reads
+    the same build of the rows as its prefix pass (``block_ranks``), and
+    the image of d transposes a build of its own (``_image``).  The
+    first kernel read completes its echelon in place into the RREF
     (``linalg.Echelon.kernel``): each row that changes is replaced by a
     reduced copy, so the matrix rows are left as they were, and the
-    pivots stay the same, in the same order.  ``kernel`` lists the kernel
+    pivots stay the same, in the same order.  The RREF is unique, so
+    ``kernel("stacked")`` gives the same vectors whichever forward pass
+    found its pivots.  ``kernel`` lists the kernel
     vectors for the callers that read it whole (extension generators,
     the tests' oracles), and ``kernel_vectors`` builds them one at a time,
     for mild's witness, which stops at the first image outside im
@@ -231,59 +242,49 @@ class EvaluatedComplex:
             self._terms[op] = terms
         return self._terms[op]
 
-    def _matrix(self, op: str, p: int, q: int) -> Rows:
-        """``rows``, or ``total_d_rows`` for total."""
-        return self.total_d_rows(p) if op == "total" else self.rows(op, p, q)
-
     # -- ranks, kernels and images -----------------------------------------
 
     def _row_echelon(self, op: str, p: int, q: int) -> Echelon:
-        """The kept row echelon of the matrix (op, p, q), for the kernel
-        readers and deldelbar's rank: its forward echelon (``_forward``),
-        completed in place into the RREF once a kernel is read, with the
-        same rank and the same pivots, in the same order."""
+        """The kept forward echelon of ``rows(op, p, q)``, for the kernel
+        readers and deldelbar's rank, completed in place into the RREF
+        once a kernel is read, with the same rank and the same pivots, in
+        the same order."""
         key = (op, p, q)
         e = self._echelons.get(key)
         if e is None:
-            e = self._echelons[key] = self._forward(op, p, q)
+            e = self._echelons[key] = linalg.forward_echelon(self.rows(op, p, q))
         return e
 
-    def _forward(self, op: str, p: int, q: int) -> Echelon:
-        """A new forward echelon of the matrix (op, p, q), its rank put in
-        the rank cache.
-
-        For stacked it is del's echelon at (p,q), taken out of the kept
-        ones (or built), copied and extended by the delbar rows: the same
-        forward elimination, since the del rows lead.  A residue modulo a
-        span with given leading columns is unique, so the delbar rows
-        stored, the leads, their order, the rank and ``marks`` do not
-        depend on whether del's echelon was already completed into the
-        RREF; a shared row is never changed in place (``Echelon._complete``
-        copies it first)."""
-        if op == "stacked":
-            d = self._echelons.pop(("del", p, q), None)
-            if d is None:
-                d = self._forward("del", p, q)
-            e = Echelon(dict(d.pivots)).extend(self.rows("delbar", p, q))
-        else:
-            e = linalg.forward_echelon(self.rows(op, p, q))
-        self._ranks[(op, p, q)] = e.rank
-        return e
+    def _total_d_blocks(self, k: int) -> List[Rows]:
+        """The rows of d from total degree k, built once and cut into the
+        target blocks of ``total_blocks(k+1)``, in order."""
+        rows, cut, out = self.total_d_rows(k), 0, []
+        for pq in self.total_blocks(k + 1):
+            out.append(rows[cut:cut + self.dim(*pq)])
+            cut += self.dim(*pq)
+        return out
 
     def total_marks(self, k: int) -> List[int]:
         """The rank of d from total degree k after the rows of each target
-        block of ``total_blocks(k+1)``, in order, the last its rank:
-        standard's prefix ranks (``lemmata._block_ranks``).  One forward
-        pass, block by block, whose echelon is dropped and whose rows are
-        released after it; the marks and the rank are kept."""
+        block of ``total_blocks(k+1)``, in order, the last its rank: one
+        forward pass, block by block, whose marks are kept."""
         if k not in self._marks:
-            rows, e = self.total_d_rows(k), Echelon({})
-            for pq in self.total_blocks(k + 1):
-                e.extend(rows[:self.dim(*pq)])
-                rows = rows[self.dim(*pq):]
-            del self._rows[("total", k, 0)]
-            self._marks[k], self._ranks[("total", k, 0)] = e.marks, e.rank
+            self._marks[k] = _forward_blocks(self._total_d_blocks(k)).marks
         return self._marks[k]
+
+    def block_ranks(self, k: int) -> Tuple[List[int], List[int]]:
+        """(before, after) for d from total degree k-1, whose rows come in
+        the blocks of ``total_blocks(k)``: before[i] and after[i] are the
+        ranks of the rows of the blocks before block i and of those after
+        it, standard's prefix and suffix ranks.  A block's rows meet only
+        the source blocks next to it, so the two share no column.  before
+        is read from ``total_marks``, after from one forward pass over the
+        blocks after the first, in reverse; one build of the rows serves
+        both passes."""
+        blocks = self._total_d_blocks(k - 1)
+        if k - 1 not in self._marks:
+            self._marks[k - 1] = _forward_blocks(blocks).marks
+        return [0] + self._marks[k - 1][:-1], _forward_blocks(blocks[:0:-1]).marks[::-1] + [0]
 
     @property
     def unimodular(self) -> bool:
@@ -297,24 +298,28 @@ class EvaluatedComplex:
     def rank(self, op: str, p: int, q: int) -> int:
         """Rank of the matrix (op, p, q), or for exact_sum the dimension
         of im del + im delbar at TARGET (p,q), read through the rank
-        cache.  On a unimodular complex, exact_sum and total from degree
-        k >= n are read as the rank of their Hodge-star dual.  The class
-        docstring says which echelons a first read keeps."""
+        cache, or for total through the last of ``total_marks``.  On a
+        unimodular complex, exact_sum and total from degree k >= n are
+        read as the rank of their Hodge-star dual.  The class docstring
+        says what a first read keeps."""
         n = self.n
+        if op == "total":
+            marks = self.total_marks(2 * n - 1 - p if p >= n and self.unimodular else p)
+            return marks[-1] if marks else 0  # d into a degree past 2n has no rows
         if op == "exact_sum" and 0 <= p <= n and 0 <= q <= n and self.unimodular:
             op, p, q = "stacked", n - q, n - p
-        elif op == "total" and p >= n and self.unimodular:
-            p = 2 * n - 1 - p
         key = (op, p, q)
         if key not in self._ranks:
             if op == "exact_sum":
                 self._ranks[key] = self.image_sum(("del", "delbar"), p, q).rank
-            elif op == "total":
-                self.total_marks(p)
-            elif op in ("del", "ddbar"):
-                self._row_echelon(op, p, q)
+            elif op == "ddbar":
+                self._ranks[key] = self._row_echelon(op, p, q).rank
+            elif op in ("del", "stacked"):
+                # the del rows lead the stacked rows: one pass reads both
+                marks = _forward_blocks((self.rows("del", p, q), self.rows("delbar", p, q))).marks
+                self._ranks[("del", p, q)], self._ranks[("stacked", p, q)] = marks
             else:
-                self._forward(op, p, q)
+                self._ranks[key] = linalg.forward_echelon(self.rows(op, p, q)).rank
         return self._ranks[key]
 
     def image_rank(self, op: str, p: int, q: int) -> int:
@@ -351,8 +356,9 @@ class EvaluatedComplex:
                 dp, dq = _SHIFT[_known(op, _SHIFT)]
                 sp, sq = p - dp, q - dq
                 ncols, nrows = self.dim(sp, sq), self.dim(p, q)
-            e = Echelon({})
-            cols = linalg.columns(self._matrix(op, sp, sq)) if ncols and nrows else {}
+            e, cols = Echelon({}), {}
+            if ncols and nrows:
+                cols = linalg.columns(self.total_d_rows(sp) if op == "total" else self.rows(op, sp, sq))
             self._images[key] = ([cols[j] for j in sorted(cols) if e.insert(cols[j])], e)
         return self._images[key]
 
@@ -411,29 +417,27 @@ class EvaluatedComplex:
         return sum(self.dim(p, q) for p, q in self.total_blocks(k))
 
     def total_d_rows(self, k: int) -> Rows:
-        """d: total degree k -> k+1 with block offsets."""
-        key = ("total", k, 0)
-        if key not in self._rows:
-            tgt_offset, off = {}, 0
-            for pq in self.total_blocks(k + 1):
-                tgt_offset[pq] = off
-                off += self.dim(*pq)
-            rows: Rows = [EMPTY_ROW] * off
-            col_off = 0
-            for p, q in self.total_blocks(k):
-                for op, target in (("del", (p + 1, q)), ("delbar", (p, q + 1))):
-                    if self.dim(p, q) and target in tgt_offset:
-                        ro = tgt_offset[target]
-                        for i, r in enumerate(self.rows(op, p, q)):
-                            if r:
-                                row = rows[ro + i]
-                                if row is EMPTY_ROW:
-                                    row = rows[ro + i] = {}
-                                for j, c in r.items():
-                                    row[col_off + j] = c
-                col_off += self.dim(p, q)
-            self._rows[key] = rows
-        return self._rows[key]
+        """d: total degree k -> k+1 with block offsets, built anew on each
+        call and never stored."""
+        tgt_offset, off = {}, 0
+        for pq in self.total_blocks(k + 1):
+            tgt_offset[pq] = off
+            off += self.dim(*pq)
+        rows: Rows = [EMPTY_ROW] * off
+        col_off = 0
+        for p, q in self.total_blocks(k):
+            for op, target in (("del", (p + 1, q)), ("delbar", (p, q + 1))):
+                if self.dim(p, q) and target in tgt_offset:
+                    ro = tgt_offset[target]
+                    for i, r in enumerate(self.rows(op, p, q)):
+                        if r:
+                            row = rows[ro + i]
+                            if row is EMPTY_ROW:
+                                row = rows[ro + i] = {}
+                            for j, c in r.items():
+                                row[col_off + j] = c
+            col_off += self.dim(p, q)
+        return rows
 
     def embed_block(self, v: Vec, p: int, q: int, k: int) -> Vec:
         off = 0

@@ -29,8 +29,9 @@ the CLI reports as one ``error:`` line.  On a flat complex:
                    r(total,k-1) - (rank of those rows) = w.  Those rows
                    are the blocks before (p,q) and the blocks after it,
                    which share no column: a prefix rank plus a suffix
-                   rank, two forward passes per degree, the prefix pass
-                   being the echelon that r(total,k-1) reads.
+                   rank, two forward passes per degree over one build
+                   of the rows (``ec.block_ranks``), the prefix pass
+                   being the one whose rank r(total,k-1) reads.
   weak(p):         quantified over real (p,p)-forms psi, so over Q: with
                    T the Q-span of delbar psi, E = im del and D = im
                    deldelbar inside E at (p,p+1), T cap E lies in D iff
@@ -252,25 +253,6 @@ def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
     return out
 
 
-def _block_ranks(ec: EvaluatedComplex, k: int) -> Tuple[List[int], List[int]]:
-    """(before, after) for d from total degree k-1, whose rows come in the
-    blocks of ``total_blocks(k)``: before[i] and after[i] are the ranks of
-    the rows of the blocks before block i and of those after it.  A
-    block's rows meet only the source blocks next to it, so the two share
-    no column.  before is read from the marks of the pass that ``rank``
-    reads (``total_marks``, which releases the rows after it); after
-    takes one forward pass over the blocks after the first, in reverse,
-    on rows built again if that pass released them, and released again
-    after it."""
-    rows, e = ec.total_d_rows(k - 1), linalg.forward_echelon([])
-    for pq in reversed(ec.total_blocks(k)[1:]):
-        e.extend(rows[-ec.dim(*pq):])
-        rows = rows[:-ec.dim(*pq)]
-    before = [0] + ec.total_marks(k - 1)[:-1]
-    ec._rows.pop(("total", k - 1, 0), None)
-    return before, e.marks[::-1]
-
-
 def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple[int, int]]]:
     """Injectivity of all Bott-Chern to de Rham comparisons.
 
@@ -286,7 +268,7 @@ def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple
             if not (k and ec.dim(p, q)):
                 continue
             if k not in split:
-                split[k] = _block_ranks(ec, k)
+                split[k] = ec.block_ranks(k)
             before, after = split[k]
             i = ec.total_blocks(k).index((p, q))
             if ec.rank("total", k - 1, 0) - before[i] - after[i] == ec.image_rank("ddbar", p, q):

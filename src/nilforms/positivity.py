@@ -35,7 +35,7 @@ from .algebra import Form, FormAlgebra, StructureEquations, wedge_mono
 from .errors import PreconditionFailed
 from .io import form_to_obj
 from .leibniz import merge_indices
-from .scalars import DetRng, GaussianRational, QI_I, QI_ONE, _div
+from .scalars import DetRng, GaussianRational, QI_I, QI_ONE, QI_ZERO, _div
 
 
 def sigma_q(q: int) -> GaussianRational:
@@ -269,9 +269,10 @@ def is_transverse(
     decomposable (p in {0, 1, n-1, n}) the verdict is A's LDL* pivots,
     exact either way (``_pivot_verdict``).  Elsewhere, or with
     force_sampled, each seeded decomposable tau = sum c_I gamma^I, its
-    c read as minors (``decomposable_coefficients``), pairs to c* A c:
-    one <= 0 is an exact falsifier, the only tau built as a form; else
-    the verdict is sampled, with the smallest margin drawn.  Every
+    c read as minors (``decomposable_coefficients``), pairs to c* A c,
+    summed over A's nonzero entries: one <= 0 is an exact falsifier, the
+    only tau built as a form; else the verdict is sampled, with the
+    smallest margin drawn.  Every
     falsifier is re-verified by its wedge (``pairing_volume``)."""
     alg = gamma.algebra
     n = alg.n
@@ -292,10 +293,17 @@ def is_transverse(
     else:
         rng = DetRng(seed)
         margins: List[Fraction] = []
+        # c* A c = sum_i conj(c_i) (A c)_i over A's nonzero entries, taken
+        # once per verdict, row by row
+        rows = [(i, [(j, a) for j, a in enumerate(row) if a]) for i, row in enumerate(mat)]
+        rows = [(i, nonzero) for i, nonzero in rows if nonzero]
         for drawn in range(1, samples + 1):
             coeffs = decomposable_coefficients(n, q, rng)
             c = {index[I]: x for I, x in coeffs.items()}
-            vol = sum((z.conj() * mat[i][j] * w for i, z in c.items() for j, w in c.items()), GaussianRational(0))
+            vol = QI_ZERO
+            for i, nonzero in rows:
+                if i in c:
+                    vol += c[i].conj() * sum((a * c[j] for j, a in nonzero if j in c), QI_ZERO)
             margin = _div(vol.re, sum(z.norm2() for z in c.values()))
             margins.append(margin)
             if margin <= 0:

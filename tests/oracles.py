@@ -2180,3 +2180,37 @@ def transverse_by_wedges(gamma, p: int, samples: int = 200, seed: int = 7, force
         if min_margin is None or margin < min_margin:
             min_margin = margin
     return PositivityVerdict(kind="transverse", holds=True, exact=False, samples_used=samples, min_margin=min_margin)
+
+
+def transverse_by_dense_sum(gamma, p: int, samples: int = 200, seed: int = 7):
+    """is_transverse's sampled route with each pairing c* A c summed over
+    every pair of the sample's coefficients, the zero entries of the
+    pairing matrix A included: the sum that the one over A's nonzero
+    entries replaced."""
+    from nilforms.positivity import (
+        PositivityVerdict,
+        _pairing_matrix,
+        _subset_index,
+        decomposable_coefficients,
+        pairing_volume,
+    )
+
+    alg = gamma.algebra
+    q = alg.n - p
+    mat, index = _pairing_matrix(gamma, q), _subset_index(alg.n, q)
+    rng = DetRng(seed)
+    min_margin = None
+    for drawn in range(1, samples + 1):
+        coeffs = decomposable_coefficients(alg.n, q, rng)
+        c = {index[I]: x for I, x in coeffs.items()}
+        vol = sum((z.conj() * mat[i][j] * w for i, z in c.items() for j, w in c.items()), GaussianRational(0))
+        margin = _div(vol.re, sum(z.norm2() for z in c.values()))
+        if margin <= 0:
+            tau = Form(alg, {(I, ()): alg.ring.const(x) for I, x in sorted(coeffs.items())})
+            assert pairing_volume(gamma, tau) == vol
+            return PositivityVerdict(
+                kind="transverse", holds=False, exact=True, falsifier=tau, samples_used=drawn, min_margin=margin
+            )
+        if min_margin is None or margin < min_margin:
+            min_margin = margin
+    return PositivityVerdict(kind="transverse", holds=True, exact=False, samples_used=samples, min_margin=min_margin)

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -314,16 +315,18 @@ def _fresh_rank(ec, key):
 def test_rank_cache_assembles_once_and_eliminates_each_degree_once(monkeypatch, reference_complexes):
     """Count gate of the rank cache, on the 13 reference complexes (the
     first generic point of bcvary10 among them) and on a complex that is
-    not unimodular.  In one full_report each matrix (op, p, q) and each
-    degree of d is assembled at most once.  Over full_report then
-    lemma_report, each degree of d whose rank is read is
-    forward-eliminated once, block by block, for that rank (its rows are
-    released after that pass, so they are compared by content), and no
-    other degree with a nonzero row is.  Every cached rank, and every
-    block mark of d, equals the rank of a new forward echelon of the same
-    rows.  After full_report the complex keeps no row echelon but
-    deldelbar's and no rows of d; after lemma_report it keeps only the
-    rows of d whose image a failing standard's witness read."""
+    not unimodular.  In one full_report each matrix (op, p, q) is
+    assembled at most once, and d from each degree is built
+    (``total_d_rows`` called) at most once.  In lemma_report d from each
+    degree is built at most once for standard's ranks, and once more
+    only for the image a failing standard's witness reads.  Over
+    full_report then lemma_report, each degree of d whose rank is read
+    is forward-eliminated once, block by block, for that rank (its rows
+    are never stored, so they are compared by content), and no other
+    degree with a nonzero row is.  Every cached rank, and every block
+    mark of d, equals the rank of a new forward echelon of the same rows.
+    After full_report the complex keeps no row echelon but deldelbar's,
+    and after either report no rows of d."""
     se = nio.obj_to_se({"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}})
     cases = [(label, cx, point) for label, cx, point in reference_complexes]
     cases.append(("not unimodular", build_complex(se), ()))
@@ -331,19 +334,17 @@ def test_rank_cache_assembles_once_and_eliminates_each_degree_once(monkeypatch, 
     rows, total_d_rows, extend = EvaluatedComplex.rows, EvaluatedComplex.total_d_rows, linalg.Echelon.extend
     built, fed = [], {}
 
-    def building(method, key):
-        def wrapper(self, *args):
-            if key(args) not in self._rows:
-                built.append(key(args))
-            return method(self, *args)
-        return wrapper
+    def building(self, *args):
+        if args not in self._rows:
+            built.append(args)
+        return rows(self, *args)
 
     def recording(self, vectors):
         fed.setdefault(id(self), (self, []))[1].extend(v if v else None for v in vectors)
         return extend(self, vectors)
 
-    monkeypatch.setattr(EvaluatedComplex, "rows", building(rows, tuple))
-    monkeypatch.setattr(EvaluatedComplex, "total_d_rows", building(total_d_rows, lambda a: ("total", a[0], 0)))
+    monkeypatch.setattr(EvaluatedComplex, "rows", building)
+    monkeypatch.setattr(EvaluatedComplex, "total_d_rows", lambda self, k: built.append(("total", k, 0)) or total_d_rows(self, k))
     monkeypatch.setattr(linalg.Echelon, "extend", recording)
     for label, cx, point in cases:
         ec = EvaluatedComplex(cx, point)
@@ -351,15 +352,16 @@ def test_rank_cache_assembles_once_and_eliminates_each_degree_once(monkeypatch, 
         fed.clear()
         full_report(ec)
         assert built and len(built) == len(set(built)), label
-        # an echelon or total rows that only a rank read are released
+        # an echelon that only a rank read is dropped
         assert {key[0] for key in ec._echelons} <= {"ddbar"}, label
         assert not any(key[0] == "total" for key in ec._rows), label
+        built.clear()
         lemma_report(ec)
-        # standard's suffix pass releases the rows it built again; only
-        # the rows of d whose image a failing standard's witness read stay
-        held = {key[1] for key in ec._rows if key[0] == "total"}
-        assert held == {key[1] - 1 for key in ec._images if key[0] == "total"}, label
-        assert len(held) <= 1, label
+        assert not any(key[0] == "total" for key in ec._rows), label
+        builds = Counter(key for key in built if key[0] == "total")
+        for (_, k, _), count in builds.items():
+            assert count <= 1 + (("total", k + 1, 0) in ec._images), (label, k, count)
+        assert sum(key[0] == "total" for key in ec._images) <= 1, label
         monkeypatch.setattr(linalg.Echelon, "extend", extend)
         for k in range(-1, 2 * cx.n):
             want = [r if r else None for r in ec.total_d_rows(k)]
@@ -724,15 +726,16 @@ def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_com
                     assert list(e.pivots) == list(direct.pivots), (label, op, p, q)
 
 
-def test_stacked_echelon_extends_dels_into_the_forward_echelon(reference_complexes):
-    """On every reference complex and bidegree, the stacked echelon, read
-    from del's cached echelon extended by the delbar rows, equals the
-    forward echelon of the stacked rows in rank, pivots, pivot order and
-    ``marks``, and its kernel equals the full-scan oracle's: both when
-    del's echelon is fresh and when del's kernel, which completes it into
-    the RREF, was read first.  The rows found by delbar are the same in
-    both cases, the del rows are shared, not eliminated again, and
-    reading the stacked kernel changes none of del's rows."""
+def test_del_and_stacked_ranks_equal_separate_eliminations(reference_complexes):
+    """On every reference complex and bidegree, the del and stacked
+    ranks, read from one forward pass in which the del rows lead the
+    delbar rows, equal the ranks of new, separate forward echelons of the
+    del rows and of the stacked rows, and that pass keeps no echelon.
+    kernel("stacked") equals ``linalg.nullspace`` of the del rows above
+    the delbar rows and the full-scan oracle's kernel, entry types and
+    key order included, both when del's kernel, which completes del's
+    echelon into the RREF, was read first and when it was not; reading
+    it changes none of the del or delbar rows."""
     for label, cx, point in reference_complexes:
         for del_kernel_first in (False, True):
             ec = EvaluatedComplex(cx, point)
@@ -740,22 +743,21 @@ def test_stacked_echelon_extends_dels_into_the_forward_echelon(reference_complex
                 for q in range(cx.n + 1):
                     at = (label, del_kernel_first, p, q)
                     if del_kernel_first:
-                        list(ec.kernel_vectors("del", p, q))
-                    d = ec._row_echelon("del", p, q)
-                    del_rows = {k: list(row.items()) for k, row in d.pivots.items()}
-                    e = ec._row_echelon("stacked", p, q)
-                    want = linalg.forward_echelon(ec.rows("stacked", p, q))
-                    assert (e.rank, list(e.pivots), e.marks) == (want.rank, list(want.pivots), want.marks), at
-                    assert all(e.pivots[k] is row for k, row in d.pivots.items()), at
-                    assert {k: r for k, r in e.pivots.items() if k not in d.pivots} == {
-                        k: r for k, r in want.pivots.items() if k not in d.pivots
-                    }, at
-                    if not del_kernel_first:
-                        assert e.pivots == want.pivots, at
-                    got = list(e.kernel(ec.dim(p, q)))
-                    list(want.kernel(ec.dim(p, q)))
-                    assert got == full_scan_kernel(want.pivots, ec.dim(p, q)), at
-                    assert {k: list(row.items()) for k, row in d.pivots.items()} == del_rows, at
+                        ec.kernel("del", p, q)
+                    stacked = ec.rows("del", p, q) + ec.rows("delbar", p, q)
+                    held = [list(row.items()) for row in stacked]
+                    kept = set(ec._echelons)
+                    assert ec.rank("del", p, q) == linalg.forward_echelon(ec.rows("del", p, q)).rank, at
+                    assert ec.rank("stacked", p, q) == linalg.forward_echelon(stacked).rank, at
+                    assert set(ec._echelons) == kept, at
+                    got = ec.kernel("stacked", p, q)
+                    direct = FullScanEchelon()
+                    for row in stacked:
+                        direct.insert(row)
+                    typed = [[(k, type(x), x) for k, x in v.items()] for v in got]
+                    for want in (linalg.nullspace(stacked, ec.dim(p, q)), full_scan_kernel(direct.pivots, ec.dim(p, q))):
+                        assert typed == [[(k, type(x), x) for k, x in v.items()] for v in want], at
+                    assert [list(row.items()) for row in stacked] == held, at
 
 
 def test_a_second_point_reuses_the_assembly_plans(bcvary10):
@@ -930,8 +932,9 @@ def test_flatness_check_leaves_the_tables_as_it_found_them():
 def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     """On Iwasawa^2 x C after full_report, lemma_report and two
     del-delbar solves, every empty row of every stored matrix (del,
-    delbar, ddbar, total, the adjoints the solves keep, and a stacked
-    matrix asked for by name, which the reports never build) is the one
+    delbar, ddbar, the adjoints the solves keep, and a stacked matrix
+    asked for by name, which the reports never build) and of each build
+    of d on the total complex, which is never stored, is the one
     ``EMPTY_ROW``, which refuses a write, and each ddbar equals the
     product that walks every row; the complex keeps only the
     layout of its equations, the per-size subset table, 2^n subsets,
@@ -945,13 +948,15 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     lemma_report(ec)
     for pq in ((2, 2), (4, 3)):
         assert ec.ddbar_preimage(*pq, {}) == {}
-    assert {key[0] for key in ec._rows} == {"del", "delbar", "ddbar", "total"}
+    assert {key[0] for key in ec._rows} == {"del", "delbar", "ddbar"}
     assert ec.rows("stacked", 2, 2) == ec.rows("del", 2, 2) + ec.rows("delbar", 2, 2)
     stored = list(ec._rows.values()) + [adjoint for adjoint, _ in ec._preimages.values()]
     assert ("stacked", 2, 2) in ec._rows
-    empty = [r for rows in stored for r in rows if not r]
+    totals = [ec.total_d_rows(k) for k in range(2 * cx.n)]
+    assert not any(key[0] == "total" for key in ec._rows)
+    empty = [r for rows in stored + totals for r in rows if not r]
     assert empty and all(r is EMPTY_ROW for r in empty)
-    assert all(type(r) is dict for rows in stored for r in rows if r)
+    assert all(type(r) is dict for rows in stored + totals for r in rows if r)
     # ddbar is linalg.mat_mul's product as it stands, with no pass after it
     ddbar = [(key, rows) for key, rows in ec._rows.items() if key[0] == "ddbar"]
     assert ddbar and any(r is EMPTY_ROW for _, rows in ddbar for r in rows)

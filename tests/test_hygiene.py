@@ -106,6 +106,60 @@ def test_only_linalg_reads_the_gaussian_triple_outside_scalars():
     assert readers == {"scalars", "linalg"}
 
 
+def private_names(source: str, cls_name: str):
+    """The ``_``-prefixed, not dunder, attributes that the class cls_name
+    defines: its methods, and what its methods assign on self."""
+    cls = next(n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef) and n.name == cls_name)
+    names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    names |= {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+              and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def private_uses(source: str, names):
+    """(line, name) of each use of an attribute in names, read or written,
+    by attribute syntax or by a string given to getattr, setattr, delattr
+    or hasattr."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and n.attr in names:
+            out.append((n.lineno, n.attr))
+        elif (isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("getattr", "setattr", "delattr", "hasattr")
+              and len(n.args) > 1 and isinstance(n.args[1], ast.Constant) and n.args[1].value in names):
+            out.append((n.lineno, n.args[1].value))
+    return sorted(out)
+
+
+def test_private_attribute_scan_sees_what_it_should():
+    owner = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self._rows, self.public = {}, 1\n"
+        "    def _build(self, other):\n"
+        "        other._seen = self.__dict__\n"
+    )
+    assert private_names(owner, "C") == {"_rows", "_build"}
+    reader = (
+        "def f(ec, _rows):\n"
+        "    ec._rows.pop(1)\n"
+        "    ec._build = _rows\n"
+        "    return getattr(ec, '_rows'), ec.rows, ec._seen, hasattr(ec, 'rows')\n"
+    )
+    assert private_uses(reader, {"_rows", "_build"}) == [(2, "_rows"), (3, "_build"), (4, "_rows")]
+
+
+def test_only_cohomology_touches_the_private_state_of_an_evaluated_complex():
+    """``cohomology.EvaluatedComplex`` is the one owner of every cache at
+    its point: no other module of the package reads or writes one of its
+    ``_``-prefixed attributes or calls one of its private methods.  The
+    scan matches by name, and no other class of the package uses these
+    names."""
+    names = private_names((SRC / "cohomology.py").read_text(), "EvaluatedComplex")
+    assert {"_rows", "_ranks", "_echelons", "_row_echelon"} <= names
+    uses = {path.stem: private_uses(path.read_text(), names) for path in SRC.glob("*.py") if path.stem != "cohomology"}
+    assert {stem: found for stem, found in uses.items() if found} == {}
+
+
 def collector_uses(source: str):
     """(line, enclosing top-level definition or None, what) for each
     import of ``gc`` ("import") and each attribute read off a name that

@@ -1,5 +1,8 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -319,16 +322,23 @@ def test_standard_spans_each_total_image_once(monkeypatch, iwasawa3):
     """standard decides every bidegree by rank and builds the image
     echelon of d only into the total degree of its failing bidegree, for
     the witness; and verifying the witness reads the same cached echelon:
-    every transpose (``linalg.columns``) is of a stored matrix, and the
-    columns of no matrix are walked twice."""
-    spans = []
-    real = linalg.columns
+    every transpose (``linalg.columns``) is of a stored matrix or of a
+    build of d on the total complex (``total_d_rows``, never stored), and
+    the columns of no matrix are walked twice."""
+    spans, totals = [], []
+    real, total_d_rows = linalg.columns, EvaluatedComplex.total_d_rows
     monkeypatch.setattr(linalg, "columns", lambda rows: spans.append(rows) or real(rows))
+
+    def building(self, k):
+        totals.append((("total", k, 0), total_d_rows(self, k)))
+        return totals[-1][1]
+
+    monkeypatch.setattr(EvaluatedComplex, "total_d_rows", building)
     ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
     ok, wit, at = standard(ec)
     assert not ok
     assert all(verify_witness(ec, "standard", at[0], at[1], wit).values())
-    built = [key for rows in spans for key, stored in ec._rows.items() if stored is rows]
+    built = [key for rows in spans for key, stored in list(ec._rows.items()) + totals if stored is rows]
     assert len(built) == len(spans) == len(set(built))
     assert [key for key in built if key[0] == "total"] == [("total", at[0] + at[1] - 1, 0)]
 
@@ -638,8 +648,8 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     Fractions before).  No degree of d with a nonzero row is
     forward-eliminated twice over full_report and lemma_report: standard's
     prefix pass is the one whose marks rank reads.  The total rows are
-    released after that pass and built again by standard, so the rows fed
-    are compared by content, each empty row standing as None."""
+    never stored, and standard builds them again, so the rows fed are
+    compared by content, each empty row standing as None."""
     cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=generic_points(4)[0]))
     ec = EvaluatedComplex(cx, ())
     fed = {}
@@ -1018,7 +1028,7 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
             kind, p, q = _witness_bidegree(name)
             assert all(verify_witness(ec, kind, p, q, wit).values()), (seed, name)
         # each image by TARGET, as EvaluatedComplex._image keys it
-        sources = {(op, p, q): ec._matrix(op, p - dp, q - dq)
+        sources = {(op, p, q): ec.rows(op, p - dp, q - dq)
                    for op, (dp, dq) in shift.items()
                    for p in range(dp, cx.n + 1) for q in range(dq, cx.n + 1)}
         sources.update({("total", k, 0): ec.total_d_rows(k - 1) for k in range(1, 2 * cx.n + 1)})
@@ -1041,3 +1051,34 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
             read = {id(e) for (at, at_p), e in residues if at is ec and at_p == p}
             assert read == {id(ec.image_echelon("del", p, p + 1)), id(ec.image_echelon("ddbar", p, p + 1))}
     assert failing_weak > 0
+
+
+_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+
+
+def report_digests(reference_complexes):
+    """{label: {report: sha256}} of the ``full_report`` and
+    ``lemma_report`` JSON (as ``--json`` prints it) of the reference
+    complexes and of H(3,C), H(5,C) and H(7,C), the two reports run in
+    that order on one EvaluatedComplex."""
+    cases = list(reference_complexes)
+    cases += [(f"H({n},C)", build_complex(_heisenberg_c(n)), ()) for n in (3, 5, 7)]
+    out = {}
+    for label, cx, point in cases:
+        ec = EvaluatedComplex(cx, point)
+        reports = {"full_report": full_report(ec), "lemma_report": lemma_report(ec)}
+        out[label] = {name: hashlib.sha256(json.dumps(r.to_json_dict(), indent=2).encode()).hexdigest()
+                      for name, r in reports.items()}
+    return out
+
+
+def test_reports_match_the_recorded_digests(reference_complexes):
+    """The exact answers are pinned: both reports on the 13 reference
+    complexes and H(3,C), H(5,C), H(7,C) hash to the digests recorded in
+    ``tests/data/report_digests.json``, so a refactor that changes a
+    table, a verdict, a witness or its serialization fails here.  To
+    record the file again, dump ``report_digests`` as JSON (indent 2,
+    sorted keys) from a tree whose answers are trusted."""
+    want = json.loads(_DIGESTS.read_text())
+    assert len(want) == 16
+    assert report_digests(reference_complexes) == want

@@ -515,8 +515,9 @@ def test_unit_leads_divide_nothing(monkeypatch):
     """On Iwasawa x C at t = 0 every reduced row is led by 1 or -1, so
     no rank takes a Q(i) division; a lead of 2 divides once, where the
     kernel completes the echelon, and never on insert.  Each lead is
-    found by exactly one ``extend``: a stacked echelon starts from del's
-    leads and finds only the delbar ones.  full_report
+    found by exactly one ``extend``: the pass that reads the stacked rank
+    finds del's leads, which give del's rank, and then the delbar ones.
+    full_report
     completes no echelon into an RREF, and lemma_report completes each
     cached matrix echelon at most once, however often it is called
     (``nullspace`` completes a fresh echelon on every call)."""
@@ -546,13 +547,12 @@ def test_unit_leads_divide_nothing(monkeypatch):
     # every forward elimination, whole or block by block, goes through extend
     monkeypatch.setattr(Echelon, "extend", recording_extend)
     # the direct route: rank reads total through its dual
-    ranks = [ec._row_echelon(op, p, q).rank
+    ranks = [ec.rank(op, p, q)
              for op in ("del", "delbar", "ddbar", "stacked")
              for p in range(se.n + 1) for q in range(se.n + 1)]
     ranks += [linalg.forward_echelon(ec.total_d_rows(k)).rank for k in range(2 * se.n)]
-    # the stacked echelons start from del's leads, found once by del's
-    # extend; del's echelons are released once stacked copies their leads,
-    # so their ranks are read from the rank cache
+    # del's and stacked's ranks are read from one pass, in which the del
+    # rows lead: del's leads are found once, by that pass
     inherited = sum(ec.rank("del", p, q) for p in range(se.n + 1) for q in range(se.n + 1))
     assert 0 < inherited < sum(ranks) and len(leads) == sum(ranks) - inherited
     assert all(lead in (1, -1) for lead in leads)

@@ -23,7 +23,7 @@ from nilforms.positivity import (
 )
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
-from oracles import decomposable_sample, pairing_matrix_by_wedges, transverse_by_wedges
+from oracles import decomposable_sample, pairing_matrix_by_wedges, transverse_by_dense_sum, transverse_by_wedges
 
 ALG2 = FormAlgebra(2, PolyRing(0, 0))
 ALG3 = FormAlgebra(3, PolyRing(0, 0))
@@ -220,6 +220,29 @@ def test_is_transverse_equals_the_wedge_route():
         assert got.falsifier == want.falsifier and got.certificate == want.certificate, case
         outcomes.add((got.holds, got.exact, got.samples_used > 0))
     assert outcomes == {(True, True, False), (False, True, False), (True, False, True), (False, True, True)}
+
+
+def test_sampled_pairings_equal_the_dense_sum():
+    """The sampled route, which sums c* A c over the nonzero entries of
+    the pairing matrix A only, equals the sum over every pair of
+    coefficients (``oracles.transverse_by_dense_sum``) for n = 4..6, every
+    middle p, the p-th powers of the three forms of ``_one_one_forms``
+    and seeds 3, 7 and 11: the same verdict, min_margin, samples_used
+    and falsifier.  Both outcomes occur."""
+    outcomes = set()
+    for n in (4, 5, 6):
+        for omega in _one_one_forms(n):
+            for p in range(2, n - 1):
+                gamma = _power(omega, p)
+                for seed in (3, 7, 11):
+                    got = is_transverse(gamma, p, samples=40, seed=seed)
+                    want = transverse_by_dense_sum(gamma, p, samples=40, seed=seed)
+                    case = (n, p, seed)
+                    assert (got.holds, got.exact, got.min_margin, got.samples_used) == (
+                        want.holds, want.exact, want.min_margin, want.samples_used), case
+                    assert got.falsifier == want.falsifier and got.to_json_dict() == want.to_json_dict(), case
+                    outcomes.add(got.holds)
+    assert outcomes == {True, False}
 
 
 def test_minors_equal_the_wedged_coefficients(monkeypatch):
