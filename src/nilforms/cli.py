@@ -5,11 +5,11 @@ catalog.  Every command builds a JSON-serializable report first; the
 human-readable tables are a rendering of that JSON, never a separate
 code path.  Exit codes: 0 all good (and all golden checks pass), 2
 computation fine but a golden expectation mismatched, 1 input error
-(including argparse usage errors), reported as a single ``error:`` line
-on stderr.  The argument parser is built by the first ``main`` call and
-reused by every later one in the process.  A catalog Beltrami family
-vanishes at t = 0, so ``--order 0`` would truncate it to zero; it is
-refused there, not evaluated as zero.
+(including argparse usage errors) or a command out of memory, reported
+as a single ``error:`` line on stderr.  The argument parser is built by
+the first ``main`` call and reused by every later one in the process.
+A catalog Beltrami family vanishes at t = 0, so ``--order 0`` would
+truncate it to zero; it is refused there, not evaluated as zero.
 """
 
 from __future__ import annotations
@@ -34,9 +34,16 @@ from .scalars import parse_gaussian
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors: one ``error:`` line and exit 1."""
+    """Usage errors are input errors: one ``error:`` line and exit 1.
+    No option is read from a prefix of its name (``allow_abbrev``), so a
+    misplaced global --order is refused, not read as extend --order-n."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
+        if message.startswith("unrecognized arguments:") and "--order" in message.replace("=", " ").split():
+            message += " (--order is global and goes before the command; extend's series order is --order-n)"
         raise NilformsError(message)
 
 
@@ -400,7 +407,10 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except MemoryError:
+            raise NilformsError(f"{args.command} ran out of memory") from None
     except NilformsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

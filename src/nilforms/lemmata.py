@@ -34,17 +34,23 @@ the CLI reports as one ``error:`` line.  On a flat complex:
                    being the one whose rank r(total,k-1) reads.
   weak(p):         quantified over real (p,p)-forms psi, so over Q: with
                    T the Q-span of delbar psi, E = im del and D = im
-                   deldelbar inside E at (p,p+1), T cap E lies in D iff
-                   dim (T + E)/E = dim (T + D)/D, the Q-ranks of the
+                   deldelbar at (p,p+1), is T cap E inside D?  D lies in
+                   im del cap im delbar, as del delbar = -delbar del, and
+                   T in im delbar, so where the two are equal,
+                   r(del,p-1,p+1) + r(delbar,p,p) - r(exact_sum,p,p+1)
+                   = w, weak holds: the ranks that mild, dual mild and
+                   strong at (p,p+1) read.  Elsewhere T cap E lies in D
+                   iff dim (T + E)/E = dim (T + D)/D, the Q-ranks of the
                    realified residues of T modulo the image echelons of
                    del and of deldelbar (``ec.image_echelon``), read
                    from real Gaussian rationals by the one Q(i)
                    elimination.
 
-So a passing verdict builds no kernel, and only weak applies a matrix
-to a vector (delbar to the real basis vectors that meet a nonzero
-column, the only ones it builds) and reads image echelons, which each
-EvaluatedComplex builds once per image.  A failing verdict runs the
+So a passing verdict builds no kernel, and only weak, where im del cap
+im delbar is larger than im deldelbar, applies a matrix to a vector
+(delbar to the real basis vectors that meet a nonzero column, the only
+ones it builds) and reads image echelons, which each EvaluatedComplex
+builds once per image.  A failing verdict runs the
 vector route only to build its witness: the first vector of the tested
 space outside im deldelbar.
 For mild that space is del of ker deldelbar, whose vectors are read
@@ -195,11 +201,32 @@ def _real_basis_vectors(ec: EvaluatedComplex, p: int, meets) -> List[Vec]:
 def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     """The (p,p+1)-th condition quantified over real (p,p)-forms psi:
     delbar psi del-exact implies delbar psi deldelbar-exact, 0 <= p < n.
-    A real basis vector that meets no nonzero column of delbar is never
-    built: its image 0 adds nothing to the ranks or to the witness."""
-    q = p + 1
-    ec.check_bidegree(p, q)
+    It holds by rank where im del cap im delbar = im deldelbar at
+    (p,p+1) (``_images_meet_in_ddbar``); elsewhere the realified route
+    decides (``_weak_realified``)."""
+    ec.check_bidegree(p, p + 1)
     ec.cx.se.require_flat()
+    if _images_meet_in_ddbar(ec, p):
+        return True, None
+    return _weak_realified(ec, p)
+
+
+def _images_meet_in_ddbar(ec: EvaluatedComplex, p: int) -> bool:
+    """Whether dim(im del cap im delbar) = dim im deldelbar at (p,p+1),
+    from ranks: the dimension of the meet is r(del) + r(delbar) -
+    r(exact_sum) there.  On a flat complex the meet contains im
+    deldelbar, so the identity says they are equal."""
+    q = p + 1
+    meet = ec.image_rank("del", p, q) + ec.image_rank("delbar", p, q) - ec.rank("exact_sum", p, q)
+    return meet == ec.image_rank("ddbar", p, q)
+
+
+def _weak_realified(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
+    """weak at p on a flat complex by the realified residue ranks, and
+    its witness when it fails (module docstring).  A real basis vector
+    that meets no nonzero column of delbar is never built: its image 0
+    adds nothing to the ranks or to the witness."""
+    q = p + 1
     cols = linalg.columns(ec.rows("delbar", p, p))
     images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, cols.keys())]
     if _residue_rank(ec, "del", p, q, images) == _residue_rank(ec, "ddbar", p, q, images):

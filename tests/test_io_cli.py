@@ -417,6 +417,10 @@ _EXTEND = ["extend", "--manifold", "catalog:bcvary10", "--form", "catalog:balanc
         *(_POSITIVITY + ["--form", f"pp-file:{name}"] for name in NO_PKAHLER_DEGREE),
         ["extend", "--manifold", "catalog:bcvary10", "--beltrami", "catalog", "--form", "pp-file:zero",
          "--pkahler"],
+        # no option is read from a prefix of its name: a misplaced global
+        # --order is not extend's --order-n, nor --man and --js options
+        _EXTEND + ["--beltrami", "catalog", "--order", "2"],
+        ["cohomology", "--man", "catalog:iwasawa3", "--js"],
         # one bidegree or all of them, not both
         ["lemmata", "--manifold", "catalog:iwasawa3", "--bidegree", "2,3", "--all"],
         # a real (p,p)-form that depends on t
@@ -447,6 +451,37 @@ def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_a_misplaced_order_names_both_orders(capsys):
+    """--order after extend is refused, not read as --order-n, and the
+    one error line names the global --order and extend's --order-n."""
+    assert cli.main(_EXTEND + ["--beltrami", "catalog", "--order", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unrecognized arguments: --order 2 "
+        "(--order is global and goes before the command; extend's series order is --order-n)\n"
+    )
+
+
+def test_a_command_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    """A command that runs out of memory exits 1 with one error line
+    naming the command, not a traceback."""
+    parser = cli._parser()
+    real = parser.parse_args
+
+    def parse(argv=None):
+        args = real(argv)
+
+        def fn(args):
+            raise MemoryError
+
+        args.fn = fn
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", parse)
+    assert cli.main(["cohomology", "--manifold", "catalog:iwasawa3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cohomology ran out of memory\n" and captured.out == ""
 
 
 #: recorded stdout of the README examples: the arithmetic is exact, so a

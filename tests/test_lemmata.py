@@ -25,6 +25,8 @@ from nilforms.lemmata import (
 )
 from nilforms.scalars import QI_ONE, PolyRing
 
+from conftest import _product_se
+
 from oracles import (
     columns_of_every_row,
     echelon_kernel_one_pass,
@@ -499,12 +501,15 @@ def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3)
 
 def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     """On Iwasawa x C, after full_report, lemma_report decides each
-    passing verdict by rank: a passing mild, dual mild or standard takes
-    no kernel, no image and no product with a vector, and a passing weak
-    takes no kernel, applies delbar, in order, to exactly the vectors of
-    its real basis whose image the full-table oracle finds nonzero, and
-    reads the image echelons of del and deldelbar into (p,p+1), the ones
-    the complex caches.  Strong, passing or failing, makes no columns_vec,
+    passing verdict by rank: a passing mild, dual mild, weak or standard
+    takes no kernel, no image and no product with a vector (weak holds at
+    every p, each by the identity im del cap im delbar = im deldelbar).
+    weak's realified route (``_weak_realified``), run on the same complex
+    at each p, holds too, takes no kernel, applies delbar, in order, to
+    exactly the vectors of its real basis whose image the full-table
+    oracle finds nonzero, and reads the image echelons of del and
+    deldelbar into (p,p+1), the ones the complex caches.  Strong, passing
+    or failing, makes no columns_vec,
     kernel, _image or RREF completion (``Echelon._complete``, where a
     kernel is read) beyond those of mild and dual mild:
     in lemma_report each such call is made inside mild, dual mild, weak
@@ -551,21 +556,21 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     by_verdict = {}
     for index, tag in work:
         by_verdict.setdefault(index, []).append(tag)
-    oracle, skipped = EvaluatedComplex(iwasawa_c, ()), 0
     for index, (name, args, ok) in enumerate(verdicts):
-        if not ok:
-            continue
-        tags = by_verdict.get(index, [])
-        if name == "weak":
-            p = args[0]
-            reals = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
-            nonzero = [r for r, v in zip(reals, weak_images_by_columns(oracle, p)) if v]
-            skipped += len(reals) - len(nonzero)
-            assert applied.get(index, []) == nonzero, args
-            assert tags == ["columns_vec"] * len(nonzero) + ["image"] * 2, args
-            assert ("del", p, p + 1) in ec._images and ("ddbar", p, p + 1) in ec._images
-        else:
-            assert tags == [], (name, args)
+        if ok:
+            assert by_verdict.get(index, []) == [], (name, args)
+    assert sorted(report.weak_flags) == list(range(ec.n)) and all(report.weak_flags.values())
+    oracle, skipped = EvaluatedComplex(iwasawa_c, ()), 0
+    for p in report.weak_flags:
+        reals = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
+        nonzero = [r for r, v in zip(reals, weak_images_by_columns(oracle, p)) if v]
+        skipped += len(reals) - len(nonzero)
+        work.clear()
+        applied.clear()
+        assert lemmata._weak_realified(ec, p) == (True, None), p
+        assert applied.get(None, []) == nonzero, p
+        assert [tag for _, tag in work] == ["columns_vec"] * len(nonzero) + ["image"] * 2, p
+        assert ("del", p, p + 1) in ec._images and ("ddbar", p, p + 1) in ec._images
     assert skipped
     alone, paired = EvaluatedComplex(iwasawa_c, ()), EvaluatedComplex(iwasawa_c, ())
     full_report(alone)
@@ -592,7 +597,9 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     """When the ranks say a verdict fails but its vector route finds no
     form outside im deldelbar, the verdict raises instead of answering:
     on the torus every verdict holds, so a deldelbar image rank lowered
-    by one (and, for weak, residue ranks that differ) must raise."""
+    by one (and, for weak's realified route, residue ranks that differ)
+    must raise, for weak both from the route itself and from weak with
+    its rank identity made to fail."""
     real = EvaluatedComplex.image_rank
     monkeypatch.setattr(EvaluatedComplex, "image_rank", lambda self, op, p, q: real(self, op, p, q) - 1)
     calls = (("mild", lambda: mild(ec_torus, 1, 1)), ("dual_mild", lambda: dual_mild(ec_torus, 1, 1)),
@@ -603,7 +610,43 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     monkeypatch.setattr(EvaluatedComplex, "image_rank", real)
     monkeypatch.setattr(lemmata, "_residue_rank", lambda ec, op, sp, sq, vectors: op == "del")
     with pytest.raises(AssertionError, match="weak at .*finds no form"):
+        lemmata._weak_realified(ec_torus, 1)
+    monkeypatch.setattr(lemmata, "_images_meet_in_ddbar", lambda ec, p: False)
+    with pytest.raises(AssertionError, match="weak at .*finds no form"):
         weak(ec_torus, 1)
+
+
+def test_weak_rank_identity_agrees_with_the_realified_route(reference_complexes, bcvary10):
+    """weak's rank identity, im del cap im delbar = im deldelbar at
+    (p,p+1) (``_images_meet_in_ddbar``), decides only where the realified
+    route agrees: at every p of the 13 reference complexes (the four
+    benchmark products among them, under a coframe permutation), the four
+    products unpermuted, H(3,C), H(5,C), H(7,C) and six seeded bcvary10
+    fibers, wherever the identity holds the realified route returns
+    (True, None).  It holds at every p of the products and of H(n,C),
+    so weak builds no vector there, and fails on each fiber at exactly
+    p = 1..3, where weak fails."""
+    iw, c1, c3 = (catalog_load(name).se for name in ("iwasawa3", "abelian_1", "abelian_3"))
+    bc0 = evaluate_se(bcvary10.se, zero_point(4))
+    products = {"iwasawa2": [iw, iw], "iwasawa_c3": [iw, c3], "bcvary10_0_c": [bc0, c1], "iwasawa2_c": [iw, iw, c1]}
+    # (label, complex, point, the p where weak fails, or None where not pinned)
+    cases = [(label, cx, point, [] if label in products else None) for label, cx, point in reference_complexes]
+    cases += [(f"{name} unpermuted", build_complex(_product_se(name, factors)), (), [])
+              for name, factors in products.items()]
+    cases += [(f"H({n},C)", build_complex(_heisenberg_c(n)), (), []) for n in (3, 5, 7)]
+    cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))),
+               (), [1, 2, 3]) for seed in range(4601, 4607)]
+    for label, cx, point, failing in cases:
+        ec = EvaluatedComplex(cx, point)
+        fast, realified = [], []
+        for p in range(cx.n):
+            fast.append(lemmata._images_meet_in_ddbar(ec, p))
+            realified.append(lemmata._weak_realified(ec, p))
+            if fast[-1]:
+                assert realified[-1] == (True, None), (label, p)
+        if failing is not None:
+            assert [p for p, (ok, _) in enumerate(realified) if not ok] == failing, label
+            assert [p for p, holds in enumerate(fast) if not holds] == failing, label
 
 
 def test_lemma_report_raises_when_strong_breaks_its_identity(monkeypatch, ec_torus, ec_iwasawa):
@@ -743,8 +786,9 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
     oracle (every deldelbar kernel vector through the column table of
     del or delbar), in the same order, with the same entries and types,
     and its witness is the oracle's; no column table of del or delbar is
-    built for them.  weak's images at every p are the nonzero
-    subsequence of delbar of its whole real basis.  ``columns``,
+    built for them.  The images of weak's realified route
+    (``_weak_realified``), run at every p, are the nonzero subsequence
+    of delbar of its whole real basis.  ``columns``,
     ``total_d_rows`` and the deldelbar product (``linalg.mat_mul``),
     which skip empty rows, equal the walkers over every row."""
     residues = []
@@ -777,7 +821,7 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
                     assert _typed_form(got) == _typed_form(want), (label, op, p, q)
         for p in range(n):
             residues.clear()
-            weak(ec, p)
+            lemmata._weak_realified(ec, p)
             assert typed(residues[0]) == typed([v for v in weak_images_by_columns(oc, p) if v]), (label, p)
         for p in range(n + 1):
             for q in range(n + 1):
@@ -902,13 +946,15 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
     each mild or dual mild witness transposes the rows of its del or
     delbar once (``linalg.columns``), besides the deldelbar images it
     tests against, so no transpose is taken per vector.  Every product
-    with a vector, in mild's and dual mild's scans and in weak, is
-    counted: 1,578 of them, and the 4 that are 0 are deldelbar kernel
-    vectors with two entries on nonzero columns of del or delbar whose
-    images cancel, which no support test sees.  The full-table route, put
-    back in place of the kernel images, forms the same 1,574 nonzero
-    images and 862 zero ones from the same transposes, so the gate sees
-    what it counts."""
+    with a vector, in mild's and dual mild's scans, is counted: 84 of
+    them, and the 4 that are 0 are deldelbar kernel vectors with two
+    entries on nonzero columns of del or delbar whose images cancel,
+    which no support test sees.  weak holds by rank at every p, and its
+    realified route (``_weak_realified``), run after the report at each
+    p, forms 1,494 more, none of them 0.  The full-table route, put back
+    in place of the kernel images, forms the same 1,574 nonzero images
+    over the two, and 862 zero ones, from the same transposes, so the
+    gate sees what it counts."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     columns_vec, columns, witness = linalg.columns_vec, linalg.columns, lemmata._witness
     formed, tables, inside, scans = [], [], [], []
@@ -930,6 +976,10 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
         finally:
             inside.pop()
 
+    def tally():
+        zero = [met for v, met in formed if not v]
+        return len(formed), len(zero), min(zero)
+
     monkeypatch.setattr(linalg, "columns_vec", forming)
     monkeypatch.setattr(linalg, "columns", asking)
     monkeypatch.setattr(lemmata, "_witness", framed)
@@ -943,12 +993,14 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
         scans.clear()
         report = lemma_report(ec)
         assert any(key.startswith(("mild:", "dual_mild:")) for key in report.witnesses)
-        zero = [met for v, met in formed if not v]
-        counts.append((len(formed), len(zero), min(zero)))
+        assert all(report.weak_flags.values())
+        counts.append(tally())
+        assert all(lemmata._weak_realified(ec, p) == (True, None) for p in report.weak_flags)
+        counts.append(tally())
         sources = [("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
                    for kind, p, q in scans if kind in ("mild", "dual_mild")]
         assert sources and [key for key in tables if key[0] != "ddbar"] == sources, route
-    assert counts == [(1578, 4, 2), (2436, 862, 0)]
+    assert counts == [(84, 4, 2), (1578, 4, 2), (942, 862, 0), (2436, 862, 0)]
 
 
 def _witness_bidegree(key):
