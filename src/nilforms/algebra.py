@@ -764,9 +764,6 @@ class InvariantComplex:
         self.n = se.n
         self.layout = se.layout
 
-    def dim(self, p: int, q: int) -> int:
-        return self.algebra.dim(p, q)
-
 
 def build_complex(se: StructureEquations) -> InvariantComplex:
     """Validate structure equations (``StructureEquations.require_flat``:

@@ -20,11 +20,12 @@ of the complex share across terms and bidegrees, and the equations'
 terms.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
-rank of the incoming map), and every rank is read once from a forward
-echelon, which completes itself in place into the reduced echelon only
-where a kernel is read.  On a unimodular complex the Aeppli and the
-upper de Rham ranks are read through Hodge-star duality from ranks that
-other dimensions already hold.  ``full_report`` and
+rank of the incoming map), and every rank is read once per duality pair
+from a forward echelon, which completes itself in place into the
+reduced echelon only where a kernel is read: on a unimodular complex the
+Hodge star reads the delbar, Aeppli and upper de Rham ranks from others
+and gives a deldelbar rank to its dual, and conjugation reads standard's
+suffix ranks from its prefix ranks.  ``full_report`` and
 ``lemmata.lemma_report`` run with the cyclic garbage collector paused
 (``collector_paused``).
 Kernel and image bases are built
@@ -93,15 +94,6 @@ _MATRICES = ("del", "delbar", "ddbar", "stacked")
 _SHIFT = {"del": (1, 0), "delbar": (0, 1), "ddbar": (1, 1)}
 
 
-def _forward_blocks(blocks: Sequence[Rows]) -> Echelon:
-    """A new forward echelon fed the blocks of rows in order, whose
-    ``marks`` are the rank after each block."""
-    e = Echelon({})
-    for rows in blocks:
-        e.extend(rows)
-    return e
-
-
 def _known(op: str, names) -> str:
     """op, if it is one of names; else ValueError naming them."""
     if op not in names:
@@ -132,14 +124,14 @@ class EvaluatedComplex:
     kernel reader (``_row_echelon``, the forward echelon of ``rows``).
     del's and stacked's ranks are the ``marks`` of one forward pass over
     the del rows and then the delbar rows, since the del rows lead the
-    stacked rows, and delbar's is read from a pass of its own; none of
-    those echelons is kept.  deldelbar's rank is the one exception: it is
-    read from its kept echelon, which a failing mild's witness completes.
-    d on the total complex is never stored: ``total_d_rows`` builds it for
-    each reader.  d from each total degree is eliminated once, block by
-    block, for its rank, and only the rank after each block is kept
-    (``total_marks``, the rank cache of d); standard's suffix pass reads
-    the same build of the rows as its prefix pass (``block_ranks``), and
+    stacked rows, and delbar's is read from a pass of its own only where
+    the star (below) is not used; none of those echelons is kept.
+    deldelbar's rank is the one exception: it is read from its kept
+    echelon, which a failing mild's witness completes.  d on the total
+    complex is never stored: ``total_d_rows`` builds it for each reader.
+    d from each total degree is eliminated once, block by block, for its
+    rank, and only the rank after each block is kept (``total_marks``,
+    the rank cache of d, which ``block_ranks`` reads for standard), and
     the image of d transposes a build of its own (``_image``).  The
     first kernel read completes its echelon in place into the RREF
     (``linalg.Echelon.kernel``): each row that changes is replaced by a
@@ -154,15 +146,20 @@ class EvaluatedComplex:
 
     On a unimodular complex (``unimodular``: d of every (2n-1)-form is 0,
     as on every nilpotent Lie algebra) del* = -*delbar* on invariant
-    forms, and the Hodge star turns a matrix into the adjoint of
-    another: [del | delbar] into (p,q) has the rank of [del; delbar] from
-    (n-q, n-p), and d from degree k that of d from degree 2n-1-k.  So
-    ``rank`` reads exact_sum (the dimension of im del + im delbar) as
-    the stacked rank that h_BC already holds, and total from degree
-    k >= n from the lower half; standard's prefix pass still reads the
-    marks of the upper half.  Any other
-    complex, such as dgamma^1 = gamma^1 ^ gammabar^1 from a
-    structure-equation file, takes the direct route for total and reads
+    forms, and the Hodge star turns a matrix into the adjoint of another
+    of the same rank: [del | delbar] into (p,q) into [del; delbar] from
+    (n-q, n-p), delbar from (p,q), q < n, into del from (n-q-1, n-p),
+    deldelbar from (p,q) into deldelbar from (n-q-1, n-p-1), and d from
+    degree k into d from degree 2n-1-k.  So ``rank`` reads exact_sum
+    (dim im del + im delbar) as the stacked rank that h_BC holds, delbar
+    from a del pass and total from degree k >= n from the lower half, and
+    stores a deldelbar rank for its dual too.  For even n the delbar
+    ranks at (n/2, n/2) and (n/2, n/2-1) are eliminated directly, so that
+    no comparison of ``check_conjugation_symmetry`` reads one elimination
+    on both sides: through the star they are the del ranks that
+    h_del(n/2, n/2) reads.  Any other complex, such as
+    dgamma^1 = gamma^1 ^ gammabar^1 from a structure-equation file, takes
+    the direct route for total, delbar and deldelbar, and reads
     exact_sum as the rank of the sum of the cached del and delbar image
     echelons (``image_sum``).
 
@@ -201,11 +198,13 @@ class EvaluatedComplex:
         self._images: Dict[Tuple[str, int, int], Tuple[List[Vec], Echelon]] = {}
         self._preimages: Dict[Tuple[int, int], Tuple[Rows, Echelon]] = {}
         self._unimodular: Optional[bool] = None
+        self._dims = {(p, q): comb(self.n, p) * comb(self.n, q) for p in range(self.n + 1) for q in range(self.n + 1)}
 
     # -- matrices ---------------------------------------------------------
 
     def dim(self, p: int, q: int) -> int:
-        return self.cx.dim(p, q)
+        """dim of (p,q), 0 outside 0..n, from the table built in __init__."""
+        return self._dims.get((p, q), 0)
 
     def check_bidegree(self, p: int, q: int) -> None:
         """Refuse a bidegree outside 0..n, where a public entry point
@@ -255,21 +254,16 @@ class EvaluatedComplex:
             e = self._echelons[key] = linalg.forward_echelon(self.rows(op, p, q))
         return e
 
-    def _total_d_blocks(self, k: int) -> List[Rows]:
-        """The rows of d from total degree k, built once and cut into the
-        target blocks of ``total_blocks(k+1)``, in order."""
-        rows, cut, out = self.total_d_rows(k), 0, []
-        for pq in self.total_blocks(k + 1):
-            out.append(rows[cut:cut + self.dim(*pq)])
-            cut += self.dim(*pq)
-        return out
-
     def total_marks(self, k: int) -> List[int]:
         """The rank of d from total degree k after the rows of each target
         block of ``total_blocks(k+1)``, in order, the last its rank: one
         forward pass, block by block, whose marks are kept."""
         if k not in self._marks:
-            self._marks[k] = _forward_blocks(self._total_d_blocks(k)).marks
+            rows, cut, e = self.total_d_rows(k), 0, Echelon({})
+            for pq in self.total_blocks(k + 1):
+                e.extend(rows[cut:cut + self.dim(*pq)])
+                cut += self.dim(*pq)
+            self._marks[k] = e.marks
         return self._marks[k]
 
     def block_ranks(self, k: int) -> Tuple[List[int], List[int]]:
@@ -278,13 +272,12 @@ class EvaluatedComplex:
         ranks of the rows of the blocks before block i and of those after
         it, standard's prefix and suffix ranks.  A block's rows meet only
         the source blocks next to it, so the two share no column.  before
-        is read from ``total_marks``, after from one forward pass over the
-        blocks after the first, in reverse; one build of the rows serves
-        both passes."""
-        blocks = self._total_d_blocks(k - 1)
-        if k - 1 not in self._marks:
-            self._marks[k - 1] = _forward_blocks(blocks).marks
-        return [0] + self._marks[k - 1][:-1], _forward_blocks(blocks[:0:-1]).marks[::-1] + [0]
+        is read from ``total_marks``, and after is before reversed: d is
+        real, and conjugation, which keeps ranks, sends block (p, k-p) to
+        (k-p, p), so the blocks after block i are the conjugates of the
+        blocks before block m-1-i, of m blocks."""
+        before = [0] + self.total_marks(k - 1)[:-1]
+        return before, before[::-1]
 
     @property
     def unimodular(self) -> bool:
@@ -299,24 +292,30 @@ class EvaluatedComplex:
         """Rank of the matrix (op, p, q), or for exact_sum the dimension
         of im del + im delbar at TARGET (p,q), read through the rank
         cache, or for total through the last of ``total_marks``.  On a
-        unimodular complex, exact_sum and total from degree k >= n are
-        read as the rank of their Hodge-star dual.  The class docstring
-        says what a first read keeps."""
+        unimodular complex, exact_sum, delbar and total from degree
+        k >= n are read as the rank of their Hodge-star dual, and a
+        deldelbar rank is stored for its dual as well.  The class
+        docstring says which dual, and what a first read keeps."""
         n = self.n
         if op == "total":
             marks = self.total_marks(2 * n - 1 - p if p >= n and self.unimodular else p)
             return marks[-1] if marks else 0  # d into a degree past 2n has no rows
-        if op == "exact_sum" and 0 <= p <= n and 0 <= q <= n and self.unimodular:
-            op, p, q = "stacked", n - q, n - p
+        if op in ("exact_sum", "delbar") and 0 <= p <= n and 0 <= q <= n and self.unimodular:
+            if op == "exact_sum":
+                op, p, q = "stacked", n - q, n - p
+            elif q < n and not (2 * p == n and q in (p, p - 1)):
+                op, p, q = "del", n - q - 1, n - p
         key = (op, p, q)
         if key not in self._ranks:
             if op == "exact_sum":
                 self._ranks[key] = self.image_sum(("del", "delbar"), p, q).rank
             elif op == "ddbar":
-                self._ranks[key] = self._row_echelon(op, p, q).rank
+                r = self._ranks[key] = self._row_echelon(op, p, q).rank
+                if 0 <= p < n and 0 <= q < n and self.unimodular:
+                    self._ranks[(op, n - q - 1, n - p - 1)] = r
             elif op in ("del", "stacked"):
                 # the del rows lead the stacked rows: one pass reads both
-                marks = _forward_blocks((self.rows("del", p, q), self.rows("delbar", p, q))).marks
+                marks = Echelon({}).extend(self.rows("del", p, q)).extend(self.rows("delbar", p, q)).marks
                 self._ranks[("del", p, q)], self._ranks[("stacked", p, q)] = marks
             else:
                 self._ranks[key] = linalg.forward_echelon(self.rows(op, p, q)).rank

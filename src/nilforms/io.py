@@ -26,6 +26,8 @@ FORM_FORMAT = "nilforms.form/1"
 BELTRAMI_FORMAT = "nilforms.beltrami/1"
 
 DEFAULT_TRUNCATION = 4
+#: the largest n an input file may give, the engine's frontier
+MAX_N = 12
 
 
 def _parse_factor(name: str, n: int):
@@ -75,8 +77,8 @@ def se_to_obj(se: StructureEquations) -> dict:
 
 def _header(obj, fmt: str, what: str) -> Tuple[int, int, int]:
     """(n, m, truncation) of a document that must be one JSON object in
-    format fmt, with integers n >= 1 and m, truncation >= 0 (m defaults
-    to 0, truncation to DEFAULT_TRUNCATION)."""
+    format fmt, with integers 1 <= n <= MAX_N, refused before anything of
+    size 2^n is built, and m, truncation >= 0 (defaults 0 and DEFAULT_TRUNCATION)."""
     if not isinstance(obj, dict):
         raise FormatError(f"a {what} file holds one JSON object")
     if obj.get("format", fmt) != fmt:
@@ -89,6 +91,8 @@ def _header(obj, fmt: str, what: str) -> Tuple[int, int, int]:
         raise FormatError(
             f"need n >= 1 and m, truncation >= 0; got n={n}, m={m}, truncation={order}"
         )
+    if n > MAX_N:
+        raise FormatError(f"n = {n} is above the size bound n <= {MAX_N}")
     return n, m, order
 
 

@@ -29,9 +29,9 @@ the CLI reports as one ``error:`` line.  On a flat complex:
                    r(total,k-1) - (rank of those rows) = w.  Those rows
                    are the blocks before (p,q) and the blocks after it,
                    which share no column: a prefix rank plus a suffix
-                   rank, two forward passes per degree over one build
-                   of the rows (``ec.block_ranks``), the prefix pass
-                   being the one whose rank r(total,k-1) reads.
+                   rank, read from the one pass per degree that gives
+                   r(total,k-1) (``ec.block_ranks``), the suffix ranks
+                   by conjugation, which reverses the blocks.
   weak(p):         quantified over real (p,p)-forms psi, so over Q: with
                    T the Q-span of delbar psi, E = im del and D = im
                    deldelbar at (p,p+1), is T cap E inside D?  D lies in

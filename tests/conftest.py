@@ -63,6 +63,36 @@ def _product_se(name, factors, perm=None):
     return StructureEquations(name, alg, d)
 
 
+#: dgamma^1 = i gamma^1 ^ gamma^3, dgamma^2 = i gamma^2 ^ gamma^3: flat
+#: and integrable but not unimodular, and strong holds at (2,2) while
+#: deldelbar maps onto (2,3) and (3,2) with rank 2, so each term of
+#: strong's rank identity counts
+SOLVABLE = {
+    "format": "nilforms.se/1",
+    "name": "solvable3",
+    "n": 3,
+    "m": 0,
+    "d": {
+        "1": [{"coeff": "i", "factors": ["1", "3"]}],
+        "2": [{"coeff": "i", "factors": ["2", "3"]}],
+    },
+}
+
+
+def heisenberg_c(n):
+    """H(n,C), n = 2k+1, the complex Heisenberg group, which is not a
+    product: d gamma^n = -(gamma^1 ^ gamma^2 + ... + gamma^{2k-1} ^
+    gamma^{2k})."""
+    from nilforms.algebra import FormAlgebra, StructureEquations
+    from nilforms.scalars import PolyRing
+
+    alg = FormAlgebra(n, PolyRing(0, 0))
+    d = alg.zero()
+    for i in range(1, n, 2):
+        d = d + alg.monomial((i, i + 1), (), -1)
+    return StructureEquations(f"heisenberg_c_{n}", alg, {n: d})
+
+
 @pytest.fixture(scope="session")
 def iwasawa_c():
     """Iwasawa x C (n = 4) at t = 0."""

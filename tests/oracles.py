@@ -834,7 +834,7 @@ def symbolic_columns(cx, op: str, p: int, q: int):
     se = cx.se
     one = cx.algebra.ring.one()
     tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-    tgt_index = monomial_index(cx, tp, tq) if cx.dim(tp, tq) else {}
+    tgt_index = monomial_index(cx, tp, tq) if cx.algebra.dim(tp, tq) else {}
     return [
         {tgt_index[mm]: c for mm, c in walker_derivation(se, Form(cx.algebra, {m: one}), op).coeffs.items()}
         for m in form_basis(cx.algebra, p, q)
@@ -845,8 +845,8 @@ def evaluated_rows(cx, op: str, p: int, q: int, point):
     """The rows of del or delbar at a point: the symbolic columns, each
     entry through ParamScalar.eval, zeros dropped."""
     tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-    out = [{} for _ in range(cx.dim(tp, tq))]
-    if cx.dim(p, q) and out:
+    out = [{} for _ in range(cx.algebra.dim(tp, tq))]
+    if cx.algebra.dim(p, q) and out:
         for j, col in enumerate(symbolic_columns(cx, op, p, q)):
             for i, c in col.items():
                 v = c.eval(point)
@@ -1407,6 +1407,32 @@ def standard_by_blocks(ec):
                 if not target.contains(v):
                     return False, ec.vec_to_form(v, p, q), (p, q)
     return True, None, None
+
+
+def delbar_rank_by_own_pass(ec, p: int, q: int) -> int:
+    """The rank of delbar from (p,q) from a forward pass over its own
+    rows, as ``EvaluatedComplex.rank`` read it before the Hodge star."""
+    return linalg.forward_echelon(ec.rows("delbar", p, q)).rank
+
+
+def block_ranks_by_suffix_pass(ec, k: int):
+    """standard's (before, after) block ranks of d from degree k-1 as
+    ``EvaluatedComplex.block_ranks`` read them before conjugation: before
+    from a forward pass over the blocks of ``total_blocks(k)`` in order,
+    after from a second pass over the blocks after the first, in
+    reverse, on one build of the rows."""
+    rows, cut, blocks = ec.total_d_rows(k - 1), 0, []
+    for pq in ec.total_blocks(k):
+        blocks.append(rows[cut:cut + ec.dim(*pq)])
+        cut += ec.dim(*pq)
+
+    def marks(seq):
+        e = linalg.Echelon({})
+        for block in seq:
+            e.extend(block)
+        return e.marks
+
+    return [0] + marks(blocks)[:-1], marks(blocks[:0:-1])[::-1] + [0]
 
 
 # -- the full-table routes that skip zero images and empty rows replaced ---

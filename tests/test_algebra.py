@@ -172,7 +172,7 @@ def test_conj_intertwines_del_delbar():
 
 def test_build_complex_validates_iwasawa():
     cx = build_complex(_iwasawa_se())
-    assert cx.dim(1, 1) == 9
+    assert cx.algebra.dim(1, 1) == 9
     # del on (1,0) has rank 1, delbar is zero there
     cols = symbolic_columns(cx, "del", 1, 0)
     assert sum(1 for c in cols if c) == 1
@@ -197,7 +197,7 @@ def test_build_complex_bcvary_dims_and_column():
     alg = FormAlgebra(5, ring)
     se = StructureEquations("bc", alg, {4: alg.monomial((1,), (3,)), 5: alg.monomial((3,), (4,))})
     cx = build_complex(se)
-    assert cx.dim(4, 4) == comb(5, 4) ** 2 == 25
+    assert cx.algebra.dim(4, 4) == comb(5, 4) ** 2 == 25
     # delbar gamma^4 = gamma^{1 bar3}: column of gamma^4 in (1,0) hits that row
     col = symbolic_columns(cx, "delbar", 1, 0)[monomial_index(cx, 1, 0)[((4,), ())]]
     target_row = monomial_index(cx, 1, 1)[((1,), (3,))]
@@ -359,8 +359,8 @@ def _check_matrix_action(name):
                 ("delbar", se.apply_delbar, (p, q + 1)),
             ):
                 cols = symbolic_columns(cx, op, p, q)
-                target = form_basis(cx.algebra, tp, tq) if cx.dim(tp, tq) else []
-                assert len(cols) == cx.dim(p, q)
+                target = form_basis(cx.algebra, tp, tq) if cx.algebra.dim(tp, tq) else []
+                assert len(cols) == cx.algebra.dim(p, q)
                 for m, col in zip(form_basis(cx.algebra, p, q), cols):
                     form = Form(cx.algebra, {m: one})
                     image = Form(cx.algebra, {target[i]: c for i, c in col.items()})

@@ -34,12 +34,15 @@ from nilforms.extension import solve_conjugate_system
 from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI, QI_ONE, QI_ZERO
 
+from conftest import SOLVABLE, heisenberg_c
 from oracles import (
     FullScanEchelon,
     HodgeContext,
     bcvary_oracle,
+    block_ranks_by_suffix_pass,
     canonical_solver_rows,
     ddbar_preimage_by_tracked_rref,
+    delbar_rank_by_own_pass,
     evaluated_rows,
     form_basis,
     form_to_vec_by_index,
@@ -549,7 +552,7 @@ def test_harmonic_green_equals_two_pass_oracle(reference_complexes):
         hodge = HodgeContext(EvaluatedComplex(cx, point))
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
-                dim = cx.dim(p, q)
+                dim = cx.algebra.dim(p, q)
                 if dim > 25:
                     continue
                 for lap in (hodge.lap_bc_rows(p, q), hodge.lap_a_rows(p, q)):
@@ -700,6 +703,103 @@ def test_non_unimodular_input_keeps_the_direct_route():
     assert report.betti == [1, 1, 0]
     assert report.h_a == [[1, 1], [1, 0]]
     assert (report.h_a, report.betti) == _direct_report(ec)
+
+
+def test_star_and_conjugation_ranks_equal_direct_eliminations(reference_complexes):
+    """On the reference complexes, H(3,C)..H(7,C) and two complexes that
+    are not unimodular (n = 1 and solvable3), after full_report and
+    lemma_report every delbar and deldelbar rank that ``rank`` returns
+    equals a forward pass over the matrix's own rows, and standard's
+    block ranks of every degree equal the prefix and suffix passes.  On
+    a unimodular complex full_report eliminates no delbar matrix with
+    rows (q < n) but the two at the center of an even n, and no
+    deldelbar matrix whose star dual it eliminated; on the others every
+    one of them."""
+    not_unimodular = {"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}}
+    cases = list(reference_complexes)
+    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
+    cases += [(label, build_complex(nio.obj_to_se(obj)), ()) for label, obj in
+              (("n = 1", not_unimodular), ("solvable3", SOLVABLE))]
+    for label, cx, point in cases:
+        n = cx.n
+        ec = EvaluatedComplex(cx, point)
+        full_report(ec)
+        cached = set(ec._ranks)
+        delbar = {(p, q) for op, p, q in cached if op == "delbar"}
+        ddbar = {(p, q) for op, p, q in ec._echelons}
+        if ec.unimodular:
+            center = {(n // 2, n // 2), (n // 2, n // 2 - 1)} if n % 2 == 0 else set()
+            assert delbar == center | {(p, n) for p in range(n + 1)}, label
+            assert not any((n - q - 1, n - p - 1) in ddbar for p, q in ddbar if p + q != n - 1), label
+        else:
+            assert delbar == {(p, q) for p in range(n + 1) for q in range(n + 1)}, label
+            assert ddbar == {(p, q) for p in range(n + 1) for q in range(n + 1)}, label
+        lemma_report(ec)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                assert ec.rank("delbar", p, q) == delbar_rank_by_own_pass(ec, p, q), (label, p, q)
+                want = linalg.forward_echelon(ec.rows("ddbar", p, q)).rank
+                assert ec.rank("ddbar", p, q) == want, (label, p, q)
+        for k in range(1, 2 * n + 1):
+            assert ec.block_ranks(k) == block_ranks_by_suffix_pass(ec, k), (label, k)
+
+
+class _TracedRanks(dict):
+    """A rank cache that names the elimination behind each rank it stores
+    (by the first key that elimination stored; ``eliminations`` holds
+    every echelon extended, the last one last) and, while ``reads`` is a
+    set, adds to it the elimination behind each rank read."""
+
+    def __init__(self, eliminations):
+        super().__init__()
+        self.eliminations, self.names, self.source, self.reads = eliminations, {}, {}, None
+
+    def __setitem__(self, key, value):
+        self.source[key] = self.names.setdefault(id(self.eliminations[-1]), key)
+        super().__setitem__(key, value)
+
+    def __getitem__(self, key):
+        if self.reads is not None:
+            self.reads.add(self.source[key])
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", ["iwasawa3", "iwasawa_c", "H(5,C)"])
+def test_conjugation_check_compares_separate_eliminations(monkeypatch, iwasawa3, iwasawa_c, name):
+    """Each comparison of ``check_conjugation_symmetry`` in full_report
+    (h_bc and h_a at (p,q) against (q,p), p != q, and h_dolbeault at (p,q)
+    against h_del at (q,p)) sets eliminations against each other that
+    share none: a rank read through the Hodge star (delbar's from a del
+    pass, a deldelbar rank from its star dual's echelon) never makes the
+    two sides read one elimination, so the check keeps its teeth.  The
+    delbar ranks at the center of an even n are eliminated directly for
+    this; without that, h_dolbeault(n/2, n/2) and h_del(n/2, n/2) would
+    read the same two del passes."""
+    cx = {"iwasawa3": build_complex(iwasawa3.se), "iwasawa_c": iwasawa_c,
+          "H(5,C)": build_complex(heisenberg_c(5))}[name]
+    eliminations = []
+    extend = linalg.Echelon.extend
+    monkeypatch.setattr(linalg.Echelon, "extend", lambda self, v: eliminations.append(self) or extend(self, v))
+    ec = EvaluatedComplex(cx, ())
+    ranks = ec._ranks = _TracedRanks(eliminations)
+    full_report(ec)
+    assert ec.unimodular and len(set(ranks.source.values())) < len(ranks), name
+
+    def side(fn, p, q):
+        ranks.reads = set()
+        fn(ec, p, q)
+        out, ranks.reads = ranks.reads, None
+        return out
+
+    n, compared = cx.n, 0
+    for p in range(n + 1):
+        for q in range(n + 1):
+            pairs = [(h_dolbeault, h_del)] + ([(h_bott_chern, h_bott_chern), (h_aeppli, h_aeppli)] if p != q else [])
+            for left, right in pairs:
+                a, b = side(left, p, q), side(right, q, p)
+                assert a and b and a.isdisjoint(b), (name, left.__name__, p, q, a & b)
+                compared += 1
+    assert compared == (n + 1) ** 2 + 2 * n * (n + 1)
 
 
 def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_complexes):
@@ -986,7 +1086,7 @@ def test_subset_ranks_equal_the_monomial_index_oracle(reference_complexes):
         ec = EvaluatedComplex(cx, point)
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
-                dense = {i: GaussianRational(i + 1, p - q) for i in range(cx.dim(p, q))}
+                dense = {i: GaussianRational(i + 1, p - q) for i in range(cx.algebra.dim(p, q))}
                 for v in (dense, {i: c for i, c in dense.items() if i % 3 == 1}):
                     form = vec_to_form_by_basis(ec, v, p, q)
                     got = ec.vec_to_form(v, p, q)

@@ -821,8 +821,8 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     """Every scalar part of full_report, lemma_report (witnesses included)
     and the kernel vectors is an int or a Fraction; and inside ``weak`` a
     real lead other than +-1 reaches the forward eliminations
-    (forward_echelon, and Echelon.insert and track), which divide by it
-    exactly."""
+    (Echelon.extend, which forward_echelon and the rank passes run, and
+    Echelon.insert and track), which divide by it exactly."""
     scaled = build_complex(nio.obj_to_se(SCALED_IWASAWA))
     for label, cx, point in reference_complexes + [("iwasawa3_scaled", scaled, ())]:
         ec = EvaluatedComplex(cx, point)
@@ -839,7 +839,6 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     assert {type(x) for x in _numbers(points)} <= {int, Fraction}
 
     leads, stored = [], []
-    forward = linalg.forward_echelon
 
     def recording(method):
         def run(self, *args):
@@ -850,15 +849,8 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
             return out
         return run
 
-    def recording_forward(vectors):
-        fe = forward(vectors)
-        leads.extend(row[p] for p, row in fe.pivots.items())
-        stored.extend(x for row in fe.pivots.values() for x in row.values())
-        return fe
-
-    for name in ("insert", "track"):
+    for name in ("extend", "insert", "track"):
         monkeypatch.setattr(linalg.Echelon, name, recording(getattr(linalg.Echelon, name)))
-    monkeypatch.setattr(linalg, "forward_echelon", recording_forward)
     ec = EvaluatedComplex(scaled, ())
     for p in range(ec.n):
         lemmata.weak(ec, p)

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +452,27 @@ def test_cli_malformed_input_one_error_line(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_a_structure_file_past_the_size_bound_is_one_error_line(tmp_path):
+    """The n = 30 row of the boundary table, run apart from it: a
+    well-formed structure file with n = 30 and d = {} gives exit 1 and
+    one error line naming n and the bound, for cohomology and for one
+    bidegree of lemmata.  Each run is a subprocess capped at 1 GiB of
+    address space (RLIMIT_AS), so an engine that builds the 2^30 subsets
+    fails there and cannot take the machine's memory."""
+    path = tmp_path / "n30.json"
+    path.write_text('{"n": 30, "d": {}}')
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for argv in (["cohomology", "--manifold", str(path)],
+                 ["lemmata", "--manifold", str(path), "--bidegree", "1,2"]):
+        proc = subprocess.run([sys.executable, "-m", "nilforms.cli", *argv],
+                              capture_output=True, text=True, preexec_fn=cap)
+        assert (proc.returncode, proc.stdout) == (1, ""), (argv, proc.stderr)
+        assert proc.stderr == "error: n = 30 is above the size bound n <= 12\n", argv
 
 
 def test_a_misplaced_order_names_both_orders(capsys):

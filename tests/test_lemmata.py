@@ -25,7 +25,7 @@ from nilforms.lemmata import (
 )
 from nilforms.scalars import QI_ONE, PolyRing
 
-from conftest import _product_se
+from conftest import SOLVABLE, _product_se, heisenberg_c
 
 from oracles import (
     columns_of_every_row,
@@ -356,22 +356,6 @@ def _typed_form(w):
     ]
 
 
-#: dgamma^1 = i gamma^1 ^ gamma^3, dgamma^2 = i gamma^2 ^ gamma^3: flat
-#: and integrable but not unimodular, and strong holds at (2,2) while
-#: deldelbar maps onto (2,3) and (3,2) with rank 2, so each term of
-#: strong's rank identity counts
-SOLVABLE = {
-    "format": "nilforms.se/1",
-    "name": "solvable3",
-    "n": 3,
-    "m": 0,
-    "d": {
-        "1": [{"coeff": "i", "factors": ["1", "3"]}],
-        "2": [{"coeff": "i", "factors": ["2", "3"]}],
-    },
-}
-
-
 def test_rank_verdicts_equal_the_vector_route(reference_complexes):
     """On every reference complex and on a complex that is not
     unimodular, lemma_report's flags and witnesses at every bidegree,
@@ -633,7 +617,7 @@ def test_weak_rank_identity_agrees_with_the_realified_route(reference_complexes,
     cases = [(label, cx, point, [] if label in products else None) for label, cx, point in reference_complexes]
     cases += [(f"{name} unpermuted", build_complex(_product_se(name, factors)), (), [])
               for name, factors in products.items()]
-    cases += [(f"H({n},C)", build_complex(_heisenberg_c(n)), (), []) for n in (3, 5, 7)]
+    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), (), []) for n in (3, 5, 7)]
     cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))),
                (), [1, 2, 3]) for seed in range(4601, 4607)]
     for label, cx, point, failing in cases:
@@ -866,17 +850,6 @@ def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monk
     assert len(want) == 3 and images == want
 
 
-def _heisenberg_c(n):
-    """H(n,C), n = 2k+1, the complex Heisenberg group, which is not a
-    product: d gamma^n = -(gamma^1 ^ gamma^2 + ... + gamma^{2k-1} ^
-    gamma^{2k})."""
-    alg = FormAlgebra(n, PolyRing(0, 0))
-    d = alg.zero()
-    for i in range(1, n, 2):
-        d = d + alg.monomial((i, i + 1), (), -1)
-    return StructureEquations(f"heisenberg_c_{n}", alg, {n: d})
-
-
 class _CountedRow(dict):
     """A row that counts each entry read from it, by key or by a walk."""
 
@@ -920,7 +893,7 @@ def test_kernel_images_read_each_entry_of_op_once(monkeypatch):
     plus the entries of the kernel vectors it scans from op's rows.  A
     scan that walks op's rows again for each vector, or for each column
     a vector touches, reads far more."""
-    ec = EvaluatedComplex(build_complex(_heisenberg_c(7)), ())
+    ec = EvaluatedComplex(build_complex(heisenberg_c(7)), ())
     rows = ec.rows
     scans = 0
     for p in range(ec.n + 1):
@@ -1114,7 +1087,7 @@ def report_digests(reference_complexes):
     complexes and of H(3,C), H(5,C) and H(7,C), the two reports run in
     that order on one EvaluatedComplex."""
     cases = list(reference_complexes)
-    cases += [(f"H({n},C)", build_complex(_heisenberg_c(n)), ()) for n in (3, 5, 7)]
+    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
     out = {}
     for label, cx, point in cases:
         ec = EvaluatedComplex(cx, point)

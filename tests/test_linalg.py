@@ -516,8 +516,11 @@ def test_unit_leads_divide_nothing(monkeypatch):
     no rank takes a Q(i) division; a lead of 2 divides once, where the
     kernel completes the echelon, and never on insert.  Each lead is
     found by exactly one ``extend``: the pass that reads the stacked rank
-    finds del's leads, which give del's rank, and then the delbar ones.
-    full_report
+    finds del's leads, which give del's rank, and then the delbar ones;
+    delbar's ranks are read through the Hodge star from those passes,
+    but for the two at the center of this even n = 4, (2,2) and (2,1),
+    which have passes of their own; and a deldelbar rank is read from
+    its kept echelon, which gives its star dual's rank too.  full_report
     completes no echelon into an RREF, and lemma_report completes each
     cached matrix echelon at most once, however often it is called
     (``nullspace`` completes a fresh echelon on every call)."""
@@ -552,9 +555,15 @@ def test_unit_leads_divide_nothing(monkeypatch):
              for p in range(se.n + 1) for q in range(se.n + 1)]
     ranks += [linalg.forward_echelon(ec.total_d_rows(k)).rank for k in range(2 * se.n)]
     # del's and stacked's ranks are read from one pass, in which the del
-    # rows lead: del's leads are found once, by that pass
-    inherited = sum(ec.rank("del", p, q) for p in range(se.n + 1) for q in range(se.n + 1))
-    assert 0 < inherited < sum(ranks) and len(leads) == sum(ranks) - inherited
+    # rows lead: del's leads are found once, by that pass; delbar's are
+    # found by those passes, and deldelbar's once per star pair
+    bidegrees = [(p, q) for p in range(se.n + 1) for q in range(se.n + 1)]
+    eliminated = sum(ec.rank("stacked", p, q) for p, q in bidegrees) + ec.rank("delbar", 2, 2)
+    eliminated += ec.rank("delbar", 2, 1) + sum(e.rank for e in ec._echelons.values())
+    eliminated += sum(ranks[-2 * se.n:])
+    inherited = sum(ranks) - eliminated
+    assert {key[0] for key in ec._echelons} == {"ddbar"}
+    assert 0 < inherited < sum(ranks) and len(leads) == eliminated
     assert all(lead in (1, -1) for lead in leads)
     assert divisions == []
     e = Echelon({})
