@@ -166,11 +166,10 @@ class EvaluatedComplex:
     Each image, of del, delbar or ddbar into TARGET (p,q) or of total
     into TARGET degree p, is one forward echelon of the matrix's nonzero
     columns, by ascending index (``_image``): it answers
-    membership (``image_echelon``), serves as the base of weak's residues,
-    and the columns that enlarged it, in order, are the image basis
-    (``image_vectors``).  The minimal-norm del-delbar solve into (p,q)
-    reads one tracked forward echelon, built once per target bidegree
-    (``ddbar_preimage``).
+    membership (``image_echelon``), and the columns that enlarged it, in
+    order, are the image basis (``image_vectors``).  The minimal-norm
+    del-delbar solve into (p,q) reads one tracked forward echelon, built
+    once per target bidegree (``ddbar_preimage``).
 
     del and delbar are assembled per structure constant: the del or
     delbar part of d of each coframe symbol is evaluated at the point
@@ -368,7 +367,7 @@ class EvaluatedComplex:
 
     def image_echelon(self, op: str, p: int, q: int) -> Echelon:
         """Forward echelon of the image of op with TARGET bidegree (p,q)
-        (TARGET degree p for total), for membership and residues."""
+        (TARGET degree p for total), for membership."""
         return self._image(op, p, q)[1]
 
     def image_sum(self, ops: Sequence[str], p: int, q: int) -> Echelon:

@@ -40,16 +40,16 @@ the CLI reports as one ``error:`` line.  On a flat complex:
                    r(del,p-1,p+1) + r(delbar,p,p) - r(exact_sum,p,p+1)
                    = w, weak holds: the ranks that mild, dual mild and
                    strong at (p,p+1) read.  Elsewhere T cap E lies in D
-                   iff dim (T + E)/E = dim (T + D)/D, the Q-ranks of the
-                   realified residues of T modulo the image echelons of
-                   del and of deldelbar (``ec.image_echelon``), read
-                   from real Gaussian rationals by the one Q(i)
-                   elimination.
+                   iff dim (T + E)/E = dim (T + D)/D.  Realified (E
+                   and D as v and i v, ``linalg.realify_span``), T is
+                   eliminated once, and a copy of its echelon extended
+                   by D, then E, reads rank(T + D) and rank(T + E); T's
+                   rank is certified to be the stacked rank at (p,p).
 
 So a passing verdict builds no kernel, and only weak, where im del cap
 im delbar is larger than im deldelbar, applies a matrix to a vector
 (delbar to the real basis vectors that meet a nonzero column, the only
-ones it builds) and reads image echelons, which each EvaluatedComplex
+ones it builds) and reads image bases, which each EvaluatedComplex
 builds once per image.  A failing verdict runs the
 vector route only to build its witness: the first vector of the tested
 space outside im deldelbar.
@@ -61,14 +61,12 @@ map of del read once per scan.  Strong's space is the sum of the spaces
 that mild and dual mild test, so strong fails exactly when one of them
 fails, and its witness is theirs: mild's at (p,q) if mild fails, else dual
 mild's (``lemma_report`` reuses the two it holds, and checks strong =
-mild and dual mild).  For weak that
-is one tracked forward elimination over Q (``linalg.relations_modulo``)
-of T, then of the realified basis E_j of im del: each E_j that adds
-nothing gives the one w = E_j - sum gamma_t E_t in T, as the RREF
-nullspace of [T | -E] does at E_j's column; E and the deldelbar echelon
-that w is tested against are the ones the rank test read.  That the
-route finds one is checked; if not, the two routes disagree, and
-AssertionError is raised.  Every
+mild and dual mild).  For weak, the realified basis E_j of im del that
+the rank test read is tracked, as the scan reaches it, into the echelon
+of T it built (``linalg.Echelon.track``): each E_j that adds nothing
+gives the one w = E_j - sum gamma_t E_t in T, as the RREF nullspace of
+[T | -E] does at E_j's column.  That the route finds one is checked; if
+not, the two routes disagree, and AssertionError is raised.  Every
 witness re-verifies by fresh rank computations (``verify_witness``).
 Every decider refuses a bidegree outside 0..n (``ec.check_bidegree``).
 """
@@ -202,8 +200,9 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     """The (p,p+1)-th condition quantified over real (p,p)-forms psi:
     delbar psi del-exact implies delbar psi deldelbar-exact, 0 <= p < n.
     It holds by rank where im del cap im delbar = im deldelbar at
-    (p,p+1) (``_images_meet_in_ddbar``); elsewhere the realified route
-    decides (``_weak_realified``)."""
+    (p,p+1) (``_images_meet_in_ddbar``); elsewhere one elimination of
+    the realified delbar images decides, its rank certified by the
+    stacked rank at (p,p) (``_weak_realified``)."""
     ec.check_bidegree(p, p + 1)
     ec.cx.se.require_flat()
     if _images_meet_in_ddbar(ec, p):
@@ -222,37 +221,42 @@ def _images_meet_in_ddbar(ec: EvaluatedComplex, p: int) -> bool:
 
 
 def _weak_realified(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
-    """weak at p on a flat complex by the realified residue ranks, and
-    its witness when it fails (module docstring).  A real basis vector
-    that meets no nonzero column of delbar is never built: its image 0
-    adds nothing to the ranks or to the witness."""
+    """weak at p on a flat complex from one forward elimination of T, read
+    by the verdict and the witness (module docstring); a real basis vector
+    meeting no nonzero column of delbar is never built.  T's rank must be
+    the stacked rank at (p,p), as d is real; else AssertionError."""
     q = p + 1
     cols = linalg.columns(ec.rows("delbar", p, p))
-    images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, cols.keys())]
-    if _residue_rank(ec, "del", p, q, images) == _residue_rank(ec, "ddbar", p, q, images):
-        return True, None
-    # the witness route (module docstring): w = sum c_t E_t in T, with E
-    # = (v_s, i v_s) realified from the del image basis v_s, so the
-    # coefficient of v_s is c_2s + c_(2s+1) i
+    reals = _real_basis_vectors(ec, p, cols.keys())
+    t = linalg.forward_echelon([linalg.realify_vec(linalg.columns_vec(cols, r)) for r in reals])
+    closed = ec.rank("stacked", p, p)
+    if t.rank != closed:
+        raise AssertionError(f"weak at {p}: delbar of the real ({p},{p})-forms has rank {t.rank}, the stacked {closed}")
     image = ec.image_vectors("del", p, q)
-    base = [linalg.realify_vec(v) for v in images]
+    span = linalg.realify_span(image)
+    if _realified_ranks_agree(ec, p, t, span):
+        return True, None
 
     def witnesses():
-        for c in linalg.relations_modulo(base, linalg.realify_span(image), 2 * ec.dim(p, q)):
+        # w = sum c_t E_t in T, with E = (v_s, i v_s) realified from the
+        # del image basis v_s, so the coefficient of v_s is c_2s + c_(2s+1) i
+        for c in filter(None, (t.track(v, j, 2 * ec.dim(p, q)) for j, v in enumerate(span))):
             w: Vec = {}
-            for s in sorted({t // 2 for t in c}):
+            for s in sorted({k // 2 for k in c}):
                 linalg.add_scaled_into(w, c.get(2 * s, QI_ZERO) + c.get(2 * s + 1, QI_ZERO) * QI_I, image[s])
             yield w
 
     return False, _witness(ec, "weak", p, q, witnesses())
 
 
-def _residue_rank(ec: EvaluatedComplex, op: str, p: int, q: int, vectors: List[Vec]) -> int:
-    """The rank over Q of the vectors modulo the image of op into TARGET
-    (p,q): that of their residues modulo its image echelon, realified
-    into real Gaussian rationals (``linalg.realify_vec``)."""
-    residues = ec.image_echelon(op, p, q).residues(vectors)
-    return linalg.forward_echelon([linalg.realify_vec(v) for v in residues]).rank
+def _realified_ranks_agree(ec: EvaluatedComplex, p: int, t: linalg.Echelon, span: List[Vec]) -> bool:
+    """dim (T + E)/E = dim (T + D)/D at (p,p+1), for T's echelon t and
+    E's realified basis span: the marks of a copy of t, whose rows are
+    never changed in place, extended by D and then by E are rank(T + D)
+    and rank(T + D + E) = rank(T + E), as D lies in E."""
+    ddbar = linalg.realify_span(ec.image_vectors("ddbar", p, p + 1))
+    with_d, with_e = linalg.Echelon(dict(t.pivots)).extend(ddbar).extend(span).marks
+    return with_e - len(span) == with_d - len(ddbar)
 
 
 def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:

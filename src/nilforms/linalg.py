@@ -3,18 +3,18 @@
 Vectors are dicts {index: GaussianRational}; matrices are lists of row
 dicts.  A realified vector (``realify_vec``) holds real Gaussian
 rationals, so a Q-rank runs through the same elimination.  Besides
-``scalars``, only ``_reduce_meeting`` and ``realify_vec`` read the
+``scalars``, only ``_reduce_meeting`` and the realifiers read the
 (a, b, d) ints of a scalar.  No floating point anywhere.
 
 One elimination.  ``Echelon``, whose rows are never normalised or
 back-substituted as they are found, answers every question about a span
 and every exact solve: its rank and pivot columns (``forward_echelon``,
 read by every rank and lemma verdict), membership (``insert``,
-``contains``, ``residues``), and by which combination a vector lies in
-it: ``track`` carries the combination of each row in columns of its
-own, ``relations_modulo`` reads the relations of vectors modulo a span
-from it (weak's witness), and ``solve`` the combination that gives a
-vector.  ``tracked_echelon`` tracks a list of columns; ``ddbar_preimage``
+``contains``), and by which combination a vector lies in it: ``track``
+carries the combination of each row in columns of its own (a vector
+tracked into a span's echelon gives its relation modulo the span, weak's
+witness), and ``solve`` the combination that gives a vector.
+``tracked_echelon`` tracks a list of columns; ``ddbar_preimage``
 solves with it, and ``solve_square`` reads X with A X = B from it, for
 the coframe inverse of ``deform_complex`` at a point (and the Green
 operators of the tests' Hodge and Kuranishi oracles).
@@ -41,7 +41,7 @@ from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .leibniz import EMPTY_ROW
-from .scalars import GaussianRational, QI_I, QI_MINUS_ONE, QI_ONE, QI_ZERO, _new, _reduced
+from .scalars import GaussianRational, QI_MINUS_ONE, QI_ONE, QI_ZERO, _new, _reduced
 
 Vec = Dict[int, object]
 Rows = List[Vec]
@@ -90,7 +90,7 @@ class Echelon:
     every other question reads either form alike.
     ``marks`` holds the rank after each ``extend``, so that of each
     leading run of the blocks fed.
-    ``insert``, ``contains`` and ``residues`` test membership, ``track``
+    ``insert`` and ``contains`` test membership, ``track``
     and ``solve`` find the combination that gives a vector, and
     ``kernel`` reads the kernel of the matrix whose rows were fed.
     ``perfbench/tracing.py`` hooks ``Echelon.insert`` by name.
@@ -160,13 +160,6 @@ class Echelon:
         if w and min(w) < width:
             return None
         return {k - width: -c for k, c in w.items()}
-
-    def residues(self, vectors: Sequence[Vec]) -> List[Vec]:
-        """Each vector reduced against the form: the one element of v plus
-        the span that vanishes at every leading column, so v lies in the
-        span exactly when its residue is empty, and v -> residue is linear
-        with the span as its kernel."""
-        return [_forward_reduce(self.pivots, v) for v in vectors]
 
     def kernel(self, ncols: int, meets=None) -> Iterator[Vec]:
         """Basis of {x : M x = 0}, for the M whose rows were fed: one
@@ -322,19 +315,6 @@ def forward_echelon(vectors: Sequence[Vec]) -> Echelon:
     return Echelon({}).extend(vectors)
 
 
-def relations_modulo(base: Sequence[Vec], vectors: Sequence[Vec], width: int) -> Iterator[Vec]:
-    """For each v_j, in order, in span(base) + span(v_0..v_{j-1}): the c
-    with c[j] = 1 and sum c_t v_t in span(base), supported on j and the
-    earlier vectors that enlarged the span (unique when the v are
-    independent).  One forward elimination, each v_j carrying e_j at
-    column width + j (``Echelon.track``)."""
-    e = forward_echelon(base)
-    for j, v in enumerate(vectors):
-        c = e.track(v, j, width)
-        if c is not None:
-            yield c
-
-
 def tracked_echelon(vectors: Sequence[Vec], width: int) -> Echelon:
     """Forward elimination of the vectors in order, each v_j tracked at
     column width + j (``Echelon.track``), so that ``solve`` reads
@@ -444,7 +424,11 @@ def columns(rows: Rows) -> Dict[int, Vec]:
     for i, r in enumerate(rows):
         if r:
             for j, c in r.items():
-                cols.setdefault(j, {})[i] = c
+                col = cols.get(j)
+                if col is None:
+                    cols[j] = {i: c}
+                else:
+                    col[i] = c
     return cols
 
 
@@ -514,5 +498,18 @@ def _real_part(a: int, d: int) -> GaussianRational:
 
 
 def realify_span(vectors: Sequence[Vec]) -> List[Vec]:
-    """Real span of a complex span: each vector contributes v and i*v."""
-    return [realify_vec(u) for v in vectors for u in (v, {k: z * QI_I for k, z in v.items()})]
+    """Real span of a complex span: each vector contributes v and i*v,
+    the parts (a, b) of v at 2k and 2k+1 giving i*v's (-b, a)."""
+    out: List[Vec] = []
+    for v in vectors:
+        real, imag = {}, {}
+        for k, z in v.items():
+            a, b, d = z._a, z._b, z._d
+            if b:
+                imag[2 * k] = _real_part(-b, d)
+            if a:
+                real[2 * k] = imag[2 * k + 1] = _real_part(a, d)
+            if b:
+                real[2 * k + 1] = _real_part(b, d)
+        out += (real, imag)
+    return out

@@ -52,7 +52,7 @@ class GaussianRational:
     float, and a real value hashes like the rational it equals.
     ``_reduced`` and ``_new`` are the one normaliser; the one reader of
     the triple outside this module is ``linalg``'s elimination kernel
-    (``_reduce_meeting``, and ``realify_vec``).
+    (``_reduce_meeting``, ``realify_vec`` and ``realify_span``).
     """
 
     __slots__ = ("_a", "_b", "_d")

@@ -35,7 +35,7 @@ from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.deformation import as_beltrami, coframe_transform, evaluate_se
 from nilforms.errors import NonInvertibleCoframe, ObstructionNonvanishing
 from nilforms.linalg import Rows
-from nilforms.scalars import QI_ONE, DetRng, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
+from nilforms.scalars import QI_I, QI_ONE, QI_ZERO, DetRng, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
 
 Word = Tuple[int, ...]  # coframe symbols 0..2n-1, gammas then gammabars
 
@@ -1387,6 +1387,67 @@ def weak_by_nullspace(ec, p: int):
                 linalg.add_scaled_into(witness, c, delbar_images[k])
             return False, ec.vec_to_form(witness, p, q)
     return True, None
+
+
+def realify_span_by_products(vectors):
+    """The real span of a complex span as v and i*v, each realified,
+    with i*v formed by a product in Q(i) per entry."""
+    return [linalg.realify_vec(u) for v in vectors for u in (v, {k: z * QI_I for k, z in v.items()})]
+
+
+def residues(e, vectors):
+    """Each vector reduced against the forward echelon e: the one element
+    of v plus the span that vanishes at every leading column, so v lies
+    in the span exactly when its residue is empty, and v -> residue is
+    linear with the span as its kernel."""
+    return [linalg._forward_reduce(e.pivots, v) for v in vectors]
+
+
+def relations_modulo(base, vectors, width: int):
+    """For each v_j, in order, in span(base) + span(v_0..v_{j-1}): the c
+    with c[j] = 1 and sum c_t v_t in span(base), supported on j and the
+    earlier vectors that enlarged the span (unique when the v are
+    independent).  One forward elimination, each v_j carrying e_j at
+    column width + j (``Echelon.track``)."""
+    e = linalg.forward_echelon(base)
+    for j, v in enumerate(vectors):
+        c = e.track(v, j, width)
+        if c is not None:
+            yield c
+
+
+def weak_by_residue_ranks(ec, p: int):
+    """weak(p) on a flat complex by the residue-rank route, three
+    eliminations of T, the realified delbar images of the real
+    (p,p)-forms: T's residues modulo the complex image echelons of del
+    and of deldelbar into (p,p+1), each realified and eliminated, give
+    dim (T + E)/E and dim (T + D)/D, and weak holds iff they are equal;
+    when it fails, the witness is the first w outside im deldelbar from
+    ``relations_modulo`` of T and the realified del image basis E, with
+    w = sum (c_2s + c_2s+1 i) v_s over that basis v."""
+    from nilforms.lemmata import _real_basis_vectors, _witness
+
+    q = p + 1
+    cols = linalg.columns(ec.rows("delbar", p, p))
+    images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, cols.keys())]
+
+    def residue_rank(op):
+        reduced = residues(ec.image_echelon(op, p, q), images)
+        return linalg.forward_echelon([linalg.realify_vec(v) for v in reduced]).rank
+
+    if residue_rank("del") == residue_rank("ddbar"):
+        return True, None
+    image = ec.image_vectors("del", p, q)
+    base = [linalg.realify_vec(v) for v in images]
+
+    def witnesses():
+        for c in relations_modulo(base, realify_span_by_products(image), 2 * ec.dim(p, q)):
+            w = {}
+            for s in sorted({t // 2 for t in c}):
+                linalg.add_scaled_into(w, c.get(2 * s, QI_ZERO) + c.get(2 * s + 1, QI_ZERO) * QI_I, image[s])
+            yield w
+
+    return False, _witness(ec, "weak", p, q, witnesses())
 
 
 def standard_by_blocks(ec):

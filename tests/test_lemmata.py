@@ -41,6 +41,7 @@ from oracles import (
     strong_by_vectors,
     total_d_rows_of_every_row,
     weak_by_nullspace,
+    weak_by_residue_ranks,
     weak_images_by_columns,
 )
 
@@ -491,7 +492,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     weak's realified route (``_weak_realified``), run on the same complex
     at each p, holds too, takes no kernel, applies delbar, in order, to
     exactly the vectors of its real basis whose image the full-table
-    oracle finds nonzero, and reads the image echelons of del and
+    oracle finds nonzero, and reads the image bases of del and
     deldelbar into (p,p+1), the ones the complex caches.  Strong, passing
     or failing, makes no columns_vec,
     kernel, _image or RREF completion (``Echelon._complete``, where a
@@ -581,9 +582,10 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     """When the ranks say a verdict fails but its vector route finds no
     form outside im deldelbar, the verdict raises instead of answering:
     on the torus every verdict holds, so a deldelbar image rank lowered
-    by one (and, for weak's realified route, residue ranks that differ)
-    must raise, for weak both from the route itself and from weak with
-    its rank identity made to fail."""
+    by one (and, for weak's realified route, a rank comparison of its
+    one echelon of T that says the two quotients differ) must raise, for
+    weak both from the route itself and from weak with its rank identity
+    made to fail."""
     real = EvaluatedComplex.image_rank
     monkeypatch.setattr(EvaluatedComplex, "image_rank", lambda self, op, p, q: real(self, op, p, q) - 1)
     calls = (("mild", lambda: mild(ec_torus, 1, 1)), ("dual_mild", lambda: dual_mild(ec_torus, 1, 1)),
@@ -592,12 +594,29 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
         with pytest.raises(AssertionError, match=f"{kind} at .*finds no form"):
             call()
     monkeypatch.setattr(EvaluatedComplex, "image_rank", real)
-    monkeypatch.setattr(lemmata, "_residue_rank", lambda ec, op, sp, sq, vectors: op == "del")
+    monkeypatch.setattr(lemmata, "_realified_ranks_agree", lambda ec, p, t, span: False)
     with pytest.raises(AssertionError, match="weak at .*finds no form"):
         lemmata._weak_realified(ec_torus, 1)
     monkeypatch.setattr(lemmata, "_images_meet_in_ddbar", lambda ec, p: False)
     with pytest.raises(AssertionError, match="weak at .*finds no form"):
         weak(ec_torus, 1)
+
+
+def _weak_cases(reference_complexes, bcvary10):
+    """(label, complex, point, the p where weak fails, or None where not
+    pinned): the 13 reference complexes (the four benchmark products
+    among them, under a coframe permutation), the four products
+    unpermuted, H(3,C), H(5,C), H(7,C) and six seeded bcvary10 fibers."""
+    iw, c1, c3 = (catalog_load(name).se for name in ("iwasawa3", "abelian_1", "abelian_3"))
+    bc0 = evaluate_se(bcvary10.se, zero_point(4))
+    products = {"iwasawa2": [iw, iw], "iwasawa_c3": [iw, c3], "bcvary10_0_c": [bc0, c1], "iwasawa2_c": [iw, iw, c1]}
+    cases = [(label, cx, point, [] if label in products else None) for label, cx, point in reference_complexes]
+    cases += [(f"{name} unpermuted", build_complex(_product_se(name, factors)), (), [])
+              for name, factors in products.items()]
+    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), (), []) for n in (3, 5, 7)]
+    cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))),
+               (), [1, 2, 3]) for seed in range(4601, 4607)]
+    return cases
 
 
 def test_weak_rank_identity_agrees_with_the_realified_route(reference_complexes, bcvary10):
@@ -610,17 +629,7 @@ def test_weak_rank_identity_agrees_with_the_realified_route(reference_complexes,
     (True, None).  It holds at every p of the products and of H(n,C),
     so weak builds no vector there, and fails on each fiber at exactly
     p = 1..3, where weak fails."""
-    iw, c1, c3 = (catalog_load(name).se for name in ("iwasawa3", "abelian_1", "abelian_3"))
-    bc0 = evaluate_se(bcvary10.se, zero_point(4))
-    products = {"iwasawa2": [iw, iw], "iwasawa_c3": [iw, c3], "bcvary10_0_c": [bc0, c1], "iwasawa2_c": [iw, iw, c1]}
-    # (label, complex, point, the p where weak fails, or None where not pinned)
-    cases = [(label, cx, point, [] if label in products else None) for label, cx, point in reference_complexes]
-    cases += [(f"{name} unpermuted", build_complex(_product_se(name, factors)), (), [])
-              for name, factors in products.items()]
-    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), (), []) for n in (3, 5, 7)]
-    cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))),
-               (), [1, 2, 3]) for seed in range(4601, 4607)]
-    for label, cx, point, failing in cases:
+    for label, cx, point, failing in _weak_cases(reference_complexes, bcvary10):
         ec = EvaluatedComplex(cx, point)
         fast, realified = [], []
         for p in range(cx.n):
@@ -631,6 +640,52 @@ def test_weak_rank_identity_agrees_with_the_realified_route(reference_complexes,
         if failing is not None:
             assert [p for p, (ok, _) in enumerate(realified) if not ok] == failing, label
             assert [p for p, holds in enumerate(fast) if not holds] == failing, label
+
+
+def test_realified_route_equals_the_residue_rank_oracle(reference_complexes, bcvary10):
+    """weak's realified route, one forward elimination of T read by both
+    the verdict and the witness (``_weak_realified``), gives at every p
+    the flag and the witness of the residue-rank route it replaced
+    (``oracles.weak_by_residue_ranks``, three eliminations of T), the
+    witness compared as a form with its coefficients' types: on the cases
+    of ``_weak_cases`` and solvable3, which is not unimodular.  Each
+    route runs on a complex of its own; the fibers' failures give
+    witnesses to compare."""
+    cases = _weak_cases(reference_complexes, bcvary10)
+    cases.append(("solvable3", build_complex(nio.obj_to_se(SOLVABLE)), (), None))
+    witnesses = 0
+    for label, cx, point, _ in cases:
+        ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
+        for p in range(cx.n):
+            (ok, wit), (want_ok, want) = lemmata._weak_realified(ec, p), weak_by_residue_ranks(oc, p)
+            assert (ok, _typed_form(wit)) == (want_ok, _typed_form(want)), (label, p)
+            witnesses += wit is not None
+    assert witnesses >= 18
+
+
+def test_realified_rank_is_certified_by_the_stacked_rank(monkeypatch, reference_complexes, bcvary10):
+    """T, the realified delbar images of the real (p,p)-forms, has the
+    stacked rank at (p,p) at every p of the cases of ``_weak_cases`` and
+    solvable3: the real forms delbar kills are the real points of ker
+    del cap ker delbar, as d is real.  With the stacked rank at (p,p)
+    read one too high, the realified route raises on a fiber, naming p
+    and both ranks."""
+    cases = _weak_cases(reference_complexes, bcvary10)
+    cases.append(("solvable3", build_complex(nio.obj_to_se(SOLVABLE)), (), None))
+    for label, cx, point, _ in cases:
+        ec = EvaluatedComplex(cx, point)
+        for p in range(cx.n):
+            cols = linalg.columns(ec.rows("delbar", p, p))
+            images = [linalg.realify_vec(linalg.columns_vec(cols, r)) for r in _real_basis_vectors(ec, p, cols.keys())]
+            assert linalg.forward_echelon(images).rank == ec.rank("stacked", p, p), (label, p)
+    fiber = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601)))
+    ec = EvaluatedComplex(fiber, ())
+    closed = ec.rank("stacked", 2, 2)
+    real = EvaluatedComplex.rank
+    monkeypatch.setattr(EvaluatedComplex, "rank",
+                        lambda self, op, p, q: real(self, op, p, q) + (op == "stacked" and p == q))
+    with pytest.raises(AssertionError, match=fr"weak at 2: .* \(2,2\)-forms has rank {closed}, the stacked {closed + 1}$"):
+        lemmata._weak_realified(ec, 2)
 
 
 def test_lemma_report_raises_when_strong_breaks_its_identity(monkeypatch, ec_torus, ec_iwasawa):
@@ -770,17 +825,15 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
     oracle (every deldelbar kernel vector through the column table of
     del or delbar), in the same order, with the same entries and types,
     and its witness is the oracle's; no column table of del or delbar is
-    built for them.  The images of weak's realified route
-    (``_weak_realified``), run at every p, are the nonzero subsequence
-    of delbar of its whole real basis.  ``columns``,
+    built for them.  weak's realified route (``_weak_realified``), run
+    at every p, eliminates forward one list of vectors, T: the nonzero
+    subsequence of delbar of its whole real basis, each realified.
+    ``columns``,
     ``total_d_rows`` and the deldelbar product (``linalg.mat_mul``),
     which skip empty rows, equal the walkers over every row."""
-    residues = []
-    real_residue_rank = lemmata._residue_rank
-    monkeypatch.setattr(
-        lemmata, "_residue_rank",
-        lambda ec, op, p, q, vectors: residues.append(vectors) or real_residue_rank(ec, op, p, q, vectors),
-    )
+    fed = []
+    forward_echelon = linalg.forward_echelon
+    monkeypatch.setattr(linalg, "forward_echelon", lambda vectors: fed.append(list(vectors)) or forward_echelon(vectors))
 
     def typed(vectors):
         return [_typed_items(v) for v in vectors]
@@ -804,9 +857,10 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
                     got, want = (lemmata._witness(c, kind, p, q, iter(v)) for c, v in ((ec, new), (oc, old)))
                     assert _typed_form(got) == _typed_form(want), (label, op, p, q)
         for p in range(n):
-            residues.clear()
+            fed.clear()
             lemmata._weak_realified(ec, p)
-            assert typed(residues[0]) == typed([v for v in weak_images_by_columns(oc, p) if v]), (label, p)
+            want = [linalg.realify_vec(v) for v in weak_images_by_columns(oc, p) if v]
+            assert [typed(vectors) for vectors in fed] == [typed(want)], (label, p)
         for p in range(n + 1):
             for q in range(n + 1):
                 for op in ("del", "delbar", "ddbar", "stacked"):
@@ -989,10 +1043,14 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
     """On six bcvary10 fibers, over full_report, lemma_report and
     verify_witness of every witness, the columns of each matrix of del,
     delbar, deldelbar and d are eliminated by at most one structure, and
-    each cached image by exactly one; and at each failing weak(p), the
-    rank test's residues are taken modulo the image echelons of del and
-    deldelbar into (p,p+1) that the complex caches, the ones its witness
-    route reads.
+    each cached image by exactly one.  Inside weak(p), T, the realified
+    delbar images of the real (p,p)-forms, is eliminated from empty once
+    where the rank identity fails (the realified p, where weak fails) and
+    never where it decides; at each realified p, the rank test extends
+    one copy of T's rows, and nothing else, by the realified image bases
+    of deldelbar and del into (p,p+1) that the complex caches, and the
+    witness route tracks vectors of that del basis into T's echelon
+    itself.
 
     A structure is told by the vectors fed to it from empty; one that
     starts from a copy of a cached echelon's rows (``image_sum``, for a
@@ -1001,16 +1059,20 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
     columns (a conjugate pair at a real point) share their count, and one
     whose columns are its rows cannot be told from its row echelon, so
     is skipped."""
-    fed, residues, weak_frames = {}, [], []
+    # id -> (structure, vectors fed, ids of the rows it started from,
+    # the weak frame it was made in, the vectors of its first feed)
+    fed, weak_frames = {}, []
 
     def key(v):
         return frozenset(v.items())
 
     def feeding(method, vectors_of):
         def run(self, *args):
+            vectors = Counter(key(v) for v in vectors_of(args) if v)
             if id(self) not in fed:  # the object is kept, so its id is not reused
-                fed[id(self)] = (self, Counter(), bool(self.pivots))
-            fed[id(self)][1].update(key(v) for v in vectors_of(args) if v)
+                frame = weak_frames[-1] if weak_frames else None
+                fed[id(self)] = (self, Counter(), [id(r) for r in self.pivots.values()], frame, vectors)
+            fed[id(self)][1].update(vectors)
             return method(self, *args)
         return run
 
@@ -1022,14 +1084,6 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
     for (cls, name), vectors_of in hooks.items():
         if hasattr(cls, name):  # a hook that sees nothing fails the count of cached images
             monkeypatch.setattr(cls, name, feeding(getattr(cls, name), vectors_of))
-    real_residues = linalg.Echelon.residues
-
-    def recording_residues(self, vectors):
-        if weak_frames:
-            residues.append((weak_frames[-1], self))
-        return real_residues(self, vectors)
-
-    monkeypatch.setattr(linalg.Echelon, "residues", recording_residues)
     real_weak = lemmata.weak
 
     def framed_weak(ec, p):
@@ -1041,12 +1095,11 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
 
     monkeypatch.setattr(lemmata, "weak", framed_weak)
     shift = {"del": (1, 0), "delbar": (0, 1), "ddbar": (1, 1)}
-    failing_weak = 0
+    failing_weak = decided = 0
     for seed in range(9521, 9527):
         cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed)))
         ec = EvaluatedComplex(cx, ())
         fed.clear()
-        residues.clear()
         full_report(ec)
         report = lemma_report(ec)
         for name, wit in report.witnesses.items():
@@ -1063,7 +1116,7 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
             if cols and cols != Counter(key(r) for r in rows if r):
                 columns[target] = frozenset(cols.items())
         sharing = Counter(columns.values())
-        eliminated = Counter(frozenset(counts.items()) for _, counts, seeded in fed.values() if not seeded)
+        eliminated = Counter(frozenset(counts.items()) for _, counts, start, _, _ in fed.values() if not start)
         twice = {t for t, cols in columns.items() if eliminated[cols] > sharing[cols]}
         assert not twice, (seed, sorted(twice))
         cached = [k for k, (basis, _) in ec._images.items() if basis and k in columns]
@@ -1072,10 +1125,25 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
         assert all(e.rank == len(basis) for basis, e in ec._images.values()), seed
         weak_p = [p for p, ok in report.weak_flags.items() if not ok]
         failing_weak += len(weak_p)
-        for p in weak_p:
-            read = {id(e) for (at, at_p), e in residues if at is ec and at_p == p}
-            assert read == {id(ec.image_echelon("del", p, p + 1)), id(ec.image_echelon("ddbar", p, p + 1))}
-    assert failing_weak > 0
+        for p in report.weak_flags:
+            t_vectors = Counter(key(linalg.realify_vec(v)) for v in weak_images_by_columns(ec, p) if v)
+            realified = not lemmata._images_meet_in_ddbar(ec, p)
+            assert t_vectors or not realified, (seed, p)
+            made = [(e, counts, start, first) for e, counts, start, frame, first in fed.values()
+                    if frame is not None and frame[0] is ec and frame[1] == p]
+            ts = [e for e, _, start, first in made if not start and t_vectors and first == t_vectors]
+            assert len(ts) == realified, (seed, p)
+            decided += not realified
+            if realified:
+                basis = [linalg.realify_span(ec.image_vectors(op, p, p + 1)) for op in ("ddbar", "del")]
+                want = Counter(key(v) for span in basis for v in span)
+                copies = [start for _, counts, start, _ in made if start and counts == want]
+                assert copies == [[id(r) for r in ts[0].pivots.values()][:ec.rank("stacked", p, p)]], (seed, p)
+                # the witness tracks a prefix of E's realified basis into T's own echelon
+                tracked = fed[id(ts[0])][1] - t_vectors
+                assert report.weak_flags[p] or (tracked and not tracked - Counter(key(v) for v in basis[1])), (seed, p)
+        assert sorted(weak_p) == [p for p in report.weak_flags if not lemmata._images_meet_in_ddbar(ec, p)], seed
+    assert failing_weak > 0 and decided > 0
 
 
 _DIGESTS = Path(__file__).parent / "data" / "report_digests.json"

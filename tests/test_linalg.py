@@ -13,7 +13,7 @@ from nilforms.cohomology import EvaluatedComplex, full_report, zero_point
 from nilforms.leibniz import EMPTY_ROW
 from nilforms.lemmata import lemma_report
 from nilforms.linalg import Echelon
-from nilforms.scalars import QI_ONE, DetRng, GaussianRational, QI
+from nilforms.scalars import QI_MINUS_ONE, QI_ONE, DetRng, GaussianRational, QI
 
 from oracles import (
     FullScanEchelon,
@@ -28,6 +28,9 @@ from oracles import (
     negating_span_intersection,
     nonzero_gaussian,
     realify_dense,
+    realify_span_by_products,
+    relations_modulo,
+    residues,
     rows_from_columns,
     rows_to_dense,
     solve_dense,
@@ -87,14 +90,14 @@ def test_relations_modulo_equal_the_nullspace_relations(field, seed):
     for rel in linalg.nullspace(rows_from_columns(cols, ncols), len(cols)):
         if max(rel) >= len(base):  # its free column is that of a vector
             want.append({k - len(base): c for k, c in rel.items() if k >= len(base)})
-    got = list(linalg.relations_modulo(base, vectors, ncols))
+    got = list(relations_modulo(base, vectors, ncols))
     assert got == want and len(got) > 1
     span = linalg.forward_echelon(base)
     for c in got:
         w = {}
         for t, x in c.items():
             linalg.add_scaled_into(w, x, vectors[t])
-        assert c[max(c)] == 1 and not span.residues([w])[0]
+        assert c[max(c)] == 1 and not residues(span, [w])[0]
 
 
 def _combination(vecs, z):
@@ -260,7 +263,7 @@ def _observe(rows, probes, ncols, split):
     e = Echelon({}).extend(rows[:split]).extend(rows[split:])
     out = {"stored": [(p, typed(r)) for p, r in e.pivots.items()], "marks": e.marks}
     out["leads"] = [typed({p: r[p]}) for p, r in e.pivots.items()]
-    out["residues"] = [typed(r) for r in e.residues(probes)]
+    out["residues"] = [typed(r) for r in residues(e, probes)]
     t = Echelon({})
     out["track"] = [typed(t.track(v, j, ncols)) for j, v in enumerate(rows)]
     out["solve"] = [typed(t.solve(v, ncols)) for v in probes + rows]
@@ -389,7 +392,7 @@ def test_tracked_solve_equals_full_scan_oracle(field, seed):
         if c is not None:
             relations.append(c)
     assert list(fast.pivots) == list(slow.pivots)
-    assert relations == list(linalg.relations_modulo([], vecs, ncols))
+    assert relations == list(relations_modulo([], vecs, ncols))
     probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:4]
     probes += [_combination(vecs, {j: x for j, x in enumerate(p.values())}) for p in probes[:6]]
     solved = 0
@@ -441,7 +444,7 @@ def test_forward_echelon_equals_echelon(field, seed):
             _assert_completed_equals(fe, slow)
             expected = full_scan_kernel(slow.pivots, ncols)
             assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
-        for v, residue in zip(probes, fe.residues(probes)):
+        for v, residue in zip(probes, residues(fe, probes)):
             want = slow.reduce(v)[0]
             assert residue == want
             assert (not residue) == fe.contains(v) == (not want)
@@ -769,10 +772,19 @@ def test_indefinite_witness():
 
 
 def test_realify_consistency():
+    """realify_span doubles the rank, and reads i*v's realification from
+    v's: it equals realify_vec of v and of i*v formed by products in Q(i),
+    entry for entry, key order and type included, and the parts of
+    units are the shared +-1; realify_vec shares them too."""
     rng = DetRng(29)
     vecs = [_random_rows(rng, 1, 4)[0] for _ in range(3)]
     real = linalg.realify_span(vecs)
     assert linalg.forward_echelon(real).rank == 2 * linalg.forward_echelon(vecs).rank
+    vecs += [{0: QI(1), 1: QI(-1), 2: QI(0, 1), 3: QI(0, -1)}]
+    vecs += [{3: QI(Fraction(-1, 2), 1), 0: QI(4, Fraction(6, 4)), 4: QI(Fraction(2, 6), Fraction(-3, 9))}, {}]
+    got, want = linalg.realify_span(vecs), realify_span_by_products(vecs)
+    assert [_typed(v) for v in got] == [_typed(v) for v in want]
+    assert all(x is QI_ONE or x is QI_MINUS_ONE for v in got[6:8] for x in v.values())  # the units' parts
     # parts of +-1 are shared, not built
     units = linalg.realify_vec({0: QI(-1, 1), 1: QI(0, -1)})
     assert units == {0: QI(-1), 1: QI(1), 3: QI(-1)}
