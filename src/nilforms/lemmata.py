@@ -231,7 +231,7 @@ def _weak_realified(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]
     t = linalg.forward_echelon([linalg.realify_vec(linalg.columns_vec(cols, r)) for r in reals])
     closed = ec.rank("stacked", p, p)
     if t.rank != closed:
-        raise AssertionError(f"weak at {p}: delbar of the real ({p},{p})-forms has rank {t.rank}, the stacked {closed}")
+        raise AssertionError(f"weak at {p}: rank {t.rank} of delbar on the real ({p},{p})-forms != stacked rank {closed}")
     image = ec.image_vectors("del", p, q)
     span = linalg.realify_span(image)
     if _realified_ranks_agree(ec, p, t, span):

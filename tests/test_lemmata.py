@@ -678,7 +678,7 @@ def test_realified_rank_is_certified_by_the_stacked_rank(monkeypatch, bcvary10):
     real = EvaluatedComplex.rank
     monkeypatch.setattr(EvaluatedComplex, "rank",
                         lambda self, op, p, q: real(self, op, p, q) + (op == "stacked" and p == q))
-    with pytest.raises(AssertionError, match=fr"weak at 2: .* \(2,2\)-forms has rank {closed}, the stacked {closed + 1}$"):
+    with pytest.raises(AssertionError, match=fr"weak at 2: rank {closed} of .* \(2,2\)-forms != stacked rank {closed + 1}$"):
         lemmata._weak_realified(ec, 2)
 
 
@@ -827,7 +827,12 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
     which skip empty rows, equal the walkers over every row."""
     fed = []
     forward_echelon = linalg.forward_echelon
-    monkeypatch.setattr(linalg, "forward_echelon", lambda vectors: fed.append(list(vectors)) or forward_echelon(vectors))
+
+    def recording(vectors):
+        fed.append(list(vectors))
+        return forward_echelon(fed[-1])
+
+    monkeypatch.setattr(linalg, "forward_echelon", recording)
 
     def typed(vectors):
         return [_typed_items(v) for v in vectors]
