@@ -39,18 +39,19 @@ the CLI reports as one ``error:`` line.  On a flat complex:
                    T in im delbar, so where the two are equal,
                    r(del,p-1,p+1) + r(delbar,p,p) - r(exact_sum,p,p+1)
                    = w, weak holds: the ranks that mild, dual mild and
-                   strong at (p,p+1) read.  Elsewhere T cap E lies in D
-                   iff dim (T + E)/E = dim (T + D)/D.  Realified (E
-                   and D as v and i v, ``linalg.realify_span``), T is
-                   eliminated once, and a copy of its echelon extended
-                   by D, then E, reads rank(T + D) and rank(T + E); T's
-                   rank is certified to be the stacked rank at (p,p).
+                   strong at (p,p+1) read.  Elsewhere T is eliminated
+                   once, its rank certified by the stacked rank at (p,p),
+                   and E's realified basis (v, i v: ``realify_span``) is
+                   tracked into it: the relations span T cap E, which
+                   holds D (delbar del phi is delbar of the real del phi
+                   + conj(del phi)): weak holds iff they are 2 w, and
+                   fewer raise AssertionError.
 
 So a passing verdict builds no kernel, and only weak, where im del cap
 im delbar is larger than im deldelbar, applies a matrix to a vector
 (delbar to the real basis vectors that meet a nonzero column, the only
-ones it builds) and reads image bases, which each EvaluatedComplex
-builds once per image.  A failing verdict runs the
+ones it builds) and reads del's image basis, which each
+EvaluatedComplex builds once per image.  A failing verdict runs the
 vector route only to build its witness: the first vector of the tested
 space outside im deldelbar.
 For mild that space is del of ker deldelbar, whose vectors are read
@@ -61,11 +62,11 @@ map of del read once per scan.  Strong's space is the sum of the spaces
 that mild and dual mild test, so strong fails exactly when one of them
 fails, and its witness is theirs: mild's at (p,q) if mild fails, else dual
 mild's (``lemma_report`` reuses the two it holds, and checks strong =
-mild and dual mild).  For weak, the realified basis E_j of im del that
-the rank test read is tracked, as the scan reaches it, into the echelon
-of T it built (``linalg.Echelon.track``): each E_j that adds nothing
-gives the one w = E_j - sum gamma_t E_t in T, as the RREF nullspace of
-[T | -E] does at E_j's column.  That the route finds one is checked; if
+mild and dual mild).  Weak's witness is the first relation whose
+w = E_j - sum gamma_t E_t lies outside D; standard's space is spanned
+by the relations among the parts outside the (p,q) block of the total
+image basis, tracked into one echelon.  Every relation is read by
+``linalg.Echelon.track``.  That the route finds a witness is checked; if
 not, the two routes disagree, and AssertionError is raised.  Every
 witness re-verifies by fresh rank computations (``verify_witness``).
 Every decider refuses a bidegree outside 0..n (``ec.check_bidegree``).
@@ -200,9 +201,8 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     """The (p,p+1)-th condition quantified over real (p,p)-forms psi:
     delbar psi del-exact implies delbar psi deldelbar-exact, 0 <= p < n.
     It holds by rank where im del cap im delbar = im deldelbar at
-    (p,p+1) (``_images_meet_in_ddbar``); elsewhere one elimination of
-    the realified delbar images decides, its rank certified by the
-    stacked rank at (p,p) (``_weak_realified``)."""
+    (p,p+1) (``_images_meet_in_ddbar``); elsewhere by the count of the
+    relations of E modulo T, which give the witness (``_weak_realified``)."""
     ec.check_bidegree(p, p + 1)
     ec.cx.se.require_flat()
     if _images_meet_in_ddbar(ec, p):
@@ -220,27 +220,37 @@ def _images_meet_in_ddbar(ec: EvaluatedComplex, p: int) -> bool:
     return meet == ec.image_rank("ddbar", p, q)
 
 
-def _weak_realified(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
-    """weak at p on a flat complex from one forward elimination of T, read
-    by the verdict and the witness (module docstring); a real basis vector
-    meeting no nonzero column of delbar is never built.  T's rank must be
-    the stacked rank at (p,p), as d is real; else AssertionError."""
-    q = p + 1
+def _real_delbar_span(ec: EvaluatedComplex, p: int) -> linalg.Echelon:
+    """T, eliminated anew; a real basis vector meeting no nonzero column
+    of delbar is never built."""
     cols = linalg.columns(ec.rows("delbar", p, p))
     reals = _real_basis_vectors(ec, p, cols.keys())
-    t = linalg.forward_echelon([linalg.realify_vec(linalg.columns_vec(cols, r)) for r in reals])
+    return linalg.forward_echelon([linalg.realify_vec(linalg.columns_vec(cols, r)) for r in reals])
+
+
+def _weak_realified(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
+    """weak at p on a flat complex: E tracked into one forward elimination
+    of T, read by the verdict and the witness (module docstring).  T's
+    rank must be the stacked rank at (p,p), and the relations number at
+    least 2 r(ddbar), as D lies in T cap E; else AssertionError."""
+    q = p + 1
+    t = _real_delbar_span(ec, p)
     closed = ec.rank("stacked", p, p)
     if t.rank != closed:
         raise AssertionError(f"weak at {p}: rank {t.rank} of delbar on the real ({p},{p})-forms != stacked rank {closed}")
     image = ec.image_vectors("del", p, q)
     span = linalg.realify_span(image)
-    if _realified_ranks_agree(ec, p, t, span):
+    relations = [c for c in (t.track(v, j, 2 * ec.dim(p, q)) for j, v in enumerate(span)) if c is not None]
+    inside = 2 * ec.image_rank("ddbar", p, q)
+    if len(relations) < inside:
+        raise AssertionError(f"weak at {p}: {len(relations)} relations of E modulo T < 2 r(ddbar) = {inside}")
+    if len(relations) == inside:
         return True, None
 
     def witnesses():
         # w = sum c_t E_t in T, with E = (v_s, i v_s) realified from the
         # del image basis v_s, so the coefficient of v_s is c_2s + c_(2s+1) i
-        for c in filter(None, (t.track(v, j, 2 * ec.dim(p, q)) for j, v in enumerate(span))):
+        for c in relations:
             w: Vec = {}
             for s in sorted({k // 2 for k in c}):
                 linalg.add_scaled_into(w, c.get(2 * s, QI_ZERO) + c.get(2 * s + 1, QI_ZERO) * QI_I, image[s])
@@ -249,39 +259,23 @@ def _weak_realified(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]
     return False, _witness(ec, "weak", p, q, witnesses())
 
 
-def _realified_ranks_agree(ec: EvaluatedComplex, p: int, t: linalg.Echelon, span: List[Vec]) -> bool:
-    """dim (T + E)/E = dim (T + D)/D at (p,p+1), for T's echelon t and
-    E's realified basis span: the marks of a copy of t, whose rows are
-    never changed in place, extended by D and then by E are rank(T + D)
-    and rank(T + D + E) = rank(T + E), as D lies in E."""
-    ddbar = linalg.realify_span(ec.image_vectors("ddbar", p, p + 1))
-    with_d, with_e = linalg.Echelon(dict(t.pivots)).extend(ddbar).extend(span).marks
-    return with_e - len(span) == with_d - len(ddbar)
-
-
-def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> List[Vec]:
-    """Basis of (image of d on the total complex) cap Lambda^{p,q}."""
+def _pure_d_exact(ec: EvaluatedComplex, p: int, q: int) -> Iterator[Vec]:
+    """A basis of the d-exact (p,q)-forms, built lazily: the part of each
+    total image vector outside the (p,q) block is tracked into one
+    echelon, and each relation c gives sum c_j image_j, 0 outside it."""
     k = p + q
     image = ec.image_vectors("total", k, 0)
-    if not image:
-        return []
-    # combinations of image vectors supported on the (p,q) block only
     blocks = ec.total_blocks(k)
     lo = sum(ec.dim(*pq) for pq in blocks[:blocks.index((p, q))])
-    hi = lo + ec.dim(p, q)
-    outside_rows: Dict[int, Vec] = {}
+    hi, width = lo + ec.dim(p, q), ec.total_dim(k)
+    outside = linalg.Echelon({})
     for j, v in enumerate(image):
-        for i, c in v.items():
-            if not lo <= i < hi:
-                outside_rows.setdefault(i, {})[j] = c
-    # the image vectors are independent, so the combinations are too
-    out: List[Vec] = []
-    for r in linalg.nullspace(list(outside_rows.values()), len(image)):
-        v: Vec = {}
-        for j, c in r.items():
-            linalg.add_scaled_into(v, c, image[j])
-        out.append({i - lo: c for i, c in v.items()})
-    return out
+        c = outside.track({i: x for i, x in v.items() if not lo <= i < hi}, j, width)
+        if c is not None:
+            w: Vec = {}
+            for t, x in c.items():
+                linalg.add_scaled_into(w, x, image[t])
+            yield {i - lo: x for i, x in w.items()}
 
 
 def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple[int, int]]]:
@@ -289,7 +283,8 @@ def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple
 
     Returns (flag, witness, bidegree); the witness is a pure-type
     d-exact form (automatically del- and delbar-closed) outside the
-    deldelbar image, at the first failing bidegree, p-major.
+    deldelbar image, at the first failing bidegree, p-major: the first
+    of ``_pure_d_exact``'s lazy forms there, so the scan stops at it.
     """
     ec.cx.se.require_flat()
     split: Dict[int, Tuple[List[int], List[int]]] = {}
@@ -319,7 +314,8 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
     For mild: w is del-exact, delbar-closed, not deldelbar-exact; for
     dual_mild the mirror; for strong: w is d-closed pure type, in
     im del + im delbar, not deldelbar-exact; for weak: w = delbar psi
-    with psi real, w del-exact, not deldelbar-exact; for standard: w is
+    with psi real (w's realification lies in a new elimination of T),
+    w del-exact, not deldelbar-exact; for standard: w is
     d-exact (on the total complex), pure type, not deldelbar-exact.
     Any other kind raises ValueError.
     """
@@ -339,6 +335,7 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
         out["delbar_closed"] = not linalg.mat_vec(ec.rows("delbar", p, q), v)
     elif kind == "weak":
         out["del_exact"] = ec.image_echelon("del", p, q).contains(v)
+        out["delbar_of_real"] = _real_delbar_span(ec, p).contains(linalg.realify_vec(v))
     elif kind == "standard":
         k = p + q
         out["d_exact"] = ec.image_echelon("total", k, 0).contains(ec.embed_block(v, p, q, k))

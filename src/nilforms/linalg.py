@@ -11,18 +11,19 @@ back-substituted as they are found, answers every question about a span
 and every exact solve: its rank and pivot columns (``forward_echelon``,
 read by every rank and lemma verdict), membership (``insert``,
 ``contains``), and by which combination a vector lies in it: ``track``
-carries the combination of each row in columns of its own (a vector
-tracked into a span's echelon gives its relation modulo the span, weak's
-witness), and ``solve`` the combination that gives a vector.
+carries the combination of each row in columns of its own, so a vector
+tracked into a span's echelon that adds nothing gives its relation
+modulo the span (weak's verdict and witness, and standard's d-exact
+forms of pure type), and ``solve`` the combination that gives a vector.
 ``tracked_echelon`` tracks a list of columns; ``ddbar_preimage``
 solves with it, and ``solve_square`` reads X with A X = B from it, for
 the coframe inverse of ``deform_complex`` at a point (and the Green
 operators of the tests' Hodge and Kuranishi oracles).
 ``hermitian_pivots``, the exact positivity certificate, eliminates the
 rows of a Hermitian matrix forward, each tracked.  Where a kernel is
-read (``Echelon.kernel``, and ``nullspace`` through it), the echelon
-completes itself in place into the reduced row echelon form (RREF),
-once, and builds each kernel vector from it as a caller asks.
+read (``Echelon.kernel``), the echelon completes itself in place into
+the reduced row echelon form (RREF), once, and builds each kernel
+vector from it as a caller asks.
 
 The cost follows the nonzeros, not the rows: ``Echelon.extend`` passes
 over an empty row and stores a row that meets no leading column without
@@ -335,11 +336,6 @@ def solve_square(a_cols: Sequence[Vec], b_cols: Sequence[Vec]) -> Optional[List[
     if e.rank < n:
         return None
     return [e.solve(b, n) for b in b_cols]
-
-
-def nullspace(rows: Rows, ncols: int) -> List[Vec]:
-    """Basis of {x : M x = 0}, from the completed echelon of the rows of M."""
-    return list(forward_echelon(rows).kernel(ncols))
 
 
 def mat_vec(rows: Rows, x: Vec) -> Vec:

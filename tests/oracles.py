@@ -496,12 +496,19 @@ def generic_reduce_meeting(pivots, v):
     return w
 
 
+def nullspace(rows: Rows, ncols: int) -> Rows:
+    """Basis of {x : M x = 0}, from the completed echelon of the rows of M:
+    the kernel list ``linalg`` built before every kernel reader took
+    ``Echelon.kernel`` itself."""
+    return list(linalg.forward_echelon(rows).kernel(ncols))
+
+
 def span_intersection(a_vecs, b_vecs, negate=None):
     """Basis of span(a) cap span(b), from the relations among the columns
     [a | -b]: the route ``lemmata.strong`` took before it built its basis
     from the few del/delbar images of deldelbar-kernel vectors.  Each b
     vector is negated by ``negate`` (default ``linalg._negated``)."""
-    from nilforms.linalg import Echelon, _negated, nullspace, vec_scale
+    from nilforms.linalg import Echelon, _negated, vec_scale
 
     if not a_vecs or not b_vecs:
         return []
@@ -1112,7 +1119,7 @@ def fiber_point(seed: int):
 def harmonic_green_two_pass(lap, dim: int):
     """(H, G) with G = (box + H)^{-1} (1 - H) formed as a dense inverse
     followed by a matrix product."""
-    kernel = linalg.nullspace(lap, dim)
+    kernel = nullspace(lap, dim)
     if kernel:
         kmat = rows_from_columns(kernel, dim)
         kstar = linalg.conj_transpose(kmat, len(kernel))
@@ -1370,7 +1377,7 @@ def weak_by_nullspace(ec, p: int):
     ncols_psi = len(cols)
     cols = cols + [linalg._negated(v) for v in del_span]
     rows = rows_from_columns(cols, 2 * ec.dim(p, q))
-    relations = linalg.nullspace(rows, len(cols))
+    relations = nullspace(rows, len(cols))
     target = FullScanEchelon()
     for v in linalg.realify_span(ec.image_vectors("ddbar", p, q)):
         target.insert(v)
@@ -1450,17 +1457,41 @@ def weak_by_residue_ranks(ec, p: int):
     return False, _witness(ec, "weak", p, q, witnesses())
 
 
+def pure_d_exact_by_nullspace(ec, p: int, q: int):
+    """Basis of (image of d on the total complex) cap Lambda^{p,q}, from
+    the RREF nullspace of the rows of the total image basis outside the
+    (p,q) block: the route ``lemmata._pure_d_exact`` took before it
+    tracked each outside part into one echelon."""
+    k = p + q
+    image = ec.image_vectors("total", k, 0)
+    if not image:
+        return []
+    blocks = ec.total_blocks(k)
+    lo = sum(ec.dim(*pq) for pq in blocks[:blocks.index((p, q))])
+    hi = lo + ec.dim(p, q)
+    outside_rows = {}
+    for j, v in enumerate(image):
+        for i, c in v.items():
+            if not lo <= i < hi:
+                outside_rows.setdefault(i, {})[j] = c
+    out = []
+    for r in nullspace(list(outside_rows.values()), len(image)):
+        v = {}
+        for j, c in r.items():
+            linalg.add_scaled_into(v, c, image[j])
+        out.append({i - lo: c for i, c in v.items()})
+    return out
+
+
 def standard_by_blocks(ec):
     """standard by building, at each (p,q) in turn, a basis of the
-    d-exact forms of pure type (p,q) and testing each vector; returns
-    (flag, witness, bidegree)."""
-    from nilforms.lemmata import _pure_d_exact
-
+    d-exact forms of pure type (p,q) (``pure_d_exact_by_nullspace``) and
+    testing each vector; returns (flag, witness, bidegree)."""
     for p in range(ec.n + 1):
         for q in range(ec.n + 1):
             if not ec.dim(p, q):
                 continue
-            exact = _pure_d_exact(ec, p, q)
+            exact = pure_d_exact_by_nullspace(ec, p, q)
             if not exact:
                 continue
             target = ec.image_echelon("ddbar", p, q)
@@ -1613,7 +1644,7 @@ def harmonic_green(lap: Rows, dim: int) -> Tuple[Rows, Rows]:
     with the standard inner product: H the orthogonal projector onto
     ker box, and G the one square solve of (box + H) G = 1 - H, the unique
     operator with box G = 1 - H and G H = H G = 0."""
-    kernel = linalg.nullspace(lap, dim)
+    kernel = nullspace(lap, dim)
     if kernel:
         r = len(kernel)
         kmat = rows_from_columns(kernel, dim)  # dim x r
@@ -2140,7 +2171,7 @@ def kuranishi_expand(
     projections of [phi,phi] reported order by order."""
     se0 = se if se.algebra.ring.m == 0 else evaluate_se(se, zero_point(se.algebra.ring.m))
     vh = VectorHodge(se0)
-    harm_vecs = linalg.nullspace(vh.laplacian_rows(1), vh.dim(1))
+    harm_vecs = nullspace(vh.laplacian_rows(1), vh.dim(1))
     if basis_directions is not None:
         harm_vecs = [harm_vecs[i] for i in basis_directions]
     m = len(harm_vecs)

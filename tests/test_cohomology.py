@@ -54,6 +54,7 @@ from oracles import (
     mat_mul_of_every_row,
     monomial_index,
     nonzero_gaussian,
+    nullspace,
     norm2_vec,
     representatives,
     residues,
@@ -166,10 +167,10 @@ def test_iwasawa_harmonic_kernel_vs_quotient(ec_iwasawa):
     hc = HodgeContext(ec_iwasawa)
     for (p, q) in ((2, 1), (1, 1), (2, 2)):
         lap = hc.lap_bc_rows(p, q)
-        kernel = linalg.nullspace(lap, ec_iwasawa.dim(p, q))
+        kernel = nullspace(lap, ec_iwasawa.dim(p, q))
         assert len(kernel) == h_bott_chern(ec_iwasawa, p, q), (p, q)
         lap_a = hc.lap_a_rows(p, q)
-        kernel_a = linalg.nullspace(lap_a, ec_iwasawa.dim(p, q))
+        kernel_a = nullspace(lap_a, ec_iwasawa.dim(p, q))
         assert len(kernel_a) == h_aeppli(ec_iwasawa, p, q), (p, q)
 
 
@@ -832,7 +833,7 @@ def test_del_and_stacked_ranks_equal_separate_eliminations(reference_complexes):
     ranks, read from one forward pass in which the del rows lead the
     delbar rows, equal the ranks of new, separate forward echelons of the
     del rows and of the stacked rows, and that pass keeps no echelon.
-    kernel("stacked") equals ``linalg.nullspace`` of the del rows above
+    kernel("stacked") equals the oracle ``nullspace`` of the del rows above
     the delbar rows and the full-scan oracle's kernel, entry types and
     key order included, both when del's kernel, which completes del's
     echelon into the RREF, was read first and when it was not; reading
@@ -856,7 +857,7 @@ def test_del_and_stacked_ranks_equal_separate_eliminations(reference_complexes):
                     for row in stacked:
                         direct.insert(row)
                     typed = [[(k, type(x), x) for k, x in v.items()] for v in got]
-                    for want in (linalg.nullspace(stacked, ec.dim(p, q)), full_scan_kernel(direct.pivots, ec.dim(p, q))):
+                    for want in (nullspace(stacked, ec.dim(p, q)), full_scan_kernel(direct.pivots, ec.dim(p, q))):
                         assert typed == [[(k, type(x), x) for k, x in v.items()] for v in want], at
                     assert [list(row.items()) for row in stacked] == held, at
 

@@ -35,6 +35,7 @@ from oracles import (
     kernel_images_by_columns,
     mat_mul_of_every_row,
     mild_by_vectors,
+    pure_d_exact_by_nullspace,
     real_basis_vectors_by_products,
     span_intersection,
     standard_by_blocks,
@@ -492,8 +493,9 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     weak's realified route (``_weak_realified``), run on the same complex
     at each p, holds too, takes no kernel, applies delbar, in order, to
     exactly the vectors of its real basis whose image the full-table
-    oracle finds nonzero, and reads the image bases of del and
-    deldelbar into (p,p+1), the ones the complex caches.  Strong, passing
+    oracle finds nonzero, and reads one image basis, del's into (p,p+1),
+    the one the complex caches: deldelbar enters by its rank only, and no
+    image of it is built or read.  Strong, passing
     or failing, makes no columns_vec,
     kernel, _image or RREF completion (``Echelon._complete``, where a
     kernel is read) beyond those of mild and dual mild:
@@ -502,7 +504,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     it fails the calls, in order, of mild at (p,q), then of dual mild if
     mild holds, on a complex in the same state, whose witness it returns.
     No kernel of [del; delbar] is built."""
-    verdicts, work, stack, applied = [], [], [], {}
+    verdicts, work, stack, applied, images = [], [], [], {}, []
 
     def traced(name, f):
         def run(*args):
@@ -521,6 +523,8 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
             work.append((stack[-1] if stack else None, tag))
             if tag == "columns_vec":
                 applied.setdefault(stack[-1] if stack else None, []).append(args[1])
+            elif tag == "image":
+                images.append(args[1:])
             return f(*args, **kwargs)
         return run
 
@@ -552,10 +556,11 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
         skipped += len(reals) - len(nonzero)
         work.clear()
         applied.clear()
+        images.clear()
         assert lemmata._weak_realified(ec, p) == (True, None), p
         assert applied.get(None, []) == nonzero, p
-        assert [tag for _, tag in work] == ["columns_vec"] * len(nonzero) + ["image"] * 2, p
-        assert ("del", p, p + 1) in ec._images and ("ddbar", p, p + 1) in ec._images
+        assert [tag for _, tag in work] == ["columns_vec"] * len(nonzero) + ["image"], p
+        assert images == [("del", p, p + 1)] and ("del", p, p + 1) in ec._images, p
     assert skipped
     alone, paired = EvaluatedComplex(iwasawa_c, ()), EvaluatedComplex(iwasawa_c, ())
     full_report(alone)
@@ -582,24 +587,19 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     """When the ranks say a verdict fails but its vector route finds no
     form outside im deldelbar, the verdict raises instead of answering:
     on the torus every verdict holds, so a deldelbar image rank lowered
-    by one (and, for weak's realified route, a rank comparison of its
-    one echelon of T that says the two quotients differ) must raise, for
-    weak both from the route itself and from weak with its rank identity
-    made to fail."""
+    by one must raise.  For weak, whose rank identity that patch makes
+    fail, the lowered rank makes the relations of E modulo T outnumber
+    twice the deldelbar rank, and weak must raise both from its realified
+    route and from weak itself."""
     real = EvaluatedComplex.image_rank
     monkeypatch.setattr(EvaluatedComplex, "image_rank", lambda self, op, p, q: real(self, op, p, q) - 1)
+    assert not lemmata._images_meet_in_ddbar(ec_torus, 1)
     calls = (("mild", lambda: mild(ec_torus, 1, 1)), ("dual_mild", lambda: dual_mild(ec_torus, 1, 1)),
-             ("strong", lambda: strong(ec_torus, 1, 1)), ("standard", lambda: standard(ec_torus)))
+             ("strong", lambda: strong(ec_torus, 1, 1)), ("standard", lambda: standard(ec_torus)),
+             ("weak", lambda: lemmata._weak_realified(ec_torus, 1)), ("weak", lambda: weak(ec_torus, 1)))
     for kind, call in calls:
         with pytest.raises(AssertionError, match=f"{kind} at .*finds no form"):
             call()
-    monkeypatch.setattr(EvaluatedComplex, "image_rank", real)
-    monkeypatch.setattr(lemmata, "_realified_ranks_agree", lambda ec, p, t, span: False)
-    with pytest.raises(AssertionError, match="weak at .*finds no form"):
-        lemmata._weak_realified(ec_torus, 1)
-    monkeypatch.setattr(lemmata, "_images_meet_in_ddbar", lambda ec, p: False)
-    with pytest.raises(AssertionError, match="weak at .*finds no form"):
-        weak(ec_torus, 1)
 
 
 def _weak_cases(reference_complexes, bcvary10):
@@ -694,6 +694,72 @@ def test_lemma_report_raises_when_strong_breaks_its_identity(monkeypatch, ec_tor
             lemma_report(ec, bidegrees=[at])
 
 
+def test_weak_relations_are_certified_to_hold_the_ddbar_image(monkeypatch, bcvary10):
+    """D, the realified deldelbar image into (p,p+1), lies in T cap E, so
+    the relations of E modulo T, dim T cap E in number, are at least
+    2 r(ddbar).  The realified route checks it at every p of the cases of
+    ``test_realified_route_equals_the_residue_rank_oracle``, and with the
+    deldelbar image rank at (2,3) read as the least rank whose double
+    exceeds the count, it raises on a fiber, naming p and both numbers:
+    the count is dim T + dim E - dim (T + E), from eliminations of its
+    own."""
+    fiber = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601)))
+    ec = EvaluatedComplex(fiber, ())
+    t = [linalg.realify_vec(v) for v in weak_images_by_columns(ec, 2) if v]
+    e = linalg.realify_span(ec.image_vectors("del", 2, 3))
+    count = linalg.forward_echelon(t).rank + len(e) - linalg.forward_echelon(t + e).rank
+    assert count > 2 * ec.image_rank("ddbar", 2, 3)  # weak fails at 2
+    real = EvaluatedComplex.image_rank
+    monkeypatch.setattr(EvaluatedComplex, "image_rank",
+                        lambda self, op, p, q: count // 2 + 1 if (op, p, q) == ("ddbar", 2, 3) else real(self, op, p, q))
+    with pytest.raises(AssertionError, match=fr"weak at 2: {count} relations of E modulo T < 2 r\(ddbar\) = {2 * (count // 2 + 1)}$"):
+        lemmata._weak_realified(ec, 2)
+
+
+def test_weak_witness_check_refuses_a_del_exact_form_outside_t(bcvary10):
+    """verify_witness certifies a weak witness w as delbar psi with psi
+    real: w's realification must lie in T, the realified delbar images of
+    the real (p,p)-forms, eliminated afresh (key ``delbar_of_real``).  On
+    fiber 4601 the del image basis into (p,p+1) holds 3, 16 and 12
+    vectors at p = 1, 2 and 3 that lie outside both T and im deldelbar:
+    each is del-exact and not deldelbar-exact, and fails that key alone,
+    while weak's own witness at each p passes every key."""
+    fiber = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601)))
+    ec, checker = EvaluatedComplex(fiber, ()), EvaluatedComplex(fiber, ())
+    outside = []
+    for p in (1, 2, 3):
+        q = p + 1
+        t = linalg.forward_echelon([linalg.realify_vec(v) for v in weak_images_by_columns(ec, p) if v])
+        ddbar = ec.image_echelon("ddbar", p, q)
+        vs = [v for v in ec.image_vectors("del", p, q) if not (t.contains(linalg.realify_vec(v)) or ddbar.contains(v))]
+        outside.append(len(vs))
+        for v in vs:
+            verdict = verify_witness(checker, "weak", p, q, ec.vec_to_form(v, p, q))
+            assert verdict == {"not_ddbar_exact": True, "del_exact": True, "delbar_of_real": False}, p
+        ok, wit = weak(ec, p)
+        assert not ok and verify_witness(checker, "weak", p, q, wit) == dict.fromkeys(verdict, True), p
+    assert outside == [3, 16, 12]
+
+
+def test_pure_d_exact_equals_the_nullspace_oracle(reference_complexes, bcvary10):
+    """standard's witness route, one echelon into which the part of each
+    total image vector outside the (p,q) block is tracked
+    (``_pure_d_exact``), yields the vectors of the RREF nullspace route it
+    replaced (``oracles.pure_d_exact_by_nullspace``), in order, with equal
+    entries and types, at every bidegree of the cases of ``_weak_cases``;
+    each runs on a complex of its own."""
+    vectors = 0
+    for label, cx, point, _ in _weak_cases(reference_complexes, bcvary10):
+        ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                got = [sorted(_typed_items(v)) for v in lemmata._pure_d_exact(ec, p, q)]
+                want = [sorted(_typed_items(v)) for v in pure_d_exact_by_nullspace(oc, p, q)]
+                assert got == want, (label, p, q)
+                vectors += len(got)
+    assert vectors
+
+
 def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
     """On six seeded bcvary10 fibers weak fails at p = 1..3, and at each
     failing p its witness from the tracked forward elimination is the
@@ -717,11 +783,13 @@ def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
 
 def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     """At bcvary10's first generic point, after full_report, lemma_report
-    takes one nullspace (standard's witness route, ``_pure_d_exact``) and
-    builds no Fraction: weak eliminates its realified vectors as real
-    Gaussian rationals (1,870 Fractions over int/Fraction parts before),
-    and its witness takes no realified nullspace (4 nullspaces and 5,520
-    Fractions before).  No degree of d with a nonzero row is
+    takes no nullspace: every RREF it completes (``Echelon._complete``)
+    is that of a row echelon the complex keeps, for a kernel reader, so
+    standard's witness route (``_pure_d_exact``, one nullspace before)
+    and weak's take none.  It builds no Fraction: weak eliminates its
+    realified vectors as real Gaussian rationals (1,870 Fractions over
+    int/Fraction parts before), and its witness takes no realified
+    nullspace (4 nullspaces and 5,520 Fractions before).  No degree of d with a nonzero row is
     forward-eliminated twice over full_report and lemma_report: standard's
     prefix pass is the one whose marks rank reads.  The total rows are
     never stored, and standard builds them again, so the rows fed are
@@ -737,13 +805,14 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
 
     monkeypatch.setattr(linalg.Echelon, "extend", recording)
     full_report(ec)
-    nullspaces, built = [], []
-    nullspace, new = linalg.nullspace, Fraction.__new__
-    monkeypatch.setattr(linalg, "nullspace", lambda *a, **k: nullspaces.append(a) or nullspace(*a, **k))
+    completed, built = [], []
+    complete, new = linalg.Echelon._complete, Fraction.__new__
+    monkeypatch.setattr(linalg.Echelon, "_complete", lambda self: completed.append(self) or complete(self))
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
     report = lemma_report(ec)
     monkeypatch.setattr(Fraction, "__new__", new)
-    assert len(nullspaces) == 1 and built == []
+    assert completed and all(any(e is kept for kept in ec._echelons.values()) for e in completed)
+    assert built == []
     assert [p for p, ok in report.weak_flags.items() if not ok] == [1, 2, 3]
     assert report.standard_flag is False
     # degrees -1..n-1 with a nonzero row are eliminated for rank, the rest
@@ -1045,11 +1114,10 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
     each cached image by exactly one.  Inside weak(p), T, the realified
     delbar images of the real (p,p)-forms, is eliminated from empty once
     where the rank identity fails (the realified p, where weak fails) and
-    never where it decides; at each realified p, the rank test extends
-    one copy of T's rows, and nothing else, by the realified image bases
-    of deldelbar and del into (p,p+1) that the complex caches, and the
-    witness route tracks vectors of that del basis into T's echelon
-    itself.
+    never where it decides; at each realified p, no structure starts
+    from a copy of T's rows, and the realified basis of the del image
+    into (p,p+1) that the complex caches is tracked into T's echelon
+    itself, each vector once, and nothing else is fed to it.
 
     A structure is told by the vectors fed to it from empty; one that
     starts from a copy of a cached echelon's rows (``image_sum``, for a
@@ -1134,13 +1202,10 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
             assert len(ts) == realified, (seed, p)
             decided += not realified
             if realified:
-                basis = [linalg.realify_span(ec.image_vectors(op, p, p + 1)) for op in ("ddbar", "del")]
-                want = Counter(key(v) for span in basis for v in span)
-                copies = [start for _, counts, start, _ in made if start and counts == want]
-                assert copies == [[id(r) for r in ts[0].pivots.values()][:ec.rank("stacked", p, p)]], (seed, p)
-                # the witness tracks a prefix of E's realified basis into T's own echelon
-                tracked = fed[id(ts[0])][1] - t_vectors
-                assert report.weak_flags[p] or (tracked and not tracked - Counter(key(v) for v in basis[1])), (seed, p)
+                span = linalg.realify_span(ec.image_vectors("del", p, p + 1))
+                rows = {id(r) for r in ts[0].pivots.values()}
+                assert not [start for _, _, start, _ in made if rows.intersection(start)], (seed, p)
+                assert fed[id(ts[0])][1] == t_vectors + Counter(key(v) for v in span), (seed, p)
         assert sorted(weak_p) == [p for p in report.weak_flags if not lemmata._images_meet_in_ddbar(ec, p)], seed
     assert failing_weak > 0 and decided > 0
 

@@ -27,6 +27,7 @@ from oracles import (
     mat_mul_of_every_row,
     negating_span_intersection,
     nonzero_gaussian,
+    nullspace,
     realify_dense,
     realify_span_by_products,
     relations_modulo,
@@ -66,7 +67,7 @@ def test_nullspace_is_kernel_and_complete():
     for trial in range(20):
         nrows, ncols = rng.next_int(5) + 1, rng.next_int(6) + 1
         rows = _random_rows(rng, nrows, ncols)
-        basis = linalg.nullspace(rows, ncols)
+        basis = nullspace(rows, ncols)
         for v in basis:
             assert not linalg.mat_vec(rows, v)
         assert len(basis) == ncols - linalg.forward_echelon(rows).rank
@@ -87,7 +88,7 @@ def test_relations_modulo_equal_the_nullspace_relations(field, seed):
     base, vectors = pool[:ncols // 2], pool[ncols // 2:]
     cols = base + [linalg._negated(v) for v in vectors]
     want = []
-    for rel in linalg.nullspace(rows_from_columns(cols, ncols), len(cols)):
+    for rel in nullspace(rows_from_columns(cols, ncols), len(cols)):
         if max(rel) >= len(base):  # its free column is that of a vector
             want.append({k - len(base): c for k, c in rel.items() if k >= len(base)})
     got = list(relations_modulo(base, vectors, ncols))
@@ -524,9 +525,8 @@ def test_unit_leads_divide_nothing(monkeypatch):
     but for the two at the center of this even n = 4, (2,2) and (2,1),
     which have passes of their own; and a deldelbar rank is read from
     its kept echelon, which gives its star dual's rank too.  full_report
-    completes no echelon into an RREF, and lemma_report completes each
-    cached matrix echelon at most once, however often it is called
-    (``nullspace`` completes a fresh echelon on every call)."""
+    completes no echelon into an RREF, and lemma_report completes only
+    cached matrix echelons, each once: a second call completes none."""
     obj = nio.se_to_obj(catalog_load("iwasawa3").se)
     obj["n"] += 1  # abelian_1: one more closed coframe element
     se = nio.obj_to_se(obj)
@@ -586,10 +586,8 @@ def test_unit_leads_divide_nothing(monkeypatch):
     first = completed[:]
     lemma_report(ec)
     # completed holds every echelon, so no two of them share an id
-    assert len({id(e) for e in completed}) == len(completed)
-    cached = [e for e in completed if any(e is c for c in ec._echelons.values())]
-    # the second report completes only the fresh echelons of nullspace
-    assert cached and all(any(e is f for f in first) for e in cached)
+    assert first and completed == first and len({id(e) for e in first}) == len(first)
+    assert all(any(e is c for c in ec._echelons.values()) for e in first)
 
 
 def test_matmul_and_adjoint():
