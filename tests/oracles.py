@@ -497,9 +497,8 @@ def generic_reduce_meeting(pivots, v):
 
 
 def nullspace(rows: Rows, ncols: int) -> Rows:
-    """Basis of {x : M x = 0}, from the completed echelon of the rows of M:
-    the kernel list ``linalg`` built before every kernel reader took
-    ``Echelon.kernel`` itself."""
+    """Basis of {x : M x = 0} as a list, from the completed echelon of the
+    rows of M (``linalg.nullspace`` before ``src`` stopped reading it)."""
     return list(linalg.forward_echelon(rows).kernel(ncols))
 
 
