@@ -670,13 +670,15 @@ class StructureEquations:
         subsets = self.layout.subsets
         cols: List[list] = [[] for _ in range(self.algebra.dim(p, q))]
         rows = [EMPTY_ROW] * self.algebra.dim(tp, tq)
-        met = self.layout.assemble(rows, terms, p, q, tq) if rows else []
+        if rows:
+            self.layout.assemble(rows, terms, p, q, tq)
         ctq = comb(self.n, tq)
         # ascending rows, so each column lists its targets in row order
-        for i in sorted(met):
-            target = (subsets[tp][i // ctq], subsets[tq][i % ctq])
-            for j, c in rows[i].items():
-                cols[j].append((target, c))
+        for i, row in enumerate(rows):
+            if row:
+                target = (subsets[tp][i // ctq], subsets[tq][i % ctq])
+                for j, c in row.items():
+                    cols[j].append((target, c))
         table = self.tables[op, p, q] = [tuple(col) for col in cols]
         return table
 

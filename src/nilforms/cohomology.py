@@ -25,7 +25,8 @@ from a forward echelon, which completes itself in place into the
 reduced echelon only where a kernel is read: on a unimodular complex the
 Hodge star reads the delbar, Aeppli and upper de Rham ranks from others
 and gives a deldelbar rank to its dual, and conjugation reads standard's
-suffix ranks from its prefix ranks.  ``full_report`` and
+suffix ranks from its prefix ranks; the star also reads the columns of
+a lemma witness scan as rows (``EvaluatedComplex.star``).  ``full_report`` and
 ``lemmata.lemma_report`` run with the cyclic garbage collector paused
 (``collector_paused``).
 Kernel and image bases are built
@@ -116,8 +117,9 @@ class EvaluatedComplex:
     only at a row that holds an entry: del, delbar and total
     in their assembly, ddbar in ``linalg.mat_mul`` and the adjoints in
     ``linalg.conj_transpose``, so each allocates per nonzero row, not per
-    row.  No column table is kept: the image echelons, weak and mild's
-    witness each read the transpose ``linalg.columns`` once and drop it.
+    row.  No column table is kept: the image echelons, weak's real span
+    and, off a unimodular complex, mild's witness scan each read the
+    transpose ``linalg.columns`` once and drop it.
 
     One rule decides what is kept: a rank read keeps only an int, in the
     one rank cache (``_ranks``), and a row echelon is kept only for a
@@ -162,6 +164,13 @@ class EvaluatedComplex:
     the direct route for total, delbar and deldelbar, and reads
     exact_sum as the rank of the sum of the cached del and delbar image
     echelons (``image_sum``).
+
+    On a unimodular complex the conjugate-linear ``star`` from (p,q) to
+    (n-q, n-p) reads columns as rows, for the lemma witness scans:
+    ``apply`` and ``nonzero_columns`` read del's columns from delbar's
+    rows at the dual bidegree and the other way round, and
+    ``in_ddbar_image`` reads im deldelbar from the kept row echelon of
+    deldelbar at the dual, so none builds a transpose or a column echelon.
 
     Each image, of del, delbar or ddbar into TARGET (p,q) or of total
     into TARGET degree p, is one forward echelon of the matrix's nonzero
@@ -339,6 +348,77 @@ class EvaluatedComplex:
         is refused."""
         return self._row_echelon(_known(op, _MATRICES), p, q).kernel(self.dim(p, q), meets=meets)
 
+    # -- the Hodge star: columns as rows ------------------------------------
+
+    def star(self, v: Vec, p: int, q: int) -> Vec:
+        """The conjugate-linear Hodge star of a vector at (p,q), at
+        (n-q, n-p): the monomial (I, J) at subset ranks (a, b) goes to
+        (J^c, I^c), at C(n,p) C(n,q) - 1 - (b C(n,p) + a), since the
+        complement reverses the lexicographic order, and its coefficient
+        x to conj(x) (-1)^(sum I + sum J) (``Layout.parity``).  The star
+        is an involution."""
+        parity = self.cx.layout.parity
+        odd_p, odd_q = parity[p], parity[q]
+        cp, cq = len(odd_p), len(odd_q)
+        top, out = cp * cq - 1, {}
+        for i, x in v.items():
+            a, b = divmod(i, cq)
+            y = x.conj()
+            out[top - b * cp - a] = -y if odd_p[a] ^ odd_q[b] else y
+        return out
+
+    def _dual(self, op: str, p: int, q: int) -> Tuple[Rows, int, int, bool]:
+        """The rows whose stars are the columns of op (del or delbar) from
+        SOURCE (p,q) on a unimodular complex, their source bidegree, and
+        whether the star reads -op: del x = (-1)^(n+q) star(star(x) delbar)
+        with delbar from (n-q, n-p-1), and delbar x = (-1)^p star(star(x)
+        del) with del from (n-q-1, n-p).  Both have rows at (n-q, n-p),
+        where star(x) lies."""
+        n = self.n
+        if _known(op, ("del", "delbar")) == "del":
+            sp, sq, odd = n - q, n - p - 1, (n + q) % 2 == 1
+        else:
+            sp, sq, odd = n - q - 1, n - p, p % 2 == 1
+        return self.rows("delbar" if op == "del" else "del", sp, sq), sp, sq, odd
+
+    def apply(self, op: str, x: Vec, p: int, q: int) -> Vec:
+        """op x for x at SOURCE (p,q), op del or delbar, on a unimodular
+        complex, with no transpose: star(x) M combines only the rows of M
+        that star(x) meets, M the dual of ``_dual``.  Its keys ascend and
+        it holds no zero, as ``linalg.columns_vec`` gives it."""
+        rows, sp, sq, odd = self._dual(op, p, q)
+        acc: Vec = {}
+        for i, c in self.star(x, p, q).items():
+            if odd:
+                c = -c
+            for j, m in rows[i].items():
+                s = acc.get(j)
+                acc[j] = m * c if s is None else s + m * c
+        out = self.star({j: s for j, s in acc.items() if s}, sp, sq)
+        return {k: out[k] for k in sorted(out)}
+
+    def nonzero_columns(self, op: str, p: int, q: int) -> set:
+        """The nonzero columns of op (del or delbar) from SOURCE (p,q) on a
+        unimodular complex, with no transpose: the stars of the nonempty
+        rows of its dual (``_dual``), since the star of e_j is one
+        position there."""
+        rows = self._dual(op, p, q)[0]
+        cp, cq = comb(self.n, p), comb(self.n, q)
+        top = cp * cq - 1
+        return {top - (i % cp) * cq - i // cp for i, r in enumerate(rows) if r}
+
+    def in_ddbar_image(self, v: Vec, p: int, q: int) -> bool:
+        """Whether v at (p,q) lies in im deldelbar.  On a unimodular
+        complex it is read through the star, with no column echelon:
+        star(v) lies in the row space of deldelbar from (n-q, n-p), the
+        kept echelon that deldelbar's rank reads (``_row_echelon``);
+        elsewhere v is tested against ``image_echelon``."""
+        if not self.unimodular:
+            return self.image_echelon("ddbar", p, q).contains(v)
+        if min(p, q) < 1:
+            return not v
+        return self._row_echelon("ddbar", self.n - q, self.n - p).contains(self.star(v, p, q))
+
     def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
         """The independent columns of op into TARGET (p,q), in order, and
         the forward echelon of their span that selected them, fed the
@@ -399,8 +479,9 @@ class EvaluatedComplex:
         if key not in self._preimages:
             a = self.rows("ddbar", p - 1, q - 1)
             adjoint = linalg.conj_transpose(a, self.dim(p - 1, q - 1))
-            cols = linalg.columns(linalg.mat_mul(a, adjoint))
-            e = linalg.tracked_echelon([cols.get(j, EMPTY_ROW) for j in range(dim)], dim)
+            # A A* is Hermitian, so its columns are its rows conjugated
+            cols = [{j: c.conj() for j, c in r.items()} if r else EMPTY_ROW for r in linalg.mat_mul(a, adjoint)]
+            e = linalg.tracked_echelon(cols, dim)
             self._preimages[key] = (adjoint, e)
         adjoint, e = self._preimages[key]
         z = e.solve(y, dim)

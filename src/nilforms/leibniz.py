@@ -48,15 +48,18 @@ class Layout:
     assembly plans read from it.  ``subsets[k]`` lists the k-subsets of
     1..n in lexicographic order and ``subset_rank[k]`` maps each to its
     place there; the basis of (p,q) is I-major, so 2^n subsets position
-    all 4^n monomials.  ``plans`` keeps each plan: a plan depends on n and
-    the shape of a term only."""
+    all 4^n monomials.  ``parity[k]`` holds, per k-subset in that order,
+    whether the sum of its indices is odd: the sign of the Hodge star
+    (``EvaluatedComplex.star``).  ``plans`` keeps each plan: a plan
+    depends on n and the shape of a term only."""
 
-    __slots__ = ("subsets", "subset_rank", "plans")
+    __slots__ = ("subsets", "subset_rank", "parity", "plans")
 
     def __init__(self, n: int):
         ids = range(1, n + 1)
         self.subsets = tuple(tuple(combinations(ids, k)) for k in range(n + 1))
         self.subset_rank = tuple({c: i for i, c in enumerate(s)} for s in self.subsets)
+        self.parity = tuple(tuple(sum(c) % 2 == 1 for c in s) for s in self.subsets)
         self.plans: Dict[tuple, List[Tuple[int, int, bool]]] = {}
 
     def block_plan(self, fixed: Tuple[int, ...], s: Optional[int], k: int) -> List[Tuple[int, int, bool]]:
@@ -87,7 +90,7 @@ class Layout:
             self.plans[key] = plan
         return plan
 
-    def assemble(self, out: List[dict], terms, p: int, q: int, tq: int) -> List[int]:
+    def assemble(self, out: List[dict], terms, p: int, q: int, tq: int) -> None:
         """Fill out, a list of ``EMPTY_ROW``, with the rows, from (p,q) to
         gammabar-degree tq, of the derivation whose image of coframe symbol
         s is terms[s], a list of (I_d, J_d, c): for each term and each
@@ -96,15 +99,16 @@ class Layout:
         sign of skipping the factors before s (its image is even) and of
         the merge, read from ``block_plan``.  Entries that meet (d of a
         symbol contains it) are summed, zeros dropped; each row's keys end
-        ascending.  A row gets a dict of its own when a term first meets
-        it, and returns to ``EMPTY_ROW`` if its entries all cancel, so a
-        row that no term meets costs no dict.  Returns the indices of the
-        rows that got one, in the order met; the last pass walks only
-        those, so the cost follows the nonzero count, not the rows."""
+        ascending.  A row that a term first meets becomes the dict of that
+        one entry and is never revisited; only the rows that a second
+        entry met are finished, sorted or returned to ``EMPTY_ROW`` if
+        their entries all cancel.  So a row that no term meets costs no
+        dict, and the cost follows the nonzero count, not the rows.
+        Returns nothing: a caller walks the nonempty rows of out."""
         n = len(self.subsets) - 1
         plan = self.block_plan
         cq, ctq = comb(n, q), comb(n, tq)
-        met: List[int] = []
+        again = set()
         for s, sterms in enumerate(terms):
             a, b = (s + 1, None) if s < n else (None, s - n + 1)
             rp, rq = (p - 1, q) if s < n else (p, q - 1)
@@ -119,12 +123,14 @@ class Layout:
                 for ci, ri, oi in plan(I_d, a, rp):
                     ci, ri, oi = ci * cq, ri * ctq, oi ^ odd
                     for cj, rj, oj in jparts:
-                        row = out[ri + rj]
-                        if row is EMPTY_ROW:
-                            row = out[ri + rj] = {}
-                            met.append(ri + rj)
-                        col = ci + cj
+                        i = ri + rj
                         v = neg if oi ^ oj else c
+                        row = out[i]
+                        if row is EMPTY_ROW:
+                            out[i] = {ci + cj: v}
+                            continue
+                        again.add(i)
+                        col = ci + cj
                         prev = row.get(col)
                         if prev is None:
                             row[col] = v
@@ -134,10 +140,9 @@ class Layout:
                                 row[col] = v
                             else:
                                 del row[col]
-        for i in met:
+        for i in again:
             row = out[i]
             if not row:
                 out[i] = EMPTY_ROW
             elif len(row) > 1:
                 out[i] = dict(sorted(row.items()))
-        return met

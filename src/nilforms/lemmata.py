@@ -57,12 +57,16 @@ space outside im deldelbar.
 For mild that space is del of ker deldelbar, whose vectors are read
 from its RREF one at a time, none kept (``ec.kernel_vectors``), so the
 route stops at the witness; those whose support meets no nonzero column
-of del are never built, and the others' images are formed from a column
-map of del read once per scan.  Strong's space is the sum of the spaces
-that mild and dual mild test, so strong fails exactly when one of them
-fails, and its witness is theirs: mild's at (p,q) if mild fails, else dual
-mild's (``lemma_report`` reuses the two it holds, and checks strong =
-mild and dual mild).  Weak's witness is the first relation whose
+of del are never built.  On a unimodular complex the others' images,
+the nonzero columns and every test against im deldelbar are read
+through the Hodge star, with no transpose and no column echelon
+(``ec.apply``, ``ec.nonzero_columns``, ``ec.in_ddbar_image``); on any
+other complex the images come from a column map of del read once per
+scan, and the test from the image echelon of deldelbar.  Strong's space
+is the sum of the spaces that mild and dual mild test, so strong fails
+exactly when one of them fails, and its witness is theirs: mild's at
+(p,q) if mild fails, else dual mild's (``lemma_report`` reuses the two
+it holds, and checks strong = mild and dual mild).  Weak's witness is the first relation whose
 w = E_j - sum gamma_t E_t lies outside D; standard's space is spanned
 by the relations among the parts outside the (p,q) block of the total
 image basis, tracked into one echelon.  Every relation is read by
@@ -88,13 +92,14 @@ _MINUS_I = GaussianRational(0, -1)
 
 
 def _witness(ec: EvaluatedComplex, kind: str, p: int, q: int, vectors: Iterable[Vec]) -> Form:
-    """The first of vectors outside im deldelbar at (p,q), as a form.  The
-    ranks said that the verdict kind fails, so if the vectors hold none,
-    the two routes disagree and AssertionError is raised."""
-    target = ec.image_echelon("ddbar", p, q)
+    """The first of vectors outside im deldelbar at (p,q), as a form,
+    each tested by ``ec.in_ddbar_image`` (through the star on a
+    unimodular complex).  The ranks said that the verdict kind fails, so
+    if the vectors hold none, the two routes disagree and AssertionError
+    is raised."""
     for v in vectors:
         # many of mild's images are 0: skip them without a reduction
-        if v and not target.contains(v):
+        if v and not ec.in_ddbar_image(v, p, q):
             return ec.vec_to_form(v, p, q)
     raise AssertionError(
         f"{kind} at {(p, q)}: the ranks say it fails, but the vector route "
@@ -135,13 +140,19 @@ def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Ve
     (p,q), each built when the scan reaches it and none kept, from the
     columns of op that it touches.  A kernel vector whose support misses
     every nonzero column of op is never built: the kernel read is handed
-    their key set (``ec.kernel_vectors``).  The columns are the transpose
-    of op's rows (``linalg.columns``), read once per scan and dropped
-    with it."""
+    their key set (``ec.kernel_vectors``).  On a unimodular complex the
+    columns are stars of the rows of op's dual (``ec.apply``,
+    ``ec.nonzero_columns``), so no transpose is built; on any other, the
+    transpose of op's rows (``linalg.columns``), read once per scan and
+    dropped with it."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
-    cols = linalg.columns(ec.rows(op, sp, sq))
-    for x in ec.kernel_vectors("ddbar", sp, sq, meets=cols.keys()):
-        v = linalg.columns_vec(cols, x)
+    if ec.unimodular:
+        meets, image = ec.nonzero_columns(op, sp, sq), lambda x: ec.apply(op, x, sp, sq)
+    else:
+        cols = linalg.columns(ec.rows(op, sp, sq))
+        meets, image = cols.keys(), lambda x: linalg.columns_vec(cols, x)
+    for x in ec.kernel_vectors("ddbar", sp, sq, meets=meets):
+        v = image(x)
         if v:
             yield v
 

@@ -31,8 +31,9 @@ reducing it, ``_forward_reduce`` returns such a row after one set test,
 and a kernel read given a set of columns builds only the vectors whose
 support, known from the RREF before the vector is built, meets it.
 ``mat_mul`` and ``conj_transpose`` give each empty row of their result
-the shared read-only ``leibniz.EMPTY_ROW``, and every column walk reads
-the one transpose ``columns``, which passes over an empty row.
+the shared read-only ``leibniz.EMPTY_ROW``, and a column walk reads the
+one transpose ``columns``, which passes over an empty row, where no
+Hodge star reads the columns as rows (``EvaluatedComplex.star``).
 """
 
 from __future__ import annotations

@@ -746,6 +746,60 @@ def test_star_and_conjugation_ranks_equal_direct_eliminations(reference_complexe
             assert ec.block_ranks(k) == block_ranks_by_suffix_pass(ec, k), (label, k)
 
 
+def test_star_reads_equal_the_transposes(reference_complexes):
+    """On every complex of ``tests/data/report_digests.json`` (all of them
+    unimodular): the star is an involution on every bidegree; for del and
+    delbar from every (p,q), the image of each unit vector read through
+    the star (``apply``) is that column of ``linalg.columns`` of the rows,
+    entries, key order and types alike, and ``nonzero_columns`` is the
+    key set of that transpose; and membership in im deldelbar through the
+    star (``in_ddbar_image``) is membership in ``image_echelon("ddbar")``
+    for every del and delbar image of a deldelbar kernel vector, for
+    deldelbar of seeded random vectors (inside), and for those plus a
+    seeded random unit vector (mostly outside)."""
+    cases = list(reference_complexes)
+    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
+    rng, inside = random.Random(5101), Counter()
+    for label, cx, point in cases:
+        n = cx.n
+        ec = EvaluatedComplex(cx, point)
+        assert ec.unimodular, label
+        for p in range(n + 1):
+            for q in range(n + 1):
+                dim = ec.dim(p, q)
+                v = {i: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for i in rng.sample(range(dim), min(dim, 4))}
+                assert ec.star(ec.star(v, p, q), n - q, n - p) == v, (label, p, q)
+                for op in ("del", "delbar"):
+                    if not ec.dim(p + (op == "del"), q + (op == "delbar")):
+                        continue
+                    cols = linalg.columns(ec.rows(op, p, q))
+                    assert ec.nonzero_columns(op, p, q) == cols.keys(), (label, op, p, q)
+                    for j in range(dim):
+                        got = ec.apply(op, {j: QI_ONE}, p, q)
+                        assert _typed(got) == _typed(cols.get(j, {})), (label, op, p, q, j)
+                    target = (p + 1, q) if op == "del" else (p, q + 1)
+                    for x in ec.kernel_vectors("ddbar", p, q):
+                        w = ec.apply(op, x, p, q)
+                        assert ec.in_ddbar_image(w, *target) is ec.image_echelon("ddbar", *target).contains(w)
+                if p and q:
+                    rows = ec.rows("ddbar", p - 1, q - 1)
+                    src = ec.dim(p - 1, q - 1)
+                    for _ in range(3):
+                        x = {i: GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for i in rng.sample(range(src), min(src, 3))}
+                        w = linalg.mat_vec(rows, x)
+                        outside = dict(w)
+                        linalg.add_scaled_into(outside, QI_ONE, {rng.randrange(dim): QI_ONE})
+                        for u in (w, outside):
+                            want = ec.image_echelon("ddbar", p, q).contains(u)
+                            assert ec.in_ddbar_image(u, p, q) is want, (label, p, q)
+                            inside[want] += 1
+    assert inside[True] > inside[False] > 0
+
+
+def _typed(v):
+    return [(k, x, type(x.re), type(x.im)) for k, x in v.items()]
+
+
 class _TracedRanks(dict):
     """A rank cache that names the elimination behind each rank it stores
     (by the first key that elimination stored; ``eliminations`` holds

@@ -213,6 +213,61 @@ def test_only_the_pause_helper_touches_the_collector():
     assert named == [stem for stem, _ in decorating]
 
 
+def transpose_readers(source: str):
+    """(line, enclosing function or None) of each read of the transpose
+    ``linalg.columns``: the attribute ``columns`` of the name ``linalg``,
+    the bare name ``columns`` read (inside ``linalg``, or where it is
+    imported), or an import of it.  A method is named Class.method, and
+    a lambda reads in the function around it."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            elif isinstance(child, ast.Attribute) and child.attr == "columns" and getattr(child.value, "id", None) == "linalg":
+                found.append((child.lineno, where))
+            elif isinstance(child, ast.Name) and child.id == "columns" and isinstance(child.ctx, ast.Load):
+                found.append((child.lineno, where))
+            elif isinstance(child, ast.ImportFrom) and any(alias.name == "columns" for alias in child.names):
+                found.append((child.lineno, where))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_transpose_scan_sees_what_it_should():
+    source = (
+        "from .linalg import columns\n"
+        "class E:\n"
+        "    def f(self, rows):\n"
+        "        return linalg.columns(rows), self.columns, other.columns\n"
+        "def g(rows):\n"
+        "    h = lambda: columns(rows)\n"
+        "    columns = None\n"
+        "    return h\n"
+    )
+    assert transpose_readers(source) == [(1, None), (4, "E.f"), (6, "g")]
+
+
+def test_only_three_readers_transpose_a_matrix():
+    """``linalg.columns`` is read in three places: the image echelons
+    (``EvaluatedComplex._image``), the mild and dual mild scan on a
+    complex that is not unimodular (``lemmata._kernel_images``; on a
+    unimodular one it reads columns as Hodge-star rows), and weak's real
+    span T (``lemmata._real_delbar_span``), each once.  So a transpose
+    in a new place, or a second one in these, takes a deliberate edit
+    here."""
+    readers = sorted((path.stem, where) for path in SRC.glob("*.py") for _, where in transpose_readers(path.read_text()))
+    assert readers == [
+        ("cohomology", "EvaluatedComplex._image"),
+        ("lemmata", "_kernel_images"),
+        ("lemmata", "_real_delbar_span"),
+    ]
+
+
 def value_comparisons(source: str):
     """(line, text) of each == or != with an ``.algebra`` or ``.ring``
     operand that no ``is`` or ``is not`` test of the same two operands
@@ -532,7 +587,8 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     (``_representatives``, ``_CYCLES_MOD``, the ``with_basis`` parameter)
     is a test oracle.  An ``EvaluatedComplex`` keeps no column table and
     no kernel list: its ``columns`` and ``linalg.columns_of`` are gone,
-    every column walk reads the one transpose ``linalg.columns``, and no
+    a column walk reads the one transpose ``linalg.columns`` or the Hodge
+    star (``test_only_three_readers_transpose_a_matrix``), and no
     module assigns a ``_cols`` or ``_kernels`` attribute.  ``lemma_report``
     has no ``with_standard`` parameter: it decides standard exactly when
     it is asked for every bidegree.  The scan reads

@@ -280,10 +280,17 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
             asked.append((op, p, q))
         return real_image(self, op, p, q)
 
-    real_image = EvaluatedComplex._image
+    def traced_test(self, v, p, q):
+        if inside:
+            tested.append((inside[-1], (p, q)))
+        return real_test(self, v, p, q)
+
+    tested = []
+    real_image, real_test = EvaluatedComplex._image, EvaluatedComplex.in_ddbar_image
     for name in ("strong", "_strong_holds"):
         monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
     monkeypatch.setattr(EvaluatedComplex, "_image", traced_image)
+    monkeypatch.setattr(EvaluatedComplex, "in_ddbar_image", traced_test)
     ec = EvaluatedComplex(iwasawa_c, ())
     full_report(ec)
     report = lemma_report(ec)
@@ -292,7 +299,15 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
     assert not report.strong_flags[(2, 2)]
     assert not _kernels_read(ec, "stacked")
     assert set(called) == {"strong", "_strong_holds"}
-    assert asked and {op for op, _, _ in asked} == {"ddbar"}
+    # the complex is unimodular: a failing strong reads im deldelbar
+    # through the star, at its own bidegree, and no column span at all
+    failing = {pq for pq, flag in report.strong_flags.items() if not flag}
+    assert ec.unimodular and tested and {at for at, _ in tested} == {pq for _, pq in tested} == failing
+    assert asked == []
+    inside.append((2, 2))
+    ec.image_echelon("ddbar", 2, 2)
+    inside.pop()
+    assert asked == [("ddbar", 2, 2)]  # the hook sees a span that is asked for
 
 
 def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
@@ -1038,24 +1053,30 @@ def test_kernel_images_read_each_entry_of_op_once(monkeypatch):
 def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
     """The work gate on Iwasawa^2 x C after full_report: lemma_report
     forms no zero image from a vector that meets no nonzero column, and
-    each mild or dual mild witness transposes the rows of its del or
-    delbar once (``linalg.columns``), besides the deldelbar images it
-    tests against, so no transpose is taken per vector.  Every product
-    with a vector, in mild's and dual mild's scans, is counted: 84 of
-    them, and the 4 that are 0 are deldelbar kernel vectors with two
-    entries on nonzero columns of del or delbar whose images cancel,
-    which no support test sees.  weak holds by rank at every p, and its
-    realified route (``_weak_realified``), run after the report at each
-    p, forms 1,494 more, none of them 0.  The full-table route, put back
-    in place of the kernel images, forms the same 1,574 nonzero images
-    over the two, and 862 zero ones, from the same transposes, so the
-    gate sees what it counts."""
+    no mild or dual mild witness scan transposes a matrix
+    (``linalg.columns``): the complex is unimodular, so each image is
+    read through the Hodge star (``EvaluatedComplex.apply``) and each
+    test against im deldelbar through its star dual's row echelon
+    (``in_ddbar_image``).  Every product with a vector, in mild's and
+    dual mild's scans, is counted: 84 of them, and the 4 that are 0 are
+    deldelbar kernel vectors with two entries on nonzero columns of del
+    or delbar whose images cancel, which no support test sees.  weak
+    holds by rank at every p, and its realified route
+    (``_weak_realified``), run after the report at each p, forms 1,494
+    more, none of them 0.  The full-table route, put back in place of
+    the kernel images, forms the same 1,574 nonzero images over the two,
+    and 862 zero ones, and transposes del or delbar once per scan, so
+    the gate sees what it counts."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
-    columns_vec, columns, witness = linalg.columns_vec, linalg.columns, lemmata._witness
+    columns_vec, columns, apply, witness = linalg.columns_vec, linalg.columns, EvaluatedComplex.apply, lemmata._witness
     formed, tables, inside, scans = [], [], [], []
 
     def forming(cols, x):
         formed.append((columns_vec(cols, x), len(cols.keys() & x.keys())))
+        return formed[-1][0]
+
+    def applying(self, op, x, p, q):
+        formed.append((apply(self, op, x, p, q), len(columns(self.rows(op, p, q)).keys() & x.keys())))
         return formed[-1][0]
 
     def asking(rows):
@@ -1076,13 +1097,15 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
         return len(formed), len(zero), min(zero)
 
     monkeypatch.setattr(linalg, "columns_vec", forming)
+    monkeypatch.setattr(EvaluatedComplex, "apply", applying)
     monkeypatch.setattr(linalg, "columns", asking)
     monkeypatch.setattr(lemmata, "_witness", framed)
-    counts = []
-    for route in (lemmata._kernel_images, kernel_images_by_columns):
+    counts, star_route = [], lemmata._kernel_images
+    for route in (star_route, kernel_images_by_columns):
         monkeypatch.setattr(lemmata, "_kernel_images", route)
         ec = EvaluatedComplex(cx, ())
         full_report(ec)
+        assert ec.unimodular
         formed.clear()
         tables.clear()
         scans.clear()
@@ -1094,8 +1117,52 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
         counts.append(tally())
         sources = [("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
                    for kind, p, q in scans if kind in ("mild", "dual_mild")]
-        assert sources and [key for key in tables if key[0] != "ddbar"] == sources, route
+        assert sources and tables == ([] if route is star_route else sources), route
     assert counts == [(84, 4, 2), (1578, 4, 2), (942, 862, 0), (2436, 862, 0)]
+
+
+def test_a_complex_that_is_not_unimodular_keeps_the_transpose_route(monkeypatch):
+    """solvable3 is not unimodular, so del* = -*delbar* fails and no star
+    is read: lemma_report calls no star, each mild or dual mild witness
+    scan transposes its del or delbar once (``linalg.columns``), and
+    every witness is tested against the image echelon of deldelbar and
+    verifies (``verify_witness``).  ``test_rank_verdicts_equal_the_vector_route``
+    holds its witnesses equal to the vector-route oracles'."""
+    ec = EvaluatedComplex(build_complex(nio.obj_to_se(SOLVABLE)), ())
+    columns, witness, image = linalg.columns, lemmata._witness, EvaluatedComplex._image
+    stars, tables, inside, scans, asked = [], [], [], [], []
+
+    def framed(ec, kind, p, q, vectors):
+        scans.append((kind, p, q))
+        inside.append(kind)
+        try:
+            return witness(ec, kind, p, q, vectors)
+        finally:
+            inside.pop()
+
+    def asking(rows):
+        if inside:
+            tables.extend(key for key, stored in ec._rows.items() if stored is rows)
+        return columns(rows)
+
+    def imaging(self, op, p, q):
+        if inside:
+            asked.append((op, p, q))
+        return image(self, op, p, q)
+
+    monkeypatch.setattr(EvaluatedComplex, "star", lambda *a: stars.append(a))
+    monkeypatch.setattr(linalg, "columns", asking)
+    monkeypatch.setattr(lemmata, "_witness", framed)
+    monkeypatch.setattr(EvaluatedComplex, "_image", imaging)
+    report = lemma_report(ec)
+    monkeypatch.undo()
+    assert not ec.unimodular and stars == []
+    sources = [("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
+               for kind, p, q in scans if kind in ("mild", "dual_mild")]
+    assert len(sources) == 8 and [key for key in tables if key[0] != "ddbar"] == sources
+    assert {("ddbar", p, q) for _, p, q in scans} <= set(asked)
+    for key, w in report.witnesses.items():
+        assert all(verify_witness(ec, *_witness_bidegree(key), w).values()), key
 
 
 def _witness_bidegree(key):
