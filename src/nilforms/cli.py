@@ -91,12 +91,16 @@ def _read_input(ref: str, what: str) -> str:
         raise NilformsError(f"cannot read {what} {ref}: not UTF-8 text") from None
 
 
-def _load_manifold(ref: str, order: int):
-    """catalog:NAME or a path to a structure-equation JSON file."""
-    if ref.startswith("catalog:"):
-        return catalog_load(ref.split(":", 1)[1], order=order)
-    se = nio.se_parse(_read_input(ref, "manifold file or catalog entry"))
-    return CatalogEntry(name=se.name, se=se)
+def _load_manifold(args):
+    """--manifold, catalog:NAME or a path to a structure-equation JSON
+    file, at --order; its n is kept as args.n for ``main``."""
+    if args.manifold.startswith("catalog:"):
+        entry = catalog_load(args.manifold.split(":", 1)[1], order=args.order)
+    else:
+        se = nio.se_parse(_read_input(args.manifold, "manifold file or catalog entry"))
+        entry = CatalogEntry(name=se.name, se=se)
+    args.n = entry.se.n
+    return entry
 
 
 def _family_algebra(entry) -> FormAlgebra:
@@ -205,7 +209,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    entry = _load_manifold(args.manifold, args.order)
+    entry = _load_manifold(args)
     ec, point = _evaluated(entry, args.t)
     report = full_report(ec)
     obj = report.to_json_dict()
@@ -216,7 +220,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_lemmata(args) -> int:
-    entry = _load_manifold(args.manifold, args.order)
+    entry = _load_manifold(args)
     ec, point = _evaluated(entry, args.t)
     bidegrees = None
     if args.bidegree:
@@ -233,7 +237,7 @@ def _cmd_lemmata(args) -> int:
 
 
 def _cmd_deform(args) -> int:
-    entry = _load_manifold(args.manifold, args.order)
+    entry = _load_manifold(args)
     phi = _load_beltrami(args.beltrami, entry)
     if args.t is not None:
         point = _parse_point(args.t, phi.algebra.ring.m)
@@ -253,7 +257,7 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    entry = _load_manifold(args.manifold, args.order)
+    entry = _load_manifold(args)
     phi = _load_beltrami(args.beltrami, entry)
     omega0 = _load_form(args.form, entry, phi.algebra)
     if args.pkahler:
@@ -300,7 +304,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
-    entry = _load_manifold(args.manifold, args.order)
+    entry = _load_manifold(args)
     omega = _load_form(args.form, entry)
     ev = omega.eval(zero_point(omega.algebra.ring.m))
     pk, d_closed, verdict = pkahler_check(entry.se, omega, samples=args.samples, seed=args.seed)
@@ -410,7 +414,8 @@ def main(argv=None) -> int:
         try:
             return args.fn(args)
         except MemoryError:
-            raise NilformsError(f"{args.command} ran out of memory") from None
+            at = f" at n = {args.n}" if hasattr(args, "n") else ""
+            raise NilformsError(f"{args.command} ran out of memory{at}") from None
     except NilformsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

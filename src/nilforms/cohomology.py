@@ -21,9 +21,9 @@ terms.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read once per duality pair
-from a forward echelon, which completes itself in place into the
-reduced echelon only where a kernel is read: on a unimodular complex the
-Hodge star reads the delbar, Aeppli and upper de Rham ranks from others
+from a forward echelon, whose rows no kernel read rewrites: on a
+unimodular complex the Hodge star reads the delbar, Aeppli and upper de
+Rham ranks from others
 and gives a deldelbar rank to its dual, and conjugation reads standard's
 suffix ranks from its prefix ranks; the star also reads the columns of
 a lemma witness scan as rows (``EvaluatedComplex.star``).  ``full_report`` and
@@ -46,7 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import Form, FormAlgebra, InvariantComplex
@@ -119,7 +119,7 @@ class EvaluatedComplex:
     ``linalg.conj_transpose``, so each allocates per nonzero row, not per
     row.  No column table is kept: the image echelons, weak's real span
     and, off a unimodular complex, mild's witness scan each read the
-    transpose ``linalg.columns`` once and drop it.
+    transpose ``linalg.columns`` once and drop it (``column_reads``).
 
     One rule decides what is kept: a rank read keeps only an int, in the
     one rank cache (``_ranks``), and a row echelon is kept only for a
@@ -129,16 +129,16 @@ class EvaluatedComplex:
     stacked rows, and delbar's is read from a pass of its own only where
     the star (below) is not used; none of those echelons is kept.
     deldelbar's rank is the one exception: it is read from its kept
-    echelon, which a failing mild's witness completes.  d on the total
+    echelon, whose kernel a failing mild's witness reads.  d on the total
     complex is never stored: ``total_d_rows`` builds it for each reader.
     d from each total degree is eliminated once, block by block, for its
     rank, and only the rank after each block is kept (``total_marks``,
     the rank cache of d, which ``block_ranks`` reads for standard), and
-    the image of d transposes a build of its own (``_image``).  The
-    first kernel read completes its echelon in place into the RREF
-    (``linalg.Echelon.kernel``): each row that changes is replaced by a
-    reduced copy, so the matrix rows are left as they were, and the
-    pivots stay the same, in the same order.  The RREF is unique, so
+    the image of d transposes a build of its own (``_image``).  A
+    kernel read builds each vector from one column of the RREF of its
+    echelon, by back-substitution through the forward rows
+    (``linalg.Echelon.kernel``), so no stored row is rewritten or copied
+    and the matrix rows are left as they were.  The RREF is unique, so
     ``kernel("stacked")`` gives the same vectors whichever forward pass
     found its pivots.  ``kernel`` lists the kernel
     vectors for the callers that read it whole (extension generators,
@@ -167,7 +167,7 @@ class EvaluatedComplex:
 
     On a unimodular complex the conjugate-linear ``star`` from (p,q) to
     (n-q, n-p) reads columns as rows, for the lemma witness scans:
-    ``apply`` and ``nonzero_columns`` read del's columns from delbar's
+    ``apply`` and ``column_reads`` read del's columns from delbar's
     rows at the dual bidegree and the other way round, and
     ``in_ddbar_image`` reads im deldelbar from the kept row echelon of
     deldelbar at the dual, so none builds a transpose or a column echelon.
@@ -253,9 +253,7 @@ class EvaluatedComplex:
 
     def _row_echelon(self, op: str, p: int, q: int) -> Echelon:
         """The kept forward echelon of ``rows(op, p, q)``, for the kernel
-        readers and deldelbar's rank, completed in place into the RREF
-        once a kernel is read, with the same rank and the same pivots, in
-        the same order."""
+        readers and deldelbar's rank; no kernel read rewrites its rows."""
         key = (op, p, q)
         e = self._echelons.get(key)
         if e is None:
@@ -342,10 +340,10 @@ class EvaluatedComplex:
 
     def kernel_vectors(self, op: str, p: int, q: int, meets=None) -> Iterator[Vec]:
         """The vectors of ``kernel(op, p, q)``, in its order, each built
-        from the RREF when it is asked for; none of them is kept.  Given a
-        set of columns ``meets``, only those whose support meets it are
-        built (``linalg.Echelon.kernel``).  Any name but those of ``rows``
-        is refused."""
+        from its RREF column when it is asked for; none of them is kept.
+        Given a test of a column ``meets``, only those with a key that
+        passes it are yielded (``linalg.Echelon.kernel``).  Any name but
+        those of ``rows`` is refused."""
         return self._row_echelon(_known(op, _MATRICES), p, q).kernel(self.dim(p, q), meets=meets)
 
     # -- the Hodge star: columns as rows ------------------------------------
@@ -397,15 +395,21 @@ class EvaluatedComplex:
         out = self.star({j: s for j, s in acc.items() if s}, sp, sq)
         return {k: out[k] for k in sorted(out)}
 
-    def nonzero_columns(self, op: str, p: int, q: int) -> set:
-        """The nonzero columns of op (del or delbar) from SOURCE (p,q) on a
-        unimodular complex, with no transpose: the stars of the nonempty
-        rows of its dual (``_dual``), since the star of e_j is one
-        position there."""
+    def column_reads(self, op: str, p: int, q: int) -> Tuple[Callable[[int], bool], Callable[[Vec], Vec]]:
+        """The two reads of a witness scan over vectors at SOURCE (p,q),
+        op del or delbar: its support test, whether column j of op is
+        nonzero, and op x.  On a unimodular complex column j is nonzero
+        iff the row of op's dual (``_dual``) at the star position of j is,
+        and op x is ``apply``, so neither builds a transpose; on any other
+        complex both read one transpose of op's rows (``linalg.columns``),
+        which the scan drops with them."""
+        if not self.unimodular:
+            cols = linalg.columns(self.rows(op, p, q))
+            return cols.__contains__, lambda x: linalg.columns_vec(cols, x)
         rows = self._dual(op, p, q)[0]
         cp, cq = comb(self.n, p), comb(self.n, q)
         top = cp * cq - 1
-        return {top - (i % cp) * cq - i // cp for i, r in enumerate(rows) if r}
+        return (lambda j: bool(rows[top - j % cq * cp - j // cq])), (lambda x: self.apply(op, x, p, q))
 
     def in_ddbar_image(self, v: Vec, p: int, q: int) -> bool:
         """Whether v at (p,q) lies in im deldelbar.  On a unimodular

@@ -55,13 +55,13 @@ EvaluatedComplex builds once per image.  A failing verdict runs the
 vector route only to build its witness: the first vector of the tested
 space outside im deldelbar.
 For mild that space is del of ker deldelbar, whose vectors are read
-from its RREF one at a time, none kept (``ec.kernel_vectors``), so the
-route stops at the witness; those whose support meets no nonzero column
-of del are never built.  On a unimodular complex the others' images,
-the nonzero columns and every test against im deldelbar are read
-through the Hodge star, with no transpose and no column echelon
-(``ec.apply``, ``ec.nonzero_columns``, ``ec.in_ddbar_image``); on any
-other complex the images come from a column map of del read once per
+one RREF column at a time, none kept (``ec.kernel_vectors``), so the
+route stops at the witness; those with no key on a nonzero column of
+del are passed over, not imaged.  That support test and the images are
+the column reads of del (``ec.column_reads``).  On a unimodular complex
+they and every test against im deldelbar (``ec.in_ddbar_image``) are
+read through the Hodge star, with no transpose and no column echelon;
+on any other complex they come from a column map of del read once per
 scan, and the test from the image echelon of deldelbar.  Strong's space
 is the sum of the spaces that mild and dual mild test, so strong fails
 exactly when one of them fails, and its witness is theirs: mild's at
@@ -137,20 +137,14 @@ def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
 
 def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Vec]:
     """The nonzero images under op of the deldelbar kernel vectors, into
-    (p,q), each built when the scan reaches it and none kept, from the
-    columns of op that it touches.  A kernel vector whose support misses
-    every nonzero column of op is never built: the kernel read is handed
-    their key set (``ec.kernel_vectors``).  On a unimodular complex the
-    columns are stars of the rows of op's dual (``ec.apply``,
-    ``ec.nonzero_columns``), so no transpose is built; on any other, the
-    transpose of op's rows (``linalg.columns``), read once per scan and
-    dropped with it."""
+    (p,q), each built when the scan reaches it and none kept.  The kernel
+    read is handed the scan's support test, so a kernel vector with no
+    key on a nonzero column of op is not yielded; the test and the image
+    are the complex's column reads of op (``ec.column_reads``), through
+    the Hodge star on a unimodular complex, with no transpose, and else
+    from one transpose read once per scan."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
-    if ec.unimodular:
-        meets, image = ec.nonzero_columns(op, sp, sq), lambda x: ec.apply(op, x, sp, sq)
-    else:
-        cols = linalg.columns(ec.rows(op, sp, sq))
-        meets, image = cols.keys(), lambda x: linalg.columns_vec(cols, x)
+    meets, image = ec.column_reads(op, sp, sq)
     for x in ec.kernel_vectors("ddbar", sp, sq, meets=meets):
         v = image(x)
         if v:

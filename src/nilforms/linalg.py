@@ -20,16 +20,16 @@ solves with it, and ``solve_square`` reads X with A X = B from it, for
 the coframe inverse of ``deform_complex`` at a point (and the Green
 operators of the tests' Hodge and Kuranishi oracles).
 ``hermitian_pivots``, the exact positivity certificate, eliminates the
-rows of a Hermitian matrix forward, each tracked.  Where a kernel is
-read (``Echelon.kernel``), the echelon completes itself in place into
-the reduced row echelon form (RREF), once, and builds each kernel
-vector from it as a caller asks.
+rows of a Hermitian matrix forward, each tracked.  A kernel
+(``Echelon.kernel``) is read from the forward rows one vector at a
+time, each a column of the reduced row echelon form (RREF) found by
+back-substitution, so no row is rewritten or copied.
 
 The cost follows the nonzeros, not the rows: ``Echelon.extend`` passes
 over an empty row and stores a row that meets no leading column without
 reducing it, ``_forward_reduce`` returns such a row after one set test,
-and a kernel read given a set of columns builds only the vectors whose
-support, known from the RREF before the vector is built, meets it.
+and the kernel vector of a free column walks only the rows that its
+RREF column reaches.
 ``mat_mul`` and ``conj_transpose`` give each empty row of their result
 the shared read-only ``leibniz.EMPTY_ROW``, and a column walk reads the
 one transpose ``columns``, which passes over an empty row, where no
@@ -40,19 +40,13 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .leibniz import EMPTY_ROW
 from .scalars import GaussianRational, QI_MINUS_ONE, QI_ONE, QI_ZERO, _new, _reduced
 
 Vec = Dict[int, object]
 Rows = List[Vec]
-
-
-def vec_scale(v: Vec, c) -> Vec:
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
 
 
 def add_scaled_into(u: Vec, c, v: Vec) -> None:
@@ -71,15 +65,9 @@ def add_scaled_into(u: Vec, c, v: Vec) -> None:
             del u[k]
 
 
-def _negated(v: Vec) -> Vec:
-    """-v entry by entry: the same values as vec_scale(v, -1), with no
-    product and no coercion of the -1."""
-    return {k: -x for k, x in v.items()}
-
-
 class Echelon:
-    """Row echelon form by forward elimination, completed into the
-    reduced row echelon form (RREF) where a kernel is read.
+    """Row echelon form by forward elimination, from which a kernel read
+    finds the columns of the reduced row echelon form (RREF).
 
     ``pivots`` maps each leading column, in the order found, to its row:
     the vector reduced against the rows found before it, so it is 0 at
@@ -87,9 +75,7 @@ class Echelon:
     scaled nor inverted.  That reduced vector is the one element of v
     plus the span of the earlier rows that vanishes at their leading
     columns, so the leading columns and their order depend only on the
-    vectors fed, in their order.  ``kernel`` replaces the rows by those
-    of the RREF, at the same leading columns in the same order, and
-    every other question reads either form alike.
+    vectors fed, in their order.  No row is rewritten once stored.
     ``marks`` holds the rank after each ``extend``, so that of each
     leading run of the blocks fed.
     ``insert`` and ``contains`` test membership, ``track``
@@ -98,12 +84,12 @@ class Echelon:
     ``perfbench/tracing.py`` hooks ``Echelon.insert`` by name.
     """
 
-    __slots__ = ("pivots", "marks", "_free")
+    __slots__ = ("pivots", "marks", "_index")
 
     def __init__(self, pivots: Dict[int, Vec]):
         self.pivots = pivots
         self.marks: List[int] = []
-        self._free: Optional[Dict[int, List[int]]] = None
+        self._index: Optional[Tuple[Dict[int, List[int]], Dict[int, int]]] = None
 
     @property
     def rank(self) -> int:
@@ -125,7 +111,7 @@ class Echelon:
                 w = _reduce_meeting(pivots, v)
                 if w:
                     pivots[min(w)] = w
-        self._free = None
+        self._index = None
         self.marks.append(len(pivots))
         return self
 
@@ -134,7 +120,7 @@ class Echelon:
         w = _forward_reduce(self.pivots, v)
         if w:
             self.pivots[min(w)] = w
-            self._free = None
+            self._index = None
         return bool(w)
 
     def contains(self, v: Vec) -> bool:
@@ -150,7 +136,7 @@ class Echelon:
         w = _forward_reduce(self.pivots, {**v, width + j: QI_ONE})
         if min(w) < width:
             self.pivots[min(w)] = w
-            self._free = None
+            self._index = None
             return None
         return {k - width: c for k, c in w.items()}
 
@@ -166,63 +152,74 @@ class Echelon:
     def kernel(self, ncols: int, meets=None) -> Iterator[Vec]:
         """Basis of {x : M x = 0}, for the M whose rows were fed: one
         vector per free column f, ascending, each built when it is asked
-        for.  The first call, and the first after a row is added,
-        completes the rows in place into the RREF (``_complete``); the
-        vector of f is then e_f minus, at each pivot p, the entry of row
-        p at f, the pivots in the order found.
+        for from column f of the RREF alone (``_rref_column``): e_f minus,
+        at each pivot p, the entry of RREF row p at f, the pivots in the
+        order found, and so e_f where no stored row meets f.  No stored
+        row is rewritten or copied.
 
-        Its support is f and the pivots of ``_free[f]``, known before it
-        is built.  Given a set of columns ``meets``, only the vectors whose
-        support meets it are built, in the same order: the others cost a
-        set test, not a dict."""
-        if self._free is None:
-            self._free = self._complete()
-        pivots, free = self.pivots, self._free
+        Given a test of a column ``meets``, only the vectors with a key
+        that passes it are yielded, in the same order; the keys of each
+        are tested in order, f first, up to the first that passes."""
+        if self._index is None:
+            self._index = self._column_index()
+        pivots, cols = self.pivots, self._index[0]
         for f in range(ncols):
-            if f not in pivots:
-                leads = free.get(f, ())
-                if meets is not None and f not in meets and meets.isdisjoint(leads):
-                    continue
-                x = {f: QI_ONE}
-                for p in leads:
-                    x[p] = -pivots[p][f]
+            if f in pivots:
+                continue
+            if f not in cols:
+                if meets is None or meets(f):
+                    yield {f: QI_ONE}
+                continue
+            x = self._rref_column(f)
+            if meets is None or any(map(meets, x)):
                 yield x
 
-    def _complete(self) -> Dict[int, List[int]]:
-        """Replace each row by the row of the RREF at its lead, largest
-        lead first, and return the free-column index: each column with
-        an entry in a row other than its lead, with the leads of those
-        rows in the order found.
-
-        A row has no entry left of its lead, so the row at the largest
-        lead has no entry at any other lead: divided by its lead, it is
-        reduced.  Each later row meets other leads only at larger
-        columns, whose rows are already reduced and vanish at every
-        other lead, so one subtraction per lead met reduces it.  A row
-        that changes is copied first, since a stored row may be a
-        caller's vector held by reference; the leads, their order, the
-        rank and ``marks`` stay as they were.  A lead of -1 only negates,
-        and any other lead but 1 is inverted in Q(i).
-        """
-        pivots = self.pivots
-        for lead in sorted(pivots, reverse=True):
-            row = w = pivots[lead]
-            for k in [k for k in row if k != lead and k in pivots]:
-                if w is row:
-                    w = dict(row)
-                add_scaled_into(w, -row[k], pivots[k])
-            c = w[lead]
-            if c == -1:
-                w = _negated(w)
-            elif c != 1:
-                w = vec_scale(w, QI_ONE / c)
-            pivots[lead] = w
-        free: Dict[int, List[int]] = {}
-        for p, row in pivots.items():
+    def _column_index(self):
+        """Per column k, the leads of the rows with an entry at k other
+        than their lead, in the order found; and the position of each
+        lead in that order."""
+        cols: Dict[int, List[int]] = {}
+        for p, row in self.pivots.items():
             for k in row:
                 if k != p:
-                    free.setdefault(k, []).append(p)
-        return free
+                    cols.setdefault(k, []).append(p)
+        return cols, {p: i for i, p in enumerate(self.pivots)}
+
+    def _rref_column(self, f: int) -> Vec:
+        """The kernel vector x of free column f, read from the forward
+        rows by back-substitution: x_f = 1, x is 0 at every other free
+        column, and row p, whose entries lie at its lead p and right of
+        it, gives lead x_p = -(row[f] + sum row[k] x_k over the leads
+        k > p).  So x_p is found largest lead first, from a max-heap of
+        the leads whose rows meet f or a lead k with x_k != 0 (the
+        column index, ``_column_index``), and the work follows the rows
+        the column reaches, not the rank.  The RREF is unique, so x_p is
+        minus the entry of RREF row p at f; a lead of 1 or -1 divides
+        nothing."""
+        pivots = self.pivots
+        cols, order = self._index
+        sums = {p: pivots[p][f] for p in cols.get(f, ())}
+        heap = [-p for p in sums]
+        heapify(heap)
+        found: Vec = {}
+        while heap:
+            p = -heappop(heap)
+            s = sums[p]
+            if not s:
+                continue
+            lead = pivots[p][p]
+            y = found[p] = -s if lead == 1 else s if lead == -1 else -s / lead
+            for r in cols.get(p, ()):
+                t = sums.get(r)
+                if t is None:
+                    sums[r] = pivots[r][p] * y
+                    heappush(heap, -r)
+                else:
+                    sums[r] = t + pivots[r][p] * y
+        x = {f: QI_ONE}
+        for p in sorted(found, key=order.__getitem__):
+            x[p] = found[p]
+        return x
 
 
 def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:

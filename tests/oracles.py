@@ -404,6 +404,49 @@ def _vec_sub_scaled(u, c, v):
     return out
 
 
+def vec_scale(v, c):
+    """c*v entry by entry; {} for c = 0."""
+    if not c:
+        return {}
+    return {k: c * x for k, x in v.items()}
+
+
+def negated(v):
+    """-v entry by entry: the same values as vec_scale(v, -1), with no
+    product and no coercion of the -1."""
+    return {k: -x for k, x in v.items()}
+
+
+def completed_rref(e):
+    """The RREF of an echelon's rows, as a new pivot map in the order
+    found: the in-place completion that ``linalg.Echelon.kernel`` ran
+    before it read each kernel vector from its RREF column alone, run on
+    a copy of the pivot map, so the echelon is left as it was.
+
+    Each row is replaced by the row of the RREF at its lead, largest lead
+    first.  A row has no entry left of its lead, so the row at the
+    largest lead has no entry at any other lead: divided by its lead, it
+    is reduced.  Each later row meets other leads only at larger columns,
+    whose rows are already reduced and vanish at every other lead, so one
+    subtraction per lead met reduces it.  A row that changes is copied
+    first.  A lead of -1 only negates, and any other lead but 1 is
+    inverted in Q(i)."""
+    pivots = dict(e.pivots)
+    for lead in sorted(pivots, reverse=True):
+        row = w = pivots[lead]
+        for k in [k for k in row if k != lead and k in pivots]:
+            if w is row:
+                w = dict(row)
+            linalg.add_scaled_into(w, -row[k], pivots[k])
+        c = w[lead]
+        if c == -1:
+            w = negated(w)
+        elif c != 1:
+            w = vec_scale(w, QI_ONE / c)
+        pivots[lead] = w
+    return pivots
+
+
 class FullScanEchelon:
     """The incremental RREF with no column index: reduction copies the
     vector at every step, back-substitution after a useful insert probes
@@ -497,7 +540,7 @@ def generic_reduce_meeting(pivots, v):
 
 
 def nullspace(rows: Rows, ncols: int) -> Rows:
-    """Basis of {x : M x = 0} as a list, from the completed echelon of the
+    """Basis of {x : M x = 0} as a list, from the forward echelon of the
     rows of M (``linalg.nullspace`` before ``src`` stopped reading it)."""
     return list(linalg.forward_echelon(rows).kernel(ncols))
 
@@ -506,12 +549,12 @@ def span_intersection(a_vecs, b_vecs, negate=None):
     """Basis of span(a) cap span(b), from the relations among the columns
     [a | -b]: the route ``lemmata.strong`` took before it built its basis
     from the few del/delbar images of deldelbar-kernel vectors.  Each b
-    vector is negated by ``negate`` (default ``linalg._negated``)."""
-    from nilforms.linalg import Echelon, _negated, vec_scale
+    vector is negated by ``negate`` (default ``negated``)."""
+    from nilforms.linalg import Echelon
 
     if not a_vecs or not b_vecs:
         return []
-    cols = list(a_vecs) + [(negate or _negated)(v) for v in b_vecs]
+    cols = list(a_vecs) + [(negate or negated)(v) for v in b_vecs]
     idx = set()
     for v in cols:
         idx.update(v)
@@ -532,8 +575,6 @@ def span_intersection(a_vecs, b_vecs, negate=None):
 def negating_span_intersection(a_vecs, b_vecs):
     """span(a) cap span(b) with each b vector negated through
     vec_scale(v, -1), a product per entry by the coerced -1."""
-    from nilforms.linalg import vec_scale
-
     return span_intersection(a_vecs, b_vecs, negate=lambda v: vec_scale(v, -1))
 
 
@@ -553,11 +594,11 @@ def full_scan_kernel(pivots, ncols: int):
 
 
 def echelon_kernel_one_pass(e, ncols: int):
-    """Kernel basis of an RREF, every vector filled in one pass over the
-    stored rows: the vector of free column f is e_f minus, at each pivot
-    p, the entry of row p at f."""
+    """Kernel basis of an echelon, every vector filled in one pass over
+    the rows of its RREF (``completed_rref``): the vector of free column
+    f is e_f minus, at each pivot p, the entry of RREF row p at f."""
     free = {f: {f: QI_ONE} for f in range(ncols) if f not in e.pivots}
-    for p, row in e.pivots.items():
+    for p, row in completed_rref(e).items():
         for f, c in row.items():
             if f != p:
                 free[f][p] = -c
@@ -1374,7 +1415,7 @@ def weak_by_nullspace(ec, p: int):
     del_span = linalg.realify_span(ec.image_vectors("del", p, q))
     cols = [linalg.realify_vec(v) for v in delbar_images]
     ncols_psi = len(cols)
-    cols = cols + [linalg._negated(v) for v in del_span]
+    cols = cols + [negated(v) for v in del_span]
     rows = rows_from_columns(cols, 2 * ec.dim(p, q))
     relations = nullspace(rows, len(cols))
     target = FullScanEchelon()
@@ -1623,7 +1664,7 @@ def mat_add(a: Rows, b: Rows) -> Rows:
 
 
 def mat_scale(a: Rows, c) -> Rows:
-    return [linalg.vec_scale(r, c) for r in a]
+    return [vec_scale(r, c) for r in a]
 
 
 def zero_rows(n: int) -> Rows:

@@ -41,6 +41,7 @@ from oracles import (
     bcvary_oracle,
     block_ranks_by_suffix_pass,
     canonical_solver_rows,
+    completed_rref,
     ddbar_preimage_by_tracked_rref,
     delbar_rank_by_own_pass,
     evaluated_rows,
@@ -60,6 +61,7 @@ from oracles import (
     residues,
     torus_oracle,
     vec_add,
+    vec_scale,
     vec_to_form_by_basis,
     walker_part,
 )
@@ -250,7 +252,7 @@ def test_canonical_ddbar_solution(ec_iwasawa, iwasawa3):
         for _ in range(20):
             k = {}
             for v in kernel:
-                k = vec_add(k, linalg.vec_scale(v, rng.gaussian(2)))
+                k = vec_add(k, vec_scale(v, rng.gaussian(2)))
             if not k:
                 continue
             assert base <= norm2_vec(vec_add(xv, k))
@@ -299,7 +301,7 @@ def test_solve_conjugate_system_solves(ec_torus, torus3):
 def test_full_report_builds_no_kernel_or_image_basis(iwasawa3):
     ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
     full_report(ec)
-    assert all(e._free is None for e in ec._echelons.values())
+    assert all(e._index is None for e in ec._echelons.values())
     assert ec._images == {}
 
 
@@ -751,8 +753,7 @@ def test_star_reads_equal_the_transposes(reference_complexes):
     unimodular): the star is an involution on every bidegree; for del and
     delbar from every (p,q), the image of each unit vector read through
     the star (``apply``) is that column of ``linalg.columns`` of the rows,
-    entries, key order and types alike, and ``nonzero_columns`` is the
-    key set of that transpose; and membership in im deldelbar through the
+    entries, key order and types alike; and membership in im deldelbar through the
     star (``in_ddbar_image``) is membership in ``image_echelon("ddbar")``
     for every del and delbar image of a deldelbar kernel vector, for
     deldelbar of seeded random vectors (inside), and for those plus a
@@ -773,7 +774,6 @@ def test_star_reads_equal_the_transposes(reference_complexes):
                     if not ec.dim(p + (op == "del"), q + (op == "delbar")):
                         continue
                     cols = linalg.columns(ec.rows(op, p, q))
-                    assert ec.nonzero_columns(op, p, q) == cols.keys(), (label, op, p, q)
                     for j in range(dim):
                         got = ec.apply(op, {j: QI_ONE}, p, q)
                         assert _typed(got) == _typed(cols.get(j, {})), (label, op, p, q, j)
@@ -794,6 +794,34 @@ def test_star_reads_equal_the_transposes(reference_complexes):
                             assert ec.in_ddbar_image(u, p, q) is want, (label, p, q)
                             inside[want] += 1
     assert inside[True] > inside[False] > 0
+
+
+def test_scan_column_reads_equal_the_transposes(reference_complexes):
+    """On every complex of ``tests/data/report_digests.json`` and on
+    solvable3, which is not unimodular: for del and delbar from every
+    (p,q), the support test of a witness scan (``column_reads``) passes
+    exactly the keys of ``linalg.columns`` of the rows, at every column,
+    and its image of each unit vector is that column, entries, key order
+    and types alike."""
+    cases = list(reference_complexes)
+    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
+    cases.append(("solvable3", build_complex(nio.obj_to_se(SOLVABLE)), ()))
+    routes = Counter()
+    for label, cx, point in cases:
+        ec = EvaluatedComplex(cx, point)
+        routes[ec.unimodular] += 1
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                for op in ("del", "delbar"):
+                    if not ec.dim(p + (op == "del"), q + (op == "delbar")):
+                        continue
+                    cols = linalg.columns(ec.rows(op, p, q))
+                    meets, image = ec.column_reads(op, p, q)
+                    at = (label, op, p, q)
+                    assert [j for j in range(ec.dim(p, q)) if meets(j)] == sorted(cols), at
+                    for j in range(ec.dim(p, q)):
+                        assert _typed(image({j: QI_ONE})) == _typed(cols.get(j, {})), at + (j,)
+    assert routes == {True: 16, False: 1}
 
 
 def _typed(v):
@@ -858,12 +886,14 @@ def test_conjugation_check_compares_separate_eliminations(monkeypatch, iwasawa3,
     assert compared == (n + 1) ** 2 + 2 * n * (n + 1)
 
 
-def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_complexes):
+def test_kernels_read_the_forward_echelon_as_the_direct_rref(reference_complexes):
     """After full_report has taken every rank from forward echelons, each
-    kernel completes its matrix's echelon in place, the same object, into
-    the RREF that the full-scan oracle builds directly from the matrix
-    rows, pivot for pivot in the same order, and equals the oracle's
-    kernel: the same vectors, entry types and key order."""
+    kernel is read from its matrix's kept echelon, the same object, whose
+    RREF (``completed_rref``) is the one that the full-scan oracle builds
+    directly from the matrix rows, pivot for pivot in the same order,
+    and equals the oracle's kernel: the same vectors, entry types and
+    key order.  The kernel read leaves every stored row the object it
+    was."""
     for label, cx, point in reference_complexes:
         ec = EvaluatedComplex(cx, point)
         full_report(ec)
@@ -871,6 +901,7 @@ def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_com
             for p in range(ec.n + 1):
                 for q in range(ec.n + 1):
                     e = ec._row_echelon(op, p, q)
+                    stored = dict(e.pivots)
                     got = ec.kernel(op, p, q)
                     direct = FullScanEchelon()
                     for row in ec.rows(op, p, q):
@@ -878,8 +909,10 @@ def test_kernels_complete_the_forward_echelon_into_the_direct_rref(reference_com
                     want = full_scan_kernel(direct.pivots, ec.dim(p, q))
                     typed = [[(k, type(x), x) for k, x in v.items()] for v in got]
                     assert typed == [[(k, type(x), x) for k, x in v.items()] for v in want], (label, op, p, q)
-                    assert ec._row_echelon(op, p, q) is e and e.pivots == direct.pivots, (label, op, p, q)
-                    assert list(e.pivots) == list(direct.pivots), (label, op, p, q)
+                    rref = completed_rref(e)
+                    assert ec._row_echelon(op, p, q) is e and rref == direct.pivots, (label, op, p, q)
+                    assert list(rref) == list(direct.pivots) == list(e.pivots), (label, op, p, q)
+                    assert all(e.pivots[k] is row for k, row in stored.items()), (label, op, p, q)
 
 
 def test_del_and_stacked_ranks_equal_separate_eliminations(reference_complexes):
@@ -889,9 +922,9 @@ def test_del_and_stacked_ranks_equal_separate_eliminations(reference_complexes):
     del rows and of the stacked rows, and that pass keeps no echelon.
     kernel("stacked") equals the oracle ``nullspace`` of the del rows above
     the delbar rows and the full-scan oracle's kernel, entry types and
-    key order included, both when del's kernel, which completes del's
-    echelon into the RREF, was read first and when it was not; reading
-    it changes none of the del or delbar rows."""
+    key order included, both when del's kernel, which indexes the
+    columns of del's echelon, was read first and when it was not;
+    reading it changes none of the del or delbar rows."""
     for label, cx, point in reference_complexes:
         for del_kernel_first in (False, True):
             ec = EvaluatedComplex(cx, point)
@@ -960,18 +993,19 @@ def test_a_second_point_reuses_the_assembly_plans(bcvary10):
         assert all(family.layout.plans[key] is plan for key, plan in plans.items())
 
 
-def test_completing_in_place_changes_nothing_a_caller_saw(monkeypatch, reference_complexes):
+def test_kernel_reads_change_nothing_a_caller_saw(monkeypatch, reference_complexes):
     """On every matrix of the reference complexes, reading the kernel,
-    which completes the matrix's echelon in place, leaves the matrix rows
-    equal, key order included, to a snapshot of their entries taken
-    before (the scalars are immutable); the rank,
-    the pivot order and ``marks`` as they were; and ``contains`` and
+    which indexes the columns of the matrix's echelon
+    (``Echelon._column_index``), leaves the matrix rows equal, key order
+    included, to a snapshot of their entries taken before (the scalars
+    are immutable); the stored rows the same objects; the rank, the
+    pivot order and ``marks`` as they were; and ``contains`` and
     ``residues`` on seeded probes (members among them) answering as
-    before.  A second kernel read completes nothing again and returns
-    the same vectors."""
-    completions = []
-    complete = linalg.Echelon._complete
-    monkeypatch.setattr(linalg.Echelon, "_complete", lambda e: completions.append(e) or complete(e))
+    before.  A second kernel read indexes nothing again and returns the
+    same vectors."""
+    indexed = []
+    index = linalg.Echelon._column_index
+    monkeypatch.setattr(linalg.Echelon, "_column_index", lambda e: indexed.append(e) or index(e))
     rng = DetRng(2323)
     for label, cx, point in reference_complexes:
         ec = EvaluatedComplex(cx, point)
@@ -986,15 +1020,16 @@ def test_completing_in_place_changes_nothing_a_caller_saw(monkeypatch, reference
                               for _ in range(4 if ncols else 0)]
                     probes += [vec_add(r, probes[0]) for r in rows[:3] if probes] + rows[:3]
                     answers = ([e.contains(v) for v in probes], residues(e, probes))
+                    held = [id(r) for r in e.pivots.values()]
                     kernel = list(ec.kernel_vectors(op, p, q))
                     at = (label, op, p, q)
                     assert [list(r.items()) for r in rows] == before, at
                     assert (e.rank, list(e.pivots), list(e.marks)) == seen, at
                     assert ([e.contains(v) for v in probes], residues(e, probes)) == answers, at
-                    assert completions == [e], at
-                    completions.clear()
-                    held = [id(r) for r in e.pivots.values()]
-                    assert list(ec.kernel_vectors(op, p, q)) == kernel and not completions, at
+                    assert indexed == [e], at
+                    assert [id(r) for r in e.pivots.values()] == held, at
+                    indexed.clear()
+                    assert list(ec.kernel_vectors(op, p, q)) == kernel and not indexed, at
                     assert [id(r) for r in e.pivots.values()] == held, at
 
 

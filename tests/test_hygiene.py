@@ -254,16 +254,17 @@ def test_transpose_scan_sees_what_it_should():
 
 def test_only_three_readers_transpose_a_matrix():
     """``linalg.columns`` is read in three places: the image echelons
-    (``EvaluatedComplex._image``), the mild and dual mild scan on a
-    complex that is not unimodular (``lemmata._kernel_images``; on a
-    unimodular one it reads columns as Hodge-star rows), and weak's real
-    span T (``lemmata._real_delbar_span``), each once.  So a transpose
+    (``EvaluatedComplex._image``), the column reads of the mild and dual
+    mild scan on a complex that is not unimodular
+    (``EvaluatedComplex.column_reads``; on a unimodular one they read
+    columns as Hodge-star rows), and weak's real span T
+    (``lemmata._real_delbar_span``), each once.  So a transpose
     in a new place, or a second one in these, takes a deliberate edit
     here."""
     readers = sorted((path.stem, where) for path in SRC.glob("*.py") for _, where in transpose_readers(path.read_text()))
     assert readers == [
         ("cohomology", "EvaluatedComplex._image"),
-        ("lemmata", "_kernel_images"),
+        ("cohomology", "EvaluatedComplex.column_reads"),
         ("lemmata", "_real_delbar_span"),
     ]
 
@@ -562,8 +563,10 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     positivity certificate is a tracked ``Echelon``.  ``linalg`` defines
     one elimination class, ``Echelon``, the one class of the package with
     an ``insert`` method; the incremental RREF it replaced, with its
-    builders and helpers, is gone, since ``Echelon.kernel`` completes the
-    forward echelon in place where a kernel is read, and so is the
+    builders and helpers, is gone, and so are the in-place completion
+    into it (``_complete``) and the row helpers only that completion
+    used (``vec_scale``, ``_negated``), since ``Echelon.kernel`` reads
+    each RREF column from the forward rows, and the
     ``is_positive_definite`` pass-through of ``hermitian_pivots``.  The
     Jacobi loop, the pairing scan and ``JacobiError`` are gone, since
     ``StructureEquations.require_flat`` decides d^2 = 0, and so is the
@@ -586,7 +589,8 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     and its ``NotSolvable`` are gone; the basis route of a cohomology
     (``_representatives``, ``_CYCLES_MOD``, the ``with_basis`` parameter)
     is a test oracle.  An ``EvaluatedComplex`` keeps no column table and
-    no kernel list: its ``columns`` and ``linalg.columns_of`` are gone,
+    no kernel list: its ``columns``, its ``nonzero_columns`` and
+    ``linalg.columns_of`` are gone,
     a column walk reads the one transpose ``linalg.columns`` or the Hodge
     star (``test_only_three_readers_transpose_a_matrix``), and no
     module assigns a ``_cols`` or ``_kernels`` attribute.  ``lemma_report``
@@ -610,7 +614,7 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
             "rows_from_columns", "zero_rows", "vec_add", "_frame_derivative", "holomorphic",
             "LieBracketTable", "lie_brackets", "BeltramiDifferential", "delbar_on_vectors", "_total_degree",
             "schouten", "check_integrability", "main1_residual", "HALF", "columns_of",
-            "with_standard"}
+            "with_standard", "_complete", "vec_scale", "_negated", "nonzero_columns"}
     defined |= {name for _, name in owned}
     assert gone.isdisjoint(defined), gone & defined
     assert ("EvaluatedComplex", "columns") not in owned and ("EvaluatedComplex", "kernel") in owned

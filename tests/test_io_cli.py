@@ -487,23 +487,30 @@ def test_a_misplaced_order_names_both_orders(capsys):
 
 def test_a_command_out_of_memory_is_one_error_line(monkeypatch, capsys):
     """A command that runs out of memory exits 1 with one error line
-    naming the command, not a traceback."""
+    naming the command, and the n of its complex once the manifold is
+    loaded, not a traceback."""
     parser = cli._parser()
     real = parser.parse_args
+    load = []
 
     def parse(argv=None):
         args = real(argv)
 
         def fn(args):
+            if load:
+                cli._load_manifold(args)
             raise MemoryError
 
         args.fn = fn
         return args
 
     monkeypatch.setattr(parser, "parse_args", parse)
-    assert cli.main(["cohomology", "--manifold", "catalog:iwasawa3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: cohomology ran out of memory\n" and captured.out == ""
+    for loaded, want in ((False, "error: cohomology ran out of memory\n"),
+                         (True, "error: cohomology ran out of memory at n = 3\n")):
+        load[:] = [True] if loaded else []
+        assert cli.main(["cohomology", "--manifold", "catalog:iwasawa3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == want and captured.out == ""
 
 
 #: recorded stdout of the README examples: the arithmetic is exact, so a

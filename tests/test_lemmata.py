@@ -428,9 +428,9 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
 
 
 def _kernels_read(ec, op):
-    """The keys of op's row echelons that a kernel read has completed
-    into the RREF (``linalg.Echelon.kernel``)."""
-    return [key for key, e in ec._echelons.items() if key[0] == op and e._free is not None]
+    """The keys of op's row echelons whose columns a kernel read has
+    indexed (``linalg.Echelon.kernel``)."""
+    return [key for key, e in ec._echelons.items() if key[0] == op and e._index is not None]
 
 
 def _typed_items(v):
@@ -512,8 +512,8 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     the one the complex caches: deldelbar enters by its rank only, and no
     image of it is built or read.  Strong, passing
     or failing, makes no columns_vec,
-    kernel, _image or RREF completion (``Echelon._complete``, where a
-    kernel is read) beyond those of mild and dual mild:
+    kernel, _image or column index (``Echelon._column_index``, which the
+    first kernel read of an echelon builds) beyond those of mild and dual mild:
     in lemma_report each such call is made inside mild, dual mild, weak
     or standard; strong called alone makes none when it holds, and when
     it fails the calls, in order, of mild at (p,q), then of dual mild if
@@ -548,7 +548,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     monkeypatch.setattr(EvaluatedComplex, "_image", counted("image", EvaluatedComplex._image))
     monkeypatch.setattr(linalg, "columns_vec", counted("columns_vec", linalg.columns_vec))
     monkeypatch.setattr(EvaluatedComplex, "kernel", counted("kernel", EvaluatedComplex.kernel))
-    monkeypatch.setattr(linalg.Echelon, "_complete", counted("rref", linalg.Echelon._complete))
+    monkeypatch.setattr(linalg.Echelon, "_column_index", counted("index", linalg.Echelon._column_index))
     ec = EvaluatedComplex(iwasawa_c, ())
     full_report(ec)
     work.clear()
@@ -556,7 +556,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     assert {name for name, _, ok in verdicts if ok} == {"mild", "dual_mild", "weak"}
     assert set(report.strong_flags.values()) == {True, False} and not report.strong_flags[(2, 2)]
     assert work and all(index is not None for index, _ in work)
-    assert "rref" in {tag for _, tag in work}  # a failing mild completes its kernel's echelon
+    assert "index" in {tag for _, tag in work}  # a failing mild indexes its kernel's echelon
     by_verdict = {}
     for index, tag in work:
         by_verdict.setdefault(index, []).append(tag)
@@ -798,8 +798,9 @@ def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
 
 def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     """At bcvary10's first generic point, after full_report, lemma_report
-    takes no nullspace: every RREF it completes (``Echelon._complete``)
-    is that of a row echelon the complex keeps, for a kernel reader, so
+    takes no nullspace: every echelon whose columns it indexes for a
+    kernel read (``Echelon._column_index``) is a row echelon the complex
+    keeps, for a kernel reader, so
     standard's witness route (``_pure_d_exact``, one nullspace before)
     and weak's take none.  It builds no Fraction: weak eliminates its
     realified vectors as real Gaussian rationals (1,870 Fractions over
@@ -821,8 +822,8 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     monkeypatch.setattr(linalg.Echelon, "extend", recording)
     full_report(ec)
     completed, built = [], []
-    complete, new = linalg.Echelon._complete, Fraction.__new__
-    monkeypatch.setattr(linalg.Echelon, "_complete", lambda self: completed.append(self) or complete(self))
+    index, new = linalg.Echelon._column_index, Fraction.__new__
+    monkeypatch.setattr(linalg.Echelon, "_column_index", lambda self: completed.append(self) or index(self))
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
     report = lemma_report(ec)
     monkeypatch.setattr(Fraction, "__new__", new)
@@ -841,10 +842,15 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
 def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, reference_complexes):
     """On Iwasawa^2 x C after full_report, lemma_report keeps no deldelbar
     kernel (the list route kept 15,519 vectors).  Each failing mild or
-    dual mild builds, through ``kernel_vectors``, exactly the vectors of
-    a prefix of the deldelbar kernel whose support meets a nonzero column
-    of del or delbar, the prefix ending at its witness: a vector that
-    misses them all is never built, and there are some.  It tests, in
+    dual mild reads exactly a prefix of the deldelbar kernel, the prefix
+    ending at its witness: it back-substitutes (``Echelon._rref_column``)
+    exactly the free columns of that prefix that a stored row meets, in
+    order, the others being unit vectors, and there are both kinds.  It
+    is yielded, through
+    ``kernel_vectors``, exactly the vectors of that prefix whose support
+    meets a nonzero column of del or delbar: a vector that misses them
+    all is passed over by the support test, never yielded or imaged, and
+    there are some.  It tests, in
     order, exactly the images of the built vectors that the full-table
     oracle finds nonzero.  Weak's and standard's witnesses take no
     kernel.  Its JSON equals that of a complex whose deldelbar kernels
@@ -854,6 +860,11 @@ def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, refer
     full_report(ec)
     built, scans = Counter(), []
     kernel_vectors, witness = EvaluatedComplex.kernel_vectors, lemmata._witness
+    rref_column = linalg.Echelon._rref_column
+
+    def reading(self, f):
+        scans[-1][5].append(f)
+        return rref_column(self, f)
 
     def counting(self, op, p, q, **kw):
         for x in kernel_vectors(self, op, p, q, **kw):
@@ -862,20 +873,21 @@ def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, refer
             yield x
 
     def testing(ec, kind, p, q, vectors):
-        scan = (kind, p, q, [], [])
+        scan = (kind, p, q, [], [], [])
         scans.append(scan)
         return witness(ec, kind, p, q, (scan[4].append(v) or v for v in vectors))
 
     monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", counting)
     monkeypatch.setattr(lemmata, "_witness", testing)
+    monkeypatch.setattr(linalg.Echelon, "_rref_column", reading)
     report = lemma_report(ec)
     monkeypatch.undo()
     oracle, kinds, never_built = EvaluatedComplex(cx, ()), Counter(), 0
-    for kind, p, q, xs, tested in scans:
+    for kind, p, q, xs, tested, reads in scans:
         kinds[kind] += 1
         if kind not in ("mild", "dual_mild"):
             # weak and standard test vectors of their own, built without a kernel
-            assert not xs, (kind, p, q)
+            assert not xs and not reads, (kind, p, q)
             continue
         op, sp, sq = ("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
         cols = linalg.columns(oracle.rows(op, sp, sq))
@@ -886,9 +898,16 @@ def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, refer
         assert images[-1] and tested == [v for v in images if v], (kind, p, q)
         # the prefix of the full kernel that ends at the witness's vector
         prefix = full[:full.index(xs[-1]) + 1]
+        e = oracle._row_echelon("ddbar", sp, sq)
+        met = {k for lead, row in e.pivots.items() for k in row if k != lead}
+        frees = [next(iter(x)) for x in prefix]
+        assert reads == [f for f in frees if f in met], (kind, p, q)
+        assert all(x == {f: QI_ONE} for f, x in zip(frees, prefix) if f not in met), (kind, p, q)
+        kinds["read"] += len(reads)
+        kinds["unit"] += len(prefix) - len(reads)
         never_built += len(prefix) - len(xs)
-    assert set(built) == {"ddbar"} and built["ddbar"] == sum(len(xs) for *_, xs, _ in scans)
-    assert kinds["mild"] and kinds["dual_mild"] and never_built
+    assert set(built) == {"ddbar"} and built["ddbar"] == sum(len(xs) for *_, xs, _, _ in scans)
+    assert kinds["mild"] and kinds["dual_mild"] and never_built and kinds["read"] and kinds["unit"]
     first = EvaluatedComplex(cx, ())
     full_report(first)
     for p in range(cx.n + 1):
@@ -961,10 +980,14 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
 def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monkeypatch, iwasawa3):
     """On Iwasawa, delbar from (1,1) has nonzero columns 2, 5 and 8 only.
     With a deldelbar echelon at (1,1) whose kernel vectors meet them at
-    their free column, at a pivot only, or not at all, the route builds
-    exactly the kernel vectors that meet them, whichever key meets, and
-    yields the nonzero images of those, as the full-table oracle forms
-    them; the kernel vectors that miss them are never built."""
+    their free column, at a pivot only, or not at all, the route
+    back-substitutes (``Echelon._rref_column``) exactly the free columns
+    that a stored row meets, 3, 4 and 6 (0, 7 and 8 give unit vectors),
+    is yielded exactly the
+    kernel vectors that meet them, whichever key meets, and yields the
+    nonzero images of those, as the full-table oracle forms them; the
+    kernel vectors that miss them are passed over by the support test,
+    never yielded or imaged."""
     ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
     cols = linalg.columns(ec.rows("delbar", 1, 1))
     assert sorted(cols) == [2, 5, 8] and ec.dim(1, 1) == 9
@@ -973,7 +996,8 @@ def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monk
     monkeypatch.setitem(ec._echelons, ("ddbar", 1, 1), linalg.Echelon(rref))
     full = list(ec.kernel_vectors("ddbar", 1, 1))
     assert [sorted(x) for x in full] == [[0], [2, 3], [1, 4], [5, 6], [7], [8]]
-    built, kernel_vectors = [], EvaluatedComplex.kernel_vectors
+    built, reads, kernel_vectors = [], [], EvaluatedComplex.kernel_vectors
+    rref_column = linalg.Echelon._rref_column
 
     def counting(self, op, p, q, **kw):
         for x in kernel_vectors(self, op, p, q, **kw):
@@ -981,10 +1005,48 @@ def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monk
             yield x
 
     monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", counting)
+    monkeypatch.setattr(linalg.Echelon, "_rref_column", lambda self, f: reads.append(f) or rref_column(self, f))
     images = list(lemmata._kernel_images(ec, "delbar", 1, 2))
+    assert reads == [3, 4, 6]
     assert built == [full[1], full[3], full[5]]
     want = [v for v in (linalg.columns_vec(cols, x) for x in full) if v]
     assert len(want) == 3 and images == want
+
+
+class _FirstStored(dict):
+    """A pivot map that records the first row stored at each lead."""
+
+    def __init__(self, pivots):
+        super().__init__(pivots)
+        self.first = dict(pivots)
+
+    def __setitem__(self, lead, row):
+        self.first.setdefault(lead, row)
+        super().__setitem__(lead, row)
+
+
+def test_kept_echelons_hold_the_rows_forward_elimination_stored(monkeypatch, reference_complexes):
+    """On H(5,C) and Iwasawa^2 x C, after full_report and then
+    lemma_report, every stored row of every kept echelon (the row
+    echelons, the image echelons and the tracked preimage echelons) is
+    the very object that forward elimination first stored at its lead
+    (identity, not equality): no kernel read copies or rewrites a row
+    into an RREF.  Kernels were read: each complex has failing mild
+    verdicts, and some kept row echelon has a column index."""
+    init = linalg.Echelon.__init__
+    monkeypatch.setattr(linalg.Echelon, "__init__", lambda self, pivots: init(self, _FirstStored(pivots)))
+    iwasawa2_c = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
+    for label, cx in (("H(5,C)", build_complex(heisenberg_c(5))), ("iwasawa2_c", iwasawa2_c)):
+        ec = EvaluatedComplex(cx, ())
+        full_report(ec)
+        report = lemma_report(ec)
+        assert not all(report.mild_flags.values()), label
+        assert any(e._index is not None for e in ec._echelons.values()), label
+        kept = list(ec._echelons.values()) + [e for _, e in ec._images.values()]
+        kept += [e for _, e in ec._preimages.values()]
+        for e in kept:
+            assert type(e.pivots) is _FirstStored and e.pivots.first.keys() == e.pivots.keys(), label
+            assert all(e.pivots.first[p] is row for p, row in e.pivots.items()), label
 
 
 class _CountedRow(dict):

@@ -18,6 +18,7 @@ from nilforms.scalars import QI_MINUS_ONE, QI_ONE, DetRng, GaussianRational, QI
 from oracles import (
     FullScanEchelon,
     column_list,
+    completed_rref,
     complex_rank,
     dense_rank,
     dense_to_rows,
@@ -25,6 +26,7 @@ from oracles import (
     generic_reduce_meeting,
     hermitian_pivots_ldl,
     mat_mul_of_every_row,
+    negated,
     negating_span_intersection,
     nonzero_gaussian,
     nullspace,
@@ -37,6 +39,7 @@ from oracles import (
     solve_dense,
     span_intersection,
     vec_add,
+    vec_scale,
 )
 
 
@@ -86,7 +89,7 @@ def test_relations_modulo_equal_the_nullspace_relations(field, seed):
     ncols = 6 + rng.next_int(10)
     pool = _sparse_inputs(rng, field, ncols + ncols // 2, ncols)
     base, vectors = pool[:ncols // 2], pool[ncols // 2:]
-    cols = base + [linalg._negated(v) for v in vectors]
+    cols = base + [negated(v) for v in vectors]
     want = []
     for rel in nullspace(rows_from_columns(cols, ncols), len(cols)):
         if max(rel) >= len(base):  # its free column is that of a vector
@@ -146,7 +149,7 @@ def _sparse_inputs(rng, field, count, ncols):
         elif roll <= 2 and len(vecs) >= 2:
             v = {}
             for _ in range(1 + rng.next_int(3)):
-                v = vec_add(v, linalg.vec_scale(vecs[rng.next_int(len(vecs))], draw()))
+                v = vec_add(v, vec_scale(vecs[rng.next_int(len(vecs))], draw()))
         else:
             lead = rng.next_int(ncols)
             v = {lead: draw() if roll == 3 else one if roll == 4 else -one}
@@ -174,11 +177,12 @@ def _real(*values):
 
 def test_int_leads_divide_exactly():
     """Realified Gaussian integers are real Gaussian-integer vectors, a
-    part of 1 the shared ``QI_ONE``.  A lead of 2 or -3 is inverted
-    exactly where the kernel completes the echelon, so after each insert
-    the completed rows and the kernel equal the full-scan oracle's, a
-    tracked forward solve gives the vector back, and every entry is a
-    real Gaussian rational."""
+    part of 1 the shared ``QI_ONE``.  A lead of 2 or -3 is divided
+    exactly where the kernel reads an RREF column, so after each insert
+    the RREF of the stored rows (``completed_rref``) and the kernel equal
+    the full-scan oracle's, the kernel read leaves each stored row the
+    same object, a tracked forward solve gives the vector back, and every
+    entry is a real Gaussian rational."""
     vecs = [linalg.realify_vec({0: QI(2), 1: QI(1, 3)})] + _real(
         {1: -3, 2: 1, 4: 2},
         {0: 2, 1: -3, 2: 7, 3: 3},
@@ -190,11 +194,14 @@ def test_int_leads_divide_exactly():
     fast, slow = Echelon({}), FullScanEchelon()
     for v in vecs:
         assert fast.insert(v) == slow.insert(v)
+        stored = dict(fast.pivots)
         kernel = list(fast.kernel(5))
-        assert fast.pivots == slow.pivots
+        assert all(fast.pivots[p] is row for p, row in stored.items()) and len(fast.pivots) == len(stored)
+        assert completed_rref(fast) == slow.pivots
         _assert_real_qi(fast.pivots.values())
         if v is vecs[0]:
-            assert fast.pivots[0] == {0: 1, 2: QI(Fraction(1, 2)), 3: QI(Fraction(3, 2))}
+            assert fast.pivots[0] is vecs[0]
+            assert completed_rref(fast)[0] == {0: 1, 2: QI(Fraction(1, 2)), 3: QI(Fraction(3, 2))}
         assert kernel == full_scan_kernel(slow.pivots, 5)
         _assert_real_qi(kernel)
     assert fast.rank == 4
@@ -237,7 +244,7 @@ def _qi_rows(draw):
     def row():
         if len(rows) >= 2 and draw(st.integers(0, 3)) == 0:
             i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
-            v = linalg.vec_scale(rows[i], draw(_ENTRIES))
+            v = vec_scale(rows[i], draw(_ENTRIES))
             linalg.add_scaled_into(v, draw(_ENTRIES), rows[j])
             return v
         lead = draw(st.integers(0, ncols - 1))
@@ -256,8 +263,9 @@ def _qi_rows(draw):
 def _observe(rows, probes, ncols, split):
     """Everything an Echelon gives for the rows: stored rows (entries in
     order), leads and marks of two extends, residues of the probes,
-    tracked relations and solves, the kernel vectors and the completed
-    rows; each entry with its type."""
+    tracked relations and solves, the kernel vectors and the rows of
+    the RREF of the stored rows (``completed_rref``); each entry with
+    its type."""
     def typed(v):
         return None if v is None else _typed(v)
 
@@ -269,7 +277,7 @@ def _observe(rows, probes, ncols, split):
     out["track"] = [typed(t.track(v, j, ncols)) for j, v in enumerate(rows)]
     out["solve"] = [typed(t.solve(v, ncols)) for v in probes + rows]
     out["kernel"] = [typed(x) for x in e.kernel(ncols)]
-    out["completed"] = [(p, typed(r)) for p, r in e.pivots.items()]
+    out["completed"] = [(p, typed(r)) for p, r in completed_rref(e).items()]
     return out
 
 
@@ -280,7 +288,7 @@ def test_fused_kernel_equals_the_generic_elimination(case):
     and type for type, what the generic step through the scalar methods
     gives (``oracles.generic_reduce_meeting``): the stored rows, leads
     and marks, the residues, the tracked relations and solves, the
-    kernel vectors and the completed rows."""
+    kernel vectors and the rows of the RREF of the stored rows."""
     got = _observe(*case)
     with mock.patch.object(linalg, "_reduce_meeting", generic_reduce_meeting):
         want = _observe(*case)
@@ -301,11 +309,24 @@ def _insert_kind(slow, v):
 
 
 def _assert_completed_equals(fast, slow):
-    """The completed rows are the oracle's RREF rows, pivot for pivot in
-    the order found, entry for entry with the field's types."""
-    assert list(fast.pivots) == list(slow.pivots)
+    """The RREF of the stored rows (``completed_rref``) is the oracle's,
+    pivot for pivot in the order found, entry for entry with the field's
+    types."""
+    rref = completed_rref(fast)
+    assert list(rref) == list(slow.pivots)
     for p, row in slow.pivots.items():
-        assert sorted(_typed(fast.pivots[p])) == sorted(_typed(row))
+        assert sorted(_typed(rref[p])) == sorted(_typed(row))
+
+
+def _read_kernel(e, ncols, meets=None):
+    """The kernel of e, read column by column, and checked to leave each
+    stored row the very object it was and with the entries it had."""
+    stored = {p: (row, list(row.items())) for p, row in e.pivots.items()}
+    kernel = list(e.kernel(ncols, meets=meets))
+    assert list(e.pivots) == list(stored)
+    for p, (row, items) in stored.items():
+        assert e.pivots[p] is row and list(row.items()) == items, p
+    return kernel
 
 
 @pytest.mark.parametrize("field", ["QI", "Q"])
@@ -314,9 +335,10 @@ def test_echelon_equals_full_scan_oracle(field, seed):
     """Seeded sparse vectors (empty, dependent, and led by 1, -1 and
     other scalars) fed one at a time: each insert enlarges the span when
     the full-scan RREF's does, with the same pivots in the same order,
-    and the kernel read after it, which completes the rows fed so far
+    and the kernel read after it, column by column from the stored rows
     (again after each insert), equals the oracle's in keys, key order,
-    values and types, with the oracle's RREF as its completed rows."""
+    values and types, changes no stored row, and the RREF of the stored
+    rows is the oracle's."""
     rng = DetRng(100 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
@@ -326,7 +348,7 @@ def test_echelon_equals_full_scan_oracle(field, seed):
         kinds.add(_insert_kind(slow, v))
         assert fast.insert(v) == slow.insert(v)
         assert list(fast.pivots) == list(slow.pivots)
-        kernel = list(fast.kernel(ncols))
+        kernel = _read_kernel(fast, ncols)
         _assert_completed_equals(fast, slow)
         expected = full_scan_kernel(slow.pivots, ncols)
         assert [_typed(x) for x in kernel] == [_typed(x) for x in expected]
@@ -340,10 +362,14 @@ def test_kernel_meeting_a_set_equals_the_full_kernel_filtered(field, seed):
     other scalars) fed through ``extend`` in blocks: the leads, their
     order and ``marks`` are the full-scan RREF's, and a vector that meets
     no lead is stored as it is, by reference.  After each block, the
-    kernel read given a set of columns (empty, pivot columns only, free
-    columns only, drawn sets, all columns, and a dict's key view) yields
-    exactly the vectors of the full kernel whose support meets the set,
-    in order, in keys, key order, values and types."""
+    kernel read column by column from the stored rows, changing none of
+    them, is the full-scan oracle's kernel, and the kernel read given a
+    support test (membership in an empty set, the pivot columns, the
+    free columns, drawn sets, all columns and a dict's key view, and a
+    test of the index) yields exactly the oracle's vectors with a key
+    that passes it, in order, in keys, key order, values and types,
+    having tested the keys of each oracle vector in order up to the
+    first that passes."""
     rng = DetRng(2100 + 10 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
@@ -360,15 +386,24 @@ def test_kernel_meeting_a_set_equals_the_full_kernel_filtered(field, seed):
         assert list(fast.pivots) == list(slow.pivots) and fast.marks[-1] == len(slow.pivots)
         assert all(fast.pivots[min(v)] is v for v in misses)
         by_reference += len(misses)
-        full = list(fast.kernel(ncols))
+        expected = full_scan_kernel(slow.pivots, ncols)
+        assert [_typed(x) for x in _read_kernel(fast, ncols)] == [_typed(x) for x in expected]
         pivots = set(fast.pivots)
         sets = [set(), pivots, set(range(ncols)) - pivots, set(range(ncols)), {k: 0 for k in pivots}.keys()]
         sets += [{k for k in range(ncols) if rng.next_int(4) == 0} for _ in range(4)]
-        for meets in sets:
-            got = list(fast.kernel(ncols, meets=meets))
-            want = [x for x in full if not meets.isdisjoint(x)]
-            assert [_typed(x) for x in got] == [_typed(x) for x in want], sorted(meets)
-            filtered += len(full) - len(want)
+        for test in [m.__contains__ for m in sets] + [lambda k: k % 3 == 1]:
+            asked = []
+            got = _read_kernel(fast, ncols, meets=lambda k: asked.append(k) or test(k))
+            want, tested = [], []
+            for x in expected:
+                for k in x:
+                    tested.append(k)
+                    if test(k):
+                        want.append(x)
+                        break
+            assert [_typed(x) for x in got] == [_typed(x) for x in want]
+            assert asked == tested
+            filtered += len(expected) - len(want)
     assert kinds == {"empty", "dependent", "1", "-1", "other"}
     assert by_reference and filtered
 
@@ -414,16 +449,18 @@ def test_forward_echelon_equals_echelon(field, seed):
     negated and dependent ones, leads of 1, -1 and other scalars) has the
     rank and the pivots, in order, of the full-scan RREF; each row is
     led by its pivot and is 0 at the pivots found before it; no input
-    changes, neither by the elimination nor by the completion; its
-    kernel completes it into the RREF, entry for entry, and equals the
-    oracle's kernel; and residues, before and after the completion,
-    vanish exactly on the span and agree with the oracle's reduction."""
+    changes, neither by the elimination nor by the kernel read, which
+    leaves each stored row the same object; the RREF of its rows
+    (``completed_rref``) is the oracle's, entry for entry, and its kernel
+    equals the oracle's kernel; and residues, before and after the
+    kernel read, vanish exactly on the span and agree with the oracle's
+    reduction."""
     rng = DetRng(300 * seed + len(field))
     ncols = 6 + rng.next_int(14)
     vecs = _sparse_inputs(rng, field, 3 * ncols, ncols)
     for i in range(0, len(vecs), 4):
         vecs.insert(rng.next_int(len(vecs)), vecs[i])
-        vecs.insert(rng.next_int(len(vecs)), linalg._negated(vecs[i + 1]))
+        vecs.insert(rng.next_int(len(vecs)), negated(vecs[i + 1]))
     before = [list(v.items()) for v in vecs]
     slow = FullScanEchelon()
     for v in vecs:
@@ -440,7 +477,7 @@ def test_forward_echelon_equals_echelon(field, seed):
     probes = _sparse_inputs(rng, field, 12, ncols) + vecs[:6]
     for completed in (False, True):
         if completed:
-            kernel = list(fe.kernel(ncols))
+            kernel = _read_kernel(fe, ncols)
             assert [list(v.items()) for v in vecs] == before
             _assert_completed_equals(fe, slow)
             expected = full_scan_kernel(slow.pivots, ncols)
@@ -510,7 +547,7 @@ def test_add_scaled_into_equals_copying_sum(field, seed):
             v, c = dict(copied), -(c / c)
         if step == 7:
             c = zero
-        copied = vec_add(copied, linalg.vec_scale(v, c))
+        copied = vec_add(copied, vec_scale(v, c))
         linalg.add_scaled_into(inplace, c, v)
         assert _typed(inplace) == _typed(copied), step
 
@@ -518,15 +555,18 @@ def test_add_scaled_into_equals_copying_sum(field, seed):
 def test_unit_leads_divide_nothing(monkeypatch):
     """On Iwasawa x C at t = 0 every reduced row is led by 1 or -1, so
     no rank takes a Q(i) division; a lead of 2 divides once, where the
-    kernel completes the echelon, and never on insert.  Each lead is
+    kernel reads the one RREF column that meets its row, and never on
+    insert, and the stored row stays the vector inserted, while the
+    oracle's RREF of it (``completed_rref``) is divided by the lead.  Each lead is
     found by exactly one ``extend``: the pass that reads the stacked rank
     finds del's leads, which give del's rank, and then the delbar ones;
     delbar's ranks are read through the Hodge star from those passes,
     but for the two at the center of this even n = 4, (2,2) and (2,1),
     which have passes of their own; and a deldelbar rank is read from
     its kept echelon, which gives its star dual's rank too.  full_report
-    completes no echelon into an RREF, and lemma_report completes only
-    cached matrix echelons, each once: a second call completes none."""
+    indexes the columns of no echelon (``Echelon._column_index``, which
+    the first kernel read runs), and lemma_report indexes only cached
+    matrix echelons, each once: a second call indexes none."""
     obj = nio.se_to_obj(catalog_load("iwasawa3").se)
     obj["n"] += 1  # abelian_1: one more closed coframe element
     se = nio.obj_to_se(obj)
@@ -569,24 +609,25 @@ def test_unit_leads_divide_nothing(monkeypatch):
     assert 0 < inherited < sum(ranks) and len(leads) == eliminated
     assert all(lead in (1, -1) for lead in leads)
     assert divisions == []
-    e = Echelon({})
-    assert e.insert({0: QI(2), 3: QI(1)})
+    e, row = Echelon({}), {0: QI(2), 3: QI(1)}
+    assert e.insert(row)
     assert divisions == []
     assert list(e.kernel(4)) == [{1: QI(1)}, {2: QI(1)}, {3: QI(1), 0: QI(Fraction(-1, 2))}]
     assert len(divisions) == 1
-    assert _typed(e.pivots[0]) == _typed({0: QI(1), 3: QI(Fraction(1, 2))})
+    assert e.pivots[0] is row and _typed(row) == _typed({0: QI(2), 3: QI(1)})
+    assert _typed(completed_rref(e)[0]) == _typed({0: QI(1), 3: QI(Fraction(1, 2))})
 
-    completed = []
-    complete = Echelon._complete
-    monkeypatch.setattr(Echelon, "_complete", lambda self: completed.append(self) or complete(self))
+    indexed = []
+    index = Echelon._column_index
+    monkeypatch.setattr(Echelon, "_column_index", lambda self: indexed.append(self) or index(self))
     ec = EvaluatedComplex(cx, zero_point(se.algebra.ring.m))
     full_report(ec)
-    assert completed == []
+    assert indexed == []
     lemma_report(ec)
-    first = completed[:]
+    first = indexed[:]
     lemma_report(ec)
-    # completed holds every echelon, so no two of them share an id
-    assert first and completed == first and len({id(e) for e in first}) == len(first)
+    # indexed holds every echelon, so no two of them share an id
+    assert first and indexed == first and len({id(e) for e in first}) == len(first)
     assert all(any(e is c for c in ec._echelons.values()) for e in first)
 
 
@@ -656,7 +697,7 @@ def test_solve_square_equals_gauss_jordan_oracle():
         a_cols = _random_rows(rng, n, n, density=rng.next_int(3) + 1)
         if trial % 3 == 0 and n > 1:
             # a dependent column makes A singular
-            a_cols[rng.next_int(n)] = vec_add(a_cols[0], linalg.vec_scale(a_cols[-1], QI(2, -1)))
+            a_cols[rng.next_int(n)] = vec_add(a_cols[0], vec_scale(a_cols[-1], QI(2, -1)))
         b_cols = _random_rows(rng, m, n, density=2)
         got = linalg.solve_square(a_cols, b_cols)
         a, b = (_dense(rows_from_columns(cols, n), len(cols)) for cols in (a_cols, b_cols))
