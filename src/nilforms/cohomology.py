@@ -117,9 +117,10 @@ class EvaluatedComplex:
     only at a row that holds an entry: del, delbar and total
     in their assembly, ddbar in ``linalg.mat_mul`` and the adjoints in
     ``linalg.conj_transpose``, so each allocates per nonzero row, not per
-    row.  No column table is kept: the image echelons, weak's real span
-    and, off a unimodular complex, mild's witness scan each read the
-    transpose ``linalg.columns`` once and drop it (``column_reads``).
+    row.  No column table is kept: the image echelons, weak's image of d
+    on the (p,p)-forms and, off a unimodular complex, mild's witness scan
+    each read the transpose ``linalg.columns`` once and drop it
+    (``column_reads``).
 
     One rule decides what is kept: a rank read keeps only an int, in the
     one rank cache (``_ranks``), and a row echelon is kept only for a
@@ -165,6 +166,7 @@ class EvaluatedComplex:
     exact_sum as the rank of the sum of the cached del and delbar image
     echelons (``image_sum``).
 
+    ``conj`` sends a vector at (p,q) to its conjugate at (q,p), for weak.
     On a unimodular complex the conjugate-linear ``star`` from (p,q) to
     (n-q, n-p) reads columns as rows, for the lemma witness scans:
     ``apply`` and ``column_reads`` read del's columns from delbar's
@@ -363,6 +365,19 @@ class EvaluatedComplex:
             a, b = divmod(i, cq)
             y = x.conj()
             out[top - b * cp - a] = -y if odd_p[a] ^ odd_q[b] else y
+        return out
+
+    def conj(self, v: Vec, p: int, q: int) -> Vec:
+        """The conjugate of a vector at (p,q), at (q,p): conj(gamma^I ^
+        gammabar^J) = (-1)^(pq) gamma^J ^ gammabar^I, so the monomial at
+        subset ranks (a, b) goes to b C(n,p) + a, and its coefficient x to
+        (-1)^(pq) conj(x)."""
+        cp, cq, odd = comb(self.n, p), comb(self.n, q), p * q % 2
+        out = {}
+        for i, x in v.items():
+            a, b = divmod(i, cq)
+            y = x.conj()
+            out[b * cp + a] = -y if odd else y
         return out
 
     def _dual(self, op: str, p: int, q: int) -> Tuple[Rows, int, int, bool]:

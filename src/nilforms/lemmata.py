@@ -32,26 +32,32 @@ the CLI reports as one ``error:`` line.  On a flat complex:
                    rank, read from the one pass per degree that gives
                    r(total,k-1) (``ec.block_ranks``), the suffix ranks
                    by conjugation, which reverses the blocks.
-  weak(p):         quantified over real (p,p)-forms psi, so over Q: with
-                   T the Q-span of delbar psi, E = im del and D = im
-                   deldelbar at (p,p+1), is T cap E inside D?  D lies in
-                   im del cap im delbar, as del delbar = -delbar del, and
-                   T in im delbar, so where the two are equal,
+  weak(p):         quantified over real (p,p)-forms psi: with T the real
+                   span of delbar psi, E = im del and D = im deldelbar at
+                   (p,p+1), is T cap E inside D?  D lies in im del cap
+                   im delbar, as del delbar = -delbar del, and T in im
+                   delbar, so where the two are equal,
                    r(del,p-1,p+1) + r(delbar,p,p) - r(exact_sum,p,p+1)
                    = w, weak holds: the ranks that mild, dual mild and
-                   strong at (p,p+1) read.  Elsewhere T is eliminated
-                   once, its rank certified by the stacked rank at (p,p),
-                   and E's realified basis (v, i v: ``realify_span``) is
-                   tracked into it: the relations span T cap E, which
-                   holds D (delbar del phi is delbar of the real del phi
-                   + conj(del phi)): weak holds iff they are 2 w, and
-                   fewer raise AssertionError.
+                   strong at (p,p+1) read.  Elsewhere one count over Q(i)
+                   decides.  U = im d on (p,p) lies in (p+1,p) + (p,p+1),
+                   and the swap sigma(a, b) = (conj b, conj a) keeps U
+                   (sigma(d psi) = d conj(psi)) and conj(E) + E.  Its
+                   fixed points in U are the d psi with psi real, which
+                   map one to one onto their (p,p+1) parts delbar psi, so
+                   dim_R(T cap E) = dim_C(U cap (conj(E) + E)): the
+                   relations of the del image basis e_s, in the (p,p+1)
+                   half, and then of the conj(e_s), in the (p+1,p) half,
+                   tracked into one forward echelon of U, whose rank is
+                   certified by the stacked rank at (p,p).  T cap E holds
+                   D (delbar del phi is delbar of the real del phi +
+                   conj(del phi)), so weak holds iff the relations are
+                   2 w, and fewer raise AssertionError.
 
 So a passing verdict builds no kernel, and only weak, where im del cap
-im delbar is larger than im deldelbar, applies a matrix to a vector
-(delbar to the real basis vectors that meet a nonzero column, the only
-ones it builds) and reads del's image basis, which each
-EvaluatedComplex builds once per image.  A failing verdict runs the
+im delbar is larger than im deldelbar, reads vectors: the columns of d
+on (p,p) and del's image basis, which each EvaluatedComplex builds once
+per image.  A failing verdict runs the
 vector route only to build its witness: the first vector of the tested
 space outside im deldelbar.
 For mild that space is del of ker deldelbar, whose vectors are read
@@ -66,8 +72,12 @@ scan, and the test from the image echelon of deldelbar.  Strong's space
 is the sum of the spaces that mild and dual mild test, so strong fails
 exactly when one of them fails, and its witness is theirs: mild's at
 (p,q) if mild fails, else dual mild's (``lemma_report`` reuses the two
-it holds, and checks strong = mild and dual mild).  Weak's witness is the first relation whose
-w = E_j - sum gamma_t E_t lies outside D; standard's space is spanned
+it holds, and checks strong = mild and dual mild).  Weak's witness is
+the first candidate outside D, two per relation: a relation with a on
+the e_s and b on the conj(e_s) is a u in U, and u + sigma(u) and
+i (u - sigma(u)) are d of real forms, with (p,p+1) parts
+sum (a_s + conj b_s) e_s and i sum (a_s - conj b_s) e_s, which over all
+relations span T cap E.  Standard's space is spanned
 by the relations among the parts outside the (p,q) block of the total
 image basis, tracked into one echelon.  Every relation is read by
 ``linalg.Echelon.track``.  That the route finds a witness is checked; if
@@ -86,9 +96,7 @@ from .algebra import Form
 from .cohomology import EvaluatedComplex, collector_paused
 from .io import form_to_obj
 from .linalg import Vec
-from .scalars import QI_I, QI_MINUS_ONE, QI_ONE, QI_ZERO, GaussianRational
-
-_MINUS_I = GaussianRational(0, -1)
+from .scalars import QI_I, QI_ZERO
 
 
 def _witness(ec: EvaluatedComplex, kind: str, p: int, q: int, vectors: Iterable[Vec]) -> Form:
@@ -174,45 +182,18 @@ def _strong_holds(ec: EvaluatedComplex, p: int, q: int) -> bool:
     return closed == ec.image_rank("ddbar", p, q)
 
 
-def _real_basis_vectors(ec: EvaluatedComplex, p: int, meets) -> List[Vec]:
-    """Rational basis of the conjugation-fixed (p,p)-forms as QI vectors.
-
-    Conjugation sends the monomial (I, J) to (-1)^(p*p) (J, I), so
-    i^(p*p) (I, I) is fixed, and so are m + (-1)^(p*p) flip and
-    i m - i (-1)^(p*p) flip for each pair m = (I, J), flip = (J, I) with
-    I before J.  For odd p, i^(p*p) = i and (-1)^(p*p) = -1; for even p
-    both are 1.  With a and b the subset ranks of I and J
-    (``leibniz.Layout.subsets``), m sits at a * c + b and flip at
-    b * c + a, c = C(n, p); the vectors follow the monomials in order.
-    Only the vectors whose support meets the positions ``meets`` are
-    built (all of them for range(c * c)): the positions are tested
-    first, and a pair's two vectors share theirs.
-    """
-    c = len(ec.cx.layout.subsets[p])
-    diag, flip_re, flip_im = (QI_I, QI_MINUS_ONE, QI_I) if p % 2 else (QI_ONE, QI_ONE, _MINUS_I)
-    out: List[Vec] = []
-    for a in range(c):
-        if a * c + a in meets:
-            out.append({a * c + a: diag})
-        for b in range(a + 1, c):
-            m, flip = a * c + b, b * c + a
-            if m in meets or flip in meets:
-                out.append({m: QI_ONE, flip: flip_re})
-                out.append({m: QI_I, flip: flip_im})
-    return out
-
-
 def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     """The (p,p+1)-th condition quantified over real (p,p)-forms psi:
     delbar psi del-exact implies delbar psi deldelbar-exact, 0 <= p < n.
     It holds by rank where im del cap im delbar = im deldelbar at
     (p,p+1) (``_images_meet_in_ddbar``); elsewhere by the count of the
-    relations of E modulo T, which give the witness (``_weak_realified``)."""
+    relations of E and conj(E) modulo U, which give the witness
+    (``_weak_tracked``)."""
     ec.check_bidegree(p, p + 1)
     ec.cx.se.require_flat()
     if _images_meet_in_ddbar(ec, p):
         return True, None
-    return _weak_realified(ec, p)
+    return _weak_tracked(ec, p)
 
 
 def _images_meet_in_ddbar(ec: EvaluatedComplex, p: int) -> bool:
@@ -225,41 +206,46 @@ def _images_meet_in_ddbar(ec: EvaluatedComplex, p: int) -> bool:
     return meet == ec.image_rank("ddbar", p, q)
 
 
-def _real_delbar_span(ec: EvaluatedComplex, p: int) -> linalg.Echelon:
-    """T, eliminated anew; a real basis vector meeting no nonzero column
-    of delbar is never built."""
-    cols = linalg.columns(ec.rows("delbar", p, p))
-    reals = _real_basis_vectors(ec, p, cols.keys())
-    return linalg.forward_echelon([linalg.realify_vec(linalg.columns_vec(cols, r)) for r in reals])
+def _d_image(ec: EvaluatedComplex, p: int) -> linalg.Echelon:
+    """U = im d on the (p,p)-forms, inside (p+1,p) + (p,p+1) in the order
+    of the stacked rows: one forward echelon of the nonzero columns of
+    ``rows("stacked", p, p)``, by ascending index."""
+    cols = linalg.columns(ec.rows("stacked", p, p))
+    return linalg.forward_echelon([cols[j] for j in sorted(cols)])
 
 
-def _weak_realified(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
-    """weak at p on a flat complex: E tracked into one forward elimination
-    of T, read by the verdict and the witness (module docstring).  T's
-    rank must be the stacked rank at (p,p), and the relations number at
-    least 2 r(ddbar), as D lies in T cap E; else AssertionError."""
+def _weak_tracked(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
+    """weak at p on a flat complex: the del image basis e_s into (p,p+1),
+    then the conj(e_s) in (p+1,p), tracked into U (``_d_image``), the
+    relations read by the verdict and the witness (module docstring).
+    U's rank must be the stacked rank at (p,p), and the relations number
+    at least 2 r(ddbar), as D lies in T cap E; else AssertionError."""
     q = p + 1
-    t = _real_delbar_span(ec, p)
+    u = _d_image(ec, p)
     closed = ec.rank("stacked", p, p)
-    if t.rank != closed:
-        raise AssertionError(f"weak at {p}: rank {t.rank} of delbar on the real ({p},{p})-forms != stacked rank {closed}")
-    image = ec.image_vectors("del", p, q)
-    span = linalg.realify_span(image)
-    relations = [c for c in (t.track(v, j, 2 * ec.dim(p, q)) for j, v in enumerate(span)) if c is not None]
+    if u.rank != closed:
+        raise AssertionError(f"weak at {p}: column rank {u.rank} of d on the ({p},{p})-forms != stacked rank {closed}")
+    image, half = ec.image_vectors("del", p, q), ec.dim(q, p)
+    tracked = [{half + k: x for k, x in e.items()} for e in image] + [ec.conj(e, p, q) for e in image]
+    relations = [c for c in (u.track(v, j, 2 * half) for j, v in enumerate(tracked)) if c is not None]
     inside = 2 * ec.image_rank("ddbar", p, q)
     if len(relations) < inside:
-        raise AssertionError(f"weak at {p}: {len(relations)} relations of E modulo T < 2 r(ddbar) = {inside}")
+        raise AssertionError(f"weak at {p}: {len(relations)} relations of E + conj(E) modulo U < 2 r(ddbar) = {inside}")
     if len(relations) == inside:
         return True, None
 
     def witnesses():
-        # w = sum c_t E_t in T, with E = (v_s, i v_s) realified from the
-        # del image basis v_s, so the coefficient of v_s is c_2s + c_(2s+1) i
+        # a relation c is a on the e_s and b on the conj(e_s); its two
+        # candidates are the (p,p+1) parts of u + sigma(u) and i (u - sigma(u))
+        r = len(image)
         for c in relations:
-            w: Vec = {}
-            for s in sorted({k // 2 for k in c}):
-                linalg.add_scaled_into(w, c.get(2 * s, QI_ZERO) + c.get(2 * s + 1, QI_ZERO) * QI_I, image[s])
-            yield w
+            plus, minus = {}, {}
+            for s in sorted({t % r for t in c}):
+                a, b = c.get(s, QI_ZERO), c.get(r + s, QI_ZERO).conj()
+                linalg.add_scaled_into(plus, a + b, image[s])
+                linalg.add_scaled_into(minus, (a - b) * QI_I, image[s])
+            yield plus
+            yield minus
 
     return False, _witness(ec, "weak", p, q, witnesses())
 
@@ -319,13 +305,17 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
     For mild: w is del-exact, delbar-closed, not deldelbar-exact; for
     dual_mild the mirror; for strong: w is d-closed pure type, in
     im del + im delbar, not deldelbar-exact; for weak: w = delbar psi
-    with psi real (w's realification lies in a new elimination of T),
-    w del-exact, not deldelbar-exact; for standard: w is
+    with psi real ((conj w, w) = d psi lies in a new elimination of U,
+    ``_d_image``), w del-exact, not deldelbar-exact; for standard: w is
     d-exact (on the total complex), pure type, not deldelbar-exact.
-    Any other kind raises ValueError.
+    Any other kind, a bidegree outside 0..n (``ec.check_bidegree``) and
+    a weak witness at a bidegree other than (p,p+1) raise ValueError.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown witness kind {kind!r}: expected one of {', '.join(_KINDS)}")
+    ec.check_bidegree(p, q)
+    if kind == "weak" and q != p + 1:
+        raise ValueError(f"a weak witness lies at (p,p+1), not at ({p},{q})")
     v = ec.form_to_vec(w, p, q)
     out = {"not_ddbar_exact": not ec.image_echelon("ddbar", p, q).contains(v)}
     if kind == "mild":
@@ -340,7 +330,8 @@ def verify_witness(ec: EvaluatedComplex, kind: str, p: int, q: int, w: Form) -> 
         out["delbar_closed"] = not linalg.mat_vec(ec.rows("delbar", p, q), v)
     elif kind == "weak":
         out["del_exact"] = ec.image_echelon("del", p, q).contains(v)
-        out["delbar_of_real"] = _real_delbar_span(ec, p).contains(linalg.realify_vec(v))
+        shifted = {ec.dim(q, p) + k: x for k, x in v.items()}
+        out["delbar_of_real"] = _d_image(ec, p).contains({**ec.conj(v, p, q), **shifted})
     elif kind == "standard":
         k = p + q
         out["d_exact"] = ec.image_echelon("total", k, 0).contains(ec.embed_block(v, p, q, k))

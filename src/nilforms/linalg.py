@@ -1,9 +1,8 @@
 """Exact sparse linear algebra over Q(i).
 
 Vectors are dicts {index: GaussianRational}; matrices are lists of row
-dicts.  A realified vector (``realify_vec``) holds real Gaussian
-rationals, so a Q-rank runs through the same elimination.  Besides
-``scalars``, only ``_reduce_meeting`` and the realifiers read the
+dicts.  Every elimination is over Q(i), weak's included, and besides
+``scalars`` only the elimination kernel ``_reduce_meeting`` reads the
 (a, b, d) ints of a scalar.  No floating point anywhere.
 
 One elimination.  ``Echelon``, whose rows are never normalised or
@@ -43,7 +42,7 @@ from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .leibniz import EMPTY_ROW
-from .scalars import GaussianRational, QI_MINUS_ONE, QI_ONE, QI_ZERO, _new, _reduced
+from .scalars import GaussianRational, QI_ONE, QI_ZERO, _new, _reduced
 
 Vec = Dict[int, object]
 Rows = List[Vec]
@@ -460,50 +459,3 @@ def hermitian_pivots(a: List[List[GaussianRational]]):
         rows[k] = w
     return pivots, None, None
 
-
-# -- realification (for conditions quantified over real forms) ----------
-
-
-def realify_vec(v: Vec) -> Vec:
-    """Complex vector over Q(i) -> real vector on a doubled index set.
-
-    Index 2k holds the real part of coordinate k, index 2k+1 the
-    imaginary part, each a real GaussianRational; a part of 1 or -1 is
-    the shared ``QI_ONE`` or ``QI_MINUS_ONE``.
-    """
-    out: Vec = {}
-    for k, z in v.items():
-        a, b, d = z._a, z._b, z._d
-        if a:
-            out[2 * k] = _real_part(a, d)
-        if b:
-            out[2 * k + 1] = _real_part(b, d)
-    return out
-
-
-def _real_part(a: int, d: int) -> GaussianRational:
-    """a/d as a real GaussianRational, for a nonzero int a and d > 0."""
-    if d == 1:
-        if a == 1:
-            return QI_ONE
-        if a == -1:
-            return QI_MINUS_ONE
-    return _reduced(a, 0, d)
-
-
-def realify_span(vectors: Sequence[Vec]) -> List[Vec]:
-    """Real span of a complex span: each vector contributes v and i*v,
-    the parts (a, b) of v at 2k and 2k+1 giving i*v's (-b, a)."""
-    out: List[Vec] = []
-    for v in vectors:
-        real, imag = {}, {}
-        for k, z in v.items():
-            a, b, d = z._a, z._b, z._d
-            if b:
-                imag[2 * k] = _real_part(-b, d)
-            if a:
-                real[2 * k] = imag[2 * k + 1] = _real_part(a, d)
-            if b:
-                real[2 * k + 1] = _real_part(b, d)
-        out += (real, imag)
-    return out

@@ -51,8 +51,8 @@ class GaussianRational:
     an int when the part is integral and a Fraction otherwise, never a
     float, and a real value hashes like the rational it equals.
     ``_reduced`` and ``_new`` are the one normaliser; the one reader of
-    the triple outside this module is ``linalg``'s elimination kernel
-    (``_reduce_meeting``, ``realify_vec`` and ``realify_span``).
+    the triple outside this module is ``linalg``'s elimination kernel,
+    ``_reduce_meeting``.
     """
 
     __slots__ = ("_a", "_b", "_d")

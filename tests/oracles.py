@@ -35,7 +35,19 @@ from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.deformation import as_beltrami, coframe_transform, evaluate_se
 from nilforms.errors import NonInvertibleCoframe, ObstructionNonvanishing
 from nilforms.linalg import Rows
-from nilforms.scalars import QI_I, QI_ONE, QI_ZERO, DetRng, GaussianRational, ParamScalar, PolyRing, _div, format_gaussian
+from nilforms.scalars import (
+    QI_I,
+    QI_MINUS_ONE,
+    QI_ONE,
+    QI_ZERO,
+    DetRng,
+    GaussianRational,
+    ParamScalar,
+    PolyRing,
+    _div,
+    _reduced,
+    format_gaussian,
+)
 
 Word = Tuple[int, ...]  # coframe symbols 0..2n-1, gammas then gammabars
 
@@ -968,7 +980,7 @@ def conjugate_solution_by_columns(ec, left, right, p: int, q: int, order=None):
 
 
 def real_basis_vectors_by_products(ec, p: int):
-    """The conjugation-fixed basis of ``lemmata._real_basis_vectors``
+    """The conjugation-fixed basis of ``real_basis_vectors``
     with i^(p*p) formed by p*p products in Q(i) and the second vector of
     each conjugate pair scaled by a product i * (-sign)."""
     monos = form_basis(ec.cx.algebra, p, p)
@@ -1404,22 +1416,20 @@ def weak_by_nullspace(ec, p: int):
     """weak(p) by solving over Q for every real psi with delbar psi
     del-exact (a nullspace of the realified system) and testing each
     solution's delbar psi against the realified deldelbar image."""
-    from nilforms.lemmata import _real_basis_vectors
-
     q = p + 1
     if q > ec.n or not ec.dim(p, p):
         return True, None
-    reals = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
+    reals = real_basis_vectors(ec, p, range(ec.dim(p, p)))
     delbar_cols = linalg.columns(ec.rows("delbar", p, p))
     delbar_images = [linalg.columns_vec(delbar_cols, r) for r in reals]
-    del_span = linalg.realify_span(ec.image_vectors("del", p, q))
-    cols = [linalg.realify_vec(v) for v in delbar_images]
+    del_span = realify_span(ec.image_vectors("del", p, q))
+    cols = [realify_vec(v) for v in delbar_images]
     ncols_psi = len(cols)
     cols = cols + [negated(v) for v in del_span]
     rows = rows_from_columns(cols, 2 * ec.dim(p, q))
     relations = nullspace(rows, len(cols))
     target = FullScanEchelon()
-    for v in linalg.realify_span(ec.image_vectors("ddbar", p, q)):
+    for v in realify_span(ec.image_vectors("ddbar", p, q)):
         target.insert(v)
     for rel in relations:
         combo = {k: c for k, c in rel.items() if k < ncols_psi}
@@ -1439,7 +1449,7 @@ def weak_by_nullspace(ec, p: int):
 def realify_span_by_products(vectors):
     """The real span of a complex span as v and i*v, each realified,
     with i*v formed by a product in Q(i) per entry."""
-    return [linalg.realify_vec(u) for v in vectors for u in (v, {k: z * QI_I for k, z in v.items()})]
+    return [realify_vec(u) for v in vectors for u in (v, {k: z * QI_I for k, z in v.items()})]
 
 
 def residues(e, vectors):
@@ -1472,20 +1482,20 @@ def weak_by_residue_ranks(ec, p: int):
     when it fails, the witness is the first w outside im deldelbar from
     ``relations_modulo`` of T and the realified del image basis E, with
     w = sum (c_2s + c_2s+1 i) v_s over that basis v."""
-    from nilforms.lemmata import _real_basis_vectors, _witness
+    from nilforms.lemmata import _witness
 
     q = p + 1
     cols = linalg.columns(ec.rows("delbar", p, p))
-    images = [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, cols.keys())]
+    images = [linalg.columns_vec(cols, r) for r in real_basis_vectors(ec, p, cols.keys())]
 
     def residue_rank(op):
         reduced = residues(ec.image_echelon(op, p, q), images)
-        return linalg.forward_echelon([linalg.realify_vec(v) for v in reduced]).rank
+        return linalg.forward_echelon([realify_vec(v) for v in reduced]).rank
 
     if residue_rank("del") == residue_rank("ddbar"):
         return True, None
     image = ec.image_vectors("del", p, q)
-    base = [linalg.realify_vec(v) for v in images]
+    base = [realify_vec(v) for v in images]
 
     def witnesses():
         for c in relations_modulo(base, realify_span_by_products(image), 2 * ec.dim(p, q)):
@@ -1567,6 +1577,132 @@ def block_ranks_by_suffix_pass(ec, k: int):
     return [0] + marks(blocks)[:-1], marks(blocks[:0:-1])[::-1] + [0]
 
 
+# -- weak's realified route, which the tracked route over Q(i) replaced ----
+
+
+def realify_vec(v):
+    """Complex vector over Q(i) -> real vector on a doubled index set.
+
+    Index 2k holds the real part of coordinate k, index 2k+1 the
+    imaginary part, each a real GaussianRational; a part of 1 or -1 is
+    the shared ``QI_ONE`` or ``QI_MINUS_ONE``.
+    """
+    out = {}
+    for k, z in v.items():
+        a, b, d = z._a, z._b, z._d
+        if a:
+            out[2 * k] = _real_part(a, d)
+        if b:
+            out[2 * k + 1] = _real_part(b, d)
+    return out
+
+
+def _real_part(a: int, d: int) -> GaussianRational:
+    """a/d as a real GaussianRational, for a nonzero int a and d > 0."""
+    if d == 1:
+        if a == 1:
+            return QI_ONE
+        if a == -1:
+            return QI_MINUS_ONE
+    return _reduced(a, 0, d)
+
+
+def realify_span(vectors):
+    """Real span of a complex span: each vector contributes v and i*v,
+    the parts (a, b) of v at 2k and 2k+1 giving i*v's (-b, a)."""
+    out = []
+    for v in vectors:
+        real, imag = {}, {}
+        for k, z in v.items():
+            a, b, d = z._a, z._b, z._d
+            if b:
+                imag[2 * k] = _real_part(-b, d)
+            if a:
+                real[2 * k] = imag[2 * k + 1] = _real_part(a, d)
+            if b:
+                real[2 * k + 1] = _real_part(b, d)
+        out += (real, imag)
+    return out
+
+
+def real_basis_vectors(ec, p: int, meets):
+    """Rational basis of the conjugation-fixed (p,p)-forms as QI vectors.
+
+    Conjugation sends the monomial (I, J) to (-1)^(p*p) (J, I), so
+    i^(p*p) (I, I) is fixed, and so are m + (-1)^(p*p) flip and
+    i m - i (-1)^(p*p) flip for each pair m = (I, J), flip = (J, I) with
+    I before J.  For odd p, i^(p*p) = i and (-1)^(p*p) = -1; for even p
+    both are 1.  With a and b the subset ranks of I and J
+    (``leibniz.Layout.subsets``), m sits at a * c + b and flip at
+    b * c + a, c = C(n, p); the vectors follow the monomials in order.
+    Only the vectors whose support meets the positions ``meets`` are
+    built (all of them for range(c * c)): the positions are tested
+    first, and a pair's two vectors share theirs.
+    """
+    c = len(ec.cx.layout.subsets[p])
+    minus_i = GaussianRational(0, -1)
+    diag, flip_re, flip_im = (QI_I, QI_MINUS_ONE, QI_I) if p % 2 else (QI_ONE, QI_ONE, minus_i)
+    out = []
+    for a in range(c):
+        if a * c + a in meets:
+            out.append({a * c + a: diag})
+        for b in range(a + 1, c):
+            m, flip = a * c + b, b * c + a
+            if m in meets or flip in meets:
+                out.append({m: QI_ONE, flip: flip_re})
+                out.append({m: QI_I, flip: flip_im})
+    return out
+
+
+def real_delbar_span(ec, p: int):
+    """T, the realified delbar images of the real (p,p)-forms, eliminated
+    anew; a real basis vector meeting no nonzero column of delbar is
+    never built."""
+    cols = linalg.columns(ec.rows("delbar", p, p))
+    reals = real_basis_vectors(ec, p, cols.keys())
+    return linalg.forward_echelon([realify_vec(linalg.columns_vec(cols, r)) for r in reals])
+
+
+def weak_realified(ec, p: int):
+    """weak at p on a flat complex over Q, the route ``lemmata._weak_tracked``
+    replaced: E's realified basis (v, i v) tracked into one forward
+    elimination of T.  The relations span T cap E, which holds D: weak
+    holds iff they are 2 r(ddbar); fewer, or a rank of T other than the
+    stacked rank at (p,p), raise AssertionError.  The witness is the
+    first w = sum (c_2s + c_2s+1 i) v_s of a relation c outside D."""
+    from nilforms.lemmata import _witness
+
+    q = p + 1
+    t = real_delbar_span(ec, p)
+    closed = ec.rank("stacked", p, p)
+    if t.rank != closed:
+        raise AssertionError(f"weak at {p}: rank {t.rank} of delbar on the real ({p},{p})-forms != stacked rank {closed}")
+    image = ec.image_vectors("del", p, q)
+    relations = [c for c in (t.track(v, j, 2 * ec.dim(p, q)) for j, v in enumerate(realify_span(image)))
+                 if c is not None]
+    inside = 2 * ec.image_rank("ddbar", p, q)
+    if len(relations) < inside:
+        raise AssertionError(f"weak at {p}: {len(relations)} relations of E modulo T < 2 r(ddbar) = {inside}")
+    if len(relations) == inside:
+        return True, None
+
+    def witnesses():
+        for c in relations:
+            w = {}
+            for s in sorted({k // 2 for k in c}):
+                linalg.add_scaled_into(w, c.get(2 * s, QI_ZERO) + c.get(2 * s + 1, QI_ZERO) * QI_I, image[s])
+            yield w
+
+    return False, _witness(ec, "weak", p, q, witnesses())
+
+
+def in_real_delbar_span(ec, p: int, v) -> bool:
+    """Whether v at (p,p+1) is delbar of a real (p,p)-form: its
+    realification lies in a new elimination of T (``real_delbar_span``),
+    the membership ``verify_witness`` tested before it read U."""
+    return real_delbar_span(ec, p).contains(realify_vec(v))
+
+
 # -- the full-table routes that skip zero images and empty rows replaced ---
 
 
@@ -1583,10 +1719,8 @@ def kernel_images_by_columns(ec, op: str, p: int, q: int):
 def weak_images_by_columns(ec, p: int):
     """delbar of every vector of the real (p,p) basis, zero images
     included."""
-    from nilforms.lemmata import _real_basis_vectors
-
     cols = linalg.columns(ec.rows("delbar", p, p))
-    return [linalg.columns_vec(cols, r) for r in _real_basis_vectors(ec, p, range(ec.dim(p, p)))]
+    return [linalg.columns_vec(cols, r) for r in real_basis_vectors(ec, p, range(ec.dim(p, p)))]
 
 
 def column_list(rows, ncols: int):

@@ -796,6 +796,30 @@ def test_star_reads_equal_the_transposes(reference_complexes):
     assert inside[True] > inside[False] > 0
 
 
+def test_vector_conjugation_is_form_conjugation(reference_complexes):
+    """On the reference complexes and solvable3, at every (p,q), the
+    conjugation of a seeded random vector (``EvaluatedComplex.conj``), at
+    (q,p), is ``Form.conj`` of its form, entries and types alike; it is
+    an involution; and, as d is real, it sends del of a vector to delbar
+    of its conjugate, the identity by which weak's U is conjugation-stable."""
+    rng = random.Random(5301)
+    cases = reference_complexes + [("solvable3", build_complex(nio.obj_to_se(SOLVABLE)), ())]
+    for label, cx, point in cases:
+        ec = EvaluatedComplex(cx, point)
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                dim = ec.dim(p, q)
+                v = {i: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for i in rng.sample(range(dim), min(dim, 5))}
+                v = {i: x for i, x in sorted(v.items()) if x}
+                got = ec.conj(v, p, q)
+                want = ec.form_to_vec(ec.vec_to_form(v, p, q).conj(), q, p)
+                assert sorted(_typed(got), key=str) == sorted(_typed(want), key=str), (label, p, q)
+                assert ec.conj(got, q, p) == v, (label, p, q)
+                if p < cx.n:
+                    dv = linalg.mat_vec(ec.rows("del", p, q), v)
+                    assert ec.conj(dv, p + 1, q) == linalg.mat_vec(ec.rows("delbar", q, p), got), (label, p, q)
+
+
 def test_scan_column_reads_equal_the_transposes(reference_complexes):
     """On every complex of ``tests/data/report_digests.json`` and on
     solvable3, which is not unimodular: for del and delbar from every

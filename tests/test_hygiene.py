@@ -22,6 +22,7 @@ from nilforms.cohomology import EvaluatedComplex, full_report, generic_points
 from nilforms.deformation import deform_complex
 from nilforms.scalars import GaussianRational, ParamScalar
 
+from conftest import SOLVABLE
 from test_io_cli import GOLDEN_CASES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nilforms"
@@ -83,10 +84,22 @@ def test_no_unused_imports():
 
 
 def triple_reads(source: str):
-    """(line, attribute) of each use of an attribute ``_a``, ``_b`` or
-    ``_d``, read or written: the three ints of a GaussianRational."""
-    tree = ast.parse(source)
-    return sorted((n.lineno, n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("_a", "_b", "_d"))
+    """(line, attribute, enclosing function or None) of each use of an
+    attribute ``_a``, ``_b`` or ``_d``, read or written: the three ints of
+    a GaussianRational.  A method is named Class.method."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            elif isinstance(child, ast.Attribute) and child.attr in ("_a", "_b", "_d"):
+                found.append((child.lineno, child.attr, where))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
 
 
 def test_triple_scan_sees_what_it_should():
@@ -94,16 +107,22 @@ def test_triple_scan_sees_what_it_should():
         "def f(z, w, _a):\n"
         "    w._d = z._a + _a\n"
         "    return z.a, getattr(z, '_b'), z._b\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return self._d\n"
+        "x = y._a\n"
     )
-    assert triple_reads(source) == [(2, "_a"), (2, "_d"), (3, "_b")]
+    assert triple_reads(source) == [(2, "_a", "f"), (2, "_d", "f"), (3, "_b", "f"), (6, "_d", "C.g"), (7, "_a", None)]
 
 
 def test_only_linalg_reads_the_gaussian_triple_outside_scalars():
     """``scalars`` owns the (a, b, d) representation of a GaussianRational;
-    the one other module that reads it is ``linalg``, whose elimination
-    kernel works on the ints."""
-    readers = {path.stem for path in SRC.glob("*.py") if triple_reads(path.read_text())}
-    assert readers == {"scalars", "linalg"}
+    the one other code of the package that reads it is the elimination
+    kernel of ``linalg``, ``_reduce_meeting``, which works on the ints:
+    weak decides over Q(i), so no realifier reads a scalar's parts."""
+    readers = {(path.stem, where) for path in SRC.glob("*.py") for _, _, where in triple_reads(path.read_text())}
+    assert {stem for stem, _ in readers} == {"scalars", "linalg"}
+    assert {where for stem, where in readers if stem == "linalg"} == {"_reduce_meeting"}
 
 
 def private_names(source: str, cls_name: str):
@@ -257,15 +276,15 @@ def test_only_three_readers_transpose_a_matrix():
     (``EvaluatedComplex._image``), the column reads of the mild and dual
     mild scan on a complex that is not unimodular
     (``EvaluatedComplex.column_reads``; on a unimodular one they read
-    columns as Hodge-star rows), and weak's real span T
-    (``lemmata._real_delbar_span``), each once.  So a transpose
+    columns as Hodge-star rows), and weak's U, the image of d on the
+    (p,p)-forms (``lemmata._d_image``), each once.  So a transpose
     in a new place, or a second one in these, takes a deliberate edit
     here."""
     readers = sorted((path.stem, where) for path in SRC.glob("*.py") for _, where in transpose_readers(path.read_text()))
     assert readers == [
         ("cohomology", "EvaluatedComplex._image"),
         ("cohomology", "EvaluatedComplex.column_reads"),
-        ("lemmata", "_real_delbar_span"),
+        ("lemmata", "_d_image"),
     ]
 
 
@@ -567,7 +586,11 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     into it (``_complete``) and the row helpers only that completion
     used (``vec_scale``, ``_negated``), since ``Echelon.kernel`` reads
     each RREF column from the forward rows, and the
-    ``is_positive_definite`` pass-through of ``hermitian_pivots``.  The
+    ``is_positive_definite`` pass-through of ``hermitian_pivots``.  weak
+    decides over Q(i), so its realified route (``_weak_realified``,
+    ``_real_delbar_span``, ``_real_basis_vectors``) and the realifiers
+    (``realify_vec``, ``realify_span``, ``_real_part``) are test
+    oracles.  The
     Jacobi loop, the pairing scan and ``JacobiError`` are gone, since
     ``StructureEquations.require_flat`` decides d^2 = 0, and so is the
     Lie bracket table (``LieBracketTable``, ``lie_brackets`` and the
@@ -614,7 +637,8 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
             "rows_from_columns", "zero_rows", "vec_add", "_frame_derivative", "holomorphic",
             "LieBracketTable", "lie_brackets", "BeltramiDifferential", "delbar_on_vectors", "_total_degree",
             "schouten", "check_integrability", "main1_residual", "HALF", "columns_of",
-            "with_standard", "_complete", "vec_scale", "_negated", "nonzero_columns"}
+            "with_standard", "_complete", "vec_scale", "_negated", "nonzero_columns", "realify_vec", "realify_span",
+            "_real_part", "_real_basis_vectors", "_real_delbar_span", "_weak_realified"}
     defined |= {name for _, name in owned}
     assert gone.isdisjoint(defined), gone & defined
     assert ("EvaluatedComplex", "columns") not in owned and ("EvaluatedComplex", "kernel") in owned
@@ -769,12 +793,16 @@ def public_functions():
 def _product_runs(tmp_path):
     """The product paths: every CLI golden, catalog, a usage error, one
     run per input file kind (structure equations that are not
-    unimodular, two middle-degree forms, which take the sampling route
+    unimodular, whose cohomology is printed and, for solvable3, whose
+    failing mild verdicts take the transpose route of the witness scan,
+    two middle-degree forms, which take the sampling route
     of transversality: the square of a Kaehler form, which passes, and
     the square of a signature-(3,1) form, whose falsifier is re-verified
     by a wedge, and a Beltrami family), and both scripts."""
     se_file, form_file, phi_file = tmp_path / "se.json", tmp_path / "form.json", tmp_path / "phi.json"
     se_file.write_text(nio.se_emit(nio.obj_to_se({"n": 1, "d": {"1": [{"coeff": "1", "factors": ["1", "bar1"]}]}})))
+    solvable_file = tmp_path / "solvable3.json"
+    solvable_file.write_text(nio.se_emit(nio.obj_to_se(SOLVABLE)))
     kaehler = catalog_load("abelian_4").forms["kaehler"]
     form_file.write_text(nio.form_emit(kaehler.wedge(kaehler)))
     indefinite = kaehler - kaehler.algebra.monomial((4,), (4,), positivity.sigma_q(1)).scale(2)
@@ -785,6 +813,7 @@ def _product_runs(tmp_path):
         ["catalog"],
         ["cohomology", "--bogus"],
         ["cohomology", "--manifold", str(se_file)],
+        ["lemmata", "--manifold", str(solvable_file), "--all"],
         ["positivity", "--manifold", "catalog:abelian_4", "--form", str(form_file), "--samples", "20"],
         ["positivity", "--manifold", "catalog:abelian_4", "--form", str(failing_file), "--json"],
         ["deform", "--manifold", "catalog:bcvary10", "--beltrami", str(phi_file), "--t", "1/5,0,0,0"],
@@ -867,7 +896,8 @@ def _numbers(x):
 
 
 #: dgamma^3 = 2 gamma^1 ^ gamma^2: a structure constant of 2, so the
-#: realified vectors in ``weak`` are int vectors led by +-2
+#: rows that ``weak`` reads and the columns of its U are int vectors led
+#: by +-2
 SCALED_IWASAWA = {
     "format": "nilforms.se/1",
     "name": "iwasawa3_scaled",
@@ -882,7 +912,9 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     and the kernel vectors is an int or a Fraction; and inside ``weak`` a
     real lead other than +-1 reaches the forward eliminations
     (Echelon.extend, which forward_echelon and the rank passes run, and
-    Echelon.insert and track), which divide by it exactly."""
+    Echelon.insert and track), which divide by it exactly: in the rank
+    passes of its front test, and in U of its tracked route
+    (``_weak_tracked``), run at each p after them."""
     scaled = build_complex(nio.obj_to_se(SCALED_IWASAWA))
     for label, cx, point in reference_complexes + [("iwasawa3_scaled", scaled, ())]:
         ec = EvaluatedComplex(cx, point)
@@ -912,18 +944,21 @@ def test_no_float_reaches_an_answer(reference_complexes, monkeypatch):
     for name in ("extend", "insert", "track"):
         monkeypatch.setattr(linalg.Echelon, name, recording(getattr(linalg.Echelon, name)))
     ec = EvaluatedComplex(scaled, ())
-    for p in range(ec.n):
-        lemmata.weak(ec, p)
-    assert any(type(lead) is GaussianRational and not lead.im and lead not in (1, -1) for lead in leads)
-    assert stored and {type(x) for x in _numbers(stored)} <= {int, Fraction}
+    for route in (lemmata.weak, lemmata._weak_tracked):
+        leads.clear()
+        stored.clear()
+        for p in range(ec.n):
+            assert route(ec, p) == (True, None)
+        assert any(type(lead) is GaussianRational and not lead.im and lead not in (1, -1) for lead in leads), route
+        assert stored and {type(x) for x in _numbers(stored)} <= {int, Fraction}, route
 
 
 def test_rank_path_builds_no_fraction(bcvary10, monkeypatch):
     """Deforming bcvary10 to the first generic point, whose structure
     constants are non-integral Gaussian rationals, its full_report and
     its lemma_report construct no Fraction: Q(i) arithmetic is int
-    arithmetic over one denominator, and ``weak`` eliminates its
-    realified vectors as real Gaussian rationals."""
+    arithmetic over one denominator, and ``weak`` eliminates U and
+    tracks the del image and its conjugates over Q(i)."""
     point = generic_points(4)[0]
     built = []
     new = Fraction.__new__

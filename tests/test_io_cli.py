@@ -14,6 +14,8 @@ from nilforms.errors import FormatError, UnknownEntry
 from nilforms.lemmata import verify_witness
 from nilforms.scalars import PolyRing, parse_gaussian
 
+from oracles import in_real_delbar_span
+
 
 def test_se_roundtrip_constant(iwasawa3):
     text = nio.se_emit(iwasawa3.se)
@@ -568,6 +570,22 @@ def test_golden_strong_witnesses_are_mild_or_dual_mild_and_reverify(name):
         p, q = (int(x) for x in at.split(","))
         checks = verify_witness(ec, "strong", p, q, nio.obj_to_form(witnesses[key], ec.cx.se.algebra))
         assert checks and all(checks.values()), (key, checks)
+
+
+def test_golden_weak_witnesses_reverify():
+    """Each weak witness of the lemma goldens at bcvary10's generic point
+    passes verify_witness at the golden's point, and the realified oracle
+    finds it delbar of a real form (``oracles.in_real_delbar_span``)."""
+    obj = json.loads((GOLDEN_DIR / "lemmata_bcvary10_all_t.json").read_text())
+    ec, _ = cli._evaluated(catalog_load(obj["manifold"]), ",".join(obj["t"]))
+    weak = sorted(key for key in obj["witnesses"] if key.startswith("weak:"))
+    assert weak == [f"weak:{p}" for p, ok in obj["weak"].items() if not ok] == ["weak:1", "weak:2", "weak:3"]
+    for key in weak:
+        p = int(key.split(":")[1])
+        w = nio.obj_to_form(obj["witnesses"][key], ec.cx.se.algebra)
+        checks = verify_witness(ec, "weak", p, p + 1, w)
+        assert checks and all(checks.values()), (key, checks)
+        assert in_real_delbar_span(ec, p, ec.form_to_vec(w, p, p + 1)), key
 
 
 def test_one_parser_answers_as_fresh_ones(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -8,13 +9,12 @@ import pytest
 
 from nilforms import io as nio
 from nilforms import lemmata, linalg
-from nilforms.algebra import FormAlgebra, InvariantComplex, StructureEquations, build_complex
+from nilforms.algebra import Form, FormAlgebra, InvariantComplex, StructureEquations, build_complex
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points, zero_point
 from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.errors import FlatnessError
 from nilforms.lemmata import (
-    _real_basis_vectors,
     dual_mild,
     lemma_report,
     mild,
@@ -23,7 +23,7 @@ from nilforms.lemmata import (
     verify_witness,
     weak,
 )
-from nilforms.scalars import QI_ONE, PolyRing
+from nilforms.scalars import QI_I, QI_ONE, GaussianRational, PolyRing
 
 from conftest import SOLVABLE, _product_se, heisenberg_c
 
@@ -32,11 +32,16 @@ from oracles import (
     echelon_kernel_one_pass,
     exact_closed_basis_full,
     fiber_point,
+    in_real_delbar_span,
     kernel_images_by_columns,
     mat_mul_of_every_row,
     mild_by_vectors,
     pure_d_exact_by_nullspace,
+    real_basis_vectors,
     real_basis_vectors_by_products,
+    real_delbar_span,
+    realify_span,
+    realify_vec,
     span_intersection,
     standard_by_blocks,
     strong_by_vectors,
@@ -44,6 +49,7 @@ from oracles import (
     weak_by_nullspace,
     weak_by_residue_ranks,
     weak_images_by_columns,
+    weak_realified,
 )
 
 
@@ -58,6 +64,25 @@ def test_iwasawa_taxonomy(ec_iwasawa):
     assert dual_mild(ec_iwasawa, 2, 3)[0] is True
     assert weak(ec_iwasawa, 2)[0] is True
     assert strong(ec_iwasawa, 2, 3)[0] is False
+
+
+def test_verify_witness_refuses_a_space_that_does_not_exist(bcvary10):
+    """verify_witness refuses a bidegree outside 0..n, as every decider
+    does (``ec.check_bidegree``), for every kind: on the n = 5 fiber 4601
+    the zero form at (7,7) gets no verdict.  A weak witness lies at
+    (p,p+1), so weak refuses any other q, and (5,6), which is outside."""
+    fiber = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601)))
+    ec = EvaluatedComplex(fiber, ())
+    zero = Form(fiber.algebra, {})
+    for kind in ("mild", "dual_mild", "strong", "weak", "standard"):
+        with pytest.raises(ValueError, match=r"bidegree \(7,7\) is outside 0..5"):
+            verify_witness(ec, kind, 7, 7, zero)
+    for p, q in ((2, 2), (2, 4), (3, 2)):
+        with pytest.raises(ValueError, match=fr"a weak witness lies at \(p,p\+1\), not at \({p},{q}\)"):
+            verify_witness(ec, "weak", p, q, zero)
+    with pytest.raises(ValueError, match=r"bidegree \(5,6\) is outside 0..5"):
+        verify_witness(ec, "weak", 5, 6, zero)
+    assert verify_witness(ec, "weak", 2, 3, zero) == {"not_ddbar_exact": False, "del_exact": True, "delbar_of_real": True}
 
 
 def test_torus_all_true(ec_torus):
@@ -224,12 +249,12 @@ def test_real_basis_vectors_equal_product_route(reference_complexes):
     for label, cx, point in reference_complexes:
         ec = EvaluatedComplex(cx, point)
         for p in range(cx.n + 1):
-            full = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
+            full = real_basis_vectors(ec, p, range(ec.dim(p, p)))
             expected = real_basis_vectors_by_products(ec, p)
             assert typed(full) == typed(expected), (label, p)
             for meets in (linalg.columns(ec.rows("delbar", p, p)).keys(), set(), set(range(0, ec.dim(p, p), 2))):
                 want = [r for r in full if not meets.isdisjoint(r)]
-                assert typed(_real_basis_vectors(ec, p, meets)) == typed(want), (label, p)
+                assert typed(real_basis_vectors(ec, p, meets)) == typed(want), (label, p)
                 dropped += len(full) - len(want)
     assert dropped
 
@@ -373,13 +398,27 @@ def _typed_form(w):
     ]
 
 
+def _in_weak_oracle_space(cx, point, p, w):
+    """Whether the form w lies in T cap E outside im deldelbar at
+    (p,p+1), by the realified oracle on a fresh complex: w's realification
+    lies in T (``in_real_delbar_span``), and w in the image echelon of del
+    and not in that of deldelbar."""
+    oc = EvaluatedComplex(cx, point)
+    v = oc.form_to_vec(w, p, p + 1)
+    return (in_real_delbar_span(oc, p, v) and oc.image_echelon("del", p, p + 1).contains(v)
+            and not oc.image_echelon("ddbar", p, p + 1).contains(v))
+
+
 def test_rank_verdicts_equal_the_vector_route(reference_complexes):
     """On every reference complex and on a complex that is not
     unimodular, lemma_report's flags and witnesses at every bidegree,
     weak's at every p and standard's are those of the vector-route
     oracles run on a fresh complex: the same forms, monomial order and
-    scalar types; mild and dual mild refuse (p, n+1), the empty bidegree
-    that the extension solver counts as holding without asking.  Strong's
+    scalar types, but for weak's witness, which lies, by the realified
+    oracle, in T cap E outside im deldelbar (``_in_weak_oracle_space``),
+    where the nullspace oracle finds its own; mild and dual mild refuse
+    (p, n+1), the empty bidegree that the extension solver counts as
+    holding without asking.  Strong's
     flags are those of the full-basis oracle, and its witness, in the
     report and from strong called alone, is the mild oracle's at (p,q) if
     mild fails, else the dual mild oracle's."""
@@ -412,9 +451,9 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
                 with pytest.raises(ValueError, match=rf"bidegree \({p},{n + 1}\) is outside 0\.\.{n}$"):
                     decider(ec, p, n + 1)
         for p in range(n):
-            got["weak", p] = (report.weak_flags[p], _typed_form(report.witnesses.get(f"weak:{p}")))
-            ok, wit = weak_by_nullspace(oc, p)
-            want["weak", p] = (ok, _typed_form(wit))
+            ok, wit = report.weak_flags[p], report.witnesses.get(f"weak:{p}")
+            got["weak", p] = (ok, wit is None if ok else _in_weak_oracle_space(cx, point, p, wit))
+            want["weak", p] = (weak_by_nullspace(oc, p)[0], True)
         ok, wit, at = standard_by_blocks(oc)
         want["standard"] = (ok, _typed_form(wit), at)
         keys = [k for k in report.witnesses if k.startswith("standard:")]
@@ -505,11 +544,11 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     passing verdict by rank: a passing mild, dual mild, weak or standard
     takes no kernel, no image and no product with a vector (weak holds at
     every p, each by the identity im del cap im delbar = im deldelbar).
-    weak's realified route (``_weak_realified``), run on the same complex
-    at each p, holds too, takes no kernel, applies delbar, in order, to
-    exactly the vectors of its real basis whose image the full-table
-    oracle finds nonzero, and reads one image basis, del's into (p,p+1),
-    the one the complex caches: deldelbar enters by its rank only, and no
+    weak's tracked route (``_weak_tracked``), run on the same complex at
+    each p, holds too, takes no kernel, applies no matrix to a vector,
+    transposes stacked from (p,p) for U and then, for p > 0, del from
+    (p-1,p+1) for the one image basis it reads, del's into (p,p+1), the
+    one the complex caches: deldelbar enters by its rank only, and no
     image of it is built or read.  Strong, passing
     or failing, makes no columns_vec,
     kernel, _image or column index (``Echelon._column_index``, which the
@@ -519,7 +558,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     it fails the calls, in order, of mild at (p,q), then of dual mild if
     mild holds, on a complex in the same state, whose witness it returns.
     No kernel of [del; delbar] is built."""
-    verdicts, work, stack, applied, images = [], [], [], {}, []
+    verdicts, work, stack, transposed, images = [], [], [], [], []
 
     def traced(name, f):
         def run(*args):
@@ -536,8 +575,8 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     def counted(tag, f):
         def run(*args, **kwargs):
             work.append((stack[-1] if stack else None, tag))
-            if tag == "columns_vec":
-                applied.setdefault(stack[-1] if stack else None, []).append(args[1])
+            if tag == "columns":
+                transposed.append(args[0])
             elif tag == "image":
                 images.append(args[1:])
             return f(*args, **kwargs)
@@ -564,19 +603,18 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
         if ok:
             assert by_verdict.get(index, []) == [], (name, args)
     assert sorted(report.weak_flags) == list(range(ec.n)) and all(report.weak_flags.values())
-    oracle, skipped = EvaluatedComplex(iwasawa_c, ()), 0
+    monkeypatch.setattr(EvaluatedComplex, "apply", counted("apply", EvaluatedComplex.apply))
+    monkeypatch.setattr(linalg, "mat_vec", counted("mat_vec", linalg.mat_vec))
+    monkeypatch.setattr(linalg, "columns", counted("columns", linalg.columns))
     for p in report.weak_flags:
-        reals = _real_basis_vectors(ec, p, range(ec.dim(p, p)))
-        nonzero = [r for r, v in zip(reals, weak_images_by_columns(oracle, p)) if v]
-        skipped += len(reals) - len(nonzero)
         work.clear()
-        applied.clear()
         images.clear()
-        assert lemmata._weak_realified(ec, p) == (True, None), p
-        assert applied.get(None, []) == nonzero, p
-        assert [tag for _, tag in work] == ["columns_vec"] * len(nonzero) + ["image"], p
+        transposed.clear()
+        assert lemmata._weak_tracked(ec, p) == (True, None), p
+        want = [ec.rows("stacked", p, p)] + ([ec.rows("del", p - 1, p + 1)] if p else [])
+        assert [tag for _, tag in work] == ["columns", "image"] + ["columns"] * bool(p), p
+        assert len(transposed) == len(want) and all(a is b for a, b in zip(transposed, want)), p
         assert images == [("del", p, p + 1)] and ("del", p, p + 1) in ec._images, p
-    assert skipped
     alone, paired = EvaluatedComplex(iwasawa_c, ()), EvaluatedComplex(iwasawa_c, ())
     full_report(alone)
     full_report(paired)
@@ -603,15 +641,15 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     form outside im deldelbar, the verdict raises instead of answering:
     on the torus every verdict holds, so a deldelbar image rank lowered
     by one must raise.  For weak, whose rank identity that patch makes
-    fail, the lowered rank makes the relations of E modulo T outnumber
-    twice the deldelbar rank, and weak must raise both from its realified
-    route and from weak itself."""
+    fail, the lowered rank makes the relations of E and conj(E) modulo U
+    outnumber twice the deldelbar rank, and weak must raise both from its
+    tracked route and from weak itself."""
     real = EvaluatedComplex.image_rank
     monkeypatch.setattr(EvaluatedComplex, "image_rank", lambda self, op, p, q: real(self, op, p, q) - 1)
     assert not lemmata._images_meet_in_ddbar(ec_torus, 1)
     calls = (("mild", lambda: mild(ec_torus, 1, 1)), ("dual_mild", lambda: dual_mild(ec_torus, 1, 1)),
              ("strong", lambda: strong(ec_torus, 1, 1)), ("standard", lambda: standard(ec_torus)),
-             ("weak", lambda: lemmata._weak_realified(ec_torus, 1)), ("weak", lambda: weak(ec_torus, 1)))
+             ("weak", lambda: lemmata._weak_tracked(ec_torus, 1)), ("weak", lambda: weak(ec_torus, 1)))
     for kind, call in calls:
         with pytest.raises(AssertionError, match=f"{kind} at .*finds no form"):
             call()
@@ -637,7 +675,9 @@ def _weak_cases(reference_complexes, bcvary10):
 def test_weak_rank_identity_agrees_with_the_realified_route(reference_complexes, bcvary10):
     """weak's rank identity, im del cap im delbar = im deldelbar at
     (p,p+1) (``_images_meet_in_ddbar``), decides only where the realified
-    route agrees: at every p of the 13 reference complexes (the four
+    route (``oracles.weak_realified``, which
+    ``test_tracked_route_equals_the_realified_oracle`` holds equal to the
+    tracked route) agrees: at every p of the 13 reference complexes (the four
     benchmark products among them, under a coframe permutation), the four
     products unpermuted, H(3,C), H(5,C), H(7,C) and six seeded bcvary10
     fibers, wherever the identity holds the realified route returns
@@ -649,7 +689,7 @@ def test_weak_rank_identity_agrees_with_the_realified_route(reference_complexes,
         fast, realified = [], []
         for p in range(cx.n):
             fast.append(lemmata._images_meet_in_ddbar(ec, p))
-            realified.append(lemmata._weak_realified(ec, p))
+            realified.append(weak_realified(ec, p))
             if fast[-1]:
                 assert realified[-1] == (True, None), (label, p)
         if failing is not None:
@@ -659,8 +699,8 @@ def test_weak_rank_identity_agrees_with_the_realified_route(reference_complexes,
 
 def test_realified_route_equals_the_residue_rank_oracle(reference_complexes, bcvary10):
     """weak's realified route, one forward elimination of T read by both
-    the verdict and the witness (``_weak_realified``), gives at every p
-    the flag and the witness of the residue-rank route it replaced
+    the verdict and the witness (``oracles.weak_realified``), gives at
+    every p the flag and the witness of the residue-rank route it replaced
     (``oracles.weak_by_residue_ranks``, three eliminations of T), the
     witness compared as a form with its coefficients' types: on the cases
     of ``_weak_cases`` and solvable3, which is not unimodular, so the
@@ -673,28 +713,96 @@ def test_realified_route_equals_the_residue_rank_oracle(reference_complexes, bcv
     for label, cx, point, _ in cases:
         ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
         for p in range(cx.n):
-            (ok, wit), (want_ok, want) = lemmata._weak_realified(ec, p), weak_by_residue_ranks(oc, p)
+            (ok, wit), (want_ok, want) = weak_realified(ec, p), weak_by_residue_ranks(oc, p)
             assert (ok, _typed_form(wit)) == (want_ok, _typed_form(want)), (label, p)
             witnesses += wit is not None
     assert witnesses >= 18
 
 
-def test_realified_rank_is_certified_by_the_stacked_rank(monkeypatch, bcvary10):
-    """T, the realified delbar images of the real (p,p)-forms, must have
-    the stacked rank at (p,p): the real forms delbar kills are the real
-    points of ker del cap ker delbar, as d is real.  The realified route
-    checks it at every p of the cases of
-    ``test_realified_route_equals_the_residue_rank_oracle``, and with the
-    stacked rank at (p,p) read one too high it raises on a fiber, naming
-    p and both ranks."""
+def _relation_count(monkeypatch, route, ec, p):
+    """The verdict of route at p and the number of relations that its
+    ``Echelon.track`` calls return."""
+    track, found = linalg.Echelon.track, []
+
+    def counting(self, v, j, width):
+        c = track(self, v, j, width)
+        found.append(c is not None)
+        return c
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg.Echelon, "track", counting)
+        ok, wit = route(ec, p)
+    return ok, wit, sum(found)
+
+
+def test_tracked_route_equals_the_realified_oracle(monkeypatch, reference_complexes, bcvary10):
+    """weak's tracked route over Q(i) (``_weak_tracked``) counts as many
+    relations of E and conj(E) modulo U as the realified route over Q it
+    replaced (``oracles.weak_realified``) counts of E modulo T, and gives
+    its verdict, at every p of the cases of ``_weak_cases``, solvable3
+    (not unimodular) and the bcvary10 fibers at seeds 4601-4620; each
+    route runs on a complex of its own.  Each relation gives two
+    candidates, the (p,p+1) parts of u + sigma(u) and i (u - sigma(u)),
+    and every candidate, the scan read to its end, lies in T cap E by
+    the realified oracle: in a new elimination of T
+    (``oracles.real_delbar_span``) and in the del image.  Some relations
+    give two nonzero candidates.  Every witness passes
+    ``verify_witness``.  At p = 1 and 3 each witness on the fibers is
+    the realified route's; at p = 2 none is, and fiber 4601's is one
+    monomial."""
+    cases = [case[:3] for case in _weak_cases(reference_complexes, bcvary10)]
+    cases.append(("solvable3", build_complex(nio.obj_to_se(SOLVABLE)), ()))
+    fibers = {f"fiber {seed}" for seed in range(4601, 4621)}
+    cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))), ())
+              for seed in range(4607, 4621)]
+    witness, scans = lemmata._witness, []
+
+    def reading(ec, kind, p, q, vectors):
+        scans.append(list(vectors))
+        return witness(ec, kind, p, q, iter(scans[-1]))
+
+    monkeypatch.setattr(lemmata, "_witness", reading)
+    same, failing, both = Counter(), Counter(), 0
+    for label, cx, point in cases:
+        ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
+        for p in range(cx.n):
+            scans.clear()
+            ok, wit, count = _relation_count(monkeypatch, lemmata._weak_tracked, ec, p)
+            want_ok, want, want_count = _relation_count(monkeypatch, weak_realified, oc, p)
+            assert (ok, count) == (want_ok, want_count), (label, p)
+            if ok:
+                assert wit is None and not scans, (label, p)
+                continue
+            failing[label in fibers] += 1
+            checker = EvaluatedComplex(cx, point)
+            t, e = real_delbar_span(checker, p), checker.image_echelon("del", p, p + 1)
+            candidates = scans[0]
+            assert all(t.contains(realify_vec(v)) and e.contains(v) for v in candidates), (label, p)
+            both += sum(bool(a and b) for a, b in zip(candidates[::2], candidates[1::2]))
+            assert all(verify_witness(checker, "weak", p, p + 1, wit).values()), (label, p)
+            if label in fibers:
+                same[p, wit == want] += 1
+                if label == "fiber 4601" and p == 2:
+                    assert len(wit.coeffs) == 1 < len(want.coeffs)
+    assert failing[True] == 60 and failing[False] and both
+    assert same == {(1, True): 20, (2, False): 20, (3, True): 20}
+
+
+def test_d_image_rank_is_certified_by_the_stacked_rank(monkeypatch, bcvary10):
+    """U, the image of d on the (p,p)-forms eliminated from the columns of
+    the stacked rows (``_d_image``), must have the stacked rank at (p,p),
+    the rank of those rows.  The tracked route checks it at every p of the
+    cases of ``test_tracked_route_equals_the_realified_oracle``, and with
+    the stacked rank at (p,p) read one too high it raises on a fiber,
+    naming p and both ranks."""
     fiber = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601)))
     ec = EvaluatedComplex(fiber, ())
     closed = ec.rank("stacked", 2, 2)
     real = EvaluatedComplex.rank
     monkeypatch.setattr(EvaluatedComplex, "rank",
                         lambda self, op, p, q: real(self, op, p, q) + (op == "stacked" and p == q))
-    with pytest.raises(AssertionError, match=fr"weak at 2: rank {closed} of .* \(2,2\)-forms != stacked rank {closed + 1}$"):
-        lemmata._weak_realified(ec, 2)
+    with pytest.raises(AssertionError, match=fr"weak at 2: column rank {closed} of d on the \(2,2\)-forms != stacked rank {closed + 1}$"):
+        lemmata._weak_tracked(ec, 2)
 
 
 def test_lemma_report_raises_when_strong_breaks_its_identity(monkeypatch, ec_torus, ec_iwasawa):
@@ -710,50 +818,75 @@ def test_lemma_report_raises_when_strong_breaks_its_identity(monkeypatch, ec_tor
 
 
 def test_weak_relations_are_certified_to_hold_the_ddbar_image(monkeypatch, bcvary10):
-    """D, the realified deldelbar image into (p,p+1), lies in T cap E, so
-    the relations of E modulo T, dim T cap E in number, are at least
-    2 r(ddbar).  The realified route checks it at every p of the cases of
-    ``test_realified_route_equals_the_residue_rank_oracle``, and with the
+    """D, the deldelbar image into (p,p+1), lies in T cap E, so the
+    relations of E and conj(E) modulo U, dim T cap E in number, are at
+    least 2 r(ddbar).  The tracked route checks it at every p of the cases
+    of ``test_tracked_route_equals_the_realified_oracle``, and with the
     deldelbar image rank at (2,3) read as the least rank whose double
     exceeds the count, it raises on a fiber, naming p and both numbers:
-    the count is dim T + dim E - dim (T + E), from eliminations of its
-    own."""
+    the count is dim U + 2 dim E - dim (U + conj(E) + E), from
+    eliminations of its own, with conj read from ``Form.conj``, and it
+    is the realified count dim T + dim E - dim (T + E) over Q."""
     fiber = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601)))
     ec = EvaluatedComplex(fiber, ())
-    t = [linalg.realify_vec(v) for v in weak_images_by_columns(ec, 2) if v]
-    e = linalg.realify_span(ec.image_vectors("del", 2, 3))
-    count = linalg.forward_echelon(t).rank + len(e) - linalg.forward_echelon(t + e).rank
+    half, image = ec.dim(3, 2), ec.image_vectors("del", 2, 3)
+    u = list(columns_of_every_row(ec.rows("stacked", 2, 2)).values())
+    tracked = [{half + k: x for k, x in e.items()} for e in image]
+    tracked += [ec.form_to_vec(ec.vec_to_form(e, 2, 3).conj(), 3, 2) for e in image]
+    count = linalg.forward_echelon(u).rank + len(tracked) - linalg.forward_echelon(u + tracked).rank
+    t = [realify_vec(v) for v in weak_images_by_columns(ec, 2) if v]
+    e = realify_span(image)
+    assert count == linalg.forward_echelon(t).rank + len(e) - linalg.forward_echelon(t + e).rank
     assert count > 2 * ec.image_rank("ddbar", 2, 3)  # weak fails at 2
     real = EvaluatedComplex.image_rank
     monkeypatch.setattr(EvaluatedComplex, "image_rank",
                         lambda self, op, p, q: count // 2 + 1 if (op, p, q) == ("ddbar", 2, 3) else real(self, op, p, q))
-    with pytest.raises(AssertionError, match=fr"weak at 2: {count} relations of E modulo T < 2 r\(ddbar\) = {2 * (count // 2 + 1)}$"):
-        lemmata._weak_realified(ec, 2)
+    with pytest.raises(AssertionError, match=fr"weak at 2: {count} relations of E \+ conj\(E\) modulo U < 2 r\(ddbar\) = {2 * (count // 2 + 1)}$"):
+        lemmata._weak_tracked(ec, 2)
 
 
 def test_weak_witness_check_refuses_a_del_exact_form_outside_t(bcvary10):
     """verify_witness certifies a weak witness w as delbar psi with psi
-    real: w's realification must lie in T, the realified delbar images of
-    the real (p,p)-forms, eliminated afresh (key ``delbar_of_real``).  On
-    fiber 4601 the del image basis into (p,p+1) holds 3, 16 and 12
-    vectors at p = 1, 2 and 3 that lie outside both T and im deldelbar:
-    each is del-exact and not deldelbar-exact, and fails that key alone,
-    while weak's own witness at each p passes every key."""
+    real: (conj w, w) must lie in U, the image of d on the (p,p)-forms,
+    eliminated afresh (key ``delbar_of_real``).  On fiber 4601 the del
+    image basis into (p,p+1) holds 3, 16 and 12 vectors at p = 1, 2 and 3
+    that lie outside both im deldelbar and T, the realified delbar images
+    of the real (p,p)-forms (the oracle's ``realify_vec``): each is
+    del-exact and not deldelbar-exact, and fails that key alone, while
+    weak's own witness at each p passes every key.  On the whole del
+    image basis, on delbar of seeded real forms psi + conj(psi) (conj
+    read from ``Form.conj``) and on i times each, the key is the
+    oracle's membership in that T: both answers
+    occur, and some delbar psi pass whose (0, w) is not in U, so the key
+    reads the conj(w) half."""
     fiber = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601)))
     ec, checker = EvaluatedComplex(fiber, ()), EvaluatedComplex(fiber, ())
-    outside = []
+    outside, rng, seen = [], random.Random(5401), Counter()
     for p in (1, 2, 3):
         q = p + 1
-        t = linalg.forward_echelon([linalg.realify_vec(v) for v in weak_images_by_columns(ec, p) if v])
+        t = linalg.forward_echelon([realify_vec(v) for v in weak_images_by_columns(ec, p) if v])
         ddbar = ec.image_echelon("ddbar", p, q)
-        vs = [v for v in ec.image_vectors("del", p, q) if not (t.contains(linalg.realify_vec(v)) or ddbar.contains(v))]
+        vs = [v for v in ec.image_vectors("del", p, q) if not (t.contains(realify_vec(v)) or ddbar.contains(v))]
         outside.append(len(vs))
         for v in vs:
             verdict = verify_witness(checker, "weak", p, q, ec.vec_to_form(v, p, q))
             assert verdict == {"not_ddbar_exact": True, "del_exact": True, "delbar_of_real": False}, p
         ok, wit = weak(ec, p)
         assert not ok and verify_witness(checker, "weak", p, q, wit) == dict.fromkeys(verdict, True), p
+        vectors = list(ec.image_vectors("del", p, q))
+        for _ in range(6):
+            psi = ec.vec_to_form({i: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                                  for i in rng.sample(range(ec.dim(p, p)), 4)}, p, p)
+            w = linalg.mat_vec(ec.rows("delbar", p, p), ec.form_to_vec(psi + psi.conj(), p, p))
+            vectors += [w, {k: x * QI_I for k, x in w.items()}]
+        u = lemmata._d_image(ec, p)
+        for v in vectors:
+            got = verify_witness(checker, "weak", p, q, ec.vec_to_form(v, p, q))["delbar_of_real"]
+            assert got is t.contains(realify_vec(v)), p
+            seen[got] += 1
+            seen["conj half"] += got and not u.contains({ec.dim(q, p) + k: x for k, x in v.items()})
     assert outside == [3, 16, 12]
+    assert seen[True] and seen[False] and seen["conj half"]
 
 
 def test_pure_d_exact_equals_the_nullspace_oracle(reference_complexes, bcvary10):
@@ -775,12 +908,13 @@ def test_pure_d_exact_equals_the_nullspace_oracle(reference_complexes, bcvary10)
     assert vectors
 
 
-def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
-    """On six seeded bcvary10 fibers weak fails at p = 1..3, and at each
-    failing p its witness from the tracked forward elimination is the
-    oracle's, from the RREF nullspace of the realified system on a fresh
-    complex: the same values, monomial order and part types.  Each
-    witness re-verifies on a third complex."""
+def test_weak_verdict_equals_the_nullspace_oracle_on_fibers(bcvary10):
+    """On six seeded bcvary10 fibers weak fails at p = 1..3, as the RREF
+    nullspace of the realified system on a fresh complex says
+    (``oracles.weak_by_nullspace``), and at each failing p its witness
+    lies in that nullspace's T cap E outside im deldelbar, by the
+    realified oracle (``_in_weak_oracle_space``).  Each witness
+    re-verifies on a third complex."""
     for seed in range(7301, 7307):
         cx = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed)))
         ec = EvaluatedComplex(cx, ())
@@ -788,9 +922,10 @@ def test_weak_witness_equals_the_nullspace_oracle_on_fibers(bcvary10):
         for p in range(cx.n):
             ok, wit = weak(ec, p)
             want_ok, want = weak_by_nullspace(EvaluatedComplex(cx, ()), p)
-            assert (ok, _typed_form(wit)) == (want_ok, _typed_form(want)), (seed, p)
+            assert (ok, wit is None) == (want_ok, want is None), (seed, p)
             if not ok:
                 failing.append(p)
+                assert _in_weak_oracle_space(cx, (), p, wit), (seed, p)
                 verdict = verify_witness(EvaluatedComplex(cx, ()), "weak", p, p + 1, wit)
                 assert all(verdict.values()), (seed, p, verdict)
         assert failing == [1, 2, 3], seed
@@ -802,10 +937,11 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     kernel read (``Echelon._column_index``) is a row echelon the complex
     keeps, for a kernel reader, so
     standard's witness route (``_pure_d_exact``, one nullspace before)
-    and weak's take none.  It builds no Fraction: weak eliminates its
-    realified vectors as real Gaussian rationals (1,870 Fractions over
-    int/Fraction parts before), and its witness takes no realified
-    nullspace (4 nullspaces and 5,520 Fractions before).  No degree of d with a nonzero row is
+    and weak's take none.  It builds no Fraction: weak eliminates U and
+    tracks the del image over Q(i), as Gaussian rationals (1,870
+    Fractions over int/Fraction parts when it realified them), and its
+    witness takes no nullspace (4 nullspaces and 5,520 Fractions
+    before).  No degree of d with a nonzero row is
     forward-eliminated twice over full_report and lemma_report: standard's
     prefix pass is the one whose marks rank reads.  The total rows are
     never stored, and standard builds them again, so the rows fed are
@@ -922,9 +1058,9 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
     oracle (every deldelbar kernel vector through the column table of
     del or delbar), in the same order, with the same entries and types,
     and its witness is the oracle's; no column table of del or delbar is
-    built for them.  weak's realified route (``_weak_realified``), run
-    at every p, eliminates forward one list of vectors, T: the nonzero
-    subsequence of delbar of its whole real basis, each realified.
+    built for them.  weak's tracked route (``_weak_tracked``), run at
+    every p, eliminates forward one list of vectors, U: the nonzero
+    columns of the stacked rows at (p,p), by ascending index.
     ``columns``,
     ``total_d_rows`` and the deldelbar product (``linalg.mat_mul``),
     which skip empty rows, equal the walkers over every row."""
@@ -960,9 +1096,9 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
                     assert _typed_form(got) == _typed_form(want), (label, op, p, q)
         for p in range(n):
             fed.clear()
-            lemmata._weak_realified(ec, p)
-            want = [linalg.realify_vec(v) for v in weak_images_by_columns(oc, p) if v]
-            assert [typed(vectors) for vectors in fed] == [typed(want)], (label, p)
+            lemmata._weak_tracked(ec, p)
+            want = sorted(columns_of_every_row(oc.rows("stacked", p, p)).items())
+            assert [typed(vectors) for vectors in fed] == [typed(c for _, c in want)], (label, p)
         for p in range(n + 1):
             for q in range(n + 1):
                 for op in ("del", "delbar", "ddbar", "stacked"):
@@ -1123,12 +1259,12 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
     dual mild's scans, is counted: 84 of them, and the 4 that are 0 are
     deldelbar kernel vectors with two entries on nonzero columns of del
     or delbar whose images cancel, which no support test sees.  weak
-    holds by rank at every p, and its realified route
-    (``_weak_realified``), run after the report at each p, forms 1,494
-    more, none of them 0.  The full-table route, put back in place of
-    the kernel images, forms the same 1,574 nonzero images over the two,
-    and 862 zero ones, and transposes del or delbar once per scan, so
-    the gate sees what it counts."""
+    holds by rank at every p, and its tracked route (``_weak_tracked``),
+    run after the report at each p, forms none: it reads U from the
+    columns of the stacked rows.  The full-table route, put back in place
+    of the kernel images, forms the same 80 nonzero images, and 862 zero
+    ones, and transposes del or delbar once per scan, so the gate sees
+    what it counts."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     columns_vec, columns, apply, witness = linalg.columns_vec, linalg.columns, EvaluatedComplex.apply, lemmata._witness
     formed, tables, inside, scans = [], [], [], []
@@ -1175,12 +1311,12 @@ def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
         assert any(key.startswith(("mild:", "dual_mild:")) for key in report.witnesses)
         assert all(report.weak_flags.values())
         counts.append(tally())
-        assert all(lemmata._weak_realified(ec, p) == (True, None) for p in report.weak_flags)
+        assert all(lemmata._weak_tracked(ec, p) == (True, None) for p in report.weak_flags)
         counts.append(tally())
         sources = [("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
                    for kind, p, q in scans if kind in ("mild", "dual_mild")]
         assert sources and tables == ([] if route is star_route else sources), route
-    assert counts == [(84, 4, 2), (1578, 4, 2), (942, 862, 0), (2436, 862, 0)]
+    assert counts == [(84, 4, 2), (84, 4, 2), (942, 862, 0), (942, 862, 0)]
 
 
 def test_a_complex_that_is_not_unimodular_keeps_the_transpose_route(monkeypatch):
@@ -1240,13 +1376,14 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
     """On six bcvary10 fibers, over full_report, lemma_report and
     verify_witness of every witness, the columns of each matrix of del,
     delbar, deldelbar and d are eliminated by at most one structure, and
-    each cached image by exactly one.  Inside weak(p), T, the realified
-    delbar images of the real (p,p)-forms, is eliminated from empty once
-    where the rank identity fails (the realified p, where weak fails) and
-    never where it decides; at each realified p, no structure starts
-    from a copy of T's rows, and the realified basis of the del image
-    into (p,p+1) that the complex caches is tracked into T's echelon
-    itself, each vector once, and nothing else is fed to it.
+    each cached image by exactly one.  Inside weak(p), U, the image of d
+    on the (p,p)-forms, is eliminated from empty once where the rank
+    identity fails (the tracked p, where weak fails) and never where it
+    decides; at each tracked p, no structure starts from a copy of U's
+    rows, and the del image basis into (p,p+1) that the complex caches,
+    in the (p,p+1) half, and its conjugates (read from ``Form.conj``) are
+    tracked into U's echelon itself, each vector once, and nothing else
+    is fed to it.
 
     A structure is told by the vectors fed to it from empty; one that
     starts from a copy of a cached echelon's rows (``image_sum``, for a
@@ -1322,19 +1459,21 @@ def test_each_image_is_eliminated_once(monkeypatch, bcvary10):
         weak_p = [p for p, ok in report.weak_flags.items() if not ok]
         failing_weak += len(weak_p)
         for p in report.weak_flags:
-            t_vectors = Counter(key(linalg.realify_vec(v)) for v in weak_images_by_columns(ec, p) if v)
-            realified = not lemmata._images_meet_in_ddbar(ec, p)
-            assert t_vectors or not realified, (seed, p)
+            u_vectors = Counter(key(v) for v in columns_of_every_row(ec.rows("stacked", p, p)).values())
+            tracked = not lemmata._images_meet_in_ddbar(ec, p)
+            assert u_vectors or not tracked, (seed, p)
             made = [(e, counts, start, first) for e, counts, start, frame, first in fed.values()
                     if frame is not None and frame[0] is ec and frame[1] == p]
-            ts = [e for e, _, start, first in made if not start and t_vectors and first == t_vectors]
-            assert len(ts) == realified, (seed, p)
-            decided += not realified
-            if realified:
-                span = linalg.realify_span(ec.image_vectors("del", p, p + 1))
-                rows = {id(r) for r in ts[0].pivots.values()}
+            us = [e for e, _, start, first in made if not start and u_vectors and first == u_vectors]
+            assert len(us) == tracked, (seed, p)
+            decided += not tracked
+            if tracked:
+                half, image = ec.dim(p + 1, p), ec.image_vectors("del", p, p + 1)
+                span = [{half + k: x for k, x in e.items()} for e in image]
+                span += [ec.form_to_vec(ec.vec_to_form(e, p, p + 1).conj(), p + 1, p) for e in image]
+                rows = {id(r) for r in us[0].pivots.values()}
                 assert not [start for _, _, start, _ in made if rows.intersection(start)], (seed, p)
-                assert fed[id(ts[0])][1] == t_vectors + Counter(key(v) for v in span), (seed, p)
+                assert fed[id(us[0])][1] == u_vectors + Counter(key(v) for v in span), (seed, p)
         assert sorted(weak_p) == [p for p in report.weak_flags if not lemmata._images_meet_in_ddbar(ec, p)], seed
     assert failing_weak > 0 and decided > 0
 

@@ -31,7 +31,9 @@ from oracles import (
     nonzero_gaussian,
     nullspace,
     realify_dense,
+    realify_span,
     realify_span_by_products,
+    realify_vec,
     relations_modulo,
     residues,
     rows_from_columns,
@@ -176,14 +178,14 @@ def _real(*values):
 
 
 def test_int_leads_divide_exactly():
-    """Realified Gaussian integers are real Gaussian-integer vectors, a
-    part of 1 the shared ``QI_ONE``.  A lead of 2 or -3 is divided
+    """Gaussian integers realified by the oracle (``realify_vec``) are
+    real Gaussian-integer vectors, a part of 1 the shared ``QI_ONE``.  A lead of 2 or -3 is divided
     exactly where the kernel reads an RREF column, so after each insert
     the RREF of the stored rows (``completed_rref``) and the kernel equal
     the full-scan oracle's, the kernel read leaves each stored row the
     same object, a tracked forward solve gives the vector back, and every
     entry is a real Gaussian rational."""
-    vecs = [linalg.realify_vec({0: QI(2), 1: QI(1, 3)})] + _real(
+    vecs = [realify_vec({0: QI(2), 1: QI(1, 3)})] + _real(
         {1: -3, 2: 1, 4: 2},
         {0: 2, 1: -3, 2: 7, 3: 3},
         {2: 4, 3: -1},
@@ -811,20 +813,21 @@ def test_indefinite_witness():
 
 
 def test_realify_consistency():
-    """realify_span doubles the rank, and reads i*v's realification from
+    """The realifiers of weak's realified oracle: realify_span doubles
+    the rank, and reads i*v's realification from
     v's: it equals realify_vec of v and of i*v formed by products in Q(i),
     entry for entry, key order and type included, and the parts of
     units are the shared +-1; realify_vec shares them too."""
     rng = DetRng(29)
     vecs = [_random_rows(rng, 1, 4)[0] for _ in range(3)]
-    real = linalg.realify_span(vecs)
+    real = realify_span(vecs)
     assert linalg.forward_echelon(real).rank == 2 * linalg.forward_echelon(vecs).rank
     vecs += [{0: QI(1), 1: QI(-1), 2: QI(0, 1), 3: QI(0, -1)}]
     vecs += [{3: QI(Fraction(-1, 2), 1), 0: QI(4, Fraction(6, 4)), 4: QI(Fraction(2, 6), Fraction(-3, 9))}, {}]
-    got, want = linalg.realify_span(vecs), realify_span_by_products(vecs)
+    got, want = realify_span(vecs), realify_span_by_products(vecs)
     assert [_typed(v) for v in got] == [_typed(v) for v in want]
     assert all(x is QI_ONE or x is QI_MINUS_ONE for v in got[6:8] for x in v.values())  # the units' parts
     # parts of +-1 are shared, not built
-    units = linalg.realify_vec({0: QI(-1, 1), 1: QI(0, -1)})
+    units = realify_vec({0: QI(-1, 1), 1: QI(0, -1)})
     assert units == {0: QI(-1), 1: QI(1), 3: QI(-1)}
     assert units[1] is QI_ONE and units[0] is units[3]
