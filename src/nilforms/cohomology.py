@@ -12,25 +12,22 @@ forward echelons that every minimal-norm del-delbar solve at that point
 reuses (``ddbar_preimage``); not d on the total complex, which is built
 for each pass that reads it, nor columns, a kernel list or an echelon
 that only a rank read.
-[del | delbar] is a rank, not a matrix.  What does not depend on
-the point belongs to the structure equations, which
-the ``InvariantComplex`` wraps: the subset table and the assembly plans
-(``leibniz.Layout``), which the equations' column tables and every point
-of the complex share across terms and bidegrees, and the equations'
-terms.
+[del | delbar] is a rank, not a matrix.  What does not depend on the
+point belongs to the structure equations, which the ``InvariantComplex``
+wraps: the subset table and the assembly plans (``leibniz.Layout``),
+which the equations' column tables and every point of the complex share
+across terms and bidegrees, and the equations' terms.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read once per duality pair
 from a forward echelon, whose rows no kernel read rewrites: on a
 unimodular complex the Hodge star reads the delbar, Aeppli and upper de
-Rham ranks from others
-and gives a deldelbar rank to its dual, and conjugation reads standard's
-suffix ranks from its prefix ranks; the star also reads the columns of
-a lemma witness scan as rows (``EvaluatedComplex.star``).  ``full_report`` and
-``lemmata.lemma_report`` run with the cyclic garbage collector paused
-(``collector_paused``).
-Kernel and image bases are built
-only for callers that need vectors (lemma witnesses, extension
+Rham ranks from others and gives a deldelbar rank to its dual, and
+conjugation reads standard's suffix ranks from its prefix ranks; a
+mild witness scan stays on the star side (``EvaluatedComplex.mild_scan``).
+``full_report`` and ``lemmata.lemma_report`` run with the cyclic garbage
+collector paused (``collector_paused``).  Kernel and image bases are
+built only for callers that need vectors (lemma witnesses, extension
 generators, solvers).  Quotient-space computations are the normative
 route; the Laplacians, harmonic projectors and Green operators of Hodge
 theory are a test oracle (``HodgeContext`` in ``tests/oracles.py``).
@@ -114,13 +111,12 @@ class EvaluatedComplex:
     is the one shared ``EMPTY_ROW``, a read-only mapping, so most rows of
     a large matrix cost one list slot, and every walker over rows skips
     it.  Every matrix starts as a list of ``EMPTY_ROW`` and gets a dict
-    only at a row that holds an entry: del, delbar and total
-    in their assembly, ddbar in ``linalg.mat_mul`` and the adjoints in
-    ``linalg.conj_transpose``, so each allocates per nonzero row, not per
-    row.  No column table is kept: the image echelons, weak's image of d
-    on the (p,p)-forms and, off a unimodular complex, mild's witness scan
-    each read the transpose ``linalg.columns`` once and drop it
-    (``column_reads``).
+    only at a row that holds an entry: del, delbar and total in their
+    assembly, ddbar in ``linalg.mat_mul`` and the adjoints in
+    ``linalg.conj_transpose``, so each allocates per nonzero row.  No
+    column table is kept: the image echelons, weak's image of d on the
+    (p,p)-forms and, off a unimodular complex, mild's witness scan each
+    read the transpose ``linalg.columns`` once (``column_reads``).
 
     One rule decides what is kept: a rank read keeps only an int, in the
     one rank cache (``_ranks``), and a row echelon is kept only for a
@@ -136,16 +132,11 @@ class EvaluatedComplex:
     rank, and only the rank after each block is kept (``total_marks``,
     the rank cache of d, which ``block_ranks`` reads for standard), and
     the image of d transposes a build of its own (``_image``).  A
-    kernel read builds each vector from one column of the RREF of its
-    echelon, by back-substitution through the forward rows
-    (``linalg.Echelon.kernel``), so no stored row is rewritten or copied
-    and the matrix rows are left as they were.  The RREF is unique, so
-    ``kernel("stacked")`` gives the same vectors whichever forward pass
-    found its pivots.  ``kernel`` lists the kernel
-    vectors for the callers that read it whole (extension generators,
-    the tests' oracles), and ``kernel_vectors`` builds them one at a time,
-    for mild's witness, which stops at the first image outside im
-    deldelbar; neither keeps a vector.
+    kernel read builds each vector from one RREF column of its echelon
+    (``linalg.Echelon.kernel``), so no stored row is rewritten or copied,
+    and keeps none: ``kernel`` lists them, and ``kernel_vectors`` builds
+    them one at a time, for ``mild_scan``.  The RREF is unique, so
+    ``kernel("stacked")`` is the same whichever pass found its pivots.
 
     On a unimodular complex (``unimodular``: d of every (2n-1)-form is 0,
     as on every nilpotent Lie algebra) del* = -*delbar* on invariant
@@ -168,11 +159,10 @@ class EvaluatedComplex:
 
     ``conj`` sends a vector at (p,q) to its conjugate at (q,p), for weak.
     On a unimodular complex the conjugate-linear ``star`` from (p,q) to
-    (n-q, n-p) reads columns as rows, for the lemma witness scans:
-    ``apply`` and ``column_reads`` read del's columns from delbar's
-    rows at the dual bidegree and the other way round, and
-    ``in_ddbar_image`` reads im deldelbar from the kept row echelon of
-    deldelbar at the dual, so none builds a transpose or a column echelon.
+    (n-q, n-p) reads columns as rows: ``mild_scan`` reads del's columns
+    as delbar's rows at the dual bidegree, and the other way round, and
+    tests their combinations, as ``in_ddbar_image`` tests a starred
+    vector, in deldelbar's kept row echelon there: no column echelon.
 
     Each image, of del, delbar or ddbar into TARGET (p,q) or of total
     into TARGET degree p, is one forward echelon of the matrix's nonzero
@@ -394,49 +384,60 @@ class EvaluatedComplex:
             sp, sq, odd = n - q - 1, n - p, p % 2 == 1
         return self.rows("delbar" if op == "del" else "del", sp, sq), sp, sq, odd
 
-    def apply(self, op: str, x: Vec, p: int, q: int) -> Vec:
-        """op x for x at SOURCE (p,q), op del or delbar, on a unimodular
-        complex, with no transpose: star(x) M combines only the rows of M
-        that star(x) meets, M the dual of ``_dual``.  Its keys ascend and
-        it holds no zero, as ``linalg.columns_vec`` gives it."""
-        rows, sp, sq, odd = self._dual(op, p, q)
-        acc: Vec = {}
-        for i, c in self.star(x, p, q).items():
-            if odd:
-                c = -c
-            for j, m in rows[i].items():
-                s = acc.get(j)
-                acc[j] = m * c if s is None else s + m * c
-        out = self.star({j: s for j, s in acc.items() if s}, sp, sq)
-        return {k: out[k] for k in sorted(out)}
-
     def column_reads(self, op: str, p: int, q: int) -> Tuple[Callable[[int], bool], Callable[[Vec], Vec]]:
-        """The two reads of a witness scan over vectors at SOURCE (p,q),
-        op del or delbar: its support test, whether column j of op is
-        nonzero, and op x.  On a unimodular complex column j is nonzero
-        iff the row of op's dual (``_dual``) at the star position of j is,
-        and op x is ``apply``, so neither builds a transpose; on any other
-        complex both read one transpose of op's rows (``linalg.columns``),
-        which the scan drops with them."""
-        if not self.unimodular:
-            cols = linalg.columns(self.rows(op, p, q))
-            return cols.__contains__, lambda x: linalg.columns_vec(cols, x)
-        rows = self._dual(op, p, q)[0]
-        cp, cq = comb(self.n, p), comb(self.n, q)
-        top = cp * cq - 1
-        return (lambda j: bool(rows[top - j % cq * cp - j // cq])), (lambda x: self.apply(op, x, p, q))
+        """The support test (is column j of op nonzero) and op x of a scan
+        over vectors at SOURCE (p,q), op del or delbar, on a complex that is
+        not unimodular: from one transpose (``linalg.columns``)."""
+        cols = linalg.columns(self.rows(op, p, q))
+        return cols.__contains__, lambda x: linalg.columns_vec(cols, x)
+
+    def mild_scan(self, op: str, p: int, q: int) -> Optional[Vec]:
+        """The first nonzero op x outside im deldelbar, keys ascending, over
+        the deldelbar kernel vectors x at SOURCE (p,q), op del or delbar, or
+        None: a failing mild's witness, or dual mild's.  Each x is built when
+        reached, none kept, and one with no key on a nonzero column of op
+        is passed over.  On a unimodular complex star(op x) = +-star(x) M,
+        M the rows of ``_dual`` (for x = e_f, M's row at the star position
+        of f, by reference), is tested in deldelbar's row echelon from M's
+        source, whose row space is the star of im deldelbar (0 where op's
+        target has p or q = 0), and only the witness is starred back.  Any
+        other complex reads ``column_reads`` and ``image_echelon``."""
+        tp, tq = (p + 1, q) if _known(op, ("del", "delbar")) == "del" else (p, q + 1)
+        if self.unimodular:
+            rows, sp, sq, odd = self._dual(op, p, q)
+            cp, cq = comb(self.n, p), comb(self.n, q)
+            top = cp * cq - 1
+
+            def meets(j: int) -> Vec:  # M's row at the star position of j: empty iff column j of op is 0
+                return rows[top - j % cq * cp - j // cq]
+
+            def image(x: Vec) -> Vec:  # for x = e_f, the row meets(f) itself
+                return meets(next(iter(x))) if len(x) == 1 else linalg.row_combination(rows, self.star(x, p, q))
+
+            inside = (self._row_echelon("ddbar", sp, sq) if min(tp, tq) else Echelon({})).contains
+        else:
+            meets, image = self.column_reads(op, p, q)
+            inside = self.image_echelon("ddbar", tp, tq).contains
+        for x in self.kernel_vectors("ddbar", p, q, meets=meets):
+            w = image(x)
+            if w and not inside(w):
+                if not self.unimodular:
+                    return w
+                if len(x) == 1:  # star(e_f) is +-1 at the row w
+                    odd ^= -1 in self.star(x, p, q).values()
+                v = self.star(w, sp, sq)
+                return {k: -v[k] if odd else v[k] for k in sorted(v)}
+        return None
 
     def in_ddbar_image(self, v: Vec, p: int, q: int) -> bool:
-        """Whether v at (p,q) lies in im deldelbar.  On a unimodular
-        complex it is read through the star, with no column echelon:
-        star(v) lies in the row space of deldelbar from (n-q, n-p), the
-        kept echelon that deldelbar's rank reads (``_row_echelon``);
-        elsewhere v is tested against ``image_echelon``."""
+        """Whether v at (p,q) lies in im deldelbar (weak's and standard's
+        witnesses): on a unimodular complex whether star(v) lies in the kept
+        row echelon of deldelbar from (n-q, n-p) (``_row_echelon``), else
+        whether v lies in ``image_echelon``."""
         if not self.unimodular:
             return self.image_echelon("ddbar", p, q).contains(v)
-        if min(p, q) < 1:
-            return not v
-        return self._row_echelon("ddbar", self.n - q, self.n - p).contains(self.star(v, p, q))
+        e = self._row_echelon("ddbar", self.n - q, self.n - p) if min(p, q) else Echelon({})  # im deldelbar is 0
+        return e.contains(self.star(v, p, q))
 
     def _image(self, op: str, p: int, q: int) -> Tuple[List[Vec], Echelon]:
         """The independent columns of op into TARGET (p,q), in order, and

@@ -57,32 +57,26 @@ the CLI reports as one ``error:`` line.  On a flat complex:
 So a passing verdict builds no kernel, and only weak, where im del cap
 im delbar is larger than im deldelbar, reads vectors: the columns of d
 on (p,p) and del's image basis, which each EvaluatedComplex builds once
-per image.  A failing verdict runs the
-vector route only to build its witness: the first vector of the tested
-space outside im deldelbar.
-For mild that space is del of ker deldelbar, whose vectors are read
-one RREF column at a time, none kept (``ec.kernel_vectors``), so the
-route stops at the witness; those with no key on a nonzero column of
-del are passed over, not imaged.  That support test and the images are
-the column reads of del (``ec.column_reads``).  On a unimodular complex
-they and every test against im deldelbar (``ec.in_ddbar_image``) are
-read through the Hodge star, with no transpose and no column echelon;
-on any other complex they come from a column map of del read once per
-scan, and the test from the image echelon of deldelbar.  Strong's space
-is the sum of the spaces that mild and dual mild test, so strong fails
-exactly when one of them fails, and its witness is theirs: mild's at
-(p,q) if mild fails, else dual mild's (``lemma_report`` reuses the two
-it holds, and checks strong = mild and dual mild).  Weak's witness is
-the first candidate outside D, two per relation: a relation with a on
-the e_s and b on the conj(e_s) is a u in U, and u + sigma(u) and
-i (u - sigma(u)) are d of real forms, with (p,p+1) parts
-sum (a_s + conj b_s) e_s and i sum (a_s - conj b_s) e_s, which over all
-relations span T cap E.  Standard's space is spanned
-by the relations among the parts outside the (p,q) block of the total
-image basis, tracked into one echelon.  Every relation is read by
-``linalg.Echelon.track``.  That the route finds a witness is checked; if
-not, the two routes disagree, and AssertionError is raised.  Every
-witness re-verifies by fresh rank computations (``verify_witness``).
+per image.  A failing verdict runs the vector route only to build its
+witness: the first vector of the tested space outside im deldelbar.
+For mild that space is del of ker deldelbar, scanned by ``ec.mild_scan``,
+which builds each kernel vector only when it reaches it and, on a
+unimodular complex, tests each image on the Hodge-star side and stars
+back only the witness.  Strong's space is the sum of the spaces that
+mild and dual mild test, so strong fails exactly when one of them
+fails, and its witness is theirs: mild's at (p,q) if mild fails, else
+dual mild's (``lemma_report`` reuses the two it holds, and checks
+strong = mild and dual mild).  Weak's witness is the first candidate
+outside D, two per relation: a relation with a on the e_s and b on the
+conj(e_s) is a u in U, and u + sigma(u) and i (u - sigma(u)) are d of
+real forms, with (p,p+1) parts sum (a_s + conj b_s) e_s and
+i sum (a_s - conj b_s) e_s, which over all relations span T cap E.
+Standard's space is spanned by the relations among the parts outside
+the (p,q) block of the total image basis, tracked into one echelon.
+Every relation is read by ``linalg.Echelon.track``.  That the route
+finds a witness is checked; if not, the two routes disagree, and
+AssertionError is raised.  Every witness re-verifies by fresh rank
+computations (``verify_witness``).
 Every decider refuses a bidegree outside 0..n (``ec.check_bidegree``).
 """
 
@@ -100,13 +94,11 @@ from .scalars import QI_I, QI_ZERO
 
 
 def _witness(ec: EvaluatedComplex, kind: str, p: int, q: int, vectors: Iterable[Vec]) -> Form:
-    """The first of vectors outside im deldelbar at (p,q), as a form,
-    each tested by ``ec.in_ddbar_image`` (through the star on a
-    unimodular complex).  The ranks said that the verdict kind fails, so
-    if the vectors hold none, the two routes disagree and AssertionError
-    is raised."""
+    """The first of vectors outside im deldelbar at (p,q) by
+    ``ec.in_ddbar_image``, as a form: weak's and standard's witness.  The
+    ranks said that the verdict kind fails, so if the vectors hold none,
+    the two routes disagree and AssertionError is raised."""
     for v in vectors:
-        # many of mild's images are 0: skip them without a reduction
         if v and not ec.in_ddbar_image(v, p, q):
             return ec.vec_to_form(v, p, q)
     raise AssertionError(
@@ -127,11 +119,11 @@ def dual_mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form
 
 def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     """op(ker deldelbar) inside im deldelbar at (p,q), op del or delbar,
-    by rank; the witness is the first image outside."""
+    by rank; the witness is the first image outside (``_scanned``)."""
     ec.check_bidegree(p, q)
     if _mild_holds(ec, op, p, q):
         return True, None
-    return False, _witness(ec, "mild" if op == "del" else "dual_mild", p, q, _kernel_images(ec, op, p, q))
+    return False, _scanned(ec, "mild" if op == "del" else "dual_mild", [op], p, q)
 
 
 def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
@@ -143,20 +135,14 @@ def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
     return ec.rank(op, sp, sq) - ec.rank("ddbar", sp, sq) == ec.image_rank("ddbar", p, q)
 
 
-def _kernel_images(ec: EvaluatedComplex, op: str, p: int, q: int) -> Iterator[Vec]:
-    """The nonzero images under op of the deldelbar kernel vectors, into
-    (p,q), each built when the scan reaches it and none kept.  The kernel
-    read is handed the scan's support test, so a kernel vector with no
-    key on a nonzero column of op is not yielded; the test and the image
-    are the complex's column reads of op (``ec.column_reads``), through
-    the Hodge star on a unimodular complex, with no transpose, and else
-    from one transpose read once per scan."""
-    sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
-    meets, image = ec.column_reads(op, sp, sq)
-    for x in ec.kernel_vectors("ddbar", sp, sq, meets=meets):
-        v = image(x)
-        if v:
-            yield v
+def _scanned(ec: EvaluatedComplex, kind: str, ops: Iterable[str], p: int, q: int) -> Form:
+    """The first witness that the ops' scans into (p,q) find, as a form
+    (``ec.mild_scan``); if none, the routes disagree (``_witness`` raises)."""
+    for op in ops:
+        v = ec.mild_scan(op, *((p - 1, q) if op == "del" else (p, q - 1)))
+        if v is not None:
+            return ec.vec_to_form(v, p, q)
+    return _witness(ec, kind, p, q, ())
 
 
 def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
@@ -165,10 +151,8 @@ def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
     ec.check_bidegree(p, q)
     if _strong_holds(ec, p, q):
         return True, None
-    # by mild's rank identity every del image is inside im deldelbar when
-    # mild holds, so the first image outside is mild's witness, else dual mild's
-    images = (v for op in ("del", "delbar") if not _mild_holds(ec, op, p, q) for v in _kernel_images(ec, op, p, q))
-    return False, _witness(ec, "strong", p, q, images)
+    # where mild's rank identity holds, every del image lies in im deldelbar
+    return False, _scanned(ec, "strong", (op for op in ("del", "delbar") if not _mild_holds(ec, op, p, q)), p, q)
 
 
 def _strong_holds(ec: EvaluatedComplex, p: int, q: int) -> bool:

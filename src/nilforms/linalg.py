@@ -26,13 +26,13 @@ back-substitution, so no row is rewritten or copied.
 
 The cost follows the nonzeros, not the rows: ``Echelon.extend`` passes
 over an empty row and stores a row that meets no leading column without
-reducing it, ``_forward_reduce`` returns such a row after one set test,
-and the kernel vector of a free column walks only the rows that its
-RREF column reaches.
-``mat_mul`` and ``conj_transpose`` give each empty row of their result
-the shared read-only ``leibniz.EMPTY_ROW``, and a column walk reads the
-one transpose ``columns``, which passes over an empty row, where no
-Hodge star reads the columns as rows (``EvaluatedComplex.star``).
+reducing it, ``_forward_reduce`` returns such a row after one set test
+and a one-entry vector at a one-entry row with no setup, and the kernel
+vector of a free column walks only the rows that its RREF column
+reaches.  ``mat_mul`` and ``conj_transpose`` give each empty row of
+their result the shared read-only ``leibniz.EMPTY_ROW``; ``columns``,
+the one transpose, passes over an empty row, and ``row_combination``
+walks only the rows it combines (a Hodge-star scan's images).
 """
 
 from __future__ import annotations
@@ -243,10 +243,16 @@ def _reduce_meeting(pivots: Dict[int, Vec], v: Vec) -> Vec:
     The one elimination kernel, on the (a, b, d) ints of the entries.  A
     lead of +-1 gives the multiplier -+c, any other lead one quotient
     with one gcd.  Each s + f*x is summed on ints: a sum that cancels is
-    deleted, one with d = 1 takes no gcd, any other one ``_reduced``."""
-    hits = list(filter(pivots.__contains__, v))
-    w = dict(v)
-    heapify(hits)
+    deleted, one with d = 1 takes no gcd, any other one ``_reduced``.  A
+    one-entry v is {} at a one-entry row, with no filter, copy or heap."""
+    if len(v) == 1:
+        for k, c in v.items():
+            if len(pivots[k]) == 1:
+                return {}
+        hits, w = [k], {k: c}
+    else:
+        hits, w = list(filter(pivots.__contains__, v)), dict(v)
+        heapify(hits)
     while hits:
         k = heappop(hits)
         c = w.pop(k, None)
@@ -364,6 +370,14 @@ def columns_vec(cols: Dict[int, Vec], x: Vec) -> Vec:
                 s = acc.get(i)
                 acc[i] = c * xk if s is None else s + c * xk
     return {i: acc[i] for i in sorted(acc) if acc[i]}
+
+
+def row_combination(rows: Rows, c: Vec) -> Vec:
+    """c M = sum c_i rows[i] over the keys of c, with no zero entry."""
+    w: Vec = {}
+    for i, x in c.items():
+        add_scaled_into(w, x, rows[i])
+    return w
 
 
 def mat_mul(a: Rows, b: Rows) -> Rows:

@@ -1716,6 +1716,18 @@ def kernel_images_by_columns(ec, op: str, p: int, q: int):
         yield linalg.columns_vec(cols, x)
 
 
+def mild_scan_by_columns(ec, op: str, p: int, q: int):
+    """``EvaluatedComplex.mild_scan`` by the full-table route: op of every
+    deldelbar kernel vector at SOURCE (p,q), zero images included
+    (``kernel_images_by_columns``), each nonzero one tested against the
+    image echelon of deldelbar."""
+    tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
+    for v in kernel_images_by_columns(ec, op, tp, tq):
+        if v and not ec.image_echelon("ddbar", tp, tq).contains(v):
+            return v
+    return None
+
+
 def weak_images_by_columns(ec, p: int):
     """delbar of every vector of the real (p,p) basis, zero images
     included."""
@@ -1775,6 +1787,45 @@ def mat_mul_of_every_row(a, b):
                     del acc[j]
         out.append(acc)
     return out
+
+
+# -- the per-candidate star route that EvaluatedComplex.mild_scan replaced --
+
+
+def apply_through_star(ec, op: str, x, p: int, q: int):
+    """op x for x at SOURCE (p,q), op del or delbar, on a unimodular
+    complex, through the Hodge star: star(x) M, M the rows of op's dual
+    (``EvaluatedComplex._dual``), starred back and signed, keys ascending
+    as ``linalg.columns_vec`` gives them (``EvaluatedComplex.apply``,
+    which every candidate of a witness scan went through)."""
+    rows, sp, sq, odd = ec._dual(op, p, q)
+    acc = {}
+    for i, c in ec.star(x, p, q).items():
+        if odd:
+            c = -c
+        for j, m in rows[i].items():
+            s = acc.get(j)
+            acc[j] = m * c if s is None else s + m * c
+    out = ec.star({j: s for j, s in acc.items() if s}, sp, sq)
+    return {k: out[k] for k in sorted(out)}
+
+
+def mild_scan_through_images(ec, op: str, p: int, q: int):
+    """The witness scan that ``EvaluatedComplex.mild_scan`` replaced, from
+    SOURCE (p,q): each deldelbar kernel vector x with a key on a nonzero
+    column of op is imaged as op x, through the star on a unimodular
+    complex (``apply_through_star``) and else through one transpose, and
+    op x is tested by ``ec.in_ddbar_image``, which stars it again.
+    Returns the witness (None if there is none) and the kernel vectors
+    read."""
+    tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
+    cols, read = linalg.columns(ec.rows(op, p, q)), []
+    for x in ec.kernel_vectors("ddbar", p, q, meets=cols.__contains__):
+        read.append(x)
+        v = apply_through_star(ec, op, x, p, q) if ec.unimodular else linalg.columns_vec(cols, x)
+        if v and not ec.in_ddbar_image(v, tp, tq):
+            return v, read
+    return None, read
 
 
 # -- the matrix helpers and the Green operator that only the oracles use ---

@@ -38,6 +38,7 @@ from conftest import SOLVABLE, heisenberg_c
 from oracles import (
     FullScanEchelon,
     HodgeContext,
+    apply_through_star,
     bcvary_oracle,
     block_ranks_by_suffix_pass,
     canonical_solver_rows,
@@ -752,15 +753,20 @@ def test_star_reads_equal_the_transposes(reference_complexes):
     """On every complex of ``tests/data/report_digests.json`` (all of them
     unimodular): the star is an involution on every bidegree; for del and
     delbar from every (p,q), the image of each unit vector read through
-    the star (``apply``) is that column of ``linalg.columns`` of the rows,
-    entries, key order and types alike; and membership in im deldelbar through the
-    star (``in_ddbar_image``) is membership in ``image_echelon("ddbar")``
-    for every del and delbar image of a deldelbar kernel vector, for
-    deldelbar of seeded random vectors (inside), and for those plus a
-    seeded random unit vector (mostly outside)."""
+    the star and op's dual rows (``oracles.apply_through_star``, the
+    route by which ``mild_scan`` stars its witness back) is that column
+    of ``linalg.columns`` of the rows, entries, key order and types
+    alike; for every del and delbar image op x of a deldelbar kernel
+    vector, membership in im deldelbar through the star
+    (``in_ddbar_image``) and membership of star(x) M, M the dual rows
+    (``_dual``), in deldelbar's row echelon from M's source (the test
+    ``mild_scan`` makes, im deldelbar being 0 where the target has p or
+    q = 0) are membership in ``image_echelon("ddbar")``; and so is
+    ``in_ddbar_image`` for deldelbar of seeded random vectors (inside),
+    and for those plus a seeded random unit vector (mostly outside)."""
     cases = list(reference_complexes)
     cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
-    rng, inside = random.Random(5101), Counter()
+    rng, inside, dual_side = random.Random(5101), Counter(), Counter()
     for label, cx, point in cases:
         n = cx.n
         ec = EvaluatedComplex(cx, point)
@@ -775,12 +781,17 @@ def test_star_reads_equal_the_transposes(reference_complexes):
                         continue
                     cols = linalg.columns(ec.rows(op, p, q))
                     for j in range(dim):
-                        got = ec.apply(op, {j: QI_ONE}, p, q)
+                        got = apply_through_star(ec, op, {j: QI_ONE}, p, q)
                         assert _typed(got) == _typed(cols.get(j, {})), (label, op, p, q, j)
                     target = (p + 1, q) if op == "del" else (p, q + 1)
+                    rows, sp, sq, _ = ec._dual(op, p, q)
+                    dual = ec._row_echelon("ddbar", sp, sq) if min(target) else linalg.Echelon({})
                     for x in ec.kernel_vectors("ddbar", p, q):
-                        w = ec.apply(op, x, p, q)
-                        assert ec.in_ddbar_image(w, *target) is ec.image_echelon("ddbar", *target).contains(w)
+                        w = apply_through_star(ec, op, x, p, q)
+                        want = ec.image_echelon("ddbar", *target).contains(w)
+                        assert ec.in_ddbar_image(w, *target) is want, (label, op, p, q)
+                        assert dual.contains(linalg.row_combination(rows, ec.star(x, p, q))) is want, (label, op, p, q)
+                        dual_side[want] += bool(w)
                 if p and q:
                     rows = ec.rows("ddbar", p - 1, q - 1)
                     src = ec.dim(p - 1, q - 1)
@@ -794,6 +805,7 @@ def test_star_reads_equal_the_transposes(reference_complexes):
                             assert ec.in_ddbar_image(u, p, q) is want, (label, p, q)
                             inside[want] += 1
     assert inside[True] > inside[False] > 0
+    assert dual_side[True] > 0 and dual_side[False] > 0
 
 
 def test_vector_conjugation_is_form_conjugation(reference_complexes):
@@ -820,17 +832,28 @@ def test_vector_conjugation_is_form_conjugation(reference_complexes):
                     assert ec.conj(dv, p + 1, q) == linalg.mat_vec(ec.rows("delbar", q, p), got), (label, p, q)
 
 
-def test_scan_column_reads_equal_the_transposes(reference_complexes):
+def test_scan_column_reads_equal_the_transposes(monkeypatch, reference_complexes):
     """On every complex of ``tests/data/report_digests.json`` and on
     solvable3, which is not unimodular: for del and delbar from every
-    (p,q), the support test of a witness scan (``column_reads``) passes
-    exactly the keys of ``linalg.columns`` of the rows, at every column,
-    and its image of each unit vector is that column, entries, key order
-    and types alike."""
+    (p,q), the support test that ``mild_scan`` hands the deldelbar kernel
+    read passes exactly the keys of ``linalg.columns`` of the rows, at
+    every column; and, the scan fed every unit vector e_j with every
+    membership answered inside, so that it reads them all, the vector it
+    tests for e_j is column j itself off a unimodular complex
+    (``column_reads``), and on one the row of op's dual (``_dual``) at the
+    star position of j, by reference, whose star is +- column j, entries,
+    key order and types alike."""
     cases = list(reference_complexes)
     cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
     cases.append(("solvable3", build_complex(nio.obj_to_se(SOLVABLE)), ()))
-    routes = Counter()
+    routes, handed, tested = Counter(), [], []
+
+    def units(self, op, p, q, meets=None):
+        handed.append(meets)
+        return iter([{j: QI_ONE} for j in range(self.dim(p, q)) if meets(j)])
+
+    monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", units)
+    monkeypatch.setattr(linalg.Echelon, "contains", lambda self, w: tested.append(w) or True)
     for label, cx, point in cases:
         ec = EvaluatedComplex(cx, point)
         routes[ec.unimodular] += 1
@@ -839,12 +862,23 @@ def test_scan_column_reads_equal_the_transposes(reference_complexes):
                 for op in ("del", "delbar"):
                     if not ec.dim(p + (op == "del"), q + (op == "delbar")):
                         continue
-                    cols = linalg.columns(ec.rows(op, p, q))
-                    meets, image = ec.column_reads(op, p, q)
                     at = (label, op, p, q)
+                    cols = linalg.columns(ec.rows(op, p, q))
+                    handed.clear()
+                    tested.clear()
+                    assert ec.mild_scan(op, p, q) is None, at
+                    meets, = handed
                     assert [j for j in range(ec.dim(p, q)) if meets(j)] == sorted(cols), at
-                    for j in range(ec.dim(p, q)):
-                        assert _typed(image({j: QI_ONE})) == _typed(cols.get(j, {})), at + (j,)
+                    assert len(tested) == len(cols), at
+                    if not ec.unimodular:
+                        assert [_typed(w) for w in tested] == [_typed(cols[j]) for j in sorted(cols)], at
+                        continue
+                    rows, sp, sq, _ = ec._dual(op, p, q)
+                    for j, w in zip(sorted(cols), tested):
+                        assert any(w is r for r in rows), at + (j,)
+                        back = ec.star(w, sp, sq)
+                        got = _typed({k: back[k] for k in sorted(back)})
+                        assert got in (_typed(cols[j]), _typed({k: -x for k, x in cols[j].items()})), at + (j,)
     assert routes == {True: 16, False: 1}
 
 

@@ -36,6 +36,8 @@ from oracles import (
     kernel_images_by_columns,
     mat_mul_of_every_row,
     mild_by_vectors,
+    mild_scan_by_columns,
+    mild_scan_through_images,
     pure_d_exact_by_nullspace,
     real_basis_vectors,
     real_basis_vectors_by_products,
@@ -285,7 +287,9 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
     """Through full_report, lemma_report (which reads strong's rank
     identity) and strong at every bidegree on Iwasawa x C at t = 0, no
     kernel of [del; delbar] is built and strong asks for no column span
-    of del or delbar."""
+    of del or delbar: a failing strong's witness scan
+    (``EvaluatedComplex.mild_scan``) targets its own bidegree and tests
+    no candidate through ``in_ddbar_image``."""
     inside = []
     asked = []
     called = []
@@ -305,16 +309,22 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
             asked.append((op, p, q))
         return real_image(self, op, p, q)
 
+    def traced_scan(self, op, p, q):
+        if inside:
+            scanned.append((inside[-1], (p + 1, q) if op == "del" else (p, q + 1)))
+        return real_scan(self, op, p, q)
+
     def traced_test(self, v, p, q):
         if inside:
-            tested.append((inside[-1], (p, q)))
+            starred.append((p, q))
         return real_test(self, v, p, q)
 
-    tested = []
-    real_image, real_test = EvaluatedComplex._image, EvaluatedComplex.in_ddbar_image
+    scanned, starred = [], []
+    real_image, real_scan, real_test = EvaluatedComplex._image, EvaluatedComplex.mild_scan, EvaluatedComplex.in_ddbar_image
     for name in ("strong", "_strong_holds"):
         monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
     monkeypatch.setattr(EvaluatedComplex, "_image", traced_image)
+    monkeypatch.setattr(EvaluatedComplex, "mild_scan", traced_scan)
     monkeypatch.setattr(EvaluatedComplex, "in_ddbar_image", traced_test)
     ec = EvaluatedComplex(iwasawa_c, ())
     full_report(ec)
@@ -324,11 +334,12 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
     assert not report.strong_flags[(2, 2)]
     assert not _kernels_read(ec, "stacked")
     assert set(called) == {"strong", "_strong_holds"}
-    # the complex is unimodular: a failing strong reads im deldelbar
-    # through the star, at its own bidegree, and no column span at all
+    # the complex is unimodular: a failing strong scans the mild images
+    # into its own bidegree on the star side, stars no candidate back
+    # (``in_ddbar_image``) and reads no column span at all
     failing = {pq for pq, flag in report.strong_flags.items() if not flag}
-    assert ec.unimodular and tested and {at for at, _ in tested} == {pq for _, pq in tested} == failing
-    assert asked == []
+    assert ec.unimodular and scanned and {at for at, _ in scanned} == {pq for _, pq in scanned} == failing
+    assert asked == [] and starred == []
     inside.append((2, 2))
     ec.image_echelon("ddbar", 2, 2)
     inside.pop()
@@ -542,15 +553,17 @@ def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3)
 def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     """On Iwasawa x C, after full_report, lemma_report decides each
     passing verdict by rank: a passing mild, dual mild, weak or standard
-    takes no kernel, no image and no product with a vector (weak holds at
-    every p, each by the identity im del cap im delbar = im deldelbar).
+    takes no kernel, no image and no product with a vector, by columns
+    (``linalg.columns_vec``) or by the star dual's rows
+    (``linalg.row_combination``) (weak holds at every p, each by the
+    identity im del cap im delbar = im deldelbar).
     weak's tracked route (``_weak_tracked``), run on the same complex at
     each p, holds too, takes no kernel, applies no matrix to a vector,
     transposes stacked from (p,p) for U and then, for p > 0, del from
     (p-1,p+1) for the one image basis it reads, del's into (p,p+1), the
     one the complex caches: deldelbar enters by its rank only, and no
     image of it is built or read.  Strong, passing
-    or failing, makes no columns_vec,
+    or failing, makes no columns_vec, row_combination,
     kernel, _image or column index (``Echelon._column_index``, which the
     first kernel read of an echelon builds) beyond those of mild and dual mild:
     in lemma_report each such call is made inside mild, dual mild, weak
@@ -586,6 +599,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
         monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
     monkeypatch.setattr(EvaluatedComplex, "_image", counted("image", EvaluatedComplex._image))
     monkeypatch.setattr(linalg, "columns_vec", counted("columns_vec", linalg.columns_vec))
+    monkeypatch.setattr(linalg, "row_combination", counted("row_combination", linalg.row_combination))
     monkeypatch.setattr(EvaluatedComplex, "kernel", counted("kernel", EvaluatedComplex.kernel))
     monkeypatch.setattr(linalg.Echelon, "_column_index", counted("index", linalg.Echelon._column_index))
     ec = EvaluatedComplex(iwasawa_c, ())
@@ -603,7 +617,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
         if ok:
             assert by_verdict.get(index, []) == [], (name, args)
     assert sorted(report.weak_flags) == list(range(ec.n)) and all(report.weak_flags.values())
-    monkeypatch.setattr(EvaluatedComplex, "apply", counted("apply", EvaluatedComplex.apply))
+    monkeypatch.setattr(linalg, "row_combination", counted("row_combination", linalg.row_combination))
     monkeypatch.setattr(linalg, "mat_vec", counted("mat_vec", linalg.mat_vec))
     monkeypatch.setattr(linalg, "columns", counted("columns", linalg.columns))
     for p in report.weak_flags:
@@ -975,75 +989,136 @@ def test_lemma_report_reuses_the_eliminations_it_has(monkeypatch, bcvary10):
     assert max(passes.values()) == 1, passes
 
 
+class _ScanTrace:
+    """Records each ``EvaluatedComplex.mild_scan`` call, in order: its op
+    and SOURCE bidegree (``at``), the deldelbar kernel vectors yielded to
+    it (``xs``), the vectors it tests against im deldelbar
+    (``Echelon.contains``, ``tested``), the RREF columns it
+    back-substitutes (``reads``), its stars, the combinations of rows it
+    forms (``linalg.row_combination``), the images it forms from columns
+    (``linalg.columns_vec``), the matrices it transposes
+    (``linalg.columns``, ``tables``) and what it returns.  ``answer``, if
+    given, replaces every membership answer inside a scan.  ``built``
+    counts the kernel vectors yielded anywhere, and ``products`` every
+    product with a vector by rows or columns."""
+
+    def __init__(self, monkeypatch, answer=None):
+        self.scans, self.open, self.built, self.products = [], [], 0, 0
+        scan, kernel_vectors, star = EvaluatedComplex.mild_scan, EvaluatedComplex.kernel_vectors, EvaluatedComplex.star
+        contains, rref_column = linalg.Echelon.contains, linalg.Echelon._rref_column
+        combination, columns_vec, columns = linalg.row_combination, linalg.columns_vec, linalg.columns
+
+        def scanning(ec, op, p, q):
+            record = {"at": (op, p, q), "xs": [], "tested": [], "reads": [], "stars": 0,
+                      "combinations": [], "column_images": [], "tables": []}
+            self.scans.append(record)
+            self.open.append(record)
+            try:
+                record["result"] = scan(ec, op, p, q)
+            finally:
+                self.open.pop()
+            return record["result"]
+
+        def yielding(ec, op, p, q, **kw):
+            for x in kernel_vectors(ec, op, p, q, **kw):
+                self.built += 1
+                if self.open:
+                    self.open[-1]["xs"].append(x)
+                yield x
+
+        def testing(e, w):
+            if not self.open:
+                return contains(e, w)
+            self.open[-1]["tested"].append(w)
+            return contains(e, w) if answer is None else answer(w)
+
+        def recorded(name, f):
+            def run(*args):
+                out = f(*args)
+                if name in ("combinations", "column_images"):
+                    self.products += 1
+                if self.open:
+                    record = self.open[-1]
+                    if name == "stars":
+                        record[name] += 1
+                    else:
+                        record[name].append(args[0] if name == "tables" else out)
+                return out
+            return run
+
+        monkeypatch.setattr(EvaluatedComplex, "mild_scan", scanning)
+        monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", yielding)
+        monkeypatch.setattr(EvaluatedComplex, "star", recorded("stars", star))
+        monkeypatch.setattr(linalg.Echelon, "contains", testing)
+        monkeypatch.setattr(linalg.Echelon, "_rref_column", lambda e, f: self.open and self.open[-1]["reads"].append(f)
+                            or rref_column(e, f))
+        monkeypatch.setattr(linalg, "row_combination", recorded("combinations", combination))
+        monkeypatch.setattr(linalg, "columns_vec", recorded("column_images", columns_vec))
+        monkeypatch.setattr(linalg, "columns", recorded("tables", columns))
+
+
+def _star_side(ec, op, p, q, w):
+    """For a vector w that a scan of op from SOURCE (p,q) tests on the star
+    side, the typed entries, keys ascending, of star(w) and -star(w) at
+    op's target: op x is one of them."""
+    sp, sq = ec._dual(op, p, q)[1:3]
+    v = ec.star(w, sp, sq)
+    return [_typed_items({k: s * v[k] for k in sorted(v)}) for s in (QI_ONE, -QI_ONE)]
+
+
 def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, reference_complexes):
     """On Iwasawa^2 x C after full_report, lemma_report keeps no deldelbar
     kernel (the list route kept 15,519 vectors).  Each failing mild or
-    dual mild reads exactly a prefix of the deldelbar kernel, the prefix
-    ending at its witness: it back-substitutes (``Echelon._rref_column``)
-    exactly the free columns of that prefix that a stored row meets, in
-    order, the others being unit vectors, and there are both kinds.  It
-    is yielded, through
-    ``kernel_vectors``, exactly the vectors of that prefix whose support
-    meets a nonzero column of del or delbar: a vector that misses them
-    all is passed over by the support test, never yielded or imaged, and
-    there are some.  It tests, in
-    order, exactly the images of the built vectors that the full-table
-    oracle finds nonzero.  Weak's and standard's witnesses take no
-    kernel.  Its JSON equals that of a complex whose deldelbar kernels
-    were all built as lists first."""
+    dual mild scan (``EvaluatedComplex.mild_scan``) reads exactly a prefix
+    of the deldelbar kernel, the prefix ending at its witness: it
+    back-substitutes (``Echelon._rref_column``) exactly the free columns
+    of that prefix that a stored row meets, in order, the others being
+    unit vectors, and there are both kinds.  It is yielded exactly the
+    vectors of that prefix whose support meets a nonzero column of del or
+    delbar: a vector that misses them all is passed over by the support
+    test, never yielded or imaged, and there are some.  It tests, in
+    order, one vector for each built vector whose image the full-table
+    oracle finds nonzero, and on the star side: that vector's star is
+    +- the image, and for a unit vector it is a row of the star dual
+    itself, not a copy.  It returns the last image, its witness.  Weak's
+    and standard's witnesses take no kernel.  Its JSON equals that of a
+    complex whose deldelbar kernels were all built as lists first."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
     ec = EvaluatedComplex(cx, ())
     full_report(ec)
-    built, scans = Counter(), []
-    kernel_vectors, witness = EvaluatedComplex.kernel_vectors, lemmata._witness
-    rref_column = linalg.Echelon._rref_column
-
-    def reading(self, f):
-        scans[-1][5].append(f)
-        return rref_column(self, f)
-
-    def counting(self, op, p, q, **kw):
-        for x in kernel_vectors(self, op, p, q, **kw):
-            built[op] += 1
-            scans[-1][3].append(x)
-            yield x
-
-    def testing(ec, kind, p, q, vectors):
-        scan = (kind, p, q, [], [], [])
-        scans.append(scan)
-        return witness(ec, kind, p, q, (scan[4].append(v) or v for v in vectors))
-
-    monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", counting)
-    monkeypatch.setattr(lemmata, "_witness", testing)
-    monkeypatch.setattr(linalg.Echelon, "_rref_column", reading)
+    trace = _ScanTrace(monkeypatch)
     report = lemma_report(ec)
     monkeypatch.undo()
     oracle, kinds, never_built = EvaluatedComplex(cx, ()), Counter(), 0
-    for kind, p, q, xs, tested, reads in scans:
-        kinds[kind] += 1
-        if kind not in ("mild", "dual_mild"):
-            # weak and standard test vectors of their own, built without a kernel
-            assert not xs and not reads, (kind, p, q)
-            continue
-        op, sp, sq = ("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
+    for scan in trace.scans:
+        op, sp, sq = scan["at"]
+        xs, tested, reads = scan["xs"], scan["tested"], scan["reads"]
+        kinds[op] += 1
         cols = linalg.columns(oracle.rows(op, sp, sq))
         full = list(oracle.kernel_vectors("ddbar", sp, sq))
         meeting = [x for x in full if not cols.keys().isdisjoint(x)]
-        assert xs == meeting[:len(xs)], (kind, p, q)
+        assert xs == meeting[:len(xs)], scan["at"]
         images = [linalg.columns_vec(cols, x) for x in xs]
-        assert images[-1] and tested == [v for v in images if v], (kind, p, q)
+        nonzero = [(x, v) for x, v in zip(xs, images) if v]
+        assert images[-1] and len(tested) == len(nonzero), scan["at"]
+        dual_rows = ec._dual(op, sp, sq)[0]
+        for (x, v), w in zip(nonzero, tested):
+            assert _typed_items(v) in _star_side(oracle, op, sp, sq, w), scan["at"]
+            assert len(x) > 1 or any(w is r for r in dual_rows), scan["at"]
+        assert _typed_items(scan["result"]) == _typed_items(images[-1]), scan["at"]
         # the prefix of the full kernel that ends at the witness's vector
         prefix = full[:full.index(xs[-1]) + 1]
         e = oracle._row_echelon("ddbar", sp, sq)
         met = {k for lead, row in e.pivots.items() for k in row if k != lead}
         frees = [next(iter(x)) for x in prefix]
-        assert reads == [f for f in frees if f in met], (kind, p, q)
-        assert all(x == {f: QI_ONE} for f, x in zip(frees, prefix) if f not in met), (kind, p, q)
+        assert reads == [f for f in frees if f in met], scan["at"]
+        assert all(x == {f: QI_ONE} for f, x in zip(frees, prefix) if f not in met), scan["at"]
         kinds["read"] += len(reads)
         kinds["unit"] += len(prefix) - len(reads)
         never_built += len(prefix) - len(xs)
-    assert set(built) == {"ddbar"} and built["ddbar"] == sum(len(xs) for *_, xs, _, _ in scans)
-    assert kinds["mild"] and kinds["dual_mild"] and never_built and kinds["read"] and kinds["unit"]
+    assert trace.built == sum(len(scan["xs"]) for scan in trace.scans)
+    assert kinds["del"] and kinds["delbar"] and never_built and kinds["read"] and kinds["unit"]
+    assert len(trace.scans) == sum(key.startswith(("mild:", "dual_mild:")) for key in report.witnesses)
     first = EvaluatedComplex(cx, ())
     full_report(first)
     for p in range(cx.n + 1):
@@ -1054,11 +1129,12 @@ def test_mild_witness_builds_only_the_kernel_vectors_it_tests(monkeypatch, refer
 
 def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, reference_complexes):
     """On the 13 reference complexes: at every bidegree where mild or dual
-    mild fails, the route's images are the nonzero ones of the full-table
+    mild fails, the scan (``EvaluatedComplex.mild_scan``) tests, in order,
+    one vector for each of the first nonzero images of the full-table
     oracle (every deldelbar kernel vector through the column table of
-    del or delbar), in the same order, with the same entries and types,
-    and its witness is the oracle's; no column table of del or delbar is
-    built for them.  weak's tracked route (``_weak_tracked``), run at
+    del or delbar), whose star is +- that image, with the same entries
+    and types, and its witness is the oracle's; no column table of del
+    or delbar is built for it.  weak's tracked route (``_weak_tracked``), run at
     every p, eliminates forward one list of vectors, U: the nonzero
     columns of the stacked rows at (p,p), by ascending index.
     ``columns``,
@@ -1080,6 +1156,7 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
         return [(j, _typed_items(c)) for j, c in cols.items()]
 
     failing = 0
+    trace = _ScanTrace(monkeypatch)
     for label, cx, point in reference_complexes:
         ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
         n = cx.n
@@ -1089,10 +1166,14 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
                     if lemmata._mild_holds(ec, op, p, q):
                         continue
                     failing += 1
+                    sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
                     old = list(kernel_images_by_columns(oc, op, p, q))
-                    new = list(lemmata._kernel_images(ec, op, p, q))
-                    assert typed(new) == typed([v for v in old if v]), (label, op, p, q)
-                    got, want = (lemmata._witness(c, kind, p, q, iter(v)) for c, v in ((ec, new), (oc, old)))
+                    got = ec.vec_to_form(ec.mild_scan(op, sp, sq), p, q)
+                    scan = trace.scans[-1]
+                    tested, nonzero = scan["tested"], [v for v in old if v]
+                    assert tested and len(tested) <= len(nonzero) and not scan["tables"], (label, op, p, q)
+                    assert all(_typed_items(v) in _star_side(ec, op, sp, sq, w) for v, w in zip(nonzero, tested)), (label, op, p, q)
+                    want = lemmata._witness(oc, kind, p, q, iter(old))
                     assert _typed_form(got) == _typed_form(want), (label, op, p, q)
         for p in range(n):
             fed.clear()
@@ -1116,14 +1197,15 @@ def test_nonzero_images_and_walkers_equal_the_full_table_oracles(monkeypatch, re
 def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monkeypatch, iwasawa3):
     """On Iwasawa, delbar from (1,1) has nonzero columns 2, 5 and 8 only.
     With a deldelbar echelon at (1,1) whose kernel vectors meet them at
-    their free column, at a pivot only, or not at all, the route
-    back-substitutes (``Echelon._rref_column``) exactly the free columns
-    that a stored row meets, 3, 4 and 6 (0, 7 and 8 give unit vectors),
-    is yielded exactly the
-    kernel vectors that meet them, whichever key meets, and yields the
-    nonzero images of those, as the full-table oracle forms them; the
-    kernel vectors that miss them are passed over by the support test,
-    never yielded or imaged."""
+    their free column, at a pivot only, or not at all, the scan
+    (``EvaluatedComplex.mild_scan``), every membership answered inside so
+    that it reads to the end, back-substitutes (``Echelon._rref_column``)
+    exactly the free columns that a stored row meets, 3, 4 and 6 (0, 7
+    and 8 give unit vectors), is yielded exactly the kernel vectors that
+    meet them, whichever key meets, and tests one vector for each of the
+    nonzero images of those, as the full-table oracle forms them, whose
+    star is +- that image; the kernel vectors that miss them are passed
+    over by the support test, never yielded or imaged."""
     ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
     cols = linalg.columns(ec.rows("delbar", 1, 1))
     assert sorted(cols) == [2, 5, 8] and ec.dim(1, 1) == 9
@@ -1132,21 +1214,14 @@ def test_kernel_images_skip_only_the_vectors_that_miss_every_nonzero_column(monk
     monkeypatch.setitem(ec._echelons, ("ddbar", 1, 1), linalg.Echelon(rref))
     full = list(ec.kernel_vectors("ddbar", 1, 1))
     assert [sorted(x) for x in full] == [[0], [2, 3], [1, 4], [5, 6], [7], [8]]
-    built, reads, kernel_vectors = [], [], EvaluatedComplex.kernel_vectors
-    rref_column = linalg.Echelon._rref_column
-
-    def counting(self, op, p, q, **kw):
-        for x in kernel_vectors(self, op, p, q, **kw):
-            built.append(x)
-            yield x
-
-    monkeypatch.setattr(EvaluatedComplex, "kernel_vectors", counting)
-    monkeypatch.setattr(linalg.Echelon, "_rref_column", lambda self, f: reads.append(f) or rref_column(self, f))
-    images = list(lemmata._kernel_images(ec, "delbar", 1, 2))
-    assert reads == [3, 4, 6]
-    assert built == [full[1], full[3], full[5]]
+    trace = _ScanTrace(monkeypatch, answer=lambda w: True)
+    assert ec.mild_scan("delbar", 1, 1) is None
+    scan, = trace.scans
+    assert scan["reads"] == [3, 4, 6]
+    assert scan["xs"] == [full[1], full[3], full[5]]
     want = [v for v in (linalg.columns_vec(cols, x) for x in full) if v]
-    assert len(want) == 3 and images == want
+    assert len(want) == len(scan["tested"]) == 3
+    assert all(_typed_items(v) in _star_side(ec, "delbar", 1, 1, w) for v, w in zip(want, scan["tested"]))
 
 
 class _FirstStored(dict):
@@ -1224,12 +1299,19 @@ class _CountedRow(dict):
 
 def test_kernel_images_read_each_entry_of_op_once(monkeypatch):
     """The work gate, by count, on H(7,C): at every bidegree, for del and
-    delbar, the scan of the deldelbar kernel images reads at most nnz(op)
-    plus the entries of the kernel vectors it scans from op's rows.  A
-    scan that walks op's rows again for each vector, or for each column
-    a vector touches, reads far more."""
+    delbar, the witness scan (``EvaluatedComplex.mild_scan``), every
+    membership answered inside so that it reads to the end, reads at most
+    nnz(op) plus the entries of the kernel vectors it scans from the rows
+    of the complex: a unit vector's image is a row of op's star dual,
+    read by reference, and any other's one combination of the dual rows
+    its star names.  A scan that walks the rows again for each vector,
+    or for each column a vector touches, reads far more."""
     ec = EvaluatedComplex(build_complex(heisenberg_c(7)), ())
+    for a in range(ec.n + 1):
+        for b in range(ec.n + 1):
+            ec._row_echelon("ddbar", a, b)  # each echelon a scan tests in, built before rows are counted
     rows = ec.rows
+    trace = _ScanTrace(monkeypatch, answer=lambda w: True)
     scans = 0
     for p in range(ec.n + 1):
         for q in range(ec.n + 1):
@@ -1239,126 +1321,175 @@ def test_kernel_images_read_each_entry_of_op_once(monkeypatch):
                     continue
                 kernel = list(ec.kernel_vectors("ddbar", sp, sq))
                 nnz = sum(len(r) for r in rows(op, sp, sq))
-                monkeypatch.setattr(ec, "rows", lambda o, a, b: [_CountedRow(r) for r in rows(o, a, b)])
+                ec.rows = lambda o, a, b: [_CountedRow(r) for r in rows(o, a, b)]
                 _CountedRow.reads = 0
-                images = list(lemmata._kernel_images(ec, op, p, q))
-                monkeypatch.undo()
+                assert ec.mild_scan(op, sp, sq) is None
+                del ec.rows
                 assert _CountedRow.reads <= nnz + sum(len(x) for x in kernel), (op, p, q)
-                scans += bool(images)
+                scans += bool(trace.scans[-1]["tested"])
     assert scans == 80
 
 
 def test_lemma_report_forms_no_zero_image(monkeypatch, reference_complexes):
-    """The work gate on Iwasawa^2 x C after full_report: lemma_report
-    forms no zero image from a vector that meets no nonzero column, and
-    no mild or dual mild witness scan transposes a matrix
-    (``linalg.columns``): the complex is unimodular, so each image is
-    read through the Hodge star (``EvaluatedComplex.apply``) and each
-    test against im deldelbar through its star dual's row echelon
-    (``in_ddbar_image``).  Every product with a vector, in mild's and
-    dual mild's scans, is counted: 84 of them, and the 4 that are 0 are
-    deldelbar kernel vectors with two entries on nonzero columns of del
-    or delbar whose images cancel, which no support test sees.  weak
-    holds by rank at every p, and its tracked route (``_weak_tracked``),
-    run after the report at each p, forms none: it reads U from the
-    columns of the stacked rows.  The full-table route, put back in place
-    of the kernel images, forms the same 80 nonzero images, and 862 zero
-    ones, and transposes del or delbar once per scan, so the gate sees
-    what it counts."""
+    """The work gate on Iwasawa^2 x C after full_report: lemma_report's 80
+    mild and dual mild witness scans (``EvaluatedComplex.mild_scan``) are
+    yielded 84 deldelbar kernel vectors, each with a key on a nonzero
+    column of del or delbar, and form no image from any other.  The
+    complex is unimodular, so the scans stay on the star side: no scan
+    transposes a matrix (``linalg.columns``), forms an image from columns
+    (``linalg.columns_vec``) or stars a candidate back.  The 80 unit
+    vectors among the 84 are read as rows of the star dual, by
+    reference, with no star or product, and each is tested as it is: it
+    is the witness of its scan.  The other 4 are one star and one
+    combination of the dual rows each (``linalg.row_combination``), all
+    of them 0, each from a vector with two entries on nonzero columns
+    whose images cancel, which no support test sees; so no scan tests a
+    0.  Each witness takes two more stars, one for the sign of its unit
+    vector's row and one back: 4 combinations and 164 stars in all.
+    weak holds by rank at every p,
+    and its tracked route (``_weak_tracked``), run after the report at
+    each p, forms no product with a vector.  The full-table route
+    (``oracles.mild_scan_by_columns``) put in place of the scan forms 942
+    images from columns, 862 of them 0, and transposes del or delbar once
+    per scan, so the gate sees what it counts."""
     cx = next(cx for label, cx, _ in reference_complexes if label == "iwasawa2_c")
-    columns_vec, columns, apply, witness = linalg.columns_vec, linalg.columns, EvaluatedComplex.apply, lemmata._witness
-    formed, tables, inside, scans = [], [], [], []
-
-    def forming(cols, x):
-        formed.append((columns_vec(cols, x), len(cols.keys() & x.keys())))
-        return formed[-1][0]
-
-    def applying(self, op, x, p, q):
-        formed.append((apply(self, op, x, p, q), len(columns(self.rows(op, p, q)).keys() & x.keys())))
-        return formed[-1][0]
-
-    def asking(rows):
-        if inside:
-            tables.extend(key for key, stored in ec._rows.items() if stored is rows)
-        return columns(rows)
-
-    def framed(ec, kind, p, q, vectors):
-        scans.append((kind, p, q))
-        inside.append(kind)
-        try:
-            return witness(ec, kind, p, q, vectors)
-        finally:
-            inside.pop()
-
-    def tally():
-        zero = [met for v, met in formed if not v]
-        return len(formed), len(zero), min(zero)
-
-    monkeypatch.setattr(linalg, "columns_vec", forming)
-    monkeypatch.setattr(EvaluatedComplex, "apply", applying)
-    monkeypatch.setattr(linalg, "columns", asking)
-    monkeypatch.setattr(lemmata, "_witness", framed)
-    counts, star_route = [], lemmata._kernel_images
-    for route in (star_route, kernel_images_by_columns):
-        monkeypatch.setattr(lemmata, "_kernel_images", route)
+    counts = []
+    for route in ("star", "full table"):
+        if route == "full table":
+            monkeypatch.setattr(EvaluatedComplex, "mild_scan", mild_scan_by_columns)
         ec = EvaluatedComplex(cx, ())
         full_report(ec)
         assert ec.unimodular
-        formed.clear()
-        tables.clear()
-        scans.clear()
+        trace = _ScanTrace(monkeypatch)
         report = lemma_report(ec)
         assert any(key.startswith(("mild:", "dual_mild:")) for key in report.witnesses)
         assert all(report.weak_flags.values())
-        counts.append(tally())
+        products = trace.products
         assert all(lemmata._weak_tracked(ec, p) == (True, None) for p in report.weak_flags)
-        counts.append(tally())
-        sources = [("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
-                   for kind, p, q in scans if kind in ("mild", "dual_mild")]
-        assert sources and tables == ([] if route is star_route else sources), route
-    assert counts == [(84, 4, 2), (84, 4, 2), (942, 862, 0), (942, 862, 0)]
+        assert trace.products == products, route
+        monkeypatch.undo()
+        scans, oracle = trace.scans, EvaluatedComplex(cx, ())
+        sources = [scan["at"] for scan in scans]
+        tables = [key for scan in scans for rows in scan["tables"] for key, stored in ec._rows.items()
+                  if stored is rows and key[0] != "ddbar"]
+        cols = {at: linalg.columns(oracle.rows(*at)) for at in set(sources)}
+        xs = [(scan["at"], x) for scan in scans for x in scan["xs"]]
+        if route == "full table":
+            images = [v for scan in scans for v in scan["column_images"]]
+            counts.append((len(scans), len(xs), len(images), sum(not v for v in images)))
+            assert tables == sources
+            continue
+        assert all(not cols[at].keys().isdisjoint(x) for at, x in xs)
+        assert tables == [] and not any(scan["column_images"] for scan in scans)
+        units = [x for _, x in xs if len(x) == 1]
+        for scan in scans:
+            op, sp, sq = scan["at"]
+            rows, combined = ec._dual(op, sp, sq)[0], scan["combinations"]
+            others = [x for x in scan["xs"] if len(x) > 1]
+            # one star and one combination per vector that is not a unit;
+            # the unit witness is starred for its sign and starred back
+            assert len(combined) == len(others) and scan["stars"] == len(others) + 2, scan["at"]
+            assert all(not w for w in combined), scan["at"]
+            assert all(len(cols[scan["at"]].keys() & x.keys()) == 2 for x in others), scan["at"]
+            tested = [x for x in scan["xs"] if len(x) == 1]
+            assert len(scan["tested"]) == len(tested) == 1, scan["at"]
+            assert any(scan["tested"][0] is r for r in rows), scan["at"]
+        counts.append((len(scans), len(xs), len(units), sum(len(scan["combinations"]) for scan in scans),
+                       sum(not w for scan in scans for w in scan["combinations"]), sum(scan["stars"] for scan in scans)))
+    assert counts == [(80, 84, 80, 4, 4, 164), (80, 942, 942, 862)]
+
+
+def test_mild_scan_equals_the_route_it_replaced(monkeypatch, reference_complexes, bcvary10):
+    """On the 16 complexes of ``tests/data/report_digests.json`` (the
+    reference complexes and H(3,C), H(5,C), H(7,C)), the bcvary10 fibers
+    at seeds 4601-4620 and solvable3: at every bidegree where mild or
+    dual mild fails by rank, ``EvaluatedComplex.mild_scan`` returns the
+    witness of the route it replaced (``oracles.mild_scan_through_images``:
+    each image formed through the star and starred back, then starred
+    again for its test against im deldelbar), entries, key order and
+    types alike, after being yielded the same prefix of the deldelbar
+    kernel; each complex runs on an EvaluatedComplex of its own.  On the
+    unimodular complexes a scan stars only the candidates that are not
+    unit vectors, each with one combination of rows, then its witness
+    back, and a unit witness once more for its sign, and transposes
+    nothing;
+    solvable3 keeps the transpose route: no star, and one transpose of
+    del or delbar per scan."""
+    cases = list(reference_complexes)
+    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
+    cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))), ())
+              for seed in range(4601, 4621)]
+    cases.append(("solvable3", build_complex(nio.obj_to_se(SOLVABLE)), ()))
+    trace, failing = _ScanTrace(monkeypatch), Counter()
+    for label, cx, point in cases:
+        ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                for op in ("del", "delbar"):
+                    if lemmata._mild_holds(ec, op, p, q):
+                        continue
+                    sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
+                    got = ec.mild_scan(op, sp, sq)
+                    want, read = mild_scan_through_images(oc, op, sp, sq)
+                    scan, at = trace.scans[-1], (label, op, p, q)
+                    assert want is not None and _typed_items(got) == _typed_items(want), at
+                    assert scan["xs"] == read, at
+                    if ec.unimodular:
+                        # a star and a combination per candidate that is not a unit
+                        # vector, and the witness's star back, with one more
+                        # star for the sign of a unit witness's row
+                        stars = sum(len(x) > 1 for x in read) + 1 + (len(read[-1]) == 1)
+                        assert scan["stars"] == stars and len(scan["combinations"]) == stars - 1 - (len(read[-1]) == 1), at
+                        assert not scan["tables"], at
+                    else:
+                        # the transposes of op and, for its image echelon, of deldelbar into (p,q)
+                        tables = [("op" if r is ec.rows(op, sp, sq) else "ddbar" if r is ec.rows("ddbar", p - 1, q - 1)
+                                   else "other") for r in scan["tables"]]
+                        assert scan["stars"] == 0 and tables.count("op") == 1 and "other" not in tables, at
+                    failing[label.split(" ")[0] if label.startswith(("fiber", "solvable3")) else "digests"] += 1
+    assert failing["fiber"] and failing["digests"] and failing["solvable3"] == 8, failing
 
 
 def test_a_complex_that_is_not_unimodular_keeps_the_transpose_route(monkeypatch):
     """solvable3 is not unimodular, so del* = -*delbar* fails and no star
     is read: lemma_report calls no star, each mild or dual mild witness
-    scan transposes its del or delbar once (``linalg.columns``), and
-    every witness is tested against the image echelon of deldelbar and
-    verifies (``verify_witness``).  ``test_rank_verdicts_equal_the_vector_route``
+    scan (``EvaluatedComplex.mild_scan``) transposes its del or delbar
+    once (``column_reads``) and tests its images against the image
+    echelon of deldelbar, as weak's and standard's witnesses
+    (``lemmata._witness``) do, and every witness verifies
+    (``verify_witness``).  ``test_rank_verdicts_equal_the_vector_route``
     holds its witnesses equal to the vector-route oracles'."""
     ec = EvaluatedComplex(build_complex(nio.obj_to_se(SOLVABLE)), ())
-    columns, witness, image = linalg.columns, lemmata._witness, EvaluatedComplex._image
-    stars, tables, inside, scans, asked = [], [], [], [], []
+    witness, image = lemmata._witness, EvaluatedComplex._image
+    stars, inside, scans, asked = [], [], [], []
 
     def framed(ec, kind, p, q, vectors):
-        scans.append((kind, p, q))
+        scans.append((p, q))
         inside.append(kind)
         try:
             return witness(ec, kind, p, q, vectors)
         finally:
             inside.pop()
 
-    def asking(rows):
-        if inside:
-            tables.extend(key for key, stored in ec._rows.items() if stored is rows)
-        return columns(rows)
+    trace = _ScanTrace(monkeypatch)
 
     def imaging(self, op, p, q):
-        if inside:
+        if inside or trace.open:
             asked.append((op, p, q))
         return image(self, op, p, q)
 
     monkeypatch.setattr(EvaluatedComplex, "star", lambda *a: stars.append(a))
-    monkeypatch.setattr(linalg, "columns", asking)
     monkeypatch.setattr(lemmata, "_witness", framed)
     monkeypatch.setattr(EvaluatedComplex, "_image", imaging)
     report = lemma_report(ec)
     monkeypatch.undo()
     assert not ec.unimodular and stars == []
-    sources = [("del", p - 1, q) if kind == "mild" else ("delbar", p, q - 1)
-               for kind, p, q in scans if kind in ("mild", "dual_mild")]
-    assert len(sources) == 8 and [key for key in tables if key[0] != "ddbar"] == sources
-    assert {("ddbar", p, q) for _, p, q in scans} <= set(asked)
+    sources = [scan["at"] for scan in trace.scans]
+    tables = [[key for rows in scan["tables"] for key, stored in ec._rows.items() if stored is rows and key[0] != "ddbar"]
+              for scan in trace.scans]
+    assert len(sources) == 8 and tables == [[at] for at in sources]
+    targets = [(p + 1, q) if op == "del" else (p, q + 1) for op, p, q in sources]
+    assert scans and {("ddbar", p, q) for p, q in targets + scans} <= set(asked)
     for key, w in report.witnesses.items():
         assert all(verify_witness(ec, *_witness_bidegree(key), w).values()), key
 

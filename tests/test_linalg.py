@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -9,6 +10,7 @@ from nilforms import io as nio
 from nilforms import linalg
 from nilforms.algebra import build_complex
 from nilforms.catalog import catalog_load
+from nilforms.deformation import deform_complex
 from nilforms.cohomology import EvaluatedComplex, full_report, zero_point
 from nilforms.leibniz import EMPTY_ROW
 from nilforms.lemmata import lemma_report
@@ -22,6 +24,7 @@ from oracles import (
     complex_rank,
     dense_rank,
     dense_to_rows,
+    fiber_point,
     full_scan_kernel,
     generic_reduce_meeting,
     hermitian_pivots_ldl,
@@ -296,6 +299,50 @@ def test_fused_kernel_equals_the_generic_elimination(case):
         want = _observe(*case)
     assert got == want
     assert all(type(x) is GaussianRational for _, row in got["stored"] for _, _, x in row)
+
+
+def test_one_entry_reductions_equal_the_general_loop(reference_complexes, bcvary10):
+    """``_reduce_meeting`` answers a one-entry vector at a one-entry row
+    with {} at once, and starts its loop from any other one-entry vector
+    with no filter, copy or heapify.  On the reference complexes and on
+    the bcvary10 fibers at seeds 4601-4620, full_report and then
+    lemma_report store, in every echelon they build, in order, the rows
+    (entries, key order and types) and the marks that the general loop
+    (``oracles.generic_reduce_meeting``) stores.  Both kinds of one-entry
+    vector occur, each at rows led by +-1 and at rows led by another
+    scalar."""
+    init, reduce_meeting = Echelon.__init__, linalg._reduce_meeting
+    built, seen = [], Counter()
+
+    def recording(self, pivots):
+        init(self, pivots)
+        built.append(self)
+
+    def counting(pivots, v):
+        if len(v) == 1:
+            k = next(iter(v))
+            lead = pivots[k][k]
+            seen["one row" if len(pivots[k]) == 1 else "loop", lead == 1 or lead == -1] += 1
+        return reduce_meeting(pivots, v)
+
+    def observed(cx, point):
+        built.clear()
+        ec = EvaluatedComplex(cx, point)
+        full_report(ec)
+        lemma_report(ec)
+        return [([(p, [(k, x, type(x)) for k, x in row.items()]) for p, row in e.pivots.items()], e.marks) for e in built]
+
+    cases = [(label, cx, point) for label, cx, point in reference_complexes]
+    cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))), ())
+              for seed in range(4601, 4621)]
+    with mock.patch.object(Echelon, "__init__", recording):
+        for label, cx, point in cases:
+            with mock.patch.object(linalg, "_reduce_meeting", counting):
+                got = observed(cx, point)
+            with mock.patch.object(linalg, "_reduce_meeting", generic_reduce_meeting):
+                want = observed(cx, point)
+            assert got and got == want, label
+    assert all(seen[kind, unit] for kind in ("one row", "loop") for unit in (True, False)), seen
 
 
 def _insert_kind(slow, v):
