@@ -26,7 +26,8 @@ Rham ranks from others and gives a deldelbar rank to its dual, and
 conjugation reads standard's suffix ranks from its prefix ranks; a
 mild witness scan stays on the star side (``EvaluatedComplex.mild_scan``).
 ``full_report`` and ``lemmata.lemma_report`` run with the cyclic garbage
-collector paused (``collector_paused``).  Kernel and image bases are
+collector paused, and leave what they keep in its oldest generation
+(``collector_paused``).  Kernel and image bases are
 built only for callers that need vectors (lemma witnesses, extension
 generators, solvers).  Quotient-space computations are the normative
 route; the Laplacians, harmonic projectors and Green operators of Hodge
@@ -76,13 +77,21 @@ def collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector for the block, and restore its
     state on exit, exceptions included.  The reports build only acyclic
     data, so the pause defers no garbage, and a full collection in a
-    report would walk every cached row and echelon and free nothing."""
+    report would walk every cached row and echelon and free nothing.
+    Where it was on, all that is alive moves to the oldest generation
+    first (``gc.freeze``, ``gc.unfreeze``: two O(1) list splices), so no
+    young collection after the block walks what it kept; not while the
+    caller holds frozen objects, which stay frozen.  The caller's young
+    objects move too: a cycle among them waits for a full collection."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

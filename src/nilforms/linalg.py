@@ -25,11 +25,11 @@ time, each a column of the reduced row echelon form (RREF) found by
 back-substitution, so no row is rewritten or copied.
 
 The cost follows the nonzeros, not the rows: ``Echelon.extend`` passes
-over an empty row and stores a row that meets no leading column without
-reducing it, ``_forward_reduce`` returns such a row after one set test
-and a one-entry vector at a one-entry row with no setup, and the kernel
-vector of a free column walks only the rows that its RREF column
-reaches.  ``mat_mul`` and ``conj_transpose`` give each empty row of
+over an empty row, stores a row that meets no leading column without
+reducing it, and tells a one-entry row apart by one membership test;
+``_forward_reduce`` returns such a row after one set test and a
+one-entry vector at a one-entry row with no setup; and the kernel vector
+of a free column walks only the rows that its RREF column reaches.  ``mat_mul`` and ``conj_transpose`` give each empty row of
 their result the shared read-only ``leibniz.EMPTY_ROW``; ``columns``,
 the one transpose, passes over an empty row, and ``row_combination``
 walks only the rows it combines (a Hodge-star scan's images).
@@ -97,19 +97,25 @@ class Echelon:
     def extend(self, vectors: Sequence[Vec]) -> "Echelon":
         """Eliminate the vectors in order into the form; returns self.
 
-        The cost follows the nonzeros: an empty vector is passed over, and
-        one that meets no leading column is stored as it is, by reference,
-        at its smallest key, and one that meets one is reduced without a
-        second disjointness test (``_reduce_meeting``)."""
+        The cost follows the nonzeros: an empty vector is passed over, one
+        that meets no leading column is stored as it is, by reference, at
+        its smallest key, and one that meets one is reduced without a
+        second disjointness test (``_reduce_meeting``); for a one-entry
+        vector one membership test of its key decides, with no ``min``."""
         pivots = self.pivots
         leads = pivots.keys()
         for v in filter(None, vectors):
-            if leads.isdisjoint(v):
+            if len(v) == 1:
+                k, = v
+                if k not in pivots:
+                    pivots[k] = v
+                    continue
+            elif leads.isdisjoint(v):
                 pivots[min(v)] = v
-            else:
-                w = _reduce_meeting(pivots, v)
-                if w:
-                    pivots[min(w)] = w
+                continue
+            w = _reduce_meeting(pivots, v)
+            if w:
+                pivots[min(w)] = w
         self._index = None
         self.marks.append(len(pivots))
         return self
@@ -238,7 +244,7 @@ def _forward_reduce(pivots: Dict[int, Vec], v: Vec) -> Vec:
 
 def _reduce_meeting(pivots: Dict[int, Vec], v: Vec) -> Vec:
     """``_forward_reduce`` of a v known to meet a leading column, for a
-    caller that has made the disjointness test itself (``Echelon.extend``).
+    caller that has tested that itself (``Echelon.extend``).
 
     The one elimination kernel, on the (a, b, d) ints of the entries.  A
     lead of +-1 gives the multiplier -+c, any other lead one quotient

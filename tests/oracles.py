@@ -514,6 +514,25 @@ class FullScanEchelon:
         return {k: -x for k, x in c.items()}
 
 
+def extend_by_set_test(e, vectors):
+    """``Echelon.extend`` with no one-entry path: every nonempty vector is
+    tested against the leading columns with ``isdisjoint``, and stored by
+    reference at its smallest key (``min``) or reduced by
+    ``linalg._reduce_meeting``; returns e."""
+    pivots = e.pivots
+    leads = pivots.keys()
+    for v in filter(None, vectors):
+        if leads.isdisjoint(v):
+            pivots[min(v)] = v
+        else:
+            w = linalg._reduce_meeting(pivots, v)
+            if w:
+                pivots[min(w)] = w
+    e._index = None
+    e.marks.append(len(pivots))
+    return e
+
+
 def generic_reduce_meeting(pivots, v):
     """The elimination step that ``linalg._reduce_meeting`` fuses into
     int arithmetic, through the scalar methods: the multiplier is -c for

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -394,7 +395,8 @@ def test_reports_pause_the_collector_and_restore_its_state(monkeypatch, tmp_path
     through them, rank with the cyclic collector paused, and leave it on
     or off as they found it, also when they raise: FlatnessError on equations that are not flat
     (the CLI's exit 1), and a bidegree outside 0..n, given to
-    lemma_report or as --bidegree."""
+    lemma_report or as --bidegree.  They leave the count of frozen
+    objects as they found it too, none or some (``gc.freeze``)."""
     states = []
     rank = EvaluatedComplex.rank
     monkeypatch.setattr(EvaluatedComplex, "rank", lambda self, *a: states.append(gc.isenabled()) or rank(self, *a))
@@ -423,16 +425,96 @@ def test_reports_pause_the_collector_and_restore_its_state(monkeypatch, tmp_path
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        for call in calls:
-            call()
-            assert gc.isenabled() is enabled
-        for error, call in raising:
-            with pytest.raises(error):
+        for frozen in (False, True):
+            if frozen:
+                gc.freeze()
+            count = gc.get_freeze_count()
+            assert bool(count) is frozen
+            for call in calls:
                 call()
-            assert gc.isenabled() is enabled
+                assert gc.isenabled() is enabled and gc.get_freeze_count() == count
+            for error, call in raising:
+                with pytest.raises(error):
+                    call()
+                assert gc.isenabled() is enabled and gc.get_freeze_count() == count
     finally:
+        gc.unfreeze()
         (gc.enable if was else gc.disable)()
     assert states and not any(states)
+
+
+@contextlib.contextmanager
+def _collector_on():
+    """The cyclic collector on for the block, then as it was."""
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_reports_leave_no_young_collection_behind(iwasawa3, reference_complexes):
+    """With the collector on, the reports leave what they keep in its
+    oldest generation: from a collection just before full_report until
+    the tuple of full_report and then lemma_report is built, no
+    collection runs (a ``gc.callbacks`` recorder sees none), on iwasawa3
+    and on the relabelled Iwasawa^2 x C."""
+    cases = [("iwasawa3", build_complex(iwasawa3.se), ())]
+    cases += [case for case in reference_complexes if case[0] == "iwasawa2_c"]
+    assert len(cases) == 2
+    seen = []
+
+    def recording(phase, info):
+        seen.append((phase, info["generation"]))
+
+    with _collector_on():
+        for label, cx, point in cases:
+            ec = EvaluatedComplex(cx, point)
+            gc.collect()
+            gc.callbacks.append(recording)
+            try:
+                reports = (full_report(ec), lemma_report(ec))
+            finally:
+                gc.callbacks.remove(recording)
+            assert len(reports) == 2 and not seen, (label, seen)
+
+
+def test_a_cycle_made_before_a_report_is_freed_after_it(iwasawa3):
+    """The reports move the caller's young objects to the oldest
+    generation, where a reference cycle made before them is still found
+    and freed by the next full collection."""
+
+    class Node:
+        pass
+
+    with _collector_on():
+        ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
+        node = Node()
+        node.cycle = node
+        alive = weakref.ref(node)
+        del node
+        full_report(ec)
+        lemma_report(ec)
+        gc.collect()
+        assert alive() is None
+
+
+def test_reports_keep_what_the_caller_froze_frozen(iwasawa3):
+    """With objects frozen by the caller (``gc.freeze``), the reports
+    move nothing in or out of the permanent generation: the freeze count
+    is the same after them."""
+    with _collector_on():
+        ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
+        gc.freeze()
+        try:
+            count = gc.get_freeze_count()
+            assert count
+            full_report(ec)
+            lemma_report(ec)
+            assert gc.get_freeze_count() == count
+        finally:
+            gc.unfreeze()
 
 
 def test_reports_leave_no_cyclic_garbage(reference_complexes):

@@ -212,14 +212,16 @@ def test_collector_scan_sees_what_it_should():
 
 def test_only_the_pause_helper_touches_the_collector():
     """One module of the package imports ``gc``, ``cohomology``, and only
-    its ``collector_paused`` reads the collector's state or switches it,
+    its ``collector_paused`` reads the collector's state, switches it or
+    moves its generations (the freeze-count guard, then ``freeze`` and
+    ``unfreeze``),
     so no second pause site and no knob for it appears.  The pause sites
     are the decorators of ``full_report`` and ``lemmata.lemma_report``:
     no other code of the package names ``collector_paused``."""
     uses = {path.stem: collector_uses(path.read_text()) for path in SRC.glob("*.py")}
     uses = {stem: found for stem, found in uses.items() if found}
     assert set(uses) == {"cohomology"}, uses
-    assert [what for _, where, what in uses["cohomology"] if where is not None] == ["isenabled", "disable", "enable"]
+    assert [what for _, where, what in uses["cohomology"] if where is not None] == ["isenabled", "disable", "get_freeze_count", "freeze", "unfreeze", "enable"]
     assert {where for _, where, what in uses["cohomology"]} == {None, "collector_paused"}
     named, decorating = [], []
     for path in sorted(SRC.glob("*.py")):

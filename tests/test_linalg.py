@@ -17,6 +17,7 @@ from nilforms.lemmata import lemma_report
 from nilforms.linalg import Echelon
 from nilforms.scalars import QI_MINUS_ONE, QI_ONE, DetRng, GaussianRational, QI
 
+from conftest import heisenberg_c
 from oracles import (
     FullScanEchelon,
     column_list,
@@ -24,6 +25,7 @@ from oracles import (
     complex_rank,
     dense_rank,
     dense_to_rows,
+    extend_by_set_test,
     fiber_point,
     full_scan_kernel,
     generic_reduce_meeting,
@@ -343,6 +345,128 @@ def test_one_entry_reductions_equal_the_general_loop(reference_complexes, bcvary
                 want = observed(cx, point)
             assert got and got == want, label
     assert all(seen[kind, unit] for kind in ("one row", "loop") for unit in (True, False)), seen
+
+
+#: the paths of a nonempty row through ``Echelon.extend``
+_EXTEND_PATHS = ("new", "one-entry lead", "longer lead", "several")
+
+
+def _tally_paths(paths, probe, rows):
+    """Count in paths the path each nonempty row takes as it is fed to
+    probe, one at a time, through the oracle: one entry at a new column,
+    at a lead whose row holds one entry or at a lead whose row holds
+    more, or several entries."""
+    for v in filter(None, rows):
+        if len(v) > 1:
+            paths["several"] += 1
+        else:
+            k, = v
+            paths["new" if k not in probe.pivots else "one-entry lead" if len(probe.pivots[k]) == 1 else "longer lead"] += 1
+        extend_by_set_test(probe, [v])
+
+
+def _one_entry_blocks(rng, ncols):
+    """Seeded blocks, about three rows in four of one entry, the others
+    empty (a dict or ``EMPTY_ROW``) or of two to four entries, each
+    entry 1, -1, i or a non-integral scalar, the keys drawn from few
+    columns, so that keys repeat inside a block."""
+    values = [QI(1), QI(-1), QI(0, 1), QI(Fraction(2, 3), Fraction(-1, 5))]
+    blocks = []
+    for _ in range(1 + rng.next_int(4)):
+        block = []
+        for _ in range(rng.next_int(2 * ncols)):
+            roll = rng.next_int(12)
+            if roll < 9:
+                block.append({rng.next_int(ncols): values[rng.next_int(4)]})
+            elif roll == 9:
+                block.append({} if rng.next_int(2) else EMPTY_ROW)
+            else:
+                keys = sorted({rng.next_int(ncols) for _ in range(2 + rng.next_int(3))})
+                block.append({k: values[rng.next_int(4)] for k in keys})
+        blocks.append(block)
+    return blocks
+
+
+def _assert_extends_alike(got, want, fed):
+    """got and want hold the same leads in the same order, and the same
+    marks; a row stored by reference (a vector fed, or a row held before)
+    is the very object on both sides, and any other row is a new dict on
+    both, equal entry for entry, in key order and with the same types."""
+    assert list(got.pivots) == list(want.pivots)
+    assert got.marks == want.marks
+    ids = {id(v) for v in fed}
+    for p, row in want.pivots.items():
+        mine = got.pivots[p]
+        if id(row) in ids:
+            assert mine is row, p
+        else:
+            assert id(mine) not in ids and _typed(mine) == _typed(row), p
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_one_entry_rows_extend_as_the_set_test_does(seed):
+    """Seeded blocks dominated by one-entry rows (at a new column, at a
+    lead whose row holds one entry and at a lead whose row holds more,
+    with keys repeated inside a block), fed through ``Echelon.extend``
+    and through the loop with no one-entry path
+    (``oracles.extend_by_set_test``), store the same rows, by reference
+    where the oracle does, in the same order, with the same marks."""
+    rng = DetRng(5500 + seed)
+    paths, repeats = Counter(), 0
+    for _ in range(6):
+        ncols = 3 + rng.next_int(10)
+        blocks = _one_entry_blocks(rng, ncols)
+        got, want, probe = Echelon({}), Echelon({}), Echelon({})
+        for block in blocks:
+            _tally_paths(paths, probe, block)
+            keys = Counter(k for v in block if len(v) == 1 for k in v)
+            repeats += any(c > 1 for c in keys.values())
+            got.extend(block)
+            extend_by_set_test(want, block)
+            _assert_extends_alike(got, want, [v for b in blocks for v in b])
+    assert all(paths[path] for path in _EXTEND_PATHS), paths
+    assert repeats, seed
+
+
+def test_one_entry_rows_extend_as_the_set_test_does_in_the_reports(reference_complexes, bcvary10):
+    """On the 16 complexes of ``tests/data/report_digests.json`` and the
+    bcvary10 fibers at seeds 4601-4620, every block that full_report and
+    then lemma_report feed ``Echelon.extend`` (each total pass among
+    them), and every matrix of ``rows`` and of ``total_d_rows`` fed
+    whole to a new echelon, leave the same echelon as the loop with no
+    one-entry path (``oracles.extend_by_set_test``) given the same rows
+    and marks before: rows by reference where the oracle stores them so,
+    in the same order, with the same marks.  Every path of a one-entry
+    row occurs."""
+    extend, paths = Echelon.extend, Counter()
+
+    def checking(self, vectors):
+        vectors = list(vectors)
+        before = Echelon(dict(self.pivots))
+        before.marks = list(self.marks)
+        fed = list(self.pivots.values()) + vectors
+        extend(self, vectors)
+        _assert_extends_alike(self, extend_by_set_test(before, vectors), fed)
+        return self
+
+    cases = list(reference_complexes)
+    cases += [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
+    cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))), ())
+              for seed in range(4601, 4621)]
+    assert len(cases) == 36
+    for label, cx, point in cases:
+        ec = EvaluatedComplex(cx, point)
+        with mock.patch.object(Echelon, "extend", checking):
+            full_report(ec)
+            lemma_report(ec)
+        n = cx.n
+        matrices = [ec.rows(op, p, q) for op in ("del", "delbar", "ddbar", "stacked")
+                    for p in range(n + 1) for q in range(n + 1) if ec.dim(p, q)]
+        matrices += [ec.total_d_rows(k) for k in range(2 * n)]
+        for rows in matrices:
+            _tally_paths(paths, Echelon({}), rows)
+            _assert_extends_alike(Echelon({}).extend(rows), extend_by_set_test(Echelon({}), rows), rows)
+    assert all(paths[path] for path in _EXTEND_PATHS), paths
 
 
 def _insert_kind(slow, v):
