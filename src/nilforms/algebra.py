@@ -54,14 +54,21 @@ class FormAlgebra:
 
     ``constant`` is the algebra over PolyRing(0, 0) of the same n, where
     an evaluated form lives: built once, and the algebra itself when its
-    ring is that one."""
+    ring is that one.  ``layout`` is the one ``leibniz.Layout`` of n, the
+    subset table and assembly plans that every structure equations over
+    this algebra, their lifts and their fibers read; it depends on n
+    only, so the constant algebra's is shared with it."""
 
-    __slots__ = ("n", "ring", "constant")
+    __slots__ = ("n", "ring", "constant", "layout")
 
     def __init__(self, n: int, ring: PolyRing):
         self.n = n
         self.ring = ring
-        self.constant = self if ring == _CONSTANT_RING else FormAlgebra(n, _CONSTANT_RING)
+        if ring == _CONSTANT_RING:
+            self.constant, self.layout = self, Layout(n)
+        else:
+            self.constant = FormAlgebra(n, _CONSTANT_RING)
+            self.layout = self.constant.layout
 
     def __eq__(self, other):
         return isinstance(other, FormAlgebra) and self.n == other.n and (self.ring is other.ring or self.ring == other.ring)
@@ -595,14 +602,15 @@ class StructureEquations:
     d_coframe[i] is d(gamma^i), a sum of a (2,0)-part and a (1,1)-part;
     d(gammabar^i) is its conjugate.  d_coframe is never mutated, so the
     equations own what is read off it: the del and delbar parts of d of
-    each symbol (``symbol_terms``), a ``layout`` that their complex
-    shares, the column tables of del and delbar by source bidegree
-    (``tables``) that ``apply_del``, ``apply_delbar`` and ``apply_d``
-    multiply by, and the pass of ``require_flat`` or an inherited one
-    (``flat``); ``with_algebra`` keeps one lift per algebra in ``lifts``.
+    each symbol (``symbol_terms``), the column tables of del and delbar
+    by source bidegree (``tables``) that ``apply_del``, ``apply_delbar``
+    and ``apply_d`` multiply by, assembled along the algebra's layout
+    (``FormAlgebra.layout``), and the pass of ``require_flat`` or an
+    inherited one (``flat``); ``with_algebra`` keeps one lift per algebra
+    in ``lifts``.
     """
 
-    __slots__ = ("name", "n", "algebra", "d_coframe", "flat", "lifts", "layout", "terms", "tables")
+    __slots__ = ("name", "n", "algebra", "d_coframe", "flat", "lifts", "terms", "tables")
 
     def __init__(self, name: str, algebra: FormAlgebra, d_coframe: Dict[int, Form]):
         self.name = name
@@ -616,7 +624,6 @@ class StructureEquations:
                 raise ValueError("structure form from a different algebra")
         self.flat = False
         self.lifts: Dict[FormAlgebra, "StructureEquations"] = {}
-        self.layout = Layout(algebra.n)
         self.terms: Optional[Dict[str, List[list]]] = None
         self.tables: Dict[Tuple[str, int, int], List[tuple]] = {}
 
@@ -667,11 +674,12 @@ class StructureEquations:
         the rule of ``EvaluatedComplex.rows`` (``Layout.assemble``)."""
         tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
         terms = self.symbol_terms(op)
-        subsets = self.layout.subsets
+        layout = self.algebra.layout
+        subsets = layout.subsets
         cols: List[list] = [[] for _ in range(self.algebra.dim(p, q))]
         rows = [EMPTY_ROW] * self.algebra.dim(tp, tq)
         if rows:
-            self.layout.assemble(rows, terms, p, q, tq)
+            layout.assemble(rows, terms, p, q, tq)
         ctq = comb(self.n, tq)
         # ascending rows, so each column lists its targets in row order
         for i, row in enumerate(rows):
@@ -685,7 +693,7 @@ class StructureEquations:
     def _derive(self, a: Form, ops: Tuple[str, ...]) -> Form:
         """The sum of the derivations ops on a: each monomial times its
         column of each table, assembled on first use."""
-        rank = self.layout.subset_rank
+        rank = self.algebra.layout.subset_rank
         out: Dict[Mono, ParamScalar] = {}
         for (I, J), c in a.coeffs.items():
             p, q = len(I), len(J)
@@ -754,21 +762,23 @@ def _accumulate(out: Dict, key, v) -> None:
 
 
 class InvariantComplex:
-    """Bigraded complex of invariant forms: the structure equations and
-    their ``layout`` (``leibniz.Layout``), whose plans serve the
-    equations' column tables and ``cohomology.EvaluatedComplex`` at every
-    point of the complex alike: a plan depends on n and the shape of a
-    term only."""
+    """Bigraded complex of invariant forms: structure equations that
+    define a complex, decided on construction (``require_flat``: no
+    (0,2)-part, d^2 = 0), so every number and verdict read from it rests
+    on d^2 = 0, and their algebra's ``layout`` (``leibniz.Layout``),
+    whose plans serve the equations' column tables and
+    ``cohomology.EvaluatedComplex`` at every point of the complex alike:
+    a plan depends on n and the shape of a term only."""
 
     def __init__(self, se: StructureEquations):
+        se.require_flat()
         self.se = se
         self.algebra = se.algebra
         self.n = se.n
-        self.layout = se.layout
+        self.layout = se.algebra.layout
 
 
-def build_complex(se: StructureEquations) -> InvariantComplex:
-    """Validate structure equations (``StructureEquations.require_flat``:
-    no (0,2)-part, d^2 = 0) and wrap them in a complex."""
-    se.require_flat()
-    return InvariantComplex(se)
+#: ``InvariantComplex`` under the name README's examples and the
+#: benchmark build a complex by: its constructor is the validation
+#: (``StructureEquations.require_flat``)
+build_complex = InvariantComplex

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Dict, List, Optional
 
 from .algebra import Form, FormAlgebra, StructureEquations, T10, VectorValuedForm
@@ -114,7 +113,7 @@ def _iwasawa(order: int) -> CatalogEntry:
 def _balanced(alg: FormAlgebra) -> Form:
     """sum over |I| = n-1 of gamma^I ^ gammabar^I."""
     balanced = alg.zero()
-    for I in combinations(range(1, alg.n + 1), alg.n - 1):
+    for I in alg.layout.subsets[alg.n - 1]:
         balanced = balanced + alg.monomial(I, I)
     return balanced
 

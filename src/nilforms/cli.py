@@ -279,7 +279,7 @@ def _cmd_extend(args) -> int:
     for pt in pts:
         ect = fiber_complex(entry.se, phi, pt)
         nontrivial.append(
-            {"t": [str(z) for z in pt], "bc_nontrivial": bc_nontriviality(ect, state.extension_at(pt))}
+            {"t": [str(z) for z in pt], "bc_nontrivial": bc_nontriviality(ect, state.omega.eval(pt))}
         )
     obj = {
         "manifold": entry.name,

@@ -13,10 +13,11 @@ reuses (``ddbar_preimage``); not d on the total complex, which is built
 for each pass that reads it, nor columns, a kernel list or an echelon
 that only a rank read.
 [del | delbar] is a rank, not a matrix.  What does not depend on the
-point belongs to the structure equations, which the ``InvariantComplex``
-wraps: the subset table and the assembly plans (``leibniz.Layout``),
-which the equations' column tables and every point of the complex share
-across terms and bidegrees, and the equations' terms.
+point belongs to the ``InvariantComplex``, whose construction decided
+that its structure equations define a complex: the equations' terms,
+and their algebra's subset table and assembly plans
+(``FormAlgebra.layout``), which the equations' column tables and every
+point of the complex share across terms and bidegrees.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map), and every rank is read once per duality pair
@@ -580,10 +581,9 @@ class EvaluatedComplex:
 
     def vec_to_form(self, v: Vec, p: int, q: int, algebra: Optional[FormAlgebra] = None) -> Form:
         """The (p,q)-form of a vector: position i holds the monomial
-        (I, J) with I at rank i // C(n, q) and J at rank i % C(n, q)."""
-        alg = algebra or self.cx.algebra
-        subsets, cq = self.cx.layout.subsets, comb(self.n, q)
-        return Form(alg, {(subsets[p][i // cq], subsets[q][i % cq]): alg.ring.const(v[i]) for i in sorted(v)})
+        (I, J) with I at rank i // C(n, q) and J at rank i % C(n, q): its
+        one constant t-slice (``slices_to_form``)."""
+        return self.slices_to_form({0: v}, p, q, algebra or self.cx.algebra)
 
     def form_to_slices(self, a: Form, p: int, q: int) -> Dict[int, Vec]:
         """The t-slices of a (p,q)-form whose coefficients are polynomials
@@ -661,10 +661,9 @@ def cohomology(
 
     which is one of dolbeault, del, bott_chern, aeppli, de_rham; the
     first four take (p, q) in 0..n, de_rham takes k in 0..2n; anything
-    else raises ValueError.  Equations that define no complex are refused
-    first (``StructureEquations.require_flat``).
+    else raises ValueError.  The complex's equations define a complex:
+    ``InvariantComplex`` decided that when it was built.
     """
-    ec.cx.se.require_flat()
     if which == "de_rham":
         if k is None:
             raise ValueError("de_rham cohomology needs k")
@@ -721,9 +720,8 @@ class CohomologyReport:
 @collector_paused()
 def full_report(ec: EvaluatedComplex) -> CohomologyReport:
     """Every cohomology table and Betti number of a complex, with the
-    cyclic collector paused (``collector_paused``); equations that define
-    no complex are refused first (``require_flat``)."""
-    ec.cx.se.require_flat()
+    cyclic collector paused (``collector_paused``); d^2 = 0 was decided
+    when the ``InvariantComplex`` was built."""
     n = ec.n
     size = n + 1
     tables = {name: [[0] * size for _ in range(size)] for name in _WHICH}

@@ -47,7 +47,7 @@ from .algebra import (
 from .cohomology import EvaluatedComplex, zero_point
 from .deformation import BeltramiOperators, as_beltrami, beltrami_operators, fiber_complex, require_integrable
 from .errors import IntegrabilityError, ObstructionNonvanishing, PreconditionFailed
-from .lemmata import mild
+from .lemmata import _mild_holds
 from .linalg import Vec
 from .positivity import is_transverse, pkahler_degree
 from .scalars import QI_ONE, GaussianRational, ParamScalar
@@ -171,7 +171,9 @@ class ExtensionState:
     per-order residuals of the two obstruction components.  The ladder
     A_k = iota_B^k(W)/k! of W is ``contraction_series`` of phi's B field
     (``beltrami_operators``) on ``omega_tilde``, built only where asked
-    for."""
+    for.  In the deformed coframe the extension map is the identity on
+    coefficients, so the extension on the fiber at a point is
+    ``omega.eval(point)``, read against the deformed basis monomials."""
 
     omega0: Form
     omega_tilde: Form
@@ -187,15 +189,6 @@ class ExtensionState:
         return all(x == 0 for x in self.residual_left_by_order) and all(
             x == 0 for x in self.residual_right_by_order
         )
-
-    def extension_at(self, point) -> Form:
-        """Coefficients of the extension on the deformed fiber at a point.
-
-        In the deformed coframe the extension map is the identity on
-        coefficients, so this is just omega evaluated at the point and
-        reread against the deformed basis monomials.
-        """
-        return self.omega.eval(point)
 
 
 def solve_extension(
@@ -266,8 +259,7 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
         ec0 = fiber_complex(se_r, None, zero_point(ring.m))
     if check_lemmata:
         for (mp, mq) in {(p, q + 1), (q, p + 1)}:
-            # mild holds on an empty bidegree, (p,n+1) when q = n
-            if ec0.dim(mp, mq) and not mild(ec0, mp, mq)[0]:
+            if not _mild_holds(ec0, "del", mp, mq):
                 raise PreconditionFailed(
                     f"the ({mp},{mq})-th mild lemma fails at t = 0"
                 )
@@ -365,7 +357,7 @@ def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q
     if se.apply_delbar(right):
         raise PreconditionFailed("delbar del conj(xi) != 0")
     for (mp, mq) in ((p, q + 1), (q, p + 1)):
-        if ec.dim(mp, mq) and not mild(ec, mp, mq)[0]:
+        if not _mild_holds(ec, "del", mp, mq):
             raise PreconditionFailed(f"the ({mp},{mq})-th mild lemma fails on this complex")
     # the hypotheses make every slice solvable, so no order is ever reported
     return _conjugate_solution(ec, left, right, p, q, None)

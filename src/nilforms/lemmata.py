@@ -6,12 +6,13 @@ one of dimension, and every verdict is an identity between ranks that
 the EvaluatedComplex already holds (Angella-Tomassini state the
 del-delbar lemma itself as an identity between dimensions).  Write
 r(op, p, q) for the rank of the matrix op from SOURCE (p,q) and w for
-dim im deldelbar at (p,q).  Every verdict first asks
-``StructureEquations.require_flat``: with no (0,2)-part d = del +
+dim im deldelbar at (p,q).  Every verdict rests on the complex being
+flat, which ``InvariantComplex`` decided when it was built
+(``StructureEquations.require_flat``): with no (0,2)-part d = del +
 delbar, and del^2, delbar^2 and del delbar + delbar del are the three
 bidegree parts of d^2, so d^2 = 0 makes the complex flat.  Equations
-that fail raise IntegrabilityError or FlatnessError, typed errors that
-the CLI reports as one ``error:`` line.  On a flat complex:
+that fail raise IntegrabilityError or FlatnessError there, typed errors
+that the CLI reports as one ``error:`` line.  On a flat complex:
 
   mild(p,q):       del(ker deldelbar at (p-1,q)) = im deldelbar, i.e.
                    r(del,p-1,q) - r(ddbar,p-1,q) = w: ker del lies in
@@ -128,7 +129,6 @@ def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional
 
 def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
     """mild's rank identity at (p,q), or dual mild's (module docstring)."""
-    ec.cx.se.require_flat()
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
     if not (ec.dim(sp, sq) and ec.dim(p, q)):
         return True
@@ -157,7 +157,6 @@ def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
 
 def _strong_holds(ec: EvaluatedComplex, p: int, q: int) -> bool:
     """strong's rank identity at (p,q) (module docstring)."""
-    ec.cx.se.require_flat()
     if not ec.dim(p, q):
         return True
     # r(ddbar,p-1,q) and r(ddbar,p,q-1) are the deldelbar images into
@@ -174,7 +173,6 @@ def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
     relations of E and conj(E) modulo U, which give the witness
     (``_weak_tracked``)."""
     ec.check_bidegree(p, p + 1)
-    ec.cx.se.require_flat()
     if _images_meet_in_ddbar(ec, p):
         return True, None
     return _weak_tracked(ec, p)
@@ -261,7 +259,6 @@ def standard(ec: EvaluatedComplex) -> Tuple[bool, Optional[Form], Optional[Tuple
     deldelbar image, at the first failing bidegree, p-major: the first
     of ``_pure_d_exact``'s lazy forms there, so the scan stops at it.
     """
-    ec.cx.se.require_flat()
     split: Dict[int, Tuple[List[int], List[int]]] = {}
     for p in range(ec.n + 1):
         for q in range(ec.n + 1):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -77,12 +76,13 @@ def volume_coefficient(f: Form) -> GaussianRational:
     return c.constant_term() / unit_volume_scalar(n)
 
 
-def _subset_index(n: int, q: int) -> Dict[Tuple[int, ...], int]:
+def _subset_index(alg: FormAlgebra, q: int) -> Dict[Tuple[int, ...], int]:
     """The ascending q-subsets I of 1..n in order, each with its position:
-    the basis gamma^I of the (q,0)-forms.  ValueError unless 0 <= q <= n."""
-    if not 0 <= q <= n:
-        raise ValueError(f"a (q,0)-form needs q in the range 0..{n}, not q = {q}")
-    return {I: i for i, I in enumerate(combinations(range(1, n + 1), q))}
+    the basis gamma^I of the (q,0)-forms, the algebra's subset ranks
+    (``FormAlgebra.layout``), read only.  ValueError unless 0 <= q <= n."""
+    if not 0 <= q <= alg.n:
+        raise ValueError(f"a (q,0)-form needs q in the range 0..{alg.n}, not q = {q}")
+    return alg.layout.subset_rank[q]
 
 
 @dataclass
@@ -107,7 +107,7 @@ def hermitian_matrix_of(theta: Form, q: Optional[int] = None) -> HermitianExtrac
         q = theta.bidegree()[0] if theta else 0
     if theta and not theta.is_homogeneous(q, q):
         raise ValueError("hermitian extraction needs a (q,q)-form")
-    index = _subset_index(alg.n, q)
+    index = _subset_index(alg, q)
     sq = sigma_q(q)
     size = len(index)
     matrix = [[GaussianRational(0)] * size for _ in range(size)]
@@ -125,7 +125,7 @@ def reconstruct_from_matrix(
     alg: FormAlgebra, q: int, matrix: Sequence[Sequence[GaussianRational]]
 ) -> Form:
     """Inverse of hermitian_matrix_of: sigma_q sum M_ij beta_i ^ conj(beta_j)."""
-    basis = list(_subset_index(alg.n, q))
+    basis = list(_subset_index(alg, q))
     sq = sigma_q(q)
     total = alg.zero()
     for i, I in enumerate(basis):
@@ -211,7 +211,7 @@ def _pairing_matrix(gamma: Form, q: int) -> List[List[GaussianRational]]:
     unit volume.  A t-dependent gamma raises ValueError.
     """
     n = gamma.algebra.n
-    index = _subset_index(n, q)
+    index = _subset_index(gamma.algebra, q)
     full = frozenset(range(1, n + 1))
     scale = sigma_q(q) / unit_volume_scalar(n)
     mat = [[GaussianRational(0)] * len(index) for _ in index]
@@ -284,7 +284,7 @@ def is_transverse(
         raise PreconditionFailed("transversality is defined for real forms")
     q = n - p
     mat = _pairing_matrix(gamma, q)
-    index = _subset_index(n, q)
+    index = _subset_index(alg, q)
     if not force_sampled and p in (0, 1, n - 1, n):
         verdict = _pivot_verdict("transverse", alg, list(index), mat)
         if verdict.holds:

@@ -2559,7 +2559,7 @@ def transverse_by_dense_sum(gamma, p: int, samples: int = 200, seed: int = 7):
 
     alg = gamma.algebra
     q = alg.n - p
-    mat, index = _pairing_matrix(gamma, q), _subset_index(alg.n, q)
+    mat, index = _pairing_matrix(gamma, q), _subset_index(alg, q)
     rng = DetRng(seed)
     min_margin = None
     for drawn in range(1, samples + 1):

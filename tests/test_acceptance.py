@@ -170,13 +170,13 @@ def test_criterion_07_extension_solver_21_generators(bcvary10, ec_bcvary0):
     for pt in sample_pts:
         se_t = deform_complex(bcvary10.se, bcvary10.beltrami, point=pt)
         ect = EvaluatedComplex(build_complex(se_t), ())
-        vecs = [ect.form_to_vec(st.extension_at(pt), 4, 4) for st in states]
+        vecs = [ect.form_to_vec(st.omega.eval(pt), 4, 4) for st in states]
         assert linalg.forward_echelon(vecs).rank == 21
         # BC-classification consistency: every generator nontrivial at 0
         # stays nontrivial on the sampled fiber
         for st in states:
             if bc_nontriviality(ec_bcvary0, st.omega0):
-                assert bc_nontriviality(ect, st.extension_at(pt))
+                assert bc_nontriviality(ect, st.omega.eval(pt))
     elapsed = time.monotonic() - start
     assert elapsed <= 300, f"runtime budget exceeded: {elapsed:.1f}s"
     _report(7, f"21 generators extend d-closed, independent, BC-consistent ({elapsed:.2f}s)")

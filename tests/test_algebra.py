@@ -211,23 +211,23 @@ def test_build_complex_bcvary_dims_and_column():
 
 def test_integrability_error_on_02_part():
     """A (0,2)-part of d gamma^2, beside a (1,1)-part, is refused with
-    require_flat's IntegrabilityError by build_complex and by every route
+    require_flat's IntegrabilityError by build_complex, by the complex
+    itself, so no EvaluatedComplex is built on it, and by every route
     that reads the del or delbar part of d (apply_d, apply_del,
-    apply_delbar, EvaluatedComplex.rows), which used to drop it without
-    a word; nothing is kept, so each call raises again."""
+    apply_delbar), which used to drop it without a word; nothing is
+    kept, so each call raises again."""
     alg = FormAlgebra(2, PolyRing(0, 0))
     d2 = alg.monomial((), (1, 2)) + alg.monomial((1,), (1,))
     se = StructureEquations("bad", alg, {2: d2})
     with pytest.raises(IntegrabilityError) as flat:
         build_complex(se)
     assert str(flat.value).startswith("bad: d gamma^2 has parts outside (2,0) + (1,1): ")
-    ec = EvaluatedComplex(InvariantComplex(se), ())
     calls = [
         lambda: se.apply_d(alg.gamma(1)),
         lambda: se.apply_del(alg.gammabar(2)),
         lambda: se.apply_delbar(alg.gamma(2)),
-        lambda: ec.rows("del", 1, 0),
-        lambda: ec.rows("delbar", 0, 1),
+        lambda: InvariantComplex(se),
+        lambda: EvaluatedComplex(InvariantComplex(se), ()),
     ]
     for _ in range(2):
         for call in calls:

@@ -683,10 +683,13 @@ def test_evaluated_assembly_equals_symbolic_oracle(reference_complexes):
 
 def test_evaluated_assembly_sums_colliding_terms():
     """When d of a symbol contains that symbol, two Leibniz terms meet at
-    one entry: d(g1 ^ g2) = -2 g123 is summed, d(g1 ^ g4) = 0 cancels,
-    and the rows still equal the oracle's.  The row of g134 from (2,0)
-    meets only that cancelling pair, so it is the shared ``EMPTY_ROW``,
-    as is every other empty row, and d(g1 ^ g4) = 0 on forms too."""
+    one entry: del(g1 ^ g2) = -2 g123 is summed, del(g1 ^ g4) = 0
+    cancels, and the rows still equal the oracle's.  The row of g134
+    from (2,0) meets only that cancelling pair, so it is the shared
+    ``EMPTY_ROW``, as is every other empty row, and del(g1 ^ g4) = 0 on
+    forms too.  The equations define a complex, with g4 in the
+    (1,1)-part of d g4 too: d^2 g4 = -g3 ^ d g4 + i d(g4 ^ gb3) =
+    -i g34 ^ gb3 + i g34 ^ gb3 = 0."""
     alg = FormAlgebra(4, PolyRing(0, 0))
     se = StructureEquations(
         "diagonal",
@@ -694,7 +697,7 @@ def test_evaluated_assembly_sums_colliding_terms():
         {
             1: alg.monomial((1, 3), ()),
             2: alg.monomial((2, 3), ()),
-            4: alg.monomial((3, 4), ()) + alg.monomial((4,), (1,)).scale(QI(0, 1)),
+            4: alg.monomial((3, 4), ()) + alg.monomial((4,), (3,)).scale(QI(0, 1)),
         },
     )
     cx = InvariantComplex(se)
@@ -1090,11 +1093,12 @@ def test_del_and_stacked_ranks_equal_separate_eliminations(reference_complexes):
 
 
 def test_a_second_point_reuses_the_assembly_plans(bcvary10):
-    """The complex of the deformed bcvary10 family shares its equations'
+    """The complex of the deformed bcvary10 family shares its algebra's
     layout, so its plans are computed once over validation and the del
     and delbar matrices at three points: validation (``build_complex``
-    on equations that have decided nothing yet) computes each plan of
-    its degree-1 and degree-2 tables once; the matrices at a generic
+    on equations that have decided nothing yet, over a fresh algebra of
+    the family's ring, whose layout has planned nothing) computes each
+    plan of its degree-1 and degree-2 tables once; the matrices at a generic
     point compute each plan once, and only plans that validation did
     not make; evaluated complexes on the same complex at the other
     generic point and at t = 0, where no structure constant is nonzero
@@ -1109,11 +1113,12 @@ def test_a_second_point_reuses_the_assembly_plans(bcvary10):
             super().__setitem__(key, plan)
 
     deformed = deform_complex(bcvary10.se, bcvary10.beltrami)
-    se = StructureEquations(deformed.name, deformed.algebra, deformed.d_coframe)  # nothing planned yet
+    alg = FormAlgebra(deformed.n, deformed.algebra.ring)
+    se = StructureEquations(deformed.name, alg, deformed.d_coframe)
     calls = []
-    se.layout.plans = Recorded()
+    alg.layout.plans = Recorded()
     family = build_complex(se)
-    assert family.layout is se.layout
+    assert family.layout is alg.layout is alg.constant.layout
     validation = set(calls)
     assert validation and len(calls) == len(validation)
     calls.clear()
@@ -1211,24 +1216,24 @@ def test_cohomology_refuses_out_of_range_degrees(ec_iwasawa, kwargs, message):
 
 
 def test_cohomology_refuses_equations_that_define_no_complex():
-    """full_report and cohomology answer only on a complex.  With d gamma^1
-    = gammabar^1 ^ gammabar^2 (n = 2) the del and delbar parts drop the
-    (0,2)-term, so the tables would read as the torus's; on the non-flat
-    n = 3 equations Bott-Chern at (1,1) would read 4.  Each raises its
-    typed error, and no pass is stored."""
+    """full_report, cohomology and the public dimension readers answer
+    only on a complex, and the complex is refused where it is built.
+    With d gamma^1 = gammabar^1 ^ gammabar^2 (n = 2) the del and delbar
+    parts drop the (0,2)-term, so the tables would read as the torus's;
+    on the non-flat n = 3 equations Bott-Chern at (1,1) would read 4.
+    InvariantComplex raises the typed error on every attempt, so no
+    EvaluatedComplex, and so no number, exists on either, and no pass
+    is stored."""
     alg2 = FormAlgebra(2, PolyRing(0, 0))
-    se = StructureEquations("not_integrable", alg2, {1: alg2.monomial((), (1, 2))})
-    with pytest.raises(IntegrabilityError):
-        full_report(EvaluatedComplex(InvariantComplex(se), ()))
-    assert not se.flat
     alg3 = FormAlgebra(3, PolyRing(0, 0))
-    se = StructureEquations("notflat", alg3, {3: alg3.monomial((1,), (2,)), 2: alg3.monomial((1,), (3,))})
-    ec = EvaluatedComplex(InvariantComplex(se), ())
-    with pytest.raises(FlatnessError):
-        cohomology(ec, "bott_chern", 1, 1)
-    with pytest.raises(FlatnessError):
-        full_report(ec)
-    assert not se.flat
+    for error, se in (
+        (IntegrabilityError, StructureEquations("not_integrable", alg2, {1: alg2.monomial((), (1, 2))})),
+        (FlatnessError, StructureEquations("notflat", alg3, {3: alg3.monomial((1,), (2,)), 2: alg3.monomial((1,), (3,))})),
+    ):
+        for build in (lambda: InvariantComplex(se), lambda: EvaluatedComplex(InvariantComplex(se), ())) * 2:
+            with pytest.raises(error):
+                build()
+            assert not se.flat, se.name
 
 
 def test_flatness_check_leaves_the_tables_as_it_found_them():
@@ -1268,7 +1273,7 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     of d on the total complex, which is never stored, is the one
     ``EMPTY_ROW``, which refuses a write, and each ddbar equals the
     product that walks every row; the complex keeps only the
-    layout of its equations, the per-size subset table, 2^n subsets,
+    layout of its algebra, the per-size subset table, 2^n subsets,
     and the assembly plans, each a list of one entry per subset of one
     block, so no list or dict per monomial; and the equations hold no
     column table: their flatness check drops the degree-2 tables it
@@ -1299,7 +1304,7 @@ def test_stored_matrices_share_one_read_only_empty_row(reference_complexes):
     n = cx.n
     assert set(vars(cx)) == {"se", "algebra", "n", "layout"}
     layout = cx.layout
-    assert layout is cx.se.layout
+    assert layout is cx.se.algebra.layout is cx.algebra.constant.layout
     assert sum(map(len, layout.subsets)) == sum(map(len, layout.subset_rank)) == 2 ** n
     assert cx.se.tables == {}
     assert layout.plans

@@ -541,8 +541,9 @@ def test_a_t0_fiber_keeps_its_equations_flatness_check(monkeypatch):
 
 def test_a_fiber_builds_one_set_of_equations_and_its_degree_two_tables(monkeypatch, bcvary10, iwasawa3):
     """After one warm-up fiber, which lifts bcvary10's equations to phi's
-    ring, the fiber at a generic point constructs one StructureEquations
-    and one Layout, the deformed equations' own, and assembles no column
+    ring, the fiber at a generic point constructs one StructureEquations,
+    the deformed equations, and no Layout: they read their algebra's
+    (``FormAlgebra.layout``).  It assembles no column
     table and makes no derivation: no evaluated copy of the equations is
     built to apply d to the new coframe, and no flatness check runs,
     since bcvary10's structure forms are constant, so evaluation is exact
@@ -557,13 +558,29 @@ def test_a_fiber_builds_one_set_of_equations_and_its_degree_two_tables(monkeypat
         real, seen = getattr(cls, method), calls.setdefault(f"{cls.__name__}.{method}", [])
         monkeypatch.setattr(cls, method, lambda self, *args, real=real, seen=seen: seen.append(args) or real(self, *args))
     fiber_complex(bcvary10.se, bcvary10.beltrami, point)
-    assert (len(calls["StructureEquations.__init__"]), len(calls["Layout.__init__"])) == (1, 1)
+    assert (len(calls["StructureEquations.__init__"]), len(calls["Layout.__init__"])) == (1, 0)
     tables, derivations = calls["StructureEquations._assemble_table"], calls["StructureEquations.apply_d"]
     assert tables == [] and derivations == []
     se = StructureEquations(iwasawa3.se.name, iwasawa3.se.algebra, iwasawa3.se.d_coframe)
     se.require_flat()
     assert len(derivations) == 2 * se.n and se.flat
     assert tables and all(p + q == 2 for _, p, q in tables)
+
+
+def test_equations_their_lifts_and_fibers_read_one_layout(bcvary10):
+    """One Layout per algebra (``FormAlgebra.layout``), shared with its
+    constant algebra: bcvary10's equations, their lift to the constant
+    ring, their evaluation at a point and the fibers at two points of
+    the family, with the complexes on them, all read that one object."""
+    se, phi = bcvary10.se, bcvary10.beltrami
+    alg = se.algebra
+    layout = alg.layout
+    assert layout is alg.constant.layout and phi.algebra.layout is layout
+    assert se.with_algebra(alg.constant).algebra.layout is layout
+    assert evaluate_se(se, fiber_point(4601)).algebra.layout is layout
+    for seed in (4601, 4602):
+        ec = fiber_complex(se, phi, fiber_point(seed))
+        assert ec.cx.layout is ec.cx.se.algebra.layout is layout, seed
 
 
 def test_a_fiber_builds_no_symbolic_deformation(monkeypatch):

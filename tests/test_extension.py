@@ -692,34 +692,51 @@ def test_solve_extension_preconditions(iwasawa3, bcvary10):
 
 def test_empty_mild_bidegrees_hold_without_asking(bcvary10, ec_bcvary0, monkeypatch):
     """At q = n the solver's hypotheses name the empty bidegree (p,n+1),
-    which mild refuses: solve_extension and solve_conjugate_system count
-    it as holding without asking, and ask mild only at (q,p+1).  On
-    bcvary10 at t = 0 (n = 5) mild holds at (5,5) and fails at (5,4), so
-    the (4,5) generators extend and the (3,5) ones are refused, naming
-    (5,4); the (5,5) generator asks nothing."""
-    asked = []
-    monkeypatch.setattr(extension, "mild", lambda ec, p, q: asked.append((p, q)) or mild(ec, p, q))
+    which mild refuses: solve_extension and solve_conjugate_system ask
+    mild's rank identity (``lemmata._mild_holds``), which holds there
+    without reading a rank, and reads ranks at (q,p+1).  On bcvary10 at
+    t = 0 (n = 5) mild holds at (5,5) and fails at (5,4), so the (4,5)
+    generators extend and the (3,5) ones are refused, naming (5,4); the
+    (5,5) generator reads no rank.  A refusal builds no witness: no
+    ``mild_scan`` runs."""
+    asked, ranks, scans = [], [], []
+    real_holds, real_rank, real_scan = extension._mild_holds, EvaluatedComplex.rank, EvaluatedComplex.mild_scan
+
+    def holds(ec, op, p, q):
+        before = len(ranks)
+        held = real_holds(ec, op, p, q)
+        asked.append((op, p, q, held, len(ranks) > before))
+        return held
+
+    monkeypatch.setattr(extension, "_mild_holds", holds)
+    monkeypatch.setattr(EvaluatedComplex, "rank", lambda self, *a: ranks.append(a) or real_rank(self, *a))
+    monkeypatch.setattr(EvaluatedComplex, "mild_scan", lambda self, *a: scans.append(a) or real_scan(self, *a))
     alg = bcvary10.se.algebra
     with pytest.raises(ValueError, match=r"bidegree \(4,6\) is outside 0\.\.5"):
         mild(ec_bcvary0, 4, 6)
-    for (p, q), want in (((5, 5), []), ((4, 5), [(5, 5)]), ((3, 5), [(5, 4)])):
+    empty = {(p, 6): ("del", p, 6, True, False) for p in range(6)}
+    holding, failing = ("del", 5, 5, True, True), ("del", 5, 4, False, True)
+    for (p, q), want in (((5, 5), [empty[5, 6]]), ((4, 5), [empty[4, 6], holding]), ((3, 5), [empty[3, 6], failing])):
         for gv in ec_bcvary0.kernel("stacked", p, q):
             asked.clear()
             omega0 = ec_bcvary0.vec_to_form(gv, p, q, alg)
             if (p, q) == (3, 5):
                 with pytest.raises(PreconditionFailed, match=r"the \(5,4\)-th mild lemma fails at t = 0"):
                     solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec_bcvary0)
+                # the refusing check is the last one asked
+                assert asked[-1] == failing and set(asked) <= set(want), asked
             else:
                 assert solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec_bcvary0).d_closed_through_order
-            assert asked == want, (p, q)
+                assert sorted(asked) == sorted(want), (p, q)
+    assert scans == []
     zero = ec_bcvary0.cx.algebra.zero()
     asked.clear()
     assert solve_conjugate_system(ec_bcvary0, zero, zero, 4, 5) == zero
-    assert asked == [(5, 5)]
+    assert asked == [empty[4, 6], holding]
     asked.clear()
     with pytest.raises(PreconditionFailed, match=r"the \(5,4\)-th mild lemma fails on this complex"):
         solve_conjugate_system(ec_bcvary0, zero, zero, 3, 5)
-    assert asked == [(5, 4)]
+    assert asked == [empty[3, 6], failing] and scans == []
 
 
 def test_obstruction_nonvanishing_when_lemma_skipped(iwasawa3):
@@ -950,7 +967,7 @@ def test_second_solve_rebuilds_no_deformation_data(monkeypatch):
     assert counts == {"neumann": 1, "symbolic": 1} and split[:2] == setup
     assert [eqs.name for eqs in split[2:]] == ["bcvary10:deformed"] and split[2].algebra is phi.algebra
     setup = split[:]
-    assert se.with_algebra(phi.algebra).layout in assembled
+    assert se.with_algebra(phi.algebra).algebra.layout in assembled
     assembled.clear()
     ops = phi.operators
     endos = (ops.ext_transform, ops.unshrink)

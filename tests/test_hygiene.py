@@ -575,6 +575,80 @@ def test_integrability_is_checked_only_through_the_verdict_helper():
     assert found == {("deformation.py", "deform_complex")}
 
 
+def calls_of(source: str, name: str):
+    """(enclosing qualified name, line) of each call of a function or a
+    method named ``name``: name(...), x.name(...) or x.y.name(...); None
+    for module level."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    yield scope, child.lineno
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope is None else f"{scope}.{child.name}"
+            yield from walk(child, inner)
+
+    return list(walk(ast.parse(source), None))
+
+
+def test_flatness_is_decided_where_a_complex_is_built():
+    """Every number and verdict reads a complex whose construction
+    decided d^2 = 0, so ``require_flat`` is called only by
+    ``InvariantComplex.__init__``, by deformation, which refuses to
+    deform equations that define no complex and decides the deformed
+    ones, and by the catalog, which validates every entry on load: no
+    verdict or report asks again.  The scan finds a planted call in a
+    method, one in a nested function through an attribute chain and one
+    at module level, and skips a read of the name."""
+    probe = (
+        "class A:\n    def __init__(self, se):\n        se.require_flat()\n"
+        "def f():\n    def g():\n        a.b.require_flat()\n    return x.require_flat\n"
+        "require_flat(x)\n"
+    )
+    assert calls_of(probe, "require_flat") == [("A.__init__", 3), ("f.g", 6), (None, 8)]
+    found = {
+        (path.name, scope) for path in sorted(SRC.glob("*.py")) for scope, _ in calls_of(path.read_text(), "require_flat")
+    }
+    assert found == {
+        ("algebra.py", "InvariantComplex.__init__"),
+        ("deformation.py", "deform_complex"),
+        ("deformation.py", "_deformed_equations"),
+        ("catalog.py", "CatalogEntry.__post_init__"),
+    }
+
+
+def combinations_imports(source: str):
+    """The lines that import ``itertools.combinations``: from itertools
+    import it, under any name, or read it off the module."""
+    tree = ast.parse(source)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "itertools" and any(a.name == "combinations" for a in node.names)]
+    lines += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "combinations"]
+    return sorted(lines)
+
+
+def test_one_layout_per_algebra_and_one_subset_table():
+    """The subset table of n depends on n only, so one ``leibniz.Layout``
+    is built per algebra, by ``FormAlgebra.__init__``, which shares its
+    constant algebra's, and only ``leibniz`` enumerates subsets: every
+    other reader of the q-subsets of 1..n reads ``FormAlgebra.layout``.
+    The scans find a planted Layout call and both forms of the import,
+    and skip a read of the class."""
+    probe = "from itertools import chain, combinations as c\nimport itertools\nx = itertools.combinations(y, 2)\n"
+    assert combinations_imports(probe) == [1, 3]
+    assert calls_of("def f(n):\n    return Layout(n), Layout\n", "Layout") == [("f", 2)]
+    built, imported = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        built |= {(path.name, scope) for scope, _ in calls_of(source, "Layout")}
+        imported |= {path.name for _ in combinations_imports(source)}
+    assert built == {("algebra.py", "FormAlgebra.__init__")}
+    assert imported == {"leibniz.py"}
+
+
 def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     """No module of the package defines HodgeContext: the Laplacians,
     harmonic projectors and Green operators are a test oracle.  Nor does
@@ -776,9 +850,12 @@ UNCALLED = {
 
 
 def public_functions():
-    """(file, qualified name) to module.qualified name, for each public
+    """(file, first line) to module.qualified name, for each public
     module-level function of src and each public method of a
-    module-level class."""
+    module-level class.  The first line is that of the code object
+    (``co_firstlineno``): the first decorator's, if any, else the def's,
+    so a code object is found on every Python the package supports,
+    without ``co_qualname`` (3.11 and later)."""
     out = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -788,7 +865,8 @@ def public_functions():
                 methods = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
             for qualname, fn in methods:
                 if not fn.name.startswith("_"):
-                    out[(str(path), qualname)] = f"{path.stem}.{qualname}"
+                    line = fn.decorator_list[0].lineno if fn.decorator_list else fn.lineno
+                    out[(str(path), line)] = f"{path.stem}.{qualname}"
     return out
 
 
@@ -850,9 +928,10 @@ def test_every_public_function_is_called_or_listed(tmp_path):
                 run()
     finally:
         sys.setprofile(None)
-    seen = {(str(Path(code.co_filename).resolve()), code.co_qualname) for code in called}
-    assert (str(SRC / "cohomology.py"), "full_report") in seen
-    uncalled = sorted(name for key, name in public_functions().items() if key not in seen)
+    seen = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in called}
+    public = public_functions()
+    assert next(key for key, name in public.items() if name == "cohomology.full_report") in seen
+    uncalled = sorted(name for key, name in public.items() if key not in seen)
     assert uncalled == sorted(UNCALLED)
 
 

@@ -271,16 +271,15 @@ def _not_flat_se():
 def test_strong_refuses_a_complex_that_is_not_flat():
     """With d gamma^3 = gamma^1 ^ gammabar^2 and d gamma^2 = gamma^1 ^
     gammabar^3, d^2 != 0, so del(ker deldelbar) leaves ker delbar at
-    (1,1): strong raises instead of giving a verdict."""
+    (1,1): the complex that strong and lemma_report would read is
+    refused where it is built, naming the generator whose d^2 is
+    nonzero, so neither gives a verdict."""
     alg = FormAlgebra(3, PolyRing(0, 0))
     se = StructureEquations(
         "notflat", alg, {3: alg.monomial((1,), (2,)), 2: alg.monomial((1,), (3,))}
     )
-    ec = EvaluatedComplex(InvariantComplex(se), ())
-    with pytest.raises(FlatnessError):
-        strong(ec, 1, 1)
-    with pytest.raises(FlatnessError):
-        lemma_report(ec, bidegrees=[(1, 1)])
+    with pytest.raises(FlatnessError, match=r"^notflat is not flat: d\^2 gamma\^2 = .* is nonzero$"):
+        EvaluatedComplex(InvariantComplex(se), ())
 
 
 def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
@@ -513,15 +512,13 @@ def test_lazy_kernel_equals_the_one_pass_oracle(reference_complexes):
 
 
 def test_every_verdict_refuses_a_complex_that_is_not_flat():
-    """mild, dual mild, weak and standard refuse the complex that strong
-    refuses, with the same error, and the failed verdict is not stored:
-    every call checks again."""
+    """Every verdict (mild, dual mild, weak, standard, strong) reads an
+    EvaluatedComplex, and none can be built on equations that are not
+    flat: InvariantComplex, build_complex by its other name, refuses
+    them with FlatnessError, and the failure is not stored, so every
+    attempt checks again."""
     se = _not_flat_se()
-    ec = EvaluatedComplex(InvariantComplex(se), ())
-    calls = (
-        lambda: mild(ec, 1, 1), lambda: dual_mild(ec, 1, 1), lambda: weak(ec, 1),
-        lambda: standard(ec), lambda: strong(ec, 1, 1),
-    )
+    calls = (lambda: InvariantComplex(se), lambda: build_complex(se), lambda: EvaluatedComplex(InvariantComplex(se), ()))
     for call in calls + calls:
         with pytest.raises(FlatnessError):
             call()
@@ -530,9 +527,9 @@ def test_every_verdict_refuses_a_complex_that_is_not_flat():
 
 def test_flatness_is_decided_once_per_structure_equations(monkeypatch, iwasawa3):
     """After build_complex(se) the lemma layer makes no derivation call
-    to decide flatness.  Equations wrapped without build_complex are
-    checked on the first verdict, one derivation per coframe generator
-    (d of its structure form), and never again."""
+    to decide flatness.  InvariantComplex, the same constructor, decides
+    fresh equations when it is built, one derivation per coframe
+    generator (d of its structure form), and never again."""
     calls = []
     real = StructureEquations.apply_d
     monkeypatch.setattr(StructureEquations, "apply_d", lambda self, a: calls.append(a) or real(self, a))
