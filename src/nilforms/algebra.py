@@ -670,10 +670,11 @@ class StructureEquations:
 
     def _assemble_table(self, op: str, p: int, q: int) -> List[tuple]:
         """The column table of op from (p,q), kept in ``tables``: per monomial
-        position, its (target, coefficient) pairs, from ``symbol_terms`` by
-        the rule of ``EvaluatedComplex.rows`` (``Layout.assemble``)."""
+        position, its (target, coefficient) pairs, from ``symbol_terms``,
+        each term negated once, by the rule of ``EvaluatedComplex.rows``
+        (``Layout.assemble``)."""
         tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-        terms = self.symbol_terms(op)
+        terms = [[(I, J, c, -c) for I, J, c in sterms] for sterms in self.symbol_terms(op)]
         layout = self.algebra.layout
         subsets = layout.subsets
         cols: List[list] = [[] for _ in range(self.algebra.dim(p, q))]

@@ -20,7 +20,9 @@ and their algebra's subset table and assembly plans
 point of the complex share across terms and bidegrees.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
-rank of the incoming map), and every rank is read once per duality pair
+rank of the incoming map, ``_cohomology_dim``, by the maps of ``_MAPS``),
+``full_report`` feeds it from int tables that read each rank once
+(``EvaluatedComplex.rank_table``), and every rank is read once per duality pair
 from a forward echelon, whose rows no kernel read rewrites: on a
 unimodular complex the Hodge star reads the delbar, Aeppli and upper de
 Rham ranks from others and gives a deldelbar rank to its dual, and
@@ -184,10 +186,11 @@ class EvaluatedComplex:
 
     del and delbar are assembled per structure constant: the del or
     delbar part of d of each coframe symbol is evaluated at the point
-    once, and each of its nonzero terms is spread over the monomials it
-    can meet (``leibniz.Layout.assemble``, the rule of the equations'
-    column tables), along positions and signs planned once per complex,
-    so the cost at a point follows the nonzero count, not the basis.
+    once, with its negation, and each of its nonzero terms is spread
+    over the monomials it can meet (``leibniz.Layout.assemble``, the rule
+    of the equations' column tables), along positions and signs planned
+    once per complex, so the cost at a point follows the nonzero count,
+    not the basis.
     Evaluation is additive, so the rows equal those tables evaluated
     entry by entry.  Rows, columns and ``form_to_vec``/``vec_to_form``
     position the monomial (I, J) of (p,q) at
@@ -242,12 +245,13 @@ class EvaluatedComplex:
 
     def _symbol_terms(self, op: str) -> List[list]:
         """``StructureEquations.symbol_terms`` evaluated once at this point:
-        per symbol, its nonzero terms (I, J, value)."""
+        per symbol, its nonzero terms (I, J, value, -value), each negated
+        once for every assembly of op (``Layout.assemble``)."""
         if op not in self._terms:
             terms = []
             for sterms in self.cx.se.symbol_terms(op):
                 values = ((I, J, c.eval(self.point)) for I, J, c in sterms)
-                terms.append([t for t in values if t[2]])
+                terms.append([(I, J, v, -v) for I, J, v in values if v])
             self._terms[op] = terms
         return self._terms[op]
 
@@ -335,6 +339,15 @@ class EvaluatedComplex:
         if not self.dim(p - dp, q - dq) or not self.dim(p, q):
             return 0
         return self.rank(op, p - dp, q - dq)
+
+    def rank_table(self, op: str) -> List[List[int]]:
+        """``rank(op, p, q)`` at every (p,q) in 0..n as one int table, as
+        ``full_report`` and ``lemmata.lemma_report`` read them: each rank
+        once, in lexicographic (p,q) order, the order in which a cell by
+        cell walk first reads them, so that the same member of each
+        Hodge-star pair of deldelbar ranks is eliminated."""
+        size = self.n + 1
+        return [[self.rank(op, p, q) for q in range(size)] for p in range(size)]
 
     def kernel(self, op: str, p: int, q: int) -> List[Vec]:
         """``kernel_vectors`` as a list, for the callers that read it whole."""
@@ -612,24 +625,51 @@ class EvaluatedComplex:
 # -- dimensions ------------------------------------------------------------
 
 
+def _cohomology_dim(dim: int, out: int, into: int) -> int:
+    """The one identity behind every cohomology number: the dimension of
+    the space, less the rank of the map out of it, whose kernel holds the
+    cycles, less the rank of the map into it, whose image is the
+    boundaries."""
+    return dim - out - into
+
+
+#: per cohomology of (p,q): the matrix from (p,q) whose kernel holds its
+#: cycles, and the map whose image into (p,q) is its boundaries
+#: (exact_sum, im del + im delbar, is ranked at its target)
+_MAPS = {
+    "dolbeault": ("delbar", "delbar"),
+    "del": ("del", "del"),
+    "bott_chern": ("stacked", "ddbar"),
+    "aeppli": ("ddbar", "exact_sum"),
+}
+
+
+def _dimension(ec: EvaluatedComplex, which: str, p: int, q: int) -> int:
+    """One cohomology of ``_MAPS`` at (p,q), from its own rank reads."""
+    out, into = _MAPS[which]
+    outgoing = ec.rank(out, p, q)
+    incoming = ec.rank(into, p, q) if into == "exact_sum" else ec.image_rank(into, p, q)
+    return _cohomology_dim(ec.dim(p, q), outgoing, incoming)
+
+
 def h_dolbeault(ec: EvaluatedComplex, p: int, q: int) -> int:
-    return ec.dim(p, q) - ec.rank("delbar", p, q) - ec.image_rank("delbar", p, q)
+    return _dimension(ec, "dolbeault", p, q)
 
 
 def h_del(ec: EvaluatedComplex, p: int, q: int) -> int:
-    return ec.dim(p, q) - ec.rank("del", p, q) - ec.image_rank("del", p, q)
+    return _dimension(ec, "del", p, q)
 
 
 def h_bott_chern(ec: EvaluatedComplex, p: int, q: int) -> int:
-    return dclosed_dim(ec, p, q) - ddbar_image_dim(ec, p, q)
+    return _dimension(ec, "bott_chern", p, q)
 
 
 def h_aeppli(ec: EvaluatedComplex, p: int, q: int) -> int:
-    return ec.dim(p, q) - ec.rank("ddbar", p, q) - ec.rank("exact_sum", p, q)
+    return _dimension(ec, "aeppli", p, q)
 
 
 def betti(ec: EvaluatedComplex, k: int) -> int:
-    return ec.total_dim(k) - ec.rank("total", k, 0) - ec.rank("total", k - 1, 0)
+    return _cohomology_dim(ec.total_dim(k), ec.rank("total", k, 0), ec.rank("total", k - 1, 0))
 
 
 def dclosed_dim(ec: EvaluatedComplex, p: int, q: int) -> int:
@@ -642,12 +682,13 @@ def ddbar_image_dim(ec: EvaluatedComplex, p: int, q: int) -> int:
     return ec.image_rank("ddbar", p, q)
 
 
-_WHICH = {
-    "dolbeault": h_dolbeault,
-    "del": h_del,
-    "bott_chern": h_bott_chern,
-    "aeppli": h_aeppli,
-}
+def image_table(ranks: List[List[int]], op: str) -> List[List[int]]:
+    """The rank of op (del, delbar or ddbar) into each (p,q), from its
+    ``EvaluatedComplex.rank_table`` by source: ``image_rank(op, p, q)``,
+    0 where the source lies outside 0..n."""
+    dp, dq = _SHIFT[_known(op, _SHIFT)]
+    size = len(ranks)
+    return [[0] * size if p < dp else [0] * dq + ranks[p - dp][:size - dq] for p in range(size)]
 
 
 def cohomology(
@@ -670,13 +711,12 @@ def cohomology(
         if not 0 <= k <= 2 * ec.n:
             raise ValueError(f"degree {k} is outside 0..{2 * ec.n}")
         return betti(ec, k)
-    fn = _WHICH.get(which)
-    if fn is None:
-        raise ValueError(f"unknown cohomology {which!r}: expected de_rham, {', '.join(_WHICH)}")
+    if which not in _MAPS:
+        raise ValueError(f"unknown cohomology {which!r}: expected de_rham, {', '.join(_MAPS)}")
     if p is None or q is None:
         raise ValueError(f"{which} cohomology needs (p, q)")
     ec.check_bidegree(p, q)
-    return fn(ec, p, q)
+    return _dimension(ec, which, p, q)
 
 
 @dataclass
@@ -721,14 +761,18 @@ class CohomologyReport:
 def full_report(ec: EvaluatedComplex) -> CohomologyReport:
     """Every cohomology table and Betti number of a complex, with the
     cyclic collector paused (``collector_paused``); d^2 = 0 was decided
-    when the ``InvariantComplex`` was built."""
+    when the ``InvariantComplex`` was built.  Every number is
+    ``_cohomology_dim`` of ranks read once, into the tables of
+    ``EvaluatedComplex.rank_table`` and one list of d's ranks."""
     n = ec.n
     size = n + 1
-    tables = {name: [[0] * size for _ in range(size)] for name in _WHICH}
-    for p in range(size):
-        for q in range(size):
-            for name, fn in _WHICH.items():
-                tables[name][p][q] = fn(ec, p, q)
+    dims = [[ec.dim(p, q) for q in range(size)] for p in range(size)]
+    ranks = {op: ec.rank_table(op) for op in ("delbar", "del", "stacked", "ddbar", "exact_sum")}
+    tables = {}
+    for name, (out, into) in _MAPS.items():
+        incoming = ranks[into] if into == "exact_sum" else image_table(ranks[into], into)
+        tables[name] = [[_cohomology_dim(*cell) for cell in zip(*row)] for row in zip(dims, ranks[out], incoming)]
+    total = [ec.rank("total", k, 0) for k in range(-1, 2 * n + 1)]
     report = CohomologyReport(
         n=n,
         point=ec.point,
@@ -736,7 +780,7 @@ def full_report(ec: EvaluatedComplex) -> CohomologyReport:
         h_del=tables["del"],
         h_bc=tables["bott_chern"],
         h_a=tables["aeppli"],
-        betti=[betti(ec, k) for k in range(2 * n + 1)],
+        betti=[_cohomology_dim(ec.total_dim(k), total[k + 1], total[k]) for k in range(2 * n + 1)],
     )
     report.check_conjugation_symmetry()
     return report

@@ -257,13 +257,21 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
 
     if ec0 is None:
         ec0 = fiber_complex(se_r, None, zero_point(ring.m))
-    if check_lemmata:
-        for (mp, mq) in {(p, q + 1), (q, p + 1)}:
-            if not _mild_holds(ec0, "del", mp, mq):
-                raise PreconditionFailed(
-                    f"the ({mp},{mq})-th mild lemma fails at t = 0"
-                )
+    failing = _failing_mild(ec0, p, q) if check_lemmata else None
+    if failing:
+        raise PreconditionFailed(f"the {failing}-th mild lemma fails at t = 0")
     return se_r, omega0, order, ec0
+
+
+def _failing_mild(ec: EvaluatedComplex, p: int, q: int) -> Optional[str]:
+    """The first of the solvers' two hypotheses for a (p,q)-form, the
+    (p,q+1)- and (q,p+1)-th mild lemmas, that fails on ec, as "(p,q)",
+    asked in that order and once where the two are one; None if both
+    hold (``lemmata._mild_holds``, which builds no witness)."""
+    for mp, mq in dict.fromkeys(((p, q + 1), (q, p + 1))):
+        if not _mild_holds(ec, "del", mp, mq):
+            return f"({mp},{mq})"
+    return None
 
 
 def _initial_bidegree(omega0: Form) -> Tuple[int, int]:
@@ -356,9 +364,9 @@ def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q
         raise PreconditionFailed("del delbar zeta != 0")
     if se.apply_delbar(right):
         raise PreconditionFailed("delbar del conj(xi) != 0")
-    for (mp, mq) in ((p, q + 1), (q, p + 1)):
-        if not _mild_holds(ec, "del", mp, mq):
-            raise PreconditionFailed(f"the ({mp},{mq})-th mild lemma fails on this complex")
+    failing = _failing_mild(ec, p, q)
+    if failing:
+        raise PreconditionFailed(f"the {failing}-th mild lemma fails on this complex")
     # the hypotheses make every slice solvable, so no order is ever reported
     return _conjugate_solution(ec, left, right, p, q, None)
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from itertools import combinations
-from math import comb
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
@@ -93,32 +92,36 @@ class Layout:
     def assemble(self, out: List[dict], terms, p: int, q: int, tq: int) -> None:
         """Fill out, a list of ``EMPTY_ROW``, with the rows, from (p,q) to
         gammabar-degree tq, of the derivation whose image of coframe symbol
-        s is terms[s], a list of (I_d, J_d, c): for each term and each
-        monomial rest that shares no index with it or s, +-c at row
-        index((I_d, J_d) ^ rest) and column index(rest + s), the Koszul
-        sign of skipping the factors before s (its image is even) and of
-        the merge, read from ``block_plan``.  Entries that meet (d of a
-        symbol contains it) are summed, zeros dropped; each row's keys end
-        ascending.  A row that a term first meets becomes the dict of that
-        one entry and is never revisited; only the rows that a second
-        entry met are finished, sorted or returned to ``EMPTY_ROW`` if
-        their entries all cancel.  So a row that no term meets costs no
-        dict, and the cost follows the nonzero count, not the rows.
-        Returns nothing: a caller walks the nonempty rows of out."""
-        n = len(self.subsets) - 1
+        s is terms[s], a list of (I_d, J_d, c, -c), the negation computed
+        once by the caller: for each term and each monomial rest that
+        shares no index with it or s, c or -c at row index((I_d, J_d) ^
+        rest) and column index(rest + s), by the Koszul sign of skipping
+        the factors before s (its image is even) and of the merge, read
+        from ``block_plan``.  A symbol with no terms is passed over.
+        Entries that meet (d of a symbol contains it) are summed, zeros
+        dropped; each row's keys end ascending.  A row that a term first
+        meets becomes the dict of that one entry and is never revisited;
+        only the rows that a second entry met are finished, sorted or
+        returned to ``EMPTY_ROW`` if their entries all cancel.  So a row
+        that no term meets costs no dict, and the cost follows the nonzero
+        count, not the rows or the symbols.  Returns nothing: a caller
+        walks the nonempty rows of out."""
+        subsets = self.subsets
+        n = len(subsets) - 1
         plan = self.block_plan
-        cq, ctq = comb(n, q), comb(n, tq)
+        cq, ctq = len(subsets[q]), len(subsets[tq])
         again = set()
         for s, sterms in enumerate(terms):
+            if not sterms:
+                continue
             a, b = (s + 1, None) if s < n else (None, s - n + 1)
             rp, rq = (p - 1, q) if s < n else (p, q - 1)
             if rp < 0 or rq < 0:
                 continue
-            for I_d, J_d, c in sterms:
+            for I_d, J_d, c, neg in sterms:
                 # rest's (1,0)-block jumps the (0,1)-block of the term, and a
                 # gammabar symbol sits behind all of rest's (1,0)-factors
                 odd = (len(J_d) * rp + (rp if b else 0)) % 2 == 1
-                neg = -c
                 jparts = plan(J_d, b, rq)
                 for ci, ri, oi in plan(I_d, a, rp):
                     ci, ri, oi = ci * cq, ri * ctq, oi ^ odd

@@ -55,6 +55,14 @@ that the CLI reports as one ``error:`` line.  On a flat complex:
                    conj(del phi)), so weak holds iff the relations are
                    2 w, and fewer raise AssertionError.
 
+Each identity is stated once, as a function of ints (``_mild_identity``,
+``_strong_identity``).  A verdict at one bidegree feeds it from its own
+``ec.rank`` reads (``_mild_holds``, ``_strong_holds``), so a question
+about given bidegrees reads only their ranks; ``lemma_report`` on every
+bidegree reads each rank once, into the int tables of
+``EvaluatedComplex.rank_table``, and feeds every (p,q) from them
+(``_verdict_tables``).
+
 So a passing verdict builds no kernel, and only weak, where im del cap
 im delbar is larger than im deldelbar, reads vectors: the columns of d
 on (p,p) and del's image basis, which each EvaluatedComplex builds once
@@ -88,7 +96,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import linalg
 from .algebra import Form
-from .cohomology import EvaluatedComplex, collector_paused
+from .cohomology import EvaluatedComplex, collector_paused, image_table
 from .io import form_to_obj
 from .linalg import Vec
 from .scalars import QI_I, QI_ZERO
@@ -128,11 +136,19 @@ def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional
 
 
 def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
-    """mild's rank identity at (p,q), or dual mild's (module docstring)."""
+    """mild's rank identity at (p,q), or dual mild's, from its own rank
+    reads (``_mild_identity``)."""
     sp, sq = (p - 1, q) if op == "del" else (p, q - 1)
     if not (ec.dim(sp, sq) and ec.dim(p, q)):
         return True
-    return ec.rank(op, sp, sq) - ec.rank("ddbar", sp, sq) == ec.image_rank("ddbar", p, q)
+    return _mild_identity(ec.rank(op, sp, sq), ec.rank("ddbar", sp, sq), ec.image_rank("ddbar", p, q))
+
+
+def _mild_identity(source: int, ddbar: int, w: int) -> bool:
+    """mild's identity, or dual mild's, on ints (module docstring): the
+    rank of op and of deldelbar from op's source, and w = dim im
+    deldelbar at the target."""
+    return source - ddbar == w
 
 
 def _scanned(ec: EvaluatedComplex, kind: str, ops: Iterable[str], p: int, q: int) -> Form:
@@ -156,13 +172,34 @@ def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
 
 
 def _strong_holds(ec: EvaluatedComplex, p: int, q: int) -> bool:
-    """strong's rank identity at (p,q) (module docstring)."""
+    """strong's rank identity at (p,q), from its own rank reads
+    (``_strong_identity``)."""
     if not ec.dim(p, q):
         return True
-    # r(ddbar,p-1,q) and r(ddbar,p,q-1) are the deldelbar images into
-    # (p,q+1) and (p+1,q)
-    closed = ec.rank("exact_sum", p, q) - ec.image_rank("ddbar", p, q + 1) - ec.image_rank("ddbar", p + 1, q)
-    return closed == ec.image_rank("ddbar", p, q)
+    return _strong_identity(ec.rank("exact_sum", p, q), ec.image_rank("ddbar", p, q + 1),
+                            ec.image_rank("ddbar", p + 1, q), ec.image_rank("ddbar", p, q))
+
+
+def _strong_identity(exact_sum: int, up: int, right: int, w: int) -> bool:
+    """strong's identity on ints (module docstring): r(exact_sum) at
+    (p,q), the deldelbar images into (p,q+1) and (p+1,q), which are
+    r(ddbar,p-1,q) and r(ddbar,p,q-1), and w at (p,q)."""
+    return exact_sum - up - right == w
+
+
+def _verdict_tables(ec: EvaluatedComplex) -> List[List[Tuple[bool, bool, bool]]]:
+    """(mild, dual mild, strong) at every (p,q) in 0..n, by the identities
+    of ``_mild_holds`` and ``_strong_holds`` fed from the rank tables
+    (``EvaluatedComplex.rank_table``); the deldelbar image into a
+    bidegree past n is 0."""
+    size = ec.n + 1
+    into = {op: image_table(ec.rank_table(op), op) for op in ("del", "delbar", "ddbar")}
+    exact = ec.rank_table("exact_sum")
+    w = [row + [0] for row in into["ddbar"]] + [[0] * (size + 1)]
+    return [[(_mild_identity(into["del"][p][q], w[p][q + 1], w[p][q]),
+              _mild_identity(into["delbar"][p][q], w[p + 1][q], w[p][q]),
+              _strong_identity(exact[p][q], w[p][q + 1], w[p + 1][q], w[p][q]))
+             for q in range(size)] for p in range(size)]
 
 
 def weak(ec: EvaluatedComplex, p: int) -> Tuple[bool, Optional[Form]]:
@@ -332,6 +369,12 @@ class LemmaReport:
     witnesses: Dict[str, Form] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The report as the CLI prints it; a witness that several verdicts
+        share (strong's is mild's or dual mild's) is converted once."""
+        converted: Dict[int, dict] = {}
+        for w in self.witnesses.values():
+            if id(w) not in converted:
+                converted[id(w)] = form_to_obj(w)
         return {
             "t": [str(z) for z in self.point],
             "mild": {f"{p},{q}": v for (p, q), v in sorted(self.mild_flags.items())},
@@ -339,7 +382,7 @@ class LemmaReport:
             "strong": {f"{p},{q}": v for (p, q), v in sorted(self.strong_flags.items())},
             "weak": {str(p): v for p, v in sorted(self.weak_flags.items())},
             "standard": self.standard_flag,
-            "witnesses": {k: form_to_obj(w) for k, w in self.witnesses.items()},
+            "witnesses": {k: converted[id(w)] for k, w in self.witnesses.items()},
         }
 
 
@@ -350,6 +393,8 @@ def lemma_report(
 ) -> LemmaReport:
     """Evaluate the lemma family at the given bidegrees (default: all,
     and then standard too; a bidegree outside 0..n raises ValueError).
+    On every bidegree mild, dual mild and strong are read off rank tables
+    (``_verdict_tables``); at given bidegrees each reads its own ranks.
 
     Consistency checks baked in, each an AssertionError when it breaks:
     the complex is flat; strong = mild and dual_mild at every queried
@@ -365,10 +410,16 @@ def lemma_report(
     for p, q in bidegrees:
         ec.check_bidegree(p, q)
     report = LemmaReport(point=ec.point)
+    table = _verdict_tables(ec) if every else None
     for (p, q) in bidegrees:
-        m_ok, m_wit = mild(ec, p, q)
-        d_ok, d_wit = dual_mild(ec, p, q)
-        s_ok = _strong_holds(ec, p, q)
+        if table is None:
+            m_ok, m_wit = mild(ec, p, q)
+            d_ok, d_wit = dual_mild(ec, p, q)
+            s_ok = _strong_holds(ec, p, q)
+        else:
+            m_ok, d_ok, s_ok = table[p][q]
+            m_wit = None if m_ok else _scanned(ec, "mild", ["del"], p, q)
+            d_wit = None if d_ok else _scanned(ec, "dual_mild", ["delbar"], p, q)
         report.mild_flags[(p, q)] = m_ok
         report.dual_mild_flags[(p, q)] = d_ok
         report.strong_flags[(p, q)] = s_ok

@@ -29,9 +29,12 @@ over an empty row, stores a row that meets no leading column without
 reducing it, and tells a one-entry row apart by one membership test;
 ``_forward_reduce`` returns such a row after one set test and a
 one-entry vector at a one-entry row with no setup; and the kernel vector
-of a free column walks only the rows that its RREF column reaches.  ``mat_mul`` and ``conj_transpose`` give each empty row of
-their result the shared read-only ``leibniz.EMPTY_ROW``; ``columns``,
-the one transpose, passes over an empty row, and ``row_combination``
+of a free column walks only the rows that its RREF column reaches.
+``mat_mul`` and ``conj_transpose`` give each empty row of their result
+the shared read-only ``leibniz.EMPTY_ROW``, and every walker over rows
+tests a row for emptiness before it reads one: ``mat_mul`` at each row
+of either factor, ``conj_transpose``, ``columns`` (the one transpose),
+``mat_vec``, and ``add_scaled_into``, through which ``row_combination``
 walks only the rows it combines (a Hodge-star scan's images).
 """
 
@@ -51,8 +54,8 @@ Rows = List[Vec]
 def add_scaled_into(u: Vec, c, v: Vec) -> None:
     """u += c*v in place, with no copy of u: the entry of each key of v
     is added to u's, or inserted after u's keys, and a sum of 0 is
-    removed."""
-    if not c:
+    removed.  An empty v is passed over unread."""
+    if not (c and v):
         return
     for k, x in v.items():
         y = c * x
@@ -390,7 +393,8 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
     """(a @ b) where a is p x q rows and b is q x r rows.  The product
     starts as a list of ``EMPTY_ROW``, and a row keeps a dict of its own
     only when an entry of it survives, so an empty row of a, or one whose
-    entries all cancel, costs no dict."""
+    entries all cancel, costs no dict; an empty row of either factor is
+    passed over unread."""
     out: Rows = [EMPTY_ROW] * len(a)
     nb = len(b)
     acc: Vec = {}
@@ -400,7 +404,10 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
         for k, c in ra.items():
             if k >= nb:
                 continue
-            for j, d in b[k].items():
+            rb = b[k]
+            if not rb:
+                continue
+            for j, d in rb.items():
                 s = acc.get(j)
                 s = c * d if s is None else s + c * d
                 if s:
@@ -415,9 +422,12 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
 
 def conj_transpose(rows: Rows, ncols: int) -> Rows:
     """The adjoint, ncols rows: a list of ``EMPTY_ROW`` in which a row
-    gets a dict when an entry first meets it."""
+    gets a dict when an entry first meets it; an empty row of rows is
+    passed over unread."""
     out: Rows = [EMPTY_ROW] * ncols
     for i, r in enumerate(rows):
+        if not r:
+            continue
         for j, c in r.items():
             row = out[j]
             if row is EMPTY_ROW:

@@ -933,6 +933,54 @@ def evaluated_rows(cx, op: str, p: int, q: int, point):
     return out
 
 
+def assemble_negating_each_term(layout, out, terms, p: int, q: int, tq: int) -> None:
+    """The assembly that ``leibniz.Layout.assemble`` replaced: terms[s] a
+    list of (I_d, J_d, c), each c negated again on every call, every
+    symbol visited whether it has terms or not, and the column counts
+    from ``comb``.  Fills out, a list of ``EMPTY_ROW``, in place."""
+    from nilforms.leibniz import EMPTY_ROW
+
+    n = len(layout.subsets) - 1
+    plan = layout.block_plan
+    cq, ctq = comb(n, q), comb(n, tq)
+    again = set()
+    for s, sterms in enumerate(terms):
+        a, b = (s + 1, None) if s < n else (None, s - n + 1)
+        rp, rq = (p - 1, q) if s < n else (p, q - 1)
+        if rp < 0 or rq < 0:
+            continue
+        for I_d, J_d, c in sterms:
+            odd = (len(J_d) * rp + (rp if b else 0)) % 2 == 1
+            neg = -c
+            jparts = plan(J_d, b, rq)
+            for ci, ri, oi in plan(I_d, a, rp):
+                ci, ri, oi = ci * cq, ri * ctq, oi ^ odd
+                for cj, rj, oj in jparts:
+                    i = ri + rj
+                    v = neg if oi ^ oj else c
+                    row = out[i]
+                    if row is EMPTY_ROW:
+                        out[i] = {ci + cj: v}
+                        continue
+                    again.add(i)
+                    col = ci + cj
+                    prev = row.get(col)
+                    if prev is None:
+                        row[col] = v
+                    else:
+                        v = prev + v
+                        if v:
+                            row[col] = v
+                        else:
+                            del row[col]
+    for i in again:
+        row = out[i]
+        if not row:
+            out[i] = EMPTY_ROW
+        elif len(row) > 1:
+            out[i] = dict(sorted(row.items()))
+
+
 # -- the Green route that EvaluatedComplex.ddbar_preimage replaced ---------
 
 
@@ -1568,6 +1616,22 @@ def standard_by_blocks(ec):
                 if not target.contains(v):
                     return False, ec.vec_to_form(v, p, q), (p, q)
     return True, None, None
+
+
+def report_tables_by_cells(ec):
+    """The tables that ``full_report`` reads off its rank tables, read
+    cell by cell as it did before them: at each (p,q), lexicographically,
+    h_dolbeault, h_del, h_bott_chern and h_aeppli, each from its own rank
+    reads; then each Betti number from its own two."""
+    from nilforms.cohomology import betti, h_aeppli, h_bott_chern, h_del, h_dolbeault
+
+    size = ec.n + 1
+    tables = {fn.__name__: [[0] * size for _ in range(size)] for fn in (h_dolbeault, h_del, h_bott_chern, h_aeppli)}
+    for p in range(size):
+        for q in range(size):
+            for fn in (h_dolbeault, h_del, h_bott_chern, h_aeppli):
+                tables[fn.__name__][p][q] = fn(ec, p, q)
+    return tables, [betti(ec, k) for k in range(2 * ec.n + 1)]
 
 
 def delbar_rank_by_own_pass(ec, p: int, q: int) -> int:

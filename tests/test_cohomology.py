@@ -1,9 +1,11 @@
 import contextlib
 import gc
+import importlib
 import io
 import random
 import weakref
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +13,7 @@ import pytest
 
 from nilforms import cli
 from nilforms import io as nio
-from nilforms import linalg
+from nilforms import algebra, leibniz, lemmata, linalg
 from nilforms.algebra import Form, FormAlgebra, InvariantComplex, StructureEquations, build_complex
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import (
@@ -31,7 +33,7 @@ from nilforms.cohomology import (
 )
 from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.errors import FlatnessError, IntegrabilityError, PreconditionFailed
-from nilforms.extension import solve_conjugate_system
+from nilforms.extension import pkahler_extend, solve_conjugate_system, solve_extension
 from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI, QI_ONE, QI_ZERO
 
@@ -40,6 +42,7 @@ from oracles import (
     FullScanEchelon,
     HodgeContext,
     apply_through_star,
+    assemble_negating_each_term,
     bcvary_oracle,
     block_ranks_by_suffix_pass,
     canonical_solver_rows,
@@ -47,6 +50,7 @@ from oracles import (
     ddbar_preimage_by_tracked_rref,
     delbar_rank_by_own_pass,
     evaluated_rows,
+    fiber_point,
     form_basis,
     form_to_vec_by_index,
     full_scan_kernel,
@@ -59,6 +63,7 @@ from oracles import (
     nonzero_gaussian,
     nullspace,
     norm2_vec,
+    report_tables_by_cells,
     representatives,
     residues,
     torus_oracle,
@@ -1330,3 +1335,131 @@ def test_subset_ranks_equal_the_monomial_index_oracle(reference_complexes):
                     assert got == form and list(got.coeffs) == list(form.coeffs), at
                     assert ec.form_to_vec(form, p, q) == form_to_vec_by_index(ec, form, p, q) == v, at
                     assert list(ec.form_to_vec(form, p, q)) == list(v), at
+
+
+def _digest_complexes(reference_complexes):
+    """The 16 complexes of ``tests/data/report_digests.json``."""
+    return list(reference_complexes) + [(f"H({n},C)", build_complex(heisenberg_c(n)), ()) for n in (3, 5, 7)]
+
+
+def test_assembly_equals_the_route_it_replaced(reference_complexes, bcvary10):
+    """On the 16 digest complexes and the bcvary10 fibers at seeds
+    4601-4620, ``Layout.assemble``, handed each term with its negation
+    computed once, equals the assembly that negated each term on every
+    call and visited every symbol (``oracles.assemble_negating_each_term``):
+    every del and delbar matrix of an ``EvaluatedComplex``, and the same
+    matrices over the parameter ring from the equations' own terms
+    (``StructureEquations.symbol_terms``), rows, key order and entry types
+    alike, each empty row the shared ``EMPTY_ROW``."""
+    cases = _digest_complexes(reference_complexes)
+    cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))), ())
+              for seed in range(4601, 4621)]
+    assert len(cases) == 36
+    for label, cx, point in cases:
+        ec, layout, n = EvaluatedComplex(cx, point), cx.algebra.layout, cx.n
+        for op in ("del", "delbar"):
+            symbolic = cx.se.symbol_terms(op)
+            evaluated = [[(I, J, v) for I, J, v in ((I, J, c.eval(point)) for I, J, c in sterms) if v] for sterms in symbolic]
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
+                    if not (ec.dim(p, q) and ec.dim(tp, tq)):
+                        continue
+                    want = [EMPTY_ROW] * ec.dim(tp, tq)
+                    assemble_negating_each_term(layout, want, evaluated, p, q, tq)
+                    got = ec.rows(op, p, q)
+                    assert _typed_rows(got) == _typed_rows(want), (label, op, p, q)
+                    assert [r is EMPTY_ROW for r in got] == [not r for r in got], (label, op, p, q)
+                    want = [EMPTY_ROW] * ec.dim(tp, tq)
+                    assemble_negating_each_term(layout, want, symbolic, p, q, tq)
+                    got = [EMPTY_ROW] * ec.dim(tp, tq)
+                    layout.assemble(got, [[(I, J, c, -c) for I, J, c in sterms] for sterms in symbolic], p, q, tq)
+                    assert _typed_rows(got) == _typed_rows(want), (label, "symbolic", op, p, q)
+
+
+def test_report_tables_equal_the_cell_by_cell_reads(reference_complexes):
+    """On the 16 digest complexes and solvable3, which is not unimodular,
+    full_report's tables and Betti numbers, read off its rank tables
+    (``EvaluatedComplex.rank_table``), equal h_dolbeault, h_del,
+    h_bott_chern, h_aeppli and betti read cell by cell from ``ec.rank``
+    on a complex of their own (``oracles.report_tables_by_cells``), and
+    the two complexes end with the same rank cache and marks of d, and
+    the same kept deldelbar echelons: the same member of each star pair
+    is eliminated.  Then lemma_report on every bidegree, which reads its
+    verdicts off rank tables, equals the verdicts at one bidegree at a
+    time (the same report asked about every bidegree, each of them
+    through mild, dual mild and ``_strong_holds``), witnesses included,
+    both after full_report and on a new complex, and on the new complex
+    the two keep the same deldelbar echelons from inside 0..n-1."""
+    cases = _digest_complexes(reference_complexes) + [("solvable3", build_complex(nio.obj_to_se(SOLVABLE)), ())]
+    for label, cx, point in cases:
+        n = cx.n
+        ec, cells = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
+        report = full_report(ec)
+        tables, betti_numbers = report_tables_by_cells(cells)
+        assert tables == {"h_dolbeault": report.h_dolbeault, "h_del": report.h_del,
+                          "h_bott_chern": report.h_bc, "h_aeppli": report.h_a}, label
+        assert betti_numbers == report.betti, label
+        assert ec._ranks == cells._ranks and ec._marks == cells._marks, label
+        assert set(ec._echelons) == set(cells._echelons), label
+        bidegrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+        fresh = (EvaluatedComplex(cx, point), EvaluatedComplex(cx, point))
+        for every, one_by_one in ((ec, cells), fresh):
+            got, want = lemma_report(every), lemma_report(one_by_one, bidegrees)
+            assert got.standard_flag is not None and want.standard_flag is None, label
+            for kind in ("mild_flags", "dual_mild_flags", "strong_flags", "weak_flags"):
+                assert getattr(got, kind) == getattr(want, kind), (label, kind)
+            standard = {k: w for k, w in got.witnesses.items() if k.startswith("standard:")}
+            assert {**want.witnesses, **standard} == got.witnesses, label
+            for p, q in bidegrees:
+                assert got.mild_flags[p, q] == lemmata._mild_holds(one_by_one, "del", p, q), (label, p, q)
+                assert got.strong_flags[p, q] == lemmata._strong_holds(one_by_one, p, q), (label, p, q)
+        inside = [{k for k in e._echelons if k[0] == "ddbar" and max(k[1:]) < n} for e in fresh]
+        assert inside[0] == inside[1], label
+
+
+class _UnreadableRow(Mapping):
+    """A read-only empty mapping that is falsy and may be compared by
+    identity, but not read: its items, keys, values and iteration raise."""
+
+    def __len__(self):
+        return 0
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        raise AssertionError("an empty row was iterated")
+
+    def keys(self):
+        raise AssertionError("the keys of an empty row were read")
+
+    def items(self):
+        raise AssertionError("the items of an empty row were read")
+
+    def values(self):
+        raise AssertionError("the values of an empty row were read")
+
+
+def test_no_kernel_reads_an_empty_row(monkeypatch, reference_complexes, bcvary10):
+    """Every walker over rows tests a row for emptiness before it reads
+    it: with the shared ``EMPTY_ROW`` swapped, in every module that
+    holds it, for a mapping whose items, keys and iteration raise
+    (``_UnreadableRow``), before any evaluated complex is built,
+    full_report and lemma_report on the 16 digest complexes and a
+    bcvary10 fiber, an extension solve of a (4,5) generator at t = 0 and
+    the p-Kaehler extension of the catalog's balanced form all run."""
+    unreadable = _UnreadableRow()
+    for module in (leibniz, linalg, algebra, importlib.import_module("nilforms.cohomology")):
+        monkeypatch.setattr(module, "EMPTY_ROW", unreadable)
+    cases = _digest_complexes(reference_complexes)
+    cases.append(("fiber 4601", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601))), ()))
+    for label, cx, point in cases:
+        ec = EvaluatedComplex(cx, point)
+        full_report(ec)
+        lemma_report(ec)
+        assert any(r is unreadable for r in ec.rows("ddbar", 1, 1)), label
+    ec0 = EvaluatedComplex(build_complex(evaluate_se(bcvary10.se, zero_point(4))), ())
+    omega0 = ec0.vec_to_form(ec0.kernel("stacked", 4, 5)[0], 4, 5, bcvary10.se.algebra)
+    assert solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec0).d_closed_through_order
+    assert pkahler_extend(bcvary10.se, bcvary10.beltrami, bcvary10.forms["balanced"]).state.d_closed_through_order

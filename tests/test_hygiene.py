@@ -835,7 +835,12 @@ UNCALLED = {
     "algebra.VectorValuedForm.component": "oracle-only API: the Maurer-Cartan and Kuranishi oracles read them",
     "algebra.VectorValuedForm.scale": "oracle-only API: the Maurer-Cartan and Kuranishi oracles read them",
     "cohomology.EvaluatedComplex.embed_block": "oracle-only API: verify_witness re-checks a standard witness",
+    "cohomology.betti": "API: one Betti number from its own rank reads; full_report reads one list of d's ranks, "
+                        "and perfbench's fiber check reads it",
     "cohomology.cohomology": "README API: one cohomology by name; the CLI prints whole tables (full_report)",
+    "cohomology.h_aeppli": "API: one number from its own rank reads; full_report reads rank tables",
+    "cohomology.h_del": "API: one number from its own rank reads; full_report reads rank tables",
+    "cohomology.h_dolbeault": "API: one number from its own rank reads; full_report reads rank tables",
     "extension.solve_conjugate_system": "README construction: the paper's conjugate system, hypotheses checked; "
                                         "the order step runs its core",
     "io.beltrami_emit": "the canonical writer of the Beltrami file format the CLI reads; tests round-trip it",

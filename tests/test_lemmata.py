@@ -553,7 +553,11 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     takes no kernel, no image and no product with a vector, by columns
     (``linalg.columns_vec``) or by the star dual's rows
     (``linalg.row_combination``) (weak holds at every p, each by the
-    identity im del cap im delbar = im deldelbar).
+    identity im del cap im delbar = im deldelbar).  On every bidegree
+    it reads mild and dual mild off its rank tables, calling neither:
+    each such call is made inside the witness scan (``_scanned``) of a
+    mild or dual mild that fails, one per failing flag, or inside weak or
+    standard.
     weak's tracked route (``_weak_tracked``), run on the same complex at
     each p, holds too, takes no kernel, applies no matrix to a vector,
     transposes stacked from (p,p) for U and then, for p > 0, del from
@@ -563,8 +567,8 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     or failing, makes no columns_vec, row_combination,
     kernel, _image or column index (``Echelon._column_index``, which the
     first kernel read of an echelon builds) beyond those of mild and dual mild:
-    in lemma_report each such call is made inside mild, dual mild, weak
-    or standard; strong called alone makes none when it holds, and when
+    in lemma_report each such call is made inside a failing witness scan,
+    weak or standard; strong called alone makes none when it holds, and when
     it fails the calls, in order, of mild at (p,q), then of dual mild if
     mild holds, on a complex in the same state, whose witness it returns.
     No kernel of [del; delbar] is built."""
@@ -578,7 +582,8 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
                 result = f(*args)
             finally:
                 index = stack.pop()
-            verdicts[index] = (name, args[1:], result[0])
+            # a witness scan runs only for a verdict that failed
+            verdicts[index] = (name, args[1:], result[0] if isinstance(result, tuple) else False)
             return result
         return run
 
@@ -592,7 +597,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
             return f(*args, **kwargs)
         return run
 
-    for name in ("mild", "dual_mild", "weak", "standard"):
+    for name in ("mild", "dual_mild", "_scanned", "weak", "standard"):
         monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
     monkeypatch.setattr(EvaluatedComplex, "_image", counted("image", EvaluatedComplex._image))
     monkeypatch.setattr(linalg, "columns_vec", counted("columns_vec", linalg.columns_vec))
@@ -603,7 +608,11 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     full_report(ec)
     work.clear()
     report = lemma_report(ec)
-    assert {name for name, _, ok in verdicts if ok} == {"mild", "dual_mild", "weak"}
+    assert {name for name, _, ok in verdicts if ok} == {"weak"}
+    scanned = sorted((args[0], args[2], args[3]) for name, args, _ in verdicts if name == "_scanned")
+    assert scanned == sorted((kind, p, q) for kind, flags in (("mild", report.mild_flags), ("dual_mild", report.dual_mild_flags))
+                             for (p, q), ok in flags.items() if not ok)
+    assert scanned and not any(name in ("mild", "dual_mild") for name, _, _ in verdicts)
     assert set(report.strong_flags.values()) == {True, False} and not report.strong_flags[(2, 2)]
     assert work and all(index is not None for index, _ in work)
     assert "index" in {tag for _, tag in work}  # a failing mild indexes its kernel's echelon
@@ -1635,3 +1644,65 @@ def test_reports_match_the_recorded_digests(reference_complexes):
     want = json.loads(_DIGESTS.read_text())
     assert len(want) == 16
     assert report_digests(reference_complexes) == want
+
+
+def _own_rank_reads(p, q, weak_tracked):
+    """The rank keys that the verdicts at (p,q) alone read: mild's, dual
+    mild's and strong's identities, whose ranks weak's identity at
+    q = p+1 reads too, and U's stacked rank where weak's tracked route
+    runs; a key outside 0..n is never read."""
+    reads = {("exact_sum", p, q)}
+    if p:
+        reads |= {("del", p - 1, q), ("ddbar", p - 1, q)}
+    if q:
+        reads |= {("delbar", p, q - 1), ("ddbar", p, q - 1)}
+    if p and q:
+        reads.add(("ddbar", p - 1, q - 1))
+    if weak_tracked:
+        reads.add(("stacked", p, p))
+    return reads
+
+
+def test_a_local_question_reads_only_its_own_ranks(monkeypatch, iwasawa_c, bcvary10):
+    """lemma_report asked about one bidegree, the call that ``lemmata
+    --bidegree P,Q`` makes, reads no rank table: on Iwasawa x C, a
+    bcvary10 fiber (where weak fails at p = 1..3) and solvable3, which is
+    not unimodular, each bidegree on a new complex, the rank keys it
+    reads (``EvaluatedComplex.rank``, and through it ``image_rank``) are
+    exactly those of its own verdicts (``_own_rank_reads``)."""
+    reads = []
+    rank = EvaluatedComplex.rank
+    monkeypatch.setattr(EvaluatedComplex, "rank", lambda self, *key: reads.append(key) or rank(self, *key))
+    fiber = build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601)))
+    cases = [("iwasawa_c", iwasawa_c), ("fiber 4601", fiber), ("solvable3", build_complex(nio.obj_to_se(SOLVABLE)))]
+    tracked = 0
+    for label, cx in cases:
+        n = cx.n
+        for p in range(n + 1):
+            for q in range(n + 1):
+                ec = EvaluatedComplex(cx, ())
+                reads.clear()
+                report = lemma_report(ec, [(p, q)])
+                got = set(reads)
+                weak_tracked = q == p + 1 and not lemmata._images_meet_in_ddbar(ec, p)
+                tracked += weak_tracked
+                assert got == _own_rank_reads(p, q, weak_tracked), (label, p, q)
+                assert report.standard_flag is None and list(report.mild_flags) == [(p, q)], (label, p, q)
+    assert tracked == 3
+
+
+def test_a_shared_witness_is_converted_once(monkeypatch, bcvary10):
+    """A failing strong's witness is the very form of mild's or dual
+    mild's, so on a bcvary10 fiber ``LemmaReport.to_json_dict`` converts
+    each distinct witness once (``form_to_obj``), and prints the JSON of
+    converting every witness on its own."""
+    ec = EvaluatedComplex(build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(4601))), ())
+    report = lemma_report(ec)
+    distinct = {id(w) for w in report.witnesses.values()}
+    assert any(k.startswith("strong:") for k in report.witnesses) and len(distinct) < len(report.witnesses)
+    convert, converted = lemmata.form_to_obj, []
+    monkeypatch.setattr(lemmata, "form_to_obj", lambda w: converted.append(id(w)) or convert(w))
+    obj = report.to_json_dict()
+    assert sorted(converted) == sorted(distinct)
+    alone = {**obj, "witnesses": {k: convert(w) for k, w in report.witnesses.items()}}
+    assert json.dumps(obj, indent=2) == json.dumps(alone, indent=2)
