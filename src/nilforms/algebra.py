@@ -763,15 +763,19 @@ def _accumulate(out: Dict, key, v) -> None:
 
 
 class InvariantComplex:
-    """Bigraded complex of invariant forms: structure equations that
-    define a complex, decided on construction (``require_flat``: no
-    (0,2)-part, d^2 = 0), so every number and verdict read from it rests
-    on d^2 = 0, and their algebra's ``layout`` (``leibniz.Layout``),
-    whose plans serve the equations' column tables and
-    ``cohomology.EvaluatedComplex`` at every point of the complex alike:
-    a plan depends on n and the shape of a term only."""
+    """Bigraded complex of invariant forms: structure equations without
+    parameters that define a complex, decided on construction
+    (``require_flat``: no (0,2)-part, d^2 = 0), so every number and
+    verdict read from it rests on d^2 = 0, and their algebra's ``layout``
+    (``leibniz.Layout``), whose plans serve the equations' column tables
+    and ``cohomology.EvaluatedComplex`` alike.  Equations with parameters
+    raise ValueError first: d^2 = 0 modulo the ring's truncation does not
+    give it at a point, so a fiber is evaluated and decided on its own."""
 
     def __init__(self, se: StructureEquations):
+        if se.algebra.ring.m:
+            raise ValueError(f"{se.name}: a complex has no parameters, but these equations have m = "
+                             f"{se.algebra.ring.m}; use deformation.evaluate_se or deformation.fiber_complex")
         se.require_flat()
         self.se = se
         self.algebra = se.algebra

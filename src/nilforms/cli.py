@@ -142,7 +142,7 @@ def _load_form(ref: str, entry, algebra: Optional[FormAlgebra] = None):
 
 
 def _evaluated(entry, t_text: Optional[str]):
-    """The complex of entry's fiber at --t and the point.  --t is a point
+    """The complex of entry's fiber at --t, labelled by it.  --t is a point
     of the family's ring when entry has a family, else of se's; without
     it the point is se's own t = 0.  A point off t = 0 reads the family
     through ``_load_beltrami``, which refuses --order 0."""
@@ -151,7 +151,7 @@ def _evaluated(entry, t_text: Optional[str]):
     else:
         point = _parse_point(t_text, _family_algebra(entry).ring.m)
     phi = _load_beltrami("catalog", entry) if entry.beltrami is not None and any(point) else None
-    return fiber_complex(entry.se, phi, point), point
+    return fiber_complex(entry.se, phi, point)
 
 
 def _emit(obj: dict, as_json: bool, render) -> None:
@@ -210,18 +210,16 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     entry = _load_manifold(args)
-    ec, point = _evaluated(entry, args.t)
-    report = full_report(ec)
+    report = full_report(_evaluated(entry, args.t))
     obj = report.to_json_dict()
     obj["manifold"] = entry.name
-    obj["t"] = [str(z) for z in point]
     _emit(obj, args.json, _render_cohomology)
     return 0
 
 
 def _cmd_lemmata(args) -> int:
     entry = _load_manifold(args)
-    ec, point = _evaluated(entry, args.t)
+    ec = _evaluated(entry, args.t)
     bidegrees = None
     if args.bidegree:
         p, q = args.bidegree
@@ -231,7 +229,6 @@ def _cmd_lemmata(args) -> int:
     rep = lemma_report(ec, bidegrees=bidegrees)
     obj = rep.to_json_dict()
     obj["manifold"] = entry.name
-    obj["t"] = [str(z) for z in point]
     _emit(obj, args.json, _render_lemmata)
     return 0
 

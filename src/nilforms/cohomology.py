@@ -1,23 +1,25 @@
 """Per-bidegree linear algebra: the four cohomologies and the canonical
 del-delbar preimage.
 
-An EvaluatedComplex owns every cache at its evaluation point, and keeps
-by one rule: a rank read keeps only an int, and an echelon is kept only
-for a kernel reader.  So it keeps the evaluated structure constants,
-the four named matrices of ``rows`` (del, delbar, ddbar, stacked), each
-empty row of them the one read-only ``EMPTY_ROW``, one int cache of
-every rank read (with the block ranks of d), the row echelons that a
-kernel reads, one forward column echelon per image, and the tracked
-forward echelons that every minimal-norm del-delbar solve at that point
-reuses (``ddbar_preimage``); not d on the total complex, which is built
-for each pass that reads it, nor columns, a kernel list or an echelon
-that only a rank read.
-[del | delbar] is a rank, not a matrix.  What does not depend on the
-point belongs to the ``InvariantComplex``, whose construction decided
-that its structure equations define a complex: the equations' terms,
-and their algebra's subset table and assembly plans
-(``FormAlgebra.layout``), which the equations' column tables and every
-point of the complex share across terms and bidegrees.
+A complex has no parameters: a fiber is evaluated before its
+``InvariantComplex`` is built (``deformation.evaluate_se``), so nothing
+here evaluates.  An EvaluatedComplex owns every cache of one complex,
+and keeps by one rule: a rank read keeps only an int, and an echelon is
+kept only for a kernel reader.  So it keeps the structure constants as
+Gaussian rationals, the four named matrices of ``rows`` (del, delbar,
+ddbar, stacked), each empty row of them the one read-only
+``EMPTY_ROW``, one int cache of every rank read (with the block ranks
+of d), the row echelons that a kernel reads, one forward column echelon
+per image, and the tracked forward echelons that every minimal-norm
+del-delbar solve reuses (``ddbar_preimage``); not d on the total
+complex, which is built for each pass that reads it, nor columns, a
+kernel list or an echelon that only a rank read.
+[del | delbar] is a rank, not a matrix.  What its caches do not need
+belongs to the ``InvariantComplex``, whose construction decided that its
+structure equations define a complex: the equations' terms, and their
+algebra's subset table and assembly plans (``FormAlgebra.layout``),
+which the equations' column tables and every fiber of one n share
+across terms and bidegrees.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
 rank of the incoming map, ``_cohomology_dim``, by the maps of ``_MAPS``),
@@ -35,9 +37,9 @@ built only for callers that need vectors (lemma witnesses, extension
 generators, solvers).  Quotient-space computations are the normative
 route; the Laplacians, harmonic projectors and Green operators of Hodge
 theory are a test oracle (``HodgeContext`` in ``tests/oracles.py``).
-Generic-t answers are taken at two fixed rational sample points (ranks
-are lower-semicontinuous in specialization), never by symbolic rank
-over a function field.
+Generic-t answers are taken at the fibers over two fixed rational sample
+points (ranks are lower-semicontinuous in specialization), never by
+symbolic rank over a function field.
 """
 
 from __future__ import annotations
@@ -112,8 +114,10 @@ def _known(op: str, names) -> str:
 
 
 class EvaluatedComplex:
-    """An invariant complex with parameters fixed at an exact point, and
-    the one owner of every cache for that point.
+    """The linear algebra of an invariant complex, which has no
+    parameters, and the one owner of every cache for it.  ``point``
+    labels the fiber whose equations ``cx`` holds, at its evaluation
+    point: the reports print it as t, and no computation reads it.
 
     Matrices are Gaussian-rational rows-of-dicts named (op, p, q): op is
     del, delbar, ddbar or stacked ([del; delbar]) with SOURCE (p,q), the
@@ -185,24 +189,20 @@ class EvaluatedComplex:
     once per target bidegree (``ddbar_preimage``).
 
     del and delbar are assembled per structure constant: the del or
-    delbar part of d of each coframe symbol is evaluated at the point
-    once, with its negation, and each of its nonzero terms is spread
-    over the monomials it can meet (``leibniz.Layout.assemble``, the rule
-    of the equations' column tables), along positions and signs planned
-    once per complex, so the cost at a point follows the nonzero count,
-    not the basis.
-    Evaluation is additive, so the rows equal those tables evaluated
-    entry by entry.  Rows, columns and ``form_to_vec``/``vec_to_form``
-    position the monomial (I, J) of (p,q) at
-    subset_rank[p][I] * C(n, q) + subset_rank[q][J] (``Layout``).
+    delbar part of d of each coframe symbol is read once, with its
+    negation, and each of its nonzero terms is spread over the monomials
+    it can meet (``leibniz.Layout.assemble``, the rule of the equations'
+    column tables), along positions and signs planned once per n, so the
+    cost follows the nonzero count, not the basis, and the rows equal
+    those tables entry by entry.  Rows, columns and
+    ``form_to_vec``/``vec_to_form`` position the monomial (I, J) of (p,q)
+    at subset_rank[p][I] * C(n, q) + subset_rank[q][J] (``Layout``).
     """
 
     def __init__(self, cx: InvariantComplex, point: Sequence[GaussianRational] = ()):
         self.cx = cx
         self.n = cx.n
         self.point = tuple(point)
-        if len(self.point) != cx.algebra.ring.m:
-            raise ValueError("evaluation point has wrong arity for the ring")
         self._terms: Dict[str, list] = {}
         self._rows: Dict[Tuple[str, int, int], Rows] = {}
         self._ranks: Dict[Tuple[str, int, int], int] = {}
@@ -244,13 +244,13 @@ class EvaluatedComplex:
         return self._rows[key]
 
     def _symbol_terms(self, op: str) -> List[list]:
-        """``StructureEquations.symbol_terms`` evaluated once at this point:
-        per symbol, its nonzero terms (I, J, value, -value), each negated
-        once for every assembly of op (``Layout.assemble``)."""
+        """``StructureEquations.symbol_terms`` as Gaussian rationals, read
+        once: per symbol, its nonzero terms (I, J, value, -value), each
+        negated once for every assembly of op (``Layout.assemble``)."""
         if op not in self._terms:
             terms = []
             for sterms in self.cx.se.symbol_terms(op):
-                values = ((I, J, c.eval(self.point)) for I, J, c in sterms)
+                values = ((I, J, c.constant_term()) for I, J, c in sterms)
                 terms.append([(I, J, v, -v) for I, J, v in values if v])
             self._terms[op] = terms
         return self._terms[op]
@@ -572,22 +572,17 @@ class EvaluatedComplex:
     # -- forms <-> vectors ---------------------------------------------------
 
     def form_to_vec(self, a: Form, p: int, q: int) -> Vec:
-        """The coefficients of a (p,q)-form at this point, keyed by the
-        position of each monomial (I, J): rank(I) * C(n, q) + rank(J)."""
+        """The coefficients of a (p,q)-form, keyed by the position of each
+        monomial (I, J): rank(I) * C(n, q) + rank(J); ValueError on a
+        t-dependent coefficient, which has no value here."""
         rank, cq = self.cx.layout.subset_rank, comb(self.n, q)
         out: Vec = {}
-        m_params = a.algebra.ring.m
         for m, c in a.coeffs.items():
             if len(m[0]) != p or len(m[1]) != q:
                 raise ValueError("form does not live in the requested bidegree")
-            if m_params == len(self.point):
-                v = c.eval(self.point)
-            else:
-                if not c.is_constant():
-                    raise ValueError(
-                        "parameter-dependent form in a complex with a different arity"
-                    )
-                v = c.constant_term()
+            if not c.is_constant():
+                raise ValueError("a t-dependent form has no value on a complex without parameters")
+            v = c.constant_term()
             if v:
                 out[rank[p][m[0]] * cq + rank[q][m[1]]] = v
         return out
@@ -645,7 +640,9 @@ _MAPS = {
 
 
 def _dimension(ec: EvaluatedComplex, which: str, p: int, q: int) -> int:
-    """One cohomology of ``_MAPS`` at (p,q), from its own rank reads."""
+    """One cohomology of ``_MAPS`` at (p,q), from its own rank reads; a
+    bidegree outside 0..n raises ValueError (``check_bidegree``)."""
+    ec.check_bidegree(p, q)
     out, into = _MAPS[which]
     outgoing = ec.rank(out, p, q)
     incoming = ec.rank(into, p, q) if into == "exact_sum" else ec.image_rank(into, p, q)
@@ -669,16 +666,21 @@ def h_aeppli(ec: EvaluatedComplex, p: int, q: int) -> int:
 
 
 def betti(ec: EvaluatedComplex, k: int) -> int:
+    """The k-th Betti number, k in 0..2n; any other k raises ValueError."""
+    if not 0 <= k <= 2 * ec.n:
+        raise ValueError(f"degree {k} is outside 0..{2 * ec.n}")
     return _cohomology_dim(ec.total_dim(k), ec.rank("total", k, 0), ec.rank("total", k - 1, 0))
 
 
 def dclosed_dim(ec: EvaluatedComplex, p: int, q: int) -> int:
-    """dim ker(del + delbar) on pure type (p,q)."""
+    """dim ker(del + delbar) on pure type (p,q), p and q in 0..n."""
+    ec.check_bidegree(p, q)
     return ec.dim(p, q) - ec.rank("stacked", p, q)
 
 
 def ddbar_image_dim(ec: EvaluatedComplex, p: int, q: int) -> int:
-    """dim del(delbar(Lambda^{p-1,q-1})) inside (p,q)."""
+    """dim del(delbar(Lambda^{p-1,q-1})) inside (p,q), p and q in 0..n."""
+    ec.check_bidegree(p, q)
     return ec.image_rank("ddbar", p, q)
 
 
@@ -708,14 +710,11 @@ def cohomology(
     if which == "de_rham":
         if k is None:
             raise ValueError("de_rham cohomology needs k")
-        if not 0 <= k <= 2 * ec.n:
-            raise ValueError(f"degree {k} is outside 0..{2 * ec.n}")
         return betti(ec, k)
     if which not in _MAPS:
         raise ValueError(f"unknown cohomology {which!r}: expected de_rham, {', '.join(_MAPS)}")
     if p is None or q is None:
         raise ValueError(f"{which} cohomology needs (p, q)")
-    ec.check_bidegree(p, q)
     return _dimension(ec, which, p, q)
 
 

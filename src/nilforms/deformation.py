@@ -48,12 +48,12 @@ def as_beltrami(v: VectorValuedForm) -> VectorValuedForm:
 
 
 def evaluate_se(se: StructureEquations, point) -> StructureEquations:
-    """se with its parameters fixed at point, over the constant ring, for
-    ``fiber_complex``, the test oracles and perfbench: se's lift, kept in
-    ``se.lifts`` with se's ``require_flat`` pass, where its forms are
-    constant; else a copy that starts unchecked, since evaluation is not
-    a ring map of the truncated ring, so d^2 = 0 modulo the truncation
-    does not give it at a point."""
+    """se with its parameters fixed at point, over the constant ring: the
+    one evaluation of structure forms, since a complex has no parameters.
+    se's lift, kept in ``se.lifts`` with se's ``require_flat`` pass, where
+    its forms are constant; else a copy that starts unchecked, since
+    evaluation is not a ring map of the truncated ring, so d^2 = 0 modulo
+    the truncation does not give it at a point."""
     if all(c.is_constant() for f in se.d_coframe.values() for c in f.coeffs.values()):
         return se.with_algebra(se.algebra.constant)
     return StructureEquations(
@@ -161,15 +161,15 @@ def deform_complex(
 def fiber_complex(
     se: StructureEquations, phi: Optional[VectorValuedForm], point: Sequence[GaussianRational]
 ) -> EvaluatedComplex:
-    """The evaluated complex of the fiber at point, a point of phi's ring
-    when phi is given: se deformed along phi (``deform_complex``) when
-    phi is given and the point is not t = 0, else se evaluated there
-    (``evaluate_se``)."""
+    """The complex of the fiber at point, labelled by it, a point of phi's
+    ring when phi is given: se deformed along phi (``deform_complex``)
+    when phi is given and the point is not t = 0, else se evaluated there
+    (``evaluate_se``), so d^2 = 0 is decided on the fiber's equations."""
     if phi is not None and any(point):
         fiber = deform_complex(se, phi, point=point)
     else:
         fiber = evaluate_se(se, point)
-    return EvaluatedComplex(build_complex(fiber), ())
+    return EvaluatedComplex(build_complex(fiber), point)
 
 
 def _deformed_equations(

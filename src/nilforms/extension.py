@@ -345,15 +345,13 @@ def _conjugate_solution(
 def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q: int) -> Form:
     """Canonical x in (p,q) with del x = delbar zeta and delbar x = del conj(xi).
 
-    ec is a complex without parameters (the t = 0 fiber); zeta, a
+    ec is the complex of one fiber, such as t = 0; zeta, a
     (p+1,q-1)-form, and xi, a (q+1,p-1)-form, may depend on t, and each
     t-slice is solved on its own.  Requires del delbar zeta = 0,
     delbar del conj(xi) = 0 and the (p,q+1)- and (q,p+1)-th mild
     lemmata on the complex (checked, PreconditionFailed names whichever
     hypothesis broke); they make every slice solvable.
     """
-    if ec.point:
-        raise ValueError("the conjugate system is solved on a complex without parameters")
     se = ec.cx.se.with_algebra((zeta if zeta else xi).algebra)
     if zeta and not zeta.is_homogeneous(p + 1, q - 1):
         raise ValueError("zeta must be a (p+1,q-1)-form")

@@ -393,16 +393,18 @@ def lemma_report(
 ) -> LemmaReport:
     """Evaluate the lemma family at the given bidegrees (default: all,
     and then standard too; a bidegree outside 0..n raises ValueError).
-    On every bidegree mild, dual mild and strong are read off rank tables
-    (``_verdict_tables``); at given bidegrees each reads its own ranks.
+    mild, dual mild and strong come from rank tables on every bidegree
+    (``_verdict_tables``), from their own ranks at given bidegrees, and
+    one witness step (``_scanned``) serves both; t is ``ec.point``.
 
-    Consistency checks baked in, each an AssertionError when it breaks:
-    the complex is flat; strong = mild and dual_mild at every queried
-    bidegree, which compares the rank of [del | delbar] (read through
-    Hodge-star duality on a unimodular complex) with the del, delbar and
-    deldelbar ranks; mild at (p,p+1) implies weak at p; and the vector
-    route finds a witness for every failing verdict.  The cyclic
-    collector is paused throughout (``collector_paused``).
+    Consistency checks baked in, each an AssertionError when it breaks
+    (flatness was decided when the complex was built): strong = mild and
+    dual_mild at every queried bidegree, which compares the rank of
+    [del | delbar] (read through Hodge-star duality on a unimodular
+    complex) with the del, delbar and deldelbar ranks; mild at (p,p+1)
+    implies weak at p; and the vector route finds a witness for every
+    failing verdict.  The cyclic collector is paused throughout
+    (``collector_paused``).
     """
     every = bidegrees is None
     if every:
@@ -413,13 +415,11 @@ def lemma_report(
     table = _verdict_tables(ec) if every else None
     for (p, q) in bidegrees:
         if table is None:
-            m_ok, m_wit = mild(ec, p, q)
-            d_ok, d_wit = dual_mild(ec, p, q)
-            s_ok = _strong_holds(ec, p, q)
+            m_ok, d_ok, s_ok = _mild_holds(ec, "del", p, q), _mild_holds(ec, "delbar", p, q), _strong_holds(ec, p, q)
         else:
             m_ok, d_ok, s_ok = table[p][q]
-            m_wit = None if m_ok else _scanned(ec, "mild", ["del"], p, q)
-            d_wit = None if d_ok else _scanned(ec, "dual_mild", ["delbar"], p, q)
+        m_wit = None if m_ok else _scanned(ec, "mild", ["del"], p, q)
+        d_wit = None if d_ok else _scanned(ec, "dual_mild", ["delbar"], p, q)
         report.mild_flags[(p, q)] = m_ok
         report.dual_mild_flags[(p, q)] = d_ok
         report.strong_flags[(p, q)] = s_ok

@@ -123,12 +123,13 @@ def bcvary10_c():
 
 @pytest.fixture(scope="session")
 def reference_complexes():
-    """(label, complex, point) for the assembly and strong-basis oracles:
-    every catalog entry at t = 0, the deformed bcvary10 family (a
-    parametric complex) at zero_point and at a generic point, bcvary10
-    deformed at both generic points and at a complex point, and the four
-    benchmark products (Iwasawa^2, Iwasawa x C^3, bcvary10(0) x C,
-    Iwasawa^2 x C) under a seeded coframe permutation."""
+    """(label, complex, point) for the assembly and strong-basis oracles,
+    point the label of the complex (``EvaluatedComplex.point``): every
+    catalog entry at t = 0 and the deformed bcvary10 family at zero_point
+    and at a generic point, each evaluated there first (``evaluate_se``),
+    bcvary10 deformed at both generic points and at a complex point, and
+    the four benchmark products (Iwasawa^2, Iwasawa x C^3,
+    bcvary10(0) x C, Iwasawa^2 x C) under a seeded coframe permutation."""
     import random
     from fractions import Fraction
 
@@ -139,11 +140,12 @@ def reference_complexes():
     out = []
     for name in ("torus3", "iwasawa3", "abelian_4", "bcvary10"):
         se = catalog_load(name).se
-        out.append((f"{name}@0", build_complex(se), zero_point(se.algebra.ring.m)))
+        point = zero_point(se.algebra.ring.m)
+        out.append((f"{name}@0", build_complex(evaluate_se(se, point)), point))
     bc = catalog_load("bcvary10")
-    family = build_complex(deform_complex(bc.se, bc.beltrami))
-    out.append(("bcvary10 family@0", family, zero_point(4)))
-    out.append(("bcvary10 family@generic", family, generic_points(4)[0]))
+    family = deform_complex(bc.se, bc.beltrami)
+    for label, point in (("bcvary10 family@0", zero_point(4)), ("bcvary10 family@generic", generic_points(4)[0])):
+        out.append((label, build_complex(evaluate_se(family, point)), point))
     deformed_point = (
         GaussianRational(Fraction(1, 3), Fraction(1, 5)),
         GaussianRational(Fraction(-1, 4)),

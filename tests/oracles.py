@@ -828,15 +828,17 @@ def exp_contract(theta: VectorValuedForm, a: Form) -> Form:
 
 
 def monomial_index(cx, p: int, q: int):
-    """The position of each monomial of (p,q), from the whole list of
-    them (``FormAlgebra.basis``) as one dict."""
+    """The position of each monomial of (p,q) of cx's algebra (cx a
+    complex or structure equations), from the whole list of them
+    (``FormAlgebra.basis``) as one dict."""
     return {m: i for i, m in enumerate(form_basis(cx.algebra, p, q))}
 
 
 def form_to_vec_by_index(ec, a, p: int, q: int):
-    """``EvaluatedComplex.form_to_vec`` through ``monomial_index``."""
+    """``EvaluatedComplex.form_to_vec`` through ``monomial_index``, for a
+    form over the constant algebra."""
     idx = monomial_index(ec.cx, p, q)
-    values = ((idx[m], c.eval(ec.point)) for m, c in a.coeffs.items())
+    values = ((idx[m], c.eval(())) for m, c in a.coeffs.items())
     return {i: v for i, v in values if v}
 
 
@@ -903,29 +905,28 @@ def walker_derivation(se, a, op: str):
     return Form(se.algebra, out)
 
 
-def symbolic_columns(cx, op: str, p: int, q: int):
-    """Columns of del or delbar with source (p,q) over the parameter ring:
-    the walker (``walker_derivation``) on every basis monomial of (p,q),
-    each column a dict {target row: ParamScalar}."""
+def symbolic_columns(se, op: str, p: int, q: int):
+    """Columns of del or delbar of structure equations se with source
+    (p,q) over their ring: the walker (``walker_derivation``) on every
+    basis monomial of (p,q), each column a dict {target row: ParamScalar}."""
     from nilforms.algebra import Form
 
-    se = cx.se
-    one = cx.algebra.ring.one()
+    one = se.algebra.ring.one()
     tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-    tgt_index = monomial_index(cx, tp, tq) if cx.algebra.dim(tp, tq) else {}
+    tgt_index = monomial_index(se, tp, tq) if se.algebra.dim(tp, tq) else {}
     return [
-        {tgt_index[mm]: c for mm, c in walker_derivation(se, Form(cx.algebra, {m: one}), op).coeffs.items()}
-        for m in form_basis(cx.algebra, p, q)
+        {tgt_index[mm]: c for mm, c in walker_derivation(se, Form(se.algebra, {m: one}), op).coeffs.items()}
+        for m in form_basis(se.algebra, p, q)
     ]
 
 
-def evaluated_rows(cx, op: str, p: int, q: int, point):
-    """The rows of del or delbar at a point: the symbolic columns, each
-    entry through ParamScalar.eval, zeros dropped."""
+def evaluated_rows(se, op: str, p: int, q: int, point):
+    """The rows of del or delbar of se at a point of its ring: the
+    symbolic columns, each entry through ParamScalar.eval, zeros dropped."""
     tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
-    out = [{} for _ in range(cx.algebra.dim(tp, tq))]
-    if cx.algebra.dim(p, q) and out:
-        for j, col in enumerate(symbolic_columns(cx, op, p, q)):
+    out = [{} for _ in range(se.algebra.dim(tp, tq))]
+    if se.algebra.dim(p, q) and out:
+        for j, col in enumerate(symbolic_columns(se, op, p, q)):
             for i, c in col.items():
                 v = c.eval(point)
                 if v:

@@ -23,6 +23,7 @@ from nilforms.algebra import (
     vvf_of_endo,
 )
 from nilforms.cohomology import EvaluatedComplex, zero_point
+from nilforms.deformation import evaluate_se
 from nilforms.errors import FlatnessError, IntegrabilityError, NotPerturbative
 from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
 
@@ -174,9 +175,9 @@ def test_build_complex_validates_iwasawa():
     cx = build_complex(_iwasawa_se())
     assert cx.algebra.dim(1, 1) == 9
     # del on (1,0) has rank 1, delbar is zero there
-    cols = symbolic_columns(cx, "del", 1, 0)
+    cols = symbolic_columns(cx.se, "del", 1, 0)
     assert sum(1 for c in cols if c) == 1
-    assert all(not c for c in symbolic_columns(cx, "delbar", 1, 0))
+    assert all(not c for c in symbolic_columns(cx.se, "delbar", 1, 0))
     ec = EvaluatedComplex(cx, ())
     assert len(linalg.columns(ec.rows("del", 1, 0))) == 1
     assert all(not r for r in ec.rows("delbar", 1, 0))
@@ -193,20 +194,24 @@ def test_build_complex_abelian_all_zero():
 
 
 def test_build_complex_bcvary_dims_and_column():
+    """Equations over bcvary10's ring: their t = 0 fiber's complex, labelled
+    by the point, has bcvary10's dimensions and the column of the
+    equations' own delbar."""
     ring = PolyRing(4, 4)
     alg = FormAlgebra(5, ring)
     se = StructureEquations("bc", alg, {4: alg.monomial((1,), (3,)), 5: alg.monomial((3,), (4,))})
-    cx = build_complex(se)
+    cx = build_complex(evaluate_se(se, zero_point(4)))
     assert cx.algebra.dim(4, 4) == comb(5, 4) ** 2 == 25
     # delbar gamma^4 = gamma^{1 bar3}: column of gamma^4 in (1,0) hits that row
-    col = symbolic_columns(cx, "delbar", 1, 0)[monomial_index(cx, 1, 0)[((4,), ())]]
-    target_row = monomial_index(cx, 1, 1)[((1,), (3,))]
+    col = symbolic_columns(se, "delbar", 1, 0)[monomial_index(se, 1, 0)[((4,), ())]]
+    target_row = monomial_index(se, 1, 1)[((1,), (3,))]
     assert list(col) == [target_row]
     ec = EvaluatedComplex(cx, zero_point(4))
+    assert ec.point == zero_point(4)
     assert list(linalg.columns(ec.rows("delbar", 1, 0))[monomial_index(cx, 1, 0)[((4,), ())]]) == [target_row]
     # d gamma^5 is pure (1,1): the delbar part carries it all, del kills it
-    assert cx.se.apply_delbar(alg.gamma(5)) == alg.monomial((3,), (4,))
-    assert not cx.se.apply_del(alg.gamma(5))
+    assert se.apply_delbar(alg.gamma(5)) == alg.monomial((3,), (4,))
+    assert not se.apply_del(alg.gamma(5))
 
 
 def test_integrability_error_on_02_part():
@@ -257,19 +262,32 @@ def _typed(form):
     return {m: (type(c), c) for m, c in form.coeffs.items()}
 
 
+def _equations(reference_complexes):
+    """(label, structure equations) of the reference complexes, then
+    bcvary10's and its deformed family's over the parameter ring, which
+    build no complex until a fiber is evaluated."""
+    from nilforms.catalog import catalog_load
+    from nilforms.deformation import deform_complex
+
+    bc = catalog_load("bcvary10")
+    out = [(label, cx.se) for label, cx, _ in reference_complexes]
+    return out + [("bcvary10 over t", bc.se), ("bcvary10 family", deform_complex(bc.se, bc.beltrami))]
+
+
 def test_column_tables_equal_the_walker(reference_complexes):
     """apply_del, apply_delbar and apply_d, through the equations' column
     tables, equal the monomial walker they replaced
     (``oracles.walker_derivation``), entries and their types, on every
-    basis monomial of every bidegree of the reference complexes, the
-    parametric bcvary10 family among them, and on seeded forms of mixed
-    bidegree with t-dependent coefficients."""
+    basis monomial of every bidegree of the equations of the reference
+    complexes and of the parametric bcvary10 equations and family
+    (``_equations``), and on seeded forms of mixed bidegree with
+    t-dependent coefficients."""
     rng = DetRng(41)
-    for label, cx, _ in reference_complexes:
-        alg = cx.algebra
-        se = StructureEquations(cx.se.name, alg, cx.se.d_coframe)  # the fixture's tables stay as they are
+    for label, given in _equations(reference_complexes):
+        alg = given.algebra
+        se = StructureEquations(given.name, alg, given.d_coframe)  # the fixture's tables stay as they are
         one = alg.ring.one()
-        forms = [Form(alg, {m: one}) for p in range(cx.n + 1) for q in range(cx.n + 1) for m in form_basis(alg, p, q)]
+        forms = [Form(alg, {m: one}) for p in range(se.n + 1) for q in range(se.n + 1) for m in form_basis(alg, p, q)]
         forms += [_seeded_form(alg, rng) for _ in range(6)]
         for a in forms:
             walked = {op: walker_derivation(se, a, op) for op in ("del", "delbar")}
@@ -290,8 +308,8 @@ def test_flatness_check_assembles_the_tables_of_degree_two_only(monkeypatch, ref
         StructureEquations, "_assemble_table", lambda se, *key: assembled.append(key) or real(se, *key)
     )
     degree_one = {(op, p, 1 - p) for op in ("del", "delbar") for p in (0, 1)}
-    for label, cx, _ in reference_complexes:
-        se = StructureEquations(cx.se.name, cx.algebra, cx.se.d_coframe)
+    for label, given in _equations(reference_complexes):
+        se = StructureEquations(given.name, given.algebra, given.d_coframe)
         assembled.clear()
         se.require_flat()
         assert se.flat and len(assembled) == len(set(assembled)), label
@@ -299,7 +317,7 @@ def test_flatness_check_assembles_the_tables_of_degree_two_only(monkeypatch, ref
         assembled.clear()
         for _ in range(2):
             for s in range(2 * se.n):
-                se.apply_d(symbol_form(cx.algebra, s))
+                se.apply_d(symbol_form(se.algebra, s))
         assert sorted(assembled) == sorted(degree_one), label
 
 
@@ -350,24 +368,25 @@ def test_matrix_action_equals_derivation_action():
 
 def _check_matrix_action(name):
     se = _catalog_se(name)
-    cx = build_complex(se)
-    one = cx.algebra.ring.one()
-    for p in range(cx.n + 1):
-        for q in range(cx.n + 1):
+    se.require_flat()
+    alg = se.algebra
+    one = alg.ring.one()
+    for p in range(se.n + 1):
+        for q in range(se.n + 1):
             for op, apply, (tp, tq) in (
                 ("del", se.apply_del, (p + 1, q)),
                 ("delbar", se.apply_delbar, (p, q + 1)),
             ):
-                cols = symbolic_columns(cx, op, p, q)
-                target = form_basis(cx.algebra, tp, tq) if cx.algebra.dim(tp, tq) else []
-                assert len(cols) == cx.algebra.dim(p, q)
-                for m, col in zip(form_basis(cx.algebra, p, q), cols):
-                    form = Form(cx.algebra, {m: one})
-                    image = Form(cx.algebra, {target[i]: c for i, c in col.items()})
+                cols = symbolic_columns(se, op, p, q)
+                target = form_basis(alg, tp, tq) if alg.dim(tp, tq) else []
+                assert len(cols) == alg.dim(p, q)
+                for m, col in zip(form_basis(alg, p, q), cols):
+                    form = Form(alg, {m: one})
+                    image = Form(alg, {target[i]: c for i, c in col.items()})
                     assert image == apply(form) == form_layer_derivation(se, form, op), (name, op, m)
     rng = DetRng(31)
     for _ in range(5):
-        a = _random_form(cx.algebra, rng)
+        a = _random_form(alg, rng)
         for op in ("del", "delbar", "d"):
             engine = {"del": se.apply_del, "delbar": se.apply_delbar, "d": se.apply_d}[op](a)
             assert engine == form_layer_derivation(se, a, op)

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import importlib
 import io
+import json
 import random
 import weakref
 from collections import Counter
@@ -31,7 +32,7 @@ from nilforms.cohomology import (
     h_dolbeault,
     zero_point,
 )
-from nilforms.deformation import deform_complex, evaluate_se
+from nilforms.deformation import deform_complex, evaluate_se, fiber_complex
 from nilforms.errors import FlatnessError, IntegrabilityError, PreconditionFailed
 from nilforms.extension import pkahler_extend, solve_conjugate_system, solve_extension
 from nilforms.lemmata import lemma_report
@@ -70,7 +71,6 @@ from oracles import (
     vec_add,
     vec_scale,
     vec_to_form_by_basis,
-    walker_part,
 )
 
 
@@ -673,16 +673,17 @@ def _typed_rows(rows):
 
 
 def test_evaluated_assembly_equals_symbolic_oracle(reference_complexes):
-    """Every del and delbar matrix assembled from the evaluated structure
-    constants equals the symbolic Leibniz-rule columns evaluated entry by
-    entry: same rows, same key order, same entry types."""
+    """Every del and delbar matrix assembled from the structure constants
+    equals the symbolic Leibniz-rule columns of the complex's equations
+    read entry by entry: same rows, same key order, same entry types
+    (the family's columns at a point: ``test_a_second_point_reuses_the_assembly_plans``)."""
     for label, cx, point in reference_complexes:
         ec = EvaluatedComplex(cx, point)
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
                 for op in ("del", "delbar"):
                     got = ec.rows(op, p, q)
-                    expected = evaluated_rows(cx, op, p, q, point)
+                    expected = evaluated_rows(cx.se, op, p, q, ())
                     assert _typed_rows(got) == _typed_rows(expected), (label, op, p, q)
 
 
@@ -710,7 +711,7 @@ def test_evaluated_assembly_sums_colliding_terms():
     for p in range(5):
         for q in range(5):
             for op in ("del", "delbar"):
-                assert _typed_rows(ec.rows(op, p, q)) == _typed_rows(evaluated_rows(cx, op, p, q, ())), (op, p, q)
+                assert _typed_rows(ec.rows(op, p, q)) == _typed_rows(evaluated_rows(se, op, p, q, ())), (op, p, q)
                 assert all(r is EMPTY_ROW for r in ec.rows(op, p, q) if not r), (op, p, q)
     cols = linalg.columns(ec.rows("del", 2, 0))
     pos = monomial_index(cx, 2, 0)
@@ -720,11 +721,13 @@ def test_evaluated_assembly_sums_colliding_terms():
     assert not se.apply_del(alg.monomial((1, 4), ()))
 
 
-def test_evaluation_once_per_structure_constant(monkeypatch, iwasawa_c):
-    """full_report then lemma_report on Iwasawa x C at t = 0 evaluate each
-    term of the del/delbar parts of the 2n symbol images at most once."""
-    se = iwasawa_c.se
-    terms = sum(len(walker_part(se, op, s).coeffs) for s in range(2 * se.n) for op in ("del", "delbar"))
+def test_evaluation_once_per_structure_constant(monkeypatch, bcvary10):
+    """``evaluate_se`` evaluates each structure form once per fiber: on the
+    deformed bcvary10 family at both generic points, each coefficient of
+    each structure form is evaluated once, and building the fiber's
+    complex, full_report and lemma_report evaluate nothing."""
+    family = deform_complex(bcvary10.se, bcvary10.beltrami)
+    coefficients = sum(len(f.coeffs) for f in family.d_coframe.values())
     calls = []
     real_eval = ParamScalar.eval
 
@@ -733,10 +736,15 @@ def test_evaluation_once_per_structure_constant(monkeypatch, iwasawa_c):
         return real_eval(self, point)
 
     monkeypatch.setattr(ParamScalar, "eval", counting_eval)
-    ec = EvaluatedComplex(iwasawa_c, ())
-    full_report(ec)
-    lemma_report(ec)
-    assert 0 < len(calls) <= terms
+    for point in generic_points(4):
+        calls.clear()
+        fiber = evaluate_se(family, point)
+        assert 0 < len(calls) == coefficients, point
+        calls.clear()
+        ec = EvaluatedComplex(build_complex(fiber), point)
+        full_report(ec)
+        lemma_report(ec)
+        assert calls == [], point
 
 
 def _exact_sum_rank(ec, p, q):
@@ -1098,17 +1106,20 @@ def test_del_and_stacked_ranks_equal_separate_eliminations(reference_complexes):
 
 
 def test_a_second_point_reuses_the_assembly_plans(bcvary10):
-    """The complex of the deformed bcvary10 family shares its algebra's
-    layout, so its plans are computed once over validation and the del
-    and delbar matrices at three points: validation (``build_complex``
-    on equations that have decided nothing yet, over a fresh algebra of
-    the family's ring, whose layout has planned nothing) computes each
-    plan of its degree-1 and degree-2 tables once; the matrices at a generic
-    point compute each plan once, and only plans that validation did
-    not make; evaluated complexes on the same complex at the other
-    generic point and at t = 0, where no structure constant is nonzero
-    that was not at the first, compute none and leave the memo as it
-    was; the rows at every point equal the symbolic oracle's there."""
+    """Two fibers share the constant algebra's plans: the fibers of the
+    deformed bcvary10 family, over a fresh algebra of the family's ring
+    whose layout has planned nothing, are evaluated (``evaluate_se``) into
+    equations over its constant algebra, which share its layout, so the
+    plans are computed once over the validation and the del and delbar
+    matrices of three fibers: the first fiber's validation
+    (``build_complex`` on equations that have decided nothing yet)
+    computes each plan of its degree-1 and degree-2 tables once; its
+    matrices compute each plan once, and only plans that validation did
+    not make; the fibers at the other generic point and at t = 0, where
+    no structure constant is nonzero that was not at the first, compute
+    none in validation or assembly and leave the memo as it was; the rows
+    of every fiber equal the family's symbolic columns evaluated at its
+    point, entry by entry."""
 
     class Recorded(dict):
         """A plan memo that records each plan stored, that is computed."""
@@ -1122,25 +1133,26 @@ def test_a_second_point_reuses_the_assembly_plans(bcvary10):
     se = StructureEquations(deformed.name, alg, deformed.d_coframe)
     calls = []
     alg.layout.plans = Recorded()
-    family = build_complex(se)
-    assert family.layout is alg.layout is alg.constant.layout
-    validation = set(calls)
-    assert validation and len(calls) == len(validation)
-    calls.clear()
     bidegrees = [(op, p, q) for op in ("del", "delbar") for p in range(6) for q in range(6)]
     plans = None
     for pt in generic_points(4) + (zero_point(4),):
-        ec = EvaluatedComplex(family, pt)
+        fiber = build_complex(evaluate_se(se, pt))
+        assert fiber.algebra is alg.constant and fiber.layout is alg.layout
+        if plans is None:
+            validation = set(calls)
+            assert validation and len(calls) == len(validation)
+            calls.clear()
+        ec = EvaluatedComplex(fiber, pt)
         for op, p, q in bidegrees:
-            assert ec.rows(op, p, q) == evaluated_rows(family, op, p, q, pt), (pt, op, p, q)
+            assert ec.rows(op, p, q) == evaluated_rows(se, op, p, q, pt), (pt, op, p, q)
         if plans is None:
             assert calls and len(calls) == len(set(calls)) and validation.isdisjoint(calls)
-            plans = dict(family.layout.plans)
+            plans = dict(alg.layout.plans)
             assert plans.keys() == validation | set(calls)
             calls.clear()
         assert calls == [], pt
-        assert family.layout.plans.keys() == plans.keys()
-        assert all(family.layout.plans[key] is plan for key, plan in plans.items())
+        assert alg.layout.plans.keys() == plans.keys()
+        assert all(alg.layout.plans[key] is plan for key, plan in plans.items())
 
 
 def test_kernel_reads_change_nothing_a_caller_saw(monkeypatch, reference_complexes):
@@ -1220,6 +1232,25 @@ def test_cohomology_refuses_out_of_range_degrees(ec_iwasawa, kwargs, message):
     assert [cohomology(ec_iwasawa, "de_rham", k=k) for k in (0, 6)] == [1, 1]
 
 
+def test_every_per_cell_reader_refuses_a_degree_out_of_range(ec_iwasawa):
+    """The per-cell readers name the valid range, as cohomology does,
+    instead of answering 0 about the zero space: the four cohomologies,
+    dclosed_dim and ddbar_image_dim at bidegrees outside 0..3 on
+    iwasawa3, and betti at degrees outside 0..6; the ends of each range
+    are answered."""
+    readers = (h_bott_chern, h_dolbeault, h_del, h_aeppli, dclosed_dim, ddbar_image_dim)
+    for reader in readers:
+        for p, q in ((7, 7), (-1, 2), (4, 0), (0, -1)):
+            with pytest.raises(ValueError, match=rf"bidegree \({p},{q}\) is outside 0\.\.3"):
+                reader(ec_iwasawa, p, q)
+    assert [reader(ec_iwasawa, 3, 3) for reader in readers] == [1, 1, 1, 1, 1, 0]
+    assert [reader(ec_iwasawa, 0, 0) for reader in readers] == [1, 1, 1, 1, 1, 0]
+    for k in (-1, 7, 99):
+        with pytest.raises(ValueError, match=rf"degree {k} is outside 0\.\.6"):
+            betti(ec_iwasawa, k)
+    assert [betti(ec_iwasawa, k) for k in (0, 6)] == [1, 1]
+
+
 def test_cohomology_refuses_equations_that_define_no_complex():
     """full_report, cohomology and the public dimension readers answer
     only on a complex, and the complex is refused where it is built.
@@ -1241,18 +1272,59 @@ def test_cohomology_refuses_equations_that_define_no_complex():
             assert not se.flat, se.name
 
 
+#: d gamma^2 = t1^3 gamma^1 ^ gammabar^3, d gamma^3 = t1^3 gamma^1 ^
+#: gammabar^2 (n = 3, m = 1, truncation 4): every term of d^2 has
+#: t-degree 6, so d^2 = 0 modulo the truncation, but at t1 = 1/2
+#: d^2 gamma^2 = (1/64) gamma^1 ^ gamma^2 ^ gammabar^1
+FLAT_ONLY_MODULO_TRUNCATION = {"n": 3, "m": 1, "truncation": 4, "d": {
+    "2": [{"coeff": "t1^3", "factors": ["1", "bar3"]}],
+    "3": [{"coeff": "t1^3", "factors": ["1", "bar2"]}],
+}}
+
+
+def test_a_family_flat_only_modulo_its_truncation_gives_no_number(tmp_path, capsys):
+    """Equations whose d^2 vanishes over the truncated ring but not at a
+    point get no number by any public call: ``require_flat`` passes over
+    the ring, InvariantComplex refuses equations with parameters before
+    it asks, with ValueError naming the route through a fiber, the fiber
+    at t1 = 1/2 raises FlatnessError on gamma^2 (``fiber_complex``), and
+    the CLI there exits 1 with one ``error:`` line."""
+    se = nio.obj_to_se(FLAT_ONLY_MODULO_TRUNCATION)
+    fresh = nio.obj_to_se(FLAT_ONLY_MODULO_TRUNCATION)
+    with pytest.raises(ValueError, match="a complex has no parameters.*evaluate_se.*fiber_complex"):
+        InvariantComplex(fresh)
+    assert not fresh.flat
+    se.require_flat()
+    with pytest.raises(ValueError, match="evaluate_se.*fiber_complex"):
+        InvariantComplex(se)
+    for _ in range(2):
+        with pytest.raises(FlatnessError, match="d\\^2 gamma\\^2 = .*1/64"):
+            fiber_complex(se, None, (GaussianRational(Fraction(1, 2)),))
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(FLAT_ONLY_MODULO_TRUNCATION))
+    assert cli.main(["cohomology", "--manifold", str(path), "--t", "1/2"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "gamma^2" in lines[0], captured.err
+    assert captured.out == ""
+
+
 def test_flatness_check_leaves_the_tables_as_it_found_them():
     """require_flat keeps none of the degree-2 column tables it
-    assembles, pass or fail: fresh iwasawa3 and bcvary10 equations hold
-    no table after build_complex and full_report (the report reads the
-    complex's rows, never the tables), a table assembled before the
-    check stays, the very object, and equations the check refuses, with
-    d^2 != 0 or with a (0,2)-part, hold none either."""
+    assembles, pass or fail: fresh iwasawa3 and bcvary10 equations, and
+    the t = 0 fiber of each that the complex holds (``evaluate_se``, the
+    equations themselves for iwasawa3), hold no table after build_complex
+    and full_report (the report reads the complex's rows, never the
+    tables), a table assembled before the check stays, the very object,
+    and equations the check refuses, with d^2 != 0 or with a (0,2)-part,
+    hold none either."""
     for name in ("iwasawa3", "bcvary10"):
         given = catalog_load(name).se
         se = StructureEquations(given.name, given.algebra, given.d_coframe)
-        full_report(EvaluatedComplex(build_complex(se), zero_point(se.algebra.ring.m)))
-        assert se.flat and se.tables == {}, name
+        point = zero_point(se.algebra.ring.m)
+        fiber = evaluate_se(se, point)
+        full_report(EvaluatedComplex(build_complex(fiber), point))
+        assert fiber.flat and fiber.tables == {} and se.tables == {}, name
     given = catalog_load("iwasawa3").se
     se = StructureEquations(given.name, given.algebra, given.d_coframe)
     se.apply_d(se.algebra.gamma(3))
@@ -1355,24 +1427,35 @@ def test_assembly_equals_the_route_it_replaced(reference_complexes, bcvary10):
     cases += [(f"fiber {seed}", build_complex(deform_complex(bcvary10.se, bcvary10.beltrami, point=fiber_point(seed))), ())
               for seed in range(4601, 4621)]
     assert len(cases) == 36
+    equations = [(label, cx.se) for label, cx, _ in cases]
+    equations += [("bcvary10 over t", bcvary10.se), ("bcvary10 family", deform_complex(bcvary10.se, bcvary10.beltrami))]
     for label, cx, point in cases:
         ec, layout, n = EvaluatedComplex(cx, point), cx.algebra.layout, cx.n
         for op in ("del", "delbar"):
-            symbolic = cx.se.symbol_terms(op)
-            evaluated = [[(I, J, v) for I, J, v in ((I, J, c.eval(point)) for I, J, c in sterms) if v] for sterms in symbolic]
+            values = [[(I, J, v) for I, J, v in ((I, J, c.eval(())) for I, J, c in sterms) if v]
+                      for sterms in cx.se.symbol_terms(op)]
             for p in range(n + 1):
                 for q in range(n + 1):
                     tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
                     if not (ec.dim(p, q) and ec.dim(tp, tq)):
                         continue
                     want = [EMPTY_ROW] * ec.dim(tp, tq)
-                    assemble_negating_each_term(layout, want, evaluated, p, q, tq)
+                    assemble_negating_each_term(layout, want, values, p, q, tq)
                     got = ec.rows(op, p, q)
                     assert _typed_rows(got) == _typed_rows(want), (label, op, p, q)
                     assert [r is EMPTY_ROW for r in got] == [not r for r in got], (label, op, p, q)
-                    want = [EMPTY_ROW] * ec.dim(tp, tq)
+    for label, se in equations:
+        layout, dim = se.algebra.layout, se.algebra.dim
+        for op in ("del", "delbar"):
+            symbolic = se.symbol_terms(op)
+            for p in range(se.n + 1):
+                for q in range(se.n + 1):
+                    tp, tq = (p + 1, q) if op == "del" else (p, q + 1)
+                    if not (dim(p, q) and dim(tp, tq)):
+                        continue
+                    want = [EMPTY_ROW] * dim(tp, tq)
                     assemble_negating_each_term(layout, want, symbolic, p, q, tq)
-                    got = [EMPTY_ROW] * ec.dim(tp, tq)
+                    got = [EMPTY_ROW] * dim(tp, tq)
                     layout.assemble(got, [[(I, J, c, -c) for I, J, c in sterms] for sterms in symbolic], p, q, tq)
                     assert _typed_rows(got) == _typed_rows(want), (label, "symbolic", op, p, q)
 

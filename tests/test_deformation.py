@@ -436,8 +436,14 @@ def test_deform_at_point_matches_symbolic_evaluation(bcvary10):
 
 
 def test_deformed_complex_passes_build(bcvary10):
+    """The deformed family passes require_flat, d^2 = 0 and no
+    (0,2)-part through the ring order; it has parameters, so it builds no
+    complex, and ValueError names the route through a fiber."""
     se_def = deform_complex(bcvary10.se, bcvary10.beltrami)
-    build_complex(se_def)  # d^2 = 0 and no (0,2)-part, through the ring order
+    se_def.require_flat()
+    assert se_def.flat
+    with pytest.raises(ValueError, match="evaluate_se.*fiber_complex"):
+        build_complex(se_def)
 
 
 def test_deform_refuses_nonintegrable(iwasawa3):
@@ -799,7 +805,8 @@ def test_iwasawa_family_is_exactly_integrable_and_central_fibers_keep_d():
     is exactly zero at the default order, where the degree-2 term is not
     truncated away.  Nakamura's class (i), the central family, leaves d
     gamma unchanged: the fiber at (0,0,0,0,1/3,1/5) has iwasawa3's own
-    structure equations, and so the same complex."""
+    structure equations, and so the same complex: the reports of the
+    fiber equal those of iwasawa3's complex under the same label."""
     entry = catalog_load("iwasawa3")
     phi = entry.beltrami
     assert entry.se.algebra.ring == PolyRing(0, 0) and phi.algebra.ring == PolyRing(6, 4)
@@ -807,7 +814,7 @@ def test_iwasawa_family_is_exactly_integrable_and_central_fibers_keep_d():
     assert ok and residual.components == {}
     point = tuple(GaussianRational(x) for x in (0, 0, 0, 0, Fraction(1, 3), Fraction(1, 5)))
     assert deform_complex(entry.se, phi, point=point).d_coframe == entry.se.d_coframe
-    assert _reports(fiber_complex(entry.se, phi, point)) == _reports(fiber_complex(entry.se, None, ()))
+    assert _reports(fiber_complex(entry.se, phi, point)) == _reports(EvaluatedComplex(build_complex(entry.se), point))
 
 
 # -- the fiber at t ----------------------------------------------------------
@@ -823,8 +830,9 @@ def test_fiber_complex_equals_the_hand_written_routes(bcvary10, iwasawa3):
     write by hand: bcvary10 evaluated at t = 0 and deformed along its
     family at both generic points; a structure-equation file with a
     parameter and no family evaluated at t = 0 and at both generic
-    points; and, on a ring without parameters, the complex of se itself,
-    so its stored ``require_flat`` pass is reused."""
+    points, each labelled by its point; and, on a ring without
+    parameters, the complex of se itself, so its stored ``require_flat``
+    pass is reused."""
     cases = [(bcvary10.se, bcvary10.beltrami, zero_point(4), evaluate_se(bcvary10.se, zero_point(4)))]
     cases += [(bcvary10.se, bcvary10.beltrami, pt, deform_complex(bcvary10.se, bcvary10.beltrami, point=pt))
               for pt in generic_points(4)]
@@ -832,10 +840,14 @@ def test_fiber_complex_equals_the_hand_written_routes(bcvary10, iwasawa3):
         {"coeff": "1", "factors": ["1", "2"]}, {"coeff": "t1", "factors": ["1", "bar1"]}]}})
     cases += [(family, None, pt, evaluate_se(family, pt)) for pt in (zero_point(1), *generic_points(1))]
     for se, phi, point, fiber in cases:
-        assert _reports(fiber_complex(se, phi, point)) == _reports(EvaluatedComplex(build_complex(fiber), ()))
-    # the parameter changes the answer, so the point is not ignored
-    at_zero, at_generic = (fiber_complex(family, None, pt) for pt in (zero_point(1), generic_points(1)[0]))
-    assert _reports(at_zero) != _reports(at_generic)
+        ec = fiber_complex(se, phi, point)
+        assert ec.point == point
+        assert _reports(ec) == _reports(EvaluatedComplex(build_complex(fiber), point))
+    # the parameter changes the answer, not only the label, so the point is not ignored
+    at_zero, at_generic = (json.loads(_reports(fiber_complex(family, None, pt))) for pt in (zero_point(1), generic_points(1)[0]))
+    for report in at_zero + at_generic:
+        del report["t"]
+    assert at_zero != at_generic
     ec = fiber_complex(iwasawa3.se, None, ())
     assert ec.cx.se is iwasawa3.se and ec.point == ()
 

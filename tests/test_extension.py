@@ -1146,8 +1146,9 @@ def test_conjugate_system_with_t_dependent_data_solves_every_slice(case, bcvary1
     conj(xi) in every t-slice, and each slice of x is the solution for
     the slices of zeta and conj(xi) at that exponent, solved alone.  On
     bcvary10's t = 0 complex at (4,4) both right-hand sides vanish; on
-    the solvable n = 2 algebra at (1,1) they do not.  A complex with
-    parameters is refused."""
+    the solvable n = 2 algebra at (1,1) they do not.  The complex's
+    label is read by no solve, and no complex with parameters exists to
+    solve on: ``build_complex`` refuses bcvary10's equations over t."""
     if case.startswith("bcvary10"):
         ec, ring, (p, q) = ec_bcvary0, bcvary10.se.algebra.ring, (4, 4)
     else:
@@ -1182,8 +1183,9 @@ def test_conjugate_system_with_t_dependent_data_solves_every_slice(case, bcvary1
     nonzero = {e for e in slices if slice_of(x, e)}
     assert nonzero == {e for e in slices if slice_of(dzeta, e) or slice_of(dxibar, e)}
     assert nonzero == (slices if case.startswith("solvable") else set())
-    with pytest.raises(ValueError):
-        solve_conjugate_system(EvaluatedComplex(build_complex(bcvary10.se), generic_points(4)[0]), zeta, xi, p, q)
+    assert solve_conjugate_system(EvaluatedComplex(ec.cx, generic_points(4)[0]), zeta, xi, p, q) == x
+    with pytest.raises(ValueError, match="a complex has no parameters"):
+        build_complex(bcvary10.se)
 
 
 def _conjugate_outcome(route, *args):

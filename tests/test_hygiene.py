@@ -620,6 +620,60 @@ def test_flatness_is_decided_where_a_complex_is_built():
     }
 
 
+#: the names that read structure forms off structure equations
+_STRUCTURE_READS = {"d_coframe", "d_symbol", "symbol_terms"}
+
+
+def structure_form_evals(source: str):
+    """(qualified function name, line) of each x.eval(...) call inside a
+    function that reads structure forms (``_STRUCTURE_READS``); a nested
+    function or class is a scope of its own."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def own(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, scopes):
+                yield child
+                yield from own(child)
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, scopes):
+                inner = child.name if scope is None else f"{scope}.{child.name}"
+                body = list(own(child))
+                if not isinstance(child, ast.ClassDef) and {
+                    n.attr for n in body if isinstance(n, ast.Attribute)
+                } & _STRUCTURE_READS:
+                    yield from ((inner, n.lineno) for n in body if isinstance(n, ast.Call)
+                                and isinstance(n.func, ast.Attribute) and n.func.attr == "eval")
+                yield from walk(child, inner)
+            else:
+                yield from walk(child, scope)
+
+    return sorted(walk(ast.parse(source), None), key=lambda hit: hit[1])
+
+
+def test_only_deformation_evaluates_structure_forms():
+    """A complex has no parameters, so structure forms are evaluated once
+    per fiber, before its complex is built, by ``evaluate_se`` alone, and
+    ``cohomology`` calls no eval at all.  The scan finds a planted eval of
+    d_coframe's forms, one of symbol_terms' scalars in a method and one
+    in a function nested in a reader of d_symbol, and skips an eval in a
+    function that reads no structure form."""
+    probe = (
+        "def f(se, pt):\n    return {i: g.eval(pt) for i, g in se.d_coframe.items()}\n"
+        "def h(a):\n    return a.eval(())\n"
+        "class C:\n    def m(self, p):\n        for t in self.cx.se.symbol_terms('del'):\n            t[2].eval(p)\n"
+        "def k(se, s):\n    def inner(x):\n        return se.d_symbol(s).eval(x)\n    return inner\n"
+    )
+    assert structure_form_evals(probe) == [("f", 2), ("C.m", 8), ("k.inner", 11)]
+    assert calls_of((SRC / "cohomology.py").read_text(), "eval") == []
+    found = {
+        (path.name, scope) for path in sorted(SRC.glob("*.py")) for scope, _ in structure_form_evals(path.read_text())
+    }
+    assert found == {("deformation.py", "evaluate_se")}
+
+
 def combinations_imports(source: str):
     """The lines that import ``itertools.combinations``: from itertools
     import it, under any name, or read it off the module."""

@@ -1,4 +1,5 @@
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -9,9 +10,11 @@ import pytest
 from nilforms import cli
 from nilforms import io as nio
 from nilforms.algebra import FormAlgebra, StructureEquations, build_complex
-from nilforms.catalog import catalog_load, run_scenario
+from nilforms.catalog import catalog_load, catalog_names, run_scenario
+from nilforms.cohomology import betti, dclosed_dim, ddbar_image_dim, generic_points, h_bott_chern, zero_point
+from nilforms.deformation import fiber_complex
 from nilforms.errors import FormatError, UnknownEntry
-from nilforms.lemmata import verify_witness
+from nilforms.lemmata import dual_mild, mild, standard, strong, verify_witness, weak
 from nilforms.scalars import PolyRing, parse_gaussian
 
 from oracles import in_real_delbar_span
@@ -115,6 +118,49 @@ def test_catalog_abelian_family():
     entry = catalog_load("abelian_4")
     assert entry.se.n == 4
     assert all(not f for f in entry.se.d_coframe.values())
+
+
+def _golden_actual(entry, key: str):
+    """The computation behind a catalog golden key, on the fibers the key
+    names: @generic at both generic points of the family (a list of two),
+    @0 or no suffix on the entry's own equations, t = 0; AssertionError
+    on a key this map does not know."""
+    readers = {  # name: (number of arguments, reader)
+        "h_bc": (2, h_bott_chern), "dclosed": (2, dclosed_dim), "ddbar": (2, ddbar_image_dim),
+        "mild": (2, lambda ec, p, q: mild(ec, p, q)[0]), "dual_mild": (2, lambda ec, p, q: dual_mild(ec, p, q)[0]),
+        "strong": (2, lambda ec, p, q: strong(ec, p, q)[0]), "weak": (1, lambda ec, p: weak(ec, p)[0]),
+        "standard": (0, lambda ec: standard(ec)[0]), "betti": (0, lambda ec: [betti(ec, k) for k in range(2 * ec.n + 1)]),
+    }
+    match = re.fullmatch(r"([a-z_]+)(?:\(([0-9,]+)\))?(?:@(0|generic))?", key)
+    name, args, at = match.groups() if match else (None, None, None)
+    args = [int(x) for x in args.split(",")] if args else []
+    arity, reader = readers.get(name, (None, None))
+    assert arity == len(args), f"{entry.name}: no computation for golden key {key!r}"
+    if at != "generic":
+        return reader(fiber_complex(entry.se, None, zero_point(entry.se.algebra.ring.m)), *args)
+    points = generic_points(entry.beltrami.algebra.ring.m)
+    return [reader(fiber_complex(entry.se, entry.beltrami, pt), *args) for pt in points]
+
+
+def test_every_catalog_golden_is_checked():
+    """Every golden value of every catalog entry, abelian_1..abelian_8
+    included, maps to its computation (``_golden_actual``) and holds;
+    a key that maps to none fails.  A value at @generic holds at both
+    generic points."""
+    names = [name for name in catalog_names() if name != "abelian_n"] + [f"abelian_{k}" for k in range(1, 9)]
+    keys = 0
+    for name in names:
+        entry = catalog_load(name)
+        assert entry.golden, name
+        for golden in entry.golden:
+            actual = _golden_actual(entry, golden.key)
+            fibers = actual if golden.key.endswith("@generic") else [actual]
+            assert all(a == golden.expected for a in fibers), (name, golden.key, actual)
+            keys += 1
+    assert keys == 2 + 4 + 7 + 2 * 8
+    for key in ("h_bc", "bogus(1,1)", "mild(4,5)@t"):
+        with pytest.raises(AssertionError, match="no computation for golden key"):
+            _golden_actual(catalog_load("bcvary10"), key)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -560,7 +606,8 @@ def test_golden_strong_witnesses_are_mild_or_dual_mild_and_reverify(name):
     passes verify_witness as a strong witness on a complex built afresh
     at the golden's point, as the CLI builds it."""
     obj = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    ec, _ = cli._evaluated(catalog_load(obj["manifold"]), ",".join(obj["t"]) or None)
+    ec = cli._evaluated(catalog_load(obj["manifold"]), ",".join(obj["t"]) or None)
+    assert [str(z) for z in ec.point] == obj["t"]
     witnesses = obj["witnesses"]
     strong = [key for key in witnesses if key.startswith("strong:")]
     assert strong and len(strong) == list(obj["strong"].values()).count(False)
@@ -577,7 +624,7 @@ def test_golden_weak_witnesses_reverify():
     passes verify_witness at the golden's point, and the realified oracle
     finds it delbar of a real form (``oracles.in_real_delbar_span``)."""
     obj = json.loads((GOLDEN_DIR / "lemmata_bcvary10_all_t.json").read_text())
-    ec, _ = cli._evaluated(catalog_load(obj["manifold"]), ",".join(obj["t"]))
+    ec = cli._evaluated(catalog_load(obj["manifold"]), ",".join(obj["t"]))
     weak = sorted(key for key in obj["witnesses"] if key.startswith("weak:"))
     assert weak == [f"weak:{p}" for p, ok in obj["weak"].items() if not ok] == ["weak:1", "weak:2", "weak:3"]
     for key in weak:

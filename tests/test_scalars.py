@@ -311,8 +311,8 @@ def test_each_caller_refuses_a_parameter_through_one_constant_test():
     """ParamScalar.is_constant holds for constants and 0 and fails once a
     term carries t or tbar.  The four callers that need a constant read it
     and keep their own ValueError: a ring change, a form taken into a
-    complex of another arity, a volume coefficient and a Hermitian
-    extraction."""
+    complex, which has no parameters, a volume coefficient and a
+    Hermitian extraction."""
     ring = PolyRing(1, 2)
     assert ring.const(QI(3)).is_constant() and ring.zero().is_constant()
     assert not ring.t(1).is_constant() and not (ring.tbar(1) + ring.one()).is_constant()
@@ -323,7 +323,7 @@ def test_each_caller_refuses_a_parameter_through_one_constant_test():
     const, param = alg.monomial((1,), (1,), ring.const(QI(2))), alg.monomial((1,), (1,), ring.t(1) + ring.one())
     ec = EvaluatedComplex(build_complex(catalog_load("abelian_1").se), ())
     assert ec.form_to_vec(const, 1, 1) == {0: QI(2)}
-    with pytest.raises(ValueError, match="parameter-dependent form in a complex with a different arity"):
+    with pytest.raises(ValueError, match="a t-dependent form has no value on a complex without parameters"):
         ec.form_to_vec(param, 1, 1)
     assert volume_coefficient(const) != 0 and hermitian_matrix_of(const, 1).matrix[0][0] != 0
     with pytest.raises(ValueError, match="volume coefficient of a parameter-dependent form"):
