@@ -11,7 +11,7 @@ the jump locus.
 from fractions import Fraction
 
 from nilforms.catalog import catalog_load
-from nilforms.cohomology import dclosed_dim, ddbar_image_dim, h_bott_chern
+from nilforms.cohomology import cohomology, dclosed_dim, ddbar_image_dim
 from nilforms.deformation import fiber_complex
 from nilforms.scalars import GaussianRational
 
@@ -19,7 +19,7 @@ from nilforms.scalars import GaussianRational
 def fiber_stats(entry, point):
     ec = fiber_complex(entry.se, entry.beltrami, point)
     return (
-        h_bott_chern(ec, 4, 4),
+        cohomology(ec, "bott_chern", 4, 4),
         dclosed_dim(ec, 4, 4),
         ddbar_image_dim(ec, 4, 4),
     )

@@ -59,7 +59,7 @@ from .extension import (
     solve_conjugate_system,
     solve_extension,
 )
-from .lemmata import LemmaReport, dual_mild, lemma_report, mild, standard, strong, weak
+from .lemmata import LemmaReport, dual_mild, lemma_report, mild, standard, weak
 from .positivity import (
     PositivityVerdict,
     hermitian_matrix_of,

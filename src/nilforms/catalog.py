@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from .algebra import Form, FormAlgebra, StructureEquations, T10, VectorValuedForm
-from .cohomology import dclosed_dim, ddbar_image_dim, generic_points, h_bott_chern, zero_point
+from .cohomology import cohomology, dclosed_dim, ddbar_image_dim, generic_points, zero_point
 from .deformation import fiber_complex
 from .errors import UnknownEntry
 from .extension import pkahler_extend
@@ -228,10 +228,10 @@ def _scenario_bcvary_bc_jump() -> ScenarioReport:
     entry = catalog_load("bcvary10")
     g = {gv.key: gv for gv in entry.golden}
     ec0 = fiber_complex(entry.se, entry.beltrami, zero_point(4))
-    checks = [_check(g["h_bc(4,4)@0"], h_bott_chern(ec0, 4, 4))]
+    checks = [_check(g["h_bc(4,4)@0"], cohomology(ec0, "bott_chern", 4, 4))]
     for pt in generic_points(4):
         ect = fiber_complex(entry.se, entry.beltrami, pt)
-        checks.append(_check(g["h_bc(4,4)@generic"], h_bott_chern(ect, 4, 4)))
+        checks.append(_check(g["h_bc(4,4)@generic"], cohomology(ect, "bott_chern", 4, 4)))
         checks.append(_check(g["ddbar(4,4)@generic"], ddbar_image_dim(ect, 4, 4)))
     checks.append(_check(g["ddbar(4,4)@0"], ddbar_image_dim(ec0, 4, 4)))
     return ScenarioReport("bcvary_bc_jump", checks)

@@ -22,14 +22,16 @@ which the equations' column tables and every fiber of one n share
 across terms and bidegrees.
 
 Every dimension is rank arithmetic (dim - rank of the outgoing map -
-rank of the incoming map, ``_cohomology_dim``, by the maps of ``_MAPS``),
-``full_report`` feeds it from int tables that read each rank once
-(``EvaluatedComplex.rank_table``), and every rank is read once per duality pair
-from a forward echelon, whose rows no kernel read rewrites: on a
-unimodular complex the Hodge star reads the delbar, Aeppli and upper de
-Rham ranks from others and gives a deldelbar rank to its dual, and
-conjugation reads standard's suffix ranks from its prefix ranks; a
-mild witness scan stays on the star side (``EvaluatedComplex.mild_scan``).
+rank of the incoming map, ``_cohomology_dim``, by the maps of ``_MAPS``):
+``cohomology`` feeds it one bigraded number from its own rank reads,
+``betti`` one Betti number, and ``full_report`` every table from int
+tables that read each rank once (``EvaluatedComplex.rank_table``).
+Every rank is read once per duality pair from a forward echelon, whose
+rows no kernel read rewrites: on a unimodular complex the Hodge star
+reads the delbar, Aeppli and upper de Rham ranks from others and gives
+a deldelbar rank to its dual, and conjugation reads standard's suffix
+ranks from its prefix ranks; a mild witness scan stays on the star
+side (``EvaluatedComplex.mild_scan``).
 ``full_report`` and ``lemmata.lemma_report`` run with the cyclic garbage
 collector paused, and leave what they keep in its oldest generation
 (``collector_paused``).  Kernel and image bases are
@@ -573,19 +575,16 @@ class EvaluatedComplex:
 
     def form_to_vec(self, a: Form, p: int, q: int) -> Vec:
         """The coefficients of a (p,q)-form, keyed by the position of each
-        monomial (I, J): rank(I) * C(n, q) + rank(J); ValueError on a
-        t-dependent coefficient, which has no value here."""
-        rank, cq = self.cx.layout.subset_rank, comb(self.n, q)
-        out: Vec = {}
-        for m, c in a.coeffs.items():
-            if len(m[0]) != p or len(m[1]) != q:
-                raise ValueError("form does not live in the requested bidegree")
-            if not c.is_constant():
-                raise ValueError("a t-dependent form has no value on a complex without parameters")
-            v = c.constant_term()
-            if v:
-                out[rank[p][m[0]] * cq + rank[q][m[1]]] = v
-        return out
+        monomial (I, J): rank(I) * C(n, q) + rank(J), its one constant
+        t-slice (``form_to_slices``); ValueError on a form of another
+        bidegree, and on a t-dependent coefficient, which has no value
+        here."""
+        if any(len(I) != p or len(J) != q for I, J in a.coeffs):
+            raise ValueError("form does not live in the requested bidegree")
+        slices = self.form_to_slices(a, p, q)
+        if slices.keys() - {0}:
+            raise ValueError("a t-dependent form has no value on a complex without parameters")
+        return slices.get(0, {})
 
     def vec_to_form(self, v: Vec, p: int, q: int, algebra: Optional[FormAlgebra] = None) -> Form:
         """The (p,q)-form of a vector: position i holds the monomial
@@ -597,7 +596,7 @@ class EvaluatedComplex:
         """The t-slices of a (p,q)-form whose coefficients are polynomials
         in t: per monomial of t, by its key (an opaque label here), the
         vector of that coefficient of every monomial, positioned as in
-        ``form_to_vec``."""
+        ``form_to_vec``, which reads the constant slice, key 0."""
         rank, cq = self.cx.layout.subset_rank, comb(self.n, q)
         slices: Dict[int, Vec] = {}
         for (I, J), c in a.coeffs.items():
@@ -639,32 +638,6 @@ _MAPS = {
 }
 
 
-def _dimension(ec: EvaluatedComplex, which: str, p: int, q: int) -> int:
-    """One cohomology of ``_MAPS`` at (p,q), from its own rank reads; a
-    bidegree outside 0..n raises ValueError (``check_bidegree``)."""
-    ec.check_bidegree(p, q)
-    out, into = _MAPS[which]
-    outgoing = ec.rank(out, p, q)
-    incoming = ec.rank(into, p, q) if into == "exact_sum" else ec.image_rank(into, p, q)
-    return _cohomology_dim(ec.dim(p, q), outgoing, incoming)
-
-
-def h_dolbeault(ec: EvaluatedComplex, p: int, q: int) -> int:
-    return _dimension(ec, "dolbeault", p, q)
-
-
-def h_del(ec: EvaluatedComplex, p: int, q: int) -> int:
-    return _dimension(ec, "del", p, q)
-
-
-def h_bott_chern(ec: EvaluatedComplex, p: int, q: int) -> int:
-    return _dimension(ec, "bott_chern", p, q)
-
-
-def h_aeppli(ec: EvaluatedComplex, p: int, q: int) -> int:
-    return _dimension(ec, "aeppli", p, q)
-
-
 def betti(ec: EvaluatedComplex, k: int) -> int:
     """The k-th Betti number, k in 0..2n; any other k raises ValueError."""
     if not 0 <= k <= 2 * ec.n:
@@ -693,29 +666,18 @@ def image_table(ranks: List[List[int]], op: str) -> List[List[int]]:
     return [[0] * size if p < dp else [0] * dq + ranks[p - dp][:size - dq] for p in range(size)]
 
 
-def cohomology(
-    ec: EvaluatedComplex,
-    which: str,
-    p: Optional[int] = None,
-    q: Optional[int] = None,
-    k: Optional[int] = None,
-) -> int:
-    """Dimension of a cohomology.
-
-    which is one of dolbeault, del, bott_chern, aeppli, de_rham; the
-    first four take (p, q) in 0..n, de_rham takes k in 0..2n; anything
-    else raises ValueError.  The complex's equations define a complex:
-    ``InvariantComplex`` decided that when it was built.
-    """
-    if which == "de_rham":
-        if k is None:
-            raise ValueError("de_rham cohomology needs k")
-        return betti(ec, k)
+def cohomology(ec: EvaluatedComplex, which: str, p: int, q: int) -> int:
+    """The dimension of one cohomology of (p,q), from its own rank reads:
+    which is dolbeault, del, bott_chern or aeppli (``_MAPS``), and the de
+    Rham numbers are ``betti``'s.  Any other name, and a bidegree outside
+    0..n (``check_bidegree``), raise ValueError.  The complex's equations
+    define a complex: ``InvariantComplex`` decided that when it was built."""
     if which not in _MAPS:
-        raise ValueError(f"unknown cohomology {which!r}: expected de_rham, {', '.join(_MAPS)}")
-    if p is None or q is None:
-        raise ValueError(f"{which} cohomology needs (p, q)")
-    return _dimension(ec, which, p, q)
+        raise ValueError(f"unknown cohomology {which!r}: expected one of {', '.join(_MAPS)}")
+    ec.check_bidegree(p, q)
+    out, into = _MAPS[which]
+    incoming = ec.rank(into, p, q) if into == "exact_sum" else ec.image_rank(into, p, q)
+    return _cohomology_dim(ec.dim(p, q), ec.rank(out, p, q), incoming)
 
 
 @dataclass

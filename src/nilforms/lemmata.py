@@ -74,8 +74,9 @@ unimodular complex, tests each image on the Hodge-star side and stars
 back only the witness.  Strong's space is the sum of the spaces that
 mild and dual mild test, so strong fails exactly when one of them
 fails, and its witness is theirs: mild's at (p,q) if mild fails, else
-dual mild's (``lemma_report`` reuses the two it holds, and checks
-strong = mild and dual mild).  Weak's witness is the first candidate
+dual mild's.  So strong has no decider of its own: ``lemma_report(ec,
+[(p, q)])`` reads its identity, reuses the two witnesses it holds, and
+checks strong = mild and dual mild.  Weak's witness is the first candidate
 outside D, two per relation: a relation with a on the e_s and b on the
 conj(e_s) is a u in U, and u + sigma(u) and i (u - sigma(u)) are d of
 real forms, with (p,p+1) parts sum (a_s + conj b_s) e_s and
@@ -132,7 +133,7 @@ def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional
     ec.check_bidegree(p, q)
     if _mild_holds(ec, op, p, q):
         return True, None
-    return False, _scanned(ec, "mild" if op == "del" else "dual_mild", [op], p, q)
+    return False, _scanned(ec, op, p, q)
 
 
 def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
@@ -151,24 +152,14 @@ def _mild_identity(source: int, ddbar: int, w: int) -> bool:
     return source - ddbar == w
 
 
-def _scanned(ec: EvaluatedComplex, kind: str, ops: Iterable[str], p: int, q: int) -> Form:
-    """The first witness that the ops' scans into (p,q) find, as a form
+def _scanned(ec: EvaluatedComplex, op: str, p: int, q: int) -> Form:
+    """The witness of a failing mild at (p,q), op del, or dual mild, op
+    delbar: the first image that op's scan into (p,q) finds, as a form
     (``ec.mild_scan``); if none, the routes disagree (``_witness`` raises)."""
-    for op in ops:
-        v = ec.mild_scan(op, *((p - 1, q) if op == "del" else (p, q - 1)))
-        if v is not None:
-            return ec.vec_to_form(v, p, q)
-    return _witness(ec, kind, p, q, ())
-
-
-def strong(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
-    """Injectivity of the Bott-Chern to Aeppli comparison at (p,q); the
-    witness is mild's at (p,q) if mild fails, else dual mild's."""
-    ec.check_bidegree(p, q)
-    if _strong_holds(ec, p, q):
-        return True, None
-    # where mild's rank identity holds, every del image lies in im deldelbar
-    return False, _scanned(ec, "strong", (op for op in ("del", "delbar") if not _mild_holds(ec, op, p, q)), p, q)
+    v = ec.mild_scan(op, *((p - 1, q) if op == "del" else (p, q - 1)))
+    if v is None:
+        return _witness(ec, "mild" if op == "del" else "dual_mild", p, q, ())
+    return ec.vec_to_form(v, p, q)
 
 
 def _strong_holds(ec: EvaluatedComplex, p: int, q: int) -> bool:
@@ -418,8 +409,8 @@ def lemma_report(
             m_ok, d_ok, s_ok = _mild_holds(ec, "del", p, q), _mild_holds(ec, "delbar", p, q), _strong_holds(ec, p, q)
         else:
             m_ok, d_ok, s_ok = table[p][q]
-        m_wit = None if m_ok else _scanned(ec, "mild", ["del"], p, q)
-        d_wit = None if d_ok else _scanned(ec, "dual_mild", ["delbar"], p, q)
+        m_wit = None if m_ok else _scanned(ec, "del", p, q)
+        d_wit = None if d_ok else _scanned(ec, "delbar", p, q)
         report.mild_flags[(p, q)] = m_ok
         report.dual_mild_flags[(p, q)] = d_ok
         report.strong_flags[(p, q)] = s_ok

@@ -394,16 +394,14 @@ def mat_mul(a: Rows, b: Rows) -> Rows:
     starts as a list of ``EMPTY_ROW``, and a row keeps a dict of its own
     only when an entry of it survives, so an empty row of a, or one whose
     entries all cancel, costs no dict; an empty row of either factor is
-    passed over unread."""
+    passed over unread.  A column of a past the rows of b raises
+    IndexError."""
     out: Rows = [EMPTY_ROW] * len(a)
-    nb = len(b)
     acc: Vec = {}
     for i, ra in enumerate(a):
         if not ra:
             continue
         for k, c in ra.items():
-            if k >= nb:
-                continue
             rb = b[k]
             if not rb:
                 continue

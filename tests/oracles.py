@@ -578,7 +578,7 @@ def nullspace(rows: Rows, ncols: int) -> Rows:
 
 def span_intersection(a_vecs, b_vecs, negate=None):
     """Basis of span(a) cap span(b), from the relations among the columns
-    [a | -b]: the route ``lemmata.strong`` took before it built its basis
+    [a | -b]: the route the strong decider took before it built its basis
     from the few del/delbar images of deldelbar-kernel vectors.  Each b
     vector is negated by ``negate`` (default ``negated``)."""
     from nilforms.linalg import Echelon
@@ -1622,16 +1622,18 @@ def standard_by_blocks(ec):
 def report_tables_by_cells(ec):
     """The tables that ``full_report`` reads off its rank tables, read
     cell by cell as it did before them: at each (p,q), lexicographically,
-    h_dolbeault, h_del, h_bott_chern and h_aeppli, each from its own rank
-    reads; then each Betti number from its own two."""
-    from nilforms.cohomology import betti, h_aeppli, h_bott_chern, h_del, h_dolbeault
+    the dolbeault, del, bott_chern and aeppli numbers of ``cohomology``,
+    each from its own rank reads; then each Betti number from its own
+    two."""
+    from nilforms.cohomology import betti, cohomology
 
     size = ec.n + 1
-    tables = {fn.__name__: [[0] * size for _ in range(size)] for fn in (h_dolbeault, h_del, h_bott_chern, h_aeppli)}
+    names = ("dolbeault", "del", "bott_chern", "aeppli")
+    tables = {which: [[0] * size for _ in range(size)] for which in names}
     for p in range(size):
         for q in range(size):
-            for fn in (h_dolbeault, h_del, h_bott_chern, h_aeppli):
-                tables[fn.__name__][p][q] = fn(ec, p, q)
+            for which in names:
+                tables[which][p][q] = cohomology(ec, which, p, q)
     return tables, [betti(ec, k) for k in range(2 * ec.n + 1)]
 
 
@@ -1860,8 +1862,6 @@ def mat_mul_of_every_row(a, b):
     for ra in a:
         acc = {}
         for k, c in ra.items():
-            if k >= len(b):
-                continue
             for j, d in b[k].items():
                 s = acc.get(j)
                 s = c * d if s is None else s + c * d

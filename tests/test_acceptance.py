@@ -21,14 +21,13 @@ from nilforms.algebra import (
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import (
     EvaluatedComplex,
+    cohomology,
     dclosed_dim,
     ddbar_image_dim,
     generic_points,
-    h_bott_chern,
     zero_point,
 )
 from nilforms.deformation import deform_complex, evaluate_se
-from nilforms.errors import ObstructionNonvanishing
 from nilforms.extension import (
     bc_nontriviality,
     obstruction_residual,
@@ -36,13 +35,13 @@ from nilforms.extension import (
     small_points,
     solve_extension,
 )
-from nilforms.lemmata import dual_mild, lemma_report, mild, strong, weak
+from nilforms.lemmata import dual_mild, lemma_report, mild, weak
 from nilforms.positivity import (
     is_strictly_positive,
     is_transverse,
     pkahler_check,
 )
-from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
+from nilforms.scalars import DetRng, PolyRing
 
 from oracles import (
     HodgeContext,
@@ -66,12 +65,12 @@ def _report(num, text):
 
 def test_criterion_01_bcvary_bott_chern_jump(bcvary10, ec_bcvary0):
     start = time.monotonic()
-    assert h_bott_chern(ec_bcvary0, 4, 4) == 19
+    assert cohomology(ec_bcvary0, "bott_chern", 4, 4) == 19
     values = []
     for pt in generic_points(4):
         se_t = deform_complex(bcvary10.se, bcvary10.beltrami, point=pt)
         ect = EvaluatedComplex(build_complex(se_t), ())
-        values.append(h_bott_chern(ect, 4, 4))
+        values.append(cohomology(ect, "bott_chern", 4, 4))
     assert values == [17, 17]
     elapsed = time.monotonic() - start
     assert elapsed <= 60, f"runtime budget exceeded: {elapsed:.1f}s"
@@ -135,7 +134,7 @@ def test_criterion_05_iwasawa_lemma_taxonomy(iwasawa3, ec_iwasawa):
 
 def test_criterion_06_bcvary_lemma_pair_and_hierarchy(ec_bcvary0):
     assert mild(ec_bcvary0, 4, 5)[0] is True
-    assert strong(ec_bcvary0, 4, 5)[0] is False
+    assert lemma_report(ec_bcvary0, [(4, 5)]).strong_flags == {(4, 5): False}
     for name in CATALOG_NAMES:
         entry = catalog_load(name)
         se = entry.se

@@ -12,7 +12,6 @@ from nilforms.algebra import (
     FormAlgebra,
     InvariantComplex,
     StructureEquations,
-    T01,
     T10,
     VectorValuedForm,
     build_complex,
@@ -40,7 +39,6 @@ from oracles import (
     oracle_d,
     simultaneous_contract_by_prefixes,
     simultaneous_contract_scalar_first,
-    sort_word,
     symbol_form,
     symbolic_columns,
     walker_derivation,

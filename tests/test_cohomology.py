@@ -26,10 +26,6 @@ from nilforms.cohomology import (
     ddbar_image_dim,
     full_report,
     generic_points,
-    h_aeppli,
-    h_bott_chern,
-    h_del,
-    h_dolbeault,
     zero_point,
 )
 from nilforms.deformation import deform_complex, evaluate_se, fiber_complex
@@ -78,43 +74,43 @@ def test_engine_matches_oracle_iwasawa(ec_iwasawa):
     orc = iwasawa_oracle()
     for p in range(4):
         for q in range(4):
-            assert h_dolbeault(ec_iwasawa, p, q) == orc.h_dolbeault(p, q), (p, q)
-            assert h_del(ec_iwasawa, p, q) == orc.h_del(p, q), (p, q)
-            assert h_bott_chern(ec_iwasawa, p, q) == orc.h_bc(p, q), (p, q)
-            assert h_aeppli(ec_iwasawa, p, q) == orc.h_aeppli(p, q), (p, q)
+            assert cohomology(ec_iwasawa, "dolbeault", p, q) == orc.h_dolbeault(p, q), (p, q)
+            assert cohomology(ec_iwasawa, "del", p, q) == orc.h_del(p, q), (p, q)
+            assert cohomology(ec_iwasawa, "bott_chern", p, q) == orc.h_bc(p, q), (p, q)
+            assert cohomology(ec_iwasawa, "aeppli", p, q) == orc.h_aeppli(p, q), (p, q)
 
 
 def test_engine_matches_oracle_torus(ec_torus):
     orc = torus_oracle(3)
     for p in range(4):
         for q in range(4):
-            assert h_bott_chern(ec_torus, p, q) == orc.h_bc(p, q)
-            assert h_dolbeault(ec_torus, p, q) == orc.h_dolbeault(p, q)
+            assert cohomology(ec_torus, "bott_chern", p, q) == orc.h_bc(p, q)
+            assert cohomology(ec_torus, "dolbeault", p, q) == orc.h_dolbeault(p, q)
 
 
 def test_engine_matches_oracle_bcvary_corner(ec_bcvary0):
     orc = bcvary_oracle()
     for p, q in ((4, 4), (4, 5), (5, 4), (3, 3), (5, 5)):
-        assert h_bott_chern(ec_bcvary0, p, q) == orc.h_bc(p, q), (p, q)
+        assert cohomology(ec_bcvary0, "bott_chern", p, q) == orc.h_bc(p, q), (p, q)
 
 
 def test_trivial_and_derived_dimensions(ec_torus, ec_bcvary0):
-    assert h_bott_chern(ec_torus, 0, 0) == 1
-    assert h_bott_chern(ec_bcvary0, 0, 0) == 1
+    assert cohomology(ec_torus, "bott_chern", 0, 0) == 1
+    assert cohomology(ec_bcvary0, "bott_chern", 0, 0) == 1
     # torus: all operators vanish, h_bc(1,1) = dim = 9
-    assert h_bott_chern(ec_torus, 1, 1) == 9
+    assert cohomology(ec_torus, "bott_chern", 1, 1) == 9
     assert dclosed_dim(ec_torus, 1, 1) == 9
     assert ddbar_image_dim(ec_torus, 2, 2) == 0
 
 
 def test_bcvary_paper_numbers(bcvary10, ec_bcvary0):
-    assert h_bott_chern(ec_bcvary0, 4, 4) == 19
+    assert cohomology(ec_bcvary0, "bott_chern", 4, 4) == 19
     assert dclosed_dim(ec_bcvary0, 4, 4) == 21
     assert ddbar_image_dim(ec_bcvary0, 4, 4) == 2
     for pt in generic_points(4):
         se_t = deform_complex(bcvary10.se, bcvary10.beltrami, point=pt)
         ect = EvaluatedComplex(build_complex(se_t), ())
-        assert h_bott_chern(ect, 4, 4) == 17
+        assert cohomology(ect, "bott_chern", 4, 4) == 17
         assert dclosed_dim(ect, 4, 4) == 21
         assert ddbar_image_dim(ect, 4, 4) == 4
 
@@ -150,9 +146,6 @@ def test_cohomology_dispatch_and_representatives(ec_iwasawa):
             for q in range(4):
                 assert len(representatives(ec_iwasawa, which, p, q)) == cohomology(ec_iwasawa, which, p, q)
     assert ec_iwasawa._images and all(e.rank == len(basis) for basis, e in ec_iwasawa._images.values())
-    assert cohomology(ec_iwasawa, "de_rham", k=2) == 8
-    with pytest.raises(ValueError):
-        cohomology(ec_iwasawa, "bott_chern")
 
 
 def test_generic_points_distinct_and_sized():
@@ -177,10 +170,10 @@ def test_iwasawa_harmonic_kernel_vs_quotient(ec_iwasawa):
     for (p, q) in ((2, 1), (1, 1), (2, 2)):
         lap = hc.lap_bc_rows(p, q)
         kernel = nullspace(lap, ec_iwasawa.dim(p, q))
-        assert len(kernel) == h_bott_chern(ec_iwasawa, p, q), (p, q)
+        assert len(kernel) == cohomology(ec_iwasawa, "bott_chern", p, q), (p, q)
         lap_a = hc.lap_a_rows(p, q)
         kernel_a = nullspace(lap_a, ec_iwasawa.dim(p, q))
-        assert len(kernel_a) == h_aeppli(ec_iwasawa, p, q), (p, q)
+        assert len(kernel_a) == cohomology(ec_iwasawa, "aeppli", p, q), (p, q)
 
 
 def _check_green_identities(hc, p, q, which):
@@ -1025,19 +1018,19 @@ def test_conjugation_check_compares_separate_eliminations(monkeypatch, iwasawa3,
     full_report(ec)
     assert ec.unimodular and len(set(ranks.source.values())) < len(ranks), name
 
-    def side(fn, p, q):
+    def side(which, p, q):
         ranks.reads = set()
-        fn(ec, p, q)
+        cohomology(ec, which, p, q)
         out, ranks.reads = ranks.reads, None
         return out
 
     n, compared = cx.n, 0
     for p in range(n + 1):
         for q in range(n + 1):
-            pairs = [(h_dolbeault, h_del)] + ([(h_bott_chern, h_bott_chern), (h_aeppli, h_aeppli)] if p != q else [])
+            pairs = [("dolbeault", "del")] + ([("bott_chern", "bott_chern"), ("aeppli", "aeppli")] if p != q else [])
             for left, right in pairs:
                 a, b = side(left, p, q), side(right, q, p)
-                assert a and b and a.isdisjoint(b), (name, left.__name__, p, q, a & b)
+                assert a and b and a.isdisjoint(b), (name, left, p, q, a & b)
                 compared += 1
     assert compared == (n + 1) ** 2 + 2 * n * (n + 1)
 
@@ -1218,18 +1211,22 @@ def test_unknown_matrix_names_are_refused(iwasawa3, method):
 @pytest.mark.parametrize("kwargs, message", [
     ({"which": "dolbeault", "p": 7, "q": 0}, r"bidegree \(7,0\) is outside 0\.\.3"),
     ({"which": "aeppli", "p": 1, "q": -1}, r"bidegree \(1,-1\) is outside 0\.\.3"),
-    ({"which": "de_rham", "k": 99}, r"degree 99 is outside 0\.\.6"),
-    ({"which": "de_rham", "k": -1}, r"degree -1 is outside 0\.\.6"),
-    ({"which": "bott-chern", "p": 1, "q": 1}, r"unknown cohomology 'bott-chern': expected de_rham, dolbeault"),
+    ({"k": 99}, r"degree 99 is outside 0\.\.6"),
+    ({"k": -1}, r"degree -1 is outside 0\.\.6"),
+    ({"which": "bott-chern", "p": 1, "q": 1}, r"unknown cohomology 'bott-chern': expected one of dolbeault, del, bott_chern, aeppli$"),
 ])
 def test_cohomology_refuses_out_of_range_degrees(ec_iwasawa, kwargs, message):
     """cohomology names the valid range instead of answering 0 about the
-    zero space, and the valid names for an unknown one; the ends of the
-    range are answered."""
+    zero space, and the valid names for an unknown one, de_rham among
+    them: a degree k is betti's, which names its range too.  The ends of
+    each range are answered."""
+    read = betti if "k" in kwargs else cohomology
     with pytest.raises(ValueError, match=message):
-        cohomology(ec_iwasawa, **kwargs)
+        read(ec_iwasawa, **kwargs)
+    with pytest.raises(ValueError, match="^unknown cohomology 'de_rham'"):
+        cohomology(ec_iwasawa, "de_rham", 1, 1)
     assert cohomology(ec_iwasawa, "dolbeault", p=3, q=0) == 1
-    assert [cohomology(ec_iwasawa, "de_rham", k=k) for k in (0, 6)] == [1, 1]
+    assert [betti(ec_iwasawa, k=k) for k in (0, 6)] == [1, 1]
 
 
 def test_every_per_cell_reader_refuses_a_degree_out_of_range(ec_iwasawa):
@@ -1238,7 +1235,8 @@ def test_every_per_cell_reader_refuses_a_degree_out_of_range(ec_iwasawa):
     dclosed_dim and ddbar_image_dim at bidegrees outside 0..3 on
     iwasawa3, and betti at degrees outside 0..6; the ends of each range
     are answered."""
-    readers = (h_bott_chern, h_dolbeault, h_del, h_aeppli, dclosed_dim, ddbar_image_dim)
+    readers = tuple(lambda ec, p, q, which=which: cohomology(ec, which, p, q)
+                    for which in ("bott_chern", "dolbeault", "del", "aeppli")) + (dclosed_dim, ddbar_image_dim)
     for reader in readers:
         for p, q in ((7, 7), (-1, 2), (4, 0), (0, -1)):
             with pytest.raises(ValueError, match=rf"bidegree \({p},{q}\) is outside 0\.\.3"):
@@ -1463,9 +1461,9 @@ def test_assembly_equals_the_route_it_replaced(reference_complexes, bcvary10):
 def test_report_tables_equal_the_cell_by_cell_reads(reference_complexes):
     """On the 16 digest complexes and solvable3, which is not unimodular,
     full_report's tables and Betti numbers, read off its rank tables
-    (``EvaluatedComplex.rank_table``), equal h_dolbeault, h_del,
-    h_bott_chern, h_aeppli and betti read cell by cell from ``ec.rank``
-    on a complex of their own (``oracles.report_tables_by_cells``), and
+    (``EvaluatedComplex.rank_table``), equal the four numbers of
+    ``cohomology`` and betti read cell by cell from ``ec.rank`` on a
+    complex of their own (``oracles.report_tables_by_cells``), and
     the two complexes end with the same rank cache and marks of d, and
     the same kept deldelbar echelons: the same member of each star pair
     is eliminated.  Then lemma_report on every bidegree, which reads its
@@ -1480,8 +1478,8 @@ def test_report_tables_equal_the_cell_by_cell_reads(reference_complexes):
         ec, cells = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
         report = full_report(ec)
         tables, betti_numbers = report_tables_by_cells(cells)
-        assert tables == {"h_dolbeault": report.h_dolbeault, "h_del": report.h_del,
-                          "h_bott_chern": report.h_bc, "h_aeppli": report.h_a}, label
+        assert tables == {"dolbeault": report.h_dolbeault, "del": report.h_del,
+                          "bott_chern": report.h_bc, "aeppli": report.h_a}, label
         assert betti_numbers == report.betti, label
         assert ec._ranks == cells._ranks and ec._marks == cells._marks, label
         assert set(ec._echelons) == set(cells._echelons), label

@@ -1,6 +1,4 @@
-import contextlib
 import importlib.util
-import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +19,6 @@ from nilforms.algebra import (
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points, zero_point
 from nilforms.deformation import (
-    as_beltrami,
     coframe_transform,
     deform_complex,
     evaluate_se,

@@ -70,16 +70,16 @@ def test_unused_import_scan_sees_what_it_should():
 
 
 def test_no_unused_imports():
-    """Every name a module of the package imports is read somewhere in
-    that module; __init__.py is skipped, since its imports are the
-    package's re-exports."""
+    """Every name a module of the package or of the tests imports is read
+    somewhere in that module; the package's __init__.py is skipped, since
+    its imports are the package's re-exports."""
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(SRC.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py")):
+        if path == SRC / "__init__.py":
             continue
         unused = unused_imports(path.read_text())
         if unused:
-            found[path.name] = unused
+            found[f"{path.parent.name}/{path.name}"] = unused
     assert found == {}
 
 
@@ -891,20 +891,14 @@ UNCALLED = {
     "cohomology.EvaluatedComplex.embed_block": "oracle-only API: verify_witness re-checks a standard witness",
     "cohomology.betti": "API: one Betti number from its own rank reads; full_report reads one list of d's ranks, "
                         "and perfbench's fiber check reads it",
-    "cohomology.cohomology": "README API: one cohomology by name; the CLI prints whole tables (full_report)",
-    "cohomology.h_aeppli": "API: one number from its own rank reads; full_report reads rank tables",
-    "cohomology.h_del": "API: one number from its own rank reads; full_report reads rank tables",
-    "cohomology.h_dolbeault": "API: one number from its own rank reads; full_report reads rank tables",
     "extension.solve_conjugate_system": "README construction: the paper's conjugate system, hypotheses checked; "
                                         "the order step runs its core",
     "io.beltrami_emit": "the canonical writer of the Beltrami file format the CLI reads; tests round-trip it",
     "io.beltrami_to_obj": "the canonical writer of the Beltrami file format the CLI reads; tests round-trip it",
     "io.form_emit": "the canonical writer of the form file format the CLI reads; tests round-trip it",
-    "lemmata.strong": "README API: the strong lemma alone; lemma_report reads it off mild and dual mild",
     "lemmata.verify_witness": "oracle-only API: re-verifies a witness by fresh ranks (tests, perfbench)",
     "positivity.reconstruct_from_matrix": "README construction: the (p,p)-form of a Hermitian matrix",
     "scalars.PolyRing.tbar": "API: the conjugate generator beside PolyRing.t; tests build tbar-dependent inputs",
-    "scalars.QI": "API: the Gaussian-rational constructor tests write scalars with",
 }
 
 

@@ -9,13 +9,13 @@ import pytest
 
 from nilforms import cli
 from nilforms import io as nio
-from nilforms.algebra import FormAlgebra, StructureEquations, build_complex
+from nilforms.algebra import StructureEquations, build_complex
 from nilforms.catalog import catalog_load, catalog_names, run_scenario
-from nilforms.cohomology import betti, dclosed_dim, ddbar_image_dim, generic_points, h_bott_chern, zero_point
+from nilforms.cohomology import betti, cohomology, dclosed_dim, ddbar_image_dim, generic_points, zero_point
 from nilforms.deformation import fiber_complex
 from nilforms.errors import FormatError, UnknownEntry
-from nilforms.lemmata import dual_mild, mild, standard, strong, verify_witness, weak
-from nilforms.scalars import PolyRing, parse_gaussian
+from nilforms.lemmata import dual_mild, lemma_report, mild, standard, verify_witness, weak
+from nilforms.scalars import parse_gaussian
 
 from oracles import in_real_delbar_span
 
@@ -126,9 +126,11 @@ def _golden_actual(entry, key: str):
     @0 or no suffix on the entry's own equations, t = 0; AssertionError
     on a key this map does not know."""
     readers = {  # name: (number of arguments, reader)
-        "h_bc": (2, h_bott_chern), "dclosed": (2, dclosed_dim), "ddbar": (2, ddbar_image_dim),
+        "h_bc": (2, lambda ec, p, q: cohomology(ec, "bott_chern", p, q)), "dclosed": (2, dclosed_dim),
+        "ddbar": (2, ddbar_image_dim),
         "mild": (2, lambda ec, p, q: mild(ec, p, q)[0]), "dual_mild": (2, lambda ec, p, q: dual_mild(ec, p, q)[0]),
-        "strong": (2, lambda ec, p, q: strong(ec, p, q)[0]), "weak": (1, lambda ec, p: weak(ec, p)[0]),
+        "strong": (2, lambda ec, p, q: lemma_report(ec, [(p, q)]).strong_flags[(p, q)]),
+        "weak": (1, lambda ec, p: weak(ec, p)[0]),
         "standard": (0, lambda ec: standard(ec)[0]), "betti": (0, lambda ec: [betti(ec, k) for k in range(2 * ec.n + 1)]),
     }
     match = re.fullmatch(r"([a-z_]+)(?:\(([0-9,]+)\))?(?:@(0|generic))?", key)

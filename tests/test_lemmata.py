@@ -19,7 +19,6 @@ from nilforms.lemmata import (
     lemma_report,
     mild,
     standard,
-    strong,
     verify_witness,
     weak,
 )
@@ -55,6 +54,13 @@ from oracles import (
 )
 
 
+def _strong(ec, p, q):
+    """strong's verdict at (p,q) and its witness, as ``lemma_report``
+    reads them at that one bidegree."""
+    report = lemma_report(ec, [(p, q)])
+    return report.strong_flags[(p, q)], report.witnesses.get(f"strong:{p},{q}")
+
+
 def test_iwasawa_taxonomy(ec_iwasawa):
     ok, wit = mild(ec_iwasawa, 2, 3)
     assert not ok and wit is not None
@@ -65,7 +71,7 @@ def test_iwasawa_taxonomy(ec_iwasawa):
         verify_witness(ec_iwasawa, "mlid", 2, 3, wit)
     assert dual_mild(ec_iwasawa, 2, 3)[0] is True
     assert weak(ec_iwasawa, 2)[0] is True
-    assert strong(ec_iwasawa, 2, 3)[0] is False
+    assert _strong(ec_iwasawa, 2, 3)[0] is False
 
 
 def test_verify_witness_refuses_a_space_that_does_not_exist(bcvary10):
@@ -92,14 +98,14 @@ def test_torus_all_true(ec_torus):
         for q in range(4):
             assert mild(ec_torus, p, q)[0]
             assert dual_mild(ec_torus, p, q)[0]
-            assert strong(ec_torus, p, q)[0]
+            assert _strong(ec_torus, p, q)[0]
     assert weak(ec_torus, 1)[0] and weak(ec_torus, 2)[0]
     assert standard(ec_torus)[0]
 
 
 def test_bcvary_mild_but_not_strong(ec_bcvary0):
     assert mild(ec_bcvary0, 4, 5)[0] is True
-    ok, wit = strong(ec_bcvary0, 4, 5)
+    ok, wit = _strong(ec_bcvary0, 4, 5)
     assert ok is False
     checks = verify_witness(ec_bcvary0, "strong", 4, 5, wit)
     assert all(checks.values()), checks
@@ -283,22 +289,21 @@ def test_strong_refuses_a_complex_that_is_not_flat():
 
 
 def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
-    """Through full_report, lemma_report (which reads strong's rank
-    identity) and strong at every bidegree on Iwasawa x C at t = 0, no
-    kernel of [del; delbar] is built and strong asks for no column span
-    of del or delbar: a failing strong's witness scan
-    (``EvaluatedComplex.mild_scan``) targets its own bidegree and tests
-    no candidate through ``in_ddbar_image``."""
-    inside = []
-    asked = []
-    called = []
+    """Through full_report and lemma_report on Iwasawa x C at t = 0, on
+    every bidegree and at each bidegree alone (which reads strong's own
+    rank identity, ``_strong_holds``), no kernel of [del; delbar] is
+    built and strong asks for no column span of del or delbar: a failing
+    strong's witness scan (``_scanned``, through
+    ``EvaluatedComplex.mild_scan``) targets its own bidegree and tests no
+    candidate through ``in_ddbar_image``."""
+    inside, asked, called, scanned, starred = [], [], [], [], []
 
     def traced(name, f):
-        def run(ec, p, q):
-            inside.append((p, q))
+        def run(ec, *args):
+            inside.append(args[-2:])
             called.append(name)
             try:
-                return f(ec, p, q)
+                return f(ec, *args)
             finally:
                 inside.pop()
         return run
@@ -318,9 +323,8 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
             starred.append((p, q))
         return real_test(self, v, p, q)
 
-    scanned, starred = [], []
     real_image, real_scan, real_test = EvaluatedComplex._image, EvaluatedComplex.mild_scan, EvaluatedComplex.in_ddbar_image
-    for name in ("strong", "_strong_holds"):
+    for name in ("_scanned", "_strong_holds"):
         monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
     monkeypatch.setattr(EvaluatedComplex, "_image", traced_image)
     monkeypatch.setattr(EvaluatedComplex, "mild_scan", traced_scan)
@@ -328,11 +332,13 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
     ec = EvaluatedComplex(iwasawa_c, ())
     full_report(ec)
     report = lemma_report(ec)
+    assert "_strong_holds" not in called  # every bidegree reads the rank tables
     for (p, q), flag in report.strong_flags.items():
-        assert lemmata.strong(ec, p, q)[0] is flag, (p, q)
+        ok, wit = _strong(ec, p, q)
+        assert ok is flag and wit == report.witnesses.get(f"strong:{p},{q}"), (p, q)
     assert not report.strong_flags[(2, 2)]
     assert not _kernels_read(ec, "stacked")
-    assert set(called) == {"strong", "_strong_holds"}
+    assert set(called) == {"_scanned", "_strong_holds"}
     # the complex is unimodular: a failing strong scans the mild images
     # into its own bidegree on the star side, stars no candidate back
     # (``in_ddbar_image``) and reads no column span at all
@@ -355,19 +361,20 @@ def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
 
 
 def test_deciders_refuse_out_of_range_bidegrees(ec_iwasawa):
-    """mild, dual mild and strong refuse a bidegree outside 0..n, and weak
-    a p outside 0..n-1 (its (p,p+1) leaves the range), with
-    check_bidegree's error, instead of holding on the zero space; the
-    edges of the range still answer."""
+    """mild and dual mild refuse a bidegree outside 0..n, and weak a p
+    outside 0..n-1 (its (p,p+1) leaves the range), with check_bidegree's
+    error, instead of holding on the zero space (lemma_report, which
+    reads strong, refuses them too); the edges of the range still
+    answer."""
     for p, q in ((9, 9), (1, 4), (-1, 2), (0, -1)):
-        for decider in (mild, dual_mild, strong):
+        for decider in (mild, dual_mild):
             with pytest.raises(ValueError, match=rf"^bidegree \({p},{q}\) is outside 0\.\.3$"):
                 decider(ec_iwasawa, p, q)
     for p, at in ((-3, "-3,-2"), (-1, "-1,0"), (3, "3,4"), (9, "9,10")):
         with pytest.raises(ValueError, match=rf"^bidegree \({at}\) is outside 0\.\.3$"):
             weak(ec_iwasawa, p)
     for p, q in ((0, 0), (3, 3), (0, 3), (3, 0)):
-        for decider in (mild, dual_mild, strong):
+        for decider in (mild, dual_mild, _strong):
             assert decider(ec_iwasawa, p, q)[0] is True, (decider.__name__, p, q)
     assert [weak(ec_iwasawa, p)[0] for p in range(3)] == [True, True, True]
 
@@ -430,11 +437,11 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
     (p, n+1), the empty bidegree that the extension solver counts as
     holding without asking.  Strong's
     flags are those of the full-basis oracle, and its witness, in the
-    report and from strong called alone, is the mild oracle's at (p,q) if
-    mild fails, else the dual mild oracle's."""
+    report and in a report at (p,q) alone, is the mild oracle's at (p,q)
+    if mild fails, else the dual mild oracle's."""
     solvable = build_complex(nio.obj_to_se(SOLVABLE))
     ec = EvaluatedComplex(solvable, ())
-    assert not ec.unimodular and strong(ec, 2, 2) == (True, None)
+    assert not ec.unimodular and _strong(ec, 2, 2) == (True, None)
     assert ec.image_rank("ddbar", 2, 3) == ec.image_rank("ddbar", 3, 2) == 2
     for label, cx, point in reference_complexes + [("solvable3", solvable, ())]:
         ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
@@ -454,7 +461,7 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
                 mild_wit, dual_wit = want["mild", p, q][1], want["dual_mild", p, q][1]
                 want["strong", p, q] = (strong_by_vectors(oc, p, q)[0], mild_wit if mild_wit is not None else dual_wit)
                 got["strong", p, q] = (report.strong_flags[(p, q)], _typed_form(report.witnesses.get(f"strong:{p},{q}")))
-                ok, wit = strong(ec, p, q)
+                ok, wit = _strong(ec, p, q)
                 got["strong alone", p, q] = (ok, _typed_form(wit))
                 want["strong alone", p, q] = want["strong", p, q]
             for decider in (mild, dual_mild):
@@ -568,10 +575,10 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     kernel, _image or column index (``Echelon._column_index``, which the
     first kernel read of an echelon builds) beyond those of mild and dual mild:
     in lemma_report each such call is made inside a failing witness scan,
-    weak or standard; strong called alone makes none when it holds, and when
-    it fails the calls, in order, of mild at (p,q), then of dual mild if
-    mild holds, on a complex in the same state, whose witness it returns.
-    No kernel of [del; delbar] is built."""
+    weak or standard, and a report at (p,q) alone makes, in order, the
+    calls of mild and then of dual mild at (p,q), and of weak where
+    q = p+1, on a complex in the same state; its strong witness is mild's
+    if mild fails, else dual mild's.  No kernel of [del; delbar] is built."""
     verdicts, work, stack, transposed, images = [], [], [], [], []
 
     def traced(name, f):
@@ -609,8 +616,8 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     work.clear()
     report = lemma_report(ec)
     assert {name for name, _, ok in verdicts if ok} == {"weak"}
-    scanned = sorted((args[0], args[2], args[3]) for name, args, _ in verdicts if name == "_scanned")
-    assert scanned == sorted((kind, p, q) for kind, flags in (("mild", report.mild_flags), ("dual_mild", report.dual_mild_flags))
+    scanned = sorted(args for name, args, _ in verdicts if name == "_scanned")
+    assert scanned == sorted((op, p, q) for op, flags in (("del", report.mild_flags), ("delbar", report.dual_mild_flags))
                              for (p, q), ok in flags.items() if not ok)
     assert scanned and not any(name in ("mild", "dual_mild") for name, _, _ in verdicts)
     assert set(report.strong_flags.values()) == {True, False} and not report.strong_flags[(2, 2)]
@@ -641,17 +648,17 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     failing = Counter()
     for (p, q), flag in report.strong_flags.items():
         work.clear()
-        ok, wit = strong(alone, p, q)
+        ok, wit = _strong(alone, p, q)
         made = [tag for _, tag in work]
         work.clear()
-        want = None
+        m_ok, m_wit = lemmata.mild(paired, p, q)
+        d_wit = lemmata.dual_mild(paired, p, q)[1]
+        if q == p + 1:
+            lemmata.weak(paired, p)
         if not ok:
-            m_ok, want = lemmata.mild(paired, p, q)
-            if m_ok:
-                want = lemmata.dual_mild(paired, p, q)[1]
             failing[m_ok] += 1
-        assert ok is flag and made == [tag for _, tag in work] and wit == want, (p, q)
-        assert wit == report.witnesses.get(f"strong:{p},{q}"), (p, q)
+        assert ok is flag and made == [tag for _, tag in work], (p, q)
+        assert wit == (m_wit if m_wit is not None else d_wit) == report.witnesses.get(f"strong:{p},{q}"), (p, q)
     assert failing[True] and failing[False]
     assert not _kernels_read(ec, "stacked") + _kernels_read(alone, "stacked")
 
@@ -660,7 +667,8 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     """When the ranks say a verdict fails but its vector route finds no
     form outside im deldelbar, the verdict raises instead of answering:
     on the torus every verdict holds, so a deldelbar image rank lowered
-    by one must raise.  For weak, whose rank identity that patch makes
+    by one must raise; lemma_report at (1,1), which reads strong, raises
+    from mild's witness scan.  For weak, whose rank identity that patch makes
     fail, the lowered rank makes the relations of E and conj(E) modulo U
     outnumber twice the deldelbar rank, and weak must raise both from its
     tracked route and from weak itself."""
@@ -668,7 +676,7 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     monkeypatch.setattr(EvaluatedComplex, "image_rank", lambda self, op, p, q: real(self, op, p, q) - 1)
     assert not lemmata._images_meet_in_ddbar(ec_torus, 1)
     calls = (("mild", lambda: mild(ec_torus, 1, 1)), ("dual_mild", lambda: dual_mild(ec_torus, 1, 1)),
-             ("strong", lambda: strong(ec_torus, 1, 1)), ("standard", lambda: standard(ec_torus)),
+             ("mild", lambda: lemma_report(ec_torus, [(1, 1)])), ("standard", lambda: standard(ec_torus)),
              ("weak", lambda: lemmata._weak_tracked(ec_torus, 1)), ("weak", lambda: weak(ec_torus, 1)))
     for kind, call in calls:
         with pytest.raises(AssertionError, match=f"{kind} at .*finds no form"):

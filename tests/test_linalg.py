@@ -23,7 +23,6 @@ from oracles import (
     column_list,
     completed_rref,
     complex_rank,
-    dense_rank,
     dense_to_rows,
     extend_by_set_test,
     fiber_point,
@@ -35,7 +34,6 @@ from oracles import (
     negating_span_intersection,
     nonzero_gaussian,
     nullspace,
-    realify_dense,
     realify_span,
     realify_span_by_products,
     realify_vec,
@@ -819,6 +817,15 @@ def test_matmul_and_adjoint():
     for i in range(3):
         for j in range(4):
             assert _dense(at, 3)[j][i] == da[i][j].conj()
+
+
+def test_product_refuses_factors_whose_shapes_do_not_match():
+    """A column of the first factor past the rows of the second raises
+    IndexError, instead of dropping that entry from the product."""
+    a, b = [{0: QI(1), 2: QI(3)}], [{0: QI(1)}, {1: QI(2)}]
+    with pytest.raises(IndexError):
+        linalg.mat_mul(a, b)
+    assert linalg.mat_mul(a[:1], b + [{0: QI(1, 1)}]) == [{0: QI(4, 3)}]
 
 
 def test_product_and_adjoint_give_each_empty_row_the_shared_empty_row():

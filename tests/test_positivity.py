@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilforms.algebra import Form, FormAlgebra, StructureEquations, build_complex
-from nilforms.catalog import catalog_load
-from nilforms.cohomology import EvaluatedComplex, zero_point
+from nilforms.algebra import Form, FormAlgebra
+from nilforms.cohomology import zero_point
 from nilforms.errors import PreconditionFailed
 from nilforms.extension import pkahler_extend, small_points
 from nilforms import positivity
@@ -21,7 +20,7 @@ from nilforms.positivity import (
     unit_volume_scalar,
     volume_coefficient,
 )
-from nilforms.scalars import DetRng, GaussianRational, PolyRing, QI
+from nilforms.scalars import DetRng, PolyRing, QI
 
 from oracles import decomposable_sample, pairing_matrix_by_wedges, transverse_by_dense_sum, transverse_by_wedges
 
