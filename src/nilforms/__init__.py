@@ -54,12 +54,13 @@ from .extension import (
     ExtensionState,
     bc_nontriviality,
     extension_map,
+    failing_hypothesis,
     obstruction_residual,
     pkahler_extend,
     solve_conjugate_system,
     solve_extension,
 )
-from .lemmata import LemmaReport, dual_mild, lemma_report, mild, standard, weak
+from .lemmata import LemmaReport, lemma_report, standard, weak
 from .positivity import (
     PositivityVerdict,
     hermitian_matrix_of,

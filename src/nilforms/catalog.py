@@ -20,7 +20,7 @@ from .cohomology import cohomology, dclosed_dim, ddbar_image_dim, generic_points
 from .deformation import fiber_complex
 from .errors import UnknownEntry
 from .extension import pkahler_extend
-from .lemmata import dual_mild, mild, weak
+from .lemmata import lemma_report
 from .positivity import sigma_q
 from .scalars import PolyRing
 
@@ -240,11 +240,11 @@ def _scenario_bcvary_bc_jump() -> ScenarioReport:
 def _scenario_iwasawa_lemma_taxonomy() -> ScenarioReport:
     entry = catalog_load("iwasawa3")
     g = {gv.key: gv for gv in entry.golden}
-    ec = fiber_complex(entry.se, None, ())
+    report = lemma_report(fiber_complex(entry.se, None, ()), [(2, 3)])
     checks = [
-        _check(g["weak(2)"], weak(ec, 2)[0]),
-        _check(g["dual_mild(2,3)"], dual_mild(ec, 2, 3)[0]),
-        _check(g["mild(2,3)"], mild(ec, 2, 3)[0]),
+        _check(g["weak(2)"], report.weak_flags[2]),
+        _check(g["dual_mild(2,3)"], report.dual_mild_flags[(2, 3)]),
+        _check(g["mild(2,3)"], report.mild_flags[(2, 3)]),
     ]
     return ScenarioReport("iwasawa_lemma_taxonomy", checks)
 

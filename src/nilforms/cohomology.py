@@ -360,7 +360,8 @@ class EvaluatedComplex:
         from its RREF column when it is asked for; none of them is kept.
         Given a test of a column ``meets``, only those with a key that
         passes it are yielded (``linalg.Echelon.kernel``).  Any name but
-        those of ``rows`` is refused."""
+        those of ``rows``, and a bidegree outside 0..n, is refused."""
+        self.check_bidegree(p, q)
         return self._row_echelon(_known(op, _MATRICES), p, q).kernel(self.dim(p, q), meets=meets)
 
     # -- the Hodge star: columns as rows ------------------------------------
@@ -577,8 +578,8 @@ class EvaluatedComplex:
         """The coefficients of a (p,q)-form, keyed by the position of each
         monomial (I, J): rank(I) * C(n, q) + rank(J), its one constant
         t-slice (``form_to_slices``); ValueError on a form of another
-        bidegree, and on a t-dependent coefficient, which has no value
-        here."""
+        bidegree, on a bidegree outside 0..n, and on a t-dependent
+        coefficient, which has no value here."""
         if any(len(I) != p or len(J) != q for I, J in a.coeffs):
             raise ValueError("form does not live in the requested bidegree")
         slices = self.form_to_slices(a, p, q)
@@ -596,7 +597,9 @@ class EvaluatedComplex:
         """The t-slices of a (p,q)-form whose coefficients are polynomials
         in t: per monomial of t, by its key (an opaque label here), the
         vector of that coefficient of every monomial, positioned as in
-        ``form_to_vec``, which reads the constant slice, key 0."""
+        ``form_to_vec``, which reads the constant slice, key 0; ValueError
+        on a bidegree outside 0..n."""
+        self.check_bidegree(p, q)
         rank, cq = self.cx.layout.subset_rank, comb(self.n, q)
         slices: Dict[int, Vec] = {}
         for (I, J), c in a.coeffs.items():
@@ -607,7 +610,8 @@ class EvaluatedComplex:
 
     def slices_to_form(self, slices: Dict[int, Vec], p: int, q: int, algebra: FormAlgebra) -> Form:
         """The (p,q)-form over algebra whose t-slices are slices, the
-        inverse of ``form_to_slices``."""
+        inverse of ``form_to_slices``, and like it refuses p or q outside 0..n."""
+        self.check_bidegree(p, q)
         coeffs: Dict[int, Dict[int, GaussianRational]] = {}
         for expo, v in slices.items():
             for i, c in v.items():

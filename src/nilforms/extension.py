@@ -213,9 +213,9 @@ def solve_extension(
     Raises PreconditionFailed when the order is negative or exceeds the
     ring truncation, omega0 is zero, of mixed bidegree, t-dependent or
     not d-closed, phi is not integrable, or a required mild lemma fails
-    at t = 0, NotPerturbative when phi has a constant term, and
-    ObstructionNonvanishing(order, component) when an order equation is
-    exactly unsolvable.
+    at t = 0 (``failing_hypothesis``), NotPerturbative when phi has a
+    constant term, and ObstructionNonvanishing(order, component) when an
+    order equation is exactly unsolvable.
     """
     se_r, omega0, order, ec0 = _checked_inputs(se, phi, omega0, order, check_lemmata, ec0)
     p, q = omega0.bidegree()
@@ -257,20 +257,20 @@ def _checked_inputs(se, phi, omega0, order, check_lemmata, ec0):
 
     if ec0 is None:
         ec0 = fiber_complex(se_r, None, zero_point(ring.m))
-    failing = _failing_mild(ec0, p, q) if check_lemmata else None
+    failing = failing_hypothesis(ec0, p, q) if check_lemmata else None
     if failing:
-        raise PreconditionFailed(f"the {failing}-th mild lemma fails at t = 0")
+        raise PreconditionFailed(f"the ({failing[0]},{failing[1]})-th mild lemma fails at t = 0")
     return se_r, omega0, order, ec0
 
 
-def _failing_mild(ec: EvaluatedComplex, p: int, q: int) -> Optional[str]:
-    """The first of the solvers' two hypotheses for a (p,q)-form, the
-    (p,q+1)- and (q,p+1)-th mild lemmas, that fails on ec, as "(p,q)",
-    asked in that order and once where the two are one; None if both
-    hold (``lemmata._mild_holds``, which builds no witness)."""
+def failing_hypothesis(ec: EvaluatedComplex, p: int, q: int) -> Optional[Tuple[int, int]]:
+    """The bidegree of the first of the (p,q+1)- and (q,p+1)-th mild lemmas,
+    the paper's hypothesis for a (p,q)-form, that fails on ec, or None; each
+    is asked once, by mild's rank identity (``lemmata._mild_holds``), which
+    builds no witness and holds outside 0..n, as at (p,n+1)."""
     for mp, mq in dict.fromkeys(((p, q + 1), (q, p + 1))):
         if not _mild_holds(ec, "del", mp, mq):
-            return f"({mp},{mq})"
+            return mp, mq
     return None
 
 
@@ -362,20 +362,20 @@ def solve_conjugate_system(ec: EvaluatedComplex, zeta: Form, xi: Form, p: int, q
         raise PreconditionFailed("del delbar zeta != 0")
     if se.apply_delbar(right):
         raise PreconditionFailed("delbar del conj(xi) != 0")
-    failing = _failing_mild(ec, p, q)
+    failing = failing_hypothesis(ec, p, q)
     if failing:
-        raise PreconditionFailed(f"the {failing}-th mild lemma fails on this complex")
+        raise PreconditionFailed(f"the ({failing[0]},{failing[1]})-th mild lemma fails on this complex")
     # the hypotheses make every slice solvable, so no order is ever reported
     return _conjugate_solution(ec, left, right, p, q, None)
 
 
 def bc_nontriviality(ec_t: EvaluatedComplex, ext: Form) -> bool:
-    """True iff ext is not del_t delbar_t-exact on the deformed fiber."""
+    """True iff ext is not del_t delbar_t-exact on the deformed fiber, by
+    the lemma witnesses' test (``EvaluatedComplex.in_ddbar_image``)."""
     if not ext:
         return False
     p, q = ext.bidegree()
-    v = ec_t.form_to_vec(ext, p, q)
-    return not ec_t.image_echelon("ddbar", p, q).contains(v)
+    return not ec_t.in_ddbar_image(ec_t.form_to_vec(ext, p, q), p, q)
 
 
 @dataclass

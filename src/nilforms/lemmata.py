@@ -74,20 +74,23 @@ unimodular complex, tests each image on the Hodge-star side and stars
 back only the witness.  Strong's space is the sum of the spaces that
 mild and dual mild test, so strong fails exactly when one of them
 fails, and its witness is theirs: mild's at (p,q) if mild fails, else
-dual mild's.  So strong has no decider of its own: ``lemma_report(ec,
-[(p, q)])`` reads its identity, reuses the two witnesses it holds, and
-checks strong = mild and dual mild.  Weak's witness is the first candidate
-outside D, two per relation: a relation with a on the e_s and b on the
-conj(e_s) is a u in U, and u + sigma(u) and i (u - sigma(u)) are d of
-real forms, with (p,p+1) parts sum (a_s + conj b_s) e_s and
-i sum (a_s - conj b_s) e_s, which over all relations span T cap E.
+dual mild's.  So none of the three has a decider of its own:
+``lemma_report(ec, [(p, q)])`` reads them, reuses the two witnesses for
+strong and checks strong = mild and dual mild; the extension solvers
+ask mild's identity alone (``extension.failing_hypothesis``).  Weak's
+witness is the first candidate outside D, two per relation: a relation
+with a on the e_s and b on the conj(e_s) is a u in U, and u + sigma(u)
+and i (u - sigma(u)) are d of real forms, with (p,p+1) parts
+sum (a_s + conj b_s) e_s and i sum (a_s - conj b_s) e_s, which over all
+relations span T cap E.
 Standard's space is spanned by the relations among the parts outside
 the (p,q) block of the total image basis, tracked into one echelon.
 Every relation is read by ``linalg.Echelon.track``.  That the route
 finds a witness is checked; if not, the two routes disagree, and
 AssertionError is raised.  Every witness re-verifies by fresh rank
 computations (``verify_witness``).
-Every decider refuses a bidegree outside 0..n (``ec.check_bidegree``).
+``weak``, ``lemma_report`` and ``verify_witness`` refuse a bidegree
+outside 0..n (``ec.check_bidegree``).
 """
 
 from __future__ import annotations
@@ -115,25 +118,6 @@ def _witness(ec: EvaluatedComplex, kind: str, p: int, q: int, vectors: Iterable[
         f"{kind} at {(p, q)}: the ranks say it fails, but the vector route "
         "finds no form outside im deldelbar"
     )
-
-
-def mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
-    """True iff every delbar-closed del-exact (p,q)-form is deldelbar-exact."""
-    return _mild(ec, "del", p, q)
-
-
-def dual_mild(ec: EvaluatedComplex, p: int, q: int) -> Tuple[bool, Optional[Form]]:
-    """Mirror of mild with del and delbar exchanged."""
-    return _mild(ec, "delbar", p, q)
-
-
-def _mild(ec: EvaluatedComplex, op: str, p: int, q: int) -> Tuple[bool, Optional[Form]]:
-    """op(ker deldelbar) inside im deldelbar at (p,q), op del or delbar,
-    by rank; the witness is the first image outside (``_scanned``)."""
-    ec.check_bidegree(p, q)
-    if _mild_holds(ec, op, p, q):
-        return True, None
-    return False, _scanned(ec, op, p, q)
 
 
 def _mild_holds(ec: EvaluatedComplex, op: str, p: int, q: int) -> bool:
@@ -165,8 +149,6 @@ def _scanned(ec: EvaluatedComplex, op: str, p: int, q: int) -> Form:
 def _strong_holds(ec: EvaluatedComplex, p: int, q: int) -> bool:
     """strong's rank identity at (p,q), from its own rank reads
     (``_strong_identity``)."""
-    if not ec.dim(p, q):
-        return True
     return _strong_identity(ec.rank("exact_sum", p, q), ec.image_rank("ddbar", p, q + 1),
                             ec.image_rank("ddbar", p + 1, q), ec.image_rank("ddbar", p, q))
 

@@ -258,7 +258,7 @@ def pairing_volume(gamma: Form, tau: Form) -> GaussianRational:
 
 def is_transverse(
     gamma: Form,
-    p: Optional[int] = None,
+    p: int,
     samples: int = 200,
     seed: int = 7,
     force_sampled: bool = False,
@@ -272,12 +272,13 @@ def is_transverse(
     c read as minors (``decomposable_coefficients``), pairs to c* A c,
     summed over A's nonzero entries: one <= 0 is an exact falsifier, the
     only tau built as a form; else the verdict is sampled, with the
-    smallest margin drawn.  Every
-    falsifier is re-verified by its wedge (``pairing_volume``)."""
+    smallest margin drawn.  Every falsifier is re-verified by its wedge
+    (``pairing_volume``).  samples below 1 raise ValueError, whatever p
+    is: a sampled verdict would hold on no evidence."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     alg = gamma.algebra
     n = alg.n
-    if p is None:
-        p = gamma.bidegree()[0]
     if gamma and not gamma.is_homogeneous(p, p):
         raise ValueError("transversality needs a (p,p)-form")
     if gamma.conj() != gamma:

@@ -4,6 +4,7 @@ from nilforms.algebra import build_complex
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, zero_point
 from nilforms.deformation import evaluate_se
+from nilforms.lemmata import lemma_report
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,14 @@ def ec_iwasawa(iwasawa3):
 def ec_bcvary0(bcvary10):
     se0 = evaluate_se(bcvary10.se, zero_point(4))
     return EvaluatedComplex(build_complex(se0), ())
+
+
+def lemma_verdict(ec, kind, p, q):
+    """The verdict kind (mild, dual_mild or strong) at (p,q) and its
+    witness, as ``lemma_report`` reads them at that one bidegree."""
+    report = lemma_report(ec, [(p, q)])
+    flags = {"mild": report.mild_flags, "dual_mild": report.dual_mild_flags, "strong": report.strong_flags}[kind]
+    return flags[(p, q)], report.witnesses.get(f"{kind}:{p},{q}")
 
 
 def _product_se(name, factors, perm=None):

@@ -35,7 +35,7 @@ from nilforms.extension import (
     small_points,
     solve_extension,
 )
-from nilforms.lemmata import dual_mild, lemma_report, mild, weak
+from nilforms.lemmata import lemma_report
 from nilforms.positivity import (
     is_strictly_positive,
     is_transverse,
@@ -115,10 +115,10 @@ def test_criterion_04_integrability_identically(bcvary10):
 
 
 def test_criterion_05_iwasawa_lemma_taxonomy(iwasawa3, ec_iwasawa):
-    assert weak(ec_iwasawa, 2)[0] is True
-    assert dual_mild(ec_iwasawa, 2, 3)[0] is True
-    ok, witness = mild(ec_iwasawa, 2, 3)
-    assert ok is False and witness is not None
+    report = lemma_report(ec_iwasawa, [(2, 3)])
+    assert report.weak_flags[2] is True
+    assert report.dual_mild_flags[(2, 3)] is True
+    assert report.mild_flags[(2, 3)] is False and "mild:2,3" in report.witnesses
     # the printed witness: del eta^{3 bar1} = -eta^{12 bar1} is a nonzero
     # Bott-Chern class killed in del-cohomology
     se = iwasawa3.se
@@ -133,8 +133,8 @@ def test_criterion_05_iwasawa_lemma_taxonomy(iwasawa3, ec_iwasawa):
 
 
 def test_criterion_06_bcvary_lemma_pair_and_hierarchy(ec_bcvary0):
-    assert mild(ec_bcvary0, 4, 5)[0] is True
-    assert lemma_report(ec_bcvary0, [(4, 5)]).strong_flags == {(4, 5): False}
+    report = lemma_report(ec_bcvary0, [(4, 5)])
+    assert report.mild_flags == {(4, 5): True} and report.strong_flags == {(4, 5): False}
     for name in CATALOG_NAMES:
         entry = catalog_load(name)
         se = entry.se

@@ -1249,6 +1249,33 @@ def test_every_per_cell_reader_refuses_a_degree_out_of_range(ec_iwasawa):
     assert [betti(ec_iwasawa, k) for k in (0, 6)] == [1, 1]
 
 
+def test_vector_readers_refuse_a_bidegree_out_of_range(iwasawa3):
+    """The complex's kernel readers and its form/vector codec name the
+    valid range, as check_bidegree does, instead of answering about the
+    zero space (an empty kernel at (7,7)), reaching a monomial of
+    another bidegree through a negative index ((-1,0) read as (3,0)),
+    or raising IndexError past n; the ends of the range are answered."""
+    ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
+    alg, one = iwasawa3.se.algebra, {0: QI_ONE}
+    zero = alg.zero()
+    readers = (
+        lambda p, q: ec.kernel("stacked", p, q),
+        lambda p, q: ec.kernel_vectors("ddbar", p, q),
+        lambda p, q: ec.vec_to_form(one, p, q),
+        lambda p, q: ec.slices_to_form({1: one}, p, q, alg),
+        lambda p, q: ec.form_to_vec(zero, p, q),
+        lambda p, q: ec.form_to_slices(zero, p, q),
+    )
+    for p, q in ((7, 7), (-1, 0), (4, 0), (0, 4), (0, -1)):
+        for reader in readers:
+            with pytest.raises(ValueError, match=rf"^bidegree \({p},{q}\) is outside 0\.\.3$"):
+                reader(p, q)
+    assert ec.kernel("stacked", 3, 3) == ec.kernel("stacked", 0, 0) == [one]
+    assert ec.vec_to_form(one, 3, 0) == alg.monomial((1, 2, 3), ())
+    assert ec.form_to_vec(alg.monomial((1, 2, 3), ()), 3, 0) == one
+    assert ec.form_to_slices(zero, 0, 3) == {} and ec.slices_to_form({}, 0, 3, alg) == zero
+
+
 def test_cohomology_refuses_equations_that_define_no_complex():
     """full_report, cohomology and the public dimension readers answer
     only on a complex, and the complex is refused where it is built.

@@ -25,6 +25,7 @@ from nilforms import extension
 from nilforms.extension import (
     bc_nontriviality,
     beltrami_operators,
+    failing_hypothesis,
     ladder_sums,
     obstruction_residual,
     pkahler_extend,
@@ -32,7 +33,7 @@ from nilforms.extension import (
     solve_conjugate_system,
     solve_extension,
 )
-from nilforms.lemmata import mild
+from nilforms.lemmata import lemma_report
 from nilforms.scalars import DetRng, GaussianRational, ParamScalar, PolyRing, QI
 
 from oracles import (
@@ -692,8 +693,9 @@ def test_solve_extension_preconditions(iwasawa3, bcvary10):
 
 def test_empty_mild_bidegrees_hold_without_asking(bcvary10, ec_bcvary0, monkeypatch):
     """At q = n the solver's hypotheses name the empty bidegree (p,n+1),
-    which mild refuses: solve_extension and solve_conjugate_system ask
-    mild's rank identity (``lemmata._mild_holds``), which holds there
+    which lemma_report refuses: solve_extension and solve_conjugate_system
+    ask mild's rank identity (``lemmata._mild_holds``, through
+    ``failing_hypothesis``), which holds there
     without reading a rank, and reads ranks at (q,p+1).  On bcvary10 at
     t = 0 (n = 5) mild holds at (5,5) and fails at (5,4), so the (4,5)
     generators extend and the (3,5) ones are refused, naming (5,4); the
@@ -713,7 +715,7 @@ def test_empty_mild_bidegrees_hold_without_asking(bcvary10, ec_bcvary0, monkeypa
     monkeypatch.setattr(EvaluatedComplex, "mild_scan", lambda self, *a: scans.append(a) or real_scan(self, *a))
     alg = bcvary10.se.algebra
     with pytest.raises(ValueError, match=r"bidegree \(4,6\) is outside 0\.\.5"):
-        mild(ec_bcvary0, 4, 6)
+        lemma_report(ec_bcvary0, [(4, 6)])
     empty = {(p, 6): ("del", p, 6, True, False) for p in range(6)}
     holding, failing = ("del", 5, 5, True, True), ("del", 5, 4, False, True)
     for (p, q), want in (((5, 5), [empty[5, 6]]), ((4, 5), [empty[4, 6], holding]), ((3, 5), [empty[3, 6], failing])):
@@ -744,7 +746,7 @@ def test_both_solvers_name_the_first_failing_hypothesis(bcvary10, ec_bcvary0):
     (q,p+1), by solve_extension and solve_conjugate_system alike: on
     bcvary10 at t = 0 both the (1,4)- and the (3,2)-th mild lemma fail,
     and each (1,3) generator is refused by both, naming (1,4)."""
-    assert not mild(ec_bcvary0, 1, 4)[0] and not mild(ec_bcvary0, 3, 2)[0]
+    assert lemma_report(ec_bcvary0, [(1, 4), (3, 2)]).mild_flags == {(1, 4): False, (3, 2): False}
     alg, zero = bcvary10.se.algebra, ec_bcvary0.cx.algebra.zero()
     generators = ec_bcvary0.kernel("stacked", 1, 3)
     assert generators
@@ -754,6 +756,29 @@ def test_both_solvers_name_the_first_failing_hypothesis(bcvary10, ec_bcvary0):
             solve_extension(bcvary10.se, bcvary10.beltrami, omega0, ec0=ec_bcvary0)
     with pytest.raises(PreconditionFailed, match=r"^the \(1,4\)-th mild lemma fails on this complex$"):
         solve_conjugate_system(ec_bcvary0, zero, zero, 1, 3)
+
+
+def test_failing_hypothesis_is_the_first_failing_mild_flag(ec_bcvary0, ec_iwasawa):
+    """On bcvary10 at t = 0 and on iwasawa3, at every (p,q) with a
+    d-closed generator, ``failing_hypothesis(ec, p, q)`` is the first of
+    (p,q+1) and (q,p+1), in that order, whose mild flag, as
+    ``lemma_report`` reads it, fails, or None: a cell outside 0..n
+    holds.  Both orders of failure occur: the first cell failing (both
+    fail at (1,3) on bcvary10) and only the second."""
+    outcomes = set()
+    for label, ec in (("bcvary10@0", ec_bcvary0), ("iwasawa3", ec_iwasawa)):
+        for p in range(ec.n + 1):
+            for q in range(ec.n + 1):
+                if not ec.kernel("stacked", p, q):
+                    continue
+                cells = [c for c in dict.fromkeys(((p, q + 1), (q, p + 1))) if max(c) <= ec.n]
+                flags = lemma_report(ec, cells).mild_flags if cells else {}
+                want = next((c for c in cells if not flags[c]), None)
+                assert failing_hypothesis(ec, p, q) == want, (label, p, q)
+                outcomes.add("holds" if want is None else cells.index(want))
+    assert outcomes == {"holds", 0, 1}
+    assert failing_hypothesis(ec_bcvary0, 1, 3) == (1, 4)
+    assert failing_hypothesis(ec_bcvary0, 3, 5) == (5, 4)
 
 
 def test_obstruction_nonvanishing_when_lemma_skipped(iwasawa3):
@@ -1085,7 +1110,7 @@ def test_integrability_verdict_is_kept_only_for_a_pass_on_that_se(monkeypatch):
 
 def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
     """The paper's theorem checked at n = 6 on bcvary10 x C.  At (5,5)
-    the mild pair holds at t = 0, and every d-closed generator extends
+    the mild pair holds at t = 0 (``failing_hypothesis``), and every d-closed generator extends
     through the ring order with zero residual: an obstruction there is a
     defect.  At (4,4) and (3,3) the pair fails, and the plain, corrected
     and obstructed counts are the ones the Green route gives.  Every
@@ -1101,8 +1126,7 @@ def test_extension_theorem_bcvary10_c(bcvary10_c, monkeypatch):
 
     expected = {(5, 5): (True, 0, 32, 0), (4, 4): (False, 29, 114, 14), (3, 3): (False, 88, 65, 65)}
     for (p, q), want in expected.items():
-        # mild holds on an empty bidegree, (p,n+1) when q = n
-        pair = all(mild(ec0, a, b)[0] for a, b in ((p, q + 1), (q, p + 1)) if ec0.dim(a, b))
+        pair = failing_hypothesis(ec0, p, q) is None
         counts = {"plain": 0, "corrected": 0, "obstructed": 0}
         for gv in ec0.kernel("stacked", p, q):
             omega0 = ec0.vec_to_form(gv, p, q, alg)

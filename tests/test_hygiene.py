@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import inspect
 import io
+import json
 import pkgutil
 import sys
 import types
@@ -20,6 +21,7 @@ from nilforms.algebra import Form, StructureEquations, build_complex
 from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points
 from nilforms.deformation import deform_complex
+from nilforms.extension import bc_nontriviality
 from nilforms.scalars import GaussianRational, ParamScalar
 
 from conftest import SOLVABLE
@@ -786,7 +788,7 @@ def test_src_keeps_no_hodge_layer_and_builds_rrefs_only_for_kernels():
     assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["Echelon"]
 
 
-def test_one_source_per_fact():
+def test_one_source_per_fact(monkeypatch, iwasawa3):
     """Each fact has one route in the package.  e^{iota_phi} is the
     coframe substitution 1 + phi (``simultaneous_contract``), so the
     series ``exp_contract`` is a test oracle.  Transversality on nearby
@@ -795,10 +797,42 @@ def test_one_source_per_fact():
     imports nothing from ``deformation``.  A form's truth value says
     whether it is zero, so neither Form nor VectorValuedForm defines
     ``is_zero``.  p is read off the form (``pkahler_degree``), so
-    ``pkahler_check`` takes no p and ``check_pkahler_degree`` is gone."""
+    ``pkahler_check`` takes no p, ``is_transverse``'s p has no default
+    and ``check_pkahler_degree`` is gone.  ``lemma_report`` reads mild
+    and dual mild, so ``lemmata`` defines no ``mild``, ``dual_mild`` or
+    ``_mild``, and src and scripts call neither name.  The theorem's
+    hypothesis is ``extension.failing_hypothesis``, which both solvers,
+    the survey script and the n = 6 theorem test read.  Whether a form
+    is deldelbar-exact is ``in_ddbar_image``, so ``bc_nontriviality``
+    transposes no matrix on a unimodular fiber.  ``lemma_report`` asks
+    ``_strong_holds`` only at bidegrees in range, so it asks no dim."""
     defined = {pair for path in SRC.glob("*.py") for pair in defined_names(path.read_text())}
     names = {name for _, name in defined}
     assert names.isdisjoint({"exp_contract", "transversality_along_deformation", "check_pkahler_degree"})
+    assert {(None, "mild"), (None, "dual_mild"), (None, "_mild")}.isdisjoint(defined)
+    root = SRC.parent.parent
+    code = {path: path.read_text() for top in ("src", "scripts") for path in sorted((root / top).rglob("*.py"))}
+    assert [(path.name, name) for path, text in code.items() for name in ("mild", "dual_mild") if calls_of(text, name)] == []
+    readers = {
+        path: {scope for scope, _ in calls_of((root / path).read_text(), "failing_hypothesis")}
+        for path in ("src/nilforms/extension.py", "scripts/extension_survey.py", "tests/test_extension.py")
+    }
+    assert readers["src/nilforms/extension.py"] == {"_checked_inputs", "solve_conjugate_system"}
+    assert readers["scripts/extension_survey.py"] == {"main"}
+    assert "test_extension_theorem_bcvary10_c" in readers["tests/test_extension.py"]
+    transposed = []
+    real = linalg.columns
+    monkeypatch.setattr(linalg, "columns", lambda rows: transposed.append(rows) or real(rows))
+    ec = EvaluatedComplex(build_complex(iwasawa3.se), ())
+    witness = iwasawa3.se.apply_del(iwasawa3.se.algebra.monomial((3,), (1,)))  # -eta^{12 bar1}
+    exact = iwasawa3.se.apply_del(iwasawa3.se.apply_delbar(iwasawa3.se.algebra.monomial((3,), (3,))))
+    assert ec.unimodular and exact
+    assert bc_nontriviality(ec, witness) and not bc_nontriviality(ec, exact)
+    assert transposed == []
+    strong = next(node for node in ast.walk(ast.parse((SRC / "lemmata.py").read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_strong_holds")
+    assert not any(isinstance(node, ast.If) for node in ast.walk(strong))
+    assert calls_of(ast.unparse(strong), "dim") == []
     assert {("Form", "is_zero"), ("VectorValuedForm", "is_zero")}.isdisjoint(defined)
     assert (None, "pkahler_degree") in defined
     tree = ast.parse((SRC / "positivity.py").read_text())
@@ -808,6 +842,41 @@ def test_one_source_per_fact():
             imported |= {node.module} if node.module else {alias.name for alias in node.names}
     assert imported == {"algebra", "errors", "io", "leibniz", "linalg", "scalars"}
     assert "p" not in inspect.signature(positivity.pkahler_check).parameters
+    assert inspect.signature(positivity.is_transverse).parameters["p"].default is inspect.Parameter.empty
+
+
+def nilforms_imports(source: str):
+    """(module, name) of each ``from nilforms... import name`` at any depth."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "nilforms"
+        for alias in node.names
+    ]
+
+
+def test_benchmark_and_scripts_read_only_public_names():
+    """The names that the benchmark (``perfbench``) and the scripts import
+    from the package exist and are public, so a change that drops or
+    hides one fails here, not only in a benchmark run.  One round of each
+    benchmark workload, built by ``workloads.make`` as the harness builds
+    it, runs and passes its checks against the recorded goldens."""
+    root = SRC.parent.parent
+    paths = sorted((root / "perfbench").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    found = {(path.name, module, name) for path in paths for module, name in nilforms_imports(path.read_text())}
+    assert ("workloads.py", "nilforms.lemmata", "verify_witness") in found
+    assert ("extension_survey.py", "nilforms.extension", "failing_hypothesis") in found
+    for file, module, name in sorted(found):
+        assert not name.startswith("_") and hasattr(importlib.import_module(module), name), (file, module, name)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    goldens = json.loads((root / "perfbench" / "goldens.json").read_text())
+    for name in ("product_tables", "fiber_sweep", "extension_batch"):
+        ops = next(workloads.make(name, 1, goldens).rounds())
+        assert ops, name
+        for op in ops:
+            op.check(op.run())
 
 
 def test_no_function_imports():

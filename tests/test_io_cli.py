@@ -14,7 +14,7 @@ from nilforms.catalog import catalog_load, catalog_names, run_scenario
 from nilforms.cohomology import betti, cohomology, dclosed_dim, ddbar_image_dim, generic_points, zero_point
 from nilforms.deformation import fiber_complex
 from nilforms.errors import FormatError, UnknownEntry
-from nilforms.lemmata import dual_mild, lemma_report, mild, standard, verify_witness, weak
+from nilforms.lemmata import lemma_report, standard, verify_witness, weak
 from nilforms.scalars import parse_gaussian
 
 from oracles import in_real_delbar_span
@@ -128,7 +128,8 @@ def _golden_actual(entry, key: str):
     readers = {  # name: (number of arguments, reader)
         "h_bc": (2, lambda ec, p, q: cohomology(ec, "bott_chern", p, q)), "dclosed": (2, dclosed_dim),
         "ddbar": (2, ddbar_image_dim),
-        "mild": (2, lambda ec, p, q: mild(ec, p, q)[0]), "dual_mild": (2, lambda ec, p, q: dual_mild(ec, p, q)[0]),
+        "mild": (2, lambda ec, p, q: lemma_report(ec, [(p, q)]).mild_flags[(p, q)]),
+        "dual_mild": (2, lambda ec, p, q: lemma_report(ec, [(p, q)]).dual_mild_flags[(p, q)]),
         "strong": (2, lambda ec, p, q: lemma_report(ec, [(p, q)]).strong_flags[(p, q)]),
         "weak": (1, lambda ec, p: weak(ec, p)[0]),
         "standard": (0, lambda ec: standard(ec)[0]), "betti": (0, lambda ec: [betti(ec, k) for k in range(2 * ec.n + 1)]),

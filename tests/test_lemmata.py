@@ -14,17 +14,10 @@ from nilforms.catalog import catalog_load
 from nilforms.cohomology import EvaluatedComplex, full_report, generic_points, zero_point
 from nilforms.deformation import deform_complex, evaluate_se
 from nilforms.errors import FlatnessError
-from nilforms.lemmata import (
-    dual_mild,
-    lemma_report,
-    mild,
-    standard,
-    verify_witness,
-    weak,
-)
+from nilforms.lemmata import lemma_report, standard, verify_witness, weak
 from nilforms.scalars import QI_I, QI_ONE, GaussianRational, PolyRing
 
-from conftest import SOLVABLE, _product_se, heisenberg_c
+from conftest import SOLVABLE, _product_se, heisenberg_c, lemma_verdict
 
 from oracles import (
     columns_of_every_row,
@@ -54,24 +47,17 @@ from oracles import (
 )
 
 
-def _strong(ec, p, q):
-    """strong's verdict at (p,q) and its witness, as ``lemma_report``
-    reads them at that one bidegree."""
-    report = lemma_report(ec, [(p, q)])
-    return report.strong_flags[(p, q)], report.witnesses.get(f"strong:{p},{q}")
-
-
 def test_iwasawa_taxonomy(ec_iwasawa):
-    ok, wit = mild(ec_iwasawa, 2, 3)
+    ok, wit = lemma_verdict(ec_iwasawa, "mild", 2, 3)
     assert not ok and wit is not None
     checks = verify_witness(ec_iwasawa, "mild", 2, 3, wit)
     assert all(checks.values()), checks
     # a misspelled kind is refused, not certified by not_ddbar_exact alone
     with pytest.raises(ValueError, match="unknown witness kind 'mlid': expected one of mild, dual_mild, strong, weak, standard"):
         verify_witness(ec_iwasawa, "mlid", 2, 3, wit)
-    assert dual_mild(ec_iwasawa, 2, 3)[0] is True
+    assert lemma_verdict(ec_iwasawa, "dual_mild", 2, 3)[0] is True
     assert weak(ec_iwasawa, 2)[0] is True
-    assert _strong(ec_iwasawa, 2, 3)[0] is False
+    assert lemma_verdict(ec_iwasawa, "strong", 2, 3)[0] is False
 
 
 def test_verify_witness_refuses_a_space_that_does_not_exist(bcvary10):
@@ -96,21 +82,20 @@ def test_verify_witness_refuses_a_space_that_does_not_exist(bcvary10):
 def test_torus_all_true(ec_torus):
     for p in range(4):
         for q in range(4):
-            assert mild(ec_torus, p, q)[0]
-            assert dual_mild(ec_torus, p, q)[0]
-            assert _strong(ec_torus, p, q)[0]
+            report = lemma_report(ec_torus, [(p, q)])
+            assert report.mild_flags[(p, q)] and report.dual_mild_flags[(p, q)] and report.strong_flags[(p, q)]
     assert weak(ec_torus, 1)[0] and weak(ec_torus, 2)[0]
     assert standard(ec_torus)[0]
 
 
 def test_bcvary_mild_but_not_strong(ec_bcvary0):
-    assert mild(ec_bcvary0, 4, 5)[0] is True
-    ok, wit = _strong(ec_bcvary0, 4, 5)
+    assert lemma_verdict(ec_bcvary0, "mild", 4, 5)[0] is True
+    ok, wit = lemma_verdict(ec_bcvary0, "strong", 4, 5)
     assert ok is False
     checks = verify_witness(ec_bcvary0, "strong", 4, 5, wit)
     assert all(checks.values()), checks
     # forced by strong = mild and dual_mild
-    ok_d, wit_d = dual_mild(ec_bcvary0, 4, 5)
+    ok_d, wit_d = lemma_verdict(ec_bcvary0, "dual_mild", 4, 5)
     assert ok_d is False
     checks_d = verify_witness(ec_bcvary0, "dual_mild", 4, 5, wit_d)
     assert all(checks_d.values()), checks_d
@@ -137,7 +122,7 @@ def test_ex20_witness_is_bc_nontrivial_and_del_trivial(ec_iwasawa, iwasawa3):
     # del-exact hence del-cohomology-trivial; not del delbar-exact
     assert ec_iwasawa.image_echelon("del", 2, 1).contains(v)
     assert not ec_iwasawa.image_echelon("ddbar", 2, 1).contains(v)
-    assert mild(ec_iwasawa, 2, 1)[0] is False
+    assert lemma_verdict(ec_iwasawa, "mild", 2, 1)[0] is False
 
 
 def test_hierarchy_all_catalog_entries():
@@ -171,11 +156,11 @@ def test_per_point_reporting_bcvary(bcvary10):
     flags = {}
     se0 = evaluate_se(bcvary10.se, zero_point(4))
     ec0 = EvaluatedComplex(build_complex(se0), ())
-    flags["zero"] = mild(ec0, 4, 5)[0]
+    flags["zero"] = lemma_verdict(ec0, "mild", 4, 5)[0]
     for i, pt in enumerate(generic_points(4)):
         se_t = deform_complex(bcvary10.se, bcvary10.beltrami, point=pt)
         ect = EvaluatedComplex(build_complex(se_t), ())
-        flags[f"pt{i}"] = mild(ect, 4, 5)[0]
+        flags[f"pt{i}"] = lemma_verdict(ect, "mild", 4, 5)[0]
     assert flags["zero"] is True
     assert set(flags.values()) <= {True, False}
 
@@ -334,7 +319,7 @@ def test_strong_builds_no_stacked_kernel_or_del_span(monkeypatch, iwasawa_c):
     report = lemma_report(ec)
     assert "_strong_holds" not in called  # every bidegree reads the rank tables
     for (p, q), flag in report.strong_flags.items():
-        ok, wit = _strong(ec, p, q)
+        ok, wit = lemma_verdict(ec, "strong", p, q)
         assert ok is flag and wit == report.witnesses.get(f"strong:{p},{q}"), (p, q)
     assert not report.strong_flags[(2, 2)]
     assert not _kernels_read(ec, "stacked")
@@ -361,21 +346,19 @@ def test_lemma_report_refuses_out_of_range_bidegrees(ec_iwasawa):
 
 
 def test_deciders_refuse_out_of_range_bidegrees(ec_iwasawa):
-    """mild and dual mild refuse a bidegree outside 0..n, and weak a p
-    outside 0..n-1 (its (p,p+1) leaves the range), with check_bidegree's
-    error, instead of holding on the zero space (lemma_report, which
-    reads strong, refuses them too); the edges of the range still
-    answer."""
+    """lemma_report, the reader of mild, dual mild and strong, refuses a
+    bidegree outside 0..n asked alone, and weak a p outside 0..n-1 (its
+    (p,p+1) leaves the range), with check_bidegree's error, instead of
+    holding on the zero space; the edges of the range still answer."""
     for p, q in ((9, 9), (1, 4), (-1, 2), (0, -1)):
-        for decider in (mild, dual_mild):
-            with pytest.raises(ValueError, match=rf"^bidegree \({p},{q}\) is outside 0\.\.3$"):
-                decider(ec_iwasawa, p, q)
+        with pytest.raises(ValueError, match=rf"^bidegree \({p},{q}\) is outside 0\.\.3$"):
+            lemma_report(ec_iwasawa, [(p, q)])
     for p, at in ((-3, "-3,-2"), (-1, "-1,0"), (3, "3,4"), (9, "9,10")):
         with pytest.raises(ValueError, match=rf"^bidegree \({at}\) is outside 0\.\.3$"):
             weak(ec_iwasawa, p)
     for p, q in ((0, 0), (3, 3), (0, 3), (3, 0)):
-        for decider in (mild, dual_mild, _strong):
-            assert decider(ec_iwasawa, p, q)[0] is True, (decider.__name__, p, q)
+        for kind in ("mild", "dual_mild", "strong"):
+            assert lemma_verdict(ec_iwasawa, kind, p, q)[0] is True, (kind, p, q)
     assert [weak(ec_iwasawa, p)[0] for p in range(3)] == [True, True, True]
 
 
@@ -433,15 +416,15 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
     oracles run on a fresh complex: the same forms, monomial order and
     scalar types, but for weak's witness, which lies, by the realified
     oracle, in T cap E outside im deldelbar (``_in_weak_oracle_space``),
-    where the nullspace oracle finds its own; mild and dual mild refuse
-    (p, n+1), the empty bidegree that the extension solver counts as
-    holding without asking.  Strong's
-    flags are those of the full-basis oracle, and its witness, in the
-    report and in a report at (p,q) alone, is the mild oracle's at (p,q)
-    if mild fails, else the dual mild oracle's."""
+    where the nullspace oracle finds its own; a report at (p,q) alone
+    gives the same mild, dual mild and strong flags and witnesses, and
+    refuses (p, n+1), the empty bidegree that the extension solver
+    counts as holding without asking.  Strong's flags are those of the
+    full-basis oracle, and its witness is the mild oracle's at (p,q) if
+    mild fails, else the dual mild oracle's."""
     solvable = build_complex(nio.obj_to_se(SOLVABLE))
     ec = EvaluatedComplex(solvable, ())
-    assert not ec.unimodular and _strong(ec, 2, 2) == (True, None)
+    assert not ec.unimodular and lemma_verdict(ec, "strong", 2, 2) == (True, None)
     assert ec.image_rank("ddbar", 2, 3) == ec.image_rank("ddbar", 3, 2) == 2
     for label, cx, point in reference_complexes + [("solvable3", solvable, ())]:
         ec, oc = EvaluatedComplex(cx, point), EvaluatedComplex(cx, point)
@@ -461,12 +444,13 @@ def test_rank_verdicts_equal_the_vector_route(reference_complexes):
                 mild_wit, dual_wit = want["mild", p, q][1], want["dual_mild", p, q][1]
                 want["strong", p, q] = (strong_by_vectors(oc, p, q)[0], mild_wit if mild_wit is not None else dual_wit)
                 got["strong", p, q] = (report.strong_flags[(p, q)], _typed_form(report.witnesses.get(f"strong:{p},{q}")))
-                ok, wit = _strong(ec, p, q)
-                got["strong alone", p, q] = (ok, _typed_form(wit))
-                want["strong alone", p, q] = want["strong", p, q]
-            for decider in (mild, dual_mild):
-                with pytest.raises(ValueError, match=rf"bidegree \({p},{n + 1}\) is outside 0\.\.{n}$"):
-                    decider(ec, p, n + 1)
+                alone = lemma_report(ec, [(p, q)])
+                for kind, flags in (("mild", alone.mild_flags), ("dual_mild", alone.dual_mild_flags),
+                                    ("strong", alone.strong_flags)):
+                    got[f"{kind} alone", p, q] = (flags[(p, q)], _typed_form(alone.witnesses.get(f"{kind}:{p},{q}")))
+                    want[f"{kind} alone", p, q] = want[kind, p, q]
+            with pytest.raises(ValueError, match=rf"bidegree \({p},{n + 1}\) is outside 0\.\.{n}$"):
+                lemma_report(ec, [(p, n + 1)])
         for p in range(n):
             ok, wit = report.weak_flags[p], report.witnesses.get(f"weak:{p}")
             got["weak", p] = (ok, wit is None if ok else _in_weak_oracle_space(cx, point, p, wit))
@@ -561,10 +545,10 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     (``linalg.columns_vec``) or by the star dual's rows
     (``linalg.row_combination``) (weak holds at every p, each by the
     identity im del cap im delbar = im deldelbar).  On every bidegree
-    it reads mild and dual mild off its rank tables, calling neither:
-    each such call is made inside the witness scan (``_scanned``) of a
-    mild or dual mild that fails, one per failing flag, or inside weak or
-    standard.
+    it reads mild and dual mild off its rank tables, calling no rank
+    identity of one bidegree (``_mild_holds``): each such call is made
+    inside the witness scan (``_scanned``) of a mild or dual mild that
+    fails, one per failing flag, or inside weak or standard.
     weak's tracked route (``_weak_tracked``), run on the same complex at
     each p, holds too, takes no kernel, applies no matrix to a vector,
     transposes stacked from (p,p) for U and then, for p > 0, del from
@@ -576,8 +560,9 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     first kernel read of an echelon builds) beyond those of mild and dual mild:
     in lemma_report each such call is made inside a failing witness scan,
     weak or standard, and a report at (p,q) alone makes, in order, the
-    calls of mild and then of dual mild at (p,q), and of weak where
-    q = p+1, on a complex in the same state; its strong witness is mild's
+    calls of mild's rank identity and, where it fails, its witness scan,
+    then dual mild's, and of weak where q = p+1, on a complex in the same
+    state; its strong witness is mild's
     if mild fails, else dual mild's.  No kernel of [del; delbar] is built."""
     verdicts, work, stack, transposed, images = [], [], [], [], []
 
@@ -604,7 +589,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
             return f(*args, **kwargs)
         return run
 
-    for name in ("mild", "dual_mild", "_scanned", "weak", "standard"):
+    for name in ("_mild_holds", "_scanned", "weak", "standard"):
         monkeypatch.setattr(lemmata, name, traced(name, getattr(lemmata, name)))
     monkeypatch.setattr(EvaluatedComplex, "_image", counted("image", EvaluatedComplex._image))
     monkeypatch.setattr(linalg, "columns_vec", counted("columns_vec", linalg.columns_vec))
@@ -619,7 +604,7 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     scanned = sorted(args for name, args, _ in verdicts if name == "_scanned")
     assert scanned == sorted((op, p, q) for op, flags in (("del", report.mild_flags), ("delbar", report.dual_mild_flags))
                              for (p, q), ok in flags.items() if not ok)
-    assert scanned and not any(name in ("mild", "dual_mild") for name, _, _ in verdicts)
+    assert scanned and not any(name == "_mild_holds" for name, _, _ in verdicts)
     assert set(report.strong_flags.values()) == {True, False} and not report.strong_flags[(2, 2)]
     assert work and all(index is not None for index, _ in work)
     assert "index" in {tag for _, tag in work}  # a failing mild indexes its kernel's echelon
@@ -648,11 +633,12 @@ def test_passing_verdicts_build_no_vectors(monkeypatch, iwasawa_c):
     failing = Counter()
     for (p, q), flag in report.strong_flags.items():
         work.clear()
-        ok, wit = _strong(alone, p, q)
+        ok, wit = lemma_verdict(alone, "strong", p, q)
         made = [tag for _, tag in work]
         work.clear()
-        m_ok, m_wit = lemmata.mild(paired, p, q)
-        d_wit = lemmata.dual_mild(paired, p, q)[1]
+        m_wit, d_wit = (None if lemmata._mild_holds(paired, op, p, q) else lemmata._scanned(paired, op, p, q)
+                        for op in ("del", "delbar"))
+        m_ok = m_wit is None
         if q == p + 1:
             lemmata.weak(paired, p)
         if not ok:
@@ -667,15 +653,17 @@ def test_routes_that_disagree_raise(monkeypatch, ec_torus):
     """When the ranks say a verdict fails but its vector route finds no
     form outside im deldelbar, the verdict raises instead of answering:
     on the torus every verdict holds, so a deldelbar image rank lowered
-    by one must raise; lemma_report at (1,1), which reads strong, raises
-    from mild's witness scan.  For weak, whose rank identity that patch makes
+    by one must raise; lemma_report at (1,1), the reader of mild, dual
+    mild and strong, raises from mild's witness scan (``_scanned``), and
+    dual mild's scan raises too.  For weak, whose rank identity that patch makes
     fail, the lowered rank makes the relations of E and conj(E) modulo U
     outnumber twice the deldelbar rank, and weak must raise both from its
     tracked route and from weak itself."""
     real = EvaluatedComplex.image_rank
     monkeypatch.setattr(EvaluatedComplex, "image_rank", lambda self, op, p, q: real(self, op, p, q) - 1)
     assert not lemmata._images_meet_in_ddbar(ec_torus, 1)
-    calls = (("mild", lambda: mild(ec_torus, 1, 1)), ("dual_mild", lambda: dual_mild(ec_torus, 1, 1)),
+    calls = (("mild", lambda: lemmata._scanned(ec_torus, "del", 1, 1)),
+             ("dual_mild", lambda: lemmata._scanned(ec_torus, "delbar", 1, 1)),
              ("mild", lambda: lemma_report(ec_torus, [(1, 1)])), ("standard", lambda: standard(ec_torus)),
              ("weak", lambda: lemmata._weak_tracked(ec_torus, 1)), ("weak", lambda: weak(ec_torus, 1)))
     for kind, call in calls:

@@ -308,6 +308,36 @@ def test_positivity_refuses_a_degree_outside_0_to_n(monkeypatch):
             call()
 
 
+def test_transverse_refuses_a_sample_count_below_one(monkeypatch, bcvary10):
+    """A sampled verdict on no draws would hold on no evidence, so
+    is_transverse refuses samples below 1 with one ValueError before any
+    pairing matrix is built, at a middle p and at p = 1, whose verdict
+    is exact and draws nothing; pkahler_check and pkahler_extend pass
+    their samples through and refuse them the same way."""
+    def no_matrix(*args):
+        raise AssertionError("a pairing matrix was built")
+
+    alg = FormAlgebra(4, PolyRing(0, 0))
+    gamma = alg.zero()
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            gamma = gamma + alg.monomial((i, j), (i, j))
+    kaehler = _one_one_forms(4)[0]
+    assert is_transverse(gamma, 2, samples=1).samples_used == 1
+    monkeypatch.setattr(positivity, "_pairing_matrix", no_matrix)
+    balanced = bcvary10.forms["balanced"]
+    for samples in (0, -3):
+        refusal = rf"^samples must be at least 1, not {samples}$"
+        for call in (
+            lambda: is_transverse(gamma, 2, samples=samples),
+            lambda: is_transverse(kaehler, 1, samples=samples),
+            lambda: pkahler_check(bcvary10.se, balanced.eval(zero_point(4)), samples=samples),
+            lambda: pkahler_extend(bcvary10.se, bcvary10.beltrami, balanced, samples=samples),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                call()
+
+
 def test_transverse_degenerate_falsifier():
     gamma = ALG2.monomial((1,), (1,), sigma_q(1))  # real but degenerate
     verdict = is_transverse(gamma, 1)
